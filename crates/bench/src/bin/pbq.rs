@@ -1394,7 +1394,7 @@ fn bench_check(rest: &[String]) {
     let diffs = regress::compare(&baseline, &current, tol);
     if diffs.is_empty() {
         println!(
-            "bench-check OK: current run within ±{:.0}% of {baseline_path} \
+            "bench-check OK: no timing more than {:.0}% above {baseline_path} \
              (timing fields banded, identity fields exact)",
             tol * 100.0
         );

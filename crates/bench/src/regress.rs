@@ -16,9 +16,9 @@
 //! [`compare`] diffs a current report against a committed baseline: numeric
 //! fields that measure wall-clock time or derived ratios (keys ending in
 //! `_s` or `_gain`, plus `speedup*`) are compared within a relative
-//! tolerance band; every other field — equality/identity booleans, check
-//! counts, shapes — must match exactly. The CI `bench-regression` job fails
-//! on any diff.
+//! tolerance band (one-sided for `_s`: only slower fails); every other
+//! field — equality/identity booleans, check counts, shapes — must match
+//! exactly. The CI `bench-regression` job fails on any diff.
 
 use std::time::Instant;
 
@@ -518,9 +518,10 @@ pub fn hostile_bench(sf: f64) -> Result<Value, String> {
     ]))
 }
 
-/// Wall-clock fields (`*_s`): banded by the relative tolerance with an
-/// absolute noise floor. Everything else must match the baseline exactly,
-/// except ratio fields (see [`is_ratio_key`]).
+/// Wall-clock fields (`*_s`): may not exceed the baseline by more than the
+/// relative tolerance plus an absolute noise floor (faster is never a
+/// failure). Everything else must match the baseline exactly, except ratio
+/// fields (see [`is_ratio_key`]).
 fn is_timing_key(key: &str) -> bool {
     key.ends_with("_s")
 }
@@ -534,7 +535,7 @@ fn is_ratio_key(key: &str) -> bool {
 }
 
 /// Recursively diff `current` against `baseline`. Timing fields (per
-/// [`is_timing_key`]) may drift by `tol` (relative, e.g. `0.25` = ±25%);
+/// [`is_timing_key`]) may be slower by `tol` (relative, e.g. `0.25` = +25%);
 /// all other leaves — booleans, counts, names — must be equal. Returns the
 /// list of human-readable violations (empty ⇒ no regression).
 pub fn compare(baseline: &Value, current: &Value, tol: f64) -> Vec<String> {
@@ -559,17 +560,22 @@ fn compare_at(baseline: &Value, current: &Value, tol: f64, path: &str, diffs: &m
                             continue;
                         };
                         if is_timing_key(k) {
-                            // Relative band around the baseline plus a 15ms
+                            // Relative band above the baseline plus a 15ms
                             // additive noise term: scheduler jitter on
                             // phases that finish in milliseconds cannot
                             // fail the gate, while a 2x regression on the
                             // phases that dominate wall-clock still does.
+                            // One-sided: a speed-up is reported, not failed.
                             let band = bn.abs() * tol + 0.015;
-                            if (cn - bn).abs() > band {
+                            if cn - bn > band {
                                 diffs.push(format!(
-                                    "{p}: {cn:.6} outside ±{:.0}% of baseline {bn:.6}",
+                                    "{p}: {cn:.6} more than {:.0}% above baseline {bn:.6}",
                                     tol * 100.0
                                 ));
+                            } else if bn - cn > band {
+                                println!(
+                                    "  {p}: {cn:.6} vs baseline {bn:.6}: improved — re-baseline with --update"
+                                );
                             }
                         } else if cn < bn / 2.0 || cn > bn * 2.0 {
                             diffs.push(format!(
@@ -692,6 +698,12 @@ mod tests {
             o[0].1 = f(1.3);
         }
         assert_eq!(compare(&base, &slow, 0.25).len(), 1);
+        // Faster than the band is an improvement, not a regression.
+        let mut fast = ok.clone();
+        if let Value::Obj(o) = &mut fast {
+            o[0].1 = f(0.3);
+        }
+        assert!(compare(&base, &fast, 0.25).is_empty());
         // Identity field flipped: exact comparison, no band.
         let mut broken = ok.clone();
         if let Value::Obj(o) = &mut broken {

@@ -113,8 +113,9 @@ impl Parallelism {
 pub const PARALLEL_MIN_GRID: usize = 4096;
 
 /// Engine phases over fewer rows than this run serially even when workers
-/// are available: above the 60k-row relations of the SF 0.01 smoke suite,
-/// below the 600k-row lineitem of SF 0.1 where morsel fan-out wins.
+/// are available: above the 60k-row relations of the SF 0.01 smoke suite.
+/// Measured on 2 vCPUs, two workers lose to one up to SF 0.3 and win from
+/// SF 0.5, and no larger value keeps that win (ROADMAP item 1(c)).
 pub const PARALLEL_MIN_MORSEL_ROWS: usize = 131_072;
 
 /// Cost-matrix builds with fewer plan×point cells than this run serially.

@@ -4,10 +4,10 @@
 //! drivers here split every linear phase into two halves:
 //!
 //! * **compute** — a pure function of the morsel's row range (filter, probe,
-//!   gather, index walk) that never touches the ledger or the fault
-//!   injector. These fan out over `pb-cost`'s deterministic chunked
-//!   work-stealing pool ([`par_map`]), in waves, and their results are
-//!   reassembled in morsel order.
+//!   index walk) yielding the surviving row ids; it never touches the
+//!   ledger or the fault injector. These fan out over `pb-cost`'s
+//!   deterministic chunked work-stealing pool ([`par_map`]), in waves, and
+//!   their results are reassembled in morsel order.
 //! * **account** — the coordinator walks the per-morsel results *in morsel
 //!   order* and replays exactly the ledger event sequence the serial engine
 //!   produces: one [`Ctx::commit`] per batch with the closed-form
@@ -49,18 +49,22 @@ fn wave_batches(workers: usize) -> usize {
 
 /// Drive one batch-granular linear phase over `0..n_items`.
 ///
-/// `compute(lo, hi)` returns the batch's emit count and its payload (e.g.
-/// pre-gathered output columns); it must be pure in the row range. The
-/// coordinator consumes payloads in batch order via `consume` and settles
-/// the ledger exactly as the serial engine does; `replay(ctx, lo, hi,
-/// emitted)` re-runs the crossing batch tuple-at-a-time (it is only invoked
-/// when the batch-end value exceeds the budget, so it must abort — the
-/// driver converts a completed replay into the typed anomaly).
+/// `compute(lo, hi, out)` appends the batch's survivors (row ids, or joined
+/// position pairs) to `out`, one element per emitted tuple; it must be pure
+/// in the row range. The coordinator settles the ledger exactly as the
+/// serial engine does and hands each committed batch's survivors to
+/// `consume` in batch order; `replay(ctx, lo, hi, emitted)` re-runs the
+/// crossing batch tuple-at-a-time (it is only invoked when the batch-end
+/// value exceeds the budget, so it must abort — the driver converts a
+/// completed replay into the typed anomaly).
+///
+/// Serially one scratch vector is reused for every batch; a wave's batches
+/// each fill their own.
 ///
 /// Returns the total emit count. The phase's `output_tuples` counter is
 /// maintained when `instr_node` is given.
 #[allow(clippy::too_many_arguments)] // one call-site contract per operator phase
-pub(crate) fn drive_batches<R, C, K, P>(
+pub(crate) fn drive_batches<T, C, K, P>(
     par: Parallelism,
     ctx: &mut Ctx<'_>,
     instr_node: Option<usize>,
@@ -71,34 +75,42 @@ pub(crate) fn drive_batches<R, C, K, P>(
     mut replay: P,
 ) -> Result<u64, Halt>
 where
-    R: Send,
-    C: Fn(usize, usize) -> (u64, R) + Sync,
-    K: FnMut(R),
+    T: Send,
+    C: Fn(usize, usize, &mut Vec<T>) + Sync,
+    K: FnMut(&[T]),
     P: FnMut(&mut Ctx<'_>, usize, usize, u64) -> Result<(), Halt>,
 {
     let mut emitted = 0u64;
-    if par.workers <= 1 || n_items == 0 {
+    let mut account = |ctx: &mut Ctx<'_>, emitted: &mut u64, lo: usize, hi: usize, out: &[T]| {
+        let k = out.len() as u64;
+        let end = lin2(ph.base, hi as u64, ph.item_rate, *emitted + k, ph.emit_rate);
+        if end > ctx.budget {
+            replay(ctx, lo, hi, *emitted)?;
+            return Err(replay_anomaly());
+        }
+        ctx.commit(end)?;
+        *emitted += k;
+        if let Some(id) = instr_node {
+            ctx.instr[id].output_tuples = *emitted;
+        }
+        consume(out);
+        Ok(())
+    };
+    if par.workers <= 1 {
+        let mut out: Vec<T> = Vec::new();
         let mut lo = 0usize;
         while lo < n_items {
             let hi = (lo + BATCH).min(n_items);
-            let (k, data) = compute(lo, hi);
-            let end = lin2(ph.base, hi as u64, ph.item_rate, emitted + k, ph.emit_rate);
-            if end > ctx.budget {
-                replay(ctx, lo, hi, emitted)?;
-                return Err(replay_anomaly());
-            }
-            ctx.commit(end)?;
-            emitted += k;
-            if let Some(id) = instr_node {
-                ctx.instr[id].output_tuples = emitted;
-            }
-            consume(data);
+            out.clear();
+            compute(lo, hi, &mut out);
+            account(ctx, &mut emitted, lo, hi, &out)?;
             lo = hi;
         }
         return Ok(emitted);
     }
 
     let n_batches = n_items.div_ceil(BATCH);
+    let bounds = |b: usize| (b * BATCH, (b * BATCH + BATCH).min(n_items));
     let mut b0 = 0usize;
     while b0 < n_batches {
         let mut nb = wave_batches(par.workers).min(n_batches - b0);
@@ -107,31 +119,21 @@ where
         // computing them would be pure waste. The trim depends only on the
         // counters, never on worker count.
         for i in 0..nb {
-            let hi = (((b0 + i) * BATCH) + BATCH).min(n_items);
+            let hi = bounds(b0 + i).1;
             if lin2(ph.base, hi as u64, ph.item_rate, emitted, ph.emit_rate) > ctx.budget {
                 nb = i + 1;
                 break;
             }
         }
         let results = par_map(par, nb, |i| {
-            let lo = (b0 + i) * BATCH;
-            let hi = (lo + BATCH).min(n_items);
-            compute(lo, hi)
+            let (lo, hi) = bounds(b0 + i);
+            let mut out = Vec::new();
+            compute(lo, hi, &mut out);
+            out
         });
-        for (i, (k, data)) in results.into_iter().enumerate() {
-            let lo = (b0 + i) * BATCH;
-            let hi = (lo + BATCH).min(n_items);
-            let end = lin2(ph.base, hi as u64, ph.item_rate, emitted + k, ph.emit_rate);
-            if end > ctx.budget {
-                replay(ctx, lo, hi, emitted)?;
-                return Err(replay_anomaly());
-            }
-            ctx.commit(end)?;
-            emitted += k;
-            if let Some(id) = instr_node {
-                ctx.instr[id].output_tuples = emitted;
-            }
-            consume(data);
+        for (i, out) in results.iter().enumerate() {
+            let (lo, hi) = bounds(b0 + i);
+            account(ctx, &mut emitted, lo, hi, out)?;
         }
         b0 += nb;
     }
@@ -537,9 +539,8 @@ mod tests {
             item_rate: 0.01,
             emit_rate: 0.002,
         };
-        let compute = |lo: usize, hi: usize| -> (u64, Vec<usize>) {
-            let sel: Vec<usize> = (lo..hi).filter(|i| i % 3 == 0).collect();
-            (sel.len() as u64, sel)
+        let compute = |lo: usize, hi: usize, sel: &mut Vec<usize>| {
+            sel.extend((lo..hi).filter(|i| i % 3 == 0));
         };
         let inert = FaultInjector::none();
         let run = |workers: usize, budget: f64| {
@@ -552,7 +553,7 @@ mod tests {
                 n,
                 &ph,
                 compute,
-                |d: Vec<usize>| got.extend(d),
+                |d: &[usize]| got.extend_from_slice(d),
                 |c, lo, hi, mut em| {
                     let mut seen = lo as u64;
                     for i in lo..hi {

@@ -1,10 +1,11 @@
 //! Vectorized columnar execution engine.
 //!
-//! Intermediates are column-major [`VRel`] blocks; predicate evaluation,
+//! Intermediates are late-materialized [`VRel`]s: one base-table row-id
+//! vector per relation, never copied column values. Predicate evaluation,
 //! hash-join build/probe, merge-join group expansion and index-NL lookups
-//! run as batch kernels over whole columns, producing selection vectors of
-//! qualifying row ids that are gathered into output columns at batch
-//! granularity. Cost is charged per batch: each operator phase is linear in
+//! run as batch kernels that read the base-table columns they consume
+//! through those ids and append the surviving ids to the operator's output.
+//! Cost is charged per batch: each operator phase is linear in
 //! its counters, so the batch-end ledger value is the closed form
 //! [`lin2`]/[`lin3`] of the final counters — bit-identical to the reference
 //! engine's last per-tuple settle (see `crate::ledger` for the argument).
@@ -16,11 +17,14 @@
 //! reference engine's abort tuple, instrumentation and clamped cost down to
 //! the bit.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 
+use pb_catalog::ColumnId;
 use pb_faults::{FaultInjector, PbError};
-use pb_plan::{CmpOp, PlanNode, RelIdx, SelectionPredicate};
+use pb_plan::{CmpOp, JoinPredicate, PlanNode, RelIdx, SelectionPredicate};
 
 use crate::data::eval_pred;
 use crate::exec::{index_range, Engine, EngineOutcome, Instrumentation, NodeStats};
@@ -61,24 +65,99 @@ impl std::hash::Hasher for FastHasher {
 pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
-/// Columnar intermediate: one `Vec<i64>` per physical column of the
-/// concatenated base-relation blocks. With `store == false` (plan root,
-/// spill input) only `rels` is meaningful — rows are counted, not kept.
-#[derive(Clone)]
+/// Base-table row ids of one relation across an intermediate's rows.
+enum Ids {
+    /// Row `i` of the intermediate is row `i` of the base table (a
+    /// predicate-free scan): nothing is allocated.
+    Dense,
+    Sel(Vec<u32>),
+}
+
+impl Ids {
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            Ids::Dense => i as u32,
+            Ids::Sel(v) => v[i],
+        }
+    }
+}
+
+/// Late-materialized intermediate: row `i` is the concatenation of base
+/// row `ids[k].get(i)` of every `rels[k]`. Values live only in the base
+/// tables; `cols` holds the one thing that is computed rather than looked
+/// up, `HashAggregate`'s output. With `store == false` (plan root, spill
+/// input) only `rels` is meaningful — rows are counted, not kept.
 struct VRel {
     rels: Vec<RelIdx>,
+    ids: Vec<Ids>,
     cols: Vec<Vec<i64>>,
     len: usize,
 }
 
-/// One completed-subtree checkpoint: the materialized intermediate, the
-/// ledger endpoint and the subtree's instrumentation slice, all captured at
-/// the subtree boundary. `checksum` guards integrity — a corrupted snapshot
-/// fails validation at lookup and the subtree re-executes from scratch.
-#[derive(Clone)]
+impl VRel {
+    /// An operator's output over `rels` from its per-relation id vectors.
+    fn new(rels: Vec<RelIdx>, ids: Vec<Vec<u32>>, len: usize) -> VRel {
+        VRel {
+            rels,
+            ids: ids.into_iter().map(Ids::Sel).collect(),
+            cols: Vec::new(),
+            len,
+        }
+    }
+}
+
+/// Append the ids of `src`'s rows at positions `pos` to `out`, one vector
+/// per relation of `src`.
+fn push_rows(out: &mut [Vec<u32>], src: &VRel, pos: impl Iterator<Item = u32> + Clone) {
+    for (o, ids) in out.iter_mut().zip(&src.ids) {
+        match ids {
+            Ids::Dense => o.extend(pos.clone()),
+            Ids::Sel(v) => o.extend(pos.clone().map(|p| v[p as usize])),
+        }
+    }
+}
+
+/// Append joined `(left position, right position)` pairs to `out`, whose
+/// first `l.ids.len()` vectors belong to `l`'s relations.
+fn push_pairs(out: &mut [Vec<u32>], l: &VRel, r: &VRel, pairs: &[(u32, u32)]) {
+    let (lo, ro) = out.split_at_mut(l.ids.len());
+    push_rows(lo, l, pairs.iter().map(|p| p.0));
+    push_rows(ro, r, pairs.iter().map(|p| p.1));
+}
+
+/// One base-table column seen through an intermediate's row ids.
+#[derive(Clone, Copy)]
+struct ColRef<'a> {
+    base: &'a [i64],
+    ids: &'a Ids,
+}
+
+impl<'a> ColRef<'a> {
+    #[inline]
+    fn get(&self, i: usize) -> i64 {
+        self.base[self.ids.get(i) as usize]
+    }
+
+    /// The column's first `len` values as a slice, for kernels that read it
+    /// more than once (hash build, argsort): borrowed from the base table
+    /// when dense, gathered otherwise.
+    fn gather(&self, len: usize) -> Cow<'a, [i64]> {
+        match self.ids {
+            Ids::Dense => Cow::Borrowed(&self.base[..len]),
+            Ids::Sel(v) => Cow::Owned(v[..len].iter().map(|&r| self.base[r as usize]).collect()),
+        }
+    }
+}
+
+/// One completed-subtree checkpoint: the intermediate (shared, never
+/// copied), the ledger endpoint and the subtree's instrumentation slice,
+/// all captured at the subtree boundary. `checksum` guards integrity — a
+/// corrupted snapshot fails validation at lookup and the subtree
+/// re-executes from scratch.
 struct Snapshot {
     spent_after: f64,
-    vrel: VRel,
+    vrel: Arc<VRel>,
     stats: Vec<NodeStats>,
     checksum: u64,
 }
@@ -91,6 +170,17 @@ fn snapshot_checksum(spent_after: f64, vrel: &VRel, stats: &[NodeStats]) -> u64 
     h.write_usize(vrel.rels.len());
     for &r in &vrel.rels {
         h.write_usize(r);
+    }
+    for ids in &vrel.ids {
+        match ids {
+            Ids::Dense => h.write_u64(u64::MAX),
+            Ids::Sel(v) => {
+                h.write_usize(v.len());
+                for &r in v {
+                    h.write_u64(u64::from(r));
+                }
+            }
+        }
     }
     for col in &vrel.cols {
         h.write_usize(col.len());
@@ -110,9 +200,9 @@ fn snapshot_checksum(spent_after: f64, vrel: &VRel, stats: &[NodeStats]) -> u64 
 /// Keyed by `(subtree fingerprint, ledger value at subtree entry, store
 /// flag)`: a hit means the exact same subtree previously ran to completion
 /// from the exact same ledger state, so fast-forwarding the ledger to the
-/// recorded endpoint and grafting the materialized intermediate is
+/// recorded endpoint and grafting the recorded intermediate is
 /// bit-identical to re-executing it — same `spent` bits, same
-/// instrumentation, same columns. Keying on the entry value is what makes
+/// instrumentation, same row ids. Keying on the entry value is what makes
 /// both reuse modes fall out of one mechanism: the *same* plan re-run at
 /// the next contour budget hits every completed prefix in turn (each
 /// subtree re-enters at the identical ledger value), and a *different*
@@ -139,11 +229,20 @@ pub struct ResumeBook {
     hits: u64,
 }
 
-/// Approximate heap footprint of one snapshot: the materialized columns
-/// dominate; stats and fixed overhead are charged flatly.
+/// Approximate heap footprint of one snapshot: the row-id vectors (and
+/// aggregate columns) dominate; stats and fixed overhead are charged flatly.
 fn snapshot_bytes(s: &Snapshot) -> usize {
+    let ids: usize = s
+        .vrel
+        .ids
+        .iter()
+        .map(|ids| match ids {
+            Ids::Dense => 0,
+            Ids::Sel(v) => v.len() * 4,
+        })
+        .sum();
     let cols: usize = s.vrel.cols.iter().map(|c| c.len() * 8).sum();
-    cols + s.vrel.rels.len() * 8 + s.stats.len() * 24 + 128
+    ids + cols + s.vrel.rels.len() * 8 + s.stats.len() * 24 + 128
 }
 
 impl ResumeBook {
@@ -199,7 +298,7 @@ impl ResumeBook {
         }
     }
 
-    fn lookup(&mut self, key: &(u64, u64, bool), budget: f64) -> Option<Snapshot> {
+    fn lookup(&mut self, key: &(u64, u64, bool), budget: f64) -> Option<&Snapshot> {
         let snap = self.entries.get(key)?;
         if snap.spent_after > budget
             || snapshot_checksum(snap.spent_after, &snap.vrel, &snap.stats) != snap.checksum
@@ -209,7 +308,7 @@ impl ResumeBook {
         self.hits += 1;
         self.tick += 1;
         self.stamps.insert(*key, self.tick);
-        Some(snap.clone())
+        Some(snap)
     }
 
     fn insert(&mut self, key: (u64, u64, bool), snap: Snapshot) {
@@ -242,37 +341,25 @@ impl ResumeBook {
     }
 }
 
-/// A residual join edge pre-resolved to (side, column) coordinates so the
-/// probe kernels never re-derive offsets per tuple. `a` is always the
+/// A residual join edge pre-resolved to (side, rel position, column): each
+/// operand is a base column seen through one side's row ids, so the probe
+/// kernels never re-derive anything per tuple. `a` is always the
 /// predicate's *left* column, so inequality ops keep their orientation.
-struct ResCheck {
+struct ResCheck<'a> {
     a_left: bool,
-    a: usize,
+    a: ColRef<'a>,
     b_left: bool,
-    b: usize,
+    b: ColRef<'a>,
     op: CmpOp,
 }
 
 /// Does the (left row `li`, right row `ri`) pair satisfy every residual
 /// join edge (equality or inequality, per its declared op)?
-fn res_pass(
-    res: &[ResCheck],
-    lcols: &[Vec<i64>],
-    li: usize,
-    rcols: &[Vec<i64>],
-    ri: usize,
-) -> bool {
+#[inline]
+fn res_pass(res: &[ResCheck<'_>], li: usize, ri: usize) -> bool {
     res.iter().all(|rc| {
-        let va = if rc.a_left {
-            lcols[rc.a][li]
-        } else {
-            rcols[rc.a][ri]
-        };
-        let vb = if rc.b_left {
-            lcols[rc.b][li]
-        } else {
-            rcols[rc.b][ri]
-        };
+        let va = rc.a.get(if rc.a_left { li } else { ri });
+        let vb = rc.b.get(if rc.b_left { li } else { ri });
         match rc.op {
             CmpOp::Lt => va < vb,
             CmpOp::Gt => va > vb,
@@ -281,9 +368,9 @@ fn res_pass(
     })
 }
 
-/// Evaluate all predicates over a row range, producing a selection vector
-/// of qualifying row ids. The first predicate scans its column densely;
-/// the rest refine the (usually much smaller) selection in place.
+/// Evaluate all predicates over a row range, appending the qualifying row
+/// ids to `sel`. The first predicate scans its column densely; the rest
+/// refine the (usually much smaller) selection in place.
 fn filter_batch(
     preds: &[SelectionPredicate],
     cols: &[Vec<i64>],
@@ -291,29 +378,25 @@ fn filter_batch(
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
-    sel.clear();
-    match preds.split_first() {
-        None => sel.extend(lo as u32..hi as u32),
-        Some((first, rest)) => {
-            let col = &cols[first.column.column as usize];
-            for (off, &v) in col[lo..hi].iter().enumerate() {
-                if eval_pred(first, v) {
-                    sel.push((lo + off) as u32);
-                }
-            }
-            for pr in rest {
-                let col = &cols[pr.column.column as usize];
-                sel.retain(|&r| eval_pred(pr, col[r as usize]));
-            }
+    let Some((first, rest)) = preds.split_first() else {
+        return sel.extend(lo as u32..hi as u32);
+    };
+    let col = &cols[first.column.column as usize];
+    for (off, &v) in col[lo..hi].iter().enumerate() {
+        if eval_pred(first, v) {
+            sel.push((lo + off) as u32);
         }
+    }
+    for pr in rest {
+        let col = &cols[pr.column.column as usize];
+        sel.retain(|&r| eval_pred(pr, col[r as usize]));
     }
 }
 
-/// Append the selected rows of every source column to the output columns.
-fn gather(src: &[Vec<i64>], sel: &[u32], out: &mut [Vec<i64>]) {
-    for (c, o) in src.iter().zip(out.iter_mut()) {
-        o.extend(sel.iter().map(|&r| c[r as usize]));
-    }
+fn unindexed(rel: RelIdx, column: u32) -> Halt {
+    Halt::Fault(PbError::UnindexedColumn(format!(
+        "rel {rel} column {column}"
+    )))
 }
 
 impl Engine<'_> {
@@ -392,23 +475,60 @@ impl Engine<'_> {
         (outcome, reused)
     }
 
-    fn resolve_residuals(
-        &self,
-        out_rels: &[RelIdx],
-        lw: usize,
+    /// Column `col` of `rel` as seen through `v`'s row ids.
+    fn col_ref<'a>(&'a self, v: &'a VRel, rel: RelIdx, col: ColumnId) -> Result<ColRef<'a>, Halt> {
+        let Some(k) = v.rels.iter().position(|&r| r == rel) else {
+            return Err(Halt::Fault(PbError::MissingEntity {
+                kind: "relation".into(),
+                name: format!("{rel} not in schema {:?}", v.rels),
+            }));
+        };
+        let t = self.db.table(self.query.relations[rel].table);
+        Ok(ColRef {
+            base: &t.columns[col.column as usize],
+            ids: &v.ids[k],
+        })
+    }
+
+    /// The primary join key on each side.
+    fn key_cols<'a>(
+        &'a self,
+        l: &'a VRel,
+        r: &'a VRel,
+        j: &JoinPredicate,
+    ) -> Result<(ColRef<'a>, ColRef<'a>), Halt> {
+        let ((lrel, lcol), (rrel, rcol)) = if l.rels.contains(&j.left_rel) {
+            ((j.left_rel, j.left_col), (j.right_rel, j.right_col))
+        } else {
+            ((j.right_rel, j.right_col), (j.left_rel, j.left_col))
+        };
+        Ok((self.col_ref(l, lrel, lcol)?, self.col_ref(r, rrel, rcol)?))
+    }
+
+    fn resolve_residuals<'a>(
+        &'a self,
+        l: &'a VRel,
+        r: &'a VRel,
         edges: &[usize],
-    ) -> Result<Vec<ResCheck>, Halt> {
+    ) -> Result<Vec<ResCheck<'a>>, Halt> {
+        let side = |rel: RelIdx, col: ColumnId| {
+            if l.rels.contains(&rel) {
+                Ok((true, self.col_ref(l, rel, col)?))
+            } else {
+                Ok((false, self.col_ref(r, rel, col)?))
+            }
+        };
         edges
             .iter()
             .map(|&e| {
                 let j = &self.query.joins[e];
-                let a = self.offset(out_rels, j.left_rel, j.left_col)?;
-                let b = self.offset(out_rels, j.right_rel, j.right_col)?;
+                let (a_left, a) = side(j.left_rel, j.left_col)?;
+                let (b_left, b) = side(j.right_rel, j.right_col)?;
                 Ok(ResCheck {
-                    a_left: a < lw,
-                    a: if a < lw { a } else { a - lw },
-                    b_left: b < lw,
-                    b: if b < lw { b } else { b - lw },
+                    a_left,
+                    a,
+                    b_left,
+                    b,
                     op: j.op,
                 })
             })
@@ -422,41 +542,26 @@ impl Engine<'_> {
         &self,
         ctx: &mut Ctx<'_>,
         my_id: usize,
+        rel: RelIdx,
         entries: &[(i64, u32)],
         pass: &(dyn Fn(usize) -> bool + Sync),
-        source: &[Vec<i64>],
         entry_rate: f64,
         store: bool,
-    ) -> Result<(Vec<Vec<i64>>, u64), Halt> {
-        let p = self.params;
-        let base = ctx.spent;
-        let mut cols = if store {
-            vec![Vec::new(); source.len()]
-        } else {
-            Vec::new()
-        };
-        let compute = |lo: usize, hi: usize| -> (u64, Vec<Vec<i64>>) {
-            let mut sel: Vec<u32> = Vec::with_capacity(hi - lo);
-            for &(_, r) in &entries[lo..hi] {
-                if pass(r as usize) {
-                    sel.push(r);
-                }
-            }
-            let k = sel.len() as u64;
-            let data = if store {
-                let mut d = vec![Vec::with_capacity(sel.len()); source.len()];
-                gather(source, &sel, &mut d);
-                d
-            } else {
-                Vec::new()
-            };
-            (k, data)
+    ) -> Result<VRel, Halt> {
+        let mut ids: Vec<u32> = Vec::new();
+        let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
+            sel.extend(
+                entries[lo..hi]
+                    .iter()
+                    .map(|&(_, r)| r)
+                    .filter(|&r| pass(r as usize)),
+            );
         };
         let par = self.mpar(entries.len());
         let ph = LinPhase {
-            base,
+            base: ctx.spent,
             item_rate: entry_rate,
-            emit_rate: p.emit_tuple,
+            emit_rate: self.params.emit_tuple,
         };
         let emitted = drive_batches(
             par,
@@ -465,9 +570,9 @@ impl Engine<'_> {
             entries.len(),
             &ph,
             compute,
-            |data| {
-                for (o, d) in cols.iter_mut().zip(data) {
-                    o.extend(d);
+            |sel| {
+                if store {
+                    ids.extend_from_slice(sel);
                 }
             },
             |ctx, lo, hi, emitted| {
@@ -477,7 +582,69 @@ impl Engine<'_> {
             },
         )?;
         ctx.instr[my_id].complete = true;
-        Ok((cols, emitted))
+        Ok(VRel::new(
+            vec![rel],
+            vec![ids],
+            if store { emitted as usize } else { 0 },
+        ))
+    }
+
+    /// Hash-probe membership kernel shared by `AntiJoin` (`keep_matched ==
+    /// false`) and `SemiJoin` (`true`): build the right side's key set,
+    /// keep the left rows whose key's membership equals `keep_matched`.
+    #[allow(clippy::too_many_arguments)]
+    fn vmember_join(
+        &self,
+        ctx: &mut Ctx<'_>,
+        my_id: usize,
+        l: &VRel,
+        r: &VRel,
+        edges: &[usize],
+        keep_matched: bool,
+        store: bool,
+    ) -> Result<VRel, Halt> {
+        let p = self.params;
+        let (lcol, rcol) = self.key_cols(l, r, &self.query.joins[edges[0]])?;
+        let base = ctx.spent;
+        charge_linear(ctx, base, p.cpu_tuple + p.hash_build, r.len)?;
+        let keys: FastSet<i64> = par_key_set(self.mpar(r.len), &rcol.gather(r.len), r.len);
+        let mut ids = vec![Vec::new(); l.rels.len()];
+        let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
+            sel.extend(
+                (lo as u32..hi as u32)
+                    .filter(|&i| keys.contains(&lcol.get(i as usize)) == keep_matched),
+            );
+        };
+        let par = self.mpar(l.len);
+        let ph = LinPhase {
+            base: ctx.spent,
+            item_rate: p.hash_probe,
+            emit_rate: p.emit_tuple,
+        };
+        let emitted = drive_batches(
+            par,
+            ctx,
+            Some(my_id),
+            l.len,
+            &ph,
+            compute,
+            |sel| {
+                if store {
+                    push_rows(&mut ids, l, sel.iter().copied());
+                }
+            },
+            |ctx, lo, hi, emitted| {
+                replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
+                    u64::from(keys.contains(&lcol.get(i)) == keep_matched)
+                })
+            },
+        )?;
+        ctx.instr[my_id].complete = true;
+        Ok(VRel::new(
+            l.rels.clone(),
+            ids,
+            if store { emitted as usize } else { 0 },
+        ))
     }
 
     /// Tuple-exact merge-join replay from the last settled checkpoint.
@@ -494,9 +661,7 @@ impl Engine<'_> {
         rk: &[i64],
         lperm: &[u32],
         rperm: &[u32],
-        lcols: &[Vec<i64>],
-        rcols: &[Vec<i64>],
-        residuals: &[ResCheck],
+        residuals: &[ResCheck<'_>],
         mut i: usize,
         mut j: usize,
         mut steps: u64,
@@ -519,7 +684,7 @@ impl Engine<'_> {
                 let j_end = j + rk[j..].iter().take_while(|&&x| x == a).count();
                 for &lp in &lperm[i..i_end] {
                     for &rp in &rperm[j..j_end] {
-                        if res_pass(residuals, lcols, lp as usize, rcols, rp as usize) {
+                        if res_pass(residuals, lp as usize, rp as usize) {
                             emitted += 1;
                             if let Err(h) =
                                 ctx.settle(lin2(base, steps, step_rate, emitted, p.emit_tuple))
@@ -539,19 +704,20 @@ impl Engine<'_> {
 
     /// Evaluate a subtree vectorized, consulting the checkpoint book when
     /// one is installed: a validated hit fast-forwards the ledger to the
-    /// recorded endpoint and grafts the materialized intermediate; a miss
-    /// runs [`Engine::veval_inner`] and checkpoints the subtree if it
-    /// completes. With no book (or an armed injector) this is exactly
-    /// `veval_inner` — the plain paths stay bit-identical.
+    /// recorded endpoint and shares the recorded intermediate; a miss runs
+    /// [`Engine::veval_inner`] and checkpoints the subtree if it completes.
+    /// Intermediates are immutable once built, so capture and hit share one
+    /// `Arc` — neither copies a row. With no book (or an armed injector)
+    /// this is exactly `veval_inner` — the plain paths stay bit-identical.
     fn veval(
         &self,
         node: &PlanNode,
         ctx: &mut Ctx<'_>,
         next_id: &mut usize,
         store: bool,
-    ) -> Result<VRel, Halt> {
+    ) -> Result<Arc<VRel>, Halt> {
         if ctx.resume.is_none() || ctx.faults.is_active() {
-            return self.veval_inner(node, ctx, next_id, store);
+            return self.veval_inner(node, ctx, next_id, store).map(Arc::new);
         }
         let my_id = *next_id;
         let size = node.size();
@@ -566,9 +732,9 @@ impl Engine<'_> {
             ctx.spent = snap.spent_after;
             ctx.instr[my_id..my_id + size].clone_from_slice(&snap.stats);
             *next_id = my_id + size;
-            return Ok(snap.vrel);
+            return Ok(Arc::clone(&snap.vrel));
         }
-        let out = self.veval_inner(node, ctx, next_id, store)?;
+        let out = Arc::new(self.veval_inner(node, ctx, next_id, store)?);
         if ctx.instr[my_id].complete {
             let stats = ctx.instr[my_id..my_id + size].to_vec();
             let checksum = snapshot_checksum(ctx.spent, &out, &stats);
@@ -577,7 +743,7 @@ impl Engine<'_> {
                     key,
                     Snapshot {
                         spent_after: ctx.spent,
-                        vrel: out.clone(),
+                        vrel: Arc::clone(&out),
                         stats,
                         checksum,
                     },
@@ -599,6 +765,8 @@ impl Engine<'_> {
         let my_id = *next_id;
         *next_id += 1;
         let p = self.params;
+        // Rows kept by an operator that emitted `emitted`.
+        let kept = |emitted: u64| if store { emitted as usize } else { 0 };
         match node {
             PlanNode::SeqScan { rel } => {
                 let t = self.db.table(self.query.relations[*rel].table);
@@ -608,44 +776,19 @@ impl Engine<'_> {
                     .table_by_id(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
                 ctx.charge(table_meta.pages() * p.seq_page)?;
-                let base = ctx.spent;
-                let row_rate = p.cpu_tuple + preds.len() as f64 * p.cpu_operator;
-                let mut cols = if store {
-                    vec![Vec::new(); t.columns.len()]
-                } else {
-                    Vec::new()
-                };
-                // Dense fast path: no predicates means the whole batch
-                // qualifies and storing is a straight slice copy.
-                let dense = preds.is_empty();
-                let compute = |lo: usize, hi: usize| -> (u64, Vec<Vec<i64>>) {
-                    if dense {
-                        let data = if store {
-                            t.columns.iter().map(|c| c[lo..hi].to_vec()).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        ((hi - lo) as u64, data)
-                    } else {
-                        let mut sel: Vec<u32> = Vec::with_capacity(hi - lo);
-                        filter_batch(preds, &t.columns, lo, hi, &mut sel);
-                        let k = sel.len() as u64;
-                        let data = if store {
-                            let mut d = vec![Vec::with_capacity(sel.len()); t.columns.len()];
-                            gather(&t.columns, &sel, &mut d);
-                            d
-                        } else {
-                            Vec::new()
-                        };
-                        (k, data)
-                    }
+                let mut ids: Vec<u32> = Vec::new();
+                let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
+                    filter_batch(preds, &t.columns, lo, hi, sel);
                 };
                 let par = self.mpar(t.rows);
                 let ph = LinPhase {
-                    base,
-                    item_rate: row_rate,
+                    base: ctx.spent,
+                    item_rate: p.cpu_tuple + preds.len() as f64 * p.cpu_operator,
                     emit_rate: p.emit_tuple,
                 };
+                // No predicates: every row qualifies in table order, so the
+                // output is the dense range and no id is stored.
+                let dense = preds.is_empty();
                 let emitted =
                     drive_batches(
                         par,
@@ -654,9 +797,9 @@ impl Engine<'_> {
                         t.rows,
                         &ph,
                         compute,
-                        |data| {
-                            for (o, d) in cols.iter_mut().zip(data) {
-                                o.extend(d);
+                        |sel| {
+                            if store && !dense {
+                                ids.extend_from_slice(sel);
                             }
                         },
                         |ctx, lo, hi, emitted| {
@@ -670,8 +813,9 @@ impl Engine<'_> {
                 ctx.instr[my_id].complete = true;
                 Ok(VRel {
                     rels: vec![*rel],
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
+                    ids: vec![if dense { Ids::Dense } else { Ids::Sel(ids) }],
+                    cols: Vec::new(),
+                    len: kept(emitted),
                 })
             }
             PlanNode::IndexScan { rel, sel_idx } => {
@@ -679,10 +823,7 @@ impl Engine<'_> {
                 let preds = &self.query.relations[*rel].selections;
                 let key_pred = &preds[*sel_idx];
                 let Some(ix) = t.indexes.get(&key_pred.column.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {rel} column {}",
-                        key_pred.column.column
-                    ))));
+                    return Err(unindexed(*rel, key_pred.column.column));
                 };
                 ctx.charge(3.0 * p.random_page)?;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
@@ -692,22 +833,13 @@ impl Engine<'_> {
                         i == *sel_idx || eval_pred(pr, t.columns[pr.column.column as usize][r])
                     })
                 };
-                let (cols, emitted) =
-                    self.ventry_scan(ctx, my_id, &ix[range], &pass, &t.columns, entry_rate, store)?;
-                Ok(VRel {
-                    rels: vec![*rel],
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                self.ventry_scan(ctx, my_id, *rel, &ix[range], &pass, entry_rate, store)
             }
             PlanNode::FullIndexScan { rel, column } => {
                 let t = self.db.table(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
                 let Some(ix) = t.indexes.get(&column.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {rel} column {}",
-                        column.column
-                    ))));
+                    return Err(unindexed(*rel, column.column));
                 };
                 ctx.charge((t.rows as f64 / 256.0).max(1.0) * p.seq_page)?;
                 let entry_rate = p.cpu_index_tuple
@@ -718,13 +850,7 @@ impl Engine<'_> {
                         .iter()
                         .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
                 };
-                let (cols, emitted) =
-                    self.ventry_scan(ctx, my_id, ix, &pass, &t.columns, entry_rate, store)?;
-                Ok(VRel {
-                    rels: vec![*rel],
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                self.ventry_scan(ctx, my_id, *rel, ix, &pass, entry_rate, store)
             }
             PlanNode::HashJoin {
                 build,
@@ -733,57 +859,30 @@ impl Engine<'_> {
             } => {
                 let b = self.veval(build, ctx, next_id, true)?;
                 let pr = self.veval(probe, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (bkey, pkey) = self.key_offsets(&b.rels, &pr.rels, j0)?;
+                let (bkey, pkey) = self.key_cols(&b, &pr, &self.query.joins[edges[0]])?;
                 let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let bcol = &b.cols[bkey];
                 // The build charge depends only on the row count, so the
                 // ledger settles up front (identical event sequence — the
                 // inserts emit no events) and the partitioned build runs
                 // only if it fit the budget.
-                charge_linear(ctx, base, build_rate, b.len)?;
-                let table = JoinTable::build(self.mpar(b.len), bcol, b.len);
+                charge_linear(ctx, base, p.cpu_tuple + p.hash_build, b.len)?;
+                let table = JoinTable::build(self.mpar(b.len), &bkey.gather(b.len), b.len);
+                let residuals = self.resolve_residuals(&b, &pr, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = b.rels.iter().chain(&pr.rels).copied().collect();
-                let lw: usize = b.rels.iter().map(|&x| self.ncols(x)).sum();
-                let residuals = self.resolve_residuals(&out_rels, lw, &edges[1..])?;
-                let pbase = ctx.spent;
-                let mut cols = if store {
-                    vec![Vec::new(); lw + pr.cols.len()]
-                } else {
-                    Vec::new()
+                let mut ids = vec![Vec::new(); out_rels.len()];
+                let res = residuals.as_slice();
+                let matches = |i: usize| {
+                    let bs = table.get(pkey.get(i)).unwrap_or_default();
+                    bs.iter().filter(move |&&bi| res_pass(res, bi as usize, i))
                 };
-                let pcol = &pr.cols[pkey];
-                let compute = |lo: usize, hi: usize| -> (u64, Vec<Vec<i64>>) {
-                    let mut pairs: Vec<(u32, u32)> = Vec::new();
-                    for (off, &v) in pcol[lo..hi].iter().enumerate() {
-                        if let Some(bs) = table.get(v) {
-                            let i = lo + off;
-                            for &bi in bs {
-                                if res_pass(&residuals, &b.cols, bi as usize, &pr.cols, i) {
-                                    pairs.push((bi, i as u32));
-                                }
-                            }
-                        }
+                let compute = |lo: usize, hi: usize, pairs: &mut Vec<(u32, u32)>| {
+                    for i in lo..hi {
+                        pairs.extend(matches(i).map(|&bi| (bi, i as u32)));
                     }
-                    let k = pairs.len() as u64;
-                    let data = if store {
-                        let mut d = vec![Vec::with_capacity(pairs.len()); lw + pr.cols.len()];
-                        for (c, o) in b.cols.iter().zip(&mut d[..lw]) {
-                            o.extend(pairs.iter().map(|&(bi, _)| c[bi as usize]));
-                        }
-                        for (c, o) in pr.cols.iter().zip(&mut d[lw..]) {
-                            o.extend(pairs.iter().map(|&(_, pi)| c[pi as usize]));
-                        }
-                        d
-                    } else {
-                        Vec::new()
-                    };
-                    (k, data)
                 };
                 let par = self.mpar(pr.len);
                 let ph = LinPhase {
-                    base: pbase,
+                    base: ctx.spent,
                     item_rate: p.hash_probe,
                     emit_rate: p.emit_tuple,
                 };
@@ -794,31 +893,19 @@ impl Engine<'_> {
                     pr.len,
                     &ph,
                     compute,
-                    |data| {
-                        for (o, d) in cols.iter_mut().zip(data) {
-                            o.extend(d);
+                    |pairs| {
+                        if store {
+                            push_pairs(&mut ids, &b, &pr, pairs);
                         }
                     },
                     |ctx, lo, hi, emitted| {
                         replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                            let mut k = 0u64;
-                            if let Some(bs) = table.get(pcol[i]) {
-                                for &bi in bs {
-                                    if res_pass(&residuals, &b.cols, bi as usize, &pr.cols, i) {
-                                        k += 1;
-                                    }
-                                }
-                            }
-                            k
+                            matches(i).count() as u64
                         })
                     },
                 )?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: out_rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                Ok(VRel::new(out_rels, ids, kept(emitted)))
             }
             PlanNode::SortMergeJoin {
                 left,
@@ -829,8 +916,7 @@ impl Engine<'_> {
             } => {
                 let l = self.veval(left, ctx, next_id, true)?;
                 let r = self.veval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
+                let (lkey, rkey) = self.key_cols(&l, &r, &self.query.joins[edges[0]])?;
                 if *sort_left {
                     let n = l.len.max(2) as f64;
                     ctx.charge(n * n.log2() * 2.0 * p.cpu_operator)?;
@@ -843,13 +929,14 @@ impl Engine<'_> {
                 // permutation is unique, so the (possibly parallel) argsort
                 // is the exact permutation the reference engine's
                 // `sort_by_key` row sort applies.
-                let lperm = par_stable_argsort(self.mpar(l.len), &l.cols[lkey][..l.len]);
-                let rperm = par_stable_argsort(self.mpar(r.len), &r.cols[rkey][..r.len]);
-                let lk: Vec<i64> = lperm.iter().map(|&x| l.cols[lkey][x as usize]).collect();
-                let rk: Vec<i64> = rperm.iter().map(|&x| r.cols[rkey][x as usize]).collect();
+                let (lkeys, rkeys) = (lkey.gather(l.len), rkey.gather(r.len));
+                let lperm = par_stable_argsort(self.mpar(l.len), &lkeys);
+                let rperm = par_stable_argsort(self.mpar(r.len), &rkeys);
+                let lk: Vec<i64> = lperm.iter().map(|&x| lkeys[x as usize]).collect();
+                let rk: Vec<i64> = rperm.iter().map(|&x| rkeys[x as usize]).collect();
+                let residuals = self.resolve_residuals(&l, &r, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = l.rels.iter().chain(&r.rels).copied().collect();
-                let lw: usize = l.rels.iter().map(|&x| self.ncols(x)).sum();
-                let residuals = self.resolve_residuals(&out_rels, lw, &edges[1..])?;
+                let mut ids = vec![Vec::new(); out_rels.len()];
                 let base = ctx.spent;
                 let step_rate = 2.0 * p.cpu_operator;
                 let (ln, rn) = (lk.len(), rk.len());
@@ -858,11 +945,6 @@ impl Engine<'_> {
                 // Checkpoint = merge state at the last successful settle.
                 let (mut ci, mut cj, mut csteps, mut cemitted) = (0usize, 0usize, 0u64, 0u64);
                 let mut pending: Vec<(u32, u32)> = Vec::new();
-                let mut cols = if store {
-                    vec![Vec::new(); lw + r.cols.len()]
-                } else {
-                    Vec::new()
-                };
                 while i < ln && j < rn {
                     steps += 1;
                     let (a, b) = (lk[i], rk[j]);
@@ -873,25 +955,12 @@ impl Engine<'_> {
                     } else {
                         let i_end = i + lk[i..].iter().take_while(|&&x| x == a).count();
                         let j_end = j + rk[j..].iter().take_while(|&&x| x == a).count();
-                        if residuals.is_empty() {
+                        if residuals.is_empty() && !store {
                             emitted += ((i_end - i) * (j_end - j)) as u64;
-                            if store {
-                                for &lp in &lperm[i..i_end] {
-                                    for &rp in &rperm[j..j_end] {
-                                        pending.push((lp, rp));
-                                    }
-                                }
-                            }
                         } else {
                             for &lp in &lperm[i..i_end] {
                                 for &rp in &rperm[j..j_end] {
-                                    if res_pass(
-                                        &residuals,
-                                        &l.cols,
-                                        lp as usize,
-                                        &r.cols,
-                                        rp as usize,
-                                    ) {
+                                    if res_pass(&residuals, lp as usize, rp as usize) {
                                         emitted += 1;
                                         if store {
                                             pending.push((lp, rp));
@@ -903,56 +972,25 @@ impl Engine<'_> {
                         i = i_end;
                         j = j_end;
                     }
-                    if (steps - csteps) + (emitted - cemitted) >= BATCH as u64 {
+                    // Settle at batch cadence and once more at the end.
+                    let done = i >= ln || j >= rn;
+                    if (steps - csteps) + (emitted - cemitted) >= BATCH as u64 || done {
                         let end = lin2(base, steps, step_rate, emitted, p.emit_tuple);
                         if end > ctx.budget {
                             return Err(self.smj_replay(
-                                ctx, my_id, base, step_rate, &lk, &rk, &lperm, &rperm, &l.cols,
-                                &r.cols, &residuals, ci, cj, csteps, cemitted,
+                                ctx, my_id, base, step_rate, &lk, &rk, &lperm, &rperm, &residuals,
+                                ci, cj, csteps, cemitted,
                             ));
                         }
                         ctx.commit(end)?;
                         ctx.instr[my_id].output_tuples = emitted;
-                        if store {
-                            for (c, o) in l.cols.iter().zip(&mut cols[..lw]) {
-                                o.extend(pending.iter().map(|&(li, _)| c[li as usize]));
-                            }
-                            for (c, o) in r.cols.iter().zip(&mut cols[lw..]) {
-                                o.extend(pending.iter().map(|&(_, rj)| c[rj as usize]));
-                            }
-                            pending.clear();
-                        }
-                        ci = i;
-                        cj = j;
-                        csteps = steps;
-                        cemitted = emitted;
-                    }
-                }
-                if steps > csteps {
-                    let end = lin2(base, steps, step_rate, emitted, p.emit_tuple);
-                    if end > ctx.budget {
-                        return Err(self.smj_replay(
-                            ctx, my_id, base, step_rate, &lk, &rk, &lperm, &rperm, &l.cols,
-                            &r.cols, &residuals, ci, cj, csteps, cemitted,
-                        ));
-                    }
-                    ctx.commit(end)?;
-                    ctx.instr[my_id].output_tuples = emitted;
-                    if store {
-                        for (c, o) in l.cols.iter().zip(&mut cols[..lw]) {
-                            o.extend(pending.iter().map(|&(li, _)| c[li as usize]));
-                        }
-                        for (c, o) in r.cols.iter().zip(&mut cols[lw..]) {
-                            o.extend(pending.iter().map(|&(_, rj)| c[rj as usize]));
-                        }
+                        push_pairs(&mut ids, &l, &r, &pending);
+                        pending.clear();
+                        (ci, cj, csteps, cemitted) = (i, j, steps, emitted);
                     }
                 }
                 ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: out_rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                Ok(VRel::new(out_rels, ids, kept(emitted)))
             }
             PlanNode::IndexNLJoin {
                 outer,
@@ -968,116 +1006,81 @@ impl Engine<'_> {
                 } else {
                     (j0.right_rel, j0.right_col, j0.left_col)
                 };
-                let okey = self.offset(&o.rels, okey_rel, okey_col)?;
+                let okeys = self.col_ref(&o, okey_rel, okey_col)?;
                 let Some(ix) = t.indexes.get(&ikey_col.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {inner_rel} column {}",
-                        ikey_col.column
-                    ))));
+                    return Err(unindexed(*inner_rel, ikey_col.column));
                 };
+                // The inner side is the base table itself: a match's
+                // position *is* its row id.
+                let inner = VRel {
+                    rels: vec![*inner_rel],
+                    ids: vec![Ids::Dense],
+                    cols: Vec::new(),
+                    len: t.rows,
+                };
+                let residuals = self.resolve_residuals(&o, &inner, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().copied().chain([*inner_rel]).collect();
-                let ow: usize = o.rels.iter().map(|&x| self.ncols(x)).sum();
-                let residuals = self.resolve_residuals(&out_rels, ow, &edges[1..])?;
+                let ow = o.rels.len();
+                let mut ids = vec![Vec::new(); ow + 1];
                 let base = ctx.spent;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
-                let mut cols = if store {
-                    vec![Vec::new(); ow + t.columns.len()]
-                } else {
-                    Vec::new()
+                let end_value = |looks: u64, probed: u64, emitted: u64| {
+                    lin3(
+                        base,
+                        looks,
+                        p.index_lookup,
+                        probed,
+                        entry_rate,
+                        emitted,
+                        p.emit_tuple,
+                    )
                 };
-                let okeys = &o.cols[okey];
-                let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
-                    let key = okeys[oi];
+                // Index entries for outer row `oi`'s key, and whether one
+                // of them joins.
+                let entries = |oi: usize| {
+                    let key = okeys.get(oi);
                     let start = ix.partition_point(|&(v, _)| v < key);
+                    ix[start..].iter().take_while(move |&&(v, _)| v == key)
+                };
+                let joins = |oi: usize, r: usize| {
+                    inner_preds
+                        .iter()
+                        .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
+                        && res_pass(&residuals, oi, r)
+                };
+                let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
                     let mut nprobe = 0u64;
-                    for &(v, r) in &ix[start..] {
-                        if v != key {
-                            break;
-                        }
+                    for &(_, r) in entries(oi) {
                         nprobe += 1;
-                        let r = r as usize;
-                        if inner_preds
-                            .iter()
-                            .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                            && res_pass(&residuals, &o.cols, oi, &t.columns, r)
-                        {
-                            matches.push(r as u32);
+                        if joins(oi, r as usize) {
+                            matches.push(r);
                         }
                     }
                     nprobe
                 };
                 let emitted = drive_items(
-                    self.mpar(okeys.len()),
+                    self.mpar(o.len),
                     ctx,
                     my_id,
-                    okeys.len(),
+                    o.len,
                     compute,
-                    |looks, probed, emitted| {
-                        lin3(
-                            base,
-                            looks,
-                            p.index_lookup,
-                            probed,
-                            entry_rate,
-                            emitted,
-                            p.emit_tuple,
-                        )
-                    },
+                    end_value,
                     |oi, matches| {
                         if store {
-                            for (c, out) in o.cols.iter().zip(&mut cols[..ow]) {
-                                out.extend(std::iter::repeat_n(c[oi], matches.len()));
-                            }
-                            for (c, out) in t.columns.iter().zip(&mut cols[ow..]) {
-                                out.extend(matches.iter().map(|&r| c[r as usize]));
-                            }
+                            let rep = std::iter::repeat_n(oi as u32, matches.len());
+                            push_rows(&mut ids[..ow], &o, rep);
+                            ids[ow].extend_from_slice(matches);
                         }
                     },
                     |ctx, oi, mut probed, mut emitted| {
-                        let key = okeys[oi];
-                        let start = ix.partition_point(|&(v, _)| v < key);
                         let looks = oi as u64 + 1;
-                        ctx.settle(lin3(
-                            base,
-                            looks,
-                            p.index_lookup,
-                            probed,
-                            entry_rate,
-                            emitted,
-                            p.emit_tuple,
-                        ))?;
-                        for &(v, r) in &ix[start..] {
-                            if v != key {
-                                break;
-                            }
+                        ctx.settle(end_value(looks, probed, emitted))?;
+                        for &(_, r) in entries(oi) {
                             probed += 1;
-                            ctx.settle(lin3(
-                                base,
-                                looks,
-                                p.index_lookup,
-                                probed,
-                                entry_rate,
-                                emitted,
-                                p.emit_tuple,
-                            ))?;
-                            let r = r as usize;
-                            if !inner_preds
-                                .iter()
-                                .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                            {
-                                continue;
-                            }
-                            if res_pass(&residuals, &o.cols, oi, &t.columns, r) {
+                            ctx.settle(end_value(looks, probed, emitted))?;
+                            if joins(oi, r as usize) {
                                 emitted += 1;
-                                ctx.settle(lin3(
-                                    base,
-                                    looks,
-                                    p.index_lookup,
-                                    probed,
-                                    entry_rate,
-                                    emitted,
-                                    p.emit_tuple,
-                                ))?;
+                                ctx.settle(end_value(looks, probed, emitted))?;
                                 ctx.instr[my_id].output_tuples += 1;
                             }
                         }
@@ -1085,11 +1088,7 @@ impl Engine<'_> {
                     },
                 )?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: out_rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                Ok(VRel::new(out_rels, ids, kept(emitted)))
             }
             PlanNode::BlockNLJoin {
                 outer,
@@ -1098,23 +1097,17 @@ impl Engine<'_> {
             } => {
                 let o = self.veval(outer, ctx, next_id, true)?;
                 let inn = self.veval(inner, ctx, next_id, true)?;
+                let residuals = self.resolve_residuals(&o, &inn, edges)?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().chain(&inn.rels).copied().collect();
-                let ow: usize = o.rels.iter().map(|&x| self.ncols(x)).sum();
-                let residuals = self.resolve_residuals(&out_rels, ow, edges)?;
+                let ow = o.rels.len();
+                let mut ids = vec![Vec::new(); out_rels.len()];
                 let base = ctx.spent;
                 let pair_rate = p.cpu_operator * edges.len().max(1) as f64;
-                let mut cols = if store {
-                    vec![Vec::new(); ow + inn.cols.len()]
-                } else {
-                    Vec::new()
-                };
                 let inn_len = inn.len as u64;
                 let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
-                    for ii in 0..inn.len {
-                        if res_pass(&residuals, &o.cols, oi, &inn.cols, ii) {
-                            matches.push(ii as u32);
-                        }
-                    }
+                    matches.extend(
+                        (0..inn.len as u32).filter(|&ii| res_pass(&residuals, oi, ii as usize)),
+                    );
                     0
                 };
                 let emitted = drive_items(
@@ -1130,12 +1123,9 @@ impl Engine<'_> {
                     },
                     |oi, matches| {
                         if store {
-                            for (c, out) in o.cols.iter().zip(&mut cols[..ow]) {
-                                out.extend(std::iter::repeat_n(c[oi], matches.len()));
-                            }
-                            for (c, out) in inn.cols.iter().zip(&mut cols[ow..]) {
-                                out.extend(matches.iter().map(|&r| c[r as usize]));
-                            }
+                            let rep = std::iter::repeat_n(oi as u32, matches.len());
+                            push_rows(&mut ids[..ow], &o, rep);
+                            push_rows(&mut ids[ow..], &inn, matches.iter().copied());
                         }
                     },
                     |ctx, oi, _c1, mut emitted| {
@@ -1143,7 +1133,7 @@ impl Engine<'_> {
                         for ii in 0..inn.len {
                             pairs_n += 1;
                             ctx.settle(lin2(base, pairs_n, pair_rate, emitted, p.emit_tuple))?;
-                            if res_pass(&residuals, &o.cols, oi, &inn.cols, ii) {
+                            if res_pass(&residuals, oi, ii) {
                                 emitted += 1;
                                 ctx.settle(lin2(base, pairs_n, pair_rate, emitted, p.emit_tuple))?;
                                 ctx.instr[my_id].output_tuples += 1;
@@ -1153,152 +1143,24 @@ impl Engine<'_> {
                     },
                 )?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: out_rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                Ok(VRel::new(out_rels, ids, kept(emitted)))
             }
-            PlanNode::AntiJoin { left, right, edges } => {
+            PlanNode::AntiJoin { left, right, edges }
+            | PlanNode::SemiJoin { left, right, edges } => {
                 let l = self.veval(left, ctx, next_id, true)?;
                 let r = self.veval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
-                let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let rcol = &r.cols[rkey];
-                charge_linear(ctx, base, build_rate, r.len)?;
-                let keys: FastSet<i64> = par_key_set(self.mpar(r.len), rcol, r.len);
-                let pbase = ctx.spent;
-                let mut cols = if store {
-                    vec![Vec::new(); l.cols.len()]
-                } else {
-                    Vec::new()
-                };
-                let lcol = &l.cols[lkey];
-                let compute = |lo: usize, hi: usize| -> (u64, Vec<Vec<i64>>) {
-                    let mut sel: Vec<u32> = Vec::with_capacity(hi - lo);
-                    for (off, v) in lcol[lo..hi].iter().enumerate() {
-                        if !keys.contains(v) {
-                            sel.push((lo + off) as u32);
-                        }
-                    }
-                    let k = sel.len() as u64;
-                    let data = if store {
-                        let mut d = vec![Vec::with_capacity(sel.len()); l.cols.len()];
-                        gather(&l.cols, &sel, &mut d);
-                        d
-                    } else {
-                        Vec::new()
-                    };
-                    (k, data)
-                };
-                let par = self.mpar(l.len);
-                let ph = LinPhase {
-                    base: pbase,
-                    item_rate: p.hash_probe,
-                    emit_rate: p.emit_tuple,
-                };
-                let emitted = drive_batches(
-                    par,
-                    ctx,
-                    Some(my_id),
-                    l.len,
-                    &ph,
-                    compute,
-                    |data| {
-                        for (o, d) in cols.iter_mut().zip(data) {
-                            o.extend(d);
-                        }
-                    },
-                    |ctx, lo, hi, emitted| {
-                        replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                            u64::from(!keys.contains(&lcol[i]))
-                        })
-                    },
-                )?;
-                ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: l.rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
-            }
-            PlanNode::SemiJoin { left, right, edges } => {
-                // Anti-join kernel with the membership test un-negated.
-                let l = self.veval(left, ctx, next_id, true)?;
-                let r = self.veval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
-                let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let rcol = &r.cols[rkey];
-                charge_linear(ctx, base, build_rate, r.len)?;
-                let keys: FastSet<i64> = par_key_set(self.mpar(r.len), rcol, r.len);
-                let pbase = ctx.spent;
-                let mut cols = if store {
-                    vec![Vec::new(); l.cols.len()]
-                } else {
-                    Vec::new()
-                };
-                let lcol = &l.cols[lkey];
-                let compute = |lo: usize, hi: usize| -> (u64, Vec<Vec<i64>>) {
-                    let mut sel: Vec<u32> = Vec::with_capacity(hi - lo);
-                    for (off, v) in lcol[lo..hi].iter().enumerate() {
-                        if keys.contains(v) {
-                            sel.push((lo + off) as u32);
-                        }
-                    }
-                    let k = sel.len() as u64;
-                    let data = if store {
-                        let mut d = vec![Vec::with_capacity(sel.len()); l.cols.len()];
-                        gather(&l.cols, &sel, &mut d);
-                        d
-                    } else {
-                        Vec::new()
-                    };
-                    (k, data)
-                };
-                let par = self.mpar(l.len);
-                let ph = LinPhase {
-                    base: pbase,
-                    item_rate: p.hash_probe,
-                    emit_rate: p.emit_tuple,
-                };
-                let emitted = drive_batches(
-                    par,
-                    ctx,
-                    Some(my_id),
-                    l.len,
-                    &ph,
-                    compute,
-                    |data| {
-                        for (o, d) in cols.iter_mut().zip(data) {
-                            o.extend(d);
-                        }
-                    },
-                    |ctx, lo, hi, emitted| {
-                        replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                            u64::from(keys.contains(&lcol[i]))
-                        })
-                    },
-                )?;
-                ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: l.rels,
-                    cols,
-                    len: if store { emitted as usize } else { 0 },
-                })
+                let keep_matched = matches!(node, PlanNode::SemiJoin { .. });
+                self.vmember_join(ctx, my_id, &l, &r, edges, keep_matched, store)
             }
             PlanNode::HashAggregate { input } => {
                 let i = self.veval(input, ctx, next_id, true)?;
                 let base = ctx.spent;
                 let in_rate = p.cpu_tuple + p.hash_build;
-                let key_offs: Vec<usize> = self
+                let keys: Vec<ColRef<'_>> = self
                     .query
                     .group_by
                     .iter()
-                    .map(|&(r, c)| self.offset(&i.rels, r, c))
+                    .map(|&(r, c)| self.col_ref(&i, r, c))
                     .collect::<Result<_, _>>()?;
                 // The input charge depends only on the row count: settle the
                 // ledger up front (identical event sequence), then count
@@ -1312,23 +1174,20 @@ impl Engine<'_> {
                 // zero- and one-column keys (the common shapes) skip that.
                 let mut groups: FastMap<Vec<i64>, i64> = FastMap::default();
                 let mut groups1: FastMap<i64, i64> = FastMap::default();
-                match key_offs.as_slice() {
+                match keys.as_slice() {
                     [] => {
                         if i.len > 0 {
                             *groups.entry(Vec::new()).or_insert(0) += i.len as i64;
                         }
                     }
-                    [c] => {
-                        let col = &i.cols[*c];
-                        par_group_counts(self.mpar(i.len), i.len, |row| col[row], &mut groups1);
+                    [col] => {
+                        par_group_counts(self.mpar(i.len), i.len, |row| col.get(row), &mut groups1);
                     }
                     _ => {
                         par_group_counts(
                             self.mpar(i.len),
                             i.len,
-                            |row| -> Vec<i64> {
-                                key_offs.iter().map(|&c| i.cols[c][row]).collect()
-                            },
+                            |row| -> Vec<i64> { keys.iter().map(|c| c.get(row)).collect() },
                             &mut groups,
                         );
                     }
@@ -1340,7 +1199,7 @@ impl Engine<'_> {
                 let ng = groups.len() as u64;
                 let mut emitted = 0u64;
                 let mut cols = if store {
-                    vec![Vec::new(); key_offs.len() + 1]
+                    vec![Vec::new(); keys.len() + 1]
                 } else {
                     Vec::new()
                 };
@@ -1374,8 +1233,9 @@ impl Engine<'_> {
                 ctx.instr[my_id].complete = true;
                 Ok(VRel {
                     rels: Vec::new(),
+                    ids: Vec::new(),
                     cols,
-                    len: if store { ng as usize } else { 0 },
+                    len: kept(ng),
                 })
             }
             PlanNode::Spill { input } => {
@@ -1384,11 +1244,7 @@ impl Engine<'_> {
                 ctx.charge(discarded * p.cpu_tuple)?;
                 ctx.instr[my_id].output_tuples = 0;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel {
-                    rels: i.rels,
-                    cols: Vec::new(),
-                    len: 0,
-                })
+                Ok(VRel::new(i.rels.clone(), vec![Vec::new(); i.rels.len()], 0))
             }
         }
     }
@@ -1445,7 +1301,13 @@ mod tests {
             .veval(&plan, &mut ctx, &mut next_id, false)
             .ok()
             .unwrap();
-        assert!(rel.cols.is_empty() && rel.len == 0);
+        assert!(
+            rel.len == 0
+                && rel
+                    .ids
+                    .iter()
+                    .all(|ids| matches!(ids, Ids::Sel(v) if v.is_empty()))
+        );
         assert!(ctx.instr[0].output_tuples > 0);
     }
 

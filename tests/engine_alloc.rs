@@ -1,0 +1,127 @@
+//! Allocation volume of the vectorized engine's intermediates.
+//!
+//! A `VRel` carries base-table row ids, not copied column values, so what an
+//! execution allocates is bounded by its *output rows × relations × 4 B*
+//! plus the hash tables it builds — never by rows × columns of the tables
+//! it reads. A counting global allocator pins that: an engine that copies
+//! column values into its intermediates overshoots both bounds several
+//! times over on the same plans.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use plan_bouquet::bouquet::Workload;
+use plan_bouquet::engine::{Database, Engine, EngineOutcome};
+use plan_bouquet::plan::PlanNode;
+use plan_bouquet::workloads;
+
+thread_local! {
+    /// Bytes requested by this thread (const-initialized and without a
+    /// destructor, so the allocator may touch it at any time).
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.with(|b| b.set(b.get() + layout.size()));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A grown vector may be copied whole: count the new block.
+        REQUESTED.with(|b| b.set(b.get() + new_size));
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Run `plan` to completion on the serial engine; the outcome and the bytes
+/// the execution requested from the allocator.
+fn measured(engine: &Engine<'_>, plan: &PlanNode) -> (EngineOutcome, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = engine.execute(plan, f64::INFINITY);
+    let bytes = REQUESTED.with(Cell::get) - before;
+    assert!(out.completed(), "plan must run to completion");
+    (out, bytes)
+}
+
+fn fixture() -> (Workload, Database) {
+    let w = workloads::h_q8a_2d(0.01);
+    let db = Database::generate(&w.catalog, 42, &[]).expect("generate");
+    (w, db)
+}
+
+fn scan(rel: usize) -> Box<PlanNode> {
+    Box::new(PlanNode::SeqScan { rel })
+}
+
+/// Bytes of one build side: the gathered key column plus a hash-table entry
+/// (key, row list header, one row id) per row.
+const BUILD_BYTES_PER_ROW: usize = 8 + 40 + 4;
+
+#[test]
+fn hash_join_chain_allocates_ids_not_columns() {
+    let (w, db) = fixture();
+    let engine = Engine::new(&db, &w.query, &w.model.p);
+    // orders ⋈ (part ⋈ lineitem): three relations, two hash joins.
+    let plan = PlanNode::HashJoin {
+        build: scan(2),
+        probe: Box::new(PlanNode::HashJoin {
+            build: scan(0),
+            probe: scan(1),
+            edges: vec![0],
+        }),
+        edges: vec![1],
+    };
+    let (out, bytes) = measured(&engine, &plan);
+    // Pre-order node ids: 0 top join, 1 orders, 2 inner join, 3 part, 4 lineitem.
+    let rows: Vec<usize> = out
+        .instr()
+        .nodes
+        .iter()
+        .map(|n| n.output_tuples as usize)
+        .collect();
+    let rels = [3usize, 1, 2, 1, 1];
+    let id_bytes: usize = rows.iter().zip(rels).map(|(r, k)| r * k * 4).sum();
+    let build_bytes = (rows[1] + rows[3]) * BUILD_BYTES_PER_ROW;
+    // Measured 1.25×: vector growth and the probe's pair scratch on top of
+    // the ids. Copying the columns instead takes 11.7× on this plan.
+    let bound = 2 * (id_bytes + build_bytes);
+    assert!(
+        bytes <= bound,
+        "join chain requested {bytes} B; 2 × (ids {id_bytes} B + build sides {build_bytes} B) = {bound} B"
+    );
+}
+
+#[test]
+fn predicate_free_scan_feeding_a_join_is_zero_copy() {
+    let (w, db) = fixture();
+    let engine = Engine::new(&db, &w.query, &w.model.p);
+    // lineitem carries no selection: its scan is the dense range.
+    assert!(w.query.relations[1].selections.is_empty());
+    let plan = PlanNode::HashJoin {
+        build: scan(0),
+        probe: scan(1),
+        edges: vec![0],
+    };
+    let (out, bytes) = measured(&engine, &plan);
+    let lineitem_rows = out.instr().nodes[2].output_tuples as usize;
+    assert_eq!(lineitem_rows, db.table(w.query.relations[1].table).rows);
+    // Less than a single i64 column of the scanned table, let alone all.
+    let one_column = lineitem_rows * 8;
+    assert!(
+        bytes < one_column,
+        "scan ⋈ requested {bytes} B, more than one lineitem column ({one_column} B)"
+    );
+}
