@@ -16,8 +16,12 @@ fn bench_diagram(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("serial", |b| {
         b.iter(|| {
-            black_box(PlanDiagram::build_serial(
-                &w.catalog, &w.query, &w.model, &w.ess,
+            black_box(PlanDiagram::build_with(
+                &w.catalog,
+                &w.query,
+                &w.model,
+                &w.ess,
+                Parallelism::serial(),
             ))
         })
     });
@@ -76,37 +80,6 @@ fn bench_cost_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// Incumbent-bound-pruned diagram build vs the plain DP everywhere, both
-/// serial (isolates the pruning win from parallel speedup).
-fn bench_pruned_build(c: &mut Criterion) {
-    let w = by_name("2D_H_Q8A").unwrap();
-    let mut g = c.benchmark_group("diagram_build_serial");
-    g.sample_size(10);
-    g.bench_function("unpruned", |b| {
-        b.iter(|| {
-            black_box(PlanDiagram::build_with_unpruned(
-                &w.catalog,
-                &w.query,
-                &w.model,
-                &w.ess,
-                Parallelism::serial(),
-            ))
-        })
-    });
-    g.bench_function("bound_pruned", |b| {
-        b.iter(|| {
-            black_box(PlanDiagram::build_with(
-                &w.catalog,
-                &w.query,
-                &w.model,
-                &w.ess,
-                Parallelism::serial(),
-            ))
-        })
-    });
-    g.finish();
-}
-
 fn bench_identify(c: &mut Criterion) {
     let mut g = c.benchmark_group("bouquet_identify");
     g.sample_size(10);
@@ -130,7 +103,6 @@ criterion_group!(
     bench_diagram,
     bench_anorexic,
     bench_cost_paths,
-    bench_pruned_build,
     bench_identify
 );
 criterion_main!(benches);

@@ -328,7 +328,7 @@ fn sql_cmd(rest: &[String]) {
 /// produce byte-identical artefacts. `--workers N` pins the parallel run's
 /// worker count (default: all cores / the global `--jobs` override).
 /// `--json PATH` additionally merges the per-phase wall-clock numbers —
-/// including the unpruned-build and tree-walk cost-matrix reference paths —
+/// including the tree-walk cost-matrix reference path —
 /// into the shared report file as its `"identify"` section (the CI
 /// `BENCH_identify.json` artifact).
 fn speedup(w: pb_bouquet::Workload, rest: &[String]) {
@@ -367,20 +367,8 @@ fn speedup(w: pb_bouquet::Workload, rest: &[String]) {
     let json_par = persist::to_json(&b_par).expect("serialize parallel");
     let identical = json_seq == json_par;
 
-    // Reference paths: the bound-pruned build vs the plain DP everywhere,
-    // and the compiled-program cost matrix vs the recursive tree walk.
-    let t0 = Instant::now();
-    let unpruned = pb_optimizer::PlanDiagram::build_with_unpruned(
-        &w.catalog,
-        &w.query,
-        &w.model,
-        &w.ess,
-        Parallelism::serial(),
-    );
-    let t_unpruned = t0.elapsed();
-    let pruned_matches = unpruned.optimal == b_seq.diagram.optimal
-        && unpruned.opt_cost == b_seq.diagram.opt_cost
-        && unpruned.plans.len() == b_seq.diagram.plans.len();
+    // Reference path: the compiled-program cost matrix vs the recursive
+    // tree walk.
     let t0 = Instant::now();
     let treewalk_cm = b_seq
         .diagram
@@ -404,13 +392,6 @@ fn speedup(w: pb_bouquet::Workload, rest: &[String]) {
     row("cost_matrix", t_seq.cost_matrix, t_par.cost_matrix);
     row("contours", t_seq.contours, t_par.contours);
     row("total", t_seq.total, t_par.total);
-    println!(
-        "  diagram      bound-pruned vs unpruned (serial): {:.1?} vs {:.1?} ({:.2}x), identical: {}",
-        t_seq.diagram,
-        t_unpruned,
-        secs(&t_unpruned) / secs(&t_seq.diagram).max(1e-12),
-        if pruned_matches { "yes" } else { "NO" }
-    );
     println!(
         "  cost_matrix  compiled vs tree-walk (serial):    {:.1?} vs {:.1?} ({:.2}x), identical: {}",
         t_seq.cost_matrix,
@@ -445,29 +426,20 @@ fn speedup(w: pb_bouquet::Workload, rest: &[String]) {
             ("serial".into(), phase_obj(&t_seq)),
             ("parallel".into(), phase_obj(&t_par)),
             (
-                "unpruned_diagram_serial_s".into(),
-                Value::Float(secs(&t_unpruned)),
-            ),
-            (
                 "treewalk_cost_matrix_serial_s".into(),
                 Value::Float(secs(&t_treewalk)),
-            ),
-            (
-                "diagram_pruning_gain".into(),
-                Value::Float(secs(&t_unpruned) / secs(&t_seq.diagram).max(1e-12)),
             ),
             (
                 "cost_matrix_compiled_gain".into(),
                 Value::Float(secs(&t_treewalk) / secs(&t_seq.cost_matrix).max(1e-12)),
             ),
             ("byte_identical".into(), Value::Bool(identical)),
-            ("pruned_build_identical".into(), Value::Bool(pruned_matches)),
             ("cost_matrix_identical".into(), Value::Bool(matrix_matches)),
         ]);
         merge_json_section(&path, "identify", section);
     }
 
-    if !identical || !pruned_matches || !matrix_matches {
+    if !identical || !matrix_matches {
         std::process::exit(1);
     }
 }

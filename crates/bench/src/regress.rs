@@ -185,7 +185,7 @@ pub fn engine_bench(sf: f64) -> Result<Value, String> {
 }
 
 /// Identification benchmark: serial vs `workers`-way bouquet compilation
-/// with the byte-identity, pruned-build and compiled-cost-matrix checks.
+/// with the byte-identity and compiled-cost-matrix checks.
 /// Every phase is timed best-of-3 so the derived gain ratios are quotients
 /// of per-phase minima rather than single noisy samples. Field names match
 /// `BENCH_identify.json`.
@@ -213,24 +213,6 @@ pub fn identify_bench(workload: &str, workers: usize) -> Result<Value, String> {
     let json_par =
         persist::to_json(&b_par).map_err(|e| format!("identify bench: serialize: {e}"))?;
 
-    let mut t_unpruned = f64::INFINITY;
-    let mut unpruned = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        unpruned = Some(pb_optimizer::PlanDiagram::build_with_unpruned(
-            &w.catalog,
-            &w.query,
-            &w.model,
-            &w.ess,
-            Parallelism::serial(),
-        ));
-        t_unpruned = t_unpruned.min(t0.elapsed().as_secs_f64());
-    }
-    let pruned_matches = unpruned.as_ref().is_some_and(|u| {
-        u.optimal == b_seq.diagram.optimal
-            && u.opt_cost == b_seq.diagram.opt_cost
-            && u.plans.len() == b_seq.diagram.plans.len()
-    });
     let mut t_treewalk = f64::INFINITY;
     let mut treewalk_cm = None;
     for _ in 0..3 {
@@ -258,18 +240,12 @@ pub fn identify_bench(workload: &str, workers: usize) -> Result<Value, String> {
         ("dims", Value::UInt(w.d() as u64)),
         ("serial", phase(&t_seq)),
         ("parallel", phase(&t_par)),
-        ("unpruned_diagram_serial_s", Value::Float(t_unpruned)),
         ("treewalk_cost_matrix_serial_s", Value::Float(t_treewalk)),
-        (
-            "diagram_pruning_gain",
-            Value::Float(t_unpruned / t_seq.diagram.as_secs_f64().max(1e-12)),
-        ),
         (
             "cost_matrix_compiled_gain",
             Value::Float(t_treewalk / t_seq.cost_matrix.as_secs_f64().max(1e-12)),
         ),
         ("byte_identical", Value::Bool(json_seq == json_par)),
-        ("pruned_build_identical", Value::Bool(pruned_matches)),
         (
             "cost_matrix_identical",
             Value::Bool(treewalk_cm.as_ref() == Some(&b_seq.costs)),
@@ -529,7 +505,7 @@ fn is_timing_key(key: &str) -> bool {
 /// Derived-ratio fields (`speedup*`, `*_gain`): quotients of two noisy
 /// timings, so they get a multiplicative factor-of-2 band — loose enough
 /// for scheduler jitter on short phases, tight enough that a vectorization
-/// or pruning collapse (a 4x ratio dropping to ~1x) still fails the gate.
+/// or compilation collapse (a 4x ratio dropping to ~1x) still fails the gate.
 fn is_ratio_key(key: &str) -> bool {
     key.ends_with("_gain") || key.starts_with("speedup")
 }

@@ -1,13 +1,15 @@
-//! Scalar operator cost formulas shared by the tree-walk [`Coster`] and the
-//! compiled [`CostProgram`] evaluator.
+//! Scalar operator cost formulas shared by every costing path: the
+//! tree-walk [`Coster`], the compiled [`CostProgram`] evaluator and the
+//! optimizer's DP, which calls them directly with constants it resolved
+//! once per query.
 //!
-//! Both costing paths funnel through these functions, so they agree
-//! *bit-for-bit* by construction: the same floating-point operations are
-//! executed in the same order regardless of whether the inputs were resolved
-//! through the catalog on the fly (tree walk) or pre-resolved at compile
-//! time (program). Keep every expression textually identical to what the
-//! historical `Coster` methods computed — reordering a multiplication here
-//! breaks the byte-identity guarantees of the identification pipeline.
+//! All paths funnel through these functions, so they agree *bit-for-bit*
+//! by construction: the same floating-point operations are executed in the
+//! same order regardless of whether the inputs were resolved through the
+//! catalog on the fly (tree walk) or ahead of time (program, DP skeleton).
+//! Keep every expression textually identical to what the historical
+//! `Coster` methods computed — reordering a multiplication here breaks the
+//! byte-identity guarantees of the identification pipeline.
 //!
 //! [`Coster`]: crate::coster::Coster
 //! [`CostProgram`]: crate::program::CostProgram
@@ -17,7 +19,7 @@ use crate::params::CostParams;
 
 /// Sequential scan: `rows`/`pages`/`width` come from the catalog, `sel` is
 /// the combined selectivity of the relation's predicates at the ESS point.
-pub(crate) fn seq_scan(
+pub fn seq_scan(
     p: &CostParams,
     rows: f64,
     pages: f64,
@@ -38,7 +40,7 @@ pub(crate) fn seq_scan(
 /// Index scan driven by one predicate (`ix_sel`); the remaining predicates
 /// combine into `residual`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn index_scan(
+pub fn index_scan(
     p: &CostParams,
     rows: f64,
     width: f64,
@@ -62,7 +64,7 @@ pub(crate) fn index_scan(
 }
 
 /// Ordered full scan through an index (random heap fetch per row).
-pub(crate) fn full_index_scan(
+pub fn full_index_scan(
     p: &CostParams,
     rows: f64,
     width: f64,
@@ -85,7 +87,7 @@ pub(crate) fn full_index_scan(
 
 /// Cost of sorting `input` (in-memory quicksort, external merge when the
 /// input exceeds work_mem).
-pub(crate) fn sort_cost(p: &CostParams, input: &NodeCost) -> f64 {
+pub fn sort_cost(p: &CostParams, input: &NodeCost) -> f64 {
     let n = input.rows.max(2.0);
     let mut cost = n * n.log2() * 2.0 * p.cpu_operator;
     let pages = input.pages(p.page_bytes);
@@ -97,7 +99,7 @@ pub(crate) fn sort_cost(p: &CostParams, input: &NodeCost) -> f64 {
 }
 
 /// Hybrid hash join; `esel` is the combined selectivity of the join edges.
-pub(crate) fn hash_join(
+pub fn hash_join(
     p: &CostParams,
     build: &NodeCost,
     probe: &NodeCost,
@@ -125,7 +127,7 @@ pub(crate) fn hash_join(
 }
 
 /// Sort-merge join; `sort_left`/`sort_right` indicate explicit sorts.
-pub(crate) fn merge_join(
+pub fn merge_join(
     p: &CostParams,
     left: &NodeCost,
     right: &NodeCost,
@@ -156,7 +158,7 @@ pub(crate) fn merge_join(
 /// of the inner base relation; `npred` counts its residual predicates plus
 /// the non-primary join edges.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn index_nl_join(
+pub fn index_nl_join(
     p: &CostParams,
     outer: &NodeCost,
     inner_rows: f64,
@@ -181,7 +183,7 @@ pub(crate) fn index_nl_join(
 }
 
 /// Block nested-loops join; `nedges_capped` is `edges.len().max(1)`.
-pub(crate) fn block_nl_join(
+pub fn block_nl_join(
     p: &CostParams,
     outer: &NodeCost,
     inner: &NodeCost,
@@ -206,7 +208,7 @@ pub(crate) fn block_nl_join(
 }
 
 /// Hash anti-join; `s` is the first (lookup) edge's selectivity.
-pub(crate) fn anti_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f64) -> NodeCost {
+pub fn anti_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f64) -> NodeCost {
     let survive = (1.0 - (s * right.rows).min(0.99)).max(0.01);
     let rows = left.rows * survive;
     let cost = left.cost
@@ -226,7 +228,7 @@ pub(crate) fn anti_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f6
 /// below saturation — the exact mirror of [`anti_join`]'s complement, so the
 /// two operators partition the left input (up to the clamps) and the
 /// semi-join axis is monotone *increasing* (PCM-clean, no flip needed).
-pub(crate) fn semi_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f64) -> NodeCost {
+pub fn semi_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f64) -> NodeCost {
     let matched = (s * right.rows).clamp(0.01, 0.99);
     let rows = left.rows * matched;
     let cost = left.cost
@@ -242,12 +244,7 @@ pub(crate) fn semi_join(p: &CostParams, left: &NodeCost, right: &NodeCost, s: f6
 }
 
 /// Hash aggregation; `ndv_product` and `width` are statistics constants.
-pub(crate) fn hash_aggregate(
-    p: &CostParams,
-    input: &NodeCost,
-    ndv_product: f64,
-    width: f64,
-) -> NodeCost {
+pub fn hash_aggregate(p: &CostParams, input: &NodeCost, ndv_product: f64, width: f64) -> NodeCost {
     let groups = ndv_product.min(input.rows).max(1.0);
     NodeCost {
         rows: groups,
@@ -257,7 +254,7 @@ pub(crate) fn hash_aggregate(
 }
 
 /// Spill directive: execute the input, count and discard its output.
-pub(crate) fn spill(p: &CostParams, input: &NodeCost) -> NodeCost {
+pub fn spill(p: &CostParams, input: &NodeCost) -> NodeCost {
     NodeCost {
         rows: 0.0,
         cost: input.cost + input.rows * p.cpu_tuple,

@@ -26,7 +26,7 @@
 pub mod coster;
 pub mod ess;
 pub mod estimator;
-mod formulas;
+pub mod formulas;
 pub mod matrix;
 pub mod model_error;
 pub mod parallel;
@@ -41,7 +41,7 @@ pub use estimator::Estimator;
 pub use matrix::CostMatrix;
 pub use model_error::CostPerturbation;
 pub use parallel::{
-    par_map, run_chunked, set_default_workers, Parallelism, PARALLEL_MIN_CONTOUR_CELLS,
+    chunk_len, par_map, run_chunked, set_default_workers, Parallelism, PARALLEL_MIN_CONTOUR_CELLS,
     PARALLEL_MIN_GRID, PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MORSEL_ROWS,
 };
 pub use params::{CostModel, CostParams};

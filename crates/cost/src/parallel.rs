@@ -3,12 +3,16 @@
 //!
 //! Every parallel phase in the pipeline (plan-diagram construction, the
 //! POSP cost matrix, per-contour frontier scans) fans work out over linear
-//! indices with [`run_chunked`]: workers claim fixed-size chunks from a
-//! shared atomic cursor, and the per-chunk results are reassembled in chunk
-//! order. Because chunk boundaries depend only on the item count — never on
-//! worker count or scheduling — merged output is identical for any worker
-//! count, which is what lets the parallel pipeline promise byte-identical
-//! artefacts to the sequential one.
+//! indices with [`run_chunked`]: workers claim chunks from a shared atomic
+//! cursor, and the per-chunk results are reassembled in chunk order. Chunk
+//! boundaries are *not* fixed — the chunk size is derived from the worker
+//! count — but every caller's per-chunk result is a pure function of its
+//! index range whose concatenation in index order does not depend on where
+//! the range was cut, so merged output is identical for any worker count.
+//! That is what lets the parallel pipeline promise byte-identical artefacts
+//! to the sequential one; a caller that reports something *about* the
+//! chunks (how many there were, how many saw a change) reports a scheduling
+//! detail that varies with the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,11 +68,9 @@ impl Parallelism {
     }
 
     /// Demote to serial for small grids, where thread spawn and chunk
-    /// hand-off cost more than the work saves (BENCH_identify.json: the
-    /// 4-worker diagram build ran 0.0117s vs 0.0092s serial, and the cost
-    /// matrix 0.0010s vs 0.0009s, on a 2304-point 2D grid). The output is
-    /// unchanged either way — chunked merges are deterministic — so this
-    /// only moves the crossover point.
+    /// hand-off cost more than the work saves (see [`PARALLEL_MIN_GRID`]).
+    /// The output is unchanged either way — chunked merges are
+    /// deterministic — so this only moves the crossover point.
     pub fn for_grid(&self, n_points: usize) -> Parallelism {
         if n_points < PARALLEL_MIN_GRID {
             Parallelism::serial()
@@ -107,9 +109,15 @@ impl Parallelism {
     }
 }
 
-/// Grid sizes below this run serially even when workers are available:
-/// between the 2304-point 2D grids (measurably slower in parallel) and the
-/// 8000-point 3D grids (where parallelism wins).
+/// Grid sizes below this run serially even when workers are available. A
+/// grid point is one DP call, 1–10 µs on the 2–6-relation queries (45 µs at
+/// 7–8 relations). Measured with the gate off on 2 vCPUs, best of 25, two
+/// workers against one: on the 2-relation 2D grid (1.2 µs per call) 0.69×
+/// at 256 points, 1.34× at 1024, 0.69× at 2304, 1.34× at 4096, 1.25× at
+/// 8100; on `3D_H_Q5` 0.91× at 512, 1.83× at 1728, 1.81× at 4096, 1.57× at
+/// 8000; on `4D_DS_Q7` 1.38× at 1296, 1.49× at 4096, 1.51× at 14641. Two
+/// workers win on every query from the gated size up; below it the cheapest
+/// queries lose or flip from run to run.
 pub const PARALLEL_MIN_GRID: usize = 4096;
 
 /// Engine phases over fewer rows than this run serially even when workers
@@ -119,11 +127,12 @@ pub const PARALLEL_MIN_GRID: usize = 4096;
 pub const PARALLEL_MIN_MORSEL_ROWS: usize = 131_072;
 
 /// Cost-matrix builds with fewer plan×point cells than this run serially.
-/// A cell is one compiled-program evaluation (~100ns), so the threshold
-/// marks roughly the point where the phase outlasts thread spawn + chunk
-/// hand-off. The 2304-point 2D TPC-H grid (~17 plans ≈ 39k cells, where the
-/// 4-worker matrix ran 1.06ms vs 0.53ms serial per BENCH_identify.json)
-/// stays serial; 3D grids at 8000 points × ~20 plans clear it.
+/// A grid point is one evaluation of the plan-set program, which comes to
+/// 30–50 ns per cell. Measured with the gate off on 2 vCPUs, best of 25,
+/// two workers against one: 0.66× at 31k cells, 0.85× at 40k (the widest 2D
+/// grid), 1.23× at 130k, 1.55× at 160k, 1.63–1.82× from 350k. The
+/// crossover sits between 40k and 130k cells; 3D grids at 8000 points × 80
+/// plans clear it.
 pub const PARALLEL_MIN_MATRIX_CELLS: usize = 1 << 16;
 
 /// Contour phases (frontier scans + anorexic reduction) with fewer
@@ -146,6 +155,13 @@ fn chunk_size(n_items: usize, workers: usize) -> usize {
     (n_items / (workers * 8)).clamp(1, 4096)
 }
 
+/// Length of every chunk but the last that [`run_chunked`] cuts `n_items`
+/// into under `par`, for callers that split an output buffer along the
+/// same boundaries beforehand so that each chunk writes its own piece.
+pub fn chunk_len(par: Parallelism, n_items: usize) -> usize {
+    chunk_size(n_items, par.for_items(n_items))
+}
+
 /// Run `work(chunk_index, lo..hi)` over `0..n_items` with chunked
 /// work-stealing, returning per-chunk results **in chunk order** (i.e.
 /// ascending item order), independent of how chunks were claimed.
@@ -162,7 +178,7 @@ where
         return Vec::new();
     }
     let workers = par.for_items(n_items);
-    let chunk = chunk_size(n_items, workers);
+    let chunk = chunk_len(par, n_items);
     let n_chunks = n_items.div_ceil(chunk);
 
     if workers <= 1 || n_chunks == 1 {
@@ -295,9 +311,9 @@ mod tests {
             par.for_cells(PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MATRIX_CELLS),
             par
         );
-        // The 2D regression case: 17 plans × 2304 points stays serial, and
-        // 12 contour steps × 2304 points stays serial, while 3D-scale work
-        // volumes engage the workers.
+        // 17 plans × 2304 points (the 2D grid) stays serial, and 12 contour
+        // steps × 2304 points stays serial, while 3D-scale work volumes
+        // engage the workers.
         assert_eq!(
             par.for_cells(17 * 2304, PARALLEL_MIN_MATRIX_CELLS),
             Parallelism::serial()

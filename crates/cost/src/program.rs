@@ -3,7 +3,7 @@
 //! [`Coster::cost`](crate::Coster::cost) re-costs a plan by recursing over
 //! `Box`ed plan nodes, resolving catalog constants (table cardinalities,
 //! index heights, NDVs) at every node on every call. Bouquet identification
-//! evaluates the *same* plan at thousands of ESS grid points, so that
+//! evaluates the *same* plans at thousands of ESS grid points, so that
 //! per-call resolution work is pure overhead.
 //!
 //! [`CostProgram::compile`] lowers a plan once into a flat post-order array
@@ -12,15 +12,24 @@
 //! program is then evaluated with a reusable [`NodeCost`] stack — no
 //! recursion, no pointer chasing, no per-evaluation allocation.
 //!
+//! [`CostProgram::compile_set`] lowers a whole plan set into one program,
+//! plan after plan. The POSP plans of one query share most of their scans
+//! and lower joins, so a sub-plan that occurs more than once is evaluated
+//! where it first occurs, kept in a register, and recalled at every later
+//! occurrence; each plan leaves its estimate on the stack. A single plan is
+//! the case with no registers: the same ops, the same evaluator.
+//!
 //! Both paths call the scalar formulas in [`crate::formulas`] and resolve
 //! selectivity products over the same predicate sequences in the same
 //! order, so a program's result is **bit-for-bit identical** to the tree
 //! walk's (pinned by `tests/compiled_cost.rs`). That exactness is what lets
-//! the pruned diagram build and the runtime drivers swap costing paths
-//! freely without perturbing any serialized artifact.
+//! the diagram build and the runtime drivers swap costing paths freely
+//! without perturbing any serialized artifact.
+
+use std::collections::HashMap;
 
 use pb_catalog::Catalog;
-use pb_plan::{PlanNode, QuerySpec, SelSpec};
+use pb_plan::{PlanFingerprint, PlanNode, QuerySpec, SelSpec};
 
 use crate::coster::NodeCost;
 use crate::formulas;
@@ -36,7 +45,8 @@ struct SelRange {
 /// One post-order instruction. Leaf ops push a [`NodeCost`]; interior ops
 /// pop their inputs (right/probe side first — it was compiled last) and
 /// push the combined estimate. All `f64` fields are catalog/statistics
-/// constants resolved at compile time.
+/// constants resolved at compile time. `Keep` / `Recall` appear only in
+/// plan-set programs, around sub-plans that more than one plan contains.
 #[derive(Debug, Clone)]
 enum ProgOp {
     SeqScan {
@@ -95,9 +105,13 @@ enum ProgOp {
         width: f64,
     },
     Spill,
+    /// Copy the estimate on top of the stack into a register.
+    Keep(u32),
+    /// Push a register's estimate.
+    Recall(u32),
 }
 
-/// A plan lowered to a flat post-order op array (see module docs).
+/// One or more plans lowered to a flat op array (see module docs).
 #[derive(Debug, Clone)]
 pub struct CostProgram {
     params: CostParams,
@@ -105,6 +119,53 @@ pub struct CostProgram {
     /// Selectivity pool; each op references a contiguous window, preserving
     /// the predicate order of the originating query spec.
     sels: Vec<SelSpec>,
+    /// Registers and compiled plans. During evaluation the registers are
+    /// the bottom `regs` slots of the stack and the finished plans'
+    /// estimates pile up above them, in compile order.
+    regs: u32,
+    roots: u32,
+}
+
+/// A distinct sub-plan of the set being compiled: how often evaluating the
+/// set reaches it (an occurrence inside an already-seen sub-plan is never
+/// reached — that one is recalled whole) and its register once lowered.
+struct SubPlan<'p> {
+    node: &'p PlanNode,
+    uses: u32,
+    reg: Option<u32>,
+}
+
+/// Sub-plans by fingerprint; the node is kept and compared so that a
+/// fingerprint collision cannot merge two different sub-plans.
+#[derive(Default)]
+struct SubPlans<'p>(HashMap<PlanFingerprint, Vec<SubPlan<'p>>>);
+
+impl<'p> SubPlans<'p> {
+    fn entry(&mut self, node: &'p PlanNode) -> &mut SubPlan<'p> {
+        let same_fp = self.0.entry(node.fingerprint()).or_default();
+        let at = same_fp
+            .iter()
+            .position(|s| s.node == node)
+            .unwrap_or_else(|| {
+                same_fp.push(SubPlan {
+                    node,
+                    uses: 0,
+                    reg: None,
+                });
+                same_fp.len() - 1
+            });
+        &mut same_fp[at]
+    }
+
+    fn count(&mut self, node: &'p PlanNode) {
+        let sub = self.entry(node);
+        sub.uses += 1;
+        if sub.uses == 1 {
+            for child in node.children() {
+                self.count(child);
+            }
+        }
+    }
 }
 
 impl CostProgram {
@@ -116,22 +177,48 @@ impl CostProgram {
         model: &CostModel,
         root: &PlanNode,
     ) -> Self {
+        Self::compile_set(catalog, query, model, [root])
+    }
+
+    /// Lower a set of plans into one program that evaluates every sub-plan
+    /// the set repeats once; [`eval_set_with`](Self::eval_set_with) reports
+    /// the plans' costs in the order given here.
+    pub fn compile_set<'p>(
+        catalog: &Catalog,
+        query: &QuerySpec,
+        model: &CostModel,
+        roots: impl IntoIterator<Item = &'p PlanNode> + Clone,
+    ) -> Self {
         let mut prog = CostProgram {
             params: model.p.clone(),
             ops: Vec::new(),
             sels: Vec::new(),
+            regs: 0,
+            roots: 0,
         };
-        prog.lower(catalog, query, root);
+        let mut subs = SubPlans::default();
+        for root in roots.clone() {
+            subs.count(root);
+        }
+        for root in roots {
+            prog.lower(catalog, query, root, &mut subs);
+            prog.roots += 1;
+        }
         prog
     }
 
-    /// Number of ops (= plan nodes).
+    /// Number of ops (= plan nodes, for a single plan).
     pub fn len(&self) -> usize {
         self.ops.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Number of compiled plans.
+    pub fn num_roots(&self) -> usize {
+        self.roots as usize
     }
 
     fn push_sels<'s>(&mut self, specs: impl Iterator<Item = &'s SelSpec>) -> SelRange {
@@ -143,7 +230,17 @@ impl CostProgram {
         }
     }
 
-    fn lower(&mut self, catalog: &Catalog, query: &QuerySpec, node: &PlanNode) {
+    fn lower<'p>(
+        &mut self,
+        catalog: &Catalog,
+        query: &QuerySpec,
+        node: &'p PlanNode,
+        subs: &mut SubPlans<'p>,
+    ) {
+        if let Some(reg) = subs.entry(node).reg {
+            self.ops.push(ProgOp::Recall(reg));
+            return;
+        }
         let rel_sels = |rel: usize| {
             query.relations[rel]
                 .selections
@@ -200,8 +297,8 @@ impl CostProgram {
                 probe,
                 edges,
             } => {
-                self.lower(catalog, query, build);
-                self.lower(catalog, query, probe);
+                self.lower(catalog, query, build, subs);
+                self.lower(catalog, query, probe, subs);
                 let edges = self.push_sels(edges.iter().map(|&e| &query.joins[e].selectivity));
                 ProgOp::HashJoin {
                     nedges: edges.len as f64,
@@ -215,8 +312,8 @@ impl CostProgram {
                 sort_left,
                 sort_right,
             } => {
-                self.lower(catalog, query, left);
-                self.lower(catalog, query, right);
+                self.lower(catalog, query, left, subs);
+                self.lower(catalog, query, right, subs);
                 let edges = self.push_sels(edges.iter().map(|&e| &query.joins[e].selectivity));
                 ProgOp::MergeJoin {
                     nedges: edges.len as f64,
@@ -230,7 +327,7 @@ impl CostProgram {
                 inner_rel,
                 edges,
             } => {
-                self.lower(catalog, query, outer);
+                self.lower(catalog, query, outer, subs);
                 let t = catalog.table_by_id(query.relations[*inner_rel].table);
                 let primary =
                     self.push_sels(edges[..1].iter().map(|&e| &query.joins[e].selectivity));
@@ -252,8 +349,8 @@ impl CostProgram {
                 inner,
                 edges,
             } => {
-                self.lower(catalog, query, outer);
-                self.lower(catalog, query, inner);
+                self.lower(catalog, query, outer, subs);
+                self.lower(catalog, query, inner, subs);
                 let nedges_capped = edges.len().max(1) as f64;
                 let edges = self.push_sels(edges.iter().map(|&e| &query.joins[e].selectivity));
                 ProgOp::BlockNlJoin {
@@ -262,21 +359,21 @@ impl CostProgram {
                 }
             }
             PlanNode::AntiJoin { left, right, edges } => {
-                self.lower(catalog, query, left);
-                self.lower(catalog, query, right);
+                self.lower(catalog, query, left, subs);
+                self.lower(catalog, query, right, subs);
                 let first_edge =
                     self.push_sels(edges[..1].iter().map(|&e| &query.joins[e].selectivity));
                 ProgOp::AntiJoin { first_edge }
             }
             PlanNode::SemiJoin { left, right, edges } => {
-                self.lower(catalog, query, left);
-                self.lower(catalog, query, right);
+                self.lower(catalog, query, left, subs);
+                self.lower(catalog, query, right, subs);
                 let first_edge =
                     self.push_sels(edges[..1].iter().map(|&e| &query.joins[e].selectivity));
                 ProgOp::SemiJoin { first_edge }
             }
             PlanNode::HashAggregate { input } => {
-                self.lower(catalog, query, input);
+                self.lower(catalog, query, input, subs);
                 let ndv_product: f64 = query
                     .group_by
                     .iter()
@@ -291,11 +388,17 @@ impl CostProgram {
                 }
             }
             PlanNode::Spill { input } => {
-                self.lower(catalog, query, input);
+                self.lower(catalog, query, input, subs);
                 ProgOp::Spill
             }
         };
         self.ops.push(op);
+        let sub = subs.entry(node);
+        if sub.uses > 1 {
+            sub.reg = Some(self.regs);
+            self.ops.push(ProgOp::Keep(self.regs));
+            self.regs += 1;
+        }
     }
 
     /// Resolve a selectivity window at `q` — same iterator shape (and thus
@@ -308,9 +411,17 @@ impl CostProgram {
             .product()
     }
 
-    /// Evaluate at ESS location `q` reusing `stack` as scratch space.
-    pub fn eval_with(&self, q: &[f64], stack: &mut Vec<NodeCost>) -> NodeCost {
+    /// The one evaluator: run every op at `q`, leaving the compiled plans'
+    /// estimates on `stack` above the registers.
+    #[inline]
+    fn run(&self, q: &[f64], stack: &mut Vec<NodeCost>) {
         stack.clear();
+        let unset = NodeCost {
+            rows: 0.0,
+            cost: 0.0,
+            width: 0.0,
+        };
+        stack.resize(self.regs as usize, unset);
         let p = &self.params;
         for op in &self.ops {
             let nc = match op {
@@ -430,10 +541,36 @@ impl CostProgram {
                     let input = stack.pop().expect("spill: missing input");
                     formulas::spill(p, &input)
                 }
+                ProgOp::Keep(reg) => {
+                    stack[*reg as usize] = *stack.last().expect("keep: missing estimate");
+                    continue;
+                }
+                ProgOp::Recall(reg) => stack[*reg as usize],
             };
             stack.push(nc);
         }
+    }
+
+    /// Evaluate a single-plan program at ESS location `q` reusing `stack`
+    /// as scratch space.
+    pub fn eval_with(&self, q: &[f64], stack: &mut Vec<NodeCost>) -> NodeCost {
+        debug_assert_eq!(self.roots, 1, "eval_with is for single-plan programs");
+        self.run(q, stack);
         stack.pop().expect("empty cost program")
+    }
+
+    /// Evaluate every compiled plan at `q` reusing `stack` as scratch
+    /// space: `emit(i, cost)` is called once per plan, in compile order.
+    pub fn eval_set_with(
+        &self,
+        q: &[f64],
+        stack: &mut Vec<NodeCost>,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        self.run(q, stack);
+        for (i, plan) in stack[self.regs as usize..].iter().enumerate() {
+            emit(i, plan.cost);
+        }
     }
 
     /// Evaluate with a private stack (convenience; allocates).
@@ -537,5 +674,61 @@ mod tests {
         assert!(!prog.is_empty());
         // Post-order: the root (Spill) op comes last.
         assert!(matches!(prog.ops.last(), Some(ProgOp::Spill)));
+    }
+
+    /// A plan set evaluates repeated sub-plans once — one of them nested
+    /// inside another — and every plan's cost is bit-equal to its own
+    /// single-plan program and to the tree walk.
+    #[test]
+    fn plan_set_shares_subplans_and_matches_per_plan_costs() {
+        let (cat, q, m) = setup();
+        let c = Coster::new(&cat, &q, &m);
+        // Shared: scan(part) ⊂ part⋈lineitem ⊂ (part⋈lineitem)⋈orders.
+        let pl = PlanNode::HashJoin {
+            build: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
+            probe: Box::new(PlanNode::SeqScan { rel: 1 }),
+            edges: vec![0],
+        };
+        let plo = PlanNode::IndexNLJoin {
+            outer: Box::new(pl.clone()),
+            inner_rel: 2,
+            edges: vec![1],
+        };
+        let set = [
+            plo.clone(),
+            plo.clone().spilled(),
+            PlanNode::HashAggregate {
+                input: Box::new(plo.clone()),
+            },
+            PlanNode::AntiJoin {
+                left: Box::new(pl.clone()),
+                right: Box::new(PlanNode::SeqScan { rel: 2 }),
+                edges: vec![1],
+            },
+            PlanNode::SemiJoin {
+                left: Box::new(pl.clone()),
+                right: Box::new(PlanNode::SeqScan { rel: 2 }),
+                edges: vec![1],
+            },
+            pl.clone().spilled(),
+        ];
+        let prog = CostProgram::compile_set(&cat, &q, &m, &set);
+        assert_eq!(prog.num_roots(), set.len());
+        // Ten distinct nodes; `pl`, `plo` and scan(orders) are kept in
+        // registers and recalled 3 + 2 + 1 times. The scans under `pl` are
+        // only ever reached through it, so they need none.
+        assert_eq!(prog.regs, 3);
+        assert_eq!(prog.len(), 10 + 3 + 6);
+        assert_eq!(set.iter().map(PlanNode::size).sum::<usize>(), 28);
+        let (mut stack, mut single) = (Vec::new(), Vec::new());
+        for s in [1e-4, 3.7e-3, 0.2512, 1.0] {
+            let mut costs = vec![f64::NAN; set.len()];
+            prog.eval_set_with(&[s], &mut stack, |i, cost| costs[i] = cost);
+            for (plan, cost) in set.iter().zip(&costs) {
+                let alone = CostProgram::compile(&cat, &q, &m, plan).eval_with(&[s], &mut single);
+                assert_eq!(cost.to_bits(), alone.cost.to_bits());
+                assert_eq!(cost.to_bits(), c.plan_cost(plan, &[s]).to_bits());
+            }
+        }
     }
 }

@@ -3,16 +3,27 @@
 //! The memo stores, per connected relation subset, the cheapest entry for
 //! each delivered sort order (System-R interesting orders, with order
 //! identity = equivalence class of join columns). Entries reference child
-//! entries by `(mask, index)`, so no plan trees are built during
-//! enumeration; the winning tree is reconstructed once at the end. This
-//! keeps a single optimization in the tens of microseconds, which matters
-//! because POSP generation calls the optimizer at thousands of grid points.
+//! entries by `(slot, index)`, so no plan trees are built during
+//! enumeration; the winning tree is reconstructed once at the end.
+//!
+//! POSP generation calls the optimizer at thousands of grid points of one
+//! query, so everything that does not depend on the location `q` is worked
+//! out once, by [`Optimizer::new`], into a [`Skeleton`]: the connected
+//! subsets of the inner-join core in ascending mask order, each one's
+//! `{s1, s2}` partitions, the interned crossing-edge sets with what the join
+//! operators need to know about them, and per-relation catalog constants
+//! and access-path templates. A call resolves the selectivities at `q`
+//! once, walks the skeleton calling the [`formulas`] directly, and folds
+//! each candidate into its slot's per-order winners as it is costed; the
+//! only memory it allocates is the winning plan tree.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use pb_catalog::{Catalog, ColumnId};
-use pb_cost::{CostModel, Coster, NodeCost};
-use pb_plan::{JoinGraph, PhysicalPlan, PlanNode, QuerySpec, RelIdx};
+use pb_cost::{formulas, CostModel, CostParams, NodeCost};
+use pb_plan::{JoinGraph, PhysicalPlan, PlanNode, QuerySpec, RelIdx, SelSpec};
 
 /// Result of one optimization call: the optimal plan plus its estimates.
 #[derive(Debug, Clone)]
@@ -85,15 +96,16 @@ impl ColClasses {
     }
 }
 
-/// Reference to a finalized memo entry.
+/// Reference to a finalized memo entry: its slot and its index within it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct EntryRef {
-    mask: u32,
-    idx: usize,
+    slot: u32,
+    idx: u32,
 }
 
 /// Compact operator descriptor; trees are materialized only for the winner.
-#[derive(Debug, Clone)]
+/// Joins name their crossing edges by [`Skeleton::edge_sets`] id.
+#[derive(Debug, Clone, Copy)]
 enum EntryOp {
     SeqScan(RelIdx),
     IndexScan(RelIdx, usize),
@@ -101,63 +113,128 @@ enum EntryOp {
     Hash {
         build: EntryRef,
         probe: EntryRef,
-        edges: Vec<usize>,
+        edges: u32,
     },
     Merge {
         left: EntryRef,
         right: EntryRef,
-        edges: Vec<usize>,
+        edges: u32,
         sort_left: bool,
         sort_right: bool,
     },
     Inl {
         outer: EntryRef,
         inner_rel: RelIdx,
-        edges: Vec<usize>,
+        edges: u32,
     },
     Bnl {
         outer: EntryRef,
         inner: EntryRef,
-        edges: Vec<usize>,
+        edges: u32,
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct DpEntry {
     order: Option<usize>,
     op: EntryOp,
     est: NodeCost,
 }
 
-/// The dynamic-programming optimizer, bound to (catalog, query, model).
-///
-/// Existential edges (anti-join / NOT EXISTS and semi-join / EXISTS) are
-/// not freely reorderable with inner joins; following common practice the
-/// DP enumerates the inner-join core and the existential operators are
-/// applied on top in edge order, each against its relation's cheapest
-/// access path. Inequality (`<` / `>`) edges *are* part of the core — they
-/// connect the join graph like any inner edge — but they produce no sort
-/// orders and only block-nested-loops can use one as its primary edge.
-pub struct Optimizer<'a> {
-    pub catalog: &'a Catalog,
-    pub query: &'a QuerySpec,
-    pub model: &'a CostModel,
-    /// Join graph over the *inner* (non-existential) edges only.
-    graph: JoinGraph,
-    classes: ColClasses,
-    /// (edge index, hanger relation) pairs for anti/semi edges, ascending
-    /// by edge — the application order on top of the core.
-    hangers: Vec<(usize, RelIdx)>,
-    /// Bitmask of the inner-join core relations.
-    core_mask: u32,
+/// One way to read a relation, minus the selectivities.
+#[derive(Debug, Clone, Copy)]
+enum AccessPath {
+    Seq,
+    /// Index scan driven by selection `sel_idx`.
+    Index {
+        sel_idx: usize,
+        height: f64,
+        order: Option<usize>,
+    },
+    /// Order-producing full scan through the index on a join column.
+    FullIndex {
+        column: ColumnId,
+        order: usize,
+    },
 }
 
-impl<'a> Optimizer<'a> {
-    pub fn new(catalog: &'a Catalog, query: &'a QuerySpec, model: &'a CostModel) -> Self {
-        assert!(
-            query.num_relations() <= 16,
-            "DP enumeration limited to 16 relations"
-        );
+/// Catalog constants and access paths of one query relation.
+#[derive(Debug)]
+struct RelSkel {
+    rows: f64,
+    pages: f64,
+    width: f64,
+    leaf_pages: f64,
+    /// Number of selection predicates, and where their resolved
+    /// selectivities sit in [`Scratch::pred_sel`].
+    npred: f64,
+    preds: Range<usize>,
+    paths: Vec<AccessPath>,
+}
+
+/// The inner-join edges crossing a cut — equality edges first, then
+/// inequality edges, each group ascending by index. The stable equi-first
+/// partition keeps `edges[0]` usable as the lookup / merge key whenever any
+/// equality edge crosses the cut (and is the identity permutation for
+/// all-equality queries, preserving legacy plans byte-for-byte); inequality
+/// edges then cost as residuals. Interned: cuts crossed by the same edges
+/// share one set, so its selectivity is resolved once per call.
+#[derive(Debug)]
+struct EdgeSet {
+    edges: Vec<usize>,
+    /// Hash, merge and index-NL joins all key on the primary edge, so they
+    /// require an equality there; a non-equi `edges[0]` means *every*
+    /// crossing edge is an inequality and only block-nested-loops can
+    /// evaluate the cut.
+    primary_is_equi: bool,
+    /// Sort order a merge join on the primary edge needs and delivers.
+    merge_class: Option<usize>,
+}
+
+/// An unordered partition `{s1, s2}` of a connected subset into two
+/// connected halves (`s1 < s2` as masks), by memo slot.
+#[derive(Debug)]
+struct Partition {
+    s1: u32,
+    s2: u32,
+    edges: u32,
+    /// Index nested-loops inner relation per orientation — `[s1 outer,
+    /// s2 outer]` — present when the other side is a single base relation
+    /// with an index on the primary edge's column.
+    inl: [Option<RelIdx>; 2],
+}
+
+#[derive(Debug)]
+struct Subset {
+    #[cfg(test)]
+    mask: u32,
+    parts: Range<usize>,
+}
+
+/// Everything about one query's DP that does not depend on the location.
+/// Memo slots are numbered relations first (slot = relation index, hanger
+/// relations included), then the multi-relation connected subsets of the
+/// core in ascending mask order — the order the DP fills them in, every
+/// partition's halves before the subset itself.
+#[derive(Debug)]
+struct Skeleton {
+    rels: Vec<RelSkel>,
+    subsets: Vec<Subset>,
+    parts: Vec<Partition>,
+    edge_sets: Vec<EdgeSet>,
+    /// Slot of the whole inner-join core.
+    root_slot: u32,
+    /// (edge index, hanger relation, is-semi) for anti/semi edges,
+    /// ascending by edge — the application order on top of the core.
+    hangers: Vec<(usize, RelIdx, bool)>,
+    /// (NDV product, output width) of the grouping, if the query groups.
+    aggregate: Option<(f64, f64)>,
+}
+
+impl Skeleton {
+    fn build(catalog: &Catalog, query: &QuerySpec) -> Self {
+        let n = query.num_relations();
+        assert!(n <= 16, "DP enumeration limited to 16 relations");
         // Identify existential hanger relations: the side of each anti/semi
         // edge that touches no other edge (the EXISTS / NOT EXISTS subquery
         // relation).
@@ -179,11 +256,11 @@ impl<'a> Optimizer<'a> {
                 } else {
                     panic!("anti/semi-join relation must hang off a single edge");
                 };
-                hangers.push((ji, rel));
+                hangers.push((ji, rel, j.semi));
                 hanger_rels |= 1 << rel;
             }
         }
-        let core_mask = (((1u64 << query.num_relations()) - 1) as u32) & !hanger_rels;
+        let core_mask = (((1u64 << n) - 1) as u32) & !hanger_rels;
         assert!(
             core_mask != 0,
             "query must have at least one inner relation"
@@ -194,108 +271,389 @@ impl<'a> Optimizer<'a> {
             .filter(|j| !j.existential())
             .map(|j| j.rels())
             .collect();
-        let graph = JoinGraph::new(query.num_relations(), inner_edges);
+        let graph = JoinGraph::new(n, inner_edges);
         assert!(
             graph.is_subset_connected(core_mask),
             "inner-join core must be connected"
         );
+        let classes = ColClasses::build(query);
+        let table = |rel: RelIdx| catalog.table_by_id(query.relations[rel].table);
+
+        let mut pred_at = 0;
+        let rels = (0..n)
+            .map(|rel| {
+                let t = table(rel);
+                let r = &query.relations[rel];
+                let mut paths = vec![AccessPath::Seq];
+                // Selection-driven index scans.
+                for (sel_idx, s) in r.selections.iter().enumerate() {
+                    if let Some(ix) = t.index_on(s.column) {
+                        paths.push(AccessPath::Index {
+                            sel_idx,
+                            height: ix.height as f64,
+                            order: classes.class_of(rel, s.column),
+                        });
+                    }
+                }
+                // Order-producing full index scans on join columns.
+                let mut seen_classes = Vec::new();
+                for j in &query.joins {
+                    if let Some(column) = j.col_on(rel) {
+                        if let Some(order) = classes.class_of(rel, column) {
+                            if !seen_classes.contains(&order) && t.index_on(column).is_some() {
+                                seen_classes.push(order);
+                                paths.push(AccessPath::FullIndex { column, order });
+                            }
+                        }
+                    }
+                }
+                let preds = pred_at..pred_at + r.selections.len();
+                pred_at = preds.end;
+                RelSkel {
+                    rows: t.rows,
+                    pages: t.pages(),
+                    width: t.row_width as f64,
+                    leaf_pages: (t.rows / 256.0).max(1.0),
+                    npred: r.selections.len() as f64,
+                    preds,
+                    paths,
+                }
+            })
+            .collect();
+
+        // DPsize over connected subsets of the inner-join core.
+        let mut slot_of: HashMap<u32, u32> = (0..n).map(|r| (1 << r, r as u32)).collect();
+        let mut set_ids: HashMap<Vec<usize>, u32> = HashMap::new();
+        let mut edge_sets: Vec<EdgeSet> = Vec::new();
+        let mut subsets = Vec::new();
+        let mut parts = Vec::new();
+        for mask in 1..=core_mask {
+            if mask & !core_mask != 0 || mask.count_ones() < 2 || !graph.is_subset_connected(mask) {
+                continue;
+            }
+            let first_part = parts.len();
+            // Enumerate unordered partitions {s1, s2}; orientation is
+            // handled per operator during the walk.
+            let mut s1 = (mask - 1) & mask;
+            while s1 != 0 {
+                let s2 = mask & !s1;
+                if s1 < s2 && graph.is_subset_connected(s1) && graph.is_subset_connected(s2) {
+                    // `mask` is connected, so some inner edge crosses the cut.
+                    let edges = cross_edges(query, s1, s2);
+                    let primary = &query.joins[edges[0]];
+                    let primary_is_equi = primary.is_equi();
+                    // Index nested-loops: the inner side must be a single
+                    // base relation with an index on the lookup column.
+                    let inl = |inner_mask: u32| {
+                        let inner = inner_mask.trailing_zeros() as usize;
+                        (primary_is_equi
+                            && inner_mask.count_ones() == 1
+                            && primary
+                                .col_on(inner)
+                                .is_some_and(|col| table(inner).index_on(col).is_some()))
+                        .then_some(inner)
+                    };
+                    let inl = [inl(s2), inl(s1)];
+                    let id = *set_ids.entry(edges).or_insert_with_key(|edges| {
+                        edge_sets.push(EdgeSet {
+                            edges: edges.clone(),
+                            primary_is_equi,
+                            merge_class: primary_is_equi
+                                .then(|| classes.class_of(primary.left_rel, primary.left_col))
+                                .flatten(),
+                        });
+                        (edge_sets.len() - 1) as u32
+                    });
+                    parts.push(Partition {
+                        s1: slot_of[&s1],
+                        s2: slot_of[&s2],
+                        edges: id,
+                        inl,
+                    });
+                }
+                s1 = (s1 - 1) & mask;
+            }
+            slot_of.insert(mask, (n + subsets.len()) as u32);
+            subsets.push(Subset {
+                #[cfg(test)]
+                mask,
+                parts: first_part..parts.len(),
+            });
+        }
+
+        let aggregate = (!query.group_by.is_empty()).then(|| {
+            let ndv_product: f64 = query
+                .group_by
+                .iter()
+                .map(|&(rel, col)| table(rel).columns[col.column as usize].stats.ndv.max(1.0))
+                .product();
+            (ndv_product, (query.group_by.len() as f64 + 1.0) * 8.0)
+        });
+        Skeleton {
+            rels,
+            subsets,
+            parts,
+            edge_sets,
+            root_slot: slot_of[&core_mask],
+            hangers,
+            aggregate,
+        }
+    }
+}
+
+/// Cross inner-join edges between disjoint subsets, in [`EdgeSet`] order.
+fn cross_edges(query: &QuerySpec, a: u32, b: u32) -> Vec<usize> {
+    let crossing = query.joins.iter().enumerate().filter(|(_, j)| {
+        let (l, r) = (1u32 << j.left_rel, 1u32 << j.right_rel);
+        !j.existential() && ((l & a != 0 && r & b != 0) || (l & b != 0 && r & a != 0))
+    });
+    let (equi, ineq): (Vec<_>, Vec<_>) = crossing.partition(|(_, j)| j.is_equi());
+    equi.into_iter().chain(ineq).map(|(i, _)| i).collect()
+}
+
+/// The candidates of the slot being filled, reduced as they arrive to the
+/// cheapest one per delivered order. In the cost-ascending (ties: first
+/// generated) order a stable sort of all candidates would produce, only the
+/// first entry of each order can survive pruning — a later one is dropped
+/// for sharing its order, or, if that first one was itself beaten by
+/// re-sorting the cheapest unordered entry, beaten by the same entry — so
+/// nothing else needs to be kept, let alone sorted.
+#[derive(Debug, Default)]
+struct Winners {
+    /// (entry, generation sequence number).
+    best: Vec<(DpEntry, u32)>,
+    offered: u32,
+}
+
+impl Winners {
+    fn clear(&mut self) {
+        self.best.clear();
+        self.offered = 0;
+    }
+
+    fn offer(&mut self, order: Option<usize>, op: EntryOp, est: NodeCost) {
+        let cand = (DpEntry { order, op, est }, self.offered);
+        self.offered += 1;
+        match self.best.iter_mut().find(|(b, _)| b.order == order) {
+            // Strictly cheaper only: a tie keeps the earlier candidate.
+            Some(b) => {
+                if est.cost.total_cmp(&b.0.est.cost).is_lt() {
+                    *b = cand;
+                }
+            }
+            None => self.best.push(cand),
+        }
+    }
+}
+
+/// Reusable per-call state: the selectivities resolved at `q` and the memo.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Clamped selectivity of every selection, relation by relation.
+    pred_sel: Vec<f64>,
+    /// Per relation: product of its selections' selectivities.
+    rel_sel: Vec<f64>,
+    /// Per join edge: its clamped selectivity.
+    edge_sel: Vec<f64>,
+    /// Per edge set: product over all its edges, and over all but the
+    /// primary (the primary's own is `edge_sel[edges[0]]`).
+    set_sel: Vec<(f64, f64)>,
+    /// All memo entries, slot after slot; `slots[s]` is slot `s`'s range.
+    /// A slot holds at most one entry per order, cheapest first (ties in
+    /// generation order), so `[0]` is its cheapest entry.
+    memo: Vec<DpEntry>,
+    slots: Vec<Range<usize>>,
+    winners: Winners,
+}
+
+/// What join enumeration reads while it fills one slot.
+struct Filled<'a> {
+    p: &'a CostParams,
+    rels: &'a [RelSkel],
+    rel_sel: &'a [f64],
+    memo: &'a [DpEntry],
+    slots: &'a [Range<usize>],
+}
+
+impl Filled<'_> {
+    fn slot(&self, slot: u32) -> &[DpEntry] {
+        &self.memo[self.slots[slot as usize].clone()]
+    }
+
+    /// Offer every join of `left` (the left/outer/build side) with `right`
+    /// across `set`, whose resolved selectivities are `all` (every edge),
+    /// `primary` and `rest` (every edge but the primary).
+    #[allow(clippy::too_many_arguments)]
+    fn join_candidates(
+        &self,
+        left: u32,
+        right: u32,
+        inl_inner: Option<RelIdx>,
+        set_id: u32,
+        set: &EdgeSet,
+        (all, primary, rest): (f64, f64, f64),
+        winners: &mut Winners,
+    ) {
+        let (lefts, rights) = (self.slot(left), self.slot(right));
+        if lefts.is_empty() || rights.is_empty() {
+            return;
+        }
+        let p = self.p;
+        let at = |slot: u32, idx: usize| EntryRef {
+            slot,
+            idx: idx as u32,
+        };
+        let (lref, rref) = (at(left, 0), at(right, 0));
+        let (l, r) = (&lefts[0].est, &rights[0].est);
+        let nedges = set.edges.len() as f64;
+
+        // Hash join: left side builds.
+        if set.primary_is_equi {
+            winners.offer(
+                None,
+                EntryOp::Hash {
+                    build: lref,
+                    probe: rref,
+                    edges: set_id,
+                },
+                formulas::hash_join(p, l, r, all, nedges),
+            );
+        }
+
+        // Sort-merge join on the primary edge's class: try (cheapest +
+        // explicit sort) and (pre-ordered entry, no sort) on each side.
+        if let Some(cls) = set.merge_class {
+            let pick = |entries: &[DpEntry]| {
+                let ordered = entries.iter().position(|e| e.order == Some(cls));
+                [Some((0, true)), ordered.map(|i| (i, false))]
+                    .into_iter()
+                    .flatten()
+            };
+            for (lidx, sort_left) in pick(lefts) {
+                for (ridx, sort_right) in pick(rights) {
+                    winners.offer(
+                        Some(cls),
+                        EntryOp::Merge {
+                            left: at(left, lidx),
+                            right: at(right, ridx),
+                            edges: set_id,
+                            sort_left,
+                            sort_right,
+                        },
+                        formulas::merge_join(
+                            p,
+                            &lefts[lidx].est,
+                            &rights[ridx].est,
+                            all,
+                            nedges,
+                            sort_left,
+                            sort_right,
+                        ),
+                    );
+                }
+            }
+        }
+
+        // Index nested-loops: the lookup key is the primary edge, the inner
+        // relation's own selections are residuals. Preserves the outer's
+        // order, so every outer memo entry is a candidate.
+        if let Some(inner_rel) = inl_inner {
+            let inner = &self.rels[inner_rel];
+            let npred = inner.npred + (nedges - 1.0).max(0.0);
+            for (lidx, le) in lefts.iter().enumerate() {
+                winners.offer(
+                    le.order,
+                    EntryOp::Inl {
+                        outer: at(left, lidx),
+                        inner_rel,
+                        edges: set_id,
+                    },
+                    formulas::index_nl_join(
+                        p,
+                        &le.est,
+                        inner.rows,
+                        inner.width,
+                        primary,
+                        rest,
+                        self.rel_sel[inner_rel],
+                        npred,
+                    ),
+                );
+            }
+        }
+
+        // Block nested-loops (materialized inner).
+        winners.offer(
+            None,
+            EntryOp::Bnl {
+                outer: lref,
+                inner: rref,
+                edges: set_id,
+            },
+            formulas::block_nl_join(p, l, r, all, set.edges.len().max(1) as f64),
+        );
+    }
+}
+
+/// Close the slot being filled: of the per-order winners, cheapest first,
+/// keep the unordered one and every ordered one that re-sorting a cheaper
+/// unordered one does not beat, then drop whatever *strictly* exceeds a
+/// finite `upper_bound` (a cost-ascending suffix; ties survive).
+fn close_slot(
+    p: &CostParams,
+    upper_bound: f64,
+    winners: &mut Winners,
+    memo: &mut Vec<DpEntry>,
+    slots: &mut Vec<Range<usize>>,
+) {
+    winners
+        .best
+        .sort_unstable_by(|(a, sa), (b, sb)| a.est.cost.total_cmp(&b.est.cost).then(sa.cmp(sb)));
+    let start = memo.len();
+    let mut resorted = None;
+    for (e, _) in &winners.best {
+        match e.order {
+            None => resorted = Some(e.est.cost + formulas::sort_cost(p, &e.est)),
+            // An unordered cheaper plan only dominates if adding an explicit
+            // sort still beats `e`.
+            Some(_) if resorted.is_some_and(|sorted| sorted <= e.est.cost) => continue,
+            Some(_) => {}
+        }
+        if !upper_bound.is_finite() || e.est.cost <= upper_bound {
+            memo.push(*e);
+        }
+    }
+    slots.push(start..memo.len());
+}
+
+/// The dynamic-programming optimizer, bound to (catalog, query, model).
+///
+/// Existential edges (anti-join / NOT EXISTS and semi-join / EXISTS) are
+/// not freely reorderable with inner joins; following common practice the
+/// DP enumerates the inner-join core and the existential operators are
+/// applied on top in edge order, each against its relation's cheapest
+/// access path. Inequality (`<` / `>`) edges *are* part of the core — they
+/// connect the join graph like any inner edge — but they produce no sort
+/// orders and only block-nested-loops can use one as its primary edge.
+///
+/// One optimizer serves one thread: calls share a scratch memo.
+pub struct Optimizer<'a> {
+    pub catalog: &'a Catalog,
+    pub query: &'a QuerySpec,
+    pub model: &'a CostModel,
+    skeleton: Skeleton,
+    scratch: RefCell<Scratch>,
+}
+
+impl<'a> Optimizer<'a> {
+    pub fn new(catalog: &'a Catalog, query: &'a QuerySpec, model: &'a CostModel) -> Self {
         Optimizer {
             catalog,
             query,
             model,
-            graph,
-            classes: ColClasses::build(query),
-            hangers,
-            core_mask,
+            skeleton: Skeleton::build(catalog, query),
+            scratch: RefCell::default(),
         }
-    }
-
-    fn coster(&self) -> Coster<'a> {
-        Coster::new(self.catalog, self.query, self.model)
-    }
-
-    /// Cross inner-join edges between disjoint subsets — equality edges
-    /// first, then inequality edges, each group ascending by index. The
-    /// stable equi-first partition keeps `edges[0]` usable as the lookup /
-    /// merge key whenever any equality edge crosses the cut (and is the
-    /// identity permutation for all-equality queries, preserving legacy
-    /// plans byte-for-byte); inequality edges then cost as residuals.
-    fn cross_edges(&self, a: u32, b: u32) -> Vec<usize> {
-        let crossing: Vec<usize> = self
-            .query
-            .joins
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| !j.existential())
-            .filter(|(_, j)| {
-                let (l, r) = (1u32 << j.left_rel, 1u32 << j.right_rel);
-                (l & a != 0 && r & b != 0) || (l & b != 0 && r & a != 0)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let (equi, ineq): (Vec<usize>, Vec<usize>) = crossing
-            .into_iter()
-            .partition(|&i| self.query.joins[i].is_equi());
-        equi.into_iter().chain(ineq).collect()
-    }
-
-    /// Access-path entries for a single relation at location `q`.
-    fn access_paths(&self, rel: RelIdx, q: &[f64]) -> Vec<DpEntry> {
-        let c = self.coster();
-        let table = self.catalog.table_by_id(self.query.relations[rel].table);
-        let mut out = vec![DpEntry {
-            order: None,
-            op: EntryOp::SeqScan(rel),
-            est: c.seq_scan(rel, q),
-        }];
-        // Selection-driven index scans.
-        for (i, s) in self.query.relations[rel].selections.iter().enumerate() {
-            if table.index_on(s.column).is_some() {
-                out.push(DpEntry {
-                    order: self.classes.class_of(rel, s.column),
-                    op: EntryOp::IndexScan(rel, i),
-                    est: c.index_scan(rel, i, q),
-                });
-            }
-        }
-        // Order-producing full index scans on join columns.
-        let mut seen_classes = Vec::new();
-        for j in &self.query.joins {
-            if let Some(col) = j.col_on(rel) {
-                if let Some(cls) = self.classes.class_of(rel, col) {
-                    if !seen_classes.contains(&cls) && table.index_on(col).is_some() {
-                        seen_classes.push(cls);
-                        out.push(DpEntry {
-                            order: Some(cls),
-                            op: EntryOp::FullIndexScan(rel, col),
-                            est: c.full_index_scan(rel, q),
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Keep only the cheapest entry per delivered order, and drop ordered
-    /// entries that cannot beat re-sorting the overall cheapest entry.
-    fn prune(&self, mut cands: Vec<DpEntry>) -> Vec<DpEntry> {
-        cands.sort_by(|a, b| a.est.cost.total_cmp(&b.est.cost));
-        let mut out: Vec<DpEntry> = Vec::new();
-        for e in cands {
-            if !out.iter().any(|kept| {
-                kept.order == e.order
-                    || kept.order.is_none() && {
-                        // An unordered cheaper plan only dominates if adding an
-                        // explicit sort still beats `e`.
-                        let c = self.coster();
-                        kept.est.cost + c.sort_cost(&kept.est) <= e.est.cost
-                    }
-            }) {
-                out.push(e);
-            }
-        }
-        out
     }
 
     /// Optimize the query at ESS location `q`; returns the cheapest plan.
@@ -310,16 +668,16 @@ impl<'a> Optimizer<'a> {
     /// Because every operator's cost is the sum of its inputs' costs plus
     /// non-negative terms, a subplan estimated above the bound can only grow
     /// on its way to the root, so when `upper_bound` is the cost of *some*
-    /// valid complete plan at `q` (e.g. the previous grid point's winner,
-    /// recosted here) the pruned search returns exactly the same plan and
-    /// cost as the unpruned one: pruned entries are strictly worse than the
-    /// winner and memo slots are cost-ascending, so pruning removes a slot
-    /// suffix and cannot shift the indices or relative order of surviving
-    /// entries. Ties with the bound are kept. Should a caller ever pass a
-    /// bound below the optimum (possible only if abstract recosting of a
-    /// foreign plan undercuts every plan the DP enumerates at `q`), the
-    /// search detects the empty memo and transparently falls back to the
-    /// unpruned path — output is identical to [`optimize`] in every case.
+    /// valid complete plan at `q` (e.g. a cached winner, recosted here) the
+    /// pruned search returns exactly the same plan and cost as the unpruned
+    /// one: pruned entries are strictly worse than the winner and memo slots
+    /// are cost-ascending, so pruning removes a slot suffix and cannot shift
+    /// the indices or relative order of surviving entries. Ties with the
+    /// bound are kept. Should a caller ever pass a bound below the optimum
+    /// (possible only if abstract recosting of a foreign plan undercuts
+    /// every plan the DP enumerates at `q`), the search detects the empty
+    /// memo and transparently falls back to the unpruned path — output is
+    /// identical to [`optimize`] in every case.
     pub fn optimize_bounded(&self, q: &[f64], upper_bound: f64) -> OptimizedPlan {
         if upper_bound.is_finite() {
             if let Some(best) = self.optimize_impl(q, upper_bound) {
@@ -330,104 +688,135 @@ impl<'a> Optimizer<'a> {
     }
 
     fn optimize_impl(&self, q: &[f64], upper_bound: f64) -> Option<OptimizedPlan> {
-        let n = self.query.num_relations();
-        let full: u32 = self.core_mask;
-        let c = self.coster();
-        let all: u32 = ((1u64 << n) - 1) as u32;
-        let mut memo: Vec<Vec<DpEntry>> = vec![Vec::new(); (all as usize) + 1];
-        // `prune` returns entries in ascending cost order, so the bound
-        // removes a strictly-worse suffix (ties survive).
-        let bound_prune = |slot: &mut Vec<DpEntry>| {
-            if upper_bound.is_finite() {
-                slot.retain(|e| e.est.cost <= upper_bound);
-            }
-        };
+        let sk = &self.skeleton;
+        let p = &self.model.p;
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch {
+            pred_sel,
+            rel_sel,
+            edge_sel,
+            set_sel,
+            memo,
+            slots,
+            winners,
+        } = &mut *scratch;
 
-        for rel in 0..n {
-            let mut slot = self.prune(self.access_paths(rel, q));
-            bound_prune(&mut slot);
-            memo[1usize << rel] = slot;
+        // Resolve every selectivity at `q` once, multiplying in predicate
+        // order exactly as `Coster::rel_sel` / `edges_sel` do.
+        let resolve = |s: &SelSpec| s.resolve(q).clamp(0.0, 1.0);
+        pred_sel.clear();
+        rel_sel.clear();
+        for (r, rs) in self.query.relations.iter().zip(&sk.rels) {
+            pred_sel.extend(r.selections.iter().map(|s| resolve(&s.selectivity)));
+            rel_sel.push(pred_sel[rs.preds.clone()].iter().product());
         }
+        edge_sel.clear();
+        edge_sel.extend(self.query.joins.iter().map(|j| resolve(&j.selectivity)));
+        set_sel.clear();
+        set_sel.extend(sk.edge_sets.iter().map(|set| {
+            let product = |edges: &[usize]| edges.iter().map(|&e| edge_sel[e]).product::<f64>();
+            (product(&set.edges), product(&set.edges[1..]))
+        }));
 
-        // DPsize over connected subsets of the inner-join core.
-        for mask in 1..=full {
-            if mask & !self.core_mask != 0 {
-                continue;
-            }
-            if mask.count_ones() < 2 || !self.graph.is_subset_connected(mask) {
-                continue;
-            }
-            let mut cands: Vec<DpEntry> = Vec::new();
-            // Enumerate unordered partitions {s1, s2}; orientation handled
-            // per operator below.
-            let mut s1 = (mask - 1) & mask;
-            while s1 != 0 {
-                let s2 = mask & !s1;
-                if s1 < s2
-                    && self.graph.is_subset_connected(s1)
-                    && self.graph.is_subset_connected(s2)
-                {
-                    let edges = self.cross_edges(s1, s2);
-                    if !edges.is_empty() {
-                        self.join_candidates(&c, &memo, s1, s2, &edges, q, &mut cands);
-                        self.join_candidates(&c, &memo, s2, s1, &edges, q, &mut cands);
+        memo.clear();
+        slots.clear();
+        for (rel, rs) in sk.rels.iter().enumerate() {
+            winners.clear();
+            let preds = &pred_sel[rs.preds.clone()];
+            for path in &rs.paths {
+                match *path {
+                    AccessPath::Seq => winners.offer(
+                        None,
+                        EntryOp::SeqScan(rel),
+                        formulas::seq_scan(p, rs.rows, rs.pages, rs.width, rs.npred, rel_sel[rel]),
+                    ),
+                    AccessPath::Index {
+                        sel_idx,
+                        height,
+                        order,
+                    } => {
+                        let residual: f64 = preds
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| *i != sel_idx)
+                            .map(|(_, s)| s)
+                            .product();
+                        winners.offer(
+                            order,
+                            EntryOp::IndexScan(rel, sel_idx),
+                            formulas::index_scan(
+                                p,
+                                rs.rows,
+                                rs.width,
+                                height,
+                                rs.leaf_pages,
+                                rs.npred,
+                                preds[sel_idx],
+                                residual,
+                            ),
+                        );
                     }
+                    AccessPath::FullIndex { column, order } => winners.offer(
+                        Some(order),
+                        EntryOp::FullIndexScan(rel, column),
+                        formulas::full_index_scan(
+                            p,
+                            rs.rows,
+                            rs.width,
+                            rs.leaf_pages,
+                            rs.npred,
+                            rel_sel[rel],
+                        ),
+                    ),
                 }
-                s1 = (s1 - 1) & mask;
             }
-            let mut slot = self.prune(cands);
-            bound_prune(&mut slot);
-            memo[mask as usize] = slot;
+            close_slot(p, upper_bound, winners, memo, slots);
         }
 
-        let best = memo[full as usize]
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.est.cost.total_cmp(&b.1.est.cost))
-            .map(|(i, _)| i)?;
-        let mut root = self.build_tree(
-            &memo,
-            EntryRef {
-                mask: full,
-                idx: best,
-            },
-        );
-        let mut est = memo[full as usize][best].est;
+        for sub in &sk.subsets {
+            winners.clear();
+            let filled = Filled {
+                p,
+                rels: &sk.rels,
+                rel_sel,
+                memo,
+                slots,
+            };
+            for part in &sk.parts[sub.parts.clone()] {
+                let set = &sk.edge_sets[part.edges as usize];
+                let (all, rest) = set_sel[part.edges as usize];
+                let sels = (all, edge_sel[set.edges[0]], rest);
+                let [inl1, inl2] = part.inl;
+                filled.join_candidates(part.s1, part.s2, inl1, part.edges, set, sels, winners);
+                filled.join_candidates(part.s2, part.s1, inl2, part.edges, set, sels, winners);
+            }
+            close_slot(p, upper_bound, winners, memo, slots);
+        }
+
+        let cheapest = |slot: u32| {
+            let slot = &slots[slot as usize];
+            (!slot.is_empty()).then(|| memo[slot.start].est)
+        };
+        let tree = |slot: u32| build_tree(sk, memo, slots, EntryRef { slot, idx: 0 });
+        let mut est = cheapest(sk.root_slot)?;
+        let mut root = tree(sk.root_slot);
         // Apply existential operators on top, each against its relation's
         // cheapest access path, in edge order.
-        for &(edge, rel) in &self.hangers {
-            let right_entries = &memo[1usize << rel];
-            let ridx = right_entries
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.est.cost.total_cmp(&b.1.est.cost))
-                .map(|(i, _)| i)?;
-            let right = self.build_tree(
-                &memo,
-                EntryRef {
-                    mask: 1 << rel,
-                    idx: ridx,
-                },
-            );
-            if self.query.joins[edge].semi {
-                est = c.semi_join(&est, &right_entries[ridx].est, &[edge], q);
-                root = PlanNode::SemiJoin {
-                    left: Box::new(root),
-                    right: Box::new(right),
-                    edges: vec![edge],
-                };
+        for &(edge, rel, semi) in &sk.hangers {
+            let right_est = cheapest(rel as u32)?;
+            let (left, right) = (Box::new(root), Box::new(tree(rel as u32)));
+            let edges = vec![edge];
+            if semi {
+                est = formulas::semi_join(p, &est, &right_est, edge_sel[edge]);
+                root = PlanNode::SemiJoin { left, right, edges };
             } else {
-                est = c.anti_join(&est, &right_entries[ridx].est, &[edge], q);
-                root = PlanNode::AntiJoin {
-                    left: Box::new(root),
-                    right: Box::new(right),
-                    edges: vec![edge],
-                };
+                est = formulas::anti_join(p, &est, &right_est, edge_sel[edge]);
+                root = PlanNode::AntiJoin { left, right, edges };
             }
         }
         // Aggregation, if the query groups.
-        if !self.query.group_by.is_empty() {
-            est = c.hash_aggregate(&est, q);
+        if let Some((ndv_product, width)) = sk.aggregate {
+            est = formulas::hash_aggregate(p, &est, ndv_product, width);
             root = PlanNode::HashAggregate {
                 input: Box::new(root),
             };
@@ -438,207 +827,55 @@ impl<'a> Optimizer<'a> {
             rows: est.rows,
         })
     }
+}
 
-    /// Generate join candidates with `left_mask` as the left/outer/build side.
-    #[allow(clippy::too_many_arguments)]
-    fn join_candidates(
-        &self,
-        c: &Coster,
-        memo: &[Vec<DpEntry>],
-        left_mask: u32,
-        right_mask: u32,
-        edges: &[usize],
-        q: &[f64],
-        cands: &mut Vec<DpEntry>,
-    ) {
-        let lefts = &memo[left_mask as usize];
-        let rights = &memo[right_mask as usize];
-        if lefts.is_empty() || rights.is_empty() {
-            return;
-        }
-        let cheapest = |entries: &[DpEntry]| -> usize {
-            entries
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.est.cost.total_cmp(&b.1.est.cost))
-                .map(|(i, _)| i)
-                .unwrap()
-        };
-        let li = cheapest(lefts);
-        let ri = cheapest(rights);
-        let lref = EntryRef {
-            mask: left_mask,
-            idx: li,
-        };
-        let rref = EntryRef {
-            mask: right_mask,
-            idx: ri,
-        };
-        let l = &lefts[li].est;
-        let r = &rights[ri].est;
-
-        // Hash, merge and index-NL joins all key on the primary edge, so
-        // they require an equality there; `cross_edges` sorts equalities
-        // first, so a non-equi `edges[0]` means *every* crossing edge is an
-        // inequality and only block-nested-loops below can evaluate it.
-        let primary_is_equi = self.query.joins[edges[0]].is_equi();
-
-        // Hash join: left side builds.
-        if primary_is_equi {
-            cands.push(DpEntry {
-                order: None,
-                op: EntryOp::Hash {
-                    build: lref,
-                    probe: rref,
-                    edges: edges.to_vec(),
-                },
-                est: c.hash_join(l, r, edges, q),
-            });
-        }
-
-        // Sort-merge join on the primary edge's class: try (cheapest +
-        // explicit sort) and (pre-ordered entry, no sort) on each side.
-        let merge_class = if primary_is_equi {
-            let j = &self.query.joins[edges[0]];
-            self.classes.class_of(j.left_rel, j.left_col)
-        } else {
-            None
-        };
-        if let Some(cls) = merge_class {
-            let pick = |entries: &[DpEntry]| -> Vec<(usize, bool)> {
-                let mut v = vec![(cheapest(entries), true)];
-                if let Some((i, _)) = entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.order == Some(cls))
-                    .min_by(|a, b| a.1.est.cost.total_cmp(&b.1.est.cost))
-                {
-                    v.push((i, false));
-                }
-                v
-            };
-            for (lidx, sort_l) in pick(lefts) {
-                for (ridx, sort_r) in pick(rights) {
-                    cands.push(DpEntry {
-                        order: Some(cls),
-                        op: EntryOp::Merge {
-                            left: EntryRef {
-                                mask: left_mask,
-                                idx: lidx,
-                            },
-                            right: EntryRef {
-                                mask: right_mask,
-                                idx: ridx,
-                            },
-                            edges: edges.to_vec(),
-                            sort_left: sort_l,
-                            sort_right: sort_r,
-                        },
-                        est: c.merge_join(
-                            &lefts[lidx].est,
-                            &rights[ridx].est,
-                            edges,
-                            q,
-                            sort_l,
-                            sort_r,
-                        ),
-                    });
-                }
-            }
-        }
-
-        // Index nested-loops: right side must be a single base relation; the
-        // lookup key is the first cross edge. Preserves the outer's order, so
-        // every outer memo entry is a candidate.
-        if primary_is_equi && right_mask.count_ones() == 1 {
-            let inner_rel = right_mask.trailing_zeros() as usize;
-            let inner_table = self
-                .catalog
-                .table_by_id(self.query.relations[inner_rel].table);
-            let lookup_col = self.query.joins[edges[0]].col_on(inner_rel);
-            if lookup_col.is_some_and(|col| inner_table.index_on(col).is_some()) {
-                for (lidx, le) in lefts.iter().enumerate() {
-                    cands.push(DpEntry {
-                        order: le.order,
-                        op: EntryOp::Inl {
-                            outer: EntryRef {
-                                mask: left_mask,
-                                idx: lidx,
-                            },
-                            inner_rel,
-                            edges: edges.to_vec(),
-                        },
-                        est: c.index_nl_join(&le.est, inner_rel, edges, q),
-                    });
-                }
-            }
-        }
-
-        // Block nested-loops (materialized inner).
-        cands.push(DpEntry {
-            order: None,
-            op: EntryOp::Bnl {
-                outer: lref,
-                inner: rref,
-                edges: edges.to_vec(),
-            },
-            est: c.block_nl_join(l, r, edges, q),
-        });
-    }
-
-    fn build_tree(&self, memo: &[Vec<DpEntry>], r: EntryRef) -> PlanNode {
-        let e = &memo[r.mask as usize][r.idx];
-        match &e.op {
-            EntryOp::SeqScan(rel) => PlanNode::SeqScan { rel: *rel },
-            EntryOp::IndexScan(rel, sel_idx) => PlanNode::IndexScan {
-                rel: *rel,
-                sel_idx: *sel_idx,
-            },
-            EntryOp::FullIndexScan(rel, col) => PlanNode::FullIndexScan {
-                rel: *rel,
-                column: *col,
-            },
-            EntryOp::Hash {
-                build,
-                probe,
-                edges,
-            } => PlanNode::HashJoin {
-                build: Box::new(self.build_tree(memo, *build)),
-                probe: Box::new(self.build_tree(memo, *probe)),
-                edges: edges.clone(),
-            },
-            EntryOp::Merge {
-                left,
-                right,
-                edges,
-                sort_left,
-                sort_right,
-            } => PlanNode::SortMergeJoin {
-                left: Box::new(self.build_tree(memo, *left)),
-                right: Box::new(self.build_tree(memo, *right)),
-                edges: edges.clone(),
-                sort_left: *sort_left,
-                sort_right: *sort_right,
-            },
-            EntryOp::Inl {
-                outer,
-                inner_rel,
-                edges,
-            } => PlanNode::IndexNLJoin {
-                outer: Box::new(self.build_tree(memo, *outer)),
-                inner_rel: *inner_rel,
-                edges: edges.clone(),
-            },
-            EntryOp::Bnl {
-                outer,
-                inner,
-                edges,
-            } => PlanNode::BlockNLJoin {
-                outer: Box::new(self.build_tree(memo, *outer)),
-                inner: Box::new(self.build_tree(memo, *inner)),
-                edges: edges.clone(),
-            },
-        }
+fn build_tree(sk: &Skeleton, memo: &[DpEntry], slots: &[Range<usize>], r: EntryRef) -> PlanNode {
+    let sub = |r: EntryRef| Box::new(build_tree(sk, memo, slots, r));
+    let edges = |id: u32| sk.edge_sets[id as usize].edges.clone();
+    match memo[slots[r.slot as usize].start + r.idx as usize].op {
+        EntryOp::SeqScan(rel) => PlanNode::SeqScan { rel },
+        EntryOp::IndexScan(rel, sel_idx) => PlanNode::IndexScan { rel, sel_idx },
+        EntryOp::FullIndexScan(rel, column) => PlanNode::FullIndexScan { rel, column },
+        EntryOp::Hash {
+            build,
+            probe,
+            edges: id,
+        } => PlanNode::HashJoin {
+            build: sub(build),
+            probe: sub(probe),
+            edges: edges(id),
+        },
+        EntryOp::Merge {
+            left,
+            right,
+            edges: id,
+            sort_left,
+            sort_right,
+        } => PlanNode::SortMergeJoin {
+            left: sub(left),
+            right: sub(right),
+            edges: edges(id),
+            sort_left,
+            sort_right,
+        },
+        EntryOp::Inl {
+            outer,
+            inner_rel,
+            edges: id,
+        } => PlanNode::IndexNLJoin {
+            outer: sub(outer),
+            inner_rel,
+            edges: edges(id),
+        },
+        EntryOp::Bnl {
+            outer,
+            inner,
+            edges: id,
+        } => PlanNode::BlockNLJoin {
+            outer: sub(outer),
+            inner: sub(inner),
+            edges: edges(id),
+        },
     }
 }
 
@@ -646,6 +883,7 @@ impl<'a> Optimizer<'a> {
 mod tests {
     use super::*;
     use pb_catalog::tpch;
+    use pb_cost::Coster;
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn eq_query() -> (pb_catalog::Catalog, QuerySpec) {
@@ -838,6 +1076,7 @@ mod tests {
 mod agg_tests {
     use super::*;
     use pb_catalog::tpch;
+    use pb_cost::Coster;
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn agg_query() -> (pb_catalog::Catalog, QuerySpec) {
@@ -890,5 +1129,146 @@ mod agg_tests {
             let recost = c.plan_cost(&best.plan.root, &[s.min(1.0)]);
             assert!((recost - best.cost).abs() < 1e-6 * best.cost);
         }
+    }
+}
+
+#[cfg(test)]
+mod skeleton_tests {
+    use super::*;
+    use pb_catalog::tpch;
+    use pb_plan::{CmpOp, QueryBuilder, SelSpec};
+
+    /// One `{s1, s2}` cut of connected subset `mask` with its crossing edges.
+    type Cut = (u32, u32, u32, Vec<usize>);
+
+    /// What the DP used to enumerate on every call: connected core subsets
+    /// in ascending mask order, their partitions in descending-`s1` order,
+    /// and the crossing edges, equalities first.
+    fn enumerated_per_call(q: &QuerySpec) -> Vec<Cut> {
+        let touches = |r: RelIdx| q.joins.iter().filter(|j| j.col_on(r).is_some()).count();
+        let mut core: u32 = (1 << q.num_relations()) - 1;
+        for j in q.joins.iter().filter(|j| j.existential()) {
+            let (l, r) = j.rels();
+            core &= !(1 << if touches(r) == 1 { r } else { l });
+        }
+        let inner = || q.joins.iter().enumerate().filter(|(_, j)| !j.existential());
+        let graph = JoinGraph::new(q.num_relations(), inner().map(|(_, j)| j.rels()).collect());
+        let mut cuts = Vec::new();
+        for mask in (1..=core).filter(|m| m & !core == 0 && m.count_ones() >= 2) {
+            if !graph.is_subset_connected(mask) {
+                continue;
+            }
+            let mut s1 = (mask - 1) & mask;
+            while s1 != 0 {
+                let s2 = mask & !s1;
+                if s1 < s2 && graph.is_subset_connected(s1) && graph.is_subset_connected(s2) {
+                    let crosses = |j: &pb_plan::JoinPredicate| {
+                        let ends = (1u32 << j.left_rel) | (1 << j.right_rel);
+                        ends & s1 != 0 && ends & s2 != 0
+                    };
+                    let mut edges = Vec::new();
+                    for equi in [true, false] {
+                        edges.extend(
+                            inner()
+                                .filter(|(_, j)| crosses(j) && j.is_equi() == equi)
+                                .map(|(i, _)| i),
+                        );
+                    }
+                    cuts.push((mask, s1, s2, edges));
+                }
+                s1 = (s1 - 1) & mask;
+            }
+        }
+        cuts
+    }
+
+    fn skeleton_cuts(sk: &Skeleton) -> Vec<Cut> {
+        let n = sk.rels.len();
+        let mask_of = |slot: u32| match (slot as usize).checked_sub(n) {
+            None => 1 << slot,
+            Some(i) => sk.subsets[i].mask,
+        };
+        sk.subsets
+            .iter()
+            .flat_map(|sub| {
+                sk.parts[sub.parts.clone()].iter().map(move |p| {
+                    let edges = sk.edge_sets[p.edges as usize].edges.clone();
+                    (sub.mask, mask_of(p.s1), mask_of(p.s2), edges)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skeleton_matches_per_call_enumeration() {
+        let cat = tpch::catalog(1.0);
+        let fixed = SelSpec::Fixed(1e-5);
+        let mut queries = Vec::new();
+
+        let mut qb = QueryBuilder::new(&cat, "chain");
+        let (r, n, s, c, o) = (
+            qb.rel("region"),
+            qb.rel("nation"),
+            qb.rel("supplier"),
+            qb.rel("customer"),
+            qb.rel("orders"),
+        );
+        qb.join(r, "r_regionkey", n, "n_regionkey", fixed);
+        qb.join(n, "n_nationkey", s, "s_nationkey", SelSpec::ErrorProne(0));
+        qb.join(s, "s_nationkey", c, "c_nationkey", fixed);
+        qb.join(c, "c_custkey", o, "o_custkey", fixed);
+        queries.push(qb.build());
+
+        let mut qb = QueryBuilder::new(&cat, "star");
+        let (l, p, s, o) = (
+            qb.rel("lineitem"),
+            qb.rel("part"),
+            qb.rel("supplier"),
+            qb.rel("orders"),
+        );
+        qb.join(l, "l_partkey", p, "p_partkey", SelSpec::ErrorProne(0));
+        qb.join(l, "l_suppkey", s, "s_suppkey", fixed);
+        qb.join(l, "l_orderkey", o, "o_orderkey", fixed);
+        queries.push(qb.build());
+
+        // Cycle lineitem–part–partsupp–supplier–lineitem, closed a second
+        // time by an inequality edge, with NOT EXISTS / EXISTS hangers.
+        let mut qb = QueryBuilder::new(&cat, "cyclic");
+        let (l, p, ps, s, o, c) = (
+            qb.rel("lineitem"),
+            qb.rel("part"),
+            qb.rel("partsupp"),
+            qb.rel("supplier"),
+            qb.rel("orders"),
+            qb.rel("customer"),
+        );
+        qb.join(l, "l_partkey", p, "p_partkey", SelSpec::ErrorProne(0));
+        qb.ineq_join(p, "p_size", CmpOp::Lt, s, "s_acctbal", fixed);
+        qb.join(ps, "ps_partkey", p, "p_partkey", fixed);
+        qb.anti_join(l, "l_orderkey", o, "o_orderkey", fixed);
+        qb.join(ps, "ps_suppkey", s, "s_suppkey", fixed);
+        qb.join(l, "l_suppkey", s, "s_suppkey", fixed);
+        qb.semi_join(s, "s_nationkey", c, "c_nationkey", fixed);
+        queries.push(qb.build());
+
+        for q in &queries {
+            let sk = Skeleton::build(&cat, q);
+            let expected = enumerated_per_call(q);
+            assert!(!expected.is_empty());
+            assert_eq!(skeleton_cuts(&sk), expected, "{}", q.name);
+            // Interning: one set per distinct edge list.
+            let mut lists: Vec<_> = expected.iter().map(|c| &c.3).collect();
+            lists.sort();
+            lists.dedup();
+            assert_eq!(sk.edge_sets.len(), lists.len(), "{}", q.name);
+        }
+        // The cyclic query has cuts crossed by an inequality edge alone,
+        // which only block-nested-loops may join.
+        let sk = Skeleton::build(&cat, &queries[2]);
+        assert!(sk
+            .edge_sets
+            .iter()
+            .any(|set| !set.primary_is_equi && set.merge_class.is_none()));
+        assert_eq!(sk.hangers.len(), 2);
     }
 }

@@ -13,16 +13,16 @@
 //!    upper-bounded by the pool cost, so the memo is heavily pruned). A
 //!    point where the pool is more than `(1+ε)` off is a *violation*; its
 //!    true winner joins the pool. A violation-free round terminates.
-//! 3. **Prune + re-validate**: the final sweep pays `|plans| × n` program
-//!    evals, and a 3D+ diagram spreads its wins over dozens of marginally-
-//!    distinct plans — so a greedy `(1+ε)`-cover over the probed points
-//!    (the anorexic-reduction insight of Section 4.1, applied at diagram
-//!    level) shrinks the pool to a handful of survivors, and fresh rounds
+//! 3. **Prune + re-validate**: the final sweep costs every surviving plan's
+//!    distinct sub-plans at all `n` points, and a 3D+ diagram spreads its
+//!    wins over dozens of marginally-distinct plans — so a greedy
+//!    `(1+ε)`-cover over the probed points (the anorexic-reduction insight
+//!    of Section 4.1, applied at diagram level) shrinks the pool to a handful of survivors, and fresh rounds
 //!    (same `ε`/`m` math) certify the *pruned* set. If no clean round fits
 //!    in the remaining round budget, the full pool — whose certificate
 //!    already holds — is used instead.
-//! 4. **Assemble**: evaluate each surviving program over the full grid
-//!    (cheap compiled sweeps, no DP) and take the per-point argmin.
+//! 4. **Assemble**: evaluate the surviving plans, compiled into one program,
+//!    over the full grid (no DP) and take the per-point argmin.
 //!
 //! **Confidence contract.** Suppose the assembled diagram's violation mass —
 //! the fraction of grid points whose assembled optimal cost exceeds `(1+ε)`
@@ -51,7 +51,7 @@ use pb_cost::{sample_distinct, CostMatrix, CostModel, CostProgram, Ess, Parallel
 use pb_faults::PbError;
 use pb_plan::{PhysicalPlan, PlanFingerprint, QuerySpec};
 
-use crate::diagram::{matrix_for_programs, PlanDiagram};
+use crate::diagram::{plan_set_matrix, PlanDiagram};
 use crate::dp::Optimizer;
 
 /// Tunables of the sampled build. `epsilon`/`delta` parameterize the
@@ -244,12 +244,13 @@ impl PlanDiagram {
             }
         }
 
-        // Prune: the full-grid sweep below costs |plans|·n program evals,
-        // and a 3D+ diagram spreads wins over dozens of marginally-distinct
-        // plans — most within ε of each other wherever they win. Greedy
-        // (1+ε)-cover over the probed points (in probe order, so the result
-        // is deterministic): a plan joins the survivor set only where no
-        // already-selected survivor is within `(1+ε)` of the pool optimum.
+        // Prune: the full-grid sweep below costs every kept plan's distinct
+        // sub-plans at all n points, and a 3D+ diagram spreads wins over
+        // dozens of marginally-distinct plans — most within ε of each other
+        // wherever they win. Greedy (1+ε)-cover over the probed points (in
+        // probe order, so the result is deterministic): a plan joins the
+        // survivor set only where no already-selected survivor is within
+        // `(1+ε)` of the pool optimum.
         // This is the anorexic-reduction insight (Section 4.1) applied at
         // the diagram level. Fresh validation rounds (same ε/m/round math)
         // then certify the pruned set — the exact quantity the assembled
@@ -333,12 +334,17 @@ impl PlanDiagram {
         }
         stats.pool_size = pool.len();
 
-        // Assemble: surviving programs swept over the full grid (no DP),
-        // argmin per point, plans renumbered by first appearance in grid
-        // order — the same numbering discipline as the exhaustive build.
-        let pool_progs: Vec<CostProgram> =
-            survivors.iter().map(|&sid| pool[sid].1.clone()).collect();
-        let pool_matrix = matrix_for_programs(&pool_progs, ess, par);
+        // Assemble: the surviving plans, compiled into one program, swept
+        // over the full grid (no DP), argmin per point, plans renumbered by
+        // first appearance in grid order — the same numbering discipline as
+        // the exhaustive build.
+        let survivor_prog = CostProgram::compile_set(
+            catalog,
+            query,
+            model,
+            survivors.iter().map(|&sid| &pool[sid].0.root),
+        );
+        let pool_matrix = plan_set_matrix(&survivor_prog, ess, par);
         let winners = pool_matrix.argmin_per_point();
         let mut renumber: HashMap<u32, u32> = HashMap::new();
         let mut plans: Vec<PhysicalPlan> = Vec::new();

@@ -4,19 +4,19 @@
 //! 1. `CostProgram::eval` equals `Coster::plan_cost` bit-for-bit, for
 //!    randomly generated plan trees (every operator, both join orders) at
 //!    random off-grid ESS locations.
-//! 2. The incumbent-bound-pruned `PlanDiagram::build` produces exactly the
-//!    same diagram as the unpruned reference build on both benchmark
-//!    catalogs — the bound only removes memo entries that can never win.
+//! 2. A program compiled from a whole POSP plan set shares sub-plans and
+//!    still emits, for every plan, the cost its own program computes.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use plan_bouquet::bouquet::Workload;
-use plan_bouquet::catalog::{tpcds, tpch};
+use plan_bouquet::catalog::tpch;
 use plan_bouquet::cost::{CostModel, CostProgram, Coster, Ess, EssDim, Parallelism};
 use plan_bouquet::optimizer::PlanDiagram;
 use plan_bouquet::plan::{CmpOp, PlanNode, QueryBuilder, SelSpec};
+use plan_bouquet::workloads;
 
 /// The three-relation TPC-H workload used for random-plan generation:
 /// part ⋈ lineitem ⋈ orders with an error-prone selection on part.
@@ -47,41 +47,6 @@ fn tpch_2d() -> &'static Workload {
         );
         Workload::new("CC_H_2D", cat.clone(), q, ess, CostModel::postgresish())
     })
-}
-
-fn tpcds_2d() -> Workload {
-    let cat = tpcds::catalog(0.1);
-    let mut qb = QueryBuilder::new(&cat, "CC_DS_2D");
-    let d = qb.rel("date_dim");
-    let cs = qb.rel("catalog_sales");
-    let c = qb.rel("customer");
-    qb.join(
-        d,
-        "d_date_sk",
-        cs,
-        "cs_sold_date_sk",
-        SelSpec::ErrorProne(0),
-    );
-    qb.join(
-        cs,
-        "cs_bill_customer_sk",
-        c,
-        "c_customer_sk",
-        SelSpec::ErrorProne(1),
-    );
-    let q = qb.build();
-    let rows_d = cat.table("date_dim").unwrap().rows;
-    let rows_c = cat.table("customer").unwrap().rows;
-    let hi0 = (30.0 / rows_d).min(1.0);
-    let hi1 = (50.0 / rows_c).min(1.0);
-    let ess = Ess::uniform(
-        vec![
-            EssDim::new("d⋈cs", hi0 * 1e-3, hi0),
-            EssDim::new("cs⋈c", hi1 * 1e-3, hi1),
-        ],
-        16,
-    );
-    Workload::new("CC_DS_2D", cat.clone(), q, ess, CostModel::postgresish())
 }
 
 /// A scan of `part` (relation 0): all three access paths are exercised.
@@ -206,42 +171,37 @@ proptest! {
     }
 }
 
-/// The pruned and unpruned builds must agree exactly: same POSP plans in
-/// the same order, same per-point winners, bitwise-equal PIC.
-fn assert_pruned_matches_unpruned(w: &Workload) {
-    for workers in [1, 4] {
-        let par = Parallelism::new(workers);
-        let pruned = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, par);
-        let plain = PlanDiagram::build_with_unpruned(&w.catalog, &w.query, &w.model, &w.ess, par);
+/// One program compiled from every POSP plan of `3D_H_Q5` emits, per plan,
+/// exactly the cost its own single-plan program and the tree walk compute —
+/// while evaluating each shared scan and lower join once.
+#[test]
+fn plan_set_program_matches_per_plan_costs_on_3d_h_q5() {
+    let w = workloads::by_name("3D_H_Q5").unwrap();
+    let d = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, Parallelism::auto());
+    let roots = || d.plans.iter().map(|p| &p.root);
+    let set = CostProgram::compile_set(&w.catalog, &w.query, &w.model, roots());
+    assert_eq!(set.num_roots(), d.plan_count());
+    let nodes: usize = roots().map(PlanNode::size).sum();
+    assert!(
+        set.len() * 3 < nodes * 2,
+        "{} ops for {nodes} plan nodes: sub-plans are not shared",
+        set.len()
+    );
 
-        assert_eq!(
-            pruned.plans.len(),
-            plain.plans.len(),
-            "{}: POSP size differs with {workers} workers",
-            w.name
-        );
-        for (a, b) in pruned.plans.iter().zip(&plain.plans) {
-            assert_eq!(a.root, b.root, "{}: POSP plan differs", w.name);
-        }
-        assert_eq!(pruned.optimal, plain.optimal, "{}: winners differ", w.name);
-        assert_eq!(pruned.opt_cost.len(), plain.opt_cost.len());
-        for (li, (a, b)) in pruned.opt_cost.iter().zip(&plain.opt_cost).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{}: PIC cost differs at grid point {li}: {a} vs {b}",
-                w.name
-            );
+    let coster = Coster::new(&w.catalog, &w.query, &w.model);
+    let singles: Vec<CostProgram> = roots()
+        .map(|r| CostProgram::compile(&w.catalog, &w.query, &w.model, r))
+        .collect();
+    let (mut vals, mut single_vals) = (Vec::new(), Vec::new());
+    let mut costs = vec![0.0; d.plan_count()];
+    for li in (0..w.ess.num_points()).step_by(37) {
+        let q = w.ess.point(&w.ess.unlinear(li));
+        set.eval_set_with(&q, &mut vals, |i, cost| costs[i] = cost);
+        for (i, cost) in costs.iter().enumerate() {
+            let single = singles[i].eval_with(&q, &mut single_vals).cost;
+            assert_eq!(cost.to_bits(), single.to_bits(), "plan {i} at point {li}");
+            let walked = coster.plan_cost(&d.plans[i].root, &q);
+            assert_eq!(cost.to_bits(), walked.to_bits(), "plan {i} at point {li}");
         }
     }
-}
-
-#[test]
-fn pruned_build_matches_unpruned_tpch() {
-    assert_pruned_matches_unpruned(tpch_2d());
-}
-
-#[test]
-fn pruned_build_matches_unpruned_tpcds() {
-    assert_pruned_matches_unpruned(&tpcds_2d());
 }

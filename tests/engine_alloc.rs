@@ -1,4 +1,5 @@
-//! Allocation volume of the vectorized engine's intermediates.
+//! Allocation volume of the vectorized engine's intermediates, and of one
+//! optimizer call.
 //!
 //! A `VRel` carries base-table row ids, not copied column values, so what an
 //! execution allocates is bounded by its *output rows × relations × 4 B*
@@ -6,6 +7,10 @@
 //! it reads. A counting global allocator pins that: an engine that copies
 //! column values into its intermediates overshoots both bounds several
 //! times over on the same plans.
+//!
+//! The DP optimizer runs at every grid point of a query, out of a skeleton
+//! and a scratch memo it keeps between calls; the same allocator pins that
+//! a call requests memory for the plan it returns and for nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,5 +128,31 @@ fn predicate_free_scan_feeding_a_join_is_zero_copy() {
     assert!(
         bytes < one_column,
         "scan ⋈ requested {bytes} B, more than one lineitem column ({one_column} B)"
+    );
+}
+
+#[test]
+fn warm_optimizer_call_allocates_only_the_winning_plan() {
+    let w = workloads::by_name("4D_H_Q8").expect("registry workload");
+    assert_eq!(w.query.num_relations(), 8);
+    let opt = w.optimizer();
+    let q = w.ess.point(&w.ess.terminus());
+    let first = opt.optimize(&q); // sizes the scratch memo
+    let before = REQUESTED.with(Cell::get);
+    let best = opt.optimize(&q);
+    let bytes = REQUESTED.with(Cell::get) - before;
+    assert_eq!(best.plan.fingerprint(), first.plan.fingerprint());
+    // One box per node below the root and one edge list per join. A memo
+    // slot per relation subset (2⁸ of them) or an edge list per candidate
+    // join would overshoot this several times over.
+    let (mut nodes, mut edges) = (0, 0);
+    best.plan.root.visit(&mut |n| {
+        nodes += 1;
+        edges += n.edges().len();
+    });
+    let tree = nodes * std::mem::size_of::<PlanNode>() + edges * std::mem::size_of::<usize>();
+    assert!(
+        bytes <= tree,
+        "optimize requested {bytes} B for a {nodes}-node plan of {tree} B"
     );
 }

@@ -1,8 +1,9 @@
 //! The parallel identification pipeline must be bit-for-bit deterministic:
 //! any worker count has to produce exactly the same serialized bouquet as
-//! the sequential reference path. Chunk boundaries depend only on the item
-//! count and plans are canonicalized by first appearance in grid order, so
-//! this holds by construction — these tests pin it against regressions on
+//! the sequential reference path. Each chunk's result is a pure function of
+//! its index range (wherever the worker count puts the cuts) and plans are
+//! canonicalized by first appearance in grid order, so this holds by
+//! construction — these tests pin it against regressions on
 //! both benchmark catalogs.
 
 use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig, PhaseTimings, Workload};
