@@ -1,1393 +1,199 @@
 //! `pbq` — interactive exploration of the plan-bouquet system.
 //!
-//! ```text
-//! pbq list                                   # available workloads
-//! pbq show WORKLOAD                          # query, ESS dims, join graph
-//! pbq classify WORKLOAD                      # predicate uncertainty (§4.1)
-//! pbq diagram WORKLOAD                       # POSP summary (+ASCII map in 2D)
-//! pbq optimize WORKLOAD f1,f2,...            # optimal plan at a location
-//! pbq identify WORKLOAD [--save FILE]        # compile the bouquet
-//! pbq run WORKLOAD f1,f2,... [--optimized] [--load FILE]
-//! pbq sensitivity WORKLOAD                   # §8 dimension analysis
-//! pbq speedup WORKLOAD [--workers N] [--json PATH]  # identification bench
-//! pbq identify-cache WORKLOAD [--dir DIR] [--expect hit|miss|refresh]
-//!                    [--min-speedup F] [--verify] [--json PATH]  # cached identification
-//! pbq identify-sampled WORKLOAD [--epsilon F] [--delta F] [--seed N]
-//!                    [--min-speedup F] [--no-verify] [--json PATH]  # (ε,δ)-sampled identification
-//! pbq engine-speedup [--sf X] [--json PATH]  # vectorized-vs-tuple engine bench
-//! pbq engine-mt [--sf X] [--workers 1,2,4] [--json PATH]  # morsel scaling curve
-//! pbq bench-check [--baseline PATH] [--update] [--tolerance F]  # regression gate
-//! pbq sql "SELECT ... ?"  [f1,f2,...]        # ad-hoc SQL: identify (+run)
-//! pbq serve [--addr A] [--workloads W1,W2] [--workers N] [--queue-cap N]
-//!           [--tenant-cap F] [--smoke]       # bouquet-as-a-service server
-//! pbq serve-bench [--clients 1,2,4,8] [--requests N] [--json PATH]
-//!                                            # concurrent-client sweep
-//! pbq chaos [--seed N]                       # fault-injection campaign
-//! pbq table3 [--sf N] [--json PATH]          # engine-backed Table 3 + cross-check
-//! ```
-//!
-//! Locations are given as per-axis fractions in `[0,1]` (geometric
-//! interpolation between each dimension's bounds). Every subcommand accepts
-//! `--jobs N` to cap identification worker threads (default: all cores) and
-//! `--engine-jobs N` to run the engine's morsel-driven kernels `N`-wide
-//! (default: 1, the serial engine; outcomes are bit-identical either way).
+//! `pbq` alone prints every subcommand with its flags, generated from the
+//! table below. Locations are given as per-axis fractions in `[0,1]`
+//! (geometric interpolation between each dimension's bounds). An argument
+//! the table does not declare — a misspelled flag, a value of the wrong
+//! kind, a missing positional — is an error: the subcommand's usage line on
+//! stderr and exit status 2. A subcommand that fails exits 1.
 
-use pb_bouquet::{dim_analysis, persist, Bouquet, BouquetConfig};
-use pb_cost::uncertainty::{classify, Uncertainty};
-use pb_cost::Parallelism;
-use pb_workloads::{by_name, specs};
+use pb_bench::cmd::{engine, gates, identify, inspect, serve};
+use pb_bench::flags::{flag, Command, Flag, Kind::*};
+
+/// Accepted by every subcommand.
+#[rustfmt::skip]
+const GLOBALS: &[Flag] = &[
+    flag("--jobs N", Usize, "", "identification worker threads (default: all cores)"),
+    flag("--engine-jobs N", Usize, "1", "engine morsel workers; outcomes are bit-identical at any N"),
+];
+
+const JSON: Flag = flag("--json PATH", Str, "", "merge the report into PATH");
+const SF: &str = "TPC-H scale factor";
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", positional: "", run: inspect::list, help: "available workloads", flags: &[] },
+    Command { name: "show", positional: "WORKLOAD", run: inspect::show, help: "query, ESS dims, join graph", flags: &[] },
+    Command { name: "classify", positional: "WORKLOAD", run: inspect::classify, help: "predicate uncertainty (§4.1)", flags: &[] },
+    Command { name: "diagram", positional: "WORKLOAD", run: inspect::diagram, help: "POSP summary (+ASCII map in 2D)", flags: &[] },
+    Command { name: "optimize", positional: "WORKLOAD f1,f2,...", run: inspect::optimize, help: "optimal plan at a location", flags: &[] },
+    Command { name: "identify", positional: "WORKLOAD", run: inspect::identify, help: "compile the bouquet", flags: &[
+        flag("--save FILE", Str, "", "persist the bouquet as JSON"),
+    ] },
+    Command { name: "run", positional: "WORKLOAD f1,f2,...", run: inspect::run, help: "discover a true location", flags: &[
+        flag("--optimized", Switch, "", "the optimized driver (Figure 13) instead of the basic one"),
+        flag("--load FILE", Str, "", "a bouquet saved by `identify --save` instead of compiling"),
+    ] },
+    Command { name: "sensitivity", positional: "WORKLOAD", run: inspect::sensitivity, help: "§8 dimension analysis", flags: &[] },
+    Command { name: "sql", positional: "SQL [f1,f2,...]", run: inspect::sql, help: "ad-hoc SQL (`pred?` marks an error-prone predicate): identify, then run at the location", flags: &[] },
+    Command { name: "speedup", positional: "WORKLOAD", run: identify::speedup, help: "identification serial vs parallel, best of 3; exit 1 unless byte-identical", flags: &[
+        flag("--workers N", Usize, "", "the parallel run's workers (default: all cores / --jobs)"),
+        JSON,
+    ] },
+    Command { name: "identify-cache", positional: "WORKLOAD", run: identify::identify_cache, help: "content-addressed cached identification: hit, miss, or incremental refresh", flags: &[
+        flag("--dir DIR", Str, ".pb-cache", "cache directory"),
+        flag("--expect KIND", Str, "", "exit 1 unless the outcome is KIND: hit|miss|refresh"),
+        flag("--min-speedup F", F64, "", "exit 1 if a hit beats the stored cold build by less"),
+        flag("--verify", Switch, "", "re-identify from scratch and demand byte identity"),
+        JSON,
+    ] },
+    Command { name: "identify-sampled", positional: "WORKLOAD", run: identify::identify_sampled, help: "(ε,δ)-sampled identification vs the exhaustive sweep", flags: &[
+        flag("--epsilon F", F64, "0.1", "tolerated PIC inflation and violation mass"),
+        flag("--delta F", F64, "0.05", "tolerated failure probability"),
+        flag("--seed N", U64, "20140622", "sampling seed"),
+        flag("--initial N", Usize, "0", "first-round samples (0: derived from ε, δ)"),
+        flag("--rounds N", Usize, "0", "refinement round cap (0: default)"),
+        flag("--min-speedup F", F64, "", "exit 1 if the sampled build is less than F× cheaper"),
+        flag("--no-verify", Switch, "", "skip the whole-grid check of the (ε,δ) contract"),
+        JSON,
+    ] },
+    Command { name: "engine-speedup", positional: "", run: engine::engine_speedup, help: "vectorized vs tuple engine, best of 5; exit 1 on any outcome mismatch", flags: &[
+        flag("--sf F", F64, "0.02", SF),
+        flag("--json PATH", Str, "", "write the report to PATH"),
+    ] },
+    Command { name: "engine-mt", positional: "", run: engine::engine_mt, help: "morsel scaling curve; exit 1 unless outcomes are identical at every count", flags: &[
+        flag("--sf F", F64, "0.1", SF),
+        flag("--reps N", Usize, "3", "timed passes per worker count (best kept)"),
+        flag("--workers LIST", UsizeList, "1,2,4", "worker counts"),
+        flag("--morsel-min N", Usize, "", "rows below which a phase stays serial (default: production gate)"),
+        flag("--json PATH", Str, "", "write the report to PATH"),
+    ] },
+    Command { name: "table3", positional: "", run: engine::table3, help: "engine-backed Table 3 + hostile workloads, cross-checked against the simulator", flags: &[
+        flag("--sf F", F64, "0.01", SF),
+        JSON,
+    ] },
+    Command { name: "serve", positional: "", run: serve::serve, help: "bouquet-as-a-service server; blocks until a client drains it", flags: &[
+        flag("--addr A", Str, "", "bind address (default 127.0.0.1:0)"),
+        flag("--workloads W1,W2", Str, "", "workloads identified at startup (default EQ_1D)"),
+        flag("--workers N", Usize, "", "worker threads (default 2)"),
+        flag("--queue-cap N", Usize, "", "admission queue slots (default 16)"),
+        flag("--tenant-cap F", F64, "", "per-tenant spend cap in cost units (default none)"),
+        flag("--deadline-ms N", U64, "", "deadline for requests that carry none"),
+        flag("--smoke", Switch, "", "run the scripted protocol round-trip + fault block and exit"),
+    ] },
+    Command { name: "serve-bench", positional: "", run: serve::serve_bench, help: "concurrent-client sweep against a small bounded queue", flags: &[
+        flag("--clients LIST", UsizeList, "1,2,4,8", "client counts"),
+        flag("--requests N", Usize, "6", "requests per client"),
+        JSON,
+    ] },
+    Command { name: "bench-check", positional: "", run: gates::bench_check, help: "regression gate: re-run the benchmarks against the committed baseline", flags: &[
+        flag("--baseline PATH", Str, "results/bench_baselines.json", "baseline file"),
+        flag("--update", Switch, "", "rewrite the baseline instead of comparing"),
+        flag("--tolerance F", F64, "0.25", "relative slack on wall-clock fields"),
+    ] },
+    Command { name: "chaos", positional: "", run: gates::chaos, help: "fault-injection campaign; exit 1 on any invariant breach", flags: &[
+        flag("--seed N", U64, "20140622", "campaign seed (the paper's publication date)"),
+    ] },
+];
+
+fn usage() -> String {
+    let mut s = String::from("pbq — plan bouquets from the command line\n\n");
+    for c in COMMANDS {
+        s.push_str(&c.help("pbq", &[]));
+    }
+    s.push_str("\nevery subcommand also takes:\n");
+    for f in GLOBALS {
+        s.push_str(&f.help_line());
+    }
+    s.push_str("run `pbq list` for workload names\n");
+    s
+}
+
+/// What one `pbq` command line does: print the usage, refuse the arguments
+/// (exit 2), or run a subcommand (exit 1 if it fails).
+fn dispatch(argv: &[String]) -> Result<Result<(), String>, String> {
+    let Some(name) = argv.first().filter(|a| *a != "--help" && *a != "-h") else {
+        print!("{}", usage());
+        return Ok(Ok(()));
+    };
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown subcommand {name}; run `pbq` for the list"));
+    };
+    let args = cmd
+        .parse(GLOBALS, &argv[1..])
+        .map_err(|e| format!("{e}\n{}", cmd.usage("pbq", GLOBALS)))?;
+    if let Some(n) = args.opt("--jobs") {
+        pb_cost::set_default_workers(n);
+    }
+    Ok((cmd.run)(&args).map_err(|e| format!("{name} FAILED: {e}")))
+}
 
 fn main() {
-    let args = extract_jobs_flag(std::env::args().skip(1).collect());
-    let Some(cmd) = args.first().map(String::as_str) else {
-        usage();
-        return;
-    };
-    match cmd {
-        "list" => list(),
-        "show" => with_workload(&args, show),
-        "classify" => with_workload(&args, classify_cmd),
-        "diagram" => with_workload(&args, diagram),
-        "optimize" => with_workload(&args, optimize),
-        "identify" => with_workload(&args, identify),
-        "run" => with_workload(&args, run_cmd),
-        "sensitivity" => with_workload(&args, sensitivity),
-        "speedup" => with_workload(&args, speedup),
-        "identify-cache" => with_workload(&args, identify_cache),
-        "identify-sampled" => with_workload(&args, identify_sampled_cmd),
-        "engine-speedup" => engine_speedup(&args[1..]),
-        "engine-mt" => engine_mt(&args[1..]),
-        "bench-check" => bench_check(&args[1..]),
-        "sql" => sql_cmd(&args[1..]),
-        "serve" => serve_cmd(&args[1..]),
-        "serve-bench" => serve_bench_cmd(&args[1..]),
-        "chaos" => chaos_cmd(&args[1..]),
-        "table3" => table3_cmd(&args[1..]),
-        _ => usage(),
-    }
-}
-
-/// Engine worker count set by the global `--engine-jobs N` flag (default:
-/// serial — the multicore path is opt-in and outcome-neutral).
-static ENGINE_JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-
-fn engine_par() -> Parallelism {
-    match ENGINE_JOBS.get() {
-        Some(&n) => Parallelism::new(n),
-        None => Parallelism::serial(),
-    }
-}
-
-/// Strip the global `--jobs N` (identification worker threads) and
-/// `--engine-jobs N` (engine morsel workers) flags, routing them to their
-/// overrides.
-fn extract_jobs_flag(mut args: Vec<String>) -> Vec<String> {
-    let numeric = |args: &[String], i: usize, flag: &str| -> usize {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("{flag} needs a positive integer");
-                std::process::exit(2);
-            })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--jobs" || a == "-j") {
-        pb_cost::set_default_workers(numeric(&args, i, "--jobs"));
-        args.drain(i..=i + 1);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--engine-jobs") {
-        let n = numeric(&args, i, "--engine-jobs").max(1);
-        let _ = ENGINE_JOBS.set(n);
-        args.drain(i..=i + 1);
-    }
-    args
-}
-
-fn usage() {
-    eprintln!(
-        "usage: pbq <list|show|classify|diagram|optimize|identify|run|sensitivity|speedup\
-         |identify-cache|identify-sampled|engine-speedup|engine-mt|bench-check|serve\
-         |serve-bench|chaos|table3> \
-         [WORKLOAD] [args...] \
-         [--jobs N] [--engine-jobs N]\nrun `pbq list` for workload names"
-    );
-}
-
-fn with_workload(args: &[String], f: fn(pb_bouquet::Workload, &[String])) {
-    let Some(name) = args.get(1) else {
-        usage();
-        return;
-    };
-    match by_name(name) {
-        Some(w) => f(w, &args[2..]),
-        None => {
-            eprintln!("unknown workload {name}; run `pbq list`");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&argv) {
+        Ok(Ok(())) => {}
+        Ok(Err(failure)) => {
+            eprintln!("{failure}");
             std::process::exit(1);
         }
-    }
-}
-
-fn parse_fractions(w: &pb_bouquet::Workload, s: &str) -> pb_cost::SelPoint {
-    let fr: Vec<f64> = s
-        .split(',')
-        .map(|t| t.trim().parse().expect("fraction in [0,1]"))
-        .collect();
-    assert_eq!(fr.len(), w.d(), "need {} comma-separated fractions", w.d());
-    w.ess.point_at_fractions(&fr)
-}
-
-fn list() {
-    println!("benchmark suite (paper Table 2):");
-    for s in specs() {
-        println!(
-            "  {:<11} {:?}({}) dims={} paper C_max/C_min≈{}",
-            s.name, s.shape, s.relations, s.dims, s.paper_cost_ratio
-        );
-    }
-    println!("auxiliary: EQ_1D  2D_H_Q8A  3D_H_Q5B  4D_H_Q8B");
-    println!("hostile:   HOSTILE_INEQ_2D  HOSTILE_ANTI_2D");
-}
-
-fn show(w: pb_bouquet::Workload, _rest: &[String]) {
-    println!("workload {}  (catalog {})", w.name, w.catalog.name);
-    println!("relations:");
-    for r in &w.query.relations {
-        let t = w.catalog.table_by_id(r.table);
-        println!(
-            "  {:<20} {:>12} rows, {} selections",
-            r.alias,
-            t.rows as u64,
-            r.selections.len()
-        );
-    }
-    println!("joins:");
-    for (i, j) in w.query.joins.iter().enumerate() {
-        let tag = match j.selectivity.error_dim() {
-            Some(d) => format!("ERROR-PRONE dim {d}"),
-            None => "fixed".into(),
-        };
-        println!(
-            "  #{i} {} ⋈ {} [{tag}]",
-            w.query.relations[j.left_rel].alias, w.query.relations[j.right_rel].alias
-        );
-    }
-    println!("ESS ({} dims, {} grid points):", w.d(), w.ess.num_points());
-    for (d, dim) in w.ess.dims.iter().enumerate() {
-        println!(
-            "  dim {d}: {:<14} [{:.3e}, {:.3e}] x{}",
-            dim.name, dim.lo, dim.hi, w.ess.res[d]
-        );
-    }
-    println!("join graph: {:?}", w.query.join_graph().shape());
-}
-
-fn classify_cmd(w: pb_bouquet::Workload, _rest: &[String]) {
-    println!("predicate uncertainty classification (Section 4.1 rules):");
-    for c in classify(&w.catalog, &w.query) {
-        println!(
-            "  {:<34} {:?}: {}",
-            format!("{:?}", c.predicate),
-            c.uncertainty,
-            c.reason
-        );
-    }
-    let n_high = classify(&w.catalog, &w.query)
-        .iter()
-        .filter(|c| c.uncertainty >= Uncertainty::High)
-        .count();
-    println!("suggested ESS dimensions (High+): {n_high}");
-}
-
-fn diagram(w: pb_bouquet::Workload, _rest: &[String]) {
-    let d = w.diagram();
-    let (cmin, cmax) = d.cost_bounds();
-    println!(
-        "POSP: {} plans over {} points; C_min {:.0}, C_max {:.0} ({:.0}x)",
-        d.plan_count(),
-        w.ess.num_points(),
-        cmin,
-        cmax,
-        cmax / cmin
-    );
-    let mut sizes: Vec<(usize, usize)> = d.region_sizes().into_iter().enumerate().collect();
-    sizes.sort_by_key(|&(_, s)| std::cmp::Reverse(s));
-    for (pid, size) in sizes.iter().take(8) {
-        println!("  P{pid:<3} owns {size:>6} points");
-    }
-    if w.d() == 2 {
-        println!("\nplan diagram (selectivities grow up/right):");
-        print!("{}", d.render_2d());
-    }
-}
-
-fn optimize(w: pb_bouquet::Workload, rest: &[String]) {
-    let Some(loc) = rest.first() else {
-        eprintln!("usage: pbq optimize WORKLOAD f1,f2,...");
-        return;
-    };
-    let q = parse_fractions(&w, loc);
-    let best = w.optimizer().optimize(&q);
-    println!("location {:?}", &q.0);
-    println!(
-        "optimal cost {:.1}, estimated rows {:.1}",
-        best.cost, best.rows
-    );
-    print!("{}", best.plan.root.explain(&w.query, &w.catalog));
-}
-
-fn identify(w: pb_bouquet::Workload, rest: &[String]) {
-    let b = Bouquet::identify(&w, &BouquetConfig::default()).expect("identify");
-    println!(
-        "bouquet: {} plans on {} contours (ρ = {}), guarantee MSO ≤ {:.1}",
-        b.stats.bouquet_cardinality,
-        b.stats.num_contours,
-        b.rho(),
-        b.mso_bound()
-    );
-    for c in &b.contours {
-        println!(
-            "  IC{:<2} budget {:>14.0}  {:>4} frontier pts  plans {:?}",
-            c.id,
-            c.budget,
-            c.points.len(),
-            c.plan_set
-        );
-    }
-    if let Some(i) = rest.iter().position(|a| a == "--save") {
-        let path = rest.get(i + 1).expect("--save FILE");
-        persist::save(&b, path).expect("save bouquet");
-        println!("saved to {path}");
-    }
-}
-
-fn run_cmd(w: pb_bouquet::Workload, rest: &[String]) {
-    let Some(loc) = rest.first() else {
-        eprintln!("usage: pbq run WORKLOAD f1,f2,... [--optimized] [--load FILE]");
-        return;
-    };
-    let qa = parse_fractions(&w, loc);
-    let b = match rest.iter().position(|a| a == "--load") {
-        Some(i) => persist::load(rest.get(i + 1).expect("--load FILE")).expect("load bouquet"),
-        None => Bouquet::identify(&w, &BouquetConfig::default()).expect("identify"),
-    };
-    let optimized = rest.iter().any(|a| a == "--optimized");
-    let run = if optimized {
-        b.run_optimized(&qa).unwrap()
-    } else {
-        b.run_basic(&qa).unwrap()
-    };
-    for e in &run.trace {
-        let learned = e
-            .learned
-            .map(|(d, v)| format!("  learned dim{d} -> {v:.3e}"))
-            .unwrap_or_default();
-        println!(
-            "IC{:<2} P{:<3} spent {:>14.1} / {:>14.1} {}{}{}",
-            e.contour,
-            e.plan,
-            e.spent,
-            e.budget,
-            if e.spilled { "spill " } else { "" },
-            if e.completed { "DONE" } else { "" },
-            learned
-        );
-    }
-    let opt = b.pic_cost(&qa);
-    println!(
-        "total {:.1}; SubOpt(∗,qa) = {:.2} (guarantee {:.1})",
-        run.total_cost,
-        run.suboptimality(opt),
-        b.mso_bound()
-    );
-}
-
-fn sql_cmd(rest: &[String]) {
-    let Some(sql) = rest.first() else {
-        eprintln!("usage: pbq sql \"SELECT ... WHERE pred?\" [f1,f2,...]");
-        return;
-    };
-    let cat = pb_catalog::tpch::catalog(1.0);
-    let w = match pb_workloads::workload_from_sql(&cat, sql, "adhoc", 4.0, 24) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            std::process::exit(1);
+        Err(usage_error) => {
+            eprintln!("pbq: {usage_error}");
+            std::process::exit(2);
         }
-    };
-    println!(
-        "parsed: {} relations, {} error dims",
-        w.query.num_relations(),
-        w.d()
-    );
-    identify(w.clone(), &[]);
-    if let Some(loc) = rest.get(1) {
-        run_cmd(w, std::slice::from_ref(loc));
     }
 }
 
-/// Benchmark identification sequential vs. parallel and verify the two
-/// produce byte-identical artefacts. `--workers N` pins the parallel run's
-/// worker count (default: all cores / the global `--jobs` override).
-/// `--json PATH` additionally merges the per-phase wall-clock numbers —
-/// including the tree-walk cost-matrix reference path —
-/// into the shared report file as its `"identify"` section (the CI
-/// `BENCH_identify.json` artifact).
-fn speedup(w: pb_bouquet::Workload, rest: &[String]) {
-    use std::time::Instant;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let par = match rest.iter().position(|a| a == "--workers") {
-        Some(i) => {
-            let n: usize = rest
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--workers needs a positive integer");
-                    std::process::exit(2);
-                });
-            Parallelism::new(n)
-        }
-        None => Parallelism::auto(),
-    };
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-    let cfg = BouquetConfig::default();
-    println!(
-        "identification speedup on {} ({} grid points, {} dims)",
-        w.name,
-        w.ess.num_points(),
-        w.d()
-    );
+    fn refused(line: &str) -> String {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        dispatch(&argv).expect_err("must be refused before anything runs")
+    }
 
-    let (b_seq, t_seq) =
-        Bouquet::identify_timed(&w, &cfg, Parallelism::serial()).expect("sequential identify");
-    let (b_par, t_par) = Bouquet::identify_timed(&w, &cfg, par).expect("parallel identify");
-
-    let json_seq = persist::to_json(&b_seq).expect("serialize sequential");
-    let json_par = persist::to_json(&b_par).expect("serialize parallel");
-    let identical = json_seq == json_par;
-
-    // Reference path: the compiled-program cost matrix vs the recursive
-    // tree walk.
-    let t0 = Instant::now();
-    let treewalk_cm = b_seq
-        .diagram
-        .cost_matrix_reference(&w.catalog, &w.query, &w.model);
-    let t_treewalk = t0.elapsed();
-    let matrix_matches = treewalk_cm == b_seq.costs;
-
-    let secs = std::time::Duration::as_secs_f64;
-    let row = |phase: &str, seq: std::time::Duration, par_t: std::time::Duration| {
-        let sp = secs(&seq) / secs(&par_t).max(1e-12);
-        println!("  {phase:<12} {:>12.1?} {:>12.1?} {sp:>9.2}x", seq, par_t);
-    };
-    println!(
-        "  {:<12} {:>12} {:>12} {:>10}",
-        "phase",
-        "1 worker",
-        format!("{} workers", t_par.workers),
-        "speedup"
-    );
-    row("diagram", t_seq.diagram, t_par.diagram);
-    row("cost_matrix", t_seq.cost_matrix, t_par.cost_matrix);
-    row("contours", t_seq.contours, t_par.contours);
-    row("total", t_seq.total, t_par.total);
-    println!(
-        "  cost_matrix  compiled vs tree-walk (serial):    {:.1?} vs {:.1?} ({:.2}x), identical: {}",
-        t_seq.cost_matrix,
-        t_treewalk,
-        secs(&t_treewalk) / secs(&t_seq.cost_matrix).max(1e-12),
-        if matrix_matches { "yes" } else { "NO" }
-    );
-    println!(
-        "  artefacts byte-identical: {}",
-        if identical {
-            "yes"
-        } else {
-            "NO — DETERMINISM BUG"
-        }
-    );
-
-    if let Some(path) = json_path {
-        use serde::Value;
-        let phase_obj = |t: &pb_bouquet::PhaseTimings| {
-            Value::Obj(vec![
-                ("workers".into(), Value::UInt(t.workers as u64)),
-                ("diagram_s".into(), Value::Float(secs(&t.diagram))),
-                ("cost_matrix_s".into(), Value::Float(secs(&t.cost_matrix))),
-                ("contours_s".into(), Value::Float(secs(&t.contours))),
-                ("total_s".into(), Value::Float(secs(&t.total))),
-            ])
-        };
-        let section = Value::Obj(vec![
-            ("workload".into(), Value::Str(w.name.clone())),
-            ("grid_points".into(), Value::UInt(w.ess.num_points() as u64)),
-            ("dims".into(), Value::UInt(w.d() as u64)),
-            ("serial".into(), phase_obj(&t_seq)),
-            ("parallel".into(), phase_obj(&t_par)),
+    /// One misspelled flag and one flag without its value per family: both
+    /// used to be ignored, leaving the gate they configure switched off.
+    #[test]
+    fn every_family_rejects_undeclared_flags_and_missing_values() {
+        for (line, error) in [
+            ("run EQ_1D 0.5 --optimised", "unknown flag --optimised"),
+            ("identify EQ_1D --save", "--save needs a value"),
             (
-                "treewalk_cost_matrix_serial_s".into(),
-                Value::Float(secs(&t_treewalk)),
+                "identify-cache 2D_H_Q8A --expect hit --min-speedupp 10",
+                "unknown flag --min-speedupp",
             ),
             (
-                "cost_matrix_compiled_gain".into(),
-                Value::Float(secs(&t_treewalk) / secs(&t_seq.cost_matrix).max(1e-12)),
+                "identify-sampled 3D_H_Q5 --min-speedup",
+                "--min-speedup needs a value",
             ),
-            ("byte_identical".into(), Value::Bool(identical)),
-            ("cost_matrix_identical".into(), Value::Bool(matrix_matches)),
-        ]);
-        merge_json_section(&path, "identify", section);
-    }
-
-    if !identical || !matrix_matches {
-        std::process::exit(1);
-    }
-}
-
-/// Replace (or append) one top-level section of a JSON report file, keeping
-/// the other sections intact — `identify-cache` and `identify-sampled` both
-/// merge into the shared `BENCH_identify.json` artifact this way.
-fn merge_json_section(path: &str, key: &str, section: serde::Value) {
-    use serde::Value;
-    let mut obj: Vec<(String, Value)> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Obj(pairs)) => pairs,
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    match obj.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = section,
-        None => obj.push((key.to_string(), section)),
-    }
-    std::fs::write(path, pb_bench::regress::to_pretty(&Value::Obj(obj)))
-        .expect("write --json report");
-    println!("  wrote {path} (section \"{key}\")");
-}
-
-/// Content-addressed cached identification: `pbq identify-cache WORKLOAD
-/// [--dir DIR] [--expect hit|miss|refresh] [--min-speedup F] [--verify]
-/// [--json PATH]`. Serves the bouquet from the cache when a valid entry
-/// exists, re-identifies incrementally after statistics drift, and builds +
-/// stores otherwise. `--expect` asserts the outcome kind, `--min-speedup`
-/// gates the warm-hit speedup over the stored cold-build time, and
-/// `--verify` recompiles from scratch and demands byte-identity. Exits
-/// non-zero on any violated assertion.
-fn identify_cache(w: pb_bouquet::Workload, rest: &[String]) {
-    use pb_bouquet::{BouquetCache, CacheOutcome};
-    use serde::Value;
-
-    let dir = rest
-        .iter()
-        .position(|a| a == "--dir")
-        .map(|i| rest.get(i + 1).expect("--dir DIR").clone())
-        .unwrap_or_else(|| ".pb-cache".into());
-    let expect = rest
-        .iter()
-        .position(|a| a == "--expect")
-        .map(|i| rest.get(i + 1).expect("--expect hit|miss|refresh").clone());
-    let min_speedup: Option<f64> = rest.iter().position(|a| a == "--min-speedup").map(|i| {
-        rest.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--min-speedup needs a positive number");
-                std::process::exit(2);
-            })
-    });
-    let verify = rest.iter().any(|a| a == "--verify");
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    let cfg = BouquetConfig::default();
-    let cache = BouquetCache::new(&dir).expect("open cache dir");
-    let (bouquet, outcome) = cache
-        .get_or_identify(&w, &cfg, Parallelism::auto())
-        .expect("cached identification");
-
-    println!(
-        "cached identification of {} ({} grid points) in {dir}",
-        w.name,
-        w.ess.num_points()
-    );
-    let mut failed = false;
-    let mut fields: Vec<(String, Value)> = vec![
-        ("workload".into(), Value::Str(w.name.clone())),
-        ("grid_points".into(), Value::UInt(w.ess.num_points() as u64)),
-    ];
-    let kind = match &outcome {
-        CacheOutcome::Hit {
-            cold_build_s,
-            load_s,
-        } => {
-            // Best-of-N, as the regression benches do: the first load pays
-            // file-cache and allocator warm-up that repeat hits don't.
-            let mut load_s = *load_s;
-            for _ in 0..4 {
-                if let (
-                    _,
-                    CacheOutcome::Hit {
-                        load_s: again_s, ..
-                    },
-                ) = cache
-                    .get_or_identify(&w, &cfg, Parallelism::auto())
-                    .expect("repeat cache hit")
-                {
-                    load_s = load_s.min(again_s);
-                }
-            }
-            let load_s = &load_s;
-            let speedup = cold_build_s / load_s.max(1e-12);
-            println!(
-                "  HIT: loaded in {:.3}ms (cold build took {:.3}ms) — {speedup:.0}x",
-                load_s * 1e3,
-                cold_build_s * 1e3
+            ("engine-mt --bogus-flag", "unknown flag --bogus-flag"),
+            ("table3 --sf", "--sf needs a value"),
+            ("serve-bench --client 1,2", "unknown flag --client"),
+            ("serve --queue-cap", "--queue-cap needs a value"),
+            ("bench-check --tolerence 0.1", "unknown flag --tolerence"),
+            ("chaos --seed", "--seed needs a value"),
+        ] {
+            let message = refused(line);
+            let name = line.split(' ').next().unwrap_or_default();
+            assert!(message.starts_with(error), "{line}: {message}");
+            assert!(
+                message.contains(&format!("usage: pbq {name}")),
+                "{line}: {message}"
             );
-            if let Some(min) = min_speedup {
-                if speedup < min {
-                    eprintln!("identify-cache FAILED: speedup {speedup:.1}x below required {min}x");
-                    failed = true;
-                }
-            }
-            fields.push(("cold_build_s".into(), Value::Float(*cold_build_s)));
-            fields.push(("warm_load_s".into(), Value::Float(*load_s)));
-            fields.push(("speedup_warm_vs_cold".into(), Value::Float(speedup)));
-            "hit"
-        }
-        CacheOutcome::Miss { build_s } => {
-            println!("  MISS: identified and stored in {:.3}ms", build_s * 1e3);
-            fields.push(("cold_build_s".into(), Value::Float(*build_s)));
-            "miss"
-        }
-        CacheOutcome::Refreshed {
-            build_s,
-            incremental,
-        } => {
-            println!(
-                "  REFRESH: statistics drift; incremental re-identification in {:.3}ms \
-                 ({}/{} grid chunks re-optimized, {}/{} contours reused{})",
-                build_s * 1e3,
-                incremental.diagram.chunks_changed,
-                incremental.diagram.chunks_total,
-                incremental.contours_reused,
-                incremental.contours_total,
-                if incremental.diagram.full_rebuild {
-                    "; fell back to full rebuild"
-                } else {
-                    ""
-                }
-            );
-            fields.push(("refresh_build_s".into(), Value::Float(*build_s)));
-            fields.push((
-                "chunks_changed".into(),
-                Value::UInt(incremental.diagram.chunks_changed as u64),
-            ));
-            fields.push((
-                "contours_reused".into(),
-                Value::UInt(incremental.contours_reused as u64),
-            ));
-            "refresh"
-        }
-    };
-    fields.insert(1, ("outcome".into(), Value::Str(kind.into())));
-    if let Some(exp) = expect {
-        if exp != kind {
-            eprintln!("identify-cache FAILED: expected outcome {exp}, got {kind}");
-            failed = true;
-        }
-    }
-    if verify {
-        let fresh = Bouquet::identify(&w, &cfg).expect("verification identify");
-        let identical = persist::to_json(&bouquet).expect("serialize cached")
-            == persist::to_json(&fresh).expect("serialize fresh");
-        println!(
-            "  verification vs from-scratch identification: {}",
-            if identical {
-                "byte-identical"
-            } else {
-                "MISMATCH"
-            }
-        );
-        fields.push(("verified_identical".into(), Value::Bool(identical)));
-        if !identical {
-            eprintln!("identify-cache FAILED: cached bouquet differs from a fresh build");
-            failed = true;
-        }
-    }
-    if let Some(path) = json_path {
-        merge_json_section(&path, &format!("cache_{kind}"), Value::Obj(fields));
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// Sampled (PAO-style) identification: `pbq identify-sampled WORKLOAD
-/// [--epsilon F] [--delta F] [--seed N] [--initial N] [--rounds N]
-/// [--min-speedup F] [--no-verify] [--json PATH]`. Times the exhaustive and
-/// sampled pipelines, then (unless `--no-verify`) measures the realized
-/// guarantees against the exact diagram: the fraction of grid points whose
-/// sampled PIC exceeds `(1+ε)×` the true optimum must stay within ε, and
-/// the basic driver's realized MSO on the sampled bouquet must stay within
-/// `(1+ε)×` the exact bouquet's MSO. Exits non-zero on any breach.
-fn identify_sampled_cmd(w: pb_bouquet::Workload, rest: &[String]) {
-    use pb_optimizer::SampledBuildConfig;
-    use serde::Value;
-
-    let flag = |name: &str, default: f64| -> f64 {
-        match rest.iter().position(|a| a == name) {
-            Some(i) => rest
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a number");
-                    std::process::exit(2);
-                }),
-            None => default,
-        }
-    };
-    let scfg = SampledBuildConfig {
-        seed: flag("--seed", 20140622.0) as u64,
-        epsilon: flag("--epsilon", 0.1),
-        delta: flag("--delta", 0.05),
-        initial_samples: flag("--initial", 0.0) as usize,
-        max_rounds: flag("--rounds", 0.0) as usize,
-    };
-    let min_speedup = flag("--min-speedup", 0.0);
-    let verify = !rest.iter().any(|a| a == "--no-verify");
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    let n = w.ess.num_points();
-    let cfg = BouquetConfig::default();
-    let par = Parallelism::auto();
-    println!(
-        "sampled identification of {} ({n} grid points, {} dims; ε={}, δ={})",
-        w.name,
-        w.d(),
-        scfg.epsilon,
-        scfg.delta
-    );
-    let (exact, t_exact) = Bouquet::identify_timed(&w, &cfg, par).expect("exhaustive identify");
-    let (sampled, t_sampled, sstats) =
-        Bouquet::identify_sampled(&w, &cfg, &scfg, par).expect("sampled identify");
-    let secs = std::time::Duration::as_secs_f64;
-    let speedup = secs(&t_exact.total) / secs(&t_sampled.total).max(1e-12);
-    println!(
-        "  exhaustive: {:>9.1?} ({} optimizer calls; diagram {:.1?}, matrix {:.1?}, contours {:.1?})",
-        t_exact.total, n, t_exact.diagram, t_exact.cost_matrix, t_exact.contours
-    );
-    println!(
-        "  sampled phases: diagram {:.1?}, matrix {:.1?}, contours {:.1?}",
-        t_sampled.diagram, t_sampled.cost_matrix, t_sampled.contours
-    );
-    println!(
-        "  sampled:    {:>9.1?} ({} optimizer calls, {} rounds, pool {}, converged: {}{})",
-        t_sampled.total,
-        sstats.optimizer_calls,
-        sstats.rounds,
-        sstats.pool_size,
-        sstats.converged,
-        if sstats.exhaustive_fallback {
-            "; exhaustive fallback"
-        } else {
-            ""
-        }
-    );
-    println!("  identification speedup: {speedup:.1}x");
-
-    let mut failed = false;
-    let mut fields: Vec<(String, Value)> = vec![
-        ("workload".into(), Value::Str(w.name.clone())),
-        ("grid_points".into(), Value::UInt(n as u64)),
-        ("epsilon".into(), Value::Float(scfg.epsilon)),
-        ("delta".into(), Value::Float(scfg.delta)),
-        ("exact_total_s".into(), Value::Float(secs(&t_exact.total))),
-        (
-            "sampled_total_s".into(),
-            Value::Float(secs(&t_sampled.total)),
-        ),
-        ("speedup_sampled".into(), Value::Float(speedup)),
-        ("optimizer_calls_exact".into(), Value::UInt(n as u64)),
-        (
-            "optimizer_calls_sampled".into(),
-            Value::UInt(sstats.optimizer_calls as u64),
-        ),
-        ("converged".into(), Value::Bool(sstats.converged)),
-    ];
-    if min_speedup > 0.0 && speedup < min_speedup {
-        eprintln!("identify-sampled FAILED: speedup {speedup:.1}x below required {min_speedup}x");
-        failed = true;
-    }
-
-    if verify {
-        if !sstats.converged {
-            eprintln!("identify-sampled FAILED: refinement did not converge within the round cap");
-            failed = true;
-        }
-        // Realized (ε, δ) contract: violation mass of the sampled PIC
-        // against the true optimum.
-        let violations = (0..n)
-            .filter(|&li| sampled.pic_cost_at(li) > (1.0 + scfg.epsilon) * exact.pic_cost_at(li))
-            .count();
-        let violation_mass = violations as f64 / n as f64;
-        println!(
-            "  sampled-PIC violation mass: {violation_mass:.4} ({violations}/{n} points beyond 1+ε) \
-             — budget ε = {}",
-            scfg.epsilon
-        );
-        // Realized MSO inflation: both drivers judged against the *exact*
-        // optimum everywhere.
-        let mso_exact = pb_bouquet::eval::run_profile(&exact, false)
-            .expect("exact driver profile")
-            .into_iter()
-            .fold(0.0f64, f64::max);
-        let mso_sampled = pb_cost::par_map(par, n, |li| {
-            let qa = w.ess.point(&w.ess.unlinear(li));
-            let run = sampled.run_basic(&qa).expect("sampled driver run");
-            run.suboptimality(exact.pic_cost_at(li))
-        })
-        .into_iter()
-        .fold(0.0f64, f64::max);
-        let inflation = mso_sampled / mso_exact.max(1e-12);
-        println!(
-            "  realized MSO: exact {mso_exact:.3}, sampled {mso_sampled:.3} \
-             (inflation {inflation:.3}; bound 1+ε = {:.3})",
-            1.0 + scfg.epsilon
-        );
-        fields.push(("violation_mass".into(), Value::Float(violation_mass)));
-        fields.push(("mso_exact".into(), Value::Float(mso_exact)));
-        fields.push(("mso_sampled".into(), Value::Float(mso_sampled)));
-        fields.push(("mso_inflation".into(), Value::Float(inflation)));
-        if violation_mass > scfg.epsilon {
-            eprintln!(
-                "identify-sampled FAILED: violation mass {violation_mass:.4} exceeds ε {}",
-                scfg.epsilon
-            );
-            failed = true;
-        }
-        if inflation > 1.0 + scfg.epsilon {
-            eprintln!(
-                "identify-sampled FAILED: MSO inflation {inflation:.3} exceeds 1+ε {:.3}",
-                1.0 + scfg.epsilon
-            );
-            failed = true;
         }
     }
 
-    if let Some(path) = json_path {
-        merge_json_section(&path, "sampled", Value::Obj(fields));
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// Seeded fault-injection campaign over the robust bouquet driver and the
-/// engine execution paths: `pbq chaos [--seed N]`. Sweeps fault kinds ×
-/// drivers × TPC-H/TPC-DS workloads × true locations, prints the survival
-/// table and exits non-zero if any robustness invariant is breached (panic,
-/// double charging, nondeterminism, or an empty fault plan failing to be
-/// bit-identical to the plain drivers).
-/// Bouquet-as-a-service: `pbq serve` boots the multi-tenant server and
-/// blocks until a client drains it (`--smoke` instead runs the scripted
-/// protocol round-trip + seeded server-fault chaos block and exits).
-fn serve_cmd(rest: &[String]) {
-    use pb_server::{PbServer, ServerConfig};
-
-    if rest.iter().any(|a| a == "--smoke") {
-        match pb_bench::serve::smoke() {
-            Ok(report) => {
-                print!("{report}");
-                println!("serve smoke OK");
-            }
-            Err(e) => {
-                eprintln!("serve smoke FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let flag = |name: &str| {
-        rest.iter().position(|a| a == name).map(|i| {
-            rest.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let mut cfg = ServerConfig::default();
-    if let Some(a) = flag("--addr") {
-        cfg.addr = a.to_string();
-    }
-    if let Some(w) = flag("--workloads") {
-        cfg.workloads = w.split(',').map(|s| s.trim().to_string()).collect();
-    }
-    if let Some(n) = flag("--workers") {
-        cfg.workers = n.parse().expect("--workers needs a count");
-    }
-    if let Some(n) = flag("--queue-cap") {
-        cfg.queue_cap = n.parse().expect("--queue-cap needs a count");
-    }
-    if let Some(f) = flag("--tenant-cap") {
-        cfg.tenant_cap = f.parse().expect("--tenant-cap needs cost units");
-    }
-    if let Some(ms) = flag("--deadline-ms") {
-        cfg.default_deadline_ms = Some(ms.parse().expect("--deadline-ms needs milliseconds"));
-    }
-    let server = match PbServer::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve FAILED to start: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("pb-server listening on {}", server.addr());
-    println!("(newline-delimited JSON; send \"Drain\" to shut down gracefully)");
-    let stats = server.wait();
-    println!(
-        "drained: {} accepted, {} completed, {} degraded, {} budget-exhausted, \
-         {} cancelled, {} failed, {} rejected",
-        stats.accepted,
-        stats.completed,
-        stats.degraded,
-        stats.budget_exhausted,
-        stats.cancelled,
-        stats.failed,
-        stats.rejected
-    );
-}
-
-/// Concurrent-client serving sweep: `pbq serve-bench [--clients 1,2,4,8]
-/// [--requests N] [--json BENCH_serve.json]`. Shows the bounded admission
-/// queue shedding load while tail latency stays bounded; `--json` merges
-/// the rows into the artifact's `serve` section.
-fn serve_bench_cmd(rest: &[String]) {
-    let clients: Vec<usize> = match rest.iter().position(|a| a == "--clients") {
-        Some(i) => rest
-            .get(i + 1)
-            .map(|s| {
-                s.split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .expect("--clients takes a comma list, e.g. 1,2,4,8")
-                    })
-                    .collect()
-            })
-            .expect("--clients takes a comma list, e.g. 1,2,4,8"),
-        None => vec![1, 2, 4, 8],
-    };
-    let requests: usize = match rest.iter().position(|a| a == "--requests") {
-        Some(i) => rest
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--requests needs a count");
-                std::process::exit(2);
-            }),
-        None => 6,
-    };
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    println!("serving sweep: {clients:?} concurrent clients x {requests} requests each");
-    match pb_bench::serve::sweep(&clients, requests) {
-        Ok((table, section)) => {
-            print!("{table}");
-            if let Some(path) = json_path {
-                merge_json_section(&path, "serve", section);
-            }
-        }
-        Err(e) => {
-            eprintln!("serve-bench FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn chaos_cmd(rest: &[String]) {
-    let seed: u64 = match rest.iter().position(|a| a == "--seed") {
-        Some(i) => rest
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--seed needs a non-negative integer");
-                std::process::exit(2);
-            }),
-        None => 20140622, // the paper's publication date
-    };
-    let report = pb_bench::chaos::run_campaign(seed);
-    print!("{}", report.table);
-    if !report.passed() {
-        eprintln!(
-            "chaos campaign FAILED: {} invariant breach(es)",
-            report.breaches.len()
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "chaos campaign passed: {} scenarios, 0 breaches",
-        report.scenarios
-    );
-}
-
-/// Engine-backed Table 3 experiment through the canonical (substrate-
-/// generic) drivers: `pbq table3 [--sf N] [--json BENCH_table3.json]`.
-/// Runs the basic and optimized bouquet drivers over the real tuple engine
-/// — plain and with checkpoint/resume — prints the per-contour breakdown
-/// with the reused-cost columns, and exits non-zero if the basic driver's
-/// contour/plan/budget sequence on the engine differs from the simulator's
-/// at the engine's measured true location (cost-inversion cross-check).
-/// `--json` merges the report into the file's `table3` section, keeping any
-/// other sections of the artifact intact. Also runs the hostile
-/// typed-dimension workloads (`HOSTILE_INEQ_2D`, `HOSTILE_ANTI_2D`) through
-/// the same ladder, merged as the `table3_hostile` section; a cross-check
-/// divergence or a violated MSO bound on either exits non-zero.
-fn table3_cmd(rest: &[String]) {
-    let sf: f64 = match rest.iter().position(|a| a == "--sf") {
-        Some(i) => rest
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--sf needs a positive number");
-                std::process::exit(2);
-            }),
-        None => 0.01,
-    };
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    let (text, report) = pb_bench::experiments::table3::run_at_with(sf, engine_par());
-    print!("{text}");
-    let (htext, hreports) = pb_bench::experiments::hostile::run_at_with(sf, engine_par());
-    println!();
-    print!("{htext}");
-    if let Some(path) = json_path {
-        let json = serde_json::to_string(&report).expect("serialize table3 report");
-        let section = serde_json::from_str::<serde::Value>(&json).expect("reparse table3 report");
-        merge_json_section(&path, "table3", section);
-        let hjson = serde_json::to_string(&hreports).expect("serialize hostile reports");
-        let hsection =
-            serde_json::from_str::<serde::Value>(&hjson).expect("reparse hostile reports");
-        merge_json_section(&path, "table3_hostile", hsection);
-    }
-    if !report.crosscheck_ok {
-        eprintln!(
-            "table3 FAILED: basic-driver contour/plan/budget sequence diverges \
-             between the engine substrate and the simulator at the measured qa"
-        );
-        std::process::exit(1);
-    }
-    for r in &hreports {
-        if !r.crosscheck_ok || !r.mso_within_bound {
-            eprintln!(
-                "table3 FAILED: hostile workload {} {} (crosscheck {}, MSO bound {})",
-                r.workload,
-                if r.crosscheck_ok {
-                    "violates its MSO bound"
-                } else {
-                    "diverges between engine and simulator"
-                },
-                r.crosscheck_ok,
-                r.mso_within_bound,
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Benchmark the vectorized engine against the tuple-at-a-time reference
-/// and verify the two produce identical outcomes — cost, row count,
-/// per-node instrumentation, and abort point — under a ladder of budgets.
-/// `--sf X` picks the TPC-H scale factor (default 0.02, ≈154k base rows);
-/// `--json PATH` writes the machine-readable report (the CI
-/// `BENCH_engine.json` artifact). Exits non-zero on any outcome mismatch.
-fn engine_speedup(rest: &[String]) {
-    use pb_engine::{Database, Engine};
-    use pb_plan::PlanNode;
-    use std::time::Instant;
-
-    let sf: f64 = match rest.iter().position(|a| a == "--sf") {
-        Some(i) => rest
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--sf needs a positive number");
-                std::process::exit(2);
-            }),
-        None => 0.02,
-    };
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    // part ⋈ lineitem ⋈ orders with a fixed part selection; join edge 0 is
-    // p⋈l, edge 1 is l⋈o. All columns are indexed, so every operator in the
-    // engine can appear.
-    let w = pb_workloads::h_q8a_2d(sf);
-    let db = Database::generate_with(&w.catalog, 42, &[], Parallelism::auto()).expect("generate");
-    let base_rows: u64 = w
-        .query
-        .relations
-        .iter()
-        .map(|r| db.table(r.table).rows as u64)
-        .sum();
-    let eng = Engine::new(&db, &w.query, &w.model.p).with_parallelism(engine_par());
-
-    let hj_pl = || PlanNode::HashJoin {
-        build: Box::new(PlanNode::SeqScan { rel: 0 }),
-        probe: Box::new(PlanNode::SeqScan { rel: 1 }),
-        edges: vec![0],
-    };
-    let plans: Vec<(&str, PlanNode)> = vec![
-        (
-            "hash_join_chain",
-            PlanNode::HashJoin {
-                build: Box::new(hj_pl()),
-                probe: Box::new(PlanNode::SeqScan { rel: 2 }),
-                edges: vec![1],
-            },
-        ),
-        (
-            "merge_join_top",
-            PlanNode::SortMergeJoin {
-                left: Box::new(hj_pl()),
-                right: Box::new(PlanNode::SeqScan { rel: 2 }),
-                edges: vec![1],
-                sort_left: true,
-                sort_right: true,
-            },
-        ),
-        (
-            "index_nl_chain",
-            PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::IndexNLJoin {
-                    outer: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-                    inner_rel: 1,
-                    edges: vec![0],
-                }),
-                inner_rel: 2,
-                edges: vec![1],
-            },
-        ),
-        (
-            "anti_join",
-            PlanNode::AntiJoin {
-                left: Box::new(PlanNode::SeqScan { rel: 0 }),
-                right: Box::new(PlanNode::SeqScan { rel: 1 }),
-                edges: vec![0],
-            },
-        ),
-        (
-            "hash_aggregate",
-            PlanNode::HashAggregate {
-                input: Box::new(hj_pl()),
-            },
-        ),
-        (
-            "spill_chain",
-            PlanNode::Spill {
-                input: Box::new(hj_pl()),
-            },
-        ),
-    ];
-
-    println!(
-        "engine speedup on {} (sf {sf}, {base_rows} base rows, {} plans)",
-        w.name,
-        plans.len()
-    );
-
-    // Outcome-equality ladder: full run plus budgets that abort in
-    // different operators and phases of each plan.
-    let fracs = [1.0, 0.75, 0.4, 0.1, 0.02];
-    let mut checks = 0usize;
-    let mut all_equal = true;
-    for (name, plan) in &plans {
-        let full = eng.execute_tuple(plan, f64::INFINITY);
-        let mut plan_ok = true;
-        for frac in fracs {
-            let budget = if frac >= 1.0 {
-                f64::INFINITY
-            } else {
-                full.cost() * frac
-            };
-            let t = eng.execute_tuple(plan, budget);
-            let v = eng.execute_vectorized(plan, budget);
-            checks += 1;
-            if t != v {
-                all_equal = false;
-                plan_ok = false;
-                eprintln!(
-                    "  MISMATCH {name} at budget fraction {frac}: tuple (cost {:.6}, done {}) vs vectorized (cost {:.6}, done {})",
-                    t.cost(),
-                    t.completed(),
-                    v.cost(),
-                    v.completed()
-                );
-            }
-        }
-        let t0 = Instant::now();
-        std::hint::black_box(eng.execute_tuple(plan, f64::INFINITY));
-        let pt = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        std::hint::black_box(eng.execute(plan, f64::INFINITY));
-        let pv = t0.elapsed().as_secs_f64();
-        println!(
-            "  {name:<16} cost {:>14.0}  tuple {:>8.2}ms vec {:>8.2}ms ({:>5.2}x)  equal at {} budgets: {}",
-            full.cost(),
-            pt * 1e3,
-            pv * 1e3,
-            pt / pv.max(1e-12),
-            fracs.len(),
-            if plan_ok { "yes" } else { "NO" }
-        );
-    }
-
-    // Throughput: best-of-3 full executions of the whole plan set.
-    let mut tuple_s = f64::INFINITY;
-    let mut vec_s = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for (_, plan) in &plans {
-            std::hint::black_box(eng.execute_tuple(plan, f64::INFINITY));
-        }
-        tuple_s = tuple_s.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for (_, plan) in &plans {
-            std::hint::black_box(eng.execute(plan, f64::INFINITY));
-        }
-        vec_s = vec_s.min(t0.elapsed().as_secs_f64());
-    }
-    let speedup = tuple_s / vec_s.max(1e-12);
-    println!(
-        "  tuple {tuple_s:.4}s, vectorized {vec_s:.4}s -> {speedup:.2}x; {checks} equality checks: {}",
-        if all_equal { "all green" } else { "MISMATCH" }
-    );
-
-    if let Some(path) = json_path {
-        let report = format!(
-            "{{\n  \"workload\": \"{}\",\n  \"scale_factor\": {sf},\n  \"base_rows\": {base_rows},\n  \"plans\": {},\n  \"equality_checks\": {checks},\n  \"equality_ok\": {all_equal},\n  \"tuple_s\": {tuple_s:.6},\n  \"vectorized_s\": {vec_s:.6},\n  \"speedup\": {speedup:.3}\n}}\n",
-            w.name,
-            plans.len()
-        );
-        std::fs::write(&path, report).expect("write --json report");
-        println!("  wrote {path}");
-    }
-
-    if !all_equal {
-        std::process::exit(1);
-    }
-}
-
-/// Morsel-driven scaling curve: the engine benchmark suite at several
-/// worker counts, gated on bit-identical `EngineOutcome`s across counts.
-fn engine_mt(rest: &[String]) {
-    use pb_bench::regress;
-
-    let flag_f64 = |flag: &str, default: f64| -> f64 {
-        match rest.iter().position(|a| a == flag) {
-            Some(i) => rest
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a positive number");
-                    std::process::exit(2);
-                }),
-            None => default,
-        }
-    };
-    let sf = flag_f64("--sf", 0.1);
-    let reps = flag_f64("--reps", 3.0) as usize;
-    let workers: Vec<usize> = match rest.iter().position(|a| a == "--workers") {
-        Some(i) => rest
-            .get(i + 1)
-            .map(|s| {
-                s.split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .expect("--workers takes a comma list, e.g. 1,2,4")
-                    })
-                    .collect()
-            })
-            .expect("--workers takes a comma list, e.g. 1,2,4"),
-        None => vec![1, 2, 4],
-    };
-    let morsel_min: Option<usize> = rest.iter().position(|a| a == "--morsel-min").map(|i| {
-        rest.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--morsel-min needs a row count")
-    });
-    let json_path = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.get(i + 1).expect("--json PATH").clone());
-
-    println!(
-        "morsel-driven scaling curve (sf {sf}, workers {workers:?}, morsel gate {})",
-        morsel_min
-            .map(|r| r.to_string())
-            .unwrap_or_else(|| format!("{} (default)", pb_cost::PARALLEL_MIN_MORSEL_ROWS)),
-    );
-    let report = match pb_bench::regress::engine_mt_bench(sf, &workers, morsel_min, reps) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("engine-mt FAILED: {e}");
-            std::process::exit(1);
-        }
-    };
-    let curve = regress::get(&report, "curve")
-        .and_then(serde::Value::as_arr)
-        .expect("curve");
-    println!(
-        "  {} budget-ladder outcome checks per worker count: all bit-identical",
-        regress::get(&report, "budget_checks_per_worker_count")
-            .and_then(regress::as_f64)
-            .unwrap_or(0.0)
-    );
-    for row in curve {
-        let v = |k: &str| {
-            regress::get(row, k)
-                .and_then(regress::as_f64)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "  {:>3.0} workers  {:>9.2}ms  speedup {:>5.2}x",
-            v("workers"),
-            v("wall_s") * 1e3,
-            v("speedup_vs_1")
-        );
-    }
-    if let Some(path) = json_path {
-        std::fs::write(&path, regress::to_pretty(&report)).expect("write --json report");
-        println!("  wrote {path}");
-    }
-}
-
-/// Re-run the engine and identification benchmarks and diff them against
-/// the committed baseline file; exits non-zero on any regression.
-fn bench_check(rest: &[String]) {
-    use pb_bench::regress;
-    use serde::Value;
-
-    let baseline_path = rest
-        .iter()
-        .position(|a| a == "--baseline")
-        .map(|i| rest.get(i + 1).expect("--baseline PATH").clone())
-        .unwrap_or_else(|| "results/bench_baselines.json".into());
-    let update = rest.iter().any(|a| a == "--update");
-    let tol: f64 = match rest.iter().position(|a| a == "--tolerance") {
-        Some(i) => rest
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--tolerance needs a fraction, e.g. 0.25");
-                std::process::exit(2);
-            }),
-        None => 0.25,
-    };
-
-    println!("bench-check: re-running engine + identification benchmarks...");
-    let run = |label: &str, r: Result<Value, String>| -> Value {
-        match r {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bench-check: {label} bench FAILED outright: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    let engine = run("engine", regress::engine_bench(0.02));
-    let identify = run("identify", regress::identify_bench("2D_H_Q8A", 4));
-    let engine_mt = run(
-        "engine_mt",
-        regress::engine_mt_bench(0.02, &[1, 2, 4], Some(4096), 3),
-    );
-    let resume = run("resume", regress::resume_bench(0.01));
-    let serve = run("serve", pb_bench::serve::serve_bench());
-    let hostile = run("hostile", regress::hostile_bench(0.005));
-    let current = Value::Obj(vec![
-        ("engine".to_string(), engine),
-        ("identify".to_string(), identify),
-        ("engine_mt".to_string(), engine_mt),
-        ("resume".to_string(), resume),
-        ("serve".to_string(), serve),
-        ("hostile".to_string(), hostile),
-    ]);
-
-    if update {
-        std::fs::write(&baseline_path, regress::to_pretty(&current)).expect("write baseline");
-        println!("bench-check: wrote baseline {baseline_path}");
-        return;
-    }
-
-    let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        eprintln!(
-            "bench-check: cannot read baseline {baseline_path}: {e}\n\
-             (generate one with `pbq bench-check --update`)"
-        );
-        std::process::exit(2);
-    });
-    let baseline: Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("bench-check: baseline {baseline_path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    // A whole section absent from the baseline usually means the baseline
-    // predates a newer benchmark suite — diagnose it per section (instead
-    // of drowning it in per-key diffs) and fail.
-    if let (Value::Obj(cur), Value::Obj(base)) = (&current, &baseline) {
-        let missing: Vec<&str> = cur
-            .iter()
-            .filter(|(k, _)| serde::find(base, k).is_none())
-            .map(|(k, _)| k.as_str())
-            .collect();
-        if !missing.is_empty() {
-            for section in &missing {
-                eprintln!(
-                    "bench-check: baseline {baseline_path} has no `{section}` section \
-                     (it predates this benchmark suite)"
-                );
-            }
-            eprintln!("regenerate the baseline with `pbq bench-check --update`");
-            std::process::exit(1);
-        }
-    }
-    let diffs = regress::compare(&baseline, &current, tol);
-    if diffs.is_empty() {
-        println!(
-            "bench-check OK: no timing more than {:.0}% above {baseline_path} \
-             (timing fields banded, identity fields exact)",
-            tol * 100.0
-        );
-    } else {
-        eprintln!("bench-check FAILED against {baseline_path}:");
-        for d in &diffs {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn sensitivity(w: pb_bouquet::Workload, _rest: &[String]) {
-    println!("dimension sensitivity (Section 8 low-resolution map):");
-    for s in dim_analysis::sensitivities(&w, 3) {
-        println!(
-            "  dim {} ({:<14} {:<15}) max cost swing {:>10.1}x",
-            s.dim,
-            s.name,
-            s.kind.label(),
-            s.max_cost_ratio
-        );
+    #[test]
+    fn integer_flags_are_read_as_integers() {
+        let cmd = COMMANDS.iter().find(|c| c.name == "identify-sampled");
+        let argv = ["3D_H_Q5", "--seed", "18446744073709551615"].map(String::from);
+        let args = cmd
+            .expect("in table")
+            .parse(GLOBALS, &argv)
+            .expect("parses");
+        assert_eq!(identify::sampled_config(&args).seed, u64::MAX);
+        assert!(refused("identify-sampled 3D_H_Q5 --rounds 1.5").starts_with("--rounds needs"));
+        assert!(refused("engine-mt --reps -3").starts_with("--reps needs"));
     }
 }

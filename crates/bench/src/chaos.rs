@@ -22,11 +22,14 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pb_bouquet::{Bouquet, BouquetConfig, ExecutionOutcome, RobustConfig};
-use pb_engine::{Database, Engine};
-use pb_faults::{splitmix64, unit_f64, FaultInjector, FaultKind, FaultPlan, Trigger};
+use pb_bouquet::{
+    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionOutcome, RobustConfig, RobustRun,
+};
+use pb_engine::{Database, Engine, EngineOutcome};
+use pb_faults::{splitmix64, unit_f64, FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
 use pb_workloads::{ds_q15_3d, eq_1d, h_q8a_2d, hostile_anti_2d, hostile_ineq_2d};
 
+use crate::engine_driver::EngineRunReport;
 use crate::table::Table;
 
 /// Number of true-location grid points probed per (workload, driver, plan).
@@ -141,16 +144,148 @@ fn cell_of(cells: &mut Vec<(String, Cell)>, key: String) -> usize {
     }
 }
 
-fn run_scenario(
-    b: &Bouquet,
-    qa: &pb_cost::SelPoint,
-    cfg: &RobustConfig,
-) -> Result<pb_bouquet::RobustRun, String> {
-    let caught = catch_unwind(AssertUnwindSafe(|| b.run_robust(qa, cfg)));
-    match caught {
-        Ok(Ok(run)) => Ok(run),
+/// Run `f` under `catch_unwind`: a driver error or a panic becomes the
+/// breach text.
+fn caught<T>(f: impl FnOnce() -> Result<T, PbError>) -> Result<T, String> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(v)) => Ok(v),
         Ok(Err(e)) => Err(format!("driver error: {e}")),
         Err(_) => Err("PANIC".into()),
+    }
+}
+
+/// The robust-driver configuration every scenario block sweeps `faults`
+/// and the driver through.
+fn robust_cfg(faults: FaultPlan, optimized: bool) -> RobustConfig {
+    RobustConfig {
+        faults,
+        plan_retries: 1,
+        max_violations: 3,
+        optimized,
+        resume: false,
+        ..Default::default()
+    }
+}
+
+/// One robust-driver scenario, on whichever substrate `robust` runs it:
+/// no panic, `total_cost` equal to the sum of trace spends, a bit-identical
+/// replay, and — when `plain` is given, i.e. under the empty fault plan —
+/// structural identity with the plain driver's run.
+fn check_robust(
+    tag: &str,
+    robust: impl Fn() -> Result<RobustRun, PbError>,
+    plain: Option<&dyn Fn() -> Result<BouquetRun, PbError>>,
+    cell: &mut Cell,
+    breaches: &mut Vec<String>,
+) {
+    let run = match caught(&robust) {
+        Ok(r) => r,
+        Err(e) => return breaches.push(format!("{tag}: {e}")),
+    };
+    let sum: f64 = run.run.trace.iter().map(|e| e.spent).sum();
+    if (sum - run.run.total_cost).abs() > 1e-9 * sum.abs().max(1.0) {
+        breaches.push(format!(
+            "{tag}: double/under-charge: trace sum {sum} vs total {}",
+            run.run.total_cost
+        ));
+    }
+    match caught(&robust) {
+        Ok(replay) if json(&replay) == json(&run) => {}
+        Ok(_) => breaches.push(format!("{tag}: replay diverged")),
+        Err(e) => breaches.push(format!("{tag}: replay failed: {e}")),
+    }
+    if let Some(plain) = plain {
+        match caught(plain) {
+            Ok(reference) => {
+                if json(&run.run) != json(&reference) {
+                    breaches.push(format!("{tag}: empty-plan run != plain driver run"));
+                }
+                if !run.events.is_empty() || run.degraded {
+                    breaches.push(format!("{tag}: empty-plan run recorded events"));
+                }
+            }
+            Err(e) => return breaches.push(format!("{tag}: plain driver: {e}")),
+        }
+    }
+    cell.events += run.events.len();
+    match run.run.outcome {
+        ExecutionOutcome::Completed { .. } => cell.completed += 1,
+        ExecutionOutcome::Degraded { .. } => cell.degraded += 1,
+        ExecutionOutcome::BudgetExhausted { .. } | ExecutionOutcome::Cancelled { .. } => {
+            cell.exhausted += 1
+        }
+    }
+}
+
+/// [`check_robust`] on the engine substrate over `db`.
+fn check_robust_on_engine(
+    tag: &str,
+    (b, db): (&Bouquet, &Database),
+    cfg: &RobustConfig,
+    cell: &mut Cell,
+    breaches: &mut Vec<String>,
+) {
+    let plain = || {
+        let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
+        if cfg.optimized {
+            b.run_optimized_on(&mut sub)
+        } else {
+            b.run_basic_on(&mut sub)
+        }
+    };
+    check_robust(
+        tag,
+        || {
+            let mut sub = EngineSubstrate::new(b, db, FaultInjector::new(&cfg.faults));
+            b.run_robust_on(&mut sub, cfg)
+        },
+        cfg.faults
+            .is_empty()
+            .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
+        cell,
+        breaches,
+    );
+}
+
+/// The engine-side fault plans the serial and the parallel engine blocks
+/// both sweep.
+fn engine_fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
+    vec![
+        ("none", FaultPlan::none()),
+        (
+            "operator-failure",
+            FaultPlan::new(seed).with(
+                FaultKind::OperatorFailure { waste_frac: 0.5 },
+                Trigger::Nth(1 + seed % 64),
+            ),
+        ),
+        (
+            "ledger-overcharge",
+            FaultPlan::new(seed ^ 9).with(
+                FaultKind::LedgerOverCharge { factor: 2.0 },
+                Trigger::Every(7),
+            ),
+        ),
+        (
+            "operator-storm",
+            FaultPlan::new(seed ^ 10).with(
+                FaultKind::OperatorFailure { waste_frac: 1.0 },
+                Trigger::PerMille(5),
+            ),
+        ),
+    ]
+}
+
+impl Cell {
+    /// Count one engine execution by how it ended.
+    fn tally_engine(&mut self, out: &EngineOutcome) {
+        if out.completed() {
+            self.completed += 1;
+        } else if out.error().is_some() {
+            self.degraded += 1;
+        } else {
+            self.exhausted += 1;
+        }
     }
 }
 
@@ -190,14 +325,6 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
         let d = b.workload.ess.d();
         for optimized in [false, true] {
             let driver = if optimized { "opt" } else { "basic" };
-            // The plain run anchors the empty-plan equivalence check.
-            let plain = |qa: &pb_cost::SelPoint| {
-                if optimized {
-                    b.run_optimized(qa)
-                } else {
-                    b.run_basic(qa)
-                }
-            };
             for (label, plan) in &catalog {
                 let ci = cell_of(&mut cells, format!("{label}|{driver}"));
                 for _ in 0..POINTS_PER_CELL {
@@ -207,69 +334,23 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
                         .map(|_| unit_f64(splitmix64(&mut point_rng)).clamp(0.01, 0.99))
                         .collect();
                     let qa = b.workload.ess.point_at_fractions(&fracs);
-                    let cfg = RobustConfig {
-                        faults: plan.clone(),
-                        plan_retries: 1,
-                        max_violations: 3,
-                        optimized,
-                        resume: false,
-                        ..Default::default()
-                    };
-                    let tag = || format!("{}/{driver}/{label}@{fracs:?}", b.workload.name);
-
-                    let run = match run_scenario(b, &qa, &cfg) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            breaches.push(format!("{}: {e}", tag()));
-                            continue;
+                    let cfg = robust_cfg(plan.clone(), optimized);
+                    // The plain run anchors the empty-plan equivalence check.
+                    let plain = || {
+                        if optimized {
+                            b.run_optimized(&qa)
+                        } else {
+                            b.run_basic(&qa)
                         }
                     };
-
-                    // Charging: total equals the sum of trace spends.
-                    let sum: f64 = run.run.trace.iter().map(|e| e.spent).sum();
-                    if (sum - run.run.total_cost).abs() > 1e-9 * sum.abs().max(1.0) {
-                        breaches.push(format!(
-                            "{}: double/under-charge: trace sum {sum} vs total {}",
-                            tag(),
-                            run.run.total_cost
-                        ));
-                    }
-
-                    // Determinism: a replay is bit-identical.
-                    match run_scenario(b, &qa, &cfg) {
-                        Ok(replay) if json(&replay) == json(&run) => {}
-                        Ok(_) => breaches.push(format!("{}: replay diverged", tag())),
-                        Err(e) => breaches.push(format!("{}: replay failed: {e}", tag())),
-                    }
-
-                    // Inert equivalence: empty plan ⇒ structurally the plain run.
-                    if plan.is_empty() {
-                        let reference = match catch_unwind(AssertUnwindSafe(|| plain(&qa))) {
-                            Ok(Ok(r)) => r,
-                            Ok(Err(e)) => {
-                                breaches.push(format!("{}: plain driver error: {e}", tag()));
-                                continue;
-                            }
-                            Err(_) => {
-                                breaches.push(format!("{}: plain driver PANIC", tag()));
-                                continue;
-                            }
-                        };
-                        if json(&run.run) != json(&reference) {
-                            breaches.push(format!("{}: empty-plan run != plain driver run", tag()));
-                        }
-                        if !run.events.is_empty() || run.degraded {
-                            breaches.push(format!("{}: empty-plan run recorded events", tag()));
-                        }
-                    }
-
-                    cells[ci].1.events += run.events.len();
-                    match run.run.outcome {
-                        ExecutionOutcome::Completed { .. } => cells[ci].1.completed += 1,
-                        ExecutionOutcome::Degraded { .. } => cells[ci].1.degraded += 1,
-                        ExecutionOutcome::BudgetExhausted { .. }
-                        | ExecutionOutcome::Cancelled { .. } => cells[ci].1.exhausted += 1,
-                    }
+                    check_robust(
+                        &format!("{}/{driver}/{label}@{fracs:?}", b.workload.name),
+                        || b.run_robust(&qa, &cfg),
+                        plan.is_empty()
+                            .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
+                        &mut cells[ci].1,
+                        &mut breaches,
+                    );
                 }
             }
         }
@@ -350,28 +431,7 @@ fn engine_substrate_scenarios(
     // first-contour completion. (Spilled executions are exercised directly
     // below — the driver only spills when a plan's modeled cost at qrun
     // overshoots its budget, which observation lower bounds rarely cause.)
-    let overrides = [
-        pb_engine::ColumnOverride::EffectiveNdv {
-            table: "part".into(),
-            column: "p_partkey".into(),
-            ndv: 60,
-        },
-        pb_engine::ColumnOverride::EffectiveNdv {
-            table: "lineitem".into(),
-            column: "l_partkey".into(),
-            ndv: 60,
-        },
-        pb_engine::ColumnOverride::EffectiveNdv {
-            table: "orders".into(),
-            column: "o_orderkey".into(),
-            ndv: 240,
-        },
-        pb_engine::ColumnOverride::EffectiveNdv {
-            table: "lineitem".into(),
-            column: "l_orderkey".into(),
-            ndv: 240,
-        },
-    ];
+    let overrides = crate::engine_driver::duplicated_join_keys(60, 240);
     let db = match Database::generate(&w.catalog, seed ^ 0xE5, &overrides) {
         Ok(db) => db,
         Err(e) => {
@@ -423,84 +483,13 @@ fn engine_substrate_scenarios(
                 cells[ci].1.scenarios += 1;
                 let mut faults = fp.clone();
                 faults.seed ^= variant;
-                let cfg = RobustConfig {
-                    faults,
-                    plan_retries: 1,
-                    max_violations: 3,
-                    optimized,
-                    resume: false,
-                    ..Default::default()
-                };
-                let tag = || format!("engine-sub/{driver}/{label}#{variant}");
-                let robust = |cfg: &RobustConfig| {
-                    let mut sub =
-                        pb_bouquet::EngineSubstrate::new(&b, &db, FaultInjector::new(&cfg.faults));
-                    b.run_robust_on(&mut sub, cfg)
-                };
-                let run = match catch_unwind(AssertUnwindSafe(|| robust(&cfg))) {
-                    Ok(Ok(r)) => r,
-                    Ok(Err(e)) => {
-                        breaches.push(format!("{}: driver error: {e}", tag()));
-                        continue;
-                    }
-                    Err(_) => {
-                        breaches.push(format!("{}: PANIC", tag()));
-                        continue;
-                    }
-                };
-
-                // Charging: total equals the sum of trace spends.
-                let sum: f64 = run.run.trace.iter().map(|e| e.spent).sum();
-                if (sum - run.run.total_cost).abs() > 1e-9 * sum.abs().max(1.0) {
-                    breaches.push(format!(
-                        "{}: double/under-charge: trace sum {sum} vs total {}",
-                        tag(),
-                        run.run.total_cost
-                    ));
-                }
-
-                // Determinism: a fresh substrate + injector replays
-                // bit-identically.
-                match catch_unwind(AssertUnwindSafe(|| robust(&cfg))) {
-                    Ok(Ok(replay)) if json(&replay) == json(&run) => {}
-                    Ok(Ok(_)) => breaches.push(format!("{}: replay diverged", tag())),
-                    Ok(Err(e)) => breaches.push(format!("{}: replay failed: {e}", tag())),
-                    Err(_) => breaches.push(format!("{}: replay PANIC", tag())),
-                }
-
-                // Inert equivalence: empty plan ⇒ the plain generic driver.
-                if fp.is_empty() {
-                    let reference = catch_unwind(AssertUnwindSafe(|| {
-                        let mut sub =
-                            pb_bouquet::EngineSubstrate::new(&b, &db, FaultInjector::none());
-                        if optimized {
-                            b.run_optimized_on(&mut sub)
-                        } else {
-                            b.run_basic_on(&mut sub)
-                        }
-                    }));
-                    match reference {
-                        Ok(Ok(r)) => {
-                            if json(&run.run) != json(&r) {
-                                breaches
-                                    .push(format!("{}: empty-plan run != plain driver run", tag()));
-                            }
-                            if !run.events.is_empty() || run.degraded {
-                                breaches.push(format!("{}: empty-plan run recorded events", tag()));
-                            }
-                        }
-                        Ok(Err(e)) => breaches.push(format!("{}: plain driver error: {e}", tag())),
-                        Err(_) => breaches.push(format!("{}: plain driver PANIC", tag())),
-                    }
-                }
-
-                cells[ci].1.events += run.events.len();
-                match run.run.outcome {
-                    ExecutionOutcome::Completed { .. } => cells[ci].1.completed += 1,
-                    ExecutionOutcome::Degraded { .. } => cells[ci].1.degraded += 1,
-                    ExecutionOutcome::BudgetExhausted { .. }
-                    | ExecutionOutcome::Cancelled { .. } => cells[ci].1.exhausted += 1,
-                }
+                check_robust_on_engine(
+                    &format!("engine-sub/{driver}/{label}#{variant}"),
+                    (&b, &db),
+                    &robust_cfg(faults, optimized),
+                    &mut cells[ci].1,
+                    breaches,
+                );
             }
         }
     }
@@ -643,80 +632,13 @@ fn hostile_engine_scenarios(
                 let ci = cell_of(cells, format!("hostile-{short}:{label}|{driver}"));
                 ran += 1;
                 cells[ci].1.scenarios += 1;
-                let cfg = RobustConfig {
-                    faults: fp.clone(),
-                    plan_retries: 1,
-                    max_violations: 3,
-                    optimized,
-                    resume: false,
-                    ..Default::default()
-                };
-                let tag = || format!("hostile-{short}/{driver}/{label}");
-                let robust = |cfg: &RobustConfig| {
-                    let mut sub =
-                        pb_bouquet::EngineSubstrate::new(&b, &db, FaultInjector::new(&cfg.faults));
-                    b.run_robust_on(&mut sub, cfg)
-                };
-                let run = match catch_unwind(AssertUnwindSafe(|| robust(&cfg))) {
-                    Ok(Ok(r)) => r,
-                    Ok(Err(e)) => {
-                        breaches.push(format!("{}: driver error: {e}", tag()));
-                        continue;
-                    }
-                    Err(_) => {
-                        breaches.push(format!("{}: PANIC", tag()));
-                        continue;
-                    }
-                };
-
-                let sum: f64 = run.run.trace.iter().map(|e| e.spent).sum();
-                if (sum - run.run.total_cost).abs() > 1e-9 * sum.abs().max(1.0) {
-                    breaches.push(format!(
-                        "{}: double/under-charge: trace sum {sum} vs total {}",
-                        tag(),
-                        run.run.total_cost
-                    ));
-                }
-
-                match catch_unwind(AssertUnwindSafe(|| robust(&cfg))) {
-                    Ok(Ok(replay)) if json(&replay) == json(&run) => {}
-                    Ok(Ok(_)) => breaches.push(format!("{}: replay diverged", tag())),
-                    Ok(Err(e)) => breaches.push(format!("{}: replay failed: {e}", tag())),
-                    Err(_) => breaches.push(format!("{}: replay PANIC", tag())),
-                }
-
-                if fp.is_empty() {
-                    let reference = catch_unwind(AssertUnwindSafe(|| {
-                        let mut sub =
-                            pb_bouquet::EngineSubstrate::new(&b, &db, FaultInjector::none());
-                        if optimized {
-                            b.run_optimized_on(&mut sub)
-                        } else {
-                            b.run_basic_on(&mut sub)
-                        }
-                    }));
-                    match reference {
-                        Ok(Ok(r)) => {
-                            if json(&run.run) != json(&r) {
-                                breaches
-                                    .push(format!("{}: empty-plan run != plain driver run", tag()));
-                            }
-                            if !run.events.is_empty() || run.degraded {
-                                breaches.push(format!("{}: empty-plan run recorded events", tag()));
-                            }
-                        }
-                        Ok(Err(e)) => breaches.push(format!("{}: plain driver error: {e}", tag())),
-                        Err(_) => breaches.push(format!("{}: plain driver PANIC", tag())),
-                    }
-                }
-
-                cells[ci].1.events += run.events.len();
-                match run.run.outcome {
-                    ExecutionOutcome::Completed { .. } => cells[ci].1.completed += 1,
-                    ExecutionOutcome::Degraded { .. } => cells[ci].1.degraded += 1,
-                    ExecutionOutcome::BudgetExhausted { .. }
-                    | ExecutionOutcome::Cancelled { .. } => cells[ci].1.exhausted += 1,
-                }
+                check_robust_on_engine(
+                    &format!("hostile-{short}/{driver}/{label}"),
+                    (&b, &db),
+                    &robust_cfg(fp.clone(), optimized),
+                    &mut cells[ci].1,
+                    breaches,
+                );
             }
         }
     }
@@ -910,13 +832,7 @@ fn cancel_resume_scenarios(
                 if norm(&resumed.run.outcome) != norm(&reference.run.outcome) {
                     breaches.push(format!("{}: resumed outcome != reference", tag(trip)));
                 }
-                let seq = |r: &pb_bouquet::RobustRun| -> Vec<(usize, usize, f64)> {
-                    r.run
-                        .trace
-                        .iter()
-                        .map(|e| (e.contour, e.plan, e.budget))
-                        .collect()
-                };
+                let seq = |r: &RobustRun| EngineRunReport::from_run(&r.run, 0).decision_seq();
                 if seq(&resumed) != seq(&reference) {
                     breaches.push(format!(
                         "{}: resumed decision sequence != reference",
@@ -1061,22 +977,8 @@ fn server_scenarios(
         }
 
         let stats = server.stop();
-        let answered = stats.completed
-            + stats.degraded
-            + stats.budget_exhausted
-            + stats.cancelled
-            + stats.failed;
-        if answered != stats.accepted {
-            breaches.push(tag(&format!(
-                "accepted {} but answered {answered}",
-                stats.accepted
-            )));
-        }
-        if stats.queue_depth != 0 || stats.inflight != 0 {
-            breaches.push(tag(&format!(
-                "drain left queue_depth={} inflight={}",
-                stats.queue_depth, stats.inflight
-            )));
+        if let Err(e) = crate::serve::check_accounting(&stats) {
+            breaches.push(tag(&e));
         }
         if stats.failed != stats.worker_panics {
             breaches.push(tag(&format!(
@@ -1084,11 +986,6 @@ fn server_scenarios(
                  a request failed for a non-injected reason",
                 stats.failed, stats.worker_panics
             )));
-        }
-        for (tenant, spent, cap) in &stats.tenants {
-            if *cap >= 0.0 && *spent > cap * (1.0 + 1e-9) {
-                breaches.push(tag(&format!("tenant {tenant} over cap: {spent} > {cap}")));
-            }
         }
         if label == "faulted" {
             if stats.worker_panics == 0 {
@@ -1124,30 +1021,7 @@ fn engine_scenarios(
     let qe = w.ess.point_at_fractions(&[0.5]);
     let plan = w.optimizer().optimize(&qe).plan;
 
-    let fault_kinds: Vec<(&str, FaultPlan)> = vec![
-        ("none", FaultPlan::none()),
-        (
-            "operator-failure",
-            FaultPlan::new(seed).with(
-                FaultKind::OperatorFailure { waste_frac: 0.5 },
-                Trigger::Nth(1 + seed % 64),
-            ),
-        ),
-        (
-            "ledger-overcharge",
-            FaultPlan::new(seed ^ 9).with(
-                FaultKind::LedgerOverCharge { factor: 2.0 },
-                Trigger::Every(7),
-            ),
-        ),
-        (
-            "operator-storm",
-            FaultPlan::new(seed ^ 10).with(
-                FaultKind::OperatorFailure { waste_frac: 1.0 },
-                Trigger::PerMille(5),
-            ),
-        ),
-    ];
+    let fault_kinds = engine_fault_plans(seed);
 
     let mut ran = 0usize;
     let reference = engine.execute(&plan.root, f64::INFINITY);
@@ -1181,13 +1055,7 @@ fn engine_scenarios(
                         continue;
                     }
                 };
-                if out.completed() {
-                    cells[ci].1.completed += 1;
-                } else if out.error().is_some() {
-                    cells[ci].1.degraded += 1;
-                } else {
-                    cells[ci].1.exhausted += 1;
-                }
+                cells[ci].1.tally_engine(&out);
                 // Faulted/aborted runs never report spend beyond the budget
                 // they were granted (over-charge only inflates the ledger up
                 // to the abort point, which budget enforcement still caps).
@@ -1253,30 +1121,7 @@ fn parallel_engine_scenarios(
     let root = w.optimizer().optimize(&qe).plan.root;
     let plans = [("plain", root.clone()), ("spilled", root.spilled())];
 
-    let fault_kinds: Vec<(&str, FaultPlan)> = vec![
-        ("none", FaultPlan::none()),
-        (
-            "operator-failure",
-            FaultPlan::new(seed).with(
-                FaultKind::OperatorFailure { waste_frac: 0.5 },
-                Trigger::Nth(1 + seed % 64),
-            ),
-        ),
-        (
-            "ledger-overcharge",
-            FaultPlan::new(seed ^ 9).with(
-                FaultKind::LedgerOverCharge { factor: 2.0 },
-                Trigger::Every(7),
-            ),
-        ),
-        (
-            "operator-storm",
-            FaultPlan::new(seed ^ 10).with(
-                FaultKind::OperatorFailure { waste_frac: 1.0 },
-                Trigger::PerMille(5),
-            ),
-        ),
-    ];
+    let fault_kinds = engine_fault_plans(seed);
 
     let mut ran = 0usize;
     for (pname, plan) in &plans {
@@ -1319,13 +1164,7 @@ fn parallel_engine_scenarios(
                             reference.cost()
                         ));
                     }
-                    if out.completed() {
-                        cells[ci].1.completed += 1;
-                    } else if out.error().is_some() {
-                        cells[ci].1.degraded += 1;
-                    } else {
-                        cells[ci].1.exhausted += 1;
-                    }
+                    cells[ci].1.tally_engine(&out);
                 }
             }
         }

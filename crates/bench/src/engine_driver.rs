@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use pb_bouquet::{Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats};
 use pb_cost::{Parallelism, SelPoint};
-use pb_engine::Database;
+use pb_engine::{ColumnOverride, Database};
 use pb_faults::{FaultInjector, PbError};
 use serde::Serialize;
 
@@ -62,6 +62,26 @@ impl EngineRunReport {
         }
     }
 
+    /// The (contour, plan, budget) decisions, in order: what two runs must
+    /// share to count as the same discovery, whatever each one spent.
+    pub fn decision_seq(&self) -> Vec<(usize, usize, f64)> {
+        self.executions
+            .iter()
+            .map(|e| (e.contour, e.plan, e.budget))
+            .collect()
+    }
+
+    /// Cost-inversion cross-check for a basic-driver engine run: its decision
+    /// sequence must be the one the basic driver makes on the cost-unit
+    /// simulator at `qa`, the location measured against the engine's tuples —
+    /// whether "actual cost" comes from the engine's ledger or from the cost
+    /// model may change spends, never decisions.
+    pub fn matches_simulator(&self, bouquet: &Bouquet, qa: &SelPoint) -> bool {
+        bouquet
+            .run_basic(qa)
+            .is_ok_and(|sim| Self::from_run(&sim, 0).decision_seq() == self.decision_seq())
+    }
+
     /// Per-contour (executions, cost) breakdown — the rows of Table 3.
     pub fn contour_breakdown(&self) -> Vec<(usize, usize, f64)> {
         let mut rows: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
@@ -80,21 +100,32 @@ pub fn engine_run_nat(bouquet: &Bouquet, db: &Database, qe: &SelPoint) -> f64 {
     EngineSubstrate::new(bouquet, db, FaultInjector::none()).run_native_at(qe)
 }
 
+/// Section 6.7's manufactured under-estimate on part ⋈ lineitem ⋈ orders:
+/// the join keys are generated with only `part_ndv` / `orders_ndv` distinct
+/// values on both sides of each join, so the actual join selectivities are
+/// ~1/ndv, far above the AVI estimate of 1/|PK relation|.
+pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverride> {
+    [
+        ("part", "p_partkey", part_ndv),
+        ("lineitem", "l_partkey", part_ndv),
+        ("orders", "o_orderkey", orders_ndv),
+        ("lineitem", "l_orderkey", orders_ndv),
+    ]
+    .into_iter()
+    .map(|(table, column, ndv)| ColumnOverride::EffectiveNdv {
+        table: table.into(),
+        column: column.into(),
+        ndv,
+    })
+    .collect()
+}
+
 /// Run the bouquet discovery against the engine through the canonical
 /// drivers: Figure 7 with `optimized == false`, Figure 13 (qrun tracking
 /// from the engine's tuple counters, first-quadrant pruning, spilled prefix
-/// executions) with `optimized == true`.
-pub fn engine_run_bouquet(
-    bouquet: &Bouquet,
-    db: &Database,
-    optimized: bool,
-) -> Result<EngineRunReport, PbError> {
-    engine_run_bouquet_with(bouquet, db, optimized, Parallelism::serial())
-}
-
-/// [`engine_run_bouquet`] with the engine's morsel-driven kernels running
-/// `par`-wide. Outcomes are bit-identical to the serial run for every
-/// worker count; the knob only changes wall-clock time.
+/// executions) with `optimized == true`. The engine's morsel-driven kernels
+/// run `par`-wide; outcomes are bit-identical to the serial run for every
+/// worker count, the knob only changes wall-clock time.
 pub fn engine_run_bouquet_with(
     bouquet: &Bouquet,
     db: &Database,
@@ -141,56 +172,27 @@ pub fn engine_run_bouquet_resumable(
 mod tests {
     use super::*;
     use pb_bouquet::BouquetConfig;
-    use pb_engine::ColumnOverride;
     use pb_workloads::h_q8a_2d;
 
     fn setup() -> (Bouquet, Database) {
         let w = h_q8a_2d(0.005);
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-        // Duplicate the "key" columns on both sides of each join: actual
-        // join selectivity becomes ~1/ndv_eff, far above the AVI estimate of
-        // 1/|PK relation| — the manufactured under-estimate of Section 6.7.
-        let db = Database::generate(
-            &w.catalog,
-            7,
-            &[
-                ColumnOverride::EffectiveNdv {
-                    table: "part".into(),
-                    column: "p_partkey".into(),
-                    ndv: 100,
-                },
-                ColumnOverride::EffectiveNdv {
-                    table: "lineitem".into(),
-                    column: "l_partkey".into(),
-                    ndv: 100,
-                },
-                ColumnOverride::EffectiveNdv {
-                    table: "orders".into(),
-                    column: "o_orderkey".into(),
-                    ndv: 400,
-                },
-                ColumnOverride::EffectiveNdv {
-                    table: "lineitem".into(),
-                    column: "l_orderkey".into(),
-                    ndv: 400,
-                },
-            ],
-        )
-        .expect("generate");
+        let db =
+            Database::generate(&w.catalog, 7, &duplicated_join_keys(100, 400)).expect("generate");
         (b, db)
     }
 
     #[test]
     fn engine_bouquet_completes_and_produces_rows() {
         let (b, db) = setup();
-        let basic = engine_run_bouquet(&b, &db, false).unwrap();
+        let basic = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
         assert!(
             basic.completed,
             "basic engine run failed: {:?}",
             basic.executions
         );
         assert!(basic.result_rows > 0);
-        let opt = engine_run_bouquet(&b, &db, true).unwrap();
+        let opt = engine_run_bouquet_with(&b, &db, true, Parallelism::serial()).unwrap();
         assert!(opt.completed);
         assert_eq!(
             opt.result_rows, basic.result_rows,
@@ -201,8 +203,8 @@ mod tests {
     #[test]
     fn optimized_engine_run_is_no_costlier_than_basic() {
         let (b, db) = setup();
-        let basic = engine_run_bouquet(&b, &db, false).unwrap();
-        let opt = engine_run_bouquet(&b, &db, true).unwrap();
+        let basic = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
+        let opt = engine_run_bouquet_with(&b, &db, true, Parallelism::serial()).unwrap();
         assert!(
             opt.total_cost <= basic.total_cost * 1.1,
             "optimized {} vs basic {}",
@@ -231,7 +233,7 @@ mod tests {
     #[test]
     fn contour_breakdown_accounts_for_all_cost() {
         let (b, db) = setup();
-        let run = engine_run_bouquet(&b, &db, false).unwrap();
+        let run = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
         let sum: f64 = run.contour_breakdown().iter().map(|r| r.2).sum();
         assert!((sum - run.total_cost).abs() < 1e-6 * run.total_cost.max(1.0));
     }

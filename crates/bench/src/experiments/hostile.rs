@@ -97,13 +97,6 @@ pub fn setup_anti(sf: f64) -> (Workload, Bouquet, Database) {
     (w, b, db)
 }
 
-fn decision_seq(r: &EngineRunReport) -> Vec<(usize, usize, f64)> {
-    r.executions
-        .iter()
-        .map(|e| (e.contour, e.plan, e.budget))
-        .collect()
-}
-
 fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) -> HostileReport {
     let est = Estimator::new(&w.catalog);
     let lo: Vec<f64> = w.ess.dims.iter().map(|d| d.lo).collect();
@@ -131,19 +124,13 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
         .expect("robust engine run");
     assert!(robust.run.completed() && !robust.degraded);
     assert_eq!(
-        decision_seq(&EngineRunReport::from_run(&robust.run, 0)),
-        decision_seq(&basic),
+        EngineRunReport::from_run(&robust.run, 0).decision_seq(),
+        basic.decision_seq(),
         "fault-free robust driver must replay the basic ladder"
     );
 
     // Simulator substrate: decisions at the measured qa must agree.
-    let sim = b.run_basic(&qa).expect("simulator run");
-    let sim_seq: Vec<(usize, usize, f64)> = sim
-        .trace
-        .iter()
-        .map(|e| (e.contour, e.plan, e.budget))
-        .collect();
-    let crosscheck_ok = sim_seq == decision_seq(&basic);
+    let crosscheck_ok = basic.matches_simulator(b, &qa);
 
     // Whole-grid simulator evaluation.
     let ev = evaluate_with_bouquet(w, &EvalConfig::default(), b).expect("evaluate");

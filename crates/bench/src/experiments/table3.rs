@@ -17,13 +17,13 @@ use std::fmt::Write as _;
 
 use pb_bouquet::{Bouquet, BouquetConfig, ResumeStats, Workload};
 use pb_cost::{Estimator, Parallelism};
-use pb_engine::{ColumnOverride, Database, Engine};
+use pb_engine::{Database, Engine};
 use pb_workloads::h_q8a_2d;
 use serde::Serialize;
 
 use crate::engine_driver::{
-    engine_run_bouquet_resumable, engine_run_bouquet_with, engine_run_nat, measure_qa,
-    EngineRunReport,
+    duplicated_join_keys, engine_run_bouquet_resumable, engine_run_bouquet_with, engine_run_nat,
+    measure_qa, EngineRunReport,
 };
 use crate::table::{fnum, Table};
 
@@ -71,79 +71,14 @@ pub fn setup(sf: f64) -> (Workload, Bouquet, Database) {
     let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
     // Generated data additionally violates the uniqueness assumptions: join
     // keys are duplicated on both sides, raising the actual selectivities.
-    let db = Database::generate(
-        &w.catalog,
-        7,
-        &[
-            ColumnOverride::EffectiveNdv {
-                table: "part".into(),
-                column: "p_partkey".into(),
-                ndv: 200,
-            },
-            ColumnOverride::EffectiveNdv {
-                table: "lineitem".into(),
-                column: "l_partkey".into(),
-                ndv: 200,
-            },
-            ColumnOverride::EffectiveNdv {
-                table: "orders".into(),
-                column: "o_orderkey".into(),
-                ndv: 500,
-            },
-            ColumnOverride::EffectiveNdv {
-                table: "lineitem".into(),
-                column: "l_orderkey".into(),
-                ndv: 500,
-            },
-        ],
-    )
-    .expect("generate");
+    let db = Database::generate(&w.catalog, 7, &duplicated_join_keys(200, 500)).expect("generate");
     (w, b, db)
 }
 
-/// Cost-inversion cross-check: the basic driver's decision sequence —
-/// which plan ran on which contour with which budget — must be the same
-/// whether "actual cost" comes from the engine's ledger or from the cost
-/// model evaluated at the engine's measured true location. (Spends differ;
-/// decisions may not.)
-pub fn basic_sequences_match(b: &Bouquet, db: &Database, engine_basic: &EngineRunReport) -> bool {
-    let qa = match measure_qa(db, &b.workload.query, &b.workload.ess) {
-        Ok(qa) => qa,
-        Err(_) => return false,
-    };
-    let sim = match b.run_basic(&qa) {
-        Ok(run) => run,
-        Err(_) => return false,
-    };
-    let sim_seq: Vec<(usize, usize, f64)> = sim
-        .trace
-        .iter()
-        .map(|e| (e.contour, e.plan, e.budget))
-        .collect();
-    let eng_seq: Vec<(usize, usize, f64)> = engine_basic
-        .executions
-        .iter()
-        .map(|e| (e.contour, e.plan, e.budget))
-        .collect();
-    sim_seq == eng_seq
-}
-
-fn decision_seq(r: &EngineRunReport) -> Vec<(usize, usize, f64)> {
-    r.executions
-        .iter()
-        .map(|e| (e.contour, e.plan, e.budget))
-        .collect()
-}
-
-/// Run the full experiment at scale factor `sf`, returning the rendered
-/// text and the structured report.
-pub fn run_at(sf: f64) -> (String, Table3Report) {
-    run_at_with(sf, Parallelism::serial())
-}
-
-/// [`run_at`] with the engine's morsel-driven kernels running `par`-wide
-/// (`pbq table3 --engine-jobs N`). The report is bit-identical for every
-/// worker count; only wall-clock time changes.
+/// Run the full experiment at scale factor `sf` with the engine's
+/// morsel-driven kernels running `par`-wide (`pbq table3 --engine-jobs N`),
+/// returning the rendered text and the structured report. The report is
+/// bit-identical for every worker count; only wall-clock time changes.
 pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
     let (w, b, db) = setup(sf);
 
@@ -184,7 +119,7 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
         basic.completed && optd.completed,
         "bouquet runs must complete"
     );
-    let crosscheck_ok = basic_sequences_match(&b, &db, &basic);
+    let crosscheck_ok = basic.matches_simulator(&b, &qa);
 
     // The same discovery with checkpoint/resume: re-executed prefixes are
     // fast-forwarded, so the per-contour spends shrink while the decision
@@ -193,8 +128,8 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
         engine_run_bouquet_resumable(&b, &db, false, par).expect("resumed basic engine run");
     let (optd_res, optd_rs) =
         engine_run_bouquet_resumable(&b, &db, true, par).expect("resumed optimized engine run");
-    let resume_ok = decision_seq(&basic_res) == decision_seq(&basic)
-        && decision_seq(&optd_res) == decision_seq(&optd)
+    let resume_ok = basic_res.decision_seq() == basic.decision_seq()
+        && optd_res.decision_seq() == optd.decision_seq()
         && basic_res.result_rows == basic.result_rows
         && optd_res.result_rows == optd.result_rows
         && basic_res.total_cost <= basic.total_cost * (1.0 + 1e-9)
@@ -308,7 +243,7 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
 }
 
 pub fn run() -> String {
-    run_at(0.01).0
+    run_at_with(0.01, Parallelism::serial()).0
 }
 
 #[cfg(test)]
@@ -317,7 +252,7 @@ mod tests {
 
     #[test]
     fn table3_shape_matches_paper() {
-        let (s, report) = run_at(0.01);
+        let (s, report) = run_at_with(0.01, Parallelism::serial());
         let line = s
             .lines()
             .find(|l| l.starts_with("sub-optimality vs oracle"))
@@ -340,7 +275,7 @@ mod tests {
 
     #[test]
     fn table3_resume_engages_and_strictly_improves() {
-        let (_, report) = run_at(0.01);
+        let (_, report) = run_at_with(0.01, Parallelism::serial());
         assert!(report.resume_ok);
         assert!(
             report.basic_resume.reused_cost > 0.0,

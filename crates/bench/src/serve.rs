@@ -10,18 +10,7 @@ use std::time::{Duration, Instant};
 
 use pb_faults::{FaultKind, FaultPlan, Trigger};
 use pb_server::{PbClient, PbServer, QueryResult, Request, Response, ServerConfig, ServerStats};
-use serde::Value;
-
-use crate::table::Table;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Serialize;
 
 fn submit_req(tenant: &str, frac: f64, resume: bool, deadline_ms: Option<u64>) -> Request {
     Request::Submit {
@@ -57,7 +46,7 @@ fn wait_done(c: &mut PbClient, id: u64) -> Result<QueryResult, String> {
 }
 
 /// Every-accepted-request-answered accounting identity.
-fn check_accounting(stats: &ServerStats) -> Result<(), String> {
+pub(crate) fn check_accounting(stats: &ServerStats) -> Result<(), String> {
     let answered =
         stats.completed + stats.degraded + stats.budget_exhausted + stats.cancelled + stats.failed;
     if answered != stats.accepted {
@@ -224,7 +213,7 @@ pub fn smoke() -> Result<String, String> {
 // Concurrent-client sweep (BENCH_serve.json)
 // ---------------------------------------------------------------------------
 
-struct SweepRow {
+struct Step {
     clients: usize,
     rejects: u64,
     wall_s: f64,
@@ -233,7 +222,7 @@ struct SweepRow {
 
 /// Run `requests` closed-loop requests from each of `n` clients against a
 /// fresh server and collect the final stats.
-fn run_step(n: usize, requests: usize, cfg: &ServerConfig) -> Result<SweepRow, String> {
+fn run_step(n: usize, requests: usize, cfg: &ServerConfig) -> Result<Step, String> {
     let server = PbServer::start(cfg.clone()).map_err(|e| format!("start: {e}"))?;
     let addr = server.addr();
     let t0 = Instant::now();
@@ -264,7 +253,7 @@ fn run_step(n: usize, requests: usize, cfg: &ServerConfig) -> Result<SweepRow, S
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = server.stop();
     check_accounting(&stats)?;
-    Ok(SweepRow {
+    Ok(Step {
         clients: n,
         rejects,
         wall_s,
@@ -272,70 +261,97 @@ fn run_step(n: usize, requests: usize, cfg: &ServerConfig) -> Result<SweepRow, S
     })
 }
 
+/// One client count of the sweep.
+#[derive(Debug, Clone, Serialize)]
+pub struct SweepRow {
+    pub clients: usize,
+    /// Submitted in total: `clients × requests_per_client`.
+    pub requests: usize,
+    pub accepted: u64,
+    /// Submissions shed with `retry_after_ms` (and retried by the client).
+    pub rejected: u64,
+    pub completed: u64,
+    /// Completed requests per wall-clock second.
+    pub qps: f64,
+    /// Server-side request latency quantiles.
+    pub p50_ms: f64,
+    pub p99_ms: f64,
+    /// Worst SubOpt any request of the step ran at.
+    pub max_subopt: f64,
+    pub wall_s: f64,
+}
+
+/// The `serve` section of `BENCH_serve.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct SweepReport {
+    pub workload: &'static str,
+    pub workers: usize,
+    pub queue_cap: usize,
+    pub requests_per_client: usize,
+    pub sweep: Vec<SweepRow>,
+}
+
 /// The 1→N concurrent-client sweep: a small worker pool behind a small
 /// bounded queue, closed-loop clients retrying on rejection. Saturation
 /// must surface as *shed load* (rejects rise with the client count) while
 /// the bounded queue keeps tail latency flat — never as collapse.
-pub fn sweep(clients: &[usize], requests: usize) -> Result<(String, Value), String> {
+pub fn sweep(clients: &[usize], requests: usize) -> Result<SweepReport, String> {
     let cfg = ServerConfig {
         workers: 2,
         queue_cap: 2,
         ..ServerConfig::default()
     };
-    let mut t = Table::new(vec![
-        "clients",
-        "accepted",
-        "rejected",
-        "qps",
-        "p50 ms",
-        "p99 ms",
-        "max subopt",
-    ]);
-    let mut rows = Vec::new();
+    let mut sweep = Vec::new();
     for &n in clients {
-        let row = run_step(n, requests, &cfg)?;
-        let qps = row.stats.completed as f64 / row.wall_s.max(1e-9);
-        t.row(vec![
-            row.clients.to_string(),
-            row.stats.accepted.to_string(),
-            row.rejects.to_string(),
-            format!("{qps:.0}"),
-            format!("{:.2}", row.stats.p50_ms),
-            format!("{:.2}", row.stats.p99_ms),
-            format!("{:.2}", row.stats.max_subopt),
-        ]);
-        rows.push(obj(vec![
-            ("clients", Value::UInt(row.clients as u64)),
-            ("requests", Value::UInt((row.clients * requests) as u64)),
-            ("accepted", Value::UInt(row.stats.accepted)),
-            ("rejected", Value::UInt(row.rejects)),
-            ("completed", Value::UInt(row.stats.completed)),
-            ("qps", Value::Float(qps)),
-            ("p50_ms", Value::Float(row.stats.p50_ms)),
-            ("p99_ms", Value::Float(row.stats.p99_ms)),
-            ("max_subopt", Value::Float(row.stats.max_subopt)),
-            ("wall_s", Value::Float(row.wall_s)),
-        ]));
+        let step = run_step(n, requests, &cfg)?;
+        sweep.push(SweepRow {
+            clients: step.clients,
+            requests: step.clients * requests,
+            accepted: step.stats.accepted,
+            rejected: step.rejects,
+            completed: step.stats.completed,
+            qps: step.stats.completed as f64 / step.wall_s.max(1e-9),
+            p50_ms: step.stats.p50_ms,
+            p99_ms: step.stats.p99_ms,
+            max_subopt: step.stats.max_subopt,
+            wall_s: step.wall_s,
+        });
     }
-    let section = obj(vec![
-        ("workload", Value::Str("EQ_1D".into())),
-        ("workers", Value::UInt(2)),
-        ("queue_cap", Value::UInt(2)),
-        ("requests_per_client", Value::UInt(requests as u64)),
-        ("sweep", Value::Arr(rows)),
-    ]);
-    Ok((t.render(), section))
+    Ok(SweepReport {
+        workload: "EQ_1D",
+        workers: cfg.workers,
+        queue_cap: cfg.queue_cap,
+        requests_per_client: requests,
+        sweep,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Regression-gate benchmark (`pbq bench-check` section "serve")
 // ---------------------------------------------------------------------------
 
+/// The `serve` baseline section.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct ServeGate {
+    pub workload: &'static str,
+    pub solo_clients: usize,
+    pub loaded_clients: usize,
+    pub requests_per_client: usize,
+    /// One client alone: wall-clock per request.
+    pub solo_per_req_s: f64,
+    /// Server-side p99 under `loaded_clients`.
+    pub loaded_p99_s: f64,
+    /// The loaded step shed at least one submission.
+    pub sheds_load: bool,
+    /// Every accepted request reached a terminal outcome, in both steps.
+    pub answered_all: bool,
+}
+
 /// Deterministic-shape serving benchmark for the regression gate: a single
 /// stalled worker behind a one-slot queue must shed load under 4 clients
 /// (`sheds_load` exact) while latency stays bounded (banded `_s` keys) and
 /// every accepted request is answered (`answered_all` exact).
-pub fn serve_bench() -> Result<Value, String> {
+pub fn serve_bench() -> Result<ServeGate, String> {
     let cfg = ServerConfig {
         workers: 1,
         queue_cap: 1,
@@ -345,28 +361,15 @@ pub fn serve_bench() -> Result<Value, String> {
     let requests = 5;
     let solo = run_step(1, requests, &cfg)?;
     let loaded = run_step(4, requests, &cfg)?;
-    let answered = |r: &SweepRow| {
-        r.stats.completed
-            + r.stats.degraded
-            + r.stats.budget_exhausted
-            + r.stats.cancelled
-            + r.stats.failed
-            == r.stats.accepted
-    };
-    Ok(obj(vec![
-        ("workload", Value::Str("EQ_1D".into())),
-        ("solo_clients", Value::UInt(1)),
-        ("loaded_clients", Value::UInt(4)),
-        ("requests_per_client", Value::UInt(requests as u64)),
-        (
-            "solo_per_req_s",
-            Value::Float(solo.wall_s / requests as f64),
-        ),
-        ("loaded_p99_s", Value::Float(loaded.stats.p99_ms / 1e3)),
-        ("sheds_load", Value::Bool(loaded.rejects > 0)),
-        (
-            "answered_all",
-            Value::Bool(answered(&solo) && answered(&loaded)),
-        ),
-    ]))
+    Ok(ServeGate {
+        workload: "EQ_1D",
+        solo_clients: solo.clients,
+        loaded_clients: loaded.clients,
+        requests_per_client: requests,
+        solo_per_req_s: solo.wall_s / requests as f64,
+        loaded_p99_s: loaded.stats.p99_ms / 1e3,
+        sheds_load: loaded.rejects > 0,
+        // `run_step` fails a step that leaves an accepted request unanswered.
+        answered_all: true,
+    })
 }

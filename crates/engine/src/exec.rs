@@ -322,7 +322,7 @@ impl<'a> Engine<'a> {
     /// an identical observable outcome (cost, rows, instrumentation, abort
     /// point — see `tests/engine_properties.rs`).
     pub fn execute(&self, plan: &PlanNode, budget: f64) -> EngineOutcome {
-        self.execute_vectorized(plan, budget)
+        self.execute_with_faults(plan, budget, &FaultInjector::none())
     }
 
     /// Vectorized execution with an armed fault injector (chaos campaigns).
@@ -333,7 +333,7 @@ impl<'a> Engine<'a> {
         budget: f64,
         faults: &FaultInjector,
     ) -> EngineOutcome {
-        self.execute_vectorized_with(plan, budget, faults)
+        self.vec_run(plan, budget, faults, None).0
     }
 
     /// Tuple-at-a-time reference execution.
@@ -1090,13 +1090,13 @@ mod tests {
         let (db, q, m) = setup();
         let eng = Engine::new(&db, &q, &m.p);
         let full_t = eng.execute_tuple(&hj_plan(), f64::INFINITY);
-        let full_v = eng.execute_vectorized(&hj_plan(), f64::INFINITY);
+        let full_v = eng.execute(&hj_plan(), f64::INFINITY);
         assert_eq!(full_t, full_v);
         for frac in [0.9, 0.5, 0.2, 0.05, 0.001] {
             let budget = full_t.cost() * frac;
             assert_eq!(
                 eng.execute_tuple(&hj_plan(), budget),
-                eng.execute_vectorized(&hj_plan(), budget),
+                eng.execute(&hj_plan(), budget),
                 "divergence at budget fraction {frac}"
             );
         }

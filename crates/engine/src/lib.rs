@@ -14,11 +14,14 @@
 //! * spill directives that count and discard an error node's output,
 //! * observed-selectivity extraction from the counters (Section 5.2).
 //!
-//! Two execution paths share one budget ledger ([`ledger`]): the vectorized
-//! columnar engine ([`vec_exec`], the default behind [`Engine::execute`])
-//! and the tuple-at-a-time reference ([`Engine::execute_tuple`]). Their
-//! outcomes — cost, rows, instrumentation, and abort point under finite
-//! budgets — are bit-identical by construction.
+//! One production path: [`Engine::execute`] (and
+//! [`Engine::execute_with_faults`], [`Engine::execute_resumable`]) runs the
+//! vectorized columnar engine ([`vec_exec`]), morsel-parallel above the
+//! dispatch gate. One reference: [`Engine::execute_tuple`], the
+//! tuple-at-a-time interpreter the tests compare it against. Both charge one
+//! budget ledger ([`ledger`]), so their outcomes — cost, rows,
+//! instrumentation, and abort point under finite budgets — are bit-identical
+//! by construction.
 
 pub mod data;
 pub mod exec;

@@ -400,21 +400,6 @@ fn unindexed(rel: RelIdx, column: u32) -> Halt {
 }
 
 impl Engine<'_> {
-    /// Vectorized execution (the default behind [`Engine::execute`]).
-    pub fn execute_vectorized(&self, plan: &PlanNode, budget: f64) -> EngineOutcome {
-        self.execute_vectorized_with(plan, budget, &FaultInjector::none())
-    }
-
-    /// Vectorized execution with an armed fault injector.
-    pub fn execute_vectorized_with(
-        &self,
-        plan: &PlanNode,
-        budget: f64,
-        faults: &FaultInjector,
-    ) -> EngineOutcome {
-        self.vec_run(plan, budget, faults, None).0
-    }
-
     /// Resumable vectorized execution: the outcome — cost bits, rows,
     /// instrumentation, abort point — is bit-identical to
     /// [`Engine::execute`] at the same budget, but subtrees checkpointed in
@@ -434,7 +419,7 @@ impl Engine<'_> {
         self.vec_run(plan, budget, &inert, Some(book))
     }
 
-    fn vec_run<'f>(
+    pub(crate) fn vec_run<'f>(
         &self,
         plan: &PlanNode,
         budget: f64,
@@ -1343,12 +1328,12 @@ mod tests {
         ];
         for plan in &plans {
             let full = eng.execute_tuple(plan, f64::INFINITY);
-            assert_eq!(full, eng.execute_vectorized(plan, f64::INFINITY));
+            assert_eq!(full, eng.execute(plan, f64::INFINITY));
             for frac in [0.999, 0.7, 0.35, 0.1, 0.01, 1e-4] {
                 let b = full.cost() * frac;
                 assert_eq!(
                     eng.execute_tuple(plan, b),
-                    eng.execute_vectorized(plan, b),
+                    eng.execute(plan, b),
                     "divergence at fraction {frac}"
                 );
             }

@@ -223,11 +223,11 @@ proptest! {
         let eng = Engine::new(&db, &q, &m.p);
         let plan = shape3(shape);
         let full_t = eng.execute_tuple(&plan, f64::INFINITY);
-        let full_v = eng.execute_vectorized(&plan, f64::INFINITY);
+        let full_v = eng.execute(&plan, f64::INFINITY);
         prop_assert_eq!(&full_t, &full_v, "full runs diverge (shape {})", shape);
         let budget = full_t.cost() * frac;
         let t = eng.execute_tuple(&plan, budget);
-        let v = eng.execute_vectorized(&plan, budget);
+        let v = eng.execute(&plan, budget);
         prop_assert_eq!(&t, &v, "budgeted runs diverge (shape {}, frac {})", shape, frac);
         prop_assert_eq!(t.completed(), frac >= 1.0);
     }
@@ -271,11 +271,11 @@ proptest! {
             },
         };
         let full_t = eng.execute_tuple(&plan, f64::INFINITY);
-        prop_assert_eq!(&full_t, &eng.execute_vectorized(&plan, f64::INFINITY));
+        prop_assert_eq!(&full_t, &eng.execute(&plan, f64::INFINITY));
         let budget = full_t.cost() * frac;
         prop_assert_eq!(
             &eng.execute_tuple(&plan, budget),
-            &eng.execute_vectorized(&plan, budget),
+            &eng.execute(&plan, budget),
             "budgeted TPC-DS runs diverge (alg {}, frac {})", alg, frac
         );
     }
