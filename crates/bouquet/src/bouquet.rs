@@ -19,6 +19,7 @@ use pb_optimizer::{
 use pb_plan::PhysicalPlan;
 
 use crate::contour::{rho, Contour};
+use crate::drivers::tables::DriverTables;
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
@@ -110,6 +111,10 @@ pub struct Bouquet {
     /// use. Never serialized — recompiled on demand after a reload.
     #[serde(skip)]
     pub(crate) programs: std::sync::OnceLock<Vec<CostProgram>>,
+    /// The optimized driver's decision tables, built lazily on its first
+    /// run. Never serialized — derived again on demand after a reload.
+    #[serde(skip)]
+    pub(crate) tables: std::sync::OnceLock<DriverTables>,
 }
 
 impl Bouquet {
@@ -331,6 +336,7 @@ impl Bouquet {
                 config: cfg.clone(),
                 stats,
                 programs: std::sync::OnceLock::new(),
+                tables: std::sync::OnceLock::new(),
             },
             t_contours,
             contours_reused,
@@ -356,6 +362,12 @@ impl Bouquet {
                 })
                 .collect()
         })
+    }
+
+    /// Per-plan and per-contour decision tables of the optimized driver and
+    /// its monitored executions, built once on first use.
+    pub(crate) fn driver_tables(&self) -> &DriverTables {
+        self.tables.get_or_init(|| DriverTables::build(self))
     }
 
     /// The bouquet plan set: union of contour plan sets (diagram plan ids).

@@ -518,6 +518,7 @@ fn read_entry(
         config: meta.config,
         stats: meta.stats,
         programs: std::sync::OnceLock::new(),
+        tables: std::sync::OnceLock::new(),
     };
     crate::persist::validate_structure(&bouquet)
         .map_err(|message| r.corrupt(format!("structural validation: {message}")))?;

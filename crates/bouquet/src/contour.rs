@@ -9,7 +9,7 @@
 //! contour budget. This staircase construction is the standard discrete
 //! realisation in the bouquet literature.
 
-use pb_cost::{par_map, run_chunked, CostMatrix, GridIx, Parallelism};
+use pb_cost::{par_map, run_chunked, CostMatrix, Ess, GridIx, Parallelism};
 use pb_optimizer::{AnorexicReduction, PlanDiagram, PlanId};
 
 use crate::grading::IsoCostGrading;
@@ -168,33 +168,10 @@ impl Contour {
     /// Whether some frontier point dominates (componentwise ≥) `ix` — i.e.
     /// a query at `ix` is guaranteed discoverable on this contour.
     pub fn dominates(&self, diagram: &PlanDiagram, ix: &[usize]) -> bool {
-        let ess = &diagram.ess;
-        let mut fix = GridIx::new();
-        self.points.iter().any(|&li| {
-            ess.unlinear_into(li, &mut fix);
-            fix.iter().zip(ix).all(|(f, q)| f >= q)
-        })
-    }
-
-    /// Frontier points (with their plans) that dominate `ix` — the plans
-    /// still viable for discovery from running location `ix` (the
-    /// first-quadrant pruning of Section 5.1).
-    pub fn viable_plans(&self, diagram: &PlanDiagram, ix: &[usize]) -> Vec<PlanId> {
-        let ess = &diagram.ess;
-        let mut fix = GridIx::new();
-        let mut plans: Vec<PlanId> = self
-            .points
-            .iter()
-            .zip(&self.assignment)
-            .filter(|(&li, _)| {
-                ess.unlinear_into(li, &mut fix);
-                fix.iter().zip(ix).all(|(f, q)| f >= q)
-            })
-            .map(|(_, &p)| p)
-            .collect();
-        plans.sort_unstable();
-        plans.dedup();
-        plans
+        FrontierCoords::new(&diagram.ess, &self.points)
+            .dominating(ix)
+            .next()
+            .is_some()
     }
 
     /// Per-plan coverage regions within this contour's budget (Figure 6b):
@@ -210,6 +187,39 @@ impl Contour {
                 (p, covered)
             })
             .collect()
+    }
+}
+
+/// Grid coordinates of a contour's frontier points, row-major (`d` per
+/// point, parallel to [`Contour::points`]): the dominance scans read these
+/// instead of dividing every linear index back into coordinates.
+#[derive(Debug, Clone)]
+pub(crate) struct FrontierCoords {
+    d: usize,
+    coords: Vec<usize>,
+}
+
+impl FrontierCoords {
+    pub fn new(ess: &Ess, points: &[usize]) -> Self {
+        let mut coords = Vec::with_capacity(points.len() * ess.d());
+        let mut ix = GridIx::new();
+        for &li in points {
+            ess.unlinear_into(li, &mut ix);
+            coords.extend_from_slice(&ix);
+        }
+        FrontierCoords { d: ess.d(), coords }
+    }
+
+    /// Positions (in [`Contour::points`]) of the frontier points that
+    /// dominate `ix` componentwise, ascending. Their assigned plans are the
+    /// ones still viable for discovery from running location `ix` (the
+    /// first-quadrant pruning of Section 5.1).
+    pub fn dominating<'a>(&'a self, ix: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+        self.coords
+            .chunks_exact(self.d)
+            .enumerate()
+            .filter(move |(_, f)| f.iter().zip(ix).all(|(f, q)| f >= q))
+            .map(|(i, _)| i)
     }
 }
 
@@ -407,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn viable_plans_shrink_as_qrun_advances() {
+    fn dominating_points_shrink_as_qrun_advances() {
         let w = eq_2d();
         let d = w.diagram();
         let costs = d.cost_matrix(&w.catalog, &w.query, &w.model);
@@ -416,10 +426,16 @@ mod tests {
         let contours = Contour::build_all(&d, &grading, &costs, 0.2);
         let mid = contours.len() / 2;
         let c = &contours[mid];
-        let all = c.viable_plans(&d, &[0, 0]);
-        assert_eq!(all, c.plan_set);
-        let far = c.viable_plans(&d, &d.ess.terminus());
-        assert!(far.len() <= all.len());
+        let coords = FrontierCoords::new(&d.ess, &c.points);
+        // Every frontier point dominates the origin, so every plan is viable.
+        let all: Vec<usize> = coords.dominating(&[0, 0]).collect();
+        assert_eq!(all, (0..c.points.len()).collect::<Vec<_>>());
+        let far = coords.dominating(&d.ess.terminus()).count();
+        assert!(far <= all.len());
+        for i in coords.dominating(&[3, 2]) {
+            let ix = d.ess.unlinear(c.points[i]);
+            assert!(ix[0] >= 3 && ix[1] >= 2);
+        }
     }
 
     #[test]

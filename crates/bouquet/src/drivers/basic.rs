@@ -115,6 +115,9 @@ impl Bouquet {
                     }
                     let out = sub.execute_partial(pid, budget);
                     total += out.spent;
+                    let faulted = out.error.is_some();
+                    // The trace owns the execution's error; the rare paths
+                    // below that report it clone it from there.
                     trace.push(PartialExec {
                         contour: contour_id,
                         plan: pid,
@@ -123,7 +126,7 @@ impl Bouquet {
                         completed: out.completed,
                         spilled: false,
                         learned: None,
-                        error: out.error.clone(),
+                        error: out.error,
                     });
                     rc.monitor(
                         contour_id,
@@ -132,7 +135,7 @@ impl Bouquet {
                         out.spent,
                         out.reused,
                         out.completed,
-                        out.error.is_some(),
+                        faulted,
                     );
                     if out.completed {
                         return Ok(BouquetRun {
@@ -150,12 +153,14 @@ impl Bouquet {
                         let est = self.workload.ess.point_at_fractions(&vec![0.5; d]);
                         return Ok(self.degraded_finish(&est, sub, trace, total, rc, k + 1));
                     }
-                    match out.error {
+                    match trace.last().and_then(|e| e.error.as_ref()) {
                         // A cancellation surfaced from inside the substrate
                         // is terminal, never retried: the controller asked
                         // the run to stop.
                         Some(PbError::Cancelled(reason)) => {
-                            rc.push(RobustEvent::Cancelled { reason });
+                            rc.push(RobustEvent::Cancelled {
+                                reason: reason.clone(),
+                            });
                             return Ok(BouquetRun {
                                 trace,
                                 total_cost: total,
@@ -170,11 +175,11 @@ impl Bouquet {
                                 contour: contour_id,
                                 plan: pid,
                                 attempt,
-                                error,
+                                error: error.clone(),
                             });
                         }
                         Some(error) => {
-                            rc.abandoned(contour_id, pid, error);
+                            rc.abandoned(contour_id, pid, error.clone());
                             break;
                         }
                         None => break,

@@ -13,6 +13,7 @@
 pub mod basic;
 pub mod optimized;
 pub mod robust;
+pub(crate) mod tables;
 
 use pb_faults::PbError;
 use pb_optimizer::PlanId;

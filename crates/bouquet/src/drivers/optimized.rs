@@ -22,9 +22,7 @@
 //!   exceeds the contour budget, no plan on the contour can complete, so the
 //!   driver jumps ahead without executing anything further.
 
-use std::collections::HashSet;
-
-use pb_cost::SelPoint;
+use pb_cost::{NodeCost, SelPoint};
 use pb_faults::{FaultInjector, PbError};
 use pb_optimizer::PlanId;
 
@@ -85,13 +83,11 @@ impl Bouquet {
     ) -> Result<BouquetRun, PbError> {
         let ess = &self.workload.ess;
         let faults_active = sub.faults_active();
-        let progs = self.programs();
-        let mut stack = Vec::new();
-        let d = ess.d();
+        let tables = self.driver_tables();
         let m = self.contours.len();
 
-        let mut qrun: Vec<f64> = ess.dims.iter().map(|dim| dim.lo).collect();
-        let mut resolved = vec![false; d];
+        let mut qrun = Qrun::at_origin(self);
+        let mut resolved = vec![false; ess.d()];
         let mut trace: Vec<PartialExec> = Vec::new();
         let mut total = 0.0;
         let mut cid = 0usize;
@@ -99,52 +95,50 @@ impl Bouquet {
         // most once per contour, so the optimized driver never exceeds the
         // basic driver's per-contour execution count n_k (the quantity the
         // Equation 8 bound is built from).
-        let mut executed: HashSet<PlanId> = HashSet::new();
+        let mut executed: Vec<PlanId> = Vec::new();
+        let mut candidates: Vec<PlanId> = Vec::new();
+        let mut scratch = SelectScratch::default();
 
         while cid < m + MAX_OVERFLOW {
+            let contour = &self.contours[cid.min(m - 1)];
             let (contour_id, budget, step_cost) = if cid < m {
-                let c = &self.contours[cid];
-                (c.id, c.budget, c.step_cost)
+                (contour.id, contour.budget, contour.step_cost)
             } else {
-                let last = &self.contours[m - 1];
                 let f = self.config.r.powi((cid - m + 1) as i32);
-                (cid + 1, last.budget * f, last.step_cost * f)
+                (cid + 1, contour.budget * f, contour.step_cost * f)
             };
 
             // Early contour change: the PIC at qrun already exceeds this
             // step, so nothing here can complete (PCM argument).
-            let qrun_pt = SelPoint(qrun.clone());
-            if self.pic_cost(&qrun_pt) > step_cost {
+            if self.diagram.opt_cost[qrun.li] > step_cost {
                 cid += 1;
                 executed.clear();
                 continue;
             }
 
-            // Viable plans: first-quadrant pruning against qrun.
-            let qix = ess.snap_floor(&qrun_pt);
-            let viable: Vec<PlanId> = if cid < m {
-                self.contours[cid].viable_plans(&self.diagram, &qix)
+            // Viable plans, ascending: first-quadrant pruning against qrun,
+            // minus what already ran on this contour.
+            candidates.clear();
+            if cid < m {
+                for i in tables.frontiers[cid].dominating(&qrun.ix) {
+                    let p = contour.assignment[i];
+                    if !candidates.contains(&p) {
+                        candidates.push(p);
+                    }
+                }
+                candidates.sort_unstable();
             } else {
-                self.contours[m - 1].plan_set.clone()
-            };
-            let candidates: Vec<PlanId> = viable
-                .into_iter()
-                .filter(|&p| !executed.contains(&p))
-                .collect();
+                candidates.extend_from_slice(&contour.plan_set);
+            }
+            candidates.retain(|p| !executed.contains(p));
             if candidates.is_empty() {
                 cid += 1;
                 executed.clear();
                 continue;
             }
 
-            let contour_for_axes = &self.contours[cid.min(m - 1)];
-            let pid = self.select_plan(contour_for_axes, &candidates, &qix, &qrun, &resolved);
-            let has_unresolved = self
-                .plan(pid)
-                .root
-                .error_dims(&self.workload.query)
-                .iter()
-                .any(|&dm| !resolved[dm]);
+            let (pid, cost_at_qrun) =
+                self.select_plan(contour, &candidates, &qrun, &resolved, &mut scratch);
             // Spill-based learning (Section 5.3) is engaged only when this
             // plan provably cannot complete within the budget: its cost at
             // qrun — a lower bound on its cost at qa, by PCM and the
@@ -154,9 +148,9 @@ impl Bouquet {
             // movement per unit budget. Otherwise the plan runs unspilled
             // and may complete the query (it still learns on abort, just
             // with a shallower movement).
-            let spilled = has_unresolved && progs[pid].eval_with(&qrun, &mut stack).cost > budget;
+            let spilled = tables.plans[pid].has_unresolved(&resolved) && cost_at_qrun > budget;
 
-            executed.insert(pid);
+            executed.push(pid);
             let mut attempt = 0usize;
             let mut spill_now = spilled;
             loop {
@@ -178,11 +172,14 @@ impl Bouquet {
                 // Tenant budget: stop before granting what cannot be paid.
                 // qrun is the best current estimate for the capped rung.
                 if rc.cap_blocks(total, budget) {
-                    let est = SelPoint(qrun.clone());
+                    let est = SelPoint(qrun.sel.clone());
                     return Ok(self.capped_finish(&est, sub, trace, total, rc, cid + 1));
                 }
                 let r = sub.execute_monitored(pid, &resolved, budget, spill_now);
                 total += r.spent;
+                let faulted = r.error.is_some();
+                // The trace owns the execution's error; the rare paths
+                // below that report it clone it from there.
                 trace.push(PartialExec {
                     contour: contour_id,
                     plan: pid,
@@ -191,7 +188,7 @@ impl Bouquet {
                     completed: r.completed,
                     spilled: spill_now,
                     learned: r.observed.first().copied(),
-                    error: r.error.clone(),
+                    error: r.error,
                 });
                 rc.monitor(
                     contour_id,
@@ -200,7 +197,7 @@ impl Bouquet {
                     r.spent,
                     r.reused,
                     r.completed,
-                    r.error.is_some(),
+                    faulted,
                 );
                 if r.completed {
                     return Ok(BouquetRun {
@@ -231,21 +228,23 @@ impl Bouquet {
                     } else {
                         v
                     };
-                    qrun[dim] = qrun[dim].max(v);
+                    qrun.set(self, dim, qrun.sel[dim].max(v));
                 }
                 for &(dm, v) in &r.resolved {
                     resolved[dm] = true;
-                    qrun[dm] = v;
+                    qrun.set(self, dm, v);
                 }
                 if rc.should_degrade() {
-                    let est = SelPoint(qrun.clone());
+                    let est = SelPoint(qrun.sel.clone());
                     return Ok(self.degraded_finish(&est, sub, trace, total, rc, cid + 1));
                 }
-                match r.error {
+                match trace.last().and_then(|e| e.error.as_ref()) {
                     // Cancellation from inside the substrate is terminal,
                     // never retried.
                     Some(PbError::Cancelled(reason)) => {
-                        rc.push(RobustEvent::Cancelled { reason });
+                        rc.push(RobustEvent::Cancelled {
+                            reason: reason.clone(),
+                        });
                         return Ok(BouquetRun {
                             trace,
                             total_cost: total,
@@ -269,11 +268,11 @@ impl Bouquet {
                             contour: contour_id,
                             plan: pid,
                             attempt,
-                            error,
+                            error: error.clone(),
                         });
                     }
                     Some(error) => {
-                        rc.abandoned(contour_id, pid, error);
+                        rc.abandoned(contour_id, pid, error.clone());
                         break;
                     }
                     None => break,
@@ -292,85 +291,61 @@ impl Bouquet {
     /// AxisPlans selection (Section 5.1): restrict to the plans responsible
     /// for the contour's intersection with the axes through qrun, then pick
     /// from the cheapest cost-equivalence group the plan whose unresolved
-    /// error node sits deepest in the plan tree.
-    ///
-    /// Public so that alternative run-time backends (e.g. the tuple-engine
-    /// driver in `pb-bench`) can reuse the same selection policy.
-    pub fn select_plan(
+    /// error node sits deepest in the plan tree. Returns the plan and its
+    /// cost at qrun.
+    fn select_plan(
         &self,
         contour: &Contour,
         candidates: &[PlanId],
-        qix: &[usize],
-        qrun: &[f64],
+        qrun: &Qrun,
         resolved: &[bool],
-    ) -> PlanId {
-        let axis = self.axis_plan_set(contour, qix);
-        let pool: Vec<PlanId> = if axis.iter().any(|p| candidates.contains(p)) {
+        scratch: &mut SelectScratch,
+    ) -> (PlanId, f64) {
+        let SelectScratch { axis, costs, stack } = scratch;
+        self.axis_plan_set(contour, qrun, axis);
+        let on_axis = axis.iter().any(|p| candidates.contains(p));
+        let progs = self.programs();
+        costs.clear();
+        costs.extend(
             candidates
                 .iter()
-                .copied()
-                .filter(|p| axis.contains(p))
-                .collect()
-        } else {
-            candidates.to_vec()
-        };
-
-        let progs = self.programs();
-        let mut stack = Vec::new();
-        let costs: Vec<(PlanId, f64)> = pool
-            .iter()
-            .map(|&p| (p, progs[p].eval_with(qrun, &mut stack).cost))
-            .collect();
+                .filter(|p| !on_axis || axis.contains(p))
+                .map(|&p| (p, progs[p].eval_with(&qrun.sel, stack).cost)),
+        );
         let cheapest = costs.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        // Cost-equivalence group: within 20% of the cheapest.
-        let group: Vec<PlanId> = costs
+        // Cost-equivalence group: within 20% of the cheapest. Deepest
+        // unresolved error node wins (spare budget flows to it), the lower
+        // plan id on a tie. The group is non-empty whenever every cost is a
+        // number (the cheapest pool member always qualifies); otherwise the
+        // first candidate stands in.
+        let facts = &self.driver_tables().plans;
+        costs
             .iter()
             .filter(|&&(_, c)| c <= cheapest * 1.2)
-            .map(|&(p, _)| p)
-            .collect();
-        // Deepest unresolved error node wins (spare budget flows to it).
-        // `group` is non-empty whenever `candidates` is (the cheapest pool
-        // member always qualifies); an empty candidate list — a caller
-        // contract violation — falls back to the first candidate or plan 0
-        // rather than panicking.
-        group
-            .iter()
-            .max_by_key(|&&p| {
-                let plan = &self.plan(p).root;
-                let depth = plan
-                    .error_dims(&self.workload.query)
-                    .into_iter()
-                    .filter(|&dm| !resolved[dm])
-                    .filter_map(|dm| plan.error_dim_depth(&self.workload.query, dm))
-                    .max()
-                    .unwrap_or(0);
-                (depth, std::cmp::Reverse(p))
-            })
+            .max_by_key(|&&(p, _)| (facts[p].deepest_unresolved(resolved), std::cmp::Reverse(p)))
             .copied()
-            .unwrap_or_else(|| candidates.first().copied().unwrap_or(0))
+            .unwrap_or_else(|| {
+                let p = candidates.first().copied().unwrap_or(0);
+                (p, progs[p].eval_with(&qrun.sel, stack).cost)
+            })
     }
 
     /// Plans at the intersection of `contour` with the positive axes through
-    /// grid location `qix`: for each dimension, walk outward along that axis
-    /// to the last point still inside the step, and take the cheapest
-    /// contour plan that covers it within the budget.
-    fn axis_plan_set(&self, contour: &Contour, qix: &[usize]) -> Vec<PlanId> {
+    /// the grid location of qrun, into `out`: for each dimension, walk
+    /// outward along that axis to the last point still inside the step, and
+    /// take the cheapest contour plan that covers it within the budget.
+    fn axis_plan_set(&self, contour: &Contour, qrun: &Qrun, out: &mut Vec<PlanId>) {
         let ess = &self.workload.ess;
-        let mut out: Vec<PlanId> = Vec::new();
-        for dim in 0..ess.d() {
-            let mut ix = qix.to_vec();
-            let mut last_inside = None;
-            for t in qix[dim]..ess.res[dim] {
-                ix[dim] = t;
-                if self.diagram.opt_cost[ess.linear(&ix)] <= contour.step_cost {
-                    last_inside = Some(t);
-                } else {
-                    break;
-                }
-            }
-            if let Some(t) = last_inside {
-                ix[dim] = t;
-                let li = ess.linear(&ix);
+        let strides = &self.driver_tables().strides;
+        out.clear();
+        for ((&stride, &at), &res) in strides.iter().zip(&qrun.ix).zip(&ess.res) {
+            // Linear indices from qrun's grid point outward along this axis.
+            let last_inside = (qrun.li..)
+                .step_by(stride)
+                .take(res - at)
+                .take_while(|&li| self.diagram.opt_cost[li] <= contour.step_cost)
+                .last();
+            if let Some(li) = last_inside {
                 if let Some(&p) = contour
                     .plan_set
                     .iter()
@@ -383,8 +358,49 @@ impl Bouquet {
                 }
             }
         }
-        out
     }
+}
+
+/// The running location: a lower bound on qa, with its grid point — its
+/// downward snap — kept in step one coordinate at a time (axes snap
+/// independently).
+struct Qrun {
+    sel: Vec<f64>,
+    /// Grid coordinates and linear index of `snap_floor(sel)`.
+    ix: Vec<usize>,
+    li: usize,
+}
+
+impl Qrun {
+    /// The ESS origin, which is grid point 0.
+    fn at_origin(b: &Bouquet) -> Self {
+        let ess = &b.workload.ess;
+        Qrun {
+            sel: ess.dims.iter().map(|dim| dim.lo).collect(),
+            ix: vec![0; ess.d()],
+            li: 0,
+        }
+    }
+
+    /// Move coordinate `dim` to `v` and re-snap that axis.
+    fn set(&mut self, b: &Bouquet, dim: usize, v: f64) {
+        if v.to_bits() == self.sel[dim].to_bits() {
+            return;
+        }
+        self.sel[dim] = v;
+        let t = b.workload.ess.snap_floor_dim(dim, v);
+        let stride = b.driver_tables().strides[dim];
+        self.li = self.li - self.ix[dim] * stride + t * stride;
+        self.ix[dim] = t;
+    }
+}
+
+/// Reused buffers of [`Bouquet::select_plan`].
+#[derive(Default)]
+struct SelectScratch {
+    axis: Vec<PlanId>,
+    costs: Vec<(PlanId, f64)>,
+    stack: Vec<NodeCost>,
 }
 
 #[cfg(test)]

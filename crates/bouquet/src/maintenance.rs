@@ -208,6 +208,7 @@ pub fn rescale(
             config: cfg,
             stats,
             programs: std::sync::OnceLock::new(),
+            tables: std::sync::OnceLock::new(),
         },
         report,
     ))

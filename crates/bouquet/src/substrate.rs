@@ -25,7 +25,7 @@
 //! time. Layering: `pb-executor` and `pb-engine` are independent leaves;
 //! `pb-bouquet` sits above both and owns the trait.
 
-use pb_cost::{NodeCost, Parallelism, SelPoint};
+use pb_cost::{NodeCost, NodeCosts, Parallelism, SelPoint};
 use pb_engine::{Database, Engine, EngineOutcome, ResumeBook};
 use pb_executor::{learnable_node, CostResumeBook, Executor};
 use pb_faults::{CancelToken, FaultInjector, PbError};
@@ -150,13 +150,15 @@ pub trait ExecutionSubstrate {
 
 /// The cost-unit simulator as a substrate: plan executions are resolved by
 /// [`pb_executor::Executor`] against the true location `qa`, using the
-/// bouquet's compiled cost programs on the plain path (the basic driver's
-/// hot loop re-costs whole pool plans once per budget probe).
+/// bouquet's compiled cost programs on every path — whole-plan costs for
+/// the plain and native executions, one per-node capture (read through the
+/// plan's monitor table) for the monitored ones.
 pub struct SimulatorSubstrate<'a> {
     b: &'a Bouquet,
     qa: SelPoint,
     ex: Executor<'a>,
     stack: Vec<NodeCost>,
+    nodes: NodeCosts,
     /// Checkpoint book for resumable executions (`None` until
     /// [`ExecutionSubstrate::enable_checkpoint_resume`]).
     resume: Option<CostResumeBook>,
@@ -194,6 +196,7 @@ impl<'a> SimulatorSubstrate<'a> {
             qa: qa.clone(),
             ex,
             stack: Vec::new(),
+            nodes: NodeCosts::default(),
             resume: None,
             reused_cost: 0.0,
             resumed_execs: 0,
@@ -249,14 +252,18 @@ impl<'a> SimulatorSubstrate<'a> {
         Some(SubstrateOutcome::plain(0.0, false, Some(e)))
     }
 
-    /// Credit the largest checkpointed prefix of `root`'s first-executed
-    /// chain against `spent`, then record the chain subtrees this execution
-    /// completed. Returns the reused cost (zero with resume disabled, armed
-    /// faults, or a faulted execution — a failed run is never checkpointed
-    /// and never discounted, so it cannot double-charge).
+    /// Credit the largest checkpointed prefix of the executed tree's
+    /// first-executed chain against `spent`, then record the chain subtrees
+    /// this execution completed. The executed tree is plan `pid`, or — for a
+    /// spilled run under the mask `spilled_under` — its prefix below the
+    /// first unresolved error node. Returns the reused cost (zero with
+    /// resume disabled, armed faults, or a faulted execution — a failed run
+    /// is never checkpointed and never discounted, so it cannot
+    /// double-charge).
     fn resume_discount(
         &mut self,
-        root: &PlanNode,
+        pid: PlanId,
+        spilled_under: Option<&[bool]>,
         spent: f64,
         completed: bool,
         errored: bool,
@@ -267,6 +274,10 @@ impl<'a> SimulatorSubstrate<'a> {
         let Some(book) = self.resume.as_mut() else {
             return 0.0;
         };
+        let plan = &self.b.plan(pid).root;
+        let root = spilled_under
+            .and_then(|resolved| learnable_node(plan, &self.b.workload.query, resolved))
+            .map_or(plan, |(node, _)| node);
         let credit = book.credit(&self.ex, root, &self.qa).min(spent);
         book.record(&self.ex, root, &self.qa, spent, completed);
         if credit > 0.0 {
@@ -275,10 +286,10 @@ impl<'a> SimulatorSubstrate<'a> {
         }
         credit
     }
-}
 
-impl ExecutionSubstrate for SimulatorSubstrate<'_> {
-    fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
+    /// Budget-limited execution of the whole of plan `pid` with no
+    /// monitoring, net of checkpoint reuse.
+    fn execute_whole(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
         if let Some(o) = self.cancelled_outcome() {
             return o;
         }
@@ -289,13 +300,23 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
             budget,
             &mut self.stack,
         );
-        let root = &self.b.plan(pid).root;
-        let reused =
-            self.resume_discount(root, out.spent(), out.completed(), out.error().is_some());
+        let reused = self.resume_discount(
+            pid,
+            None,
+            out.spent(),
+            out.completed(),
+            out.error().is_some(),
+        );
         let mut o =
             SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
         o.reused = reused;
         o
+    }
+}
+
+impl ExecutionSubstrate for SimulatorSubstrate<'_> {
+    fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
+        self.execute_whole(pid, budget)
     }
 
     fn execute_monitored(
@@ -309,10 +330,15 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
             o.spilled = spilled;
             return o;
         }
-        let plan = &self.b.plan(pid).root;
-        let r = self
-            .ex
-            .execute_monitored(plan, &self.qa, resolved, budget, spilled);
+        let r = self.ex.execute_monitored(
+            &self.b.programs()[pid],
+            &self.b.driver_tables().plans[pid].monitor,
+            &self.qa,
+            resolved,
+            budget,
+            spilled,
+            &mut self.nodes,
+        );
         if !self.ex.faults.is_active() {
             if let Some((dim, v)) = r.learned {
                 debug_assert!(
@@ -325,14 +351,18 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         // error node, so the checkpointable chain is that subtree's; the
         // prefix "completed" when the error node consumed its entire input
         // (the dimension resolved).
-        let (resume_root, prefix_completed) = if spilled {
-            let node = learnable_node(plan, &self.b.workload.query, resolved).map(|(n, _)| n);
-            (node.unwrap_or(plan), !r.resolved.is_empty())
+        let prefix_completed = if spilled {
+            !r.resolved.is_empty()
         } else {
-            (plan, r.completed)
+            r.completed
         };
-        let reused =
-            self.resume_discount(resume_root, r.spent, prefix_completed, r.error.is_some());
+        let reused = self.resume_discount(
+            pid,
+            spilled.then_some(resolved),
+            r.spent,
+            prefix_completed,
+            r.error.is_some(),
+        );
         SubstrateOutcome {
             spent: r.spent - reused,
             reused,
@@ -347,19 +377,7 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     }
 
     fn run_native(&mut self, pid: PlanId) -> SubstrateOutcome {
-        if let Some(o) = self.cancelled_outcome() {
-            return o;
-        }
-        let out = self
-            .ex
-            .execute(&self.b.plan(pid).root, &self.qa, f64::INFINITY);
-        let root = &self.b.plan(pid).root;
-        let reused =
-            self.resume_discount(root, out.spent(), out.completed(), out.error().is_some());
-        let mut o =
-            SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
-        o.reused = reused;
-        o
+        self.execute_whole(pid, f64::INFINITY)
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {

@@ -259,15 +259,24 @@ impl Ess {
         self.snap_with(p, |t| (t + 1e-9).floor())
     }
 
+    /// [`snap_floor`](Ess::snap_floor) along one axis: axes snap
+    /// independently, so a caller tracking a moving point re-snaps only the
+    /// coordinate that moved.
+    pub fn snap_floor_dim(&self, d: usize, s: f64) -> usize {
+        self.snap_dim(d, s, |t| (t + 1e-9).floor())
+    }
+
+    fn snap_dim(&self, d: usize, s: f64, round: impl Fn(f64) -> f64) -> usize {
+        let dim = &self.dims[d];
+        let steps = (self.res[d] - 1) as f64;
+        let s = s.clamp(dim.lo, dim.hi);
+        let t = (s / dim.lo).ln() / (dim.hi / dim.lo).ln();
+        (round(t * steps).max(0.0) as usize).min(self.res[d] - 1)
+    }
+
     fn snap_with(&self, p: &SelPoint, round: impl Fn(f64) -> f64) -> GridIx {
         (0..self.d())
-            .map(|d| {
-                let dim = &self.dims[d];
-                let steps = (self.res[d] - 1) as f64;
-                let s = p[d].clamp(dim.lo, dim.hi);
-                let t = (s / dim.lo).ln() / (dim.hi / dim.lo).ln();
-                (round(t * steps).max(0.0) as usize).min(self.res[d] - 1)
-            })
+            .map(|d| self.snap_dim(d, p[d], &round))
             .collect()
     }
 }

@@ -46,5 +46,5 @@ pub use parallel::{
 };
 pub use params::{CostModel, CostParams};
 pub use pb_plan::DimKind;
-pub use program::CostProgram;
+pub use program::{CostProgram, NodeCosts};
 pub use sample::{sample_distinct, SplitMix64};

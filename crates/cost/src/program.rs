@@ -126,6 +126,14 @@ pub struct CostProgram {
     roots: u32,
 }
 
+/// Reusable scratch of [`CostProgram::eval_nodes`]: the evaluation stack and
+/// the per-op estimates of the last evaluation.
+#[derive(Debug, Default)]
+pub struct NodeCosts {
+    stack: Vec<NodeCost>,
+    nodes: Vec<NodeCost>,
+}
+
 /// A distinct sub-plan of the set being compiled: how often evaluating the
 /// set reaches it (an occurrence inside an already-seen sub-plan is never
 /// reached — that one is recalled whole) and its register once lowered.
@@ -412,9 +420,16 @@ impl CostProgram {
     }
 
     /// The one evaluator: run every op at `q`, leaving the compiled plans'
-    /// estimates on `stack` above the registers.
+    /// estimates on `stack` above the registers. With `CAPTURE` every op's
+    /// estimate is also appended to `nodes`, so `nodes[i]` is what the
+    /// sub-plan ending at op `i` costs on its own.
     #[inline]
-    fn run(&self, q: &[f64], stack: &mut Vec<NodeCost>) {
+    fn run<const CAPTURE: bool>(
+        &self,
+        q: &[f64],
+        stack: &mut Vec<NodeCost>,
+        nodes: &mut Vec<NodeCost>,
+    ) {
         stack.clear();
         let unset = NodeCost {
             rows: 0.0,
@@ -542,11 +557,18 @@ impl CostProgram {
                     formulas::spill(p, &input)
                 }
                 ProgOp::Keep(reg) => {
-                    stack[*reg as usize] = *stack.last().expect("keep: missing estimate");
+                    let top = *stack.last().expect("keep: missing estimate");
+                    stack[*reg as usize] = top;
+                    if CAPTURE {
+                        nodes.push(top);
+                    }
                     continue;
                 }
                 ProgOp::Recall(reg) => stack[*reg as usize],
             };
+            if CAPTURE {
+                nodes.push(nc);
+            }
             stack.push(nc);
         }
     }
@@ -555,8 +577,19 @@ impl CostProgram {
     /// as scratch space.
     pub fn eval_with(&self, q: &[f64], stack: &mut Vec<NodeCost>) -> NodeCost {
         debug_assert_eq!(self.roots, 1, "eval_with is for single-plan programs");
-        self.run(q, stack);
+        self.run::<false>(q, stack, &mut Vec::new());
         stack.pop().expect("empty cost program")
+    }
+
+    /// Evaluate at `q` keeping every op's estimate: entry `i` of the result
+    /// is the estimate of the sub-plan whose last op is op `i` — in a
+    /// single-plan program, of the plan's `i`-th node in post-order, the
+    /// whole plan last. One evaluation thus prices a plan and every subtree
+    /// of it, each bit-identical to evaluating that subtree alone.
+    pub fn eval_nodes<'s>(&self, q: &[f64], scratch: &'s mut NodeCosts) -> &'s [NodeCost] {
+        scratch.nodes.clear();
+        self.run::<true>(q, &mut scratch.stack, &mut scratch.nodes);
+        &scratch.nodes
     }
 
     /// Evaluate every compiled plan at `q` reusing `stack` as scratch
@@ -567,7 +600,7 @@ impl CostProgram {
         stack: &mut Vec<NodeCost>,
         mut emit: impl FnMut(usize, f64),
     ) {
-        self.run(q, stack);
+        self.run::<false>(q, stack, &mut Vec::new());
         for (i, plan) in stack[self.regs as usize..].iter().enumerate() {
             emit(i, plan.cost);
         }
@@ -663,6 +696,48 @@ mod tests {
                 assert_eq!(walked.width.to_bits(), compiled.width.to_bits());
             }
         }
+    }
+
+    /// The per-op capture prices every subtree of a plan in one evaluation,
+    /// bit-equal to the tree walk over that subtree alone — and, in a plan
+    /// set, stays aligned with the op array across `Keep` / `Recall`.
+    #[test]
+    fn captured_nodes_match_tree_walk_of_every_subtree() {
+        let (cat, q, m) = setup();
+        let c = Coster::new(&cat, &q, &m);
+        let plan = deep_plan();
+        let mut post = Vec::new();
+        fn postorder<'p>(n: &'p PlanNode, out: &mut Vec<&'p PlanNode>) {
+            for child in n.children() {
+                postorder(child, out);
+            }
+            out.push(n);
+        }
+        postorder(&plan, &mut post);
+        let prog = CostProgram::compile(&cat, &q, &m, &plan);
+        let mut scratch = NodeCosts::default();
+        for s in [1e-4, 3.7e-3, 0.2512, 1.0] {
+            let nodes = prog.eval_nodes(&[s], &mut scratch);
+            assert_eq!(nodes.len(), post.len());
+            for (got, sub) in nodes.iter().zip(&post) {
+                let walked = c.cost(sub, &[s]);
+                assert_eq!(got.cost.to_bits(), walked.cost.to_bits());
+                assert_eq!(got.rows.to_bits(), walked.rows.to_bits());
+                assert_eq!(got.width.to_bits(), walked.width.to_bits());
+            }
+        }
+        let shared = PlanNode::SeqScan { rel: 1 };
+        let set = [shared.clone().spilled(), shared.clone()];
+        let prog = CostProgram::compile_set(&cat, &q, &m, &set);
+        let nodes = prog.eval_nodes(&[0.5], &mut scratch);
+        assert_eq!(nodes.len(), prog.len());
+        // scan, Keep, Spill, Recall.
+        assert_eq!(nodes[1].cost.to_bits(), nodes[0].cost.to_bits());
+        assert_eq!(nodes[3].cost.to_bits(), nodes[0].cost.to_bits());
+        assert_eq!(
+            nodes[2].cost.to_bits(),
+            c.plan_cost(&set[0], &[0.5]).to_bits()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Budgeted plan execution in cost units.
 
-use pb_cost::{CostPerturbation, CostProgram, Coster, NodeCost};
+use pb_cost::{CostPerturbation, CostProgram, Coster, NodeCost, NodeCosts};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec, RelIdx};
 
@@ -56,6 +56,37 @@ pub struct RunResult {
     pub error: Option<PbError>,
 }
 
+/// Error dimensions applied at `node` itself — by its join edges, then by
+/// the selections of the relation it scans or probes — that pass `keep`,
+/// each once, in that order.
+fn dims_applied_at(node: &PlanNode, query: &QuerySpec, keep: impl Fn(DimId) -> bool) -> Vec<DimId> {
+    let mut dims: Vec<DimId> = Vec::new();
+    for &e in node.edges() {
+        if let Some(d) = query.joins[e].selectivity.error_dim() {
+            if keep(d) && !dims.contains(&d) {
+                dims.push(d);
+            }
+        }
+    }
+    let scan_rel: Option<RelIdx> = match node {
+        PlanNode::SeqScan { rel }
+        | PlanNode::IndexScan { rel, .. }
+        | PlanNode::FullIndexScan { rel, .. } => Some(*rel),
+        PlanNode::IndexNLJoin { inner_rel, .. } => Some(*inner_rel),
+        _ => None,
+    };
+    if let Some(rel) = scan_rel {
+        for s in &query.relations[rel].selections {
+            if let Some(d) = s.selectivity.error_dim() {
+                if keep(d) && !dims.contains(&d) {
+                    dims.push(d);
+                }
+            }
+        }
+    }
+    dims
+}
+
 /// Find the first node, in execution (post)order, that applies at least one
 /// error dimension not yet in `resolved`. Because the traversal is
 /// post-order, no unresolved dimension is applied below the returned node,
@@ -73,34 +104,91 @@ pub fn learnable_node<'p>(
             return Some(hit);
         }
     }
-    let mut dims: Vec<DimId> = Vec::new();
-    for &e in plan.edges() {
-        if let Some(d) = query.joins[e].selectivity.error_dim() {
-            if !resolved[d] && !dims.contains(&d) {
-                dims.push(d);
-            }
-        }
-    }
-    let scan_rel: Option<RelIdx> = match plan {
-        PlanNode::SeqScan { rel }
-        | PlanNode::IndexScan { rel, .. }
-        | PlanNode::FullIndexScan { rel, .. } => Some(*rel),
-        PlanNode::IndexNLJoin { inner_rel, .. } => Some(*inner_rel),
-        _ => None,
-    };
-    if let Some(rel) = scan_rel {
-        for s in &query.relations[rel].selections {
-            if let Some(d) = s.selectivity.error_dim() {
-                if !resolved[d] && !dims.contains(&d) {
-                    dims.push(d);
-                }
-            }
-        }
-    }
+    let dims = dims_applied_at(plan, query, |d| !resolved[d]);
     if dims.is_empty() {
         None
     } else {
         Some((plan, dims))
+    }
+}
+
+/// One error-applying node of a plan, as the monitored execution needs it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorNode {
+    /// Index of the node's op in the plan's single-plan [`CostProgram`] (its
+    /// post-order position), so the captured estimate at that index is the
+    /// node's subtree cost.
+    pub op: usize,
+    /// Error dimensions applied here, in [`learnable_node`] order.
+    pub dims: Vec<DimId>,
+    /// Fingerprint of the subtree rooted here (the model-error perturbation
+    /// of a spilled prefix keys off it).
+    pub fingerprint: PlanFingerprint,
+    /// `(op index, fingerprint)` of each child subtree, outer/left first.
+    pub children: Vec<(usize, PlanFingerprint)>,
+}
+
+/// [`learnable_node`] for every `resolved` mask at once: a plan's
+/// error-applying nodes in post-order. The learnable node under a mask is
+/// the first entry with an unresolved dimension, and its dimensions are that
+/// entry's with the resolved ones dropped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonitorTable {
+    /// Fingerprint of the whole plan.
+    root: PlanFingerprint,
+    /// Nodes in the plan (= ops in its program).
+    size: usize,
+    nodes: Vec<MonitorNode>,
+}
+
+impl MonitorTable {
+    pub fn build(plan: &PlanNode, query: &QuerySpec) -> Self {
+        /// Post-order walk; returns the op index of `node`.
+        fn walk(
+            node: &PlanNode,
+            query: &QuerySpec,
+            next_op: &mut usize,
+            out: &mut Vec<MonitorNode>,
+        ) -> usize {
+            let children: Vec<(usize, PlanFingerprint)> = node
+                .children()
+                .into_iter()
+                .map(|c| (walk(c, query, next_op, out), c.fingerprint()))
+                .collect();
+            let op = *next_op;
+            *next_op += 1;
+            let dims = dims_applied_at(node, query, |_| true);
+            if !dims.is_empty() {
+                out.push(MonitorNode {
+                    op,
+                    dims,
+                    fingerprint: node.fingerprint(),
+                    children,
+                });
+            }
+            op
+        }
+        let (mut size, mut nodes) = (0, Vec::new());
+        walk(plan, query, &mut size, &mut nodes);
+        MonitorTable {
+            root: plan.fingerprint(),
+            size,
+            nodes,
+        }
+    }
+
+    /// The error-applying nodes, in post-order.
+    pub fn nodes(&self) -> &[MonitorNode] {
+        &self.nodes
+    }
+
+    /// The first node, in post-order, applying a dimension not in
+    /// `resolved`, with the first such dimension.
+    pub fn learnable(&self, resolved: &[bool]) -> Option<(&MonitorNode, DimId)> {
+        self.nodes.iter().find_map(|n| {
+            let first = n.dims.iter().copied().find(|&d| !resolved[d])?;
+            Some((n, first))
+        })
     }
 }
 
@@ -141,8 +229,13 @@ impl<'a> Executor<'a> {
     /// true location `qa` (modeled cost × bounded model-error factor; an
     /// armed injector may additionally spike the cost beyond the δ band).
     pub fn actual_cost(&self, plan: &PlanNode, qa: &[f64]) -> f64 {
-        let modeled = self.coster.plan_cost(plan, qa);
-        let actual = self.perturb.actual_cost(plan.fingerprint(), qa, modeled);
+        self.realized(plan.fingerprint(), qa, self.coster.plan_cost(plan, qa))
+    }
+
+    /// What a plan fingerprinted `fp` actually costs to run at `qa` when the
+    /// model says `modeled` (one spike consultation per call).
+    fn realized(&self, fp: PlanFingerprint, qa: &[f64], modeled: f64) -> f64 {
+        let actual = self.perturb.actual_cost(fp, qa, modeled);
         if self.faults.is_active() {
             actual * self.faults.spike_factor()
         } else {
@@ -207,13 +300,7 @@ impl<'a> Executor<'a> {
         qa: &[f64],
         stack: &mut Vec<NodeCost>,
     ) -> f64 {
-        let modeled = prog.eval_with(qa, stack).cost;
-        let actual = self.perturb.actual_cost(fp, qa, modeled);
-        if self.faults.is_active() {
-            actual * self.faults.spike_factor()
-        } else {
-            actual
-        }
+        self.realized(fp, qa, prog.eval_with(qa, stack).cost)
     }
 
     /// [`execute`](Executor::execute) via a compiled program — the basic
@@ -245,14 +332,25 @@ impl<'a> Executor<'a> {
     /// input, so its tuple counter certifies a selectivity lower bound of
     /// that fraction × the true value. The fraction is capped at 1, which
     /// guarantees the first-quadrant invariant.
+    ///
+    /// `prog` is the plan's single-plan program and `table` its monitor
+    /// table. One captured evaluation prices the plan, the spilled prefix
+    /// and `E`'s inputs: the captured estimate at a node's op index is
+    /// bit-identical to costing that subtree alone, and the perturbation
+    /// keys off the subtree fingerprints the table recorded, so the outcome
+    /// equals the tree walk's bit for bit.
+    #[allow(clippy::too_many_arguments)] // the plan (program + table), the location, the request, scratch
     pub fn execute_monitored(
         &self,
-        plan: &PlanNode,
+        prog: &CostProgram,
+        table: &MonitorTable,
         qa: &[f64],
         resolved: &[bool],
         budget: f64,
         spilled: bool,
+        scratch: &mut NodeCosts,
     ) -> RunResult {
+        debug_assert_eq!(prog.len(), table.size, "table built from another plan");
         if self.faults.is_active() {
             if spilled {
                 if let Some(error) = self.faults.spill_failure("executor:spill") {
@@ -287,11 +385,15 @@ impl<'a> Executor<'a> {
         } else {
             budget
         };
-        let learnable = learnable_node(plan, self.coster.query, resolved);
-        let Some((node, dims)) = learnable else {
+        let nodes = prog.eval_nodes(qa, scratch);
+        // Actual cost of the subtree ending at op `op`, run as a plan of its
+        // own.
+        let actual = |op: usize, fp| self.realized(fp, qa, nodes[op].cost);
+        let root = table.size - 1;
+        let Some((node, dim)) = table.learnable(resolved) else {
             // No unresolved error dimension in this plan: pure completion
             // attempt; nothing to learn on abort.
-            let cost = self.actual_cost(plan, qa);
+            let cost = actual(root, table.root);
             return if cost <= budget {
                 RunResult {
                     completed: true,
@@ -314,39 +416,29 @@ impl<'a> Executor<'a> {
         // Cost of the executed tree.
         let exec_tree_cost = if spilled {
             // Subtree rooted at the error node, output discarded.
-            let sub = self.coster.cost(node, qa);
-            self.perturb
-                .actual_cost(node.fingerprint(), qa, self.coster.spill(&sub).cost)
+            let prefix = self.coster.spill(&nodes[node.op]).cost;
+            self.perturb.actual_cost(node.fingerprint, qa, prefix)
         } else {
-            self.actual_cost(plan, qa)
+            actual(root, table.root)
         };
         // Cost of the error node's inputs — fully known to the driver since
         // no unresolved dimension occurs below the node.
-        let input_cost: f64 = node
-            .children()
-            .iter()
-            .map(|c| self.actual_cost(c, qa))
-            .sum();
+        let input_cost: f64 = node.children.iter().map(|&(op, fp)| actual(op, fp)).sum();
 
-        let dim = dims[0];
         if exec_tree_cost <= budget {
-            if spilled {
-                // Prefix completed: all dims applied at this node resolve.
-                RunResult {
-                    completed: false,
-                    spent: exec_tree_cost,
-                    learned: Some((dim, self.faults.corrupt_observation(qa[dim]))),
-                    resolved: dims,
-                    error: None,
-                }
-            } else {
-                RunResult {
-                    completed: true,
-                    spent: exec_tree_cost,
-                    learned: Some((dim, self.faults.corrupt_observation(qa[dim]))),
-                    resolved: dims,
-                    error: None,
-                }
+            // Completed — the query, or with `spilled` only the prefix:
+            // either way all dims applied at this node resolve.
+            RunResult {
+                completed: !spilled,
+                spent: exec_tree_cost,
+                learned: Some((dim, self.faults.corrupt_observation(qa[dim]))),
+                resolved: node
+                    .dims
+                    .iter()
+                    .copied()
+                    .filter(|&d| !resolved[d])
+                    .collect(),
+                error: None,
             }
         } else {
             let denom = (exec_tree_cost - input_cost).max(f64::MIN_POSITIVE);
@@ -540,6 +632,23 @@ mod tests {
         }
     }
 
+    /// Monitored execution of `plan` through a freshly compiled program and
+    /// monitor table.
+    fn monitored(
+        ex: &Executor<'_>,
+        plan: &PlanNode,
+        qa: &[f64],
+        resolved: &[bool],
+        budget: f64,
+        spilled: bool,
+    ) -> RunResult {
+        let c = ex.coster;
+        let prog = CostProgram::compile(c.catalog, c.query, c.model, plan);
+        let table = MonitorTable::build(plan, c.query);
+        let mut scratch = NodeCosts::default();
+        ex.execute_monitored(&prog, &table, qa, resolved, budget, spilled, &mut scratch)
+    }
+
     #[test]
     fn execute_completes_iff_cost_fits() {
         let (cat, q, m) = setup();
@@ -593,6 +702,31 @@ mod tests {
     }
 
     #[test]
+    fn monitor_table_lists_error_nodes_in_post_order() {
+        let (_, q, _) = setup();
+        let plan = sample_plan();
+        let table = MonitorTable::build(&plan, &q);
+        // Post-order ops: IndexScan 0, SeqScan 1, HashJoin 2, IndexNLJoin 3.
+        let [scan, join] = table.nodes() else {
+            panic!("two error-applying nodes expected: {table:?}");
+        };
+        assert_eq!((scan.op, scan.dims.as_slice()), (0, &[0][..]));
+        assert!(scan.children.is_empty());
+        assert_eq!((join.op, join.dims.as_slice()), (2, &[1][..]));
+        let ops: Vec<usize> = join.children.iter().map(|c| c.0).collect();
+        assert_eq!(ops, vec![0, 1]);
+        for mask in [[false, false], [true, false], [false, true], [true, true]] {
+            let walked = learnable_node(&plan, &q, &mask);
+            let tabled = table.learnable(&mask);
+            assert_eq!(walked.is_some(), tabled.is_some());
+            if let (Some((node, dims)), Some((entry, first))) = (walked, tabled) {
+                assert_eq!(node.fingerprint(), entry.fingerprint);
+                assert_eq!(dims[0], first);
+            }
+        }
+    }
+
+    #[test]
     fn monitored_learning_respects_first_quadrant() {
         let (cat, q, m) = setup();
         let ex = Executor::new(Coster::new(&cat, &q, &m));
@@ -600,7 +734,7 @@ mod tests {
         let plan = sample_plan();
         for budget_frac in [0.01, 0.1, 0.5, 0.9] {
             let full = ex.actual_cost(&plan, &qa);
-            let r = ex.execute_monitored(&plan, &qa, &[false, false], full * budget_frac, false);
+            let r = monitored(&ex, &plan, &qa, &[false, false], full * budget_frac, false);
             assert!(!r.completed);
             if let Some((d, v)) = r.learned {
                 assert_eq!(d, 0);
@@ -617,8 +751,8 @@ mod tests {
         let qa = [0.05, 2e-6];
         let plan = sample_plan();
         let budget = ex.actual_cost(&plan, &qa) * 0.2;
-        let spilled = ex.execute_monitored(&plan, &qa, &[false, false], budget, true);
-        let unspilled = ex.execute_monitored(&plan, &qa, &[false, false], budget, false);
+        let spilled = monitored(&ex, &plan, &qa, &[false, false], budget, true);
+        let unspilled = monitored(&ex, &plan, &qa, &[false, false], budget, false);
         let lv = |r: &RunResult| r.learned.map(|(_, v)| v).unwrap_or(0.0);
         assert!(
             lv(&spilled) >= lv(&unspilled) - 1e-15,
@@ -635,7 +769,7 @@ mod tests {
         let qa = [0.05, 2e-6];
         let plan = sample_plan();
         // Huge budget: the spilled prefix (IndexScan on part) completes.
-        let r = ex.execute_monitored(&plan, &qa, &[false, false], 1e12, true);
+        let r = monitored(&ex, &plan, &qa, &[false, false], 1e12, true);
         assert!(!r.completed);
         assert_eq!(r.resolved, vec![0]);
         assert_eq!(r.learned, Some((0, qa[0])));
@@ -647,7 +781,7 @@ mod tests {
         let (cat, q, m) = setup();
         let ex = Executor::new(Coster::new(&cat, &q, &m));
         let qa = [0.05, 2e-6];
-        let r = ex.execute_monitored(&sample_plan(), &qa, &[false, false], 1e12, false);
+        let r = monitored(&ex, &sample_plan(), &qa, &[false, false], 1e12, false);
         assert!(r.completed);
         assert_eq!(r.resolved, vec![0]);
     }
@@ -659,7 +793,7 @@ mod tests {
         let qa = [0.05, 2e-6];
         let plan = sample_plan();
         let cost = ex.actual_cost(&plan, &qa);
-        let r = ex.execute_monitored(&plan, &qa, &[true, true], cost * 0.5, false);
+        let r = monitored(&ex, &plan, &qa, &[true, true], cost * 0.5, false);
         assert!(!r.completed);
         assert!(r.learned.is_none());
         assert_eq!(r.spent, cost * 0.5);

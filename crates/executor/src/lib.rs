@@ -24,4 +24,6 @@
 
 pub mod executor;
 
-pub use executor::{learnable_node, CostResumeBook, ExecOutcome, Executor, RunResult};
+pub use executor::{
+    learnable_node, CostResumeBook, ExecOutcome, Executor, MonitorNode, MonitorTable, RunResult,
+};

@@ -1,5 +1,5 @@
-//! Allocation volume of the vectorized engine's intermediates, and of one
-//! optimizer call.
+//! Allocation volume of the vectorized engine's intermediates, of one
+//! optimizer call, and of one optimized-driver run.
 //!
 //! A `VRel` carries base-table row ids, not copied column values, so what an
 //! execution allocates is bounded by its *output rows × relations × 4 B*
@@ -11,11 +11,16 @@
 //! The DP optimizer runs at every grid point of a query, out of a skeleton
 //! and a scratch memo it keeps between calls; the same allocator pins that
 //! a call requests memory for the plan it returns and for nothing else.
+//!
+//! The optimized driver decides out of per-bouquet tables and scratch it
+//! keeps for the run; the allocator pins that a run allocates a constant
+//! number of times plus a constant per *execution* — never per contour it
+//! skips, per frontier point it scans or per node of a plan it weighs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use plan_bouquet::bouquet::Workload;
+use plan_bouquet::bouquet::{Bouquet, BouquetConfig, Workload};
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
 use plan_bouquet::plan::PlanNode;
 use plan_bouquet::workloads;
@@ -24,6 +29,8 @@ thread_local! {
     /// Bytes requested by this thread (const-initialized and without a
     /// destructor, so the allocator may touch it at any time).
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// Allocator calls (allocations and reallocations) by this thread.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -33,6 +40,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REQUESTED.with(|b| b.set(b.get() + layout.size()));
+        CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -43,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grown vector may be copied whole: count the new block.
         REQUESTED.with(|b| b.set(b.get() + new_size));
+        CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -154,5 +163,36 @@ fn warm_optimizer_call_allocates_only_the_winning_plan() {
     assert!(
         bytes <= tree,
         "optimize requested {bytes} B for a {nodes}-node plan of {tree} B"
+    );
+}
+
+#[test]
+fn optimized_run_allocates_per_execution_not_per_decision() {
+    let w = workloads::by_name("5D_DS_Q19").expect("registry workload");
+    let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+    let ess = &w.ess;
+    // The first run compiles the programs and builds the decision tables.
+    b.run_optimized(&ess.point(&ess.terminus())).unwrap();
+    let mut most_execs = 0;
+    for li in (0..ess.num_points()).step_by(211) {
+        let qa = ess.point(&ess.unlinear(li));
+        let before = CALLS.with(Cell::get);
+        let run = b.run_optimized(&qa).unwrap();
+        let calls = CALLS.with(Cell::get) - before;
+        let execs = run.trace.len();
+        most_execs = most_execs.max(execs);
+        // Measured 15 + 1.2 × executions: the substrate, the run's scratch
+        // vectors and its trace, then per execution what it reports as
+        // learned and the trace's growth. The tree-walking driver took 71
+        // calls for a run of one execution and 60–80 per execution beyond.
+        assert!(
+            calls <= 20 + 2 * execs,
+            "location {li}: {calls} allocator calls for {execs} executions over {} contours",
+            run.contours_crossed()
+        );
+    }
+    assert!(
+        most_execs >= 20,
+        "sample misses the long runs: {most_execs}"
     );
 }

@@ -1,13 +1,18 @@
 //! Property-based tests (proptest) over the core invariants: Plan Cost
 //! Monotonicity, grading geometry, the first-quadrant invariant, and the
-//! sub-optimality guarantee at arbitrary (off-grid) locations.
+//! sub-optimality guarantee at arbitrary (off-grid) locations — and the
+//! compiled monitored execution against the tree walk that defines it.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use plan_bouquet::bouquet::{Bouquet, BouquetConfig, IsoCostGrading};
-use plan_bouquet::cost::SelPoint;
+use plan_bouquet::bouquet::{Bouquet, BouquetConfig, IsoCostGrading, Workload};
+use plan_bouquet::cost::{CostPerturbation, CostProgram, Ess, NodeCosts, Parallelism, SelPoint};
+use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, RunResult};
+use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
+use plan_bouquet::optimizer::PlanDiagram;
+use plan_bouquet::plan::{PhysicalPlan, PlanNode};
 use plan_bouquet::workloads;
 
 fn bouquet_2d() -> &'static Bouquet {
@@ -16,6 +21,156 @@ fn bouquet_2d() -> &'static Bouquet {
         let w = workloads::h_q8a_2d(1.0);
         Bouquet::identify(&w, &BouquetConfig::default()).unwrap()
     })
+}
+
+/// Every registry workload with its POSP plans. Grids are shrunk to a few
+/// hundred points: the plans, not the locations, are what the tests below
+/// range over.
+fn registry_plans() -> &'static Vec<(Workload, Vec<PhysicalPlan>)> {
+    static P: OnceLock<Vec<(Workload, Vec<PhysicalPlan>)>> = OnceLock::new();
+    P.get_or_init(|| {
+        let extra = [
+            "EQ_1D",
+            "2D_H_Q8A",
+            "ANTI_2D",
+            "3D_H_Q5B",
+            "4D_H_Q8B",
+            "HOSTILE_INEQ_2D",
+            "HOSTILE_ANTI_2D",
+        ];
+        (workloads::specs().iter().map(|spec| spec.name))
+            .chain(extra)
+            .map(|name| {
+                let mut w = workloads::by_name(name).expect("registry workload");
+                let res = [64, 16, 6, 4, 3][w.d().min(5) - 1];
+                w.ess = Ess::uniform(w.ess.dims.clone(), res);
+                let d = PlanDiagram::build_with(
+                    &w.catalog,
+                    &w.query,
+                    &w.model,
+                    &w.ess,
+                    Parallelism::serial(),
+                );
+                (w, d.plans)
+            })
+            .collect()
+    })
+}
+
+/// The monitored execution as a tree walk — the definition
+/// `Executor::execute_monitored` is compiled from. It finds the learnable
+/// node by recursion, re-costs the plan, the spilled prefix and each input
+/// of the error node with the tree-walking `Coster`, and consults the fault
+/// hooks in the order the compiled version must keep.
+fn execute_monitored_by_tree_walk(
+    ex: &Executor<'_>,
+    plan: &PlanNode,
+    qa: &[f64],
+    resolved: &[bool],
+    budget: f64,
+    spilled: bool,
+) -> RunResult {
+    let failed = |spent, error| RunResult {
+        completed: false,
+        spent,
+        learned: None,
+        resolved: Vec::new(),
+        error: Some(error),
+    };
+    if ex.faults.is_active() {
+        if spilled {
+            if let Some(error) = ex.faults.spill_failure("executor:spill") {
+                return failed(0.0, error);
+            }
+        }
+        if let Some((frac, error)) = ex.faults.exec_failure("executor:monitored") {
+            let spent = if budget.is_finite() {
+                budget * frac
+            } else {
+                0.0
+            };
+            return failed(spent, error);
+        }
+    }
+    let budget = if budget.is_finite() {
+        ex.faults.skewed_budget(budget)
+    } else {
+        budget
+    };
+    let Some((node, dims)) = learnable_node(plan, ex.coster.query, resolved) else {
+        let cost = ex.actual_cost(plan, qa);
+        return if cost <= budget {
+            RunResult {
+                completed: true,
+                spent: cost,
+                learned: None,
+                resolved: Vec::new(),
+                error: None,
+            }
+        } else {
+            RunResult {
+                completed: false,
+                spent: budget * ex.faults.abort_charge_factor(),
+                learned: None,
+                resolved: Vec::new(),
+                error: None,
+            }
+        };
+    };
+    let exec_tree_cost = if spilled {
+        let sub = ex.coster.cost(node, qa);
+        ex.perturb
+            .actual_cost(node.fingerprint(), qa, ex.coster.spill(&sub).cost)
+    } else {
+        ex.actual_cost(plan, qa)
+    };
+    let input_cost: f64 = node.children().iter().map(|c| ex.actual_cost(c, qa)).sum();
+    let dim = dims[0];
+    if exec_tree_cost <= budget {
+        RunResult {
+            completed: !spilled,
+            spent: exec_tree_cost,
+            learned: Some((dim, ex.faults.corrupt_observation(qa[dim]))),
+            resolved: dims,
+            error: None,
+        }
+    } else {
+        let denom = (exec_tree_cost - input_cost).max(f64::MIN_POSITIVE);
+        let frac = ((budget - input_cost) / denom).clamp(0.0, 1.0);
+        RunResult {
+            completed: false,
+            spent: budget * ex.faults.abort_charge_factor(),
+            learned: (frac > 0.0).then_some((dim, ex.faults.corrupt_observation(frac * qa[dim]))),
+            resolved: Vec::new(),
+            error: None,
+        }
+    }
+}
+
+/// Every executor-level fault kind, each on its own seeded coin.
+fn executor_faults(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .with(FaultKind::SpillFailure, Trigger::PerMille(150))
+        .with(
+            FaultKind::OperatorFailure { waste_frac: 0.4 },
+            Trigger::PerMille(150),
+        )
+        .with(
+            FaultKind::BudgetClockSkew { factor: 0.7 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::PerturbationSpike { factor: 3.0 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::CorruptObservation { scale: 2.5 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::LedgerOverCharge { factor: 1.5 },
+            Trigger::PerMille(300),
+        )
 }
 
 /// A random location inside the 2D ESS, as per-axis fractions.
@@ -155,10 +310,106 @@ proptest! {
         let full = ex.actual_cost(plan, &qa);
         let (lo_b, hi_b) = (full * b1.min(b2), full * b1.max(b2));
         let resolved = vec![false; w.ess.d()];
-        let r_lo = ex.execute_monitored(plan, &qa, &resolved, lo_b, true);
-        let r_hi = ex.execute_monitored(plan, &qa, &resolved, hi_b, true);
-        let v = |r: &plan_bouquet::executor::RunResult| r.learned.map(|(_, v)| v).unwrap_or(0.0);
-        prop_assert!(v(&r_hi) >= v(&r_lo) * (1.0 - 1e-12));
+        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
+        let table = MonitorTable::build(plan, &w.query);
+        let mut scratch = NodeCosts::default();
+        let mut learned = |budget| {
+            ex.execute_monitored(&prog, &table, &qa, &resolved, budget, true, &mut scratch)
+                .learned
+                .map_or(0.0, |(_, v)| v)
+        };
+        prop_assert!(learned(hi_b) >= learned(lo_b) * (1.0 - 1e-12));
+    }
+
+    /// The compiled monitored execution equals the tree walk it replaced —
+    /// `RunResult` for `RunResult`, spend and learned value bit for bit —
+    /// on random registry plans × `resolved` masks × a budget ladder ×
+    /// spilled or not, under a δ = 0.4 model error; and again with every
+    /// executor fault armed, where the same seed must yield the same fault
+    /// stream and so the same outcomes, `Failed` ones included.
+    #[test]
+    fn compiled_monitored_execution_equals_the_tree_walk(
+        pick in [any::<u32>(), any::<u32>(), any::<u32>()],
+        f in [0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0],
+        seed in any::<u64>(),
+    ) {
+        let pool = registry_plans();
+        let (w, plans) = &pool[pick[0] as usize % pool.len()];
+        let plan = &plans[pick[1] as usize % plans.len()].root;
+        let qa = w.ess.point_at_fractions(&f[..w.d()]);
+        let resolved: Vec<bool> = (0..w.d()).map(|dm| pick[2] >> dm & 1 == 1).collect();
+        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
+        let table = MonitorTable::build(plan, &w.query);
+        let mut scratch = NodeCosts::default();
+        let perturb = CostPerturbation::with_delta(0.4, seed);
+        let full = Executor::with_perturbation(w.coster(), perturb).actual_cost(plan, &qa);
+        let ladder = [0.0, 0.003, 0.05, 0.4, 0.97, 1.0, 1.6, f64::INFINITY].map(|b| full * b);
+        for armed in [false, true] {
+            let executor = || {
+                let faults = if armed { executor_faults(seed) } else { FaultPlan::none() };
+                Executor::with_perturbation(w.coster(), perturb)
+                    .with_faults(FaultInjector::new(&faults))
+            };
+            // One injector per side, consulted over the whole ladder: a hook
+            // fired out of order on one rung shifts every later one.
+            let (compiled, oracle) = (executor(), executor());
+            for budget in ladder {
+                for spilled in [true, false] {
+                    let got = compiled.execute_monitored(
+                        &prog, &table, &qa, &resolved, budget, spilled, &mut scratch,
+                    );
+                    let want =
+                        execute_monitored_by_tree_walk(&oracle, plan, &qa, &resolved, budget, spilled);
+                    prop_assert_eq!(&got, &want, "{} budget {budget} spilled {spilled} armed {armed}", w.name);
+                    prop_assert_eq!(got.spent.to_bits(), want.spent.to_bits());
+                    prop_assert_eq!(
+                        got.learned.map(|(dm, v)| (dm, v.to_bits())),
+                        want.learned.map(|(dm, v)| (dm, v.to_bits()))
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The monitor table answers `learnable_node` for every `resolved` mask of
+/// every POSP plan of every registry workload: same node (by subtree
+/// fingerprint and by the cost captured at its op index), same dimensions
+/// in the same order, same children.
+#[test]
+fn monitor_table_matches_learnable_node_on_every_registry_plan() {
+    let mut scratch = NodeCosts::default();
+    for (w, plans) in registry_plans() {
+        let coster = w.coster();
+        let qa = w.ess.point_at_fractions(&vec![0.6; w.d()]);
+        for plan in plans {
+            let plan = &plan.root;
+            let table = MonitorTable::build(plan, &w.query);
+            let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
+            let nodes = prog.eval_nodes(&qa, &mut scratch);
+            for mask in 0..1u32 << w.d() {
+                let resolved: Vec<bool> = (0..w.d()).map(|dm| mask >> dm & 1 == 1).collect();
+                let walked = learnable_node(plan, &w.query, &resolved);
+                let Some((entry, first)) = table.learnable(&resolved) else {
+                    assert!(walked.is_none(), "{}: table misses a node", w.name);
+                    continue;
+                };
+                let (node, dims) = walked.expect("table invents a node");
+                assert_eq!(entry.fingerprint, node.fingerprint());
+                let open: Vec<usize> = (entry.dims.iter().copied())
+                    .filter(|&dm| !resolved[dm])
+                    .collect();
+                assert_eq!((open.as_slice(), first), (dims.as_slice(), dims[0]));
+                let at = |op: usize| nodes[op].cost.to_bits();
+                assert_eq!(at(entry.op), coster.plan_cost(node, &qa).to_bits());
+                let children = node.children();
+                assert_eq!(entry.children.len(), children.len());
+                for (&(op, fp), child) in entry.children.iter().zip(children) {
+                    assert_eq!(fp, child.fingerprint());
+                    assert_eq!(at(op), coster.plan_cost(child, &qa).to_bits());
+                }
+            }
+        }
     }
 }
 
