@@ -103,7 +103,7 @@ pub fn identify_cache(args: &Args) -> CmdResult {
             incremental,
         } => println!(
             "  REFRESH: statistics drift; incremental re-identification in {:.3}ms \
-             ({}/{} grid chunks re-optimized, {}/{} contours reused{})",
+             ({}/{} 256-point grid blocks changed, {}/{} contours reused{})",
             build_s * 1e3,
             incremental.diagram.chunks_changed,
             incremental.diagram.chunks_total,

@@ -219,13 +219,15 @@ impl Ess {
     /// this buffer is bit-identical to costing per-point.
     pub fn points_flat(&self) -> Vec<f64> {
         let d = self.d();
+        // One `sel_at` per step of each axis, not per point.
+        let axes: Vec<Vec<f64>> = (0..d)
+            .map(|dim| (0..self.res[dim]).map(|i| self.sel_at(dim, i)).collect())
+            .collect();
         let mut out = Vec::with_capacity(self.num_points() * d);
         let mut ix = vec![0; d];
         for li in 0..self.num_points() {
             self.unlinear_into(li, &mut ix);
-            for (dim, &i) in ix.iter().enumerate() {
-                out.push(self.sel_at(dim, i));
-            }
+            out.extend(axes.iter().zip(&ix).map(|(axis, &i)| axis[i]));
         }
         out
     }

@@ -10,9 +10,8 @@
 //! index range whose concatenation in index order does not depend on where
 //! the range was cut, so merged output is identical for any worker count.
 //! That is what lets the parallel pipeline promise byte-identical artefacts
-//! to the sequential one; a caller that reports something *about* the
-//! chunks (how many there were, how many saw a change) reports a scheduling
-//! detail that varies with the worker count.
+//! to the sequential one. How many chunks there were is a scheduling detail
+//! that varies with the worker count, and no caller reports it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -110,15 +109,22 @@ impl Parallelism {
 }
 
 /// Grid sizes below this run serially even when workers are available. A
-/// grid point is one DP call, 1–10 µs on the 2–6-relation queries (45 µs at
-/// 7–8 relations). Measured with the gate off on 2 vCPUs, best of 25, two
-/// workers against one: on the 2-relation 2D grid (1.2 µs per call) 0.69×
-/// at 256 points, 1.34× at 1024, 0.69× at 2304, 1.34× at 4096, 1.25× at
-/// 8100; on `3D_H_Q5` 0.91× at 512, 1.83× at 1728, 1.81× at 4096, 1.57× at
-/// 8000; on `4D_DS_Q7` 1.38× at 1296, 1.49× at 4096, 1.51× at 14641. Two
-/// workers win on every query from the gated size up; below it the cheapest
-/// queries lose or flip from run to run.
-pub const PARALLEL_MIN_GRID: usize = 4096;
+/// grid point is one DP step of a sweep, 0.2–0.6 µs on the 2–3-relation
+/// queries and 2.5–4 µs at 5–6 relations. Measured with the gate off on
+/// 2 vCPUs, best of 25, two workers against one, two runs: on the
+/// 2-relation 2D grid 1.07× / 0.68× at 256 points, 1.54× / 0.87× at 1024,
+/// 1.23× / 1.16× at 2304, 1.60× / 1.50× at 4096, 1.42× / 1.74× at 8100; on
+/// `2D_H_Q8A` 1.03× / 0.96× at 256, 1.41× / 1.17× at 1024, 1.58× / 1.25× at
+/// 2304, 1.75× / 1.40× at 4096; on `3D_H_Q5` 1.52× / 1.81× at 512, 1.70× /
+/// 1.39× at 1728, 1.82× / 1.81× at 4096; on `4D_DS_Q7` 1.50× / 1.32× at
+/// 1296, 1.78× / 1.50× at 4096; on `5D_H_Q7` 1.65× / 1.27× at 1024, 1.80× /
+/// 1.80× at 3125. Two workers win on every query in both runs from 2304
+/// points up; at 1024 the cheapest query flips. (In a third run the host's
+/// second vCPU was away for the 2D sizes: 0.86–1.00× from 1024 to 16384
+/// points, which is what fanning out costs when there is nobody to fan out
+/// to.) The crossover sat at 4096 while every step handed the merge an
+/// 80-byte record; a step now hands it a plan number and a cost.
+pub const PARALLEL_MIN_GRID: usize = 2048;
 
 /// Engine phases over fewer rows than this run serially even when workers
 /// are available: above the 60k-row relations of the SF 0.01 smoke suite.
@@ -127,13 +133,19 @@ pub const PARALLEL_MIN_GRID: usize = 4096;
 pub const PARALLEL_MIN_MORSEL_ROWS: usize = 131_072;
 
 /// Cost-matrix builds with fewer plan×point cells than this run serially.
-/// A grid point is one evaluation of the plan-set program, which comes to
-/// 30–50 ns per cell. Measured with the gate off on 2 vCPUs, best of 25,
-/// two workers against one: 0.66× at 31k cells, 0.85× at 40k (the widest 2D
-/// grid), 1.23× at 130k, 1.55× at 160k, 1.63–1.82× from 350k. The
-/// crossover sits between 40k and 130k cells; 3D grids at 8000 points × 80
-/// plans clear it.
-pub const PARALLEL_MIN_MATRIX_CELLS: usize = 1 << 16;
+/// A cell is one plan's share of a block evaluation of the plan-set
+/// program, 11–19 ns. Measured with the gate off on 2 vCPUs, best of 25,
+/// two workers against one, two runs: three plans over the 2-relation 2D
+/// grid 0.42× / 0.32× at 768 cells, 0.65× / 0.45× at 3k, 0.91× / 0.73× at
+/// 7k, 1.04× / 0.91× at 12k, 1.07× / 1.14× at 24k, 1.30× / 1.23× at 49k;
+/// `2D_H_Q8A` 0.96× / 0.72× at 11.5k (its registry grid), 1.07× / 1.10× at
+/// 20k, 1.33× / 1.15× at 40k; `3D_H_Q5` 1.26× / 1.11× at 31k, 1.29× / 1.42×
+/// at 130k, 1.75× / 1.62× at 352k; `5D_H_Q7` 1.23× / 1.29× at 44k, 1.70× /
+/// 1.44× at 138k; `4D_DS_Q7` 1.40× / 1.67× at 161k, 1.85× / 1.60× at 598k.
+/// Two workers lose below 12k cells, break even up to 24k and win by 1.1×
+/// to 1.3× between 31k and 49k. (Third run, second vCPU away: 0.78–0.89×
+/// from 12k to 49k cells, 1.2–1.6× from 130k.)
+pub const PARALLEL_MIN_MATRIX_CELLS: usize = 1 << 15;
 
 /// Contour phases (frontier scans + anorexic reduction) with fewer
 /// step×point scan cells than this run serially. A scan cell is one
@@ -281,6 +293,9 @@ mod tests {
         let par = Parallelism::new(4);
         assert_eq!(par.for_grid(PARALLEL_MIN_GRID - 1), Parallelism::serial());
         assert_eq!(par.for_grid(PARALLEL_MIN_GRID), par);
+        // A 32 × 32 grid stays serial; the registry's 48 × 48 one does not.
+        assert_eq!(par.for_grid(1024), Parallelism::serial());
+        assert_eq!(par.for_grid(2304), par);
         assert_eq!(
             Parallelism::serial().for_grid(1 << 20),
             Parallelism::serial()
@@ -311,11 +326,15 @@ mod tests {
             par.for_cells(PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MATRIX_CELLS),
             par
         );
-        // 17 plans × 2304 points (the 2D grid) stays serial, and 12 contour
+        // 5 plans × 2304 points (the 2D grid) stays serial, and 12 contour
         // steps × 2304 points stays serial, while 3D-scale work volumes
         // engage the workers.
         assert_eq!(
-            par.for_cells(17 * 2304, PARALLEL_MIN_MATRIX_CELLS),
+            par.for_cells(5 * 2304, PARALLEL_MIN_MATRIX_CELLS),
+            Parallelism::serial()
+        );
+        assert_eq!(
+            par.for_cells(60 * 512, PARALLEL_MIN_MATRIX_CELLS),
             Parallelism::serial()
         );
         assert_eq!(par.for_cells(20 * 8000, PARALLEL_MIN_MATRIX_CELLS), par);

@@ -19,7 +19,15 @@
 //! occurrence; each plan leaves its estimate on the stack. A single plan is
 //! the case with no registers: the same ops, the same evaluator.
 //!
-//! Both paths call the scalar formulas in [`crate::formulas`] and resolve
+//! Dispatching an op costs more than the arithmetic behind it, so the cost
+//! matrix evaluates a plan set at a *block* of grid points per op
+//! ([`CostProgram::eval_set_points`]): stack entries and registers widen to
+//! one lane per point and every lane runs the op's formula on its own
+//! point. What each op computes is written once, in [`CostProgram::step`],
+//! against the [`Machine`] it runs on — the single-point stack the drivers
+//! use or the block of lanes.
+//!
+//! All paths call the scalar formulas in [`crate::formulas`] and resolve
 //! selectivity products over the same predicate sequences in the same
 //! order, so a program's result is **bit-for-bit identical** to the tree
 //! walk's (pinned by `tests/compiled_cost.rs`). That exactness is what lets
@@ -119,11 +127,186 @@ pub struct CostProgram {
     /// Selectivity pool; each op references a contiguous window, preserving
     /// the predicate order of the originating query spec.
     sels: Vec<SelSpec>,
-    /// Registers and compiled plans. During evaluation the registers are
-    /// the bottom `regs` slots of the stack and the finished plans'
-    /// estimates pile up above them, in compile order.
+    /// During evaluation the registers are the bottom `regs` slots of the
+    /// stack; single-point evaluation piles the finished plans' estimates
+    /// up above them, in compile order.
     regs: u32,
-    roots: u32,
+    /// Per compiled plan, the index one past its last op.
+    root_ends: Vec<u32>,
+    /// Stack slots (registers included) an evaluation needs when it takes
+    /// each plan's estimate off the stack as the plan ends.
+    depth: u32,
+}
+
+/// Grid points per block of [`CostProgram::eval_set_points`]. The cost
+/// matrices of the four `compile` rungs, best of 15 in three alternating
+/// rounds, one worker / two: 161–167 / 91 ms one point at a time, then
+/// 88 / 50–52, 72–76 / 44–53, 61 / 37–38 and 57–61 / 34–44 ms at 8, 16, 32
+/// and 64 lanes. Past 32 the dispatch is amortized and what grows is the
+/// stack: `depth × BLOCK × 24 B`, 84 KB on `4D_DS_Q7` (105 registers, five
+/// slots above them) at 32 lanes.
+const BLOCK: usize = 32;
+
+const UNSET: NodeCost = NodeCost {
+    rows: 0.0,
+    cost: 0.0,
+    width: 0.0,
+};
+
+/// What a program runs on: where an op finds its inputs and leaves its
+/// estimate. `leaf` pushes, `unary` replaces the top, `binary` replaces the
+/// top two (the left input below the right); each is handed the op's
+/// formula as a function of the ESS location and the input estimates.
+trait Machine {
+    fn leaf(&mut self, f: impl Fn(&[f64]) -> NodeCost);
+    fn unary(&mut self, f: impl Fn(&[f64], &NodeCost) -> NodeCost);
+    fn binary(&mut self, f: impl Fn(&[f64], &NodeCost, &NodeCost) -> NodeCost);
+    /// Copy the top of the stack into a register.
+    fn keep(&mut self, reg: usize);
+    /// Push a register.
+    fn recall(&mut self, reg: usize);
+}
+
+/// One location, a growable stack. With `CAPTURE` every op's estimate is
+/// also appended to `nodes`.
+struct Point<'a, const CAPTURE: bool> {
+    q: &'a [f64],
+    stack: &'a mut Vec<NodeCost>,
+    nodes: &'a mut Vec<NodeCost>,
+}
+
+impl<const CAPTURE: bool> Point<'_, CAPTURE> {
+    #[inline(always)]
+    fn push(&mut self, nc: NodeCost) {
+        if CAPTURE {
+            self.nodes.push(nc);
+        }
+        self.stack.push(nc);
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> NodeCost {
+        self.stack.pop().expect("cost program: missing input")
+    }
+}
+
+impl<const CAPTURE: bool> Machine for Point<'_, CAPTURE> {
+    #[inline(always)]
+    fn leaf(&mut self, f: impl Fn(&[f64]) -> NodeCost) {
+        self.push(f(self.q));
+    }
+
+    #[inline(always)]
+    fn unary(&mut self, f: impl Fn(&[f64], &NodeCost) -> NodeCost) {
+        let input = self.pop();
+        self.push(f(self.q, &input));
+    }
+
+    #[inline(always)]
+    fn binary(&mut self, f: impl Fn(&[f64], &NodeCost, &NodeCost) -> NodeCost) {
+        let right = self.pop();
+        let left = self.pop();
+        self.push(f(self.q, &left, &right));
+    }
+
+    #[inline(always)]
+    fn keep(&mut self, reg: usize) {
+        let top = *self.stack.last().expect("keep: missing estimate");
+        self.stack[reg] = top;
+        if CAPTURE {
+            self.nodes.push(top);
+        }
+    }
+
+    #[inline(always)]
+    fn recall(&mut self, reg: usize) {
+        self.push(self.stack[reg]);
+    }
+}
+
+/// Up to [`BLOCK`] locations at once: `points` holds `d` coordinates for
+/// each of the `lanes`, stack slot `s` is `stack[s * BLOCK..][..lanes]`,
+/// and `top` slots are in use.
+struct Lanes<'a> {
+    points: &'a [f64],
+    d: usize,
+    lanes: usize,
+    stack: &'a mut [NodeCost],
+    top: usize,
+}
+
+impl Lanes<'_> {
+    fn slot(&self, slot: usize) -> &[NodeCost] {
+        &self.stack[slot * BLOCK..][..self.lanes]
+    }
+
+    fn copy(&mut self, from: usize, to: usize) {
+        self.stack
+            .copy_within(from * BLOCK..from * BLOCK + self.lanes, to * BLOCK);
+    }
+}
+
+impl Machine for Lanes<'_> {
+    #[inline(always)]
+    fn leaf(&mut self, f: impl Fn(&[f64]) -> NodeCost) {
+        let out = &mut self.stack[self.top * BLOCK..];
+        for (out, q) in out.iter_mut().zip(self.points.chunks_exact(self.d)) {
+            *out = f(q);
+        }
+        self.top += 1;
+    }
+
+    #[inline(always)]
+    fn unary(&mut self, f: impl Fn(&[f64], &NodeCost) -> NodeCost) {
+        let inout = &mut self.stack[(self.top - 1) * BLOCK..];
+        for (inout, q) in inout.iter_mut().zip(self.points.chunks_exact(self.d)) {
+            *inout = f(q, inout);
+        }
+    }
+
+    #[inline(always)]
+    fn binary(&mut self, f: impl Fn(&[f64], &NodeCost, &NodeCost) -> NodeCost) {
+        self.top -= 1;
+        let (below, right) = self.stack.split_at_mut(self.top * BLOCK);
+        let left = &mut below[(self.top - 1) * BLOCK..];
+        let lanes = left.iter_mut().zip(right.iter());
+        for ((left, right), q) in lanes.zip(self.points.chunks_exact(self.d)) {
+            *left = f(q, left, right);
+        }
+    }
+
+    #[inline(always)]
+    fn keep(&mut self, reg: usize) {
+        self.copy(self.top - 1, reg);
+    }
+
+    #[inline(always)]
+    fn recall(&mut self, reg: usize) {
+        self.copy(reg, self.top);
+        self.top += 1;
+    }
+}
+
+/// Counts stack slots instead of costing anything.
+struct Depth {
+    now: u32,
+    max: u32,
+}
+
+impl Machine for Depth {
+    fn leaf(&mut self, _: impl Fn(&[f64]) -> NodeCost) {
+        self.now += 1;
+        self.max = self.max.max(self.now);
+    }
+    fn unary(&mut self, _: impl Fn(&[f64], &NodeCost) -> NodeCost) {}
+    fn binary(&mut self, _: impl Fn(&[f64], &NodeCost, &NodeCost) -> NodeCost) {
+        self.now -= 1;
+    }
+    fn keep(&mut self, _: usize) {}
+    fn recall(&mut self, _: usize) {
+        self.now += 1;
+        self.max = self.max.max(self.now);
+    }
 }
 
 /// Reusable scratch of [`CostProgram::eval_nodes`]: the evaluation stack and
@@ -202,7 +385,8 @@ impl CostProgram {
             ops: Vec::new(),
             sels: Vec::new(),
             regs: 0,
-            roots: 0,
+            root_ends: Vec::new(),
+            depth: 0,
         };
         let mut subs = SubPlans::default();
         for root in roots.clone() {
@@ -210,9 +394,25 @@ impl CostProgram {
         }
         for root in roots {
             prog.lower(catalog, query, root, &mut subs);
-            prog.roots += 1;
+            prog.root_ends.push(prog.ops.len() as u32);
         }
+        let mut depth = Depth {
+            now: prog.regs,
+            max: prog.regs,
+        };
+        for ops in prog.roots() {
+            ops.iter().for_each(|op| prog.step(op, &mut depth));
+            depth.now -= 1;
+        }
+        prog.depth = depth.max;
         prog
+    }
+
+    /// The ops of each compiled plan, in compile order.
+    fn roots(&self) -> impl Iterator<Item = &[ProgOp]> {
+        let starts = std::iter::once(&0).chain(&self.root_ends);
+        let bounds = starts.zip(&self.root_ends);
+        bounds.map(|(&start, &end)| &self.ops[start as usize..end as usize])
     }
 
     /// Number of ops (= plan nodes, for a single plan).
@@ -226,7 +426,7 @@ impl CostProgram {
 
     /// Number of compiled plans.
     pub fn num_roots(&self) -> usize {
-        self.roots as usize
+        self.root_ends.len()
     }
 
     fn push_sels<'s>(&mut self, specs: impl Iterator<Item = &'s SelSpec>) -> SelRange {
@@ -419,10 +619,106 @@ impl CostProgram {
             .product()
     }
 
-    /// The one evaluator: run every op at `q`, leaving the compiled plans'
-    /// estimates on `stack` above the registers. With `CAPTURE` every op's
-    /// estimate is also appended to `nodes`, so `nodes[i]` is what the
-    /// sub-plan ending at op `i` costs on its own.
+    /// What each op computes: its formula over constants resolved at
+    /// compile time, selectivities resolved at the location and the
+    /// estimates of its inputs, handed to the machine the program runs on.
+    #[inline(always)]
+    fn step(&self, op: &ProgOp, m: &mut impl Machine) {
+        let p = &self.params;
+        let sel = |r: SelRange, q: &[f64]| self.sel_product(r, q);
+        match *op {
+            ProgOp::SeqScan {
+                rows,
+                pages,
+                width,
+                npred,
+                sels,
+            } => m.leaf(|q| formulas::seq_scan(p, rows, pages, width, npred, sel(sels, q))),
+            ProgOp::IndexScan {
+                rows,
+                width,
+                height,
+                leaf_pages,
+                nsels,
+                ix_sel,
+                residual,
+            } => m.leaf(|q| {
+                formulas::index_scan(
+                    p,
+                    rows,
+                    width,
+                    height,
+                    leaf_pages,
+                    nsels,
+                    ix_sel.resolve(q).clamp(0.0, 1.0),
+                    sel(residual, q),
+                )
+            }),
+            ProgOp::FullIndexScan {
+                rows,
+                width,
+                leaf_pages,
+                npred,
+                sels,
+            } => m.leaf(|q| {
+                formulas::full_index_scan(p, rows, width, leaf_pages, npred, sel(sels, q))
+            }),
+            ProgOp::HashJoin { nedges, edges } => m.binary(|q, build, probe| {
+                formulas::hash_join(p, build, probe, sel(edges, q), nedges)
+            }),
+            ProgOp::MergeJoin {
+                nedges,
+                edges,
+                sort_left,
+                sort_right,
+            } => m.binary(|q, left, right| {
+                let esel = sel(edges, q);
+                formulas::merge_join(p, left, right, esel, nedges, sort_left, sort_right)
+            }),
+            ProgOp::IndexNlJoin {
+                inner_rows,
+                inner_width,
+                npred,
+                primary,
+                residual_edges,
+                inner_sels,
+            } => m.unary(|q, outer| {
+                formulas::index_nl_join(
+                    p,
+                    outer,
+                    inner_rows,
+                    inner_width,
+                    sel(primary, q),
+                    sel(residual_edges, q),
+                    sel(inner_sels, q),
+                    npred,
+                )
+            }),
+            ProgOp::BlockNlJoin {
+                nedges_capped,
+                edges,
+            } => m.binary(|q, outer, inner| {
+                formulas::block_nl_join(p, outer, inner, sel(edges, q), nedges_capped)
+            }),
+            ProgOp::AntiJoin { first_edge } => {
+                m.binary(|q, left, right| formulas::anti_join(p, left, right, sel(first_edge, q)))
+            }
+            ProgOp::SemiJoin { first_edge } => {
+                m.binary(|q, left, right| formulas::semi_join(p, left, right, sel(first_edge, q)))
+            }
+            ProgOp::HashAggregate { ndv_product, width } => {
+                m.unary(|_, input| formulas::hash_aggregate(p, input, ndv_product, width))
+            }
+            ProgOp::Spill => m.unary(|_, input| formulas::spill(p, input)),
+            ProgOp::Keep(reg) => m.keep(reg as usize),
+            ProgOp::Recall(reg) => m.recall(reg as usize),
+        }
+    }
+
+    /// The single-point evaluator: run every op at `q`, leaving the
+    /// compiled plans' estimates on `stack` above the registers. With
+    /// `CAPTURE` every op's estimate is also appended to `nodes`, so
+    /// `nodes[i]` is what the sub-plan ending at op `i` costs on its own.
     #[inline]
     fn run<const CAPTURE: bool>(
         &self,
@@ -431,152 +727,17 @@ impl CostProgram {
         nodes: &mut Vec<NodeCost>,
     ) {
         stack.clear();
-        let unset = NodeCost {
-            rows: 0.0,
-            cost: 0.0,
-            width: 0.0,
-        };
-        stack.resize(self.regs as usize, unset);
-        let p = &self.params;
+        stack.resize(self.regs as usize, UNSET);
+        let mut point = Point::<CAPTURE> { q, stack, nodes };
         for op in &self.ops {
-            let nc = match op {
-                ProgOp::SeqScan {
-                    rows,
-                    pages,
-                    width,
-                    npred,
-                    sels,
-                } => {
-                    formulas::seq_scan(p, *rows, *pages, *width, *npred, self.sel_product(*sels, q))
-                }
-                ProgOp::IndexScan {
-                    rows,
-                    width,
-                    height,
-                    leaf_pages,
-                    nsels,
-                    ix_sel,
-                    residual,
-                } => formulas::index_scan(
-                    p,
-                    *rows,
-                    *width,
-                    *height,
-                    *leaf_pages,
-                    *nsels,
-                    ix_sel.resolve(q).clamp(0.0, 1.0),
-                    self.sel_product(*residual, q),
-                ),
-                ProgOp::FullIndexScan {
-                    rows,
-                    width,
-                    leaf_pages,
-                    npred,
-                    sels,
-                } => formulas::full_index_scan(
-                    p,
-                    *rows,
-                    *width,
-                    *leaf_pages,
-                    *npred,
-                    self.sel_product(*sels, q),
-                ),
-                ProgOp::HashJoin { nedges, edges } => {
-                    let probe = stack.pop().expect("hash join: missing probe input");
-                    let build = stack.pop().expect("hash join: missing build input");
-                    formulas::hash_join(p, &build, &probe, self.sel_product(*edges, q), *nedges)
-                }
-                ProgOp::MergeJoin {
-                    nedges,
-                    edges,
-                    sort_left,
-                    sort_right,
-                } => {
-                    let right = stack.pop().expect("merge join: missing right input");
-                    let left = stack.pop().expect("merge join: missing left input");
-                    formulas::merge_join(
-                        p,
-                        &left,
-                        &right,
-                        self.sel_product(*edges, q),
-                        *nedges,
-                        *sort_left,
-                        *sort_right,
-                    )
-                }
-                ProgOp::IndexNlJoin {
-                    inner_rows,
-                    inner_width,
-                    npred,
-                    primary,
-                    residual_edges,
-                    inner_sels,
-                } => {
-                    let outer = stack.pop().expect("inl join: missing outer input");
-                    formulas::index_nl_join(
-                        p,
-                        &outer,
-                        *inner_rows,
-                        *inner_width,
-                        self.sel_product(*primary, q),
-                        self.sel_product(*residual_edges, q),
-                        self.sel_product(*inner_sels, q),
-                        *npred,
-                    )
-                }
-                ProgOp::BlockNlJoin {
-                    nedges_capped,
-                    edges,
-                } => {
-                    let inner = stack.pop().expect("bnl join: missing inner input");
-                    let outer = stack.pop().expect("bnl join: missing outer input");
-                    formulas::block_nl_join(
-                        p,
-                        &outer,
-                        &inner,
-                        self.sel_product(*edges, q),
-                        *nedges_capped,
-                    )
-                }
-                ProgOp::AntiJoin { first_edge } => {
-                    let right = stack.pop().expect("anti join: missing right input");
-                    let left = stack.pop().expect("anti join: missing left input");
-                    formulas::anti_join(p, &left, &right, self.sel_product(*first_edge, q))
-                }
-                ProgOp::SemiJoin { first_edge } => {
-                    let right = stack.pop().expect("semi join: missing right input");
-                    let left = stack.pop().expect("semi join: missing left input");
-                    formulas::semi_join(p, &left, &right, self.sel_product(*first_edge, q))
-                }
-                ProgOp::HashAggregate { ndv_product, width } => {
-                    let input = stack.pop().expect("aggregate: missing input");
-                    formulas::hash_aggregate(p, &input, *ndv_product, *width)
-                }
-                ProgOp::Spill => {
-                    let input = stack.pop().expect("spill: missing input");
-                    formulas::spill(p, &input)
-                }
-                ProgOp::Keep(reg) => {
-                    let top = *stack.last().expect("keep: missing estimate");
-                    stack[*reg as usize] = top;
-                    if CAPTURE {
-                        nodes.push(top);
-                    }
-                    continue;
-                }
-                ProgOp::Recall(reg) => stack[*reg as usize],
-            };
-            if CAPTURE {
-                nodes.push(nc);
-            }
-            stack.push(nc);
+            self.step(op, &mut point);
         }
     }
 
     /// Evaluate a single-plan program at ESS location `q` reusing `stack`
     /// as scratch space.
     pub fn eval_with(&self, q: &[f64], stack: &mut Vec<NodeCost>) -> NodeCost {
-        debug_assert_eq!(self.roots, 1, "eval_with is for single-plan programs");
+        debug_assert_eq!(self.num_roots(), 1, "eval_with is for single-plan programs");
         self.run::<false>(q, stack, &mut Vec::new());
         stack.pop().expect("empty cost program")
     }
@@ -603,6 +764,38 @@ impl CostProgram {
         self.run::<false>(q, stack, &mut Vec::new());
         for (i, plan) in stack[self.regs as usize..].iter().enumerate() {
             emit(i, plan.cost);
+        }
+    }
+
+    /// Evaluate every compiled plan at each of `points` — consecutive ESS
+    /// locations of `d` coordinates each — a block of locations per op:
+    /// `emit(i, j, cost)` is called once per plan `i` and location `j`,
+    /// with exactly the cost [`eval_set_with`](Self::eval_set_with) reports
+    /// for plan `i` at location `j`. Allocates its stack, once.
+    pub fn eval_set_points(
+        &self,
+        points: &[f64],
+        d: usize,
+        mut emit: impl FnMut(usize, usize, f64),
+    ) {
+        let mut stack = vec![UNSET; self.depth as usize * BLOCK];
+        for (b, points) in points.chunks(BLOCK * d).enumerate() {
+            let mut lanes = Lanes {
+                points,
+                d,
+                lanes: points.len() / d,
+                stack: &mut stack,
+                top: self.regs as usize,
+            };
+            for (i, ops) in self.roots().enumerate() {
+                for op in ops {
+                    self.step(op, &mut lanes);
+                }
+                lanes.top -= 1;
+                for (lane, plan) in lanes.slot(lanes.top).iter().enumerate() {
+                    emit(i, b * BLOCK + lane, plan.cost);
+                }
+            }
         }
     }
 
@@ -803,6 +996,29 @@ mod tests {
                 let alone = CostProgram::compile(&cat, &q, &m, plan).eval_with(&[s], &mut single);
                 assert_eq!(cost.to_bits(), alone.cost.to_bits());
                 assert_eq!(cost.to_bits(), c.plan_cost(plan, &[s]).to_bits());
+            }
+        }
+
+        // By block: one lane, a block short of one, exactly one, one over,
+        // and whole blocks with a ragged tail — every cell bit-equal to the
+        // single-point evaluation and to the tree walk.
+        assert_eq!(prog.depth, prog.regs + 2);
+        let points: Vec<f64> = (0..2 * BLOCK + 3)
+            .map(|i| 1e-4 * 1e4f64.powf(i as f64 / (2 * BLOCK + 2) as f64))
+            .collect();
+        for width in [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3] {
+            let points = &points[points.len() - width..];
+            let mut cells = vec![f64::NAN; set.len() * width];
+            prog.eval_set_points(points, 1, |i, j, cost| {
+                assert!(cells[i * width + j].is_nan(), "cell emitted twice");
+                cells[i * width + j] = cost;
+            });
+            for (j, s) in points.iter().enumerate() {
+                prog.eval_set_with(&[*s], &mut stack, |i, cost| {
+                    assert_eq!(cells[i * width + j].to_bits(), cost.to_bits());
+                    let walked = c.plan_cost(&set[i], &[*s]);
+                    assert_eq!(cells[i * width + j].to_bits(), walked.to_bits());
+                });
             }
         }
     }

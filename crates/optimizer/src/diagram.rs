@@ -7,7 +7,7 @@
 //! bouquet discretizes (paper, Sections 1 and 4.2).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use pb_catalog::Catalog;
 use pb_cost::{
@@ -16,14 +16,15 @@ use pb_cost::{
 };
 use pb_plan::{PhysicalPlan, PlanFingerprint, QuerySpec};
 
-use crate::dp::Optimizer;
+use crate::dp::{Optimizer, Skeleton};
 
 /// Evaluate a compiled plan set at every grid point of `ess`, producing a
-/// `plans × points` [`CostMatrix`]. One program evaluation per grid point
-/// costs every plan there (shared sub-plans once), so work is chunked over
-/// points; the matrix is allocated once and every plan's row is split along
-/// the chunk boundaries beforehand, so a chunk writes its points' column of
-/// each row in place — no block to transpose, no second copy. Gated serial
+/// `plans × points` [`CostMatrix`]. One program evaluation costs every plan
+/// at a block of consecutive grid points (shared sub-plans once), so work
+/// is chunked over points; the matrix is allocated once and every plan's
+/// row is split along the chunk boundaries beforehand, so a chunk writes
+/// its points' column of each row in place — no block to transpose, no
+/// second copy — and allocates only its evaluation stack. Gated serial
 /// below [`PARALLEL_MIN_MATRIX_CELLS`] plan × point cells; output is
 /// bit-identical at any worker count. Shared by the exhaustive cost-matrix
 /// phase and the sampled build's pool sweep.
@@ -46,12 +47,10 @@ pub(crate) fn plan_set_matrix(prog: &CostProgram, ess: &Ess, par: Parallelism) -
     let columns: Vec<Mutex<Vec<&mut [f64]>>> = columns.into_iter().map(Mutex::new).collect();
     run_chunked(par, n, |c, range| {
         let mut column = columns[c].lock().expect("a chunk is claimed once");
-        let mut vals = Vec::new();
-        for (j, li) in range.enumerate() {
-            prog.eval_set_with(&points[li * d..(li + 1) * d], &mut vals, |p, cost| {
-                column[p][j] = cost;
-            });
-        }
+        let points = &points[range.start * d..range.end * d];
+        prog.eval_set_points(points, d, |p, j, cost| {
+            column[p][j] = cost;
+        });
     });
     CostMatrix::from_flat(n, flat)
 }
@@ -59,13 +58,26 @@ pub(crate) fn plan_set_matrix(prog: &CostProgram, ess: &Ess, par: Parallelism) -
 /// Index into a diagram's `plans` vector.
 pub type PlanId = usize;
 
+/// The number of `plan` among `plans`, by fingerprint; a new plan is
+/// appended and gets the next number.
+fn intern(
+    plans: &mut Vec<PhysicalPlan>,
+    ids: &mut HashMap<PlanFingerprint, u32>,
+    plan: PhysicalPlan,
+) -> u32 {
+    *ids.entry(plan.fingerprint()).or_insert_with(|| {
+        plans.push(plan);
+        (plans.len() - 1) as u32
+    })
+}
+
 /// What an incremental rebuild actually had to redo. A point "changed" when
 /// the drifted optimum's plan fingerprint differs from the cached winner's;
 /// unchanged points still run the DP, but bounded by the recosted cached
-/// winner, which prunes almost everything. The two chunk counts describe
-/// how the sweep happened to be scheduled — [`pb_cost::run_chunked`] sizes
-/// its chunks from the worker count — so unlike the point counts (and the
-/// diagram itself) they differ between worker counts.
+/// winner, which prunes almost everything. A "chunk" is a block of 256
+/// consecutive grid points, changed if any of its points did: like the
+/// point counts, and unlike the chunks the sweep happens to be scheduled
+/// in, the same at every worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct IncrementalDiagramStats {
     pub chunks_total: usize,
@@ -76,6 +88,9 @@ pub struct IncrementalDiagramStats {
     /// build fell back to a full from-scratch rebuild.
     pub full_rebuild: bool,
 }
+
+/// Grid points per "chunk" of [`IncrementalDiagramStats`].
+const STATS_BLOCK: usize = 256;
 
 /// Optimal plan + cost at every grid point of an ESS.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -122,7 +137,10 @@ impl PlanDiagram {
     /// point's DP is bounded by its cached winner recosted at that point
     /// and the points whose winner changed are counted; without, every call
     /// is unbounded (recosting a neighbour's winner to obtain a bound costs
-    /// as much as the pruning saves once a DP call is ~15 µs).
+    /// as much as the pruning saves once a DP call is a few µs). A chunk
+    /// walks its points in grid order through one optimizer, so most steps
+    /// move one coordinate and refill only the memo slots it reaches, and a
+    /// step that finds the previous step's winner again builds no tree.
     fn sweep(
         catalog: &Catalog,
         query: &QuerySpec,
@@ -134,68 +152,72 @@ impl PlanDiagram {
         let n = ess.num_points();
         // Small grids run serially: thread hand-off costs more than it saves.
         let par = par.for_grid(n);
-        // Per chunk: (fingerprint, plan-at-local-first-occurrence, cost).
+        let skeleton = Arc::new(Skeleton::build(catalog, query));
+        let (points, d) = (ess.points_flat(), ess.d());
+        // Per chunk: its distinct plans by first appearance, every point's
+        // winner as an index into them and its cost, and the points whose
+        // winner changed.
         let chunks = run_chunked(par, n, |_, range| {
-            let opt = Optimizer::new(catalog, query, model);
-            let mut seen: HashMap<PlanFingerprint, ()> = HashMap::new();
-            let mut out = Vec::with_capacity(range.len());
-            let mut ix = Vec::new();
-            let mut q = Vec::new();
+            let opt = Optimizer::with_skeleton(catalog, query, model, Arc::clone(&skeleton));
+            let mut plans: Vec<PhysicalPlan> = Vec::new();
+            let mut ids: HashMap<PlanFingerprint, u32> = HashMap::new();
+            let mut winners = Vec::with_capacity(range.len());
+            let mut costs = Vec::with_capacity(range.len());
+            let mut changed = Vec::new();
             let mut vals = Vec::new();
-            let mut changed = 0usize;
+            // The previous step's winner; the first step always sets it.
+            let mut winner = 0;
             for li in range {
-                ess.unlinear_into(li, &mut ix);
-                ess.point_into(&ix, &mut q);
-                let best = match incumbents {
-                    None => opt.optimize(&q),
-                    Some(inc) => {
-                        let cached = inc.prev.optimal[li] as usize;
-                        let bound = inc.progs[cached].eval_with(&q, &mut vals).cost;
-                        let best = opt.optimize_bounded(&q, bound);
-                        if best.plan.fingerprint() != inc.prev.plans[cached].fingerprint() {
-                            changed += 1;
-                        }
-                        best
-                    }
-                };
-                let fp = best.plan.fingerprint();
-                let plan = if seen.insert(fp, ()).is_none() {
-                    Some(best.plan)
-                } else {
-                    None
-                };
-                out.push((fp, plan, best.cost));
+                let q = &points[li * d..(li + 1) * d];
+                // The cached winner's program and fingerprint.
+                let cached = incumbents.map(|inc| {
+                    let id = inc.prev.optimal[li] as usize;
+                    (&inc.progs[id], inc.prev.plans[id].fingerprint())
+                });
+                let bound =
+                    cached.map_or(f64::INFINITY, |(prog, _)| prog.eval_with(q, &mut vals).cost);
+                let (plan, cost) = opt.optimize_step(q, bound);
+                if let Some(plan) = plan {
+                    winner = intern(&mut plans, &mut ids, plan);
+                }
+                let fp = plans[winner as usize].fingerprint();
+                if cached.is_some_and(|(_, was)| was != fp) {
+                    changed.push(li);
+                }
+                winners.push(winner);
+                costs.push(cost);
             }
-            (out, changed)
+            (plans, winners, costs, changed)
         });
 
-        // Merge in chunk (= grid) order. The first chunk containing a
-        // fingerprint carries its plan, because each worker records the plan
-        // at the fingerprint's first occurrence within its own chunk.
+        // Merge in chunk (= grid) order: a chunk lists its plans by first
+        // appearance, so numbering each chunk's new plans in that order
+        // numbers all plans by first appearance on the grid.
         let mut plans: Vec<PhysicalPlan> = Vec::new();
         let mut ids: HashMap<PlanFingerprint, u32> = HashMap::new();
         let mut optimal = Vec::with_capacity(n);
         let mut opt_cost = Vec::with_capacity(n);
         let mut stats = IncrementalDiagramStats {
-            chunks_total: chunks.len(),
+            chunks_total: n.div_ceil(STATS_BLOCK),
             chunks_changed: 0,
             points_total: n,
             points_changed: 0,
             full_rebuild: false,
         };
-        for (chunk_res, changed) in chunks {
-            if changed > 0 {
-                stats.chunks_changed += 1;
-                stats.points_changed += changed;
+        let mut last_block = None;
+        for (chunk_plans, winners, costs, changed) in chunks {
+            stats.points_changed += changed.len();
+            for block in changed.into_iter().map(|li| li / STATS_BLOCK) {
+                if last_block.replace(block) != Some(block) {
+                    stats.chunks_changed += 1;
+                }
             }
-            for (fp, plan, cost) in chunk_res {
-                let id = *ids.entry(fp).or_insert_with(|| {
-                    plans.push(plan.expect("first occurrence carries the plan"));
-                    (plans.len() - 1) as u32
-                });
-                optimal.push(id);
-                opt_cost.push(cost);
-            }
+            let global: Vec<u32> = chunk_plans
+                .into_iter()
+                .map(|plan| intern(&mut plans, &mut ids, plan))
+                .collect();
+            optimal.extend(winners.into_iter().map(|w: u32| global[w as usize]));
+            opt_cost.extend(costs);
         }
         (
             PlanDiagram {
@@ -488,26 +510,40 @@ mod tests {
     #[test]
     fn compiled_matrix_matches_tree_walk_bitwise() {
         let (cat, q, m, ess) = setup_1d();
-        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
-        let compiled = d.cost_matrix_with(&cat, &q, &m, Parallelism::new(3));
-        let reference = d.cost_matrix_reference(&cat, &q, &m);
-        assert_eq!(compiled.len(), reference.len());
-        for (a, b) in compiled.as_flat().iter().zip(reference.as_flat()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // 300 points run serially in eight chunks of 37 and one of 4: no
+        // chunk is a whole number of evaluation blocks, whatever their width.
+        let fine = Ess::uniform(ess.dims.clone(), 300);
+        for ess in [ess, fine] {
+            let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
+            let compiled = d.cost_matrix_with(&cat, &q, &m, Parallelism::new(3));
+            let reference = d.cost_matrix_reference(&cat, &q, &m);
+            assert_eq!(compiled.len(), reference.len());
+            for (a, b) in compiled.as_flat().iter().zip(reference.as_flat()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
     #[test]
     fn incremental_rebuild_matches_fresh_build_bitwise_under_drift() {
         let (cat, q, m, ess) = setup_1d();
+        // Fine enough for four workers to fan out over several stats blocks.
+        let ess = Ess::uniform(ess.dims, pb_cost::PARALLEL_MIN_GRID + 5);
         let prev = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
         // Mild statistics drift: same schema, slightly larger base tables.
         let drifted = tpch::catalog(1.05);
+        let mut serial_stats = None;
         for par in [Parallelism::serial(), Parallelism::new(4)] {
             let fresh = PlanDiagram::build_with(&drifted, &q, &m, &ess, par);
             let (inc, stats) = PlanDiagram::build_incremental(&drifted, &q, &m, &ess, &prev, par);
             assert!(!stats.full_rebuild);
             assert_eq!(stats.points_total, ess.num_points());
+            // Winners move at a few plan boundaries: some blocks of 256
+            // points change, not all — counted alike at any worker count.
+            assert_eq!(stats.chunks_total, ess.num_points().div_ceil(256));
+            assert!(stats.points_changed > 0);
+            assert!((1..stats.chunks_total).contains(&stats.chunks_changed));
+            assert_eq!(*serial_stats.get_or_insert(stats), stats);
             assert_eq!(inc.optimal, fresh.optimal);
             assert_eq!(inc.plan_count(), fresh.plan_count());
             for (a, b) in inc.opt_cost.iter().zip(&fresh.opt_cost) {

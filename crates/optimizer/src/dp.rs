@@ -11,19 +11,27 @@
 //! out once, by [`Optimizer::new`], into a [`Skeleton`]: the connected
 //! subsets of the inner-join core in ascending mask order, each one's
 //! `{s1, s2}` partitions, the interned crossing-edge sets with what the join
-//! operators need to know about them, and per-relation catalog constants
-//! and access-path templates. A call resolves the selectivities at `q`
-//! once, walks the skeleton calling the [`formulas`] directly, and folds
-//! each candidate into its slot's per-order winners as it is costed; the
-//! only memory it allocates is the winning plan tree.
+//! operators need to know about them, per-relation catalog constants and
+//! access-path templates, and per memo slot the ESS dimensions its entries
+//! can depend on. A call resolves the selectivities at `q` once, walks the
+//! skeleton calling the [`formulas`] directly, and folds each candidate
+//! into its slot's per-order winners as it is costed; the only memory it
+//! allocates is the winning plan tree.
+//!
+//! A grid sweep moves one coordinate on most of its steps, so a call also
+//! remembers the previous one: a slot none of whose dimensions moved stays
+//! as that call filled it (see [`Scratch`]), and the winner's derivation is
+//! compared with the previous winner's so that a sweep builds a tree only
+//! when the winner changed.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 use pb_catalog::{Catalog, ColumnId};
 use pb_cost::{formulas, CostModel, CostParams, NodeCost};
-use pb_plan::{JoinGraph, PhysicalPlan, PlanNode, QuerySpec, RelIdx, SelSpec};
+use pb_plan::{DimId, JoinGraph, PhysicalPlan, PlanNode, QuerySpec, RelIdx, SelSpec};
 
 /// Result of one optimization call: the optimal plan plus its estimates.
 #[derive(Debug, Clone)]
@@ -94,6 +102,12 @@ impl ColClasses {
     fn class_of(&self, rel: RelIdx, col: ColumnId) -> Option<usize> {
         self.map.get(&(rel, col)).copied()
     }
+
+    /// Number of distinct classes, i.e. of sort orders a plan can deliver.
+    fn count(&self) -> usize {
+        let distinct: HashSet<usize> = self.map.values().copied().collect();
+        distinct.len()
+    }
 }
 
 /// Reference to a finalized memo entry: its slot and its index within it.
@@ -105,7 +119,7 @@ struct EntryRef {
 
 /// Compact operator descriptor; trees are materialized only for the winner.
 /// Joins name their crossing edges by [`Skeleton::edge_sets`] id.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum EntryOp {
     SeqScan(RelIdx),
     IndexScan(RelIdx, usize),
@@ -217,11 +231,19 @@ struct Subset {
 /// core in ascending mask order — the order the DP fills them in, every
 /// partition's halves before the subset itself.
 #[derive(Debug)]
-struct Skeleton {
+pub(crate) struct Skeleton {
     rels: Vec<RelSkel>,
     subsets: Vec<Subset>,
     parts: Vec<Partition>,
     edge_sets: Vec<EdgeSet>,
+    /// Per memo slot, the ESS dimensions its entries can depend on (bit
+    /// [`dim_bit`]): a relation's are its selections' error dimensions, a
+    /// subset's are its halves' plus its crossing edges' over every
+    /// partition — every selectivity a fill of the slot, or of a slot
+    /// below it, reads.
+    slot_dims: Vec<u64>,
+    /// Number of sort orders (join-column classes) plans can deliver.
+    order_classes: usize,
     /// Slot of the whole inner-join core.
     root_slot: u32,
     /// (edge index, hanger relation, is-semi) for anti/semi edges,
@@ -231,8 +253,21 @@ struct Skeleton {
     aggregate: Option<(f64, f64)>,
 }
 
+/// The bit of ESS dimension `d` in a dimension set. Dimensions from 63 up
+/// share the last bit, which only ever makes a slot look dirtier.
+fn dim_bit(d: DimId) -> u64 {
+    1 << d.min(63)
+}
+
+fn dims_of<'s>(specs: impl IntoIterator<Item = &'s SelSpec>) -> u64 {
+    specs
+        .into_iter()
+        .filter_map(SelSpec::error_dim)
+        .fold(0, |set, d| set | dim_bit(d))
+}
+
 impl Skeleton {
-    fn build(catalog: &Catalog, query: &QuerySpec) -> Self {
+    pub(crate) fn build(catalog: &Catalog, query: &QuerySpec) -> Self {
         let n = query.num_relations();
         assert!(n <= 16, "DP enumeration limited to 16 relations");
         // Identify existential hanger relations: the side of each anti/semi
@@ -279,6 +314,11 @@ impl Skeleton {
         let classes = ColClasses::build(query);
         let table = |rel: RelIdx| catalog.table_by_id(query.relations[rel].table);
 
+        let mut slot_dims: Vec<u64> = query
+            .relations
+            .iter()
+            .map(|r| dims_of(r.selections.iter().map(|s| &s.selectivity)))
+            .collect();
         let mut pred_at = 0;
         let rels = (0..n)
             .map(|rel| {
@@ -332,6 +372,7 @@ impl Skeleton {
                 continue;
             }
             let first_part = parts.len();
+            let mut dims = 0;
             // Enumerate unordered partitions {s1, s2}; orientation is
             // handled per operator during the walk.
             let mut s1 = (mask - 1) & mask;
@@ -354,6 +395,10 @@ impl Skeleton {
                         .then_some(inner)
                     };
                     let inl = [inl(s2), inl(s1)];
+                    let (slot1, slot2) = (slot_of[&s1], slot_of[&s2]);
+                    dims |= slot_dims[slot1 as usize]
+                        | slot_dims[slot2 as usize]
+                        | dims_of(edges.iter().map(|&e| &query.joins[e].selectivity));
                     let id = *set_ids.entry(edges).or_insert_with_key(|edges| {
                         edge_sets.push(EdgeSet {
                             edges: edges.clone(),
@@ -365,8 +410,8 @@ impl Skeleton {
                         (edge_sets.len() - 1) as u32
                     });
                     parts.push(Partition {
-                        s1: slot_of[&s1],
-                        s2: slot_of[&s2],
+                        s1: slot1,
+                        s2: slot2,
                         edges: id,
                         inl,
                     });
@@ -374,6 +419,7 @@ impl Skeleton {
                 s1 = (s1 - 1) & mask;
             }
             slot_of.insert(mask, (n + subsets.len()) as u32);
+            slot_dims.push(dims);
             subsets.push(Subset {
                 #[cfg(test)]
                 mask,
@@ -394,6 +440,8 @@ impl Skeleton {
             subsets,
             parts,
             edge_sets,
+            slot_dims,
+            order_classes: classes.count(),
             root_slot: slot_of[&core_mask],
             hangers,
             aggregate,
@@ -446,8 +494,70 @@ impl Winners {
     }
 }
 
-/// Reusable per-call state: the selectivities resolved at `q` and the memo.
-#[derive(Debug, Default)]
+/// The memo: per slot, at most one entry per delivered order, cheapest
+/// first (ties in generation order), so a slot's `[0]` is its cheapest
+/// entry. Every slot owns a fixed `stride` of entries — room for the
+/// unordered entry and one per order class of the query — so filling a slot
+/// never moves another and a slot that is not refilled simply stays.
+#[derive(Debug)]
+struct Memo {
+    entries: Vec<DpEntry>,
+    lens: Vec<u32>,
+    stride: usize,
+}
+
+impl Memo {
+    fn new(slots: usize, stride: usize) -> Self {
+        let unset = DpEntry {
+            order: None,
+            op: EntryOp::SeqScan(0),
+            est: NodeCost {
+                rows: 0.0,
+                cost: 0.0,
+                width: 0.0,
+            },
+        };
+        Memo {
+            entries: vec![unset; slots * stride],
+            lens: vec![0; slots],
+            stride,
+        }
+    }
+
+    fn slot(&self, slot: u32) -> &[DpEntry] {
+        let at = slot as usize * self.stride;
+        &self.entries[at..at + self.lens[slot as usize] as usize]
+    }
+
+    fn entry(&self, r: EntryRef) -> &DpEntry {
+        &self.slot(r.slot)[r.idx as usize]
+    }
+}
+
+/// Per-optimizer state. The resolved selectivities and `winners` are plain
+/// scratch, overwritten by every call. The rest describes the *last call
+/// that returned a plan* and survives it, so that the next call can skip
+/// what that one already did:
+///
+/// * `memo`, filled at location `q_bits` under bound `bound_bits`. A call
+///   with the same bound bits refills only the slots whose dimension set
+///   ([`Skeleton::slot_dims`]) contains a coordinate whose bits changed. A
+///   slot is a pure function of the selectivities inside its subset, the
+///   bound and the slots of its sub-subsets, whose dimension sets its own
+///   contains; so by induction over the fill order a slot left alone holds
+///   exactly what refilling it would write, and a call's result does not
+///   depend on the calls before it.
+/// * `derivation`, the winner's (see [`derive`]), which the next call
+///   compares its own with.
+///
+/// `live` says that all of this is in place. A call clears it on entry and
+/// sets it on success, so a call that does not return a plan leaves nothing
+/// the next one would trust. That covers a panic unwinding out of a
+/// half-filled memo, and it is how a failed bounded attempt is treated too:
+/// it has no winner whose derivation could be remembered, and the
+/// unbounded retry that follows changes the bound, which refills every
+/// slot anyway — invalidating costs nothing.
+#[derive(Debug)]
 struct Scratch {
     /// Clamped selectivity of every selection, relation by relation.
     pred_sel: Vec<f64>,
@@ -458,12 +568,35 @@ struct Scratch {
     /// Per edge set: product over all its edges, and over all but the
     /// primary (the primary's own is `edge_sel[edges[0]]`).
     set_sel: Vec<(f64, f64)>,
-    /// All memo entries, slot after slot; `slots[s]` is slot `s`'s range.
-    /// A slot holds at most one entry per order, cheapest first (ties in
-    /// generation order), so `[0]` is its cheapest entry.
-    memo: Vec<DpEntry>,
-    slots: Vec<Range<usize>>,
     winners: Winners,
+    memo: Memo,
+    q_bits: Vec<u64>,
+    bound_bits: u64,
+    derivation: Vec<EntryOp>,
+    /// The derivation before `derivation`; the two swap on every call.
+    prev_derivation: Vec<EntryOp>,
+    live: bool,
+}
+
+impl Scratch {
+    fn new(sk: &Skeleton) -> Self {
+        let slots = sk.rels.len() + sk.subsets.len();
+        // A derivation names every node of a plan over the relations.
+        let nodes = 2 * sk.rels.len();
+        Scratch {
+            pred_sel: Vec::new(),
+            rel_sel: Vec::new(),
+            edge_sel: Vec::new(),
+            set_sel: Vec::new(),
+            winners: Winners::default(),
+            memo: Memo::new(slots, sk.order_classes + 1),
+            q_bits: Vec::new(),
+            bound_bits: 0,
+            derivation: Vec::with_capacity(nodes),
+            prev_derivation: Vec::with_capacity(nodes),
+            live: false,
+        }
+    }
 }
 
 /// What join enumeration reads while it fills one slot.
@@ -471,15 +604,10 @@ struct Filled<'a> {
     p: &'a CostParams,
     rels: &'a [RelSkel],
     rel_sel: &'a [f64],
-    memo: &'a [DpEntry],
-    slots: &'a [Range<usize>],
+    memo: &'a Memo,
 }
 
 impl Filled<'_> {
-    fn slot(&self, slot: u32) -> &[DpEntry] {
-        &self.memo[self.slots[slot as usize].clone()]
-    }
-
     /// Offer every join of `left` (the left/outer/build side) with `right`
     /// across `set`, whose resolved selectivities are `all` (every edge),
     /// `primary` and `rest` (every edge but the primary).
@@ -494,7 +622,7 @@ impl Filled<'_> {
         (all, primary, rest): (f64, f64, f64),
         winners: &mut Winners,
     ) {
-        let (lefts, rights) = (self.slot(left), self.slot(right));
+        let (lefts, rights) = (self.memo.slot(left), self.memo.slot(right));
         if lefts.is_empty() || rights.is_empty() {
             return;
         }
@@ -595,21 +723,22 @@ impl Filled<'_> {
     }
 }
 
-/// Close the slot being filled: of the per-order winners, cheapest first,
-/// keep the unordered one and every ordered one that re-sorting a cheaper
-/// unordered one does not beat, then drop whatever *strictly* exceeds a
-/// finite `upper_bound` (a cost-ascending suffix; ties survive).
+/// Close `slot`, the one being filled: of the per-order winners, cheapest
+/// first, keep the unordered one and every ordered one that re-sorting a
+/// cheaper unordered one does not beat, then drop whatever *strictly*
+/// exceeds a finite `upper_bound` (a cost-ascending suffix; ties survive).
 fn close_slot(
     p: &CostParams,
     upper_bound: f64,
     winners: &mut Winners,
-    memo: &mut Vec<DpEntry>,
-    slots: &mut Vec<Range<usize>>,
+    memo: &mut Memo,
+    slot: usize,
 ) {
     winners
         .best
         .sort_unstable_by(|(a, sa), (b, sb)| a.est.cost.total_cmp(&b.est.cost).then(sa.cmp(sb)));
-    let start = memo.len();
+    let kept = &mut memo.entries[slot * memo.stride..(slot + 1) * memo.stride];
+    let mut len = 0;
     let mut resorted = None;
     for (e, _) in &winners.best {
         match e.order {
@@ -620,10 +749,11 @@ fn close_slot(
             Some(_) => {}
         }
         if !upper_bound.is_finite() || e.est.cost <= upper_bound {
-            memo.push(*e);
+            kept[len] = *e;
+            len += 1;
         }
     }
-    slots.push(start..memo.len());
+    memo.lens[slot] = len as u32;
 }
 
 /// The dynamic-programming optimizer, bound to (catalog, query, model).
@@ -641,25 +771,44 @@ pub struct Optimizer<'a> {
     pub catalog: &'a Catalog,
     pub query: &'a QuerySpec,
     pub model: &'a CostModel,
-    skeleton: Skeleton,
+    skeleton: Arc<Skeleton>,
     scratch: RefCell<Scratch>,
+}
+
+/// What one DP run found: the winner's estimate, and whether its derivation
+/// is the one the previous call on this optimizer ended with — in which
+/// case so is its plan.
+struct Found {
+    est: NodeCost,
+    repeat: bool,
 }
 
 impl<'a> Optimizer<'a> {
     pub fn new(catalog: &'a Catalog, query: &'a QuerySpec, model: &'a CostModel) -> Self {
+        let skeleton = Arc::new(Skeleton::build(catalog, query));
+        Self::with_skeleton(catalog, query, model, skeleton)
+    }
+
+    /// An optimizer over a skeleton built for the same `(catalog, query)`:
+    /// the workers of one sweep share theirs.
+    pub(crate) fn with_skeleton(
+        catalog: &'a Catalog,
+        query: &'a QuerySpec,
+        model: &'a CostModel,
+        skeleton: Arc<Skeleton>,
+    ) -> Self {
         Optimizer {
             catalog,
             query,
             model,
-            skeleton: Skeleton::build(catalog, query),
-            scratch: RefCell::default(),
+            scratch: RefCell::new(Scratch::new(&skeleton)),
+            skeleton,
         }
     }
 
     /// Optimize the query at ESS location `q`; returns the cheapest plan.
     pub fn optimize(&self, q: &[f64]) -> OptimizedPlan {
-        self.optimize_impl(q, f64::INFINITY)
-            .expect("query join graph must be connected")
+        self.optimize_bounded(q, f64::INFINITY)
     }
 
     /// Like [`optimize`](Optimizer::optimize), but additionally drops memo
@@ -678,17 +827,43 @@ impl<'a> Optimizer<'a> {
     /// every plan the DP enumerates at `q`), the search detects the empty
     /// memo and transparently falls back to the unpruned path — output is
     /// identical to [`optimize`] in every case.
+    ///
+    /// What a call leaves behind for the next one — the memo with the
+    /// location and bound it was filled under, the winner's derivation — is
+    /// described at [`Scratch`]; none of it can change a later result. A
+    /// failed bounded attempt leaves nothing behind: the retry refills
+    /// every slot, and the call after it reuses what the retry filled.
     pub fn optimize_bounded(&self, q: &[f64], upper_bound: f64) -> OptimizedPlan {
-        if upper_bound.is_finite() {
-            if let Some(best) = self.optimize_impl(q, upper_bound) {
-                return best;
-            }
+        let est = self.search(q, upper_bound).est;
+        OptimizedPlan {
+            plan: self.winner_tree(),
+            cost: est.cost,
+            rows: est.rows,
         }
-        self.optimize(q)
     }
 
-    fn optimize_impl(&self, q: &[f64], upper_bound: f64) -> Option<OptimizedPlan> {
-        let sk = &self.skeleton;
+    /// One step of a grid sweep: [`optimize_bounded`](Self::optimize_bounded)
+    /// returning the optimal cost, and the plan only if it may differ from
+    /// the one the previous call on this optimizer found — `None` means the
+    /// same plan again, and no tree was built.
+    pub(crate) fn optimize_step(&self, q: &[f64], upper_bound: f64) -> (Option<PhysicalPlan>, f64) {
+        let found = self.search(q, upper_bound);
+        let plan = (!found.repeat).then(|| self.winner_tree());
+        (plan, found.est.cost)
+    }
+
+    fn search(&self, q: &[f64], upper_bound: f64) -> Found {
+        if upper_bound.is_finite() {
+            if let Some(found) = self.optimize_impl(q, upper_bound) {
+                return found;
+            }
+        }
+        self.optimize_impl(q, f64::INFINITY)
+            .expect("query join graph must be connected")
+    }
+
+    fn optimize_impl(&self, q: &[f64], upper_bound: f64) -> Option<Found> {
+        let sk = &*self.skeleton;
         let p = &self.model.p;
         let mut scratch = self.scratch.borrow_mut();
         let Scratch {
@@ -696,10 +871,34 @@ impl<'a> Optimizer<'a> {
             rel_sel,
             edge_sel,
             set_sel,
-            memo,
-            slots,
             winners,
+            memo,
+            q_bits,
+            bound_bits,
+            derivation,
+            prev_derivation,
+            live,
         } = &mut *scratch;
+
+        // The coordinates that moved since the memo was filled, if it was
+        // filled under this bound; `None` refills every slot.
+        let was_live = std::mem::replace(live, false);
+        let same_bound = *bound_bits == upper_bound.to_bits() && q_bits.len() == q.len();
+        let moved = (was_live && same_bound).then(|| {
+            let coords = q.iter().zip(q_bits.iter()).enumerate();
+            coords.fold(0, |moved, (d, (now, then))| {
+                moved
+                    | if now.to_bits() == *then {
+                        0
+                    } else {
+                        dim_bit(d)
+                    }
+            })
+        });
+        let stays = |slot: usize| moved.is_some_and(|moved| sk.slot_dims[slot] & moved == 0);
+        q_bits.clear();
+        q_bits.extend(q.iter().map(|v| v.to_bits()));
+        *bound_bits = upper_bound.to_bits();
 
         // Resolve every selectivity at `q` once, multiplying in predicate
         // order exactly as `Coster::rel_sel` / `edges_sel` do.
@@ -718,9 +917,10 @@ impl<'a> Optimizer<'a> {
             (product(&set.edges), product(&set.edges[1..]))
         }));
 
-        memo.clear();
-        slots.clear();
         for (rel, rs) in sk.rels.iter().enumerate() {
+            if stays(rel) {
+                continue;
+            }
             winners.clear();
             let preds = &pred_sel[rs.preds.clone()];
             for path in &rs.paths {
@@ -770,17 +970,19 @@ impl<'a> Optimizer<'a> {
                     ),
                 }
             }
-            close_slot(p, upper_bound, winners, memo, slots);
+            close_slot(p, upper_bound, winners, memo, rel);
         }
 
-        for sub in &sk.subsets {
+        for (sub, slot) in sk.subsets.iter().zip(sk.rels.len()..) {
+            if stays(slot) {
+                continue;
+            }
             winners.clear();
             let filled = Filled {
                 p,
                 rels: &sk.rels,
                 rel_sel,
                 memo,
-                slots,
             };
             for part in &sk.parts[sub.parts.clone()] {
                 let set = &sk.edge_sets[part.edges as usize];
@@ -790,49 +992,96 @@ impl<'a> Optimizer<'a> {
                 filled.join_candidates(part.s1, part.s2, inl1, part.edges, set, sels, winners);
                 filled.join_candidates(part.s2, part.s1, inl2, part.edges, set, sels, winners);
             }
-            close_slot(p, upper_bound, winners, memo, slots);
+            close_slot(p, upper_bound, winners, memo, slot);
         }
 
-        let cheapest = |slot: u32| {
-            let slot = &slots[slot as usize];
-            (!slot.is_empty()).then(|| memo[slot.start].est)
-        };
-        let tree = |slot: u32| build_tree(sk, memo, slots, EntryRef { slot, idx: 0 });
+        // Existential operators on top of the core, each against its
+        // relation's cheapest access path, in edge order; then aggregation,
+        // if the query groups. `winner_tree` builds the same shape.
+        let cheapest = |slot: u32| memo.slot(slot).first().map(|e| e.est);
         let mut est = cheapest(sk.root_slot)?;
-        let mut root = tree(sk.root_slot);
-        // Apply existential operators on top, each against its relation's
-        // cheapest access path, in edge order.
         for &(edge, rel, semi) in &sk.hangers {
-            let right_est = cheapest(rel as u32)?;
-            let (left, right) = (Box::new(root), Box::new(tree(rel as u32)));
-            let edges = vec![edge];
-            if semi {
-                est = formulas::semi_join(p, &est, &right_est, edge_sel[edge]);
-                root = PlanNode::SemiJoin { left, right, edges };
+            let right = cheapest(rel as u32)?;
+            est = if semi {
+                formulas::semi_join(p, &est, &right, edge_sel[edge])
             } else {
-                est = formulas::anti_join(p, &est, &right_est, edge_sel[edge]);
-                root = PlanNode::AntiJoin { left, right, edges };
-            }
+                formulas::anti_join(p, &est, &right, edge_sel[edge])
+            };
         }
-        // Aggregation, if the query groups.
         if let Some((ndv_product, width)) = sk.aggregate {
             est = formulas::hash_aggregate(p, &est, ndv_product, width);
+        }
+
+        std::mem::swap(derivation, prev_derivation);
+        derive(sk, memo, derivation);
+        *live = true;
+        Some(Found {
+            est,
+            repeat: was_live && derivation == prev_derivation,
+        })
+    }
+
+    /// The plan of the last successful [`optimize_impl`](Self::optimize_impl).
+    fn winner_tree(&self) -> PhysicalPlan {
+        let sk = &*self.skeleton;
+        let memo = &self.scratch.borrow().memo;
+        let tree = |slot: u32| build_tree(sk, memo, EntryRef { slot, idx: 0 });
+        let mut root = tree(sk.root_slot);
+        for &(edge, rel, semi) in &sk.hangers {
+            let (left, right) = (Box::new(root), Box::new(tree(rel as u32)));
+            let edges = vec![edge];
+            root = if semi {
+                PlanNode::SemiJoin { left, right, edges }
+            } else {
+                PlanNode::AntiJoin { left, right, edges }
+            };
+        }
+        if sk.aggregate.is_some() {
             root = PlanNode::HashAggregate {
                 input: Box::new(root),
             };
         }
-        Some(OptimizedPlan {
-            plan: PhysicalPlan::new(root),
-            cost: est.cost,
-            rows: est.rows,
-        })
+        PhysicalPlan::new(root)
     }
 }
 
-fn build_tree(sk: &Skeleton, memo: &[DpEntry], slots: &[Range<usize>], r: EntryRef) -> PlanNode {
-    let sub = |r: EntryRef| Box::new(build_tree(sk, memo, slots, r));
+/// The memo entries a join reads its inputs from.
+fn inputs(op: &EntryOp) -> [Option<EntryRef>; 2] {
+    match *op {
+        EntryOp::SeqScan(_) | EntryOp::IndexScan(..) | EntryOp::FullIndexScan(..) => [None, None],
+        EntryOp::Hash { build, probe, .. } => [Some(build), Some(probe)],
+        EntryOp::Merge { left, right, .. } => [Some(left), Some(right)],
+        EntryOp::Inl { outer, .. } => [Some(outer), None],
+        EntryOp::Bnl { outer, inner, .. } => [Some(outer), Some(inner)],
+    }
+}
+
+/// Write the winner's derivation into `out`: the op of the core's cheapest
+/// entry, of each hanger's cheapest access path, and then, breadth first, of
+/// every entry those read. An op names its inputs by `(slot, idx)`, so the
+/// sequence says where the walk went as well as what it found: two memos
+/// with equal derivations give [`build_tree`] nothing to tell them apart,
+/// and their winning plans are equal. (Equal plans can still derive
+/// differently — an input's `idx` moves when a cheaper entry joins its
+/// slot — which costs a tree, never correctness.) Allocates nothing once
+/// `out` has held a derivation of the query.
+fn derive(sk: &Skeleton, memo: &Memo, out: &mut Vec<EntryOp>) {
+    let top = |slot: u32| memo.entry(EntryRef { slot, idx: 0 }).op;
+    out.clear();
+    out.push(top(sk.root_slot));
+    out.extend(sk.hangers.iter().map(|&(_, rel, _)| top(rel as u32)));
+    let mut walked = 0;
+    while walked < out.len() {
+        let read = inputs(&out[walked]);
+        out.extend(read.into_iter().flatten().map(|r| memo.entry(r).op));
+        walked += 1;
+    }
+}
+
+fn build_tree(sk: &Skeleton, memo: &Memo, r: EntryRef) -> PlanNode {
+    let sub = |r: EntryRef| Box::new(build_tree(sk, memo, r));
     let edges = |id: u32| sk.edge_sets[id as usize].edges.clone();
-    match memo[slots[r.slot as usize].start + r.idx as usize].op {
+    match memo.entry(r).op {
         EntryOp::SeqScan(rel) => PlanNode::SeqScan { rel },
         EntryOp::IndexScan(rel, sel_idx) => PlanNode::IndexScan { rel, sel_idx },
         EntryOp::FullIndexScan(rel, column) => PlanNode::FullIndexScan { rel, column },
@@ -1044,6 +1293,38 @@ mod tests {
         }
     }
 
+    /// A sweep step returns no plan only when the plan is the previous
+    /// step's, whatever came between — bounded steps, failed attempts.
+    #[test]
+    fn sweep_step_omits_only_a_repeated_plan() {
+        let (cat, q) = eq_query();
+        let m = CostModel::postgresish();
+        let opt = Optimizer::new(&cat, &q, &m);
+        let (mut last, mut omitted, mut changed) = (None, 0, 0);
+        for i in 0..200 {
+            let s = [1e-4 * 1e4f64.powf((i / 2) as f64 / 99.0)];
+            let want = Optimizer::new(&cat, &q, &m).optimize(&s);
+            // Unbounded, above the optimum, below it (attempt fails).
+            let bound = [f64::INFINITY, 2.0, 0.5][i % 3] * want.cost;
+            let (plan, cost) = opt.optimize_step(&s, bound);
+            assert_eq!(cost.to_bits(), want.cost.to_bits());
+            match &plan {
+                Some(plan) => assert_eq!(plan.root, want.plan.root),
+                None => {
+                    assert_eq!(last, Some(want.plan.fingerprint()));
+                    omitted += 1;
+                }
+            }
+            changed += usize::from(last.replace(want.plan.fingerprint()) != last);
+        }
+        // Plans change along the axis, and most repeats are not rebuilt: a
+        // retry after a failed attempt (a third of the steps) always is.
+        assert!(
+            changed >= 3 && omitted >= 100,
+            "{changed} changes, {omitted} omitted"
+        );
+    }
+
     #[test]
     fn five_way_chain_optimizes_quickly_and_correctly() {
         let cat = tpch::catalog(1.0);
@@ -1199,13 +1480,15 @@ mod skeleton_tests {
             .collect()
     }
 
-    #[test]
-    fn skeleton_matches_per_call_enumeration() {
-        let cat = tpch::catalog(1.0);
+    /// A chain, a star and a cycle closed a second time by an inequality
+    /// edge with NOT EXISTS / EXISTS hangers; error-prone dimensions sit on
+    /// selections, inner edges of every kind and a hanger edge.
+    fn shapes(cat: &pb_catalog::Catalog) -> Vec<QuerySpec> {
         let fixed = SelSpec::Fixed(1e-5);
+        let dim = SelSpec::ErrorProne;
         let mut queries = Vec::new();
 
-        let mut qb = QueryBuilder::new(&cat, "chain");
+        let mut qb = QueryBuilder::new(cat, "chain");
         let (r, n, s, c, o) = (
             qb.rel("region"),
             qb.rel("nation"),
@@ -1213,27 +1496,32 @@ mod skeleton_tests {
             qb.rel("customer"),
             qb.rel("orders"),
         );
+        qb.select(c, "c_acctbal", CmpOp::Lt, 5000.0, dim(2));
+        let flipped = SelSpec::Flipped {
+            dim: 3,
+            pivot: 1e-3,
+        };
+        qb.select(s, "s_acctbal", CmpOp::Lt, 5000.0, flipped);
         qb.join(r, "r_regionkey", n, "n_regionkey", fixed);
-        qb.join(n, "n_nationkey", s, "s_nationkey", SelSpec::ErrorProne(0));
+        qb.join(n, "n_nationkey", s, "s_nationkey", dim(0));
         qb.join(s, "s_nationkey", c, "c_nationkey", fixed);
-        qb.join(c, "c_custkey", o, "o_custkey", fixed);
+        qb.join(c, "c_custkey", o, "o_custkey", dim(1));
         queries.push(qb.build());
 
-        let mut qb = QueryBuilder::new(&cat, "star");
+        let mut qb = QueryBuilder::new(cat, "star");
         let (l, p, s, o) = (
             qb.rel("lineitem"),
             qb.rel("part"),
             qb.rel("supplier"),
             qb.rel("orders"),
         );
-        qb.join(l, "l_partkey", p, "p_partkey", SelSpec::ErrorProne(0));
+        qb.select(p, "p_size", CmpOp::Lt, 25.0, dim(1));
+        qb.join(l, "l_partkey", p, "p_partkey", dim(0));
         qb.join(l, "l_suppkey", s, "s_suppkey", fixed);
-        qb.join(l, "l_orderkey", o, "o_orderkey", fixed);
+        qb.join(l, "l_orderkey", o, "o_orderkey", dim(2));
         queries.push(qb.build());
 
-        // Cycle lineitem–part–partsupp–supplier–lineitem, closed a second
-        // time by an inequality edge, with NOT EXISTS / EXISTS hangers.
-        let mut qb = QueryBuilder::new(&cat, "cyclic");
+        let mut qb = QueryBuilder::new(cat, "cyclic");
         let (l, p, ps, s, o, c) = (
             qb.rel("lineitem"),
             qb.rel("part"),
@@ -1242,15 +1530,23 @@ mod skeleton_tests {
             qb.rel("orders"),
             qb.rel("customer"),
         );
-        qb.join(l, "l_partkey", p, "p_partkey", SelSpec::ErrorProne(0));
-        qb.ineq_join(p, "p_size", CmpOp::Lt, s, "s_acctbal", fixed);
+        qb.select(p, "p_size", CmpOp::Lt, 25.0, dim(4));
+        qb.select(c, "c_acctbal", CmpOp::Lt, 5000.0, dim(5));
+        qb.join(l, "l_partkey", p, "p_partkey", dim(0));
+        qb.ineq_join(p, "p_size", CmpOp::Lt, s, "s_acctbal", dim(1));
         qb.join(ps, "ps_partkey", p, "p_partkey", fixed);
-        qb.anti_join(l, "l_orderkey", o, "o_orderkey", fixed);
-        qb.join(ps, "ps_suppkey", s, "s_suppkey", fixed);
+        qb.anti_join(l, "l_orderkey", o, "o_orderkey", dim(2));
+        qb.join(ps, "ps_suppkey", s, "s_suppkey", dim(3));
         qb.join(l, "l_suppkey", s, "s_suppkey", fixed);
         qb.semi_join(s, "s_nationkey", c, "c_nationkey", fixed);
         queries.push(qb.build());
+        queries
+    }
 
+    #[test]
+    fn skeleton_matches_per_call_enumeration() {
+        let cat = tpch::catalog(1.0);
+        let queries = shapes(&cat);
         for q in &queries {
             let sk = Skeleton::build(&cat, q);
             let expected = enumerated_per_call(q);
@@ -1270,5 +1566,47 @@ mod skeleton_tests {
             .iter()
             .any(|set| !set.primary_is_equi && set.merge_class.is_none()));
         assert_eq!(sk.hangers.len(), 2);
+    }
+
+    /// A slot's dimension set is every error dimension bound inside its
+    /// subset: on a selection of one of its relations or on an inner edge
+    /// between two of them — worked out here from the subset alone, not
+    /// from its partitions.
+    #[test]
+    fn slot_dims_match_per_subset_enumeration() {
+        let cat = tpch::catalog(1.0);
+        for q in &shapes(&cat) {
+            let sk = Skeleton::build(&cat, q);
+            let n = q.num_relations();
+            let bit = |s: &SelSpec| s.error_dim().map_or(0, |d| 1u64 << d);
+            let inside = |mask: u32| {
+                let rels = (0..n).filter(|&r| mask >> r & 1 == 1);
+                let selections = rels.flat_map(|r| &q.relations[r].selections);
+                let edges = q.joins.iter().filter(|j| {
+                    let (l, r) = j.rels();
+                    !j.existential() && mask >> l & 1 == 1 && mask >> r & 1 == 1
+                });
+                let specs = selections
+                    .map(|s| &s.selectivity)
+                    .chain(edges.map(|j| &j.selectivity));
+                specs.fold(0, |set, s| set | bit(s))
+            };
+            assert_eq!(sk.slot_dims.len(), n + sk.subsets.len());
+            for (slot, &dims) in sk.slot_dims.iter().enumerate() {
+                let mask = match slot.checked_sub(n) {
+                    None => 1 << slot,
+                    Some(i) => sk.subsets[i].mask,
+                };
+                assert_eq!(dims, inside(mask), "{} subset {mask:#b}", q.name);
+            }
+            // Reuse has something to find: the core depends on every inner
+            // dimension, most slots on fewer.
+            let root = sk.slot_dims[sk.root_slot as usize];
+            assert!(sk.slot_dims.iter().filter(|&&dims| dims != root).count() > n);
+        }
+        // The anti-join edge's dimension is applied on top of the core: no
+        // slot depends on it.
+        let sk = Skeleton::build(&cat, &shapes(&cat)[2]);
+        assert!(sk.slot_dims.iter().all(|dims| dims & (1 << 2) == 0));
     }
 }

@@ -5,7 +5,8 @@
 //!    randomly generated plan trees (every operator, both join orders) at
 //!    random off-grid ESS locations.
 //! 2. A program compiled from a whole POSP plan set shares sub-plans and
-//!    still emits, for every plan, the cost its own program computes.
+//!    still emits, for every plan, the cost its own program computes —
+//!    one location at a time and a block of locations at a time.
 
 use std::sync::OnceLock;
 
@@ -202,6 +203,40 @@ fn plan_set_program_matches_per_plan_costs_on_3d_h_q5() {
             assert_eq!(cost.to_bits(), single.to_bits(), "plan {i} at point {li}");
             let walked = coster.plan_cost(&d.plans[i].root, &q);
             assert_eq!(cost.to_bits(), walked.to_bits(), "plan {i} at point {li}");
+        }
+    }
+
+    // By block, over runs of consecutive grid points: whatever the block
+    // width is, these lengths leave single lanes, whole blocks and ragged
+    // tails. Every cell is emitted once and equals the single-point
+    // evaluation and the tree walk bit for bit.
+    let (points, dims) = (w.ess.points_flat(), w.d());
+    for (start, len) in [
+        (0, 1),
+        (5, 7),
+        (13, 8),
+        (400, 9),
+        (777, 31),
+        (1000, 64),
+        (7867, 133),
+    ] {
+        let run = &points[start * dims..(start + len) * dims];
+        let mut cells = vec![f64::NAN; d.plan_count() * len];
+        set.eval_set_points(run, dims, |i, j, cost| {
+            assert!(
+                cells[i * len + j].is_nan(),
+                "plan {i} point {j} emitted twice"
+            );
+            cells[i * len + j] = cost;
+        });
+        for (j, q) in run.chunks(dims).enumerate() {
+            set.eval_set_with(q, &mut vals, |i, cost| costs[i] = cost);
+            for (i, cost) in costs.iter().enumerate() {
+                let cell = cells[i * len + j];
+                assert_eq!(cell.to_bits(), cost.to_bits(), "plan {i} at {start}+{j}");
+                let walked = coster.plan_cost(&d.plans[i].root, q);
+                assert_eq!(cell.to_bits(), walked.to_bits(), "plan {i} at {start}+{j}");
+            }
         }
     }
 }

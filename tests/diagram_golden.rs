@@ -14,6 +14,11 @@
 //! aggregate queries); grid resolutions are shrunk so the suite stays
 //! around a second in debug builds.
 //!
+//! The optimizer keeps its memo between calls and refills only the slots a
+//! changed coordinate reaches, so the second test drives one long-lived
+//! `Optimizer` through every kind of call history and demands, at every
+//! step, exactly what a fresh one answers.
+//!
 //! Regenerating (only legitimate when the cost model or the plan space
 //! changes on purpose):
 //!
@@ -266,6 +271,99 @@ fn diagrams_and_off_grid_optima_match_recorded_hashes() {
         assert_eq!(
             hash, &golden[name],
             "{name}: diagram or off-grid optima diverged from the recorded bytes"
+        );
+    }
+}
+
+/// The locations of one call history over `ess`: a walk along every axis
+/// (single-coordinate steps), a row-major run long enough to roll the last
+/// two axes over, seeded off-grid jumps that move every coordinate — and,
+/// scattered through all of it, exact repeats.
+fn history(ess: &Ess, rng: &mut SplitMix64) -> Vec<Vec<f64>> {
+    let n = ess.num_points();
+    let mut out: Vec<Vec<f64>> = Vec::new();
+    for axis in 0..ess.d() {
+        let mut ix = ess.unlinear(rng.next_index(n));
+        for step in 0..ess.res[axis] {
+            ix[axis] = step;
+            out.push(ess.point(&ix).0);
+        }
+    }
+    let (last, start) = (ess.res[ess.d() - 1], rng.next_index(n));
+    let run = last * ess.res[ess.d().saturating_sub(2)] + last + 2;
+    out.extend((start..start + run).map(|li| ess.point(&ess.unlinear(li % n)).0));
+    for _ in 0..12 {
+        let f: Vec<f64> = (0..ess.d())
+            .map(|_| (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
+            .collect();
+        out.push(ess.point_at_fractions(&f).0);
+    }
+    let mut repeated = Vec::with_capacity(out.len() * 5 / 4);
+    for q in out {
+        if rng.next_index(4) == 0 {
+            repeated.push(q.clone());
+        }
+        repeated.push(q);
+    }
+    repeated
+}
+
+#[test]
+fn a_long_lived_optimizer_answers_every_call_like_a_fresh_one() {
+    let mut ws = typed_workloads();
+    for name in ["2D_H_Q8A", "3D_H_Q5", "4D_DS_Q7", "5D_DS_Q19", "ANTI_2D"] {
+        ws.push(workloads::by_name(name).unwrap());
+    }
+    for (relations, dims, seed) in [(3, 2, 7), (5, 3, 11), (7, 3, 13)] {
+        ws.push(workloads::random_workload(&RandomConfig {
+            relations,
+            dims,
+            seed,
+            ..Default::default()
+        }));
+    }
+    for w in &ws {
+        let ess = shrunk(&w.ess);
+        let mut rng = SplitMix64::new(ess.num_points() as u64 ^ 0x5EED);
+        let fresh = |q: &[f64]| w.optimizer().optimize(q);
+        // A finite bound shared by consecutive calls, so that slots filled
+        // under it are reused under it: above the optimum at some
+        // locations of the history, below it (a failed attempt and an
+        // unbounded retry) at others.
+        let shared = fresh(&ess.point(&ess.unlinear(ess.num_points() / 2))).cost;
+        let long_lived = w.optimizer();
+        let (mut kind, mut left) = (0, 0);
+        let mut kinds_seen = [0usize; 6];
+        for (step, q) in history(&ess, &mut rng).iter().enumerate() {
+            // Call kinds come in runs of one to four, so every kind also
+            // follows itself.
+            if left == 0 {
+                (kind, left) = (rng.next_index(6), 1 + rng.next_index(4));
+            }
+            left -= 1;
+            kinds_seen[kind] += 1;
+            let want = fresh(q);
+            let got = match kind {
+                0 => long_lived.optimize(q),
+                1 => long_lived.optimize_bounded(q, want.cost * 1.5),
+                // Ties with the bound survive.
+                2 => long_lived.optimize_bounded(q, want.cost),
+                // Below the optimum: the core's slot empties.
+                3 => long_lived.optimize_bounded(q, want.cost * 0.5),
+                // Below every access path: the whole memo empties.
+                4 => long_lived.optimize_bounded(q, 1e-9),
+                _ => long_lived.optimize_bounded(q, shared),
+            };
+            let at = format!("{} step {step} (call kind {kind})", w.name);
+            assert_eq!(got.plan.fingerprint(), want.plan.fingerprint(), "{at}");
+            assert_eq!(got.plan.root, want.plan.root, "{at}");
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{at}");
+            assert_eq!(got.rows.to_bits(), want.rows.to_bits(), "{at}");
+        }
+        assert!(
+            kinds_seen.iter().all(|&n| n > 0),
+            "{}: {kinds_seen:?}",
+            w.name
         );
     }
 }

@@ -10,7 +10,10 @@
 //!
 //! The DP optimizer runs at every grid point of a query, out of a skeleton
 //! and a scratch memo it keeps between calls; the same allocator pins that
-//! a call requests memory for the plan it returns and for nothing else.
+//! a call requests memory for the plan it returns and for nothing else,
+//! that a sweep step which finds the previous step's winner again requests
+//! none at all, and that the cost matrix allocates per chunk of grid
+//! points, not per point or per evaluation block.
 //!
 //! The optimized driver decides out of per-bouquet tables and scratch it
 //! keeps for the run; the allocator pins that a run allocates a constant
@@ -21,7 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use plan_bouquet::bouquet::{Bouquet, BouquetConfig, Workload};
+use plan_bouquet::cost::{Ess, EssDim, Parallelism};
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
+use plan_bouquet::optimizer::PlanDiagram;
 use plan_bouquet::plan::PlanNode;
 use plan_bouquet::workloads;
 
@@ -163,6 +168,75 @@ fn warm_optimizer_call_allocates_only_the_winning_plan() {
     assert!(
         bytes <= tree,
         "optimize requested {bytes} B for a {nodes}-node plan of {tree} B"
+    );
+}
+
+/// Serial builds over `2 × 2 × 2 × last` grids: eight scheduler chunks of
+/// `last` points whatever `last` is, so two of them differ only in how many
+/// steps each chunk takes.
+fn eight_chunk_grid(dims: &[EssDim], last: usize) -> Ess {
+    Ess::new(dims.to_vec(), vec![2, 2, 2, last])
+}
+
+#[test]
+fn sweep_step_with_an_unchanged_winner_allocates_nothing() {
+    let w = workloads::by_name("4D_H_Q8").expect("registry workload");
+    // A sliver in the middle of the space: one plan wins all of it.
+    let mut sliver = w.ess.dims.clone();
+    for d in &mut sliver {
+        d.hi = (d.lo * d.hi).sqrt();
+        d.lo = d.hi * (1.0 - 1e-6);
+    }
+    let build = |last: usize| {
+        let ess = eight_chunk_grid(&sliver, last);
+        let before = REQUESTED.with(Cell::get);
+        let d =
+            PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &ess, Parallelism::serial());
+        let bytes = REQUESTED.with(Cell::get) - before;
+        assert_eq!(d.plan_count(), 1, "the sliver has one winner");
+        bytes
+    };
+    let (short, long) = (build(16), build(48));
+    // What a step takes: its four coordinates in the sweep's table of grid
+    // points (and each step of the last axis one entry in that axis's
+    // table), and its winner's number and cost, once in the chunk's result
+    // and once in the diagram. The skeleton, the chunks' memos and their
+    // first trees are the same in both builds. A step that builds its tree
+    // requests 776 B more on this query.
+    let (steps, per_step) = (8 * (48 - 16), 4 * 8 + 2 * (4 + 8));
+    assert_eq!(
+        long - short,
+        steps * per_step + (48 - 16) * 8,
+        "{steps} more steps requested {} B, {per_step} B of it each for points and results",
+        long - short
+    );
+}
+
+#[test]
+fn cost_matrix_allocates_per_chunk_not_per_point() {
+    let w = workloads::by_name("4D_H_Q8").expect("registry workload");
+    let d = PlanDiagram::build_with(
+        &w.catalog,
+        &w.query,
+        &w.model,
+        &eight_chunk_grid(&w.ess.dims, 16),
+        Parallelism::serial(),
+    );
+    assert!(d.plan_count() > 1);
+    // The same plans over grids of 128 and 512 points, eight chunks each.
+    let calls = |last: usize| {
+        let mut d = d.clone();
+        d.ess = eight_chunk_grid(&w.ess.dims, last);
+        let before = CALLS.with(Cell::get);
+        let m = d.cost_matrix_with(&w.catalog, &w.query, &w.model, Parallelism::serial());
+        let calls = CALLS.with(Cell::get) - before;
+        assert_eq!(m.as_flat().len(), d.plan_count() * 8 * last);
+        calls
+    };
+    let (short, long) = (calls(16), calls(64));
+    assert_eq!(
+        short, long,
+        "four times the points per chunk took {long} allocator calls instead of {short}"
     );
 }
 
