@@ -40,7 +40,7 @@ const COMMANDS: &[Command] = &[
         flag("--workers N", Usize, "", "the parallel run's workers (default: all cores / --jobs)"),
         JSON,
     ] },
-    Command { name: "identify-cache", positional: "WORKLOAD", run: identify::identify_cache, help: "content-addressed cached identification: hit, miss, or incremental refresh", flags: &[
+    Command { name: "identify-cache", positional: "WORKLOAD", run: identify::identify_cache, help: "content-addressed cached identification: hit, miss, or refresh (cold rebuild replacing a stale sibling)", flags: &[
         flag("--dir DIR", Str, ".pb-cache", "cache directory"),
         flag("--expect KIND", Str, "", "exit 1 unless the outcome is KIND: hit|miss|refresh"),
         flag("--min-speedup F", F64, "", "exit 1 if a hit beats the stored cold build by less"),
@@ -180,6 +180,23 @@ mod tests {
             assert!(
                 message.contains(&format!("usage: pbq {name}")),
                 "{line}: {message}"
+            );
+        }
+    }
+
+    /// SQL that parses but is no bouquet query fails the subcommand (exit 1);
+    /// it used to panic (exit 101).
+    #[test]
+    fn sql_that_is_no_bouquet_query_fails_with_a_parse_error() {
+        for sql in [
+            "SELECT * FROM part, orders WHERE p_retailprice < 1000?",
+            "SELECT * FROM part, lineitem WHERE p_partkey = l_partkey",
+        ] {
+            let ran = dispatch(&["sql".to_string(), sql.to_string()]).expect("arguments are fine");
+            let failure = ran.expect_err("not a bouquet query");
+            assert!(
+                failure.starts_with("sql FAILED: parse error: "),
+                "{failure}"
             );
         }
     }

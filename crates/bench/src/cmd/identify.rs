@@ -102,18 +102,11 @@ pub fn identify_cache(args: &Args) -> CmdResult {
             build_s,
             incremental,
         } => println!(
-            "  REFRESH: statistics drift; incremental re-identification in {:.3}ms \
-             ({}/{} 256-point grid blocks changed, {}/{} contours reused{})",
+            "  REFRESH: statistics drift; cold rebuild replacing a stale sibling in {:.3}ms \
+             ({}/{} points changed winner)",
             build_s * 1e3,
-            incremental.diagram.chunks_changed,
-            incremental.diagram.chunks_total,
-            incremental.contours_reused,
-            incremental.contours_total,
-            if incremental.diagram.full_rebuild {
-                "; fell back to full rebuild"
-            } else {
-                ""
-            }
+            incremental.diagram.points_changed,
+            incremental.diagram.points_total,
         ),
     }
     if let Some(identical) = r.verified_identical {

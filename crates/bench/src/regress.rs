@@ -336,10 +336,10 @@ pub struct CacheReport {
     pub warm_load_s: Option<f64>,
     /// `cold_build_s / warm_load_s` (hit).
     pub speedup_warm_vs_cold: Option<f64>,
-    /// Incremental re-identification after statistics drift (refresh).
+    /// Cold rebuild replacing a stale sibling after statistics drift, and
+    /// the grid points whose winner it changed (refresh).
     pub refresh_build_s: Option<f64>,
-    pub chunks_changed: Option<usize>,
-    pub contours_reused: Option<usize>,
+    pub points_changed: Option<usize>,
     /// The served bouquet serializes to the bytes of a fresh build.
     pub verified_identical: Option<bool>,
     #[serde(skip)]
@@ -347,8 +347,8 @@ pub struct CacheReport {
 }
 
 /// Cached identification of `w` against the cache in `dir`: serve from the
-/// cache when a valid entry exists, re-identify incrementally after
-/// statistics drift, build and store otherwise. `verify` also recompiles
+/// cache when a valid entry exists, build and store otherwise (replacing a
+/// stale sibling after statistics drift). `verify` also recompiles
 /// from scratch and compares bytes.
 pub fn cache_bench(w: &Workload, dir: &str, verify: bool) -> Result<CacheReport, String> {
     let cfg = BouquetConfig::default();
@@ -367,8 +367,7 @@ pub fn cache_bench(w: &Workload, dir: &str, verify: bool) -> Result<CacheReport,
         warm_load_s: None,
         speedup_warm_vs_cold: None,
         refresh_build_s: None,
-        chunks_changed: None,
-        contours_reused: None,
+        points_changed: None,
         verified_identical: None,
         served: served.clone(),
     };
@@ -396,8 +395,7 @@ pub fn cache_bench(w: &Workload, dir: &str, verify: bool) -> Result<CacheReport,
         } => {
             r.outcome = "refresh";
             r.refresh_build_s = Some(build_s);
-            r.chunks_changed = Some(incremental.diagram.chunks_changed);
-            r.contours_reused = Some(incremental.contours_reused);
+            r.points_changed = Some(incremental.diagram.points_changed);
         }
     }
     if verify {

@@ -13,9 +13,7 @@ use pb_cost::{
     PARALLEL_MIN_CONTOUR_CELLS,
 };
 use pb_faults::PbError;
-use pb_optimizer::{
-    IncrementalDiagramStats, PlanDiagram, PlanId, SampledBuildConfig, SampledBuildStats,
-};
+use pb_optimizer::{PlanDiagram, PlanId, SampledBuildConfig, SampledBuildStats};
 use pb_plan::PhysicalPlan;
 
 use crate::contour::{rho, Contour};
@@ -84,18 +82,6 @@ pub struct PhaseTimings {
     pub total: Duration,
 }
 
-/// What an incremental re-identification reused versus redid: the diagram
-/// layer's chunk accounting plus the contour layer's cache hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct IncrementalIdentifyStats {
-    pub diagram: IncrementalDiagramStats,
-    pub contours_total: usize,
-    /// Contours lifted verbatim from the stale bouquet (their step cost,
-    /// frontier, PIC values, and cost-matrix columns were all bit-unchanged,
-    /// so anorexic reduction was skipped).
-    pub contours_reused: usize,
-}
-
 /// A compiled plan bouquet, ready for run-time discovery.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Bouquet {
@@ -151,8 +137,8 @@ impl Bouquet {
         let costs = diagram.cost_matrix_with(&w.catalog, &w.query, &w.model, par);
         let t_cost_matrix = t0.elapsed();
 
-        let (bouquet, t_contours, _) =
-            Self::assemble_from_diagram(w, cfg, diagram, costs, w.ess.num_points(), None, par)?;
+        let (bouquet, t_contours) =
+            Self::assemble_from_diagram(w, cfg, diagram, costs, w.ess.num_points(), par)?;
         let timings = PhaseTimings {
             workers: par.workers,
             diagram: t_diagram,
@@ -181,13 +167,12 @@ impl Bouquet {
         let t_start = Instant::now();
         let sd = PlanDiagram::build_sampled(&w.catalog, &w.query, &w.model, &w.ess, scfg, par)?;
         let t_diagram = t_start.elapsed();
-        let (bouquet, t_contours, _) = Self::assemble_from_diagram(
+        let (bouquet, t_contours) = Self::assemble_from_diagram(
             w,
             cfg,
             sd.diagram,
             sd.costs,
             sd.stats.optimizer_calls,
-            None,
             par,
         )?;
         let timings = PhaseTimings {
@@ -200,72 +185,17 @@ impl Bouquet {
         Ok((bouquet, timings, sd.stats))
     }
 
-    /// Re-identify after statistics drift, reusing a stale bouquet compiled
-    /// for the *same* query/ESS/config under older statistics. The diagram
-    /// layer reuses the stale winners as DP incumbents
-    /// ([`PlanDiagram::build_incremental`]), and contours whose inputs are
-    /// bit-unchanged — step cost, frontier, PIC values, and cost columns at
-    /// the frontier points — are lifted verbatim instead of re-reduced. The
-    /// result is bitwise identical to a from-scratch
-    /// [`Bouquet::identify_with`] on `w` (enforced by tests).
-    pub fn identify_incremental(
-        w: &Workload,
-        prev: &Bouquet,
-        par: Parallelism,
-    ) -> Result<(Bouquet, PhaseTimings, IncrementalIdentifyStats), PbError> {
-        let cfg = prev.config.clone();
-        validate_config(&cfg)?;
-        let t_start = Instant::now();
-        let (diagram, dstats) = PlanDiagram::build_incremental(
-            &w.catalog,
-            &w.query,
-            &w.model,
-            &w.ess,
-            &prev.diagram,
-            par,
-        );
-        let t_diagram = t_start.elapsed();
-        let t0 = Instant::now();
-        let costs = diagram.cost_matrix_with(&w.catalog, &w.query, &w.model, par);
-        let t_cost_matrix = t0.elapsed();
-        let (bouquet, t_contours, contours_reused) = Self::assemble_from_diagram(
-            w,
-            &cfg,
-            diagram,
-            costs,
-            w.ess.num_points(),
-            Some(prev),
-            par,
-        )?;
-        let stats = IncrementalIdentifyStats {
-            diagram: dstats,
-            contours_total: bouquet.contours.len(),
-            contours_reused,
-        };
-        let timings = PhaseTimings {
-            workers: par.workers,
-            diagram: t_diagram,
-            cost_matrix: t_cost_matrix,
-            contours: t_contours,
-            total: t_start.elapsed(),
-        };
-        Ok((bouquet, timings, stats))
-    }
-
     /// Shared tail of every identification path: PCM check, isocost
-    /// grading, frontier scans, contour assembly (with per-contour reuse
-    /// against `reuse_from` when its inputs are bit-unchanged), and stats.
-    /// Returns the bouquet, the contour-phase wall time, and how many
-    /// contours were reused.
+    /// grading, frontier scans, contour assembly, and stats. Returns the
+    /// bouquet and the contour-phase wall time.
     fn assemble_from_diagram(
         w: &Workload,
         cfg: &BouquetConfig,
         diagram: PlanDiagram,
         costs: CostMatrix,
         optimizer_calls: usize,
-        reuse_from: Option<&Bouquet>,
         par: Parallelism,
-    ) -> Result<(Bouquet, Duration, usize), PbError> {
+    ) -> Result<(Bouquet, Duration), PbError> {
         let (cmin, cmax) = diagram.cost_bounds();
         // PCM sanity: the PIC must be monotone along every axis; queries
         // violating this (e.g. existential operators, Section 2) are not
@@ -299,15 +229,8 @@ impl Bouquet {
             .max()
             .unwrap_or(0);
 
-        let (contours, contours_reused) = match reuse_from {
-            None => (
-                Contour::build_from_frontiers(
-                    &diagram, &grading, &costs, cfg.lambda, frontiers, cpar,
-                ),
-                0,
-            ),
-            Some(prev) => reuse_contours(&diagram, &grading, &costs, cfg.lambda, frontiers, prev),
-        };
+        let contours =
+            Contour::build_from_frontiers(&diagram, &grading, &costs, cfg.lambda, frontiers, cpar);
         let t_contours = t0.elapsed();
 
         let bouquet_cardinality = {
@@ -339,7 +262,6 @@ impl Bouquet {
                 tables: std::sync::OnceLock::new(),
             },
             t_contours,
-            contours_reused,
         ))
     }
 
@@ -439,65 +361,6 @@ fn validate_config(cfg: &BouquetConfig) -> Result<(), PbError> {
         ));
     }
     Ok(())
-}
-
-/// Assemble contours, lifting one verbatim from `prev` whenever every input
-/// anorexic reduction reads is bit-unchanged. [`Contour::assemble`]'s output
-/// is a pure function of `(number of plans, cost columns and PIC values at
-/// the frontier points, lambda, k, step_cost, points)` — the plan-identity
-/// prerequisite additionally pins the *meaning* of the cached plan ids, so
-/// a reused contour equals what recomputation would produce, bit for bit.
-fn reuse_contours(
-    diagram: &PlanDiagram,
-    grading: &IsoCostGrading,
-    costs: &CostMatrix,
-    lambda: f64,
-    frontiers: Vec<Vec<usize>>,
-    prev: &Bouquet,
-) -> (Vec<Contour>, usize) {
-    let plans_unchanged = (lambda - prev.config.lambda).abs() == 0.0
-        && diagram.plans.len() == prev.diagram.plans.len()
-        && costs.len() == prev.costs.len()
-        && diagram
-            .plans
-            .iter()
-            .zip(&prev.diagram.plans)
-            .all(|(a, b)| a.fingerprint() == b.fingerprint());
-    let mut reused = 0;
-    let mut contours = Vec::with_capacity(grading.steps.len());
-    for (k, points) in frontiers.into_iter().enumerate() {
-        let cached = prev.contours.get(k).filter(|c| {
-            plans_unchanged
-                && prev
-                    .grading
-                    .steps
-                    .get(k)
-                    .is_some_and(|s| s.to_bits() == grading.steps[k].to_bits())
-                && c.points == points
-                && points.iter().all(|&li| {
-                    diagram.opt_cost[li].to_bits() == prev.diagram.opt_cost[li].to_bits()
-                        && (0..costs.len())
-                            .all(|p| costs[p][li].to_bits() == prev.costs[p][li].to_bits())
-                })
-        });
-        match cached {
-            Some(c) => {
-                reused += 1;
-                contours.push(c.clone());
-            }
-            None => {
-                contours.push(Contour::assemble(
-                    diagram,
-                    costs,
-                    lambda,
-                    k,
-                    grading.steps[k],
-                    points,
-                ));
-            }
-        }
-    }
-    (contours, reused)
 }
 
 fn check_pic_monotone(diagram: &PlanDiagram) -> Result<(), PbError> {
@@ -630,49 +493,6 @@ mod tests {
             24,
         );
         Workload::new("EQ_2D", cat.clone(), q, ess, CostModel::postgresish())
-    }
-
-    fn drift(w: &Workload, scale: f64) -> Workload {
-        Workload::new(
-            w.name.clone(),
-            tpch::catalog(scale),
-            w.query.clone(),
-            w.ess.clone(),
-            w.model.clone(),
-        )
-    }
-
-    #[test]
-    fn incremental_identify_is_bitwise_identical_to_fresh() {
-        let w = eq_1d();
-        let cfg = BouquetConfig::default();
-        let prev = Bouquet::identify(&w, &cfg).unwrap();
-        let drifted = drift(&w, 1.04);
-        let fresh = Bouquet::identify(&drifted, &cfg).unwrap();
-        let (inc, _, stats) =
-            Bouquet::identify_incremental(&drifted, &prev, Parallelism::serial()).unwrap();
-        assert!(!stats.diagram.full_rebuild);
-        assert_eq!(stats.contours_total, fresh.contours.len());
-        assert_eq!(
-            crate::persist::to_json(&inc).unwrap(),
-            crate::persist::to_json(&fresh).unwrap(),
-            "incremental re-identification must be bitwise identical to fresh"
-        );
-    }
-
-    #[test]
-    fn incremental_identify_without_drift_reuses_everything() {
-        let w = eq_1d();
-        let cfg = BouquetConfig::default();
-        let prev = Bouquet::identify(&w, &cfg).unwrap();
-        let (inc, _, stats) =
-            Bouquet::identify_incremental(&w, &prev, Parallelism::serial()).unwrap();
-        assert_eq!(stats.diagram.points_changed, 0);
-        assert_eq!(stats.contours_reused, stats.contours_total);
-        assert_eq!(
-            crate::persist::to_json(&inc).unwrap(),
-            crate::persist::to_json(&prev).unwrap()
-        );
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! A lookup hits when both keys match: the stored arrays are grafted under
 //! the caller's workload and the result is bit-identical to a fresh
 //! identification (property-tested). When only the statistics key differs, a
-//! stale sibling entry (same skeleton) seeds **incremental
-//! re-identification** ([`Bouquet::identify_incremental`]): the stale
-//! winners become DP incumbents and bit-unchanged contours are lifted
-//! verbatim, with a transparent full rebuild whenever reuse is unsound. The
-//! refreshed bouquet replaces the stale entry.
+//! stale sibling entry (same skeleton) is **refreshed**: the bouquet is
+//! identified cold under the new statistics — no reuse of the stale winners
+//! is as fast as the sweep itself — and replaces the stale entry, which is
+//! read once more only to report how many grid points changed winner.
 //!
 //! Entries are binary: a small JSON header for the tree-shaped pieces
 //! (plans, grading, contours, config, stats) and raw little-endian arrays
@@ -43,7 +42,7 @@ use pb_faults::PbError;
 use pb_optimizer::PlanDiagram;
 use pb_plan::PhysicalPlan;
 
-use crate::bouquet::{Bouquet, BouquetConfig, CompileStats, IncrementalIdentifyStats};
+use crate::bouquet::{Bouquet, BouquetConfig, CompileStats};
 use crate::contour::Contour;
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
@@ -159,14 +158,43 @@ pub enum CacheOutcome {
         /// Wall-clock seconds the identification took.
         build_s: f64,
     },
-    /// Statistics drift: a same-skeleton stale entry seeded an incremental
-    /// re-identification; the refreshed entry replaced the stale one.
+    /// Statistics drift: identified from scratch and stored in place of a
+    /// same-skeleton stale entry.
     Refreshed {
-        /// Wall-clock seconds the incremental re-identification took.
+        /// Wall-clock seconds the identification took.
         build_s: f64,
-        /// What the incremental path reused versus redid.
+        /// How far the drift moved the diagram.
         incremental: IncrementalIdentifyStats,
     },
+}
+
+/// What a refresh found changed against the stale entry it replaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct IncrementalIdentifyStats {
+    pub diagram: IncrementalDiagramStats,
+}
+
+/// A grid point "changed" when its optimal plan's fingerprint under the new
+/// statistics differs from the stale winner's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct IncrementalDiagramStats {
+    pub points_total: usize,
+    pub points_changed: usize,
+}
+
+/// Count the grid points whose winner differs between a stale diagram and
+/// the one that replaces it on the same grid; `None` if the stale one names
+/// a plan it does not hold.
+fn winners_changed(stale: &PlanDiagram, new: &PlanDiagram) -> Option<IncrementalDiagramStats> {
+    let mut points_changed = 0;
+    for (&was, &now) in stale.optimal.iter().zip(&new.optimal) {
+        let was = stale.plans.get(was as usize)?.fingerprint();
+        points_changed += usize::from(was != new.plans[now as usize].fingerprint());
+    }
+    Some(IncrementalDiagramStats {
+        points_total: new.optimal.len(),
+        points_changed,
+    })
 }
 
 /// The tree-shaped (small) part of an entry, stored as JSON inside the
@@ -208,8 +236,8 @@ impl BouquetCache {
     }
 
     /// Serve a bouquet for `(w, cfg)`: from cache when the entry is valid,
-    /// by incremental re-identification when only the statistics drifted,
-    /// from scratch otherwise. Every path stores its result, so the next
+    /// from scratch otherwise — replacing the stale sibling when only the
+    /// statistics drifted. Either way the result is stored, so the next
     /// call with the same inputs is a hit. Invalid entries (corruption,
     /// truncation, version or key mismatch) are evicted, never trusted.
     pub fn get_or_identify(
@@ -241,31 +269,30 @@ impl BouquetCache {
         }
 
         // Statistics drift: any sibling with our skeleton but a different
-        // statistics key is a stale edition of this bouquet.
-        if let Some(stale_path) = self.find_stale(&key)? {
-            if let Ok((stale, _)) = read_entry(&stale_path, &key, false, w) {
-                let t0 = Instant::now();
-                let (bouquet, _, incremental) = Bouquet::identify_incremental(w, &stale, par)?;
-                let build_s = t0.elapsed().as_secs_f64();
-                self.store(&key, &bouquet, build_s)?;
-                let _ = std::fs::remove_file(&stale_path);
-                return Ok((
-                    bouquet,
-                    CacheOutcome::Refreshed {
-                        build_s,
-                        incremental,
-                    },
-                ));
-            }
-            // Stale and unreadable: evict and fall through to a cold build.
-            let _ = std::fs::remove_file(&stale_path);
-        }
+        // statistics key is a stale edition of this bouquet. The build does
+        // not use it; its winners only say how far the drift moved them.
+        let stale_path = self.find_stale(&key)?;
+        let stale = stale_path
+            .as_ref()
+            .and_then(|path| read_entry(path, &key, false, w).ok())
+            .map(|(stale, _)| stale.diagram);
 
         let t0 = Instant::now();
         let (bouquet, _) = Bouquet::identify_timed(w, cfg, par)?;
         let build_s = t0.elapsed().as_secs_f64();
         self.store(&key, &bouquet, build_s)?;
-        Ok((bouquet, CacheOutcome::Miss { build_s }))
+        if let Some(path) = stale_path {
+            let _ = std::fs::remove_file(path);
+        }
+        // A stale entry that cannot be read or compared was just a miss.
+        let outcome = match stale.and_then(|stale| winners_changed(&stale, &bouquet.diagram)) {
+            Some(diagram) => CacheOutcome::Refreshed {
+                build_s,
+                incremental: IncrementalIdentifyStats { diagram },
+            },
+            None => CacheOutcome::Miss { build_s },
+        };
+        Ok((bouquet, outcome))
     }
 
     /// The lexicographically greatest same-skeleton entry with a different
@@ -429,7 +456,7 @@ impl<'a> Reader<'a> {
 
 /// Decode and validate one entry, grafting the caller's workload under the
 /// stored arrays. `require_stats_match` distinguishes a direct hit (both
-/// key halves must match) from a stale read for incremental reuse (only the
+/// key halves must match) from the read of a stale sibling (only the
 /// skeleton must match). Returns the bouquet and its stored cold-build
 /// wall time.
 fn read_entry(
@@ -709,37 +736,26 @@ mod tests {
     }
 
     #[test]
-    fn stats_drift_refreshes_incrementally_and_evicts_the_stale_entry() {
+    fn unreadable_stale_sibling_is_evicted_and_served_as_a_miss() {
         let tmp = TmpDir::new("drift");
         let cache = BouquetCache::new(&tmp.0).unwrap();
         let cfg = BouquetConfig::default();
-        let (_, o1) = cache
+        cache
             .get_or_identify(&workload(1.0), &cfg, Parallelism::serial())
             .unwrap();
-        assert!(matches!(o1, CacheOutcome::Miss { .. }));
+        let path = entry_file(&tmp.0);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let drifted = workload(1.05);
-        let (refreshed, o2) = cache
+        let (_, outcome) = cache
             .get_or_identify(&drifted, &cfg, Parallelism::serial())
             .unwrap();
-        match o2 {
-            CacheOutcome::Refreshed { incremental, .. } => {
-                assert!(!incremental.diagram.full_rebuild);
-            }
-            other => panic!("expected Refreshed, got {other:?}"),
-        }
-        // Bitwise identical to a from-scratch identification on the
-        // drifted statistics.
-        let fresh = Bouquet::identify(&drifted, &cfg).unwrap();
-        assert_eq!(
-            persist::to_json(&refreshed).unwrap(),
-            persist::to_json(&fresh).unwrap()
-        );
-        // The stale entry is gone; only the refreshed one remains, and it
-        // serves hits.
-        entry_file(&tmp.0);
-        let (_, o3) = cache
+        assert!(matches!(outcome, CacheOutcome::Miss { .. }), "{outcome:?}");
+        // The damaged sibling is gone; the entry that remains serves hits.
+        assert_ne!(entry_file(&tmp.0), path);
+        let (_, again) = cache
             .get_or_identify(&drifted, &cfg, Parallelism::serial())
             .unwrap();
-        assert!(matches!(o3, CacheOutcome::Hit { .. }));
+        assert!(matches!(again, CacheOutcome::Hit { .. }));
     }
 }

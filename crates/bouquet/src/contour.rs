@@ -130,8 +130,7 @@ impl Contour {
     }
 
     /// Assemble one contour (0-based step index `k`) from its frontier: the
-    /// anorexic-reduction unit the batch builders — and the incremental
-    /// identifier, for steps whose cached contour cannot be reused — share.
+    /// anorexic-reduction unit the batch builders share.
     /// Output is a pure function of `(costs columns and diagram PIC at
     /// `points`, lambda, k, step_cost, points)`.
     pub fn assemble(

@@ -32,8 +32,8 @@ pub mod substrate;
 pub mod theory;
 pub mod workload;
 
-pub use bouquet::{Bouquet, BouquetConfig, CompileStats, IncrementalIdentifyStats, PhaseTimings};
-pub use cache::{BouquetCache, CacheKey, CacheOutcome};
+pub use bouquet::{Bouquet, BouquetConfig, CompileStats, PhaseTimings};
+pub use cache::{BouquetCache, CacheKey, CacheOutcome, IncrementalIdentifyStats};
 pub use contour::Contour;
 pub use drivers::robust::{RobustConfig, RobustEvent, RobustRun};
 pub use drivers::{BouquetRun, ExecutionOutcome, PartialExec};

@@ -71,27 +71,6 @@ fn intern(
     })
 }
 
-/// What an incremental rebuild actually had to redo. A point "changed" when
-/// the drifted optimum's plan fingerprint differs from the cached winner's;
-/// unchanged points still run the DP, but bounded by the recosted cached
-/// winner, which prunes almost everything. A "chunk" is a block of 256
-/// consecutive grid points, changed if any of its points did: like the
-/// point counts, and unlike the chunks the sweep happens to be scheduled
-/// in, the same at every worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct IncrementalDiagramStats {
-    pub chunks_total: usize,
-    pub chunks_changed: usize,
-    pub points_total: usize,
-    pub points_changed: usize,
-    /// The cached diagram was unusable (ESS or shape mismatch) and the
-    /// build fell back to a full from-scratch rebuild.
-    pub full_rebuild: bool,
-}
-
-/// Grid points per "chunk" of [`IncrementalDiagramStats`].
-const STATS_BLOCK: usize = 256;
-
 /// Optimal plan + cost at every grid point of an ESS.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PlanDiagram {
@@ -104,13 +83,6 @@ pub struct PlanDiagram {
     pub opt_cost: Vec<f64>,
 }
 
-/// A stale diagram for the same ESS plus its plans compiled under the
-/// current statistics: the per-point incumbent of an incremental sweep.
-struct Incumbents<'a> {
-    prev: &'a PlanDiagram,
-    progs: Vec<CostProgram>,
-}
-
 impl PlanDiagram {
     /// Build the diagram by optimizing at every grid point, using all
     /// available cores (the task is embarrassingly parallel).
@@ -118,11 +90,14 @@ impl PlanDiagram {
         Self::build_with(catalog, query, model, ess, Parallelism::auto())
     }
 
-    /// Build with an explicit worker policy: one unbounded DP call per grid
-    /// point. Output is identical for every worker count: each chunk's
-    /// result is a pure function of its point range, chunks are merged back
-    /// in grid order, and plans are numbered by first appearance in that
-    /// order — exactly the sequential numbering.
+    /// Build with an explicit worker policy: one DP call per grid point.
+    /// Output is identical for every worker count: each chunk's result is a
+    /// pure function of its point range, chunks are merged back in grid
+    /// order, and plans are numbered by first appearance in that order —
+    /// exactly the sequential numbering. A chunk walks its points in grid
+    /// order through one optimizer, so most steps move one coordinate and
+    /// refill only the memo slots it reaches, and a step that finds the
+    /// previous step's winner again builds no tree.
     pub fn build_with(
         catalog: &Catalog,
         query: &QuerySpec,
@@ -130,64 +105,30 @@ impl PlanDiagram {
         ess: &Ess,
         par: Parallelism,
     ) -> Self {
-        Self::sweep(catalog, query, model, ess, par, None).0
-    }
-
-    /// The one grid sweep behind every exact build. With `incumbents`, each
-    /// point's DP is bounded by its cached winner recosted at that point
-    /// and the points whose winner changed are counted; without, every call
-    /// is unbounded (recosting a neighbour's winner to obtain a bound costs
-    /// as much as the pruning saves once a DP call is a few µs). A chunk
-    /// walks its points in grid order through one optimizer, so most steps
-    /// move one coordinate and refill only the memo slots it reaches, and a
-    /// step that finds the previous step's winner again builds no tree.
-    fn sweep(
-        catalog: &Catalog,
-        query: &QuerySpec,
-        model: &CostModel,
-        ess: &Ess,
-        par: Parallelism,
-        incumbents: Option<&Incumbents<'_>>,
-    ) -> (Self, IncrementalDiagramStats) {
         let n = ess.num_points();
         // Small grids run serially: thread hand-off costs more than it saves.
         let par = par.for_grid(n);
         let skeleton = Arc::new(Skeleton::build(catalog, query));
         let (points, d) = (ess.points_flat(), ess.d());
-        // Per chunk: its distinct plans by first appearance, every point's
-        // winner as an index into them and its cost, and the points whose
-        // winner changed.
+        // Per chunk: its distinct plans by first appearance, and every
+        // point's winner as an index into them and its cost.
         let chunks = run_chunked(par, n, |_, range| {
             let opt = Optimizer::with_skeleton(catalog, query, model, Arc::clone(&skeleton));
             let mut plans: Vec<PhysicalPlan> = Vec::new();
             let mut ids: HashMap<PlanFingerprint, u32> = HashMap::new();
             let mut winners = Vec::with_capacity(range.len());
             let mut costs = Vec::with_capacity(range.len());
-            let mut changed = Vec::new();
-            let mut vals = Vec::new();
             // The previous step's winner; the first step always sets it.
             let mut winner = 0;
             for li in range {
-                let q = &points[li * d..(li + 1) * d];
-                // The cached winner's program and fingerprint.
-                let cached = incumbents.map(|inc| {
-                    let id = inc.prev.optimal[li] as usize;
-                    (&inc.progs[id], inc.prev.plans[id].fingerprint())
-                });
-                let bound =
-                    cached.map_or(f64::INFINITY, |(prog, _)| prog.eval_with(q, &mut vals).cost);
-                let (plan, cost) = opt.optimize_step(q, bound);
+                let (plan, cost) = opt.optimize_step(&points[li * d..(li + 1) * d]);
                 if let Some(plan) = plan {
                     winner = intern(&mut plans, &mut ids, plan);
-                }
-                let fp = plans[winner as usize].fingerprint();
-                if cached.is_some_and(|(_, was)| was != fp) {
-                    changed.push(li);
                 }
                 winners.push(winner);
                 costs.push(cost);
             }
-            (plans, winners, costs, changed)
+            (plans, winners, costs)
         });
 
         // Merge in chunk (= grid) order: a chunk lists its plans by first
@@ -197,21 +138,7 @@ impl PlanDiagram {
         let mut ids: HashMap<PlanFingerprint, u32> = HashMap::new();
         let mut optimal = Vec::with_capacity(n);
         let mut opt_cost = Vec::with_capacity(n);
-        let mut stats = IncrementalDiagramStats {
-            chunks_total: n.div_ceil(STATS_BLOCK),
-            chunks_changed: 0,
-            points_total: n,
-            points_changed: 0,
-            full_rebuild: false,
-        };
-        let mut last_block = None;
-        for (chunk_plans, winners, costs, changed) in chunks {
-            stats.points_changed += changed.len();
-            for block in changed.into_iter().map(|li| li / STATS_BLOCK) {
-                if last_block.replace(block) != Some(block) {
-                    stats.chunks_changed += 1;
-                }
-            }
+        for (chunk_plans, winners, costs) in chunks {
             let global: Vec<u32> = chunk_plans
                 .into_iter()
                 .map(|plan| intern(&mut plans, &mut ids, plan))
@@ -219,66 +146,12 @@ impl PlanDiagram {
             optimal.extend(winners.into_iter().map(|w: u32| global[w as usize]));
             opt_cost.extend(costs);
         }
-        (
-            PlanDiagram {
-                ess: ess.clone(),
-                plans,
-                optimal,
-                opt_cost,
-            },
-            stats,
-        )
-    }
-
-    /// Rebuild the diagram after a catalog / cost-model drift, reusing a
-    /// previously computed diagram for the *same ESS* as a per-point
-    /// incumbent oracle: at each grid point the cached winner is recosted
-    /// under the drifted statistics (one compiled-program evaluation) and
-    /// fed to [`Optimizer::optimize_bounded`] as the upper bound. Points
-    /// whose winner survived prune almost the entire memo; points whose
-    /// winner changed pay (at most) a full DP. Either way
-    /// `optimize_bounded` is exact for any bound, so the result is
-    /// **bitwise identical** to a from-scratch [`build_with`]
-    /// (PlanDiagram::build_with) under the new statistics — enforced in
-    /// tests. If the cached diagram's ESS (or shape) does not match, the
-    /// incremental path is unsound and we fall back to a full rebuild,
-    /// reported in the stats.
-    pub fn build_incremental(
-        catalog: &Catalog,
-        query: &QuerySpec,
-        model: &CostModel,
-        ess: &Ess,
-        prev: &PlanDiagram,
-        par: Parallelism,
-    ) -> (Self, IncrementalDiagramStats) {
-        let n = ess.num_points();
-        if prev.ess != *ess
-            || prev.optimal.len() != n
-            || prev.opt_cost.len() != n
-            || prev.plans.is_empty()
-            || prev.optimal.iter().any(|&p| p as usize >= prev.plans.len())
-        {
-            let d = Self::build_with(catalog, query, model, ess, par);
-            return (
-                d,
-                IncrementalDiagramStats {
-                    chunks_total: 0,
-                    chunks_changed: 0,
-                    points_total: n,
-                    points_changed: n,
-                    full_rebuild: true,
-                },
-            );
+        PlanDiagram {
+            ess: ess.clone(),
+            plans,
+            optimal,
+            opt_cost,
         }
-        let incumbents = Incumbents {
-            prev,
-            progs: prev
-                .plans
-                .iter()
-                .map(|p| CostProgram::compile(catalog, query, model, &p.root))
-                .collect(),
-        };
-        Self::sweep(catalog, query, model, ess, par, Some(&incumbents))
     }
 
     /// Number of distinct POSP plans.
@@ -521,67 +394,6 @@ mod tests {
             for (a, b) in compiled.as_flat().iter().zip(reference.as_flat()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn incremental_rebuild_matches_fresh_build_bitwise_under_drift() {
-        let (cat, q, m, ess) = setup_1d();
-        // Fine enough for four workers to fan out over several stats blocks.
-        let ess = Ess::uniform(ess.dims, pb_cost::PARALLEL_MIN_GRID + 5);
-        let prev = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
-        // Mild statistics drift: same schema, slightly larger base tables.
-        let drifted = tpch::catalog(1.05);
-        let mut serial_stats = None;
-        for par in [Parallelism::serial(), Parallelism::new(4)] {
-            let fresh = PlanDiagram::build_with(&drifted, &q, &m, &ess, par);
-            let (inc, stats) = PlanDiagram::build_incremental(&drifted, &q, &m, &ess, &prev, par);
-            assert!(!stats.full_rebuild);
-            assert_eq!(stats.points_total, ess.num_points());
-            // Winners move at a few plan boundaries: some blocks of 256
-            // points change, not all — counted alike at any worker count.
-            assert_eq!(stats.chunks_total, ess.num_points().div_ceil(256));
-            assert!(stats.points_changed > 0);
-            assert!((1..stats.chunks_total).contains(&stats.chunks_changed));
-            assert_eq!(*serial_stats.get_or_insert(stats), stats);
-            assert_eq!(inc.optimal, fresh.optimal);
-            assert_eq!(inc.plan_count(), fresh.plan_count());
-            for (a, b) in inc.opt_cost.iter().zip(&fresh.opt_cost) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in inc.plans.iter().zip(&fresh.plans) {
-                assert_eq!(a.fingerprint(), b.fingerprint());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_rebuild_with_no_drift_reports_zero_changes() {
-        let (cat, q, m, ess) = setup_1d();
-        let prev = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
-        let (inc, stats) =
-            PlanDiagram::build_incremental(&cat, &q, &m, &ess, &prev, Parallelism::serial());
-        assert!(!stats.full_rebuild);
-        assert_eq!(stats.points_changed, 0);
-        assert_eq!(stats.chunks_changed, 0);
-        assert_eq!(inc.optimal, prev.optimal);
-        for (a, b) in inc.opt_cost.iter().zip(&prev.opt_cost) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn incremental_rebuild_falls_back_on_grid_mismatch() {
-        let (cat, q, m, ess) = setup_1d();
-        let prev = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
-        let other = Ess::uniform(vec![EssDim::new("p_retailprice", 1e-4, 1.0)], 32);
-        let fresh = PlanDiagram::build_with(&cat, &q, &m, &other, Parallelism::serial());
-        let (inc, stats) =
-            PlanDiagram::build_incremental(&cat, &q, &m, &other, &prev, Parallelism::serial());
-        assert!(stats.full_rebuild);
-        assert_eq!(inc.optimal, fresh.optimal);
-        for (a, b) in inc.opt_cost.iter().zip(&fresh.opt_cost) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

@@ -539,24 +539,19 @@ impl Memo {
 /// that returned a plan* and survives it, so that the next call can skip
 /// what that one already did:
 ///
-/// * `memo`, filled at location `q_bits` under bound `bound_bits`. A call
-///   with the same bound bits refills only the slots whose dimension set
-///   ([`Skeleton::slot_dims`]) contains a coordinate whose bits changed. A
-///   slot is a pure function of the selectivities inside its subset, the
-///   bound and the slots of its sub-subsets, whose dimension sets its own
-///   contains; so by induction over the fill order a slot left alone holds
-///   exactly what refilling it would write, and a call's result does not
-///   depend on the calls before it.
+/// * `memo`, filled at location `q_bits`. A call refills only the slots
+///   whose dimension set ([`Skeleton::slot_dims`]) contains a coordinate
+///   whose bits changed. A slot is a pure function of the selectivities
+///   inside its subset and the slots of its sub-subsets, whose dimension
+///   sets its own contains; so by induction over the fill order a slot left
+///   alone holds exactly what refilling it would write, and a call's result
+///   does not depend on the calls before it.
 /// * `derivation`, the winner's (see [`derive`]), which the next call
 ///   compares its own with.
 ///
 /// `live` says that all of this is in place. A call clears it on entry and
-/// sets it on success, so a call that does not return a plan leaves nothing
-/// the next one would trust. That covers a panic unwinding out of a
-/// half-filled memo, and it is how a failed bounded attempt is treated too:
-/// it has no winner whose derivation could be remembered, and the
-/// unbounded retry that follows changes the bound, which refills every
-/// slot anyway — invalidating costs nothing.
+/// sets it on success, so a panic unwinding out of a half-filled memo
+/// leaves nothing the next call would trust.
 #[derive(Debug)]
 struct Scratch {
     /// Clamped selectivity of every selection, relation by relation.
@@ -571,7 +566,6 @@ struct Scratch {
     winners: Winners,
     memo: Memo,
     q_bits: Vec<u64>,
-    bound_bits: u64,
     derivation: Vec<EntryOp>,
     /// The derivation before `derivation`; the two swap on every call.
     prev_derivation: Vec<EntryOp>,
@@ -591,7 +585,6 @@ impl Scratch {
             winners: Winners::default(),
             memo: Memo::new(slots, sk.order_classes + 1),
             q_bits: Vec::new(),
-            bound_bits: 0,
             derivation: Vec::with_capacity(nodes),
             prev_derivation: Vec::with_capacity(nodes),
             live: false,
@@ -725,15 +718,8 @@ impl Filled<'_> {
 
 /// Close `slot`, the one being filled: of the per-order winners, cheapest
 /// first, keep the unordered one and every ordered one that re-sorting a
-/// cheaper unordered one does not beat, then drop whatever *strictly*
-/// exceeds a finite `upper_bound` (a cost-ascending suffix; ties survive).
-fn close_slot(
-    p: &CostParams,
-    upper_bound: f64,
-    winners: &mut Winners,
-    memo: &mut Memo,
-    slot: usize,
-) {
+/// cheaper unordered one does not beat.
+fn close_slot(p: &CostParams, winners: &mut Winners, memo: &mut Memo, slot: usize) {
     winners
         .best
         .sort_unstable_by(|(a, sa), (b, sb)| a.est.cost.total_cmp(&b.est.cost).then(sa.cmp(sb)));
@@ -748,10 +734,8 @@ fn close_slot(
             Some(_) if resorted.is_some_and(|sorted| sorted <= e.est.cost) => continue,
             Some(_) => {}
         }
-        if !upper_bound.is_finite() || e.est.cost <= upper_bound {
-            kept[len] = *e;
-            len += 1;
-        }
+        kept[len] = *e;
+        len += 1;
     }
     memo.lens[slot] = len as u32;
 }
@@ -807,34 +791,12 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Optimize the query at ESS location `q`; returns the cheapest plan.
-    pub fn optimize(&self, q: &[f64]) -> OptimizedPlan {
-        self.optimize_bounded(q, f64::INFINITY)
-    }
-
-    /// Like [`optimize`](Optimizer::optimize), but additionally drops memo
-    /// entries whose estimated cost *strictly* exceeds `upper_bound`.
-    ///
-    /// Because every operator's cost is the sum of its inputs' costs plus
-    /// non-negative terms, a subplan estimated above the bound can only grow
-    /// on its way to the root, so when `upper_bound` is the cost of *some*
-    /// valid complete plan at `q` (e.g. a cached winner, recosted here) the
-    /// pruned search returns exactly the same plan and cost as the unpruned
-    /// one: pruned entries are strictly worse than the winner and memo slots
-    /// are cost-ascending, so pruning removes a slot suffix and cannot shift
-    /// the indices or relative order of surviving entries. Ties with the
-    /// bound are kept. Should a caller ever pass a bound below the optimum
-    /// (possible only if abstract recosting of a foreign plan undercuts
-    /// every plan the DP enumerates at `q`), the search detects the empty
-    /// memo and transparently falls back to the unpruned path — output is
-    /// identical to [`optimize`] in every case.
     ///
     /// What a call leaves behind for the next one — the memo with the
-    /// location and bound it was filled under, the winner's derivation — is
-    /// described at [`Scratch`]; none of it can change a later result. A
-    /// failed bounded attempt leaves nothing behind: the retry refills
-    /// every slot, and the call after it reuses what the retry filled.
-    pub fn optimize_bounded(&self, q: &[f64], upper_bound: f64) -> OptimizedPlan {
-        let est = self.search(q, upper_bound).est;
+    /// location it was filled at, the winner's derivation — is described at
+    /// [`Scratch`]; none of it can change a later result.
+    pub fn optimize(&self, q: &[f64]) -> OptimizedPlan {
+        let est = self.optimize_impl(q).est;
         OptimizedPlan {
             plan: self.winner_tree(),
             cost: est.cost,
@@ -842,27 +804,17 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// One step of a grid sweep: [`optimize_bounded`](Self::optimize_bounded)
-    /// returning the optimal cost, and the plan only if it may differ from
-    /// the one the previous call on this optimizer found — `None` means the
-    /// same plan again, and no tree was built.
-    pub(crate) fn optimize_step(&self, q: &[f64], upper_bound: f64) -> (Option<PhysicalPlan>, f64) {
-        let found = self.search(q, upper_bound);
+    /// One step of a grid sweep: [`optimize`](Self::optimize) returning the
+    /// optimal cost, and the plan only if it may differ from the one the
+    /// previous call on this optimizer found — `None` means the same plan
+    /// again, and no tree was built.
+    pub(crate) fn optimize_step(&self, q: &[f64]) -> (Option<PhysicalPlan>, f64) {
+        let found = self.optimize_impl(q);
         let plan = (!found.repeat).then(|| self.winner_tree());
         (plan, found.est.cost)
     }
 
-    fn search(&self, q: &[f64], upper_bound: f64) -> Found {
-        if upper_bound.is_finite() {
-            if let Some(found) = self.optimize_impl(q, upper_bound) {
-                return found;
-            }
-        }
-        self.optimize_impl(q, f64::INFINITY)
-            .expect("query join graph must be connected")
-    }
-
-    fn optimize_impl(&self, q: &[f64], upper_bound: f64) -> Option<Found> {
+    fn optimize_impl(&self, q: &[f64]) -> Found {
         let sk = &*self.skeleton;
         let p = &self.model.p;
         let mut scratch = self.scratch.borrow_mut();
@@ -874,17 +826,15 @@ impl<'a> Optimizer<'a> {
             winners,
             memo,
             q_bits,
-            bound_bits,
             derivation,
             prev_derivation,
             live,
         } = &mut *scratch;
 
-        // The coordinates that moved since the memo was filled, if it was
-        // filled under this bound; `None` refills every slot.
+        // The coordinates that moved since the memo was filled, if it was;
+        // `None` refills every slot.
         let was_live = std::mem::replace(live, false);
-        let same_bound = *bound_bits == upper_bound.to_bits() && q_bits.len() == q.len();
-        let moved = (was_live && same_bound).then(|| {
+        let moved = (was_live && q_bits.len() == q.len()).then(|| {
             let coords = q.iter().zip(q_bits.iter()).enumerate();
             coords.fold(0, |moved, (d, (now, then))| {
                 moved
@@ -898,7 +848,6 @@ impl<'a> Optimizer<'a> {
         let stays = |slot: usize| moved.is_some_and(|moved| sk.slot_dims[slot] & moved == 0);
         q_bits.clear();
         q_bits.extend(q.iter().map(|v| v.to_bits()));
-        *bound_bits = upper_bound.to_bits();
 
         // Resolve every selectivity at `q` once, multiplying in predicate
         // order exactly as `Coster::rel_sel` / `edges_sel` do.
@@ -970,7 +919,7 @@ impl<'a> Optimizer<'a> {
                     ),
                 }
             }
-            close_slot(p, upper_bound, winners, memo, rel);
+            close_slot(p, winners, memo, rel);
         }
 
         for (sub, slot) in sk.subsets.iter().zip(sk.rels.len()..) {
@@ -992,16 +941,19 @@ impl<'a> Optimizer<'a> {
                 filled.join_candidates(part.s1, part.s2, inl1, part.edges, set, sels, winners);
                 filled.join_candidates(part.s2, part.s1, inl2, part.edges, set, sels, winners);
             }
-            close_slot(p, upper_bound, winners, memo, slot);
+            close_slot(p, winners, memo, slot);
         }
 
         // Existential operators on top of the core, each against its
         // relation's cheapest access path, in edge order; then aggregation,
         // if the query groups. `winner_tree` builds the same shape.
-        let cheapest = |slot: u32| memo.slot(slot).first().map(|e| e.est);
-        let mut est = cheapest(sk.root_slot)?;
+        let cheapest = |slot: u32| {
+            let first = memo.slot(slot).first();
+            first.expect("query join graph must be connected").est
+        };
+        let mut est = cheapest(sk.root_slot);
         for &(edge, rel, semi) in &sk.hangers {
-            let right = cheapest(rel as u32)?;
+            let right = cheapest(rel as u32);
             est = if semi {
                 formulas::semi_join(p, &est, &right, edge_sel[edge])
             } else {
@@ -1015,13 +967,13 @@ impl<'a> Optimizer<'a> {
         std::mem::swap(derivation, prev_derivation);
         derive(sk, memo, derivation);
         *live = true;
-        Some(Found {
+        Found {
             est,
             repeat: was_live && derivation == prev_derivation,
-        })
+        }
     }
 
-    /// The plan of the last successful [`optimize_impl`](Self::optimize_impl).
+    /// The plan of the last [`optimize_impl`](Self::optimize_impl).
     fn winner_tree(&self) -> PhysicalPlan {
         let sk = &*self.skeleton;
         let memo = &self.scratch.borrow().memo;
@@ -1293,8 +1245,7 @@ mod tests {
         }
     }
 
-    /// A sweep step returns no plan only when the plan is the previous
-    /// step's, whatever came between — bounded steps, failed attempts.
+    /// A sweep step returns no plan only when the plan is the previous step's.
     #[test]
     fn sweep_step_omits_only_a_repeated_plan() {
         let (cat, q) = eq_query();
@@ -1304,9 +1255,7 @@ mod tests {
         for i in 0..200 {
             let s = [1e-4 * 1e4f64.powf((i / 2) as f64 / 99.0)];
             let want = Optimizer::new(&cat, &q, &m).optimize(&s);
-            // Unbounded, above the optimum, below it (attempt fails).
-            let bound = [f64::INFINITY, 2.0, 0.5][i % 3] * want.cost;
-            let (plan, cost) = opt.optimize_step(&s, bound);
+            let (plan, cost) = opt.optimize_step(&s);
             assert_eq!(cost.to_bits(), want.cost.to_bits());
             match &plan {
                 Some(plan) => assert_eq!(plan.root, want.plan.root),
@@ -1317,8 +1266,7 @@ mod tests {
             }
             changed += usize::from(last.replace(want.plan.fingerprint()) != last);
         }
-        // Plans change along the axis, and most repeats are not rebuilt: a
-        // retry after a failed attempt (a third of the steps) always is.
+        // Plans change along the axis, and most repeats are not rebuilt.
         assert!(
             changed >= 3 && omitted >= 100,
             "{changed} changes, {omitted} omitted"

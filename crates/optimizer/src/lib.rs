@@ -23,7 +23,7 @@ pub mod sampled;
 pub mod seer;
 
 pub use anorexic::AnorexicReduction;
-pub use diagram::{IncrementalDiagramStats, PlanDiagram, PlanId};
+pub use diagram::{PlanDiagram, PlanId};
 pub use dp::{OptimizedPlan, Optimizer};
 pub use sampled::{SampledBuildConfig, SampledBuildStats, SampledDiagram};
 pub use seer::SeerReduction;

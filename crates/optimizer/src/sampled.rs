@@ -4,13 +4,12 @@
 //! point — the dominant cost of bouquet identification. Following the
 //! *probably approximately optimal* line of work (Trummer & Koch), this
 //! module replaces the sweep with deterministic seeded sampling plus
-//! incumbent-bound refinement:
+//! refinement against the plans found so far:
 //!
 //! 1. **Seed**: optimize at `n₀` uniformly sampled grid points; the distinct
 //!    winners (compiled to [`CostProgram`]s) form the plan *pool*.
 //! 2. **Refine**: in rounds, draw `m` fresh uniform points; at each, compare
-//!    the pool's cheapest plan against the true optimum (one DP call,
-//!    upper-bounded by the pool cost, so the memo is heavily pruned). A
+//!    the pool's cheapest plan against the true optimum (one DP call). A
 //!    point where the pool is more than `(1+ε)` off is a *violation*; its
 //!    true winner joins the pool. A violation-free round terminates.
 //! 3. **Prune + re-validate**: the final sweep costs every surviving plan's
@@ -118,10 +117,10 @@ pub struct SampledDiagram {
 }
 
 impl PlanDiagram {
-    /// Build a diagram by seeded sampling + incumbent-bound refinement
-    /// instead of the exhaustive grid sweep. See the module docs for the
-    /// (ε, δ) contract. Small grids (where the sampling budget would meet
-    /// the grid size) transparently run the exact build.
+    /// Build a diagram by seeded sampling + refinement instead of the
+    /// exhaustive grid sweep. See the module docs for the (ε, δ) contract.
+    /// Small grids (where the sampling budget would meet the grid size)
+    /// transparently run the exact build.
     pub fn build_sampled(
         catalog: &Catalog,
         query: &QuerySpec,
@@ -212,7 +211,7 @@ impl PlanDiagram {
                         pool_best = c;
                     }
                 }
-                let best = opt.optimize_bounded(&q, pool_best);
+                let best = opt.optimize(&q);
                 stats.optimizer_calls += 1;
                 let fp = best.plan.fingerprint();
                 if let std::collections::hash_map::Entry::Vacant(slot) = pool_ids.entry(fp) {
@@ -302,7 +301,7 @@ impl PlanDiagram {
                             }
                         }
                     }
-                    let found = opt.optimize_bounded(&q, best);
+                    let found = opt.optimize(&q);
                     stats.optimizer_calls += 1;
                     if best > (1.0 + cfg.epsilon) * found.cost {
                         violations += 1;

@@ -561,6 +561,11 @@ impl<'a> QueryBuilder<'a> {
         }
     }
 
+    /// The query as built so far, not yet validated.
+    pub(crate) fn spec(&self) -> &QuerySpec {
+        &self.spec
+    }
+
     /// Finish, validating against the catalog.
     pub fn build(self) -> QuerySpec {
         self.spec.validate(self.catalog);

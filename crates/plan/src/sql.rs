@@ -482,6 +482,9 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
                         }
                         let (lr, lc) = resolve(catalog, &from, &lhs)?;
                         let (rr, rc) = resolve(catalog, &from, &rhs)?;
+                        if lr == rr {
+                            return Err(p.err("join predicate compares a relation with itself"));
+                        }
                         let sel = if marked {
                             let d = next_dim;
                             next_dim += 1;
@@ -521,6 +524,16 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
 
     if p.peek().is_some() {
         return Err(p.err("trailing input"));
+    }
+    // `build` panics on a structurally invalid query, and text is outside
+    // input: what the grammar cannot rule out is rejected here.
+    if qb.spec().relations.len() > 32 {
+        return Err(p.err("more than 32 relations"));
+    }
+    if !qb.spec().join_graph().is_connected() {
+        return Err(p.err(
+            "join predicates do not connect the FROM list (cross products are not supported)",
+        ));
     }
     Ok(qb.build())
 }

@@ -56,6 +56,12 @@ pub fn workload_from_sql(
     resolution: usize,
 ) -> Result<Workload, ParseError> {
     let mut query = parse_sql(catalog, sql)?;
+    if query.num_dims == 0 {
+        return Err(ParseError {
+            message: "no error-prone predicate: mark at least one with a trailing `?`".into(),
+            near: "end of input".into(),
+        });
+    }
     let name = name.into();
     query.name = name.clone();
     let ess = derive_ess(catalog, &query, decades, resolution);

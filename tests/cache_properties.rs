@@ -9,8 +9,9 @@ use proptest::prelude::*;
 use plan_bouquet::bouquet::{
     persist, Bouquet, BouquetCache, BouquetConfig, CacheOutcome, Workload,
 };
-use plan_bouquet::catalog::tpch;
-use plan_bouquet::cost::{Ess, Parallelism};
+use plan_bouquet::catalog::{tpcds, tpch, Catalog};
+use plan_bouquet::cost::{Ess, Parallelism, PARALLEL_MIN_GRID};
+use plan_bouquet::optimizer::PlanDiagram;
 use plan_bouquet::workloads;
 
 /// Rebuild a workload on a coarser uniform grid so property cases stay
@@ -22,6 +23,17 @@ fn coarse(w: Workload, res: usize) -> Workload {
         w.catalog.clone(),
         w.query.clone(),
         ess,
+        w.model.clone(),
+    )
+}
+
+/// The same query skeleton over other statistics.
+fn with_catalog(w: &Workload, catalog: Catalog) -> Workload {
+    Workload::new(
+        w.name.clone(),
+        catalog,
+        w.query.clone(),
+        w.ess.clone(),
         w.model.clone(),
     )
 }
@@ -182,27 +194,16 @@ fn statistics_drift_invalidates_and_refreshes_incrementally() {
     assert!(matches!(outcome, CacheOutcome::Miss { .. }));
 
     // Same query skeleton over drifted statistics: the cached entry is
-    // stale, so the cache must re-identify (incrementally, reusing what it
-    // can) and the result must equal a fresh build on the new statistics.
-    let drifted = Workload::new(
-        base.name.clone(),
-        tpch::catalog(1.05),
-        base.query.clone(),
-        base.ess.clone(),
-        base.model.clone(),
-    );
+    // stale, so the cache must re-identify and the result must equal a
+    // fresh build on the new statistics.
+    let drifted = with_catalog(&base, tpch::catalog(1.05));
     let (refreshed, outcome) = cache
         .get_or_identify(&drifted, &cfg, Parallelism::serial())
         .unwrap();
-    match outcome {
-        CacheOutcome::Refreshed { incremental, .. } => {
-            assert!(
-                !incremental.diagram.full_rebuild,
-                "mild drift should reuse the old diagram"
-            );
-        }
-        other => panic!("expected Refreshed after statistics drift, got {other:?}"),
-    }
+    assert!(
+        matches!(outcome, CacheOutcome::Refreshed { .. }),
+        "expected Refreshed after statistics drift, got {outcome:?}"
+    );
     let fresh = Bouquet::identify(&drifted, &cfg).unwrap();
     assert_eq!(
         persist::to_json(&refreshed).unwrap(),
@@ -216,4 +217,57 @@ fn statistics_drift_invalidates_and_refreshes_incrementally() {
         .get_or_identify(&drifted, &cfg, Parallelism::serial())
         .unwrap();
     assert!(matches!(outcome, CacheOutcome::Hit { .. }));
+}
+
+/// A refresh is a cold build that replaces the stale sibling and reports how
+/// many grid points changed winner — the same count at any worker count, on
+/// grids fine enough for four workers to fan out.
+#[test]
+fn refresh_is_a_cold_build_that_counts_changed_winners() {
+    let rungs = [
+        (coarse(workloads::h_q8a_2d(1.0), 46), tpch::catalog(1.05)),
+        (coarse(workloads::h_q5_3d(), 13), tpch::catalog(1.05)),
+        (coarse(workloads::ds_q7_4d(), 7), tpcds::catalog(105.0)),
+    ];
+    let cfg = BouquetConfig::default();
+    for (base, catalog) in rungs {
+        let drifted = with_catalog(&base, catalog);
+        let n = base.ess.num_points();
+        assert!(n >= PARALLEL_MIN_GRID, "{}: {n} points", base.name);
+
+        // The count, independently: two cold diagrams compared point by
+        // point on their winners' fingerprints.
+        let winners = |w: &Workload| {
+            let d = PlanDiagram::build_with(
+                &w.catalog,
+                &w.query,
+                &w.model,
+                &w.ess,
+                Parallelism::serial(),
+            );
+            let fp = |&id: &u32| d.plans[id as usize].fingerprint();
+            d.optimal.iter().map(fp).collect::<Vec<_>>()
+        };
+        let (was, now) = (winners(&base), winners(&drifted));
+        let changed = was.iter().zip(&now).filter(|(a, b)| a != b).count();
+        assert!(changed > 0, "{}: the drift moved no winner", base.name);
+        let fresh = persist::to_json(&Bouquet::identify(&drifted, &cfg).unwrap()).unwrap();
+
+        for workers in [1, 4] {
+            let par = Parallelism::new(workers);
+            let tmp = TmpCache::new(&format!("refresh-{}-{workers}", base.name));
+            let cache = BouquetCache::new(&tmp.0).unwrap();
+            cache.get_or_identify(&base, &cfg, par).unwrap();
+            let (refreshed, outcome) = cache.get_or_identify(&drifted, &cfg, par).unwrap();
+            let CacheOutcome::Refreshed { incremental, .. } = outcome else {
+                panic!("{}: expected Refreshed, got {outcome:?}", base.name);
+            };
+            assert_eq!(incremental.diagram.points_total, n);
+            assert_eq!(incremental.diagram.points_changed, changed);
+            assert_eq!(persist::to_json(&refreshed).unwrap(), fresh);
+            entry_file(&tmp.0);
+            let (_, outcome) = cache.get_or_identify(&drifted, &cfg, par).unwrap();
+            assert!(matches!(outcome, CacheOutcome::Hit { .. }));
+        }
+    }
 }

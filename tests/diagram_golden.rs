@@ -325,46 +325,16 @@ fn a_long_lived_optimizer_answers_every_call_like_a_fresh_one() {
     for w in &ws {
         let ess = shrunk(&w.ess);
         let mut rng = SplitMix64::new(ess.num_points() as u64 ^ 0x5EED);
-        let fresh = |q: &[f64]| w.optimizer().optimize(q);
-        // A finite bound shared by consecutive calls, so that slots filled
-        // under it are reused under it: above the optimum at some
-        // locations of the history, below it (a failed attempt and an
-        // unbounded retry) at others.
-        let shared = fresh(&ess.point(&ess.unlinear(ess.num_points() / 2))).cost;
         let long_lived = w.optimizer();
-        let (mut kind, mut left) = (0, 0);
-        let mut kinds_seen = [0usize; 6];
         for (step, q) in history(&ess, &mut rng).iter().enumerate() {
-            // Call kinds come in runs of one to four, so every kind also
-            // follows itself.
-            if left == 0 {
-                (kind, left) = (rng.next_index(6), 1 + rng.next_index(4));
-            }
-            left -= 1;
-            kinds_seen[kind] += 1;
-            let want = fresh(q);
-            let got = match kind {
-                0 => long_lived.optimize(q),
-                1 => long_lived.optimize_bounded(q, want.cost * 1.5),
-                // Ties with the bound survive.
-                2 => long_lived.optimize_bounded(q, want.cost),
-                // Below the optimum: the core's slot empties.
-                3 => long_lived.optimize_bounded(q, want.cost * 0.5),
-                // Below every access path: the whole memo empties.
-                4 => long_lived.optimize_bounded(q, 1e-9),
-                _ => long_lived.optimize_bounded(q, shared),
-            };
-            let at = format!("{} step {step} (call kind {kind})", w.name);
+            let want = w.optimizer().optimize(q);
+            let got = long_lived.optimize(q);
+            let at = format!("{} step {step}", w.name);
             assert_eq!(got.plan.fingerprint(), want.plan.fingerprint(), "{at}");
             assert_eq!(got.plan.root, want.plan.root, "{at}");
             assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{at}");
             assert_eq!(got.rows.to_bits(), want.rows.to_bits(), "{at}");
         }
-        assert!(
-            kinds_seen.iter().all(|&n| n > 0),
-            "{}: {kinds_seen:?}",
-            w.name
-        );
     }
 }
 

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use plan_bouquet::catalog::tpch;
 use plan_bouquet::plan::parse_sql;
+use plan_bouquet::workloads::workload_from_sql;
 
 /// TPC-H FK edges usable to build random valid join chains.
 const EDGES: &[(&str, &str, &str, &str)] = &[
@@ -114,5 +115,34 @@ proptest! {
     fn garbage_is_rejected_gracefully(s in "[a-zA-Z0-9 *,.<>=()?]{0,60}") {
         let cat = tpch::catalog(1.0);
         let _ = parse_sql(&cat, &s); // must not panic
+    }
+}
+
+/// Text the grammar accepts but that is not a bouquet query is a typed
+/// error too, not a panic in the query builder or the ESS.
+#[test]
+fn well_formed_text_that_is_no_bouquet_query_is_rejected_gracefully() {
+    let cat = tpch::catalog(1.0);
+    let many = (0..33).map(|i| format!("part AS p{i}")).collect::<Vec<_>>();
+    for (sql, why) in [
+        (
+            "SELECT * FROM part, orders WHERE p_retailprice < 1000?",
+            "do not connect",
+        ),
+        (
+            "SELECT * FROM part, lineitem WHERE p_partkey = l_partkey",
+            "no error-prone predicate",
+        ),
+        (
+            "SELECT * FROM part, lineitem WHERE p_partkey = l_partkey AND p_partkey = p_size?",
+            "with itself",
+        ),
+        (
+            &format!("SELECT * FROM {} WHERE p0.p_size < 3?", many.join(", ")),
+            "more than 32 relations",
+        ),
+    ] {
+        let err = workload_from_sql(&cat, sql, "X", 3.0, 8).expect_err(sql);
+        assert!(err.message.contains(why), "{sql}: {err}");
     }
 }
