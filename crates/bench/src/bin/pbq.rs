@@ -43,7 +43,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "identify-cache", positional: "WORKLOAD", run: identify::identify_cache, help: "content-addressed cached identification: hit, miss, or refresh (cold rebuild replacing a stale sibling)", flags: &[
         flag("--dir DIR", Str, ".pb-cache", "cache directory"),
         flag("--expect KIND", Str, "", "exit 1 unless the outcome is KIND: hit|miss|refresh"),
-        flag("--min-speedup F", F64, "", "exit 1 if a hit beats the stored cold build by less"),
         flag("--verify", Switch, "", "re-identify from scratch and demand byte identity"),
         JSON,
     ] },
@@ -53,23 +52,22 @@ const COMMANDS: &[Command] = &[
         flag("--seed N", U64, "20140622", "sampling seed"),
         flag("--initial N", Usize, "0", "first-round samples (0: derived from ε, δ)"),
         flag("--rounds N", Usize, "0", "refinement round cap (0: default)"),
-        flag("--min-speedup F", F64, "", "exit 1 if the sampled build is less than F× cheaper"),
         flag("--no-verify", Switch, "", "skip the whole-grid check of the (ε,δ) contract"),
         JSON,
     ] },
     Command { name: "engine-speedup", positional: "", run: engine::engine_speedup, help: "vectorized vs tuple engine, best of 5; exit 1 on any outcome mismatch", flags: &[
-        flag("--sf F", F64, "0.02", SF),
+        flag("--sf F", PosF64, "0.02", SF),
         flag("--json PATH", Str, "", "write the report to PATH"),
     ] },
     Command { name: "engine-mt", positional: "", run: engine::engine_mt, help: "morsel scaling curve; exit 1 unless outcomes are identical at every count", flags: &[
-        flag("--sf F", F64, "0.1", SF),
+        flag("--sf F", PosF64, "0.1", SF),
         flag("--reps N", Usize, "3", "timed passes per worker count (best kept)"),
         flag("--workers LIST", UsizeList, "1,2,4", "worker counts"),
         flag("--morsel-min N", Usize, "", "rows below which a phase stays serial (default: production gate)"),
         flag("--json PATH", Str, "", "write the report to PATH"),
     ] },
     Command { name: "table3", positional: "", run: engine::table3, help: "engine-backed Table 3 + hostile workloads, cross-checked against the simulator", flags: &[
-        flag("--sf F", F64, "0.01", SF),
+        flag("--sf F", PosF64, "0.01", SF),
         JSON,
     ] },
     Command { name: "serve", positional: "", run: serve::serve, help: "bouquet-as-a-service server; blocks until a client drains it", flags: &[
@@ -86,10 +84,9 @@ const COMMANDS: &[Command] = &[
         flag("--requests N", Usize, "6", "requests per client"),
         JSON,
     ] },
-    Command { name: "bench-check", positional: "", run: gates::bench_check, help: "regression gate: re-run the benchmarks against the committed baseline", flags: &[
+    Command { name: "bench-check", positional: "", run: gates::bench_check, help: "regression gate: re-run the gated sections; exit 1 unless every leaf equals the committed baseline's", flags: &[
         flag("--baseline PATH", Str, "results/bench_baselines.json", "baseline file"),
         flag("--update", Switch, "", "rewrite the baseline instead of comparing"),
-        flag("--tolerance F", F64, "0.25", "relative slack on wall-clock fields"),
     ] },
     Command { name: "chaos", positional: "", run: gates::chaos, help: "fault-injection campaign; exit 1 on any invariant breach", flags: &[
         flag("--seed N", U64, "20140622", "campaign seed (the paper's publication date)"),
@@ -160,18 +157,18 @@ mod tests {
             ("run EQ_1D 0.5 --optimised", "unknown flag --optimised"),
             ("identify EQ_1D --save", "--save needs a value"),
             (
-                "identify-cache 2D_H_Q8A --expect hit --min-speedupp 10",
-                "unknown flag --min-speedupp",
+                "identify-cache 2D_H_Q8A --expectt hit",
+                "unknown flag --expectt",
             ),
             (
-                "identify-sampled 3D_H_Q5 --min-speedup",
-                "--min-speedup needs a value",
+                "identify-sampled 3D_H_Q5 --epsilon",
+                "--epsilon needs a value",
             ),
             ("engine-mt --bogus-flag", "unknown flag --bogus-flag"),
             ("table3 --sf", "--sf needs a value"),
             ("serve-bench --client 1,2", "unknown flag --client"),
             ("serve --queue-cap", "--queue-cap needs a value"),
-            ("bench-check --tolerence 0.1", "unknown flag --tolerence"),
+            ("bench-check --basline b.json", "unknown flag --basline"),
             ("chaos --seed", "--seed needs a value"),
         ] {
             let message = refused(line);
@@ -180,6 +177,52 @@ mod tests {
             assert!(
                 message.contains(&format!("usage: pbq {name}")),
                 "{line}: {message}"
+            );
+        }
+    }
+
+    /// A value of the right type but outside the flag's range is refused like
+    /// any other ill-typed value; `--sf 0` used to panic in the catalog
+    /// (exit 101) and a zero count to print an all-zero row and exit 0.
+    #[test]
+    fn out_of_range_scale_factors_and_counts_are_refused() {
+        let (scale, counts) = (
+            "needs a positive number",
+            "needs a comma list of counts of at least 1",
+        );
+        for (line, flag, want) in [
+            ("engine-speedup --sf 0", "--sf", scale),
+            ("engine-speedup --sf -1", "--sf", scale),
+            ("engine-mt --sf 0", "--sf", scale),
+            ("engine-mt --sf inf", "--sf", scale),
+            ("table3 --sf 0", "--sf", scale),
+            ("engine-mt --workers 0,1", "--workers", counts),
+            ("serve-bench --clients 0", "--clients", counts),
+        ] {
+            let message = refused(line);
+            assert!(
+                message.starts_with(&format!("{flag} {want}")),
+                "{line}: {message}"
+            );
+        }
+    }
+
+    /// A location outside the unit cube fails the subcommand (exit 1): `nan`
+    /// used to run to a SubOpt of 10²¹ and exit 0, 1.5 and -0.2 to clamp.
+    #[test]
+    fn locations_outside_the_unit_cube_are_refused() {
+        let sql = "SELECT * FROM part, lineitem WHERE p_partkey = l_partkey AND p_size < 9?";
+        for argv in [
+            ["run", "EQ_1D", "nan"],
+            ["run", "EQ_1D", "1.5"],
+            ["optimize", "EQ_1D", "-0.2"],
+            ["sql", sql, "2"],
+        ] {
+            let ran = dispatch(&argv.map(String::from)).expect("arguments are fine");
+            let failure = ran.expect_err("no such location");
+            assert!(
+                failure.ends_with("is not a comma list of fractions in [0,1]"),
+                "{argv:?}: {failure}"
             );
         }
     }

@@ -7,16 +7,26 @@ use crate::flags::Args;
 use crate::regress::bench_report;
 use crate::report::{compare, to_pretty};
 
+/// Leaves of a report: what one `bench-check` compares.
+fn leaves(v: &Value) -> usize {
+    match v {
+        Value::Obj(pairs) => pairs.iter().map(|(_, child)| leaves(child)).sum(),
+        Value::Arr(items) => items.iter().map(leaves).sum(),
+        _ => 1,
+    }
+}
+
 /// Re-run the gated benchmark sections and diff them against the committed
-/// baseline file (`--update` rewrites it instead); fails on any regression.
+/// baseline file (`--update` rewrites it instead); fails unless every leaf
+/// is equal. The baseline is read before anything runs.
 pub fn bench_check(args: &Args) -> CmdResult {
     let baseline_path: String = args.get("--baseline");
-    let tol: f64 = args.get("--tolerance");
-
-    println!("bench-check: re-running engine + identification benchmarks...");
-    let current = bench_report()?.to_value();
+    let run = || {
+        println!("bench-check: re-running the resume, serve and hostile sections...");
+        bench_report().map(|report| report.to_value())
+    };
     if args.switch("--update") {
-        std::fs::write(&baseline_path, to_pretty(&current))
+        std::fs::write(&baseline_path, to_pretty(&run()?))
             .map_err(|e| format!("cannot write baseline {baseline_path}: {e}"))?;
         println!("bench-check: wrote baseline {baseline_path}");
         return Ok(());
@@ -30,6 +40,7 @@ pub fn bench_check(args: &Args) -> CmdResult {
     })?;
     let baseline: Value = serde_json::from_str(&text)
         .map_err(|e| format!("baseline {baseline_path} is not valid JSON: {e}"))?;
+    let current = run()?;
     // A whole section absent from the baseline usually means the baseline
     // predates a newer benchmark suite — diagnose it per section (instead
     // of drowning it in per-key diffs) and fail.
@@ -46,12 +57,11 @@ pub fn bench_check(args: &Args) -> CmdResult {
             ));
         }
     }
-    let diffs = compare(&baseline, &current, tol);
+    let diffs = compare(&baseline, &current);
     if diffs.is_empty() {
         println!(
-            "bench-check OK: no timing more than {:.0}% above {baseline_path} \
-             (timing fields banded, identity fields exact)",
-            tol * 100.0
+            "bench-check OK: {} leaves equal to {baseline_path}",
+            leaves(&current)
         );
         Ok(())
     } else {

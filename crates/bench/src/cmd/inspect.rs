@@ -14,9 +14,9 @@ use crate::flags::Args;
 fn parse_fractions(w: &Workload, s: &str) -> Result<SelPoint, String> {
     let fr: Vec<f64> = s
         .split(',')
-        .map(|t| t.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| format!("`{s}` is not a comma list of fractions in [0,1]"))?;
+        .map(|t| t.trim().parse().ok().filter(|f| (0.0..=1.0).contains(f)))
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("`{s}` is not a comma list of fractions in [0,1]"))?;
     if fr.len() != w.d() {
         return Err(format!("need {} comma-separated fractions", w.d()));
     }

@@ -3,7 +3,7 @@
 //! A binary declares each subcommand once — its positionals and, per flag,
 //! name, kind, default and help — and gets from that one declaration the
 //! parser, the kind checks, the usage text, and the rejection of anything it
-//! did not declare: a misspelled `--min-speedupp` is an error, not a gate
+//! did not declare: a misspelled `--expectt hit` is an error, not a gate
 //! silently switched off.
 
 use std::str::FromStr;
@@ -13,10 +13,12 @@ use std::str::FromStr;
 pub enum Kind {
     Switch,
     F64,
+    /// A finite number above zero, e.g. a scale factor.
+    PosF64,
     U64,
     Usize,
     Str,
-    /// Comma-separated counts, e.g. `1,2,4`.
+    /// Comma-separated counts of at least one, e.g. `1,2,4`.
     UsizeList,
 }
 
@@ -25,13 +27,17 @@ impl Kind {
         let ok = match self {
             Kind::Switch | Kind::Str => true,
             Kind::F64 => v.parse::<f64>().is_ok_and(|x| !x.is_nan()),
+            Kind::PosF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Usize => v.parse::<usize>().is_ok(),
-            Kind::UsizeList => v.split(',').all(|t| t.trim().parse::<usize>().is_ok()),
+            Kind::UsizeList => v
+                .split(',')
+                .all(|t| t.trim().parse::<usize>().is_ok_and(|n| n > 0)),
         };
         ok.then_some(()).ok_or(match self {
             Kind::F64 => "a number",
-            Kind::UsizeList => "a comma list of counts, e.g. 1,2,4",
+            Kind::PosF64 => "a positive number",
+            Kind::UsizeList => "a comma list of counts of at least 1, e.g. 1,2,4",
             _ => "a non-negative integer",
         })
     }
@@ -223,7 +229,7 @@ mod tests {
         flags: &[
             flag("--seed N", Kind::U64, "7", ""),
             flag("--reps N", Kind::Usize, "3", ""),
-            flag("--sf F", Kind::F64, "", ""),
+            flag("--sf F", Kind::PosF64, "", ""),
             flag("--workers LIST", Kind::UsizeList, "1,2", ""),
             flag("--verify", Kind::Switch, "", ""),
         ],
@@ -257,10 +263,15 @@ mod tests {
             "W --reps 1.5",
             "W --seed 1e3",
             "W --workers 1,x",
+            "W --workers 0,1",
+            "W --sf nan",
+            "W --sf 0",
+            "W --sf -1",
+            "W --sf inf",
         ] {
             assert!(parse(bad).is_err(), "{bad} must be rejected");
         }
-        assert!(parse("W --sf nan").is_err());
+        assert!(Kind::F64.check("nan").is_err() && Kind::F64.check("-1").is_ok());
     }
 
     #[test]

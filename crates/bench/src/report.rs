@@ -2,12 +2,10 @@
 //! pretty-printer of the committed artifacts, the section merge behind
 //! `--json`, and the baseline comparison behind `pbq bench-check`.
 //!
-//! [`compare`] diffs a current report against a committed baseline: numeric
-//! fields that measure wall-clock time or derived ratios (keys ending in
-//! `_s` or `_gain`, plus `speedup*`) are compared within a relative
-//! tolerance band (one-sided for `_s`: only slower fails); every other
-//! field — equality/identity booleans, check counts, shapes — must match
-//! exactly. The CI `bench-regression` job fails on any diff.
+//! [`compare`] diffs a current report against a committed baseline and
+//! every leaf must be equal: what `bench-check` gates are facts in cost
+//! units — decision sequences, MSO/ASO, counts, identity booleans — and
+//! wall-clock is `benchmark/`'s to judge, over pairs of runs.
 
 use serde::{Serialize, Value};
 
@@ -21,33 +19,16 @@ fn as_f64(v: &Value) -> Option<f64> {
     }
 }
 
-/// Wall-clock fields (`*_s`): may not exceed the baseline by more than the
-/// relative tolerance plus an absolute noise floor (faster is never a
-/// failure). Everything else must match the baseline exactly, except ratio
-/// fields (see [`is_ratio_key`]).
-fn is_timing_key(key: &str) -> bool {
-    key.ends_with("_s")
-}
-
-/// Derived-ratio fields (`speedup*`, `*_gain`): quotients of two noisy
-/// timings, so they get a multiplicative factor-of-2 band — loose enough
-/// for scheduler jitter on short phases, tight enough that a vectorization
-/// or compilation collapse (a 4x ratio dropping to ~1x) still fails the gate.
-fn is_ratio_key(key: &str) -> bool {
-    key.ends_with("_gain") || key.starts_with("speedup")
-}
-
-/// Recursively diff `current` against `baseline`. Timing fields (per
-/// [`is_timing_key`]) may be slower by `tol` (relative, e.g. `0.25` = +25%);
-/// all other leaves — booleans, counts, names — must be equal. Returns the
-/// list of human-readable violations (empty ⇒ no regression).
-pub fn compare(baseline: &Value, current: &Value, tol: f64) -> Vec<String> {
+/// Structural diff of `current` against `baseline`: same keys, same array
+/// lengths, every leaf equal. Returns one line per differing path (empty ⇒
+/// the reports state the same facts).
+pub fn compare(baseline: &Value, current: &Value) -> Vec<String> {
     let mut diffs = Vec::new();
-    compare_at(baseline, current, tol, "", &mut diffs);
+    compare_at(baseline, current, "", &mut diffs);
     diffs
 }
 
-fn compare_at(baseline: &Value, current: &Value, tol: f64, path: &str, diffs: &mut Vec<String>) {
+fn compare_at(baseline: &Value, current: &Value, path: &str, diffs: &mut Vec<String>) {
     match (baseline, current) {
         (Value::Obj(b), Value::Obj(c)) => {
             for (k, bv) in b {
@@ -57,36 +38,7 @@ fn compare_at(baseline: &Value, current: &Value, tol: f64, path: &str, diffs: &m
                     format!("{path}.{k}")
                 };
                 match serde::find(c, k) {
-                    Some(cv) if is_timing_key(k) || is_ratio_key(k) => {
-                        let (Some(bn), Some(cn)) = (as_f64(bv), as_f64(cv)) else {
-                            diffs.push(format!("{p}: timing field is not numeric"));
-                            continue;
-                        };
-                        if is_timing_key(k) {
-                            // Relative band above the baseline plus a 15ms
-                            // additive noise term: scheduler jitter on
-                            // phases that finish in milliseconds cannot
-                            // fail the gate, while a 2x regression on the
-                            // phases that dominate wall-clock still does.
-                            // One-sided: a speed-up is reported, not failed.
-                            let band = bn.abs() * tol + 0.015;
-                            if cn - bn > band {
-                                diffs.push(format!(
-                                    "{p}: {cn:.6} more than {:.0}% above baseline {bn:.6}",
-                                    tol * 100.0
-                                ));
-                            } else if bn - cn > band {
-                                println!(
-                                    "  {p}: {cn:.6} vs baseline {bn:.6}: improved — re-baseline with --update"
-                                );
-                            }
-                        } else if cn < bn / 2.0 || cn > bn * 2.0 {
-                            diffs.push(format!(
-                                "{p}: ratio {cn:.3} outside [x0.5, x2] of baseline {bn:.3}"
-                            ));
-                        }
-                    }
-                    Some(cv) => compare_at(bv, cv, tol, &p, diffs),
+                    Some(cv) => compare_at(bv, cv, &p, diffs),
                     None => diffs.push(format!("{p}: missing from current report")),
                 }
             }
@@ -106,7 +58,7 @@ fn compare_at(baseline: &Value, current: &Value, tol: f64, path: &str, diffs: &m
                 return;
             }
             for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                compare_at(bv, cv, tol, &format!("{path}[{i}]"), diffs);
+                compare_at(bv, cv, &format!("{path}[{i}]"), diffs);
             }
         }
         (b, c) => {
@@ -235,39 +187,38 @@ mod tests {
     }
 
     #[test]
-    fn compare_bands_timing_and_pins_identity() {
+    fn compare_is_exact_and_names_the_path() {
         let base = json(
-            r#"{"total_s": 1.0, "speedup": 4.0, "equality_ok": true, "plans": 6,
-                "nested": {"wall_s": 0.5}}"#,
+            r#"{"bou_mso": 7.340000000000001, "sheds_load": true, "execs": 7,
+                "nested": {"reused_cost": 16062.342187500002}}"#,
         );
-        // Within ±25% on timings, identical elsewhere: clean.
-        let ok = json(
-            r#"{"total_s": 1.2, "speedup": 3.2, "equality_ok": true, "plans": 6,
-                "nested": {"wall_s": 0.55}}"#,
-        );
-        assert!(compare(&base, &ok, 0.25).is_empty());
-        // Timing outside the band.
-        let slow = with(&ok, "total_s", Value::Float(1.3));
-        assert_eq!(compare(&base, &slow, 0.25).len(), 1);
-        // Faster than the band is an improvement, not a regression.
-        let fast = with(&ok, "total_s", Value::Float(0.3));
-        assert!(compare(&base, &fast, 0.25).is_empty());
-        // Identity field flipped: exact comparison, no band.
-        let broken = with(&ok, "equality_ok", Value::Bool(false));
-        assert_eq!(compare(&base, &broken, 0.25).len(), 1);
-        // Ratio collapse beyond the factor-of-2 band.
-        let collapsed = with(&ok, "speedup", Value::Float(1.5));
-        assert_eq!(compare(&base, &collapsed, 0.25).len(), 1);
+        // Equal by value across the Int/UInt/Float split: clean.
+        assert!(compare(&base, &with(&base, "execs", Value::Float(7.0))).is_empty());
+        // A last-digit change in a cost, a flipped bool, a changed count.
+        for (key, value, path) in [
+            ("bou_mso", Value::Float(7.340000000000002), "bou_mso"),
+            ("sheds_load", Value::Bool(false), "sheds_load"),
+            ("execs", Value::UInt(8), "execs"),
+            (
+                "nested",
+                json(r#"{"reused_cost": 16062.342187500004}"#),
+                "nested.reused_cost",
+            ),
+        ] {
+            let diffs = compare(&base, &with(&base, key, value));
+            assert_eq!(diffs.len(), 1, "{diffs:?}");
+            assert!(diffs[0].starts_with(&format!("{path}: ")), "{diffs:?}");
+        }
     }
 
     #[test]
     fn compare_flags_shape_changes() {
-        let base = json(r#"{"curve": [{"workers": 1, "wall_s": 1.0}]}"#);
+        let base = json(r#"{"curve": [{"workers": 1, "cost": 1.0}]}"#);
         let grown =
-            json(r#"{"curve": [{"workers": 1, "wall_s": 1.0}, {"workers": 2, "wall_s": 1.0}]}"#);
-        assert!(!compare(&base, &grown, 0.25).is_empty());
-        let renamed = json(r#"{"curve": [{"workers": 2, "wall_s": 1.0}]}"#);
-        assert!(!compare(&base, &renamed, 0.25).is_empty());
+            json(r#"{"curve": [{"workers": 1, "cost": 1.0}, {"workers": 2, "cost": 1.0}]}"#);
+        assert!(!compare(&base, &grown).is_empty());
+        let renamed = json(r#"{"curve": [{"workers": 1, "price": 1.0}]}"#);
+        assert_eq!(compare(&base, &renamed).len(), 2);
     }
 
     #[test]

@@ -337,10 +337,6 @@ pub struct ServeGate {
     pub solo_clients: usize,
     pub loaded_clients: usize,
     pub requests_per_client: usize,
-    /// One client alone: wall-clock per request.
-    pub solo_per_req_s: f64,
-    /// Server-side p99 under `loaded_clients`.
-    pub loaded_p99_s: f64,
     /// The loaded step shed at least one submission.
     pub sheds_load: bool,
     /// Every accepted request reached a terminal outcome, in both steps.
@@ -349,8 +345,7 @@ pub struct ServeGate {
 
 /// Deterministic-shape serving benchmark for the regression gate: a single
 /// stalled worker behind a one-slot queue must shed load under 4 clients
-/// (`sheds_load` exact) while latency stays bounded (banded `_s` keys) and
-/// every accepted request is answered (`answered_all` exact).
+/// (`sheds_load`) and answer every accepted request (`answered_all`).
 pub fn serve_bench() -> Result<ServeGate, String> {
     let cfg = ServerConfig {
         workers: 1,
@@ -366,8 +361,6 @@ pub fn serve_bench() -> Result<ServeGate, String> {
         solo_clients: solo.clients,
         loaded_clients: loaded.clients,
         requests_per_client: requests,
-        solo_per_req_s: solo.wall_s / requests as f64,
-        loaded_p99_s: loaded.stats.p99_ms / 1e3,
         sheds_load: loaded.rejects > 0,
         // `run_step` fails a step that leaves an accepted request unanswered.
         answered_all: true,

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use pb_catalog::Catalog;
 use pb_cost::{
-    chunk_len, run_chunked, CostMatrix, CostModel, CostProgram, Coster, Ess, Parallelism,
+    chunk_len, run_chunked, CostMatrix, CostModel, CostProgram, Ess, Parallelism,
     PARALLEL_MIN_MATRIX_CELLS,
 };
 use pb_plan::{PhysicalPlan, PlanFingerprint, QuerySpec};
@@ -210,8 +210,8 @@ impl PlanDiagram {
     /// share once, and each grid point evaluates that program once — the
     /// inner loop performs no allocation and no tree walk. Parallelism is
     /// gated on the plans × points cell count (the phase's work volume), not
-    /// the grid size. Results are bit-identical to
-    /// [`cost_matrix_reference`](PlanDiagram::cost_matrix_reference).
+    /// the grid size. Results are bit-identical to the recursive
+    /// [`Coster`](pb_cost::Coster) tree walk (pinned by this module's tests).
     pub fn cost_matrix_with(
         &self,
         catalog: &Catalog,
@@ -223,36 +223,13 @@ impl PlanDiagram {
             CostProgram::compile_set(catalog, query, model, self.plans.iter().map(|p| &p.root));
         plan_set_matrix(&prog, &self.ess, par)
     }
-
-    /// Reference cost matrix via the recursive [`Coster`] tree walk
-    /// (serial). Kept to pin the compiled path bit-for-bit and to measure
-    /// its speedup.
-    pub fn cost_matrix_reference(
-        &self,
-        catalog: &Catalog,
-        query: &QuerySpec,
-        model: &CostModel,
-    ) -> CostMatrix {
-        let c = Coster::new(catalog, query, model);
-        let n = self.ess.num_points();
-        let mut m = CostMatrix::new(n);
-        let mut row = Vec::with_capacity(n);
-        for plan in &self.plans {
-            row.clear();
-            for li in 0..n {
-                row.push(c.plan_cost(&plan.root, &self.ess.point(&self.ess.unlinear(li))));
-            }
-            m.push_row(&row);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pb_catalog::tpch;
-    use pb_cost::EssDim;
+    use pb_cost::{Coster, EssDim};
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn setup_1d() -> (pb_catalog::Catalog, QuerySpec, CostModel, Ess) {
@@ -380,6 +357,28 @@ mod tests {
         }
     }
 
+    /// Reference cost matrix via the recursive [`Coster`] tree walk
+    /// (serial): what the compiled path is pinned against bit for bit.
+    fn cost_matrix_reference(
+        d: &PlanDiagram,
+        catalog: &Catalog,
+        query: &QuerySpec,
+        model: &CostModel,
+    ) -> CostMatrix {
+        let c = Coster::new(catalog, query, model);
+        let n = d.ess.num_points();
+        let mut m = CostMatrix::new(n);
+        let mut row = Vec::with_capacity(n);
+        for plan in &d.plans {
+            row.clear();
+            for li in 0..n {
+                row.push(c.plan_cost(&plan.root, &d.ess.point(&d.ess.unlinear(li))));
+            }
+            m.push_row(&row);
+        }
+        m
+    }
+
     #[test]
     fn compiled_matrix_matches_tree_walk_bitwise() {
         let (cat, q, m, ess) = setup_1d();
@@ -389,7 +388,7 @@ mod tests {
         for ess in [ess, fine] {
             let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::serial());
             let compiled = d.cost_matrix_with(&cat, &q, &m, Parallelism::new(3));
-            let reference = d.cost_matrix_reference(&cat, &q, &m);
+            let reference = cost_matrix_reference(&d, &cat, &q, &m);
             assert_eq!(compiled.len(), reference.len());
             for (a, b) in compiled.as_flat().iter().zip(reference.as_flat()) {
                 assert_eq!(a.to_bits(), b.to_bits());

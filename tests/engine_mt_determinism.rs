@@ -12,18 +12,21 @@
 //! crossings — and worker counts on TPC-H and TPC-DS, plus spilled-prefix
 //! resolution through [`EngineSubstrate`].
 
+mod common;
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use common::{plan_ds, setup3, setup_ds, shape3};
+
 use plan_bouquet::bouquet::{
     Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate,
 };
-use plan_bouquet::catalog::{tpcds, tpch};
 use plan_bouquet::cost::{CostModel, Parallelism};
 use plan_bouquet::engine::{Database, Engine};
 use plan_bouquet::faults::FaultInjector;
-use plan_bouquet::plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
+use plan_bouquet::plan::QuerySpec;
 use plan_bouquet::workloads;
 
 /// Morsel threshold low enough that the SF 0.005 test relations actually
@@ -47,125 +50,6 @@ fn worker_counts() -> Vec<usize> {
             }
         }
         Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// Three-relation TPC-H chain (part ⋈ lineitem ⋈ orders) with a selection
-/// and a group-by — same shape pool as `engine_properties.rs`, so every
-/// operator the morsel drivers parallelize can appear.
-fn setup3(seed: u64, price_cut: f64) -> (Database, QuerySpec, CostModel) {
-    let cat = tpch::catalog(0.005);
-    let db = Database::generate(&cat, seed, &[]).expect("generate");
-    let mut qb = QueryBuilder::new(&cat, "mt3");
-    let p = qb.rel("part");
-    let l = qb.rel("lineitem");
-    let o = qb.rel("orders");
-    qb.select(
-        p,
-        "p_retailprice",
-        CmpOp::Lt,
-        price_cut,
-        SelSpec::ErrorProne(0),
-    );
-    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
-    qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
-    qb.group_by(p, "p_brand");
-    (db, qb.build(), CostModel::postgresish())
-}
-
-/// Plan-shape pool: chain and bushy hash joins, sort-merge, nested index
-/// nested-loops, anti join, spill and aggregation.
-fn shape3(idx: usize) -> PlanNode {
-    let scan_p = || Box::new(PlanNode::SeqScan { rel: 0 });
-    let scan_l = || Box::new(PlanNode::SeqScan { rel: 1 });
-    let scan_o = || Box::new(PlanNode::SeqScan { rel: 2 });
-    let hj_pl = || {
-        Box::new(PlanNode::HashJoin {
-            build: scan_p(),
-            probe: scan_l(),
-            edges: vec![0],
-        })
-    };
-    match idx % 8 {
-        0 => PlanNode::HashJoin {
-            build: hj_pl(),
-            probe: scan_o(),
-            edges: vec![1],
-        },
-        1 => PlanNode::HashJoin {
-            build: Box::new(PlanNode::HashJoin {
-                build: scan_l(),
-                probe: scan_p(),
-                edges: vec![0],
-            }),
-            probe: scan_o(),
-            edges: vec![1],
-        },
-        2 => PlanNode::SortMergeJoin {
-            left: hj_pl(),
-            right: scan_o(),
-            edges: vec![1],
-            sort_left: true,
-            sort_right: true,
-        },
-        3 => PlanNode::IndexNLJoin {
-            outer: Box::new(PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-                inner_rel: 1,
-                edges: vec![0],
-            }),
-            inner_rel: 2,
-            edges: vec![1],
-        },
-        4 => PlanNode::AntiJoin {
-            left: scan_p(),
-            right: scan_l(),
-            edges: vec![0],
-        },
-        5 => PlanNode::Spill { input: hj_pl() },
-        6 => PlanNode::HashAggregate { input: hj_pl() },
-        _ => PlanNode::SortMergeJoin {
-            left: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-            right: scan_l(),
-            edges: vec![0],
-            sort_left: false,
-            sort_right: true,
-        },
-    }
-}
-
-/// TPC-DS item ⋈ store_sales setup with the join algorithm selected by
-/// `alg`.
-fn setup_ds(seed: u64, cut: f64) -> (Database, QuerySpec, CostModel) {
-    let cat = tpcds::catalog(0.01);
-    let db = Database::generate(&cat, seed, &[]).expect("generate");
-    let mut qb = QueryBuilder::new(&cat, "mt_ds");
-    let i = qb.rel("item");
-    let ss = qb.rel("store_sales");
-    qb.select(i, "i_current_price", CmpOp::Lt, cut, SelSpec::ErrorProne(0));
-    qb.join(i, "i_item_sk", ss, "ss_item_sk", SelSpec::ErrorProne(1));
-    (db, qb.build(), CostModel::postgresish())
-}
-
-fn plan_ds(alg: usize) -> PlanNode {
-    match alg % 3 {
-        0 => PlanNode::HashJoin {
-            build: Box::new(PlanNode::SeqScan { rel: 0 }),
-            probe: Box::new(PlanNode::SeqScan { rel: 1 }),
-            edges: vec![0],
-        },
-        1 => PlanNode::SortMergeJoin {
-            left: Box::new(PlanNode::SeqScan { rel: 0 }),
-            right: Box::new(PlanNode::SeqScan { rel: 1 }),
-            edges: vec![0],
-            sort_left: true,
-            sort_right: true,
-        },
-        _ => PlanNode::IndexNLJoin {
-            outer: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-            inner_rel: 1,
-            edges: vec![0],
-        },
     }
 }
 

@@ -4,95 +4,15 @@
 //! identical to the tuple-at-a-time reference — cost, rows, per-node
 //! instrumentation and abort point — over random plans and budgets.
 
+mod common;
+
 use proptest::prelude::*;
 
-use plan_bouquet::catalog::{tpcds, tpch};
+use common::{plan_ds, setup3, setup_ds, shape3};
+use plan_bouquet::catalog::tpch;
 use plan_bouquet::cost::CostModel;
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
-use plan_bouquet::plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
-
-/// Three-relation TPC-H chain (part ⋈ lineitem ⋈ orders) with a selection
-/// and a group-by, so every operator the engines implement can appear.
-fn setup3(seed: u64, price_cut: f64) -> (Database, QuerySpec, CostModel) {
-    let cat = tpch::catalog(0.005);
-    let db = Database::generate(&cat, seed, &[]).expect("generate");
-    let mut qb = QueryBuilder::new(&cat, "prop3");
-    let p = qb.rel("part");
-    let l = qb.rel("lineitem");
-    let o = qb.rel("orders");
-    qb.select(
-        p,
-        "p_retailprice",
-        CmpOp::Lt,
-        price_cut,
-        SelSpec::ErrorProne(0),
-    );
-    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
-    qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
-    qb.group_by(p, "p_brand");
-    (db, qb.build(), CostModel::postgresish())
-}
-
-/// Plan-shape pool for the equivalence property: chain and bushy joins,
-/// every join algorithm, anti join, aggregation and spill.
-fn shape3(idx: usize) -> PlanNode {
-    let scan_p = || Box::new(PlanNode::SeqScan { rel: 0 });
-    let scan_l = || Box::new(PlanNode::SeqScan { rel: 1 });
-    let scan_o = || Box::new(PlanNode::SeqScan { rel: 2 });
-    let hj_pl = || {
-        Box::new(PlanNode::HashJoin {
-            build: scan_p(),
-            probe: scan_l(),
-            edges: vec![0],
-        })
-    };
-    match idx % 8 {
-        0 => PlanNode::HashJoin {
-            build: hj_pl(),
-            probe: scan_o(),
-            edges: vec![1],
-        },
-        1 => PlanNode::HashJoin {
-            build: Box::new(PlanNode::HashJoin {
-                build: scan_l(),
-                probe: scan_p(),
-                edges: vec![0],
-            }),
-            probe: scan_o(),
-            edges: vec![1],
-        },
-        2 => PlanNode::SortMergeJoin {
-            left: hj_pl(),
-            right: scan_o(),
-            edges: vec![1],
-            sort_left: true,
-            sort_right: true,
-        },
-        3 => PlanNode::IndexNLJoin {
-            outer: Box::new(PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-                inner_rel: 1,
-                edges: vec![0],
-            }),
-            inner_rel: 2,
-            edges: vec![1],
-        },
-        4 => PlanNode::AntiJoin {
-            left: scan_p(),
-            right: scan_l(),
-            edges: vec![0],
-        },
-        5 => PlanNode::Spill { input: hj_pl() },
-        6 => PlanNode::HashAggregate { input: hj_pl() },
-        _ => PlanNode::SortMergeJoin {
-            left: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-            right: scan_l(),
-            edges: vec![0],
-            sort_left: false,
-            sort_right: true,
-        },
-    }
-}
+use plan_bouquet::plan::{CmpOp, PlanNode, QueryBuilder, SelSpec};
 
 fn setup(seed: u64, price_cut: f64) -> (Database, plan_bouquet::plan::QuerySpec, CostModel) {
     let cat = tpch::catalog(0.005);
@@ -241,35 +161,9 @@ proptest! {
         alg in 0usize..3,
         frac in 0.01f64..1.2,
     ) {
-        let cat = tpcds::catalog(0.01);
-        let db = Database::generate(&cat, seed, &[]).expect("generate");
-        let mut qb = QueryBuilder::new(&cat, "prop_ds");
-        let i = qb.rel("item");
-        let ss = qb.rel("store_sales");
-        qb.select(i, "i_current_price", CmpOp::Lt, cut, SelSpec::ErrorProne(0));
-        qb.join(i, "i_item_sk", ss, "ss_item_sk", SelSpec::ErrorProne(1));
-        let q = qb.build();
-        let m = CostModel::postgresish();
+        let (db, q, m) = setup_ds(seed, cut);
         let eng = Engine::new(&db, &q, &m.p);
-        let plan = match alg {
-            0 => PlanNode::HashJoin {
-                build: Box::new(PlanNode::SeqScan { rel: 0 }),
-                probe: Box::new(PlanNode::SeqScan { rel: 1 }),
-                edges: vec![0],
-            },
-            1 => PlanNode::SortMergeJoin {
-                left: Box::new(PlanNode::SeqScan { rel: 0 }),
-                right: Box::new(PlanNode::SeqScan { rel: 1 }),
-                edges: vec![0],
-                sort_left: true,
-                sort_right: true,
-            },
-            _ => PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-                inner_rel: 1,
-                edges: vec![0],
-            },
-        };
+        let plan = plan_ds(alg);
         let full_t = eng.execute_tuple(&plan, f64::INFINITY);
         prop_assert_eq!(&full_t, &eng.execute(&plan, f64::INFINITY));
         let budget = full_t.cost() * frac;
