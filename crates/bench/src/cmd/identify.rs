@@ -99,6 +99,10 @@ pub fn identify_cache(args: &Args) -> CmdResult {
             incremental.diagram.points_total,
         ),
     }
+    println!(
+        "  entry: {} bytes, cost rows for {} of {} POSP plans",
+        r.entry_bytes, r.cost_rows, r.posp_plans
+    );
     if let Some(identical) = r.verified_identical {
         println!(
             "  verification vs from-scratch identification: {}",

@@ -49,7 +49,7 @@ pub fn fig6() -> String {
         .map(|(i, _)| i)
         .unwrap();
     let c = &b.contours[k];
-    let cov = c.coverage(&b.costs, ess.num_points());
+    let cov = c.coverage(|p| b.cost_row(p).expect("a contour plan is a bouquet plan"));
     let _ = writeln!(
         out,
         "\ncoverage within IC{} (budget {}):",

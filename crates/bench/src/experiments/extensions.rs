@@ -34,9 +34,10 @@ pub fn reopt() -> String {
     for name in ["2D_H_Q8A", "3D_H_Q5"] {
         let w = by_name(name).unwrap();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+        let posp_costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
         let nat_mso = (0..w.ess.num_points())
             .map(|li| {
-                b.costs
+                posp_costs
                     .rows()
                     .map(|row| row[li] / b.diagram.opt_cost[li])
                     .fold(0.0f64, f64::max)

@@ -133,7 +133,8 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
     let crosscheck_ok = basic.matches_simulator(b, &qa);
 
     // Whole-grid simulator evaluation.
-    let ev = evaluate_with_bouquet(w, &EvalConfig::default(), b).expect("evaluate");
+    let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
+    let ev = evaluate_with_bouquet(w, &EvalConfig::default(), b, &costs).expect("evaluate");
     let mso_bound = b.mso_bound();
     let mso_within_bound = ev.bou_basic.mso <= mso_bound * (1.0 + 1e-9);
 

@@ -107,10 +107,11 @@ pub fn fig4() -> String {
           native optimizer worst-case suboptimality ~100, ASO 1.8)\n"
     );
     // Native worst-case profile: max over POSP plans of c_P(qa)/PIC(qa).
+    let posp_costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
     let mut nat_worst = vec![0.0f64; n];
     for li in 0..n {
         let mut worst = 1.0f64;
-        for row in b.costs.rows() {
+        for row in posp_costs.rows() {
             worst = worst.max(row[li] / b.diagram.opt_cost[li]);
         }
         nat_worst[li] = worst;

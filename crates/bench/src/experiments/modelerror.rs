@@ -72,8 +72,9 @@ fn grid_mso(b: &Bouquet) -> f64 {
         let run = b.run_basic(&qa).unwrap();
         assert!(run.completed());
         // Actual optimal cost: cheapest POSP plan under perturbation.
-        let opt_actual = (0..b.costs.len())
-            .map(|p| ex.actual_cost(&b.diagram.plans[p].root, &qa))
+        let plans = b.diagram.plans.iter();
+        let opt_actual = plans
+            .map(|p| ex.actual_cost(&p.root, &qa))
             .fold(f64::INFINITY, f64::min);
         worst = worst.max(run.total_cost / opt_actual);
     }

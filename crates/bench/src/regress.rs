@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use pb_bouquet::{
-    persist, Bouquet, BouquetCache, BouquetConfig, CacheOutcome, PhaseTimings, Workload,
+    persist, Bouquet, BouquetCache, BouquetConfig, CacheKey, CacheOutcome, PhaseTimings, Workload,
 };
 use pb_cost::Parallelism;
 use pb_engine::{Database, Engine, EngineOutcome};
@@ -308,6 +308,11 @@ pub struct CacheReport {
     /// `hit`, `miss` or `refresh`.
     pub outcome: &'static str,
     pub grid_points: usize,
+    /// The entry as it sits on disk after the lookup, and what it stores:
+    /// a cost row for each bouquet plan out of the POSP.
+    pub entry_bytes: u64,
+    pub cost_rows: usize,
+    pub posp_plans: usize,
     /// The from-scratch identification: this run's on a miss, the stored
     /// entry's on a hit.
     pub cold_build_s: Option<f64>,
@@ -338,10 +343,15 @@ pub fn cache_bench(w: &Workload, dir: &str, verify: bool) -> Result<CacheReport,
             .map_err(|e| format!("cached identification: {e}"))
     };
     let (bouquet, served) = lookup()?;
+    let entry = CacheKey::derive(w, &cfg).map(|key| cache.entry_path(&key));
+    let entry = entry.map_err(|e| format!("cache key: {e}"))?;
     let mut r = CacheReport {
         workload: w.name.clone(),
         outcome: "miss",
         grid_points: w.ess.num_points(),
+        entry_bytes: std::fs::metadata(&entry).map_or(0, |m| m.len()),
+        cost_rows: bouquet.costs.len(),
+        posp_plans: bouquet.diagram.plan_count(),
         cold_build_s: None,
         warm_load_s: None,
         speedup_warm_vs_cold: None,

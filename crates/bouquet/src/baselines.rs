@@ -269,12 +269,13 @@ mod tests {
     fn reoptimizer_usually_beats_nat_but_has_no_guarantee() {
         let w = eq_2d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+        let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
         let profile = reopt_worst_profile(&w, &b.diagram.opt_cost);
         let reopt_mso = profile.iter().cloned().fold(0.0f64, f64::max);
         // NAT worst case for comparison.
         let nat_worst: f64 = (0..w.ess.num_points())
             .map(|li| {
-                b.costs
+                costs
                     .rows()
                     .map(|row| row[li] / b.diagram.opt_cost[li])
                     .fold(0.0f64, f64::max)
@@ -301,7 +302,8 @@ mod tests {
             radius: 0,
             decay: 0.5,
         };
-        let asg = parqo_assignment(&w.ess, &b.diagram, &b.costs, &cfg);
+        let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
+        let asg = parqo_assignment(&w.ess, &b.diagram, &costs, &cfg);
         let nat: Vec<usize> = b.diagram.optimal.iter().map(|&p| p as usize).collect();
         assert_eq!(asg, nat);
     }
@@ -311,15 +313,16 @@ mod tests {
         use crate::metrics::single_plan_metrics;
         let w = eq_2d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-        let asg = parqo_assignment(&w.ess, &b.diagram, &b.costs, &ParqoConfig::default());
+        let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
+        let asg = parqo_assignment(&w.ess, &b.diagram, &costs, &ParqoConfig::default());
         assert_eq!(asg.len(), w.ess.num_points());
         let mut used = asg.clone();
         used.sort_unstable();
         used.dedup();
         assert!(used.len() <= b.diagram.plan_count());
-        let m = single_plan_metrics(&b.costs, &b.diagram.opt_cost, &asg);
+        let m = single_plan_metrics(&costs, &b.diagram.opt_cost, &asg);
         let nat: Vec<usize> = b.diagram.optimal.iter().map(|&p| p as usize).collect();
-        let nat_m = single_plan_metrics(&b.costs, &b.diagram.opt_cost, &nat);
+        let nat_m = single_plan_metrics(&costs, &b.diagram.opt_cost, &nat);
         // Hedging never hurts the *average* much on this fixture...
         assert!(m.aso <= nat_m.aso * 1.5, "{} vs {}", m.aso, nat_m.aso);
         // ...but the worst case stays unbounded relative to the bouquet's

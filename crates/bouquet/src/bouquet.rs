@@ -2,21 +2,23 @@
 //!
 //! Steps: build the plan diagram over the ESS (POSP + PIC) → slice the PIC
 //! with a geometric isocost grading → take the frontier of each isocost step
-//! → anorexically reduce each contour's plan set → the union of contour
-//! plans is the bouquet, handed to the run-time drivers together with the
-//! (λ-inflated) budgets.
+//! → cost every POSP plan *at the frontier points* (the slab) →
+//! anorexically reduce each contour's plan set → the union of contour plans
+//! is the bouquet → cost *the bouquet's plans* over the grid (the rows the
+//! optimized driver reads along its axis walks). The bouquet, the
+//! (λ-inflated) budgets and those rows go to the run-time drivers. A POSP ×
+//! grid matrix is never built here: what needs one — the NAT / SEER / PARQO
+//! columns, whole-diagram reductions — asks the diagram for it
+//! ([`PlanDiagram::cost_matrix_with`]).
 
 use std::time::{Duration, Instant};
 
-use pb_cost::{
-    par_map, CostMatrix, CostPerturbation, CostProgram, Parallelism, SelPoint,
-    PARALLEL_MIN_CONTOUR_CELLS,
-};
+use pb_cost::{CostMatrix, CostPerturbation, CostProgram, Parallelism, SelPoint};
 use pb_faults::PbError;
 use pb_optimizer::{PlanDiagram, PlanId, SampledBuildConfig, SampledBuildStats};
 use pb_plan::PhysicalPlan;
 
-use crate::contour::{rho, Contour};
+use crate::contour::{plan_union, rho, Contour};
 use crate::drivers::tables::DriverTables;
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
@@ -74,12 +76,28 @@ pub struct PhaseTimings {
     pub workers: usize,
     /// Plan-diagram construction (exhaustive optimization over the grid).
     pub diagram: Duration,
-    /// POSP cost matrix (abstract-plan recosting of every plan everywhere).
+    /// Abstract-plan recosting: every POSP plan at the frontier points, then
+    /// the bouquet's plans over the grid.
     pub cost_matrix: Duration,
-    /// Frontier scans + anorexic reduction over all isocost steps.
+    /// Grading, frontier pass and anorexic reduction over all isocost steps.
     pub contours: Duration,
     /// End-to-end identification time.
     pub total: Duration,
+}
+
+impl PhaseTimings {
+    /// The breakdown of an identification begun at `start` and ending now:
+    /// whatever was neither diagram nor costing is the contour phase.
+    fn since(start: Instant, par: Parallelism, diagram: Duration, cost_matrix: Duration) -> Self {
+        let total = start.elapsed();
+        PhaseTimings {
+            workers: par.workers,
+            diagram,
+            cost_matrix,
+            contours: total - diagram - cost_matrix,
+            total,
+        }
+    }
 }
 
 /// A compiled plan bouquet, ready for run-time discovery.
@@ -87,7 +105,11 @@ pub struct PhaseTimings {
 pub struct Bouquet {
     pub workload: Workload,
     pub diagram: PlanDiagram,
-    /// `costs[plan][linear_point]` — every POSP plan recosted everywhere.
+    /// The bouquet plans' costs over the grid, one row per plan of
+    /// [`plan_ids`](Self::plan_ids) in that order: `costs[k][linear_point]`
+    /// is plan `plan_ids()[k]`'s. Look a plan up with
+    /// [`cost_row`](Self::cost_row); POSP plans the bouquet does not keep
+    /// have no row.
     pub costs: CostMatrix,
     pub grading: IsoCostGrading,
     pub contours: Vec<Contour>,
@@ -132,31 +154,22 @@ impl Bouquet {
         let t_start = Instant::now();
         let diagram = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, par);
         let t_diagram = t_start.elapsed();
-
-        let t0 = Instant::now();
-        let costs = diagram.cost_matrix_with(&w.catalog, &w.query, &w.model, par);
-        let t_cost_matrix = t0.elapsed();
-
-        let (bouquet, t_contours) =
-            Self::assemble_from_diagram(w, cfg, diagram, costs, w.ess.num_points(), par)?;
-        let timings = PhaseTimings {
-            workers: par.workers,
-            diagram: t_diagram,
-            cost_matrix: t_cost_matrix,
-            contours: t_contours,
-            total: t_start.elapsed(),
-        };
+        let calls = w.ess.num_points();
+        let (bouquet, t_cost_matrix) =
+            Self::assemble_from_diagram(w, cfg, diagram, None, calls, par)?;
+        let timings = PhaseTimings::since(t_start, par, t_diagram, t_cost_matrix);
         Ok((bouquet, timings))
     }
 
     /// Identification with a *sampled* plan diagram ([`PlanDiagram::
     /// build_sampled`]): the exhaustive grid sweep of DP calls is replaced
     /// by seeded sampling + refinement with an (ε, δ) optimality-mass
-    /// contract, and the diagram's pool-sweep cost matrix is reused for the
-    /// bouquet, so the cost-matrix phase vanishes. Contours, budgets, and
-    /// drivers work off the sampled diagram exactly as they would off the
-    /// exact one — `stats.exhaustive_optimizer_calls` records the DP calls
-    /// actually spent. The exact path ([`Bouquet::identify`]) is untouched.
+    /// contract. That build derives its diagram from a pool × grid cost
+    /// matrix, so the bouquet's costs are read out of it and nothing is
+    /// recosted. Contours, budgets, and drivers work off the sampled
+    /// diagram exactly as they would off the exact one —
+    /// `stats.exhaustive_optimizer_calls` records the DP calls actually
+    /// spent. The exact path ([`Bouquet::identify`]) is untouched.
     pub fn identify_sampled(
         w: &Workload,
         cfg: &BouquetConfig,
@@ -167,55 +180,38 @@ impl Bouquet {
         let t_start = Instant::now();
         let sd = PlanDiagram::build_sampled(&w.catalog, &w.query, &w.model, &w.ess, scfg, par)?;
         let t_diagram = t_start.elapsed();
-        let (bouquet, t_contours) = Self::assemble_from_diagram(
-            w,
-            cfg,
-            sd.diagram,
-            sd.costs,
-            sd.stats.optimizer_calls,
-            par,
-        )?;
-        let timings = PhaseTimings {
-            workers: par.workers,
-            diagram: t_diagram,
-            cost_matrix: Duration::ZERO,
-            contours: t_contours,
-            total: t_start.elapsed(),
-        };
+        let calls = sd.stats.optimizer_calls;
+        let (bouquet, t_cost_matrix) =
+            Self::assemble_from_diagram(w, cfg, sd.diagram, Some(&sd.costs), calls, par)?;
+        let timings = PhaseTimings::since(t_start, par, t_diagram, t_cost_matrix);
         Ok((bouquet, timings, sd.stats))
     }
 
-    /// Shared tail of every identification path: PCM check, isocost
-    /// grading, frontier scans, contour assembly, and stats. Returns the
-    /// bouquet and the contour-phase wall time.
-    fn assemble_from_diagram(
+    /// Shared tail of every identification path: isocost grading, the
+    /// frontier pass (which also checks PCM), the slab, contour assembly,
+    /// the bouquet's rows, and stats. `pool` is a full plans × grid matrix
+    /// of `diagram`, for the builds that already have one: slab and rows are
+    /// then read out of it instead of being costed. Returns the bouquet and
+    /// the time spent costing (or reading out) slab and rows.
+    pub(crate) fn assemble_from_diagram(
         w: &Workload,
         cfg: &BouquetConfig,
         diagram: PlanDiagram,
-        costs: CostMatrix,
+        pool: Option<&CostMatrix>,
         optimizer_calls: usize,
         par: Parallelism,
     ) -> Result<(Bouquet, Duration), PbError> {
         let (cmin, cmax) = diagram.cost_bounds();
-        // PCM sanity: the PIC must be monotone along every axis; queries
-        // violating this (e.g. existential operators, Section 2) are not
-        // amenable to the bouquet technique.
-        check_pic_monotone(&diagram)?;
-
+        if cmax < cmin {
+            // No grading spans corners this way round; the pass names the
+            // point where the PIC turns down.
+            Contour::frontiers(&diagram, &[])?;
+            return Err(PbError::Identification(format!(
+                "PIC violates Plan Cost Monotonicity: C_max {cmax} < C_min {cmin}"
+            )));
+        }
         let grading = IsoCostGrading::geometric(cmin, cmax, cfg.r);
-        let n = w.ess.num_points();
-        // The frontier scan visits steps × grid-points cells of a few ns
-        // each — fan out only when that volume is large enough to repay
-        // thread handoff (the satellite fix for the 2D regression where a
-        // global grid-size threshold parallelised a 0.1 ms phase).
-        let cpar = par.for_cells(grading.steps.len() * n, PARALLEL_MIN_CONTOUR_CELLS);
-
-        // One frontier scan per isocost step, fanned out across steps, then
-        // reused for both ρ_posp and the contours themselves.
-        let t0 = Instant::now();
-        let frontiers = par_map(cpar, grading.steps.len(), |k| {
-            Contour::frontier(&diagram, grading.steps[k])
-        });
+        let frontiers = Contour::frontiers(&diagram, &grading.steps)?;
 
         // ρ before reduction: distinct optimal plans per frontier.
         let rho_posp = frontiers
@@ -229,20 +225,53 @@ impl Bouquet {
             .max()
             .unwrap_or(0);
 
-        let contours =
-            Contour::build_from_frontiers(&diagram, &grading, &costs, cfg.lambda, frontiers, cpar);
-        let t_contours = t0.elapsed();
-
-        let bouquet_cardinality = {
-            let mut all: Vec<PlanId> = contours.iter().flat_map(|c| c.plan_set.clone()).collect();
-            all.sort_unstable();
-            all.dedup();
-            all.len()
+        // The slab: every POSP plan at the frontier points, step after step
+        // (`slab[plan][starts[k] + pos]` is the plan at `frontiers[k][pos]`)
+        // — all the plan costs contour reduction reads.
+        let t0 = Instant::now();
+        let (mut at, mut starts) = (Vec::new(), Vec::new());
+        for f in &frontiers {
+            starts.push(at.len());
+            at.extend_from_slice(f);
+        }
+        let slab = match pool {
+            Some(full) => {
+                let cells = full.rows().flat_map(|row| at.iter().map(|&li| row[li]));
+                CostMatrix::from_flat(at.len(), cells.collect())
+            }
+            None => diagram.cost_at_points(&w.catalog, &w.query, &w.model, &at),
         };
+        let t_slab = t0.elapsed();
+
+        let n = w.ess.num_points();
+        let contours: Vec<Contour> = (frontiers.into_iter().zip(starts))
+            .zip(&grading.steps)
+            .enumerate()
+            .map(|(k, ((points, start), &step_cost))| {
+                let cost = |plan: PlanId, pos: usize| slab[plan][start + pos];
+                Contour::assemble(&diagram, cfg.lambda, k, step_cost, points, cost)
+            })
+            .collect();
+
+        // The rows: the bouquet's plans over the grid.
+        let t0 = Instant::now();
+        let bouquet_plans = plan_union(&contours);
+        let costs = match pool {
+            Some(full) => {
+                let mut rows = CostMatrix::new(n);
+                bouquet_plans
+                    .iter()
+                    .for_each(|&p| rows.push_row(full.row(p)));
+                rows
+            }
+            None => diagram.cost_rows_with(&w.catalog, &w.query, &w.model, &bouquet_plans, par),
+        };
+        let t_cost = t_slab + t0.elapsed();
+
         let stats = CompileStats {
             exhaustive_optimizer_calls: optimizer_calls,
             posp_cardinality: diagram.plan_count(),
-            bouquet_cardinality,
+            bouquet_cardinality: bouquet_plans.len(),
             rho_posp,
             rho: rho(&contours),
             num_contours: contours.len(),
@@ -261,7 +290,7 @@ impl Bouquet {
                 programs: std::sync::OnceLock::new(),
                 tables: std::sync::OnceLock::new(),
             },
-            t_contours,
+            t_cost,
         ))
     }
 
@@ -292,16 +321,18 @@ impl Bouquet {
         self.tables.get_or_init(|| DriverTables::build(self))
     }
 
-    /// The bouquet plan set: union of contour plan sets (diagram plan ids).
+    /// The bouquet plan set: union of contour plan sets (diagram plan ids),
+    /// ascending.
     pub fn plan_ids(&self) -> Vec<PlanId> {
-        let mut all: Vec<PlanId> = self
-            .contours
-            .iter()
-            .flat_map(|c| c.plan_set.clone())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
+        plan_union(&self.contours)
+    }
+
+    /// Bouquet plan `plan`'s cost at every grid point — its row of
+    /// [`costs`](Self::costs) — or `None` for a plan the bouquet does not
+    /// keep.
+    pub fn cost_row(&self, plan: PlanId) -> Option<&[f64]> {
+        let row = (*self.driver_tables().plan_row.get(plan)?)?;
+        Some(self.costs.row(row))
     }
 
     pub fn plan(&self, id: PlanId) -> &PhysicalPlan {
@@ -359,29 +390,6 @@ fn validate_config(cfg: &BouquetConfig) -> Result<(), PbError> {
         return Err(PbError::InvalidConfig(
             "isocost ratio r must exceed 1".into(),
         ));
-    }
-    Ok(())
-}
-
-fn check_pic_monotone(diagram: &PlanDiagram) -> Result<(), PbError> {
-    let ess = &diagram.ess;
-    let mut ix = Vec::new();
-    for li in 0..ess.num_points() {
-        ess.unlinear_into(li, &mut ix);
-        for d in 0..ess.d() {
-            if ix[d] + 1 < ess.res[d] {
-                ix[d] += 1;
-                let upc = diagram.opt_cost[ess.linear(&ix)];
-                ix[d] -= 1;
-                if upc < diagram.opt_cost[li] * (1.0 - 1e-9) {
-                    return Err(PbError::Identification(format!(
-                        "PIC violates Plan Cost Monotonicity at point {ix:?} dim {d}: \
-                         {} -> {upc}",
-                        diagram.opt_cost[li]
-                    )));
-                }
-            }
-        }
     }
     Ok(())
 }

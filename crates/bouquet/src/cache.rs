@@ -25,16 +25,17 @@
 //!
 //! Entries are binary: a small JSON header for the tree-shaped pieces
 //! (plans, grading, contours, config, stats) and raw little-endian arrays
-//! for the grid-sized ones (optimal plan ids, PIC, cost matrix), framed by a
-//! magic/version header and an FNV-1a checksum. JSON parsing of a
-//! megabyte-scale cost matrix would cost a large fraction of a small
-//! identification; memcpying it keeps warm hits two orders of magnitude
-//! cheaper than cold builds. Writes go through a temp file + rename, so a
-//! crashed writer leaves no half-entry under a live key; any mismatch —
-//! magic, version, key, checksum, shape — evicts the entry and rebuilds
-//! rather than trusting it.
+//! for the grid-sized ones (optimal plan ids, PIC, the bouquet plans' cost
+//! rows), framed by a magic/version header and an FNV-1a checksum. An entry
+//! holds what a run reads — one cost row per *bouquet* plan, not per POSP
+//! plan — so the largest registry frame is a few megabytes and a hit is a
+//! read, a checksum and a copy. Writes go through a temp file of their own +
+//! rename, so neither a crashed writer nor a concurrent one leaves a
+//! half-entry under a live key; any mismatch — magic, version, key,
+//! checksum, shape — evicts the entry and rebuilds rather than trusting it.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pb_cost::{CostMatrix, Parallelism};
@@ -43,7 +44,7 @@ use pb_optimizer::PlanDiagram;
 use pb_plan::PhysicalPlan;
 
 use crate::bouquet::{Bouquet, BouquetConfig, CompileStats};
-use crate::contour::Contour;
+use crate::contour::{plan_union, Contour};
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
@@ -52,7 +53,12 @@ const MAGIC: [u8; 4] = *b"PBQC";
 /// v2: typed ESS dimensions — `EssDim` gained a `kind` and `JoinPredicate`
 /// gained `semi`/`op` fields, which change the canonical-JSON skeleton key,
 /// so v1 entries must be evicted rather than misread.
-const FORMAT_VERSION: u32 = 2;
+/// v3: the cost array holds one row per bouquet plan (the header gains the
+/// row count), not one per POSP plan.
+const FORMAT_VERSION: u32 = 3;
+
+/// Distinguishes the temp files of one process's concurrent stores.
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a, 64-bit: stable across platforms and toolchains (unlike
 /// `DefaultHasher`), cheap, and good enough for content addressing where
@@ -319,12 +325,18 @@ impl BouquetCache {
     }
 
     /// Write `bouquet` as the entry for `key` (atomic: temp file + rename).
+    /// The temp name is unique per call — process id and a per-process
+    /// sequence number — so two writers of one skeleton, in one process or
+    /// in two, never share a temp file.
     fn store(&self, key: &CacheKey, bouquet: &Bouquet, cold_build_s: f64) -> Result<(), PbError> {
         let path = self.entry_path(key);
         let bytes = encode_entry(key, bouquet, cold_build_s)?;
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{:016x}-{}", key.skeleton, std::process::id()));
+        let tmp = self.dir.join(format!(
+            ".tmp-{:016x}-{}-{}",
+            key.skeleton,
+            std::process::id(),
+            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let io_err = |p: &Path| {
             let path = p.display().to_string();
             move |e: std::io::Error| PbError::Io {
@@ -342,10 +354,11 @@ impl BouquetCache {
 ///
 /// ```text
 /// magic "PBQC" | version u32 | skeleton u64 | stats u64 | cold_build_s f64
-/// | n_points u64 | n_plans u64 | meta_len u64 | meta JSON (MetaDoc)
+/// | n_points u64 | n_plans u64 | n_rows u64 | meta_len u64
+/// | meta JSON (MetaDoc)
 /// | optimal  n_points × u32
 /// | opt_cost n_points × f64
-/// | costs    n_plans × n_points × f64
+/// | costs    n_rows × n_points × f64   (row k: bouquet plan k, ascending id)
 /// | checksum u64  (FNV-1a over everything before it)
 /// ```
 fn encode_entry(key: &CacheKey, bouquet: &Bouquet, cold_build_s: f64) -> Result<Vec<u8>, PbError> {
@@ -370,6 +383,7 @@ fn encode_entry(key: &CacheKey, bouquet: &Bouquet, cold_build_s: f64) -> Result<
     out.extend_from_slice(&cold_build_s.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(n_plans as u64).to_le_bytes());
+    out.extend_from_slice(&(bouquet.costs.len() as u64).to_le_bytes());
     out.extend_from_slice(&(meta_json.len() as u64).to_le_bytes());
     out.extend_from_slice(meta_json.as_bytes());
     for &id in &bouquet.diagram.optimal {
@@ -508,6 +522,7 @@ fn read_entry(
     let cold_build_s = r.f64("cold build time")?;
     let n = r.u64("point count")? as usize;
     let n_plans = r.u64("plan count")? as usize;
+    let n_rows = r.u64("cost row count")? as usize;
     if n != w.ess.num_points() {
         return Err(r.corrupt(format!(
             "entry has {n} grid points, workload has {}",
@@ -523,12 +538,16 @@ fn read_entry(
     if meta.plans.len() != n_plans {
         return Err(r.corrupt("plan count disagrees with meta"));
     }
+    // Before any array is sized from it: a row per bouquet plan.
+    if n_rows != plan_union(&meta.contours).len() {
+        return Err(r.corrupt("cost row count disagrees with the contours' plans"));
+    }
 
     let optimal = r.u32_array(n, "optimal plan ids")?;
     let opt_cost = r.f64_array(n, "PIC values")?;
-    let flat = r.f64_array(n_plans * n, "cost matrix")?;
+    let flat = r.f64_array(n_rows * n, "cost rows")?;
     if r.pos != payload.len() {
-        return Err(r.corrupt("trailing bytes after cost matrix"));
+        return Err(r.corrupt("trailing bytes after cost rows"));
     }
 
     let bouquet = Bouquet {
@@ -718,13 +737,7 @@ mod tests {
             .unwrap();
         // Bump the version field and re-seal the checksum, simulating an
         // entry written by a future format.
-        let path = entry_file(&tmp.0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let n = bytes.len();
-        let seal = checksum64(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&seal.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
+        rewrite_header(&entry_file(&tmp.0), 4, &(FORMAT_VERSION + 1).to_le_bytes());
         let (_, outcome) = cache
             .get_or_identify(&w, &cfg, Parallelism::serial())
             .unwrap();
@@ -733,6 +746,99 @@ mod tests {
             .get_or_identify(&w, &cfg, Parallelism::serial())
             .unwrap();
         assert!(matches!(again, CacheOutcome::Hit { .. }));
+    }
+
+    /// Overwrite `len` header bytes at `at` and re-seal the checksum.
+    fn rewrite_header(path: &Path, at: usize, field: &[u8]) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at..at + field.len()].copy_from_slice(field);
+        let n = bytes.len();
+        let seal = checksum64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&seal.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn previous_format_version_is_a_miss_not_an_error() {
+        let tmp = TmpDir::new("v2");
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        // A v2 frame under this key: nothing reads its POSP-sized matrix.
+        rewrite_header(&entry_file(&tmp.0), 4, &2u32.to_le_bytes());
+        let (_, outcome) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        assert!(matches!(outcome, CacheOutcome::Miss { .. }), "{outcome:?}");
+        let (_, again) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        assert!(matches!(again, CacheOutcome::Hit { .. }));
+    }
+
+    #[test]
+    fn row_count_disagreeing_with_the_contours_is_evicted() {
+        let tmp = TmpDir::new("rows");
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let (b, _) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        // The row count sits after magic, version, two keys, the build time
+        // and two counts. Neither a row per POSP plan nor a count no file
+        // could hold sizes an array: the contours say what to expect.
+        let posp = b.diagram.plan_count() as u64;
+        assert_ne!(posp, b.costs.len() as u64);
+        for rows in [posp, u64::MAX / 2] {
+            rewrite_header(&entry_file(&tmp.0), 48, &rows.to_le_bytes());
+            let (_, outcome) = cache
+                .get_or_identify(&w, &cfg, Parallelism::serial())
+                .unwrap();
+            assert!(matches!(outcome, CacheOutcome::Miss { .. }), "{outcome:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_skeleton_never_tear_an_entry() {
+        let tmp = TmpDir::new("race");
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        // Eight threads miss on the same key at once; then each keeps
+        // re-storing its bouquet while the others do the same.
+        let artefacts: Vec<String> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (b, _) = cache
+                            .get_or_identify(&w, &cfg, Parallelism::serial())
+                            .unwrap();
+                        let key = CacheKey::derive(&w, &cfg).unwrap();
+                        for _ in 0..25 {
+                            cache.store(&key, &b, 0.0).unwrap();
+                        }
+                        persist::to_json(&b).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(artefacts.iter().all(|a| *a == artefacts[0]));
+        let (_, next) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        assert!(matches!(next, CacheOutcome::Hit { .. }), "{next:?}");
+        let leftovers: Vec<_> = std::fs::read_dir(&tmp.0)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
     }
 
     #[test]

@@ -8,8 +8,16 @@
 //! assigned to that frontier point is guaranteed to execute it within the
 //! contour budget. This staircase construction is the standard discrete
 //! realisation in the bouquet literature.
+//!
+//! A contour is built from the PIC and from plan costs *at its frontier
+//! points only*: [`Contour::frontiers`] files every grid point under the
+//! steps whose frontier it is on in one pass over the PIC, and
+//! [`Contour::assemble`] reads plan costs through a `(plan, frontier
+//! position)` accessor, so identification never needs a plan's cost away
+//! from a frontier to decide which plans the bouquet keeps.
 
-use pb_cost::{par_map, run_chunked, CostMatrix, Ess, GridIx, Parallelism};
+use pb_cost::{run_chunked, CostMatrix, Ess, GridIx, Parallelism};
+use pb_faults::PbError;
 use pb_optimizer::{AnorexicReduction, PlanDiagram, PlanId};
 
 use crate::grading::IsoCostGrading;
@@ -59,7 +67,9 @@ impl Contour {
         true
     }
 
-    /// Compute the dominance frontier of `{q : opt_cost(q) ≤ budget}`.
+    /// Compute the dominance frontier of `{q : opt_cost(q) ≤ budget}`,
+    /// ascending: the one-step form of [`frontiers`](Self::frontiers),
+    /// which identification uses.
     pub fn frontier(diagram: &PlanDiagram, budget: f64) -> Vec<usize> {
         Self::frontier_with(diagram, budget, Parallelism::serial())
     }
@@ -79,75 +89,86 @@ impl Contour {
         chunks.into_iter().flatten().collect()
     }
 
-    /// Build all contours for a grading, reducing each contour's plan set
-    /// anorexically with threshold `lambda`.
+    /// The frontier of every step of `steps` (ascending isocost values) in
+    /// one pass over the PIC, each in ascending linear order: a point is on
+    /// step `k`'s frontier iff `opt_cost ≤ IC_k <` its cheapest in-grid axis
+    /// successor, so it is filed under that range of steps. The same
+    /// neighbour reads check Plan Cost Monotonicity of the PIC along every
+    /// axis; queries violating it (e.g. existential operators, Section 2)
+    /// are not amenable to the bouquet technique. A few ns a point and
+    /// dimension — two orders of magnitude under the DP call that produced
+    /// the point — so the pass is serial.
+    pub fn frontiers(diagram: &PlanDiagram, steps: &[f64]) -> Result<Vec<Vec<usize>>, PbError> {
+        let ess = &diagram.ess;
+        let strides = ess.strides();
+        let mut frontiers = vec![Vec::new(); steps.len()];
+        let mut ix = GridIx::new();
+        for (li, &cost) in diagram.opt_cost.iter().enumerate() {
+            ess.unlinear_into(li, &mut ix);
+            let mut cheapest_up = f64::INFINITY;
+            for dim in 0..ess.d() {
+                if ix[dim] + 1 < ess.res[dim] {
+                    let up_cost = diagram.opt_cost[li + strides[dim]];
+                    if up_cost < cost * (1.0 - 1e-9) {
+                        return Err(PbError::Identification(format!(
+                            "PIC violates Plan Cost Monotonicity at point {ix:?} dim {dim}: \
+                             {cost} -> {up_cost}"
+                        )));
+                    }
+                    cheapest_up = cheapest_up.min(up_cost);
+                }
+            }
+            let first = steps.partition_point(|&step| step < cost);
+            let end = steps.partition_point(|&step| step < cheapest_up);
+            for frontier in frontiers.iter_mut().take(end).skip(first) {
+                frontier.push(li);
+            }
+        }
+        Ok(frontiers)
+    }
+
+    /// Build all contours for a grading from a full POSP × grid cost matrix
+    /// (`costs[plan][linear_point]`), one [`frontier`](Self::frontier) scan
+    /// per step. Identification does not go this way — it costs plans at
+    /// the frontiers only — so this is the independent form its output is
+    /// tested against.
     pub fn build_all(
         diagram: &PlanDiagram,
         grading: &IsoCostGrading,
         costs: &CostMatrix,
         lambda: f64,
     ) -> Vec<Contour> {
-        Self::build_all_with(diagram, grading, costs, lambda, Parallelism::serial())
+        let steps = grading.steps.iter().enumerate();
+        steps
+            .map(|(k, &step_cost)| {
+                let points = Self::frontier(diagram, step_cost);
+                let at = points.clone();
+                Self::assemble(diagram, lambda, k, step_cost, points, |plan, pos| {
+                    costs[plan][at[pos]]
+                })
+            })
+            .collect()
     }
 
-    /// Build all contours with an explicit worker policy: the per-step
-    /// frontier scan plus anorexic reduction fans out across steps (each
-    /// step is independent; output order follows the grading).
-    pub fn build_all_with(
-        diagram: &PlanDiagram,
-        grading: &IsoCostGrading,
-        costs: &CostMatrix,
-        lambda: f64,
-        par: Parallelism,
-    ) -> Vec<Contour> {
-        let frontiers = par_map(par, grading.steps.len(), |k| {
-            Self::frontier(diagram, grading.steps[k])
-        });
-        Self::build_from_frontiers(diagram, grading, costs, lambda, frontiers, par)
-    }
-
-    /// Assemble contours from precomputed per-step frontiers (lets callers
-    /// that already ran the frontier scans — e.g. for ρ_posp — reuse them).
-    pub fn build_from_frontiers(
-        diagram: &PlanDiagram,
-        grading: &IsoCostGrading,
-        costs: &CostMatrix,
-        lambda: f64,
-        frontiers: Vec<Vec<usize>>,
-        par: Parallelism,
-    ) -> Vec<Contour> {
-        assert_eq!(frontiers.len(), grading.steps.len());
-        par_map(par, grading.steps.len(), |k| {
-            Self::assemble(
-                diagram,
-                costs,
-                lambda,
-                k,
-                grading.steps[k],
-                frontiers[k].clone(),
-            )
-        })
-    }
-
-    /// Assemble one contour (0-based step index `k`) from its frontier: the
-    /// anorexic-reduction unit the batch builders share.
-    /// Output is a pure function of `(costs columns and diagram PIC at
-    /// `points`, lambda, k, step_cost, points)`.
+    /// Assemble one contour (0-based step index `k`) from its frontier by
+    /// anorexic reduction. `cost(plan, pos)` is the cost of diagram plan
+    /// `plan` at `points[pos]`; the output is a pure function of those
+    /// costs, the diagram's PIC at `points`, and the other arguments.
     pub fn assemble(
         diagram: &PlanDiagram,
-        costs: &CostMatrix,
         lambda: f64,
         k: usize,
         step_cost: f64,
         points: Vec<usize>,
+        cost: impl Fn(PlanId, usize) -> f64,
     ) -> Contour {
         assert!(
             !points.is_empty(),
             "contour {} (budget {step_cost}) has no frontier points",
             k + 1
         );
-        let red = AnorexicReduction::reduce_points(diagram, costs, &points, lambda);
-        let mut plan_set = red.kept.clone();
+        let red = AnorexicReduction::reduce_points(diagram, &points, lambda, cost);
+        let mut plan_set = red.kept;
         plan_set.sort_unstable();
         Contour {
             id: k + 1,
@@ -175,15 +196,16 @@ impl Contour {
 
     /// Per-plan coverage regions within this contour's budget (Figure 6b):
     /// for each plan on the contour, the set of grid points it can finish
-    /// within the budget.
-    pub fn coverage(&self, costs: &CostMatrix, num_points: usize) -> Vec<(PlanId, Vec<usize>)> {
+    /// within the budget. `row(plan)` is the plan's cost at every grid
+    /// point ([`Bouquet::cost_row`](crate::Bouquet::cost_row) has it for
+    /// every contour plan).
+    pub fn coverage<'a>(&self, row: impl Fn(PlanId) -> &'a [f64]) -> Vec<(PlanId, Vec<usize>)> {
         self.plan_set
             .iter()
             .map(|&p| {
-                let covered = (0..num_points)
-                    .filter(|&li| costs[p][li] <= self.budget)
-                    .collect();
-                (p, covered)
+                let within = |&(_, &cost): &(usize, &f64)| cost <= self.budget;
+                let covered = row(p).iter().enumerate().filter(within);
+                (p, covered.map(|(li, _)| li).collect())
             })
             .collect()
     }
@@ -220,6 +242,17 @@ impl FrontierCoords {
             .filter(move |(_, f)| f.iter().zip(ix).all(|(f, q)| f >= q))
             .map(|(i, _)| i)
     }
+}
+
+/// The union of the contours' plan sets, ascending: the bouquet.
+pub fn plan_union(contours: &[Contour]) -> Vec<PlanId> {
+    let mut all: Vec<PlanId> = contours
+        .iter()
+        .flat_map(|c| c.plan_set.iter().copied())
+        .collect();
+    all.sort_unstable();
+    all.dedup();
+    all
 }
 
 /// Maximum contour plan density ρ (Section 3.2) across a contour list.
@@ -355,6 +388,39 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_frontiers_match_the_per_step_scan() {
+        // Staircase costs with plateaus: points sit on several steps'
+        // frontiers, on none, and on ties exactly at a step value.
+        let costs: Vec<f64> = (0..64)
+            .map(|li| ((li % 8) / 2 + (li / 8) / 2) as f64)
+            .collect();
+        let synthetic = synthetic_diagram(vec![8, 8], costs);
+        let real = eq_2d().diagram();
+        let (cmin, cmax) = real.cost_bounds();
+        let graded = IsoCostGrading::geometric(cmin, cmax, 2.0).steps;
+        for (d, steps) in [
+            (&synthetic, vec![0.0, 1.0, 2.5, 6.0, 9.0]),
+            (&synthetic, vec![-1.0]),
+            (&real, graded),
+        ] {
+            let expect: Vec<Vec<usize>> = steps.iter().map(|&b| Contour::frontier(d, b)).collect();
+            assert_eq!(Contour::frontiers(d, &steps).unwrap(), expect);
+        }
+    }
+
+    #[test]
+    fn one_pass_frontiers_report_the_first_pcm_violation() {
+        // Cost falls from [0,1] to [0,2] (dimension 1) and nowhere earlier.
+        let d = synthetic_diagram(vec![2, 3], vec![1.0, 2.0, 1.5, 2.0, 3.0, 4.0]);
+        let err = Contour::frontiers(&d, &[4.0]).unwrap_err();
+        let text = err.to_string();
+        assert!(
+            text.contains("Monotonicity") && text.contains("[0, 1] dim 1"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn frontier_points_are_maximal_and_within_budget() {
         let w = eq_2d();
         let d = w.diagram();
@@ -459,7 +525,7 @@ mod tests {
         let grading = IsoCostGrading::geometric(cmin, cmax, 2.0);
         let contours = Contour::build_all(&d, &grading, &costs, 0.2);
         let c = &contours[contours.len() / 2];
-        let cov = c.coverage(&costs, d.ess.num_points());
+        let cov = c.coverage(|p| &costs[p]);
         for (&li, &p) in c.points.iter().zip(&c.assignment) {
             let (_, pts) = cov.iter().find(|(pid, _)| *pid == p).unwrap();
             assert!(pts.contains(&li));

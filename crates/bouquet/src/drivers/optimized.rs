@@ -27,7 +27,6 @@ use pb_faults::{FaultInjector, PbError};
 use pb_optimizer::PlanId;
 
 use crate::bouquet::Bouquet;
-use crate::contour::Contour;
 use crate::drivers::basic::MAX_OVERFLOW;
 use crate::drivers::robust::{RobustCtx, RobustEvent};
 use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec};
@@ -138,7 +137,7 @@ impl Bouquet {
             }
 
             let (pid, cost_at_qrun) =
-                self.select_plan(contour, &candidates, &qrun, &resolved, &mut scratch);
+                self.select_plan(cid.min(m - 1), &candidates, &qrun, &resolved, &mut scratch);
             // Spill-based learning (Section 5.3) is engaged only when this
             // plan provably cannot complete within the budget: its cost at
             // qrun — a lower bound on its cost at qa, by PCM and the
@@ -295,7 +294,7 @@ impl Bouquet {
     /// cost at qrun.
     fn select_plan(
         &self,
-        contour: &Contour,
+        contour: usize,
         candidates: &[PlanId],
         qrun: &Qrun,
         resolved: &[bool],
@@ -330,13 +329,18 @@ impl Bouquet {
             })
     }
 
-    /// Plans at the intersection of `contour` with the positive axes through
-    /// the grid location of qrun, into `out`: for each dimension, walk
-    /// outward along that axis to the last point still inside the step, and
-    /// take the cheapest contour plan that covers it within the budget.
-    fn axis_plan_set(&self, contour: &Contour, qrun: &Qrun, out: &mut Vec<PlanId>) {
+    /// Plans at the intersection of contour number `contour` (0-based) with
+    /// the positive axes through the grid location of qrun, into `out`: for
+    /// each dimension, walk outward along that axis to the last point still
+    /// inside the step, and take the cheapest contour plan that covers it
+    /// within the budget.
+    fn axis_plan_set(&self, contour: usize, qrun: &Qrun, out: &mut Vec<PlanId>) {
         let ess = &self.workload.ess;
-        let strides = &self.driver_tables().strides;
+        let tables = self.driver_tables();
+        let strides = &tables.strides;
+        // Each contour plan's cost at grid point `li` is `costs[row + li]`.
+        let (rows, costs) = (&tables.rows[contour], self.costs.as_flat());
+        let contour = &self.contours[contour];
         out.clear();
         for ((&stride, &at), &res) in strides.iter().zip(&qrun.ix).zip(&ess.res) {
             // Linear indices from qrun's grid point outward along this axis.
@@ -346,11 +350,12 @@ impl Bouquet {
                 .take_while(|&li| self.diagram.opt_cost[li] <= contour.step_cost)
                 .last();
             if let Some(li) = last_inside {
-                if let Some(&p) = contour
+                if let Some((&p, _)) = contour
                     .plan_set
                     .iter()
-                    .filter(|&&p| self.costs[p][li] <= contour.budget * (1.0 + 1e-9))
-                    .min_by(|&&a, &&b| self.costs[a][li].total_cmp(&self.costs[b][li]))
+                    .zip(rows)
+                    .filter(|&(_, &row)| costs[row + li] <= contour.budget * (1.0 + 1e-9))
+                    .min_by(|&(_, &a), &(_, &b)| costs[a + li].total_cmp(&costs[b + li]))
                 {
                     if !out.contains(&p) {
                         out.push(p);

@@ -48,6 +48,12 @@ pub(crate) struct DriverTables {
     pub plans: Vec<PlanFacts>,
     /// Indexed like [`Bouquet::contours`].
     pub frontiers: Vec<FrontierCoords>,
+    /// Indexed by diagram plan id: the plan's row of [`Bouquet::costs`], for
+    /// the plans the bouquet keeps.
+    pub plan_row: Vec<Option<usize>>,
+    /// Per contour, parallel to its `plan_set`: where each plan's row
+    /// starts in the flat buffer of [`Bouquet::costs`].
+    pub rows: Vec<Vec<usize>>,
     /// Linear-index distance of one grid step along each axis.
     pub strides: Vec<usize>,
 }
@@ -75,14 +81,24 @@ impl DriverTables {
             .iter()
             .map(|c| FrontierCoords::new(ess, &c.points))
             .collect();
-        let mut strides = vec![1; ess.d()];
-        for d in (0..ess.d().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * ess.res[d + 1];
+        let mut plan_row = vec![None; b.diagram.plans.len()];
+        for (row, plan) in b.plan_ids().into_iter().enumerate() {
+            plan_row[plan] = Some(row);
         }
+        let rows = b
+            .contours
+            .iter()
+            .map(|c| {
+                let starts = c.plan_set.iter().filter_map(|&p| plan_row[p]);
+                starts.map(|row| row * ess.num_points()).collect()
+            })
+            .collect();
         DriverTables {
             plans,
             frontiers,
-            strides,
+            plan_row,
+            rows,
+            strides: ess.strides(),
         }
     }
 }

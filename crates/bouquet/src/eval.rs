@@ -1,6 +1,7 @@
 //! Whole-workload evaluation harness: NAT vs SEER vs BOU over the full ESS
 //! grid — the machinery behind the paper's Figures 14–18 and Table 1.
 
+use pb_cost::CostMatrix;
 use pb_faults::PbError;
 use pb_optimizer::SeerReduction;
 use serde::{Deserialize, Serialize};
@@ -85,18 +86,23 @@ pub struct WorkloadEvaluation {
 /// Evaluate a workload end to end.
 pub fn evaluate(w: &Workload, cfg: &EvalConfig) -> Result<WorkloadEvaluation, PbError> {
     let bouquet = Bouquet::identify(w, &cfg.bouquet)?;
-    evaluate_with_bouquet(w, cfg, &bouquet)
+    let d = &bouquet.diagram;
+    let costs = d.cost_matrix(&w.catalog, &w.query, &w.model);
+    evaluate_with_bouquet(w, cfg, &bouquet, &costs)
 }
 
 /// Evaluate using an already-identified bouquet (lets callers reuse the
-/// expensive compile-time artefacts).
+/// expensive compile-time artefacts). `costs` is the full POSP × grid
+/// matrix of the bouquet's diagram (`PlanDiagram::cost_matrix_with`): the
+/// single-plan baselines weigh every POSP plan at every location, which
+/// the bouquet itself keeps no rows for.
 pub fn evaluate_with_bouquet(
     w: &Workload,
     cfg: &EvalConfig,
     bouquet: &Bouquet,
+    costs: &CostMatrix,
 ) -> Result<WorkloadEvaluation, PbError> {
     let d = &bouquet.diagram;
-    let costs = &bouquet.costs;
     let n = w.ess.num_points();
 
     // NAT: picks the optimal plan at the estimated location.

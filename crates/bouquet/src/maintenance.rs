@@ -26,13 +26,13 @@
 use std::collections::HashSet;
 
 use pb_catalog::Catalog;
-use pb_cost::{CostMatrix, CostProgram};
+use pb_cost::{CostMatrix, CostProgram, Parallelism};
 use pb_optimizer::PlanDiagram;
 use pb_plan::PlanNode;
 use serde::{Deserialize, Serialize};
 
-use crate::bouquet::{Bouquet, CompileStats};
-use crate::contour::{rho, Contour};
+use crate::bouquet::Bouquet;
+use crate::contour::Contour;
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
@@ -152,66 +152,27 @@ pub fn rescale(
         }
     }
 
-    // 4. Final surface, grading and contours.
+    // 4. Final surface; grading, contours and the bouquet's cost rows are
+    //    the shared tail of identification, reading the matrix built above.
     let (optimal, opt_cost) = pseudo_surface(&costs);
     let diagram = PlanDiagram {
         ess: ess.clone(),
-        plans: plans.clone(),
+        plans,
         optimal,
         opt_cost,
     };
-    let (cmin, cmax) = diagram.cost_bounds();
-    let grading = IsoCostGrading::geometric(cmin, cmax, cfg.r);
-    let rho_posp = grading
-        .steps
-        .iter()
-        .map(|&b| {
-            let f = Contour::frontier(&diagram, b);
-            let mut ps: Vec<u32> = f.iter().map(|&li| diagram.optimal[li]).collect();
-            ps.sort_unstable();
-            ps.dedup();
-            ps.len()
-        })
-        .max()
-        .unwrap_or(0);
-    let contours = Contour::build_all(&diagram, &grading, &costs, cfg.lambda);
-    let bouquet_cardinality = {
-        let mut all: Vec<usize> = contours.iter().flat_map(|c| c.plan_set.clone()).collect();
-        all.sort_unstable();
-        all.dedup();
-        all.len()
-    };
-    let stats = CompileStats {
-        exhaustive_optimizer_calls: optimizer_calls,
-        posp_cardinality: diagram.plan_count(),
-        bouquet_cardinality,
-        rho_posp,
-        rho: rho(&contours),
-        num_contours: contours.len(),
-        cmin,
-        cmax,
-    };
     let report = MaintenanceReport {
         reused_plans: reused,
-        new_plans: plans.len() - reused,
+        new_plans: diagram.plans.len() - reused,
         optimizer_calls,
         grid_points: n,
         rounds,
     };
-    Ok((
-        Bouquet {
-            workload: w,
-            diagram,
-            costs,
-            grading,
-            contours,
-            config: cfg,
-            stats,
-            programs: std::sync::OnceLock::new(),
-            tables: std::sync::OnceLock::new(),
-        },
-        report,
-    ))
+    let serial = Parallelism::serial();
+    let (bouquet, _) =
+        Bouquet::assemble_from_diagram(&w, &cfg, diagram, Some(&costs), optimizer_calls, serial)
+            .map_err(|e| e.to_string())?;
+    Ok((bouquet, report))
 }
 
 /// Pointwise cheapest plan over a cost matrix.

@@ -72,13 +72,12 @@ pub(crate) fn validate_structure(b: &Bouquet) -> Result<(), String> {
     if b.diagram.optimal.len() != n || b.diagram.opt_cost.len() != n {
         return Err("diagram size disagrees with ESS".into());
     }
-    if b.costs.len() != b.diagram.plans.len() {
-        return Err("cost matrix row count disagrees with plan count".into());
+    // One cost row per bouquet plan, in `plan_ids()` order, over the grid.
+    if b.costs.len() != b.plan_ids().len() {
+        return Err("cost matrix row count disagrees with the bouquet's plan count".into());
     }
-    for row in b.costs.rows() {
-        if row.len() != n {
-            return Err("cost matrix column count disagrees with grid".into());
-        }
+    if b.costs.len() > 0 && b.costs.num_points() != n {
+        return Err("cost matrix column count disagrees with grid".into());
     }
     if b.contours.len() != b.grading.len() {
         return Err("contour count disagrees with grading".into());
@@ -101,8 +100,7 @@ pub(crate) fn validate_structure(b: &Bouquet) -> Result<(), String> {
             }
         }
     }
-    b.workload.query.validate(&b.workload.catalog);
-    Ok(())
+    b.workload.query.check(&b.workload.catalog)
 }
 
 #[cfg(test)]
@@ -205,6 +203,45 @@ mod tests {
         assert!(from_json(&bad).is_err());
         // Garbage is rejected outright.
         assert!(from_json("{\"not\": \"a bouquet\"}").is_err());
+    }
+
+    #[test]
+    fn tampered_query_is_a_corrupt_error_with_the_path_not_a_panic() {
+        use pb_faults::PbError;
+        let w = small_workload();
+        let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+        let json = to_json(&b).unwrap();
+        let lineitem = w.query.relations[1].table.0;
+        for (tag, from, to) in [
+            ("join_rel", "\"left_rel\":0".to_string(), "\"left_rel\":9"),
+            (
+                "table",
+                format!("{{\"table\":{lineitem},\"alias\""),
+                "{\"table\":99,\"alias\"",
+            ),
+        ] {
+            assert!(json.contains(&from), "{tag}: artefact has no {from}");
+            let path = std::env::temp_dir().join(format!("pb_test_tampered_{tag}.json"));
+            std::fs::write(&path, json.replacen(&from, to, 1)).unwrap();
+            match load(&path) {
+                Err(PbError::Corrupt { path: p, .. }) => assert!(p.contains("pb_test_tampered")),
+                other => panic!("{tag}: expected Corrupt, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn cost_rows_must_be_the_bouquet_plans() {
+        let w = small_workload();
+        let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+        assert_eq!(b.costs.len(), b.plan_ids().len());
+        assert!(b.costs.len() < b.diagram.plan_count());
+        // An artefact carrying a row per POSP plan (the old shape) is refused.
+        let mut old_shape = b.clone();
+        old_shape.costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
+        let err = from_json(&to_json(&old_shape).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("row count"), "{err}");
     }
 
     #[test]

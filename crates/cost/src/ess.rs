@@ -196,6 +196,16 @@ impl Ess {
         li
     }
 
+    /// Linear-index distance of one grid step along each axis (row-major:
+    /// the last axis is contiguous).
+    pub fn strides(&self) -> Vec<usize> {
+        let mut strides = vec![1; self.d()];
+        for d in (1..self.d()).rev() {
+            strides[d - 1] = strides[d] * self.res[d];
+        }
+        strides
+    }
+
     /// Inverse of [`linear`](Ess::linear).
     pub fn unlinear(&self, li: usize) -> GridIx {
         let mut ix = vec![0; self.d()];

@@ -26,23 +26,24 @@ impl AnorexicReduction {
     /// retained plan whose cost is within `(1+λ)` of that point's optimum.
     pub fn reduce(diagram: &PlanDiagram, costs: &CostMatrix, lambda: f64) -> Self {
         let points: Vec<usize> = (0..diagram.ess.num_points()).collect();
-        Self::reduce_points(diagram, costs, &points, lambda)
+        Self::reduce_points(diagram, &points, lambda, |plan, pos| costs[plan][pos])
     }
 
     /// Reduce over an arbitrary subset of grid points (used per isocost
-    /// contour by the bouquet). `costs[plan][point]` are absolute costs at
-    /// *linear grid indices*; `points` selects the linear indices to cover.
+    /// contour by the bouquet). `points` selects the linear grid indices to
+    /// cover, and `cost(plan, pos)` is the absolute cost of diagram plan
+    /// `plan` at `points[pos]` — so the caller needs plan costs at these
+    /// points only, in whatever layout it keeps them.
     pub fn reduce_points(
         diagram: &PlanDiagram,
-        costs: &CostMatrix,
         points: &[usize],
         lambda: f64,
+        cost: impl Fn(PlanId, usize) -> f64,
     ) -> Self {
         assert!(lambda >= 0.0);
         let nplans = diagram.plans.len();
-        let covers = |plan: PlanId, pt_pos: usize| -> bool {
-            let li = points[pt_pos];
-            costs[plan][li] <= (1.0 + lambda) * diagram.opt_cost[li] * (1.0 + 1e-12)
+        let covers = |plan: PlanId, pos: usize| -> bool {
+            cost(plan, pos) <= (1.0 + lambda) * diagram.opt_cost[points[pos]] * (1.0 + 1e-12)
         };
         let kept = greedy_cover(nplans, points.len(), covers);
         // Assign each point the cheapest retained plan that covers it.
@@ -51,7 +52,7 @@ impl AnorexicReduction {
                 *kept
                     .iter()
                     .filter(|&&p| covers(p, pos))
-                    .min_by(|&&a, &&b| costs[a][points[pos]].total_cmp(&costs[b][points[pos]]))
+                    .min_by(|&&a, &&b| cost(a, pos).total_cmp(&cost(b, pos)))
                     .expect("greedy cover must cover every point")
             })
             .collect();
@@ -175,7 +176,8 @@ mod tests {
         let d = PlanDiagram::build(&cat, &q, &m, &ess);
         let costs = d.cost_matrix(&cat, &q, &m);
         let subset: Vec<usize> = (0..ess.num_points()).step_by(7).collect();
-        let red = AnorexicReduction::reduce_points(&d, &costs, &subset, 0.2);
+        let red =
+            AnorexicReduction::reduce_points(&d, &subset, 0.2, |p, pos| costs[p][subset[pos]]);
         assert_eq!(red.assignment.len(), subset.len());
         for (pos, &p) in red.assignment.iter().enumerate() {
             let li = subset[pos];

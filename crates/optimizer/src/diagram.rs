@@ -194,8 +194,10 @@ impl PlanDiagram {
     }
 
     /// Cost of every plan at every grid point (row-major `[plan][point]`),
-    /// computed in parallel. This is the input to anorexic reduction and to
-    /// exact NAT worst-case metrics.
+    /// computed in parallel: the input of whole-grid reductions and of the
+    /// NAT / SEER / PARQO metrics. Identification itself never builds it —
+    /// see [`cost_at_points`](Self::cost_at_points) and
+    /// [`cost_rows_with`](Self::cost_rows_with).
     pub fn cost_matrix(
         &self,
         catalog: &Catalog,
@@ -205,13 +207,7 @@ impl PlanDiagram {
         self.cost_matrix_with(catalog, query, model, Parallelism::auto())
     }
 
-    /// Cost matrix with an explicit worker policy. The POSP plans are
-    /// compiled into one [`CostProgram`] that evaluates every sub-plan they
-    /// share once, and each grid point evaluates that program once — the
-    /// inner loop performs no allocation and no tree walk. Parallelism is
-    /// gated on the plans × points cell count (the phase's work volume), not
-    /// the grid size. Results are bit-identical to the recursive
-    /// [`Coster`](pb_cost::Coster) tree walk (pinned by this module's tests).
+    /// Cost matrix with an explicit worker policy: every POSP plan's row.
     pub fn cost_matrix_with(
         &self,
         catalog: &Catalog,
@@ -219,9 +215,58 @@ impl PlanDiagram {
         model: &CostModel,
         par: Parallelism,
     ) -> CostMatrix {
-        let prog =
-            CostProgram::compile_set(catalog, query, model, self.plans.iter().map(|p| &p.root));
+        let all: Vec<PlanId> = (0..self.plans.len()).collect();
+        self.cost_rows_with(catalog, query, model, &all, par)
+    }
+
+    /// Cost of the listed plans at every grid point: row `k` is plan
+    /// `plans[k]`. The plans are compiled into one [`CostProgram`] that
+    /// evaluates every sub-plan they share once, and each grid point
+    /// evaluates that program once — the inner loop performs no allocation
+    /// and no tree walk. Parallelism is gated on the plans × points cell
+    /// count (the phase's work volume), not the grid size. A plan's row does
+    /// not depend on which plans are compiled beside it, and every cell is
+    /// bit-identical to the recursive [`Coster`](pb_cost::Coster) tree walk
+    /// (pinned by this module's tests and `tests/compiled_cost.rs`).
+    pub fn cost_rows_with(
+        &self,
+        catalog: &Catalog,
+        query: &QuerySpec,
+        model: &CostModel,
+        plans: &[PlanId],
+        par: Parallelism,
+    ) -> CostMatrix {
+        let roots = plans.iter().map(|&p| &self.plans[p].root);
+        let prog = CostProgram::compile_set(catalog, query, model, roots);
         plan_set_matrix(&prog, &self.ess, par)
+    }
+
+    /// Cost of every POSP plan at the listed grid points only: a `plans ×
+    /// points.len()` matrix whose column `j` is grid point `points[j]`
+    /// (linear index; repeats allowed). This is what contour reduction
+    /// reads — a few dozen frontier points a query, so it runs serially.
+    /// Cells are bit-identical to [`cost_matrix_with`](Self::cost_matrix_with)'s.
+    pub fn cost_at_points(
+        &self,
+        catalog: &Catalog,
+        query: &QuerySpec,
+        model: &CostModel,
+        points: &[usize],
+    ) -> CostMatrix {
+        let m = points.len();
+        let d = self.ess.d();
+        let mut coords = Vec::with_capacity(m * d);
+        let (mut ix, mut sel) = (Vec::new(), Vec::new());
+        for &li in points {
+            self.ess.unlinear_into(li, &mut ix);
+            self.ess.point_into(&ix, &mut sel);
+            coords.extend_from_slice(&sel);
+        }
+        let roots = self.plans.iter().map(|p| &p.root);
+        let prog = CostProgram::compile_set(catalog, query, model, roots);
+        let mut flat = vec![0.0; self.plans.len() * m];
+        prog.eval_set_points(&coords, d, |p, j, cost| flat[p * m + j] = cost);
+        CostMatrix::from_flat(m, flat)
     }
 }
 

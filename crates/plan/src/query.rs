@@ -298,47 +298,83 @@ impl QuerySpec {
             })
     }
 
-    /// Validate internal consistency against a catalog; panics on structural
-    /// errors (used by workload constructors and tests).
-    pub fn validate(&self, catalog: &Catalog) {
-        assert!(!self.relations.is_empty(), "query has no relations");
+    /// Check internal consistency against a catalog: the first structural
+    /// error, as a message. What loads a query it did not build (a saved
+    /// artefact, a cache frame) reports this instead of panicking.
+    pub fn check(&self, catalog: &Catalog) -> Result<(), String> {
+        fn ensure(ok: bool, message: &str) -> Result<(), String> {
+            if ok {
+                Ok(())
+            } else {
+                Err(message.to_string())
+            }
+        }
+        let columns_of = |table: TableId| catalog.table_by_id(table).columns.len();
+        ensure(!self.relations.is_empty(), "query has no relations")?;
         for (i, r) in self.relations.iter().enumerate() {
-            let t = catalog.table_by_id(r.table);
+            if r.table.0 as usize >= catalog.len() {
+                return Err(format!("rel {i} references unknown table {}", r.table.0));
+            }
             for s in &r.selections {
-                assert_eq!(
-                    s.column.table, r.table,
-                    "selection on rel {i} references a foreign table"
-                );
-                assert!(
-                    (s.column.column as usize) < t.columns.len(),
-                    "selection column out of range"
-                );
+                if s.column.table != r.table {
+                    return Err(format!("selection on rel {i} references a foreign table"));
+                }
+                ensure(
+                    (s.column.column as usize) < columns_of(r.table),
+                    "selection column out of range",
+                )?;
             }
         }
         for j in &self.joins {
-            assert!(j.left_rel < self.relations.len() && j.right_rel < self.relations.len());
-            assert_ne!(j.left_rel, j.right_rel, "self-join edge");
-            assert_eq!(j.left_col.table, self.relations[j.left_rel].table);
-            assert_eq!(j.right_col.table, self.relations[j.right_rel].table);
-            assert!(
+            ensure(
+                j.left_rel < self.relations.len() && j.right_rel < self.relations.len(),
+                "join edge references an unknown relation",
+            )?;
+            ensure(j.left_rel != j.right_rel, "self-join edge")?;
+            for (col, rel) in [(j.left_col, j.left_rel), (j.right_col, j.right_rel)] {
+                let table = self.relations[rel].table;
+                ensure(
+                    col.table == table && (col.column as usize) < columns_of(table),
+                    "join column is not a column of its relation's table",
+                )?;
+            }
+            ensure(
                 !(j.anti && j.semi),
-                "a join edge cannot be both anti and semi"
-            );
-            assert!(
+                "a join edge cannot be both anti and semi",
+            )?;
+            ensure(
                 !j.existential() || j.op == CmpOp::Eq,
-                "anti/semi edges are equality membership tests"
-            );
-            assert!(
+                "anti/semi edges are equality membership tests",
+            )?;
+            ensure(
                 matches!(j.op, CmpOp::Eq | CmpOp::Lt | CmpOp::Gt),
-                "join comparison must be Eq, Lt or Gt"
-            );
+                "join comparison must be Eq, Lt or Gt",
+            )?;
         }
-        assert!(
+        for &(rel, col) in &self.group_by {
+            ensure(
+                self.relations.get(rel).is_some_and(|r| {
+                    col.table == r.table && (col.column as usize) < columns_of(r.table)
+                }),
+                "group-by column is not a column of its relation's table",
+            )?;
+        }
+        ensure(
             self.join_graph().is_connected(),
-            "join graph must be connected"
-        );
-        for d in 0..self.num_dims {
-            assert!(self.references_dim(d), "dimension {d} unused");
+            "join graph must be connected",
+        )?;
+        match (0..self.num_dims).find(|&d| !self.references_dim(d)) {
+            Some(d) => Err(format!("dimension {d} unused")),
+            None => Ok(()),
+        }
+    }
+
+    /// [`check`](Self::check) for queries this process built itself (workload
+    /// constructors, the builder, tests): a structural error is a bug there,
+    /// so it panics with the message.
+    pub fn validate(&self, catalog: &Catalog) {
+        if let Err(message) = self.check(catalog) {
+            panic!("{message}");
         }
     }
 }
@@ -639,6 +675,26 @@ mod tests {
         let mut qb = QueryBuilder::new(&cat, "bad");
         let p = qb.rel("part");
         qb.select(p, "no_such_col", CmpOp::Lt, 0.0, SelSpec::Fixed(0.1));
+    }
+
+    #[test]
+    fn check_reports_what_validate_panics_with() {
+        let (cat, q) = three_way();
+        assert_eq!(q.check(&cat), Ok(()));
+        // What a tampered artefact can carry: indices past the query's
+        // relations, the catalog's tables, a table's columns.
+        let mut bad = q.clone();
+        bad.joins[0].left_rel = 9;
+        assert!(bad.check(&cat).unwrap_err().contains("unknown relation"));
+        let mut bad = q.clone();
+        bad.relations[1].table = TableId(99);
+        assert!(bad.check(&cat).unwrap_err().contains("unknown table 99"));
+        let mut bad = q.clone();
+        bad.joins[0].left_col.column = 999;
+        assert!(bad.check(&cat).unwrap_err().contains("join column"));
+        let mut bad = q;
+        bad.num_dims = 2;
+        assert_eq!(bad.check(&cat), Err("dimension 1 unused".to_string()));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Allocation volume of the vectorized engine's intermediates, of one
-//! optimizer call, and of one optimized-driver run.
+//! optimizer call, of one identification and one cache hit, and of one
+//! optimized-driver run.
 //!
 //! A `VRel` carries base-table row ids, not copied column values, so what an
 //! execution allocates is bounded by its *output rows × relations × 4 B*
@@ -15,6 +16,12 @@
 //! none at all, and that the cost matrix allocates per chunk of grid
 //! points, not per point or per evaluation block.
 //!
+//! Identification costs POSP plans at the contour frontiers and keeps cost
+//! rows for the bouquet's plans only; the allocator pins that the whole of
+//! it requests less than half of one POSP × grid matrix, and that a cache
+//! hit requests a small multiple of the frame it reads, which is also less
+//! than half that matrix.
+//!
 //! The optimized driver decides out of per-bouquet tables and scratch it
 //! keeps for the run; the allocator pins that a run allocates a constant
 //! number of times plus a constant per *execution* — never per contour it
@@ -23,7 +30,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use plan_bouquet::bouquet::{Bouquet, BouquetConfig, Workload};
+use plan_bouquet::bouquet::{
+    Bouquet, BouquetCache, BouquetConfig, CacheKey, CacheOutcome, Workload,
+};
 use plan_bouquet::cost::{Ess, EssDim, Parallelism};
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
 use plan_bouquet::optimizer::PlanDiagram;
@@ -268,5 +277,60 @@ fn optimized_run_allocates_per_execution_not_per_decision() {
     assert!(
         most_execs >= 20,
         "sample misses the long runs: {most_execs}"
+    );
+}
+
+#[test]
+fn identification_never_holds_a_posp_by_grid_matrix() {
+    let w = workloads::by_name("3D_H_Q5").expect("registry workload");
+    let before = REQUESTED.with(Cell::get);
+    let b = Bouquet::identify_with(&w, &BouquetConfig::default(), Parallelism::serial()).unwrap();
+    let bytes = REQUESTED.with(Cell::get) - before;
+    let (plans, kept, points) = (b.diagram.plan_count(), b.costs.len(), w.ess.num_points());
+    assert!(kept * 4 < plans, "{kept} of {plans} plans kept");
+    // Everything identification requests against one POSP × grid buffer of
+    // f64s, which alone would be twice the bound. Measured 2.58 MB of the
+    // 2.66 MB allowed: the diagram sweep 1.71 MB, the slab 0.18 MB (the
+    // POSP program), the bouquet's rows 0.68 MB (six rows, the grid's
+    // coordinates, their program).
+    let matrix = plans * points * 8;
+    assert!(
+        bytes < matrix / 2,
+        "identification requested {bytes} B; a {plans} × {points} matrix alone is {matrix} B"
+    );
+}
+
+#[test]
+fn cache_hit_requests_a_small_multiple_of_the_frame() {
+    let w = workloads::by_name("3D_H_Q5").expect("registry workload");
+    let dir = std::env::temp_dir().join(format!("pb_alloc_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = BouquetCache::new(&dir).unwrap();
+    let cfg = BouquetConfig::default();
+    cache
+        .get_or_identify(&w, &cfg, Parallelism::serial())
+        .unwrap();
+    let before = REQUESTED.with(Cell::get);
+    let (b, outcome) = cache
+        .get_or_identify(&w, &cfg, Parallelism::serial())
+        .unwrap();
+    let bytes = REQUESTED.with(Cell::get) - before;
+    assert!(matches!(outcome, CacheOutcome::Hit { .. }), "{outcome:?}");
+    let frame = std::fs::metadata(cache.entry_path(&CacheKey::derive(&w, &cfg).unwrap()))
+        .unwrap()
+        .len() as usize;
+    let _ = std::fs::remove_dir_all(&dir);
+    // Measured 3.16×: the frame read whole (1×), the arrays decoded out of
+    // it (0.95×), and what does not shrink with the rows — 83 parsed plans
+    // of the header, the key's canonical JSON, the workload's clone (1.2×).
+    assert!(
+        2 * bytes < 7 * frame,
+        "a hit on a {frame} B frame requested {bytes} B"
+    );
+    // And, like identification, well under one POSP × grid matrix.
+    let matrix = b.diagram.plan_count() * w.ess.num_points() * 8;
+    assert!(
+        bytes < matrix / 2,
+        "a hit requested {bytes} B; the matrix is {matrix} B"
     );
 }
