@@ -46,22 +46,13 @@ const COMMANDS: &[Command] = &[
         flag("--verify", Switch, "", "re-identify from scratch and demand byte identity"),
         JSON,
     ] },
-    Command { name: "identify-sampled", positional: "WORKLOAD", run: identify::identify_sampled, help: "(ε,δ)-sampled identification vs the exhaustive sweep", flags: &[
-        flag("--epsilon F", F64, "0.1", "tolerated PIC inflation and violation mass"),
-        flag("--delta F", F64, "0.05", "tolerated failure probability"),
-        flag("--seed N", U64, "20140622", "sampling seed"),
-        flag("--initial N", Usize, "0", "first-round samples (0: derived from ε, δ)"),
-        flag("--rounds N", Usize, "0", "refinement round cap (0: default)"),
-        flag("--no-verify", Switch, "", "skip the whole-grid check of the (ε,δ) contract"),
-        JSON,
-    ] },
     Command { name: "engine-speedup", positional: "", run: engine::engine_speedup, help: "vectorized vs tuple engine, best of 5; exit 1 on any outcome mismatch", flags: &[
         flag("--sf F", PosF64, "0.02", SF),
         flag("--json PATH", Str, "", "write the report to PATH"),
     ] },
     Command { name: "engine-mt", positional: "", run: engine::engine_mt, help: "morsel scaling curve; exit 1 unless outcomes are identical at every count", flags: &[
         flag("--sf F", PosF64, "0.1", SF),
-        flag("--reps N", Usize, "3", "timed passes per worker count (best kept)"),
+        flag("--reps N", Count, "3", "timed passes per worker count (best kept)"),
         flag("--workers LIST", UsizeList, "1,2,4", "worker counts"),
         flag("--morsel-min N", Usize, "", "rows below which a phase stays serial (default: production gate)"),
         flag("--json PATH", Str, "", "write the report to PATH"),
@@ -75,13 +66,13 @@ const COMMANDS: &[Command] = &[
         flag("--workloads W1,W2", Str, "", "workloads identified at startup (default EQ_1D)"),
         flag("--workers N", Usize, "", "worker threads (default 2)"),
         flag("--queue-cap N", Usize, "", "admission queue slots (default 16)"),
-        flag("--tenant-cap F", F64, "", "per-tenant spend cap in cost units (default none)"),
+        flag("--tenant-cap F", PosF64, "", "per-tenant spend cap in cost units (default none)"),
         flag("--deadline-ms N", U64, "", "deadline for requests that carry none"),
         flag("--smoke", Switch, "", "run the scripted protocol round-trip + fault block and exit"),
     ] },
     Command { name: "serve-bench", positional: "", run: serve::serve_bench, help: "concurrent-client sweep against a small bounded queue", flags: &[
         flag("--clients LIST", UsizeList, "1,2,4,8", "client counts"),
-        flag("--requests N", Usize, "6", "requests per client"),
+        flag("--requests N", Count, "6", "requests per client"),
         JSON,
     ] },
     Command { name: "bench-check", positional: "", run: gates::bench_check, help: "regression gate: re-run the gated sections; exit 1 unless every leaf equals the committed baseline's", flags: &[
@@ -160,10 +151,7 @@ mod tests {
                 "identify-cache 2D_H_Q8A --expectt hit",
                 "unknown flag --expectt",
             ),
-            (
-                "identify-sampled 3D_H_Q5 --epsilon",
-                "--epsilon needs a value",
-            ),
+            ("speedup 3D_H_Q5 --workers", "--workers needs a value"),
             ("engine-mt --bogus-flag", "unknown flag --bogus-flag"),
             ("table3 --sf", "--sf needs a value"),
             ("serve-bench --client 1,2", "unknown flag --client"),
@@ -183,12 +171,15 @@ mod tests {
 
     /// A value of the right type but outside the flag's range is refused like
     /// any other ill-typed value; `--sf 0` used to panic in the catalog
-    /// (exit 101) and a zero count to print an all-zero row and exit 0.
+    /// (exit 101), a zero count to print an all-zero row and exit 0, and a
+    /// negative tenant cap to give every request a zero budget while the
+    /// server reported the tenant as uncapped.
     #[test]
     fn out_of_range_scale_factors_and_counts_are_refused() {
-        let (scale, counts) = (
+        let (scale, counts, count) = (
             "needs a positive number",
             "needs a comma list of counts of at least 1",
+            "needs a count of at least 1",
         );
         for (line, flag, want) in [
             ("engine-speedup --sf 0", "--sf", scale),
@@ -198,6 +189,10 @@ mod tests {
             ("table3 --sf 0", "--sf", scale),
             ("engine-mt --workers 0,1", "--workers", counts),
             ("serve-bench --clients 0", "--clients", counts),
+            ("serve-bench --clients 1 --requests 0", "--requests", count),
+            ("engine-mt --reps 0", "--reps", count),
+            ("serve --tenant-cap -1", "--tenant-cap", scale),
+            ("serve --tenant-cap 0", "--tenant-cap", scale),
         ] {
             let message = refused(line);
             assert!(
@@ -246,14 +241,14 @@ mod tests {
 
     #[test]
     fn integer_flags_are_read_as_integers() {
-        let cmd = COMMANDS.iter().find(|c| c.name == "identify-sampled");
-        let argv = ["3D_H_Q5", "--seed", "18446744073709551615"].map(String::from);
+        let cmd = COMMANDS.iter().find(|c| c.name == "chaos");
+        let argv = ["--seed", "18446744073709551615"].map(String::from);
         let args = cmd
             .expect("in table")
             .parse(GLOBALS, &argv)
             .expect("parses");
-        assert_eq!(identify::sampled_config(&args).seed, u64::MAX);
-        assert!(refused("identify-sampled 3D_H_Q5 --rounds 1.5").starts_with("--rounds needs"));
+        assert_eq!(args.get::<u64>("--seed"), u64::MAX);
+        assert!(refused("engine-mt --reps 1.5").starts_with("--reps needs"));
         assert!(refused("engine-mt --reps -3").starts_with("--reps needs"));
     }
 }

@@ -1,14 +1,13 @@
-//! Identification benches: `speedup`, `identify-cache`, `identify-sampled`.
+//! Identification benches: `speedup`, `identify-cache`.
 
 use std::time::Duration;
 
 use pb_bouquet::CacheOutcome;
 use pb_cost::Parallelism;
-use pb_optimizer::SampledBuildConfig;
 
 use super::{gate, merge_json, workload, CmdResult};
 use crate::flags::Args;
-use crate::regress::{cache_bench, identify_bench, sampled_bench, PhaseReport};
+use crate::regress::{cache_bench, identify_bench, PhaseReport};
 
 fn dur(secs: f64) -> Duration {
     Duration::from_secs_f64(secs)
@@ -124,90 +123,5 @@ pub fn identify_cache(args: &Args) -> CmdResult {
     if r.verified_identical == Some(false) {
         failures.push("cached bouquet differs from a fresh build".to_string());
     }
-    gate(failures)
-}
-
-/// The sampled build's parameters as `identify-sampled` takes them.
-pub fn sampled_config(args: &Args) -> SampledBuildConfig {
-    SampledBuildConfig {
-        seed: args.get("--seed"),
-        epsilon: args.get("--epsilon"),
-        delta: args.get("--delta"),
-        initial_samples: args.get("--initial"),
-        max_rounds: args.get("--rounds"),
-    }
-}
-
-/// (ε,δ)-sampled identification vs the exhaustive sweep; unless
-/// `--no-verify`, the realized violation mass must stay within ε and the
-/// realized MSO inflation within 1+ε.
-pub fn identify_sampled(args: &Args) -> CmdResult {
-    let w = workload(args)?;
-    let scfg = sampled_config(args);
-    let verify = !args.switch("--no-verify");
-    let (n, eps) = (w.ess.num_points(), scfg.epsilon);
-    println!(
-        "sampled identification of {} ({n} grid points, {} dims; ε={eps}, δ={})",
-        w.name,
-        w.d(),
-        scfg.delta
-    );
-    let r = sampled_bench(&w, &scfg, verify)?;
-
-    let (ex, sa) = (&r.exact_phases, &r.sampled_phases);
-    println!(
-        "  exhaustive: {:>9.1?} ({n} optimizer calls; diagram {:.1?}, matrix {:.1?}, contours {:.1?})",
-        dur(ex.total_s),
-        dur(ex.diagram_s),
-        dur(ex.cost_matrix_s),
-        dur(ex.contours_s)
-    );
-    println!(
-        "  sampled phases: diagram {:.1?}, matrix {:.1?}, contours {:.1?}",
-        dur(sa.diagram_s),
-        dur(sa.cost_matrix_s),
-        dur(sa.contours_s)
-    );
-    println!(
-        "  sampled:    {:>9.1?} ({} optimizer calls, {} rounds, pool {}, converged: {}{})",
-        dur(sa.total_s),
-        r.stats.optimizer_calls,
-        r.stats.rounds,
-        r.stats.pool_size,
-        r.converged,
-        if r.stats.exhaustive_fallback {
-            "; exhaustive fallback"
-        } else {
-            ""
-        }
-    );
-    println!("  identification speedup: {:.1}x", r.speedup_sampled);
-
-    let mut failures = Vec::new();
-    if let (Some(mass), Some(inflation)) = (r.violation_mass, r.mso_inflation) {
-        if !r.converged {
-            failures.push("refinement did not converge within the round cap".to_string());
-        }
-        println!(
-            "  sampled-PIC violation mass: {mass:.4} ({:.0}/{n} points beyond 1+ε) — budget ε = {eps}",
-            mass * n as f64
-        );
-        println!(
-            "  realized MSO: exact {:.3}, sampled {:.3} (inflation {inflation:.3}; bound 1+ε = {:.3})",
-            r.mso_exact.unwrap_or(f64::NAN),
-            r.mso_sampled.unwrap_or(f64::NAN),
-            1.0 + eps
-        );
-        if mass > eps {
-            failures.push(format!("violation mass {mass:.4} exceeds ε {eps}"));
-        }
-        if inflation > 1.0 + eps {
-            failures.push(format!(
-                "MSO inflation {inflation:.3} exceeds 1+ε {:.3}",
-                1.0 + eps
-            ));
-        }
-    }
-    merge_json(args, "sampled", &r)?;
     gate(failures)
 }

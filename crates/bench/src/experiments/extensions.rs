@@ -4,15 +4,13 @@
 //!   re-optimization "could be arbitrarily poor", made executable.
 //! * `pcmflip` — the Section 2 exception (existential operators violate
 //!   PCM) and its axis-flip remedy.
-//! * `maintenance` — the Section 8 future-work item (incremental bouquet
-//!   maintenance under database scale-up), implemented.
 
 use std::fmt::Write as _;
 
 use pb_bouquet::baselines::reopt_worst_profile;
 use pb_bouquet::flip::{dim_directions, flip_decreasing};
-use pb_bouquet::{maintenance, Bouquet, BouquetConfig};
-use pb_workloads::{anti_2d, by_name, h_q8a_2d};
+use pb_bouquet::{Bouquet, BouquetConfig};
+use pb_workloads::{anti_2d, by_name};
 
 use crate::table::{fnum, Table};
 
@@ -113,55 +111,13 @@ pub fn pcmflip() -> String {
     out
 }
 
-/// Section 8 extension: incremental maintenance under database scale-up.
-pub fn maintenance_exhibit() -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Section 8 extension — incremental bouquet maintenance under scale-up\n\
-         (paper: 'developing incremental bouquet maintenance strategies is an\n\
-          interesting future research challenge')\n"
-    );
-    let old_w = h_q8a_2d(1.0);
-    let old = Bouquet::identify(&old_w, &BouquetConfig::default()).unwrap();
-    let mut t = Table::new(vec![
-        "scale-up",
-        "optimizer calls (maintenance)",
-        "vs full rebuild",
-        "reused plans",
-        "new plans",
-        "contours",
-    ]);
-    for factor in [2.0, 4.0, 8.0] {
-        let new_w = h_q8a_2d(factor);
-        let (maintained, rep) =
-            maintenance::rescale(&old, new_w.catalog.clone(), Some(new_w.clone())).unwrap();
-        t.row(vec![
-            format!("{factor}x"),
-            format!("{}", rep.optimizer_calls),
-            format!("{:.0}%", rep.effort_fraction() * 100.0),
-            format!("{}", rep.reused_plans),
-            format!("{}", rep.new_plans),
-            format!("{}", maintained.stats.num_contours),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "frontier points are re-optimized exactly; interior costs come from\n\
-         recosting the inherited plans — the budgets and coverage argument only\n\
-         depend on frontier costs, so the guarantees carry over."
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_extension_exhibits_render() {
-        for f in [reopt, pcmflip, maintenance_exhibit] {
+        for f in [reopt, pcmflip] {
             let s = f();
             assert!(s.lines().count() > 5, "{s}");
         }

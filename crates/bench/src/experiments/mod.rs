@@ -39,7 +39,6 @@ pub const ALL: &[&str] = &[
     "rsweep",
     "reopt",
     "pcmflip",
-    "maintenance",
     "calibrate",
 ];
 
@@ -67,7 +66,6 @@ pub fn run(id: &str) -> Option<String> {
         "rsweep" => rsweep::run(),
         "reopt" => extensions::reopt(),
         "pcmflip" => extensions::pcmflip(),
-        "maintenance" => extensions::maintenance_exhibit(),
         "calibrate" => crate::calibration::exhibit(),
         _ => return None,
     })

@@ -12,11 +12,12 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kind {
     Switch,
-    F64,
     /// A finite number above zero, e.g. a scale factor.
     PosF64,
     U64,
     Usize,
+    /// An integer of at least one, e.g. a repetition count.
+    Count,
     Str,
     /// Comma-separated counts of at least one, e.g. `1,2,4`.
     UsizeList,
@@ -26,17 +27,17 @@ impl Kind {
     fn check(self, v: &str) -> Result<(), &'static str> {
         let ok = match self {
             Kind::Switch | Kind::Str => true,
-            Kind::F64 => v.parse::<f64>().is_ok_and(|x| !x.is_nan()),
             Kind::PosF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Usize => v.parse::<usize>().is_ok(),
+            Kind::Count => v.parse::<usize>().is_ok_and(|n| n > 0),
             Kind::UsizeList => v
                 .split(',')
                 .all(|t| t.trim().parse::<usize>().is_ok_and(|n| n > 0)),
         };
         ok.then_some(()).ok_or(match self {
-            Kind::F64 => "a number",
             Kind::PosF64 => "a positive number",
+            Kind::Count => "a count of at least 1",
             Kind::UsizeList => "a comma list of counts of at least 1, e.g. 1,2,4",
             _ => "a non-negative integer",
         })
@@ -229,6 +230,7 @@ mod tests {
         flags: &[
             flag("--seed N", Kind::U64, "7", ""),
             flag("--reps N", Kind::Usize, "3", ""),
+            flag("--requests N", Kind::Count, "6", ""),
             flag("--sf F", Kind::PosF64, "", ""),
             flag("--workers LIST", Kind::UsizeList, "1,2", ""),
             flag("--verify", Kind::Switch, "", ""),
@@ -261,6 +263,9 @@ mod tests {
         for bad in [
             "W --reps -3",
             "W --reps 1.5",
+            "W --requests 0",
+            "W --requests -1",
+            "W --requests 1.5",
             "W --seed 1e3",
             "W --workers 1,x",
             "W --workers 0,1",
@@ -271,7 +276,7 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad} must be rejected");
         }
-        assert!(Kind::F64.check("nan").is_err() && Kind::F64.check("-1").is_ok());
+        assert!(parse("W --reps 0 --requests 1").is_ok());
     }
 
     #[test]
@@ -295,8 +300,8 @@ mod tests {
     fn usage_is_generated_from_the_table() {
         assert_eq!(
             CMD.usage("pbq", GLOBALS),
-            "usage: pbq demo WORKLOAD [LOC] [--seed N] [--reps N] [--sf F] [--workers LIST] \
-             [--verify] [--jobs N]"
+            "usage: pbq demo WORKLOAD [LOC] [--seed N] [--reps N] [--requests N] [--sf F] \
+             [--workers LIST] [--verify] [--jobs N]"
         );
         assert!(CMD.help("pbq", GLOBALS).contains("--seed N"));
     }

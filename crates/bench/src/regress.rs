@@ -17,7 +17,6 @@ use pb_bouquet::{
 };
 use pb_cost::Parallelism;
 use pb_engine::{Database, Engine, EngineOutcome};
-use pb_optimizer::{SampledBuildConfig, SampledBuildStats};
 use pb_plan::PlanNode;
 use serde::Serialize;
 
@@ -391,98 +390,6 @@ pub fn cache_bench(w: &Workload, dir: &str, verify: bool) -> Result<CacheReport,
         let fresh = Bouquet::identify(w, &cfg).map_err(|e| format!("verification: {e}"))?;
         let bytes = |b: &Bouquet| persist::to_json(b).map_err(|e| format!("serialize: {e}"));
         r.verified_identical = Some(bytes(&bouquet)? == bytes(&fresh)?);
-    }
-    Ok(r)
-}
-
-/// The `sampled` section of `BENCH_identify_sampled.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct SampledReport {
-    pub workload: String,
-    pub grid_points: usize,
-    pub epsilon: f64,
-    pub delta: f64,
-    /// Cold exhaustive identification.
-    pub exact_total_s: f64,
-    /// Cold (ε, δ)-sampled identification.
-    pub sampled_total_s: f64,
-    /// `exact_total_s / sampled_total_s`.
-    pub speedup_sampled: f64,
-    pub optimizer_calls_exact: usize,
-    pub optimizer_calls_sampled: usize,
-    /// Refinement ended violation-free within the round cap.
-    pub converged: bool,
-    /// Share of grid points whose sampled PIC exceeds `(1+ε)×` the optimum.
-    pub violation_mass: Option<f64>,
-    /// Basic-driver MSO on the exact and on the sampled bouquet, both
-    /// judged against the exact optimum everywhere.
-    pub mso_exact: Option<f64>,
-    pub mso_sampled: Option<f64>,
-    /// `mso_sampled / mso_exact`; the contract is `≤ 1+ε`.
-    pub mso_inflation: Option<f64>,
-    #[serde(skip)]
-    pub exact_phases: PhaseReport,
-    #[serde(skip)]
-    pub sampled_phases: PhaseReport,
-    #[serde(skip)]
-    pub stats: SampledBuildStats,
-}
-
-/// Sampled (PAO-style) identification against the exhaustive sweep: times
-/// both pipelines and, with `verify`, measures the realized guarantees on
-/// the whole grid against the exact diagram.
-pub fn sampled_bench(
-    w: &Workload,
-    scfg: &SampledBuildConfig,
-    verify: bool,
-) -> Result<SampledReport, String> {
-    let n = w.ess.num_points();
-    let cfg = BouquetConfig::default();
-    let par = Parallelism::auto();
-    let (exact, t_exact) =
-        Bouquet::identify_timed(w, &cfg, par).map_err(|e| format!("exhaustive identify: {e}"))?;
-    let (sampled, t_sampled, stats) = Bouquet::identify_sampled(w, &cfg, scfg, par)
-        .map_err(|e| format!("sampled identify: {e}"))?;
-    let (exact_s, sampled_s) = (t_exact.total.as_secs_f64(), t_sampled.total.as_secs_f64());
-    let mut r = SampledReport {
-        workload: w.name.clone(),
-        grid_points: n,
-        epsilon: scfg.epsilon,
-        delta: scfg.delta,
-        exact_total_s: exact_s,
-        sampled_total_s: sampled_s,
-        speedup_sampled: exact_s / sampled_s.max(1e-12),
-        optimizer_calls_exact: n,
-        optimizer_calls_sampled: stats.optimizer_calls,
-        converged: stats.converged,
-        violation_mass: None,
-        mso_exact: None,
-        mso_sampled: None,
-        mso_inflation: None,
-        exact_phases: PhaseReport::from(&t_exact),
-        sampled_phases: PhaseReport::from(&t_sampled),
-        stats,
-    };
-    if verify {
-        let violations = (0..n)
-            .filter(|&li| sampled.pic_cost_at(li) > (1.0 + scfg.epsilon) * exact.pic_cost_at(li))
-            .count();
-        let mso_exact = pb_bouquet::eval::run_profile(&exact, false)
-            .map_err(|e| format!("exact driver profile: {e}"))?
-            .into_iter()
-            .fold(0.0f64, f64::max);
-        let mut mso_sampled = 0.0f64;
-        for subopt in pb_cost::par_map(par, n, |li| {
-            let qa = w.ess.point(&w.ess.unlinear(li));
-            let run = sampled.run_basic(&qa).map_err(|e| e.to_string())?;
-            Ok::<f64, String>(run.suboptimality(exact.pic_cost_at(li)))
-        }) {
-            mso_sampled = mso_sampled.max(subopt.map_err(|e| format!("sampled driver run: {e}"))?);
-        }
-        r.violation_mass = Some(violations as f64 / n as f64);
-        r.mso_exact = Some(mso_exact);
-        r.mso_sampled = Some(mso_sampled);
-        r.mso_inflation = Some(mso_sampled / mso_exact.max(1e-12));
     }
     Ok(r)
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use pb_cost::{CostMatrix, CostPerturbation, CostProgram, Parallelism, SelPoint};
 use pb_faults::PbError;
-use pb_optimizer::{PlanDiagram, PlanId, SampledBuildConfig, SampledBuildStats};
+use pb_optimizer::{PlanDiagram, PlanId};
 use pb_plan::PhysicalPlan;
 
 use crate::contour::{plan_union, rho, Contour};
@@ -85,21 +85,6 @@ pub struct PhaseTimings {
     pub total: Duration,
 }
 
-impl PhaseTimings {
-    /// The breakdown of an identification begun at `start` and ending now:
-    /// whatever was neither diagram nor costing is the contour phase.
-    fn since(start: Instant, par: Parallelism, diagram: Duration, cost_matrix: Duration) -> Self {
-        let total = start.elapsed();
-        PhaseTimings {
-            workers: par.workers,
-            diagram,
-            cost_matrix,
-            contours: total - diagram - cost_matrix,
-            total,
-        }
-    }
-}
-
 /// A compiled plan bouquet, ready for run-time discovery.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Bouquet {
@@ -144,7 +129,9 @@ impl Bouquet {
     }
 
     /// Identification returning the per-phase wall-clock breakdown next to
-    /// the bouquet (timings stay outside the serialized artefact).
+    /// the bouquet (timings stay outside the serialized artefact): the
+    /// diagram, isocost grading, the frontier pass (which also checks PCM),
+    /// the slab, contour assembly, the bouquet's rows, and stats.
     pub fn identify_timed(
         w: &Workload,
         cfg: &BouquetConfig,
@@ -154,53 +141,7 @@ impl Bouquet {
         let t_start = Instant::now();
         let diagram = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, par);
         let t_diagram = t_start.elapsed();
-        let calls = w.ess.num_points();
-        let (bouquet, t_cost_matrix) =
-            Self::assemble_from_diagram(w, cfg, diagram, None, calls, par)?;
-        let timings = PhaseTimings::since(t_start, par, t_diagram, t_cost_matrix);
-        Ok((bouquet, timings))
-    }
 
-    /// Identification with a *sampled* plan diagram ([`PlanDiagram::
-    /// build_sampled`]): the exhaustive grid sweep of DP calls is replaced
-    /// by seeded sampling + refinement with an (ε, δ) optimality-mass
-    /// contract. That build derives its diagram from a pool × grid cost
-    /// matrix, so the bouquet's costs are read out of it and nothing is
-    /// recosted. Contours, budgets, and drivers work off the sampled
-    /// diagram exactly as they would off the exact one —
-    /// `stats.exhaustive_optimizer_calls` records the DP calls actually
-    /// spent. The exact path ([`Bouquet::identify`]) is untouched.
-    pub fn identify_sampled(
-        w: &Workload,
-        cfg: &BouquetConfig,
-        scfg: &SampledBuildConfig,
-        par: Parallelism,
-    ) -> Result<(Bouquet, PhaseTimings, SampledBuildStats), PbError> {
-        validate_config(cfg)?;
-        let t_start = Instant::now();
-        let sd = PlanDiagram::build_sampled(&w.catalog, &w.query, &w.model, &w.ess, scfg, par)?;
-        let t_diagram = t_start.elapsed();
-        let calls = sd.stats.optimizer_calls;
-        let (bouquet, t_cost_matrix) =
-            Self::assemble_from_diagram(w, cfg, sd.diagram, Some(&sd.costs), calls, par)?;
-        let timings = PhaseTimings::since(t_start, par, t_diagram, t_cost_matrix);
-        Ok((bouquet, timings, sd.stats))
-    }
-
-    /// Shared tail of every identification path: isocost grading, the
-    /// frontier pass (which also checks PCM), the slab, contour assembly,
-    /// the bouquet's rows, and stats. `pool` is a full plans × grid matrix
-    /// of `diagram`, for the builds that already have one: slab and rows are
-    /// then read out of it instead of being costed. Returns the bouquet and
-    /// the time spent costing (or reading out) slab and rows.
-    pub(crate) fn assemble_from_diagram(
-        w: &Workload,
-        cfg: &BouquetConfig,
-        diagram: PlanDiagram,
-        pool: Option<&CostMatrix>,
-        optimizer_calls: usize,
-        par: Parallelism,
-    ) -> Result<(Bouquet, Duration), PbError> {
         let (cmin, cmax) = diagram.cost_bounds();
         if cmax < cmin {
             // No grading spans corners this way round; the pass names the
@@ -234,16 +175,9 @@ impl Bouquet {
             starts.push(at.len());
             at.extend_from_slice(f);
         }
-        let slab = match pool {
-            Some(full) => {
-                let cells = full.rows().flat_map(|row| at.iter().map(|&li| row[li]));
-                CostMatrix::from_flat(at.len(), cells.collect())
-            }
-            None => diagram.cost_at_points(&w.catalog, &w.query, &w.model, &at),
-        };
+        let slab = diagram.cost_at_points(&w.catalog, &w.query, &w.model, &at);
         let t_slab = t0.elapsed();
 
-        let n = w.ess.num_points();
         let contours: Vec<Contour> = (frontiers.into_iter().zip(starts))
             .zip(&grading.steps)
             .enumerate()
@@ -256,20 +190,11 @@ impl Bouquet {
         // The rows: the bouquet's plans over the grid.
         let t0 = Instant::now();
         let bouquet_plans = plan_union(&contours);
-        let costs = match pool {
-            Some(full) => {
-                let mut rows = CostMatrix::new(n);
-                bouquet_plans
-                    .iter()
-                    .for_each(|&p| rows.push_row(full.row(p)));
-                rows
-            }
-            None => diagram.cost_rows_with(&w.catalog, &w.query, &w.model, &bouquet_plans, par),
-        };
-        let t_cost = t_slab + t0.elapsed();
+        let costs = diagram.cost_rows_with(&w.catalog, &w.query, &w.model, &bouquet_plans, par);
+        let t_cost_matrix = t_slab + t0.elapsed();
 
         let stats = CompileStats {
-            exhaustive_optimizer_calls: optimizer_calls,
+            exhaustive_optimizer_calls: w.ess.num_points(),
             posp_cardinality: diagram.plan_count(),
             bouquet_cardinality: bouquet_plans.len(),
             rho_posp,
@@ -278,20 +203,27 @@ impl Bouquet {
             cmin,
             cmax,
         };
-        Ok((
-            Bouquet {
-                workload: w.clone(),
-                diagram,
-                costs,
-                grading,
-                contours,
-                config: cfg.clone(),
-                stats,
-                programs: std::sync::OnceLock::new(),
-                tables: std::sync::OnceLock::new(),
-            },
-            t_cost,
-        ))
+        let bouquet = Bouquet {
+            workload: w.clone(),
+            diagram,
+            costs,
+            grading,
+            contours,
+            config: cfg.clone(),
+            stats,
+            programs: std::sync::OnceLock::new(),
+            tables: std::sync::OnceLock::new(),
+        };
+        // Whatever was neither diagram nor costing is the contour phase.
+        let total = t_start.elapsed();
+        let timings = PhaseTimings {
+            workers: par.workers,
+            diagram: t_diagram,
+            cost_matrix: t_cost_matrix,
+            contours: total - t_diagram - t_cost_matrix,
+            total,
+        };
+        Ok((bouquet, timings))
     }
 
     /// Compiled cost programs for every diagram plan (indexed by [`PlanId`]),
@@ -475,64 +407,6 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    fn eq_2d() -> Workload {
-        let cat = tpch::catalog(1.0);
-        let mut qb = QueryBuilder::new(&cat, "EQ2D");
-        let p = qb.rel("part");
-        let l = qb.rel("lineitem");
-        let o = qb.rel("orders");
-        qb.select(
-            p,
-            "p_retailprice",
-            CmpOp::Lt,
-            1000.0,
-            SelSpec::ErrorProne(0),
-        );
-        qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
-        qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(6.7e-7));
-        let q = qb.build();
-        let ess = Ess::uniform(
-            vec![
-                EssDim::new("p_retailprice", 1e-4, 1.0),
-                EssDim::new("p⋈l", 1e-8, 5e-6),
-            ],
-            24,
-        );
-        Workload::new("EQ_2D", cat.clone(), q, ess, CostModel::postgresish())
-    }
-
-    #[test]
-    fn sampled_identify_yields_valid_deterministic_bouquet() {
-        let w = eq_2d();
-        let cfg = BouquetConfig::default();
-        let scfg = SampledBuildConfig {
-            seed: 11,
-            epsilon: 0.1,
-            delta: 0.1,
-            initial_samples: 48,
-            max_rounds: 8,
-        };
-        let (a, _, stats) =
-            Bouquet::identify_sampled(&w, &cfg, &scfg, Parallelism::serial()).unwrap();
-        assert!(stats.converged);
-        assert!(!stats.exhaustive_fallback);
-        assert_eq!(a.stats.exhaustive_optimizer_calls, stats.optimizer_calls);
-        assert!(stats.optimizer_calls < w.ess.num_points());
-        assert!(a.stats.num_contours >= 2);
-        assert!(a.mso_bound().is_finite());
-        // The sampled PIC never undercuts the exact one (pool ⊆ all plans).
-        let exact = Bouquet::identify(&w, &cfg).unwrap();
-        for li in 0..w.ess.num_points() {
-            assert!(a.pic_cost_at(li) >= exact.pic_cost_at(li) * (1.0 - 1e-9));
-        }
-        // Same seed, different worker count: bitwise-identical bouquet.
-        let (b, _, _) = Bouquet::identify_sampled(&w, &cfg, &scfg, Parallelism::new(4)).unwrap();
-        assert_eq!(
-            crate::persist::to_json(&a).unwrap(),
-            crate::persist::to_json(&b).unwrap()
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! position)` accessor, so identification never needs a plan's cost away
 //! from a frontier to decide which plans the bouquet keeps.
 
-use pb_cost::{run_chunked, CostMatrix, Ess, GridIx, Parallelism};
+use pb_cost::{CostMatrix, Ess, GridIx};
 use pb_faults::PbError;
 use pb_optimizer::{AnorexicReduction, PlanDiagram, PlanId};
 
@@ -71,22 +71,10 @@ impl Contour {
     /// ascending: the one-step form of [`frontiers`](Self::frontiers),
     /// which identification uses.
     pub fn frontier(diagram: &PlanDiagram, budget: f64) -> Vec<usize> {
-        Self::frontier_with(diagram, budget, Parallelism::serial())
-    }
-
-    /// Frontier with an explicit worker policy. The per-point dominance
-    /// check is independent, so the scan chunks over the grid with one
-    /// scratch coordinate buffer per chunk; concatenating the per-chunk
-    /// hits keeps ascending linear order regardless of worker count.
-    pub fn frontier_with(diagram: &PlanDiagram, budget: f64, par: Parallelism) -> Vec<usize> {
-        let n = diagram.ess.num_points();
-        let chunks = run_chunked(par, n, |_, range| {
-            let mut ix = GridIx::new();
-            range
-                .filter(|&li| Self::on_frontier(diagram, budget, li, &mut ix))
-                .collect::<Vec<usize>>()
-        });
-        chunks.into_iter().flatten().collect()
+        let mut ix = GridIx::new();
+        (0..diagram.ess.num_points())
+            .filter(|&li| Self::on_frontier(diagram, budget, li, &mut ix))
+            .collect()
     }
 
     /// The frontier of every step of `steps` (ascending isocost values) in
@@ -370,21 +358,6 @@ mod tests {
         );
         // Below the plateau cost nothing qualifies.
         assert!(Contour::frontier(&flat, 4.9).is_empty());
-    }
-
-    #[test]
-    fn frontier_parallel_matches_serial_on_synthetic_grids() {
-        // Staircase costs: frontier shape is non-trivial, so this checks
-        // ordering is preserved by the chunked scan.
-        let costs: Vec<f64> = (0..64).map(|li| ((li % 8) + (li / 8)) as f64).collect();
-        let d = synthetic_diagram(vec![8, 8], costs);
-        for budget in [0.0, 3.0, 7.5, 14.0] {
-            let serial = Contour::frontier(&d, budget);
-            for workers in [2, 3, 5] {
-                let par = Contour::frontier_with(&d, budget, Parallelism::new(workers));
-                assert_eq!(serial, par, "budget {budget}, workers {workers}");
-            }
-        }
     }
 
     #[test]

@@ -201,20 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn rescale_onto_a_pcm_violating_space_is_refused() {
-        // Maintenance ends in identification's shared tail, so a surface
-        // that turns down is refused there too, with the same message,
-        // rather than graded into contours no guarantee holds on.
-        let raw = anti_workload();
-        let (flipped, _) = flip_decreasing(&raw).unwrap();
-        let b = Bouquet::identify(&flipped, &BouquetConfig::default()).unwrap();
-        let err = crate::maintenance::rescale(&b, raw.catalog.clone(), Some(raw)).unwrap_err();
-        assert!(err.contains("Monotonicity"), "{err}");
-        let (same, _) = crate::maintenance::rescale(&b, flipped.catalog.clone(), None).unwrap();
-        assert_eq!(same.grading, b.grading);
-    }
-
-    #[test]
     fn coordinate_translation_reverses_axis() {
         let w = anti_workload();
         let (flipped, flips) = flip_decreasing(&w).unwrap();

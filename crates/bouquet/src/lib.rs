@@ -25,7 +25,6 @@ pub mod drivers;
 pub mod eval;
 pub mod flip;
 pub mod grading;
-pub mod maintenance;
 pub mod metrics;
 pub mod persist;
 pub mod substrate;

@@ -41,10 +41,10 @@ pub use estimator::Estimator;
 pub use matrix::CostMatrix;
 pub use model_error::CostPerturbation;
 pub use parallel::{
-    chunk_len, par_map, run_chunked, set_default_workers, Parallelism, PARALLEL_MIN_CONTOUR_CELLS,
-    PARALLEL_MIN_GRID, PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MORSEL_ROWS,
+    chunk_len, par_map, run_chunked, set_default_workers, Parallelism, PARALLEL_MIN_GRID,
+    PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MORSEL_ROWS,
 };
 pub use params::{CostModel, CostParams};
 pub use pb_plan::DimKind;
 pub use program::{CostProgram, NodeCosts};
-pub use sample::{sample_distinct, SplitMix64};
+pub use sample::SplitMix64;

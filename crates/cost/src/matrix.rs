@@ -19,14 +19,6 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    /// An empty matrix whose future rows will have `points` cells each.
-    pub fn new(points: usize) -> Self {
-        CostMatrix {
-            points,
-            data: Vec::new(),
-        }
-    }
-
     /// Build from one contiguous row-major buffer.
     pub fn from_flat(points: usize, data: Vec<f64>) -> Self {
         assert!(
@@ -69,40 +61,9 @@ impl CostMatrix {
         self.data.chunks_exact(self.points.max(1))
     }
 
-    /// Append one plan row (used by incremental maintenance).
-    pub fn push_row(&mut self, row: &[f64]) {
-        if self.data.is_empty() && self.points == 0 {
-            self.points = row.len();
-        }
-        assert_eq!(row.len(), self.points, "ragged cost matrix rows");
-        self.data.extend_from_slice(row);
-    }
-
     /// The raw row-major buffer.
     pub fn as_flat(&self) -> &[f64] {
         &self.data
-    }
-
-    /// For every grid point, the row index of the cheapest plan; cost ties
-    /// break toward the lowest row index, so the result is a pure function
-    /// of the matrix contents (the sampled diagram build relies on this to
-    /// stay deterministic). Empty matrices yield an empty vector.
-    pub fn argmin_per_point(&self) -> Vec<u32> {
-        let nrows = self.len();
-        if nrows == 0 {
-            return Vec::new();
-        }
-        let mut best: Vec<u32> = vec![0; self.points];
-        let mut best_cost: Vec<f64> = self.row(0).to_vec();
-        for r in 1..nrows {
-            for (li, &c) in self.row(r).iter().enumerate() {
-                if c < best_cost[li] {
-                    best_cost[li] = c;
-                    best[li] = r as u32;
-                }
-            }
-        }
-        best
     }
 }
 
@@ -147,26 +108,6 @@ mod tests {
         assert_eq!(m[1][2], 6.0);
         assert_eq!(m.rows().count(), 2);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn push_row_grows_matrix() {
-        let mut m = CostMatrix::new(2);
-        m.push_row(&[1.0, 2.0]);
-        m.push_row(&[3.0, 4.0]);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[1], [3.0, 4.0]);
-    }
-
-    #[test]
-    fn argmin_breaks_ties_toward_lowest_row() {
-        let m = CostMatrix::from_rows(vec![
-            vec![1.0, 5.0, 2.0],
-            vec![1.0, 4.0, 2.0], // ties with row 0 at points 0 and 2
-            vec![0.5, 9.0, 9.0],
-        ]);
-        assert_eq!(m.argmin_per_point(), vec![2, 1, 0]);
-        assert!(CostMatrix::new(4).argmin_per_point().is_empty());
     }
 
     #[test]

@@ -95,10 +95,10 @@ impl Parallelism {
 
     /// Generic per-phase gate: demote to serial when the phase's measured
     /// work volume (in whatever unit the phase counts — grid points, matrix
-    /// cells, contour-scan cells) is below its crossover threshold. Each
-    /// identification phase has a different per-item cost, so each gets its
-    /// own threshold instead of sharing one grid-size cutoff; output is
-    /// unchanged either way (chunked merges are deterministic).
+    /// cells) is below its crossover threshold. Each identification phase
+    /// has a different per-item cost, so each gets its own threshold instead
+    /// of sharing one grid-size cutoff; output is unchanged either way
+    /// (chunked merges are deterministic).
     pub fn for_cells(&self, cells: usize, min_cells: usize) -> Parallelism {
         if cells < min_cells {
             Parallelism::serial()
@@ -146,13 +146,6 @@ pub const PARALLEL_MIN_MORSEL_ROWS: usize = 131_072;
 /// to 1.3× between 31k and 49k. (Third run, second vCPU away: 0.78–0.89×
 /// from 12k to 49k cells, 1.2–1.6× from 130k.)
 pub const PARALLEL_MIN_MATRIX_CELLS: usize = 1 << 15;
-
-/// Contour phases (frontier scans + anorexic reduction) with fewer
-/// step×point scan cells than this run serially. A scan cell is one
-/// dominance probe (a few ns — far cheaper than a matrix cell), so the
-/// crossover sits higher: ~12 steps × 2304 points ≈ 28k cells on the 2D
-/// grid (slower parallel), while 5D grids at 10⁵+ points clear it.
-pub const PARALLEL_MIN_CONTOUR_CELLS: usize = 1 << 18;
 
 impl Default for Parallelism {
     fn default() -> Self {
@@ -326,9 +319,8 @@ mod tests {
             par.for_cells(PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MATRIX_CELLS),
             par
         );
-        // 5 plans × 2304 points (the 2D grid) stays serial, and 12 contour
-        // steps × 2304 points stays serial, while 3D-scale work volumes
-        // engage the workers.
+        // 5 plans × 2304 points (the 2D grid) stays serial, while 3D-scale
+        // work volumes engage the workers.
         assert_eq!(
             par.for_cells(5 * 2304, PARALLEL_MIN_MATRIX_CELLS),
             Parallelism::serial()
@@ -338,11 +330,6 @@ mod tests {
             Parallelism::serial()
         );
         assert_eq!(par.for_cells(20 * 8000, PARALLEL_MIN_MATRIX_CELLS), par);
-        assert_eq!(
-            par.for_cells(12 * 2304, PARALLEL_MIN_CONTOUR_CELLS),
-            Parallelism::serial()
-        );
-        assert_eq!(par.for_cells(5 * 100_000, PARALLEL_MIN_CONTOUR_CELLS), par);
     }
 
     #[test]

@@ -1,14 +1,8 @@
-//! Deterministic sampling primitives for sampled (probably-approximately-
-//! optimal) identification.
+//! A small seeded generator with a stable stream.
 //!
-//! The sampled diagram build replaces the exhaustive ESS sweep with seeded
-//! random probes, so its entire randomness budget flows through one tiny,
-//! stable generator defined here. Nothing in this module consults global
-//! state: the same seed always yields the same index sequence, on every
-//! platform and at every worker count — the property that lets a sampled
-//! build be replayed bit-for-bit in CI.
-
-use std::collections::HashMap;
+//! Nothing in this module consults global state: the same seed always
+//! yields the same stream, on every platform and at every worker count —
+//! the golden tests draw their pinned off-grid locations from it.
 
 /// SplitMix64 (Steele et al., "Fast splittable pseudorandom number
 /// generators"): a 64-bit mixer with a 2^64 period, chosen because its
@@ -42,27 +36,6 @@ impl SplitMix64 {
     }
 }
 
-/// `k` distinct indices drawn uniformly from `0..n`, returned in ascending
-/// order. Implemented as a sparse partial Fisher–Yates shuffle so the cost
-/// is O(k) regardless of `n` (ESS grids reach 10⁵+ points; materializing
-/// and shuffling the full index range would dwarf the sampling win).
-pub fn sample_distinct(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    let k = k.min(n);
-    let mut rng = SplitMix64::new(seed);
-    // swaps[i] holds the value virtually stored at slot i (absent ⇒ i).
-    let mut swaps: HashMap<usize, usize> = HashMap::with_capacity(2 * k);
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let j = i + rng.next_index(n - i);
-        let vi = swaps.get(&i).copied().unwrap_or(i);
-        let vj = swaps.get(&j).copied().unwrap_or(j);
-        out.push(vj);
-        swaps.insert(j, vi);
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,27 +63,6 @@ mod tests {
                 assert!(rng.next_index(n) < n);
             }
         }
-    }
-
-    #[test]
-    fn sample_distinct_is_distinct_sorted_and_deterministic() {
-        for (n, k) in [(100usize, 10usize), (50, 50), (1000, 1), (8, 20)] {
-            let s1 = sample_distinct(n, k, 99);
-            let s2 = sample_distinct(n, k, 99);
-            assert_eq!(s1, s2, "same seed must reproduce");
-            assert_eq!(s1.len(), k.min(n));
-            assert!(s1.windows(2).all(|w| w[0] < w[1]), "sorted distinct");
-            assert!(s1.iter().all(|&i| i < n));
-        }
-        // Different seeds give different samples (overwhelmingly likely).
-        assert_ne!(sample_distinct(1000, 20, 1), sample_distinct(1000, 20, 2));
-    }
-
-    #[test]
-    fn sample_distinct_full_range_is_identity() {
-        let mut s = sample_distinct(10, 10, 3);
-        s.sort_unstable();
-        assert_eq!(s, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -26,9 +26,8 @@ use crate::dp::{Optimizer, Skeleton};
 /// its points' column of each row in place — no block to transpose, no
 /// second copy — and allocates only its evaluation stack. Gated serial
 /// below [`PARALLEL_MIN_MATRIX_CELLS`] plan × point cells; output is
-/// bit-identical at any worker count. Shared by the exhaustive cost-matrix
-/// phase and the sampled build's pool sweep.
-pub(crate) fn plan_set_matrix(prog: &CostProgram, ess: &Ess, par: Parallelism) -> CostMatrix {
+/// bit-identical at any worker count.
+fn plan_set_matrix(prog: &CostProgram, ess: &Ess, par: Parallelism) -> CostMatrix {
     let n = ess.num_points();
     let d = ess.d();
     let plans = prog.num_roots();
@@ -411,17 +410,13 @@ mod tests {
         model: &CostModel,
     ) -> CostMatrix {
         let c = Coster::new(catalog, query, model);
-        let n = d.ess.num_points();
-        let mut m = CostMatrix::new(n);
-        let mut row = Vec::with_capacity(n);
-        for plan in &d.plans {
-            row.clear();
-            for li in 0..n {
-                row.push(c.plan_cost(&plan.root, &d.ess.point(&d.ess.unlinear(li))));
-            }
-            m.push_row(&row);
-        }
-        m
+        let point = |li| d.ess.point(&d.ess.unlinear(li));
+        let row = |plan: &PhysicalPlan| {
+            (0..d.ess.num_points())
+                .map(|li| c.plan_cost(&plan.root, &point(li)))
+                .collect()
+        };
+        CostMatrix::from_rows(d.plans.iter().map(row).collect())
     }
 
     #[test]

@@ -19,11 +19,9 @@
 pub mod anorexic;
 pub mod diagram;
 pub mod dp;
-pub mod sampled;
 pub mod seer;
 
 pub use anorexic::AnorexicReduction;
 pub use diagram::{PlanDiagram, PlanId};
 pub use dp::{OptimizedPlan, Optimizer};
-pub use sampled::{SampledBuildConfig, SampledBuildStats, SampledDiagram};
 pub use seer::SeerReduction;

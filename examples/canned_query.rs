@@ -1,6 +1,7 @@
 //! The "canned query" deployment story (paper, Section 4.2): compile the
 //! bouquet offline once, persist it, load it at run time, and — when the
-//! database scales up — refresh it incrementally instead of rebuilding.
+//! database scales up — identify the grown workload again, as the server's
+//! cache does when the statistics drift.
 //!
 //! ```sh
 //! cargo run --release --example canned_query
@@ -8,7 +9,7 @@
 
 use std::time::Instant;
 
-use plan_bouquet::bouquet::{maintenance, persist, Bouquet, BouquetConfig};
+use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig};
 use plan_bouquet::workloads;
 
 fn main() {
@@ -46,16 +47,11 @@ fn main() {
     // ---- Later: the database quadruples ------------------------------------
     let grown = workloads::h_q8a_2d(4.0);
     let t2 = Instant::now();
-    let (refreshed, report) =
-        maintenance::rescale(&loaded, grown.catalog.clone(), Some(grown.clone())).expect("rescale");
+    let refreshed = Bouquet::identify(&grown, &BouquetConfig::default()).expect("identify");
     println!(
-        "\nscale-up 4x: maintained in {:.2?} with {} optimizer calls \
-         ({:.0}% of a rebuild), {} plans reused, {} new",
+        "\nscale-up 4x: identified again in {:.2?} ({} optimizer calls)",
         t2.elapsed(),
-        report.optimizer_calls,
-        report.effort_fraction() * 100.0,
-        report.reused_plans,
-        report.new_plans
+        refreshed.stats.exhaustive_optimizer_calls
     );
     let qa4 = grown.ess.point_at_fractions(&[0.65, 0.8]);
     let run4 = refreshed.run_optimized(&qa4).unwrap();

@@ -5,10 +5,10 @@
 //! and keeps cost rows for the bouquet's plans only. The path it replaced —
 //! recost every plan everywhere, then `Contour::build_all` with one frontier
 //! scan per isocost step — is still callable, so for every registry space,
-//! both hostile spaces, two dozen random FK-tree draws and one sampled build
-//! this recomputes grading, contours and `CompileStats` that way and demands
-//! the shipped result equal it, and every kept cost row equal the full
-//! matrix's row for that plan bit for bit.
+//! both hostile spaces and two dozen random FK-tree draws this recomputes
+//! grading, contours and `CompileStats` that way and demands the shipped
+//! result equal it, and every kept cost row equal the full matrix's row for
+//! that plan bit for bit.
 //!
 //! Grid resolutions are shrunk as in `diagram_golden.rs`.
 
@@ -16,7 +16,6 @@ use plan_bouquet::bouquet::contour::rho;
 use plan_bouquet::bouquet::{persist, Workload};
 use plan_bouquet::bouquet::{Bouquet, BouquetConfig, CompileStats, Contour, IsoCostGrading};
 use plan_bouquet::cost::{Ess, Parallelism};
-use plan_bouquet::optimizer::SampledBuildConfig;
 use plan_bouquet::workloads::{self, RandomConfig};
 
 /// Per-dimension resolution giving a few hundred grid points at any `d`.
@@ -144,23 +143,4 @@ fn identification_equals_the_full_matrix_oracle_on_every_space() {
     }
     // The comparison is not vacuous: most bouquets drop POSP plans.
     assert!(kept_fewer * 2 > ws.len(), "{kept_fewer} of {}", ws.len());
-}
-
-#[test]
-fn sampled_identification_equals_the_oracle_over_its_own_diagram() {
-    let mut w = workloads::by_name("3D_H_Q5").unwrap();
-    w.ess = Ess::uniform(w.ess.dims.clone(), 8);
-    let scfg = SampledBuildConfig {
-        seed: 7,
-        epsilon: 0.1,
-        delta: 0.1,
-        initial_samples: 64,
-        max_rounds: 8,
-    };
-    let (b, _, stats) =
-        Bouquet::identify_sampled(&w, &BouquetConfig::default(), &scfg, Parallelism::serial())
-            .unwrap();
-    assert!(!stats.exhaustive_fallback && stats.optimizer_calls < w.ess.num_points());
-    assert_eq!(b.stats.exhaustive_optimizer_calls, stats.optimizer_calls);
-    assert_matches_full_matrix_oracle(&b);
 }
