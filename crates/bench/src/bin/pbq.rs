@@ -222,6 +222,26 @@ mod tests {
         }
     }
 
+    /// `run --load` refuses an artefact saved for another workload (exit 1);
+    /// it used to print that workload's run and exit 0.
+    #[test]
+    fn a_loaded_artefact_must_hold_the_named_workload() {
+        let path = std::env::temp_dir().join(format!("pbq_test_eq1d_{}.json", std::process::id()));
+        let file = path.display().to_string();
+        let run = |argv: [&str; 5]| dispatch(&argv.map(String::from)).expect("arguments are fine");
+        dispatch(&["identify", "EQ_1D", "--save", &file].map(String::from))
+            .expect("arguments are fine")
+            .expect("saves");
+        run(["run", "EQ_1D", "0.5", "--load", &file]).expect("the workload it was saved for");
+        let failure = run(["run", "2D_H_Q8A", "0.5,0.5", "--load", &file]);
+        std::fs::remove_file(&path).ok();
+        let failure = failure.expect_err("another workload's bouquet");
+        assert!(
+            failure.contains("EQ_1D") && failure.contains("2D_H_Q8A"),
+            "{failure}"
+        );
+    }
+
     /// SQL that parses but is no bouquet query fails the subcommand (exit 1);
     /// it used to panic (exit 101).
     #[test]

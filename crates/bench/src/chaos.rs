@@ -1,7 +1,7 @@
 //! Seeded chaos campaign for the robust bouquet driver.
 //!
 //! Sweeps fault kinds × drivers × TPC-H / TPC-DS workloads × true-location
-//! grid points through [`Bouquet::run_robust`], plus a block of engine-level
+//! grid points through [`Bouquet::run`], plus a block of engine-level
 //! scenarios exercising the tuple and vectorized execution paths, and checks
 //! the invariants the robustness layer promises:
 //!
@@ -11,10 +11,11 @@
 //!   trace spends (every retry and degraded attempt is charged exactly once).
 //! * **Determinism** — replaying a scenario with the same seed must produce a
 //!   bit-identical `RobustRun` (serialized comparison).
-//! * **Inert equivalence** — with an empty fault plan, `run_robust` must be
-//!   structurally identical to the plain driver: same serialized
-//!   `BouquetRun`, no events, not degraded. On the engine, an inert injector
-//!   must yield a bit-identical `EngineOutcome`.
+//! * **Inert equivalence** — with an empty fault plan, neither the injector
+//!   nor the recovery settings may change anything: same serialized
+//!   `BouquetRun` as under [`RobustConfig::plain`] on an unarmed substrate,
+//!   no events, not degraded. On the engine, an inert injector must yield a
+//!   bit-identical `EngineOutcome`.
 //!
 //! The campaign is fully deterministic in its seed; `pbq chaos --seed N`
 //! exits non-zero if any invariant is breached.
@@ -24,6 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pb_bouquet::{
     Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionOutcome, RobustConfig, RobustRun,
+    SimulatorSubstrate,
 };
 use pb_engine::{Database, Engine, EngineOutcome};
 use pb_faults::{splitmix64, unit_f64, FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
@@ -154,15 +156,11 @@ fn caught<T>(f: impl FnOnce() -> Result<T, PbError>) -> Result<T, String> {
     }
 }
 
-/// The robust-driver configuration every scenario block sweeps `faults`
-/// and the driver through.
-fn robust_cfg(faults: FaultPlan, optimized: bool) -> RobustConfig {
+/// The recovery settings every scenario block sweeps its fault plans and
+/// both policies through.
+fn robust_cfg(optimized: bool) -> RobustConfig {
     RobustConfig {
-        faults,
-        plan_retries: 1,
-        max_violations: 3,
         optimized,
-        resume: false,
         ..Default::default()
     }
 }
@@ -217,29 +215,23 @@ fn check_robust(
     }
 }
 
-/// [`check_robust`] on the engine substrate over `db`.
+/// [`check_robust`] on the engine substrate over `db`, armed with `faults`.
 fn check_robust_on_engine(
     tag: &str,
     (b, db): (&Bouquet, &Database),
-    cfg: &RobustConfig,
+    (faults, optimized): (&FaultPlan, bool),
     cell: &mut Cell,
     breaches: &mut Vec<String>,
 ) {
-    let plain = || {
-        let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
-        if cfg.optimized {
-            b.run_optimized_on(&mut sub)
-        } else {
-            b.run_basic_on(&mut sub)
-        }
+    let run = |faults: FaultInjector, cfg: RobustConfig| {
+        let mut sub = EngineSubstrate::new(b, db, faults);
+        b.run(&mut sub, &cfg)
     };
+    let plain = || Ok(run(FaultInjector::none(), RobustConfig::plain(optimized))?.run);
     check_robust(
         tag,
-        || {
-            let mut sub = EngineSubstrate::new(b, db, FaultInjector::new(&cfg.faults));
-            b.run_robust_on(&mut sub, cfg)
-        },
-        cfg.faults
+        || run(FaultInjector::new(faults), robust_cfg(optimized)),
+        faults
             .is_empty()
             .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
         cell,
@@ -334,18 +326,16 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
                         .map(|_| unit_f64(splitmix64(&mut point_rng)).clamp(0.01, 0.99))
                         .collect();
                     let qa = b.workload.ess.point_at_fractions(&fracs);
-                    let cfg = robust_cfg(plan.clone(), optimized);
-                    // The plain run anchors the empty-plan equivalence check.
-                    let plain = || {
-                        if optimized {
-                            b.run_optimized(&qa)
-                        } else {
-                            b.run_basic(&qa)
-                        }
+                    let run = |faults: FaultInjector, cfg: RobustConfig| {
+                        let mut sub = SimulatorSubstrate::new(b, &qa, faults)?;
+                        b.run(&mut sub, &cfg)
                     };
+                    // The plain run anchors the empty-plan equivalence check.
+                    let plain =
+                        || Ok(run(FaultInjector::none(), RobustConfig::plain(optimized))?.run);
                     check_robust(
                         &format!("{}/{driver}/{label}@{fracs:?}", b.workload.name),
-                        || b.run_robust(&qa, &cfg),
+                        || run(FaultInjector::new(plan), robust_cfg(optimized)),
                         plan.is_empty()
                             .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
                         &mut cells[ci].1,
@@ -400,12 +390,11 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     }
 }
 
-/// Engine-substrate block: the full robust ladder (`run_robust_on`) driving
+/// Engine-substrate block: the full robust ladder ([`Bouquet::run`]) driving
 /// the real tuple engine through [`pb_bouquet::EngineSubstrate`], under
 /// operator-failure and spill-failure faults. Checks the same invariants as
 /// the simulator block — no panics, no double charging, deterministic
-/// replay, and empty-plan equivalence with the plain substrate-generic
-/// drivers.
+/// replay, and empty-plan equivalence with the plain settings.
 fn engine_substrate_scenarios(
     seed: u64,
     breaches: &mut Vec<String>,
@@ -486,7 +475,7 @@ fn engine_substrate_scenarios(
                 check_robust_on_engine(
                     &format!("engine-sub/{driver}/{label}#{variant}"),
                     (&b, &db),
-                    &robust_cfg(faults, optimized),
+                    (&faults, optimized),
                     &mut cells[ci].1,
                     breaches,
                 );
@@ -635,7 +624,7 @@ fn hostile_engine_scenarios(
                 check_robust_on_engine(
                     &format!("hostile-{short}/{driver}/{label}"),
                     (&b, &db),
-                    &robust_cfg(fp.clone(), optimized),
+                    (fp, optimized),
                     &mut cells[ci].1,
                     breaches,
                 );
@@ -649,7 +638,7 @@ fn hostile_engine_scenarios(
 /// executions — the library-level model of a deadline landing mid-run at an
 /// arbitrary retry/abandon decision point.
 struct TripAfter<'a> {
-    inner: pb_bouquet::SimulatorSubstrate<'a>,
+    inner: SimulatorSubstrate<'a>,
     token: pb_faults::CancelToken,
     remaining: usize,
 }
@@ -744,14 +733,12 @@ fn cancel_resume_scenarios(
                 ..Default::default()
             };
             let mk = |cancel: Option<CancelToken>| {
-                pb_bouquet::SimulatorSubstrate::new(b, &qa, FaultInjector::none()).map(|sub| {
-                    match cancel {
-                        Some(t) => sub.with_cancel(t),
-                        None => sub,
-                    }
+                SimulatorSubstrate::new(b, &qa, FaultInjector::none()).map(|sub| match cancel {
+                    Some(t) => sub.with_cancel(t),
+                    None => sub,
                 })
             };
-            let reference = match mk(None).map(|mut sub| b.run_robust_on(&mut sub, &cfg_plain)) {
+            let reference = match mk(None).map(|mut sub| b.run(&mut sub, &cfg_plain)) {
                 Ok(Ok(r)) => r,
                 Ok(Err(e)) | Err(e) => {
                     breaches.push(format!("{}: reference run failed: {e}", tag(0)));
@@ -782,7 +769,7 @@ fn cancel_resume_scenarios(
                     cancel: Some(token),
                     ..Default::default()
                 };
-                let first = match b.run_robust_on(&mut tripped, &trip_cfg) {
+                let first = match b.run(&mut tripped, &trip_cfg) {
                     Ok(r) => r,
                     Err(e) => {
                         breaches.push(format!("{}: tripped run failed: {e}", tag(trip)));
@@ -807,11 +794,10 @@ fn cancel_resume_scenarios(
                         continue;
                     }
                 };
-                resumed_sub.enable_checkpoint_resume();
                 if let Some(book) = tripped.inner.take_resume_book() {
                     resumed_sub.install_resume_book(book);
                 }
-                let resumed = match b.run_robust_on(&mut resumed_sub, &cfg) {
+                let resumed = match b.run(&mut resumed_sub, &cfg) {
                     Ok(r) => r,
                     Err(e) => {
                         breaches.push(format!("{}: resumed run failed: {e}", tag(trip)));

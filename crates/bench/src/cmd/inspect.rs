@@ -1,9 +1,12 @@
 //! Looking at a workload and its bouquet: `list`, `show`, `classify`,
 //! `diagram`, `optimize`, `identify`, `run`, `sql`, `sensitivity`.
 
-use pb_bouquet::{dim_analysis, persist, Bouquet, BouquetConfig, Workload};
+use pb_bouquet::{
+    dim_analysis, persist, Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate, Workload,
+};
 use pb_cost::uncertainty::{classify as classify_predicates, Uncertainty};
 use pb_cost::SelPoint;
+use pb_faults::FaultInjector;
 use pb_workloads::specs;
 
 use super::{workload, CmdResult};
@@ -159,14 +162,12 @@ pub fn identify(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Discover `qa` with the basic or optimized driver and print the trace.
+/// Discover `qa` with the basic or optimized policy and print the trace.
 fn run_and_print(b: &Bouquet, qa: &SelPoint, optimized: bool) -> CmdResult {
-    let run = if optimized {
-        b.run_optimized(qa)
-    } else {
-        b.run_basic(qa)
-    }
-    .map_err(|e| e.to_string())?;
+    let run = SimulatorSubstrate::new(b, qa, FaultInjector::none())
+        .and_then(|mut sub| b.run(&mut sub, &RobustConfig::plain(optimized)))
+        .map_err(|e| e.to_string())?
+        .run;
     for e in &run.trace {
         let learned = e
             .learned
@@ -199,6 +200,12 @@ pub fn run(args: &Args) -> CmdResult {
         Some(path) => persist::load(&path).map_err(|e| format!("load {path}: {e}"))?,
         None => Bouquet::identify(&w, &BouquetConfig::default()).map_err(|e| e.to_string())?,
     };
+    if b.workload.name != w.name {
+        return Err(format!(
+            "the loaded artefact holds the bouquet of {}, not of {}",
+            b.workload.name, w.name
+        ));
+    }
     run_and_print(&b, &qa, args.switch("--optimized"))
 }
 

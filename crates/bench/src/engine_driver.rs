@@ -1,9 +1,8 @@
 //! Thin adapters for engine-backed bouquet execution — the Table 3 /
 //! Section 6.7 experiment.
 //!
-//! There is **no discovery loop here**: engine-backed runs go through the
-//! canonical drivers (`Bouquet::run_basic_on` / `run_optimized_on` /
-//! `run_robust_on`) over [`pb_bouquet::EngineSubstrate`], so the real-tuple
+//! There is **no discovery loop here**: engine-backed runs go through
+//! [`Bouquet::run`] over [`pb_bouquet::EngineSubstrate`], so the real-tuple
 //! path exercises exactly the same control logic — quadrant pruning,
 //! AxisPlans selection, spill-based learning, the robustness ladder — as
 //! the cost-unit simulator. This module only re-shapes the resulting
@@ -11,7 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use pb_bouquet::{Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats};
+use pb_bouquet::{
+    Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats, RobustConfig,
+};
 use pb_cost::{Parallelism, SelPoint};
 use pb_engine::{ColumnOverride, Database};
 use pb_faults::{FaultInjector, PbError};
@@ -120,52 +121,25 @@ pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverrid
     .collect()
 }
 
-/// Run the bouquet discovery against the engine through the canonical
-/// drivers: Figure 7 with `optimized == false`, Figure 13 (qrun tracking
-/// from the engine's tuple counters, first-quadrant pruning, spilled prefix
-/// executions) with `optimized == true`. The engine's morsel-driven kernels
-/// run `par`-wide; outcomes are bit-identical to the serial run for every
-/// worker count, the knob only changes wall-clock time.
+/// Run the bouquet discovery against the engine through [`Bouquet::run`]
+/// under `cfg`: Figure 7, or Figure 13 (qrun tracking from the engine's
+/// tuple counters, first-quadrant pruning, spilled prefix executions). The
+/// engine's morsel-driven kernels run `par`-wide; outcomes are bit-identical
+/// to the serial run for every worker count, the knob only changes
+/// wall-clock time. With `cfg.resume` the decisions and result rows are
+/// those of the plain run while per-execution `spent` and `total_cost`
+/// shrink by the reused units the stats report (all-zero otherwise).
 pub fn engine_run_bouquet_with(
     bouquet: &Bouquet,
     db: &Database,
-    optimized: bool,
-    par: Parallelism,
-) -> Result<EngineRunReport, PbError> {
-    let mut sub =
-        EngineSubstrate::new(bouquet, db, FaultInjector::none()).with_engine_parallelism(par);
-    let run = if optimized {
-        bouquet.run_optimized_on(&mut sub)?
-    } else {
-        bouquet.run_basic_on(&mut sub)?
-    };
-    Ok(EngineRunReport::from_run(
-        &run,
-        sub.result_rows().unwrap_or(0),
-    ))
-}
-
-/// [`engine_run_bouquet_with`] with checkpoint/resume enabled on the engine
-/// substrate: the (contour, plan, budget) sequence, completion decision and
-/// result rows are identical to the plain run, but completed operator
-/// prefixes are fast-forwarded from checkpoints instead of re-executed, so
-/// per-execution `spent` and `total_cost` shrink by the reused units
-/// reported in the stats.
-pub fn engine_run_bouquet_resumable(
-    bouquet: &Bouquet,
-    db: &Database,
-    optimized: bool,
+    cfg: &RobustConfig,
     par: Parallelism,
 ) -> Result<(EngineRunReport, ResumeStats), PbError> {
     let mut sub =
         EngineSubstrate::new(bouquet, db, FaultInjector::none()).with_engine_parallelism(par);
-    let run = if optimized {
-        bouquet.run_optimized_resumable_on(&mut sub)?
-    } else {
-        bouquet.run_basic_resumable_on(&mut sub)?
-    };
-    let report = EngineRunReport::from_run(&run.0, sub.result_rows().unwrap_or(0));
-    Ok((report, run.1))
+    let run = bouquet.run(&mut sub, cfg)?.run;
+    let report = EngineRunReport::from_run(&run, sub.result_rows().unwrap_or(0));
+    Ok((report, sub.resume_stats()))
 }
 
 #[cfg(test)]
@@ -173,6 +147,13 @@ mod tests {
     use super::*;
     use pb_bouquet::BouquetConfig;
     use pb_workloads::h_q8a_2d;
+
+    fn engine_run(b: &Bouquet, db: &Database, optimized: bool) -> EngineRunReport {
+        let cfg = RobustConfig::plain(optimized);
+        engine_run_bouquet_with(b, db, &cfg, Parallelism::serial())
+            .unwrap()
+            .0
+    }
 
     fn setup() -> (Bouquet, Database) {
         let w = h_q8a_2d(0.005);
@@ -185,14 +166,14 @@ mod tests {
     #[test]
     fn engine_bouquet_completes_and_produces_rows() {
         let (b, db) = setup();
-        let basic = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
+        let basic = engine_run(&b, &db, false);
         assert!(
             basic.completed,
             "basic engine run failed: {:?}",
             basic.executions
         );
         assert!(basic.result_rows > 0);
-        let opt = engine_run_bouquet_with(&b, &db, true, Parallelism::serial()).unwrap();
+        let opt = engine_run(&b, &db, true);
         assert!(opt.completed);
         assert_eq!(
             opt.result_rows, basic.result_rows,
@@ -203,8 +184,8 @@ mod tests {
     #[test]
     fn optimized_engine_run_is_no_costlier_than_basic() {
         let (b, db) = setup();
-        let basic = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
-        let opt = engine_run_bouquet_with(&b, &db, true, Parallelism::serial()).unwrap();
+        let basic = engine_run(&b, &db, false);
+        let opt = engine_run(&b, &db, true);
         assert!(
             opt.total_cost <= basic.total_cost * 1.1,
             "optimized {} vs basic {}",
@@ -233,22 +214,21 @@ mod tests {
     #[test]
     fn contour_breakdown_accounts_for_all_cost() {
         let (b, db) = setup();
-        let run = engine_run_bouquet_with(&b, &db, false, Parallelism::serial()).unwrap();
+        let run = engine_run(&b, &db, false);
         let sum: f64 = run.contour_breakdown().iter().map(|r| r.2).sum();
         assert!((sum - run.total_cost).abs() < 1e-6 * run.total_cost.max(1.0));
     }
 
-    /// The robust ladder runs against the engine too (PR 5 tentpole): an
-    /// empty fault plan must be behaviourally inert on this substrate.
+    /// The recovery settings are inert on a fault-free engine: the default
+    /// configuration runs exactly what the plain one does.
     #[test]
     fn robust_engine_run_with_empty_faults_matches_plain() {
         let (b, db) = setup();
-        let cfg = pb_bouquet::RobustConfig::default();
-        let mut sub = EngineSubstrate::new(&b, &db, FaultInjector::new(&cfg.faults));
-        let robust = b.run_robust_on(&mut sub, &cfg).unwrap();
+        let mut sub = EngineSubstrate::new(&b, &db, FaultInjector::none());
+        let robust = b.run(&mut sub, &RobustConfig::default()).unwrap();
         let mut plain_sub = EngineSubstrate::new(&b, &db, FaultInjector::none());
-        let plain = b.run_basic_on(&mut plain_sub).unwrap();
-        assert_eq!(robust.run, plain);
+        let plain = b.run(&mut plain_sub, &RobustConfig::plain(false)).unwrap();
+        assert_eq!(robust, plain);
         assert!(robust.events.is_empty() && !robust.degraded);
     }
 }

@@ -109,24 +109,26 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
     let engine = Engine::new(db, &w.query, &w.model.p).with_parallelism(par);
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
-    let basic = engine_run_bouquet_with(b, db, false, par).expect("basic engine run");
-    let optd = engine_run_bouquet_with(b, db, true, par).expect("optimized engine run");
+    let engine_run = |optimized: bool| {
+        engine_run_bouquet_with(b, db, &RobustConfig::plain(optimized), par).expect("engine run")
+    };
+    let (basic, optd) = (engine_run(false).0, engine_run(true).0);
     assert!(
         basic.completed && optd.completed,
         "hostile runs must complete"
     );
 
-    // Robust driver, fault-free: same ladder, same decisions, no
+    // The default recovery settings, fault-free: same decisions, no
     // degradation.
     let mut sub = EngineSubstrate::new(b, db, FaultInjector::none()).with_engine_parallelism(par);
     let robust = b
-        .run_robust_on(&mut sub, &RobustConfig::default())
+        .run(&mut sub, &RobustConfig::default())
         .expect("robust engine run");
     assert!(robust.run.completed() && !robust.degraded);
     assert_eq!(
         EngineRunReport::from_run(&robust.run, 0).decision_seq(),
         basic.decision_seq(),
-        "fault-free robust driver must replay the basic ladder"
+        "fault-free recovery settings must not change the basic ladder"
     );
 
     // Simulator substrate: decisions at the measured qa must agree.

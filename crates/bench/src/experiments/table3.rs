@@ -15,15 +15,14 @@
 
 use std::fmt::Write as _;
 
-use pb_bouquet::{Bouquet, BouquetConfig, ResumeStats, Workload};
+use pb_bouquet::{Bouquet, BouquetConfig, ResumeStats, RobustConfig, Workload};
 use pb_cost::{Estimator, Parallelism};
 use pb_engine::{Database, Engine};
 use pb_workloads::h_q8a_2d;
 use serde::Serialize;
 
 use crate::engine_driver::{
-    duplicated_join_keys, engine_run_bouquet_resumable, engine_run_bouquet_with, engine_run_nat,
-    measure_qa, EngineRunReport,
+    duplicated_join_keys, engine_run_bouquet_with, engine_run_nat, measure_qa, EngineRunReport,
 };
 use crate::table::{fnum, Table};
 
@@ -113,8 +112,15 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
     let engine = Engine::new(&db, &w.query, &w.model.p).with_parallelism(par);
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
-    let basic = engine_run_bouquet_with(&b, &db, false, par).expect("basic engine run");
-    let optd = engine_run_bouquet_with(&b, &db, true, par).expect("optimized engine run");
+    let engine_run = |optimized: bool, resume: bool| {
+        let cfg = RobustConfig {
+            resume,
+            ..RobustConfig::plain(optimized)
+        };
+        engine_run_bouquet_with(&b, &db, &cfg, par).expect("engine run")
+    };
+    let (basic, _) = engine_run(false, false);
+    let (optd, _) = engine_run(true, false);
     assert!(
         basic.completed && optd.completed,
         "bouquet runs must complete"
@@ -124,10 +130,8 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
     // The same discovery with checkpoint/resume: re-executed prefixes are
     // fast-forwarded, so the per-contour spends shrink while the decision
     // sequence — which plan ran where with which budget — stays identical.
-    let (basic_res, basic_rs) =
-        engine_run_bouquet_resumable(&b, &db, false, par).expect("resumed basic engine run");
-    let (optd_res, optd_rs) =
-        engine_run_bouquet_resumable(&b, &db, true, par).expect("resumed optimized engine run");
+    let (basic_res, basic_rs) = engine_run(false, true);
+    let (optd_res, optd_rs) = engine_run(true, true);
     let resume_ok = basic_res.decision_seq() == basic.decision_seq()
         && optd_res.decision_seq() == optd.decision_seq()
         && basic_res.result_rows == basic.result_rows

@@ -803,6 +803,34 @@ mod tests {
     }
 
     #[test]
+    fn entry_without_contours_is_corrupt_not_a_panic() {
+        let tmp = TmpDir::new("empty");
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let (mut b, _) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        // A well-sealed frame of a bouquet with an empty schedule.
+        b.contours.clear();
+        b.grading.steps.clear();
+        b.costs = CostMatrix::from_flat(w.ess.num_points(), Vec::new());
+        let key = CacheKey::derive(&w, &cfg).unwrap();
+        cache.store(&key, &b, 0.0).unwrap();
+        match read_entry(&entry_file(&tmp.0), &key, true, &w) {
+            Err(PbError::Corrupt { message, .. }) => {
+                assert!(message.ends_with("bouquet has no contours"), "{message}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        let (rebuilt, outcome) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        assert!(matches!(outcome, CacheOutcome::Miss { .. }), "{outcome:?}");
+        assert!(!rebuilt.contours.is_empty());
+    }
+
+    #[test]
     fn concurrent_stores_of_one_skeleton_never_tear_an_entry() {
         let tmp = TmpDir::new("race");
         let cache = BouquetCache::new(&tmp.0).unwrap();

@@ -1,4 +1,4 @@
-//! The basic bouquet driver (paper, Figure 7).
+//! The basic policy (paper, Figure 7).
 //!
 //! ```text
 //! for cid = 1 to m:                      # each cost contour
@@ -7,193 +7,60 @@
 //!         if it finishes: return result
 //! ```
 //!
-//! Under a perfect cost model the loop always terminates by the contour
-//! whose step cost reaches the query's optimal cost. Under bounded model
-//! error (δ > 0) actual costs can exceed every modeled budget, so the driver
-//! extends the grading with geometric *overflow* contours — this is exactly
-//! the mechanism behind the `(1+δ)²` inflation bound of Section 3.4.
+//! It learns nothing from an aborted execution; the loop that executes,
+//! charges and recovers is [`Bouquet::run`](crate::Bouquet::run).
 
 use pb_cost::SelPoint;
-use pb_faults::{FaultInjector, PbError};
 
 use crate::bouquet::Bouquet;
-use crate::drivers::robust::{RobustCtx, RobustEvent};
-use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec};
-use crate::substrate::{ExecutionSubstrate, ResumeStats, SimulatorSubstrate};
+use crate::drivers::robust::{Policy, RobustEvent, Step};
+use crate::drivers::MAX_OVERFLOW;
+use crate::substrate::{ExecutionSubstrate, SubstrateOutcome};
 
-/// Safety valve: overflow contours beyond the grading (only reachable under
-/// model error). 64 doublings is far beyond any bounded δ.
-pub(crate) const MAX_OVERFLOW: usize = 64;
+/// Where the sweep stands: schedule rung `k`, plan `i` of its plan set.
+pub(crate) struct Figure7<'a> {
+    b: &'a Bouquet,
+    k: usize,
+    i: usize,
+}
 
-impl Bouquet {
-    /// Run the basic (Figure 7) driver at true location `qa` on the
-    /// cost-unit simulator substrate.
-    pub fn run_basic(&self, qa: &SelPoint) -> Result<BouquetRun, PbError> {
-        let mut sub = SimulatorSubstrate::new(self, qa, FaultInjector::none())?;
-        self.run_basic_core(&mut sub, &mut RobustCtx::inert())
+impl<'a> Figure7<'a> {
+    pub(crate) fn new(b: &'a Bouquet) -> Self {
+        Figure7 { b, k: 0, i: 0 }
     }
+}
 
-    /// Run the basic (Figure 7) driver on an arbitrary substrate (e.g. the
-    /// real tuple engine via [`crate::substrate::EngineSubstrate`]). The
-    /// substrate must be bound to this bouquet.
-    pub fn run_basic_on<S: ExecutionSubstrate>(&self, sub: &mut S) -> Result<BouquetRun, PbError> {
-        self.run_basic_core(sub, &mut RobustCtx::inert())
-    }
-
-    /// Run the basic driver with checkpoint/resume enabled on the simulator
-    /// substrate. The (contour, plan, budget) sequence, the completion
-    /// decision and everything learned are identical to
-    /// [`Bouquet::run_basic`] — resume never changes *what* happens, only
-    /// *what is paid*: prefixes an earlier partial execution already
-    /// completed are fast-forwarded instead of re-executed, so `total_cost`
-    /// shrinks by the reused units reported in the stats.
-    pub fn run_basic_resumable(&self, qa: &SelPoint) -> Result<(BouquetRun, ResumeStats), PbError> {
-        let mut sub = SimulatorSubstrate::new(self, qa, FaultInjector::none())?;
-        self.run_basic_resumable_on(&mut sub)
-    }
-
-    /// Run the basic driver with checkpoint/resume on an arbitrary
-    /// substrate (a no-op opt-in on substrates that do not support resume).
-    pub fn run_basic_resumable_on<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-    ) -> Result<(BouquetRun, ResumeStats), PbError> {
-        sub.enable_checkpoint_resume();
-        let run = self.run_basic_core(sub, &mut RobustCtx::inert())?;
-        Ok((run, sub.resume_stats()))
-    }
-
-    /// Shared driver loop: the plain entry points use an inert robustness
-    /// context (no retries, no degradation, no events), so their behaviour
-    /// is unchanged; `run_robust` threads a live one.
-    pub(crate) fn run_basic_core<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-        rc: &mut RobustCtx,
-    ) -> Result<BouquetRun, PbError> {
-        let d = self.workload.ess.d();
-        let mut trace: Vec<PartialExec> = Vec::new();
-        let mut total = 0.0;
-
-        let m = self.contours.len();
-        for k in 0..m + MAX_OVERFLOW {
-            let (contour_id, budget, plan_set) = if k < m {
-                let c = &self.contours[k];
-                (c.id, c.budget, &c.plan_set)
-            } else {
-                // Overflow: keep doubling (ratio r) past the last contour
-                // with the last contour's plan set.
-                let last = &self.contours[m - 1];
-                let budget = last.budget * self.config.r.powi((k - m + 1) as i32);
-                (k + 1, budget, &last.plan_set)
-            };
-            for &pid in plan_set {
-                let mut attempt = 0usize;
-                loop {
-                    // Cooperative cancellation: poll between executions so a
-                    // tripped token (client cancel, deadline) stops the run
-                    // before more budget is committed. Spend so far stays
-                    // charged; checkpoints survive for a resumed resubmit.
-                    if let Some(error) = rc.check_cancelled() {
-                        rc.push(RobustEvent::Cancelled {
-                            reason: error.to_string(),
-                        });
-                        return Ok(BouquetRun {
-                            trace,
-                            total_cost: total,
-                            outcome: ExecutionOutcome::Cancelled {
-                                contours_tried: k + 1,
-                            },
-                        });
-                    }
-                    // Tenant budget: granting this execution would push past
-                    // the cumulative spend cap, so finish on the capped rung
-                    // instead of starting work that cannot be afforded.
-                    if rc.cap_blocks(total, budget) {
-                        let est = self.workload.ess.point_at_fractions(&vec![0.5; d]);
-                        return Ok(self.capped_finish(&est, sub, trace, total, rc, k + 1));
-                    }
-                    let out = sub.execute_partial(pid, budget);
-                    total += out.spent;
-                    let faulted = out.error.is_some();
-                    // The trace owns the execution's error; the rare paths
-                    // below that report it clone it from there.
-                    trace.push(PartialExec {
-                        contour: contour_id,
-                        plan: pid,
-                        budget,
-                        spent: out.spent,
-                        completed: out.completed,
-                        spilled: false,
-                        learned: None,
-                        error: out.error,
-                    });
-                    rc.monitor(
-                        contour_id,
-                        pid,
-                        budget,
-                        out.spent,
-                        out.reused,
-                        out.completed,
-                        faulted,
-                    );
-                    if out.completed {
-                        return Ok(BouquetRun {
-                            trace,
-                            total_cost: total,
-                            outcome: ExecutionOutcome::Completed {
-                                final_plan: pid,
-                                final_cost: out.spent,
-                            },
-                        });
-                    }
-                    if rc.should_degrade() {
-                        // Best estimate available to the basic driver: the
-                        // centre of the selectivity space.
-                        let est = self.workload.ess.point_at_fractions(&vec![0.5; d]);
-                        return Ok(self.degraded_finish(&est, sub, trace, total, rc, k + 1));
-                    }
-                    match trace.last().and_then(|e| e.error.as_ref()) {
-                        // A cancellation surfaced from inside the substrate
-                        // is terminal, never retried: the controller asked
-                        // the run to stop.
-                        Some(PbError::Cancelled(reason)) => {
-                            rc.push(RobustEvent::Cancelled {
-                                reason: reason.clone(),
-                            });
-                            return Ok(BouquetRun {
-                                trace,
-                                total_cost: total,
-                                outcome: ExecutionOutcome::Cancelled {
-                                    contours_tried: k + 1,
-                                },
-                            });
-                        }
-                        Some(error) if attempt < rc.retries => {
-                            attempt += 1;
-                            rc.push(RobustEvent::Retry {
-                                contour: contour_id,
-                                plan: pid,
-                                attempt,
-                                error: error.clone(),
-                            });
-                        }
-                        Some(error) => {
-                            rc.abandoned(contour_id, pid, error.clone());
-                            break;
-                        }
-                        None => break,
-                    }
-                }
+impl Policy for Figure7<'_> {
+    fn next_step(&mut self) -> Option<Step> {
+        while self.k < self.b.contours.len() + MAX_OVERFLOW {
+            let (contour, id, f) = self.b.rung(self.k);
+            if let Some(&plan) = contour.plan_set.get(self.i) {
+                self.i += 1;
+                return Some(Step {
+                    tried: self.k + 1,
+                    contour: id,
+                    plan,
+                    budget: contour.budget * f,
+                    spill: false,
+                });
             }
+            self.k += 1;
+            self.i = 0;
         }
-        Ok(BouquetRun {
-            trace,
-            total_cost: total,
-            outcome: ExecutionOutcome::BudgetExhausted {
-                contours_tried: m + MAX_OVERFLOW,
-            },
-        })
+        None
+    }
+
+    fn execute<S: ExecutionSubstrate>(&mut self, sub: &mut S, step: &Step) -> SubstrateOutcome {
+        sub.execute_partial(step.plan, step.budget)
+    }
+
+    fn learn(&mut self, _out: &SubstrateOutcome, _events: &mut Vec<RobustEvent>) {}
+
+    /// The best estimate this policy has: the centre of the selectivity
+    /// space.
+    fn estimate(&self) -> SelPoint {
+        let ess = &self.b.workload.ess;
+        ess.point_at_fractions(&vec![0.5; ess.d()])
     }
 }
 

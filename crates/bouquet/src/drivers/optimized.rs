@@ -23,287 +23,150 @@
 //!   driver jumps ahead without executing anything further.
 
 use pb_cost::{NodeCost, SelPoint};
-use pb_faults::{FaultInjector, PbError};
 use pb_optimizer::PlanId;
 
 use crate::bouquet::Bouquet;
-use crate::drivers::basic::MAX_OVERFLOW;
-use crate::drivers::robust::{RobustCtx, RobustEvent};
-use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec};
-use crate::substrate::{ExecutionSubstrate, ResumeStats, SimulatorSubstrate};
+use crate::drivers::robust::{Policy, RobustEvent, Step};
+use crate::drivers::MAX_OVERFLOW;
+use crate::substrate::{ExecutionSubstrate, SubstrateOutcome};
 
-impl Bouquet {
-    /// Run the optimized (Figure 13) driver at true location `qa` on the
-    /// cost-unit simulator substrate.
-    pub fn run_optimized(&self, qa: &SelPoint) -> Result<BouquetRun, PbError> {
-        let mut sub = SimulatorSubstrate::new(self, qa, FaultInjector::none())?;
-        self.run_optimized_core(&mut sub, &mut RobustCtx::inert())
+/// The state Figure 13 carries between executions.
+pub(crate) struct Figure13<'a> {
+    b: &'a Bouquet,
+    /// Whether the substrate has a fault injector armed (observations are
+    /// then clamped into the ESS rather than trusted).
+    faults_active: bool,
+    qrun: Qrun,
+    resolved: Vec<bool>,
+    /// Schedule rung (0-based) discovery stands on.
+    cid: usize,
+    /// Plans already executed on the current rung. Each plan runs at most
+    /// once per contour, so this policy never exceeds Figure 7's per-contour
+    /// execution count n_k (the quantity the Equation 8 bound is built from).
+    executed: Vec<PlanId>,
+    candidates: Vec<PlanId>,
+    scratch: SelectScratch,
+}
+
+impl<'a> Figure13<'a> {
+    pub(crate) fn new(b: &'a Bouquet, faults_active: bool) -> Self {
+        Figure13 {
+            b,
+            faults_active,
+            qrun: Qrun::at_origin(b),
+            resolved: vec![false; b.workload.ess.d()],
+            cid: 0,
+            executed: Vec::new(),
+            candidates: Vec::new(),
+            scratch: SelectScratch::default(),
+        }
     }
+}
 
-    /// Run the optimized (Figure 13) driver on an arbitrary substrate. The
-    /// substrate must be bound to this bouquet.
-    pub fn run_optimized_on<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-    ) -> Result<BouquetRun, PbError> {
-        self.run_optimized_core(sub, &mut RobustCtx::inert())
-    }
-
-    /// Run the optimized driver with checkpoint/resume enabled on the
-    /// simulator substrate: identical decision sequence, qrun trajectory and
-    /// learning to [`Bouquet::run_optimized`], with already-completed
-    /// prefixes (including spilled discovery prefixes) fast-forwarded
-    /// instead of re-paid. See [`Bouquet::run_basic_resumable`].
-    pub fn run_optimized_resumable(
-        &self,
-        qa: &SelPoint,
-    ) -> Result<(BouquetRun, ResumeStats), PbError> {
-        let mut sub = SimulatorSubstrate::new(self, qa, FaultInjector::none())?;
-        self.run_optimized_resumable_on(&mut sub)
-    }
-
-    /// Run the optimized driver with checkpoint/resume on an arbitrary
-    /// substrate (a no-op opt-in on substrates that do not support resume).
-    pub fn run_optimized_resumable_on<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-    ) -> Result<(BouquetRun, ResumeStats), PbError> {
-        sub.enable_checkpoint_resume();
-        let run = self.run_optimized_core(sub, &mut RobustCtx::inert())?;
-        Ok((run, sub.resume_stats()))
-    }
-
-    /// Shared driver loop (see [`Bouquet::run_basic_core`] for the inert /
-    /// robust split).
-    pub(crate) fn run_optimized_core<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-        rc: &mut RobustCtx,
-    ) -> Result<BouquetRun, PbError> {
-        let ess = &self.workload.ess;
-        let faults_active = sub.faults_active();
-        let tables = self.driver_tables();
-        let m = self.contours.len();
-
-        let mut qrun = Qrun::at_origin(self);
-        let mut resolved = vec![false; ess.d()];
-        let mut trace: Vec<PartialExec> = Vec::new();
-        let mut total = 0.0;
-        let mut cid = 0usize;
-        // Plans already executed on the current contour. Each plan runs at
-        // most once per contour, so the optimized driver never exceeds the
-        // basic driver's per-contour execution count n_k (the quantity the
-        // Equation 8 bound is built from).
-        let mut executed: Vec<PlanId> = Vec::new();
-        let mut candidates: Vec<PlanId> = Vec::new();
-        let mut scratch = SelectScratch::default();
-
-        while cid < m + MAX_OVERFLOW {
-            let contour = &self.contours[cid.min(m - 1)];
-            let (contour_id, budget, step_cost) = if cid < m {
-                (contour.id, contour.budget, contour.step_cost)
-            } else {
-                let f = self.config.r.powi((cid - m + 1) as i32);
-                (cid + 1, contour.budget * f, contour.step_cost * f)
-            };
+impl Policy for Figure13<'_> {
+    fn next_step(&mut self) -> Option<Step> {
+        let b = self.b;
+        let tables = b.driver_tables();
+        let m = b.contours.len();
+        while self.cid < m + MAX_OVERFLOW {
+            let (contour, id, f) = b.rung(self.cid);
 
             // Early contour change: the PIC at qrun already exceeds this
             // step, so nothing here can complete (PCM argument).
-            if self.diagram.opt_cost[qrun.li] > step_cost {
-                cid += 1;
-                executed.clear();
+            if b.diagram.opt_cost[self.qrun.li] > contour.step_cost * f {
+                self.cid += 1;
+                self.executed.clear();
                 continue;
             }
 
             // Viable plans, ascending: first-quadrant pruning against qrun,
-            // minus what already ran on this contour.
-            candidates.clear();
-            if cid < m {
-                for i in tables.frontiers[cid].dominating(&qrun.ix) {
+            // minus what already ran on this rung.
+            self.candidates.clear();
+            if self.cid < m {
+                for i in tables.frontiers[self.cid].dominating(&self.qrun.ix) {
                     let p = contour.assignment[i];
-                    if !candidates.contains(&p) {
-                        candidates.push(p);
+                    if !self.candidates.contains(&p) {
+                        self.candidates.push(p);
                     }
                 }
-                candidates.sort_unstable();
+                self.candidates.sort_unstable();
             } else {
-                candidates.extend_from_slice(&contour.plan_set);
+                self.candidates.extend_from_slice(&contour.plan_set);
             }
-            candidates.retain(|p| !executed.contains(p));
-            if candidates.is_empty() {
-                cid += 1;
-                executed.clear();
+            self.candidates.retain(|p| !self.executed.contains(p));
+            if self.candidates.is_empty() {
+                self.cid += 1;
+                self.executed.clear();
                 continue;
             }
 
-            let (pid, cost_at_qrun) =
-                self.select_plan(cid.min(m - 1), &candidates, &qrun, &resolved, &mut scratch);
-            // Spill-based learning (Section 5.3) is engaged only when this
-            // plan provably cannot complete within the budget: its cost at
-            // qrun — a lower bound on its cost at qa, by PCM and the
-            // first-quadrant invariant — already exceeds the budget. In that
-            // regime the execution is pure discovery, so breaking the
-            // pipeline at the first error node maximizes the selectivity
-            // movement per unit budget. Otherwise the plan runs unspilled
-            // and may complete the query (it still learns on abort, just
-            // with a shallower movement).
-            let spilled = tables.plans[pid].has_unresolved(&resolved) && cost_at_qrun > budget;
-
-            executed.push(pid);
-            let mut attempt = 0usize;
-            let mut spill_now = spilled;
-            loop {
-                // Cooperative cancellation: poll between executions (see the
-                // basic driver for the contract — spend stays charged,
-                // checkpoints survive for a resumed resubmit).
-                if let Some(error) = rc.check_cancelled() {
-                    rc.push(RobustEvent::Cancelled {
-                        reason: error.to_string(),
-                    });
-                    return Ok(BouquetRun {
-                        trace,
-                        total_cost: total,
-                        outcome: ExecutionOutcome::Cancelled {
-                            contours_tried: cid + 1,
-                        },
-                    });
-                }
-                // Tenant budget: stop before granting what cannot be paid.
-                // qrun is the best current estimate for the capped rung.
-                if rc.cap_blocks(total, budget) {
-                    let est = SelPoint(qrun.sel.clone());
-                    return Ok(self.capped_finish(&est, sub, trace, total, rc, cid + 1));
-                }
-                let r = sub.execute_monitored(pid, &resolved, budget, spill_now);
-                total += r.spent;
-                let faulted = r.error.is_some();
-                // The trace owns the execution's error; the rare paths
-                // below that report it clone it from there.
-                trace.push(PartialExec {
-                    contour: contour_id,
-                    plan: pid,
-                    budget,
-                    spent: r.spent,
-                    completed: r.completed,
-                    spilled: spill_now,
-                    learned: r.observed.first().copied(),
-                    error: r.error,
-                });
-                rc.monitor(
-                    contour_id,
-                    pid,
-                    budget,
-                    r.spent,
-                    r.reused,
-                    r.completed,
-                    faulted,
-                );
-                if r.completed {
-                    return Ok(BouquetRun {
-                        trace,
-                        total_cost: total,
-                        outcome: ExecutionOutcome::Completed {
-                            final_plan: pid,
-                            final_cost: r.spent,
-                        },
-                    });
-                }
-                for &(dim, v) in &r.observed {
-                    let v = if faults_active {
-                        // A corrupted observation may exceed the ESS; clamp
-                        // it so qrun stays inside the space (first-quadrant
-                        // protection) and log the rejection.
-                        let hi = ess.dims[dim].hi;
-                        if v > hi {
-                            rc.push(RobustEvent::ObservationRejected {
-                                dim,
-                                observed: v,
-                                clamped_to: hi,
-                            });
-                            hi
-                        } else {
-                            v
-                        }
-                    } else {
-                        v
-                    };
-                    qrun.set(self, dim, qrun.sel[dim].max(v));
-                }
-                for &(dm, v) in &r.resolved {
-                    resolved[dm] = true;
-                    qrun.set(self, dm, v);
-                }
-                if rc.should_degrade() {
-                    let est = SelPoint(qrun.sel.clone());
-                    return Ok(self.degraded_finish(&est, sub, trace, total, rc, cid + 1));
-                }
-                match trace.last().and_then(|e| e.error.as_ref()) {
-                    // Cancellation from inside the substrate is terminal,
-                    // never retried.
-                    Some(PbError::Cancelled(reason)) => {
-                        rc.push(RobustEvent::Cancelled {
-                            reason: reason.clone(),
-                        });
-                        return Ok(BouquetRun {
-                            trace,
-                            total_cost: total,
-                            outcome: ExecutionOutcome::Cancelled {
-                                contours_tried: cid + 1,
-                            },
-                        });
-                    }
-                    Some(PbError::SpillFailure { .. }) if spill_now => {
-                        // Spill machinery failed: retry the same plan
-                        // unspilled (shallower learning, same budget).
-                        rc.push(RobustEvent::SpillRetry {
-                            contour: contour_id,
-                            plan: pid,
-                        });
-                        spill_now = false;
-                    }
-                    Some(error) if attempt < rc.retries => {
-                        attempt += 1;
-                        rc.push(RobustEvent::Retry {
-                            contour: contour_id,
-                            plan: pid,
-                            attempt,
-                            error: error.clone(),
-                        });
-                    }
-                    Some(error) => {
-                        rc.abandoned(contour_id, pid, error.clone());
-                        break;
-                    }
-                    None => break,
-                }
-            }
+            let (plan, cost_at_qrun) = self.select_plan();
+            let budget = contour.budget * f;
+            // Spill (Section 5.3) only when the plan provably cannot complete
+            // within the budget: its cost at qrun — a lower bound on its cost
+            // at qa, by PCM and the first-quadrant invariant — already
+            // exceeds it, so the execution is pure discovery. Otherwise the
+            // plan runs unspilled and may complete the query (it still
+            // learns on abort, just with a shallower movement).
+            let spill = tables.plans[plan].has_unresolved(&self.resolved) && cost_at_qrun > budget;
+            self.executed.push(plan);
+            return Some(Step {
+                tried: self.cid + 1,
+                contour: id,
+                plan,
+                budget,
+                spill,
+            });
         }
-        Ok(BouquetRun {
-            trace,
-            total_cost: total,
-            outcome: ExecutionOutcome::BudgetExhausted {
-                contours_tried: m + MAX_OVERFLOW,
-            },
-        })
+        None
     }
 
-    /// AxisPlans selection (Section 5.1): restrict to the plans responsible
-    /// for the contour's intersection with the axes through qrun, then pick
-    /// from the cheapest cost-equivalence group the plan whose unresolved
-    /// error node sits deepest in the plan tree. Returns the plan and its
-    /// cost at qrun.
-    fn select_plan(
-        &self,
-        contour: usize,
-        candidates: &[PlanId],
-        qrun: &Qrun,
-        resolved: &[bool],
-        scratch: &mut SelectScratch,
-    ) -> (PlanId, f64) {
-        let SelectScratch { axis, costs, stack } = scratch;
-        self.axis_plan_set(contour, qrun, axis);
+    fn execute<S: ExecutionSubstrate>(&mut self, sub: &mut S, step: &Step) -> SubstrateOutcome {
+        sub.execute_monitored(step.plan, &self.resolved, step.budget, step.spill)
+    }
+
+    fn learn(&mut self, out: &SubstrateOutcome, events: &mut Vec<RobustEvent>) {
+        let ess = &self.b.workload.ess;
+        for &(dim, mut v) in &out.observed {
+            // A corrupted observation may exceed the ESS; clamp it so qrun
+            // stays inside the space (first-quadrant protection) and log the
+            // rejection.
+            let hi = ess.dims[dim].hi;
+            if self.faults_active && v > hi {
+                events.push(RobustEvent::ObservationRejected {
+                    dim,
+                    observed: v,
+                    clamped_to: hi,
+                });
+                v = hi;
+            }
+            self.qrun.set(self.b, dim, self.qrun.sel[dim].max(v));
+        }
+        for &(dm, v) in &out.resolved {
+            self.resolved[dm] = true;
+            self.qrun.set(self.b, dm, v);
+        }
+    }
+
+    /// qrun, the best current estimate of the true location.
+    fn estimate(&self) -> SelPoint {
+        SelPoint(self.qrun.sel.clone())
+    }
+}
+
+impl Figure13<'_> {
+    /// AxisPlans selection (Section 5.1): restrict the candidates to the
+    /// plans responsible for the contour's intersection with the axes
+    /// through qrun, then pick from the cheapest cost-equivalence group the
+    /// plan whose unresolved error node sits deepest in the plan tree.
+    /// Returns the plan and its cost at qrun.
+    fn select_plan(&mut self) -> (PlanId, f64) {
+        let (b, qrun, candidates, resolved) =
+            (self.b, &self.qrun, &self.candidates, &self.resolved);
+        let SelectScratch { axis, costs, stack } = &mut self.scratch;
+        b.axis_plan_set(self.cid.min(b.contours.len() - 1), qrun, axis);
         let on_axis = axis.iter().any(|p| candidates.contains(p));
-        let progs = self.programs();
+        let progs = b.programs();
         costs.clear();
         costs.extend(
             candidates
@@ -317,7 +180,7 @@ impl Bouquet {
         // plan id on a tie. The group is non-empty whenever every cost is a
         // number (the cheapest pool member always qualifies); otherwise the
         // first candidate stands in.
-        let facts = &self.driver_tables().plans;
+        let facts = &b.driver_tables().plans;
         costs
             .iter()
             .filter(|&&(_, c)| c <= cheapest * 1.2)
@@ -328,7 +191,9 @@ impl Bouquet {
                 (p, progs[p].eval_with(&qrun.sel, stack).cost)
             })
     }
+}
 
+impl Bouquet {
     /// Plans at the intersection of contour number `contour` (0-based) with
     /// the positive axes through the grid location of qrun, into `out`: for
     /// each dimension, walk outward along that axis to the last point still

@@ -1,72 +1,62 @@
-//! Degradation-aware robust execution on top of the bouquet drivers.
+//! The discovery loop: the one place a bouquet execution is granted,
+//! charged, recorded, monitored and recovered from.
 //!
-//! [`Bouquet::run_robust`] wraps the basic (Figure 7) and optimized
-//! (Figure 13) drivers with a fault-tolerance ladder:
+//! [`Bouquet::run`] drives a [`Policy`] — Figure 7 or Figure 13, which differ
+//! only in *which plan runs next and what is learned from it* — through one
+//! ladder per execution: cancel-poll and cap-check before any budget is
+//! committed; execute, charge, record, monitor; then completed, degrade,
+//! cancelled, spill-retry, retry or abandon (DESIGN.md §"One driver" walks
+//! the rungs). Whatever an execution spent is charged, faulted or not, so
+//! MSO accounting stays honest.
 //!
-//! 1. **Per-plan retry** — an execution killed by an operator fault is
-//!    retried up to [`RobustConfig::plan_retries`] times; every attempt's
-//!    spend is still charged to the run, so MSO accounting stays honest.
-//! 2. **Plan abandonment** — a plan that keeps faulting is abandoned and
-//!    discovery moves to the next plan / contour, exactly as if the plan had
-//!    aborted on budget.
-//! 3. **Spill fallback** — a failed spill directive (Section 5.3) is retried
-//!    unspilled; the execution loses learning depth but can still complete.
-//! 4. **Accounting monitor** — after every execution the observed spend is
-//!    checked against the granted budget (aborts must burn exactly their
-//!    budget, nothing may exceed it — the invariants the Theorem 3 bound is
-//!    built from). Violations are recorded as events.
-//! 5. **Graceful degradation** — when faults or monitor violations exceed
-//!    the configured tolerance, bouquet discovery is abandoned and the
-//!    native optimizer's plan at the best current selectivity estimate runs
-//!    without a budget, mirroring classical query processing. The outcome is
-//!    [`ExecutionOutcome::Degraded`]; all wasted discovery work remains
-//!    charged.
-//!
-//! With an empty [`FaultPlan`] the wrapper adds no behaviour: the run is
-//! structurally identical to [`Bouquet::run_basic`] /
-//! [`Bouquet::run_optimized`] (property-tested in `tests/robustness.rs`).
+//! On a fault-free substrate nothing past the monitor is reachable, so
+//! [`RobustConfig::plain`] and [`RobustConfig::default`] produce the same
+//! run (property-tested in `tests/robustness.rs`).
 
 use pb_cost::SelPoint;
-use pb_faults::{CancelToken, FaultInjector, FaultPlan, PbError};
+use pb_faults::{CancelToken, PbError};
 use pb_optimizer::PlanId;
 use pb_plan::DimId;
 use serde::{Deserialize, Serialize};
 
 use crate::bouquet::Bouquet;
-use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec};
-use crate::substrate::{ExecutionSubstrate, SimulatorSubstrate};
+use crate::drivers::basic::Figure7;
+use crate::drivers::optimized::Figure13;
+use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec, MAX_OVERFLOW};
+use crate::substrate::{ExecutionSubstrate, SubstrateOutcome};
 
-/// Configuration of the robust driver.
+/// Configuration of a run: the policy and how much goes wrong before
+/// discovery gives up. Faults are not configured here — a substrate owns
+/// its injector from construction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RobustConfig {
-    /// Fault plan to arm (empty ⇒ the wrapper is behaviourally inert).
-    pub faults: FaultPlan,
     /// Retries per faulted plan execution before the plan is abandoned.
     pub plan_retries: usize,
     /// Monitor violations / plan abandonments tolerated before the driver
     /// degrades to single-plan native-optimizer execution.
     pub max_violations: usize,
-    /// Drive with the optimized (Figure 13) driver instead of the basic one.
+    /// Drive the optimized (Figure 13) policy instead of the basic one.
     pub optimized: bool,
-    /// Enable checkpoint/resume on the substrate. Reuse engages only while
-    /// no faults are armed — an injected fault is never replayed from or
-    /// masked by a checkpoint — so with a non-empty fault plan this only
-    /// discounts the healthy executions.
+    /// Enable checkpoint/resume on the substrate (a no-op where unsupported).
+    /// Resume never changes *what* happens, only *what is paid*: prefixes an
+    /// earlier partial execution completed are fast-forwarded, and
+    /// `total_cost` shrinks by the `reused_cost` of the substrate's
+    /// `resume_stats()`. Reuse engages only while no faults are armed — an
+    /// injected fault is never replayed from or masked by a checkpoint.
     #[serde(default)]
     pub resume: bool,
-    /// Hard cumulative spend cap for the whole run (restart-semantics cost
-    /// units: `spent + reused`), the tenant-budget hook the serving layer
-    /// uses. When granting the next execution's budget would push past the
-    /// cap, discovery stops and the driver finishes on the capped rung:
-    /// one native-plan attempt within the leftover budget
+    /// Hard cumulative spend cap for the whole run, the tenant-budget hook
+    /// the serving layer uses. When granting the next execution's budget
+    /// would push past the cap, discovery stops and the run finishes on the
+    /// capped rung: one native-plan attempt within the leftover budget
     /// ([`ExecutionOutcome::Degraded`] if it completes,
     /// [`ExecutionOutcome::BudgetExhausted`] otherwise). Total charged
     /// spend never exceeds the cap. `None` disables.
     #[serde(default)]
     pub spend_cap: Option<f64>,
-    /// Cooperative cancellation token, polled between executions by the
-    /// driver loops (and, when threaded into the substrate, inside
-    /// executions too). Not serialized: a deserialized config is live.
+    /// Cooperative cancellation token, polled between executions (and, when
+    /// threaded into the substrate, inside executions too). Not serialized:
+    /// a deserialized config is live.
     #[serde(skip)]
     pub cancel: Option<CancelToken>,
 }
@@ -74,10 +64,21 @@ pub struct RobustConfig {
 impl Default for RobustConfig {
     fn default() -> Self {
         RobustConfig {
-            faults: FaultPlan::none(),
             plan_retries: 1,
             max_violations: 3,
-            optimized: false,
+            ..RobustConfig::plain(false)
+        }
+    }
+}
+
+impl RobustConfig {
+    /// The paper's algorithms as drawn: a faulted execution is charged once
+    /// and never retried, and discovery never degrades.
+    pub fn plain(optimized: bool) -> Self {
+        RobustConfig {
+            plan_retries: 0,
+            max_violations: usize::MAX,
+            optimized,
             resume: false,
             spend_cap: None,
             cancel: None,
@@ -85,7 +86,7 @@ impl Default for RobustConfig {
     }
 }
 
-/// One recovery or monitoring action taken by the robust driver.
+/// One recovery or monitoring action the discovery loop took.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RobustEvent {
     /// A faulted execution was retried on the same plan.
@@ -130,107 +131,201 @@ pub struct RobustRun {
     pub degraded: bool,
 }
 
-/// Mutable robustness state threaded through the driver loops. The plain
-/// drivers use [`RobustCtx::inert`], which never retries, never degrades and
-/// records nothing — keeping their behaviour (and cost) unchanged.
-pub(crate) struct RobustCtx {
-    pub(crate) retries: usize,
-    max_violations: usize,
-    violations: usize,
-    abandonments: usize,
-    recording: bool,
-    pub(crate) events: Vec<RobustEvent>,
-    /// Hard cumulative spend cap (tenant budget); `None` = unbounded.
-    pub(crate) spend_cap: Option<f64>,
-    /// Cooperative cancellation token polled between executions.
-    cancel: Option<CancelToken>,
+/// One scheduled execution: what a policy wants run next.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// 1-based schedule rung — what a terminal outcome reports as
+    /// `contours_tried`.
+    pub tried: usize,
+    /// Contour number the trace records.
+    pub contour: usize,
+    pub plan: PlanId,
+    pub budget: f64,
+    /// Break the pipeline at the first unresolved error node (Figure 13).
+    pub spill: bool,
 }
 
-impl RobustCtx {
-    pub(crate) fn inert() -> Self {
-        RobustCtx {
-            retries: 0,
-            max_violations: usize::MAX,
+/// What distinguishes Figure 7 from Figure 13.
+pub(crate) trait Policy {
+    /// The next execution to grant, or `None` when the schedule is spent.
+    fn next_step(&mut self) -> Option<Step>;
+
+    fn execute<S: ExecutionSubstrate>(&mut self, sub: &mut S, step: &Step) -> SubstrateOutcome;
+
+    /// Absorb what an execution that did not complete the query reported.
+    fn learn(&mut self, out: &SubstrateOutcome, events: &mut Vec<RobustEvent>);
+
+    /// Best current estimate of the true location, for the finishing rung.
+    fn estimate(&self) -> SelPoint;
+}
+
+/// One run's books: the trace, the total and the robustness state.
+struct Discovery<'a, S> {
+    b: &'a Bouquet,
+    sub: &'a mut S,
+    cfg: &'a RobustConfig,
+    trace: Vec<PartialExec>,
+    total: f64,
+    violations: usize,
+    abandonments: usize,
+    events: Vec<RobustEvent>,
+}
+
+impl Bouquet {
+    /// Discover the true location on `sub`, which must be bound to this
+    /// bouquet: `cfg` picks the policy and the recovery settings
+    /// ([`RobustConfig::plain`] for the paper's algorithms as drawn). Fails
+    /// only on a bouquet without contours.
+    pub fn run<S: ExecutionSubstrate>(
+        &self,
+        sub: &mut S,
+        cfg: &RobustConfig,
+    ) -> Result<RobustRun, PbError> {
+        if self.contours.is_empty() {
+            return Err(PbError::Identification("bouquet has no contours".into()));
+        }
+        if cfg.resume {
+            sub.enable_checkpoint_resume();
+        }
+        let faults_active = sub.faults_active();
+        let mut d = Discovery {
+            b: self,
+            sub,
+            cfg,
+            trace: Vec::new(),
+            total: 0.0,
             violations: 0,
             abandonments: 0,
-            recording: false,
             events: Vec::new(),
-            spend_cap: None,
-            cancel: None,
+        };
+        let outcome = if cfg.optimized {
+            d.discover(Figure13::new(self, faults_active))
+        } else {
+            d.discover(Figure7::new(self))
+        };
+        Ok(RobustRun {
+            degraded: matches!(outcome, ExecutionOutcome::Degraded { .. }),
+            run: BouquetRun {
+                trace: d.trace,
+                total_cost: d.total,
+                outcome,
+            },
+            events: d.events,
+        })
+    }
+}
+
+impl<S: ExecutionSubstrate> Discovery<'_, S> {
+    fn discover<P: Policy>(&mut self, mut policy: P) -> ExecutionOutcome {
+        while let Some(step) = policy.next_step() {
+            if let Some(outcome) = self.attempt(&mut policy, step) {
+                return outcome;
+            }
+        }
+        ExecutionOutcome::BudgetExhausted {
+            contours_tried: self.b.contours.len() + MAX_OVERFLOW,
         }
     }
 
-    fn new(cfg: &RobustConfig) -> Self {
-        RobustCtx {
-            retries: cfg.plan_retries,
-            max_violations: cfg.max_violations,
-            violations: 0,
-            abandonments: 0,
-            recording: true,
-            events: Vec::new(),
-            spend_cap: cfg.spend_cap,
-            cancel: cfg.cancel.clone(),
+    /// Run one scheduled execution through the ladder, retries included.
+    /// `Some` ends the run; `None` hands back to the policy.
+    fn attempt<P: Policy>(&mut self, policy: &mut P, mut step: Step) -> Option<ExecutionOutcome> {
+        let (tried, contour, plan) = (step.tried, step.contour, step.plan);
+        let cap = self.cfg.spend_cap.unwrap_or(f64::INFINITY);
+        let mut attempt = 0usize;
+        loop {
+            // Cooperative cancellation: a tripped token (client cancel,
+            // deadline) stops the run before more budget is committed. Spend
+            // so far stays charged; checkpoints survive for a resubmit.
+            if let Some(error) = self.cfg.cancel.as_ref().and_then(CancelToken::cancel_error) {
+                return Some(self.cancelled(error.to_string(), tried));
+            }
+            // Tenant budget: executions spend at most what they are granted,
+            // so refusing a grant that would push past the cap keeps
+            // `total ≤ cap` an invariant, not a hope.
+            if self.total + step.budget > cap * (1.0 + 1e-9) {
+                return Some(self.finish(&policy.estimate(), tried, true));
+            }
+            let out = policy.execute(self.sub, &step);
+            self.charge(&step, &out, true);
+            if out.completed {
+                return Some(ExecutionOutcome::Completed {
+                    final_plan: plan,
+                    final_cost: out.spent,
+                });
+            }
+            policy.learn(&out, &mut self.events);
+            let tolerated = self.cfg.max_violations;
+            if self.violations > tolerated || self.abandonments > tolerated {
+                return Some(self.finish(&policy.estimate(), tried, false));
+            }
+            match out.error {
+                None => return None,
+                // A cancellation from inside the substrate is terminal,
+                // never retried: the controller asked the run to stop.
+                Some(PbError::Cancelled(reason)) => return Some(self.cancelled(reason, tried)),
+                // Spill machinery failed: retry the same plan unspilled
+                // (shallower learning, same budget).
+                Some(PbError::SpillFailure { .. }) if step.spill => {
+                    step.spill = false;
+                    self.events.push(RobustEvent::SpillRetry { contour, plan });
+                }
+                Some(error) if attempt < self.cfg.plan_retries => {
+                    attempt += 1;
+                    self.events.push(RobustEvent::Retry {
+                        contour,
+                        plan,
+                        attempt,
+                        error,
+                    });
+                }
+                Some(error) => {
+                    self.abandonments += 1;
+                    self.events.push(RobustEvent::PlanAbandoned {
+                        contour,
+                        plan,
+                        error,
+                    });
+                    return None;
+                }
+            }
         }
     }
 
-    /// Poll the cancellation token (between executions). `Some` carries the
-    /// typed error to record; the driver returns
-    /// [`ExecutionOutcome::Cancelled`] immediately.
-    pub(crate) fn check_cancelled(&self) -> Option<PbError> {
-        self.cancel.as_ref().and_then(CancelToken::cancel_error)
+    fn cancelled(&mut self, reason: String, contours_tried: usize) -> ExecutionOutcome {
+        self.events.push(RobustEvent::Cancelled { reason });
+        ExecutionOutcome::Cancelled { contours_tried }
     }
 
-    /// Would granting `budget` to the next execution push cumulative spend
-    /// past the cap? (Executions spend at most their granted budget, so
-    /// blocking here keeps `total ≤ cap` an invariant, not a hope.)
-    pub(crate) fn cap_blocks(&self, total: f64, budget: f64) -> bool {
-        self.spend_cap
-            .is_some_and(|cap| total + budget > cap * (1.0 + 1e-9))
-    }
-
-    pub(crate) fn push(&mut self, ev: RobustEvent) {
-        if self.recording {
-            self.events.push(ev);
-        }
-    }
-
-    /// Record a plan abandonment (counts toward the degradation threshold).
-    pub(crate) fn abandoned(&mut self, contour: usize, plan: PlanId, error: PbError) {
-        self.abandonments += 1;
-        self.push(RobustEvent::PlanAbandoned {
+    /// Charge one execution to the run and record it; `monitored` also
+    /// checks its spend against the grant: completed and faulted executions
+    /// may spend less, aborts must burn exactly the budget, nothing may ever
+    /// exceed it — the accounting invariants behind the worst-case
+    /// multiplier, so breaking them is a monotonicity violation.
+    fn charge(&mut self, step: &Step, out: &SubstrateOutcome, monitored: bool) {
+        let (contour, plan, budget) = (step.contour, step.plan, step.budget);
+        self.total += out.spent;
+        self.trace.push(PartialExec {
             contour,
             plan,
-            error,
+            budget,
+            spent: out.spent,
+            completed: out.completed,
+            spilled: step.spill,
+            learned: out.observed.first().copied(),
+            error: out.error.clone(),
         });
-    }
-
-    /// Spend monitor: check one execution's observed spend against the
-    /// budget it was granted. Completed and faulted executions may spend
-    /// less than the budget; aborts must burn exactly the budget; nothing
-    /// may ever exceed it. These are the accounting invariants behind the
-    /// worst-case multiplier, so breaking them is a monotonicity violation.
-    #[allow(clippy::too_many_arguments)] // mirrors the substrate outcome fields
-    pub(crate) fn monitor(
-        &mut self,
-        contour: usize,
-        plan: PlanId,
-        budget: f64,
-        spent: f64,
-        reused: f64,
-        completed: bool,
-        faulted: bool,
-    ) {
-        if !budget.is_finite() {
+        if !monitored || !budget.is_finite() {
             return;
         }
-        // `spent` excludes checkpoint-reused work; the accounting invariants
-        // are stated in restart semantics, so the monitor adds it back.
-        let spent = spent + reused;
+        // `spent` excludes checkpoint-reused work; the invariants are stated
+        // in restart semantics, so the monitor adds it back.
+        let spent = out.spent + out.reused;
         let overcharge = spent > budget * (1.0 + 1e-9);
-        let skewed_abort = !completed && !faulted && spent < budget * (1.0 - 1e-9);
+        let skewed_abort = !out.completed && out.error.is_none() && spent < budget * (1.0 - 1e-9);
         if overcharge || skewed_abort {
             self.violations += 1;
-            self.push(RobustEvent::MonitorViolation {
+            self.events.push(RobustEvent::MonitorViolation {
                 detail: format!(
                     "contour {contour} plan {plan}: spent {spent} vs budget {budget} ({})",
                     if overcharge {
@@ -243,186 +338,67 @@ impl RobustCtx {
         }
     }
 
-    /// Has the fault/violation tolerance been exceeded?
-    pub(crate) fn should_degrade(&self) -> bool {
-        self.violations > self.max_violations || self.abandonments > self.max_violations
-    }
-
-    pub(crate) fn degrade_reason(&self) -> String {
-        format!(
-            "{} monitor violations, {} plan abandonments (tolerance {})",
-            self.violations, self.abandonments, self.max_violations
-        )
-    }
-}
-
-impl Bouquet {
-    /// Run the degradation-aware robust driver at true location `qa` on the
-    /// cost-unit simulator substrate.
-    ///
-    /// With an empty fault plan the returned [`BouquetRun`] is structurally
-    /// identical to the one produced by the underlying driver.
-    pub fn run_robust(&self, qa: &SelPoint, cfg: &RobustConfig) -> Result<RobustRun, PbError> {
-        let mut sub = SimulatorSubstrate::new(self, qa, FaultInjector::new(&cfg.faults))?;
-        self.run_robust_on(&mut sub, cfg)
-    }
-
-    /// Run the robust driver on an arbitrary substrate. The substrate must
-    /// be bound to this bouquet, and the caller is responsible for arming it
-    /// with `cfg.faults` (the config's fault plan is not re-injected here:
-    /// a substrate owns its injector from construction).
-    pub fn run_robust_on<S: ExecutionSubstrate>(
-        &self,
-        sub: &mut S,
-        cfg: &RobustConfig,
-    ) -> Result<RobustRun, PbError> {
-        let mut rc = RobustCtx::new(cfg);
-        if cfg.resume {
-            sub.enable_checkpoint_resume();
-        }
-        let run = if cfg.optimized {
-            self.run_optimized_core(sub, &mut rc)?
+    /// The finishing rung: discovery is over — tolerance exceeded, or
+    /// (`capped`) the spend cap blocked the next grant — and the native
+    /// optimizer's plan at `est` runs on whatever the cap leaves or,
+    /// uncapped, without a budget. Everything spent stays charged and the
+    /// cap is never exceeded. The capped rung is one monitored attempt; the
+    /// degraded rung retries faults like discovery does, unmonitored.
+    fn finish(&mut self, est: &SelPoint, tried: usize, capped: bool) -> ExecutionOutcome {
+        let cap = self.cfg.spend_cap;
+        self.events.push(if capped {
+            RobustEvent::SpendCapReached {
+                cap: cap.unwrap_or(f64::INFINITY),
+                spent: self.total,
+            }
         } else {
-            self.run_basic_core(sub, &mut rc)?
-        };
-        Ok(RobustRun {
-            degraded: matches!(run.outcome, ExecutionOutcome::Degraded { .. }),
-            run,
-            events: std::mem::take(&mut rc.events),
-        })
-    }
-
-    /// The degradation rung: abandon discovery, run the native optimizer's
-    /// plan at the estimate `est` (the driver's best current knowledge)
-    /// without a budget. Spend from the abandoned discovery, and from every
-    /// fallback attempt, stays charged.
-    pub(crate) fn degraded_finish<S: ExecutionSubstrate>(
-        &self,
-        est: &SelPoint,
-        sub: &mut S,
-        mut trace: Vec<PartialExec>,
-        mut total: f64,
-        rc: &mut RobustCtx,
-        contours_tried: usize,
-    ) -> BouquetRun {
-        rc.push(RobustEvent::Degraded {
-            reason: rc.degrade_reason(),
+            RobustEvent::Degraded {
+                reason: format!(
+                    "{} monitor violations, {} plan abandonments (tolerance {})",
+                    self.violations, self.abandonments, self.cfg.max_violations
+                ),
+            }
         });
-        let ess = &self.workload.ess;
-        let li = ess.linear(&ess.snap_floor(est));
-        let pid = self.diagram.optimal[li] as PlanId;
-        for attempt in 0..=rc.retries {
-            // Under a tenant spend cap even the degraded rung stays
-            // budgeted: the fallback gets whatever headroom is left, so the
-            // cap is never exceeded (an abort then lands BudgetExhausted).
-            let (out, granted) = match rc.spend_cap {
-                Some(cap) => {
-                    let remaining = cap - total;
-                    if remaining <= 0.0 {
-                        break;
-                    }
-                    (sub.execute_partial(pid, remaining), remaining)
-                }
-                None => (sub.run_native(pid), f64::INFINITY),
+        let ess = &self.b.workload.ess;
+        let plan = self.b.diagram.optimal[ess.linear(&ess.snap_floor(est))] as PlanId;
+        let mut rung = Step {
+            tried,
+            contour: 0,
+            plan,
+            budget: f64::INFINITY,
+            spill: false,
+        };
+        let retries = if capped { 0 } else { self.cfg.plan_retries };
+        for attempt in 0..=retries {
+            rung.budget = cap.map_or(f64::INFINITY, |cap| cap - self.total);
+            if rung.budget <= 0.0 {
+                break;
+            }
+            let out = match cap {
+                Some(_) => self.sub.execute_partial(plan, rung.budget),
+                None => self.sub.run_native(plan),
             };
-            total += out.spent;
-            trace.push(PartialExec {
-                contour: 0,
-                plan: pid,
-                budget: granted,
-                spent: out.spent,
-                completed: out.completed,
-                spilled: false,
-                learned: None,
-                error: out.error.clone(),
-            });
+            self.charge(&rung, &out, capped);
             if out.completed {
-                return BouquetRun {
-                    trace,
-                    total_cost: total,
-                    outcome: ExecutionOutcome::Degraded {
-                        final_plan: pid,
-                        final_cost: out.spent,
-                    },
+                return ExecutionOutcome::Degraded {
+                    final_plan: plan,
+                    final_cost: out.spent,
                 };
             }
             match out.error {
-                Some(error) => rc.push(RobustEvent::Retry {
+                Some(error) if !capped => self.events.push(RobustEvent::Retry {
                     contour: 0,
-                    plan: pid,
+                    plan,
                     attempt,
                     error,
                 }),
                 // An abort under an infinite budget cannot happen; bail out
                 // rather than loop.
-                None => break,
+                _ => break,
             }
         }
-        BouquetRun {
-            trace,
-            total_cost: total,
-            outcome: ExecutionOutcome::BudgetExhausted { contours_tried },
-        }
-    }
-
-    /// The tenant-budget rung: the cumulative spend cap blocks the next
-    /// bouquet execution, so discovery stops and the leftover budget (if
-    /// any) funds one native-plan attempt at the best current estimate.
-    /// Outcome is [`ExecutionOutcome::Degraded`] when that attempt
-    /// completes, [`ExecutionOutcome::BudgetExhausted`] otherwise — and
-    /// total charged spend never exceeds the cap.
-    pub(crate) fn capped_finish<S: ExecutionSubstrate>(
-        &self,
-        est: &SelPoint,
-        sub: &mut S,
-        mut trace: Vec<PartialExec>,
-        mut total: f64,
-        rc: &mut RobustCtx,
-        contours_tried: usize,
-    ) -> BouquetRun {
-        let cap = rc.spend_cap.unwrap_or(f64::INFINITY);
-        rc.push(RobustEvent::SpendCapReached { cap, spent: total });
-        let remaining = cap - total;
-        if remaining > 0.0 {
-            let ess = &self.workload.ess;
-            let li = ess.linear(&ess.snap_floor(est));
-            let pid = self.diagram.optimal[li] as PlanId;
-            let out = sub.execute_partial(pid, remaining);
-            total += out.spent;
-            trace.push(PartialExec {
-                contour: 0,
-                plan: pid,
-                budget: remaining,
-                spent: out.spent,
-                completed: out.completed,
-                spilled: false,
-                learned: None,
-                error: out.error.clone(),
-            });
-            rc.monitor(
-                0,
-                pid,
-                remaining,
-                out.spent,
-                out.reused,
-                out.completed,
-                out.error.is_some(),
-            );
-            if out.completed {
-                return BouquetRun {
-                    trace,
-                    total_cost: total,
-                    outcome: ExecutionOutcome::Degraded {
-                        final_plan: pid,
-                        final_cost: out.spent,
-                    },
-                };
-            }
-        }
-        BouquetRun {
-            trace,
-            total_cost: total,
-            outcome: ExecutionOutcome::BudgetExhausted { contours_tried },
+        ExecutionOutcome::BudgetExhausted {
+            contours_tried: tried,
         }
     }
 }

@@ -2,17 +2,19 @@
 //! grid — the machinery behind the paper's Figures 14–18 and Table 1.
 
 use pb_cost::CostMatrix;
-use pb_faults::PbError;
+use pb_faults::{FaultInjector, PbError};
 use pb_optimizer::SeerReduction;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{parqo_assignment, ParqoConfig};
 use crate::bouquet::{Bouquet, BouquetConfig};
 use crate::contour::Contour;
+use crate::drivers::robust::RobustConfig;
 use crate::metrics::{
     bouquet_metrics, harm, robustness_distribution, single_plan_metrics, single_plan_worst_profile,
     HarmReport, MetricsSummary, RobustnessDistribution,
 };
+use crate::substrate::SimulatorSubstrate;
 use crate::workload::Workload;
 
 /// Evaluation configuration.
@@ -172,11 +174,8 @@ pub fn run_profile(bouquet: &Bouquet, optimized: bool) -> Result<Vec<f64>, PbErr
     let n = ess.num_points();
     pb_cost::par_map(pb_cost::Parallelism::auto(), n, |li| {
         let qa = ess.point(&ess.unlinear(li));
-        let run = if optimized {
-            bouquet.run_optimized(&qa)
-        } else {
-            bouquet.run_basic(&qa)
-        }?;
+        let mut sub = SimulatorSubstrate::new(bouquet, &qa, FaultInjector::none())?;
+        let run = bouquet.run(&mut sub, &RobustConfig::plain(optimized))?.run;
         if !run.completed() {
             return Err(PbError::Identification(format!(
                 "driver failed at grid point {li}"

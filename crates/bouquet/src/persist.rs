@@ -82,6 +82,10 @@ pub(crate) fn validate_structure(b: &Bouquet) -> Result<(), String> {
     if b.contours.len() != b.grading.len() {
         return Err("contour count disagrees with grading".into());
     }
+    // The contour schedule is what discovery runs; there is no empty one.
+    if b.contours.is_empty() {
+        return Err("bouquet has no contours".into());
+    }
     for c in &b.contours {
         if c.points.len() != c.assignment.len() {
             return Err(format!("contour {} assignment arity mismatch", c.id));
@@ -203,6 +207,16 @@ mod tests {
         assert!(from_json(&bad).is_err());
         // Garbage is rejected outright.
         assert!(from_json("{\"not\": \"a bouquet\"}").is_err());
+        // An artefact without contours has nothing to run (`pbq run --load`
+        // used to index the last one and panic).
+        let mut empty = b.clone();
+        empty.contours.clear();
+        empty.grading.steps.clear();
+        empty.costs = pb_cost::CostMatrix::from_flat(w.ess.num_points(), Vec::new());
+        match from_json(&to_json(&empty).unwrap()) {
+            Err(PbError::Corrupt { message, .. }) => assert_eq!(message, "bouquet has no contours"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

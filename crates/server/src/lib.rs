@@ -9,7 +9,7 @@
 //! * **admission control** — a bounded queue rejects with an explicit
 //!   `retry_after_ms` instead of queueing unboundedly ([`queue`]);
 //! * **tenant isolation** — per-tenant cumulative spend caps threaded into
-//!   the robust driver as [`pb_bouquet::RobustConfig::spend_cap`], so an
+//!   the driver as [`pb_bouquet::RobustConfig::spend_cap`], so an
 //!   exhausted tenant degrades *its own* queries and never a neighbour's
 //!   ([`tenant`]);
 //! * **deadlines + cancellation** — a per-request [`pb_faults::CancelToken`]

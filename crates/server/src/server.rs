@@ -7,8 +7,8 @@
 //!             │    status/cancel/stats ─► registry │      │ per-request
 //!             │    drain ──► stop + await pending  │      │ catch_unwind
 //!             └────────────────────────────────────┘      ▼
-//!                 supervisor respawns poisoned workers, requests run the
-//!                 robust driver on a SimulatorSubstrate with a per-tenant
+//!                 supervisor respawns poisoned workers, requests run
+//!                 `Bouquet::run` on a SimulatorSubstrate with a per-tenant
 //!                 spend cap and a per-request cancellation token
 //! ```
 //!
@@ -611,7 +611,7 @@ fn execute_request(s: &Arc<Shared>, id: u64, meta: &ReqMeta) {
         }
     }
 
-    match b.run_robust_on(&mut sub, &cfg) {
+    match b.run(&mut sub, &cfg) {
         Ok(rr) => {
             let stats = sub.resume_stats();
             let (outcome, final_plan, cancelled) = match rr.run.outcome {

@@ -2,7 +2,7 @@
 //!
 //! Each tenant holds a cumulative spend cap. Dispatch *reserves* the
 //! tenant's full remaining budget for the request and threads it into the
-//! robust driver as [`pb_bouquet::RobustConfig::spend_cap`]; the driver
+//! driver as [`pb_bouquet::RobustConfig::spend_cap`]; the driver
 //! guarantees the run's total never exceeds it, so
 //!
 //! ```text

@@ -14,7 +14,8 @@
 //! * [`executor`] — cost-unit budgeted execution simulation.
 //! * [`faults`] — typed error taxonomy and deterministic seeded fault
 //!   injection for chaos testing the run-time stack.
-//! * [`engine`] — tuple-at-a-time volcano engine over generated data.
+//! * [`engine`] — vectorized, morsel-parallel engine over generated data,
+//!   with budgets, tuple counters and checkpoint/resume.
 //! * [`bouquet`] — the paper's contribution: isocost contours, bouquet
 //!   identification, run-time drivers, robustness metrics and theory bounds.
 //! * [`workloads`] — the paper's benchmark error spaces (Table 2).

@@ -29,8 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use plan_bouquet::bouquet::{Bouquet, BouquetConfig, BouquetRun};
+use plan_bouquet::bouquet::{Bouquet, BouquetConfig, BouquetRun, RobustConfig, SimulatorSubstrate};
 use plan_bouquet::cost::{SelPoint, SplitMix64};
+use plan_bouquet::faults::FaultInjector;
 use plan_bouquet::workloads;
 
 const GOLDEN_PATH: &str = "tests/golden/driver_grid_hashes.json";
@@ -68,12 +69,11 @@ impl Fnv {
 }
 
 fn run_at(b: &Bouquet, optimized: bool, qa: &SelPoint) -> BouquetRun {
-    let run = if optimized {
-        b.run_optimized(qa)
-    } else {
-        b.run_basic(qa)
-    }
-    .unwrap();
+    let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::none()).unwrap();
+    let run = b
+        .run(&mut sub, &RobustConfig::plain(optimized))
+        .unwrap()
+        .run;
     assert!(run.completed(), "{qa:?} did not complete");
     run
 }

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use common::{plan_ds, setup3, setup_ds, shape3};
 
 use plan_bouquet::bouquet::{
-    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate,
+    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate, RobustConfig,
 };
 use plan_bouquet::cost::{CostModel, Parallelism};
 use plan_bouquet::engine::{Database, Engine};
@@ -148,8 +148,10 @@ fn optimized_driver_identical_across_workers() {
                 .with_engine_parallelism(Parallelism::new(workers))
                 .with_engine_morsel_threshold(TEST_MORSEL_MIN);
         }
-        let run = b.run_optimized_on(&mut sub).expect("driver run");
-        (run, sub.result_rows().unwrap_or(0))
+        let run = b
+            .run(&mut sub, &RobustConfig::plain(true))
+            .expect("driver run");
+        (run.run, sub.result_rows().unwrap_or(0))
     };
     let (serial_run, serial_rows) = run_at(1);
     assert!(serial_run.completed(), "serial optimized run must complete");

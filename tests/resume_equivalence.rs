@@ -8,8 +8,8 @@
 //!
 //! * the vectorized engine (`Engine::execute_resumable` vs
 //!   `Engine::execute` over a budget ladder on every operator shape),
-//! * the cost-unit simulator (`run_basic_resumable` / `run_optimized_resumable`
-//!   vs the plain drivers over a lattice of true locations),
+//! * the cost-unit simulator (`Bouquet::run` with `resume` on vs off, both
+//!   policies, over a lattice of true locations),
 //!
 //! plus a chaos block: corrupting every checkpoint's integrity checksum
 //! must make resume fall back to restart semantics — identical outcomes,
@@ -19,7 +19,8 @@
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
-    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, SimulatorSubstrate,
+    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats,
+    RobustConfig, SimulatorSubstrate,
 };
 use plan_bouquet::engine::{Database, Engine, EngineOutcome, ResumeBook};
 use plan_bouquet::faults::FaultInjector;
@@ -259,26 +260,40 @@ fn assert_resume_matches_plain(label: &str, plain: &BouquetRun, resumed: &Bouque
     );
 }
 
-fn check_simulator_resume_at(fracs: &[f64]) {
+/// One run on `sub` under the plain settings with resume on or off, and the
+/// substrate's resume counters after it.
+fn drive<S: ExecutionSubstrate>(
+    b: &Bouquet,
+    sub: &mut S,
+    optimized: bool,
+    resume: bool,
+) -> (BouquetRun, ResumeStats) {
+    let cfg = RobustConfig {
+        resume,
+        ..RobustConfig::plain(optimized)
+    };
+    let run = b.run(sub, &cfg).unwrap().run;
+    (run, sub.resume_stats())
+}
+
+/// Checks both policies at `fracs`; returns the cost units the basic one
+/// reused.
+fn check_simulator_resume_at(fracs: &[f64]) -> f64 {
     let b = bouquet_2d();
     let qa = b.workload.ess.point_at_fractions(fracs);
-    let plain = b.run_basic(&qa).unwrap();
-    let (resumed, stats) = b.run_basic_resumable(&qa).unwrap();
-    assert_resume_matches_plain(
-        &format!("basic @ {fracs:?}"),
-        &plain,
-        &resumed,
-        stats.reused_cost,
-    );
-
-    let plain_opt = b.run_optimized(&qa).unwrap();
-    let (resumed_opt, stats_opt) = b.run_optimized_resumable(&qa).unwrap();
-    assert_resume_matches_plain(
-        &format!("optimized @ {fracs:?}"),
-        &plain_opt,
-        &resumed_opt,
-        stats_opt.reused_cost,
-    );
+    let [basic_reuse, _] = [false, true].map(|optimized| {
+        let sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+        let (plain, _) = drive(b, &mut sub(), optimized, false);
+        let (resumed, stats) = drive(b, &mut sub(), optimized, true);
+        assert_resume_matches_plain(
+            &format!("optimized={optimized} @ {fracs:?}"),
+            &plain,
+            &resumed,
+            stats.reused_cost,
+        );
+        stats.reused_cost
+    });
+    basic_reuse
 }
 
 /// Deterministic lattice over the 2D error space, including the axis
@@ -288,10 +303,7 @@ fn simulator_resume_preserves_decisions_on_lattice() {
     let mut reuse_seen = false;
     for &x in &[0.05, 0.5, 0.95] {
         for &y in &[0.05, 0.5, 0.95] {
-            check_simulator_resume_at(&[x, y]);
-            let qa = bouquet_2d().workload.ess.point_at_fractions(&[x, y]);
-            let (_, stats) = bouquet_2d().run_basic_resumable(&qa).unwrap();
-            reuse_seen |= stats.reused_cost > 0.0;
+            reuse_seen |= check_simulator_resume_at(&[x, y]) > 0.0;
         }
     }
     assert!(
@@ -310,9 +322,9 @@ fn simulator_corrupt_checkpoints_never_double_charge() {
     let plain = b.run_basic(&qa).unwrap();
 
     let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-    let (warm, _) = b.run_basic_resumable_on(&mut sub).unwrap();
+    let (warm, _) = drive(b, &mut sub, false, true);
     sub.corrupt_checkpoints();
-    let (after, stats) = b.run_basic_resumable_on(&mut sub).unwrap();
+    let (after, stats) = drive(b, &mut sub, false, true);
     assert_resume_matches_plain("corrupted simulator", &plain, &warm, {
         // warm run's own reuse: reconstruct from the cost gap.
         plain.total_cost - warm.total_cost
@@ -338,13 +350,13 @@ fn engine_substrate_corrupt_checkpoints_fall_back() {
     let b = bouquet_2d();
     let (_, db) = engine_fixture();
     let mut plain_sub = EngineSubstrate::new(b, db, FaultInjector::none());
-    let plain = b.run_basic_on(&mut plain_sub).unwrap();
+    let (plain, _) = drive(b, &mut plain_sub, false, false);
 
     let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
-    let (warm, warm_stats) = b.run_basic_resumable_on(&mut sub).unwrap();
+    let (warm, warm_stats) = drive(b, &mut sub, false, true);
     assert_resume_matches_plain("engine warm", &plain, &warm, warm_stats.reused_cost);
     sub.corrupt_checkpoints();
-    let (after, _) = b.run_basic_resumable_on(&mut sub).unwrap();
+    let (after, _) = drive(b, &mut sub, false, true);
     for (p, r) in plain.trace.iter().zip(&after.trace) {
         assert_eq!(
             (p.contour, p.plan, p.budget.to_bits()),

@@ -164,16 +164,14 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         let mk = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).expect("substrate");
 
         let mut plain_sub = mk();
-        let plain = b.run_robust_on(&mut plain_sub, &cfg_plain).expect("plain");
+        let plain = b.run(&mut plain_sub, &cfg_plain).expect("plain");
 
         let mut unb_sub = mk();
-        let unbounded = b
-            .run_robust_on(&mut unb_sub, &cfg_resume)
-            .expect("unbounded");
+        let unbounded = b.run(&mut unb_sub, &cfg_resume).expect("unbounded");
 
         let mut cap_sub = mk();
         cap_sub.set_resume_byte_cap(sim_cap);
-        let capped = b.run_robust_on(&mut cap_sub, &cfg_resume).expect("capped");
+        let capped = b.run(&mut cap_sub, &cfg_resume).expect("capped");
 
         // Outcome and decision sequence: identical across plain, resumed
         // and capped-resumed.

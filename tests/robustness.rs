@@ -1,14 +1,18 @@
-//! Robustness integration tests: the fault-free equivalence of the robust
-//! driver (property-tested over random TPC-H / TPC-DS locations), typed
-//! dimension-mismatch errors, budget exhaustion under extreme model error,
-//! and the degradation ladder under persistent faults.
+//! Robustness integration tests: the recovery settings change nothing on a
+//! fault-free substrate (property-tested over random TPC-H / TPC-DS
+//! locations), the plain settings on an armed one, typed dimension-mismatch
+//! errors, budget exhaustion under extreme model error, the degradation
+//! ladder under persistent faults, and the benchmark's four entry points.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use pb_faults::{FaultKind, FaultPlan, PbError, Trigger};
-use plan_bouquet::bouquet::{Bouquet, BouquetConfig, ExecutionOutcome, RobustConfig, RobustEvent};
+use pb_faults::{FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
+use plan_bouquet::bouquet::{
+    Bouquet, BouquetConfig, ExecutionOutcome, ExecutionSubstrate, RobustConfig, RobustEvent,
+    RobustRun, SimulatorSubstrate,
+};
 use plan_bouquet::cost::{CostPerturbation, SelPoint};
 use plan_bouquet::workloads;
 
@@ -28,17 +32,27 @@ fn bouquet_ds() -> &'static Bouquet {
     })
 }
 
-/// With an empty fault plan, `run_robust` must be structurally identical to
-/// the plain driver it wraps — same trace, same outcome, same total — and
-/// must record nothing.
+/// One run at `qa` on the simulator armed with `faults`.
+fn run_armed(
+    b: &Bouquet,
+    qa: &SelPoint,
+    faults: &FaultPlan,
+    cfg: &RobustConfig,
+) -> Result<RobustRun, PbError> {
+    let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::new(faults))?;
+    b.run(&mut sub, cfg)
+}
+
+/// With an empty fault plan, the default recovery settings must run exactly
+/// what the plain ones do — same trace, same outcome, same total — and must
+/// record nothing.
 fn assert_inert_equivalence(b: &Bouquet, qa: &SelPoint) {
     for optimized in [false, true] {
         let cfg = RobustConfig {
-            faults: FaultPlan::none(),
             optimized,
             ..Default::default()
         };
-        let robust = b.run_robust(qa, &cfg).unwrap();
+        let robust = run_armed(b, qa, &FaultPlan::none(), &cfg).unwrap();
         let plain = if optimized {
             b.run_optimized(qa).unwrap()
         } else {
@@ -83,7 +97,7 @@ fn dimension_mismatch_is_a_typed_error() {
     }
     assert!(b.run_optimized(&qa).is_err());
     let cfg = RobustConfig::default();
-    assert!(b.run_robust(&qa, &cfg).is_err());
+    assert!(run_armed(b, &qa, &FaultPlan::none(), &cfg).is_err());
 }
 
 /// Under extreme model error (δ so large actual costs can exceed every
@@ -128,14 +142,11 @@ fn transient_fault_is_retried_and_charged() {
     let b = bouquet_h();
     let qa = b.workload.ess.point_at_fractions(&[0.7]);
     let plain = b.run_basic(&qa).unwrap();
-    let cfg = RobustConfig {
-        faults: FaultPlan::new(5).with(
-            FaultKind::OperatorFailure { waste_frac: 0.5 },
-            Trigger::Nth(1),
-        ),
-        ..Default::default()
-    };
-    let robust = b.run_robust(&qa, &cfg).unwrap();
+    let faults = FaultPlan::new(5).with(
+        FaultKind::OperatorFailure { waste_frac: 0.5 },
+        Trigger::Nth(1),
+    );
+    let robust = run_armed(b, &qa, &faults, &RobustConfig::default()).unwrap();
     assert!(robust.run.completed());
     assert!(!robust.degraded);
     assert!(robust
@@ -154,15 +165,15 @@ fn transient_fault_is_retried_and_charged() {
 fn persistent_skew_degrades_to_native_execution() {
     let b = bouquet_h();
     let qa = b.workload.ess.point_at_fractions(&[0.9]);
+    let faults = FaultPlan::new(1).with(
+        FaultKind::BudgetClockSkew { factor: 1e-6 },
+        Trigger::Every(1),
+    );
     let cfg = RobustConfig {
-        faults: FaultPlan::new(1).with(
-            FaultKind::BudgetClockSkew { factor: 1e-6 },
-            Trigger::Every(1),
-        ),
         max_violations: 3,
         ..Default::default()
     };
-    let robust = b.run_robust(&qa, &cfg).unwrap();
+    let robust = run_armed(b, &qa, &faults, &cfg).unwrap();
     assert!(robust.degraded);
     assert!(matches!(
         robust.run.outcome,
@@ -191,16 +202,16 @@ fn persistent_skew_degrades_to_native_execution() {
 fn unrecoverable_faults_end_in_budget_exhausted() {
     let b = bouquet_h();
     let qa = b.workload.ess.point_at_fractions(&[0.5]);
+    let faults = FaultPlan::new(2).with(
+        FaultKind::OperatorFailure { waste_frac: 0.5 },
+        Trigger::Every(1),
+    );
     let cfg = RobustConfig {
-        faults: FaultPlan::new(2).with(
-            FaultKind::OperatorFailure { waste_frac: 0.5 },
-            Trigger::Every(1),
-        ),
         plan_retries: 1,
         max_violations: 2,
         ..Default::default()
     };
-    let robust = b.run_robust(&qa, &cfg).unwrap();
+    let robust = run_armed(b, &qa, &faults, &cfg).unwrap();
     assert!(matches!(
         robust.run.outcome,
         ExecutionOutcome::BudgetExhausted { .. }
@@ -211,4 +222,95 @@ fn unrecoverable_faults_end_in_budget_exhausted() {
         .any(|e| matches!(e, RobustEvent::PlanAbandoned { .. })));
     let sum: f64 = robust.run.trace.iter().map(|e| e.spent).sum();
     assert!((sum - robust.run.total_cost).abs() <= 1e-9 * sum.abs().max(1.0));
+}
+
+/// The plain settings on an armed substrate — the paper's algorithms as
+/// drawn, meeting faults they have no answer to: a faulted execution is
+/// charged once, its plan is abandoned without a retry, and discovery never
+/// degrades, whether the faults let the run complete or not.
+#[test]
+fn plain_settings_never_retry_never_degrade_and_charge_each_fault_once() {
+    let b = bouquet_ds();
+    let qa = b.workload.ess.point_at_fractions(&[0.6, 0.7, 0.8]);
+    for trigger in [Trigger::Nth(1), Trigger::Every(2), Trigger::Every(1)] {
+        let faults =
+            FaultPlan::new(9).with(FaultKind::OperatorFailure { waste_frac: 0.5 }, trigger);
+        for optimized in [false, true] {
+            let tag = format!("{trigger:?} optimized={optimized}");
+            let rr = run_armed(b, &qa, &faults, &RobustConfig::plain(optimized)).unwrap();
+            let faulted: Vec<_> = rr.run.trace.iter().filter(|e| e.error.is_some()).collect();
+            assert!(!faulted.is_empty(), "{tag}: no fault landed");
+            // Never retried: a faulted (contour, plan) is never granted again.
+            for e in &faulted {
+                let grants = rr
+                    .run
+                    .trace
+                    .iter()
+                    .filter(|o| (o.contour, o.plan) == (e.contour, e.plan));
+                assert_eq!(
+                    grants.count(),
+                    1,
+                    "{tag}: IC{} P{} re-run",
+                    e.contour,
+                    e.plan
+                );
+                assert!(e.spent > 0.0 && e.spent < e.budget, "{tag}: {e:?}");
+            }
+            // Every fault is one abandonment, and nothing else was recorded.
+            assert_eq!(rr.events.len(), faulted.len(), "{tag}: {:?}", rr.events);
+            assert!(rr
+                .events
+                .iter()
+                .all(|e| matches!(e, RobustEvent::PlanAbandoned { .. })));
+            // Never degraded, however many plans were abandoned.
+            assert!(
+                !rr.degraded && rr.run.trace.iter().all(|e| e.contour > 0),
+                "{tag}"
+            );
+            match rr.run.outcome {
+                ExecutionOutcome::Completed { .. } => assert!(trigger != Trigger::Every(1)),
+                ExecutionOutcome::BudgetExhausted { .. } => assert!(faulted.len() > 3),
+                ref other => panic!("{tag}: {other:?}"),
+            }
+            // Charged once: the total is the trace, faulted spends included.
+            let sum: f64 = rr.run.trace.iter().map(|e| e.spent).sum();
+            assert!((sum - rr.run.total_cost).abs() <= 1e-9 * sum, "{tag}");
+        }
+    }
+}
+
+/// The four entry points `benchmark/` calls by name are `run` under a fixed
+/// configuration, so the `benchmark` PR that moves it to `run` changes no
+/// number.
+#[test]
+fn benchmark_entry_points_are_run_under_a_configuration() {
+    let w = workloads::by_name("2D_H_Q8A").unwrap();
+    let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+    let sub = |qa: &SelPoint| SimulatorSubstrate::new(&b, qa, FaultInjector::none()).unwrap();
+    for fr in [[0.05, 0.1], [0.5, 0.5], [0.3, 0.95], [1.0, 1.0]] {
+        let qa = w.ess.point_at_fractions(&fr);
+        let run = |cfg: &RobustConfig| {
+            let mut s = sub(&qa);
+            (b.run(&mut s, cfg).unwrap(), s.resume_stats())
+        };
+        let plain = RobustConfig::plain(false);
+        assert_eq!(b.run_basic_on(&mut sub(&qa)).unwrap(), run(&plain).0.run);
+        let opt = RobustConfig::plain(true);
+        assert_eq!(b.run_optimized_on(&mut sub(&qa)).unwrap(), run(&opt).0.run);
+        for optimized in [false, true] {
+            let cfg = RobustConfig {
+                optimized,
+                ..Default::default()
+            };
+            assert_eq!(b.run_robust_on(&mut sub(&qa), &cfg).unwrap(), run(&cfg).0);
+        }
+        let resumable = RobustConfig {
+            resume: true,
+            ..plain
+        };
+        let (rr, stats) = run(&resumable);
+        let shim = b.run_basic_resumable_on(&mut sub(&qa)).unwrap();
+        assert_eq!(shim, (rr.run, stats));
+        assert!(stats.reused_cost > 0.0 || shim.0.trace.len() == 1, "{fr:?}");
+    }
 }

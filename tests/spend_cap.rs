@@ -75,7 +75,7 @@ where
 {
     let mut free_sub = mk_sub();
     let free = b
-        .run_robust_on(&mut free_sub, cfg)
+        .run(&mut free_sub, cfg)
         .unwrap_or_else(|e| panic!("{label}: uncapped run failed: {e:?}"));
     let total = free.run.total_cost;
     let cuts: Vec<f64> = boundaries(&free.run)
@@ -94,7 +94,7 @@ where
     };
     let mut sub = mk_sub();
     let capped = b
-        .run_robust_on(&mut sub, &cfg_cap)
+        .run(&mut sub, &cfg_cap)
         .unwrap_or_else(|e| panic!("{label}: capped run failed: {e:?}"));
     let run = &capped.run;
 
@@ -159,15 +159,18 @@ fn flaky(seed: u64) -> FaultPlan {
     )
 }
 
-fn sim_cfgs(seed: u64) -> Vec<(&'static str, RobustConfig)> {
+/// Both policies, on an unarmed and on a flaky substrate.
+fn sim_cfgs(seed: u64) -> Vec<(&'static str, RobustConfig, FaultPlan)> {
     let mut cfgs = Vec::new();
     for optimized in [false, true] {
+        let cfg = RobustConfig {
+            optimized,
+            ..Default::default()
+        };
         cfgs.push((
             if optimized { "sim/opt" } else { "sim/basic" },
-            RobustConfig {
-                optimized,
-                ..Default::default()
-            },
+            cfg.clone(),
+            FaultPlan::none(),
         ));
         cfgs.push((
             if optimized {
@@ -175,11 +178,8 @@ fn sim_cfgs(seed: u64) -> Vec<(&'static str, RobustConfig)> {
             } else {
                 "sim/basic+faults"
             },
-            RobustConfig {
-                optimized,
-                faults: flaky(seed),
-                ..Default::default()
-            },
+            cfg,
+            flaky(seed),
         ));
     }
     cfgs
@@ -198,11 +198,11 @@ proptest! {
     ) {
         let b = bouquet_2d();
         let qa = b.workload.ess.point_at_fractions(&f);
-        for (label, cfg) in sim_cfgs(seed) {
+        for (label, cfg, faults) in sim_cfgs(seed) {
             check_cap_at_boundary(
                 label,
                 b,
-                || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap(),
+                || SimulatorSubstrate::new(b, &qa, FaultInjector::new(&faults)).unwrap(),
                 &cfg,
                 pick,
             );
@@ -240,22 +240,17 @@ proptest! {
 fn every_boundary_of_a_faulted_run_holds() {
     let b = bouquet_2d();
     let qa = b.workload.ess.point_at_fractions(&[0.7, 0.55]);
-    let cfg = RobustConfig {
-        faults: flaky(7),
-        ..Default::default()
-    };
-    let mut free_sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-    let free = b.run_robust_on(&mut free_sub, &cfg).unwrap();
+    let cfg = RobustConfig::default();
+    let mk_sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::new(&flaky(7))).unwrap();
+    let free = b.run(&mut mk_sub(), &cfg).unwrap();
+    assert!(
+        free.run.trace.iter().any(|e| e.error.is_some()),
+        "fixture run met no fault"
+    );
     let n = free.run.trace.len();
     assert!(n > 2, "fixture run too short to cut ({n} executions)");
     for i in 0..n {
         let pick = (i as f64 + 0.5) / n as f64;
-        check_cap_at_boundary(
-            "sim/every-boundary",
-            b,
-            || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap(),
-            &cfg,
-            pick,
-        );
+        check_cap_at_boundary("sim/every-boundary", b, mk_sub, &cfg, pick);
     }
 }

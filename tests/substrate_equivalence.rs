@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
-    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, SimulatorSubstrate,
+    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate, RobustConfig,
+    SimulatorSubstrate,
 };
 use plan_bouquet::engine::Database;
 use plan_bouquet::faults::FaultInjector;
@@ -65,6 +66,11 @@ fn probe_fractions(d: usize) -> Vec<Vec<f64>> {
     out
 }
 
+/// One run on `sub` under the plain settings.
+fn plain_run<S: ExecutionSubstrate>(b: &Bouquet, sub: &mut S, optimized: bool) -> BouquetRun {
+    b.run(sub, &RobustConfig::plain(optimized)).unwrap().run
+}
+
 /// Every (workload, driver, location) run, keyed and serialized for exact
 /// byte comparison. The golden file holds one `key\tjson` line per run.
 fn current_runs() -> BTreeMap<String, String> {
@@ -75,11 +81,8 @@ fn current_runs() -> BTreeMap<String, String> {
             let qa = b.workload.ess.point_at_fractions(&fracs);
             for optimized in [false, true] {
                 let driver = if optimized { "opt" } else { "basic" };
-                let run = if optimized {
-                    b.run_optimized(&qa).unwrap()
-                } else {
-                    b.run_basic(&qa).unwrap()
-                };
+                let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+                let run = plain_run(b, &mut sub, optimized);
                 map.insert(
                     format!("{}/{driver}/{fracs:?}", b.workload.name),
                     serde_json::to_string(&run).unwrap(),
@@ -122,24 +125,16 @@ fn simulator_drivers_match_pre_refactor_goldens() {
     }
 }
 
-/// At a random location, the public entry points (`run_basic` /
+/// At a random location, the paper-named conveniences (`run_basic` /
 /// `run_optimized`) and an explicitly-constructed simulator substrate fed
-/// through the generic drivers (`run_basic_on` / `run_optimized_on`) must be
-/// bit-identical — the convenience wrappers add nothing to the control flow.
+/// through `Bouquet::run` under the plain settings must be bit-identical —
+/// the conveniences add nothing to the control flow.
 fn assert_generic_equals_entry_point(b: &Bouquet, fracs: &[f64]) {
     let qa = b.workload.ess.point_at_fractions(fracs);
-    for optimized in [false, true] {
-        let entry = if optimized {
-            b.run_optimized(&qa).unwrap()
-        } else {
-            b.run_basic(&qa).unwrap()
-        };
+    for (optimized, entry) in [(false, b.run_basic(&qa)), (true, b.run_optimized(&qa))] {
+        let entry = entry.unwrap();
         let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-        let generic = if optimized {
-            b.run_optimized_on(&mut sub).unwrap()
-        } else {
-            b.run_basic_on(&mut sub).unwrap()
-        };
+        let generic = plain_run(b, &mut sub, optimized);
         assert_eq!(
             serde_json::to_string(&entry).unwrap(),
             serde_json::to_string(&generic).unwrap(),
@@ -185,11 +180,7 @@ fn engine_substrate_runs_are_deterministic_across_repeats() {
     for optimized in [false, true] {
         let run_once = || {
             let mut sub = EngineSubstrate::new(b, &db, FaultInjector::none());
-            let run = if optimized {
-                b.run_optimized_on(&mut sub).unwrap()
-            } else {
-                b.run_basic_on(&mut sub).unwrap()
-            };
+            let run = plain_run(b, &mut sub, optimized);
             (serde_json::to_string(&run).unwrap(), sub.result_rows())
         };
         let first = run_once();

@@ -14,7 +14,8 @@
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
-    measure_qa, Bouquet, BouquetConfig, EngineSubstrate, ExecutionSubstrate, Workload,
+    measure_qa, Bouquet, BouquetConfig, EngineSubstrate, ExecutionSubstrate, RobustConfig,
+    SimulatorSubstrate, Workload,
 };
 use plan_bouquet::cost::{Ess, EssDim};
 use plan_bouquet::engine::Database;
@@ -101,7 +102,8 @@ proptest! {
             let qa = typed.workload.ess.point_at_fractions(&fracs[..d]);
             for optimized in [false, true] {
                 let run = |b: &Bouquet| {
-                    if optimized { b.run_optimized(&qa) } else { b.run_basic(&qa) }
+                    let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())?;
+                    b.run(&mut sub, &RobustConfig::plain(optimized)).map(|r| r.run)
                 };
                 let t = run(typed).unwrap();
                 let l = run(legacy).unwrap();
@@ -151,7 +153,7 @@ proptest! {
 
             // Ladder agreement.
             let mut sub = EngineSubstrate::new(b, &db, FaultInjector::none());
-            let engine_run = b.run_basic_on(&mut sub).unwrap();
+            let engine_run = b.run(&mut sub, &RobustConfig::plain(false)).unwrap().run;
             let sim_run = b.run_basic(&qa).unwrap();
             let seq = |r: &plan_bouquet::bouquet::BouquetRun| -> Vec<(usize, usize, f64)> {
                 r.trace.iter().map(|e| (e.contour, e.plan, e.budget)).collect()
