@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use pb_optimizer::Optimizer;
+use pb_optimizer::{Sweep, SweepCursor};
 
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
@@ -42,28 +42,31 @@ impl BandResult {
 /// Explore only the contour bands of `w`'s ESS with isocost ratio `r`.
 pub fn explore(w: &Workload, r: f64) -> BandResult {
     let ess = &w.ess;
-    let opt = w.optimizer();
+    // The band steps through the sweep the exhaustive diagram is built
+    // over, so the two differ in which points they visit and nothing else.
+    let sweep = Sweep::new(&w.catalog, &w.query, &w.model, ess);
+    let mut opt = sweep.cursor();
     let mut cache: HashMap<usize, f64> = HashMap::new();
     let mut calls = 0usize;
 
-    let mut cost_at = |ix: &[usize], opt: &Optimizer, calls: &mut usize| -> f64 {
+    let mut cost_at = |ix: &[usize], opt: &mut SweepCursor<'_>, calls: &mut usize| -> f64 {
         let li = ess.linear(ix);
         *cache.entry(li).or_insert_with(|| {
             *calls += 1;
-            opt.optimize(&ess.point(ix)).cost
+            opt.step(ix).1
         })
     };
 
     let origin = ess.origin();
     let terminus = ess.terminus();
-    let cmin = cost_at(&origin, &opt, &mut calls);
-    let cmax = cost_at(&terminus, &opt, &mut calls);
+    let cmin = cost_at(&origin, &mut opt, &mut calls);
+    let cmax = cost_at(&terminus, &mut opt, &mut calls);
     let grading = IsoCostGrading::geometric(cmin, cmax, r);
 
     // Recursive hypercube subdivision over index boxes [lo, hi] (inclusive).
     let mut stack: Vec<(Vec<usize>, Vec<usize>)> = vec![(origin, terminus)];
     while let Some((lo, hi)) = stack.pop() {
-        let clo = cost_at(&lo, &opt, &mut calls);
+        let clo = cost_at(&lo, &mut opt, &mut calls);
         // A frontier point q of step s satisfies cost(q) ≤ s while its
         // up-neighbours exceed s; the box holding q can therefore sit
         // strictly *below* s. Testing against the cost one grid step beyond
@@ -73,7 +76,7 @@ pub fn explore(w: &Workload, r: f64) -> BandResult {
             .enumerate()
             .map(|(d, &v)| (v + 1).min(ess.res[d] - 1))
             .collect();
-        let chi = cost_at(&hi_plus, &opt, &mut calls);
+        let chi = cost_at(&hi_plus, &mut opt, &mut calls);
         let crossed = grading
             .steps
             .iter()
@@ -85,7 +88,7 @@ pub fn explore(w: &Workload, r: f64) -> BandResult {
         if hi[widest] - lo[widest] <= 1 {
             // Small enough: optimize every point inside the box.
             enumerate_box(&lo, &hi, &mut |ix| {
-                cost_at(ix, &opt, &mut calls);
+                cost_at(ix, &mut opt, &mut calls);
             });
             continue;
         }

@@ -223,6 +223,27 @@ impl Ess {
         }
     }
 
+    /// Move `ix` to the next grid point in row-major order (the last axis
+    /// moves fastest); the terminus wraps to the origin.
+    pub fn advance(&self, ix: &mut [usize]) {
+        for (i, &res) in ix.iter_mut().zip(&self.res).rev() {
+            *i += 1;
+            if *i < res {
+                return;
+            }
+            *i = 0;
+        }
+    }
+
+    /// Per axis, [`sel_at`](Ess::sel_at) of each of its steps: every
+    /// coordinate a grid point can have, `Σ res` values instead of the
+    /// `num_points() × d()` of [`points_flat`](Ess::points_flat).
+    pub fn axes(&self) -> Vec<Vec<f64>> {
+        (0..self.d())
+            .map(|dim| (0..self.res[dim]).map(|i| self.sel_at(dim, i)).collect())
+            .collect()
+    }
+
     /// All grid points flattened row-major into one buffer of
     /// `num_points() × d()` selectivities. Cell values are exactly those of
     /// `point(&unlinear(li))` — same `sel_at` calls — so costing against
@@ -230,14 +251,12 @@ impl Ess {
     pub fn points_flat(&self) -> Vec<f64> {
         let d = self.d();
         // One `sel_at` per step of each axis, not per point.
-        let axes: Vec<Vec<f64>> = (0..d)
-            .map(|dim| (0..self.res[dim]).map(|i| self.sel_at(dim, i)).collect())
-            .collect();
+        let axes = self.axes();
         let mut out = Vec::with_capacity(self.num_points() * d);
         let mut ix = vec![0; d];
-        for li in 0..self.num_points() {
-            self.unlinear_into(li, &mut ix);
+        for _ in 0..self.num_points() {
             out.extend(axes.iter().zip(&ix).map(|(axis, &i)| axis[i]));
+            self.advance(&mut ix);
         }
         out
     }
@@ -327,6 +346,25 @@ mod tests {
         for li in 0..e.num_points() {
             let ix = e.unlinear(li);
             assert_eq!(e.linear(&ix), li);
+        }
+    }
+
+    #[test]
+    fn advance_walks_the_grid_in_linear_order() {
+        let e = Ess::new(ess2().dims, vec![3, 1]);
+        let e3 = Ess::new(
+            [e.dims.clone(), vec![EssDim::new("z", 1e-3, 1.0)]].concat(),
+            vec![3, 1, 4],
+        );
+        for e in [ess2(), e, e3] {
+            let mut ix = e.origin();
+            for li in 0..e.num_points() {
+                assert_eq!(ix, e.unlinear(li));
+                let at = li * e.d();
+                assert_eq!(e.point(&ix).0, e.points_flat()[at..at + e.d()]);
+                e.advance(&mut ix);
+            }
+            assert_eq!(ix, e.origin(), "the terminus wraps");
         }
     }
 

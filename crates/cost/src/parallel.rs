@@ -109,21 +109,37 @@ impl Parallelism {
 }
 
 /// Grid sizes below this run serially even when workers are available. A
-/// grid point is one DP step of a sweep, 0.2–0.6 µs on the 2–3-relation
-/// queries and 2.5–4 µs at 5–6 relations. Measured with the gate off on
-/// 2 vCPUs, best of 25, two workers against one, two runs: on the
-/// 2-relation 2D grid 1.07× / 0.68× at 256 points, 1.54× / 0.87× at 1024,
-/// 1.23× / 1.16× at 2304, 1.60× / 1.50× at 4096, 1.42× / 1.74× at 8100; on
-/// `2D_H_Q8A` 1.03× / 0.96× at 256, 1.41× / 1.17× at 1024, 1.58× / 1.25× at
-/// 2304, 1.75× / 1.40× at 4096; on `3D_H_Q5` 1.52× / 1.81× at 512, 1.70× /
-/// 1.39× at 1728, 1.82× / 1.81× at 4096; on `4D_DS_Q7` 1.50× / 1.32× at
-/// 1296, 1.78× / 1.50× at 4096; on `5D_H_Q7` 1.65× / 1.27× at 1024, 1.80× /
-/// 1.80× at 3125. Two workers win on every query in both runs from 2304
-/// points up; at 1024 the cheapest query flips. (In a third run the host's
-/// second vCPU was away for the 2D sizes: 0.86–1.00× from 1024 to 16384
-/// points, which is what fanning out costs when there is nobody to fan out
-/// to.) The crossover sat at 4096 while every step handed the merge an
-/// 80-byte record; a step now hands it a plan number and a cost.
+/// grid point is one DP step of a sweep over rows filled beforehand (the
+/// rows' share included): 0.15–0.35 µs on the 2–3-relation queries, 0.9–1.4
+/// µs on `4D_DS_Q7`, 1.2–1.7 µs on `5D_H_Q7`, 1.5–2.3 µs on `3D_H_Q5`, whose
+/// three top slots depend on every dimension (2.5–4 µs at 5–6 relations
+/// before the rows). Measured with the gate off on 2 vCPUs, best of 25, two
+/// workers against one, three runs: on the 2-relation 2D grid 0.57× / 0.52×
+/// / 0.49× at 256 points, 0.96× / 1.02× / 1.15× at 1024, 1.77× / 1.53× /
+/// 1.25× at 2304, 1.93× / 1.25× / 1.32× at 4096, 2.02× / 1.71× / 1.67× at
+/// 8100; on `2D_H_Q8A` 0.77× / 0.65× / 0.69× at 256, 1.32× / 1.23× / 0.99×
+/// at 1024, 1.67× / 1.31× / 1.77× at 2304, 1.43× / 1.52× / 1.33× at 4096; on
+/// `3D_H_Q5` 1.62× / 1.22× / 1.87× at 512, 1.21× / 1.85× / 1.17× at 1728,
+/// 1.68× / 1.59× / 1.99× at 4096; on `4D_DS_Q7` 1.17× / 1.32× / 1.46× at
+/// 1296, 1.38× / 1.24× / 1.32× at 4096; on `5D_H_Q7` 1.55× / 1.27× / 1.28×
+/// at 1024, 1.73× / 1.51× / 1.47× at 3125. (The host's one-worker time for
+/// one binary moves by a third between runs; a reading near 2× is that.)
+/// Two workers win on every query in all three runs from 2304 points up;
+/// at 1024 the two cheapest queries flip. A step is a half to a third of
+/// what it was and the crossover did not move: below it the fan-out's fixed
+/// cost — ~35 µs to start two workers and join them — is the loss, not the
+/// step.
+///
+/// The sweep's rows are filled by the caller before the fan-out, 5–17 % of
+/// a serial build (0.65 of 12.6 ms on `3D_H_Q5`, 2.4 of 14 on `4D_DS_Q7`,
+/// 3.1 of 20 on `5D_H_Q7`). Sharing out one slot's rows lost to one worker
+/// at every gate (2.09 → 2.27, 2.59 → 2.71, 5.44 → 5.72 ms at 4096 calls a
+/// slot); sharing out a level of independent slots, a slot a worker, read
+/// 2.05–2.50 → 1.38–1.69, 2.78–3.19 → 1.59–1.79 and 5.00–6.37 → 3.38–3.51
+/// ms over four rounds but took `compile` `peak_rss_mb` 29.5 → 31.6 and
+/// `exec_grid` 21.6 → 22.7 in ten of ten pairs with no reading of
+/// `op_sum_ms` to show for it (CHANGES.md, PR 24): not done.
+///
 pub const PARALLEL_MIN_GRID: usize = 2048;
 
 /// Engine phases over fewer rows than this run serially even when workers

@@ -7,7 +7,7 @@
 //! bouquet discretizes (paper, Sections 1 and 4.2).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pb_catalog::Catalog;
 use pb_cost::{
@@ -16,7 +16,7 @@ use pb_cost::{
 };
 use pb_plan::{PhysicalPlan, PlanFingerprint, QuerySpec};
 
-use crate::dp::{Optimizer, Skeleton};
+use crate::dp::Sweep;
 
 /// Evaluate a compiled plan set at every grid point of `ess`, producing a
 /// `plans × points` [`CostMatrix`]. One program evaluation costs every plan
@@ -89,14 +89,14 @@ impl PlanDiagram {
         Self::build_with(catalog, query, model, ess, Parallelism::auto())
     }
 
-    /// Build with an explicit worker policy: one DP call per grid point.
-    /// Output is identical for every worker count: each chunk's result is a
-    /// pure function of its point range, chunks are merged back in grid
-    /// order, and plans are numbered by first appearance in that order —
-    /// exactly the sequential numbering. A chunk walks its points in grid
-    /// order through one optimizer, so most steps move one coordinate and
-    /// refill only the memo slots it reaches, and a step that finds the
-    /// previous step's winner again builds no tree.
+    /// Build with an explicit worker policy: one DP step per grid point
+    /// over one [`Sweep`], whose rows every worker reads. Output is
+    /// identical for every worker count: each chunk's result is a pure
+    /// function of its point range, chunks are merged back in grid order,
+    /// and plans are numbered by first appearance in that order — exactly
+    /// the sequential numbering. A chunk walks its points in grid order
+    /// through one cursor, so a step that finds the previous step's winner
+    /// again builds no tree.
     pub fn build_with(
         catalog: &Catalog,
         query: &QuerySpec,
@@ -104,28 +104,34 @@ impl PlanDiagram {
         ess: &Ess,
         par: Parallelism,
     ) -> Self {
+        Self::over(&Sweep::new(catalog, query, model, ess), par)
+    }
+
+    /// The diagram over `sweep`'s grid.
+    pub(crate) fn over(sweep: &Sweep<'_>, par: Parallelism) -> Self {
+        let ess = sweep.ess();
         let n = ess.num_points();
         // Small grids run serially: thread hand-off costs more than it saves.
         let par = par.for_grid(n);
-        let skeleton = Arc::new(Skeleton::build(catalog, query));
-        let (points, d) = (ess.points_flat(), ess.d());
         // Per chunk: its distinct plans by first appearance, and every
         // point's winner as an index into them and its cost.
         let chunks = run_chunked(par, n, |_, range| {
-            let opt = Optimizer::with_skeleton(catalog, query, model, Arc::clone(&skeleton));
+            let mut cursor = sweep.cursor();
             let mut plans: Vec<PhysicalPlan> = Vec::new();
             let mut ids: HashMap<PlanFingerprint, u32> = HashMap::new();
             let mut winners = Vec::with_capacity(range.len());
             let mut costs = Vec::with_capacity(range.len());
             // The previous step's winner; the first step always sets it.
             let mut winner = 0;
-            for li in range {
-                let (plan, cost) = opt.optimize_step(&points[li * d..(li + 1) * d]);
+            let mut ix = ess.unlinear(range.start);
+            for _ in range {
+                let (plan, cost) = cursor.step(&ix);
                 if let Some(plan) = plan {
                     winner = intern(&mut plans, &mut ids, plan);
                 }
                 winners.push(winner);
                 costs.push(cost);
+                ess.advance(&mut ix);
             }
             (plans, winners, costs)
         });

@@ -18,19 +18,25 @@
 //! into its slot's per-order winners as it is costed; the only memory it
 //! allocates is the winning plan tree.
 //!
-//! A grid sweep moves one coordinate on most of its steps, so a call also
-//! remembers the previous one: a slot none of whose dimensions moved stays
-//! as that call filled it (see [`Scratch`]), and the winner's derivation is
-//! compared with the previous winner's so that a sweep builds a tree only
-//! when the winner changed.
+//! A grid sweep asks for more than thousands of independent calls would
+//! give it. A memo slot is a pure function of the selectivities inside its
+//! subset, so over a grid it takes one value per point of the grid's
+//! projection onto *the slot's own* dimensions — not one per grid point. A
+//! [`Sweep`] fills every slot that does not depend on all of the grid's
+//! dimensions once per point of that sub-grid, before the grid is walked
+//! (see [`Rows`]); a step of the walk then fills only the few slots that do
+//! depend on every dimension, reads the others out of their rows, and
+//! compares the winner's derivation with the previous step's so that a tree
+//! is built only when the winner changed. [`Optimizer::optimize`], which
+//! answers at one arbitrary location, is the same code with no rows: every
+//! slot is filled by the call.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use pb_catalog::{Catalog, ColumnId};
-use pb_cost::{formulas, CostModel, CostParams, NodeCost};
+use pb_cost::{formulas, CostModel, CostParams, Ess, NodeCost};
 use pb_plan::{DimId, JoinGraph, PhysicalPlan, PlanNode, QuerySpec, RelIdx, SelSpec};
 
 /// Result of one optimization call: the optimal plan plus its estimates.
@@ -101,12 +107,6 @@ impl ColClasses {
 
     fn class_of(&self, rel: RelIdx, col: ColumnId) -> Option<usize> {
         self.map.get(&(rel, col)).copied()
-    }
-
-    /// Number of distinct classes, i.e. of sort orders a plan can deliver.
-    fn count(&self) -> usize {
-        let distinct: HashSet<usize> = self.map.values().copied().collect();
-        distinct.len()
     }
 }
 
@@ -236,14 +236,13 @@ pub(crate) struct Skeleton {
     subsets: Vec<Subset>,
     parts: Vec<Partition>,
     edge_sets: Vec<EdgeSet>,
-    /// Per memo slot, the ESS dimensions its entries can depend on (bit
-    /// [`dim_bit`]): a relation's are its selections' error dimensions, a
+    /// Per memo slot, the ESS dimensions its entries can depend on,
+    /// ascending: a relation's are its selections' error dimensions, a
     /// subset's are its halves' plus its crossing edges' over every
     /// partition — every selectivity a fill of the slot, or of a slot
-    /// below it, reads.
-    slot_dims: Vec<u64>,
-    /// Number of sort orders (join-column classes) plans can deliver.
-    order_classes: usize,
+    /// below it, reads. The list is exact at any dimension number, since it
+    /// keys the slot's [`Rows`].
+    slot_dims: Vec<Vec<DimId>>,
     /// Slot of the whole inner-join core.
     root_slot: u32,
     /// (edge index, hanger relation, is-semi) for anti/semi edges,
@@ -253,17 +252,15 @@ pub(crate) struct Skeleton {
     aggregate: Option<(f64, f64)>,
 }
 
-/// The bit of ESS dimension `d` in a dimension set. Dimensions from 63 up
-/// share the last bit, which only ever makes a slot look dirtier.
-fn dim_bit(d: DimId) -> u64 {
-    1 << d.min(63)
+fn dims_of<'s>(specs: impl IntoIterator<Item = &'s SelSpec>) -> impl Iterator<Item = DimId> {
+    specs.into_iter().filter_map(SelSpec::error_dim)
 }
 
-fn dims_of<'s>(specs: impl IntoIterator<Item = &'s SelSpec>) -> u64 {
-    specs
-        .into_iter()
-        .filter_map(SelSpec::error_dim)
-        .fold(0, |set, d| set | dim_bit(d))
+/// `items` as a set: ascending, each once.
+fn set_of<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+    items.sort_unstable();
+    items.dedup();
+    items
 }
 
 impl Skeleton {
@@ -314,10 +311,10 @@ impl Skeleton {
         let classes = ColClasses::build(query);
         let table = |rel: RelIdx| catalog.table_by_id(query.relations[rel].table);
 
-        let mut slot_dims: Vec<u64> = query
+        let mut slot_dims: Vec<Vec<DimId>> = query
             .relations
             .iter()
-            .map(|r| dims_of(r.selections.iter().map(|s| &s.selectivity)))
+            .map(|r| set_of(dims_of(r.selections.iter().map(|s| &s.selectivity)).collect()))
             .collect();
         let mut pred_at = 0;
         let rels = (0..n)
@@ -372,7 +369,7 @@ impl Skeleton {
                 continue;
             }
             let first_part = parts.len();
-            let mut dims = 0;
+            let mut dims = Vec::new();
             // Enumerate unordered partitions {s1, s2}; orientation is
             // handled per operator during the walk.
             let mut s1 = (mask - 1) & mask;
@@ -396,9 +393,9 @@ impl Skeleton {
                     };
                     let inl = [inl(s2), inl(s1)];
                     let (slot1, slot2) = (slot_of[&s1], slot_of[&s2]);
-                    dims |= slot_dims[slot1 as usize]
-                        | slot_dims[slot2 as usize]
-                        | dims_of(edges.iter().map(|&e| &query.joins[e].selectivity));
+                    dims.extend_from_slice(&slot_dims[slot1 as usize]);
+                    dims.extend_from_slice(&slot_dims[slot2 as usize]);
+                    dims.extend(dims_of(edges.iter().map(|&e| &query.joins[e].selectivity)));
                     let id = *set_ids.entry(edges).or_insert_with_key(|edges| {
                         edge_sets.push(EdgeSet {
                             edges: edges.clone(),
@@ -419,7 +416,7 @@ impl Skeleton {
                 s1 = (s1 - 1) & mask;
             }
             slot_of.insert(mask, (n + subsets.len()) as u32);
-            slot_dims.push(dims);
+            slot_dims.push(set_of(dims));
             subsets.push(Subset {
                 #[cfg(test)]
                 mask,
@@ -441,10 +438,21 @@ impl Skeleton {
             parts,
             edge_sets,
             slot_dims,
-            order_classes: classes.count(),
             root_slot: slot_of[&core_mask],
             hangers,
             aggregate,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Skeleton {
+    /// Candidate-generation calls one fill of `slot` makes: one per access
+    /// path of a relation, two per partition of a subset.
+    fn slot_calls(&self, slot: usize) -> usize {
+        match slot.checked_sub(self.rels.len()) {
+            None => self.rels[slot].paths.len(),
+            Some(sub) => 2 * self.subsets[sub].parts.len(),
         }
     }
 }
@@ -494,102 +502,389 @@ impl Winners {
     }
 }
 
-/// The memo: per slot, at most one entry per delivered order, cheapest
-/// first (ties in generation order), so a slot's `[0]` is its cheapest
-/// entry. Every slot owns a fixed `stride` of entries — room for the
-/// unordered entry and one per order class of the query — so filling a slot
-/// never moves another and a slot that is not refilled simply stays.
-#[derive(Debug)]
-struct Memo {
-    entries: Vec<DpEntry>,
-    lens: Vec<u32>,
-    stride: usize,
+/// Where a slot's entries sit in an entry arena: `len` entries from `off`,
+/// at most one per delivered order, cheapest first (ties in generation
+/// order), so the first is the slot's cheapest.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    off: u32,
+    len: u32,
 }
 
-impl Memo {
-    fn new(slots: usize, stride: usize) -> Self {
-        let unset = DpEntry {
-            order: None,
-            op: EntryOp::SeqScan(0),
-            est: NodeCost {
-                rows: 0.0,
-                cost: 0.0,
-                width: 0.0,
-            },
-        };
-        Memo {
-            entries: vec![unset; slots * stride],
-            lens: vec![0; slots],
-            stride,
+/// Append the entries of the slot whose candidates `winners` holds to
+/// `arena`: of the per-order winners, cheapest first, the unordered one and
+/// every ordered one that re-sorting a cheaper unordered one does not beat.
+fn close_slot(p: &CostParams, winners: &mut Winners, arena: &mut Vec<DpEntry>) -> Span {
+    winners
+        .best
+        .sort_unstable_by(|(a, sa), (b, sb)| a.est.cost.total_cmp(&b.est.cost).then(sa.cmp(sb)));
+    let off = arena.len();
+    let mut resorted = None;
+    for (e, _) in &winners.best {
+        match e.order {
+            None => resorted = Some(e.est.cost + formulas::sort_cost(p, &e.est)),
+            // An unordered cheaper plan only dominates if adding an explicit
+            // sort still beats `e`.
+            Some(_) if resorted.is_some_and(|sorted| sorted <= e.est.cost) => continue,
+            Some(_) => {}
         }
+        arena.push(*e);
+    }
+    Span {
+        off: u32::try_from(off).expect("a memo holds fewer than 2^32 entries"),
+        len: (arena.len() - off) as u32,
+    }
+}
+
+/// The rows of one slot, row-major over the slot's own dimensions.
+#[derive(Debug)]
+struct SlotRows {
+    /// `(dimension, row multiplier)` per dimension of the slot: the row at
+    /// grid coordinates `ix` is number `Σ ix[d] · mul`.
+    muls: Vec<(DimId, usize)>,
+    /// Row `r` is `entries[offs[r]..offs[r + 1]]`.
+    offs: Vec<u32>,
+    entries: Vec<DpEntry>,
+}
+
+/// What a [`Sweep`] works out before it walks the grid: for every slot that
+/// does not depend on all of the grid's dimensions, one row — the slot's
+/// entries — per point of the grid's projection onto the slot's dimensions
+/// ([`Skeleton::slot_dims`]).
+///
+/// Rows are filled slot by slot in the DP's fill order, each slot over its
+/// whole sub-grid. A slot reads the slots of its sub-subsets, whose
+/// dimension sets its own contains: they are complete by then, and the row
+/// of theirs that a row of this slot reads is the one at the projection of
+/// its own coordinates. By induction a row holds exactly what a fresh
+/// optimizer call anywhere above that sub-grid point would write into the
+/// slot, so entries may name their inputs by `(slot, idx)` as they always
+/// did: at a grid point, every slot is read at that point's projection.
+///
+/// Rows are built by [`Sweep::new`], before anything reads them, and are
+/// never written again: there is no "filled" mark to get wrong, a build
+/// that unwinds leaves no `Rows` behind, and the workers of a grid pass
+/// share one copy read-only. A slot's entries sit back to back — a row
+/// takes what the slot kept there, not one entry per order class of the
+/// query — in an allocation of exactly their size.
+///
+/// A plain [`Optimizer`] has the instance without rows: every slot is
+/// filled per call.
+#[derive(Debug, Default)]
+struct Rows {
+    /// Per slot; `None` for the slots filled per step.
+    slots: Vec<Option<SlotRows>>,
+    /// The slots without rows, in fill order.
+    per_step: Vec<u32>,
+    /// Candidate-generation calls (one per access path, two per partition)
+    /// made on behalf of these rows or of steps over them.
+    #[cfg(test)]
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl Rows {
+    /// No rows: all of `slots` slots are filled per call.
+    fn none(slots: usize) -> Self {
+        let mut rows = Rows::default();
+        rows.slots.resize_with(slots, || None);
+        rows.per_step.extend(0..slots as u32);
+        rows
     }
 
-    fn slot(&self, slot: u32) -> &[DpEntry] {
-        let at = slot as usize * self.stride;
-        &self.entries[at..at + self.lens[slot as usize] as usize]
+    /// Rows for every slot of `dp`'s query that depends on fewer dimensions
+    /// than the grid with selectivity tables `axes` has.
+    fn build(dp: &Dp<'_>, axes: &[Vec<f64>]) -> Self {
+        let sk = dp.sk;
+        let mut rows = Rows::default();
+        let mut scratch = Scratch::new(sk);
+        // A slot's rows are filled into buffers every slot reuses, then
+        // kept in allocations of exactly their size.
+        let (mut entries, mut offs) = (Vec::new(), Vec::new());
+        // The coordinates outside a slot's dimensions stay at step 0, where
+        // nothing in the slot looks.
+        let mut q: Vec<f64> = axes.iter().map(|axis| axis[0]).collect();
+        let mut ix = vec![0; axes.len()];
+        for (slot, dims) in sk.slot_dims.iter().enumerate() {
+            if dims.len() == axes.len() {
+                rows.slots.push(None);
+                rows.per_step.push(slot as u32);
+                continue;
+            }
+            let mut muls = Vec::with_capacity(dims.len());
+            let mut n = 1;
+            for &d in dims.iter().rev() {
+                muls.push((d, n));
+                n *= axes[d].len();
+            }
+            muls.reverse();
+
+            entries.clear();
+            offs.clear();
+            offs.push(0);
+            // Row-major over the slot's dimensions, from the origin back to
+            // the origin.
+            for _ in 0..n {
+                for &d in dims {
+                    q[d] = axes[d][ix[d]];
+                }
+                scratch.sels.resolve(dp.query, sk, &q);
+                let memo = View {
+                    rows: &rows,
+                    ix: &ix,
+                    local: &scratch.local,
+                };
+                candidates(dp, &scratch.sels, memo, slot, &mut scratch.winners);
+                close_slot(dp.p, &mut scratch.winners, &mut entries);
+                offs.push(u32::try_from(entries.len()).expect("a slot's rows hold 2^32 entries"));
+                for &d in dims.iter().rev() {
+                    ix[d] += 1;
+                    if ix[d] < axes[d].len() {
+                        break;
+                    }
+                    ix[d] = 0;
+                }
+            }
+            rows.slots.push(Some(SlotRows {
+                muls,
+                offs: offs.clone(),
+                entries: entries.clone(),
+            }));
+        }
+        rows
     }
 
-    fn entry(&self, r: EntryRef) -> &DpEntry {
+    /// The row of `slot` at grid coordinates `ix`, if the slot has rows.
+    fn row(&self, slot: u32, ix: &[usize]) -> Option<&[DpEntry]> {
+        let SlotRows {
+            muls,
+            offs,
+            entries,
+        } = self.slots[slot as usize].as_ref()?;
+        let row: usize = muls.iter().map(|&(d, mul)| ix[d] * mul).sum();
+        Some(&entries[offs[row] as usize..offs[row + 1] as usize])
+    }
+}
+
+/// The slots one call fills for itself: an entry arena and, per slot filled,
+/// where in it. Overwritten by every call.
+#[derive(Debug)]
+struct Local {
+    entries: Vec<DpEntry>,
+    spans: Vec<Span>,
+}
+
+/// The memo at one location: every slot, out of its row there if it has
+/// rows and out of what the call filled if not.
+#[derive(Clone, Copy)]
+struct View<'m> {
+    rows: &'m Rows,
+    /// Grid coordinates of the location; read only if there are rows.
+    ix: &'m [usize],
+    local: &'m Local,
+}
+
+impl<'m> View<'m> {
+    fn slot(&self, slot: u32) -> &'m [DpEntry] {
+        self.rows.row(slot, self.ix).unwrap_or_else(|| {
+            let Span { off, len } = self.local.spans[slot as usize];
+            &self.local.entries[off as usize..(off + len) as usize]
+        })
+    }
+
+    fn entry(&self, r: EntryRef) -> &'m DpEntry {
         &self.slot(r.slot)[r.idx as usize]
     }
+
+    /// The cheapest entry's estimate.
+    fn cheapest(&self, slot: u32) -> NodeCost {
+        let first = self.slot(slot).first();
+        first.expect("query join graph must be connected").est
+    }
 }
 
-/// Per-optimizer state. The resolved selectivities and `winners` are plain
-/// scratch, overwritten by every call. The rest describes the *last call
-/// that returned a plan* and survives it, so that the next call can skip
-/// what that one already did:
-///
-/// * `memo`, filled at location `q_bits`. A call refills only the slots
-///   whose dimension set ([`Skeleton::slot_dims`]) contains a coordinate
-///   whose bits changed. A slot is a pure function of the selectivities
-///   inside its subset and the slots of its sub-subsets, whose dimension
-///   sets its own contains; so by induction over the fill order a slot left
-///   alone holds exactly what refilling it would write, and a call's result
-///   does not depend on the calls before it.
-/// * `derivation`, the winner's (see [`derive`]), which the next call
-///   compares its own with.
-///
-/// `live` says that all of this is in place. A call clears it on entry and
-/// sets it on success, so a panic unwinding out of a half-filled memo
-/// leaves nothing the next call would trust.
-#[derive(Debug)]
-struct Scratch {
-    /// Clamped selectivity of every selection, relation by relation.
+/// Every selectivity of the query at one location, clamped.
+#[derive(Debug, Default)]
+struct Sels {
+    /// Every selection's, relation by relation.
     pred_sel: Vec<f64>,
     /// Per relation: product of its selections' selectivities.
     rel_sel: Vec<f64>,
-    /// Per join edge: its clamped selectivity.
+    /// Per join edge.
     edge_sel: Vec<f64>,
     /// Per edge set: product over all its edges, and over all but the
     /// primary (the primary's own is `edge_sel[edges[0]]`).
     set_sel: Vec<(f64, f64)>,
+}
+
+impl Sels {
+    /// Resolve at `q`, multiplying in predicate order exactly as
+    /// `Coster::rel_sel` / `edges_sel` do.
+    fn resolve(&mut self, query: &QuerySpec, sk: &Skeleton, q: &[f64]) {
+        let Sels {
+            pred_sel,
+            rel_sel,
+            edge_sel,
+            set_sel,
+        } = self;
+        let resolve = |s: &SelSpec| s.resolve(q).clamp(0.0, 1.0);
+        pred_sel.clear();
+        rel_sel.clear();
+        for (r, rs) in query.relations.iter().zip(&sk.rels) {
+            pred_sel.extend(r.selections.iter().map(|s| resolve(&s.selectivity)));
+            rel_sel.push(pred_sel[rs.preds.clone()].iter().product());
+        }
+        edge_sel.clear();
+        edge_sel.extend(query.joins.iter().map(|j| resolve(&j.selectivity)));
+        set_sel.clear();
+        set_sel.extend(sk.edge_sets.iter().map(|set| {
+            let product = |edges: &[usize]| edges.iter().map(|&e| edge_sel[e]).product::<f64>();
+            (product(&set.edges), product(&set.edges[1..]))
+        }));
+    }
+}
+
+/// What filling slots takes besides the query: plain scratch, overwritten
+/// by every call and sized by the first.
+#[derive(Debug)]
+struct Scratch {
+    sels: Sels,
     winners: Winners,
-    memo: Memo,
-    q_bits: Vec<u64>,
-    derivation: Vec<EntryOp>,
-    /// The derivation before `derivation`; the two swap on every call.
-    prev_derivation: Vec<EntryOp>,
-    live: bool,
+    local: Local,
 }
 
 impl Scratch {
     fn new(sk: &Skeleton) -> Self {
-        let slots = sk.rels.len() + sk.subsets.len();
-        // A derivation names every node of a plan over the relations.
-        let nodes = 2 * sk.rels.len();
         Scratch {
-            pred_sel: Vec::new(),
-            rel_sel: Vec::new(),
-            edge_sel: Vec::new(),
-            set_sel: Vec::new(),
+            sels: Sels::default(),
             winners: Winners::default(),
-            memo: Memo::new(slots, sk.order_classes + 1),
-            q_bits: Vec::new(),
-            derivation: Vec::with_capacity(nodes),
-            prev_derivation: Vec::with_capacity(nodes),
-            live: false,
+            local: Local {
+                entries: Vec::new(),
+                spans: vec![Span::default(); sk.slot_dims.len()],
+            },
         }
     }
+}
+
+/// A query's DP, minus the scratch a call works in.
+#[derive(Clone, Copy)]
+struct Dp<'a> {
+    query: &'a QuerySpec,
+    p: &'a CostParams,
+    sk: &'a Skeleton,
+}
+
+/// Offer `winners` every candidate of `slot` — each access path of a
+/// relation, each join of either orientation across each partition of a
+/// subset — at the location `sels` was resolved at.
+fn candidates(dp: &Dp<'_>, sels: &Sels, memo: View<'_>, slot: usize, winners: &mut Winners) {
+    let Dp { p, sk, .. } = *dp;
+    winners.clear();
+    #[cfg(test)]
+    (memo.rows.calls).fetch_add(sk.slot_calls(slot), std::sync::atomic::Ordering::Relaxed);
+    let Some(sub) = slot.checked_sub(sk.rels.len()) else {
+        let (rel, rs) = (slot, &sk.rels[slot]);
+        let preds = &sels.pred_sel[rs.preds.clone()];
+        let rel_sel = sels.rel_sel[rel];
+        for path in &rs.paths {
+            match *path {
+                AccessPath::Seq => winners.offer(
+                    None,
+                    EntryOp::SeqScan(rel),
+                    formulas::seq_scan(p, rs.rows, rs.pages, rs.width, rs.npred, rel_sel),
+                ),
+                AccessPath::Index {
+                    sel_idx,
+                    height,
+                    order,
+                } => {
+                    let residual: f64 = preds
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != sel_idx)
+                        .map(|(_, s)| s)
+                        .product();
+                    winners.offer(
+                        order,
+                        EntryOp::IndexScan(rel, sel_idx),
+                        formulas::index_scan(
+                            p,
+                            rs.rows,
+                            rs.width,
+                            height,
+                            rs.leaf_pages,
+                            rs.npred,
+                            preds[sel_idx],
+                            residual,
+                        ),
+                    );
+                }
+                AccessPath::FullIndex { column, order } => winners.offer(
+                    Some(order),
+                    EntryOp::FullIndexScan(rel, column),
+                    formulas::full_index_scan(
+                        p,
+                        rs.rows,
+                        rs.width,
+                        rs.leaf_pages,
+                        rs.npred,
+                        rel_sel,
+                    ),
+                ),
+            }
+        }
+        return;
+    };
+    let parts = &sk.parts[sk.subsets[sub].parts.clone()];
+    let filled = Filled {
+        p,
+        rels: &sk.rels,
+        rel_sel: &sels.rel_sel,
+    };
+    for part in parts {
+        let set = &sk.edge_sets[part.edges as usize];
+        let (all, rest) = sels.set_sel[part.edges as usize];
+        let sels = (all, sels.edge_sel[set.edges[0]], rest);
+        let [inl1, inl2] = part.inl;
+        let (s1, s2) = ((part.s1, memo.slot(part.s1)), (part.s2, memo.slot(part.s2)));
+        filled.join_candidates(s1, s2, inl1, part.edges, set, sels, winners);
+        filled.join_candidates(s2, s1, inl2, part.edges, set, sels, winners);
+    }
+}
+
+/// Fill every slot `rows` leaves to the call, at location `q` — grid
+/// coordinates `ix`, if there are rows — and cost the winner: existential
+/// operators on top of the core, each against its relation's cheapest
+/// access path, in edge order; then aggregation, if the query groups.
+/// [`winner_tree`] builds the same shape.
+fn solve(dp: &Dp<'_>, rows: &Rows, q: &[f64], ix: &[usize], scratch: &mut Scratch) -> NodeCost {
+    let Dp { query, p, sk } = *dp;
+    let Scratch {
+        sels,
+        winners,
+        local,
+    } = scratch;
+    sels.resolve(query, sk, q);
+    local.entries.clear();
+    for &slot in &rows.per_step {
+        let memo = View { rows, ix, local };
+        candidates(dp, sels, memo, slot as usize, winners);
+        local.spans[slot as usize] = close_slot(p, winners, &mut local.entries);
+    }
+
+    let memo = View { rows, ix, local };
+    let mut est = memo.cheapest(sk.root_slot);
+    for &(edge, rel, semi) in &sk.hangers {
+        let right = memo.cheapest(rel as u32);
+        est = if semi {
+            formulas::semi_join(p, &est, &right, sels.edge_sel[edge])
+        } else {
+            formulas::anti_join(p, &est, &right, sels.edge_sel[edge])
+        };
+    }
+    if let Some((ndv_product, width)) = sk.aggregate {
+        est = formulas::hash_aggregate(p, &est, ndv_product, width);
+    }
+    est
 }
 
 /// What join enumeration reads while it fills one slot.
@@ -597,25 +892,24 @@ struct Filled<'a> {
     p: &'a CostParams,
     rels: &'a [RelSkel],
     rel_sel: &'a [f64],
-    memo: &'a Memo,
 }
 
 impl Filled<'_> {
-    /// Offer every join of `left` (the left/outer/build side) with `right`
-    /// across `set`, whose resolved selectivities are `all` (every edge),
-    /// `primary` and `rest` (every edge but the primary).
+    /// Offer every join of slot `left` (the left/outer/build side), whose
+    /// entries are `lefts`, with `right` across `set`, whose resolved
+    /// selectivities are `all` (every edge), `primary` and `rest` (every
+    /// edge but the primary).
     #[allow(clippy::too_many_arguments)]
     fn join_candidates(
         &self,
-        left: u32,
-        right: u32,
+        (left, lefts): (u32, &[DpEntry]),
+        (right, rights): (u32, &[DpEntry]),
         inl_inner: Option<RelIdx>,
         set_id: u32,
         set: &EdgeSet,
         (all, primary, rest): (f64, f64, f64),
         winners: &mut Winners,
     ) {
-        let (lefts, rights) = (self.memo.slot(left), self.memo.slot(right));
         if lefts.is_empty() || rights.is_empty() {
             return;
         }
@@ -716,30 +1010,6 @@ impl Filled<'_> {
     }
 }
 
-/// Close `slot`, the one being filled: of the per-order winners, cheapest
-/// first, keep the unordered one and every ordered one that re-sorting a
-/// cheaper unordered one does not beat.
-fn close_slot(p: &CostParams, winners: &mut Winners, memo: &mut Memo, slot: usize) {
-    winners
-        .best
-        .sort_unstable_by(|(a, sa), (b, sb)| a.est.cost.total_cmp(&b.est.cost).then(sa.cmp(sb)));
-    let kept = &mut memo.entries[slot * memo.stride..(slot + 1) * memo.stride];
-    let mut len = 0;
-    let mut resorted = None;
-    for (e, _) in &winners.best {
-        match e.order {
-            None => resorted = Some(e.est.cost + formulas::sort_cost(p, &e.est)),
-            // An unordered cheaper plan only dominates if adding an explicit
-            // sort still beats `e`.
-            Some(_) if resorted.is_some_and(|sorted| sorted <= e.est.cost) => continue,
-            Some(_) => {}
-        }
-        kept[len] = *e;
-        len += 1;
-    }
-    memo.lens[slot] = len as u32;
-}
-
 /// The dynamic-programming optimizer, bound to (catalog, query, model).
 ///
 /// Existential edges (anti-join / NOT EXISTS and semi-join / EXISTS) are
@@ -750,251 +1020,179 @@ fn close_slot(p: &CostParams, winners: &mut Winners, memo: &mut Memo, slot: usiz
 /// connect the join graph like any inner edge — but they produce no sort
 /// orders and only block-nested-loops can use one as its primary edge.
 ///
-/// One optimizer serves one thread: calls share a scratch memo.
+/// One optimizer serves one thread: calls share scratch. Nothing a call
+/// leaves in it is read by the next — every call fills every slot — so a
+/// call's result does not depend on the calls before it.
 pub struct Optimizer<'a> {
     pub catalog: &'a Catalog,
     pub query: &'a QuerySpec,
     pub model: &'a CostModel,
-    skeleton: Arc<Skeleton>,
+    skeleton: Skeleton,
+    rows: Rows,
     scratch: RefCell<Scratch>,
-}
-
-/// What one DP run found: the winner's estimate, and whether its derivation
-/// is the one the previous call on this optimizer ended with — in which
-/// case so is its plan.
-struct Found {
-    est: NodeCost,
-    repeat: bool,
 }
 
 impl<'a> Optimizer<'a> {
     pub fn new(catalog: &'a Catalog, query: &'a QuerySpec, model: &'a CostModel) -> Self {
-        let skeleton = Arc::new(Skeleton::build(catalog, query));
-        Self::with_skeleton(catalog, query, model, skeleton)
-    }
-
-    /// An optimizer over a skeleton built for the same `(catalog, query)`:
-    /// the workers of one sweep share theirs.
-    pub(crate) fn with_skeleton(
-        catalog: &'a Catalog,
-        query: &'a QuerySpec,
-        model: &'a CostModel,
-        skeleton: Arc<Skeleton>,
-    ) -> Self {
+        let skeleton = Skeleton::build(catalog, query);
         Optimizer {
             catalog,
             query,
             model,
+            rows: Rows::none(skeleton.slot_dims.len()),
             scratch: RefCell::new(Scratch::new(&skeleton)),
             skeleton,
         }
     }
 
     /// Optimize the query at ESS location `q`; returns the cheapest plan.
-    ///
-    /// What a call leaves behind for the next one — the memo with the
-    /// location it was filled at, the winner's derivation — is described at
-    /// [`Scratch`]; none of it can change a later result.
     pub fn optimize(&self, q: &[f64]) -> OptimizedPlan {
-        let est = self.optimize_impl(q).est;
+        let dp = Dp {
+            query: self.query,
+            p: &self.model.p,
+            sk: &self.skeleton,
+        };
+        let scratch = &mut *self.scratch.borrow_mut();
+        let est = solve(&dp, &self.rows, q, &[], scratch);
+        let memo = View {
+            rows: &self.rows,
+            ix: &[],
+            local: &scratch.local,
+        };
         OptimizedPlan {
-            plan: self.winner_tree(),
+            plan: winner_tree(&self.skeleton, memo),
             cost: est.cost,
             rows: est.rows,
         }
     }
+}
 
-    /// One step of a grid sweep: [`optimize`](Self::optimize) returning the
-    /// optimal cost, and the plan only if it may differ from the one the
-    /// previous call on this optimizer found — `None` means the same plan
-    /// again, and no tree was built.
-    pub(crate) fn optimize_step(&self, q: &[f64]) -> (Option<PhysicalPlan>, f64) {
-        let found = self.optimize_impl(q);
-        let plan = (!found.repeat).then(|| self.winner_tree());
-        (plan, found.est.cost)
-    }
+/// One query's DP over one ESS grid: the [`Rows`] of every slot that does
+/// not depend on all of the grid's dimensions, built once, here, and read
+/// by every [`SweepCursor`] — one per worker — that steps over the grid.
+pub struct Sweep<'a> {
+    query: &'a QuerySpec,
+    model: &'a CostModel,
+    ess: &'a Ess,
+    skeleton: Skeleton,
+    /// Per axis of the grid, the selectivity at each of its steps.
+    axes: Vec<Vec<f64>>,
+    rows: Rows,
+}
 
-    fn optimize_impl(&self, q: &[f64]) -> Found {
-        let sk = &*self.skeleton;
-        let p = &self.model.p;
-        let mut scratch = self.scratch.borrow_mut();
-        let Scratch {
-            pred_sel,
-            rel_sel,
-            edge_sel,
-            set_sel,
-            winners,
-            memo,
-            q_bits,
-            derivation,
-            prev_derivation,
-            live,
-        } = &mut *scratch;
-
-        // The coordinates that moved since the memo was filled, if it was;
-        // `None` refills every slot.
-        let was_live = std::mem::replace(live, false);
-        let moved = (was_live && q_bits.len() == q.len()).then(|| {
-            let coords = q.iter().zip(q_bits.iter()).enumerate();
-            coords.fold(0, |moved, (d, (now, then))| {
-                moved
-                    | if now.to_bits() == *then {
-                        0
-                    } else {
-                        dim_bit(d)
-                    }
-            })
-        });
-        let stays = |slot: usize| moved.is_some_and(|moved| sk.slot_dims[slot] & moved == 0);
-        q_bits.clear();
-        q_bits.extend(q.iter().map(|v| v.to_bits()));
-
-        // Resolve every selectivity at `q` once, multiplying in predicate
-        // order exactly as `Coster::rel_sel` / `edges_sel` do.
-        let resolve = |s: &SelSpec| s.resolve(q).clamp(0.0, 1.0);
-        pred_sel.clear();
-        rel_sel.clear();
-        for (r, rs) in self.query.relations.iter().zip(&sk.rels) {
-            pred_sel.extend(r.selections.iter().map(|s| resolve(&s.selectivity)));
-            rel_sel.push(pred_sel[rs.preds.clone()].iter().product());
-        }
-        edge_sel.clear();
-        edge_sel.extend(self.query.joins.iter().map(|j| resolve(&j.selectivity)));
-        set_sel.clear();
-        set_sel.extend(sk.edge_sets.iter().map(|set| {
-            let product = |edges: &[usize]| edges.iter().map(|&e| edge_sel[e]).product::<f64>();
-            (product(&set.edges), product(&set.edges[1..]))
-        }));
-
-        for (rel, rs) in sk.rels.iter().enumerate() {
-            if stays(rel) {
-                continue;
-            }
-            winners.clear();
-            let preds = &pred_sel[rs.preds.clone()];
-            for path in &rs.paths {
-                match *path {
-                    AccessPath::Seq => winners.offer(
-                        None,
-                        EntryOp::SeqScan(rel),
-                        formulas::seq_scan(p, rs.rows, rs.pages, rs.width, rs.npred, rel_sel[rel]),
-                    ),
-                    AccessPath::Index {
-                        sel_idx,
-                        height,
-                        order,
-                    } => {
-                        let residual: f64 = preds
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != sel_idx)
-                            .map(|(_, s)| s)
-                            .product();
-                        winners.offer(
-                            order,
-                            EntryOp::IndexScan(rel, sel_idx),
-                            formulas::index_scan(
-                                p,
-                                rs.rows,
-                                rs.width,
-                                height,
-                                rs.leaf_pages,
-                                rs.npred,
-                                preds[sel_idx],
-                                residual,
-                            ),
-                        );
-                    }
-                    AccessPath::FullIndex { column, order } => winners.offer(
-                        Some(order),
-                        EntryOp::FullIndexScan(rel, column),
-                        formulas::full_index_scan(
-                            p,
-                            rs.rows,
-                            rs.width,
-                            rs.leaf_pages,
-                            rs.npred,
-                            rel_sel[rel],
-                        ),
-                    ),
-                }
-            }
-            close_slot(p, winners, memo, rel);
-        }
-
-        for (sub, slot) in sk.subsets.iter().zip(sk.rels.len()..) {
-            if stays(slot) {
-                continue;
-            }
-            winners.clear();
-            let filled = Filled {
-                p,
-                rels: &sk.rels,
-                rel_sel,
-                memo,
-            };
-            for part in &sk.parts[sub.parts.clone()] {
-                let set = &sk.edge_sets[part.edges as usize];
-                let (all, rest) = set_sel[part.edges as usize];
-                let sels = (all, edge_sel[set.edges[0]], rest);
-                let [inl1, inl2] = part.inl;
-                filled.join_candidates(part.s1, part.s2, inl1, part.edges, set, sels, winners);
-                filled.join_candidates(part.s2, part.s1, inl2, part.edges, set, sels, winners);
-            }
-            close_slot(p, winners, memo, slot);
-        }
-
-        // Existential operators on top of the core, each against its
-        // relation's cheapest access path, in edge order; then aggregation,
-        // if the query groups. `winner_tree` builds the same shape.
-        let cheapest = |slot: u32| {
-            let first = memo.slot(slot).first();
-            first.expect("query join graph must be connected").est
+impl<'a> Sweep<'a> {
+    /// Build the rows over `ess`'s grid.
+    pub fn new(
+        catalog: &'a Catalog,
+        query: &'a QuerySpec,
+        model: &'a CostModel,
+        ess: &'a Ess,
+    ) -> Self {
+        let mut sweep = Sweep {
+            query,
+            model,
+            ess,
+            skeleton: Skeleton::build(catalog, query),
+            axes: ess.axes(),
+            rows: Rows::default(),
         };
-        let mut est = cheapest(sk.root_slot);
-        for &(edge, rel, semi) in &sk.hangers {
-            let right = cheapest(rel as u32);
-            est = if semi {
-                formulas::semi_join(p, &est, &right, edge_sel[edge])
-            } else {
-                formulas::anti_join(p, &est, &right, edge_sel[edge])
-            };
-        }
-        if let Some((ndv_product, width)) = sk.aggregate {
-            est = formulas::hash_aggregate(p, &est, ndv_product, width);
-        }
+        sweep.rows = Rows::build(&sweep.dp(), &sweep.axes);
+        sweep
+    }
 
-        std::mem::swap(derivation, prev_derivation);
-        derive(sk, memo, derivation);
-        *live = true;
-        Found {
-            est,
-            repeat: was_live && derivation == prev_derivation,
+    fn dp(&self) -> Dp<'_> {
+        Dp {
+            query: self.query,
+            p: &self.model.p,
+            sk: &self.skeleton,
         }
     }
 
-    /// The plan of the last [`optimize_impl`](Self::optimize_impl).
-    fn winner_tree(&self) -> PhysicalPlan {
-        let sk = &*self.skeleton;
-        let memo = &self.scratch.borrow().memo;
-        let tree = |slot: u32| build_tree(sk, memo, EntryRef { slot, idx: 0 });
-        let mut root = tree(sk.root_slot);
-        for &(edge, rel, semi) in &sk.hangers {
-            let (left, right) = (Box::new(root), Box::new(tree(rel as u32)));
-            let edges = vec![edge];
-            root = if semi {
-                PlanNode::SemiJoin { left, right, edges }
-            } else {
-                PlanNode::AntiJoin { left, right, edges }
-            };
-        }
-        if sk.aggregate.is_some() {
-            root = PlanNode::HashAggregate {
-                input: Box::new(root),
-            };
-        }
-        PhysicalPlan::new(root)
+    /// The grid this sweep was built over.
+    pub fn ess(&self) -> &'a Ess {
+        self.ess
     }
+
+    /// A stepper over this sweep's grid, with scratch of its own.
+    pub fn cursor(&self) -> SweepCursor<'_> {
+        // A derivation names every node of a plan over the relations.
+        let nodes = 2 * self.skeleton.rels.len();
+        SweepCursor {
+            sweep: self,
+            q: Vec::with_capacity(self.axes.len()),
+            scratch: Scratch::new(&self.skeleton),
+            derivation: Vec::with_capacity(nodes),
+            prev_derivation: Vec::with_capacity(nodes),
+            live: false,
+        }
+    }
+}
+
+/// One worker's walk over a [`Sweep`]'s grid. It remembers the derivation
+/// of the last step that returned ([`derive`]) and compares the next step's
+/// with it, so a run of steps with one winner builds one tree. `live` says
+/// that derivation is in place: a step clears it on entry and sets it on
+/// success, so a step that unwinds leaves nothing the next would trust.
+pub struct SweepCursor<'s> {
+    sweep: &'s Sweep<'s>,
+    q: Vec<f64>,
+    scratch: Scratch,
+    derivation: Vec<EntryOp>,
+    /// The derivation before `derivation`; the two swap on every step.
+    prev_derivation: Vec<EntryOp>,
+    live: bool,
+}
+
+impl SweepCursor<'_> {
+    /// Optimize at grid coordinates `ix`: the optimal cost there, and the
+    /// optimal plan only if it may differ from the one the previous step of
+    /// this cursor found — `None` means the same plan again, and no tree
+    /// was built. Steps may visit the grid in any order.
+    pub fn step(&mut self, ix: &[usize]) -> (Option<PhysicalPlan>, f64) {
+        let was_live = std::mem::replace(&mut self.live, false);
+        let Sweep {
+            skeleton: sk,
+            axes,
+            rows,
+            ..
+        } = self.sweep;
+        assert_eq!(ix.len(), axes.len(), "grid coordinates of another grid");
+        self.q.clear();
+        self.q
+            .extend(axes.iter().zip(ix).map(|(axis, &step)| axis[step]));
+        let est = solve(&self.sweep.dp(), rows, &self.q, ix, &mut self.scratch);
+        let memo = View {
+            rows,
+            ix,
+            local: &self.scratch.local,
+        };
+        std::mem::swap(&mut self.derivation, &mut self.prev_derivation);
+        derive(sk, memo, &mut self.derivation);
+        self.live = true;
+        let repeat = was_live && self.derivation == self.prev_derivation;
+        ((!repeat).then(|| winner_tree(sk, memo)), est.cost)
+    }
+}
+
+/// The plan of the winner in `memo`, as [`solve`] costed it.
+fn winner_tree(sk: &Skeleton, memo: View<'_>) -> PhysicalPlan {
+    let tree = |slot: u32| build_tree(sk, memo, EntryRef { slot, idx: 0 });
+    let mut root = tree(sk.root_slot);
+    for &(edge, rel, semi) in &sk.hangers {
+        let (left, right) = (Box::new(root), Box::new(tree(rel as u32)));
+        let edges = vec![edge];
+        root = if semi {
+            PlanNode::SemiJoin { left, right, edges }
+        } else {
+            PlanNode::AntiJoin { left, right, edges }
+        };
+    }
+    if sk.aggregate.is_some() {
+        root = PlanNode::HashAggregate {
+            input: Box::new(root),
+        };
+    }
+    PhysicalPlan::new(root)
 }
 
 /// The memo entries a join reads its inputs from.
@@ -1017,7 +1215,7 @@ fn inputs(op: &EntryOp) -> [Option<EntryRef>; 2] {
 /// differently — an input's `idx` moves when a cheaper entry joins its
 /// slot — which costs a tree, never correctness.) Allocates nothing once
 /// `out` has held a derivation of the query.
-fn derive(sk: &Skeleton, memo: &Memo, out: &mut Vec<EntryOp>) {
+fn derive(sk: &Skeleton, memo: View<'_>, out: &mut Vec<EntryOp>) {
     let top = |slot: u32| memo.entry(EntryRef { slot, idx: 0 }).op;
     out.clear();
     out.push(top(sk.root_slot));
@@ -1030,7 +1228,7 @@ fn derive(sk: &Skeleton, memo: &Memo, out: &mut Vec<EntryOp>) {
     }
 }
 
-fn build_tree(sk: &Skeleton, memo: &Memo, r: EntryRef) -> PlanNode {
+fn build_tree(sk: &Skeleton, memo: View<'_>, r: EntryRef) -> PlanNode {
     let sub = |r: EntryRef| Box::new(build_tree(sk, memo, r));
     let edges = |id: u32| sk.edge_sets[id as usize].edges.clone();
     match memo.entry(r).op {
@@ -1084,7 +1282,7 @@ fn build_tree(sk: &Skeleton, memo: &Memo, r: EntryRef) -> PlanNode {
 mod tests {
     use super::*;
     use pb_catalog::tpch;
-    use pb_cost::Coster;
+    use pb_cost::{Coster, EssDim, Parallelism};
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn eq_query() -> (pb_catalog::Catalog, QuerySpec) {
@@ -1245,17 +1443,20 @@ mod tests {
         }
     }
 
-    /// A sweep step returns no plan only when the plan is the previous step's.
+    /// A sweep step returns no plan only when the plan is the previous
+    /// step's — and a step after one that unwound always returns its plan.
     #[test]
     fn sweep_step_omits_only_a_repeated_plan() {
         let (cat, q) = eq_query();
         let m = CostModel::postgresish();
-        let opt = Optimizer::new(&cat, &q, &m);
+        let ess = Ess::uniform(vec![EssDim::new("p_retailprice", 1e-4, 1.0)], 100);
+        let sweep = Sweep::new(&cat, &q, &m, &ess);
+        let mut cursor = sweep.cursor();
         let (mut last, mut omitted, mut changed) = (None, 0, 0);
         for i in 0..200 {
-            let s = [1e-4 * 1e4f64.powf((i / 2) as f64 / 99.0)];
-            let want = Optimizer::new(&cat, &q, &m).optimize(&s);
-            let (plan, cost) = opt.optimize_step(&s);
+            let ix = [i / 2];
+            let want = Optimizer::new(&cat, &q, &m).optimize(&ess.point(&ix));
+            let (plan, cost) = cursor.step(&ix);
             assert_eq!(cost.to_bits(), want.cost.to_bits());
             match &plan {
                 Some(plan) => assert_eq!(plan.root, want.plan.root),
@@ -1271,6 +1472,90 @@ mod tests {
             changed >= 3 && omitted >= 100,
             "{changed} changes, {omitted} omitted"
         );
+
+        // A step off the grid unwinds; whatever it left behind, the next
+        // step does not take it for the previous winner's derivation.
+        let step = |cursor: &mut SweepCursor<'_>, ix: usize| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cursor.step(&[ix])))
+        };
+        assert!(step(&mut cursor, 99).unwrap().0.is_none(), "a repeat");
+        assert!(step(&mut cursor, 100).is_err(), "off the grid");
+        let (plan, cost) = step(&mut cursor, 99).unwrap();
+        let want = Optimizer::new(&cat, &q, &m).optimize(&ess.point(&[99]));
+        assert_eq!(plan.map(|p| p.root), Some(want.plan.root));
+        assert_eq!(cost.to_bits(), want.cost.to_bits());
+    }
+
+    /// The work of a build, counted: every slot is filled once per point of
+    /// the grid's projection onto the slot's own dimensions — all of the
+    /// grid for the slots filled per step — whoever fills it.
+    #[test]
+    fn a_build_fills_each_slot_once_per_point_of_its_sub_grid() {
+        for (name, recorded) in [("4D_DS_Q7", 152_077), ("5D_H_Q7", 213_530)] {
+            let w = pb_workloads::by_name(name).unwrap();
+            for workers in [1, 2, 4] {
+                let par = Parallelism::new(workers);
+                let sweep = Sweep::new(&w.catalog, &w.query, &w.model, &w.ess);
+                let sk = &sweep.skeleton;
+                let fills =
+                    |dims: &Vec<DimId>| dims.iter().map(|&d| w.ess.res[d]).product::<usize>();
+                let slots = sk.slot_dims.iter().enumerate();
+                let calls: usize = slots
+                    .map(|(slot, dims)| fills(dims) * sk.slot_calls(slot))
+                    .sum();
+                assert_eq!(calls, recorded, "{name}");
+                // The rows took the partial slots' share of that ...
+                let made = || sweep.rows.calls.load(std::sync::atomic::Ordering::Relaxed);
+                let per_step = |&slot: &u32| w.ess.num_points() * sk.slot_calls(slot as usize);
+                let stepped: usize = sweep.rows.per_step.iter().map(per_step).sum();
+                assert!(stepped < calls, "{name}: some slots have rows");
+                assert_eq!(made(), calls - stepped, "{name}, {workers} workers: rows");
+                // ... and the grid pass makes the rest, and no more.
+                crate::PlanDiagram::over(&sweep, par);
+                assert_eq!(made(), calls, "{name}, {workers} workers: build");
+            }
+        }
+    }
+
+    /// Rows are keyed by a slot's exact dimensions, whatever their numbers:
+    /// in a 66-axis space (all but three axes a single step) one relation
+    /// binds dimensions 0 to 63 and another 64 and 65, and each gets a row
+    /// per point of its own axes.
+    #[test]
+    fn dimensions_beyond_63_key_their_own_rows() {
+        let cat = tpch::catalog(1.0);
+        let mut qb = QueryBuilder::new(&cat, "wide");
+        let (p, l, o) = (qb.rel("part"), qb.rel("lineitem"), qb.rel("orders"));
+        for d in 0..64 {
+            let dim = SelSpec::ErrorProne(d);
+            qb.select(p, "p_retailprice", CmpOp::Lt, 1000.0, dim);
+        }
+        for d in 64..66 {
+            let dim = SelSpec::ErrorProne(d);
+            qb.select(o, "o_totalprice", CmpOp::Lt, 1000.0, dim);
+        }
+        qb.join(p, "p_partkey", l, "l_partkey", SelSpec::Fixed(5e-6));
+        qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(6.7e-7));
+        let q = qb.build();
+        let m = CostModel::postgresish();
+        let dims = (0..66).map(|d| EssDim::new(format!("d{d}"), 1e-4, 1.0));
+        let mut res = vec![1; 66];
+        (res[2], res[63], res[65]) = (3, 7, 5);
+        let ess = Ess::new(dims.collect(), res);
+        let sweep = Sweep::new(&cat, &q, &m, &ess);
+        assert_eq!(sweep.skeleton.slot_dims[p], (0..64).collect::<Vec<_>>());
+        assert_eq!(sweep.skeleton.slot_dims[o], [64, 65]);
+        let rows = |slot: usize| sweep.rows.slots[slot].as_ref().map(|s| s.offs.len() - 1);
+        assert_eq!((rows(p), rows(l), rows(o)), (Some(21), Some(1), Some(5)));
+        let d = crate::PlanDiagram::over(&sweep, Parallelism::serial());
+        assert!(d.plan_count() > 1);
+        let fresh = Optimizer::new(&cat, &q, &m);
+        for (li, ix) in ess.iter_points().enumerate() {
+            let want = fresh.optimize(&ess.point(&ix));
+            let got = &d.plans[d.optimal[li] as usize];
+            assert_eq!(got.fingerprint(), want.plan.fingerprint(), "{ix:?}");
+            assert_eq!(d.opt_cost[li].to_bits(), want.cost.to_bits(), "{ix:?}");
+        }
     }
 
     #[test]
@@ -1526,7 +1811,6 @@ mod skeleton_tests {
         for q in &shapes(&cat) {
             let sk = Skeleton::build(&cat, q);
             let n = q.num_relations();
-            let bit = |s: &SelSpec| s.error_dim().map_or(0, |d| 1u64 << d);
             let inside = |mask: u32| {
                 let rels = (0..n).filter(|&r| mask >> r & 1 == 1);
                 let selections = rels.flat_map(|r| &q.relations[r].selections);
@@ -1537,24 +1821,24 @@ mod skeleton_tests {
                 let specs = selections
                     .map(|s| &s.selectivity)
                     .chain(edges.map(|j| &j.selectivity));
-                specs.fold(0, |set, s| set | bit(s))
+                set_of(dims_of(specs).collect())
             };
             assert_eq!(sk.slot_dims.len(), n + sk.subsets.len());
-            for (slot, &dims) in sk.slot_dims.iter().enumerate() {
+            for (slot, dims) in sk.slot_dims.iter().enumerate() {
                 let mask = match slot.checked_sub(n) {
                     None => 1 << slot,
                     Some(i) => sk.subsets[i].mask,
                 };
-                assert_eq!(dims, inside(mask), "{} subset {mask:#b}", q.name);
+                assert_eq!(dims, &inside(mask), "{} subset {mask:#b}", q.name);
             }
-            // Reuse has something to find: the core depends on every inner
+            // Rows have something to hold: the core depends on every inner
             // dimension, most slots on fewer.
-            let root = sk.slot_dims[sk.root_slot as usize];
-            assert!(sk.slot_dims.iter().filter(|&&dims| dims != root).count() > n);
+            let root = &sk.slot_dims[sk.root_slot as usize];
+            assert!(sk.slot_dims.iter().filter(|&dims| dims != root).count() > n);
         }
         // The anti-join edge's dimension is applied on top of the core: no
         // slot depends on it.
         let sk = Skeleton::build(&cat, &shapes(&cat)[2]);
-        assert!(sk.slot_dims.iter().all(|dims| dims & (1 << 2) == 0));
+        assert!(sk.slot_dims.iter().all(|dims| !dims.contains(&2)));
     }
 }

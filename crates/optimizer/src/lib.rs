@@ -23,5 +23,5 @@ pub mod seer;
 
 pub use anorexic::AnorexicReduction;
 pub use diagram::{PlanDiagram, PlanId};
-pub use dp::{OptimizedPlan, Optimizer};
+pub use dp::{OptimizedPlan, Optimizer, Sweep, SweepCursor};
 pub use seer::SeerReduction;

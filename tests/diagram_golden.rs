@@ -14,10 +14,17 @@
 //! aggregate queries); grid resolutions are shrunk so the suite stays
 //! around a second in debug builds.
 //!
-//! The optimizer keeps its memo between calls and refills only the slots a
-//! changed coordinate reaches, so the second test drives one long-lived
-//! `Optimizer` through every kind of call history and demands, at every
-//! step, exactly what a fresh one answers.
+//! The optimizer keeps its scratch between calls, so the second test drives
+//! one long-lived `Optimizer` through every kind of call history and
+//! demands, at every step, exactly what a fresh one answers.
+//!
+//! The recorded grids are uniform and small, and a diagram build reads most
+//! memo slots out of rows it fills beforehand, one per point of the grid's
+//! projection onto the slot's dimensions — where a transposed row
+//! multiplier goes unseen if every axis has the same few steps. The third
+//! test therefore compares the build with a fresh `Optimizer` at every
+//! point of the full-size spaces and of grids whose axes all differ, at
+//! one, two and three workers.
 //!
 //! Regenerating (only legitimate when the cost model or the plan space
 //! changes on purpose):
@@ -334,6 +341,54 @@ fn a_long_lived_optimizer_answers_every_call_like_a_fresh_one() {
             assert_eq!(got.plan.root, want.plan.root, "{at}");
             assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{at}");
             assert_eq!(got.rows.to_bits(), want.rows.to_bits(), "{at}");
+        }
+    }
+}
+
+#[test]
+fn every_grid_point_of_a_build_is_what_a_fresh_optimizer_answers() {
+    let mut ws = typed_workloads();
+    for name in [
+        "3D_H_Q5",
+        "4D_DS_Q7",
+        "5D_H_Q7",
+        "5D_DS_Q19",
+        "HOSTILE_INEQ_2D",
+        "HOSTILE_ANTI_2D",
+    ] {
+        ws.push(workloads::by_name(name).unwrap());
+    }
+    // Axes that all differ, one of them a single step; the first grid is
+    // large enough for its rows and its points to be shared out.
+    for (name, res) in [
+        ("4D_DS_Q7", vec![11, 6, 13, 5]),
+        ("4D_DS_Q7", vec![3, 5, 2, 7]),
+        ("5D_H_Q7", vec![2, 4, 3, 5, 3]),
+        ("5D_DS_Q19", vec![4, 1, 3, 2, 5]),
+        ("3D_H_Q5", vec![7, 1, 4]),
+    ] {
+        let mut w = workloads::by_name(name).unwrap();
+        w.ess = Ess::new(w.ess.dims.clone(), res.clone());
+        w.name = format!("{name} {res:?}");
+        ws.push(w);
+    }
+    for w in &ws {
+        let fresh = w.optimizer();
+        let want: Vec<_> = (w.ess.iter_points())
+            .map(|ix| {
+                let best = fresh.optimize(&w.ess.point(&ix));
+                (best.plan.fingerprint(), best.cost.to_bits())
+            })
+            .collect();
+        for workers in 1..=3 {
+            // Every chunk of a parallel build starts a cursor mid-grid.
+            let par = Parallelism::new(workers);
+            let d = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, par);
+            let got = (d.optimal.iter().zip(&d.opt_cost))
+                .map(|(&id, cost)| (d.plans[id as usize].fingerprint(), cost.to_bits()));
+            for (li, (got, want)) in got.zip(&want).enumerate() {
+                assert_eq!(got, *want, "{} point {li}, {workers} workers", w.name);
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //! and a scratch memo it keeps between calls; the same allocator pins that
 //! a call requests memory for the plan it returns and for nothing else,
 //! that a sweep step which finds the previous step's winner again requests
-//! none at all, and that the cost matrix allocates per chunk of grid
+//! none at all, that a diagram build requests what its sweep does plus two
+//! results a step, and that the cost matrix allocates per chunk of grid
 //! points, not per point or per evaluation block.
 //!
 //! Identification costs POSP plans at the contour frontiers and keeps cost
@@ -35,7 +36,7 @@ use plan_bouquet::bouquet::{
 };
 use plan_bouquet::cost::{Ess, EssDim, Parallelism};
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
-use plan_bouquet::optimizer::PlanDiagram;
+use plan_bouquet::optimizer::{PlanDiagram, Sweep};
 use plan_bouquet::plan::PlanNode;
 use plan_bouquet::workloads;
 
@@ -196,28 +197,52 @@ fn sweep_step_with_an_unchanged_winner_allocates_nothing() {
         d.hi = (d.lo * d.hi).sqrt();
         d.lo = d.hi * (1.0 - 1e-6);
     }
+    fn requested(f: impl FnOnce()) -> usize {
+        let before = REQUESTED.with(Cell::get);
+        f();
+        REQUESTED.with(Cell::get) - before
+    }
+    let serial = Parallelism::serial();
+
+    // The step itself: the first one sizes the cursor's scratch and builds
+    // the sliver's one tree, and no later one requests a byte.
+    let ess = eight_chunk_grid(&sliver, 16);
+    let sweep = Sweep::new(&w.catalog, &w.query, &w.model, &ess);
+    let mut cursor = sweep.cursor();
+    let mut ix = ess.origin();
+    assert!(cursor.step(&ix).0.is_some());
+    let stepping = requested(|| {
+        for _ in 1..ess.num_points() {
+            ess.advance(&mut ix);
+            assert!(cursor.step(&ix).0.is_none(), "the sliver has one winner");
+        }
+    });
+    assert_eq!(stepping, 0, "127 steps with an unchanged winner");
+
+    // And a build is its sweep — the axis tables and the rows, both larger
+    // when the last axis is longer — plus, per step, its winner's number and
+    // cost, once in the chunk's result and once in the diagram. The
+    // skeleton, the chunks' cursors and their first trees are the same in
+    // both builds. A step that builds its tree requests 776 B more on this
+    // query.
+    let sweep = |last: usize| {
+        let ess = eight_chunk_grid(&sliver, last);
+        requested(|| drop(Sweep::new(&w.catalog, &w.query, &w.model, &ess)))
+    };
     let build = |last: usize| {
         let ess = eight_chunk_grid(&sliver, last);
-        let before = REQUESTED.with(Cell::get);
-        let d =
-            PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &ess, Parallelism::serial());
-        let bytes = REQUESTED.with(Cell::get) - before;
-        assert_eq!(d.plan_count(), 1, "the sliver has one winner");
-        bytes
+        requested(|| {
+            let d = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &ess, serial);
+            assert_eq!(d.plan_count(), 1, "the sliver has one winner");
+        })
     };
-    let (short, long) = (build(16), build(48));
-    // What a step takes: its four coordinates in the sweep's table of grid
-    // points (and each step of the last axis one entry in that axis's
-    // table), and its winner's number and cost, once in the chunk's result
-    // and once in the diagram. The skeleton, the chunks' memos and their
-    // first trees are the same in both builds. A step that builds its tree
-    // requests 776 B more on this query.
-    let (steps, per_step) = (8 * (48 - 16), 4 * 8 + 2 * (4 + 8));
+    let (steps, per_step) = (8 * (48 - 16), 2 * (4 + 8));
+    let rows = sweep(48) - sweep(16);
+    assert!(rows > (48 - 16) * 8, "the longer axis adds rows");
     assert_eq!(
-        long - short,
-        steps * per_step + (48 - 16) * 8,
-        "{steps} more steps requested {} B, {per_step} B of it each for points and results",
-        long - short
+        build(48) - build(16),
+        rows + steps * per_step,
+        "{steps} more steps, {per_step} B each for results, over {rows} B more of sweep"
     );
 }
 
@@ -289,10 +314,12 @@ fn identification_never_holds_a_posp_by_grid_matrix() {
     let (plans, kept, points) = (b.diagram.plan_count(), b.costs.len(), w.ess.num_points());
     assert!(kept * 4 < plans, "{kept} of {plans} plans kept");
     // Everything identification requests against one POSP × grid buffer of
-    // f64s, which alone would be twice the bound. Measured 2.58 MB of the
-    // 2.66 MB allowed: the diagram sweep 1.71 MB, the slab 0.18 MB (the
-    // POSP program), the bouquet's rows 0.68 MB (six rows, the grid's
-    // coordinates, their program).
+    // f64s, which alone would be twice the bound. Measured 2.64 MB of the
+    // 2.66 MB allowed: the diagram build 1.77 MB (0.33 MB of it the sweep —
+    // 0.17 MB of rows and the buffer they are filled through — and most of
+    // the rest the trees of the 2,781 steps whose winner changed), the slab
+    // 0.18 MB (the POSP program), the bouquet's rows 0.68 MB (six rows, the
+    // grid's coordinates, their program).
     let matrix = plans * points * 8;
     assert!(
         bytes < matrix / 2,
