@@ -28,11 +28,11 @@ const COMMANDS: &[Command] = &[
     Command { name: "diagram", positional: "WORKLOAD", run: inspect::diagram, help: "POSP summary (+ASCII map in 2D)", flags: &[] },
     Command { name: "optimize", positional: "WORKLOAD f1,f2,...", run: inspect::optimize, help: "optimal plan at a location", flags: &[] },
     Command { name: "identify", positional: "WORKLOAD", run: inspect::identify, help: "compile the bouquet", flags: &[
-        flag("--save FILE", Str, "", "persist the bouquet as JSON"),
+        flag("--save FILE", Str, "", "write the bouquet to FILE as a cache frame"),
     ] },
     Command { name: "run", positional: "WORKLOAD f1,f2,...", run: inspect::run, help: "discover a true location", flags: &[
         flag("--optimized", Switch, "", "the optimized driver (Figure 13) instead of the basic one"),
-        flag("--load FILE", Str, "", "a bouquet saved by `identify --save` instead of compiling"),
+        flag("--load FILE", Str, "", "a frame saved by `identify --save` for this workload instead of compiling"),
     ] },
     Command { name: "sensitivity", positional: "WORKLOAD", run: inspect::sensitivity, help: "§8 dimension analysis", flags: &[] },
     Command { name: "sql", positional: "SQL [f1,f2,...]", run: inspect::sql, help: "ad-hoc SQL (`pred?` marks an error-prone predicate): identify, then run at the location", flags: &[] },
@@ -45,10 +45,6 @@ const COMMANDS: &[Command] = &[
         flag("--expect KIND", Str, "", "exit 1 unless the outcome is KIND: hit|miss|refresh"),
         flag("--verify", Switch, "", "re-identify from scratch and demand byte identity"),
         JSON,
-    ] },
-    Command { name: "engine-speedup", positional: "", run: engine::engine_speedup, help: "vectorized vs tuple engine, best of 5; exit 1 on any outcome mismatch", flags: &[
-        flag("--sf F", PosF64, "0.02", SF),
-        flag("--json PATH", Str, "", "write the report to PATH"),
     ] },
     Command { name: "engine-mt", positional: "", run: engine::engine_mt, help: "morsel scaling curve; exit 1 unless outcomes are identical at every count", flags: &[
         flag("--sf F", PosF64, "0.1", SF),
@@ -182,8 +178,6 @@ mod tests {
             "needs a count of at least 1",
         );
         for (line, flag, want) in [
-            ("engine-speedup --sf 0", "--sf", scale),
-            ("engine-speedup --sf -1", "--sf", scale),
             ("engine-mt --sf 0", "--sf", scale),
             ("engine-mt --sf inf", "--sf", scale),
             ("table3 --sf 0", "--sf", scale),
@@ -222,11 +216,12 @@ mod tests {
         }
     }
 
-    /// `run --load` refuses an artefact saved for another workload (exit 1);
-    /// it used to print that workload's run and exit 0.
+    /// `run --load` refuses a frame saved for another workload (exit 1): its
+    /// key is not the named workload's. It used to print that workload's run
+    /// and exit 0.
     #[test]
     fn a_loaded_artefact_must_hold_the_named_workload() {
-        let path = std::env::temp_dir().join(format!("pbq_test_eq1d_{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!("pbq_test_eq1d_{}.pbq", std::process::id()));
         let file = path.display().to_string();
         let run = |argv: [&str; 5]| dispatch(&argv.map(String::from)).expect("arguments are fine");
         dispatch(&["identify", "EQ_1D", "--save", &file].map(String::from))
@@ -237,7 +232,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let failure = failure.expect_err("another workload's bouquet");
         assert!(
-            failure.contains("EQ_1D") && failure.contains("2D_H_Q8A"),
+            failure.contains("2D_H_Q8A") && failure.ends_with("skeleton key mismatch"),
             "{failure}"
         );
     }

@@ -1,9 +1,9 @@
 //! Seeded chaos campaign for the robust bouquet driver.
 //!
 //! Sweeps fault kinds × drivers × TPC-H / TPC-DS workloads × true-location
-//! grid points through [`Bouquet::run`], plus a block of engine-level
-//! scenarios exercising the tuple and vectorized execution paths, and checks
-//! the invariants the robustness layer promises:
+//! grid points through [`Bouquet::run`], plus blocks of engine-, substrate-
+//! and server-level scenarios, and checks the invariants the robustness
+//! layer promises:
 //!
 //! * **No panics** — every scenario runs under `catch_unwind`; a panic
 //!   anywhere in the identification/driver/engine stack is a breach.
@@ -391,7 +391,7 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
 }
 
 /// Engine-substrate block: the full robust ladder ([`Bouquet::run`]) driving
-/// the real tuple engine through [`pb_bouquet::EngineSubstrate`], under
+/// the engine on real tuples through [`pb_bouquet::EngineSubstrate`], under
 /// operator-failure and spill-failure faults. Checks the same invariants as
 /// the simulator block — no panics, no double charging, deterministic
 /// replay, and empty-plan equivalence with the plain settings.
@@ -987,9 +987,9 @@ fn server_scenarios(
     ran
 }
 
-/// Engine-level block: tuple and vectorized execution under engine-side
-/// faults (operator failure, ledger over-charge, spill-free paths), checking
-/// panic-freedom, cost bounds and inert bit-identity.
+/// Engine-level block: the engine under engine-side faults (operator
+/// failure, ledger over-charge, storms), checking panic-freedom, cost bounds
+/// and inert bit-identity.
 fn engine_scenarios(
     seed: u64,
     breaches: &mut Vec<String>,
@@ -1013,57 +1013,41 @@ fn engine_scenarios(
     let reference = engine.execute(&plan.root, f64::INFINITY);
     let ref_cost = reference.cost();
     for (label, fp) in &fault_kinds {
-        for vectorized in [false, true] {
-            let path = if vectorized { "vec" } else { "tuple" };
-            let key = format!("engine:{label}|{path}");
-            let ci = cell_of(cells, key);
-            for bi in 0..5u32 {
-                ran += 1;
-                cells[ci].1.scenarios += 1;
-                let budget = if bi == 4 {
-                    f64::INFINITY
-                } else {
-                    ref_cost * f64::from(bi + 1) / 4.0
-                };
-                let tag = || format!("engine/{label}/{path}/budget#{bi}");
-                let faults = FaultInjector::new(fp);
-                let exec = || {
-                    if vectorized {
-                        engine.execute_with_faults(&plan.root, budget, &faults)
-                    } else {
-                        engine.execute_tuple_with(&plan.root, budget, &faults)
-                    }
-                };
-                let out = match catch_unwind(AssertUnwindSafe(exec)) {
-                    Ok(o) => o,
-                    Err(_) => {
-                        breaches.push(format!("{}: PANIC", tag()));
-                        continue;
-                    }
-                };
-                cells[ci].1.tally_engine(&out);
-                // Faulted/aborted runs never report spend beyond the budget
-                // they were granted (over-charge only inflates the ledger up
-                // to the abort point, which budget enforcement still caps).
-                if budget.is_finite() && out.cost() > budget * (1.0 + 1e-9) {
-                    breaches.push(format!(
-                        "{}: spent {} over budget {budget}",
-                        tag(),
-                        out.cost()
-                    ));
+        let ci = cell_of(cells, format!("engine:{label}|vec"));
+        for bi in 0..5u32 {
+            ran += 1;
+            cells[ci].1.scenarios += 1;
+            let budget = if bi == 4 {
+                f64::INFINITY
+            } else {
+                ref_cost * f64::from(bi + 1) / 4.0
+            };
+            let tag = || format!("engine/{label}/vec/budget#{bi}");
+            let faults = FaultInjector::new(fp);
+            let exec = || engine.execute_with_faults(&plan.root, budget, &faults);
+            let out = match catch_unwind(AssertUnwindSafe(exec)) {
+                Ok(o) => o,
+                Err(_) => {
+                    breaches.push(format!("{}: PANIC", tag()));
+                    continue;
                 }
-                // Inert plan ⇒ bit-identical to the fault-free call.
-                if fp.is_empty() {
-                    let bare = if vectorized {
-                        engine.execute(&plan.root, budget)
-                    } else {
-                        engine.execute_tuple(&plan.root, budget)
-                    };
-                    if json(&out.cost()) != json(&bare.cost())
-                        || out.completed() != bare.completed()
-                    {
-                        breaches.push(format!("{}: inert engine run diverged", tag()));
-                    }
+            };
+            cells[ci].1.tally_engine(&out);
+            // Faulted/aborted runs never report spend beyond the budget
+            // they were granted (over-charge only inflates the ledger up
+            // to the abort point, which budget enforcement still caps).
+            if budget.is_finite() && out.cost() > budget * (1.0 + 1e-9) {
+                breaches.push(format!(
+                    "{}: spent {} over budget {budget}",
+                    tag(),
+                    out.cost()
+                ));
+            }
+            // Inert plan ⇒ bit-identical to the fault-free call.
+            if fp.is_empty() {
+                let bare = engine.execute(&plan.root, budget);
+                if json(&out.cost()) != json(&bare.cost()) || out.completed() != bare.completed() {
+                    breaches.push(format!("{}: inert engine run diverged", tag()));
                 }
             }
         }

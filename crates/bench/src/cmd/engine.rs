@@ -1,37 +1,9 @@
-//! Engine benches: `engine-speedup`, `engine-mt`, `table3`.
+//! Engine benches: `engine-mt`, `table3`.
 
 use super::{engine_par, gate, merge_json, whole_json, CmdResult};
 use crate::experiments::{hostile, table3 as table3_exhibit};
 use crate::flags::Args;
-use crate::regress::{engine_bench, engine_mt_bench, BUDGET_FRACS};
-
-/// Vectorized engine vs the tuple-at-a-time reference under a ladder of
-/// budgets; `--json` writes the `BENCH_engine.json` artifact. Fails on any
-/// outcome mismatch (cost, rows, instrumentation, abort point).
-pub fn engine_speedup(args: &Args) -> CmdResult {
-    let sf: f64 = args.get("--sf");
-    let r = engine_bench(sf, engine_par(args))?;
-    println!(
-        "engine speedup on {} (sf {sf}, {} base rows, {} plans)",
-        r.workload, r.base_rows, r.plans
-    );
-    for p in &r.plan_rows {
-        println!(
-            "  {:<16} cost {:>14.0}  tuple {:>8.2}ms vec {:>8.2}ms ({:>5.2}x)  equal at {} budgets: yes",
-            p.name,
-            p.cost,
-            p.tuple_s * 1e3,
-            p.vectorized_s * 1e3,
-            p.tuple_s / p.vectorized_s.max(1e-12),
-            BUDGET_FRACS.len()
-        );
-    }
-    println!(
-        "  tuple {:.4}s, vectorized {:.4}s -> {:.2}x; {} equality checks: all green",
-        r.tuple_s, r.vectorized_s, r.speedup, r.equality_checks
-    );
-    whole_json(args, &r)
-}
+use crate::regress::engine_mt_bench;
 
 /// Morsel-driven scaling curve: the engine suite at several worker counts,
 /// gated on bit-identical `EngineOutcome`s across counts; `--json` writes

@@ -1,8 +1,9 @@
 //! Looking at a workload and its bouquet: `list`, `show`, `classify`,
 //! `diagram`, `optimize`, `identify`, `run`, `sql`, `sensitivity`.
 
+use pb_bouquet::cache::{load_frame, save_frame};
 use pb_bouquet::{
-    dim_analysis, persist, Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate, Workload,
+    dim_analysis, Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate, Workload,
 };
 use pb_cost::uncertainty::{classify as classify_predicates, Uncertainty};
 use pb_cost::SelPoint;
@@ -156,7 +157,7 @@ fn identify_and_print(w: &Workload) -> Result<Bouquet, String> {
 pub fn identify(args: &Args) -> CmdResult {
     let b = identify_and_print(&workload(args)?)?;
     if let Some(path) = args.opt::<String>("--save") {
-        persist::save(&b, &path).map_err(|e| format!("save {path}: {e}"))?;
+        save_frame(&b, &path).map_err(|e| format!("save {path}: {e}"))?;
         println!("saved to {path}");
     }
     Ok(())
@@ -196,16 +197,14 @@ fn run_and_print(b: &Bouquet, qa: &SelPoint, optimized: bool) -> CmdResult {
 pub fn run(args: &Args) -> CmdResult {
     let w = workload(args)?;
     let qa = parse_fractions(&w, &args.pos[1])?;
+    let cfg = BouquetConfig::default();
+    // A frame opens only under its own key: another workload's bouquet, or
+    // this one's under drifted statistics, is refused.
     let b = match args.opt::<String>("--load") {
-        Some(path) => persist::load(&path).map_err(|e| format!("load {path}: {e}"))?,
-        None => Bouquet::identify(&w, &BouquetConfig::default()).map_err(|e| e.to_string())?,
+        Some(path) => load_frame(&path, &w, &cfg)
+            .map_err(|e| format!("load {path} as the bouquet of {}: {e}", w.name))?,
+        None => Bouquet::identify(&w, &cfg).map_err(|e| e.to_string())?,
     };
-    if b.workload.name != w.name {
-        return Err(format!(
-            "the loaded artefact holds the bouquet of {}, not of {}",
-            b.workload.name, w.name
-        ));
-    }
     run_and_print(&b, &qa, args.switch("--optimized"))
 }
 

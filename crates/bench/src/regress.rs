@@ -25,7 +25,7 @@ use crate::experiments::{hostile, table3};
 /// The standing engine benchmark suite: part ⋈ lineitem ⋈ orders shaped six
 /// ways so every vectorized operator appears (hash, sort-merge, index
 /// nested-loops chains, anti join, aggregation, spill).
-pub fn engine_plan_suite() -> Vec<(&'static str, PlanNode)> {
+fn engine_plan_suite() -> Vec<(&'static str, PlanNode)> {
     let hj_pl = || PlanNode::HashJoin {
         build: Box::new(PlanNode::SeqScan { rel: 0 }),
         probe: Box::new(PlanNode::SeqScan { rel: 1 }),
@@ -86,18 +86,17 @@ pub fn engine_plan_suite() -> Vec<(&'static str, PlanNode)> {
 }
 
 /// Budget fractions of each plan's full cost probed by the equality
-/// ladders: completion plus aborts in different operators and phases.
-pub const BUDGET_FRACS: [f64; 5] = [1.0, 0.75, 0.4, 0.1, 0.02];
+/// ladder: completion plus aborts in different operators and phases.
+const BUDGET_FRACS: [f64; 5] = [1.0, 0.75, 0.4, 0.1, 0.02];
 
-/// `(fraction, budget)` down the ladder for a plan costing `full_cost`.
-fn budget_ladder(full_cost: f64) -> impl Iterator<Item = (f64, f64)> {
+/// The budgets down the ladder for a plan costing `full_cost`.
+fn budget_ladder(full_cost: f64) -> impl Iterator<Item = f64> {
     BUDGET_FRACS.into_iter().map(move |frac| {
-        let budget = if frac >= 1.0 {
+        if frac >= 1.0 {
             f64::INFINITY
         } else {
             full_cost * frac
-        };
-        (frac, budget)
+        }
     })
 }
 
@@ -119,113 +118,22 @@ fn base_rows(w: &Workload, db: &Database) -> u64 {
         .sum()
 }
 
-/// Per-plan and whole-suite wall-clock of full executions, each the minimum
-/// over `reps` passes.
+/// Whole-suite wall-clock of full executions, the minimum over `reps`
+/// passes.
 fn time_suite(
     plans: &[(&'static str, PlanNode)],
     reps: usize,
     run: impl Fn(&PlanNode) -> EngineOutcome,
-) -> (Vec<f64>, f64) {
-    let mut per_plan = vec![f64::INFINITY; plans.len()];
+) -> f64 {
     let mut suite = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let mut pass = 0.0;
-        for ((_, plan), best) in plans.iter().zip(&mut per_plan) {
-            let t0 = Instant::now();
+        let t0 = Instant::now();
+        for (_, plan) in plans {
             std::hint::black_box(run(plan));
-            let dt = t0.elapsed().as_secs_f64();
-            *best = best.min(dt);
-            pass += dt;
         }
-        suite = suite.min(pass);
+        suite = suite.min(t0.elapsed().as_secs_f64());
     }
-    (per_plan, suite)
-}
-
-/// `BENCH_engine.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct EngineReport {
-    pub workload: String,
-    pub scale_factor: f64,
-    /// Rows of the three base relations together.
-    pub base_rows: u64,
-    pub plans: usize,
-    /// Plan × budget pairs executed on both paths and compared.
-    pub equality_checks: usize,
-    /// Every pair agreed on cost bits, rows, instrumentation, abort point.
-    pub equality_ok: bool,
-    /// Best-of-5 full-suite wall-clock, tuple-at-a-time reference.
-    pub tuple_s: f64,
-    /// Best-of-5 full-suite wall-clock, vectorized engine.
-    pub vectorized_s: f64,
-    /// `tuple_s / vectorized_s`.
-    pub speedup: f64,
-    #[serde(skip)]
-    pub plan_rows: Vec<EnginePlanRow>,
-}
-
-/// One plan of the suite, as `pbq engine-speedup` prints it.
-#[derive(Debug, Clone)]
-pub struct EnginePlanRow {
-    pub name: &'static str,
-    pub cost: f64,
-    pub tuple_s: f64,
-    pub vectorized_s: f64,
-}
-
-/// Vectorized-vs-tuple engine benchmark: the outcome-equality ladder over
-/// [`engine_plan_suite`] × [`BUDGET_FRACS`], then best-of-5 timings of the
-/// suite with the vectorized kernels running `par`-wide. A diverging
-/// outcome is an `Err`.
-pub fn engine_bench(sf: f64, par: Parallelism) -> Result<EngineReport, String> {
-    let (w, db) = generate_db(sf)?;
-    let eng = Engine::new(&db, &w.query, &w.model.p).with_parallelism(par);
-    let plans = engine_plan_suite();
-
-    let mut checks = 0;
-    let mut costs = Vec::new();
-    for (name, plan) in &plans {
-        let full = eng.execute_tuple(plan, f64::INFINITY);
-        for (frac, budget) in budget_ladder(full.cost()) {
-            checks += 1;
-            let (t, v) = (eng.execute_tuple(plan, budget), eng.execute(plan, budget));
-            if t != v {
-                return Err(format!(
-                    "{name} at budget fraction {frac}: tuple (cost {:.6}, done {}) vs \
-                     vectorized (cost {:.6}, done {})",
-                    t.cost(),
-                    t.completed(),
-                    v.cost(),
-                    v.completed()
-                ));
-            }
-        }
-        costs.push(full.cost());
-    }
-
-    let (per_t, tuple_s) = time_suite(&plans, 5, |p| eng.execute_tuple(p, f64::INFINITY));
-    let (per_v, vectorized_s) = time_suite(&plans, 5, |p| eng.execute(p, f64::INFINITY));
-    let plan_rows = (0..plans.len())
-        .map(|i| EnginePlanRow {
-            name: plans[i].0,
-            cost: costs[i],
-            tuple_s: per_t[i],
-            vectorized_s: per_v[i],
-        })
-        .collect();
-
-    Ok(EngineReport {
-        workload: w.name.clone(),
-        scale_factor: sf,
-        base_rows: base_rows(&w, &db),
-        plans: plans.len(),
-        equality_checks: checks,
-        equality_ok: true,
-        tuple_s,
-        vectorized_s,
-        speedup: tuple_s / vectorized_s.max(1e-12),
-        plan_rows,
-    })
+    suite
 }
 
 /// One identification run's phases, in seconds.
@@ -452,7 +360,7 @@ pub fn engine_mt_bench(
     let mut ladder: Vec<(f64, EngineOutcome)> = Vec::new();
     for (_, plan) in &plans {
         let full = reference.execute(plan, f64::INFINITY);
-        for (_, budget) in budget_ladder(full.cost()) {
+        for budget in budget_ladder(full.cost()) {
             ladder.push((budget, reference.execute(plan, budget)));
         }
     }
@@ -469,7 +377,7 @@ pub fn engine_mt_bench(
                 }
             }
         }
-        let (_, wall_s) = time_suite(&plans, reps, |p| eng.execute(p, f64::INFINITY));
+        let wall_s = time_suite(&plans, reps, |p| eng.execute(p, f64::INFINITY));
         let wall_1 = curve.first().map_or(wall_s, |p| p.wall_s);
         curve.push(MtPoint {
             workers: n,

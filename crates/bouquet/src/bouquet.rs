@@ -24,7 +24,7 @@ use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
 /// Tunables of the bouquet mechanism.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BouquetConfig {
     /// Anorexic-reduction threshold λ (paper default 20%).
     pub lambda: f64,
@@ -86,7 +86,7 @@ pub struct PhaseTimings {
 }
 
 /// A compiled plan bouquet, ready for run-time discovery.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Bouquet {
     pub workload: Workload,
     pub diagram: PlanDiagram,
@@ -314,7 +314,7 @@ impl Bouquet {
     }
 }
 
-fn validate_config(cfg: &BouquetConfig) -> Result<(), PbError> {
+pub(crate) fn validate_config(cfg: &BouquetConfig) -> Result<(), PbError> {
     if cfg.lambda < 0.0 {
         return Err(PbError::InvalidConfig("lambda must be non-negative".into()));
     }

@@ -33,6 +33,14 @@
 //! rename, so neither a crashed writer nor a concurrent one leaves a
 //! half-entry under a live key; any mismatch — magic, version, key,
 //! checksum, shape — evicts the entry and rebuilds rather than trusting it.
+//!
+//! A frame is also the one on-disk artefact outside the cache:
+//! [`save_frame`] writes a bouquet under its own key (`pbq identify --save`)
+//! and [`load_frame`] reads it back only as the bouquet of the caller's
+//! workload and config (`pbq run --load`). A frame of another workload, of
+//! drifted statistics or of another config fails the key check; a damaged
+//! one fails the checksum, the counts or [`validate_structure`] — every
+//! refusal a typed [`PbError::Corrupt`].
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,9 +49,9 @@ use std::time::Instant;
 use pb_cost::{CostMatrix, Parallelism};
 use pb_faults::PbError;
 use pb_optimizer::PlanDiagram;
-use pb_plan::PhysicalPlan;
+use pb_plan::{PhysicalPlan, PlanNode, QuerySpec};
 
-use crate::bouquet::{Bouquet, BouquetConfig, CompileStats};
+use crate::bouquet::{validate_config, Bouquet, BouquetConfig, CompileStats};
 use crate::contour::{plan_union, Contour};
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
@@ -256,7 +264,7 @@ impl BouquetCache {
         let path = self.entry_path(&key);
         if path.exists() {
             let t0 = Instant::now();
-            match read_entry(&path, &key, true, w) {
+            match read_entry(&path, &key, true, w, cfg) {
                 Ok((bouquet, cold_build_s)) => {
                     return Ok((
                         bouquet,
@@ -280,7 +288,7 @@ impl BouquetCache {
         let stale_path = self.find_stale(&key)?;
         let stale = stale_path
             .as_ref()
-            .and_then(|path| read_entry(path, &key, false, w).ok())
+            .and_then(|path| read_entry(path, &key, false, w, cfg).ok())
             .map(|(stale, _)| stale.diagram);
 
         let t0 = Instant::now();
@@ -348,6 +356,30 @@ impl BouquetCache {
         std::fs::rename(&tmp, &path).map_err(io_err(&path))?;
         Ok(())
     }
+}
+
+/// Write `bouquet` to `path` as a frame keyed by its own workload and config
+/// (the `pbq identify --save` artefact; the cache's entry layout).
+pub fn save_frame(bouquet: &Bouquet, path: impl AsRef<Path>) -> Result<(), PbError> {
+    let key = CacheKey::derive(&bouquet.workload, &bouquet.config)?;
+    let bytes = encode_entry(&key, bouquet, 0.0)?;
+    std::fs::write(path.as_ref(), bytes).map_err(|e| PbError::Io {
+        path: path.as_ref().display().to_string(),
+        message: e.to_string(),
+    })
+}
+
+/// Read the frame at `path` as the bouquet of `w` under `cfg`. A frame saved
+/// for another workload, other statistics or another config is refused by
+/// its key, and a damaged one by the checks a cache hit runs — either way a
+/// [`PbError::Corrupt`] naming `path`.
+pub fn load_frame(
+    path: impl AsRef<Path>,
+    w: &Workload,
+    cfg: &BouquetConfig,
+) -> Result<Bouquet, PbError> {
+    let key = CacheKey::derive(w, cfg)?;
+    read_entry(path.as_ref(), &key, true, w, cfg).map(|(bouquet, _)| bouquet)
 }
 
 /// Binary layout (all integers/floats little-endian):
@@ -471,13 +503,14 @@ impl<'a> Reader<'a> {
 /// Decode and validate one entry, grafting the caller's workload under the
 /// stored arrays. `require_stats_match` distinguishes a direct hit (both
 /// key halves must match) from the read of a stale sibling (only the
-/// skeleton must match). Returns the bouquet and its stored cold-build
-/// wall time.
+/// skeleton must match). The stored config must be a valid one and the
+/// caller's `cfg`. Returns the bouquet and its stored cold-build wall time.
 fn read_entry(
     path: &Path,
     key: &CacheKey,
     require_stats_match: bool,
     w: &Workload,
+    cfg: &BouquetConfig,
 ) -> Result<(Bouquet, f64), PbError> {
     let bytes = std::fs::read(path).map_err(|e| PbError::Io {
         path: path.display().to_string(),
@@ -538,6 +571,10 @@ fn read_entry(
     if meta.plans.len() != n_plans {
         return Err(r.corrupt("plan count disagrees with meta"));
     }
+    validate_config(&meta.config).map_err(|e| r.corrupt(format!("stored config: {e}")))?;
+    if meta.config != *cfg {
+        return Err(r.corrupt("stored config differs from the caller's"));
+    }
     // Before any array is sized from it: a row per bouquet plan.
     if n_rows != plan_union(&meta.contours).len() {
         return Err(r.corrupt("cost row count disagrees with the contours' plans"));
@@ -566,9 +603,115 @@ fn read_entry(
         programs: std::sync::OnceLock::new(),
         tables: std::sync::OnceLock::new(),
     };
-    crate::persist::validate_structure(&bouquet)
+    validate_structure(&bouquet)
         .map_err(|message| r.corrupt(format!("structural validation: {message}")))?;
     Ok((bouquet, cold_build_s))
+}
+
+/// What a decoded bouquet must satisfy before a driver may index with it:
+/// grid-sized arrays over the caller's grid, a cost row per bouquet plan, a
+/// non-empty contour schedule, and every plan id, grid point and stored plan
+/// valid for the caller's workload.
+fn validate_structure(b: &Bouquet) -> Result<(), String> {
+    let n = b.workload.ess.num_points();
+    if b.diagram.optimal.len() != n || b.diagram.opt_cost.len() != n {
+        return Err("diagram size disagrees with ESS".into());
+    }
+    let n_plans = b.diagram.plans.len();
+    // The finishing rung runs the winner at its estimate.
+    if let Some(li) = b
+        .diagram
+        .optimal
+        .iter()
+        .position(|&p| p as usize >= n_plans)
+    {
+        return Err(format!(
+            "grid point {li} names unknown winner {}",
+            b.diagram.optimal[li]
+        ));
+    }
+    // One cost row per bouquet plan, in `plan_ids()` order, over the grid.
+    if b.costs.len() != b.plan_ids().len() {
+        return Err("cost matrix row count disagrees with the bouquet's plan count".into());
+    }
+    if b.costs.len() > 0 && b.costs.num_points() != n {
+        return Err("cost matrix column count disagrees with grid".into());
+    }
+    if b.contours.len() != b.grading.len() {
+        return Err("contour count disagrees with grading".into());
+    }
+    // The contour schedule is what discovery runs; there is no empty one.
+    if b.contours.is_empty() {
+        return Err("bouquet has no contours".into());
+    }
+    for c in &b.contours {
+        if c.points.len() != c.assignment.len() {
+            return Err(format!("contour {} assignment arity mismatch", c.id));
+        }
+        for &p in c.plan_set.iter().chain(&c.assignment) {
+            if p >= n_plans {
+                return Err(format!("contour {} references unknown plan {p}", c.id));
+            }
+        }
+        for &li in &c.points {
+            if li >= n {
+                return Err(format!(
+                    "contour {} references out-of-grid point {li}",
+                    c.id
+                ));
+            }
+        }
+    }
+    b.workload.query.check(&b.workload.catalog)?;
+    let all = (0..b.workload.query.num_relations()).fold(0u64, |m, r| m | 1 << r);
+    for (id, plan) in b.diagram.plans.iter().enumerate() {
+        match plan_rels(&plan.root, &b.workload.query) {
+            Ok(mask) if mask == all => {}
+            Ok(_) => return Err(format!("plan {id} does not join every relation")),
+            Err(e) => return Err(format!("plan {id}: {e}")),
+        }
+    }
+    Ok(())
+}
+
+/// The relations a stored plan subtree covers, as a mask, if every
+/// relation, selection and join it names exists in `q`, every join has a
+/// key, and no relation appears twice.
+fn plan_rels(node: &PlanNode, q: &QuerySpec) -> Result<u64, String> {
+    let rel = |r: usize| match q.relations.get(r) {
+        Some(_) => Ok(1u64 << r),
+        None => Err(format!("unknown relation {r}")),
+    };
+    let mut mask = match node {
+        PlanNode::SeqScan { rel: r } | PlanNode::FullIndexScan { rel: r, .. } => rel(*r)?,
+        PlanNode::IndexScan { rel: r, sel_idx } => {
+            let m = rel(*r)?;
+            if *sel_idx >= q.relations[*r].selections.len() {
+                return Err(format!("unknown selection {sel_idx} of relation {r}"));
+            }
+            m
+        }
+        PlanNode::IndexNLJoin { inner_rel, .. } => rel(*inner_rel)?,
+        _ => 0,
+    };
+    if let Some(e) = node.edges().iter().find(|&&e| e >= q.joins.len()) {
+        return Err(format!("unknown join {e}"));
+    }
+    let keyed = !matches!(
+        node,
+        PlanNode::BlockNLJoin { .. } | PlanNode::HashAggregate { .. } | PlanNode::Spill { .. }
+    );
+    if keyed && !node.children().is_empty() && node.edges().is_empty() {
+        return Err("join without a key".into());
+    }
+    for child in node.children() {
+        let m = plan_rels(child, q)?;
+        if mask & m != 0 {
+            return Err("a relation appears twice".into());
+        }
+        mask |= m;
+    }
+    Ok(mask)
 }
 
 #[cfg(test)]
@@ -817,7 +960,7 @@ mod tests {
         b.costs = CostMatrix::from_flat(w.ess.num_points(), Vec::new());
         let key = CacheKey::derive(&w, &cfg).unwrap();
         cache.store(&key, &b, 0.0).unwrap();
-        match read_entry(&entry_file(&tmp.0), &key, true, &w) {
+        match read_entry(&entry_file(&tmp.0), &key, true, &w, &cfg) {
             Err(PbError::Corrupt { message, .. }) => {
                 assert!(message.ends_with("bouquet has no contours"), "{message}")
             }
@@ -891,5 +1034,138 @@ mod tests {
             .get_or_identify(&drifted, &cfg, Parallelism::serial())
             .unwrap();
         assert!(matches!(again, CacheOutcome::Hit { .. }));
+    }
+
+    /// A frame file in a temp dir of its own (removed on drop).
+    fn frame_path(tmp: &TmpDir) -> PathBuf {
+        std::fs::create_dir_all(&tmp.0).unwrap();
+        tmp.0.join("b.pbq")
+    }
+
+    #[test]
+    fn frame_roundtrip_preserves_runtime_behaviour() {
+        let tmp = TmpDir::new("frame");
+        let path = frame_path(&tmp);
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let original = Bouquet::identify(&w, &cfg).unwrap();
+        save_frame(&original, &path).unwrap();
+        let loaded = load_frame(&path, &w, &cfg).unwrap();
+        assert_eq!(
+            persist::to_json(&original).unwrap(),
+            persist::to_json(&loaded).unwrap()
+        );
+        // Fingerprints are the trees' own, recomputed on load.
+        for (a, c) in original.diagram.plans.iter().zip(&loaded.diagram.plans) {
+            assert_eq!(a.fingerprint(), c.fingerprint());
+        }
+        for f in [0.1, 0.5, 0.9] {
+            let qa = w.ess.point_at_fractions(&[f]);
+            assert_eq!(
+                original.run_basic(&qa).unwrap(),
+                loaded.run_basic(&qa).unwrap()
+            );
+            assert_eq!(
+                original.run_optimized(&qa).unwrap(),
+                loaded.run_optimized(&qa).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn missing_frame_is_an_io_error() {
+        let w = workload(1.0);
+        match load_frame(
+            "/nonexistent/pb_bouquet_nowhere.pbq",
+            &w,
+            &BouquetConfig::default(),
+        ) {
+            Err(PbError::Io { path, .. }) => assert!(path.contains("nowhere")),
+            other => panic!("expected Io, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Load `path` as `(w, cfg)`'s bouquet and demand a `Corrupt` naming it
+    /// whose message ends with `tail`.
+    fn refused(path: &Path, w: &Workload, cfg: &BouquetConfig, tail: &str) {
+        match load_frame(path, w, cfg) {
+            Err(PbError::Corrupt { path: p, message }) => {
+                assert_eq!(p, path.display().to_string());
+                assert!(message.ends_with(tail), "{message}");
+            }
+            other => panic!("expected Corrupt ({tail}), got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn frame_of_another_workload_statistics_or_config_is_refused_by_key() {
+        let tmp = TmpDir::new("frame_key");
+        let path = frame_path(&tmp);
+        let cfg = BouquetConfig::default();
+        save_frame(&Bouquet::identify(&workload(1.0), &cfg).unwrap(), &path).unwrap();
+        refused(&path, &workload(1.01), &cfg, "statistics key mismatch");
+        let other = BouquetConfig {
+            lambda: 0.1,
+            ..Default::default()
+        };
+        refused(&path, &workload(1.0), &other, "skeleton key mismatch");
+    }
+
+    /// Seal `b` under the key of `(w, cfg)` at `path`, as a writer that
+    /// computed the key honestly but stored something else would.
+    fn seal_under(path: &Path, w: &Workload, cfg: &BouquetConfig, b: &Bouquet) {
+        let key = CacheKey::derive(w, cfg).unwrap();
+        std::fs::write(path, encode_entry(&key, b, 0.0).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_winner_is_corrupt_on_load_and_a_miss_in_the_cache() {
+        let tmp = TmpDir::new("winner");
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let (mut b, _) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        // The finishing rung would index the programs with this id.
+        b.diagram.optimal[3] = b.diagram.plans.len() as u32;
+        let entry = entry_file(&tmp.0);
+        seal_under(&entry, &w, &cfg, &b);
+        let tail = format!(
+            "grid point 3 names unknown winner {}",
+            b.diagram.plans.len()
+        );
+        refused(&entry, &w, &cfg, &tail);
+        let (_, outcome) = cache
+            .get_or_identify(&w, &cfg, Parallelism::serial())
+            .unwrap();
+        assert!(matches!(outcome, CacheOutcome::Miss { .. }), "{outcome:?}");
+    }
+
+    #[test]
+    fn stored_config_with_a_ratio_of_at_most_one_is_corrupt() {
+        let tmp = TmpDir::new("ratio");
+        let path = frame_path(&tmp);
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let mut b = Bouquet::identify(&w, &cfg).unwrap();
+        // r = 1 makes the quoted bound infinite, r < 1 negative.
+        for r in [1.0, 0.5] {
+            b.config.r = r;
+            seal_under(&path, &w, &cfg, &b);
+            refused(&path, &w, &cfg, "isocost ratio r must exceed 1");
+        }
+    }
+
+    #[test]
+    fn stored_config_other_than_the_callers_is_corrupt() {
+        let tmp = TmpDir::new("config");
+        let path = frame_path(&tmp);
+        let w = workload(1.0);
+        let cfg = BouquetConfig::default();
+        let mut b = Bouquet::identify(&w, &cfg).unwrap();
+        b.config.lambda = 0.1;
+        seal_under(&path, &w, &cfg, &b);
+        refused(&path, &w, &cfg, "stored config differs from the caller's");
     }
 }

@@ -8,7 +8,7 @@ use pb_plan::QuerySpec;
 /// One benchmark error space: a query over a catalog with a designated
 /// error-prone selectivity space and a cost-model personality. This is the
 /// unit the paper's Table 2 enumerates (`3D_H_Q5`, `5D_DS_Q19`, …).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Workload {
     pub name: String,
     pub catalog: Catalog,

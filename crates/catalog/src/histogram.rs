@@ -8,11 +8,11 @@
 //! interpolation over `[min, max]` to interpolation within equi-depth
 //! buckets, which is exact for any piecewise-uniform data distribution.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An equi-depth histogram: `bounds` has `buckets + 1` ascending entries;
 /// each bucket holds the same fraction of rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EquiDepthHistogram {
     pub bounds: Vec<f64>,
 }

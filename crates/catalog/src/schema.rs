@@ -22,7 +22,7 @@ pub struct ColumnId {
 /// Secondary-index metadata. The paper's "hard-nut" physical design places an
 /// index on every column that appears in a query, which maximises the cost
 /// gradient C_max/C_min across the selectivity space (Section 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IndexInfo {
     pub column: ColumnId,
     /// Whether the heap is clustered on this index (cheap range scans).
@@ -32,7 +32,7 @@ pub struct IndexInfo {
 }
 
 /// Column metadata plus optimizer statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Column {
     pub name: String,
     pub id: ColumnId,
@@ -42,7 +42,7 @@ pub struct Column {
 }
 
 /// Table metadata: cardinality, physical layout, columns, indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table {
     pub name: String,
     pub id: TableId,
@@ -72,7 +72,7 @@ impl Table {
 }
 
 /// A catalog of tables; the simulator's `pg_catalog`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Catalog {
     tables: Vec<Table>,
     by_name: BTreeMap<String, TableId>,

@@ -6,13 +6,13 @@
 //! errors (Section 6.7). The bouquet itself never consumes estimates for
 //! error-prone predicates; it only needs the *ranges* of legal selectivities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::histogram::EquiDepthHistogram;
 
 /// Per-column statistics: distinct count, value bounds and a distribution tag
 /// that the tuple engine's data generator honours.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ColumnStats {
     /// Number of distinct values.
     pub ndv: f64,
@@ -27,7 +27,7 @@ pub struct ColumnStats {
 }
 
 /// Value distribution shape for synthetic data generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Distribution {
     Uniform,
     /// Zipfian with the given skew parameter.

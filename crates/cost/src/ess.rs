@@ -17,12 +17,11 @@ use serde::{Deserialize, Serialize};
 /// concerned (spacing and coordinates are kind-independent), but workloads
 /// validate it against the query's predicates and the engine/estimator use
 /// it to pick per-kind observation and estimation paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EssDim {
     pub name: String,
     pub lo: f64,
     pub hi: f64,
-    #[serde(default)]
     pub kind: DimKind,
 }
 
@@ -109,7 +108,7 @@ impl std::ops::Deref for SelPoint {
 pub type GridIx = Vec<usize>;
 
 /// The discretized ESS: a geometric grid with `res[d]` steps per dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Ess {
     pub dims: Vec<EssDim>,
     pub res: Vec<usize>,

@@ -1,10 +1,10 @@
 //! Cost-model constants and engine personalities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tunable constants of the operator cost formulas, in units of one
 /// sequential page read (PostgreSQL convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostParams {
     /// Cost of a sequentially-read page.
     pub seq_page: f64,
@@ -39,7 +39,7 @@ pub struct CostParams {
 /// a commercial engine ("COM"); we model the latter as a second personality
 /// with different trade-off constants (cheaper random I/O, pricier CPU,
 /// larger memory), which shifts every plan-choice crossover point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostModel {
     pub name: String,
     pub p: CostParams,

@@ -1,22 +1,17 @@
-//! Volcano-style tuple-at-a-time plan execution with cost charging, budget
-//! aborts and node-level instrumentation.
+//! The engine's front door and what an execution reports: [`Engine`],
+//! [`EngineOutcome`], and the per-node [`Instrumentation`] the drivers read
+//! observed selectivities from.
 //!
-//! This is the *reference* engine: one [`Ctx::settle`] per tuple, row-major
-//! intermediates. [`Engine::execute`] runs the vectorized engine in
-//! [`crate::vec_exec`], which batches both the data movement and the cost
-//! accounting; [`Engine::execute_tuple`] runs this path. Both share the
-//! closed-form ledger in [`crate::ledger`] and produce bit-identical
-//! [`EngineOutcome`]s, including the abort tuple under finite budgets.
+//! [`Engine::execute`] runs the vectorized engine in [`crate::vec_exec`],
+//! which charges the closed-form ledger in [`crate::ledger`] once per batch
+//! and replays an over-budget batch tuple by tuple, so a budget abort lands
+//! on the exact tuple, counters and cost a per-tuple settle would produce.
 
-use std::collections::HashMap;
-
-use pb_catalog::ColumnId;
 use pb_cost::{CostParams, Parallelism};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, PlanNode, QuerySpec, RelIdx};
 
-use crate::data::{eval_pred, Database};
-use crate::ledger::{lin2, lin3, Ctx, Halt};
+use crate::data::Database;
 
 /// Tuple counters for one plan node (PostgreSQL `Instrumentation` analogue).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -256,18 +251,9 @@ pub struct Engine<'a> {
     /// analogue of `PARALLEL_MIN_GRID`). Tests lower it to exercise the
     /// parallel kernels on small data.
     pub morsel_min: usize,
-    /// Cooperative cancellation token, polled by the vectorized path at
-    /// batch commits and one-off charges (the tuple reference path ignores
-    /// it — its job is bit-identity with uninterrupted runs). `None`
-    /// disables polling entirely.
+    /// Cooperative cancellation token, polled at batch commits and one-off
+    /// charges. `None` disables polling entirely.
     pub cancel: Option<pb_faults::CancelToken>,
-}
-
-/// Materialized intermediate relation: concatenated base-relation blocks.
-struct Rel {
-    /// Which relations contribute column blocks, in order.
-    rels: Vec<RelIdx>,
-    rows: Vec<Vec<i64>>,
 }
 
 impl<'a> Engine<'a> {
@@ -317,10 +303,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute `plan` with a cost budget (use `f64::INFINITY` to run to
-    /// completion unconditionally). Runs the vectorized engine;
-    /// [`Engine::execute_tuple`] is the tuple-at-a-time reference path with
-    /// an identical observable outcome (cost, rows, instrumentation, abort
-    /// point — see `tests/engine_properties.rs`).
+    /// completion unconditionally). The outcome — cost bits, rows,
+    /// instrumentation, abort point — is what a tuple-at-a-time
+    /// interpretation of the plan would report; pb-engine's unit tests
+    /// check that against such an interpreter.
     pub fn execute(&self, plan: &PlanNode, budget: f64) -> EngineOutcome {
         self.execute_with_faults(plan, budget, &FaultInjector::none())
     }
@@ -334,628 +320,6 @@ impl<'a> Engine<'a> {
         faults: &FaultInjector,
     ) -> EngineOutcome {
         self.vec_run(plan, budget, faults, None).0
-    }
-
-    /// Tuple-at-a-time reference execution.
-    pub fn execute_tuple(&self, plan: &PlanNode, budget: f64) -> EngineOutcome {
-        self.execute_tuple_with(plan, budget, &FaultInjector::none())
-    }
-
-    /// Tuple-at-a-time execution with an armed fault injector.
-    pub fn execute_tuple_with(
-        &self,
-        plan: &PlanNode,
-        budget: f64,
-        faults: &FaultInjector,
-    ) -> EngineOutcome {
-        let mut ctx = Ctx {
-            spent: 0.0,
-            budget,
-            instr: vec![NodeStats::default(); plan.size()],
-            faults,
-            resume: None,
-            reused: 0.0,
-            cancel: None,
-        };
-        let mut next_id = 0usize;
-        // The root's output is never consumed by another operator, so it is
-        // counted and charged but not materialized (large final results
-        // would otherwise dominate memory).
-        match self.eval(plan, &mut ctx, &mut next_id, false) {
-            Ok(_) => {
-                let rows = ctx.instr[0].output_tuples as usize;
-                EngineOutcome::Completed {
-                    rows,
-                    cost: ctx.spent,
-                    instr: Instrumentation { nodes: ctx.instr },
-                }
-            }
-            Err(Halt::Abort) => EngineOutcome::Aborted {
-                cost: ctx.spent,
-                instr: Instrumentation { nodes: ctx.instr },
-            },
-            Err(Halt::Fault(error)) => EngineOutcome::Failed {
-                error,
-                cost: ctx.spent,
-                instr: Instrumentation { nodes: ctx.instr },
-            },
-        }
-    }
-
-    pub(crate) fn ncols(&self, rel: RelIdx) -> usize {
-        self.db
-            .catalog
-            .table_by_id(self.query.relations[rel].table)
-            .columns
-            .len()
-    }
-
-    pub(crate) fn offset(
-        &self,
-        rels: &[RelIdx],
-        rel: RelIdx,
-        col: ColumnId,
-    ) -> Result<usize, Halt> {
-        let mut off = 0;
-        for &r in rels {
-            if r == rel {
-                return Ok(off + col.column as usize);
-            }
-            off += self.ncols(r);
-        }
-        Err(Halt::Fault(PbError::MissingEntity {
-            kind: "relation".into(),
-            name: format!("{rel} not in schema {rels:?}"),
-        }))
-    }
-
-    /// Evaluate a subtree. With `store == false` the node's own output is
-    /// charged and counted but not materialized.
-    fn eval(
-        &self,
-        node: &PlanNode,
-        ctx: &mut Ctx<'_>,
-        next_id: &mut usize,
-        store: bool,
-    ) -> Result<Rel, Halt> {
-        let my_id = *next_id;
-        *next_id += 1;
-        let p = self.params;
-        match node {
-            PlanNode::SeqScan { rel } => {
-                let t = self.db.table(self.query.relations[*rel].table);
-                let table_meta = self
-                    .db
-                    .catalog
-                    .table_by_id(self.query.relations[*rel].table);
-                let preds = &self.query.relations[*rel].selections;
-                ctx.charge(table_meta.pages() * p.seq_page)?;
-                let base = ctx.spent;
-                let row_rate = p.cpu_tuple + preds.len() as f64 * p.cpu_operator;
-                let (mut seen, mut emitted) = (0u64, 0u64);
-                let mut rows = Vec::new();
-                for r in 0..t.rows {
-                    seen += 1;
-                    ctx.settle(lin2(base, seen, row_rate, emitted, p.emit_tuple))?;
-                    if preds
-                        .iter()
-                        .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                    {
-                        emitted += 1;
-                        ctx.settle(lin2(base, seen, row_rate, emitted, p.emit_tuple))?;
-                        if store {
-                            rows.push(t.columns.iter().map(|c| c[r]).collect());
-                        }
-                        ctx.instr[my_id].output_tuples += 1;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: vec![*rel],
-                    rows,
-                })
-            }
-            PlanNode::IndexScan { rel, sel_idx } => {
-                let t = self.db.table(self.query.relations[*rel].table);
-                let preds = &self.query.relations[*rel].selections;
-                let key_pred = &preds[*sel_idx];
-                let Some(ix) = t.indexes.get(&key_pred.column.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {rel} column {}",
-                        key_pred.column.column
-                    ))));
-                };
-                ctx.charge(3.0 * p.random_page)?;
-                let base = ctx.spent;
-                let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
-                let range = index_range(ix, key_pred);
-                let (mut seen, mut emitted) = (0u64, 0u64);
-                let mut rows = Vec::new();
-                for &(_, r) in &ix[range] {
-                    seen += 1;
-                    ctx.settle(lin2(base, seen, entry_rate, emitted, p.emit_tuple))?;
-                    let r = r as usize;
-                    let ok = preds.iter().enumerate().all(|(i, pr)| {
-                        i == *sel_idx || eval_pred(pr, t.columns[pr.column.column as usize][r])
-                    });
-                    if ok {
-                        emitted += 1;
-                        ctx.settle(lin2(base, seen, entry_rate, emitted, p.emit_tuple))?;
-                        if store {
-                            rows.push(t.columns.iter().map(|c| c[r]).collect());
-                        }
-                        ctx.instr[my_id].output_tuples += 1;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: vec![*rel],
-                    rows,
-                })
-            }
-            PlanNode::FullIndexScan { rel, column } => {
-                let t = self.db.table(self.query.relations[*rel].table);
-                let preds = &self.query.relations[*rel].selections;
-                let Some(ix) = t.indexes.get(&column.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {rel} column {}",
-                        column.column
-                    ))));
-                };
-                ctx.charge((t.rows as f64 / 256.0).max(1.0) * p.seq_page)?;
-                let base = ctx.spent;
-                let entry_rate = p.cpu_index_tuple
-                    + p.random_page * p.heap_fetch_factor
-                    + preds.len() as f64 * p.cpu_operator;
-                let (mut seen, mut emitted) = (0u64, 0u64);
-                let mut rows = Vec::new();
-                for &(_, r) in ix {
-                    seen += 1;
-                    ctx.settle(lin2(base, seen, entry_rate, emitted, p.emit_tuple))?;
-                    let r = r as usize;
-                    if preds
-                        .iter()
-                        .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                    {
-                        emitted += 1;
-                        ctx.settle(lin2(base, seen, entry_rate, emitted, p.emit_tuple))?;
-                        if store {
-                            rows.push(t.columns.iter().map(|c| c[r]).collect());
-                        }
-                        ctx.instr[my_id].output_tuples += 1;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: vec![*rel],
-                    rows,
-                })
-            }
-            PlanNode::HashJoin {
-                build,
-                probe,
-                edges,
-            } => {
-                let b = self.eval(build, ctx, next_id, true)?;
-                let pr = self.eval(probe, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (bkey, pkey) = self.key_offsets(&b.rels, &pr.rels, j0)?;
-                let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-                for (i, row) in b.rows.iter().enumerate() {
-                    ctx.settle(lin2(base, i as u64 + 1, build_rate, 0, 0.0))?;
-                    table.entry(row[bkey]).or_default().push(i);
-                }
-                let out_rels: Vec<RelIdx> = b.rels.iter().chain(&pr.rels).copied().collect();
-                let pbase = ctx.spent;
-                let mut emitted = 0u64;
-                let mut rows = Vec::new();
-                for (i, prow) in pr.rows.iter().enumerate() {
-                    ctx.settle(lin2(
-                        pbase,
-                        i as u64 + 1,
-                        p.hash_probe,
-                        emitted,
-                        p.emit_tuple,
-                    ))?;
-                    if let Some(bs) = table.get(&prow[pkey]) {
-                        for &bi in bs {
-                            let joined: Vec<i64> =
-                                b.rows[bi].iter().chain(prow.iter()).copied().collect();
-                            if self.residual_ok(&out_rels, &joined, &edges[1..])? {
-                                emitted += 1;
-                                ctx.settle(lin2(
-                                    pbase,
-                                    i as u64 + 1,
-                                    p.hash_probe,
-                                    emitted,
-                                    p.emit_tuple,
-                                ))?;
-                                if store {
-                                    rows.push(joined);
-                                }
-                                ctx.instr[my_id].output_tuples += 1;
-                            }
-                        }
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: out_rels,
-                    rows,
-                })
-            }
-            PlanNode::SortMergeJoin {
-                left,
-                right,
-                edges,
-                sort_left,
-                sort_right,
-            } => {
-                let mut l = self.eval(left, ctx, next_id, true)?;
-                let mut r = self.eval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
-                // Sort both (an un-flagged input is already ordered, but
-                // re-sorting is a no-op for correctness; we charge only for
-                // flagged sorts, mirroring the cost model).
-                if *sort_left {
-                    let n = l.rows.len().max(2) as f64;
-                    ctx.charge(n * n.log2() * 2.0 * p.cpu_operator)?;
-                }
-                if *sort_right {
-                    let n = r.rows.len().max(2) as f64;
-                    ctx.charge(n * n.log2() * 2.0 * p.cpu_operator)?;
-                }
-                l.rows.sort_by_key(|row| row[lkey]);
-                r.rows.sort_by_key(|row| row[rkey]);
-                let out_rels: Vec<RelIdx> = l.rels.iter().chain(&r.rels).copied().collect();
-                let base = ctx.spent;
-                let step_rate = 2.0 * p.cpu_operator;
-                let (mut steps, mut emitted) = (0u64, 0u64);
-                let mut rows = Vec::new();
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < l.rows.len() && j < r.rows.len() {
-                    steps += 1;
-                    ctx.settle(lin2(base, steps, step_rate, emitted, p.emit_tuple))?;
-                    let (a, b) = (l.rows[i][lkey], r.rows[j][rkey]);
-                    if a < b {
-                        i += 1;
-                    } else if a > b {
-                        j += 1;
-                    } else {
-                        // equal group cross product
-                        let i_end = l.rows[i..].iter().take_while(|x| x[lkey] == a).count() + i;
-                        let j_end = r.rows[j..].iter().take_while(|x| x[rkey] == a).count() + j;
-                        for li in i..i_end {
-                            for rj in j..j_end {
-                                let joined: Vec<i64> = l.rows[li]
-                                    .iter()
-                                    .chain(r.rows[rj].iter())
-                                    .copied()
-                                    .collect();
-                                if self.residual_ok(&out_rels, &joined, &edges[1..])? {
-                                    emitted += 1;
-                                    ctx.settle(lin2(
-                                        base,
-                                        steps,
-                                        step_rate,
-                                        emitted,
-                                        p.emit_tuple,
-                                    ))?;
-                                    if store {
-                                        rows.push(joined);
-                                    }
-                                    ctx.instr[my_id].output_tuples += 1;
-                                }
-                            }
-                        }
-                        i = i_end;
-                        j = j_end;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: out_rels,
-                    rows,
-                })
-            }
-            PlanNode::IndexNLJoin {
-                outer,
-                inner_rel,
-                edges,
-            } => {
-                let o = self.eval(outer, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let t = self.db.table(self.query.relations[*inner_rel].table);
-                let inner_preds = &self.query.relations[*inner_rel].selections;
-                // Outer-side key offset and inner lookup column.
-                let (okey_rel, okey_col, ikey_col) = if o.rels.contains(&j0.left_rel) {
-                    (j0.left_rel, j0.left_col, j0.right_col)
-                } else {
-                    (j0.right_rel, j0.right_col, j0.left_col)
-                };
-                let okey = self.offset(&o.rels, okey_rel, okey_col)?;
-                let Some(ix) = t.indexes.get(&ikey_col.column) else {
-                    return Err(Halt::Fault(PbError::UnindexedColumn(format!(
-                        "rel {inner_rel} column {}",
-                        ikey_col.column
-                    ))));
-                };
-                let out_rels: Vec<RelIdx> = o.rels.iter().copied().chain([*inner_rel]).collect();
-                let base = ctx.spent;
-                let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
-                let (mut looks, mut probed, mut emitted) = (0u64, 0u64, 0u64);
-                let mut rows = Vec::new();
-                for orow in &o.rows {
-                    looks += 1;
-                    ctx.settle(lin3(
-                        base,
-                        looks,
-                        p.index_lookup,
-                        probed,
-                        entry_rate,
-                        emitted,
-                        p.emit_tuple,
-                    ))?;
-                    let key = orow[okey];
-                    let start = ix.partition_point(|&(v, _)| v < key);
-                    for &(v, r) in &ix[start..] {
-                        if v != key {
-                            break;
-                        }
-                        probed += 1;
-                        ctx.settle(lin3(
-                            base,
-                            looks,
-                            p.index_lookup,
-                            probed,
-                            entry_rate,
-                            emitted,
-                            p.emit_tuple,
-                        ))?;
-                        let r = r as usize;
-                        let ok = inner_preds
-                            .iter()
-                            .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]));
-                        if !ok {
-                            continue;
-                        }
-                        let joined: Vec<i64> = orow
-                            .iter()
-                            .copied()
-                            .chain(t.columns.iter().map(|c| c[r]))
-                            .collect();
-                        if self.residual_ok(&out_rels, &joined, &edges[1..])? {
-                            emitted += 1;
-                            ctx.settle(lin3(
-                                base,
-                                looks,
-                                p.index_lookup,
-                                probed,
-                                entry_rate,
-                                emitted,
-                                p.emit_tuple,
-                            ))?;
-                            if store {
-                                rows.push(joined);
-                            }
-                            ctx.instr[my_id].output_tuples += 1;
-                        }
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: out_rels,
-                    rows,
-                })
-            }
-            PlanNode::BlockNLJoin {
-                outer,
-                inner,
-                edges,
-            } => {
-                let o = self.eval(outer, ctx, next_id, true)?;
-                let inn = self.eval(inner, ctx, next_id, true)?;
-                let out_rels: Vec<RelIdx> = o.rels.iter().chain(&inn.rels).copied().collect();
-                let base = ctx.spent;
-                let pair_rate = p.cpu_operator * edges.len().max(1) as f64;
-                let (mut pairs, mut emitted) = (0u64, 0u64);
-                let mut rows = Vec::new();
-                for orow in &o.rows {
-                    for irow in &inn.rows {
-                        pairs += 1;
-                        ctx.settle(lin2(base, pairs, pair_rate, emitted, p.emit_tuple))?;
-                        let joined: Vec<i64> = orow.iter().chain(irow.iter()).copied().collect();
-                        if self.residual_ok(&out_rels, &joined, edges)? {
-                            emitted += 1;
-                            ctx.settle(lin2(base, pairs, pair_rate, emitted, p.emit_tuple))?;
-                            if store {
-                                rows.push(joined);
-                            }
-                            ctx.instr[my_id].output_tuples += 1;
-                        }
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel {
-                    rels: out_rels,
-                    rows,
-                })
-            }
-            PlanNode::AntiJoin { left, right, edges } => {
-                let l = self.eval(left, ctx, next_id, true)?;
-                let r = self.eval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
-                let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let mut keys: std::collections::HashSet<i64> = std::collections::HashSet::new();
-                for (i, row) in r.rows.iter().enumerate() {
-                    ctx.settle(lin2(base, i as u64 + 1, build_rate, 0, 0.0))?;
-                    keys.insert(row[rkey]);
-                }
-                let pbase = ctx.spent;
-                let mut emitted = 0u64;
-                let mut rows = Vec::new();
-                for (i, lrow) in l.rows.iter().enumerate() {
-                    ctx.settle(lin2(
-                        pbase,
-                        i as u64 + 1,
-                        p.hash_probe,
-                        emitted,
-                        p.emit_tuple,
-                    ))?;
-                    if !keys.contains(&lrow[lkey]) {
-                        emitted += 1;
-                        ctx.settle(lin2(
-                            pbase,
-                            i as u64 + 1,
-                            p.hash_probe,
-                            emitted,
-                            p.emit_tuple,
-                        ))?;
-                        if store {
-                            rows.push(lrow.clone());
-                        }
-                        ctx.instr[my_id].output_tuples += 1;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel { rels: l.rels, rows })
-            }
-            PlanNode::SemiJoin { left, right, edges } => {
-                // Mirror of the anti-join kernel with the membership test
-                // un-negated: keep each left row with at least one match.
-                let l = self.eval(left, ctx, next_id, true)?;
-                let r = self.eval(right, ctx, next_id, true)?;
-                let j0 = &self.query.joins[edges[0]];
-                let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
-                let base = ctx.spent;
-                let build_rate = p.cpu_tuple + p.hash_build;
-                let mut keys: std::collections::HashSet<i64> = std::collections::HashSet::new();
-                for (i, row) in r.rows.iter().enumerate() {
-                    ctx.settle(lin2(base, i as u64 + 1, build_rate, 0, 0.0))?;
-                    keys.insert(row[rkey]);
-                }
-                let pbase = ctx.spent;
-                let mut emitted = 0u64;
-                let mut rows = Vec::new();
-                for (i, lrow) in l.rows.iter().enumerate() {
-                    ctx.settle(lin2(
-                        pbase,
-                        i as u64 + 1,
-                        p.hash_probe,
-                        emitted,
-                        p.emit_tuple,
-                    ))?;
-                    if keys.contains(&lrow[lkey]) {
-                        emitted += 1;
-                        ctx.settle(lin2(
-                            pbase,
-                            i as u64 + 1,
-                            p.hash_probe,
-                            emitted,
-                            p.emit_tuple,
-                        ))?;
-                        if store {
-                            rows.push(lrow.clone());
-                        }
-                        ctx.instr[my_id].output_tuples += 1;
-                    }
-                }
-                ctx.instr[my_id].complete = true;
-                Ok(Rel { rels: l.rels, rows })
-            }
-            PlanNode::HashAggregate { input } => {
-                let i = self.eval(input, ctx, next_id, true)?;
-                let base = ctx.spent;
-                let in_rate = p.cpu_tuple + p.hash_build;
-                let key_offs: Vec<usize> = self
-                    .query
-                    .group_by
-                    .iter()
-                    .map(|&(r, c)| self.offset(&i.rels, r, c))
-                    .collect::<Result<_, _>>()?;
-                let mut groups: HashMap<Vec<i64>, i64> = HashMap::new();
-                for (n, row) in i.rows.iter().enumerate() {
-                    ctx.settle(lin2(base, n as u64 + 1, in_rate, 0, 0.0))?;
-                    let key: Vec<i64> = key_offs.iter().map(|&c| row[c]).collect();
-                    *groups.entry(key).or_insert(0) += 1;
-                }
-                let gbase = ctx.spent;
-                let mut emitted = 0u64;
-                let mut rows = Vec::new();
-                for (key, count) in groups {
-                    emitted += 1;
-                    ctx.settle(lin2(gbase, emitted, p.emit_tuple, 0, 0.0))?;
-                    if store {
-                        let mut out_row = key;
-                        out_row.push(count);
-                        rows.push(out_row);
-                    }
-                    ctx.instr[my_id].output_tuples += 1;
-                }
-                ctx.instr[my_id].complete = true;
-                // The aggregate is always the plan root; its synthetic
-                // (group keys + count) schema is never consumed by a join.
-                Ok(Rel {
-                    rels: Vec::new(),
-                    rows,
-                })
-            }
-            PlanNode::Spill { input } => {
-                // The input's output is counted but never materialized.
-                let i = self.eval(input, ctx, next_id, false)?;
-                let discarded = ctx.instr[my_id + 1].output_tuples as f64;
-                ctx.charge(discarded * p.cpu_tuple)?;
-                ctx.instr[my_id].output_tuples = 0;
-                ctx.instr[my_id].complete = true;
-                // Discard output (pipeline deliberately broken).
-                Ok(Rel {
-                    rels: i.rels,
-                    rows: Vec::new(),
-                })
-            }
-        }
-    }
-
-    /// Offsets of the primary join key on each side.
-    pub(crate) fn key_offsets(
-        &self,
-        lrels: &[RelIdx],
-        rrels: &[RelIdx],
-        j: &pb_plan::JoinPredicate,
-    ) -> Result<(usize, usize), Halt> {
-        if lrels.contains(&j.left_rel) {
-            Ok((
-                self.offset(lrels, j.left_rel, j.left_col)?,
-                self.offset(rrels, j.right_rel, j.right_col)?,
-            ))
-        } else {
-            Ok((
-                self.offset(lrels, j.right_rel, j.right_col)?,
-                self.offset(rrels, j.left_rel, j.left_col)?,
-            ))
-        }
-    }
-
-    fn residual_ok(&self, rels: &[RelIdx], row: &[i64], edges: &[usize]) -> Result<bool, Halt> {
-        for &e in edges {
-            let j = &self.query.joins[e];
-            let a = self.offset(rels, j.left_rel, j.left_col)?;
-            let b = self.offset(rels, j.right_rel, j.right_col)?;
-            let pass = match j.op {
-                CmpOp::Lt => row[a] < row[b],
-                CmpOp::Gt => row[a] > row[b],
-                CmpOp::Eq | CmpOp::Between => row[a] == row[b],
-            };
-            if !pass {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -981,6 +345,8 @@ pub(crate) fn index_range(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::data::Database;
     use pb_catalog::tpch;
@@ -1083,56 +449,6 @@ mod tests {
         let out = eng.execute(&hj_plan(), full * 0.3);
         assert!(!out.completed());
         assert!((out.cost() - full * 0.3).abs() < 1e-9 * full);
-    }
-
-    #[test]
-    fn tuple_and_vectorized_agree_on_basic_plan() {
-        let (db, q, m) = setup();
-        let eng = Engine::new(&db, &q, &m.p);
-        let full_t = eng.execute_tuple(&hj_plan(), f64::INFINITY);
-        let full_v = eng.execute(&hj_plan(), f64::INFINITY);
-        assert_eq!(full_t, full_v);
-        for frac in [0.9, 0.5, 0.2, 0.05, 0.001] {
-            let budget = full_t.cost() * frac;
-            assert_eq!(
-                eng.execute_tuple(&hj_plan(), budget),
-                eng.execute(&hj_plan(), budget),
-                "divergence at budget fraction {frac}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_join_respects_store_flag() {
-        // Regression: SortMergeJoin used to push joined rows even with
-        // store == false, materializing the full result at the plan root.
-        let (db, q, m) = setup();
-        let eng = Engine::new(&db, &q, &m.p);
-        let plan = PlanNode::SortMergeJoin {
-            left: Box::new(PlanNode::SeqScan { rel: 0 }),
-            right: Box::new(PlanNode::SeqScan { rel: 1 }),
-            edges: vec![0],
-            sort_left: true,
-            sort_right: true,
-        };
-        let inert = FaultInjector::none();
-        let mut ctx = Ctx {
-            spent: 0.0,
-            budget: f64::INFINITY,
-            instr: vec![NodeStats::default(); plan.size()],
-            faults: &inert,
-            resume: None,
-            reused: 0.0,
-            cancel: None,
-        };
-        let mut next_id = 0usize;
-        let rel = eng.eval(&plan, &mut ctx, &mut next_id, false).ok().unwrap();
-        assert!(
-            rel.rows.is_empty(),
-            "store == false must not materialize merge-join output ({} rows kept)",
-            rel.rows.len()
-        );
-        assert!(ctx.instr[0].output_tuples > 0, "rows must still be counted");
     }
 
     #[test]

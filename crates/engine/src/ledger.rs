@@ -1,8 +1,8 @@
-//! Shared budget ledger for the two execution engines.
+//! Budget ledger of the execution engine.
 //!
-//! Both the tuple-at-a-time reference engine ([`crate::exec`]) and the
-//! vectorized engine ([`crate::vec_exec`]) account work through this module
-//! and only through it. Every charge is either a one-off ([`Ctx::charge`]:
+//! The vectorized engine ([`crate::vec_exec`]) and the tuple-at-a-time
+//! interpreter its tests compare it against (`crate::oracle`, compiled for
+//! tests only) account work through this module and only through it. Every charge is either a one-off ([`Ctx::charge`]:
 //! scan setup, sorts, spill penalties) or part of a *linear phase*: a
 //! closed-form `base + Σ counterᵢ·rateᵢ` value computed by [`lin2`]/[`lin3`]
 //! and installed with [`Ctx::settle`]. The tuple engine settles after every

@@ -14,19 +14,20 @@
 //! * spill directives that count and discard an error node's output,
 //! * observed-selectivity extraction from the counters (Section 5.2).
 //!
-//! One production path: [`Engine::execute`] (and
-//! [`Engine::execute_with_faults`], [`Engine::execute_resumable`]) runs the
-//! vectorized columnar engine ([`vec_exec`]), morsel-parallel above the
-//! dispatch gate. One reference: [`Engine::execute_tuple`], the
-//! tuple-at-a-time interpreter the tests compare it against. Both charge one
-//! budget ledger ([`ledger`]), so their outcomes — cost, rows,
-//! instrumentation, and abort point under finite budgets — are bit-identical
-//! by construction.
+//! One executor: [`Engine::execute`] (and [`Engine::execute_with_faults`],
+//! [`Engine::execute_resumable`]) runs the vectorized columnar engine
+//! ([`vec_exec`]), morsel-parallel above the dispatch gate. Its unit tests
+//! compare it against a tuple-at-a-time interpreter (`oracle`, compiled for
+//! tests only) charging the same budget ledger ([`ledger`]): outcomes —
+//! cost, rows, instrumentation, and abort point under finite budgets — are
+//! bit-identical.
 
 pub mod data;
 pub mod exec;
 mod ledger;
 mod morsel;
+#[cfg(test)]
+mod oracle;
 mod vec_exec;
 
 pub use data::{ColumnOverride, Database, TableData};

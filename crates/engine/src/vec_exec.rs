@@ -1295,48 +1295,4 @@ mod tests {
         );
         assert!(ctx.instr[0].output_tuples > 0);
     }
-
-    #[test]
-    fn vectorized_matches_tuple_on_all_operators() {
-        let (db, q, m) = setup();
-        let eng = Engine::new(&db, &q, &m.p);
-        let plans = [
-            PlanNode::HashJoin {
-                build: Box::new(PlanNode::SeqScan { rel: 0 }),
-                probe: Box::new(PlanNode::SeqScan { rel: 1 }),
-                edges: vec![0],
-            },
-            PlanNode::SortMergeJoin {
-                left: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
-                right: Box::new(PlanNode::SeqScan { rel: 1 }),
-                edges: vec![0],
-                sort_left: true,
-                sort_right: true,
-            },
-            PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::SeqScan { rel: 0 }),
-                inner_rel: 1,
-                edges: vec![0],
-            },
-            PlanNode::Spill {
-                input: Box::new(PlanNode::HashJoin {
-                    build: Box::new(PlanNode::SeqScan { rel: 0 }),
-                    probe: Box::new(PlanNode::SeqScan { rel: 1 }),
-                    edges: vec![0],
-                }),
-            },
-        ];
-        for plan in &plans {
-            let full = eng.execute_tuple(plan, f64::INFINITY);
-            assert_eq!(full, eng.execute(plan, f64::INFINITY));
-            for frac in [0.999, 0.7, 0.35, 0.1, 0.01, 1e-4] {
-                let b = full.cost() * frac;
-                assert_eq!(
-                    eng.execute_tuple(plan, b),
-                    eng.execute(plan, b),
-                    "divergence at fraction {frac}"
-                );
-            }
-        }
-    }
 }

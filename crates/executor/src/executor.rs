@@ -243,9 +243,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Shared budget logic: fault checks (operator failure, clock skew,
-    /// abort over-charge) happen here and only here, so the plain and
-    /// compiled paths stay interchangeable.
+    /// Budget logic of a whole-plan execution: fault checks (operator
+    /// failure, clock skew, abort over-charge) happen here and only here.
     fn budgeted(&self, cost: f64, budget: f64, site: &str) -> ExecOutcome {
         if !self.faults.is_active() {
             return if cost <= budget {
@@ -282,12 +281,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Plain cost-limited execution (the basic driver's primitive).
-    pub fn execute(&self, plan: &PlanNode, qa: &[f64], budget: f64) -> ExecOutcome {
-        let cost = self.actual_cost(plan, qa);
-        self.budgeted(cost, budget, "executor:execute")
-    }
-
     /// [`actual_cost`](Executor::actual_cost) via a compiled program. The
     /// program's modeled cost is bit-identical to the tree walk's, so the
     /// two paths are interchangeable. `fp` must be the fingerprint of the
@@ -303,9 +296,8 @@ impl<'a> Executor<'a> {
         self.realized(fp, qa, prog.eval_with(qa, stack).cost)
     }
 
-    /// [`execute`](Executor::execute) via a compiled program — the basic
-    /// driver's hot path, which re-costs whole pool plans once per budget
-    /// probe.
+    /// Plain cost-limited execution of a compiled plan — the basic driver's
+    /// primitive, which re-costs whole pool plans once per budget probe.
     pub fn execute_compiled(
         &self,
         prog: &CostProgram,
@@ -653,10 +645,14 @@ mod tests {
     fn execute_completes_iff_cost_fits() {
         let (cat, q, m) = setup();
         let ex = Executor::new(Coster::new(&cat, &q, &m));
-        let qa = [0.01, 1e-6];
-        let cost = ex.actual_cost(&sample_plan(), &qa);
-        assert!(ex.execute(&sample_plan(), &qa, cost * 1.01).completed());
-        let aborted = ex.execute(&sample_plan(), &qa, cost * 0.5);
+        let (plan, qa) = (sample_plan(), [0.01, 1e-6]);
+        let prog = CostProgram::compile(&cat, &q, &m, &plan);
+        let mut stack = Vec::new();
+        let mut run =
+            |budget| ex.execute_compiled(&prog, plan.fingerprint(), &qa, budget, &mut stack);
+        let cost = ex.actual_cost(&plan, &qa);
+        assert!(run(cost * 1.01).completed());
+        let aborted = run(cost * 0.5);
         assert!(!aborted.completed());
         assert_eq!(aborted.spent(), cost * 0.5);
     }
@@ -677,9 +673,14 @@ mod tests {
             let compiled = noisy.actual_cost_compiled(&prog, fp, &qa, &mut stack);
             assert_eq!(walked.to_bits(), compiled.to_bits());
             for budget in [walked * 0.5, walked, walked * 2.0] {
+                let expect = if walked <= budget {
+                    ExecOutcome::Completed { cost: walked }
+                } else {
+                    ExecOutcome::Aborted { spent: budget }
+                };
                 assert_eq!(
-                    noisy.execute(&plan, &qa, budget),
-                    noisy.execute_compiled(&prog, fp, &qa, budget, &mut stack)
+                    noisy.execute_compiled(&prog, fp, &qa, budget, &mut stack),
+                    expect
                 );
             }
         }

@@ -71,7 +71,7 @@ fn intern(
 }
 
 /// Optimal plan + cost at every grid point of an ESS.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct PlanDiagram {
     pub ess: Ess,
     /// Distinct optimal plans (the POSP set).

@@ -56,7 +56,7 @@ impl std::fmt::Display for DimKind {
 }
 
 /// How a predicate's selectivity is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SelSpec {
     /// Trusted compile-time estimate (error-free dimension).
     Fixed(f64),
@@ -108,7 +108,7 @@ impl SelSpec {
 
 /// Comparison operator of a selection predicate (and, for `Eq`/`Lt`/`Gt`,
 /// of a join predicate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum CmpOp {
     #[default]
     Eq,
@@ -120,7 +120,7 @@ pub enum CmpOp {
 }
 
 /// A selection predicate `column op constant` on a base relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SelectionPredicate {
     pub column: ColumnId,
     pub op: CmpOp,
@@ -143,18 +143,15 @@ pub struct SelectionPredicate {
 /// right.col`); only nested-loop operators can evaluate it, and its
 /// selectivity is the fraction of cross-product pairs satisfying the
 /// comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JoinPredicate {
     pub left_rel: RelIdx,
     pub left_col: ColumnId,
     pub right_rel: RelIdx,
     pub right_col: ColumnId,
     pub selectivity: SelSpec,
-    #[serde(default)]
     pub anti: bool,
-    #[serde(default)]
     pub semi: bool,
-    #[serde(default)]
     pub op: CmpOp,
 }
 
@@ -203,7 +200,7 @@ impl JoinPredicate {
 }
 
 /// A base-relation occurrence in the query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RelationRef {
     pub table: TableId,
     pub alias: String,
@@ -212,7 +209,7 @@ pub struct RelationRef {
 
 /// A select-project-join query with designated error-prone selectivities,
 /// optionally aggregated (`GROUP BY` + COUNT) at the top.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuerySpec {
     pub name: String,
     pub relations: Vec<RelationRef>,
@@ -221,7 +218,6 @@ pub struct QuerySpec {
     pub num_dims: usize,
     /// Grouping columns; empty = no aggregation. The optimizer places a
     /// hash aggregate above the join tree when non-empty.
-    #[serde(default)]
     pub group_by: Vec<(RelIdx, ColumnId)>,
 }
 

@@ -1,7 +1,8 @@
 //! The "canned query" deployment story (paper, Section 4.2): compile the
-//! bouquet offline once, persist it, load it at run time, and — when the
-//! database scales up — identify the grown workload again, as the server's
-//! cache does when the statistics drift.
+//! bouquet offline once, save it as a frame, load it at run time, and — when
+//! the database scales up — find the frame refused by its statistics key and
+//! identify the grown workload again, as the server's cache does when the
+//! statistics drift.
 //!
 //! ```sh
 //! cargo run --release --example canned_query
@@ -9,18 +10,20 @@
 
 use std::time::Instant;
 
-use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig};
+use plan_bouquet::bouquet::cache::{load_frame, save_frame};
+use plan_bouquet::bouquet::{Bouquet, BouquetConfig};
 use plan_bouquet::workloads;
 
 fn main() {
-    let artifact = std::env::temp_dir().join("pb_canned_bouquet.json");
+    let artifact = std::env::temp_dir().join("pb_canned_bouquet.pbq");
+    let cfg = BouquetConfig::default();
 
-    // ---- Offline: compile and persist -------------------------------------
+    // ---- Offline: compile and save ----------------------------------------
     let w = workloads::h_q8a_2d(1.0);
     let t0 = Instant::now();
-    let b = Bouquet::identify(&w, &BouquetConfig::default()).expect("identify");
+    let b = Bouquet::identify(&w, &cfg).expect("identify");
     let compile_time = t0.elapsed();
-    persist::save(&b, &artifact).expect("save");
+    save_frame(&b, &artifact).expect("save");
     println!(
         "offline: compiled {} in {compile_time:.2?} ({} optimizer calls), saved {} KiB",
         w.name,
@@ -30,7 +33,7 @@ fn main() {
 
     // ---- Run time: load and discover --------------------------------------
     let t1 = Instant::now();
-    let loaded = persist::load(&artifact).expect("load");
+    let loaded = load_frame(&artifact, &w, &cfg).expect("load");
     println!(
         "runtime: loaded bouquet in {:.2?} (no optimizer calls)",
         t1.elapsed()
@@ -46,10 +49,12 @@ fn main() {
 
     // ---- Later: the database quadruples ------------------------------------
     let grown = workloads::h_q8a_2d(4.0);
+    let stale = load_frame(&artifact, &grown, &cfg).expect_err("drifted statistics");
+    println!("\nscale-up 4x: the saved frame is refused ({stale})");
     let t2 = Instant::now();
-    let refreshed = Bouquet::identify(&grown, &BouquetConfig::default()).expect("identify");
+    let refreshed = Bouquet::identify(&grown, &cfg).expect("identify");
     println!(
-        "\nscale-up 4x: identified again in {:.2?} ({} optimizer calls)",
+        "             identified again in {:.2?} ({} optimizer calls)",
         t2.elapsed(),
         refreshed.stats.exhaustive_optimizer_calls
     );

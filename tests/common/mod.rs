@@ -1,10 +1,15 @@
-//! Fixtures the engine property suites share: the TPC-H chain with its
-//! plan-shape pool, and the TPC-DS join over a catalog of just its tables.
+//! Plan-shape fixtures of the engine's two bit-identity properties: serial
+//! ≡ morsel-parallel (`tests/engine_mt_determinism.rs`) and tuple ≡
+//! vectorized (pb-engine's `oracle` tests, which include this file by
+//! path): the TPC-H chain with its plan-shape pool, and the TPC-DS join over
+//! a catalog of just its tables. It takes the engine's `Database` from its
+//! includer, so it compiles inside pb-engine and outside it.
 
-use plan_bouquet::catalog::{tpcds, tpch, Catalog};
-use plan_bouquet::cost::CostModel;
-use plan_bouquet::engine::Database;
-use plan_bouquet::plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
+use pb_catalog::{tpcds, tpch, Catalog};
+use pb_cost::CostModel;
+use pb_plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
+
+use super::Database;
 
 /// Three-relation TPC-H chain (part ⋈ lineitem ⋈ orders) with a selection
 /// and a group-by, so every operator the engines implement can appear.

@@ -1,4 +1,4 @@
-//! Integration between the cost-unit simulator and the tuple engine: the
+//! Integration between the cost-unit simulator and the engine: the
 //! two execution substrates must agree on the decisions that matter to the
 //! bouquet (completion vs abort at matched budgets, selectivity monitoring
 //! directions), differing only by a bounded model-error factor.
@@ -69,17 +69,20 @@ fn completion_decisions_agree_modulo_delta() {
     let qa = SelPoint(qa);
     let engine = Engine::new(&db, &w.query, &w.model.p);
     let ex = Executor::new(Coster::new(&w.catalog, &w.query, &w.model));
+    let mut stack = Vec::new();
     for pid in b.plan_ids() {
         let plan = &b.plan(pid).root;
+        let (prog, fp) = (&b.programs()[pid], b.plan(pid).fingerprint());
+        let mut simulate = |budget| ex.execute_compiled(prog, fp, &qa, budget, &mut stack);
         let modeled = ex.actual_cost(plan, &qa);
         let engine_cost = engine.execute(plan, f64::INFINITY).cost();
         // With a budget well above both costs, both complete; with a budget
         // well below both, both abort.
         let generous = 4.0 * modeled.max(engine_cost);
         let stingy = 0.1 * modeled.min(engine_cost);
-        assert!(ex.execute(plan, &qa, generous).completed());
+        assert!(simulate(generous).completed());
         assert!(engine.execute(plan, generous).completed());
-        assert!(!ex.execute(plan, &qa, stingy).completed());
+        assert!(!simulate(stingy).completed());
         assert!(!engine.execute(plan, stingy).completed());
     }
 }

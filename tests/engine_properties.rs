@@ -1,14 +1,12 @@
-//! Property tests for the execution engines: all join algorithms must agree
-//! on result cardinality for arbitrary seeds and predicates, budget
-//! accounting must be exact, and the vectorized engine must be outcome-
-//! identical to the tuple-at-a-time reference — cost, rows, per-node
-//! instrumentation and abort point — over random plans and budgets.
-
-mod common;
+//! Property tests for the execution engine: all join algorithms must agree
+//! on result cardinality for arbitrary seeds and predicates, and budget
+//! accounting must be exact. That the engine's outcomes — cost, rows,
+//! per-node instrumentation, abort point — equal a tuple-at-a-time
+//! interpreter's over random plans and budgets is pb-engine's own unit test
+//! (`oracle::tests`), since that interpreter is compiled for tests only.
 
 use proptest::prelude::*;
 
-use common::{plan_ds, setup3, setup_ds, shape3};
 use plan_bouquet::catalog::tpch;
 use plan_bouquet::cost::CostModel;
 use plan_bouquet::engine::{Database, Engine, EngineOutcome};
@@ -122,55 +120,5 @@ proptest! {
             last = count;
         }
         prop_assert_eq!(last, full.instr().nodes[0].output_tuples);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The vectorized engine is outcome-identical to the tuple-at-a-time
-    /// reference — same variant, cost bits, row count and per-node
-    /// instrumentation — over random TPC-H plan shapes and budgets,
-    /// including budgets that abort mid-operator and mid-batch.
-    #[test]
-    fn vectorized_equals_tuple_tpch(
-        seed in 0u64..200,
-        cut in 900.0f64..2100.0,
-        shape in 0usize..8,
-        frac in 0.005f64..1.3,
-    ) {
-        let (db, q, m) = setup3(seed, cut);
-        let eng = Engine::new(&db, &q, &m.p);
-        let plan = shape3(shape);
-        let full_t = eng.execute_tuple(&plan, f64::INFINITY);
-        let full_v = eng.execute(&plan, f64::INFINITY);
-        prop_assert_eq!(&full_t, &full_v, "full runs diverge (shape {})", shape);
-        let budget = full_t.cost() * frac;
-        let t = eng.execute_tuple(&plan, budget);
-        let v = eng.execute(&plan, budget);
-        prop_assert_eq!(&t, &v, "budgeted runs diverge (shape {}, frac {})", shape, frac);
-        prop_assert_eq!(t.completed(), frac >= 1.0);
-    }
-
-    /// Same equivalence on a TPC-DS workload (item ⋈ store_sales), over the
-    /// three main join algorithms and abort-inducing budgets.
-    #[test]
-    fn vectorized_equals_tuple_tpcds(
-        seed in 0u64..100,
-        cut in 10.0f64..90.0,
-        alg in 0usize..3,
-        frac in 0.01f64..1.2,
-    ) {
-        let (db, q, m) = setup_ds(seed, cut);
-        let eng = Engine::new(&db, &q, &m.p);
-        let plan = plan_ds(alg);
-        let full_t = eng.execute_tuple(&plan, f64::INFINITY);
-        prop_assert_eq!(&full_t, &eng.execute(&plan, f64::INFINITY));
-        let budget = full_t.cost() * frac;
-        prop_assert_eq!(
-            &eng.execute_tuple(&plan, budget),
-            &eng.execute(&plan, budget),
-            "budgeted TPC-DS runs diverge (alg {}, frac {})", alg, frac
-        );
     }
 }
