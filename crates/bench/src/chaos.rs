@@ -1,21 +1,23 @@
-//! Seeded chaos campaign for the robust bouquet driver.
+//! Seeded chaos campaign for the robust bouquet driver: one fault catalog
+//! ([`plan_catalog`]) × its fixtures × one check.
 //!
-//! Sweeps fault kinds × drivers × TPC-H / TPC-DS workloads × true-location
-//! grid points through [`Bouquet::run`], plus blocks of engine-, substrate-
-//! and server-level scenarios, and checks the invariants the robustness
-//! layer promises:
+//! * **Simulator fixtures** (920 scenarios at any seed) — TPC-H / TPC-DS
+//!   and typed-dimension spaces at seeded true locations, every catalog
+//!   plan × both policies; a 4D space fault-free.
+//! * **Engine fixtures** (36) — the same robust ladder over the engine
+//!   substrate on real tuples (2D_H_Q8A under join-key skew, the hostile
+//!   inequality- and anti-join setups), every catalog plan with engine
+//!   hooks, plus spilled executions driven straight at the substrate.
+//! * **Engine level** (150) — a plain and a spilled plan at five budgets
+//!   under the same plans, at 1 worker and morsel-parallel at 2 and 4.
+//! * **Cancel/resume** (one per trip point; 36 at the CI seed) and
+//!   **server** (24) blocks.
 //!
-//! * **No panics** — every scenario runs under `catch_unwind`; a panic
-//!   anywhere in the identification/driver/engine stack is a breach.
-//! * **No double charging** — a run's `total_cost` must equal the sum of its
-//!   trace spends (every retry and degraded attempt is charged exactly once).
-//! * **Determinism** — replaying a scenario with the same seed must produce a
-//!   bit-identical `RobustRun` (serialized comparison).
-//! * **Inert equivalence** — with an empty fault plan, neither the injector
-//!   nor the recovery settings may change anything: same serialized
-//!   `BouquetRun` as under [`RobustConfig::plain`] on an unarmed substrate,
-//!   no events, not degraded. On the engine, an inert injector must yield a
-//!   bit-identical `EngineOutcome`.
+//! Every robust run goes through [`check_robust`]: no panic, its books pass
+//! [`RobustRun::audit`], a bit-identical replay, and — under the empty plan
+//! — the run the plain settings make on an unarmed substrate, with no
+//! events. An engine execution must match the serial engine's bit for bit,
+//! never spend past its budget, and — unarmed — equal a bare execution.
 //!
 //! The campaign is fully deterministic in its seed; `pbq chaos --seed N`
 //! exits non-zero if any invariant is breached.
@@ -24,14 +26,17 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pb_bouquet::{
-    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionOutcome, RobustConfig, RobustRun,
-    SimulatorSubstrate,
+    Bouquet, BouquetConfig, EngineSubstrate, ExecutionOutcome, ExecutionSubstrate, RobustConfig,
+    RobustRun, SimulatorSubstrate, SubstrateOutcome,
 };
+use pb_cost::{Parallelism, SelPoint};
 use pb_engine::{Database, Engine, EngineOutcome};
-use pb_faults::{splitmix64, unit_f64, FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
-use pb_workloads::{ds_q15_3d, eq_1d, h_q8a_2d, hostile_anti_2d, hostile_ineq_2d};
+use pb_faults::{
+    splitmix64, unit_f64, CancelToken, FaultInjector, FaultKind, FaultPlan, PbError, Trigger,
+};
+use pb_optimizer::PlanId;
+use pb_workloads::{ds_q15_3d, ds_q91_4d, eq_1d, h_q8a_2d, hostile_anti_2d, hostile_ineq_2d};
 
-use crate::engine_driver::EngineRunReport;
 use crate::table::Table;
 
 /// Number of true-location grid points probed per (workload, driver, plan).
@@ -45,6 +50,31 @@ struct Cell {
     degraded: usize,
     exhausted: usize,
     events: usize,
+}
+
+impl Cell {
+    /// Count one robust run by how it ended.
+    fn tally(&mut self, run: &RobustRun) {
+        self.events += run.events.len();
+        match run.run.outcome {
+            ExecutionOutcome::Completed { .. } => self.completed += 1,
+            ExecutionOutcome::Degraded { .. } => self.degraded += 1,
+            ExecutionOutcome::BudgetExhausted { .. } | ExecutionOutcome::Cancelled { .. } => {
+                self.exhausted += 1
+            }
+        }
+    }
+
+    /// Count one engine execution by how it ended.
+    fn tally_engine(&mut self, out: &EngineOutcome) {
+        if out.completed() {
+            self.completed += 1;
+        } else if out.error().is_some() {
+            self.degraded += 1;
+        } else {
+            self.exhausted += 1;
+        }
+    }
 }
 
 /// Campaign outcome: survival statistics plus the list of invariant
@@ -63,9 +93,9 @@ impl CampaignReport {
     }
 }
 
-/// The fault-plan catalog: every fault kind alone (with seed-derived trigger
-/// phases), a combined plan, and the empty plan that anchors the
-/// inert-equivalence invariant.
+/// The fault-plan catalog, the campaign's only one: every fault kind alone
+/// (with seed-derived trigger phases), a combined plan, and — first — the
+/// empty plan that anchors the inert-equivalence invariant.
 fn plan_catalog(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     let mut s = seed;
     let mut nth = |hi: u64| 1 + splitmix64(&mut s) % hi;
@@ -136,6 +166,20 @@ fn plan_catalog(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
+/// Whether every kind in `plan` has a hook on the engine substrate
+/// (DESIGN.md's fault table): operator failure and ledger over-charge in
+/// the engine, spill failure at the substrate's spill site.
+fn engine_hooked(plan: &FaultPlan) -> bool {
+    plan.specs.iter().all(|s| {
+        matches!(
+            s.kind,
+            FaultKind::OperatorFailure { .. }
+                | FaultKind::LedgerOverCharge { .. }
+                | FaultKind::SpillFailure
+        )
+    })
+}
+
 fn cell_of(cells: &mut Vec<(String, Cell)>, key: String) -> usize {
     match cells.iter().position(|(k, _)| *k == key) {
         Some(i) => i,
@@ -165,124 +209,53 @@ fn robust_cfg(optimized: bool) -> RobustConfig {
     }
 }
 
-/// One robust-driver scenario, on whichever substrate `robust` runs it:
-/// no panic, `total_cost` equal to the sum of trace spends, a bit-identical
-/// replay, and — when `plain` is given, i.e. under the empty fault plan —
-/// structural identity with the plain driver's run.
-fn check_robust(
-    tag: &str,
-    robust: impl Fn() -> Result<RobustRun, PbError>,
-    plain: Option<&dyn Fn() -> Result<BouquetRun, PbError>>,
-    cell: &mut Cell,
-    breaches: &mut Vec<String>,
-) {
-    let run = match caught(&robust) {
-        Ok(r) => r,
-        Err(e) => return breaches.push(format!("{tag}: {e}")),
-    };
-    let sum: f64 = run.run.trace.iter().map(|e| e.spent).sum();
-    if (sum - run.run.total_cost).abs() > 1e-9 * sum.abs().max(1.0) {
-        breaches.push(format!(
-            "{tag}: double/under-charge: trace sum {sum} vs total {}",
-            run.run.total_cost
-        ));
-    }
-    match caught(&robust) {
-        Ok(replay) if json(&replay) == json(&run) => {}
-        Ok(_) => breaches.push(format!("{tag}: replay diverged")),
-        Err(e) => breaches.push(format!("{tag}: replay failed: {e}")),
-    }
-    if let Some(plain) = plain {
-        match caught(plain) {
-            Ok(reference) => {
-                if json(&run.run) != json(&reference) {
-                    breaches.push(format!("{tag}: empty-plan run != plain driver run"));
-                }
-                if !run.events.is_empty() || run.degraded {
-                    breaches.push(format!("{tag}: empty-plan run recorded events"));
-                }
-            }
-            Err(e) => return breaches.push(format!("{tag}: plain driver: {e}")),
-        }
-    }
-    cell.events += run.events.len();
-    match run.run.outcome {
-        ExecutionOutcome::Completed { .. } => cell.completed += 1,
-        ExecutionOutcome::Degraded { .. } => cell.degraded += 1,
-        ExecutionOutcome::BudgetExhausted { .. } | ExecutionOutcome::Cancelled { .. } => {
-            cell.exhausted += 1
-        }
-    }
+fn json<T: serde::Serialize>(v: &T) -> String {
+    serde_json::to_string(v).unwrap_or_else(|e| format!("<serialize failed: {e}>"))
 }
 
-/// [`check_robust`] on the engine substrate over `db`, armed with `faults`.
-fn check_robust_on_engine(
+/// Makes one run on a fresh substrate armed with the injector, under the
+/// configuration.
+type RunOn<'a> = dyn Fn(FaultInjector, &RobustConfig) -> Result<RobustRun, PbError> + 'a;
+
+/// The check every robust run goes through: under `faults` and the
+/// recovery settings, no panic, books that pass [`RobustRun::audit`], a
+/// bit-identical replay, and — under the empty plan — the plain settings'
+/// run on an unarmed substrate, with no events.
+fn check_robust(
     tag: &str,
-    (b, db): (&Bouquet, &Database),
+    b: &Bouquet,
+    run: &RunOn,
     (faults, optimized): (&FaultPlan, bool),
     cell: &mut Cell,
     breaches: &mut Vec<String>,
 ) {
-    let run = |faults: FaultInjector, cfg: RobustConfig| {
-        let mut sub = EngineSubstrate::new(b, db, faults);
-        b.run(&mut sub, &cfg)
+    let cfg = robust_cfg(optimized);
+    let robust = || run(FaultInjector::new(faults), &cfg);
+    let rr = match caught(robust) {
+        Ok(r) => r,
+        Err(e) => return breaches.push(format!("{tag}: {e}")),
     };
-    let plain = || Ok(run(FaultInjector::none(), RobustConfig::plain(optimized))?.run);
-    check_robust(
-        tag,
-        || run(FaultInjector::new(faults), robust_cfg(optimized)),
-        faults
-            .is_empty()
-            .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
-        cell,
-        breaches,
-    );
-}
-
-/// The engine-side fault plans the serial and the parallel engine blocks
-/// both sweep.
-fn engine_fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    vec![
-        ("none", FaultPlan::none()),
-        (
-            "operator-failure",
-            FaultPlan::new(seed).with(
-                FaultKind::OperatorFailure { waste_frac: 0.5 },
-                Trigger::Nth(1 + seed % 64),
-            ),
-        ),
-        (
-            "ledger-overcharge",
-            FaultPlan::new(seed ^ 9).with(
-                FaultKind::LedgerOverCharge { factor: 2.0 },
-                Trigger::Every(7),
-            ),
-        ),
-        (
-            "operator-storm",
-            FaultPlan::new(seed ^ 10).with(
-                FaultKind::OperatorFailure { waste_frac: 1.0 },
-                Trigger::PerMille(5),
-            ),
-        ),
-    ]
-}
-
-impl Cell {
-    /// Count one engine execution by how it ended.
-    fn tally_engine(&mut self, out: &EngineOutcome) {
-        if out.completed() {
-            self.completed += 1;
-        } else if out.error().is_some() {
-            self.degraded += 1;
-        } else {
-            self.exhausted += 1;
+    if let Err(e) = rr.audit(b, &cfg) {
+        breaches.push(format!("{tag}: audit: {e}"));
+    }
+    match caught(robust) {
+        Ok(replay) if json(&replay) == json(&rr) => {}
+        Ok(_) => breaches.push(format!("{tag}: replay diverged")),
+        Err(e) => breaches.push(format!("{tag}: replay failed: {e}")),
+    }
+    if faults.is_empty() {
+        match caught(|| run(FaultInjector::none(), &RobustConfig::plain(optimized))) {
+            Ok(plain) if json(&plain.run) != json(&rr.run) => {
+                breaches.push(format!("{tag}: empty-plan run != plain driver run"));
+            }
+            Ok(_) => {}
+            Err(e) => breaches.push(format!("{tag}: plain driver: {e}")),
+        }
+        if !rr.events.is_empty() || rr.degraded {
+            breaches.push(format!("{tag}: empty-plan run recorded {:?}", rr.events));
         }
     }
-}
-
-fn json<T: serde::Serialize>(v: &T) -> String {
-    serde_json::to_string(v).unwrap_or_else(|e| format!("<serialize failed: {e}>"))
+    cell.tally(&rr);
 }
 
 /// Run the full campaign. Deterministic in `seed`.
@@ -291,33 +264,32 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     let mut scenarios = 0usize;
     let mut cells: Vec<(String, Cell)> = Vec::new();
 
-    // Identified once, reused for every scenario (identification is
-    // fault-free; the campaign targets the run-time drivers).
-    let workloads = [
-        eq_1d(),
-        h_q8a_2d(0.01),
-        ds_q15_3d(),
-        // Typed-dimension hostile spaces: the inequality-join and
-        // (pre-flipped) anti-join axes must survive the same fault sweep as
-        // the classic selection/PK–FK spaces.
-        hostile_ineq_2d(0.01),
-        hostile_anti_2d(0.01),
+    let catalog = plan_catalog(seed);
+    // Simulator fixtures, identified once (identification is fault-free),
+    // each with the share of the catalog it sweeps: all of it, or — for the
+    // 4D space — the empty plan, where nothing may be recorded either.
+    let fixtures = [
+        (eq_1d(), catalog.len()),
+        (h_q8a_2d(0.01), catalog.len()),
+        (ds_q15_3d(), catalog.len()),
+        (hostile_ineq_2d(0.01), catalog.len()),
+        (hostile_anti_2d(0.01), catalog.len()),
+        (ds_q91_4d(), 1),
     ];
-    let bouquets: Vec<Bouquet> = workloads
+    let bouquets: Vec<Bouquet> = fixtures
         .iter()
-        .map(|w| {
+        .map(|(w, _)| {
             Bouquet::identify(w, &BouquetConfig::default())
                 .unwrap_or_else(|e| panic!("identification of {} failed: {e}", w.name))
         })
         .collect();
 
-    let catalog = plan_catalog(seed);
     let mut point_rng = seed ^ 0x5EED_CAFE;
-    for b in &bouquets {
+    for (b, (_, plans)) in bouquets.iter().zip(&fixtures) {
         let d = b.workload.ess.d();
         for optimized in [false, true] {
             let driver = if optimized { "opt" } else { "basic" };
-            for (label, plan) in &catalog {
+            for (label, plan) in &catalog[..*plans] {
                 let ci = cell_of(&mut cells, format!("{label}|{driver}"));
                 for _ in 0..POINTS_PER_CELL {
                     scenarios += 1;
@@ -326,18 +298,15 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
                         .map(|_| unit_f64(splitmix64(&mut point_rng)).clamp(0.01, 0.99))
                         .collect();
                     let qa = b.workload.ess.point_at_fractions(&fracs);
-                    let run = |faults: FaultInjector, cfg: RobustConfig| {
+                    let run = |faults: FaultInjector, cfg: &RobustConfig| {
                         let mut sub = SimulatorSubstrate::new(b, &qa, faults)?;
-                        b.run(&mut sub, &cfg)
+                        b.run(&mut sub, cfg)
                     };
-                    // The plain run anchors the empty-plan equivalence check.
-                    let plain =
-                        || Ok(run(FaultInjector::none(), RobustConfig::plain(optimized))?.run);
                     check_robust(
                         &format!("{}/{driver}/{label}@{fracs:?}", b.workload.name),
-                        || run(FaultInjector::new(plan), robust_cfg(optimized)),
-                        plan.is_empty()
-                            .then_some(&plain as &dyn Fn() -> Result<BouquetRun, PbError>),
+                        b,
+                        &run,
+                        (plan, optimized),
                         &mut cells[ci].1,
                         &mut breaches,
                     );
@@ -346,10 +315,13 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
         }
     }
 
-    scenarios += engine_scenarios(seed, &mut breaches, &mut cells);
-    scenarios += parallel_engine_scenarios(seed, &mut breaches, &mut cells);
-    scenarios += engine_substrate_scenarios(seed, &mut breaches, &mut cells);
-    scenarios += hostile_engine_scenarios(seed, &mut breaches, &mut cells);
+    let engine_catalog: Vec<(&str, FaultPlan)> = catalog
+        .iter()
+        .filter(|(_, plan)| engine_hooked(plan))
+        .cloned()
+        .collect();
+    scenarios += parallel_engine_scenarios(seed, &engine_catalog, &mut breaches, &mut cells);
+    scenarios += engine_fixture_scenarios(seed, &engine_catalog, &mut breaches, &mut cells);
     scenarios += cancel_resume_scenarios(seed, &bouquets[0], &mut breaches, &mut cells);
     scenarios += server_scenarios(seed, &mut breaches, &mut cells);
 
@@ -390,248 +362,132 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     }
 }
 
-/// Engine-substrate block: the full robust ladder ([`Bouquet::run`]) driving
-/// the engine on real tuples through [`pb_bouquet::EngineSubstrate`], under
-/// operator-failure and spill-failure faults. Checks the same invariants as
-/// the simulator block — no panics, no double charging, deterministic
-/// replay, and empty-plan equivalence with the plain settings.
-fn engine_substrate_scenarios(
+/// Builds an engine fixture's bouquet and data from the campaign seed.
+type EngineFixture = fn(u64) -> (Bouquet, Database);
+
+/// Engine fixtures: the robust ladder ([`Bouquet::run`]) over
+/// [`EngineSubstrate`] on real tuples, every engine-hooked catalog plan ×
+/// both policies through [`check_robust`]. 2D_H_Q8A's join keys are
+/// duplicated (Section 6.7 skew), so the true location sits far from the
+/// AVI estimate and discovery crosses several contours before it
+/// completes; the hostile setups put stale statistics on the inequality-
+/// and anti-join axes, so the semi/anti/BNL kernels and the per-kind
+/// observation mapping (the flipped anti axis included) run under faults.
+/// The driver spills only when a plan's modeled cost at qrun overshoots
+/// its budget, which observation lower bounds rarely cause, so each
+/// fixture also drives spilled executions straight at the substrate.
+fn engine_fixture_scenarios(
     seed: u64,
+    catalog: &[(&str, FaultPlan)],
     breaches: &mut Vec<String>,
     cells: &mut Vec<(String, Cell)>,
 ) -> usize {
-    let w = h_q8a_2d(0.003);
-    let b = match catch_unwind(AssertUnwindSafe(|| {
-        Bouquet::identify(&w, &BouquetConfig::default())
-    })) {
-        Ok(Ok(b)) => b,
-        Ok(Err(e)) => {
-            breaches.push(format!("engine-substrate: identification failed: {e}"));
-            return 0;
-        }
-        Err(_) => {
-            breaches.push("engine-substrate: identification PANIC".into());
-            return 0;
-        }
-    };
-    // Duplicated join keys (Section 6.7 skew): the true location sits far
-    // from the AVI estimate, so discovery crosses several contours and the
-    // injected operator faults hit mid-campaign rather than on a trivial
-    // first-contour completion. (Spilled executions are exercised directly
-    // below — the driver only spills when a plan's modeled cost at qrun
-    // overshoots its budget, which observation lower bounds rarely cause.)
-    let overrides = crate::engine_driver::duplicated_join_keys(60, 240);
-    let db = match Database::generate(&w.catalog, seed ^ 0xE5, &overrides) {
-        Ok(db) => db,
-        Err(e) => {
-            breaches.push(format!("engine-substrate: data generation failed: {e}"));
-            return 0;
-        }
-    };
-
-    let mut s = seed ^ 0xB0u64;
-    let mut nth = |hi: u64| 1 + splitmix64(&mut s) % hi;
-    let fault_plans: Vec<(&str, FaultPlan)> = vec![
-        ("none", FaultPlan::none()),
-        (
-            "operator-failure",
-            FaultPlan::new(seed ^ 11).with(
-                FaultKind::OperatorFailure { waste_frac: 0.5 },
-                Trigger::Nth(nth(16)),
-            ),
-        ),
-        (
-            "operator-storm",
-            FaultPlan::new(seed ^ 12).with(
-                FaultKind::OperatorFailure { waste_frac: 0.8 },
-                Trigger::PerMille(30),
-            ),
-        ),
-        (
-            "spill-failure",
-            FaultPlan::new(seed ^ 13).with(FaultKind::SpillFailure, Trigger::Nth(nth(2))),
-        ),
-        (
-            "combined",
-            FaultPlan::new(seed ^ 14)
-                .with(
-                    FaultKind::OperatorFailure { waste_frac: 0.4 },
-                    Trigger::PerMille(20),
-                )
-                .with(FaultKind::SpillFailure, Trigger::Every(2)),
-        ),
+    use crate::experiments::hostile::{setup_anti, setup_ineq};
+    let fixtures: [(&str, EngineFixture); 3] = [
+        ("engine-sub", |seed| {
+            let w = h_q8a_2d(0.003);
+            let b = Bouquet::identify(&w, &BouquetConfig::default()).expect("identify");
+            let overrides = crate::engine_driver::duplicated_join_keys(60, 240);
+            let db = Database::generate(&w.catalog, seed ^ 0xE5, &overrides).expect("generate");
+            (b, db)
+        }),
+        ("hostile-ineq", |_| {
+            let (_, b, db) = setup_ineq(0.003);
+            (b, db)
+        }),
+        ("hostile-anti", |_| {
+            let (_, b, db) = setup_anti(0.003);
+            (b, db)
+        }),
     ];
 
     let mut ran = 0usize;
-    for optimized in [false, true] {
-        let driver = if optimized { "opt" } else { "basic" };
-        for (label, fp) in &fault_plans {
-            let ci = cell_of(cells, format!("engine-sub:{label}|{driver}"));
-            for variant in 0..2u64 {
+    for (name, setup) in fixtures {
+        let Ok((b, db)) = catch_unwind(|| setup(seed)) else {
+            breaches.push(format!("{name}: setup PANIC"));
+            continue;
+        };
+        let run = |faults: FaultInjector, cfg: &RobustConfig| {
+            let mut sub = EngineSubstrate::new(&b, &db, faults);
+            b.run(&mut sub, cfg)
+        };
+        for optimized in [false, true] {
+            let driver = if optimized { "opt" } else { "basic" };
+            for (label, plan) in catalog {
+                let ci = cell_of(cells, format!("{name}:{label}|{driver}"));
                 ran += 1;
                 cells[ci].1.scenarios += 1;
-                let mut faults = fp.clone();
-                faults.seed ^= variant;
-                check_robust_on_engine(
-                    &format!("engine-sub/{driver}/{label}#{variant}"),
-                    (&b, &db),
-                    (&faults, optimized),
+                check_robust(
+                    &format!("{name}/{driver}/{label}"),
+                    &b,
+                    &run,
+                    (plan, optimized),
                     &mut cells[ci].1,
                     breaches,
                 );
             }
         }
-    }
-
-    // Direct spilled executions: the `engine:spill` fault site fires before
-    // a spilled prefix runs, so drive `execute_monitored(.., spilled=true)`
-    // straight at the substrate with spill-failure plans armed. Invariants:
-    // no panic, a failed spill charges nothing, a surviving spill stays
-    // within budget and never completes the query, and replays are
-    // bit-identical.
-    use pb_bouquet::ExecutionSubstrate as _;
-    let d = w.ess.d();
-    let pid = b.contours[0].plan_set[0];
-    let budget = b.contours[0].budget;
-    for (label, fp) in fault_plans
-        .iter()
-        .filter(|(l, _)| matches!(*l, "none" | "spill-failure" | "combined"))
-    {
-        let ci = cell_of(cells, format!("engine-sub:spill-direct|{label}"));
-        for variant in 0..2u64 {
+        for (label, plan) in catalog.iter().filter(|(_, plan)| {
+            plan.is_empty() || plan.specs.iter().any(|s| s.kind == FaultKind::SpillFailure)
+        }) {
+            let ci = cell_of(cells, format!("{name}:spill-direct|{label}"));
             ran += 1;
             cells[ci].1.scenarios += 1;
-            let mut faults = fp.clone();
-            faults.seed ^= variant;
-            let tag = || format!("engine-sub/spill-direct/{label}#{variant}");
-            let spill_exec = || {
-                let mut sub =
-                    pb_bouquet::EngineSubstrate::new(&b, &db, FaultInjector::new(&faults));
-                sub.execute_monitored(pid, &vec![false; d], budget, true)
-            };
-            let out = match catch_unwind(AssertUnwindSafe(spill_exec)) {
-                Ok(o) => o,
-                Err(_) => {
-                    breaches.push(format!("{}: PANIC", tag()));
-                    continue;
-                }
-            };
-            if !out.spilled {
-                breaches.push(format!("{}: outcome not marked spilled", tag()));
-            }
-            match &out.error {
-                Some(pb_faults::PbError::SpillFailure { .. }) => {
-                    if out.spent != 0.0 {
-                        breaches.push(format!(
-                            "{}: failed spill charged {} (must be 0)",
-                            tag(),
-                            out.spent
-                        ));
-                    }
-                    cells[ci].1.events += 1;
-                }
-                _ => {
-                    if out.completed {
-                        breaches.push(format!("{}: spilled run completed the query", tag()));
-                    }
-                    if out.spent > budget * (1.0 + 1e-9) {
-                        breaches.push(format!(
-                            "{}: spill overspent budget: {} > {budget}",
-                            tag(),
-                            out.spent
-                        ));
-                    }
-                    for &(dm, v) in out.observed.iter().chain(&out.resolved) {
-                        if v < w.ess.dims[dm].lo || v > w.ess.dims[dm].hi {
-                            breaches.push(format!(
-                                "{}: observation {v} for dim {dm} outside ESS",
-                                tag()
-                            ));
-                        }
-                    }
-                    cells[ci].1.completed += 1;
-                }
-            }
-            match catch_unwind(AssertUnwindSafe(spill_exec)) {
-                Ok(replay)
-                    if replay.spent == out.spent
-                        && replay.error.is_some() == out.error.is_some()
-                        && replay.observed == out.observed
-                        && replay.resolved == out.resolved => {}
-                Ok(_) => breaches.push(format!("{}: spill replay diverged", tag())),
-                Err(_) => breaches.push(format!("{}: spill replay PANIC", tag())),
-            }
+            let tag = format!("{name}/spill-direct/{label}");
+            check_spill_direct(&tag, (&b, &db), plan, &mut cells[ci].1, breaches);
         }
     }
     ran
 }
 
-/// Hostile typed-dimension block: the inequality-join and anti-join error
-/// spaces (stale-statistics setups from the `hostile` experiment) driven
-/// through the robust ladder on the real engine substrate under operator
-/// and spill faults. The new semi/anti/BNL kernels and the per-kind
-/// observation mapping (including the flipped anti axis) must uphold the
-/// same invariants as the classic spaces: no panics, exact charging,
-/// bit-identical replay, and empty-plan equivalence with the plain driver.
-fn hostile_engine_scenarios(
-    seed: u64,
+/// One spilled execution of contour 1's first plan at its budget, straight
+/// at the engine substrate under `faults`: the `engine:spill` site fires
+/// before a spilled prefix runs. No panic; a failed spill charges nothing;
+/// a surviving spill stays within budget, never completes the query and
+/// observes only inside the ESS; a replay is identical.
+fn check_spill_direct(
+    tag: &str,
+    (b, db): (&Bouquet, &Database),
+    faults: &FaultPlan,
+    cell: &mut Cell,
     breaches: &mut Vec<String>,
-    cells: &mut Vec<(String, Cell)>,
-) -> usize {
-    let setups = [("ineq", 0usize), ("anti", 1usize)].map(|(short, which)| {
-        let made = catch_unwind(AssertUnwindSafe(|| {
-            if which == 0 {
-                crate::experiments::hostile::setup_ineq(0.003)
-            } else {
-                crate::experiments::hostile::setup_anti(0.003)
-            }
-        }));
-        (short, made)
-    });
-
-    let mut s = seed ^ 0x0005_11E5;
-    let mut nth = |hi: u64| 1 + splitmix64(&mut s) % hi;
-    let fault_plans: Vec<(&str, FaultPlan)> = vec![
-        ("none", FaultPlan::none()),
-        (
-            "operator-failure",
-            FaultPlan::new(seed ^ 21).with(
-                FaultKind::OperatorFailure { waste_frac: 0.6 },
-                Trigger::Nth(nth(8)),
-            ),
-        ),
-        (
-            "spill-failure",
-            FaultPlan::new(seed ^ 22).with(FaultKind::SpillFailure, Trigger::Nth(nth(2))),
-        ),
-    ];
-
-    let mut ran = 0usize;
-    for (short, made) in setups {
-        let (_w, b, db) = match made {
-            Ok(t) => t,
-            Err(_) => {
-                breaches.push(format!("hostile-{short}: setup PANIC"));
-                continue;
-            }
-        };
-        for optimized in [false, true] {
-            let driver = if optimized { "opt" } else { "basic" };
-            for (label, fp) in &fault_plans {
-                let ci = cell_of(cells, format!("hostile-{short}:{label}|{driver}"));
-                ran += 1;
-                cells[ci].1.scenarios += 1;
-                check_robust_on_engine(
-                    &format!("hostile-{short}/{driver}/{label}"),
-                    (&b, &db),
-                    (fp, optimized),
-                    &mut cells[ci].1,
-                    breaches,
-                );
+) {
+    let ess = &b.workload.ess;
+    let (pid, budget) = (b.contours[0].plan_set[0], b.contours[0].budget);
+    let spill_exec = || {
+        let mut sub = EngineSubstrate::new(b, db, FaultInjector::new(faults));
+        sub.execute_monitored(pid, &vec![false; ess.d()], budget, true)
+    };
+    let Ok(out) = catch_unwind(AssertUnwindSafe(spill_exec)) else {
+        return breaches.push(format!("{tag}: PANIC"));
+    };
+    if !out.spilled {
+        breaches.push(format!("{tag}: outcome not marked spilled"));
+    }
+    if let Some(PbError::SpillFailure { .. }) = &out.error {
+        if out.spent != 0.0 {
+            breaches.push(format!("{tag}: failed spill charged {}", out.spent));
+        }
+        cell.events += 1;
+    } else {
+        if out.completed {
+            breaches.push(format!("{tag}: spilled run completed the query"));
+        }
+        if out.spent > budget * (1.0 + 1e-9) {
+            breaches.push(format!("{tag}: spill spent {} > {budget}", out.spent));
+        }
+        for &(dm, v) in out.observed.iter().chain(&out.resolved) {
+            if v < ess.dims[dm].lo || v > ess.dims[dm].hi {
+                breaches.push(format!("{tag}: observation {v} for dim {dm} outside ESS"));
             }
         }
+        cell.completed += 1;
     }
-    ran
+    match catch_unwind(AssertUnwindSafe(spill_exec)) {
+        Ok(replay) if replay == out => {}
+        Ok(_) => breaches.push(format!("{tag}: spill replay diverged")),
+        Err(_) => breaches.push(format!("{tag}: spill replay PANIC")),
+    }
 }
 
 /// A substrate wrapper that trips a cancellation token after `remaining`
@@ -639,7 +495,7 @@ fn hostile_engine_scenarios(
 /// arbitrary retry/abandon decision point.
 struct TripAfter<'a> {
     inner: SimulatorSubstrate<'a>,
-    token: pb_faults::CancelToken,
+    token: CancelToken,
     remaining: usize,
 }
 
@@ -653,33 +509,24 @@ impl TripAfter<'_> {
     }
 }
 
-impl pb_bouquet::ExecutionSubstrate for TripAfter<'_> {
-    fn execute_partial(
-        &mut self,
-        pid: pb_optimizer::PlanId,
-        budget: f64,
-    ) -> pb_bouquet::SubstrateOutcome {
+impl ExecutionSubstrate for TripAfter<'_> {
+    fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
         self.tick();
         self.inner.execute_partial(pid, budget)
     }
 
     fn execute_monitored(
         &mut self,
-        pid: pb_optimizer::PlanId,
+        pid: PlanId,
         resolved: &[bool],
         budget: f64,
         spilled: bool,
-    ) -> pb_bouquet::SubstrateOutcome {
+    ) -> SubstrateOutcome {
         self.tick();
         self.inner.execute_monitored(pid, resolved, budget, spilled)
     }
 
-    fn run_native(&mut self, pid: pb_optimizer::PlanId) -> pb_bouquet::SubstrateOutcome {
-        self.tick();
-        self.inner.run_native(pid)
-    }
-
-    fn run_native_at(&mut self, point: &pb_cost::SelPoint) -> f64 {
+    fn run_native_at(&mut self, point: &SelPoint) -> f64 {
         self.inner.run_native_at(point)
     }
 
@@ -690,16 +537,13 @@ impl pb_bouquet::ExecutionSubstrate for TripAfter<'_> {
     fn enable_checkpoint_resume(&mut self) -> bool {
         self.inner.enable_checkpoint_resume()
     }
-
-    fn resume_stats(&self) -> pb_bouquet::ResumeStats {
-        self.inner.resume_stats()
-    }
 }
 
-/// Cancel/resume bit-identity block: trip a cancellation token after every
-/// possible execution count, carry the cancelled run's checkpoint book into
-/// a fresh substrate, and require the resumed rerun to be **bit-identical**
-/// to an uninterrupted reference with `spent + reused == restart cost` —
+/// Cancel/resume block: trip a cancellation token after every possible
+/// execution count, carry the cancelled run's checkpoint book into a fresh
+/// substrate, and rerun the identical submission. Both runs pass
+/// [`RobustRun::audit`], the first ends `Cancelled`, and the rerun passes
+/// [`RobustRun::audit_resumed`] against an uninterrupted restart —
 /// cancellation at any decision point loses progress, never correctness.
 fn cancel_resume_scenarios(
     seed: u64,
@@ -707,9 +551,6 @@ fn cancel_resume_scenarios(
     breaches: &mut Vec<String>,
     cells: &mut Vec<(String, Cell)>,
 ) -> usize {
-    use pb_bouquet::ExecutionSubstrate as _;
-    use pb_faults::CancelToken;
-
     let mut s = seed ^ 0xCA_7CE1;
     let mut ran = 0usize;
     for optimized in [false, true] {
@@ -719,60 +560,46 @@ fn cancel_resume_scenarios(
             let frac = unit_f64(splitmix64(&mut s)).clamp(0.05, 0.95);
             let qa = b.workload.ess.point_at_fractions(&[frac]);
             let tag = |n: usize| format!("cancel-resume/{driver}@{frac:.3}/trip#{n}");
-
-            // Uninterrupted restart-semantics reference (no resume): its
-            // total is the cost every resumed rerun must account for as
-            // `spent + reused`.
-            let cfg_plain = RobustConfig {
-                optimized,
-                ..Default::default()
-            };
             let cfg = RobustConfig {
-                optimized,
                 resume: true,
-                ..Default::default()
+                ..robust_cfg(optimized)
             };
-            let mk = |cancel: Option<CancelToken>| {
-                SimulatorSubstrate::new(b, &qa, FaultInjector::none()).map(|sub| match cancel {
-                    Some(t) => sub.with_cancel(t),
-                    None => sub,
-                })
-            };
-            let reference = match mk(None).map(|mut sub| b.run(&mut sub, &cfg_plain)) {
-                Ok(Ok(r)) => r,
-                Ok(Err(e)) | Err(e) => {
-                    breaches.push(format!("{}: reference run failed: {e}", tag(0)));
+            let mk = || SimulatorSubstrate::new(b, &qa, FaultInjector::none());
+            // The uninterrupted restart every resumed rerun answers to.
+            let restart = match mk().and_then(|mut sub| b.run(&mut sub, &robust_cfg(optimized))) {
+                Ok(r) => r,
+                Err(e) => {
+                    breaches.push(format!("{}: restart run failed: {e}", tag(0)));
                     continue;
                 }
             };
-            let total_executions = reference.run.trace.len();
 
-            for trip in 0..total_executions {
+            for trip in 0..restart.run.trace.len() {
                 ran += 1;
                 cells[ci].1.scenarios += 1;
                 let token = CancelToken::new();
-                let inner = match mk(Some(token.clone())) {
-                    Ok(sub) => sub,
-                    Err(e) => {
-                        breaches.push(format!("{}: substrate: {e}", tag(trip)));
-                        continue;
-                    }
-                };
-                let mut tripped = TripAfter {
-                    inner,
-                    token: token.clone(),
-                    remaining: trip,
-                };
                 let trip_cfg = RobustConfig {
-                    optimized,
-                    resume: true,
-                    cancel: Some(token),
-                    ..Default::default()
+                    cancel: Some(token.clone()),
+                    ..cfg.clone()
                 };
-                let first = match b.run(&mut tripped, &trip_cfg) {
+                let resumed = mk().and_then(|inner| {
+                    let mut tripped = TripAfter {
+                        inner: inner.with_cancel(token.clone()),
+                        token,
+                        remaining: trip,
+                    };
+                    let first = b.run(&mut tripped, &trip_cfg)?;
+                    let mut sub = mk()?;
+                    if let Some(book) = tripped.inner.take_resume_book() {
+                        sub.install_resume_book(book);
+                    }
+                    let resumed = b.run(&mut sub, &cfg)?;
+                    Ok((first, resumed, sub.resume_stats().reused_cost))
+                });
+                let (first, resumed, reused) = match resumed {
                     Ok(r) => r,
                     Err(e) => {
-                        breaches.push(format!("{}: tripped run failed: {e}", tag(trip)));
+                        breaches.push(format!("{}: {e}", tag(trip)));
                         continue;
                     }
                 };
@@ -782,65 +609,15 @@ fn cancel_resume_scenarios(
                         tag(trip),
                         json(&first.run.outcome)
                     ));
-                    continue;
                 }
-
-                // Carry the cancelled run's checkpoints into a fresh
-                // substrate and rerun the identical submission.
-                let mut resumed_sub = match mk(None) {
-                    Ok(sub) => sub,
-                    Err(e) => {
-                        breaches.push(format!("{}: resume substrate: {e}", tag(trip)));
-                        continue;
-                    }
-                };
-                if let Some(book) = tripped.inner.take_resume_book() {
-                    resumed_sub.install_resume_book(book);
+                let audited = first
+                    .audit(b, &trip_cfg)
+                    .and_then(|()| resumed.audit(b, &cfg))
+                    .and_then(|()| resumed.audit_resumed(reused, &restart));
+                if let Err(e) = audited {
+                    breaches.push(format!("{}: {e}", tag(trip)));
                 }
-                let resumed = match b.run(&mut resumed_sub, &cfg) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        breaches.push(format!("{}: resumed run failed: {e}", tag(trip)));
-                        continue;
-                    }
-                };
-
-                // Outcome bits identical to the uninterrupted reference.
-                // `final_cost` is the final execution's *paid* cost — the
-                // one number resume must shrink — so compare the variant
-                // and plan choice, not the paid amount.
-                let norm = |o: &ExecutionOutcome| match o {
-                    ExecutionOutcome::Completed { final_plan, .. } => format!("C{final_plan}"),
-                    ExecutionOutcome::Degraded { final_plan, .. } => format!("D{final_plan}"),
-                    ExecutionOutcome::BudgetExhausted { .. } => "BE".into(),
-                    ExecutionOutcome::Cancelled { .. } => "X".into(),
-                };
-                if norm(&resumed.run.outcome) != norm(&reference.run.outcome) {
-                    breaches.push(format!("{}: resumed outcome != reference", tag(trip)));
-                }
-                let seq = |r: &RobustRun| EngineRunReport::from_run(&r.run, 0).decision_seq();
-                if seq(&resumed) != seq(&reference) {
-                    breaches.push(format!(
-                        "{}: resumed decision sequence != reference",
-                        tag(trip)
-                    ));
-                }
-                // Progress: spent + reused equals the restart cost exactly.
-                let reused = resumed_sub.resume_stats().reused_cost;
-                let paid = resumed.run.total_cost + reused;
-                let restart = reference.run.total_cost;
-                if (paid - restart).abs() > 1e-9 * restart.abs().max(1.0) {
-                    breaches.push(format!(
-                        "{}: spent+reused {paid} != restart cost {restart}",
-                        tag(trip)
-                    ));
-                }
-                match resumed.run.outcome {
-                    ExecutionOutcome::Completed { .. } => cells[ci].1.completed += 1,
-                    ExecutionOutcome::Degraded { .. } => cells[ci].1.degraded += 1,
-                    _ => cells[ci].1.exhausted += 1,
-                }
-                cells[ci].1.events += usize::from(reused > 0.0);
+                cells[ci].1.tally(&resumed);
             }
         }
     }
@@ -987,11 +764,16 @@ fn server_scenarios(
     ran
 }
 
-/// Engine-level block: the engine under engine-side faults (operator
-/// failure, ledger over-charge, storms), checking panic-freedom, cost bounds
-/// and inert bit-identity.
-fn engine_scenarios(
+/// Engine-level block: a plain and a spilled EQ_1D plan at five budgets
+/// under every engine-hooked catalog plan, at 1 worker and with
+/// morsel-driven kernels at 2 and 4 (the gate lowered so they engage at
+/// chaos scale). Every execution must be bit-identical to the serial
+/// engine's under an identically-seeded injector — the coordinator replays
+/// the serial ledger event sequence however many workers computed the
+/// batches — never spend past its budget, and unarmed equal a bare one.
+fn parallel_engine_scenarios(
     seed: u64,
+    catalog: &[(&str, FaultPlan)],
     breaches: &mut Vec<String>,
     cells: &mut Vec<(String, Cell)>,
 ) -> usize {
@@ -1003,84 +785,7 @@ fn engine_scenarios(
             return 0;
         }
     };
-    let engine = Engine::new(&db, &w.query, &w.model.p);
-    let qe = w.ess.point_at_fractions(&[0.5]);
-    let plan = w.optimizer().optimize(&qe).plan;
-
-    let fault_kinds = engine_fault_plans(seed);
-
-    let mut ran = 0usize;
-    let reference = engine.execute(&plan.root, f64::INFINITY);
-    let ref_cost = reference.cost();
-    for (label, fp) in &fault_kinds {
-        let ci = cell_of(cells, format!("engine:{label}|vec"));
-        for bi in 0..5u32 {
-            ran += 1;
-            cells[ci].1.scenarios += 1;
-            let budget = if bi == 4 {
-                f64::INFINITY
-            } else {
-                ref_cost * f64::from(bi + 1) / 4.0
-            };
-            let tag = || format!("engine/{label}/vec/budget#{bi}");
-            let faults = FaultInjector::new(fp);
-            let exec = || engine.execute_with_faults(&plan.root, budget, &faults);
-            let out = match catch_unwind(AssertUnwindSafe(exec)) {
-                Ok(o) => o,
-                Err(_) => {
-                    breaches.push(format!("{}: PANIC", tag()));
-                    continue;
-                }
-            };
-            cells[ci].1.tally_engine(&out);
-            // Faulted/aborted runs never report spend beyond the budget
-            // they were granted (over-charge only inflates the ledger up
-            // to the abort point, which budget enforcement still caps).
-            if budget.is_finite() && out.cost() > budget * (1.0 + 1e-9) {
-                breaches.push(format!(
-                    "{}: spent {} over budget {budget}",
-                    tag(),
-                    out.cost()
-                ));
-            }
-            // Inert plan ⇒ bit-identical to the fault-free call.
-            if fp.is_empty() {
-                let bare = engine.execute(&plan.root, budget);
-                if json(&out.cost()) != json(&bare.cost()) || out.completed() != bare.completed() {
-                    breaches.push(format!("{}: inert engine run diverged", tag()));
-                }
-            }
-        }
-    }
-    ran
-}
-
-/// Parallel-engine block: the vectorized path with morsel-driven kernels at
-/// several worker counts, under engine-side faults (operator failure,
-/// ledger over-charge, storms) and a spill-wrapped plan, with the morsel
-/// gate lowered so the parallel kernels engage at chaos scale. The
-/// invariant is total: for every (plan, fault plan, budget, worker count),
-/// the parallel engine must produce an `EngineOutcome` *bit-identical* to
-/// the serial engine's under an identically-seeded injector — faults
-/// included, because the coordinator replays the serial ledger event
-/// sequence no matter how many workers computed the batches.
-fn parallel_engine_scenarios(
-    seed: u64,
-    breaches: &mut Vec<String>,
-    cells: &mut Vec<(String, Cell)>,
-) -> usize {
-    use pb_cost::Parallelism;
-
-    let w = eq_1d();
-    let db = match Database::generate(&w.catalog, seed ^ 0xD0, &[]) {
-        Ok(db) => db,
-        Err(e) => {
-            breaches.push(format!("engine-par: data generation failed: {e}"));
-            return 0;
-        }
-    };
-    // Morsel gate lowered to a handful of batches so tiny chaos relations
-    // exercise the parallel kernels; gating is outcome-neutral by design.
+    // Gating is outcome-neutral by design.
     let mk = |workers: usize| {
         Engine::new(&db, &w.query, &w.model.p)
             .with_parallelism(Parallelism::new(workers))
@@ -1091,48 +796,40 @@ fn parallel_engine_scenarios(
     let root = w.optimizer().optimize(&qe).plan.root;
     let plans = [("plain", root.clone()), ("spilled", root.spilled())];
 
-    let fault_kinds = engine_fault_plans(seed);
-
     let mut ran = 0usize;
     for (pname, plan) in &plans {
         let ref_cost = serial.execute(plan, f64::INFINITY).cost();
-        for (label, fp) in &fault_kinds {
+        for (label, fp) in catalog {
             for workers in [1usize, 2, 4] {
                 let eng = mk(workers);
-                let key = format!("engine-par:{label}|{pname}x{workers}");
-                let ci = cell_of(cells, key);
-                for bi in 0..5u32 {
+                let ci = cell_of(cells, format!("engine-par:{label}|{pname}x{workers}"));
+                for (bi, share) in [0.25, 0.5, 0.75, 1.0, f64::INFINITY].iter().enumerate() {
                     ran += 1;
                     cells[ci].1.scenarios += 1;
-                    let budget = if bi == 4 {
-                        f64::INFINITY
-                    } else {
-                        ref_cost * f64::from(bi + 1) / 4.0
-                    };
-                    let tag = || format!("engine-par/{label}/{pname}/{workers}w/budget#{bi}");
-                    let reference = {
-                        let faults = FaultInjector::new(fp);
-                        serial.execute_with_faults(plan, budget, &faults)
-                    };
-                    let out = {
-                        let faults = FaultInjector::new(fp);
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            eng.execute_with_faults(plan, budget, &faults)
-                        })) {
-                            Ok(o) => o,
-                            Err(_) => {
-                                breaches.push(format!("{}: PANIC", tag()));
-                                continue;
-                            }
-                        }
+                    let budget = ref_cost * share;
+                    let tag = format!("engine-par/{label}/{pname}/{workers}w/budget#{bi}");
+                    let reference =
+                        serial.execute_with_faults(plan, budget, &FaultInjector::new(fp));
+                    let Ok(out) = catch_unwind(AssertUnwindSafe(|| {
+                        eng.execute_with_faults(plan, budget, &FaultInjector::new(fp))
+                    })) else {
+                        breaches.push(format!("{tag}: PANIC"));
+                        continue;
                     };
                     if out != reference {
                         breaches.push(format!(
-                            "{}: parallel outcome != serial (cost {} vs {})",
-                            tag(),
+                            "{tag}: parallel outcome != serial (cost {} vs {})",
                             out.cost(),
                             reference.cost()
                         ));
+                    }
+                    // Over-charge only inflates the ledger up to the abort
+                    // point, which budget enforcement still caps.
+                    if out.cost() > budget * (1.0 + 1e-9) {
+                        breaches.push(format!("{tag}: spent {} over budget {budget}", out.cost()));
+                    }
+                    if fp.is_empty() && out != eng.execute(plan, budget) {
+                        breaches.push(format!("{tag}: inert engine run diverged"));
                     }
                     cells[ci].1.tally_engine(&out);
                 }

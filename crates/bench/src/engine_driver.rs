@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use pb_bouquet::{
-    Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats, RobustConfig,
+    Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats, RobustConfig, RobustRun,
 };
 use pb_cost::{Parallelism, SelPoint};
 use pb_engine::{ColumnOverride, Database};
@@ -128,18 +128,19 @@ pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverrid
 /// to the serial run for every worker count, the knob only changes
 /// wall-clock time. With `cfg.resume` the decisions and result rows are
 /// those of the plain run while per-execution `spent` and `total_cost`
-/// shrink by the reused units the stats report (all-zero otherwise).
+/// shrink by the reused units the stats report (all-zero otherwise). The
+/// run itself comes last, for [`RobustRun::audit_resumed`].
 pub fn engine_run_bouquet_with(
     bouquet: &Bouquet,
     db: &Database,
     cfg: &RobustConfig,
     par: Parallelism,
-) -> Result<(EngineRunReport, ResumeStats), PbError> {
+) -> Result<(EngineRunReport, ResumeStats, RobustRun), PbError> {
     let mut sub =
         EngineSubstrate::new(bouquet, db, FaultInjector::none()).with_engine_parallelism(par);
-    let run = bouquet.run(&mut sub, cfg)?.run;
-    let report = EngineRunReport::from_run(&run, sub.result_rows().unwrap_or(0));
-    Ok((report, sub.resume_stats()))
+    let run = bouquet.run(&mut sub, cfg)?;
+    let report = EngineRunReport::from_run(&run.run, sub.result_rows().unwrap_or(0));
+    Ok((report, sub.resume_stats(), run))
 }
 
 #[cfg(test)]

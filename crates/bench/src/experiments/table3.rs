@@ -49,8 +49,9 @@ pub struct Table3Report {
     /// Basic-driver (contour, plan, budget) sequence identical between the
     /// engine substrate and the simulator substrate at the measured `qa`.
     pub crosscheck_ok: bool,
-    /// Resumed runs reproduced the plain runs' decision sequences and
-    /// result rows while spending no more.
+    /// Resumed runs passed `RobustRun::audit_resumed` against the plain
+    /// runs (same decisions, spent + reused = restart cost) and produced
+    /// the same result rows.
     pub resume_ok: bool,
 }
 
@@ -119,8 +120,8 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
         };
         engine_run_bouquet_with(&b, &db, &cfg, par).expect("engine run")
     };
-    let (basic, _) = engine_run(false, false);
-    let (optd, _) = engine_run(true, false);
+    let (basic, _, basic_run) = engine_run(false, false);
+    let (optd, _, optd_run) = engine_run(true, false);
     assert!(
         basic.completed && optd.completed,
         "bouquet runs must complete"
@@ -130,14 +131,16 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
     // The same discovery with checkpoint/resume: re-executed prefixes are
     // fast-forwarded, so the per-contour spends shrink while the decision
     // sequence — which plan ran where with which budget — stays identical.
-    let (basic_res, basic_rs) = engine_run(false, true);
-    let (optd_res, optd_rs) = engine_run(true, true);
-    let resume_ok = basic_res.decision_seq() == basic.decision_seq()
-        && optd_res.decision_seq() == optd.decision_seq()
+    let (basic_res, basic_rs, basic_res_run) = engine_run(false, true);
+    let (optd_res, optd_rs, optd_res_run) = engine_run(true, true);
+    let resume_ok = basic_res_run
+        .audit_resumed(basic_rs.reused_cost, &basic_run)
+        .is_ok()
+        && optd_res_run
+            .audit_resumed(optd_rs.reused_cost, &optd_run)
+            .is_ok()
         && basic_res.result_rows == basic.result_rows
-        && optd_res.result_rows == optd.result_rows
-        && basic_res.total_cost <= basic.total_cost * (1.0 + 1e-9)
-        && optd_res.total_cost <= optd.total_cost * (1.0 + 1e-9);
+        && optd_res.result_rows == optd.result_rows;
     assert!(resume_ok, "resume must not change decisions or overspend");
 
     let _ = writeln!(out, "contour-wise breakdown (engine cost units):");
@@ -289,13 +292,6 @@ mod tests {
             report.basic_resumed.total_cost < report.basic.total_cost,
             "resume must strictly reduce the basic driver's spend: {} vs {}",
             report.basic_resumed.total_cost,
-            report.basic.total_cost
-        );
-        // Reused + paid must reconstruct restart accounting exactly.
-        let recon = report.basic_resumed.total_cost + report.basic_resume.reused_cost;
-        assert!(
-            (recon - report.basic.total_cost).abs() <= 1e-6 * report.basic.total_cost,
-            "reused + paid must equal the plain spend: {recon} vs {}",
             report.basic.total_cost
         );
     }

@@ -65,15 +65,18 @@ impl Policy for Figure7<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bouquet::BouquetConfig;
+    use crate::drivers::robust::RobustConfig;
+    use crate::substrate::SimulatorSubstrate;
     use crate::workload::Workload;
     use pb_catalog::tpch;
     use pb_cost::{CostModel, Ess, EssDim};
+    use pb_faults::FaultInjector;
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
-    fn eq_1d() -> Workload {
+    pub(crate) fn eq_1d() -> Workload {
         let cat = tpch::catalog(1.0);
         let mut qb = QueryBuilder::new(&cat, "EQ");
         let p = qb.rel("part");
@@ -135,16 +138,17 @@ mod tests {
         let w = eq_1d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         let qa = w.ess.point(&[40]);
-        let run = b.run_basic(&qa).unwrap();
-        for e in &run.trace {
+        let cfg = RobustConfig::plain(false);
+        let mut sub = SimulatorSubstrate::new(&b, &qa, FaultInjector::none()).unwrap();
+        let rr = b.run(&mut sub, &cfg).unwrap();
+        for e in &rr.run.trace {
             if !e.completed {
                 assert_eq!(e.spent, e.budget);
             } else {
                 assert!(e.spent <= e.budget);
             }
         }
-        let sum: f64 = run.trace.iter().map(|e| e.spent).sum();
-        assert!((sum - run.total_cost).abs() < 1e-9 * run.total_cost);
+        rr.audit(&b, &cfg).unwrap();
     }
 
     #[test]

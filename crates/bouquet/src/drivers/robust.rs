@@ -131,6 +131,172 @@ pub struct RobustRun {
     pub degraded: bool,
 }
 
+/// `a == b` up to floating-point summation order.
+fn same_cost(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// The plan an outcome credits with the result and what its execution
+/// cost, if any.
+fn credit(o: &ExecutionOutcome) -> Option<(PlanId, f64)> {
+    match *o {
+        ExecutionOutcome::Completed {
+            final_plan,
+            final_cost,
+        }
+        | ExecutionOutcome::Degraded {
+            final_plan,
+            final_cost,
+        } => Some((final_plan, final_cost)),
+        ExecutionOutcome::BudgetExhausted { .. } | ExecutionOutcome::Cancelled { .. } => None,
+    }
+}
+
+impl RobustRun {
+    /// Check this run's books against the bouquet `b` it ran on and the
+    /// configuration `cfg` it ran under — the accounting Theorem 3's bound
+    /// rests on (DESIGN.md §"Robustness invariants"). `Err` names the first
+    /// rule broken:
+    ///
+    /// 1. `total_cost` is the sum of the trace's spends;
+    /// 2. an entry on contour `k ≥ 1` ran a plan of schedule rung `k − 1`
+    ///    under that rung's budget, `cost(IC_k)·(1+λ)` (`·r^j` past the
+    ///    grading);
+    /// 3. contour-0 entries (the finishing rung) only end the trace;
+    /// 4. under a spend cap, `total_cost` stays within it;
+    /// 5. `Completed` / `Degraded` ⇔ the last entry, and only it, completed
+    ///    — on a contour / on the finishing rung — with the outcome's
+    ///    `final_plan` and `final_cost == spent`.
+    pub fn audit(&self, b: &Bouquet, cfg: &RobustConfig) -> Result<(), String> {
+        let BouquetRun {
+            trace,
+            total_cost,
+            outcome,
+        } = &self.run;
+        if b.contours.is_empty() {
+            return Err("bouquet has no contours".into());
+        }
+        let traced: f64 = trace.iter().map(|e| e.spent).sum();
+        if !same_cost(traced, *total_cost) {
+            return Err(format!(
+                "total_cost {total_cost} is not the trace's spend {traced}"
+            ));
+        }
+        let rungs = b.contours.len() + MAX_OVERFLOW;
+        let mut finishing = false;
+        for (i, e) in trace.iter().enumerate() {
+            if e.contour == 0 {
+                finishing = true;
+                continue;
+            }
+            if finishing {
+                return Err(format!(
+                    "execution {i} on contour {} follows the finishing rung",
+                    e.contour
+                ));
+            }
+            if e.contour > rungs {
+                return Err(format!(
+                    "execution {i}: contour {} is past the {rungs}-rung schedule",
+                    e.contour
+                ));
+            }
+            let (contour, _, f) = b.rung(e.contour - 1);
+            if !contour.plan_set.contains(&e.plan) {
+                return Err(format!(
+                    "execution {i}: plan {} is not on contour {}",
+                    e.plan, e.contour
+                ));
+            }
+            if e.budget != contour.budget * f {
+                return Err(format!(
+                    "execution {i}: budget {} is not contour {}'s {}",
+                    e.budget,
+                    e.contour,
+                    contour.budget * f
+                ));
+            }
+        }
+        if let Some(cap) = cfg.spend_cap {
+            if *total_cost > cap * (1.0 + 1e-9) {
+                return Err(format!("total_cost {total_cost} exceeds the cap {cap}"));
+            }
+        }
+        let completions = trace.iter().filter(|e| e.completed).count();
+        let degraded = matches!(outcome, ExecutionOutcome::Degraded { .. });
+        let credited = match credit(outcome) {
+            Some((plan, cost)) => {
+                completions == 1
+                    && trace.last().is_some_and(|last| {
+                        last.completed
+                            && (last.contour == 0) == degraded
+                            && last.plan == plan
+                            && last.spent == cost
+                    })
+            }
+            None => completions == 0,
+        };
+        if !credited {
+            return Err(format!(
+                "outcome {outcome:?} does not match a trace with {completions} completion(s), \
+                 last {:?}",
+                trace.last()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Check this run, made with checkpoint/resume and credited `reused`
+    /// cost units, against `restart`, the same submission run without
+    /// reuse: the same executions (contour, plan, budget, and what each
+    /// observed), none paid above its restart spend; the same outcome
+    /// variant and final plan; and `total_cost + reused` equal to the
+    /// restart's `total_cost`. Resume changes what is paid, never what is
+    /// learned or decided.
+    pub fn audit_resumed(&self, reused: f64, restart: &RobustRun) -> Result<(), String> {
+        let (ours, theirs) = (&self.run.trace, &restart.run.trace);
+        if ours.len() != theirs.len() {
+            return Err(format!(
+                "{} executions where the restart ran {}",
+                ours.len(),
+                theirs.len()
+            ));
+        }
+        for (i, (r, p)) in ours.iter().zip(theirs).enumerate() {
+            if (r.contour, r.plan, r.budget.to_bits()) != (p.contour, p.plan, p.budget.to_bits()) {
+                return Err(format!(
+                    "execution {i}: contour {} plan {} budget {} where the restart ran \
+                     contour {} plan {} budget {}",
+                    r.contour, r.plan, r.budget, p.contour, p.plan, p.budget
+                ));
+            }
+            if (r.completed, r.spilled, &r.learned, &r.error)
+                != (p.completed, p.spilled, &p.learned, &p.error)
+            {
+                return Err(format!("execution {i} observed what the restart did not"));
+            }
+            if r.spent > p.spent * (1.0 + 1e-9) {
+                return Err(format!(
+                    "execution {i} paid {} over the restart's {}",
+                    r.spent, p.spent
+                ));
+            }
+        }
+        let (o, ro) = (&self.run.outcome, &restart.run.outcome);
+        let plan = |o: &ExecutionOutcome| credit(o).map(|(plan, _)| plan);
+        if std::mem::discriminant(o) != std::mem::discriminant(ro) || plan(o) != plan(ro) {
+            return Err(format!("outcome {o:?} where the restart ended {ro:?}"));
+        }
+        let (paid, restart_total) = (self.run.total_cost, restart.run.total_cost);
+        if !same_cost(paid + reused, restart_total) {
+            return Err(format!(
+                "paid {paid} + reused {reused} is not the restart cost {restart_total}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// One scheduled execution: what a policy wants run next.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Step {
@@ -322,7 +488,14 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
         // in restart semantics, so the monitor adds it back.
         let spent = out.spent + out.reused;
         let overcharge = spent > budget * (1.0 + 1e-9);
-        let skewed_abort = !out.completed && out.error.is_none() && spent < budget * (1.0 - 1e-9);
+        // A spilled prefix that consumed its whole input resolved its
+        // dimension and rightly stopped short of the grant; any other
+        // unfaulted abort burns all of it.
+        let resolved_prefix = out.spilled && !out.resolved.is_empty();
+        let skewed_abort = !out.completed
+            && out.error.is_none()
+            && !resolved_prefix
+            && spent < budget * (1.0 - 1e-9);
         if overcharge || skewed_abort {
             self.violations += 1;
             self.events.push(RobustEvent::MonitorViolation {
@@ -400,5 +573,107 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
         ExecutionOutcome::BudgetExhausted {
             contours_tried: tried,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bouquet::BouquetConfig;
+    use crate::drivers::basic::tests::eq_1d;
+    use crate::substrate::SimulatorSubstrate;
+    use pb_faults::FaultInjector;
+
+    /// A basic run deep enough to abort on several contours before it
+    /// completes, with the bouquet and the configuration it ran under.
+    fn fixture(resume: bool) -> (Bouquet, RobustConfig, RobustRun, f64) {
+        let w = eq_1d();
+        let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+        let qa = w.ess.point(&[40]);
+        let cfg = RobustConfig {
+            resume,
+            ..RobustConfig::plain(false)
+        };
+        let mut sub = SimulatorSubstrate::new(&b, &qa, FaultInjector::none()).unwrap();
+        let run = b.run(&mut sub, &cfg).unwrap();
+        let reused = sub.resume_stats().reused_cost;
+        assert!(run.run.trace.len() > 2, "fixture too short: {:?}", run.run);
+        (b, cfg, run, reused)
+    }
+
+    /// `audit` on a copy of the fixture run corrupted by `corrupt`.
+    fn audit_corrupted(corrupt: impl Fn(&Bouquet, &mut RobustRun)) -> String {
+        let (b, cfg, mut run, _) = fixture(false);
+        run.audit(&b, &cfg).unwrap();
+        corrupt(&b, &mut run);
+        run.audit(&b, &cfg).unwrap_err()
+    }
+
+    #[test]
+    fn audit_refuses_a_shifted_total() {
+        let e = audit_corrupted(|_, r| r.run.total_cost *= 1.001);
+        assert!(e.contains("trace's spend"), "{e}");
+    }
+
+    #[test]
+    fn audit_refuses_a_foreign_plan() {
+        let e = audit_corrupted(|b, r| {
+            let set = &b.contours[r.run.trace[0].contour - 1].plan_set;
+            r.run.trace[0].plan = (0..).find(|p| !set.contains(p)).unwrap();
+        });
+        assert!(e.contains("is not on contour"), "{e}");
+    }
+
+    #[test]
+    fn audit_refuses_an_off_schedule_budget() {
+        let e = audit_corrupted(|_, r| r.run.trace[1].budget *= 2.0);
+        assert!(e.contains("budget"), "{e}");
+    }
+
+    #[test]
+    fn audit_refuses_an_execution_after_the_finishing_rung() {
+        let e = audit_corrupted(|_, r| r.run.trace[0].contour = 0);
+        assert!(e.contains("follows the finishing rung"), "{e}");
+    }
+
+    #[test]
+    fn audit_refuses_a_total_over_the_cap() {
+        let (b, cfg, run, _) = fixture(false);
+        let capped = RobustConfig {
+            spend_cap: Some(run.run.total_cost / 2.0),
+            ..cfg
+        };
+        let e = run.audit(&b, &capped).unwrap_err();
+        assert!(e.contains("exceeds the cap"), "{e}");
+    }
+
+    #[test]
+    fn audit_refuses_an_outcome_the_trace_does_not_show() {
+        let e = audit_corrupted(|_, r| {
+            r.run.outcome = ExecutionOutcome::BudgetExhausted { contours_tried: 1 };
+        });
+        assert!(e.contains("does not match"), "{e}");
+        let e = audit_corrupted(|_, r| {
+            if let ExecutionOutcome::Completed { final_cost, .. } = &mut r.run.outcome {
+                *final_cost += 1.0;
+            }
+        });
+        assert!(e.contains("does not match"), "{e}");
+        let e = audit_corrupted(|_, r| r.run.trace[0].completed = true);
+        assert!(e.contains("does not match"), "{e}");
+    }
+
+    #[test]
+    fn audit_resumed_holds_a_resumed_run_to_its_restart() {
+        let (_, _, restart, _) = fixture(false);
+        let (_, _, resumed, reused) = fixture(true);
+        assert!(reused > 0.0, "resume never engaged");
+        resumed.audit_resumed(reused, &restart).unwrap();
+        let e = resumed.audit_resumed(2.0 * reused, &restart).unwrap_err();
+        assert!(e.contains("is not the restart cost"), "{e}");
+        let mut swapped = resumed.clone();
+        swapped.run.trace[0].plan += 1;
+        let e = swapped.audit_resumed(reused, &restart).unwrap_err();
+        assert!(e.contains("where the restart ran"), "{e}");
     }
 }

@@ -114,7 +114,9 @@ pub trait ExecutionSubstrate {
 
     /// Unbudgeted execution of bouquet plan `pid` — the degradation rung
     /// (classical query processing: one plan, no safety net).
-    fn run_native(&mut self, pid: PlanId) -> SubstrateOutcome;
+    fn run_native(&mut self, pid: PlanId) -> SubstrateOutcome {
+        self.execute_partial(pid, f64::INFINITY)
+    }
 
     /// Cost of the native optimizer baseline: pick the optimizer's plan at
     /// the *estimated* location `point` and run it to completion, returning
@@ -286,10 +288,10 @@ impl<'a> SimulatorSubstrate<'a> {
         }
         credit
     }
+}
 
-    /// Budget-limited execution of the whole of plan `pid` with no
-    /// monitoring, net of checkpoint reuse.
-    fn execute_whole(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
+impl ExecutionSubstrate for SimulatorSubstrate<'_> {
+    fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
         if let Some(o) = self.cancelled_outcome() {
             return o;
         }
@@ -311,12 +313,6 @@ impl<'a> SimulatorSubstrate<'a> {
             SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
         o.reused = reused;
         o
-    }
-}
-
-impl ExecutionSubstrate for SimulatorSubstrate<'_> {
-    fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
-        self.execute_whole(pid, budget)
     }
 
     fn execute_monitored(
@@ -374,10 +370,6 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
             resolved: r.resolved.into_iter().map(|dm| (dm, self.qa[dm])).collect(),
             error: r.error,
         }
-    }
-
-    fn run_native(&mut self, pid: PlanId) -> SubstrateOutcome {
-        self.execute_whole(pid, f64::INFINITY)
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {
@@ -646,19 +638,6 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
             resolved: resolved_out,
             error: out.error().cloned(),
         }
-    }
-
-    fn run_native(&mut self, pid: PlanId) -> SubstrateOutcome {
-        if let Some(o) = self.cancelled_outcome() {
-            return o;
-        }
-        let plan = &self.b.plan(pid).root;
-        let (out, reused) = self.run_resumable(plan, f64::INFINITY);
-        self.note_completion(&out);
-        let mut o =
-            SubstrateOutcome::plain(out.cost() - reused, out.completed(), out.error().cloned());
-        o.reused = reused;
-        o
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {

@@ -13,8 +13,9 @@
 //! preceded the decision tables, so a match means every decision and every
 //! charged cost unit is bit-identical to that implementation.
 //!
-//! Tier-1 visits every `STRIDE`-th location (debug builds); CI's smoke job
-//! runs the exhaustive form in release:
+//! Every visited run also passes `RobustRun::audit`. Tier-1 visits every
+//! `STRIDE`-th location (debug builds); CI's smoke job runs the exhaustive
+//! form in release:
 //!
 //! ```text
 //! cargo test --release --test driver_grid_golden -- --ignored every_grid
@@ -70,12 +71,13 @@ impl Fnv {
 
 fn run_at(b: &Bouquet, optimized: bool, qa: &SelPoint) -> BouquetRun {
     let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::none()).unwrap();
-    let run = b
-        .run(&mut sub, &RobustConfig::plain(optimized))
-        .unwrap()
-        .run;
-    assert!(run.completed(), "{qa:?} did not complete");
-    run
+    let cfg = RobustConfig::plain(optimized);
+    let rr = b.run(&mut sub, &cfg).unwrap();
+    if let Err(e) = rr.audit(b, &cfg) {
+        panic!("{qa:?}: {e}");
+    }
+    assert!(rr.run.completed(), "{qa:?} did not complete");
+    rr.run
 }
 
 /// Hash of one driver over every `stride`-th grid location of `b`, then

@@ -19,8 +19,8 @@
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
-    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats,
-    RobustConfig, SimulatorSubstrate,
+    Bouquet, BouquetConfig, EngineSubstrate, ExecutionSubstrate, RobustConfig, RobustRun,
+    SimulatorSubstrate,
 };
 use plan_bouquet::engine::{Database, Engine, EngineOutcome, ResumeBook};
 use plan_bouquet::faults::FaultInjector;
@@ -204,76 +204,30 @@ fn bouquet_2d() -> &'static Bouquet {
     })
 }
 
-/// Resume must never change *what is learned or decided*, only *what is
-/// paid*: identical (contour, plan, budget) sequence, identical abort /
-/// completion / spill / learned / fault record per execution, per-execution
-/// paid ≤ restart spend, and total_cost + reused ≈ the restart total.
-fn assert_resume_matches_plain(label: &str, plain: &BouquetRun, resumed: &BouquetRun, reused: f64) {
-    assert_eq!(
-        plain.trace.len(),
-        resumed.trace.len(),
-        "{label}: trace length diverged"
-    );
-    for (p, r) in plain.trace.iter().zip(&resumed.trace) {
-        assert_eq!(
-            (p.contour, p.plan, p.budget.to_bits()),
-            (r.contour, r.plan, r.budget.to_bits()),
-            "{label}: decision sequence diverged"
-        );
-        assert_eq!(
-            (p.completed, p.spilled, &p.learned, &p.error),
-            (r.completed, r.spilled, &r.learned, &r.error),
-            "{label}: observed behaviour diverged"
-        );
-        assert!(
-            r.spent <= p.spent * (1.0 + 1e-9),
-            "{label}: resumed execution paid more than restart ({} > {})",
-            r.spent,
-            p.spent
-        );
-    }
-    // The outcome's `final_cost` is what the final execution *paid*, so it
-    // legitimately shrinks under resume; plan and variant may not change.
-    use plan_bouquet::bouquet::ExecutionOutcome as EO;
-    match (&plain.outcome, &resumed.outcome) {
-        (
-            EO::Completed {
-                final_plan: p,
-                final_cost: pc,
-            },
-            EO::Completed {
-                final_plan: r,
-                final_cost: rc,
-            },
-        ) => {
-            assert_eq!(p, r, "{label}: final plan diverged");
-            assert!(rc <= &(pc * (1.0 + 1e-9)), "{label}: final cost grew");
-        }
-        (p, r) => assert_eq!(p, r, "{label}: outcome diverged"),
-    }
-    assert!(
-        (resumed.total_cost + reused - plain.total_cost).abs() <= 1e-9 * plain.total_cost.max(1.0),
-        "{label}: paid + reused must equal the restart total \
-         ({} + {reused} vs {})",
-        resumed.total_cost,
-        plain.total_cost
-    );
-}
-
-/// One run on `sub` under the plain settings with resume on or off, and the
-/// substrate's resume counters after it.
+/// One run on `sub` under the plain settings with resume on or off, its
+/// books audited, and the cost units the substrate reused during it.
 fn drive<S: ExecutionSubstrate>(
     b: &Bouquet,
     sub: &mut S,
     optimized: bool,
     resume: bool,
-) -> (BouquetRun, ResumeStats) {
+) -> (RobustRun, f64) {
     let cfg = RobustConfig {
         resume,
         ..RobustConfig::plain(optimized)
     };
-    let run = b.run(sub, &cfg).unwrap().run;
-    (run, sub.resume_stats())
+    let before = sub.resume_stats().reused_cost;
+    let run = b.run(sub, &cfg).unwrap();
+    run.audit(b, &cfg).unwrap();
+    (run, sub.resume_stats().reused_cost - before)
+}
+
+/// Resume must never change *what is learned or decided*, only *what is
+/// paid*: `audit_resumed` against the restart.
+fn assert_resumes(label: &str, resumed: &(RobustRun, f64), restart: &RobustRun) {
+    if let Err(e) = resumed.0.audit_resumed(resumed.1, restart) {
+        panic!("{label}: {e}");
+    }
 }
 
 /// Checks both policies at `fracs`; returns the cost units the basic one
@@ -284,14 +238,13 @@ fn check_simulator_resume_at(fracs: &[f64]) -> f64 {
     let [basic_reuse, _] = [false, true].map(|optimized| {
         let sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
         let (plain, _) = drive(b, &mut sub(), optimized, false);
-        let (resumed, stats) = drive(b, &mut sub(), optimized, true);
-        assert_resume_matches_plain(
+        let resumed = drive(b, &mut sub(), optimized, true);
+        assert_resumes(
             &format!("optimized={optimized} @ {fracs:?}"),
-            &plain,
             &resumed,
-            stats.reused_cost,
+            &plain,
         );
-        stats.reused_cost
+        resumed.1
     });
     basic_reuse
 }
@@ -319,29 +272,17 @@ fn simulator_resume_preserves_decisions_on_lattice() {
 fn simulator_corrupt_checkpoints_never_double_charge() {
     let b = bouquet_2d();
     let qa = b.workload.ess.point_at_fractions(&[0.8, 0.8]);
-    let plain = b.run_basic(&qa).unwrap();
+    let sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+    let (plain, _) = drive(b, &mut sub(), false, false);
 
-    let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-    let (warm, _) = drive(b, &mut sub, false, true);
+    let mut sub = sub();
+    let warm = drive(b, &mut sub, false, true);
+    assert_resumes("warm simulator", &warm, &plain);
     sub.corrupt_checkpoints();
-    let (after, stats) = drive(b, &mut sub, false, true);
-    assert_resume_matches_plain("corrupted simulator", &plain, &warm, {
-        // warm run's own reuse: reconstruct from the cost gap.
-        plain.total_cost - warm.total_cost
-    });
-    for (p, r) in plain.trace.iter().zip(&after.trace) {
-        assert_eq!(
-            (p.contour, p.plan, p.budget.to_bits()),
-            (r.contour, r.plan, r.budget.to_bits())
-        );
-        assert!(
-            r.spent <= p.spent * (1.0 + 1e-9),
-            "double charge after corruption"
-        );
-    }
-    assert!(after.total_cost <= plain.total_cost * (1.0 + 1e-9));
+    let after = drive(b, &mut sub, false, true);
+    assert_resumes("corrupted simulator", &after, &plain);
     // Fresh snapshots recorded by the fallback runs keep stats coherent.
-    assert!(stats.checkpoints > 0);
+    assert!(sub.resume_stats().checkpoints > 0);
 }
 
 /// Engine substrate chaos: same fallback property on real tuples.
@@ -349,25 +290,19 @@ fn simulator_corrupt_checkpoints_never_double_charge() {
 fn engine_substrate_corrupt_checkpoints_fall_back() {
     let b = bouquet_2d();
     let (_, db) = engine_fixture();
-    let mut plain_sub = EngineSubstrate::new(b, db, FaultInjector::none());
-    let (plain, _) = drive(b, &mut plain_sub, false, false);
+    let (plain, _) = drive(
+        b,
+        &mut EngineSubstrate::new(b, db, FaultInjector::none()),
+        false,
+        false,
+    );
 
     let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
-    let (warm, warm_stats) = drive(b, &mut sub, false, true);
-    assert_resume_matches_plain("engine warm", &plain, &warm, warm_stats.reused_cost);
+    let warm = drive(b, &mut sub, false, true);
+    assert_resumes("engine warm", &warm, &plain);
     sub.corrupt_checkpoints();
-    let (after, _) = drive(b, &mut sub, false, true);
-    for (p, r) in plain.trace.iter().zip(&after.trace) {
-        assert_eq!(
-            (p.contour, p.plan, p.budget.to_bits()),
-            (r.contour, r.plan, r.budget.to_bits())
-        );
-        assert!(
-            r.spent <= p.spent * (1.0 + 1e-9),
-            "double charge after corruption"
-        );
-    }
-    assert!(after.total_cost <= plain.total_cost * (1.0 + 1e-9));
+    let after = drive(b, &mut sub, false, true);
+    assert_resumes("engine corrupted", &after, &plain);
 }
 
 proptest! {

@@ -8,7 +8,8 @@
 //! * a capped book only ever loses **credit** — the observable outcome of
 //!   every execution stays bit-identical to both the uncapped book and a
 //!   cold restart;
-//! * `spent + reused` still equals the restart-semantics cost exactly;
+//! * `spent + reused` still equals the restart-semantics cost exactly
+//!   (`RobustRun::audit_resumed` against a restart);
 //! * the cap is actually enforced (evictions observed, retained bytes /
 //!   entries bounded).
 
@@ -113,29 +114,6 @@ fn bouquet_1d() -> &'static Bouquet {
     })
 }
 
-/// Decision sequence + outcome, the bits resume must never change. The
-/// outcome's `final_cost` is the final execution's *paid* cost — the one
-/// number resume is allowed (required) to shrink — so it is normalized
-/// away; the plan choice and every (contour, plan, budget) decision are
-/// compared exactly.
-fn decisions(run: &plan_bouquet::bouquet::RobustRun) -> (String, Vec<(usize, usize, f64)>) {
-    use plan_bouquet::bouquet::ExecutionOutcome as O;
-    let outcome = match &run.run.outcome {
-        O::Completed { final_plan, .. } => format!("completed:{final_plan}"),
-        O::Degraded { final_plan, .. } => format!("degraded:{final_plan}"),
-        O::BudgetExhausted { .. } => "budget-exhausted".into(),
-        O::Cancelled { .. } => "cancelled".into(),
-    };
-    (
-        outcome,
-        run.run
-            .trace
-            .iter()
-            .map(|e| (e.contour, e.plan, e.budget))
-            .collect(),
-    )
-}
-
 #[test]
 fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
     let b = bouquet_1d();
@@ -173,31 +151,15 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         cap_sub.set_resume_byte_cap(sim_cap);
         let capped = b.run(&mut cap_sub, &cfg_resume).expect("capped");
 
-        // Outcome and decision sequence: identical across plain, resumed
-        // and capped-resumed.
-        assert_eq!(
-            decisions(&plain),
-            decisions(&unbounded),
-            "@{frac}: resume changed the run"
-        );
-        assert_eq!(
-            decisions(&plain),
-            decisions(&capped),
-            "@{frac}: eviction changed the run"
-        );
-
-        // Cost identity: spent + reused == restart cost, for both books.
-        let restart = plain.run.total_cost;
+        // Decisions, observations and outcome identical to the restart;
+        // spent + reused == restart cost, for both books.
         for (label, run, sub) in [
             ("unbounded", &unbounded, &unb_sub),
             ("capped", &capped, &cap_sub),
         ] {
-            let reused = sub.resume_stats().reused_cost;
-            let paid = run.run.total_cost + reused;
-            assert!(
-                (paid - restart).abs() <= 1e-9 * restart.abs().max(1.0),
-                "@{frac} {label}: spent+reused {paid} != restart {restart}"
-            );
+            if let Err(e) = run.audit_resumed(sub.resume_stats().reused_cost, &plain) {
+                panic!("@{frac} {label}: {e}");
+            }
         }
         // Eviction only sheds credit, never creates it.
         assert!(

@@ -1,8 +1,10 @@
 //! Robustness integration tests: the recovery settings change nothing on a
 //! fault-free substrate (property-tested over random TPC-H / TPC-DS
-//! locations), the plain settings on an armed one, typed dimension-mismatch
-//! errors, budget exhaustion under extreme model error, the degradation
-//! ladder under persistent faults, and the benchmark's four entry points.
+//! locations, and swept over every location of a 4D space), the plain
+//! settings on an armed one, typed dimension-mismatch errors, budget
+//! exhaustion under extreme model error, the degradation ladder under
+//! persistent faults, and the benchmark's four entry points. Every run's
+//! books go through `RobustRun::audit`.
 
 use std::sync::OnceLock;
 
@@ -32,7 +34,7 @@ fn bouquet_ds() -> &'static Bouquet {
     })
 }
 
-/// One run at `qa` on the simulator armed with `faults`.
+/// One run at `qa` on the simulator armed with `faults`, its books audited.
 fn run_armed(
     b: &Bouquet,
     qa: &SelPoint,
@@ -40,7 +42,11 @@ fn run_armed(
     cfg: &RobustConfig,
 ) -> Result<RobustRun, PbError> {
     let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::new(faults))?;
-    b.run(&mut sub, cfg)
+    let run = b.run(&mut sub, cfg)?;
+    if let Err(e) = run.audit(b, cfg) {
+        panic!("{qa:?}: {e}");
+    }
+    Ok(run)
 }
 
 /// With an empty fault plan, the default recovery settings must run exactly
@@ -84,6 +90,30 @@ proptest! {
     }
 }
 
+/// Every grid location of a 4D space, both policies, fault-free: nothing
+/// is recorded. A spilled prefix that resolves its dimension under budget
+/// is not an abort that burned less than its grant.
+#[test]
+fn fault_free_runs_record_no_events_at_every_4d_location() {
+    let w = workloads::by_name("4D_DS_Q91").unwrap();
+    let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+    for li in 0..w.ess.num_points() {
+        let qa = w.ess.point(&w.ess.unlinear(li));
+        for optimized in [false, true] {
+            let cfg = RobustConfig {
+                optimized,
+                ..Default::default()
+            };
+            let rr = run_armed(&b, &qa, &FaultPlan::none(), &cfg).unwrap();
+            assert!(
+                rr.events.is_empty(),
+                "location {li}, optimized={optimized}: {:?}",
+                rr.events
+            );
+        }
+    }
+}
+
 #[test]
 fn dimension_mismatch_is_a_typed_error() {
     let b = bouquet_h();
@@ -114,18 +144,12 @@ fn extreme_model_error_exhausts_the_budget_schedule() {
         };
         let b = Bouquet::identify(&w, &cfg).unwrap();
         let qa = w.ess.point_at_fractions(&[0.9]);
-        let run = b.run_basic(&qa).unwrap();
-        if let ExecutionOutcome::BudgetExhausted { contours_tried } = run.outcome {
+        let rr = run_armed(&b, &qa, &FaultPlan::none(), &RobustConfig::plain(false)).unwrap();
+        if let ExecutionOutcome::BudgetExhausted { contours_tried } = rr.run.outcome {
             exhausted = true;
             // The full schedule — grading plus all overflow doublings — was
-            // driven to the end.
+            // driven to the end, every abort charged (the audit).
             assert!(contours_tried > b.contours.len());
-            assert!(run.trace.iter().all(|e| !e.completed));
-            let sum: f64 = run.trace.iter().map(|e| e.spent).sum();
-            assert!(
-                (sum - run.total_cost).abs() <= 1e-9 * sum,
-                "aborts must stay charged"
-            );
             break;
         }
     }
@@ -155,8 +179,6 @@ fn transient_fault_is_retried_and_charged() {
         .any(|e| matches!(e, RobustEvent::Retry { .. })));
     // The faulted first attempt is charged on top of the plain schedule.
     assert!(robust.run.total_cost > plain.total_cost);
-    let sum: f64 = robust.run.trace.iter().map(|e| e.spent).sum();
-    assert!((sum - robust.run.total_cost).abs() <= 1e-9 * sum);
 }
 
 /// A clock-skew fault that starves every budget trips the spend monitor and
@@ -187,12 +209,9 @@ fn persistent_skew_degrades_to_native_execution() {
         .events
         .iter()
         .any(|e| matches!(e, RobustEvent::Degraded { .. })));
-    // The degraded execution is the last trace entry, unbudgeted, completed.
-    let last = robust.run.trace.last().unwrap();
-    assert!(last.completed && last.budget.is_infinite());
-    // Every aborted probe before degradation stays charged.
-    let sum: f64 = robust.run.trace.iter().map(|e| e.spent).sum();
-    assert!((sum - robust.run.total_cost).abs() <= 1e-9 * sum);
+    // The degraded execution is the last trace entry (the audit), and
+    // unbudgeted.
+    assert!(robust.run.trace.last().unwrap().budget.is_infinite());
 }
 
 /// Faults that never stop (every execution fails, retries exhausted, and the
@@ -220,8 +239,6 @@ fn unrecoverable_faults_end_in_budget_exhausted() {
         .events
         .iter()
         .any(|e| matches!(e, RobustEvent::PlanAbandoned { .. })));
-    let sum: f64 = robust.run.trace.iter().map(|e| e.spent).sum();
-    assert!((sum - robust.run.total_cost).abs() <= 1e-9 * sum.abs().max(1.0));
 }
 
 /// The plain settings on an armed substrate — the paper's algorithms as
@@ -272,9 +289,6 @@ fn plain_settings_never_retry_never_degrade_and_charge_each_fault_once() {
                 ExecutionOutcome::BudgetExhausted { .. } => assert!(faulted.len() > 3),
                 ref other => panic!("{tag}: {other:?}"),
             }
-            // Charged once: the total is the trace, faulted spends included.
-            let sum: f64 = rr.run.trace.iter().map(|e| e.spent).sum();
-            assert!((sum - rr.run.total_cost).abs() <= 1e-9 * sum, "{tag}");
         }
     }
 }
