@@ -29,6 +29,12 @@ impl From<DeError> for Error {
 
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts. No value this
+/// workspace writes comes near it — a plan tree in a cache frame's header,
+/// two levels a node, is the deepest — and past it the parser returns an
+/// error instead of recursing, so no input can exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Serialize `value` as a compact JSON string.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
@@ -43,7 +49,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
         i: 0,
     };
     p.skip_ws();
-    let v = p.parse_value()?;
+    let v = p.parse_value(0)?;
     p.skip_ws();
     if p.i != p.bytes.len() {
         return Err(Error(format!("trailing characters at offset {}", p.i)));
@@ -162,20 +168,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value> {
+    /// One value inside `depth` enclosing arrays and objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Value> {
         match self.peek() {
             Some(b'n') => self.expect_lit("null", Value::Null),
             Some(b't') => self.expect_lit("true", Value::Bool(true)),
             Some(b'f') => self.expect_lit("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.parse_array(depth + 1),
+            Some(b'{') => self.parse_object(depth + 1),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected value")),
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value> {
+    fn parse_array(&mut self, depth: usize) -> Result<Value> {
         self.i += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -185,7 +195,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -198,7 +208,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value> {
+    fn parse_object(&mut self, depth: usize) -> Result<Value> {
         self.i += 1; // '{'
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -218,7 +228,7 @@ impl<'a> Parser<'a> {
             }
             self.i += 1;
             self.skip_ws();
-            let val = self.parse_value()?;
+            let val = self.parse_value(depth)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -408,5 +418,19 @@ mod tests {
         assert!(from_str::<bool>("tru").is_err());
         assert!(from_str::<Vec<u64>>("[1,2").is_err());
         assert!(from_str::<u64>("42 x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        let nested = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        let deep = from_str::<Value>(&nested(MAX_DEPTH + 1, "[", "]"));
+        assert!(deep
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper than"));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1, "{\"a\":", "}")).is_err());
+        // Far past the cap, unbalanced: an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Deterministic in-memory data generation conforming to catalog statistics.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use pb_catalog::{Catalog, Distribution};
 use pb_cost::Parallelism;
@@ -8,6 +9,8 @@ use pb_faults::PbError;
 use pb_plan::{CmpOp, QuerySpec, SelectionPredicate};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+use crate::lookup::Directory;
 
 /// Overrides that make the generated data deviate from what the statistics
 /// (and hence the AVI estimator) suggest — the controlled source of
@@ -51,9 +54,76 @@ pub enum ColumnOverride {
 pub struct TableData {
     /// `columns[c][row]`.
     pub columns: Vec<Vec<i64>>,
-    /// Per indexed column: `(value, row)` sorted by value then row.
-    pub indexes: HashMap<u32, Vec<(i64, u32)>>,
+    /// Per indexed column.
+    pub indexes: HashMap<u32, Index>,
     pub rows: usize,
+}
+
+/// A secondary index: `(value, row)` entries sorted by value then row.
+///
+/// Range predicates binary-search the entries. An equality lookup on a dense
+/// domain goes through a slot directory instead (see `crate::lookup`),
+/// built on the first lookup — never during data generation — and kept
+/// with the index; on a sparse domain it binary-searches too.
+#[derive(Debug, Clone)]
+pub struct Index {
+    entries: Vec<(i64, u32)>,
+    directory: OnceLock<Option<Directory>>,
+}
+
+impl Index {
+    fn new(entries: Vec<(i64, u32)>) -> Index {
+        Index {
+            entries,
+            directory: OnceLock::new(),
+        }
+    }
+
+    pub fn entries(&self) -> &[(i64, u32)] {
+        &self.entries
+    }
+
+    /// The entries whose value is `key`.
+    pub fn lookup(&self, key: i64) -> &[(i64, u32)] {
+        let directory = self
+            .directory
+            .get_or_init(|| Directory::over_sorted(&self.entries));
+        let range = match directory {
+            Some(d) => d.range(key),
+            None => {
+                let lo = self.entries.partition_point(|&(v, _)| v < key);
+                lo..lo + self.entries[lo..].partition_point(|&(v, _)| v == key)
+            }
+        };
+        &self.entries[range]
+    }
+
+    /// The entries whose value satisfies `pred`.
+    pub fn range(&self, pred: &SelectionPredicate) -> &[(i64, u32)] {
+        let ix = &self.entries;
+        let range = match pred.op {
+            CmpOp::Lt => 0..ix.partition_point(|&(v, _)| (v as f64) < pred.constant),
+            CmpOp::Gt => ix.partition_point(|&(v, _)| (v as f64) <= pred.constant)..ix.len(),
+            CmpOp::Eq => {
+                let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant);
+                let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
+                lo..hi
+            }
+            CmpOp::Between => {
+                let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant2);
+                let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
+                lo..hi
+            }
+        };
+        &ix[range]
+    }
+}
+
+/// Two indexes are equal when their entries are: the directory is derived.
+impl PartialEq for Index {
+    fn eq(&self, other: &Index) -> bool {
+        self.entries == other.entries
+    }
 }
 
 /// An in-memory database instance for a catalog.
@@ -337,7 +407,7 @@ fn gen_table(
             .map(|(r, &v)| (v, r as u32))
             .collect();
         entries.sort_unstable();
-        indexes.insert(c, entries);
+        indexes.insert(c, Index::new(entries));
     }
     Ok(TableData {
         columns,
@@ -414,9 +484,9 @@ mod tests {
         let part = d.catalog.table("part").unwrap();
         let td = d.table(part.id);
         for (c, ix) in &td.indexes {
-            assert_eq!(ix.len(), td.rows);
+            assert_eq!(ix.entries().len(), td.rows);
             assert!(
-                ix.windows(2).all(|w| w[0] <= w[1]),
+                ix.entries().windows(2).all(|w| w[0] <= w[1]),
                 "index on col {c} unsorted"
             );
         }

@@ -9,7 +9,7 @@
 
 use pb_cost::{CostParams, Parallelism};
 use pb_faults::{FaultInjector, PbError};
-use pb_plan::{CmpOp, PlanNode, QuerySpec, RelIdx};
+use pb_plan::{PlanNode, QuerySpec, RelIdx};
 
 use crate::data::Database;
 
@@ -323,26 +323,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-pub(crate) fn index_range(
-    ix: &[(i64, u32)],
-    pred: &pb_plan::SelectionPredicate,
-) -> std::ops::Range<usize> {
-    match pred.op {
-        CmpOp::Lt => 0..ix.partition_point(|&(v, _)| (v as f64) < pred.constant),
-        CmpOp::Gt => ix.partition_point(|&(v, _)| (v as f64) <= pred.constant)..ix.len(),
-        CmpOp::Eq => {
-            let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant);
-            let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
-            lo..hi
-        }
-        CmpOp::Between => {
-            let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant2);
-            let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
-            lo..hi
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -351,7 +331,7 @@ mod tests {
     use crate::data::Database;
     use pb_catalog::tpch;
     use pb_cost::CostModel;
-    use pb_plan::{QueryBuilder, SelSpec};
+    use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn setup() -> (Database, QuerySpec, CostModel) {
         let cat = tpch::catalog(0.01);

@@ -25,11 +25,12 @@
 pub mod data;
 pub mod exec;
 mod ledger;
+mod lookup;
 mod morsel;
 #[cfg(test)]
 mod oracle;
 mod vec_exec;
 
-pub use data::{ColumnOverride, Database, TableData};
+pub use data::{ColumnOverride, Database, Index, TableData};
 pub use exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
 pub use vec_exec::ResumeBook;

@@ -50,10 +50,11 @@ fn wave_batches(workers: usize) -> usize {
 /// Drive one batch-granular linear phase over `0..n_items`.
 ///
 /// `compute(lo, hi, out)` appends the batch's survivors (row ids, or joined
-/// position pairs) to `out`, one element per emitted tuple; it must be pure
-/// in the row range. The coordinator settles the ledger exactly as the
-/// serial engine does and hands each committed batch's survivors to
-/// `consume` in batch order; `replay(ctx, lo, hi, emitted)` re-runs the
+/// position pairs) to `out` and returns how many tuples the batch emitted:
+/// one per element appended, or — for an operator that keeps nothing and
+/// only counts — with `out` left empty. It must be pure in the row range.
+/// The coordinator settles the ledger exactly as the serial engine does and
+/// hands each committed batch's survivors to `consume` in batch order; `replay(ctx, lo, hi, emitted)` re-runs the
 /// crossing batch tuple-at-a-time (it is only invoked when the batch-end
 /// value exceeds the budget, so it must abort — the driver converts a
 /// completed replay into the typed anomaly).
@@ -76,34 +77,35 @@ pub(crate) fn drive_batches<T, C, K, P>(
 ) -> Result<u64, Halt>
 where
     T: Send,
-    C: Fn(usize, usize, &mut Vec<T>) + Sync,
+    C: Fn(usize, usize, &mut Vec<T>) -> usize + Sync,
     K: FnMut(&[T]),
     P: FnMut(&mut Ctx<'_>, usize, usize, u64) -> Result<(), Halt>,
 {
     let mut emitted = 0u64;
-    let mut account = |ctx: &mut Ctx<'_>, emitted: &mut u64, lo: usize, hi: usize, out: &[T]| {
-        let k = out.len() as u64;
-        let end = lin2(ph.base, hi as u64, ph.item_rate, *emitted + k, ph.emit_rate);
-        if end > ctx.budget {
-            replay(ctx, lo, hi, *emitted)?;
-            return Err(replay_anomaly());
-        }
-        ctx.commit(end)?;
-        *emitted += k;
-        if let Some(id) = instr_node {
-            ctx.instr[id].output_tuples = *emitted;
-        }
-        consume(out);
-        Ok(())
-    };
+    let mut account =
+        |ctx: &mut Ctx<'_>, emitted: &mut u64, lo: usize, hi: usize, k: usize, out: &[T]| {
+            let k = k as u64;
+            let end = lin2(ph.base, hi as u64, ph.item_rate, *emitted + k, ph.emit_rate);
+            if end > ctx.budget {
+                replay(ctx, lo, hi, *emitted)?;
+                return Err(replay_anomaly());
+            }
+            ctx.commit(end)?;
+            *emitted += k;
+            if let Some(id) = instr_node {
+                ctx.instr[id].output_tuples = *emitted;
+            }
+            consume(out);
+            Ok(())
+        };
     if par.workers <= 1 {
         let mut out: Vec<T> = Vec::new();
         let mut lo = 0usize;
         while lo < n_items {
             let hi = (lo + BATCH).min(n_items);
             out.clear();
-            compute(lo, hi, &mut out);
-            account(ctx, &mut emitted, lo, hi, &out)?;
+            let k = compute(lo, hi, &mut out);
+            account(ctx, &mut emitted, lo, hi, k, &out)?;
             lo = hi;
         }
         return Ok(emitted);
@@ -128,12 +130,12 @@ where
         let results = par_map(par, nb, |i| {
             let (lo, hi) = bounds(b0 + i);
             let mut out = Vec::new();
-            compute(lo, hi, &mut out);
-            out
+            let k = compute(lo, hi, &mut out);
+            (k, out)
         });
-        for (i, out) in results.iter().enumerate() {
+        for (i, (k, out)) in results.iter().enumerate() {
             let (lo, hi) = bounds(b0 + i);
-            account(ctx, &mut emitted, lo, hi, out)?;
+            account(ctx, &mut emitted, lo, hi, *k, out)?;
         }
         b0 += nb;
     }
@@ -314,79 +316,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned hash-join build
-// ---------------------------------------------------------------------------
-
-use crate::vec_exec::FastMap;
-
-/// Partition count for the parallel hash-join build. Fixed — never derived
-/// from the worker count — so the partition a key lands in, and therefore
-/// every per-partition table, is identical for every worker count.
-const JOIN_PARTS: usize = 64;
-
-#[inline]
-fn part_of(v: i64) -> usize {
-    // SplitMix64 finalizer — decorrelates from FastHasher so one partition
-    // doesn't inherit a whole hash bucket.
-    let mut z = (v as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize & (JOIN_PARTS - 1)
-}
-
-/// Hash-join build side: a single map (serial) or fixed-fan-out partitions
-/// (parallel build). Probes see identical content either way: every
-/// per-key row list is in ascending row order because rows are inserted in
-/// ascending order — directly (serial) or as ordered chunk scatters merged
-/// in chunk order (parallel).
-pub(crate) enum JoinTable {
-    Single(FastMap<i64, Vec<u32>>),
-    Parts(Vec<FastMap<i64, Vec<u32>>>),
-}
-
-impl JoinTable {
-    /// Build from the key column's first `len` rows.
-    pub fn build(par: Parallelism, keys: &[i64], len: usize) -> JoinTable {
-        if par.workers <= 1 {
-            let mut table: FastMap<i64, Vec<u32>> = FastMap::default();
-            for (i, &v) in keys[..len].iter().enumerate() {
-                table.entry(v).or_default().push(i as u32);
-            }
-            return JoinTable::Single(table);
-        }
-        // Phase 1: scatter ascending row ranges into per-partition buckets.
-        let scattered = run_chunked(par, len, |_, range| {
-            let mut buckets: Vec<Vec<(i64, u32)>> = vec![Vec::new(); JOIN_PARTS];
-            for i in range {
-                let v = keys[i];
-                buckets[part_of(v)].push((v, i as u32));
-            }
-            buckets
-        });
-        // Phase 2: one map per partition, scanning the chunks in order so
-        // per-key row lists come out ascending.
-        let parts = par_map(par, JOIN_PARTS, |p| {
-            let mut m: FastMap<i64, Vec<u32>> = FastMap::default();
-            for chunk in &scattered {
-                for &(v, i) in &chunk[p] {
-                    m.entry(v).or_default().push(i);
-                }
-            }
-            m
-        });
-        JoinTable::Parts(parts)
-    }
-
-    #[inline]
-    pub fn get(&self, v: i64) -> Option<&[u32]> {
-        match self {
-            JoinTable::Single(m) => m.get(&v).map(Vec::as_slice),
-            JoinTable::Parts(parts) => parts[part_of(v)].get(&v).map(Vec::as_slice),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Parallel stable argsort (sort-merge join)
 // ---------------------------------------------------------------------------
 
@@ -449,6 +378,8 @@ fn merge_runs(keys: &[i64], a: &[u32], b: &[u32]) -> Vec<u32> {
 // Parallel grouped counting (hash aggregate)
 // ---------------------------------------------------------------------------
 
+use crate::vec_exec::FastMap;
+
 /// Per-chunk distinct-key counts in chunk-first-occurrence order, merged in
 /// chunk order. The merged map's *insertion sequence of distinct keys* is
 /// then the global first-occurrence order — exactly the sequence the serial
@@ -491,29 +422,6 @@ pub(crate) fn par_group_counts<K, G>(
     }
 }
 
-/// Chunk-parallel distinct-key collection for the anti-join build. Only
-/// membership is ever observed, so chunk-set union order is irrelevant.
-pub(crate) fn par_key_set(
-    par: Parallelism,
-    keys: &[i64],
-    len: usize,
-) -> crate::vec_exec::FastSet<i64> {
-    if par.workers <= 1 {
-        return keys[..len].iter().copied().collect();
-    }
-    let chunks = run_chunked(par, len, |_, range| {
-        keys[range]
-            .iter()
-            .copied()
-            .collect::<crate::vec_exec::FastSet<i64>>()
-    });
-    let mut out = crate::vec_exec::FastSet::default();
-    for c in chunks {
-        out.extend(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +449,7 @@ mod tests {
         };
         let compute = |lo: usize, hi: usize, sel: &mut Vec<usize>| {
             sel.extend((lo..hi).filter(|i| i % 3 == 0));
+            sel.len()
         };
         let inert = FaultInjector::none();
         let run = |workers: usize, budget: f64| {
@@ -612,18 +521,6 @@ mod tests {
             assert!(serial.0, "replay must abort at budget {budget}");
             for w in [2, 3, 8] {
                 assert_eq!(serial, run(w, budget), "workers {w} budget {budget}");
-            }
-        }
-    }
-
-    #[test]
-    fn join_table_partitions_preserve_ascending_row_order() {
-        let keys: Vec<i64> = (0..20_000).map(|i| (i * 7919) % 97).collect();
-        let serial = JoinTable::build(Parallelism::serial(), &keys, keys.len());
-        for w in [2, 4, 8] {
-            let par = JoinTable::build(Parallelism::new(w), &keys, keys.len());
-            for k in 0..97i64 {
-                assert_eq!(serial.get(k), par.get(k), "key {k} workers {w}");
             }
         }
     }

@@ -6,7 +6,8 @@
 //! semantics and of the ledger in [`crate::ledger`]. [`Engine::execute`]
 //! must produce a bit-identical [`EngineOutcome`] — cost, rows, per-node
 //! instrumentation and abort point — at every budget; the tests below pin
-//! that over every operator, random TPC-H plan shapes and a TPC-DS join.
+//! that over every operator, random TPC-H plan shapes, a TPC-DS join and
+//! duplicate-heavy join keys.
 //! The module is compiled for tests only: nothing outside them runs it.
 
 use std::collections::{HashMap, HashSet};
@@ -16,7 +17,7 @@ use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, PlanNode, RelIdx};
 
 use crate::data::{eval_pred, Database};
-use crate::exec::{index_range, Engine, EngineOutcome, Instrumentation, NodeStats};
+use crate::exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
 use crate::ledger::{lin2, lin3, Ctx, Halt};
 
 /// The plan-shape pools `tests/engine_mt_determinism.rs` draws from.
@@ -122,14 +123,14 @@ impl Engine<'_> {
                     PlanNode::IndexScan { sel_idx, .. } => {
                         let key_pred = &preds[*sel_idx];
                         let ix = index(key_pred.column.column)?;
-                        let ids = ix[index_range(ix, key_pred)].iter();
+                        let ids = ix.range(key_pred).iter();
                         let ids = ids.map(|&(_, r)| r as usize).collect();
                         (3.0 * p.random_page, heap_entry, ids, Some(*sel_idx))
                     }
                     PlanNode::FullIndexScan { column, .. } => {
                         let ix = index(column.column)?;
                         let setup = (t.rows as f64 / 256.0).max(1.0) * p.seq_page;
-                        let ids = ix.iter().map(|&(_, r)| r as usize).collect();
+                        let ids = ix.entries().iter().map(|&(_, r)| r as usize).collect();
                         (setup, heap_entry + npred * p.cpu_operator, ids, None)
                     }
                     _ => {
@@ -307,6 +308,7 @@ impl Engine<'_> {
                     looks += 1;
                     ctx.settle(at(looks, probed, emitted))?;
                     let key = orow[okey];
+                    let ix = ix.entries();
                     let start = ix.partition_point(|&(v, _)| v < key);
                     for &(_, r) in ix[start..].iter().take_while(|&&(v, _)| v == key) {
                         probed += 1;
@@ -502,6 +504,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::data::ColumnOverride;
     use common::{plan_ds, setup3, setup_ds, shape3};
     use pb_catalog::tpch;
     use pb_cost::CostModel;
@@ -617,6 +620,111 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The Table-3 shape in small: part ⋈ lineitem ⋈ orders over tuples whose
+    /// join keys take a few dozen (part) and a few hundred (order) values
+    /// although every key column is a primary or foreign key, so each
+    /// probe row matches many build rows.
+    fn setup_duplicates() -> (Database, QuerySpec, CostModel) {
+        let cat = tpch::catalog(0.002);
+        let ndv = |table: &str, column: &str, ndv| ColumnOverride::EffectiveNdv {
+            table: table.into(),
+            column: column.into(),
+            ndv,
+        };
+        let overrides = [
+            ndv("part", "p_partkey", 40),
+            ndv("lineitem", "l_partkey", 40),
+            ndv("orders", "o_orderkey", 200),
+            ndv("lineitem", "l_orderkey", 200),
+        ];
+        let db = Database::generate(&cat, 7, &overrides).expect("generate");
+        let mut qb = QueryBuilder::new(&cat, "duplicates");
+        let p = qb.rel("part");
+        let l = qb.rel("lineitem");
+        let o = qb.rel("orders");
+        qb.select(
+            p,
+            "p_retailprice",
+            CmpOp::Lt,
+            1100.0,
+            SelSpec::ErrorProne(0),
+        );
+        qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
+        qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
+        (db, qb.build(), CostModel::postgresish())
+    }
+
+    #[test]
+    fn vectorized_matches_tuple_on_duplicate_keys() {
+        let (db, q, m) = setup_duplicates();
+        let eng = Engine::new(&db, &q, &m.p);
+        let scan = |rel| Box::new(PlanNode::SeqScan { rel });
+        let filtered_parts = || Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 });
+        // A residual-free root hash join (it counts its matches) over a
+        // materialized one, an index-NL chain (dense index directories),
+        // and the two membership joins (dense key bitmaps).
+        let counted_root = PlanNode::HashJoin {
+            build: Box::new(PlanNode::HashJoin {
+                build: scan(0),
+                probe: scan(1),
+                edges: vec![0],
+            }),
+            probe: scan(2),
+            edges: vec![1],
+        };
+        let index_nl = PlanNode::IndexNLJoin {
+            outer: Box::new(PlanNode::IndexNLJoin {
+                outer: filtered_parts(),
+                inner_rel: 1,
+                edges: vec![0],
+            }),
+            inner_rel: 2,
+            edges: vec![1],
+        };
+        let anti = PlanNode::AntiJoin {
+            left: scan(1),
+            right: filtered_parts(),
+            edges: vec![0],
+        };
+        let semi = PlanNode::SemiJoin {
+            left: scan(1),
+            right: filtered_parts(),
+            edges: vec![0],
+        };
+        for (name, plan) in [
+            ("counted root", &counted_root),
+            ("index-NL chain", &index_nl),
+            ("anti join", &anti),
+            ("semi join", &semi),
+        ] {
+            let full = eng.execute_tuple(plan, f64::INFINITY);
+            assert_eq!(full, eng.execute(plan, f64::INFINITY), "{name}");
+            let mut inside_root = false;
+            for frac in [0.999, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01, 1e-4] {
+                let b = full.cost() * frac;
+                let t = eng.execute_tuple(plan, b);
+                assert_eq!(t, eng.execute(plan, b), "{name} at fraction {frac}");
+                // Both inputs done and the root part-way through its probe:
+                // the abort fell inside one of its (counted) batches.
+                let n = &t.instr().nodes;
+                inside_root |= !t.completed() && n[1].complete && n[0].output_tuples > 0;
+            }
+            assert!(
+                inside_root,
+                "{name}: no rung aborts inside the root's probe"
+            );
+        }
+        // Each order matches dozens of joined lineitems.
+        let EngineOutcome::Completed { rows, .. } = eng.execute(&counted_root, f64::INFINITY)
+        else {
+            panic!("the counted root must complete");
+        };
+        assert!(
+            rows > 50 * db.table(q.relations[2].table).rows,
+            "{rows} rows"
+        );
     }
 
     proptest! {

@@ -27,11 +27,12 @@ use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, JoinPredicate, PlanNode, RelIdx, SelectionPredicate};
 
 use crate::data::eval_pred;
-use crate::exec::{index_range, Engine, EngineOutcome, Instrumentation, NodeStats};
+use crate::exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
 use crate::ledger::{lin2, lin3, replay_anomaly, Ctx, Halt, BATCH};
+use crate::lookup::{KeyRows, KeySet};
 use crate::morsel::{
-    charge_linear, drive_batches, drive_items, par_group_counts, par_key_set, par_stable_argsort,
-    replay_rows, JoinTable, LinPhase,
+    charge_linear, drive_batches, drive_items, par_group_counts, par_stable_argsort, replay_rows,
+    LinPhase,
 };
 
 /// Multiply–xorshift hasher for the vectorized engine's internal hash
@@ -541,6 +542,7 @@ impl Engine<'_> {
                     .map(|&(_, r)| r)
                     .filter(|&r| pass(r as usize)),
             );
+            sel.len()
         };
         let par = self.mpar(entries.len());
         let ph = LinPhase {
@@ -592,13 +594,14 @@ impl Engine<'_> {
         let (lcol, rcol) = self.key_cols(l, r, &self.query.joins[edges[0]])?;
         let base = ctx.spent;
         charge_linear(ctx, base, p.cpu_tuple + p.hash_build, r.len)?;
-        let keys: FastSet<i64> = par_key_set(self.mpar(r.len), &rcol.gather(r.len), r.len);
+        let keys = KeySet::build(self.mpar(r.len), &rcol.gather(r.len));
         let mut ids = vec![Vec::new(); l.rels.len()];
         let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
             sel.extend(
                 (lo as u32..hi as u32)
-                    .filter(|&i| keys.contains(&lcol.get(i as usize)) == keep_matched),
+                    .filter(|&i| keys.contains(lcol.get(i as usize)) == keep_matched),
             );
+            sel.len()
         };
         let par = self.mpar(l.len);
         let ph = LinPhase {
@@ -620,7 +623,7 @@ impl Engine<'_> {
             },
             |ctx, lo, hi, emitted| {
                 replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                    u64::from(keys.contains(&lcol.get(i)) == keep_matched)
+                    u64::from(keys.contains(lcol.get(i)) == keep_matched)
                 })
             },
         )?;
@@ -764,6 +767,7 @@ impl Engine<'_> {
                 let mut ids: Vec<u32> = Vec::new();
                 let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
                     filter_batch(preds, &t.columns, lo, hi, sel);
+                    sel.len()
                 };
                 let par = self.mpar(t.rows);
                 let ph = LinPhase {
@@ -812,13 +816,13 @@ impl Engine<'_> {
                 };
                 ctx.charge(3.0 * p.random_page)?;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
-                let range = index_range(ix, key_pred);
                 let pass = |r: usize| {
                     preds.iter().enumerate().all(|(i, pr)| {
                         i == *sel_idx || eval_pred(pr, t.columns[pr.column.column as usize][r])
                     })
                 };
-                self.ventry_scan(ctx, my_id, *rel, &ix[range], &pass, entry_rate, store)
+                let entries = ix.range(key_pred);
+                self.ventry_scan(ctx, my_id, *rel, entries, &pass, entry_rate, store)
             }
             PlanNode::FullIndexScan { rel, column } => {
                 let t = self.db.table(self.query.relations[*rel].table);
@@ -835,7 +839,7 @@ impl Engine<'_> {
                         .iter()
                         .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
                 };
-                self.ventry_scan(ctx, my_id, *rel, ix, &pass, entry_rate, store)
+                self.ventry_scan(ctx, my_id, *rel, ix.entries(), &pass, entry_rate, store)
             }
             PlanNode::HashJoin {
                 build,
@@ -851,19 +855,27 @@ impl Engine<'_> {
                 // inserts emit no events) and the partitioned build runs
                 // only if it fit the budget.
                 charge_linear(ctx, base, p.cpu_tuple + p.hash_build, b.len)?;
-                let table = JoinTable::build(self.mpar(b.len), &bkey.gather(b.len), b.len);
+                let table = KeyRows::build(self.mpar(b.len), &bkey.gather(b.len));
                 let residuals = self.resolve_residuals(&b, &pr, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = b.rels.iter().chain(&pr.rels).copied().collect();
                 let mut ids = vec![Vec::new(); out_rels.len()];
                 let res = residuals.as_slice();
                 let matches = |i: usize| {
-                    let bs = table.get(pkey.get(i)).unwrap_or_default();
+                    let bs = table.get(pkey.get(i));
                     bs.iter().filter(move |&&bi| res_pass(res, bi as usize, i))
                 };
+                // A join that keeps nothing and checks nothing past its key
+                // emits every build row of the key: it counts them, as the
+                // merge join does, instead of listing the pairs.
+                let counted = !store && residuals.is_empty();
                 let compute = |lo: usize, hi: usize, pairs: &mut Vec<(u32, u32)>| {
+                    if counted {
+                        return (lo..hi).map(|i| table.get(pkey.get(i)).len()).sum();
+                    }
                     for i in lo..hi {
                         pairs.extend(matches(i).map(|&bi| (bi, i as u32)));
                     }
+                    pairs.len()
                 };
                 let par = self.mpar(pr.len);
                 let ph = LinPhase {
@@ -1022,11 +1034,7 @@ impl Engine<'_> {
                 };
                 // Index entries for outer row `oi`'s key, and whether one
                 // of them joins.
-                let entries = |oi: usize| {
-                    let key = okeys.get(oi);
-                    let start = ix.partition_point(|&(v, _)| v < key);
-                    ix[start..].iter().take_while(move |&&(v, _)| v == key)
-                };
+                let entries = |oi: usize| ix.lookup(okeys.get(oi));
                 let joins = |oi: usize, r: usize| {
                     inner_preds
                         .iter()

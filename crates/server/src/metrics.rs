@@ -1,14 +1,19 @@
 //! Server-wide counters and latency quantiles.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::protocol::ServerStats;
 
-/// Lock-free counters plus a mutex-guarded latency record. Latencies are
-/// kept exactly (one f64 per completed request) — a serving benchmark runs
-/// thousands of requests, not billions, and exact p99 beats a sketch when
-/// the numbers land in a regression gate.
+/// Latencies the quantiles are taken over: the most recent this many.
+pub const LATENCY_WINDOW: usize = 4096;
+
+/// Lock-free counters plus a mutex-guarded ring of the latest
+/// [`LATENCY_WINDOW`] latencies. Within the window the quantiles are exact
+/// — a serving benchmark's run fits in it, and exact p99 beats a sketch
+/// when the numbers land in a regression gate — and a long-lived server's
+/// memory does not grow with the requests it has served.
 #[derive(Default)]
 pub struct Metrics {
     pub submitted: AtomicU64,
@@ -21,16 +26,20 @@ pub struct Metrics {
     pub failed: AtomicU64,
     pub worker_panics: AtomicU64,
     pub workers_replaced: AtomicU64,
-    latencies_ms: Mutex<Vec<f64>>,
+    latencies_ms: Mutex<VecDeque<f64>>,
     max_subopt: Mutex<f64>,
 }
 
 impl Metrics {
     pub fn observe_latency(&self, ms: f64) {
-        self.latencies_ms
+        let mut ring = self
+            .latencies_ms
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(ms);
+            .unwrap_or_else(PoisonError::into_inner);
+        if ring.len() == LATENCY_WINDOW {
+            ring.pop_front();
+        }
+        ring.push_back(ms);
     }
 
     /// Fold one completed run's sub-optimality into the running maximum —
@@ -45,19 +54,21 @@ impl Metrics {
         }
     }
 
-    /// Latency quantile in milliseconds (nearest-rank); `0` with no data.
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        let mut v = self
+    /// Latency quantiles in milliseconds (nearest-rank) over the window;
+    /// `0` with no data.
+    pub fn latency_quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let mut v: Vec<f64> = self
             .latencies_ms
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if v.is_empty() {
-            return 0.0;
-        }
+            .iter()
+            .copied()
+            .collect();
         v.sort_by(f64::total_cmp);
-        let idx = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
-        v[idx]
+        qs.map(|q| match v.len() {
+            0 => 0.0,
+            n => v[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+        })
     }
 
     pub fn snapshot(
@@ -67,6 +78,7 @@ impl Metrics {
         tenants: Vec<(String, f64, f64)>,
     ) -> ServerStats {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let [p50_ms, p99_ms] = self.latency_quantiles([0.50, 0.99]);
         ServerStats {
             submitted: g(&self.submitted),
             accepted: g(&self.accepted),
@@ -80,8 +92,8 @@ impl Metrics {
             workers_replaced: g(&self.workers_replaced),
             queue_depth,
             inflight,
-            p50_ms: self.latency_quantile(0.50),
-            p99_ms: self.latency_quantile(0.99),
+            p50_ms,
+            p99_ms,
             max_subopt: *self
                 .max_subopt
                 .lock()
@@ -101,9 +113,21 @@ mod tests {
         for i in 1..=100 {
             m.observe_latency(f64::from(i));
         }
-        assert_eq!(m.latency_quantile(0.50), 50.0);
-        assert_eq!(m.latency_quantile(0.99), 99.0);
-        assert_eq!(m.latency_quantile(1.0), 100.0);
+        assert_eq!(m.latency_quantiles([0.50, 0.99, 1.0]), [50.0, 99.0, 100.0]);
+    }
+
+    #[test]
+    fn quantiles_cover_the_latest_window() {
+        let m = Metrics::default();
+        for i in 0..3 * LATENCY_WINDOW {
+            m.observe_latency(i as f64);
+        }
+        let oldest_kept = (2 * LATENCY_WINDOW) as f64;
+        assert_eq!(m.latency_quantiles([0.0]), [oldest_kept]);
+        assert_eq!(
+            m.latency_quantiles([1.0]),
+            [(3 * LATENCY_WINDOW - 1) as f64]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! connection handler trivially non-blocking with respect to execution, so
 //! slow clients can never wedge a worker.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use pb_faults::PbError;
 use serde::{Deserialize, Serialize};
@@ -146,22 +146,38 @@ pub fn write_line<T: Serialize, W: Write>(w: &mut W, v: &T) -> Result<(), PbErro
         .map_err(|e| PbError::Internal(format!("write: {e}")))
 }
 
+/// Longest line, newline included, either end reads. A request is a few
+/// hundred bytes; a `Stats` reply for thousands of tenants still fits.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Read one protocol value from a JSON line; `Ok(None)` on clean EOF.
+///
+/// A line longer than [`MAX_LINE_BYTES`] is refused as
+/// [`PbError::Corrupt`] after reading that many bytes of it and one more,
+/// never buffered whole. The stream is then mid-line, so the reader cannot
+/// go on; every other error leaves it at the next line.
 pub fn read_line<T: Deserialize, R: BufRead>(r: &mut R) -> Result<Option<T>, PbError> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let n = r
-        .read_line(&mut line)
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)
         .map_err(|e| PbError::Internal(format!("read: {e}")))?;
     if n == 0 {
         return Ok(None);
     }
-    let t = line.trim();
+    if n > MAX_LINE_BYTES {
+        return Err(PbError::Corrupt {
+            path: "protocol line".into(),
+            message: format!("longer than {MAX_LINE_BYTES} bytes"),
+        });
+    }
+    let decode = |e: &dyn std::fmt::Display| PbError::Internal(format!("decode: {e}"));
+    let t = std::str::from_utf8(&line).map_err(|e| decode(&e))?.trim();
     if t.is_empty() {
         return Ok(None);
     }
-    serde_json::from_str(t)
-        .map(Some)
-        .map_err(|e| PbError::Internal(format!("decode: {e}")))
+    serde_json::from_str(t).map(Some).map_err(|e| decode(&e))
 }
 
 #[cfg(test)]
@@ -208,6 +224,22 @@ mod tests {
                 deadline_ms: None,
             }
         );
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_unread() {
+        let mut wire = vec![b' '; MAX_LINE_BYTES];
+        wire.extend_from_slice(b"\"Ping\"\n\"Ping\"\n");
+        let mut r = wire.as_slice();
+        assert!(matches!(
+            read_line::<Request, _>(&mut r),
+            Err(PbError::Corrupt { .. })
+        ));
+        // Only the cap and one byte more were read.
+        assert_eq!(r.len(), wire.len() - MAX_LINE_BYTES - 1);
+        let at_cap = " ".repeat(MAX_LINE_BYTES - 7) + "\"Ping\"\n";
+        let ping: Option<Request> = read_line(&mut at_cap.as_bytes()).unwrap();
+        assert_eq!(ping, Some(Request::Ping));
     }
 
     #[test]

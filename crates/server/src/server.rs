@@ -17,7 +17,7 @@
 //! through [`BouquetCache`] when a cache directory is given) and shared
 //! read-only across workers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -113,6 +113,19 @@ struct ReqState {
     phase: ReqPhase,
 }
 
+/// Terminal requests the registry keeps answering `Status` for. Past that
+/// the first finished is the first forgotten (its id then answers
+/// `Error`); queued and running requests are never forgotten.
+pub const TERMINAL_KEPT: usize = 1024;
+
+/// Every queued and running request, and the latest terminal ones.
+#[derive(Default)]
+struct Registry {
+    reqs: HashMap<u64, ReqState>,
+    /// Terminal ids, oldest first.
+    finished: VecDeque<u64>,
+}
+
 /// Retained checkpoint books, keyed by (tenant, workload, qa bits) so a
 /// cancelled request's **identical resubmission** resumes.
 type BookKey = (String, String, Vec<u64>);
@@ -121,7 +134,7 @@ struct Shared {
     cfg: ServerConfig,
     loaded: HashMap<String, Arc<Loaded>>,
     queue: BoundedQueue<u64>,
-    reqs: Mutex<HashMap<u64, ReqState>>,
+    registry: Mutex<Registry>,
     next_id: AtomicU64,
     ledger: TenantLedger,
     metrics: Metrics,
@@ -205,7 +218,7 @@ impl PbServer {
             cfg,
             loaded,
             queue: BoundedQueue::new(queue_cap),
-            reqs: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             next_id: AtomicU64::new(1),
             ledger: TenantLedger::new(tenant_cap),
             metrics: Metrics::default(),
@@ -318,6 +331,11 @@ fn serve_connection(s: &Arc<Shared>, stream: TcpStream) {
                         message: e.to_string(),
                     },
                 );
+                // An over-long line is still arriving: nothing after it
+                // can be read as a line, so the connection ends here.
+                if matches!(e, PbError::Corrupt { .. }) {
+                    return;
+                }
                 continue;
             }
         };
@@ -365,7 +383,7 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
             resume,
             deadline_ms,
         ),
-        Request::Status { id } => match lock(&s.reqs).get(&id) {
+        Request::Status { id } => match lock(&s.registry).reqs.get(&id) {
             Some(r) => Response::Status {
                 id,
                 phase: r.phase.clone(),
@@ -374,7 +392,7 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
                 message: format!("unknown request id {id}"),
             },
         },
-        Request::Cancel { id } => match lock(&s.reqs).get(&id) {
+        Request::Cancel { id } => match lock(&s.registry).reqs.get(&id) {
             Some(r) => {
                 r.cancel.cancel();
                 Response::Status {
@@ -427,7 +445,7 @@ fn submit(
         None => CancelToken::new(),
     };
     let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-    lock(&s.reqs).insert(
+    lock(&s.registry).reqs.insert(
         id,
         ReqState {
             tenant,
@@ -450,7 +468,7 @@ fn submit(
             }
         }
         Err(e) => {
-            lock(&s.reqs).remove(&id);
+            lock(&s.registry).reqs.remove(&id);
             s.pending.fetch_sub(1, Ordering::SeqCst);
             s.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             Response::Rejected {
@@ -541,8 +559,8 @@ fn supervise(s: &Arc<Shared>, mut handles: Vec<JoinHandle<()>>) {
 /// Mark `id` running, snapshot its fields and reserve its tenant budget.
 fn begin_request(s: &Arc<Shared>, id: u64) -> Option<ReqMeta> {
     let (tenant, workload, fractions, optimized, resume, cancel) = {
-        let mut reqs = lock(&s.reqs);
-        let r = reqs.get_mut(&id)?;
+        let mut registry = lock(&s.registry);
+        let r = registry.reqs.get_mut(&id)?;
         r.phase = ReqPhase::Running;
         (
             r.tenant.clone(),
@@ -680,7 +698,8 @@ fn fail_result(e: &PbError) -> QueryResult {
     }
 }
 
-/// Record a request's terminal state: registry phase, outcome counter,
+/// Record a request's terminal state: registry phase (forgetting the
+/// oldest terminal request past [`TERMINAL_KEPT`]), outcome counter,
 /// latency, pending count. Every accepted request passes through here
 /// exactly once.
 fn finish(s: &Arc<Shared>, id: u64, result: QueryResult) {
@@ -692,12 +711,80 @@ fn finish(s: &Arc<Shared>, id: u64, result: QueryResult) {
         _ => &s.metrics.failed,
     }
     .fetch_add(1, Ordering::Relaxed);
-    let mut reqs = lock(&s.reqs);
-    if let Some(r) = reqs.get_mut(&id) {
+    let mut registry = lock(&s.registry);
+    if let Some(r) = registry.reqs.get_mut(&id) {
         s.metrics
             .observe_latency(r.submitted.elapsed().as_secs_f64() * 1e3);
         r.phase = ReqPhase::Done(result);
+        registry.finished.push_back(id);
+        if registry.finished.len() > TERMINAL_KEPT {
+            if let Some(oldest) = registry.finished.pop_front() {
+                registry.reqs.remove(&oldest);
+            }
+        }
     }
-    drop(reqs);
+    drop(registry);
     s.pending.fetch_sub(1, Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_registry_forgets_the_oldest_terminal_requests_only() {
+        let server = PbServer::start(ServerConfig {
+            queue_cap: 64,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let s = &server.shared;
+        let submit = || loop {
+            let req = Request::Submit {
+                tenant: "t".into(),
+                workload: "EQ_1D".into(),
+                fractions: vec![0.5],
+                optimized: false,
+                resume: false,
+                deadline_ms: None,
+            };
+            match handle_request(s, req) {
+                Response::Accepted { id, .. } => return id,
+                Response::Rejected { .. } => std::thread::sleep(Duration::from_millis(1)),
+                other => panic!("{other:?}"),
+            }
+        };
+        let mut accepted = Vec::new();
+        for _ in 0..TERMINAL_KEPT + 50 {
+            accepted.push(submit());
+            // In flight first: it only falls until the next submission.
+            let in_flight = s.pending.load(Ordering::SeqCst);
+            let held = lock(&s.registry).reqs.len();
+            assert!(
+                held <= TERMINAL_KEPT + in_flight,
+                "{held} held, {in_flight} in flight"
+            );
+        }
+        while s.pending.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(lock(&s.registry).reqs.len(), TERMINAL_KEPT);
+        // The first to finish are forgotten — not necessarily the first
+        // submitted, with two workers — and answer `Error`.
+        let status = |id| handle_request(s, Request::Status { id });
+        let forgotten = accepted
+            .iter()
+            .filter(|&&id| matches!(status(id), Response::Error { .. }))
+            .count();
+        assert_eq!(forgotten, accepted.len() - TERMINAL_KEPT);
+        let newest = accepted[accepted.len() - 1];
+        assert!(matches!(
+            status(newest),
+            Response::Status {
+                phase: ReqPhase::Done(_),
+                ..
+            }
+        ));
+        server.stop();
+    }
 }

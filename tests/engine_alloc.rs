@@ -34,10 +34,11 @@ use std::cell::Cell;
 use plan_bouquet::bouquet::{
     Bouquet, BouquetCache, BouquetConfig, CacheKey, CacheOutcome, Workload,
 };
-use plan_bouquet::cost::{Ess, EssDim, Parallelism};
-use plan_bouquet::engine::{Database, Engine, EngineOutcome};
+use plan_bouquet::catalog::tpch;
+use plan_bouquet::cost::{CostModel, Ess, EssDim, Parallelism};
+use plan_bouquet::engine::{ColumnOverride, Database, Engine, EngineOutcome};
 use plan_bouquet::optimizer::{PlanDiagram, Sweep};
-use plan_bouquet::plan::PlanNode;
+use plan_bouquet::plan::{PlanNode, QueryBuilder, SelSpec};
 use plan_bouquet::workloads;
 
 thread_local! {
@@ -95,9 +96,11 @@ fn scan(rel: usize) -> Box<PlanNode> {
     Box::new(PlanNode::SeqScan { rel })
 }
 
-/// Bytes of one build side: the gathered key column plus a hash-table entry
-/// (key, row list header, one row id) per row.
-const BUILD_BYTES_PER_ROW: usize = 8 + 40 + 4;
+/// Bytes of one build side per row in the flat rows-by-key layout over a
+/// dense key domain: the gathered key, at most two slot starts, one row id.
+/// (A sparse domain adds its dictionary, about 30 B per distinct key; this
+/// plan's only such side is its 355 filtered parts.)
+const BUILD_BYTES_PER_ROW: usize = 8 + 2 * 4 + 4;
 
 #[test]
 fn hash_join_chain_allocates_ids_not_columns() {
@@ -121,11 +124,13 @@ fn hash_join_chain_allocates_ids_not_columns() {
         .iter()
         .map(|n| n.output_tuples as usize)
         .collect();
-    let rels = [3usize, 1, 2, 1, 1];
+    // The root keeps nothing: it counts its matches.
+    let rels = [0usize, 1, 2, 1, 1];
     let id_bytes: usize = rows.iter().zip(rels).map(|(r, k)| r * k * 4).sum();
     let build_bytes = (rows[1] + rows[3]) * BUILD_BYTES_PER_ROW;
-    // Measured 1.25×: vector growth and the probe's pair scratch on top of
-    // the ids. Copying the columns instead takes 11.7× on this plan.
+    // Measured 0.55×: vector growth and the inner join's pair scratch on
+    // top of the ids and the dense build side, the sparse one's dictionary.
+    // Copying the columns instead takes 11.7× on this plan.
     let bound = 2 * (id_bytes + build_bytes);
     assert!(
         bytes <= bound,
@@ -152,6 +157,46 @@ fn predicate_free_scan_feeding_a_join_is_zero_copy() {
     assert!(
         bytes < one_column,
         "scan ⋈ requested {bytes} B, more than one lineitem column ({one_column} B)"
+    );
+}
+
+#[test]
+fn a_root_hash_join_counts_its_matches_instead_of_keeping_them() {
+    // part ⋈ lineitem with no selection, over data whose join keys take
+    // `ndv` values on both sides: the same inputs, build side and probe
+    // side, and 20× the output rows at the smaller `ndv`.
+    let cat = tpch::catalog(0.01);
+    let mut qb = QueryBuilder::new(&cat, "root-hj");
+    let p = qb.rel("part");
+    let l = qb.rel("lineitem");
+    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(0));
+    let q = qb.build();
+    let model = CostModel::postgresish();
+    let plan = PlanNode::HashJoin {
+        build: scan(0),
+        probe: scan(1),
+        edges: vec![0],
+    };
+    let run = |ndv: u64| {
+        let keys = |table: &str, column: &str| ColumnOverride::EffectiveNdv {
+            table: table.into(),
+            column: column.into(),
+            ndv,
+        };
+        let overrides = [keys("part", "p_partkey"), keys("lineitem", "l_partkey")];
+        let db = Database::generate(&cat, 42, &overrides).expect("generate");
+        let (out, bytes) = measured(&Engine::new(&db, &q, &model.p), &plan);
+        (out.instr().nodes[0].output_tuples, bytes)
+    };
+    let (few_rows, few_bytes) = run(200);
+    let (many_rows, many_bytes) = run(10);
+    assert!(many_rows >= 10 * few_rows, "{many_rows} vs {few_rows} rows");
+    // Only the directory differs: 201 slot starts against 11. A probe that
+    // listed each batch's (build, probe) pairs before counting them would
+    // request 8 B a match, megabytes here.
+    assert!(
+        many_bytes <= few_bytes,
+        "{many_rows} result rows requested {many_bytes} B, {few_rows} requested {few_bytes} B"
     );
 }
 
