@@ -10,7 +10,7 @@ use pb_plan::{CmpOp, QuerySpec, SelectionPredicate};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::lookup::Directory;
+use crate::lookup::{sorted_rows, Directory};
 
 /// Overrides that make the generated data deviate from what the statistics
 /// (and hence the AVI estimator) suggest — the controlled source of
@@ -59,70 +59,74 @@ pub struct TableData {
     pub rows: usize,
 }
 
-/// A secondary index: `(value, row)` entries sorted by value then row.
+/// A secondary index: its column's row ids sorted by (value, row), 4 B an
+/// entry. The values stay in the column, so every search takes it.
 ///
-/// Range predicates binary-search the entries. An equality lookup on a dense
-/// domain goes through a slot directory instead (see `crate::lookup`),
-/// built on the first lookup — never during data generation — and kept
-/// with the index; on a sparse domain it binary-searches too.
+/// Range predicates binary-search the rows through the column. An equality
+/// lookup on a dense domain goes through a slot directory instead (see
+/// `crate::lookup`), built on the first lookup — never during data
+/// generation — and kept with the index; on a sparse domain it
+/// binary-searches too.
 #[derive(Debug, Clone)]
 pub struct Index {
-    entries: Vec<(i64, u32)>,
+    rows: Vec<u32>,
     directory: OnceLock<Option<Directory>>,
 }
 
 impl Index {
-    fn new(entries: Vec<(i64, u32)>) -> Index {
+    fn new(column: &[i64]) -> Index {
         Index {
-            entries,
+            rows: sorted_rows(column),
             directory: OnceLock::new(),
         }
     }
 
-    pub fn entries(&self) -> &[(i64, u32)] {
-        &self.entries
+    /// Every row, in index order.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
-    /// The entries whose value is `key`.
-    pub fn lookup(&self, key: i64) -> &[(i64, u32)] {
+    /// The rows whose value in `column`, the indexed column, is `key`.
+    pub fn lookup(&self, column: &[i64], key: i64) -> &[u32] {
+        debug_assert_eq!(column.len(), self.rows.len());
         let directory = self
             .directory
-            .get_or_init(|| Directory::over_sorted(&self.entries));
+            .get_or_init(|| Directory::over_sorted(column, &self.rows));
         let range = match directory {
             Some(d) => d.range(key),
             None => {
-                let lo = self.entries.partition_point(|&(v, _)| v < key);
-                lo..lo + self.entries[lo..].partition_point(|&(v, _)| v == key)
+                let lo = self.rows.partition_point(|&r| column[r as usize] < key);
+                lo..lo + self.rows[lo..].partition_point(|&r| column[r as usize] == key)
             }
         };
-        &self.entries[range]
+        &self.rows[range]
     }
 
-    /// The entries whose value satisfies `pred`.
-    pub fn range(&self, pred: &SelectionPredicate) -> &[(i64, u32)] {
-        let ix = &self.entries;
+    /// The rows whose value in `column`, the indexed column, satisfies
+    /// `pred`.
+    pub fn range(&self, column: &[i64], pred: &SelectionPredicate) -> &[u32] {
+        debug_assert_eq!(column.len(), self.rows.len());
+        let ix = &self.rows;
+        let below = |c: f64| ix.partition_point(|&r| (column[r as usize] as f64) < c);
+        let upto = |c: f64| ix.partition_point(|&r| (column[r as usize] as f64) <= c);
         let range = match pred.op {
-            CmpOp::Lt => 0..ix.partition_point(|&(v, _)| (v as f64) < pred.constant),
-            CmpOp::Gt => ix.partition_point(|&(v, _)| (v as f64) <= pred.constant)..ix.len(),
-            CmpOp::Eq => {
-                let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant);
-                let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
-                lo..hi
-            }
+            CmpOp::Lt => 0..below(pred.constant),
+            CmpOp::Gt => upto(pred.constant)..ix.len(),
+            CmpOp::Eq => below(pred.constant)..upto(pred.constant),
+            // An inverted range holds nothing.
             CmpOp::Between => {
-                let lo = ix.partition_point(|&(v, _)| (v as f64) < pred.constant2);
-                let hi = ix.partition_point(|&(v, _)| (v as f64) <= pred.constant);
-                lo..hi
+                let lo = below(pred.constant2);
+                lo..upto(pred.constant).max(lo)
             }
         };
         &ix[range]
     }
 }
 
-/// Two indexes are equal when their entries are: the directory is derived.
+/// Two indexes are equal when their rows are: the directory is derived.
 impl PartialEq for Index {
     fn eq(&self, other: &Index) -> bool {
-        self.entries == other.entries
+        self.rows == other.rows
     }
 }
 
@@ -397,18 +401,12 @@ fn gen_table(
         };
         columns.push(data);
     }
-    // Build indexes on every indexed column.
-    let mut indexes = HashMap::new();
-    for ix in &t.indexes {
-        let c = ix.column.column;
-        let mut entries: Vec<(i64, u32)> = columns[c as usize]
-            .iter()
-            .enumerate()
-            .map(|(r, &v)| (v, r as u32))
-            .collect();
-        entries.sort_unstable();
-        indexes.insert(c, Index::new(entries));
-    }
+    let indexes = t
+        .indexes
+        .iter()
+        .map(|ix| ix.column.column)
+        .map(|c| (c, Index::new(&columns[c as usize])))
+        .collect();
     Ok(TableData {
         columns,
         indexes,
@@ -440,8 +438,10 @@ fn zipf_sample(rng: &mut StdRng, n: u64, skew: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_catalog::tpch;
+    use crate::lookup::tests::{column, probes};
+    use pb_catalog::{tpch, ColumnId, TableId};
     use pb_plan::{QueryBuilder, SelSpec};
+    use proptest::prelude::*;
 
     fn db() -> Database {
         Database::generate(&tpch::catalog(0.01), 42, &[]).expect("generate")
@@ -478,17 +478,94 @@ mod tests {
         assert_eq!(d.table(part.id).columns.len(), part.columns.len());
     }
 
+    /// A column's stable argsort, read off its sorted `(value, row)` pairs:
+    /// the order its index must hold.
+    fn argsort(column: &[i64]) -> Vec<u32> {
+        let mut pairs: Vec<(i64, u32)> = column.iter().copied().zip(0..).collect();
+        pairs.sort_unstable();
+        pairs.into_iter().map(|(_, r)| r).collect()
+    }
+
     #[test]
     fn indexes_are_sorted_and_complete() {
-        let d = db();
-        let part = d.catalog.table("part").unwrap();
-        let td = d.table(part.id);
-        for (c, ix) in &td.indexes {
-            assert_eq!(ix.entries().len(), td.rows);
-            assert!(
-                ix.entries().windows(2).all(|w| w[0] <= w[1]),
-                "index on col {c} unsorted"
-            );
+        let cat = tpch::catalog(0.01);
+        let ov = [ColumnOverride::EffectiveNdv {
+            table: "lineitem".into(),
+            column: "l_partkey".into(),
+            ndv: 50,
+        }];
+        let d = Database::generate(&cat, 42, &ov).expect("generate");
+        // A sparse domain (stably sorted) and an overridden dense one
+        // (counted into place).
+        for (table, column, dense) in [
+            ("orders", "o_totalprice", false),
+            ("lineitem", "l_partkey", true),
+        ] {
+            let t = cat.table(table).unwrap();
+            let c = t.column(column).unwrap().id.column;
+            let td = d.table(t.id);
+            let (col, ix) = (&td.columns[c as usize], &td.indexes[&c]);
+            assert_eq!(ix.rows(), argsort(col), "{table}.{column}");
+            let directory = Directory::over_sorted(col, ix.rows());
+            assert_eq!(directory.is_some(), dense, "{table}.{column}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over every key shape of the join tables' tests, an index is its
+        /// column's stable argsort, and its searches return what filtering
+        /// the column does, in index order: `range` for every operator at
+        /// constants on, between and beyond the keys (inverted `Between`s
+        /// included), `lookup` over the directory and over the binary
+        /// search alike.
+        #[test]
+        fn index_searches_match_a_filter(shape in 0usize..7, n in 0usize..400, seed in 0u64..1000) {
+            let col = column(shape, n, seed);
+            let order = argsort(&col);
+            let ix = Index::new(&col);
+            prop_assert_eq!(ix.rows(), &order[..]);
+            let filter = |keep: &dyn Fn(i64) -> bool| -> Vec<u32> {
+                order.iter().copied().filter(|&r| keep(col[r as usize])).collect()
+            };
+
+            let mut keys = probes(&col);
+            keys.sort_unstable();
+            keys.dedup();
+            let searched = Index {
+                rows: order.clone(),
+                directory: OnceLock::from(None),
+            };
+            for &v in &keys {
+                let want = filter(&|x| x == v);
+                prop_assert_eq!(ix.lookup(&col, v), &want[..], "key {}", v);
+                prop_assert_eq!(searched.lookup(&col, v), &want[..], "key {}", v);
+            }
+            if shape == 0 && n > 0 {
+                prop_assert!(matches!(ix.directory.get(), Some(Some(_))));
+            }
+
+            let step = keys.len().div_ceil(32);
+            let mut constants: Vec<f64> = keys
+                .iter()
+                .step_by(step)
+                .flat_map(|&v| [v as f64 - 0.5, v as f64, v as f64 + 0.5])
+                .collect();
+            constants.extend([f64::NEG_INFINITY, -1e30, 1e30, f64::INFINITY]);
+            for (i, &constant) in constants.iter().enumerate() {
+                for op in [CmpOp::Lt, CmpOp::Gt, CmpOp::Eq, CmpOp::Between] {
+                    let pred = SelectionPredicate {
+                        column: ColumnId { table: TableId(0), column: 0 },
+                        op,
+                        constant,
+                        constant2: constants[(7 * i + 3) % constants.len()],
+                        selectivity: SelSpec::Fixed(0.5),
+                    };
+                    let want = filter(&|x| eval_pred(&pred, x));
+                    prop_assert_eq!(ix.range(&col, &pred), &want[..], "{:?}", pred);
+                }
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //!   slot `s` are `rows[starts[s]..starts[s + 1]]`, in ascending order (a
 //!   CSR layout: two flat vectors, no per-key allocation).
 //! * [`Directory`] — the `starts` half, on its own: it also sits in front
-//!   of a secondary index's sorted entries, so an index-NL equality lookup
-//!   is two loads instead of a binary search (`crate::data::Index`).
+//!   of a secondary index's sorted row ids, so an index-NL equality lookup
+//!   is two loads instead of a binary search (`crate::data::Index`, laid
+//!   out by [`sorted_rows`]).
 //! * [`KeySet`] — an anti / semi join's build keys.
 //!
 //! A key's slot is `key − lo` when the keys' span is at most
@@ -23,6 +24,7 @@ use std::ops::Range;
 
 use pb_cost::{par_map, run_chunked, Parallelism};
 
+use crate::morsel::par_stable_argsort;
 use crate::vec_exec::FastSet;
 
 /// Dense slots are used while the span of the keys (`hi − lo + 1` values)
@@ -99,16 +101,19 @@ impl Directory {
         }
     }
 
-    /// The dense directory of an index's entries (sorted by value), or
-    /// `None` when their domain is sparse: the index then stays binary
-    /// searched.
-    pub fn over_sorted(entries: &[(i64, u32)]) -> Option<Directory> {
-        let (&(lo, _), &(hi, _)) = (entries.first()?, entries.last()?);
-        if !is_dense(lo, hi, entries.len()) {
+    /// The dense directory of an index: `rows` are every row of `keys`,
+    /// sorted by key. `None` when the domain is sparse: the index then stays
+    /// binary searched.
+    pub fn over_sorted(keys: &[i64], rows: &[u32]) -> Option<Directory> {
+        let (&first, &last) = (rows.first()?, rows.last()?);
+        let (lo, hi) = (keys[first as usize], keys[last as usize]);
+        if !is_dense(lo, hi, rows.len()) {
             return None;
         }
+        // A key's count does not depend on the order: read the column as
+        // stored, not through the rows.
         let mut starts = vec![0u32; hi.abs_diff(lo) as usize + 2];
-        for &(v, _) in entries {
+        for &v in keys {
             starts[v.abs_diff(lo) as usize + 1] += 1;
         }
         for s in 1..starts.len() {
@@ -324,6 +329,22 @@ where
     (starts, out)
 }
 
+/// The rows of `keys` ordered by (key, row): a secondary index's layout.
+/// Over a dense domain they are counted into place and the slot starts are
+/// dropped (an index builds its directory on its first lookup, if ever);
+/// over a sparse one the row ids are stably sorted by key.
+pub(crate) fn sorted_rows(keys: &[i64]) -> Vec<u32> {
+    let serial = Parallelism::serial();
+    match bounds(serial, keys) {
+        Some((lo, hi)) if is_dense(lo, hi, keys.len()) => {
+            let slots = hi.abs_diff(lo) as usize + 1;
+            let rows = 0..keys.len() as u32;
+            counting_sort(slots, rows, |r| keys[r as usize].abs_diff(lo) as usize).1
+        }
+        _ => par_stable_argsort(serial, keys),
+    }
+}
+
 /// An anti / semi join's build keys: a bitmap over a dense domain, a hash
 /// set over a sparse one.
 pub(crate) enum KeySet {
@@ -344,11 +365,13 @@ impl KeySet {
             }
             _ => {
                 // Only membership is ever observed, so the chunk sets'
-                // union order is irrelevant.
-                let chunks = run_chunked(par, keys.len(), |_, range| {
+                // union order is irrelevant. The union grows the first
+                // chunk's set: at one worker that is the whole set.
+                let mut chunks = run_chunked(par, keys.len(), |_, range| {
                     keys[range].iter().copied().collect::<FastSet<i64>>()
-                });
-                let mut set = FastSet::default();
+                })
+                .into_iter();
+                let mut set = chunks.next().unwrap_or_default();
                 for chunk in chunks {
                     set.extend(chunk);
                 }
@@ -373,7 +396,7 @@ impl KeySet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
@@ -382,7 +405,7 @@ mod tests {
 
     /// Key columns of every shape the layouts must handle: dense, strided
     /// sparse, negative, all equal, empty, and the `i64` extremes.
-    fn column(shape: usize, n: usize, seed: u64) -> Vec<i64> {
+    pub(crate) fn column(shape: usize, n: usize, seed: u64) -> Vec<i64> {
         let mut z = seed;
         let mut next = move || {
             z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -417,7 +440,7 @@ mod tests {
     }
 
     /// Keys present, their neighbours, and the extremes.
-    fn probes(keys: &[i64]) -> Vec<i64> {
+    pub(crate) fn probes(keys: &[i64]) -> Vec<i64> {
         let mut p: Vec<i64> = keys
             .iter()
             .flat_map(|&v| [v, v.wrapping_add(1), v.wrapping_sub(1), v.wrapping_mul(3)])
@@ -486,20 +509,16 @@ mod tests {
 
     #[test]
     fn an_index_directory_addresses_its_entries() {
-        let mut entries: Vec<(i64, u32)> = column(0, 4000, 3)
-            .into_iter()
-            .enumerate()
-            .map(|(r, v)| (v, r as u32))
-            .collect();
-        entries.sort_unstable();
-        let dir = Directory::over_sorted(&entries).expect("dense domain");
-        for v in probes(&entries.iter().map(|e| e.0).collect::<Vec<_>>()) {
-            let lo = entries.partition_point(|&(k, _)| k < v);
-            let hi = entries.partition_point(|&(k, _)| k <= v);
-            assert_eq!(&entries[dir.range(v)], &entries[lo..hi], "key {v}");
+        let keys = column(0, 4000, 3);
+        let rows = sorted_rows(&keys);
+        let dir = Directory::over_sorted(&keys, &rows).expect("dense domain");
+        for v in probes(&keys) {
+            let lo = rows.partition_point(|&r| keys[r as usize] < v);
+            let hi = rows.partition_point(|&r| keys[r as usize] <= v);
+            assert_eq!(&rows[dir.range(v)], &rows[lo..hi], "key {v}");
         }
-        let strided: Vec<(i64, u32)> = (0..100).map(|i| (i * 1024, i as u32)).collect();
-        assert!(Directory::over_sorted(&strided).is_none());
-        assert!(Directory::over_sorted(&[]).is_none());
+        let strided: Vec<i64> = (0..100).map(|i| i * 1024).collect();
+        assert!(Directory::over_sorted(&strided, &sorted_rows(&strided)).is_none());
+        assert!(Directory::over_sorted(&[], &[]).is_none());
     }
 }

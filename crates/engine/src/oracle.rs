@@ -122,15 +122,15 @@ impl Engine<'_> {
                 let (setup, rate, ids, skip): (f64, f64, Vec<usize>, Option<usize>) = match node {
                     PlanNode::IndexScan { sel_idx, .. } => {
                         let key_pred = &preds[*sel_idx];
-                        let ix = index(key_pred.column.column)?;
-                        let ids = ix.range(key_pred).iter();
-                        let ids = ids.map(|&(_, r)| r as usize).collect();
+                        let c = key_pred.column.column;
+                        let ids = index(c)?.range(&t.columns[c as usize], key_pred).iter();
+                        let ids = ids.map(|&r| r as usize).collect();
                         (3.0 * p.random_page, heap_entry, ids, Some(*sel_idx))
                     }
                     PlanNode::FullIndexScan { column, .. } => {
                         let ix = index(column.column)?;
                         let setup = (t.rows as f64 / 256.0).max(1.0) * p.seq_page;
-                        let ids = ix.entries().iter().map(|&(_, r)| r as usize).collect();
+                        let ids = ix.rows().iter().map(|&r| r as usize).collect();
                         (setup, heap_entry + npred * p.cpu_operator, ids, None)
                     }
                     _ => {
@@ -295,6 +295,7 @@ impl Engine<'_> {
                         ikey_col.column
                     ))));
                 };
+                let icol = &t.columns[ikey_col.column as usize];
                 let out_rels: Vec<RelIdx> = o.rels.iter().copied().chain([*inner_rel]).collect();
                 let base = ctx.spent;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
@@ -307,10 +308,7 @@ impl Engine<'_> {
                 for orow in &o.rows {
                     looks += 1;
                     ctx.settle(at(looks, probed, emitted))?;
-                    let key = orow[okey];
-                    let ix = ix.entries();
-                    let start = ix.partition_point(|&(v, _)| v < key);
-                    for &(_, r) in ix[start..].iter().take_while(|&&(v, _)| v == key) {
+                    for &r in ix.lookup(icol, orow[okey]) {
                         probed += 1;
                         ctx.settle(at(looks, probed, emitted))?;
                         let r = r as usize;

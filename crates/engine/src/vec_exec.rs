@@ -529,19 +529,14 @@ impl Engine<'_> {
         ctx: &mut Ctx<'_>,
         my_id: usize,
         rel: RelIdx,
-        entries: &[(i64, u32)],
+        entries: &[u32],
         pass: &(dyn Fn(usize) -> bool + Sync),
         entry_rate: f64,
         store: bool,
     ) -> Result<VRel, Halt> {
         let mut ids: Vec<u32> = Vec::new();
         let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
-            sel.extend(
-                entries[lo..hi]
-                    .iter()
-                    .map(|&(_, r)| r)
-                    .filter(|&r| pass(r as usize)),
-            );
+            sel.extend(entries[lo..hi].iter().filter(|&&r| pass(r as usize)));
             sel.len()
         };
         let par = self.mpar(entries.len());
@@ -564,7 +559,7 @@ impl Engine<'_> {
             },
             |ctx, lo, hi, emitted| {
                 replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                    u64::from(pass(entries[i].1 as usize))
+                    u64::from(pass(entries[i] as usize))
                 })
             },
         )?;
@@ -821,7 +816,7 @@ impl Engine<'_> {
                         i == *sel_idx || eval_pred(pr, t.columns[pr.column.column as usize][r])
                     })
                 };
-                let entries = ix.range(key_pred);
+                let entries = ix.range(&t.columns[key_pred.column.column as usize], key_pred);
                 self.ventry_scan(ctx, my_id, *rel, entries, &pass, entry_rate, store)
             }
             PlanNode::FullIndexScan { rel, column } => {
@@ -839,7 +834,7 @@ impl Engine<'_> {
                         .iter()
                         .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
                 };
-                self.ventry_scan(ctx, my_id, *rel, ix.entries(), &pass, entry_rate, store)
+                self.ventry_scan(ctx, my_id, *rel, ix.rows(), &pass, entry_rate, store)
             }
             PlanNode::HashJoin {
                 build,
@@ -1032,9 +1027,10 @@ impl Engine<'_> {
                         p.emit_tuple,
                     )
                 };
-                // Index entries for outer row `oi`'s key, and whether one
-                // of them joins.
-                let entries = |oi: usize| ix.lookup(okeys.get(oi));
+                // Inner rows for outer row `oi`'s key, and whether one of
+                // them joins.
+                let icol = &t.columns[ikey_col.column as usize];
+                let entries = |oi: usize| ix.lookup(icol, okeys.get(oi));
                 let joins = |oi: usize, r: usize| {
                     inner_preds
                         .iter()
@@ -1043,7 +1039,7 @@ impl Engine<'_> {
                 };
                 let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
                     let mut nprobe = 0u64;
-                    for &(_, r) in entries(oi) {
+                    for &r in entries(oi) {
                         nprobe += 1;
                         if joins(oi, r as usize) {
                             matches.push(r);
@@ -1068,7 +1064,7 @@ impl Engine<'_> {
                     |ctx, oi, mut probed, mut emitted| {
                         let looks = oi as u64 + 1;
                         ctx.settle(end_value(looks, probed, emitted))?;
-                        for &(_, r) in entries(oi) {
+                        for &r in entries(oi) {
                             probed += 1;
                             ctx.settle(end_value(looks, probed, emitted))?;
                             if joins(oi, r as usize) {
