@@ -1,6 +1,7 @@
 //! Deterministic in-memory data generation conforming to catalog statistics.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use pb_catalog::{Catalog, Distribution};
@@ -88,18 +89,22 @@ impl Index {
 
     /// The rows whose value in `column`, the indexed column, is `key`.
     pub fn lookup(&self, column: &[i64], key: i64) -> &[u32] {
+        &self.rows[self.span(column, key)]
+    }
+
+    /// Where [`Index::lookup`]'s rows sit in [`Index::rows`].
+    pub(crate) fn span(&self, column: &[i64], key: i64) -> Range<usize> {
         debug_assert_eq!(column.len(), self.rows.len());
         let directory = self
             .directory
             .get_or_init(|| Directory::over_sorted(column, &self.rows));
-        let range = match directory {
+        match directory {
             Some(d) => d.range(key),
             None => {
                 let lo = self.rows.partition_point(|&r| column[r as usize] < key);
                 lo..lo + self.rows[lo..].partition_point(|&r| column[r as usize] == key)
             }
-        };
-        &self.rows[range]
+        }
     }
 
     /// The rows whose value in `column`, the indexed column, satisfies

@@ -33,6 +33,14 @@ use crate::exec::NodeStats;
 /// bound on wasted work past an abort point.
 pub(crate) const BATCH: usize = 4096;
 
+#[cfg(test)]
+thread_local! {
+    /// The ledger value of every [`Ctx::commit`] on this thread while a test
+    /// records them (`Some`), so it can aim budgets at batch boundaries.
+    pub(crate) static COMMITS: std::cell::RefCell<Option<Vec<f64>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
 /// Why execution stopped early: the budget ran out (the normal, accounted
 /// outcome the bouquet drivers rely on) or an injected/real fault fired.
 pub(crate) enum Halt {
@@ -135,6 +143,8 @@ impl Ctx<'_> {
     /// [`Ctx::settle`] and may abort or fail the batch.
     #[inline]
     pub fn commit(&mut self, end: f64) -> Result<(), Halt> {
+        #[cfg(test)]
+        COMMITS.with_borrow_mut(|c| c.as_mut().map(|c| c.push(end)));
         if let Some(h) = self.cancelled() {
             // The batch's work happened; charge it (clamped) before
             // surfacing the cancellation so spend accounting stays honest.

@@ -95,10 +95,13 @@ impl Directory {
     /// The positions of key `v`; empty when it has none.
     #[inline]
     pub fn range(&self, v: i64) -> Range<usize> {
-        match self.slot(v) {
-            Some(s) => self.starts[s] as usize..self.starts[s + 1] as usize,
-            None => 0..0,
-        }
+        self.slot(v).map_or(0..0, |s| self.slot_range(s))
+    }
+
+    /// The positions of the key in slot `s`.
+    #[inline]
+    fn slot_range(&self, s: usize) -> Range<usize> {
+        self.starts[s] as usize..self.starts[s + 1] as usize
     }
 
     /// The dense directory of an index: `rows` are every row of `keys`,
@@ -257,9 +260,26 @@ impl KeyRows {
         }
     }
 
-    /// The build rows holding `v`, ascending; empty when none does.
+    /// The slot of key `v`, `None` when no build row holds it.
     #[inline]
-    pub fn get(&self, v: i64) -> &[u32] {
+    pub fn slot(&self, v: i64) -> Option<usize> {
+        self.dir.slot(v)
+    }
+
+    /// Where the build rows of the key in slot `s` sit in
+    /// [`KeyRows::rows`], ascending.
+    #[inline]
+    pub fn slot_span(&self, s: usize) -> Range<usize> {
+        self.dir.slot_range(s)
+    }
+
+    /// Every build row, grouped by key.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    #[cfg(test)]
+    fn get(&self, v: i64) -> &[u32] {
         &self.rows[self.dir.range(v)]
     }
 }

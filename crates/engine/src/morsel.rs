@@ -4,10 +4,11 @@
 //! drivers here split every linear phase into two halves:
 //!
 //! * **compute** — a pure function of the morsel's row range (filter, probe,
-//!   index walk) yielding the surviving row ids; it never touches the
+//!   index walk) yielding its emit count and its records: surviving row
+//!   ids, or one match run per outer row for a join; it never touches the
 //!   ledger or the fault injector. These fan out over `pb-cost`'s
 //!   deterministic chunked work-stealing pool ([`par_map`]), in waves, and
-//!   their results are reassembled in morsel order.
+//!   their records are reassembled in morsel order.
 //! * **account** — the coordinator walks the per-morsel results *in morsel
 //!   order* and replays exactly the ledger event sequence the serial engine
 //!   produces: one [`Ctx::commit`] per batch with the closed-form
@@ -49,66 +50,55 @@ fn wave_batches(workers: usize) -> usize {
 
 /// Drive one batch-granular linear phase over `0..n_items`.
 ///
-/// `compute(lo, hi, out)` appends the batch's survivors (row ids, or joined
-/// position pairs) to `out` and returns how many tuples the batch emitted:
-/// one per element appended, or — for an operator that keeps nothing and
-/// only counts — with `out` left empty. It must be pure in the row range.
-/// The coordinator settles the ledger exactly as the serial engine does and
-/// hands each committed batch's survivors to `consume` in batch order; `replay(ctx, lo, hi, emitted)` re-runs the
-/// crossing batch tuple-at-a-time (it is only invoked when the batch-end
-/// value exceeds the budget, so it must abort — the driver converts a
-/// completed replay into the typed anomaly).
+/// `compute(lo, hi, out)` returns how many tuples rows `lo..hi` emit and
+/// appends what the operator records of them to `out`: row ids, match runs,
+/// or nothing when it only counts. It must be pure in the row range. The
+/// coordinator settles the ledger exactly as the serial engine does and
+/// keeps node `instr_node`'s `output_tuples`; `replay(ctx, lo, hi, emitted)`
+/// re-runs the crossing batch tuple-at-a-time (it is only invoked when the
+/// batch-end value exceeds the budget, so it must abort — the driver
+/// converts a completed replay into the typed anomaly).
 ///
-/// Serially one scratch vector is reused for every batch; a wave's batches
-/// each fill their own.
-///
-/// Returns the total emit count. The phase's `output_tuples` counter is
-/// maintained when `instr_node` is given.
-#[allow(clippy::too_many_arguments)] // one call-site contract per operator phase
-pub(crate) fn drive_batches<T, C, K, P>(
+/// Returns the total emit count and every batch's records in batch order:
+/// serially `compute` appends straight to that one list, a wave's batches
+/// each fill their own, appended as they commit. An aborted phase returns
+/// no records, so whatever an operator writes from them is written after
+/// its last commit.
+pub(crate) fn drive_batches<T, C, P>(
     par: Parallelism,
     ctx: &mut Ctx<'_>,
-    instr_node: Option<usize>,
+    instr_node: usize,
     n_items: usize,
     ph: &LinPhase,
     compute: C,
-    mut consume: K,
     mut replay: P,
-) -> Result<u64, Halt>
+) -> Result<(u64, Vec<T>), Halt>
 where
     T: Send,
-    C: Fn(usize, usize, &mut Vec<T>) -> usize + Sync,
-    K: FnMut(&[T]),
+    C: Fn(usize, usize, &mut Vec<T>) -> u64 + Sync,
     P: FnMut(&mut Ctx<'_>, usize, usize, u64) -> Result<(), Halt>,
 {
-    let mut emitted = 0u64;
-    let mut account =
-        |ctx: &mut Ctx<'_>, emitted: &mut u64, lo: usize, hi: usize, k: usize, out: &[T]| {
-            let k = k as u64;
-            let end = lin2(ph.base, hi as u64, ph.item_rate, *emitted + k, ph.emit_rate);
-            if end > ctx.budget {
-                replay(ctx, lo, hi, *emitted)?;
-                return Err(replay_anomaly());
-            }
-            ctx.commit(end)?;
-            *emitted += k;
-            if let Some(id) = instr_node {
-                ctx.instr[id].output_tuples = *emitted;
-            }
-            consume(out);
-            Ok(())
-        };
+    let (mut emitted, mut out) = (0u64, Vec::new());
+    let mut account = |ctx: &mut Ctx<'_>, emitted: &mut u64, lo: usize, hi: usize, k: u64| {
+        let end = lin2(ph.base, hi as u64, ph.item_rate, *emitted + k, ph.emit_rate);
+        if end > ctx.budget {
+            replay(ctx, lo, hi, *emitted)?;
+            return Err(replay_anomaly());
+        }
+        ctx.commit(end)?;
+        *emitted += k;
+        ctx.instr[instr_node].output_tuples = *emitted;
+        Ok(())
+    };
     if par.workers <= 1 {
-        let mut out: Vec<T> = Vec::new();
         let mut lo = 0usize;
         while lo < n_items {
             let hi = (lo + BATCH).min(n_items);
-            out.clear();
             let k = compute(lo, hi, &mut out);
-            account(ctx, &mut emitted, lo, hi, k, &out)?;
+            account(ctx, &mut emitted, lo, hi, k)?;
             lo = hi;
         }
-        return Ok(emitted);
+        return Ok((emitted, out));
     }
 
     let n_batches = n_items.div_ceil(BATCH);
@@ -129,17 +119,18 @@ where
         }
         let results = par_map(par, nb, |i| {
             let (lo, hi) = bounds(b0 + i);
-            let mut out = Vec::new();
-            let k = compute(lo, hi, &mut out);
-            (k, out)
+            let mut recs = Vec::new();
+            let k = compute(lo, hi, &mut recs);
+            (k, recs)
         });
-        for (i, (k, out)) in results.iter().enumerate() {
+        for (i, (k, mut recs)) in results.into_iter().enumerate() {
             let (lo, hi) = bounds(b0 + i);
-            account(ctx, &mut emitted, lo, hi, *k, out)?;
+            account(ctx, &mut emitted, lo, hi, k)?;
+            out.append(&mut recs);
         }
         b0 += nb;
     }
-    Ok(emitted)
+    Ok((emitted, out))
 }
 
 /// Tuple-exact replay of one over-budget batch for the standard two-counter
@@ -221,52 +212,51 @@ pub(crate) fn charge_linear(
 /// Drive one item-granular phase (index/block nested-loops: one ledger
 /// commit per outer row).
 ///
-/// `compute(item, &mut matches)` fills the item's match list and returns
-/// its secondary counter delta (probed index entries; unused counters
-/// return 0). `end_value(items_next, c1_next, emitted_next)` is the
-/// operator's closed form at prospective counter values. `consume(item,
-/// matches)` materializes in item order; `replay(ctx, item, c1, emitted)`
-/// re-runs the crossing item tuple-at-a-time and must abort.
-#[allow(clippy::too_many_arguments)] // one call-site contract per operator phase
-pub(crate) fn drive_items<C, E, K, P>(
+/// `compute(item, out)` returns the item's secondary counter delta (probed
+/// index entries; 0 when unused) and its emit count, and appends what the
+/// operator records of its matches to `out`, as in [`drive_batches`].
+/// `end_value(items_next, c1_next, emitted_next)` is the operator's closed
+/// form at prospective counter values; `replay(ctx, item, c1, emitted)`
+/// re-runs the crossing item tuple-at-a-time and must abort. Returns the
+/// emit count and the records in item order, none when the phase aborts.
+pub(crate) fn drive_items<T, C, E, P>(
     par: Parallelism,
     ctx: &mut Ctx<'_>,
     instr_node: usize,
     n_items: usize,
     compute: C,
     end_value: E,
-    mut consume: K,
     mut replay: P,
-) -> Result<u64, Halt>
+) -> Result<(u64, Vec<T>), Halt>
 where
-    C: Fn(usize, &mut Vec<u32>) -> u64 + Sync,
+    T: Send,
+    C: Fn(usize, &mut Vec<T>) -> (u64, u64) + Sync,
     E: Fn(u64, u64, u64) -> f64,
-    K: FnMut(usize, &[u32]),
     P: FnMut(&mut Ctx<'_>, usize, u64, u64) -> Result<(), Halt>,
 {
-    let (mut c1, mut emitted) = (0u64, 0u64);
-    if par.workers <= 1 || n_items == 0 {
-        let mut matches: Vec<u32> = Vec::new();
-        for item in 0..n_items {
-            matches.clear();
-            let d1 = compute(item, &mut matches);
-            let k = matches.len() as u64;
-            let end = end_value(item as u64 + 1, c1 + d1, emitted + k);
-            if end > ctx.budget {
-                replay(ctx, item, c1, emitted)?;
-                return Err(replay_anomaly());
-            }
-            ctx.commit(end)?;
-            c1 += d1;
-            emitted += k;
-            ctx.instr[instr_node].output_tuples = emitted;
-            consume(item, &matches);
+    // (c1, emitted) so far; one commit per item.
+    let (mut counts, mut out) = ((0u64, 0u64), Vec::new());
+    let mut account = |ctx: &mut Ctx<'_>, (c1, emitted): &mut (u64, u64), item: usize, d1, k| {
+        let end = end_value(item as u64 + 1, *c1 + d1, *emitted + k);
+        if end > ctx.budget {
+            replay(ctx, item, *c1, *emitted)?;
+            return Err(replay_anomaly());
         }
-        return Ok(emitted);
+        ctx.commit(end)?;
+        (*c1, *emitted) = (*c1 + d1, *emitted + k);
+        ctx.instr[instr_node].output_tuples = *emitted;
+        Ok(())
+    };
+    if par.workers <= 1 || n_items == 0 {
+        for item in 0..n_items {
+            let (d1, k) = compute(item, &mut out);
+            account(ctx, &mut counts, item, d1, k)?;
+        }
+        return Ok((counts.1, out));
     }
 
-    // Waves of items; each chunk returns (per-item counter deltas, flat
-    // match payload) reassembled in chunk order = item order.
+    // Waves of items; each chunk returns (per-item counter deltas, its
+    // records) reassembled in chunk order = item order.
     let wave = (par.workers * 1024).max(4096);
     let mut i0 = 0usize;
     while i0 < n_items {
@@ -274,45 +264,27 @@ where
         // Emit-free trim, as in `drive_batches`: c1 deltas are unknown but
         // non-negative, so the items-only bound is still a lower bound.
         for i in 0..nw {
-            if end_value((i0 + i) as u64 + 1, c1, emitted) > ctx.budget {
+            if end_value((i0 + i) as u64 + 1, counts.0, counts.1) > ctx.budget {
                 nw = i + 1;
                 break;
             }
         }
         let chunks = run_chunked(par, nw, |_, range| {
-            let mut meta: Vec<(u64, u32)> = Vec::with_capacity(range.len());
-            let mut flat: Vec<u32> = Vec::new();
-            let mut matches: Vec<u32> = Vec::new();
-            for i in range {
-                matches.clear();
-                let d1 = compute(i0 + i, &mut matches);
-                meta.push((d1, matches.len() as u32));
-                flat.extend_from_slice(&matches);
-            }
-            (meta, flat)
+            let mut recs = Vec::new();
+            let meta: Vec<(u64, u64)> = range.map(|i| compute(i0 + i, &mut recs)).collect();
+            (meta, recs)
         });
         let mut item = i0;
-        for (meta, flat) in chunks {
-            let mut off = 0usize;
-            for (d1, klen) in meta {
-                let k = u64::from(klen);
-                let end = end_value(item as u64 + 1, c1 + d1, emitted + k);
-                if end > ctx.budget {
-                    replay(ctx, item, c1, emitted)?;
-                    return Err(replay_anomaly());
-                }
-                ctx.commit(end)?;
-                c1 += d1;
-                emitted += k;
-                ctx.instr[instr_node].output_tuples = emitted;
-                consume(item, &flat[off..off + klen as usize]);
-                off += klen as usize;
+        for (meta, mut recs) in chunks {
+            for (d1, k) in meta {
+                account(ctx, &mut counts, item, d1, k)?;
                 item += 1;
             }
+            out.append(&mut recs);
         }
         i0 += nw;
     }
-    Ok(emitted)
+    Ok((counts.1, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -448,21 +420,20 @@ mod tests {
             emit_rate: 0.002,
         };
         let compute = |lo: usize, hi: usize, sel: &mut Vec<usize>| {
+            let before = sel.len();
             sel.extend((lo..hi).filter(|i| i % 3 == 0));
-            sel.len()
+            (sel.len() - before) as u64
         };
         let inert = FaultInjector::none();
         let run = |workers: usize, budget: f64| {
             let mut c = ctx(budget, &inert, 1);
-            let mut got: Vec<usize> = Vec::new();
             let r = drive_batches(
                 Parallelism::new(workers),
                 &mut c,
-                Some(0),
+                0,
                 n,
                 &ph,
                 compute,
-                |d: &[usize]| got.extend_from_slice(d),
                 |c, lo, hi, mut em| {
                     let mut seen = lo as u64;
                     for i in lo..hi {
@@ -476,7 +447,7 @@ mod tests {
                     Ok(())
                 },
             );
-            (r.is_ok(), c.spent.to_bits(), got)
+            (r.ok(), c.spent.to_bits(), c.instr[0].output_tuples)
         };
         for budget in [f64::INFINITY, 120.0, 60.0, 10.0, 1.5] {
             let serial = run(1, budget);

@@ -16,7 +16,7 @@ use pb_catalog::ColumnId;
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, PlanNode, RelIdx};
 
-use crate::data::{eval_pred, Database};
+use crate::data::{eval_pred, ColumnOverride, Database};
 use crate::exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
 use crate::ledger::{lin2, lin3, Ctx, Halt};
 
@@ -502,8 +502,10 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::data::ColumnOverride;
-    use common::{plan_ds, setup3, setup_ds, shape3};
+    use crate::ledger::COMMITS;
+    use crate::vec_exec::tests::retained_rows;
+    use crate::vec_exec::ResumeBook;
+    use common::{plan_ds, setup3, setup_ds, setup_duplicates, shape3};
     use pb_catalog::tpch;
     use pb_cost::CostModel;
     use pb_plan::{QueryBuilder, QuerySpec, SelSpec};
@@ -620,40 +622,6 @@ mod tests {
         }
     }
 
-    /// The Table-3 shape in small: part ⋈ lineitem ⋈ orders over tuples whose
-    /// join keys take a few dozen (part) and a few hundred (order) values
-    /// although every key column is a primary or foreign key, so each
-    /// probe row matches many build rows.
-    fn setup_duplicates() -> (Database, QuerySpec, CostModel) {
-        let cat = tpch::catalog(0.002);
-        let ndv = |table: &str, column: &str, ndv| ColumnOverride::EffectiveNdv {
-            table: table.into(),
-            column: column.into(),
-            ndv,
-        };
-        let overrides = [
-            ndv("part", "p_partkey", 40),
-            ndv("lineitem", "l_partkey", 40),
-            ndv("orders", "o_orderkey", 200),
-            ndv("lineitem", "l_orderkey", 200),
-        ];
-        let db = Database::generate(&cat, 7, &overrides).expect("generate");
-        let mut qb = QueryBuilder::new(&cat, "duplicates");
-        let p = qb.rel("part");
-        let l = qb.rel("lineitem");
-        let o = qb.rel("orders");
-        qb.select(
-            p,
-            "p_retailprice",
-            CmpOp::Lt,
-            1100.0,
-            SelSpec::ErrorProne(0),
-        );
-        qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
-        qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
-        (db, qb.build(), CostModel::postgresish())
-    }
-
     #[test]
     fn vectorized_matches_tuple_on_duplicate_keys() {
         let (db, q, m) = setup_duplicates();
@@ -723,6 +691,138 @@ mod tests {
             rows > 50 * db.table(q.relations[2].table).rows,
             "{rows} rows"
         );
+    }
+
+    /// The relations and rows the oracle materializes for `plan` as a kept
+    /// input: every column of each relation, row by row.
+    fn oracle_rows(eng: &Engine<'_>, plan: &PlanNode) -> (Vec<RelIdx>, Vec<Vec<i64>>) {
+        let inert = FaultInjector::none();
+        let mut ctx = Ctx {
+            spent: 0.0,
+            budget: f64::INFINITY,
+            instr: vec![NodeStats::default(); plan.size()],
+            faults: &inert,
+            resume: None,
+            reused: 0.0,
+            cancel: None,
+        };
+        let rel = eng
+            .eval(plan, &mut ctx, &mut 0, true)
+            .ok()
+            .expect("completes");
+        (rel.rels, rel.rows)
+    }
+
+    /// The ledger values of every `stride`-th of `plan`'s batch commits once
+    /// its inputs are done — its own phases' batch boundaries — and the
+    /// values just either side.
+    fn own_boundaries(eng: &Engine<'_>, plan: &PlanNode, stride: usize) -> Vec<f64> {
+        COMMITS.with_borrow_mut(|c| *c = Some(Vec::new()));
+        eng.execute(plan, f64::INFINITY);
+        let commits = COMMITS.with_borrow_mut(Option::take).unwrap_or_default();
+        let inputs_done = |b: f64| {
+            eng.execute(plan, b).instr().nodes[1..]
+                .iter()
+                .all(|n| n.complete)
+        };
+        let own = commits
+            .into_iter()
+            .filter(|&v| inputs_done(v))
+            .step_by(stride);
+        own.flat_map(|v| [v.next_down(), v, v.next_up()]).collect()
+    }
+
+    /// Every join kind as the *kept* input of a root hash join over
+    /// duplicated keys, with budgets at each batch boundary of its own
+    /// phases and just either side: most abort inside its emitting phase,
+    /// where it has recorded match runs and written no row. (Block-NL
+    /// commits once per outer row, and each costs the oracle a pass over
+    /// lineitem: it takes every twelfth.) Then a budget that just completes
+    /// it: the checkpoint holds the oracle's rows, and a later run grafts it.
+    #[test]
+    fn kept_joins_equal_the_oracle_at_every_batch_boundary() {
+        let (db, q, m) = setup_duplicates();
+        let eng = Engine::new(&db, &q, &m.p);
+        let scan = |rel| Box::new(PlanNode::SeqScan { rel });
+        let parts = || Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 });
+        let children = [
+            (
+                "hash",
+                1,
+                PlanNode::HashJoin {
+                    build: scan(0),
+                    probe: scan(1),
+                    edges: vec![0],
+                },
+            ),
+            (
+                "merge",
+                1,
+                PlanNode::SortMergeJoin {
+                    left: scan(0),
+                    right: scan(1),
+                    edges: vec![0],
+                    sort_left: true,
+                    sort_right: true,
+                },
+            ),
+            (
+                "index-NL",
+                1,
+                PlanNode::IndexNLJoin {
+                    outer: parts(),
+                    inner_rel: 1,
+                    edges: vec![0],
+                },
+            ),
+            (
+                "block-NL",
+                12,
+                PlanNode::BlockNLJoin {
+                    outer: parts(),
+                    inner: scan(1),
+                    edges: vec![0],
+                },
+            ),
+        ];
+        for (name, stride, child) in children {
+            let parent = PlanNode::HashJoin {
+                build: Box::new(child.clone()),
+                probe: scan(2),
+                edges: vec![1],
+            };
+            let budgets = own_boundaries(&eng, &child, stride);
+            let mut mid_phase = 0;
+            for &b in &budgets {
+                let t = eng.execute_tuple(&parent, b);
+                assert_eq!(t, eng.execute(&parent, b), "{name} at budget {b}");
+                let n = &t.instr().nodes;
+                mid_phase += usize::from(!n[1].complete && n[1].output_tuples > 0);
+            }
+            assert!(
+                mid_phase >= 3,
+                "{name}: {mid_phase} of {} budgets abort in the child's emitting phase",
+                budgets.len()
+            );
+
+            let done = eng.execute(&child, f64::INFINITY).cost();
+            let mut book = ResumeBook::new();
+            let (first, _) = eng.execute_resumable(&parent, done, &mut book);
+            assert!(
+                !first.completed() && first.instr().nodes[1].complete,
+                "{name}"
+            );
+            assert_eq!(first, eng.execute_tuple(&parent, done), "{name}");
+            let want = oracle_rows(&eng, &child);
+            let kept: Vec<_> = retained_rows(&eng, &book)
+                .into_iter()
+                .filter(|(rels, _)| *rels == want.0)
+                .collect();
+            assert_eq!(kept, vec![want], "{name}: checkpointed rows");
+            let (grafted, reused) = eng.execute_resumable(&parent, f64::INFINITY, &mut book);
+            assert_eq!(reused.to_bits(), done.to_bits(), "{name}: reused");
+            assert_eq!(grafted, eng.execute_tuple(&parent, f64::INFINITY), "{name}");
+        }
     }
 
     proptest! {

@@ -4,11 +4,14 @@
 //! vector per relation, never copied column values. Predicate evaluation,
 //! hash-join build/probe, merge-join group expansion and index-NL lookups
 //! run as batch kernels that read the base-table columns they consume
-//! through those ids and append the surviving ids to the operator's output.
-//! Cost is charged per batch: each operator phase is linear in
-//! its counters, so the batch-end ledger value is the closed form
-//! [`lin2`]/[`lin3`] of the final counters — bit-identical to the reference
-//! engine's last per-tuple settle (see `crate::ledger` for the argument).
+//! through those ids. A scan's survivors are its output ids; a join records
+//! one run of matches per outer row while it settles the ledger and writes
+//! its output ids from the runs once, after its last commit, so a join whose
+//! budget runs out writes none. Cost is charged per batch: each operator
+//! phase is linear in its counters, so the batch-end ledger value is the
+//! closed form [`lin2`]/[`lin3`] of the final counters — bit-identical to
+//! the reference engine's last per-tuple settle (see `crate::ledger` for
+//! the argument).
 //!
 //! Budget aborts are exact: a batch whose end value stays within budget
 //! cannot have crossed it at any interior tuple (monotonicity), and a batch
@@ -20,6 +23,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pb_catalog::ColumnId;
@@ -108,23 +112,108 @@ impl VRel {
     }
 }
 
-/// Append the ids of `src`'s rows at positions `pos` to `out`, one vector
-/// per relation of `src`.
-fn push_rows(out: &mut [Vec<u32>], src: &VRel, pos: impl Iterator<Item = u32> + Clone) {
-    for (o, ids) in out.iter_mut().zip(&src.ids) {
-        match ids {
-            Ids::Dense => o.extend(pos.clone()),
-            Ids::Sel(v) => o.extend(pos.clone().map(|p| v[p as usize])),
+/// Append `rows` to `sel` when the operator keeps its output; how many
+/// there are either way.
+#[inline]
+fn keep_rows(sel: &mut Vec<u32>, store: bool, rows: impl Iterator<Item = u32>) -> u64 {
+    if !store {
+        return rows.count() as u64;
+    }
+    let before = sel.len();
+    sel.extend(rows);
+    (sel.len() - before) as u64
+}
+
+/// What a kept join records of an outer row's matches while it settles the
+/// ledger: `(outer row, x)`. A join with nothing to check past its key
+/// records one per matching outer row, `x` what its run of candidates is
+/// found from again — the key's build slot (hash join), the start of the
+/// right group (merge join); an index-NL join looks the row's key up
+/// again. A join with residual edges or inner predicates records each
+/// survivor, `x` its candidate's position. The row ids are written from the
+/// runs once, after the join's last commit ([`expand`]), so a join whose
+/// budget runs out writes none.
+type Run = (u32, u32);
+
+/// The emits of the outer rows `rows`, whose candidates are `cands(row) =
+/// (token, span)`: all of them unless `checked`, else those that `pass(row,
+/// k)`. With `runs` given they are recorded: `(row, token)` once per row
+/// with candidates, or `(row, k)` per survivor. One loop per case, so a join
+/// that only counts runs the plainest.
+fn emit_runs(
+    runs: Option<&mut Vec<Run>>,
+    rows: impl Iterator<Item = usize>,
+    cands: impl Fn(usize) -> (usize, Range<usize>),
+    checked: bool,
+    pass: impl Fn(usize, usize) -> bool,
+) -> u64 {
+    let run = |i: usize, x: usize| (i as u32, x as u32);
+    match (runs, checked) {
+        (None, false) => rows.map(|i| cands(i).1.len() as u64).sum(),
+        (None, true) => rows
+            .map(|i| cands(i).1.filter(|&k| pass(i, k)).count() as u64)
+            .sum(),
+        (Some(runs), false) => rows
+            .map(|i| {
+                let (x, span) = cands(i);
+                if !span.is_empty() {
+                    runs.push(run(i, x));
+                }
+                span.len() as u64
+            })
+            .sum(),
+        (Some(runs), true) => {
+            let before = runs.len();
+            for i in rows {
+                runs.extend(cands(i).1.filter(|&k| pass(i, k)).map(|k| run(i, k)));
+            }
+            (runs.len() - before) as u64
         }
     }
 }
 
-/// Append joined `(left position, right position)` pairs to `out`, whose
-/// first `l.ids.len()` vectors belong to `l`'s relations.
-fn push_pairs(out: &mut [Vec<u32>], l: &VRel, r: &VRel, pairs: &[(u32, u32)]) {
-    let (lo, ro) = out.split_at_mut(l.ids.len());
-    push_rows(lo, l, pairs.iter().map(|p| p.0));
-    push_rows(ro, r, pairs.iter().map(|p| p.1));
+/// A join's kept ids from its runs, each vector allocated once at `n` rows
+/// and `outer`'s relations first: run `(row, x)` is outer row `row` joined
+/// with the inner positions `at(k)` for `k` in `span(row, x)`. The runs are
+/// expanded about a batch of `(outer, inner)` position pairs at a time,
+/// then every relation's ids are gathered from those pairs in one pass.
+fn expand(
+    outer: &VRel,
+    inner: &VRel,
+    runs: &[Run],
+    span: impl Fn(usize, usize) -> Range<usize>,
+    at: impl Fn(usize) -> usize,
+    n: usize,
+) -> Vec<Vec<u32>> {
+    let width = outer.ids.len() + inner.ids.len();
+    let mut out: Vec<Vec<u32>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
+    let (o, i) = out.split_at_mut(outer.ids.len());
+    let mut flush = |pairs: &mut Vec<(u32, u32)>| {
+        for (v, ids) in o.iter_mut().zip(&outer.ids) {
+            gather(v, ids, pairs.iter().map(|p| p.0));
+        }
+        for (v, ids) in i.iter_mut().zip(&inner.ids) {
+            gather(v, ids, pairs.iter().map(|p| p.1));
+        }
+        pairs.clear();
+    };
+    let mut pairs = Vec::with_capacity(BATCH.min(n));
+    for &(row, x) in runs {
+        pairs.extend(span(row as usize, x as usize).map(|k| (row, at(k) as u32)));
+        if pairs.len() >= BATCH {
+            flush(&mut pairs);
+        }
+    }
+    flush(&mut pairs);
+    out
+}
+
+/// Append the ids `ids` holds at positions `pos` to `v`.
+fn gather(v: &mut Vec<u32>, ids: &Ids, pos: impl Iterator<Item = u32>) {
+    match ids {
+        Ids::Dense => v.extend(pos),
+        Ids::Sel(s) => v.extend(pos.map(|p| s[p as usize])),
+    }
 }
 
 /// One base-table column seen through an intermediate's row ids.
@@ -230,20 +319,27 @@ pub struct ResumeBook {
     hits: u64,
 }
 
-/// Approximate heap footprint of one snapshot: the row-id vectors (and
-/// aggregate columns) dominate; stats and fixed overhead are charged flatly.
+/// Heap bytes one snapshot keeps alive: every vector at its capacity, not
+/// its length (a scan's selection vector grows by doubling), plus a flat
+/// allowance for the shared `VRel` itself.
 fn snapshot_bytes(s: &Snapshot) -> usize {
-    let ids: usize = s
-        .vrel
+    use std::mem::size_of;
+    let v = &s.vrel;
+    let ids: usize = v
         .ids
         .iter()
         .map(|ids| match ids {
             Ids::Dense => 0,
-            Ids::Sel(v) => v.len() * 4,
+            Ids::Sel(x) => x.capacity() * 4,
         })
         .sum();
-    let cols: usize = s.vrel.cols.iter().map(|c| c.len() * 8).sum();
-    ids + cols + s.vrel.rels.len() * 8 + s.stats.len() * 24 + 128
+    let cols: usize = v.cols.iter().map(|c| c.capacity() * 8).sum();
+    ids + cols
+        + v.rels.capacity() * size_of::<RelIdx>()
+        + v.ids.capacity() * size_of::<Ids>()
+        + v.cols.capacity() * size_of::<Vec<i64>>()
+        + s.stats.capacity() * size_of::<NodeStats>()
+        + 128
 }
 
 impl ResumeBook {
@@ -369,29 +465,12 @@ fn res_pass(res: &[ResCheck<'_>], li: usize, ri: usize) -> bool {
     })
 }
 
-/// Evaluate all predicates over a row range, appending the qualifying row
-/// ids to `sel`. The first predicate scans its column densely; the rest
-/// refine the (usually much smaller) selection in place.
-fn filter_batch(
-    preds: &[SelectionPredicate],
-    cols: &[Vec<i64>],
-    lo: usize,
-    hi: usize,
-    sel: &mut Vec<u32>,
-) {
-    let Some((first, rest)) = preds.split_first() else {
-        return sel.extend(lo as u32..hi as u32);
-    };
-    let col = &cols[first.column.column as usize];
-    for (off, &v) in col[lo..hi].iter().enumerate() {
-        if eval_pred(first, v) {
-            sel.push((lo + off) as u32);
-        }
-    }
-    for pr in rest {
-        let col = &cols[pr.column.column as usize];
-        sel.retain(|&r| eval_pred(pr, col[r as usize]));
-    }
+/// Whether row `r` of a table with columns `cols` passes every predicate.
+#[inline]
+fn passes(preds: &[SelectionPredicate], cols: &[Vec<i64>], r: usize) -> bool {
+    preds
+        .iter()
+        .all(|pr| eval_pred(pr, cols[pr.column.column as usize][r]))
 }
 
 fn unindexed(rel: RelIdx, column: u32) -> Halt {
@@ -534,10 +613,9 @@ impl Engine<'_> {
         entry_rate: f64,
         store: bool,
     ) -> Result<VRel, Halt> {
-        let mut ids: Vec<u32> = Vec::new();
         let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
-            sel.extend(entries[lo..hi].iter().filter(|&&r| pass(r as usize)));
-            sel.len()
+            let rows = entries[lo..hi].iter().copied();
+            keep_rows(sel, store, rows.filter(|&r| pass(r as usize)))
         };
         let par = self.mpar(entries.len());
         let ph = LinPhase {
@@ -545,30 +623,22 @@ impl Engine<'_> {
             item_rate: entry_rate,
             emit_rate: self.params.emit_tuple,
         };
-        let emitted = drive_batches(
+        let (_, ids) = drive_batches(
             par,
             ctx,
-            Some(my_id),
+            my_id,
             entries.len(),
             &ph,
             compute,
-            |sel| {
-                if store {
-                    ids.extend_from_slice(sel);
-                }
-            },
-            |ctx, lo, hi, emitted| {
-                replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
+            |ctx, lo, hi, e| {
+                replay_rows(par, ctx, my_id, lo, hi, e, &ph, |i| {
                     u64::from(pass(entries[i] as usize))
                 })
             },
         )?;
         ctx.instr[my_id].complete = true;
-        Ok(VRel::new(
-            vec![rel],
-            vec![ids],
-            if store { emitted as usize } else { 0 },
-        ))
+        let n = ids.len();
+        Ok(VRel::new(vec![rel], vec![ids], n))
     }
 
     /// Hash-probe membership kernel shared by `AntiJoin` (`keep_matched ==
@@ -590,13 +660,13 @@ impl Engine<'_> {
         let base = ctx.spent;
         charge_linear(ctx, base, p.cpu_tuple + p.hash_build, r.len)?;
         let keys = KeySet::build(self.mpar(r.len), &rcol.gather(r.len));
-        let mut ids = vec![Vec::new(); l.rels.len()];
+        let survives = |i: usize| keys.contains(lcol.get(i)) == keep_matched;
         let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
-            sel.extend(
-                (lo as u32..hi as u32)
-                    .filter(|&i| keys.contains(lcol.get(i as usize)) == keep_matched),
-            );
-            sel.len()
+            keep_rows(
+                sel,
+                store,
+                (lo as u32..hi as u32).filter(|&i| survives(i as usize)),
+            )
         };
         let par = self.mpar(l.len);
         let ph = LinPhase {
@@ -604,30 +674,13 @@ impl Engine<'_> {
             item_rate: p.hash_probe,
             emit_rate: p.emit_tuple,
         };
-        let emitted = drive_batches(
-            par,
-            ctx,
-            Some(my_id),
-            l.len,
-            &ph,
-            compute,
-            |sel| {
-                if store {
-                    push_rows(&mut ids, l, sel.iter().copied());
-                }
-            },
-            |ctx, lo, hi, emitted| {
-                replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                    u64::from(keys.contains(lcol.get(i)) == keep_matched)
-                })
-            },
-        )?;
+        let (_, sel) = drive_batches(par, ctx, my_id, l.len, &ph, compute, |ctx, lo, hi, e| {
+            replay_rows(par, ctx, my_id, lo, hi, e, &ph, |i| u64::from(survives(i)))
+        })?;
         ctx.instr[my_id].complete = true;
-        Ok(VRel::new(
-            l.rels.clone(),
-            ids,
-            if store { emitted as usize } else { 0 },
-        ))
+        let ids = l.ids.iter();
+        let ids = ids.map(|ids| sel.iter().map(|&i| ids.get(i as usize)).collect());
+        Ok(VRel::new(l.rels.clone(), ids.collect(), sel.len()))
     }
 
     /// Tuple-exact merge-join replay from the last settled checkpoint.
@@ -759,10 +812,26 @@ impl Engine<'_> {
                     .table_by_id(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
                 ctx.charge(table_meta.pages() * p.seq_page)?;
-                let mut ids: Vec<u32> = Vec::new();
+                // No predicates: every row qualifies in table order, so the
+                // output is the dense range and no id is stored.
+                let dense = preds.is_empty();
+                let pass = |r: usize| passes(preds, &t.columns, r);
+                // The first predicate scans its column; the rest check the
+                // (usually much fewer) rows it lets through.
                 let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
-                    filter_batch(preds, &t.columns, lo, hi, sel);
-                    sel.len()
+                    let Some((first, rest)) = preds.split_first() else {
+                        return (hi - lo) as u64;
+                    };
+                    let col = &t.columns[first.column.column as usize][lo..hi];
+                    let rows = (lo as u32..)
+                        .zip(col)
+                        .filter(|&(_, &v)| eval_pred(first, v));
+                    let rows = rows.map(|(r, _)| r);
+                    keep_rows(
+                        sel,
+                        store,
+                        rows.filter(|&r| passes(rest, &t.columns, r as usize)),
+                    )
                 };
                 let par = self.mpar(t.rows);
                 let ph = LinPhase {
@@ -770,30 +839,10 @@ impl Engine<'_> {
                     item_rate: p.cpu_tuple + preds.len() as f64 * p.cpu_operator,
                     emit_rate: p.emit_tuple,
                 };
-                // No predicates: every row qualifies in table order, so the
-                // output is the dense range and no id is stored.
-                let dense = preds.is_empty();
-                let emitted =
-                    drive_batches(
-                        par,
-                        ctx,
-                        Some(my_id),
-                        t.rows,
-                        &ph,
-                        compute,
-                        |sel| {
-                            if store && !dense {
-                                ids.extend_from_slice(sel);
-                            }
-                        },
-                        |ctx, lo, hi, emitted| {
-                            replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |r| {
-                                u64::from(preds.iter().all(|pr| {
-                                    eval_pred(pr, t.columns[pr.column.column as usize][r])
-                                }))
-                            })
-                        },
-                    )?;
+                let (emitted, ids) =
+                    drive_batches(par, ctx, my_id, t.rows, &ph, compute, |ctx, lo, hi, e| {
+                        replay_rows(par, ctx, my_id, lo, hi, e, &ph, |r| u64::from(pass(r)))
+                    })?;
                 ctx.instr[my_id].complete = true;
                 Ok(VRel {
                     rels: vec![*rel],
@@ -829,11 +878,7 @@ impl Engine<'_> {
                 let entry_rate = p.cpu_index_tuple
                     + p.random_page * p.heap_fetch_factor
                     + preds.len() as f64 * p.cpu_operator;
-                let pass = |r: usize| {
-                    preds
-                        .iter()
-                        .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                };
+                let pass = |r: usize| passes(preds, &t.columns, r);
                 self.ventry_scan(ctx, my_id, *rel, ix.rows(), &pass, entry_rate, store)
             }
             PlanNode::HashJoin {
@@ -853,24 +898,17 @@ impl Engine<'_> {
                 let table = KeyRows::build(self.mpar(b.len), &bkey.gather(b.len));
                 let residuals = self.resolve_residuals(&b, &pr, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = b.rels.iter().chain(&pr.rels).copied().collect();
-                let mut ids = vec![Vec::new(); out_rels.len()];
-                let res = residuals.as_slice();
-                let matches = |i: usize| {
-                    let bs = table.get(pkey.get(i));
-                    bs.iter().filter(move |&&bi| res_pass(res, bi as usize, i))
+                let (res, build_rows, checked) =
+                    (residuals.as_slice(), table.rows(), !residuals.is_empty());
+                // Probe row `i`'s candidates: its key's build rows, recorded
+                // by their slot.
+                let cands = |i: usize| {
+                    let slot = table.slot(pkey.get(i));
+                    (slot.unwrap_or(0), slot.map_or(0..0, |s| table.slot_span(s)))
                 };
-                // A join that keeps nothing and checks nothing past its key
-                // emits every build row of the key: it counts them, as the
-                // merge join does, instead of listing the pairs.
-                let counted = !store && residuals.is_empty();
-                let compute = |lo: usize, hi: usize, pairs: &mut Vec<(u32, u32)>| {
-                    if counted {
-                        return (lo..hi).map(|i| table.get(pkey.get(i)).len()).sum();
-                    }
-                    for i in lo..hi {
-                        pairs.extend(matches(i).map(|&bi| (bi, i as u32)));
-                    }
-                    pairs.len()
+                let pass = |i: usize, k: usize| res_pass(res, build_rows[k] as usize, i);
+                let compute = |lo: usize, hi: usize, runs: &mut Vec<Run>| {
+                    emit_runs(store.then_some(runs), lo..hi, cands, checked, pass)
                 };
                 let par = self.mpar(pr.len);
                 let ph = LinPhase {
@@ -878,26 +916,24 @@ impl Engine<'_> {
                     item_rate: p.hash_probe,
                     emit_rate: p.emit_tuple,
                 };
-                let emitted = drive_batches(
-                    par,
-                    ctx,
-                    Some(my_id),
-                    pr.len,
-                    &ph,
-                    compute,
-                    |pairs| {
-                        if store {
-                            push_pairs(&mut ids, &b, &pr, pairs);
-                        }
-                    },
-                    |ctx, lo, hi, emitted| {
-                        replay_rows(par, ctx, my_id, lo, hi, emitted, &ph, |i| {
-                            matches(i).count() as u64
+                let (emitted, runs) =
+                    drive_batches(par, ctx, my_id, pr.len, &ph, compute, |ctx, lo, hi, e| {
+                        replay_rows(par, ctx, my_id, lo, hi, e, &ph, |i| {
+                            emit_runs(None, [i].into_iter(), cands, checked, pass)
                         })
-                    },
-                )?;
+                    })?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel::new(out_rels, ids, kept(emitted)))
+                let n = kept(emitted);
+                let span = |_, x| {
+                    if checked {
+                        x..x + 1
+                    } else {
+                        table.slot_span(x)
+                    }
+                };
+                let mut ids = expand(&pr, &b, &runs, span, |k| build_rows[k] as usize, n);
+                ids.rotate_left(pr.rels.len());
+                Ok(VRel::new(out_rels, ids, n))
             }
             PlanNode::SortMergeJoin {
                 left,
@@ -928,7 +964,6 @@ impl Engine<'_> {
                 let rk: Vec<i64> = rperm.iter().map(|&x| rkeys[x as usize]).collect();
                 let residuals = self.resolve_residuals(&l, &r, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = l.rels.iter().chain(&r.rels).copied().collect();
-                let mut ids = vec![Vec::new(); out_rels.len()];
                 let base = ctx.spent;
                 let step_rate = 2.0 * p.cpu_operator;
                 let (ln, rn) = (lk.len(), rk.len());
@@ -936,7 +971,10 @@ impl Engine<'_> {
                 let (mut steps, mut emitted) = (0u64, 0u64);
                 // Checkpoint = merge state at the last successful settle.
                 let (mut ci, mut cj, mut csteps, mut cemitted) = (0usize, 0usize, 0u64, 0u64);
-                let mut pending: Vec<(u32, u32)> = Vec::new();
+                // One run per left row of an equal-key group: its right run,
+                // recorded by where it starts.
+                let (mut runs, checked) = (Vec::new(), !residuals.is_empty());
+                let pass = |lp: usize, k: usize| res_pass(&residuals, lp, rperm[k] as usize);
                 while i < ln && j < rn {
                     steps += 1;
                     let (a, b) = (lk[i], rk[j]);
@@ -947,20 +985,9 @@ impl Engine<'_> {
                     } else {
                         let i_end = i + lk[i..].iter().take_while(|&&x| x == a).count();
                         let j_end = j + rk[j..].iter().take_while(|&&x| x == a).count();
-                        if residuals.is_empty() && !store {
-                            emitted += ((i_end - i) * (j_end - j)) as u64;
-                        } else {
-                            for &lp in &lperm[i..i_end] {
-                                for &rp in &rperm[j..j_end] {
-                                    if res_pass(&residuals, lp as usize, rp as usize) {
-                                        emitted += 1;
-                                        if store {
-                                            pending.push((lp, rp));
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        let rows = lperm[i..i_end].iter().map(|&lp| lp as usize);
+                        let rec = store.then_some(&mut runs);
+                        emitted += emit_runs(rec, rows, |_| (j, j..j_end), checked, pass);
                         i = i_end;
                         j = j_end;
                     }
@@ -976,13 +1003,15 @@ impl Engine<'_> {
                         }
                         ctx.commit(end)?;
                         ctx.instr[my_id].output_tuples = emitted;
-                        push_pairs(&mut ids, &l, &r, &pending);
-                        pending.clear();
                         (ci, cj, csteps, cemitted) = (i, j, steps, emitted);
                     }
                 }
                 ctx.instr[my_id].complete = true;
-                Ok(VRel::new(out_rels, ids, kept(emitted)))
+                let n = kept(emitted);
+                let group = |j: usize| j..j + rk[j..].iter().take_while(|&&x| x == rk[j]).count();
+                let span = |_, x| if checked { x..x + 1 } else { group(x) };
+                let ids = expand(&l, &r, &runs, span, |k| rperm[k] as usize, n);
+                Ok(VRel::new(out_rels, ids, n))
             }
             PlanNode::IndexNLJoin {
                 outer,
@@ -1012,8 +1041,6 @@ impl Engine<'_> {
                 };
                 let residuals = self.resolve_residuals(&o, &inner, &edges[1..])?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().copied().chain([*inner_rel]).collect();
-                let ow = o.rels.len();
-                let mut ids = vec![Vec::new(); ow + 1];
                 let base = ctx.spent;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
                 let end_value = |looks: u64, probed: u64, emitted: u64| {
@@ -1027,44 +1054,35 @@ impl Engine<'_> {
                         p.emit_tuple,
                     )
                 };
-                // Inner rows for outer row `oi`'s key, and whether one of
-                // them joins.
+                // Where outer row `oi`'s key sits among the index's rows, and
+                // whether the inner row `r` found there joins.
                 let icol = &t.columns[ikey_col.column as usize];
-                let entries = |oi: usize| ix.lookup(icol, okeys.get(oi));
+                let span = |oi: usize| ix.span(icol, okeys.get(oi));
+                let index_rows = ix.rows();
+                let checked = !(inner_preds.is_empty() && residuals.is_empty());
                 let joins = |oi: usize, r: usize| {
-                    inner_preds
-                        .iter()
-                        .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]))
-                        && res_pass(&residuals, oi, r)
+                    passes(inner_preds, &t.columns, r) && res_pass(&residuals, oi, r)
                 };
-                let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
-                    let mut nprobe = 0u64;
-                    for &r in entries(oi) {
-                        nprobe += 1;
-                        if joins(oi, r as usize) {
-                            matches.push(r);
-                        }
-                    }
-                    nprobe
+                let pass = |oi: usize, k: usize| joins(oi, index_rows[k] as usize);
+                let compute = |oi: usize, runs: &mut Vec<Run>| {
+                    let (s, rec) = (span(oi), store.then_some(runs));
+                    let probed = s.len() as u64;
+                    (
+                        probed,
+                        emit_runs(rec, [oi].into_iter(), |_| (0, s.clone()), checked, pass),
+                    )
                 };
-                let emitted = drive_items(
+                let (emitted, runs) = drive_items(
                     self.mpar(o.len),
                     ctx,
                     my_id,
                     o.len,
                     compute,
                     end_value,
-                    |oi, matches| {
-                        if store {
-                            let rep = std::iter::repeat_n(oi as u32, matches.len());
-                            push_rows(&mut ids[..ow], &o, rep);
-                            ids[ow].extend_from_slice(matches);
-                        }
-                    },
                     |ctx, oi, mut probed, mut emitted| {
                         let looks = oi as u64 + 1;
                         ctx.settle(end_value(looks, probed, emitted))?;
-                        for &r in entries(oi) {
+                        for &r in &index_rows[span(oi)] {
                             probed += 1;
                             ctx.settle(end_value(looks, probed, emitted))?;
                             if joins(oi, r as usize) {
@@ -1077,7 +1095,10 @@ impl Engine<'_> {
                     },
                 )?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel::new(out_rels, ids, kept(emitted)))
+                let n = kept(emitted);
+                let run = |oi, x| if checked { x..x + 1 } else { span(oi) };
+                let ids = expand(&o, &inner, &runs, run, |k| index_rows[k] as usize, n);
+                Ok(VRel::new(out_rels, ids, n))
             }
             PlanNode::BlockNLJoin {
                 outer,
@@ -1088,18 +1109,18 @@ impl Engine<'_> {
                 let inn = self.veval(inner, ctx, next_id, true)?;
                 let residuals = self.resolve_residuals(&o, &inn, edges)?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().chain(&inn.rels).copied().collect();
-                let ow = o.rels.len();
-                let mut ids = vec![Vec::new(); out_rels.len()];
                 let base = ctx.spent;
                 let pair_rate = p.cpu_operator * edges.len().max(1) as f64;
                 let inn_len = inn.len as u64;
-                let compute = |oi: usize, matches: &mut Vec<u32>| -> u64 {
-                    matches.extend(
-                        (0..inn.len as u32).filter(|&ii| res_pass(&residuals, oi, ii as usize)),
-                    );
-                    0
+                let pass = |oi: usize, ii: usize| res_pass(&residuals, oi, ii);
+                let compute = |oi: usize, runs: &mut Vec<Run>| {
+                    let rec = store.then_some(runs);
+                    (
+                        0,
+                        emit_runs(rec, [oi].into_iter(), |_| (0, 0..inn.len), true, pass),
+                    )
                 };
-                let emitted = drive_items(
+                let (emitted, runs) = drive_items(
                     self.mpar(o.len),
                     ctx,
                     my_id,
@@ -1109,13 +1130,6 @@ impl Engine<'_> {
                     // at `items` processed rows it is `items * inn.len`.
                     |items, _c1, emitted| {
                         lin2(base, items * inn_len, pair_rate, emitted, p.emit_tuple)
-                    },
-                    |oi, matches| {
-                        if store {
-                            let rep = std::iter::repeat_n(oi as u32, matches.len());
-                            push_rows(&mut ids[..ow], &o, rep);
-                            push_rows(&mut ids[ow..], &inn, matches.iter().copied());
-                        }
                     },
                     |ctx, oi, _c1, mut emitted| {
                         let mut pairs_n = oi as u64 * inn_len;
@@ -1132,7 +1146,9 @@ impl Engine<'_> {
                     },
                 )?;
                 ctx.instr[my_id].complete = true;
-                Ok(VRel::new(out_rels, ids, kept(emitted)))
+                let n = kept(emitted);
+                let ids = expand(&o, &inn, &runs, |_, x| x..x + 1, |k| k, n);
+                Ok(VRel::new(out_rels, ids, n))
             }
             PlanNode::AntiJoin { left, right, edges }
             | PlanNode::SemiJoin { left, right, edges } => {
@@ -1240,12 +1256,32 @@ impl Engine<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::data::Database;
     use pb_catalog::tpch;
     use pb_cost::CostModel;
     use pb_plan::{CmpOp, QueryBuilder, QuerySpec, SelSpec};
+
+    /// The relations and rows of every intermediate `book` retains, a row
+    /// being every column of each relation: the oracle's layout.
+    pub(crate) fn retained_rows(
+        eng: &Engine<'_>,
+        book: &ResumeBook,
+    ) -> Vec<(Vec<RelIdx>, Vec<Vec<i64>>)> {
+        let row = |v: &VRel, i: usize| -> Vec<i64> {
+            let cols = v.rels.iter().zip(&v.ids).flat_map(|(&rel, ids)| {
+                let t = eng.db.table(eng.query.relations[rel].table);
+                t.columns.iter().map(move |c| c[ids.get(i) as usize])
+            });
+            cols.collect()
+        };
+        let rows = |v: &VRel| (0..v.len).map(|i| row(v, i)).collect();
+        book.entries
+            .values()
+            .map(|s| (s.vrel.rels.clone(), rows(&s.vrel)))
+            .collect()
+    }
 
     fn setup() -> (Database, QuerySpec, CostModel) {
         let cat = tpch::catalog(0.005);

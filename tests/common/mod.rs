@@ -1,15 +1,16 @@
 //! Plan-shape fixtures of the engine's two bit-identity properties: serial
 //! ≡ morsel-parallel (`tests/engine_mt_determinism.rs`) and tuple ≡
 //! vectorized (pb-engine's `oracle` tests, which include this file by
-//! path): the TPC-H chain with its plan-shape pool, and the TPC-DS join over
-//! a catalog of just its tables. It takes the engine's `Database` from its
+//! path): the TPC-H chain with its plan-shape pool, the same chain over
+//! duplicated join keys, and the TPC-DS join over a catalog of just its
+//! tables. It takes the engine's `Database` and `ColumnOverride` from its
 //! includer, so it compiles inside pb-engine and outside it.
 
 use pb_catalog::{tpcds, tpch, Catalog};
 use pb_cost::CostModel;
 use pb_plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
 
-use super::Database;
+use super::{ColumnOverride, Database};
 
 /// Three-relation TPC-H chain (part ⋈ lineitem ⋈ orders) with a selection
 /// and a group-by, so every operator the engines implement can appear.
@@ -30,6 +31,41 @@ pub fn setup3(seed: u64, price_cut: f64) -> (Database, QuerySpec, CostModel) {
     qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
     qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
     qb.group_by(p, "p_brand");
+    (db, qb.build(), CostModel::postgresish())
+}
+
+/// The Table-3 shape in small: [`setup3`]'s part ⋈ lineitem ⋈ orders over
+/// tuples whose join keys take a few dozen (part) and a few hundred (order)
+/// values although every key column is a primary or foreign key, so each
+/// probe row matches many build rows. Relations and edges are numbered as
+/// in [`setup3`], so [`shape3`]'s plans run on it too.
+pub fn setup_duplicates() -> (Database, QuerySpec, CostModel) {
+    let cat = tpch::catalog(0.002);
+    let ndv = |table: &str, column: &str, ndv| ColumnOverride::EffectiveNdv {
+        table: table.into(),
+        column: column.into(),
+        ndv,
+    };
+    let overrides = [
+        ndv("part", "p_partkey", 40),
+        ndv("lineitem", "l_partkey", 40),
+        ndv("orders", "o_orderkey", 200),
+        ndv("lineitem", "l_orderkey", 200),
+    ];
+    let db = Database::generate(&cat, 7, &overrides).expect("generate");
+    let mut qb = QueryBuilder::new(&cat, "duplicates");
+    let p = qb.rel("part");
+    let l = qb.rel("lineitem");
+    let o = qb.rel("orders");
+    qb.select(
+        p,
+        "p_retailprice",
+        CmpOp::Lt,
+        1100.0,
+        SelSpec::ErrorProne(0),
+    );
+    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
+    qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(1e-4));
     (db, qb.build(), CostModel::postgresish())
 }
 

@@ -35,6 +35,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 use plan_bouquet::bouquet::{
     Bouquet, BouquetCache, BouquetConfig, CacheKey, CacheOutcome, Workload,
@@ -133,13 +134,101 @@ fn hash_join_chain_allocates_ids_not_columns() {
     let rels = [0usize, 1, 2, 1, 1];
     let id_bytes: usize = rows.iter().zip(rels).map(|(r, k)| r * k * 4).sum();
     let build_bytes = (rows[1] + rows[3]) * BUILD_BYTES_PER_ROW;
-    // Measured 0.55×: vector growth and the inner join's pair scratch on
-    // top of the ids and the dense build side, the sparse one's dictionary.
-    // Copying the columns instead takes 11.7× on this plan.
-    let bound = 2 * (id_bytes + build_bytes);
+    // The inner join writes its ids once, at their final size, so the ids
+    // count once. Measured 0.76×: its match runs (8 B a matching probe row,
+    // grown while it probes), the batch of position pairs it writes the ids
+    // through and the exact-size ids, the scans' selection vectors, the
+    // dense build side and the sparse one's dictionary. Appending each
+    // batch's pairs to growing id vectors measured 0.55× of the same,
+    // against twice it as the bound; copying the columns instead takes
+    // 11.7×.
+    let bound = id_bytes + build_bytes;
     assert!(
         bytes <= bound,
-        "join chain requested {bytes} B; 2 × (ids {id_bytes} B + build sides {build_bytes} B) = {bound} B"
+        "join chain requested {bytes} B; ids {id_bytes} B + build sides {build_bytes} B = {bound} B"
+    );
+}
+
+#[test]
+fn an_aborted_kept_join_requests_per_probe_row_not_per_match() {
+    // orders ⋈ lineitem, kept as the build side of a root join with part,
+    // over order keys taking `ndv` values on both sides, with a budget that
+    // runs out inside its probe at the same probe row whatever `ndv` is.
+    let cat = tpch::catalog(0.01);
+    let mut qb = QueryBuilder::new(&cat, "kept-abort");
+    let p = qb.rel("part");
+    let l = qb.rel("lineitem");
+    let o = qb.rel("orders");
+    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(0));
+    qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::ErrorProne(1));
+    let q = qb.build();
+    let model = CostModel::postgresish();
+    let inner = PlanNode::HashJoin {
+        build: scan(o),
+        probe: scan(l),
+        edges: vec![1],
+    };
+    let plan = PlanNode::HashJoin {
+        build: Box::new(inner.clone()),
+        probe: scan(p),
+        edges: vec![0],
+    };
+    // The abort falls among the matches of this probe row, so both runs
+    // commit the same batches of probe rows before it.
+    const ROW: usize = 20_000;
+    let run = |ndv: u64| {
+        let keys = |table: &str, column: &str| ColumnOverride::EffectiveNdv {
+            table: table.into(),
+            column: column.into(),
+            ndv,
+        };
+        let overrides = [keys("orders", "o_orderkey"), keys("lineitem", "l_orderkey")];
+        let db = Database::generate(&cat, 42, &overrides).expect("generate");
+        let engine = Engine::new(&db, &q, &model.p);
+        let column = |rel: usize, col: u32| &db.table(q.relations[rel].table).columns[col as usize];
+        let (lkeys, okeys) = (
+            column(l, q.joins[1].left_col.column),
+            column(o, q.joins[1].right_col.column),
+        );
+        let mut per_key: HashMap<i64, u64> = HashMap::new();
+        for &k in okeys {
+            *per_key.entry(k).or_insert(0) += 1;
+        }
+        let matches = |rows: usize| -> u64 {
+            lkeys[..rows]
+                .iter()
+                .map(|k| per_key.get(k).copied().unwrap_or(0))
+                .sum()
+        };
+        // The inner join runs first and its probe is its last phase: that
+        // phase ends at the join's own cost and is linear in probe rows and
+        // emitted matches.
+        let alone = engine.execute(&inner, f64::INFINITY);
+        let (probe, emit) = (model.p.hash_probe, model.p.emit_tuple);
+        let emitted = alone.instr().nodes[0].output_tuples as f64;
+        let start = alone.cost() - (lkeys.len() as f64 * probe + emitted * emit);
+        let (before, at) = (matches(ROW - 1), matches(ROW));
+        let budget = start + ROW as f64 * probe + (before + at) as f64 / 2.0 * emit;
+        let requested = REQUESTED.with(Cell::get);
+        let out = engine.execute(&plan, budget);
+        let bytes = REQUESTED.with(Cell::get) - requested;
+        // Pre-order node ids: 0 root, 1 inner join, 2 orders, 3 lineitem, 4 part.
+        let n = &out.instr().nodes;
+        assert!(
+            !out.completed() && n[3].complete && !n[1].complete && n[1].output_tuples > before,
+            "ndv {ndv}: the budget must run out inside the inner probe's row {ROW}"
+        );
+        (n[1].output_tuples, bytes)
+    };
+    let (few, few_bytes) = run(200);
+    let (many, many_bytes) = run(10);
+    assert!(many >= 10 * few, "{many} vs {few} matches");
+    // Only the build side's directory differs: 201 slot starts against 11.
+    // A join that wrote each batch's id pairs as it probed would request
+    // 8 B a match, hundreds of megabytes here.
+    assert!(
+        many_bytes <= few_bytes,
+        "{many} matches requested {many_bytes} B, {few} requested {few_bytes} B"
     );
 }
 

@@ -18,15 +18,15 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use common::{plan_ds, setup3, setup_ds, shape3};
+use common::{plan_ds, setup3, setup_ds, setup_duplicates, shape3};
 
 use plan_bouquet::bouquet::{
     Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionSubstrate, RobustConfig,
 };
 use plan_bouquet::cost::{CostModel, Parallelism};
-use plan_bouquet::engine::{Database, Engine};
+use plan_bouquet::engine::{ColumnOverride, Database, Engine};
 use plan_bouquet::faults::FaultInjector;
-use plan_bouquet::plan::QuerySpec;
+use plan_bouquet::plan::{PlanNode, QuerySpec};
 use plan_bouquet::workloads;
 
 /// Morsel threshold low enough that the SF 0.005 test relations actually
@@ -66,20 +66,42 @@ fn parallel_engine<'a>(
 
 /// The deterministic matrix the CI smoke job runs at `ENGINE_JOBS=1,2,4,8`:
 /// every plan shape × a budget ladder straddling each operator phase must
-/// produce bit-identical `EngineOutcome`s at every worker count.
+/// produce bit-identical `EngineOutcome`s at every worker count. Over the
+/// duplicated-key fixture the ladder also takes fractions of the plan's
+/// first input's own cost: where that input is a join, kept for its parent,
+/// those abort inside its probe, where workers have recorded match runs per
+/// morsel and no row is written.
 #[test]
 fn worker_matrix_is_bit_identical_tpch() {
     let jobs = worker_counts();
-    for seed in [3u64, 17] {
-        let (db, q, m) = setup3(seed, 1400.0);
+    let fixtures = [
+        ("seed 3", setup3(3, 1400.0), &[][..]),
+        ("seed 17", setup3(17, 1400.0), &[][..]),
+        ("duplicated keys", setup_duplicates(), &[0.9, 0.6, 0.3][..]),
+    ];
+    let mut mid_probe = 0;
+    for (label, (db, q, m), first_input_fracs) in fixtures {
         let serial = Engine::new(&db, &q, &m.p);
         for shape in 0..8 {
             let plan = shape3(shape);
             let full = serial.execute(&plan, f64::INFINITY);
+            let first = plan.children()[0];
+            // A first input with inputs of its own is a join; a spill keeps
+            // nothing.
+            let kept_join = !first_input_fracs.is_empty()
+                && !first.children().is_empty()
+                && !matches!(plan, PlanNode::Spill { .. });
+            let first_cost = serial.execute(first, f64::INFINITY).cost();
+            let budgets = [0.75, 0.4, 0.1, 0.02].map(|f| full.cost() * f);
+            let budgets = budgets
+                .into_iter()
+                .chain(first_input_fracs.iter().map(|f| first_cost * f));
             let mut expect = vec![(f64::INFINITY, full.clone())];
-            for frac in [0.75, 0.4, 0.1, 0.02] {
-                let b = full.cost() * frac;
-                expect.push((b, serial.execute(&plan, b)));
+            for b in budgets {
+                let out = serial.execute(&plan, b);
+                let n = &out.instr().nodes[1];
+                mid_probe += usize::from(kept_join && !n.complete && n.output_tuples > 0);
+                expect.push((b, out));
             }
             for &n in &jobs {
                 let eng = parallel_engine(&db, &q, &m, n);
@@ -87,12 +109,16 @@ fn worker_matrix_is_bit_identical_tpch() {
                     let got = eng.execute(&plan, *budget);
                     assert_eq!(
                         &got, reference,
-                        "outcome diverged: seed {seed} shape {shape} budget {budget} workers {n}"
+                        "outcome diverged: {label} shape {shape} budget {budget} workers {n}"
                     );
                 }
             }
         }
     }
+    assert!(
+        mid_probe >= 3,
+        "{mid_probe} duplicated-key rungs abort inside a kept join's probe"
+    );
 }
 
 /// Same matrix on TPC-DS (item ⋈ store_sales) across the three main join

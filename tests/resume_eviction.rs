@@ -11,8 +11,12 @@
 //! * `spent + reused` still equals the restart-semantics cost exactly
 //!   (`RobustRun::audit_resumed` against a restart);
 //! * the cap is actually enforced (evictions observed, retained bytes /
-//!   entries bounded).
+//!   entries bounded), and it bounds what the snapshots really hold: a
+//!   counting allocator sees evicting every checkpoint free no more than
+//!   the cap.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
@@ -26,6 +30,36 @@ use plan_bouquet::workloads;
 /// A tiny cap: enough bytes for a couple of checkpoints, far fewer than a
 /// full discovery run captures.
 const TINY_CAP: usize = 256;
+
+thread_local! {
+    /// Heap bytes this thread holds: allocated minus freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.with(|b| b.set(b.get() + layout.size() as isize));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|b| b.set(b.get() - layout.size() as isize));
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.with(|b| b.set(b.get() + new_size as isize - layout.size() as isize));
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 // ---------------------------------------------------------------------------
 // Engine book (ResumeBook)
@@ -44,11 +78,9 @@ fn engine_fixture() -> &'static (plan_bouquet::bouquet::Workload, Database) {
 /// replays against whatever checkpoints survived the cap).
 const LADDER: [f64; 6] = [0.1, 0.4, 0.75, 1.0, 0.4, 1.0];
 
-#[test]
-fn engine_ladder_with_tiny_cap_is_bit_identical_and_evicts() {
-    let (w, db) = engine_fixture();
-    let engine = Engine::new(db, &w.query, &w.model.p);
-    let plan = PlanNode::HashJoin {
+/// (part ⋈ lineitem) ⋈ orders, the inner join kept as the build side.
+fn chain() -> PlanNode {
+    PlanNode::HashJoin {
         build: Box::new(PlanNode::HashJoin {
             build: Box::new(PlanNode::SeqScan { rel: 0 }),
             probe: Box::new(PlanNode::SeqScan { rel: 1 }),
@@ -56,7 +88,14 @@ fn engine_ladder_with_tiny_cap_is_bit_identical_and_evicts() {
         }),
         probe: Box::new(PlanNode::SeqScan { rel: 2 }),
         edges: vec![1],
-    };
+    }
+}
+
+#[test]
+fn engine_ladder_with_tiny_cap_is_bit_identical_and_evicts() {
+    let (w, db) = engine_fixture();
+    let engine = Engine::new(db, &w.query, &w.model.p);
+    let plan = chain();
     let full = engine.execute(&plan, f64::INFINITY).cost();
 
     let mut unbounded = ResumeBook::new();
@@ -101,6 +140,44 @@ fn engine_ladder_with_tiny_cap_is_bit_identical_and_evicts() {
         capped.bytes()
     );
     assert_eq!(unbounded.evictions(), 0, "unbounded book must never evict");
+}
+
+#[test]
+fn a_capped_book_holds_no_more_than_its_cap() {
+    let (w, db) = engine_fixture();
+    let engine = Engine::new(db, &w.query, &w.model.p);
+    let plan = chain();
+    let full = engine.execute(&plan, f64::INFINITY).cost();
+    let mut retained = 0;
+    for cap in [
+        1usize << 10,
+        4 << 10,
+        16 << 10,
+        64 << 10,
+        96 << 10,
+        128 << 10,
+        256 << 10,
+    ] {
+        let mut book = ResumeBook::with_byte_cap(cap);
+        for frac in LADDER {
+            engine.execute_resumable(&plan, full * frac, &mut book);
+        }
+        let counted = book.bytes();
+        assert!(counted <= cap, "cap {cap}: {counted} B counted");
+        retained += book.checkpoints();
+        // Evicting every checkpoint frees what the snapshots hold — their
+        // vectors at capacity, not length — and nothing else: the book's
+        // maps keep their tables.
+        let live = LIVE.with(Cell::get);
+        book.set_byte_cap(1);
+        let freed = (live - LIVE.with(Cell::get)) as usize;
+        assert_eq!(book.checkpoints(), 0);
+        assert!(
+            freed <= counted,
+            "a book capped at {cap} B held {freed} B, counting {counted} B"
+        );
+    }
+    assert!(retained > 0, "no cap retained a checkpoint");
 }
 
 // ---------------------------------------------------------------------------
