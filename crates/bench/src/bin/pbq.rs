@@ -71,10 +71,6 @@ const COMMANDS: &[Command] = &[
         flag("--requests N", Count, "6", "requests per client"),
         JSON,
     ] },
-    Command { name: "bench-check", positional: "", run: gates::bench_check, help: "regression gate: re-run the gated sections; exit 1 unless every leaf equals the committed baseline's", flags: &[
-        flag("--baseline PATH", Str, "results/bench_baselines.json", "baseline file"),
-        flag("--update", Switch, "", "rewrite the baseline instead of comparing"),
-    ] },
     Command { name: "chaos", positional: "", run: gates::chaos, help: "fault-injection campaign; exit 1 on any invariant breach", flags: &[
         flag("--seed N", U64, "20140622", "campaign seed (the paper's publication date)"),
     ] },
@@ -152,7 +148,6 @@ mod tests {
             ("table3 --sf", "--sf needs a value"),
             ("serve-bench --client 1,2", "unknown flag --client"),
             ("serve --queue-cap", "--queue-cap needs a value"),
-            ("bench-check --basline b.json", "unknown flag --basline"),
             ("chaos --seed", "--seed needs a value"),
         ] {
             let message = refused(line);

@@ -5,9 +5,15 @@
 //! repro fig14 table1    # run selected exhibits
 //! repro --list          # list available exhibits
 //! repro --out results   # also tee each report into <dir>/<id>.txt
+//! repro --check results # exit 1 unless every report equals <dir>/<id>.txt
 //! repro --jobs N        # cap identification worker threads
 //! ```
+//!
+//! Every exhibit is deterministic — the same bytes on every run and at any
+//! `--jobs` — so `--check` is an exact gate: a change that moves an exhibit
+//! commits the regenerated file (`--out`) and says why.
 
+use std::path::Path;
 use std::time::Instant;
 
 use pb_bench::experiments;
@@ -17,6 +23,7 @@ use pb_bench::flags::{flag, Args, Command, Kind::*};
 static REPRO: Command = Command { name: "", positional: "[EXHIBIT...]", run, help: "regenerate the named exhibits; all of them, in paper order, when none is named", flags: &[
     flag("--list", Switch, "", "list the exhibits and exit"),
     flag("--out DIR", Str, "", "also write each report to DIR/<exhibit>.txt"),
+    flag("--check DIR", Str, "", "compare each report with DIR/<exhibit>.txt instead of printing it; exit 1 if any differs"),
     flag("--jobs N", Usize, "", "identification worker threads (default: all cores)"),
     flag("--help", Switch, "", "this text"),
 ] };
@@ -45,21 +52,67 @@ fn run(args: &Args) -> Result<(), String> {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     }
+    let check_dir: Option<String> = args.opt("--check");
+    let mut stale = Vec::new();
     let t_all = Instant::now();
-    for id in ids {
+    for &id in &ids {
         let t0 = Instant::now();
         let report = experiments::run(id).ok_or_else(|| format!("unknown exhibit: {id}"))?;
-        println!("{}", "=".repeat(78));
-        println!("== {id}  [{:.1?}]", t0.elapsed());
-        println!("{}", "=".repeat(78));
-        println!("{report}");
+        if let Some(dir) = &check_dir {
+            let why = differs(&Path::new(dir).join(format!("{id}.txt")), &report);
+            println!(
+                "{id:<12} {}  [{:.1?}]",
+                if why.is_some() { "STALE" } else { "ok" },
+                t0.elapsed()
+            );
+            stale.extend(why);
+        } else {
+            println!("{}", "=".repeat(78));
+            println!("== {id}  [{:.1?}]", t0.elapsed());
+            println!("{}", "=".repeat(78));
+            println!("{report}");
+        }
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{id}.txt");
             std::fs::write(&path, &report).map_err(|e| format!("write {path}: {e}"))?;
         }
     }
     eprintln!("total: {:.1?}", t_all.elapsed());
-    Ok(())
+    match check_dir {
+        Some(dir) if !stale.is_empty() => Err(format!(
+            "{} of {} exhibits differ from {dir} (regenerate with --out {dir}):\n  {}",
+            stale.len(),
+            ids.len(),
+            stale.join("\n  ")
+        )),
+        Some(dir) => {
+            println!("all {} exhibits equal to {dir}", ids.len());
+            Ok(())
+        }
+        None => Ok(()),
+    }
+}
+
+/// Why the committed exhibit at `path` is not `report`: the file cannot be
+/// read, or the first line where the two part. `None` when they are the
+/// same bytes.
+fn differs(path: &Path, report: &str) -> Option<String> {
+    let committed = match std::fs::read_to_string(path) {
+        Ok(text) if text == report => return None,
+        Ok(text) => text,
+        Err(e) => return Some(format!("{}: {e}", path.display())),
+    };
+    let (mut old, mut new) = (committed.split('\n'), report.split('\n'));
+    let (line, old, new) = (1..)
+        .map(|n| (n, old.next(), new.next()))
+        .find(|(_, a, b)| a != b)?;
+    let end = "<end of file>";
+    Some(format!(
+        "{}:{line}: committed {:?}, regenerated {:?}",
+        path.display(),
+        old.unwrap_or(end),
+        new.unwrap_or(end)
+    ))
 }
 
 /// The parsed command line, or why it is refused: an argument the table
@@ -90,6 +143,41 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// The checker passes equal files and names the file and first line of
+    /// a one-byte change, and the path of a missing file.
+    #[test]
+    fn check_passes_equal_exhibits_and_names_what_differs() {
+        let dir = std::env::temp_dir().join(format!("repro-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let reports = ["fig2", "fig5"].map(|id| (id, experiments::run(id).expect("exhibit")));
+        for (id, report) in &reports {
+            std::fs::write(dir.join(format!("{id}.txt")), report).expect("write");
+        }
+        for (id, report) in &reports {
+            assert_eq!(differs(&dir.join(format!("{id}.txt")), report), None);
+        }
+
+        // Flip one byte on the third line of fig5.
+        let (_, fig5) = &reports[1];
+        let at = fig5.match_indices('\n').nth(1).expect("three lines").0 + 1;
+        let mut flipped = fig5.clone().into_bytes();
+        flipped[at] ^= 0x01;
+        let path = dir.join("fig5.txt");
+        std::fs::write(&path, &flipped).expect("write");
+        let why = differs(&path, fig5).expect("a flipped byte is stale");
+        assert!(
+            why.starts_with(&format!("{}:3: committed ", path.display())),
+            "{why}"
+        );
+
+        let path = dir.join("fig2.txt");
+        std::fs::remove_file(&path).expect("remove");
+        let why = differs(&path, &reports[0].1).expect("a missing file is stale");
+        assert!(why.starts_with(&path.display().to_string()), "{why}");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
 
     #[test]
     fn unknown_exhibits_and_flags_are_refused_before_anything_runs() {

@@ -29,67 +29,10 @@ pub struct Calibration {
     pub samples: usize,
 }
 
-/// Calibrate `w`'s cost model against engine executions on `db`.
-///
-/// The sample set is every bouquet-relevant plan (the POSP of a coarse
-/// diagram) executed at a lattice of true locations; selectivities are
-/// *measured* from the data, so the only divergence left is the model's.
+/// Calibrate `w`'s cost model against engine executions on `db`, the engine
+/// charging the workload's own constants.
 pub fn calibrate(w: &Workload, db: &Database, sample_fractions: &[f64]) -> Calibration {
-    let coster = Coster::new(&w.catalog, &w.query, &w.model);
-    let engine = Engine::new(db, &w.query, &w.model.p);
-
-    // Measure the actual location once.
-    let mut qa = vec![0.0; w.d()];
-    for r in &w.query.relations {
-        for s in &r.selections {
-            if let Some(d) = s.selectivity.error_dim() {
-                qa[d] = db
-                    .actual_selection_selectivity(s)
-                    .clamp(w.ess.dims[d].lo, w.ess.dims[d].hi);
-            }
-        }
-    }
-    for (ji, j) in w.query.joins.iter().enumerate() {
-        if let Some(d) = j.selectivity.error_dim() {
-            qa[d] = db
-                .actual_join_selectivity(&w.query, ji)
-                .clamp(w.ess.dims[d].lo, w.ess.dims[d].hi);
-        }
-    }
-
-    // Sample plans: the optimal plan at a few modeled locations (diverse
-    // operator mixes), all *executed* at the true location qa.
-    let opt = w.optimizer();
-    let mut ratios: Vec<f64> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for &f in sample_fractions {
-        let probe = w.ess.point_at_fractions(&vec![f; w.d()]);
-        let plan = opt.optimize(&probe).plan;
-        if !seen.insert(plan.fingerprint()) {
-            continue;
-        }
-        let modeled = coster.plan_cost(&plan.root, &qa);
-        let actual = engine.execute(&plan.root, f64::INFINITY).cost();
-        if modeled > 0.0 && actual > 0.0 {
-            ratios.push(actual / modeled);
-        }
-    }
-    assert!(!ratios.is_empty(), "no calibration samples");
-
-    let band = |r: f64| if r >= 1.0 { r - 1.0 } else { 1.0 / r - 1.0 };
-    let delta_before = ratios.iter().map(|&r| band(r)).sum::<f64>() / ratios.len() as f64;
-    // Log-space least squares: scale = geometric mean of ratios.
-    let scale = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    let after: Vec<f64> = ratios.iter().map(|&r| band(r / scale)).collect();
-    let delta_after = after.iter().sum::<f64>() / after.len() as f64;
-    let delta_after_max = after.iter().cloned().fold(0.0f64, f64::max);
-    Calibration {
-        scale,
-        delta_before,
-        delta_after,
-        delta_after_max,
-        samples: ratios.len(),
-    }
+    calibrate_with_engine_params(w, db, &w.model.p, sample_fractions)
 }
 
 /// The `repro calibrate` exhibit: the native personality (our model and
@@ -137,8 +80,12 @@ pub fn exhibit() -> String {
     out
 }
 
-/// Like [`calibrate`], but the engine charges `engine_params` (decoupled
-/// from the workload's modeling personality).
+/// Calibrate `w`'s cost model against engine executions on `db` that charge
+/// `engine_params` (decoupled from the workload's modeling personality).
+///
+/// The sample set is the optimal plan at a few modeled locations (diverse
+/// operator mixes), all *executed* at the true location; selectivities are
+/// *measured* from the data, so the only divergence left is the model's.
 pub fn calibrate_with_engine_params(
     w: &Workload,
     db: &Database,
@@ -180,8 +127,10 @@ pub fn calibrate_with_engine_params(
         }
     }
     assert!(!ratios.is_empty(), "no calibration samples");
+
     let band = |r: f64| if r >= 1.0 { r - 1.0 } else { 1.0 / r - 1.0 };
     let delta_before = ratios.iter().map(|&r| band(r)).sum::<f64>() / ratios.len() as f64;
+    // Log-space least squares: scale = geometric mean of ratios.
     let scale = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
     let after: Vec<f64> = ratios.iter().map(|&r| band(r / scale)).collect();
     let delta_after = after.iter().sum::<f64>() / after.len() as f64;

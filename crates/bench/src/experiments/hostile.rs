@@ -226,6 +226,25 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Vec<HostileReport>) {
                 "VIOLATED"
             },
         );
+        // The exact facts, at full precision (f64 `Display`): a byte-compare
+        // of this exhibit pins every cost unit and MSO to the last bit.
+        let _ = writeln!(
+            out,
+            "  engine cost units: NAT {}  oracle {}  basic {} ({} execs)  optimized {} ({} execs)  robust {}  result rows {}",
+            r.nat_cost,
+            r.oracle_cost,
+            r.basic.total_cost,
+            r.basic.executions.len(),
+            r.optimized.total_cost,
+            r.optimized.executions.len(),
+            r.robust_cost,
+            r.basic.result_rows,
+        );
+        let _ = writeln!(
+            out,
+            "  grid: NAT MSO {}  SEER MSO {}  PARQO MSO {}  BOU MSO {} (bound {})  BOU ASO {}",
+            r.nat_mso, r.seer_mso, r.parqo_mso, r.bou_mso, r.mso_bound, r.bou_aso,
+        );
     }
     (out, reports)
 }

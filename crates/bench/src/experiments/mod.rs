@@ -1,7 +1,8 @@
 //! One module per paper exhibit; each `run()` returns the rendered report.
 //!
 //! The `repro` binary dispatches to these and tees the output into
-//! `results/<experiment>.txt`. Experiment ids follow the paper:
+//! `results/<experiment>.txt`, or with `--check` byte-compares it with that
+//! file; every report is therefore deterministic and prints no wall-clock. Experiment ids follow the paper:
 //! `fig2`…`fig19`, `table1`…`table3`, plus `rsweep` (Theorems 1–2),
 //! `modelerror` (Section 3.4) and `compiletime` (Section 6.1).
 

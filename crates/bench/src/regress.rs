@@ -1,14 +1,11 @@
 //! The standing benchmarks, one function each: what the `pbq` sub-benches
-//! print and, for the sections in [`BenchReport`], what `pbq bench-check`
-//! gates.
+//! print.
 //!
 //! Each section function runs one benchmark and returns its report as a
 //! `#[derive(Serialize)]` struct whose fields, in declaration order, are the
-//! keys of the `BENCH_*.json` artifacts and of `results/bench_baselines.json`
-//! (field docs carry their meanings; `#[serde(skip)]` fields are what only
-//! the command-line printers show). The gated sections hold facts in cost
-//! units and no wall-clock: [`crate::report::compare`] wants every leaf
-//! equal, and time is `benchmark/`'s to judge.
+//! keys of the `BENCH_*.json` artifacts (field docs carry their meanings;
+//! `#[serde(skip)]` fields are what only the command-line printers show).
+//! None of them is a gate on time: that is `benchmark/`'s to judge.
 
 use std::time::Instant;
 
@@ -19,8 +16,6 @@ use pb_cost::Parallelism;
 use pb_engine::{Database, Engine, EngineOutcome};
 use pb_plan::PlanNode;
 use serde::Serialize;
-
-use crate::experiments::{hostile, table3};
 
 /// The standing engine benchmark suite: part ⋈ lineitem ⋈ orders shaped six
 /// ways so every vectorized operator appears (hash, sort-merge, index
@@ -398,184 +393,9 @@ pub fn engine_mt_bench(
     })
 }
 
-/// One contour of the basic driver's run, plain vs resumed.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct ContourReuse {
-    pub contour: usize,
-    pub executions: usize,
-    /// What the resumed run paid on this contour.
-    pub recomputed_cost: f64,
-    /// Plain spend minus resumed spend.
-    pub reused_cost: f64,
-}
-
-/// The `resume` baseline section. Every field is a deterministic engine
-/// cost unit (no wall-clock), so the baseline comparison is exact — any
-/// drift in what resume reuses or pays fails the gate.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct ResumeReport {
-    pub workload: String,
-    pub scale_factor: f64,
-    /// The optimal plan at the measured location, run to completion.
-    pub oracle_cost: f64,
-    pub basic_cost: f64,
-    pub basic_resumed_cost: f64,
-    pub basic_reused_cost: f64,
-    pub basic_resumed_execs: usize,
-    pub optimized_cost: f64,
-    pub optimized_resumed_cost: f64,
-    pub optimized_reused_cost: f64,
-    pub optimized_resumed_execs: usize,
-    /// Each `*_cost` above over `oracle_cost`.
-    pub aso_basic: f64,
-    pub aso_basic_resumed: f64,
-    pub aso_optimized: f64,
-    pub aso_optimized_resumed: f64,
-    /// Resume changed no (contour, plan, budget) decision and no result row.
-    pub sequences_identical: bool,
-    /// At least one checkpointed prefix was fast-forwarded.
-    pub reuse_engaged: bool,
-    pub basic_contours: Vec<ContourReuse>,
-}
-
-/// Checkpoint/resume ASO benchmark on the engine substrate: the Table 3
-/// discovery runs, plain and resumed, reshaped per driver and per contour
-/// into reused-vs-recomputed cost.
-pub fn resume_bench(sf: f64) -> ResumeReport {
-    let (_, t) = table3::run_at_with(sf, Parallelism::serial());
-    let resumed = t.basic_resumed.contour_breakdown();
-    let basic_contours = t
-        .basic
-        .contour_breakdown()
-        .into_iter()
-        .map(|(contour, executions, plain_cost)| {
-            let recomputed_cost = resumed
-                .iter()
-                .find(|r| r.0 == contour)
-                .map_or(plain_cost, |r| r.2);
-            ContourReuse {
-                contour,
-                executions,
-                recomputed_cost,
-                reused_cost: plain_cost - recomputed_cost,
-            }
-        })
-        .collect();
-    ResumeReport {
-        workload: t.workload,
-        scale_factor: sf,
-        oracle_cost: t.oracle_cost,
-        basic_cost: t.basic.total_cost,
-        basic_resumed_cost: t.basic_resumed.total_cost,
-        basic_reused_cost: t.basic_resume.reused_cost,
-        basic_resumed_execs: t.basic_resume.resumed_execs,
-        optimized_cost: t.optimized.total_cost,
-        optimized_resumed_cost: t.optimized_resumed.total_cost,
-        optimized_reused_cost: t.optimized_resume.reused_cost,
-        optimized_resumed_execs: t.optimized_resume.resumed_execs,
-        aso_basic: t.basic.total_cost / t.oracle_cost,
-        aso_basic_resumed: t.basic_resumed.total_cost / t.oracle_cost,
-        aso_optimized: t.optimized.total_cost / t.oracle_cost,
-        aso_optimized_resumed: t.optimized_resumed.total_cost / t.oracle_cost,
-        sequences_identical: t.resume_ok,
-        reuse_engaged: t.basic_resume.reused_cost > 0.0 || t.optimized_resume.reused_cost > 0.0,
-        basic_contours,
-    }
-}
-
-/// One hostile workload's gated figures (a [`hostile::HostileReport`]
-/// without its per-execution traces and locations).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct HostileRow {
-    pub workload: String,
-    pub dim_kinds: Vec<String>,
-    /// Basic and optimized engine runs both completed.
-    pub completed: bool,
-    pub crosscheck_ok: bool,
-    pub mso_within_bound: bool,
-    pub robust_degraded: bool,
-    pub basic_executions: usize,
-    pub optimized_executions: usize,
-    pub result_rows: usize,
-    pub nat_cost: f64,
-    pub oracle_cost: f64,
-    pub basic_cost: f64,
-    pub optimized_cost: f64,
-    pub robust_cost: f64,
-    pub nat_mso: f64,
-    pub seer_mso: f64,
-    pub parqo_mso: f64,
-    pub bou_mso: f64,
-    pub bou_aso: f64,
-    pub mso_bound: f64,
-}
-
-/// The `hostile` baseline section.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct HostileGate {
-    pub sf: f64,
-    pub workloads: Vec<HostileRow>,
-}
-
-/// Hostile typed-dimension gate: both hostile workloads
-/// (`HOSTILE_INEQ_2D`, `HOSTILE_ANTI_2D`) through the full ladder —
-/// engine-substrate basic/optimized/robust drivers, simulator cross-check
-/// and whole-grid MSO evaluation. Everything is computed in deterministic
-/// cost units: a drifting decision sequence, a lost guarantee, or a
-/// cost-model change on the inequality/anti axes fails the gate.
-pub fn hostile_bench(sf: f64) -> HostileGate {
-    let (_, reports) = hostile::run_at_with(sf, Parallelism::serial());
-    let workloads = reports
-        .into_iter()
-        .map(|r| HostileRow {
-            workload: r.workload,
-            dim_kinds: r.dim_kinds,
-            completed: r.basic.completed && r.optimized.completed,
-            crosscheck_ok: r.crosscheck_ok,
-            mso_within_bound: r.mso_within_bound,
-            robust_degraded: r.robust_degraded,
-            basic_executions: r.basic.executions.len(),
-            optimized_executions: r.optimized.executions.len(),
-            result_rows: r.basic.result_rows,
-            nat_cost: r.nat_cost,
-            oracle_cost: r.oracle_cost,
-            basic_cost: r.basic.total_cost,
-            optimized_cost: r.optimized.total_cost,
-            robust_cost: r.robust_cost,
-            nat_mso: r.nat_mso,
-            seer_mso: r.seer_mso,
-            parqo_mso: r.parqo_mso,
-            bou_mso: r.bou_mso,
-            bou_aso: r.bou_aso,
-            mso_bound: r.mso_bound,
-        })
-        .collect();
-    HostileGate { sf, workloads }
-}
-
-/// Everything `pbq bench-check` runs, in the baseline file's section order.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct BenchReport {
-    pub resume: ResumeReport,
-    pub serve: crate::serve::ServeGate,
-    pub hostile: HostileGate,
-}
-
-/// Run the three gated sections at the sizes the committed baseline records.
-pub fn bench_report() -> Result<BenchReport, String> {
-    Ok(BenchReport {
-        resume: resume_bench(0.01),
-        serve: crate::serve::serve_bench()
-            .map_err(|e| format!("serve bench FAILED outright: {e}"))?,
-        hostile: hostile_bench(0.005),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::compare;
-    use serde::Value;
 
     #[test]
     fn engine_mt_outcomes_identical_at_tiny_scale() {
@@ -584,66 +404,5 @@ mod tests {
         let report = engine_mt_bench(0.002, &[1, 2, 4], Some(64), 1).expect("engine_mt_bench");
         assert!(report.outcomes_identical);
         assert_eq!(report.curve.len(), 3);
-    }
-
-    /// Leaf key paths in document order, array elements folded into `[]`.
-    fn key_paths(v: &Value, path: &str, out: &mut Vec<String>) {
-        match v {
-            Value::Obj(pairs) => {
-                for (k, child) in pairs {
-                    key_paths(child, &format!("{path}.{k}"), out);
-                }
-            }
-            Value::Arr(items) => {
-                for item in items {
-                    key_paths(item, &format!("{path}[]"), out);
-                }
-            }
-            _ if out.iter().any(|p| p == path) => {}
-            _ => out.push(path.to_string()),
-        }
-    }
-
-    /// The gated report's schema — key names, nesting, order — is the
-    /// committed baseline's, section by section, and no key is a stopwatch.
-    /// Fails in milliseconds on a renamed or reordered field, where
-    /// `bench-check` would take a CI job.
-    #[test]
-    fn derived_reports_have_the_committed_baseline_schema() {
-        let hostile_row = HostileRow {
-            dim_kinds: vec![String::new()],
-            ..Default::default()
-        };
-        let by_hand = BenchReport {
-            resume: ResumeReport {
-                basic_contours: vec![ContourReuse::default()],
-                ..Default::default()
-            },
-            hostile: HostileGate {
-                workloads: vec![hostile_row],
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .to_value();
-        let baseline: Value =
-            serde_json::from_str(include_str!("../../../results/bench_baselines.json"))
-                .expect("committed baseline parses");
-
-        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
-        key_paths(&by_hand, "", &mut ours);
-        key_paths(&baseline, "", &mut theirs);
-        assert_eq!(ours, theirs);
-        assert!(compare(&by_hand, &by_hand).is_empty());
-        assert!(compare(&baseline, &baseline).is_empty());
-
-        // Wall-clock and ratios of wall-clock are `benchmark/`'s to judge.
-        for path in &ours {
-            let key = path.rsplit('.').next().unwrap_or(path);
-            assert!(
-                !(key.ends_with("_s") || key.ends_with("_gain") || key.starts_with("speedup")),
-                "{path} is a timing in an exact gate"
-            );
-        }
     }
 }

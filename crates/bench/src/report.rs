@@ -1,80 +1,8 @@
 //! What every benchmark report goes through on its way out: the 2-space
-//! pretty-printer of the committed artifacts, the section merge behind
-//! `--json`, and the baseline comparison behind `pbq bench-check`.
-//!
-//! [`compare`] diffs a current report against a committed baseline and
-//! every leaf must be equal: what `bench-check` gates are facts in cost
-//! units — decision sequences, MSO/ASO, counts, identity booleans — and
-//! wall-clock is `benchmark/`'s to judge, over pairs of runs.
+//! pretty-printer of the committed artifacts and the section merge behind
+//! `--json`.
 
 use serde::{Serialize, Value};
-
-/// Numeric view of a leaf across the parser's `Int`/`UInt`/`Float` split.
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
-/// Structural diff of `current` against `baseline`: same keys, same array
-/// lengths, every leaf equal. Returns one line per differing path (empty ⇒
-/// the reports state the same facts).
-pub fn compare(baseline: &Value, current: &Value) -> Vec<String> {
-    let mut diffs = Vec::new();
-    compare_at(baseline, current, "", &mut diffs);
-    diffs
-}
-
-fn compare_at(baseline: &Value, current: &Value, path: &str, diffs: &mut Vec<String>) {
-    match (baseline, current) {
-        (Value::Obj(b), Value::Obj(c)) => {
-            for (k, bv) in b {
-                let p = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                match serde::find(c, k) {
-                    Some(cv) => compare_at(bv, cv, &p, diffs),
-                    None => diffs.push(format!("{p}: missing from current report")),
-                }
-            }
-            for (k, _) in c {
-                if serde::find(b, k).is_none() {
-                    diffs.push(format!("{path}.{k}: not in baseline (run with --update)"));
-                }
-            }
-        }
-        (Value::Arr(b), Value::Arr(c)) => {
-            if b.len() != c.len() {
-                diffs.push(format!(
-                    "{path}: length {} vs baseline {}",
-                    c.len(),
-                    b.len()
-                ));
-                return;
-            }
-            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                compare_at(bv, cv, &format!("{path}[{i}]"), diffs);
-            }
-        }
-        (b, c) => {
-            // Numeric leaves compare by value so 2 == 2.0 across the
-            // Int/UInt/Float split the parser introduces.
-            let same = match (as_f64(b), as_f64(c)) {
-                (Some(bn), Some(cn)) => bn == cn,
-                _ => b == c,
-            };
-            if !same {
-                let j = |v: &Value| serde_json::to_string(v).unwrap_or_else(|_| "null".into());
-                diffs.push(format!("{path}: {} != baseline {}", j(c), j(b)));
-            }
-        }
-    }
-}
 
 /// Render a report with 2-space indentation (the committed-artifact format;
 /// the compat `serde_json::to_string` writer is compact).
@@ -173,52 +101,6 @@ mod tests {
 
     fn json(text: &str) -> Value {
         serde_json::from_str(text).expect("test document parses")
-    }
-
-    /// `doc` with the value of its top-level `key` replaced.
-    fn with(doc: &Value, key: &str, value: Value) -> Value {
-        let mut pairs = doc.as_obj().expect("object").to_vec();
-        for (k, v) in &mut pairs {
-            if k == key {
-                *v = value.clone();
-            }
-        }
-        Value::Obj(pairs)
-    }
-
-    #[test]
-    fn compare_is_exact_and_names_the_path() {
-        let base = json(
-            r#"{"bou_mso": 7.340000000000001, "sheds_load": true, "execs": 7,
-                "nested": {"reused_cost": 16062.342187500002}}"#,
-        );
-        // Equal by value across the Int/UInt/Float split: clean.
-        assert!(compare(&base, &with(&base, "execs", Value::Float(7.0))).is_empty());
-        // A last-digit change in a cost, a flipped bool, a changed count.
-        for (key, value, path) in [
-            ("bou_mso", Value::Float(7.340000000000002), "bou_mso"),
-            ("sheds_load", Value::Bool(false), "sheds_load"),
-            ("execs", Value::UInt(8), "execs"),
-            (
-                "nested",
-                json(r#"{"reused_cost": 16062.342187500004}"#),
-                "nested.reused_cost",
-            ),
-        ] {
-            let diffs = compare(&base, &with(&base, key, value));
-            assert_eq!(diffs.len(), 1, "{diffs:?}");
-            assert!(diffs[0].starts_with(&format!("{path}: ")), "{diffs:?}");
-        }
-    }
-
-    #[test]
-    fn compare_flags_shape_changes() {
-        let base = json(r#"{"curve": [{"workers": 1, "cost": 1.0}]}"#);
-        let grown =
-            json(r#"{"curve": [{"workers": 1, "cost": 1.0}, {"workers": 2, "cost": 1.0}]}"#);
-        assert!(!compare(&base, &grown).is_empty());
-        let renamed = json(r#"{"curve": [{"workers": 1, "price": 1.0}]}"#);
-        assert_eq!(compare(&base, &renamed).len(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Serving-layer exercises: smoke round-trip, concurrent-client sweep and
-//! the regression-gate benchmark for `pb-server`.
+//! Serving-layer exercises for `pb-server`: the smoke round-trip and the
+//! concurrent-client sweep.
 //!
 //! Everything here boots real servers on `127.0.0.1:0` and talks to them
 //! over TCP — no test doubles — so the numbers in `BENCH_serve.json`
@@ -323,46 +323,5 @@ pub fn sweep(clients: &[usize], requests: usize) -> Result<SweepReport, String> 
         queue_cap: cfg.queue_cap,
         requests_per_client: requests,
         sweep,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Regression-gate benchmark (`pbq bench-check` section "serve")
-// ---------------------------------------------------------------------------
-
-/// The `serve` baseline section.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct ServeGate {
-    pub workload: &'static str,
-    pub solo_clients: usize,
-    pub loaded_clients: usize,
-    pub requests_per_client: usize,
-    /// The loaded step shed at least one submission.
-    pub sheds_load: bool,
-    /// Every accepted request reached a terminal outcome, in both steps.
-    pub answered_all: bool,
-}
-
-/// Deterministic-shape serving benchmark for the regression gate: a single
-/// stalled worker behind a one-slot queue must shed load under 4 clients
-/// (`sheds_load`) and answer every accepted request (`answered_all`).
-pub fn serve_bench() -> Result<ServeGate, String> {
-    let cfg = ServerConfig {
-        workers: 1,
-        queue_cap: 1,
-        faults: FaultPlan::new(5).with(FaultKind::QueueStall { ms: 20 }, Trigger::Every(1)),
-        ..ServerConfig::default()
-    };
-    let requests = 5;
-    let solo = run_step(1, requests, &cfg)?;
-    let loaded = run_step(4, requests, &cfg)?;
-    Ok(ServeGate {
-        workload: "EQ_1D",
-        solo_clients: solo.clients,
-        loaded_clients: loaded.clients,
-        requests_per_client: requests,
-        sheds_load: loaded.rejects > 0,
-        // `run_step` fails a step that leaves an accepted request unanswered.
-        answered_all: true,
     })
 }

@@ -229,4 +229,10 @@ fn full_queue_rejects_with_backpressure() {
     }
     let stats = server.stop();
     assert_eq!(stats.rejected as usize, rejected);
+    // Shedding load answered every request it accepted, and left nothing
+    // queued or in flight.
+    let answered =
+        stats.completed + stats.degraded + stats.budget_exhausted + stats.cancelled + stats.failed;
+    assert_eq!(answered, stats.accepted);
+    assert_eq!((stats.queue_depth, stats.inflight), (0, 0));
 }
