@@ -7,18 +7,14 @@
 //! kind, a missing positional — is an error: the subcommand's usage line on
 //! stderr and exit status 2. A subcommand that fails exits 1.
 
-use pb_bench::cmd::{engine, gates, identify, inspect, serve};
+use pb_bench::cmd::{gates, inspect, serve};
 use pb_bench::flags::{flag, Command, Flag, Kind::*};
 
 /// Accepted by every subcommand.
 #[rustfmt::skip]
 const GLOBALS: &[Flag] = &[
     flag("--jobs N", Usize, "", "identification worker threads (default: all cores)"),
-    flag("--engine-jobs N", Usize, "1", "engine morsel workers; outcomes are bit-identical at any N"),
 ];
-
-const JSON: Flag = flag("--json PATH", Str, "", "merge the report into PATH");
-const SF: &str = "TPC-H scale factor";
 
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
@@ -36,27 +32,6 @@ const COMMANDS: &[Command] = &[
     ] },
     Command { name: "sensitivity", positional: "WORKLOAD", run: inspect::sensitivity, help: "§8 dimension analysis", flags: &[] },
     Command { name: "sql", positional: "SQL [f1,f2,...]", run: inspect::sql, help: "ad-hoc SQL (`pred?` marks an error-prone predicate): identify, then run at the location", flags: &[] },
-    Command { name: "speedup", positional: "WORKLOAD", run: identify::speedup, help: "identification serial vs parallel, best of 3; exit 1 unless byte-identical", flags: &[
-        flag("--workers N", Usize, "", "the parallel run's workers (default: all cores / --jobs)"),
-        JSON,
-    ] },
-    Command { name: "identify-cache", positional: "WORKLOAD", run: identify::identify_cache, help: "content-addressed cached identification: hit, miss, or refresh (cold rebuild replacing a stale sibling)", flags: &[
-        flag("--dir DIR", Str, ".pb-cache", "cache directory"),
-        flag("--expect KIND", Str, "", "exit 1 unless the outcome is KIND: hit|miss|refresh"),
-        flag("--verify", Switch, "", "re-identify from scratch and demand byte identity"),
-        JSON,
-    ] },
-    Command { name: "engine-mt", positional: "", run: engine::engine_mt, help: "morsel scaling curve; exit 1 unless outcomes are identical at every count", flags: &[
-        flag("--sf F", PosF64, "0.1", SF),
-        flag("--reps N", Count, "3", "timed passes per worker count (best kept)"),
-        flag("--workers LIST", UsizeList, "1,2,4", "worker counts"),
-        flag("--morsel-min N", Usize, "", "rows below which a phase stays serial (default: production gate)"),
-        flag("--json PATH", Str, "", "write the report to PATH"),
-    ] },
-    Command { name: "table3", positional: "", run: engine::table3, help: "engine-backed Table 3 + hostile workloads, cross-checked against the simulator", flags: &[
-        flag("--sf F", PosF64, "0.01", SF),
-        JSON,
-    ] },
     Command { name: "serve", positional: "", run: serve::serve, help: "bouquet-as-a-service server; blocks until a client drains it", flags: &[
         flag("--addr A", Str, "", "bind address (default 127.0.0.1:0)"),
         flag("--workloads W1,W2", Str, "", "workloads identified at startup (default EQ_1D)"),
@@ -64,12 +39,6 @@ const COMMANDS: &[Command] = &[
         flag("--queue-cap N", Usize, "", "admission queue slots (default 16)"),
         flag("--tenant-cap F", PosF64, "", "per-tenant spend cap in cost units (default none)"),
         flag("--deadline-ms N", U64, "", "deadline for requests that carry none"),
-        flag("--smoke", Switch, "", "run the scripted protocol round-trip + fault block and exit"),
-    ] },
-    Command { name: "serve-bench", positional: "", run: serve::serve_bench, help: "concurrent-client sweep against a small bounded queue", flags: &[
-        flag("--clients LIST", UsizeList, "1,2,4,8", "client counts"),
-        flag("--requests N", Count, "6", "requests per client"),
-        JSON,
     ] },
     Command { name: "chaos", positional: "", run: gates::chaos, help: "fault-injection campaign; exit 1 on any invariant breach", flags: &[
         flag("--seed N", U64, "20140622", "campaign seed (the paper's publication date)"),
@@ -138,15 +107,15 @@ mod tests {
     fn every_family_rejects_undeclared_flags_and_missing_values() {
         for (line, error) in [
             ("run EQ_1D 0.5 --optimised", "unknown flag --optimised"),
-            ("identify EQ_1D --save", "--save needs a value"),
             (
-                "identify-cache 2D_H_Q8A --expectt hit",
-                "unknown flag --expectt",
+                "run EQ_1D 0.5 --engine-jobs 4",
+                "unknown flag --engine-jobs",
             ),
-            ("speedup 3D_H_Q5 --workers", "--workers needs a value"),
-            ("engine-mt --bogus-flag", "unknown flag --bogus-flag"),
-            ("table3 --sf", "--sf needs a value"),
-            ("serve-bench --client 1,2", "unknown flag --client"),
+            ("identify EQ_1D --save", "--save needs a value"),
+            ("identify 2D_H_Q8A --expectt hit", "unknown flag --expectt"),
+            ("serve --workers", "--workers needs a value"),
+            ("chaos --bogus-flag", "unknown flag --bogus-flag"),
+            ("serve --client 1,2", "unknown flag --client"),
             ("serve --queue-cap", "--queue-cap needs a value"),
             ("chaos --seed", "--seed needs a value"),
         ] {
@@ -161,31 +130,19 @@ mod tests {
     }
 
     /// A value of the right type but outside the flag's range is refused like
-    /// any other ill-typed value; `--sf 0` used to panic in the catalog
-    /// (exit 101), a zero count to print an all-zero row and exit 0, and a
-    /// negative tenant cap to give every request a zero budget while the
-    /// server reported the tenant as uncapped.
+    /// any other ill-typed value; a negative tenant cap used to give every
+    /// request a zero budget while the server reported the tenant as
+    /// uncapped.
     #[test]
-    fn out_of_range_scale_factors_and_counts_are_refused() {
-        let (scale, counts, count) = (
-            "needs a positive number",
-            "needs a comma list of counts of at least 1",
-            "needs a count of at least 1",
-        );
-        for (line, flag, want) in [
-            ("engine-mt --sf 0", "--sf", scale),
-            ("engine-mt --sf inf", "--sf", scale),
-            ("table3 --sf 0", "--sf", scale),
-            ("engine-mt --workers 0,1", "--workers", counts),
-            ("serve-bench --clients 0", "--clients", counts),
-            ("serve-bench --clients 1 --requests 0", "--requests", count),
-            ("engine-mt --reps 0", "--reps", count),
-            ("serve --tenant-cap -1", "--tenant-cap", scale),
-            ("serve --tenant-cap 0", "--tenant-cap", scale),
+    fn out_of_range_tenant_caps_are_refused() {
+        for line in [
+            "serve --tenant-cap -1",
+            "serve --tenant-cap 0",
+            "serve --tenant-cap inf",
         ] {
             let message = refused(line);
             assert!(
-                message.starts_with(&format!("{flag} {want}")),
+                message.starts_with("--tenant-cap needs a positive number"),
                 "{line}: {message}"
             );
         }
@@ -258,7 +215,7 @@ mod tests {
             .parse(GLOBALS, &argv)
             .expect("parses");
         assert_eq!(args.get::<u64>("--seed"), u64::MAX);
-        assert!(refused("engine-mt --reps 1.5").starts_with("--reps needs"));
-        assert!(refused("engine-mt --reps -3").starts_with("--reps needs"));
+        assert!(refused("serve --workers 1.5").starts_with("--workers needs"));
+        assert!(refused("serve --workers -3").starts_with("--workers needs"));
     }
 }

@@ -624,6 +624,31 @@ fn cancel_resume_scenarios(
     ran
 }
 
+/// Every accepted request answered, nothing left queued or in flight, and no
+/// tenant over its cap.
+fn check_accounting(stats: &pb_server::ServerStats) -> Result<(), String> {
+    let answered =
+        stats.completed + stats.degraded + stats.budget_exhausted + stats.cancelled + stats.failed;
+    if answered != stats.accepted {
+        return Err(format!(
+            "accepted {} but answered {answered}",
+            stats.accepted
+        ));
+    }
+    if stats.queue_depth != 0 || stats.inflight != 0 {
+        return Err(format!(
+            "drain left queue_depth={} inflight={}",
+            stats.queue_depth, stats.inflight
+        ));
+    }
+    for (tenant, spent, cap) in &stats.tenants {
+        if *cap >= 0.0 && *spent > cap * (1.0 + 1e-9) {
+            return Err(format!("tenant {tenant} over cap: {spent} > {cap}"));
+        }
+    }
+    Ok(())
+}
+
 /// Server block: boot the full `pb-server` stack with **all four** server
 /// fault sites armed (worker-panic, slow-client, queue-stall,
 /// client-disconnect) plus finite tenant budgets, drive a multi-tenant
@@ -740,7 +765,7 @@ fn server_scenarios(
         }
 
         let stats = server.stop();
-        if let Err(e) = crate::serve::check_accounting(&stats) {
+        if let Err(e) = check_accounting(&stats) {
             breaches.push(tag(&e));
         }
         if stats.failed != stats.worker_panics {

@@ -1,20 +1,12 @@
-//! The serving layer: `serve`, `serve-bench`.
+//! The serving layer: `serve`.
 
 use pb_server::{PbServer, ServerConfig};
 
-use super::{merge_json, CmdResult};
+use super::CmdResult;
 use crate::flags::Args;
-use crate::table::Table;
 
-/// Boot the multi-tenant server and block until a client drains it;
-/// `--smoke` instead runs the scripted protocol round-trip and the seeded
-/// server-fault chaos block, and exits.
+/// Boot the multi-tenant server and block until a client drains it.
 pub fn serve(args: &Args) -> CmdResult {
-    if args.switch("--smoke") {
-        print!("{}", crate::serve::smoke()?);
-        println!("serve smoke OK");
-        return Ok(());
-    }
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
         addr: args.opt("--addr").unwrap_or(defaults.addr),
@@ -44,35 +36,4 @@ pub fn serve(args: &Args) -> CmdResult {
         stats.rejected
     );
     Ok(())
-}
-
-/// Concurrent-client sweep: the bounded admission queue sheds load while
-/// tail latency stays bounded; `--json` merges the `serve` section.
-pub fn serve_bench(args: &Args) -> CmdResult {
-    let clients = args.list("--clients");
-    let requests: usize = args.get("--requests");
-    println!("serving sweep: {clients:?} concurrent clients x {requests} requests each");
-    let report = crate::serve::sweep(&clients, requests)?;
-    let mut t = Table::new(vec![
-        "clients",
-        "accepted",
-        "rejected",
-        "qps",
-        "p50 ms",
-        "p99 ms",
-        "max subopt",
-    ]);
-    for row in &report.sweep {
-        t.row(vec![
-            row.clients.to_string(),
-            row.accepted.to_string(),
-            row.rejected.to_string(),
-            format!("{:.0}", row.qps),
-            format!("{:.2}", row.p50_ms),
-            format!("{:.2}", row.p99_ms),
-            format!("{:.2}", row.max_subopt),
-        ]);
-    }
-    print!("{}", t.render());
-    merge_json(args, "serve", &report)
 }

@@ -6,23 +6,22 @@
 //! path exercises exactly the same control logic — quadrant pruning,
 //! AxisPlans selection, spill-based learning, the robustness ladder — as
 //! the cost-unit simulator. This module only re-shapes the resulting
-//! [`BouquetRun`] into the report the `pbq table3` artefact serializes.
+//! [`BouquetRun`] into the report the `table3` and `hostile` exhibits print.
 
 use std::collections::BTreeMap;
 
 use pb_bouquet::{
     Bouquet, BouquetRun, EngineSubstrate, ExecutionSubstrate, ResumeStats, RobustConfig, RobustRun,
 };
-use pb_cost::{Parallelism, SelPoint};
+use pb_cost::SelPoint;
 use pb_engine::{ColumnOverride, Database};
 use pb_faults::{FaultInjector, PbError};
-use serde::Serialize;
 
 pub use pb_bouquet::measure_qa;
 
 /// One engine-backed partial execution (a [`pb_bouquet::PartialExec`]
-/// flattened for the JSON artefact).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// flattened).
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineExec {
     pub contour: usize,
     pub plan: usize,
@@ -33,7 +32,7 @@ pub struct EngineExec {
 }
 
 /// Outcome of an engine-backed bouquet run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineRunReport {
     pub executions: Vec<EngineExec>,
     pub total_cost: f64,
@@ -123,21 +122,17 @@ pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverrid
 
 /// Run the bouquet discovery against the engine through [`Bouquet::run`]
 /// under `cfg`: Figure 7, or Figure 13 (qrun tracking from the engine's
-/// tuple counters, first-quadrant pruning, spilled prefix executions). The
-/// engine's morsel-driven kernels run `par`-wide; outcomes are bit-identical
-/// to the serial run for every worker count, the knob only changes
-/// wall-clock time. With `cfg.resume` the decisions and result rows are
+/// tuple counters, first-quadrant pruning, spilled prefix executions) on
+/// the serial engine. With `cfg.resume` the decisions and result rows are
 /// those of the plain run while per-execution `spent` and `total_cost`
 /// shrink by the reused units the stats report (all-zero otherwise). The
 /// run itself comes last, for [`RobustRun::audit_resumed`].
-pub fn engine_run_bouquet_with(
+pub fn engine_run_bouquet(
     bouquet: &Bouquet,
     db: &Database,
     cfg: &RobustConfig,
-    par: Parallelism,
 ) -> Result<(EngineRunReport, ResumeStats, RobustRun), PbError> {
-    let mut sub =
-        EngineSubstrate::new(bouquet, db, FaultInjector::none()).with_engine_parallelism(par);
+    let mut sub = EngineSubstrate::new(bouquet, db, FaultInjector::none());
     let run = bouquet.run(&mut sub, cfg)?;
     let report = EngineRunReport::from_run(&run.run, sub.result_rows().unwrap_or(0));
     Ok((report, sub.resume_stats(), run))
@@ -150,8 +145,7 @@ mod tests {
     use pb_workloads::h_q8a_2d;
 
     fn engine_run(b: &Bouquet, db: &Database, optimized: bool) -> EngineRunReport {
-        let cfg = RobustConfig::plain(optimized);
-        engine_run_bouquet_with(b, db, &cfg, Parallelism::serial())
+        engine_run_bouquet(b, db, &RobustConfig::plain(optimized))
             .unwrap()
             .0
     }

@@ -14,51 +14,50 @@ use std::fmt::Write as _;
 
 use pb_bouquet::eval::{evaluate_with_bouquet, EvalConfig};
 use pb_bouquet::{Bouquet, BouquetConfig, EngineSubstrate, RobustConfig, Workload};
-use pb_cost::{Estimator, Parallelism};
+use pb_cost::Estimator;
 use pb_engine::{Database, Engine};
 use pb_faults::FaultInjector;
 use pb_workloads::{hostile_anti_2d, hostile_ineq_2d};
-use serde::Serialize;
 
-use crate::engine_driver::{engine_run_bouquet_with, engine_run_nat, measure_qa, EngineRunReport};
+use crate::engine_driver::{engine_run_bouquet, engine_run_nat, measure_qa, EngineRunReport};
 use crate::table::{fnum, Table};
 
-/// One hostile workload's ladder results (the `table3_hostile` artefact).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HostileReport {
-    pub workload: String,
-    pub dim_kinds: Vec<String>,
-    pub sf: f64,
+/// The exhibit's scale factor.
+const SF: f64 = 0.005;
+
+/// One hostile workload's ladder results.
+struct HostileReport {
+    workload: String,
+    dim_kinds: Vec<String>,
     /// Estimated location under the stale statistics (coordinates).
-    pub qe: Vec<f64>,
+    qe: Vec<f64>,
     /// Location measured against the generated tuples (coordinates).
-    pub qa: Vec<f64>,
+    qa: Vec<f64>,
     /// Engine cost units.
-    pub nat_cost: f64,
-    pub oracle_cost: f64,
-    pub basic: EngineRunReport,
-    pub optimized: EngineRunReport,
+    nat_cost: f64,
+    oracle_cost: f64,
+    basic: EngineRunReport,
+    optimized: EngineRunReport,
     /// Robust-driver (fault-free) engine run: must match the basic driver's
     /// decisions exactly and never degrade.
-    pub robust_cost: f64,
-    pub robust_degraded: bool,
+    robust_cost: f64,
+    robust_degraded: bool,
     /// Engine-measured sub-optimality vs the engine oracle.
-    pub nat_subopt: f64,
-    pub basic_subopt: f64,
-    pub optimized_subopt: f64,
+    nat_subopt: f64,
+    basic_subopt: f64,
+    optimized_subopt: f64,
     /// Whole-grid simulator evaluation (MSO/ASO per strategy).
-    pub nat_mso: f64,
-    pub nat_aso: f64,
-    pub seer_mso: f64,
-    pub parqo_mso: f64,
-    pub bou_mso: f64,
-    pub bou_aso: f64,
-    pub mso_bound: f64,
+    nat_mso: f64,
+    seer_mso: f64,
+    parqo_mso: f64,
+    bou_mso: f64,
+    bou_aso: f64,
+    mso_bound: f64,
     /// The grid guarantee: BOU's simulator MSO within the Eq. 8 bound.
-    pub mso_within_bound: bool,
+    mso_within_bound: bool,
     /// Basic-driver decision sequence identical between engine substrate
     /// and simulator at the measured qa.
-    pub crosscheck_ok: bool,
+    crosscheck_ok: bool,
 }
 
 /// Stale-statistics setup for the inequality-join space: the estimator is
@@ -97,7 +96,7 @@ pub fn setup_anti(sf: f64) -> (Workload, Bouquet, Database) {
     (w, b, db)
 }
 
-fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) -> HostileReport {
+fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
     let est = Estimator::new(&w.catalog);
     let lo: Vec<f64> = w.ess.dims.iter().map(|d| d.lo).collect();
     let hi: Vec<f64> = w.ess.dims.iter().map(|d| d.hi).collect();
@@ -106,11 +105,11 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
 
     let nat_cost = engine_run_nat(b, db, &qe);
     let oracle_plan = w.optimizer().optimize(&qa).plan;
-    let engine = Engine::new(db, &w.query, &w.model.p).with_parallelism(par);
+    let engine = Engine::new(db, &w.query, &w.model.p);
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
     let engine_run = |optimized: bool| {
-        engine_run_bouquet_with(b, db, &RobustConfig::plain(optimized), par).expect("engine run")
+        engine_run_bouquet(b, db, &RobustConfig::plain(optimized)).expect("engine run")
     };
     let (basic, optd) = (engine_run(false).0, engine_run(true).0);
     assert!(
@@ -120,7 +119,7 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
 
     // The default recovery settings, fault-free: same decisions, no
     // degradation.
-    let mut sub = EngineSubstrate::new(b, db, FaultInjector::none()).with_engine_parallelism(par);
+    let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
     let robust = b
         .run(&mut sub, &RobustConfig::default())
         .expect("robust engine run");
@@ -143,7 +142,6 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
     HostileReport {
         workload: w.name.clone(),
         dim_kinds: w.ess.dims.iter().map(|d| d.kind.label().into()).collect(),
-        sf,
         qe: qe.0.clone(),
         qa: qa.0.clone(),
         nat_cost,
@@ -156,7 +154,6 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
         basic,
         optimized: optd,
         nat_mso: ev.nat.mso,
-        nat_aso: ev.nat.aso,
         seer_mso: ev.seer.mso,
         parqo_mso: ev.parqo.mso,
         bou_mso: ev.bou_basic.mso,
@@ -167,17 +164,17 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database, sf: f64, par: Parallelism) 
     }
 }
 
-/// Run both hostile workloads at scale `sf`, returning rendered text and
-/// the structured reports.
-pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Vec<HostileReport>) {
+/// Run both hostile workloads on the serial engine, returning rendered text
+/// and the structured reports.
+fn exhibit() -> (String, Vec<HostileReport>) {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Hostile typed-dimension workloads (sf {sf}) — full ladder on both substrates\n"
+        "Hostile typed-dimension workloads (sf {SF}) — full ladder on both substrates\n"
     );
     let mut reports = Vec::new();
-    for (w, b, db) in [setup_ineq(sf), setup_anti(sf)] {
-        reports.push(run_one(&w, &b, &db, sf, par));
+    for (w, b, db) in [setup_ineq(SF), setup_anti(SF)] {
+        reports.push(run_one(&w, &b, &db));
     }
 
     let mut t = Table::new(vec![
@@ -250,7 +247,7 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Vec<HostileReport>) {
 }
 
 pub fn run() -> String {
-    run_at_with(0.005, Parallelism::serial()).0
+    exhibit().0
 }
 
 #[cfg(test)]
@@ -259,7 +256,7 @@ mod tests {
 
     #[test]
     fn hostile_ladder_holds_on_both_workloads() {
-        let (_, reports) = run_at_with(0.005, Parallelism::serial());
+        let (_, reports) = exhibit();
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(

@@ -15,45 +15,16 @@
 
 use std::fmt::Write as _;
 
-use pb_bouquet::{Bouquet, BouquetConfig, ResumeStats, RobustConfig, Workload};
-use pb_cost::{Estimator, Parallelism};
+use pb_bouquet::{Bouquet, BouquetConfig, RobustConfig, Workload};
+use pb_cost::Estimator;
 use pb_engine::{Database, Engine};
 use pb_workloads::h_q8a_2d;
-use serde::Serialize;
 
-use crate::engine_driver::{
-    duplicated_join_keys, engine_run_bouquet_with, engine_run_nat, measure_qa, EngineRunReport,
-};
+use crate::engine_driver::{duplicated_join_keys, engine_run_bouquet, engine_run_nat, measure_qa};
 use crate::table::Table;
 
-/// Structured result of the Table 3 experiment (the `BENCH_table3.json`
-/// artefact).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Table3Report {
-    pub workload: String,
-    pub sf: f64,
-    /// AVI-estimated location (stale statistics).
-    pub qe: Vec<f64>,
-    /// Location measured against the generated tuples.
-    pub qa: Vec<f64>,
-    pub nat_cost: f64,
-    pub oracle_cost: f64,
-    pub basic: EngineRunReport,
-    pub optimized: EngineRunReport,
-    /// The same driver runs with checkpoint/resume enabled: identical
-    /// decision sequences and result rows, smaller spends.
-    pub basic_resumed: EngineRunReport,
-    pub optimized_resumed: EngineRunReport,
-    pub basic_resume: ResumeStats,
-    pub optimized_resume: ResumeStats,
-    /// Basic-driver (contour, plan, budget) sequence identical between the
-    /// engine substrate and the simulator substrate at the measured `qa`.
-    pub crosscheck_ok: bool,
-    /// Resumed runs passed `RobustRun::audit_resumed` against the plain
-    /// runs (same decisions, spent + reused = restart cost) and produced
-    /// the same result rows.
-    pub resume_ok: bool,
-}
+/// The exhibit's TPC-H scale factor.
+const SF: f64 = 0.01;
 
 /// The experiment's setup: the 2D_H_Q8A workload with stale statistics and
 /// generated data that violates the uniqueness assumptions.
@@ -75,17 +46,16 @@ pub fn setup(sf: f64) -> (Workload, Bouquet, Database) {
     (w, b, db)
 }
 
-/// Run the full experiment at scale factor `sf` with the engine's
-/// morsel-driven kernels running `par`-wide (`pbq table3 --engine-jobs N`),
-/// returning the rendered text and the structured report. The report is
-/// bit-identical for every worker count; only wall-clock time changes.
-pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
-    let (w, b, db) = setup(sf);
+/// Run the full experiment on the serial engine. It panics unless the
+/// resumed runs pass `RobustRun::audit_resumed` against the plain runs (same
+/// decisions, spent + reused = restart cost) with the same result rows.
+pub fn run() -> String {
+    let (w, b, db) = setup(SF);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Table 3 — engine-measured bouquet execution for 2D_H_Q8A (sf {sf})\n"
+        "Table 3 — engine-measured bouquet execution for 2D_H_Q8A (sf {SF})\n"
     );
 
     // Estimated vs actual locations.
@@ -110,7 +80,7 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
     let nat_cost = engine_run_nat(&b, &db, &qe);
     // Oracle: plan chosen at the true location, run to completion.
     let oracle_plan = w.optimizer().optimize(&qa).plan;
-    let engine = Engine::new(&db, &w.query, &w.model.p).with_parallelism(par);
+    let engine = Engine::new(&db, &w.query, &w.model.p);
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
     let engine_run = |optimized: bool, resume: bool| {
@@ -118,7 +88,7 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
             resume,
             ..RobustConfig::plain(optimized)
         };
-        engine_run_bouquet_with(&b, &db, &cfg, par).expect("engine run")
+        engine_run_bouquet(&b, &db, &cfg).expect("engine run")
     };
     let (basic, _, basic_run) = engine_run(false, false);
     let (optd, _, optd_run) = engine_run(true, false);
@@ -225,45 +195,25 @@ pub fn run_at_with(sf: f64, par: Parallelism) -> (String, Table3Report) {
         "cost-inversion cross-check (engine vs simulator basic sequence): {}",
         if crosscheck_ok { "OK" } else { "MISMATCH" }
     );
-
-    let report = Table3Report {
-        workload: w.name.clone(),
-        sf,
-        qe: qe.0.clone(),
-        qa: qa.0.clone(),
-        nat_cost,
-        oracle_cost,
-        basic,
-        optimized: optd,
-        basic_resumed: basic_res,
-        optimized_resumed: optd_res,
-        basic_resume: basic_rs,
-        optimized_resume: optd_rs,
-        crosscheck_ok,
-        resume_ok,
-    };
-    (out, report)
-}
-
-pub fn run() -> String {
-    run_at_with(0.01, Parallelism::serial()).0
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The numbers on the line of `text` that starts with `head`.
+    fn numbers(text: &str, head: &str) -> Vec<f64> {
+        let line = text.lines().find(|l| l.starts_with(head)).unwrap();
+        line.split_whitespace()
+            .filter_map(|t| t.parse().ok())
+            .collect()
+    }
+
     #[test]
     fn table3_shape_matches_paper() {
-        let (s, report) = run_at_with(0.01, Parallelism::serial());
-        let line = s
-            .lines()
-            .find(|l| l.starts_with("sub-optimality vs oracle"))
-            .unwrap();
-        let nums: Vec<f64> = line
-            .split_whitespace()
-            .filter_map(|t| t.parse().ok())
-            .collect();
+        let s = run();
+        let nums = numbers(&s, "sub-optimality vs oracle");
         let (nat, basic, opt) = (nums[0], nums[1], nums[2]);
         // The paper's headline: NAT is an order of magnitude (or more)
         // worse than either bouquet driver (36x vs 7.2x/4.3x there).
@@ -273,22 +223,22 @@ mod tests {
             "basic {basic} should not beat optimized {opt} materially"
         );
         assert!(opt >= 1.0);
-        assert!(report.crosscheck_ok, "engine/simulator sequence mismatch");
+        assert!(
+            s.contains("cost-inversion cross-check (engine vs simulator basic sequence): OK"),
+            "engine/simulator sequence mismatch"
+        );
     }
 
     #[test]
     fn table3_resume_engages_and_strictly_improves() {
-        let (_, report) = run_at_with(0.01, Parallelism::serial());
-        assert!(report.resume_ok);
+        // The total row: basic #exec, basic, basic resumed, opt #exec, ...
+        // `run` audits spent + reused = restart cost, so a smaller resumed
+        // spend is reuse.
+        let total = numbers(&run(), "total ");
+        let (basic, resumed) = (total[1], total[2]);
         assert!(
-            report.basic_resume.reused_cost > 0.0,
-            "basic run must reuse at least one checkpointed prefix"
-        );
-        assert!(
-            report.basic_resumed.total_cost < report.basic.total_cost,
-            "resume must strictly reduce the basic driver's spend: {} vs {}",
-            report.basic_resumed.total_cost,
-            report.basic.total_cost
+            resumed < basic,
+            "resume must strictly reduce the basic driver's spend: {resumed} vs {basic}"
         );
     }
 }

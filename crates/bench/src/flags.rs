@@ -3,8 +3,8 @@
 //! A binary declares each subcommand once — its positionals and, per flag,
 //! name, kind, default and help — and gets from that one declaration the
 //! parser, the kind checks, the usage text, and the rejection of anything it
-//! did not declare: a misspelled `--expectt hit` is an error, not a gate
-//! silently switched off.
+//! did not declare: a misspelled `--optimised` is an error, not a switch
+//! silently ignored.
 
 use std::str::FromStr;
 
@@ -16,11 +16,7 @@ pub enum Kind {
     PosF64,
     U64,
     Usize,
-    /// An integer of at least one, e.g. a repetition count.
-    Count,
     Str,
-    /// Comma-separated counts of at least one, e.g. `1,2,4`.
-    UsizeList,
 }
 
 impl Kind {
@@ -30,15 +26,9 @@ impl Kind {
             Kind::PosF64 => v.parse::<f64>().is_ok_and(|x| x > 0.0 && x.is_finite()),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Usize => v.parse::<usize>().is_ok(),
-            Kind::Count => v.parse::<usize>().is_ok_and(|n| n > 0),
-            Kind::UsizeList => v
-                .split(',')
-                .all(|t| t.trim().parse::<usize>().is_ok_and(|n| n > 0)),
         };
         ok.then_some(()).ok_or(match self {
             Kind::PosF64 => "a positive number",
-            Kind::Count => "a count of at least 1",
-            Kind::UsizeList => "a comma list of counts of at least 1, e.g. 1,2,4",
             _ => "a non-negative integer",
         })
     }
@@ -212,12 +202,6 @@ impl Args<'_> {
         self.opt(name)
             .unwrap_or_else(|| panic!("flag table gives {name} no default"))
     }
-
-    /// A `UsizeList` flag's counts.
-    pub fn list(&self, name: &str) -> Vec<usize> {
-        let v: String = self.get(name);
-        v.split(',').filter_map(|t| t.trim().parse().ok()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -230,9 +214,7 @@ mod tests {
         flags: &[
             flag("--seed N", Kind::U64, "7", ""),
             flag("--reps N", Kind::Usize, "3", ""),
-            flag("--requests N", Kind::Count, "6", ""),
             flag("--sf F", Kind::PosF64, "", ""),
-            flag("--workers LIST", Kind::UsizeList, "1,2", ""),
             flag("--verify", Kind::Switch, "", ""),
         ],
         help: "",
@@ -247,12 +229,11 @@ mod tests {
 
     #[test]
     fn defaults_values_and_positionals() {
-        let a = parse("W 0.5 --verify -j 2 --workers 1,4,8").expect("parse");
+        let a = parse("W 0.5 --verify -j 2").expect("parse");
         assert_eq!(a.pos, ["W", "0.5"]);
         assert_eq!(a.get::<u64>("--seed"), 7);
         assert_eq!(a.opt::<f64>("--sf"), None);
         assert_eq!(a.opt::<usize>("--jobs"), Some(2));
-        assert_eq!(a.list("--workers"), [1, 4, 8]);
         assert!(a.switch("--verify") && !parse("W").expect("parse").switch("--verify"));
     }
 
@@ -263,12 +244,7 @@ mod tests {
         for bad in [
             "W --reps -3",
             "W --reps 1.5",
-            "W --requests 0",
-            "W --requests -1",
-            "W --requests 1.5",
             "W --seed 1e3",
-            "W --workers 1,x",
-            "W --workers 0,1",
             "W --sf nan",
             "W --sf 0",
             "W --sf -1",
@@ -276,7 +252,7 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad} must be rejected");
         }
-        assert!(parse("W --reps 0 --requests 1").is_ok());
+        assert!(parse("W --reps 0").is_ok());
     }
 
     #[test]
@@ -300,8 +276,7 @@ mod tests {
     fn usage_is_generated_from_the_table() {
         assert_eq!(
             CMD.usage("pbq", GLOBALS),
-            "usage: pbq demo WORKLOAD [LOC] [--seed N] [--reps N] [--requests N] [--sf F] \
-             [--workers LIST] [--verify] [--jobs N]"
+            "usage: pbq demo WORKLOAD [LOC] [--seed N] [--reps N] [--sf F] [--verify] [--jobs N]"
         );
         assert!(CMD.help("pbq", GLOBALS).contains("--seed N"));
     }

@@ -538,7 +538,7 @@ impl<'a> EngineSubstrate<'a> {
 
     /// Measure the true ESS location of the bound query against the data —
     /// the engine-side analogue of the simulator's `qa` argument, used by
-    /// cross-substrate checks (`pbq table3`).
+    /// cross-substrate checks (`repro table3`).
     pub fn measured_qa(&self) -> Result<SelPoint, PbError> {
         measure_qa(self.db, &self.b.workload.query, &self.b.workload.ess)
     }

@@ -172,6 +172,11 @@ fn tenant_budgets_degrade_only_their_owner() {
             "{tenant} over cap: {spent} > {cap}"
         );
     }
+    // Running out of budget still answers the request.
+    let answered =
+        stats.completed + stats.degraded + stats.budget_exhausted + stats.cancelled + stats.failed;
+    assert_eq!(answered, stats.accepted);
+    assert_eq!((stats.queue_depth, stats.inflight), (0, 0));
 }
 
 #[test]
@@ -234,5 +239,50 @@ fn full_queue_rejects_with_backpressure() {
     let answered =
         stats.completed + stats.degraded + stats.budget_exhausted + stats.cancelled + stats.failed;
     assert_eq!(answered, stats.accepted);
+    assert_eq!((stats.queue_depth, stats.inflight), (0, 0));
+}
+
+/// More closed-loop clients than workers plus queue slots: a shed
+/// submission is retried after its `retry_after_ms`, every request is
+/// eventually accepted and completes, and the counters balance.
+#[test]
+fn concurrent_clients_past_the_queue_cap_all_complete() {
+    let cfg = ServerConfig {
+        workers: 2,
+        queue_cap: 2,
+        ..ServerConfig::default()
+    };
+    let server = PbServer::start(cfg).expect("server starts");
+    let addr = server.addr();
+    let (clients, requests) = (8usize, 3usize);
+    let threads: Vec<_> = (0..clients)
+        .map(|ci| {
+            std::thread::spawn(move || {
+                let mut c = PbClient::connect(addr).expect("connect");
+                for r in 0..requests {
+                    let frac = 0.05 + 0.9 * ((ci * 31 + r * 7) % 97) as f64 / 96.0;
+                    let req = submit_req(&format!("tenant-{ci}"), frac);
+                    let id = (0..500)
+                        .find_map(|_| match c.submit(&req).unwrap() {
+                            Ok(id) => Some(id),
+                            Err(Response::Rejected { retry_after_ms, .. }) => {
+                                let ms = retry_after_ms.clamp(1, 50);
+                                std::thread::sleep(Duration::from_millis(ms));
+                                None
+                            }
+                            Err(other) => panic!("unexpected: {other:?}"),
+                        })
+                        .expect("accepted within 500 attempts");
+                    assert_eq!(wait_done(&mut c, id).outcome, "completed");
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    let stats = server.stop();
+    let total = (clients * requests) as u64;
+    assert_eq!((stats.accepted, stats.completed), (total, total));
     assert_eq!((stats.queue_depth, stats.inflight), (0, 0));
 }

@@ -14,7 +14,7 @@
 //!
 //! Both are sized by a scale factor so the tuple/vectorized engines can run
 //! them to completion; both substrates (engine and cost-unit simulator)
-//! drive them through the full ladder in `pbq table3`'s hostile section.
+//! drive them through the full ladder in the `repro hostile` exhibit.
 
 use pb_bouquet::Workload;
 use pb_catalog::tpch;

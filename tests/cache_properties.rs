@@ -108,6 +108,41 @@ proptest! {
     }
 }
 
+/// Registry workloads at full resolution, not coarse frames: `4D_DS_Q7`
+/// is the largest rung (182 POSP plans over 14,641 points). A miss stores
+/// the frame, a hit serves it, and the served bouquet serializes
+/// byte-for-byte like a fresh build.
+#[test]
+fn full_resolution_hits_are_byte_identical_to_fresh_builds() {
+    let cfg = BouquetConfig::default();
+    for (name, points) in [("2D_H_Q8A", 2_304), ("4D_DS_Q7", 14_641)] {
+        let w = workloads::by_name(name).unwrap();
+        assert_eq!(w.ess.num_points(), points, "{name}");
+        let tmp = TmpCache::new(&format!("full-{name}"));
+        let cache = BouquetCache::new(&tmp.0).unwrap();
+        let (_, first) = cache
+            .get_or_identify(&w, &cfg, Parallelism::auto())
+            .unwrap();
+        assert!(
+            matches!(first, CacheOutcome::Miss { .. }),
+            "{name}: {first:?}"
+        );
+        let (warm, second) = cache
+            .get_or_identify(&w, &cfg, Parallelism::auto())
+            .unwrap();
+        assert!(
+            matches!(second, CacheOutcome::Hit { .. }),
+            "{name}: {second:?}"
+        );
+        let fresh = Bouquet::identify(&w, &cfg).unwrap();
+        assert_eq!(
+            persist::to_json(&warm).unwrap(),
+            persist::to_json(&fresh).unwrap(),
+            "{name}: cached bouquet diverged from a from-scratch identification"
+        );
+    }
+}
+
 #[test]
 fn corrupted_and_truncated_entries_are_evicted_and_rebuilt() {
     let w = coarse(workloads::h_q8a_2d(1.0), 12);

@@ -3,76 +3,21 @@
 //! the sequential reference path. Each chunk's result is a pure function of
 //! its index range (wherever the worker count puts the cuts) and plans are
 //! canonicalized by first appearance in grid order, so this holds by
-//! construction — these tests pin it against regressions on
-//! both benchmark catalogs.
+//! construction — these tests pin it against regressions on registry
+//! workloads of both benchmark catalogs, on grids large enough that every
+//! phase fans out instead of taking the serial gate.
 
 use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig, PhaseTimings, Workload};
-use plan_bouquet::catalog::{tpcds, tpch};
-use plan_bouquet::cost::{CostModel, Ess, EssDim, Parallelism};
-use plan_bouquet::plan::{CmpOp, QueryBuilder, SelSpec};
+use plan_bouquet::cost::{Parallelism, PARALLEL_MIN_GRID};
+use plan_bouquet::workloads;
 
-/// A compact TPC-H 2D workload (join + selection error dims) sized so the
-/// whole compile pipeline runs in seconds at any worker count.
-fn tpch_2d() -> Workload {
-    let cat = tpch::catalog(1.0);
-    let mut qb = QueryBuilder::new(&cat, "DET_H_2D");
-    let p = qb.rel("part");
-    let l = qb.rel("lineitem");
-    let o = qb.rel("orders");
-    qb.select(
-        p,
-        "p_retailprice",
-        CmpOp::Lt,
-        1000.0,
-        SelSpec::ErrorProne(0),
-    );
-    qb.join(p, "p_partkey", l, "l_partkey", SelSpec::ErrorProne(1));
-    qb.join(l, "l_orderkey", o, "o_orderkey", SelSpec::Fixed(6.7e-7));
-    let q = qb.build();
-    let ess = Ess::uniform(
-        vec![
-            EssDim::new("p_retailprice", 1e-4, 1.0),
-            EssDim::new("p⋈l", 1e-8, 5e-6),
-        ],
-        20,
-    );
-    Workload::new("DET_H_2D", cat.clone(), q, ess, CostModel::postgresish())
-}
-
-/// A compact TPC-DS 2D workload over the catalog_sales star.
-fn tpcds_2d() -> Workload {
-    let cat = tpcds::catalog(0.1);
-    let mut qb = QueryBuilder::new(&cat, "DET_DS_2D");
-    let d = qb.rel("date_dim");
-    let cs = qb.rel("catalog_sales");
-    let c = qb.rel("customer");
-    qb.join(
-        d,
-        "d_date_sk",
-        cs,
-        "cs_sold_date_sk",
-        SelSpec::ErrorProne(0),
-    );
-    qb.join(
-        cs,
-        "cs_bill_customer_sk",
-        c,
-        "c_customer_sk",
-        SelSpec::ErrorProne(1),
-    );
-    let q = qb.build();
-    let rows_d = cat.table("date_dim").unwrap().rows;
-    let rows_c = cat.table("customer").unwrap().rows;
-    let hi0 = (30.0 / rows_d).min(1.0);
-    let hi1 = (50.0 / rows_c).min(1.0);
-    let ess = Ess::uniform(
-        vec![
-            EssDim::new("d⋈cs", hi0 * 1e-3, hi0),
-            EssDim::new("cs⋈c", hi1 * 1e-3, hi1),
-        ],
-        16,
-    );
-    Workload::new("DET_DS_2D", cat.clone(), q, ess, CostModel::postgresish())
+fn registry(name: &str) -> Workload {
+    let w = workloads::by_name(name).unwrap();
+    // Below the gate `Parallelism::for_grid` demotes every phase to serial,
+    // and the worker counts below would all run the serial path.
+    let n = w.ess.num_points();
+    assert!(n >= PARALLEL_MIN_GRID, "{name}: {n} grid points");
+    w
 }
 
 fn assert_parallel_matches_serial(w: &Workload) {
@@ -96,19 +41,22 @@ fn assert_parallel_matches_serial(w: &Workload) {
     }
 }
 
+/// TPC-H, 2,304 and 8,000 grid points.
 #[test]
 fn tpch_identification_is_deterministic_across_worker_counts() {
-    assert_parallel_matches_serial(&tpch_2d());
+    assert_parallel_matches_serial(&registry("2D_H_Q8A"));
+    assert_parallel_matches_serial(&registry("3D_H_Q5"));
 }
 
+/// TPC-DS, 14,641 grid points and 182 POSP plans.
 #[test]
 fn tpcds_identification_is_deterministic_across_worker_counts() {
-    assert_parallel_matches_serial(&tpcds_2d());
+    assert_parallel_matches_serial(&registry("4D_DS_Q7"));
 }
 
 #[test]
 fn timed_and_untimed_paths_agree() {
-    let w = tpch_2d();
+    let w = registry("2D_H_Q8A");
     let cfg = BouquetConfig::default();
     let a = Bouquet::identify(&w, &cfg).unwrap();
     let (b, t) = Bouquet::identify_timed(&w, &cfg, Parallelism::auto()).unwrap();
