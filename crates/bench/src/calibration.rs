@@ -9,8 +9,8 @@
 //! ratios — the least-squares solution in log space), and report the
 //! residual δ before and after.
 
-use pb_bouquet::Workload;
-use pb_cost::Coster;
+use pb_bouquet::{measure_qa, Workload};
+use pb_cost::CostProgram;
 use pb_engine::{Database, Engine};
 
 /// Result of a calibration pass.
@@ -85,32 +85,16 @@ pub fn exhibit() -> String {
 ///
 /// The sample set is the optimal plan at a few modeled locations (diverse
 /// operator mixes), all *executed* at the true location; selectivities are
-/// *measured* from the data, so the only divergence left is the model's.
+/// *measured* from the data ([`measure_qa`], in axis coordinates), so the
+/// only divergence left is the model's.
 pub fn calibrate_with_engine_params(
     w: &Workload,
     db: &Database,
     engine_params: &pb_cost::CostParams,
     sample_fractions: &[f64],
 ) -> Calibration {
-    let coster = Coster::new(&w.catalog, &w.query, &w.model);
     let engine = Engine::new(db, &w.query, engine_params);
-    let mut qa = vec![0.0; w.d()];
-    for (ji, j) in w.query.joins.iter().enumerate() {
-        if let Some(d) = j.selectivity.error_dim() {
-            qa[d] = db
-                .actual_join_selectivity(&w.query, ji)
-                .clamp(w.ess.dims[d].lo, w.ess.dims[d].hi);
-        }
-    }
-    for r in &w.query.relations {
-        for s in &r.selections {
-            if let Some(d) = s.selectivity.error_dim() {
-                qa[d] = db
-                    .actual_selection_selectivity(s)
-                    .clamp(w.ess.dims[d].lo, w.ess.dims[d].hi);
-            }
-        }
-    }
+    let qa = measure_qa(db, &w.query, &w.ess).expect("every calibrated dimension is measurable");
     let opt = w.optimizer();
     let mut ratios: Vec<f64> = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
@@ -120,7 +104,7 @@ pub fn calibrate_with_engine_params(
         if !seen.insert(plan.fingerprint()) {
             continue;
         }
-        let modeled = coster.plan_cost(&plan.root, &qa);
+        let modeled = CostProgram::compile(&w.catalog, &w.query, &w.model, &plan.root).cost(&qa);
         let actual = engine.execute(&plan.root, f64::INFINITY).cost();
         if modeled > 0.0 && actual > 0.0 {
             ratios.push(actual / modeled);

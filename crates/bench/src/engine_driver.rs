@@ -5,8 +5,8 @@
 //! [`Bouquet::run`] over [`pb_bouquet::EngineSubstrate`], so the real-tuple
 //! path exercises exactly the same control logic — quadrant pruning,
 //! AxisPlans selection, spill-based learning, the robustness ladder — as
-//! the cost-unit simulator. This module only re-shapes the resulting
-//! [`BouquetRun`] into the report the `table3` and `hostile` exhibits print.
+//! the cost-unit simulator. This module only reads the resulting
+//! [`BouquetRun`] the way the `table3` and `hostile` exhibits print it.
 
 use std::collections::BTreeMap;
 
@@ -19,79 +19,36 @@ use pb_faults::{FaultInjector, PbError};
 
 pub use pb_bouquet::measure_qa;
 
-/// One engine-backed partial execution (a [`pb_bouquet::PartialExec`]
-/// flattened).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineExec {
-    pub contour: usize,
-    pub plan: usize,
-    pub budget: f64,
-    pub spent: f64,
-    pub completed: bool,
-    pub spilled: bool,
+/// The (contour, plan, budget) decisions of `run`, in order: what two runs
+/// must share to count as the same discovery, whatever each one spent.
+pub fn decision_seq(run: &BouquetRun) -> Vec<(usize, usize, f64)> {
+    run.trace
+        .iter()
+        .map(|e| (e.contour, e.plan, e.budget))
+        .collect()
 }
 
-/// Outcome of an engine-backed bouquet run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRunReport {
-    pub executions: Vec<EngineExec>,
-    pub total_cost: f64,
-    pub completed: bool,
-    pub result_rows: usize,
+/// Cost-inversion cross-check for a basic-driver engine run: its decision
+/// sequence must be the one the basic driver makes on the cost-unit
+/// simulator at `qa`, the location measured against the engine's tuples —
+/// whether "actual cost" comes from the engine's ledger or from the cost
+/// model may change spends, never decisions.
+pub fn matches_simulator(run: &BouquetRun, bouquet: &Bouquet, qa: &SelPoint) -> bool {
+    bouquet
+        .run_basic(qa)
+        .is_ok_and(|sim| decision_seq(&sim) == decision_seq(run))
 }
 
-impl EngineRunReport {
-    /// Re-shape a canonical driver run into the engine report.
-    pub fn from_run(run: &BouquetRun, result_rows: usize) -> Self {
-        EngineRunReport {
-            executions: run
-                .trace
-                .iter()
-                .map(|e| EngineExec {
-                    contour: e.contour,
-                    plan: e.plan,
-                    budget: e.budget,
-                    spent: e.spent,
-                    completed: e.completed,
-                    spilled: e.spilled,
-                })
-                .collect(),
-            total_cost: run.total_cost,
-            completed: run.completed(),
-            result_rows,
-        }
+/// Per-contour (contour, executions, cost) breakdown of `run` — the rows of
+/// Table 3.
+pub fn contour_breakdown(run: &BouquetRun) -> Vec<(usize, usize, f64)> {
+    let mut rows: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
+    for e in &run.trace {
+        let r = rows.entry(e.contour).or_insert((0, 0.0));
+        r.0 += 1;
+        r.1 += e.spent;
     }
-
-    /// The (contour, plan, budget) decisions, in order: what two runs must
-    /// share to count as the same discovery, whatever each one spent.
-    pub fn decision_seq(&self) -> Vec<(usize, usize, f64)> {
-        self.executions
-            .iter()
-            .map(|e| (e.contour, e.plan, e.budget))
-            .collect()
-    }
-
-    /// Cost-inversion cross-check for a basic-driver engine run: its decision
-    /// sequence must be the one the basic driver makes on the cost-unit
-    /// simulator at `qa`, the location measured against the engine's tuples —
-    /// whether "actual cost" comes from the engine's ledger or from the cost
-    /// model may change spends, never decisions.
-    pub fn matches_simulator(&self, bouquet: &Bouquet, qa: &SelPoint) -> bool {
-        bouquet
-            .run_basic(qa)
-            .is_ok_and(|sim| Self::from_run(&sim, 0).decision_seq() == self.decision_seq())
-    }
-
-    /// Per-contour (executions, cost) breakdown — the rows of Table 3.
-    pub fn contour_breakdown(&self) -> Vec<(usize, usize, f64)> {
-        let mut rows: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
-        for e in &self.executions {
-            let r = rows.entry(e.contour).or_insert((0, 0.0));
-            r.0 += 1;
-            r.1 += e.spent;
-        }
-        rows.into_iter().map(|(c, (n, s))| (c, n, s)).collect()
-    }
+    rows.into_iter().map(|(c, (n, s))| (c, n, s)).collect()
 }
 
 /// Execute the native optimizer's choice (plan picked at the *estimated*
@@ -123,19 +80,19 @@ pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverrid
 /// Run the bouquet discovery against the engine through [`Bouquet::run`]
 /// under `cfg`: Figure 7, or Figure 13 (qrun tracking from the engine's
 /// tuple counters, first-quadrant pruning, spilled prefix executions) on
-/// the serial engine. With `cfg.resume` the decisions and result rows are
-/// those of the plain run while per-execution `spent` and `total_cost`
-/// shrink by the reused units the stats report (all-zero otherwise). The
-/// run itself comes last, for [`RobustRun::audit_resumed`].
+/// the serial engine. Returns the run, the result rows of its completing
+/// execution (0 if none) and the resume counters. With `cfg.resume` the
+/// decisions and result rows are those of the plain run while per-execution
+/// `spent` and `total_cost` shrink by the reused units the counters report
+/// (all-zero otherwise) — [`RobustRun::audit_resumed`] checks exactly that.
 pub fn engine_run_bouquet(
     bouquet: &Bouquet,
     db: &Database,
     cfg: &RobustConfig,
-) -> Result<(EngineRunReport, ResumeStats, RobustRun), PbError> {
+) -> Result<(RobustRun, usize, ResumeStats), PbError> {
     let mut sub = EngineSubstrate::new(bouquet, db, FaultInjector::none());
     let run = bouquet.run(&mut sub, cfg)?;
-    let report = EngineRunReport::from_run(&run.run, sub.result_rows().unwrap_or(0));
-    Ok((report, sub.resume_stats(), run))
+    Ok((run, sub.result_rows().unwrap_or(0), sub.resume_stats()))
 }
 
 #[cfg(test)]
@@ -144,10 +101,10 @@ mod tests {
     use pb_bouquet::BouquetConfig;
     use pb_workloads::h_q8a_2d;
 
-    fn engine_run(b: &Bouquet, db: &Database, optimized: bool) -> EngineRunReport {
-        engine_run_bouquet(b, db, &RobustConfig::plain(optimized))
-            .unwrap()
-            .0
+    /// A plain engine run: the driver's run and its result rows.
+    fn engine_run(b: &Bouquet, db: &Database, optimized: bool) -> (BouquetRun, usize) {
+        let (run, rows, _) = engine_run_bouquet(b, db, &RobustConfig::plain(optimized)).unwrap();
+        (run.run, rows)
     }
 
     fn setup() -> (Bouquet, Database) {
@@ -161,26 +118,23 @@ mod tests {
     #[test]
     fn engine_bouquet_completes_and_produces_rows() {
         let (b, db) = setup();
-        let basic = engine_run(&b, &db, false);
+        let (basic, basic_rows) = engine_run(&b, &db, false);
         assert!(
-            basic.completed,
+            basic.completed(),
             "basic engine run failed: {:?}",
-            basic.executions
+            basic.trace
         );
-        assert!(basic.result_rows > 0);
-        let opt = engine_run(&b, &db, true);
-        assert!(opt.completed);
-        assert_eq!(
-            opt.result_rows, basic.result_rows,
-            "result must not depend on driver"
-        );
+        assert!(basic_rows > 0);
+        let (opt, opt_rows) = engine_run(&b, &db, true);
+        assert!(opt.completed());
+        assert_eq!(opt_rows, basic_rows, "result must not depend on driver");
     }
 
     #[test]
     fn optimized_engine_run_is_no_costlier_than_basic() {
         let (b, db) = setup();
-        let basic = engine_run(&b, &db, false);
-        let opt = engine_run(&b, &db, true);
+        let (basic, _) = engine_run(&b, &db, false);
+        let (opt, _) = engine_run(&b, &db, true);
         assert!(
             opt.total_cost <= basic.total_cost * 1.1,
             "optimized {} vs basic {}",
@@ -209,8 +163,8 @@ mod tests {
     #[test]
     fn contour_breakdown_accounts_for_all_cost() {
         let (b, db) = setup();
-        let run = engine_run(&b, &db, false);
-        let sum: f64 = run.contour_breakdown().iter().map(|r| r.2).sum();
+        let (run, _) = engine_run(&b, &db, false);
+        let sum: f64 = contour_breakdown(&run).iter().map(|r| r.2).sum();
         assert!((sum - run.total_cost).abs() < 1e-6 * run.total_cost.max(1.0));
     }
 

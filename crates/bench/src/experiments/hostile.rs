@@ -13,13 +13,15 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::eval::{evaluate_with_bouquet, EvalConfig};
-use pb_bouquet::{Bouquet, BouquetConfig, EngineSubstrate, RobustConfig, Workload};
+use pb_bouquet::{Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, RobustConfig, Workload};
 use pb_cost::Estimator;
 use pb_engine::{Database, Engine};
 use pb_faults::FaultInjector;
 use pb_workloads::{hostile_anti_2d, hostile_ineq_2d};
 
-use crate::engine_driver::{engine_run_bouquet, engine_run_nat, measure_qa, EngineRunReport};
+use crate::engine_driver::{
+    decision_seq, engine_run_bouquet, engine_run_nat, matches_simulator, measure_qa,
+};
 use crate::table::{fnum, Table};
 
 /// The exhibit's scale factor.
@@ -36,8 +38,10 @@ struct HostileReport {
     /// Engine cost units.
     nat_cost: f64,
     oracle_cost: f64,
-    basic: EngineRunReport,
-    optimized: EngineRunReport,
+    basic: BouquetRun,
+    optimized: BouquetRun,
+    /// Result rows of the basic driver's completing execution.
+    result_rows: usize,
     /// Robust-driver (fault-free) engine run: must match the basic driver's
     /// decisions exactly and never degrade.
     robust_cost: f64,
@@ -111,9 +115,10 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
     let engine_run = |optimized: bool| {
         engine_run_bouquet(b, db, &RobustConfig::plain(optimized)).expect("engine run")
     };
-    let (basic, optd) = (engine_run(false).0, engine_run(true).0);
+    let ((basic, result_rows, _), (optd, _, _)) = (engine_run(false), engine_run(true));
+    let (basic, optd) = (basic.run, optd.run);
     assert!(
-        basic.completed && optd.completed,
+        basic.completed() && optd.completed(),
         "hostile runs must complete"
     );
 
@@ -125,13 +130,13 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
         .expect("robust engine run");
     assert!(robust.run.completed() && !robust.degraded);
     assert_eq!(
-        EngineRunReport::from_run(&robust.run, 0).decision_seq(),
-        basic.decision_seq(),
+        decision_seq(&robust.run),
+        decision_seq(&basic),
         "fault-free recovery settings must not change the basic ladder"
     );
 
     // Simulator substrate: decisions at the measured qa must agree.
-    let crosscheck_ok = basic.matches_simulator(b, &qa);
+    let crosscheck_ok = matches_simulator(&basic, b, &qa);
 
     // Whole-grid simulator evaluation.
     let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
@@ -153,6 +158,7 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
         robust_degraded: robust.degraded,
         basic,
         optimized: optd,
+        result_rows,
         nat_mso: ev.nat.mso,
         seer_mso: ev.seer.mso,
         parqo_mso: ev.parqo.mso,
@@ -231,11 +237,11 @@ fn exhibit() -> (String, Vec<HostileReport>) {
             r.nat_cost,
             r.oracle_cost,
             r.basic.total_cost,
-            r.basic.executions.len(),
+            r.basic.trace.len(),
             r.optimized.total_cost,
-            r.optimized.executions.len(),
+            r.optimized.trace.len(),
             r.robust_cost,
-            r.basic.result_rows,
+            r.result_rows,
         );
         let _ = writeln!(
             out,
@@ -267,7 +273,7 @@ mod tests {
             assert!(r.mso_within_bound, "{}: grid MSO above bound", r.workload);
             assert!(!r.robust_degraded, "{}: robust run degraded", r.workload);
             assert!(
-                r.basic.completed && r.optimized.completed,
+                r.basic.completed() && r.optimized.completed(),
                 "{}: incomplete",
                 r.workload
             );

@@ -62,19 +62,18 @@ pub fn run() -> String {
 /// Worst-case sub-optimality of the basic driver over the grid, with the
 /// denominator being the actual (perturbed) optimal cost at each point.
 fn grid_mso(b: &Bouquet) -> f64 {
-    let w = &b.workload;
-    let ess = &w.ess;
-    let coster = w.coster();
-    let ex = pb_executor::Executor::with_perturbation(coster, b.config.perturbation);
+    let ess = &b.workload.ess;
+    let ex = pb_executor::Executor::new(b.config.perturbation);
+    let mut stack = Vec::new();
     let mut worst = 0.0f64;
     for li in 0..ess.num_points() {
         let qa = ess.point(&ess.unlinear(li));
         let run = b.run_basic(&qa).unwrap();
         assert!(run.completed());
         // Actual optimal cost: cheapest POSP plan under perturbation.
-        let plans = b.diagram.plans.iter();
+        let plans = b.programs().iter().zip(&b.diagram.plans);
         let opt_actual = plans
-            .map(|p| ex.actual_cost(&p.root, &qa))
+            .map(|(prog, p)| ex.actual_cost_compiled(prog, p.fingerprint(), &qa, &mut stack))
             .fold(f64::INFINITY, f64::min);
         worst = worst.max(run.total_cost / opt_actual);
     }

@@ -20,7 +20,10 @@ use pb_cost::Estimator;
 use pb_engine::{Database, Engine};
 use pb_workloads::h_q8a_2d;
 
-use crate::engine_driver::{duplicated_join_keys, engine_run_bouquet, engine_run_nat, measure_qa};
+use crate::engine_driver::{
+    contour_breakdown, duplicated_join_keys, engine_run_bouquet, engine_run_nat, matches_simulator,
+    measure_qa,
+};
 use crate::table::Table;
 
 /// The exhibit's TPC-H scale factor.
@@ -90,27 +93,29 @@ pub fn run() -> String {
         };
         engine_run_bouquet(&b, &db, &cfg).expect("engine run")
     };
-    let (basic, _, basic_run) = engine_run(false, false);
-    let (optd, _, optd_run) = engine_run(true, false);
+    let (basic_run, basic_rows, _) = engine_run(false, false);
+    let (optd_run, optd_rows, _) = engine_run(true, false);
+    let (basic, optd) = (&basic_run.run, &optd_run.run);
     assert!(
-        basic.completed && optd.completed,
+        basic.completed() && optd.completed(),
         "bouquet runs must complete"
     );
-    let crosscheck_ok = basic.matches_simulator(&b, &qa);
+    let crosscheck_ok = matches_simulator(basic, &b, &qa);
 
     // The same discovery with checkpoint/resume: re-executed prefixes are
     // fast-forwarded, so the per-contour spends shrink while the decision
     // sequence — which plan ran where with which budget — stays identical.
-    let (basic_res, basic_rs, basic_res_run) = engine_run(false, true);
-    let (optd_res, optd_rs, optd_res_run) = engine_run(true, true);
+    let (basic_res_run, basic_res_rows, basic_rs) = engine_run(false, true);
+    let (optd_res_run, optd_res_rows, optd_rs) = engine_run(true, true);
+    let (basic_res, optd_res) = (&basic_res_run.run, &optd_res_run.run);
     let resume_ok = basic_res_run
         .audit_resumed(basic_rs.reused_cost, &basic_run)
         .is_ok()
         && optd_res_run
             .audit_resumed(optd_rs.reused_cost, &optd_run)
             .is_ok()
-        && basic_res.result_rows == basic.result_rows
-        && optd_res.result_rows == optd.result_rows;
+        && basic_res_rows == basic_rows
+        && optd_res_rows == optd_rows;
     assert!(resume_ok, "resume must not change decisions or overspend");
 
     // Every spend is printed at full precision (f64 `Display`), so a
@@ -130,7 +135,7 @@ pub fn run() -> String {
         "opt",
         "opt resumed",
     ]);
-    let spends = [&basic, &basic_res, &optd, &optd_res].map(|r| r.contour_breakdown());
+    let spends = [basic, basic_res, optd, optd_res].map(contour_breakdown);
     let max_contour = spends.iter().flatten().map(|r| r.0).max().unwrap_or(0);
     let execs = |row: Option<&(usize, usize, f64)>| row.map_or("-".into(), |r| r.1.to_string());
     let spend = |row: Option<&(usize, usize, f64)>| row.map_or("-".into(), |r| r.2.to_string());
@@ -150,10 +155,10 @@ pub fn run() -> String {
     }
     t.row(vec![
         "total".into(),
-        basic.executions.len().to_string(),
+        basic.trace.len().to_string(),
         basic.total_cost.to_string(),
         basic_res.total_cost.to_string(),
-        optd.executions.len().to_string(),
+        optd.trace.len().to_string(),
         optd.total_cost.to_string(),
         optd_res.total_cost.to_string(),
     ]);
@@ -189,7 +194,7 @@ pub fn run() -> String {
         out,
         "(paper: NAT 579s, basic 117s, optimized 69s, optimal 16s — i.e. 36x/7.2x/4.3x)"
     );
-    let _ = writeln!(out, "result rows: {}", basic.result_rows);
+    let _ = writeln!(out, "result rows: {basic_rows}");
     let _ = writeln!(
         out,
         "cost-inversion cross-check (engine vs simulator basic sequence): {}",

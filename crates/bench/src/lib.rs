@@ -12,7 +12,7 @@ pub mod engine_driver;
 pub mod flags;
 pub mod table;
 
-pub use engine_driver::{engine_run_bouquet, engine_run_nat, EngineRunReport};
+pub use engine_driver::{engine_run_bouquet, engine_run_nat};
 pub use table::Table;
 
 pub mod experiments;

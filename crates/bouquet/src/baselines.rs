@@ -15,8 +15,8 @@
 //! geometrically-graded budget ladder, which is why only it has an MSO
 //! guarantee.
 
-use pb_cost::{CostMatrix, Ess, SelPoint};
-use pb_executor::learnable_node;
+use pb_cost::{CostMatrix, CostProgram, Ess, NodeCosts, SelPoint};
+use pb_executor::MonitorTable;
 use pb_optimizer::PlanDiagram;
 use serde::{Deserialize, Serialize};
 
@@ -46,34 +46,37 @@ pub fn run_reoptimizer(w: &Workload, qe: &SelPoint, qa: &SelPoint) -> ReoptRun {
     assert_eq!(qe.dims(), d);
     assert_eq!(qa.dims(), d);
     let opt = w.optimizer();
-    let coster = w.coster();
 
     let mut q_est: Vec<f64> = qe.0.clone();
     let mut resolved = vec![false; d];
     let mut prefix_costs = Vec::new();
     let mut total = 0.0;
+    let mut scratch = NodeCosts::default();
 
     loop {
         let plan = opt.optimize(&q_est).plan;
-        match learnable_node(&plan.root, &w.query, &resolved) {
+        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, &plan.root);
+        // Every subtree's cost at the true location, by post-order op.
+        let nodes = prog.eval_nodes(qa, &mut scratch);
+        match MonitorTable::build(&plan.root, &w.query).learnable(&resolved) {
             None => {
                 // Every error dimension resolved: the final plan runs to
                 // completion at the true location.
-                total += coster.plan_cost(&plan.root, qa);
+                total += nodes[nodes.len() - 1].cost;
                 return ReoptRun {
                     restarts: prefix_costs.len(),
                     total_cost: total,
                     prefix_costs,
                 };
             }
-            Some((node, dims)) => {
+            Some((node, _)) => {
                 // Run until the error node consumes its input; its true
                 // selectivity is then known (the prefix contains only
                 // resolved dimensions below it, so costing at qa is exact).
-                let prefix = coster.plan_cost(node, qa);
+                let prefix = nodes[node.op].cost;
                 prefix_costs.push(prefix);
                 total += prefix;
-                for dm in dims {
+                for &dm in &node.dims {
                     resolved[dm] = true;
                     q_est[dm] = qa[dm];
                 }

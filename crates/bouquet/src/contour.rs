@@ -69,7 +69,8 @@ impl Contour {
 
     /// Compute the dominance frontier of `{q : opt_cost(q) ≤ budget}`,
     /// ascending: the one-step form of [`frontiers`](Self::frontiers),
-    /// which identification uses.
+    /// which identification and Table 1 use. This one is the reference
+    /// [`build_all`](Self::build_all) and the tests check the pass against.
     pub fn frontier(diagram: &PlanDiagram, budget: f64) -> Vec<usize> {
         let mut ix = GridIx::new();
         (0..diagram.ess.num_points())

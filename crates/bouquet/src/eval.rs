@@ -141,7 +141,7 @@ pub fn evaluate_with_bouquet(
         (None, None)
     };
 
-    let guarantees = guarantee_row(bouquet);
+    let guarantees = guarantee_row(bouquet)?;
 
     Ok(WorkloadEvaluation {
         name: w.name.clone(),
@@ -190,17 +190,15 @@ pub fn run_profile(bouquet: &Bouquet, optimized: bool) -> Result<Vec<f64>, PbErr
 /// Compute the Table 1 guarantee row: Equation 8 evaluated with the raw
 /// POSP contour densities (λ = 0) and with the anorexically reduced
 /// densities (budgets inflated by 1+λ).
-pub fn guarantee_row(bouquet: &Bouquet) -> GuaranteeRow {
+pub fn guarantee_row(bouquet: &Bouquet) -> Result<GuaranteeRow, PbError> {
     let d = &bouquet.diagram;
     let lambda = bouquet.config.lambda;
 
-    // Raw POSP density per contour.
-    let posp_densities: Vec<usize> = bouquet
-        .grading
-        .steps
+    // Raw POSP density per contour, from identification's one-pass
+    // frontier scan.
+    let posp_densities: Vec<usize> = Contour::frontiers(d, &bouquet.grading.steps)?
         .iter()
-        .map(|&b| {
-            let f = Contour::frontier(d, b);
+        .map(|f| {
             let mut plans: Vec<u32> = f.iter().map(|&li| d.optimal[li]).collect();
             plans.sort_unstable();
             plans.dedup();
@@ -224,12 +222,12 @@ pub fn guarantee_row(bouquet: &Bouquet) -> GuaranteeRow {
         worst
     };
 
-    GuaranteeRow {
+    Ok(GuaranteeRow {
         rho_posp: posp_densities.iter().copied().max().unwrap_or(0),
         bound_posp: eq8(&posp_densities, 1.0),
         rho_anorexic: anorexic_densities.iter().copied().max().unwrap_or(0),
         bound_anorexic: eq8(&anorexic_densities, 1.0 + lambda),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -307,7 +305,7 @@ mod tests {
     fn guarantee_row_anorexic_bound_is_tighter() {
         let w = eq_2d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-        let row = guarantee_row(&b);
+        let row = guarantee_row(&b).unwrap();
         assert!(row.rho_anorexic <= row.rho_posp);
         // The whole point of Section 3.3: reduction shrinks the bound
         // (possibly equal on tiny 2D spaces).

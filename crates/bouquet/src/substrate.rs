@@ -16,7 +16,7 @@
 //!   ([`pb_engine::Engine`]) running generated tuples, with budgets enforced
 //!   by the engine's cost ledger and selectivities observed from node tuple
 //!   counters ([`pb_engine::Instrumentation::observed_selectivity`]) at the
-//!   node picked by [`pb_executor::learnable_node`] inversion.
+//!   learnable node the plan's [`pb_executor::MonitorTable`] names.
 //!
 //! The drivers never see `qa` directly: everything they learn arrives
 //! through [`SubstrateOutcome::observed`] (selectivity lower bounds) and
@@ -25,12 +25,12 @@
 //! time. Layering: `pb-executor` and `pb-engine` are independent leaves;
 //! `pb-bouquet` sits above both and owns the trait.
 
-use pb_cost::{NodeCost, NodeCosts, Parallelism, SelPoint};
+use pb_cost::{CostProgram, NodeCost, NodeCosts, Parallelism, SelPoint};
 use pb_engine::{Database, Engine, EngineOutcome, ResumeBook};
-use pb_executor::{learnable_node, CostResumeBook, Executor};
+use pb_executor::{CostResumeBook, Executor};
 use pb_faults::{CancelToken, FaultInjector, PbError};
 use pb_optimizer::PlanId;
-use pb_plan::{DimId, PlanNode, QuerySpec};
+use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec};
 use serde::{Deserialize, Serialize};
 
 use crate::bouquet::Bouquet;
@@ -152,20 +152,16 @@ pub trait ExecutionSubstrate {
 
 /// The cost-unit simulator as a substrate: plan executions are resolved by
 /// [`pb_executor::Executor`] against the true location `qa`, using the
-/// bouquet's compiled cost programs on every path — whole-plan costs for
-/// the plain and native executions, one per-node capture (read through the
-/// plan's monitor table) for the monitored ones.
+/// bouquet's compiled cost programs on every path — one per-node capture
+/// per execution (read through the plan's monitor table and the resume
+/// book's chains), and one program compiled for the native run's plan.
 pub struct SimulatorSubstrate<'a> {
     b: &'a Bouquet,
     qa: SelPoint,
-    ex: Executor<'a>,
+    ex: Executor,
     stack: Vec<NodeCost>,
     nodes: NodeCosts,
-    /// Checkpoint book for resumable executions (`None` until
-    /// [`ExecutionSubstrate::enable_checkpoint_resume`]).
-    resume: Option<CostResumeBook>,
-    reused_cost: f64,
-    resumed_execs: usize,
+    resume: Resume,
     /// Byte cap applied to the resume book (`0` = unbounded).
     resume_byte_cap: usize,
     /// Cooperative cancellation token, polled at the entry of every
@@ -190,18 +186,14 @@ impl<'a> SimulatorSubstrate<'a> {
                 got: qa.dims(),
             });
         }
-        let ex =
-            Executor::with_perturbation(bouquet.workload.coster(), bouquet.config.perturbation)
-                .with_faults(faults);
+        let ex = Executor::new(bouquet.config.perturbation).with_faults(faults);
         Ok(SimulatorSubstrate {
             b: bouquet,
             qa: qa.clone(),
             ex,
             stack: Vec::new(),
             nodes: NodeCosts::default(),
-            resume: None,
-            reused_cost: 0.0,
-            resumed_execs: 0,
+            resume: Resume::default(),
             resume_byte_cap: 0,
             cancel: None,
         })
@@ -221,7 +213,7 @@ impl<'a> SimulatorSubstrate<'a> {
     /// current book immediately and to any book created later.
     pub fn set_resume_byte_cap(&mut self, cap: usize) {
         self.resume_byte_cap = cap;
-        if let Some(book) = self.resume.as_mut() {
+        if let Some(book) = self.resume.book.as_mut() {
             book.set_byte_cap(cap);
         }
     }
@@ -230,19 +222,19 @@ impl<'a> SimulatorSubstrate<'a> {
     /// cancelled query's resubmission resumes instead of restarting).
     /// Resume is disabled until a book is installed or re-enabled.
     pub fn take_resume_book(&mut self) -> Option<CostResumeBook> {
-        self.resume.take()
+        self.resume.book.take()
     }
 
     /// Install a previously detached checkpoint book and enable resume.
     pub fn install_resume_book(&mut self, mut book: CostResumeBook) {
         book.set_byte_cap(self.resume_byte_cap);
-        self.resume = Some(book);
+        self.resume.book = Some(book);
     }
 
     /// Chaos hook: corrupt every retained checkpoint. Subsequent lookups
     /// fail bit-identity validation and executions restart from scratch.
     pub fn corrupt_checkpoints(&mut self) {
-        if let Some(book) = self.resume.as_mut() {
+        if let Some(book) = self.resume.book.as_mut() {
             book.corrupt_all();
         }
     }
@@ -254,34 +246,57 @@ impl<'a> SimulatorSubstrate<'a> {
         Some(SubstrateOutcome::plain(0.0, false, Some(e)))
     }
 
-    /// Credit the largest checkpointed prefix of the executed tree's
-    /// first-executed chain against `spent`, then record the chain subtrees
-    /// this execution completed. The executed tree is plan `pid`, or — for a
-    /// spilled run under the mask `spilled_under` — its prefix below the
-    /// first unresolved error node. Returns the reused cost (zero with
-    /// resume disabled, armed faults, or a faulted execution — a failed run
-    /// is never checkpointed and never discounted, so it cannot
-    /// double-charge).
-    fn resume_discount(
-        &mut self,
+    /// The first-executed chain of the tree an execution of plan `pid`
+    /// runs: the whole plan's, or — for a spilled run under the mask
+    /// `spilled_under` — that of its prefix below the first unresolved
+    /// error node.
+    fn exec_chain(
+        &self,
         pid: PlanId,
         spilled_under: Option<&[bool]>,
+    ) -> &'a [(usize, PlanFingerprint)] {
+        self.b.driver_tables().plans[pid]
+            .monitor
+            .exec_chain(spilled_under)
+    }
+}
+
+/// The simulator's checkpoint/resume state: the book and what it has
+/// credited so far.
+#[derive(Default)]
+struct Resume {
+    /// Checkpoint book for resumable executions (`None` until
+    /// [`ExecutionSubstrate::enable_checkpoint_resume`]).
+    book: Option<CostResumeBook>,
+    reused_cost: f64,
+    resumed_execs: usize,
+}
+
+impl Resume {
+    /// Credit the largest checkpointed prefix of an execution's
+    /// first-executed `chain` against `spent`, then record the chain
+    /// subtrees it completed, each priced off `nodes`, the execution's
+    /// per-op capture. Returns the reused cost: zero with resume disabled
+    /// or armed faults — only an armed injector fails a run, and a failed
+    /// run is never checkpointed and never discounted, so it cannot
+    /// double-charge.
+    fn discount(
+        &mut self,
+        ex: &Executor,
+        qa: &[f64],
+        chain: &[(usize, PlanFingerprint)],
+        nodes: &[NodeCost],
         spent: f64,
         completed: bool,
-        errored: bool,
     ) -> f64 {
-        if self.ex.faults.is_active() || errored {
+        if ex.faults.is_active() {
             return 0.0;
         }
-        let Some(book) = self.resume.as_mut() else {
+        let Some(book) = self.book.as_mut() else {
             return 0.0;
         };
-        let plan = &self.b.plan(pid).root;
-        let root = spilled_under
-            .and_then(|resolved| learnable_node(plan, &self.b.workload.query, resolved))
-            .map_or(plan, |(node, _)| node);
-        let credit = book.credit(&self.ex, root, &self.qa).min(spent);
-        book.record(&self.ex, root, &self.qa, spent, completed);
+        let credit = book.credit(ex, chain, nodes, qa).min(spent);
+        book.record(ex, chain, nodes, qa, spent, completed);
         if credit > 0.0 {
             self.reused_cost += credit;
             self.resumed_execs += 1;
@@ -295,19 +310,17 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         if let Some(o) = self.cancelled_outcome() {
             return o;
         }
-        let out = self.ex.execute_compiled(
-            &self.b.programs()[pid],
-            self.b.plan(pid).fingerprint(),
+        let (prog, fp) = (&self.b.programs()[pid], self.b.plan(pid).fingerprint());
+        let out = self
+            .ex
+            .execute_compiled(prog, fp, &self.qa, budget, &mut self.nodes);
+        let reused = self.resume.discount(
+            &self.ex,
             &self.qa,
-            budget,
-            &mut self.stack,
-        );
-        let reused = self.resume_discount(
-            pid,
-            None,
+            self.exec_chain(pid, None),
+            self.nodes.last(),
             out.spent(),
             out.completed(),
-            out.error().is_some(),
         );
         let mut o =
             SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
@@ -352,12 +365,13 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         } else {
             r.completed
         };
-        let reused = self.resume_discount(
-            pid,
-            spilled.then_some(resolved),
+        let reused = self.resume.discount(
+            &self.ex,
+            &self.qa,
+            self.exec_chain(pid, spilled.then_some(resolved)),
+            self.nodes.last(),
             r.spent,
             prefix_completed,
-            r.error.is_some(),
         );
         SubstrateOutcome {
             spent: r.spent - reused,
@@ -373,8 +387,11 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {
-        let plan = self.b.workload.optimizer().optimize(point).plan;
-        self.ex.actual_cost(&plan.root, &self.qa)
+        let w = &self.b.workload;
+        let plan = w.optimizer().optimize(point).plan;
+        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, &plan.root);
+        self.ex
+            .actual_cost_compiled(&prog, plan.fingerprint(), &self.qa, &mut self.stack)
     }
 
     fn faults_active(&self) -> bool {
@@ -384,15 +401,16 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     fn enable_checkpoint_resume(&mut self) -> bool {
         let cap = self.resume_byte_cap;
         self.resume
+            .book
             .get_or_insert_with(|| CostResumeBook::with_byte_cap(cap));
         true
     }
 
     fn resume_stats(&self) -> ResumeStats {
         ResumeStats {
-            reused_cost: self.reused_cost,
-            resumed_execs: self.resumed_execs,
-            checkpoints: self.resume.as_ref().map_or(0, CostResumeBook::len),
+            reused_cost: self.resume.reused_cost,
+            resumed_execs: self.resume.resumed_execs,
+            checkpoints: self.resume.book.as_ref().map_or(0, CostResumeBook::len),
         }
     }
 }
@@ -403,7 +421,7 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
 
 /// The vectorized tuple engine as a substrate: budgets are enforced by the
 /// engine's cost ledger and selectivities come from node tuple counters,
-/// read at the node chosen by [`learnable_node`] inversion — the same node
+/// read at the learnable node of the plan's monitor table — the same node
 /// the simulator's learning model reasons about.
 pub struct EngineSubstrate<'a> {
     b: &'a Bouquet,
@@ -592,12 +610,14 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
         }
         let w = &self.b.workload;
         let plan = &self.b.plan(pid).root;
-        // Invert the plan to the deepest node applying an unresolved error
+        // The first node in execution order applying an unresolved error
         // dimension; for a spilled run only that node's prefix executes.
-        let learn = learnable_node(plan, &w.query, resolved);
-        let (exec_root, learn_dim): (PlanNode, Option<DimId>) = match (&learn, spilled) {
-            (Some((node, dims)), true) => ((*node).clone().spilled(), Some(dims[0])),
-            (Some((_, dims)), false) => (plan.clone(), Some(dims[0])),
+        let learn = self.b.driver_tables().plans[pid]
+            .monitor
+            .learnable(resolved);
+        let (exec_root, learn_dim): (PlanNode, Option<DimId>) = match (learn, spilled) {
+            (Some((node, dim)), true) => (plan.post_order()[node.op].clone().spilled(), Some(dim)),
+            (Some((_, dim)), false) => (plan.clone(), Some(dim)),
             (None, _) => (plan.clone(), None),
         };
         let (out, reused) = self.run_resumable(&exec_root, budget);

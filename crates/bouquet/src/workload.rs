@@ -1,7 +1,7 @@
 //! A workload bundles everything a bouquet needs: catalog, query, ESS, model.
 
 use pb_catalog::Catalog;
-use pb_cost::{CostModel, Coster, Ess, SelPoint};
+use pb_cost::{CostModel, Ess, SelPoint};
 use pb_optimizer::{Optimizer, PlanDiagram};
 use pb_plan::QuerySpec;
 
@@ -62,10 +62,6 @@ impl Workload {
     /// Dimensionality of the error space.
     pub fn d(&self) -> usize {
         self.ess.d()
-    }
-
-    pub fn coster(&self) -> Coster<'_> {
-        Coster::new(&self.catalog, &self.query, &self.model)
     }
 
     pub fn optimizer(&self) -> Optimizer<'_> {

@@ -1,15 +1,17 @@
-//! Operator cost formulas and abstract plan costing.
+//! The tree-walk reference for abstract plan costing.
 //!
 //! One `Coster` instance binds a catalog, a query and a cost-model
-//! personality. Its per-operator methods are used incrementally by the
-//! dynamic-programming optimizer, and [`Coster::cost`] walks a complete plan
-//! tree to re-cost it at an arbitrary ESS location — the paper's "abstract
-//! plan costing" requirement. Both paths share the same formulas, so the
-//! optimizer and the bouquet runtime can never disagree about a plan's cost.
+//! personality, and [`Coster::cost`] walks a complete plan tree to re-cost
+//! it at an arbitrary ESS location, resolving every catalog constant on
+//! the way. It is the definition the product's evaluator,
+//! [`CostProgram`](crate::program::CostProgram), is tested against (the
+//! crates' unit tests, `tests/compiled_cost.rs`, `tests/properties.rs`);
+//! no product code calls it. The optimizer's DP calls [`crate::formulas`]
+//! directly with constants it resolved once per query.
 //!
-//! The scalar arithmetic itself lives in [`crate::formulas`] and is shared
-//! with the compiled-program evaluator ([`crate::program::CostProgram`]), so
-//! tree-walk and compiled costing are bit-for-bit identical by construction.
+//! The scalar arithmetic lives in [`crate::formulas`] and is shared by all
+//! three, so tree-walk, compiled and DP costing are bit-for-bit identical
+//! by construction.
 
 use pb_catalog::{Catalog, Table};
 use pb_plan::{PlanNode, QuerySpec, RelIdx, SelectionPredicate};
@@ -33,8 +35,8 @@ impl NodeCost {
     }
 }
 
-/// Binds catalog + query + cost model; all methods take the ESS location `q`
-/// (absolute selectivity per error-prone dimension) explicitly.
+/// Binds catalog + query + cost model; [`cost`](Self::cost) takes the ESS
+/// location `q` (absolute selectivity per error-prone dimension) explicitly.
 #[derive(Clone, Copy)]
 pub struct Coster<'a> {
     pub catalog: &'a Catalog,
@@ -56,248 +58,80 @@ impl<'a> Coster<'a> {
     }
 
     /// Selectivity of one selection predicate at location `q`.
-    pub fn pred_sel(&self, pred: &SelectionPredicate, q: &[f64]) -> f64 {
+    fn pred_sel(pred: &SelectionPredicate, q: &[f64]) -> f64 {
         pred.selectivity.resolve(q).clamp(0.0, 1.0)
     }
 
     /// Combined selectivity of all of `rel`'s selection predicates.
-    pub fn rel_sel(&self, rel: RelIdx, q: &[f64]) -> f64 {
+    fn rel_sel(&self, rel: RelIdx, q: &[f64]) -> f64 {
         self.query.relations[rel]
             .selections
             .iter()
-            .map(|s| self.pred_sel(s, q))
+            .map(|s| Self::pred_sel(s, q))
             .product()
     }
 
     /// Combined selectivity of a set of join edges.
-    pub fn edges_sel(&self, edges: &[usize], q: &[f64]) -> f64 {
+    fn edges_sel(&self, edges: &[usize], q: &[f64]) -> f64 {
         edges
             .iter()
             .map(|&e| self.query.joins[e].selectivity.resolve(q).clamp(0.0, 1.0))
             .product()
     }
 
-    /// Sequential scan of `rel` with all selections applied on the fly.
-    pub fn seq_scan(&self, rel: RelIdx, q: &[f64]) -> NodeCost {
-        let t = self.table(rel);
-        let npred = self.query.relations[rel].selections.len() as f64;
-        formulas::seq_scan(
-            &self.model.p,
-            t.rows,
-            t.pages(),
-            t.row_width as f64,
-            npred,
-            self.rel_sel(rel, q),
-        )
-    }
-
-    /// Index scan of `rel` driven by selection `sel_idx`; remaining
-    /// selections are residual filters on the fetched tuples.
-    pub fn index_scan(&self, rel: RelIdx, sel_idx: usize, q: &[f64]) -> NodeCost {
-        let t = self.table(rel);
-        let r = &self.query.relations[rel];
-        let ix_sel = self.pred_sel(&r.selections[sel_idx], q);
-        let residual: f64 = r
-            .selections
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != sel_idx)
-            .map(|(_, s)| self.pred_sel(s, q))
-            .product();
-        let height = t
-            .index_on(r.selections[sel_idx].column)
-            .map_or(2.0, |ix| ix.height as f64);
-        let leaf_pages = (t.rows / 256.0).max(1.0);
-        formulas::index_scan(
-            &self.model.p,
-            t.rows,
-            t.row_width as f64,
-            height,
-            leaf_pages,
-            r.selections.len() as f64,
-            ix_sel,
-            residual,
-        )
-    }
-
-    /// Full scan through the index on `column` — delivers tuples ordered on
-    /// that column at the price of random heap fetches for every row.
-    pub fn full_index_scan(&self, rel: RelIdx, q: &[f64]) -> NodeCost {
-        let t = self.table(rel);
-        let npred = self.query.relations[rel].selections.len() as f64;
-        let leaf_pages = (t.rows / 256.0).max(1.0);
-        formulas::full_index_scan(
-            &self.model.p,
-            t.rows,
-            t.row_width as f64,
-            leaf_pages,
-            npred,
-            self.rel_sel(rel, q),
-        )
-    }
-
-    /// Cost of sorting `input` (in-memory quicksort, external merge when the
-    /// input exceeds work_mem).
-    pub fn sort_cost(&self, input: &NodeCost) -> f64 {
-        formulas::sort_cost(&self.model.p, input)
-    }
-
-    /// Output cardinality of a join applying `edges`.
-    pub fn join_rows(&self, left: &NodeCost, right: &NodeCost, edges: &[usize], q: &[f64]) -> f64 {
-        left.rows * right.rows * self.edges_sel(edges, q)
-    }
-
-    /// Hybrid hash join: `build` is hashed, `probe` streams past it.
-    pub fn hash_join(
-        &self,
-        build: &NodeCost,
-        probe: &NodeCost,
-        edges: &[usize],
-        q: &[f64],
-    ) -> NodeCost {
-        formulas::hash_join(
-            &self.model.p,
-            build,
-            probe,
-            self.edges_sel(edges, q),
-            edges.len() as f64,
-        )
-    }
-
-    /// Sort-merge join; `sort_left`/`sort_right` indicate explicit sorts.
-    pub fn merge_join(
-        &self,
-        left: &NodeCost,
-        right: &NodeCost,
-        edges: &[usize],
-        q: &[f64],
-        sort_left: bool,
-        sort_right: bool,
-    ) -> NodeCost {
-        formulas::merge_join(
-            &self.model.p,
-            left,
-            right,
-            self.edges_sel(edges, q),
-            edges.len() as f64,
-            sort_left,
-            sort_right,
-        )
-    }
-
-    /// Index nested-loops join: one index probe into `inner_rel` per outer
-    /// tuple. The first edge is the lookup key; the inner relation's own
-    /// selections are residual filters on every fetched match.
-    pub fn index_nl_join(
-        &self,
-        outer: &NodeCost,
-        inner_rel: RelIdx,
-        edges: &[usize],
-        q: &[f64],
-    ) -> NodeCost {
-        let t = self.table(inner_rel);
-        let npred = self.query.relations[inner_rel].selections.len() as f64
-            + (edges.len() as f64 - 1.0).max(0.0);
-        formulas::index_nl_join(
-            &self.model.p,
-            outer,
-            t.rows,
-            t.row_width as f64,
-            self.edges_sel(&edges[..1], q),
-            self.edges_sel(&edges[1..], q),
-            self.rel_sel(inner_rel, q),
-            npred,
-        )
-    }
-
-    /// Block nested-loops join with a materialized inner.
-    pub fn block_nl_join(
-        &self,
-        outer: &NodeCost,
-        inner: &NodeCost,
-        edges: &[usize],
-        q: &[f64],
-    ) -> NodeCost {
-        formulas::block_nl_join(
-            &self.model.p,
-            outer,
-            inner,
-            self.edges_sel(edges, q),
-            edges.len().max(1) as f64,
-        )
-    }
-
-    /// Hash anti-join (NOT EXISTS): build a key set from `right`, stream
-    /// `left` past it, keep the non-matching rows. With match density `s`
-    /// (the edge parameter), a left row survives with probability
-    /// `1 − min(s·|R|, 0.99)`; the 1% floor keeps the cost strictly
-    /// monotone and the output non-degenerate. Note the *decreasing*
-    /// dependence on `s` — this operator deliberately violates PCM.
-    pub fn anti_join(
-        &self,
-        left: &NodeCost,
-        right: &NodeCost,
-        edges: &[usize],
-        q: &[f64],
-    ) -> NodeCost {
-        formulas::anti_join(&self.model.p, left, right, self.edges_sel(&edges[..1], q))
-    }
-
-    /// Hash semi-join (EXISTS): build a key set from `right`, stream `left`
-    /// past it, keep the matching rows. With match density `s` (the edge
-    /// parameter), a left row survives with probability `min(s·|R|, 0.99)`
-    /// (1% floor) — the complement of [`Coster::anti_join`], monotone
-    /// *increasing* in `s` and therefore PCM-clean.
-    pub fn semi_join(
-        &self,
-        left: &NodeCost,
-        right: &NodeCost,
-        edges: &[usize],
-        q: &[f64],
-    ) -> NodeCost {
-        formulas::semi_join(&self.model.p, left, right, self.edges_sel(&edges[..1], q))
-    }
-
-    /// Hash aggregation: one output row per distinct grouping-key value,
-    /// capped by the input cardinality (distinct counts from statistics).
-    pub fn hash_aggregate(&self, input: &NodeCost, _q: &[f64]) -> NodeCost {
-        let ndv_product: f64 = self
-            .query
-            .group_by
-            .iter()
-            .map(|&(rel, col)| {
-                let t = self.table(rel);
-                t.columns[col.column as usize].stats.ndv.max(1.0)
-            })
-            .product();
-        formulas::hash_aggregate(
-            &self.model.p,
-            input,
-            ndv_product,
-            (self.query.group_by.len() as f64 + 1.0) * 8.0,
-        )
-    }
-
-    /// Spill directive: execute the input, count and discard its output
-    /// (pipeline deliberately broken — Section 5.3).
-    pub fn spill(&self, input: &NodeCost) -> NodeCost {
-        formulas::spill(&self.model.p, input)
-    }
-
-    /// Abstract plan costing: re-cost a full plan tree at ESS location `q`.
+    /// Abstract plan costing: re-cost a full plan tree at ESS location `q`,
+    /// resolving every catalog constant at the node that reads it. An index
+    /// scan's remaining selections are residual filters on the fetched
+    /// tuples; an index nested-loops join's first edge is the lookup key.
     pub fn cost(&self, node: &PlanNode, q: &[f64]) -> NodeCost {
+        let p = &self.model.p;
+        let npred = |rel: RelIdx| self.query.relations[rel].selections.len() as f64;
+        let leaf_pages = |t: &Table| (t.rows / 256.0).max(1.0);
         match node {
-            PlanNode::SeqScan { rel } => self.seq_scan(*rel, q),
-            PlanNode::IndexScan { rel, sel_idx } => self.index_scan(*rel, *sel_idx, q),
-            PlanNode::FullIndexScan { rel, .. } => self.full_index_scan(*rel, q),
+            PlanNode::SeqScan { rel } => {
+                let t = self.table(*rel);
+                let (width, sel) = (t.row_width as f64, self.rel_sel(*rel, q));
+                formulas::seq_scan(p, t.rows, t.pages(), width, npred(*rel), sel)
+            }
+            PlanNode::IndexScan { rel, sel_idx } => {
+                let t = self.table(*rel);
+                let r = &self.query.relations[*rel];
+                let ix_sel = Self::pred_sel(&r.selections[*sel_idx], q);
+                let residual: f64 = r
+                    .selections
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i != sel_idx)
+                    .map(|(_, s)| Self::pred_sel(s, q))
+                    .product();
+                let height = t
+                    .index_on(r.selections[*sel_idx].column)
+                    .map_or(2.0, |ix| ix.height as f64);
+                let width = t.row_width as f64;
+                formulas::index_scan(
+                    p,
+                    t.rows,
+                    width,
+                    height,
+                    leaf_pages(t),
+                    npred(*rel),
+                    ix_sel,
+                    residual,
+                )
+            }
+            PlanNode::FullIndexScan { rel, .. } => {
+                let t = self.table(*rel);
+                let (width, sel) = (t.row_width as f64, self.rel_sel(*rel, q));
+                formulas::full_index_scan(p, t.rows, width, leaf_pages(t), npred(*rel), sel)
+            }
             PlanNode::HashJoin {
                 build,
                 probe,
                 edges,
             } => {
-                let b = self.cost(build, q);
-                let p = self.cost(probe, q);
-                self.hash_join(&b, &p, edges, q)
+                let (b, pr) = (self.cost(build, q), self.cost(probe, q));
+                let nedges = edges.len() as f64;
+                formulas::hash_join(p, &b, &pr, self.edges_sel(edges, q), nedges)
             }
             PlanNode::SortMergeJoin {
                 left,
@@ -306,9 +140,9 @@ impl<'a> Coster<'a> {
                 sort_left,
                 sort_right,
             } => {
-                let l = self.cost(left, q);
-                let r = self.cost(right, q);
-                self.merge_join(&l, &r, edges, q, *sort_left, *sort_right)
+                let (l, r) = (self.cost(left, q), self.cost(right, q));
+                let (esel, nedges) = (self.edges_sel(edges, q), edges.len() as f64);
+                formulas::merge_join(p, &l, &r, esel, nedges, *sort_left, *sort_right)
             }
             PlanNode::IndexNLJoin {
                 outer,
@@ -316,35 +150,50 @@ impl<'a> Coster<'a> {
                 edges,
             } => {
                 let o = self.cost(outer, q);
-                self.index_nl_join(&o, *inner_rel, edges, q)
+                let t = self.table(*inner_rel);
+                let npred = npred(*inner_rel) + (edges.len() as f64 - 1.0).max(0.0);
+                formulas::index_nl_join(
+                    p,
+                    &o,
+                    t.rows,
+                    t.row_width as f64,
+                    self.edges_sel(&edges[..1], q),
+                    self.edges_sel(&edges[1..], q),
+                    self.rel_sel(*inner_rel, q),
+                    npred,
+                )
             }
             PlanNode::BlockNLJoin {
                 outer,
                 inner,
                 edges,
             } => {
-                let o = self.cost(outer, q);
-                let i = self.cost(inner, q);
-                self.block_nl_join(&o, &i, edges, q)
+                let (o, i) = (self.cost(outer, q), self.cost(inner, q));
+                let nedges = edges.len().max(1) as f64;
+                formulas::block_nl_join(p, &o, &i, self.edges_sel(edges, q), nedges)
             }
             PlanNode::AntiJoin { left, right, edges } => {
-                let l = self.cost(left, q);
-                let r = self.cost(right, q);
-                self.anti_join(&l, &r, edges, q)
+                let (l, r) = (self.cost(left, q), self.cost(right, q));
+                formulas::anti_join(p, &l, &r, self.edges_sel(&edges[..1], q))
             }
             PlanNode::SemiJoin { left, right, edges } => {
-                let l = self.cost(left, q);
-                let r = self.cost(right, q);
-                self.semi_join(&l, &r, edges, q)
+                let (l, r) = (self.cost(left, q), self.cost(right, q));
+                formulas::semi_join(p, &l, &r, self.edges_sel(&edges[..1], q))
             }
             PlanNode::HashAggregate { input } => {
                 let i = self.cost(input, q);
-                self.hash_aggregate(&i, q)
+                let ndv_product: f64 = (self.query.group_by.iter())
+                    .map(|&(rel, col)| {
+                        self.table(rel).columns[col.column as usize]
+                            .stats
+                            .ndv
+                            .max(1.0)
+                    })
+                    .product();
+                let width = (self.query.group_by.len() as f64 + 1.0) * 8.0;
+                formulas::hash_aggregate(p, &i, ndv_product, width)
             }
-            PlanNode::Spill { input } => {
-                let i = self.cost(input, q);
-                self.spill(&i)
-            }
+            PlanNode::Spill { input } => formulas::spill(p, &self.cost(input, q)),
         }
     }
 
@@ -378,12 +227,15 @@ mod tests {
         (cat.clone(), qb.build(), CostModel::postgresish())
     }
 
+    const SCAN_PART: PlanNode = PlanNode::SeqScan { rel: 0 };
+    const INDEX_PART: PlanNode = PlanNode::IndexScan { rel: 0, sel_idx: 0 };
+
     #[test]
     fn seq_scan_cost_independent_of_selectivity_io() {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
-        let lo = c.seq_scan(0, &[1e-4]);
-        let hi = c.seq_scan(0, &[1.0]);
+        let lo = c.cost(&SCAN_PART, &[1e-4]);
+        let hi = c.cost(&SCAN_PART, &[1.0]);
         // Scan I/O identical; only emitted rows differ.
         assert!(hi.cost > lo.cost);
         assert!(hi.cost - lo.cost < 0.02 * hi.cost + 2100.0);
@@ -394,19 +246,26 @@ mod tests {
     fn index_scan_beats_seq_scan_at_low_selectivity_only() {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
-        assert!(c.index_scan(0, 0, &[1e-4]).cost < c.seq_scan(0, &[1e-4]).cost);
-        assert!(c.index_scan(0, 0, &[0.5]).cost > c.seq_scan(0, &[0.5]).cost);
+        assert!(c.plan_cost(&INDEX_PART, &[1e-4]) < c.plan_cost(&SCAN_PART, &[1e-4]));
+        assert!(c.plan_cost(&INDEX_PART, &[0.5]) > c.plan_cost(&SCAN_PART, &[0.5]));
     }
 
     #[test]
     fn inl_join_beats_hash_join_at_low_selectivity_only() {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
+        let inl = PlanNode::IndexNLJoin {
+            outer: Box::new(INDEX_PART),
+            inner_rel: 1,
+            edges: vec![0],
+        };
+        let hj = PlanNode::HashJoin {
+            build: Box::new(INDEX_PART),
+            probe: Box::new(PlanNode::SeqScan { rel: 1 }),
+            edges: vec![0],
+        };
         for (s, inl_wins) in [(1e-4, true), (1.0, false)] {
-            let outer = c.index_scan(0, 0, &[s]);
-            let inl = c.index_nl_join(&outer, 1, &[0], &[s]);
-            let probe = c.seq_scan(1, &[s]);
-            let hj = c.hash_join(&outer, &probe, &[0], &[s]);
+            let (inl, hj) = (c.cost(&inl, &[s]), c.cost(&hj, &[s]));
             assert_eq!(
                 inl.cost < hj.cost,
                 inl_wins,
@@ -423,10 +282,15 @@ mod tests {
     fn merge_join_sort_flags_change_cost_not_rows() {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
-        let l = c.seq_scan(1, &[0.5]);
-        let r = c.seq_scan(2, &[0.5]);
-        let sorted = c.merge_join(&l, &r, &[1], &[0.5], false, false);
-        let unsorted = c.merge_join(&l, &r, &[1], &[0.5], true, true);
+        let merge = |sort| PlanNode::SortMergeJoin {
+            left: Box::new(PlanNode::SeqScan { rel: 1 }),
+            right: Box::new(PlanNode::SeqScan { rel: 2 }),
+            edges: vec![1],
+            sort_left: sort,
+            sort_right: sort,
+        };
+        let sorted = c.cost(&merge(false), &[0.5]);
+        let unsorted = c.cost(&merge(true), &[0.5]);
         assert!(unsorted.cost > sorted.cost);
         assert_eq!(sorted.rows, unsorted.rows);
     }
@@ -435,8 +299,8 @@ mod tests {
     fn spill_discards_rows_but_keeps_cost() {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
-        let input = c.seq_scan(0, &[0.5]);
-        let sp = c.spill(&input);
+        let input = c.cost(&SCAN_PART, &[0.5]);
+        let sp = c.cost(&SCAN_PART.spilled(), &[0.5]);
         assert_eq!(sp.rows, 0.0);
         assert!(sp.cost >= input.cost);
     }
@@ -447,7 +311,7 @@ mod tests {
         let c = Coster::new(&cat, &q, &m);
         let plan = PlanNode::IndexNLJoin {
             outer: Box::new(PlanNode::HashJoin {
-                build: Box::new(PlanNode::IndexScan { rel: 0, sel_idx: 0 }),
+                build: Box::new(INDEX_PART),
                 probe: Box::new(PlanNode::SeqScan { rel: 1 }),
                 edges: vec![0],
             }),
@@ -456,12 +320,22 @@ mod tests {
         };
         let s = [0.01];
         let walked = c.cost(&plan, &s);
-        let b = c.index_scan(0, 0, &s);
-        let p = c.seq_scan(1, &s);
-        let hj = c.hash_join(&b, &p, &[0], &s);
-        let inl = c.index_nl_join(&hj, 2, &[1], &s);
-        assert_eq!(walked.cost, inl.cost);
-        assert_eq!(walked.rows, inl.rows);
+        // The same plan priced bottom-up from `setup`'s spec: part carries
+        // the one (error-prone) selection, the join edges are fixed.
+        let (p, table) = (&m.p, |rel| c.table(rel));
+        let (part, lineitem, orders) = (table(0), table(1), table(2));
+        let height = part
+            .index_on(q.relations[0].selections[0].column)
+            .map_or(2.0, |ix| ix.height as f64);
+        let leaf_pages = (part.rows / 256.0).max(1.0);
+        let (part_w, line_w) = (part.row_width as f64, lineitem.row_width as f64);
+        let b = formulas::index_scan(p, part.rows, part_w, height, leaf_pages, 1.0, s[0], 1.0);
+        let pr = formulas::seq_scan(p, lineitem.rows, lineitem.pages(), line_w, 0.0, 1.0);
+        let hj = formulas::hash_join(p, &b, &pr, 5e-6, 1.0);
+        let orders_w = orders.row_width as f64;
+        let inl = formulas::index_nl_join(p, &hj, orders.rows, orders_w, 6.7e-7, 1.0, 1.0, 0.0);
+        assert_eq!(walked.cost.to_bits(), inl.cost.to_bits());
+        assert_eq!(walked.rows.to_bits(), inl.rows.to_bits());
     }
 
     #[test]
@@ -488,8 +362,7 @@ mod tests {
 
     #[test]
     fn hash_join_grace_penalty_kicks_in() {
-        let (cat, q, m) = setup();
-        let c = Coster::new(&cat, &q, &m);
+        let (_, _, m) = setup();
         // Build fits: part at low sel. Build spills: lineitem full.
         let small = NodeCost {
             rows: 1000.0,
@@ -506,8 +379,8 @@ mod tests {
             cost: 0.0,
             width: 100.0,
         };
-        let hj_small = c.hash_join(&small, &probe, &[0], &[1.0]);
-        let hj_big = c.hash_join(&big, &probe, &[0], &[1.0]);
+        let hj_small = formulas::hash_join(&m.p, &small, &probe, 5e-6, 1.0);
+        let hj_big = formulas::hash_join(&m.p, &big, &probe, 5e-6, 1.0);
         let linear_scale = big.rows / small.rows;
         assert!(hj_big.cost > hj_small.cost * linear_scale * 0.5); // sanity
                                                                    // The big build must include partitioning I/O beyond pure CPU scaling.

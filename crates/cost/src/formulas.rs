@@ -1,7 +1,7 @@
 //! Scalar operator cost formulas shared by every costing path: the
-//! tree-walk [`Coster`], the compiled [`CostProgram`] evaluator and the
-//! optimizer's DP, which calls them directly with constants it resolved
-//! once per query.
+//! compiled [`CostProgram`] evaluator, the optimizer's DP, which calls them
+//! directly with constants it resolved once per query, and the tree-walk
+//! reference [`Coster`] both are tested against.
 //!
 //! All paths funnel through these functions, so they agree *bit-for-bit*
 //! by construction: the same floating-point operations are executed in the

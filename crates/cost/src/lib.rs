@@ -9,7 +9,10 @@
 //!    [`SelPoint`] supplies its value, so injection is the default mode of
 //!    operation rather than a patch.
 //! 2. **Abstract plan costing** — re-cost a fixed plan tree at an arbitrary
-//!    location of the error-prone selectivity space ([`Coster::cost`]).
+//!    location of the error-prone selectivity space ([`CostProgram`]: the
+//!    plan compiled once, evaluated at any location, every subtree's cost
+//!    captured on request). [`Coster`] is the tree-walk reference it is
+//!    tested against; no product code calls it.
 //!
 //! The operator cost formulas are deliberately textbook (a PostgreSQL-flavour
 //! personality and a "commercial" personality with different constants). What

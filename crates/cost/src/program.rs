@@ -1,10 +1,11 @@
-//! Compiled cost programs: abstract plan costing without the tree walk.
+//! Compiled cost programs: the product's abstract plan costing.
 //!
-//! [`Coster::cost`](crate::Coster::cost) re-costs a plan by recursing over
-//! `Box`ed plan nodes, resolving catalog constants (table cardinalities,
-//! index heights, NDVs) at every node on every call. Bouquet identification
-//! evaluates the *same* plans at thousands of ESS grid points, so that
-//! per-call resolution work is pure overhead.
+//! Re-costing a plan by recursing over `Box`ed plan nodes resolves catalog
+//! constants (table cardinalities, index heights, NDVs) at every node on
+//! every call. Bouquet identification evaluates the *same* plans at
+//! thousands of ESS grid points, and the drivers re-cost the same bouquet
+//! plans at every execution, so that per-call resolution work is pure
+//! overhead.
 //!
 //! [`CostProgram::compile`] lowers a plan once into a flat post-order array
 //! of [`ProgOp`]s with every catalog constant pre-resolved; only the
@@ -29,10 +30,11 @@
 //!
 //! All paths call the scalar formulas in [`crate::formulas`] and resolve
 //! selectivity products over the same predicate sequences in the same
-//! order, so a program's result is **bit-for-bit identical** to the tree
-//! walk's (pinned by `tests/compiled_cost.rs`). That exactness is what lets
-//! the diagram build and the runtime drivers swap costing paths freely
-//! without perturbing any serialized artifact.
+//! order, so a program's result is **bit-for-bit identical** to the
+//! crate's tree-walk reference (pinned by `tests/compiled_cost.rs`), and a
+//! captured sub-plan estimate ([`CostProgram::eval_nodes`]) is bit-identical
+//! to costing that sub-plan alone — which is what lets the drivers read a
+//! subtree's cost off one evaluation of the whole plan.
 
 use std::collections::HashMap;
 
@@ -317,6 +319,13 @@ pub struct NodeCosts {
     nodes: Vec<NodeCost>,
 }
 
+impl NodeCosts {
+    /// The per-op estimates the last [`CostProgram::eval_nodes`] left here.
+    pub fn last(&self) -> &[NodeCost] {
+        &self.nodes
+    }
+}
+
 /// A distinct sub-plan of the set being compiled: how often evaluating the
 /// set reaches it (an occurrence inside an already-seen sub-plan is never
 /// reached — that one is recalled whole) and its register once lowered.
@@ -360,8 +369,8 @@ impl<'p> SubPlans<'p> {
 }
 
 impl CostProgram {
-    /// Lower `root` into a program. Catalog constants are resolved exactly
-    /// like [`Coster`](crate::Coster)'s per-operator methods resolve them.
+    /// Lower `root` into a program. Catalog constants are resolved once,
+    /// here, exactly as the tree-walk reference resolves them per call.
     pub fn compile(
         catalog: &Catalog,
         query: &QuerySpec,
@@ -427,6 +436,11 @@ impl CostProgram {
     /// Number of compiled plans.
     pub fn num_roots(&self) -> usize {
         self.root_ends.len()
+    }
+
+    /// The cost constants the program was compiled with.
+    pub fn params(&self) -> &CostParams {
+        &self.params
     }
 
     fn push_sels<'s>(&mut self, specs: impl Iterator<Item = &'s SelSpec>) -> SelRange {
@@ -610,7 +624,8 @@ impl CostProgram {
     }
 
     /// Resolve a selectivity window at `q` — same iterator shape (and thus
-    /// the same multiplication order) as `Coster::rel_sel`/`edges_sel`.
+    /// the same multiplication order) as the tree-walk reference's
+    /// `rel_sel` / `edges_sel`.
     #[inline]
     fn sel_product(&self, r: SelRange, q: &[f64]) -> f64 {
         self.sels[r.start as usize..(r.start + r.len) as usize]
@@ -899,14 +914,7 @@ mod tests {
         let (cat, q, m) = setup();
         let c = Coster::new(&cat, &q, &m);
         let plan = deep_plan();
-        let mut post = Vec::new();
-        fn postorder<'p>(n: &'p PlanNode, out: &mut Vec<&'p PlanNode>) {
-            for child in n.children() {
-                postorder(child, out);
-            }
-            out.push(n);
-        }
-        postorder(&plan, &mut post);
+        let post = plan.post_order();
         let prog = CostProgram::compile(&cat, &q, &m, &plan);
         let mut scratch = NodeCosts::default();
         for s in [1e-4, 3.7e-3, 0.2512, 1.0] {

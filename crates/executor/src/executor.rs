@@ -1,6 +1,6 @@
 //! Budgeted plan execution in cost units.
 
-use pb_cost::{CostPerturbation, CostProgram, Coster, NodeCost, NodeCosts};
+use pb_cost::{formulas, CostPerturbation, CostProgram, NodeCost, NodeCosts};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec, RelIdx};
 
@@ -93,7 +93,9 @@ fn dims_applied_at(node: &PlanNode, query: &QuerySpec, keep: impl Fn(DimId) -> b
 /// so its input cardinalities are fully known — the precondition for
 /// learning a selectivity lower bound from its tuple counter (Section 5.2).
 ///
-/// Returns `(node, dims_applied_here)`.
+/// Returns `(node, dims_applied_here)`. This is the tree-walk reference
+/// [`MonitorTable::learnable`] is tested against; product code asks the
+/// table.
 pub fn learnable_node<'p>(
     plan: &'p PlanNode,
     query: &QuerySpec,
@@ -126,6 +128,10 @@ pub struct MonitorNode {
     pub fingerprint: PlanFingerprint,
     /// `(op index, fingerprint)` of each child subtree, outer/left first.
     pub children: Vec<(usize, PlanFingerprint)>,
+    /// The first-executed chain ([`PlanNode::exec_chain`]) of the subtree
+    /// rooted here as `(op index, fingerprint)` pairs, deepest first, this
+    /// node last: the prefixes a spilled execution below it can checkpoint.
+    pub chain: Vec<(usize, PlanFingerprint)>,
 }
 
 /// [`learnable_node`] for every `resolved` mask at once: a plan's
@@ -134,47 +140,49 @@ pub struct MonitorNode {
 /// entry's with the resolved ones dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorTable {
-    /// Fingerprint of the whole plan.
-    root: PlanFingerprint,
     /// Nodes in the plan (= ops in its program).
     size: usize,
     nodes: Vec<MonitorNode>,
+    /// The whole plan's first-executed chain, as in [`MonitorNode::chain`].
+    chain: Vec<(usize, PlanFingerprint)>,
 }
 
 impl MonitorTable {
     pub fn build(plan: &PlanNode, query: &QuerySpec) -> Self {
-        /// Post-order walk; returns the op index of `node`.
+        /// Post-order walk; returns the first-executed chain of `node`,
+        /// whose last entry is `node`'s own `(op, fingerprint)`.
         fn walk(
             node: &PlanNode,
             query: &QuerySpec,
             next_op: &mut usize,
             out: &mut Vec<MonitorNode>,
-        ) -> usize {
-            let children: Vec<(usize, PlanFingerprint)> = node
+        ) -> Vec<(usize, PlanFingerprint)> {
+            let chains: Vec<Vec<(usize, PlanFingerprint)>> = node
                 .children()
                 .into_iter()
-                .map(|c| (walk(c, query, next_op, out), c.fingerprint()))
+                .map(|c| walk(c, query, next_op, out))
                 .collect();
+            let children = chains.iter().map(|c| c[c.len() - 1]).collect();
             let op = *next_op;
             *next_op += 1;
+            let fingerprint = node.fingerprint();
+            let mut chain = chains.into_iter().next().unwrap_or_default();
+            chain.push((op, fingerprint));
             let dims = dims_applied_at(node, query, |_| true);
             if !dims.is_empty() {
                 out.push(MonitorNode {
                     op,
                     dims,
-                    fingerprint: node.fingerprint(),
+                    fingerprint,
                     children,
+                    chain: chain.clone(),
                 });
             }
-            op
+            chain
         }
         let (mut size, mut nodes) = (0, Vec::new());
-        walk(plan, query, &mut size, &mut nodes);
-        MonitorTable {
-            root: plan.fingerprint(),
-            size,
-            nodes,
-        }
+        let chain = walk(plan, query, &mut size, &mut nodes);
+        MonitorTable { size, nodes, chain }
     }
 
     /// The error-applying nodes, in post-order.
@@ -190,30 +198,39 @@ impl MonitorTable {
             Some((n, first))
         })
     }
+
+    /// The first-executed chain of the tree an execution runs: the whole
+    /// plan's, or — for a spilled run under the mask `spilled_under` — that
+    /// of the prefix below the learnable node (the whole plan's when no
+    /// node is learnable, as the spilled run then executes the plan).
+    pub fn exec_chain(&self, spilled_under: Option<&[bool]>) -> &[(usize, PlanFingerprint)] {
+        match spilled_under.and_then(|resolved| self.learnable(resolved)) {
+            Some((node, _)) => &node.chain,
+            None => &self.chain,
+        }
+    }
+
+    /// Fingerprint of the whole plan.
+    fn root(&self) -> PlanFingerprint {
+        self.chain[self.chain.len() - 1].1
+    }
 }
 
-/// Cost-unit execution simulator bound to (catalog, query, cost model) via a
-/// [`Coster`], with an optional bounded model-error perturbation and an
-/// optional fault injector (inert by default — with [`FaultInjector::none`]
-/// every outcome is bit-identical to the hook-free code).
-pub struct Executor<'a> {
-    pub coster: Coster<'a>,
+/// Cost-unit execution simulator: prices plans through their compiled
+/// [`CostProgram`]s, with an optional bounded model-error perturbation and
+/// an optional fault injector (inert by default — with
+/// [`FaultInjector::none`] every outcome is bit-identical to the hook-free
+/// code).
+pub struct Executor {
     pub perturb: CostPerturbation,
     pub faults: FaultInjector,
 }
 
-impl<'a> Executor<'a> {
-    pub fn new(coster: Coster<'a>) -> Self {
+impl Executor {
+    /// A simulator whose actual costs are the modeled ones under `perturb`
+    /// (`CostPerturbation::none()` for the perfect model), no faults armed.
+    pub fn new(perturb: CostPerturbation) -> Self {
         Executor {
-            coster,
-            perturb: CostPerturbation::none(),
-            faults: FaultInjector::none(),
-        }
-    }
-
-    pub fn with_perturbation(coster: Coster<'a>, perturb: CostPerturbation) -> Self {
-        Executor {
-            coster,
             perturb,
             faults: FaultInjector::none(),
         }
@@ -223,13 +240,6 @@ impl<'a> Executor<'a> {
     pub fn with_faults(mut self, faults: FaultInjector) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The actual run-time cost of executing `plan` to completion at the
-    /// true location `qa` (modeled cost × bounded model-error factor; an
-    /// armed injector may additionally spike the cost beyond the δ band).
-    pub fn actual_cost(&self, plan: &PlanNode, qa: &[f64]) -> f64 {
-        self.realized(plan.fingerprint(), qa, self.coster.plan_cost(plan, qa))
     }
 
     /// What a plan fingerprinted `fp` actually costs to run at `qa` when the
@@ -281,11 +291,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// [`actual_cost`](Executor::actual_cost) via a compiled program. The
-    /// program's modeled cost is bit-identical to the tree walk's, so the
-    /// two paths are interchangeable. `fp` must be the fingerprint of the
-    /// plan the program was compiled from (the model-error perturbation
-    /// keys off it); `stack` is reusable evaluation scratch.
+    /// The actual run-time cost of executing a compiled plan to completion
+    /// at the true location `qa`: its modeled cost × the bounded model-error
+    /// factor (an armed injector may additionally spike it beyond the δ
+    /// band). `fp` must be the fingerprint of the plan the program was
+    /// compiled from (the model-error perturbation keys off it); `stack` is
+    /// reusable evaluation scratch.
     pub fn actual_cost_compiled(
         &self,
         prog: &CostProgram,
@@ -298,15 +309,18 @@ impl<'a> Executor<'a> {
 
     /// Plain cost-limited execution of a compiled plan — the basic driver's
     /// primitive, which re-costs whole pool plans once per budget probe.
+    /// One captured evaluation prices it, leaving every subtree's estimate
+    /// in `scratch` for a [`CostResumeBook`] to price the chain from.
     pub fn execute_compiled(
         &self,
         prog: &CostProgram,
         fp: PlanFingerprint,
         qa: &[f64],
         budget: f64,
-        stack: &mut Vec<NodeCost>,
+        scratch: &mut NodeCosts,
     ) -> ExecOutcome {
-        let cost = self.actual_cost_compiled(prog, fp, qa, stack);
+        let nodes = prog.eval_nodes(qa, scratch);
+        let cost = self.realized(fp, qa, nodes[nodes.len() - 1].cost);
         self.budgeted(cost, budget, "executor:execute-compiled")
     }
 
@@ -330,7 +344,7 @@ impl<'a> Executor<'a> {
     /// and `E`'s inputs: the captured estimate at a node's op index is
     /// bit-identical to costing that subtree alone, and the perturbation
     /// keys off the subtree fingerprints the table recorded, so the outcome
-    /// equals the tree walk's bit for bit.
+    /// equals the tree walk's bit for bit. The capture stays in `scratch`.
     #[allow(clippy::too_many_arguments)] // the plan (program + table), the location, the request, scratch
     pub fn execute_monitored(
         &self,
@@ -385,7 +399,7 @@ impl<'a> Executor<'a> {
         let Some((node, dim)) = table.learnable(resolved) else {
             // No unresolved error dimension in this plan: pure completion
             // attempt; nothing to learn on abort.
-            let cost = actual(root, table.root);
+            let cost = actual(root, table.root());
             return if cost <= budget {
                 RunResult {
                     completed: true,
@@ -408,10 +422,10 @@ impl<'a> Executor<'a> {
         // Cost of the executed tree.
         let exec_tree_cost = if spilled {
             // Subtree rooted at the error node, output discarded.
-            let prefix = self.coster.spill(&nodes[node.op]).cost;
+            let prefix = formulas::spill(prog.params(), &nodes[node.op]).cost;
             self.perturb.actual_cost(node.fingerprint, qa, prefix)
         } else {
-            actual(root, table.root)
+            actual(root, table.root())
         };
         // Cost of the error node's inputs — fully known to the driver since
         // no unresolved dimension occurs below the node.
@@ -453,8 +467,10 @@ impl<'a> Executor<'a> {
 /// The engine checkpoints a plan's completed operator prefix at batch
 /// boundaries; the simulator mirrors that with arithmetic. A plan's
 /// checkpointable prefixes are the subtrees along its first-executed chain
-/// ([`PlanNode::exec_chain`]): a budget-limited run completes exactly the
-/// chain subtrees whose standalone actual cost fits the spend. The book
+/// ([`PlanNode::exec_chain`]; [`MonitorTable::exec_chain`] lists them by op
+/// index): a budget-limited run completes exactly the chain subtrees whose
+/// standalone actual cost fits the spend. Each subtree's standalone cost is
+/// read at its op index from the execution's per-op capture. The book
 /// records those completed subtrees by structural fingerprint; a later
 /// execution — the same plan at the next contour budget, or a different
 /// plan sharing a join-subtree prefix — is credited the largest recorded
@@ -532,19 +548,25 @@ impl CostResumeBook {
         self.done.is_empty()
     }
 
-    /// Largest recorded-and-valid prefix credit on `root`'s first-executed
-    /// chain, in cost units at the true location `qa`. Entries whose stored
-    /// cost does not reproduce bit-identically are ignored (checksum
-    /// failure → restart semantics).
-    pub fn credit(&mut self, ex: &Executor<'_>, root: &PlanNode, qa: &[f64]) -> f64 {
+    /// Largest recorded-and-valid prefix credit on an execution's
+    /// first-executed `chain`, in cost units at the true location `qa`;
+    /// `nodes` is the execution's per-op capture. Entries whose stored cost
+    /// does not reproduce bit-identically are ignored (checksum failure →
+    /// restart semantics).
+    pub fn credit(
+        &mut self,
+        ex: &Executor,
+        chain: &[(usize, PlanFingerprint)],
+        nodes: &[NodeCost],
+        qa: &[f64],
+    ) -> f64 {
         let mut credit = 0.0;
-        for sub in root.exec_chain() {
-            let fp = sub.fingerprint().0;
-            if let Some(&stored) = self.done.get(&fp) {
-                let cost = ex.actual_cost(sub, qa);
+        for &(op, fp) in chain {
+            if let Some(&stored) = self.done.get(&fp.0) {
+                let cost = ex.realized(fp, qa, nodes[op].cost);
                 if stored.to_bits() == cost.to_bits() {
                     self.tick += 1;
-                    self.stamps.insert(fp, self.tick);
+                    self.stamps.insert(fp.0, self.tick);
                     if cost > credit {
                         credit = cost;
                     }
@@ -554,27 +576,33 @@ impl CostResumeBook {
         credit
     }
 
-    /// Record the prefixes completed by an execution of `root` that spent
+    /// Record the chain prefixes completed by an execution that spent
     /// `spent` cost units (`completed` marks a full completion, which
     /// checkpoints the entire chain regardless of the spend bookkeeping).
     pub fn record(
         &mut self,
-        ex: &Executor<'_>,
-        root: &PlanNode,
+        ex: &Executor,
+        chain: &[(usize, PlanFingerprint)],
+        nodes: &[NodeCost],
         qa: &[f64],
         spent: f64,
         completed: bool,
     ) {
-        for sub in root.exec_chain() {
-            let cost = ex.actual_cost(sub, qa);
+        for &(op, fp) in chain {
+            let cost = ex.realized(fp, qa, nodes[op].cost);
             if completed || cost <= spent {
-                let fp = sub.fingerprint().0;
-                self.done.insert(fp, cost);
+                self.done.insert(fp.0, cost);
                 self.tick += 1;
-                self.stamps.insert(fp, self.tick);
+                self.stamps.insert(fp.0, self.tick);
             }
         }
         self.evict_over_cap();
+    }
+
+    /// The retained checkpoints, `(subtree fingerprint, standalone actual
+    /// cost)`, ascending by fingerprint.
+    pub fn checkpoints(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.done.iter().map(|(&fp, &cost)| (fp, cost))
     }
 
     /// Chaos hook: corrupt every stored checkpoint. Subsequent credit
@@ -591,7 +619,7 @@ impl CostResumeBook {
 mod tests {
     use super::*;
     use pb_catalog::tpch;
-    use pb_cost::CostModel;
+    use pb_cost::{CostModel, Coster};
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn setup() -> (pb_catalog::Catalog, QuerySpec, CostModel) {
@@ -624,33 +652,59 @@ mod tests {
         }
     }
 
-    /// Monitored execution of `plan` through a freshly compiled program and
-    /// monitor table.
-    fn monitored(
-        ex: &Executor<'_>,
-        plan: &PlanNode,
-        qa: &[f64],
-        resolved: &[bool],
-        budget: f64,
-        spilled: bool,
-    ) -> RunResult {
-        let c = ex.coster;
-        let prog = CostProgram::compile(c.catalog, c.query, c.model, plan);
-        let table = MonitorTable::build(plan, c.query);
-        let mut scratch = NodeCosts::default();
-        ex.execute_monitored(&prog, &table, qa, resolved, budget, spilled, &mut scratch)
+    /// One plan compiled for the executor, with its monitor table.
+    struct Compiled {
+        prog: CostProgram,
+        table: MonitorTable,
+        fp: PlanFingerprint,
+    }
+
+    impl Compiled {
+        fn new(plan: &PlanNode) -> Self {
+            let (cat, q, m) = setup();
+            Compiled {
+                prog: CostProgram::compile(&cat, &q, &m, plan),
+                table: MonitorTable::build(plan, &q),
+                fp: plan.fingerprint(),
+            }
+        }
+
+        fn actual(&self, ex: &Executor, qa: &[f64]) -> f64 {
+            ex.actual_cost_compiled(&self.prog, self.fp, qa, &mut Vec::new())
+        }
+
+        fn monitored(
+            &self,
+            ex: &Executor,
+            qa: &[f64],
+            resolved: &[bool],
+            budget: f64,
+            spilled: bool,
+        ) -> RunResult {
+            let mut scratch = NodeCosts::default();
+            ex.execute_monitored(
+                &self.prog,
+                &self.table,
+                qa,
+                resolved,
+                budget,
+                spilled,
+                &mut scratch,
+            )
+        }
+    }
+
+    fn plain() -> Executor {
+        Executor::new(CostPerturbation::none())
     }
 
     #[test]
     fn execute_completes_iff_cost_fits() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
-        let (plan, qa) = (sample_plan(), [0.01, 1e-6]);
-        let prog = CostProgram::compile(&cat, &q, &m, &plan);
-        let mut stack = Vec::new();
-        let mut run =
-            |budget| ex.execute_compiled(&prog, plan.fingerprint(), &qa, budget, &mut stack);
-        let cost = ex.actual_cost(&plan, &qa);
+        let ex = plain();
+        let (plan, qa) = (Compiled::new(&sample_plan()), [0.01, 1e-6]);
+        let mut scratch = NodeCosts::default();
+        let mut run = |budget| ex.execute_compiled(&plan.prog, plan.fp, &qa, budget, &mut scratch);
+        let cost = plan.actual(&ex, &qa);
         assert!(run(cost * 1.01).completed());
         let aborted = run(cost * 0.5);
         assert!(!aborted.completed());
@@ -660,16 +714,14 @@ mod tests {
     #[test]
     fn compiled_execution_matches_tree_walk_bitwise() {
         let (cat, q, m) = setup();
-        let noisy = Executor::with_perturbation(
-            Coster::new(&cat, &q, &m),
-            CostPerturbation::with_delta(0.4, 7),
-        );
+        let noisy = Executor::new(CostPerturbation::with_delta(0.4, 7));
         let plan = sample_plan();
-        let prog = CostProgram::compile(&cat, &q, &m, &plan);
-        let fp = plan.fingerprint();
+        let Compiled { prog, fp, .. } = Compiled::new(&plan);
         let mut stack = Vec::new();
+        let mut scratch = NodeCosts::default();
         for qa in [[0.01, 1e-6], [0.05, 2e-6], [1.0, 5e-6]] {
-            let walked = noisy.actual_cost(&plan, &qa);
+            let modeled = Coster::new(&cat, &q, &m).plan_cost(&plan, &qa);
+            let walked = noisy.perturb.actual_cost(fp, &qa, modeled);
             let compiled = noisy.actual_cost_compiled(&prog, fp, &qa, &mut stack);
             assert_eq!(walked.to_bits(), compiled.to_bits());
             for budget in [walked * 0.5, walked, walked * 2.0] {
@@ -679,9 +731,11 @@ mod tests {
                     ExecOutcome::Aborted { spent: budget }
                 };
                 assert_eq!(
-                    noisy.execute_compiled(&prog, fp, &qa, budget, &mut stack),
+                    noisy.execute_compiled(&prog, fp, &qa, budget, &mut scratch),
                     expect
                 );
+                // The capture ends with the whole plan's modeled estimate.
+                assert_eq!(scratch.last().last().map(|n| n.cost), Some(modeled));
             }
         }
     }
@@ -725,17 +779,25 @@ mod tests {
                 assert_eq!(dims[0], first);
             }
         }
+        // The chains are `exec_chain`'s subtrees at their post-order ops.
+        let chain = |c: &[(usize, PlanFingerprint)]| c.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(chain(table.exec_chain(None)), vec![0, 2, 3]);
+        let fps: Vec<PlanFingerprint> = plan.exec_chain().iter().map(|n| n.fingerprint()).collect();
+        let tabled: Vec<PlanFingerprint> = table.exec_chain(None).iter().map(|e| e.1).collect();
+        assert_eq!(tabled, fps);
+        assert_eq!(chain(table.exec_chain(Some(&[false, false]))), vec![0]);
+        assert_eq!(chain(table.exec_chain(Some(&[true, false]))), vec![0, 2]);
+        assert_eq!(chain(table.exec_chain(Some(&[true, true]))), vec![0, 2, 3]);
     }
 
     #[test]
     fn monitored_learning_respects_first_quadrant() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
-        let plan = sample_plan();
+        let plan = Compiled::new(&sample_plan());
         for budget_frac in [0.01, 0.1, 0.5, 0.9] {
-            let full = ex.actual_cost(&plan, &qa);
-            let r = monitored(&ex, &plan, &qa, &[false, false], full * budget_frac, false);
+            let full = plan.actual(&ex, &qa);
+            let r = plan.monitored(&ex, &qa, &[false, false], full * budget_frac, false);
             assert!(!r.completed);
             if let Some((d, v)) = r.learned {
                 assert_eq!(d, 0);
@@ -747,13 +809,12 @@ mod tests {
 
     #[test]
     fn spilled_learns_at_least_as_fast_as_unspilled() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
-        let plan = sample_plan();
-        let budget = ex.actual_cost(&plan, &qa) * 0.2;
-        let spilled = monitored(&ex, &plan, &qa, &[false, false], budget, true);
-        let unspilled = monitored(&ex, &plan, &qa, &[false, false], budget, false);
+        let plan = Compiled::new(&sample_plan());
+        let budget = plan.actual(&ex, &qa) * 0.2;
+        let spilled = plan.monitored(&ex, &qa, &[false, false], budget, true);
+        let unspilled = plan.monitored(&ex, &qa, &[false, false], budget, false);
         let lv = |r: &RunResult| r.learned.map(|(_, v)| v).unwrap_or(0.0);
         assert!(
             lv(&spilled) >= lv(&unspilled) - 1e-15,
@@ -765,12 +826,11 @@ mod tests {
 
     #[test]
     fn spilled_prefix_completion_resolves_dim_without_completing_query() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
-        let plan = sample_plan();
+        let plan = Compiled::new(&sample_plan());
         // Huge budget: the spilled prefix (IndexScan on part) completes.
-        let r = monitored(&ex, &plan, &qa, &[false, false], 1e12, true);
+        let r = plan.monitored(&ex, &qa, &[false, false], 1e12, true);
         assert!(!r.completed);
         assert_eq!(r.resolved, vec![0]);
         assert_eq!(r.learned, Some((0, qa[0])));
@@ -779,22 +839,21 @@ mod tests {
 
     #[test]
     fn unspilled_with_huge_budget_completes_and_resolves() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
-        let r = monitored(&ex, &sample_plan(), &qa, &[false, false], 1e12, false);
+        let plan = Compiled::new(&sample_plan());
+        let r = plan.monitored(&ex, &qa, &[false, false], 1e12, false);
         assert!(r.completed);
         assert_eq!(r.resolved, vec![0]);
     }
 
     #[test]
     fn fully_resolved_plan_is_pure_completion_attempt() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
-        let plan = sample_plan();
-        let cost = ex.actual_cost(&plan, &qa);
-        let r = monitored(&ex, &plan, &qa, &[true, true], cost * 0.5, false);
+        let plan = Compiled::new(&sample_plan());
+        let cost = plan.actual(&ex, &qa);
+        let r = plan.monitored(&ex, &qa, &[true, true], cost * 0.5, false);
         assert!(!r.completed);
         assert!(r.learned.is_none());
         assert_eq!(r.spent, cost * 0.5);
@@ -802,53 +861,57 @@ mod tests {
 
     #[test]
     fn resume_book_credits_recorded_prefixes_and_rejects_corruption() {
-        let (cat, q, m) = setup();
-        let ex = Executor::new(Coster::new(&cat, &q, &m));
+        let ex = plain();
         let qa = [0.05, 2e-6];
         let plan = sample_plan();
         let chain = plan.exec_chain();
-        let leaf_cost = ex.actual_cost(chain[0], &qa);
-        let mid_cost = ex.actual_cost(chain[1], &qa);
+        let compiled = Compiled::new(&plan);
+        let [leaf_cost, mid_cost, full_cost] =
+            [chain[0], chain[1], &plan].map(|sub| Compiled::new(sub).actual(&ex, &qa));
+        let mut scratch = NodeCosts::default();
+        compiled.prog.eval_nodes(&qa, &mut scratch);
+        let nodes = scratch.last();
+        let own = compiled.table.exec_chain(None);
 
         let mut book = CostResumeBook::new();
-        assert_eq!(book.credit(&ex, &plan, &qa), 0.0);
+        let credit = |book: &mut CostResumeBook| book.credit(&ex, own, nodes, &qa);
+        assert_eq!(credit(&mut book), 0.0);
         // An abort that spent enough for the leaf but not the hash join
         // checkpoints only the leaf.
-        book.record(&ex, &plan, &qa, (leaf_cost + mid_cost) / 2.0, false);
-        assert_eq!(book.credit(&ex, &plan, &qa).to_bits(), leaf_cost.to_bits());
+        book.record(&ex, own, nodes, &qa, (leaf_cost + mid_cost) / 2.0, false);
+        assert_eq!(credit(&mut book).to_bits(), leaf_cost.to_bits());
         // A deeper abort checkpoints the join prefix too.
-        book.record(&ex, &plan, &qa, mid_cost * 1.01, false);
-        assert_eq!(book.credit(&ex, &plan, &qa).to_bits(), mid_cost.to_bits());
+        book.record(&ex, own, nodes, &qa, mid_cost * 1.01, false);
+        assert_eq!(credit(&mut book).to_bits(), mid_cost.to_bits());
         // A different plan sharing the hash-join prefix grafts the same
         // credit.
-        let other = PlanNode::SortMergeJoin {
+        let other = Compiled::new(&PlanNode::SortMergeJoin {
             left: Box::new(chain[1].clone()),
             right: Box::new(PlanNode::SeqScan { rel: 2 }),
             edges: vec![1],
             sort_left: true,
             sort_right: true,
-        };
-        assert_eq!(book.credit(&ex, &other, &qa).to_bits(), mid_cost.to_bits());
+        });
+        let mut other_scratch = NodeCosts::default();
+        other.prog.eval_nodes(&qa, &mut other_scratch);
+        let grafted = book.credit(&ex, other.table.exec_chain(None), other_scratch.last(), &qa);
+        assert_eq!(grafted.to_bits(), mid_cost.to_bits());
         // Corrupt checkpoints yield zero credit (restart fallback).
         book.corrupt_all();
-        assert_eq!(book.credit(&ex, &plan, &qa), 0.0);
+        assert_eq!(credit(&mut book), 0.0);
         // Re-recording heals the book.
-        book.record(&ex, &plan, &qa, ex.actual_cost(&plan, &qa), true);
-        assert_eq!(
-            book.credit(&ex, &plan, &qa).to_bits(),
-            ex.actual_cost(&plan, &qa).to_bits()
-        );
+        book.record(&ex, own, nodes, &qa, full_cost, true);
+        assert_eq!(credit(&mut book).to_bits(), full_cost.to_bits());
+        assert_eq!(book.checkpoints().count(), 3);
     }
 
     #[test]
     fn model_error_perturbation_changes_actual_cost_within_band() {
-        let (cat, q, m) = setup();
-        let coster = Coster::new(&cat, &q, &m);
-        let plain = Executor::new(coster);
-        let noisy = Executor::with_perturbation(coster, CostPerturbation::with_delta(0.4, 99));
+        let noisy = Executor::new(CostPerturbation::with_delta(0.4, 99));
+        let plan = Compiled::new(&sample_plan());
         let qa = [0.05, 2e-6];
-        let c0 = plain.actual_cost(&sample_plan(), &qa);
-        let c1 = noisy.actual_cost(&sample_plan(), &qa);
+        let c0 = plan.actual(&plain(), &qa);
+        let c1 = plan.actual(&noisy, &qa);
         assert!(c1 >= c0 / 1.4 - 1e-9 && c1 <= c0 * 1.4 + 1e-9);
     }
 }

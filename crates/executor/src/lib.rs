@@ -7,8 +7,9 @@
 //! all three in optimizer cost units:
 //!
 //! * A plan's **actual** execution cost at the true location `qa` is its
-//!   modeled cost, optionally perturbed by a bounded model-error factor
-//!   (`δ`-framework of Section 3.4).
+//!   modeled cost — read off the plan's compiled `CostProgram` — optionally
+//!   perturbed by a bounded model-error factor (`δ`-framework of Section
+//!   3.4).
 //! * A **budgeted execution** completes iff the actual cost fits the budget;
 //!   otherwise it is aborted having consumed exactly the budget.
 //! * An aborted execution still *teaches*: the tuple counter at the first

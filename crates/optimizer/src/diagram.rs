@@ -231,8 +231,8 @@ impl PlanDiagram {
     /// and no tree walk. Parallelism is gated on the plans × points cell
     /// count (the phase's work volume), not the grid size. A plan's row does
     /// not depend on which plans are compiled beside it, and every cell is
-    /// bit-identical to the recursive [`Coster`](pb_cost::Coster) tree walk
-    /// (pinned by this module's tests and `tests/compiled_cost.rs`).
+    /// bit-identical to the recursive tree-walk reference (pinned by this
+    /// module's tests and `tests/compiled_cost.rs`).
     pub fn cost_rows_with(
         &self,
         catalog: &Catalog,

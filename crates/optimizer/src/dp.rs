@@ -718,7 +718,7 @@ struct Sels {
 
 impl Sels {
     /// Resolve at `q`, multiplying in predicate order exactly as
-    /// `Coster::rel_sel` / `edges_sel` do.
+    /// `CostProgram` (and the tree-walk reference) do.
     fn resolve(&mut self, query: &QuerySpec, sk: &Skeleton, q: &[f64]) {
         let Sels {
             pred_sel,

@@ -262,6 +262,21 @@ impl PlanNode {
         chain
     }
 
+    /// The plan's nodes in post-order (children outer/left first, the plan
+    /// itself last): entry `i` is the subtree whose cost a single-plan
+    /// `CostProgram` leaves at op `i`.
+    pub fn post_order(&self) -> Vec<&PlanNode> {
+        fn walk<'p>(node: &'p PlanNode, out: &mut Vec<&'p PlanNode>) {
+            for child in node.children() {
+                walk(child, out);
+            }
+            out.push(node);
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Pretty-print an EXPLAIN-style operator tree.
     pub fn explain(&self, query: &QuerySpec, catalog: &Catalog) -> String {
         let mut out = String::new();
@@ -530,6 +545,10 @@ mod tests {
             sort_right: true,
         };
         assert_eq!(other.exec_chain()[1].fingerprint(), chain[1].fingerprint());
+        // Post-order visits the chain deepest-first too, the plan last.
+        let post = p.post_order();
+        assert_eq!(post.len(), 4);
+        assert!(std::ptr::eq(post[0], chain[0]) && std::ptr::eq(post[3], &p));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! directions), differing only by a bounded model-error factor.
 
 use plan_bouquet::bouquet::{Bouquet, BouquetConfig};
-use plan_bouquet::cost::{Coster, SelPoint};
+use plan_bouquet::cost::{CostPerturbation, Coster, NodeCosts, SelPoint};
 use plan_bouquet::engine::{ColumnOverride, Database, Engine};
 use plan_bouquet::executor::Executor;
 use plan_bouquet::workloads;
@@ -68,13 +68,13 @@ fn completion_decisions_agree_modulo_delta() {
     }
     let qa = SelPoint(qa);
     let engine = Engine::new(&db, &w.query, &w.model.p);
-    let ex = Executor::new(Coster::new(&w.catalog, &w.query, &w.model));
-    let mut stack = Vec::new();
+    let ex = Executor::new(CostPerturbation::none());
+    let (mut stack, mut scratch) = (Vec::new(), NodeCosts::default());
     for pid in b.plan_ids() {
         let plan = &b.plan(pid).root;
         let (prog, fp) = (&b.programs()[pid], b.plan(pid).fingerprint());
-        let mut simulate = |budget| ex.execute_compiled(prog, fp, &qa, budget, &mut stack);
-        let modeled = ex.actual_cost(plan, &qa);
+        let modeled = ex.actual_cost_compiled(prog, fp, &qa, &mut stack);
+        let mut simulate = |budget| ex.execute_compiled(prog, fp, &qa, budget, &mut scratch);
         let engine_cost = engine.execute(plan, f64::INFINITY).cost();
         // With a budget well above both costs, both complete; with a budget
         // well below both, both abort.

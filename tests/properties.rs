@@ -1,14 +1,20 @@
 //! Property-based tests (proptest) over the core invariants: Plan Cost
 //! Monotonicity, grading geometry, the first-quadrant invariant, and the
 //! sub-optimality guarantee at arbitrary (off-grid) locations — and the
-//! compiled monitored execution against the tree walk that defines it.
+//! compiled monitored execution and the simulator's resume credit against
+//! the tree walks that define them.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use plan_bouquet::bouquet::{Bouquet, BouquetConfig, IsoCostGrading, Workload};
-use plan_bouquet::cost::{CostPerturbation, CostProgram, Ess, NodeCosts, Parallelism, SelPoint};
+use plan_bouquet::bouquet::{
+    Bouquet, BouquetConfig, ExecutionSubstrate, IsoCostGrading, SimulatorSubstrate, Workload,
+};
+use plan_bouquet::cost::{
+    CostPerturbation, CostProgram, Coster, Ess, NodeCosts, Parallelism, SelPoint,
+};
 use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, RunResult};
 use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
 use plan_bouquet::optimizer::PlanDiagram;
@@ -57,13 +63,45 @@ fn registry_plans() -> &'static Vec<(Workload, Vec<PhysicalPlan>)> {
     })
 }
 
+/// The bouquet of every registry workload of [`registry_plans`], on its
+/// grid, that identification accepts (`ANTI_2D` violates PCM on purpose).
+fn registry_bouquets() -> &'static Vec<Bouquet> {
+    static B: OnceLock<Vec<Bouquet>> = OnceLock::new();
+    B.get_or_init(|| {
+        let cfg = BouquetConfig::default();
+        (registry_plans().iter())
+            .filter_map(|(w, _)| Bouquet::identify_with(w, &cfg, Parallelism::serial()).ok())
+            .collect()
+    })
+}
+
+fn coster(w: &Workload) -> Coster<'_> {
+    Coster::new(&w.catalog, &w.query, &w.model)
+}
+
+/// A (sub)plan's actual cost as a tree walk: `Coster` re-costs it alone,
+/// the model-error perturbation keyed by its fingerprint applies, and an
+/// armed injector spikes it — one consultation per call, as the executor
+/// makes.
+fn actual_by_tree_walk(ex: &Executor, coster: Coster, plan: &PlanNode, qa: &[f64]) -> f64 {
+    let actual = ex
+        .perturb
+        .actual_cost(plan.fingerprint(), qa, coster.plan_cost(plan, qa));
+    if ex.faults.is_active() {
+        actual * ex.faults.spike_factor()
+    } else {
+        actual
+    }
+}
+
 /// The monitored execution as a tree walk — the definition
 /// `Executor::execute_monitored` is compiled from. It finds the learnable
 /// node by recursion, re-costs the plan, the spilled prefix and each input
 /// of the error node with the tree-walking `Coster`, and consults the fault
 /// hooks in the order the compiled version must keep.
 fn execute_monitored_by_tree_walk(
-    ex: &Executor<'_>,
+    ex: &Executor,
+    coster: Coster,
     plan: &PlanNode,
     qa: &[f64],
     resolved: &[bool],
@@ -97,8 +135,9 @@ fn execute_monitored_by_tree_walk(
     } else {
         budget
     };
-    let Some((node, dims)) = learnable_node(plan, ex.coster.query, resolved) else {
-        let cost = ex.actual_cost(plan, qa);
+    let actual = |plan| actual_by_tree_walk(ex, coster, plan, qa);
+    let Some((node, dims)) = learnable_node(plan, coster.query, resolved) else {
+        let cost = actual(plan);
         return if cost <= budget {
             RunResult {
                 completed: true,
@@ -118,13 +157,12 @@ fn execute_monitored_by_tree_walk(
         };
     };
     let exec_tree_cost = if spilled {
-        let sub = ex.coster.cost(node, qa);
-        ex.perturb
-            .actual_cost(node.fingerprint(), qa, ex.coster.spill(&sub).cost)
+        let prefix = coster.plan_cost(&node.clone().spilled(), qa);
+        ex.perturb.actual_cost(node.fingerprint(), qa, prefix)
     } else {
-        ex.actual_cost(plan, qa)
+        actual(plan)
     };
-    let input_cost: f64 = node.children().iter().map(|c| ex.actual_cost(c, qa)).sum();
+    let input_cost: f64 = node.children().into_iter().map(actual).sum();
     let dim = dims[0];
     if exec_tree_cost <= budget {
         RunResult {
@@ -189,7 +227,7 @@ proptest! {
         let w = &b.workload;
         let lo = w.ess.point_at_fractions(&[f[0].min(g[0]), f[1].min(g[1])]);
         let hi = w.ess.point_at_fractions(&[f[0].max(g[0]), f[1].max(g[1])]);
-        let coster = w.coster();
+        let coster = coster(w);
         for pid in b.plan_ids() {
             let plan = &b.plan(pid).root;
             let c_lo = coster.plan_cost(plan, &lo);
@@ -213,7 +251,7 @@ proptest! {
         let best_lo = opt.optimize(&lo);
         let best_hi = opt.optimize(&hi);
         prop_assert!(best_hi.cost >= best_lo.cost * (1.0 - 1e-9));
-        let recost = w.coster().plan_cost(&best_lo.plan.root, &lo);
+        let recost = coster(w).plan_cost(&best_lo.plan.root, &lo);
         prop_assert!((recost - best_lo.cost).abs() < 1e-6 * best_lo.cost);
     }
 
@@ -305,12 +343,12 @@ proptest! {
         let b = bouquet_2d();
         let w = &b.workload;
         let qa = w.ess.point_at_fractions(&f);
-        let ex = plan_bouquet::executor::Executor::new(w.coster());
+        let ex = Executor::new(CostPerturbation::none());
         let plan = &b.plan(b.plan_ids()[0]).root;
-        let full = ex.actual_cost(plan, &qa);
+        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
+        let full = ex.actual_cost_compiled(&prog, plan.fingerprint(), &qa, &mut Vec::new());
         let (lo_b, hi_b) = (full * b1.min(b2), full * b1.max(b2));
         let resolved = vec![false; w.ess.d()];
-        let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
         let table = MonitorTable::build(plan, &w.query);
         let mut scratch = NodeCosts::default();
         let mut learned = |budget| {
@@ -342,13 +380,12 @@ proptest! {
         let table = MonitorTable::build(plan, &w.query);
         let mut scratch = NodeCosts::default();
         let perturb = CostPerturbation::with_delta(0.4, seed);
-        let full = Executor::with_perturbation(w.coster(), perturb).actual_cost(plan, &qa);
+        let full = actual_by_tree_walk(&Executor::new(perturb), coster(w), plan, &qa);
         let ladder = [0.0, 0.003, 0.05, 0.4, 0.97, 1.0, 1.6, f64::INFINITY].map(|b| full * b);
         for armed in [false, true] {
             let executor = || {
                 let faults = if armed { executor_faults(seed) } else { FaultPlan::none() };
-                Executor::with_perturbation(w.coster(), perturb)
-                    .with_faults(FaultInjector::new(&faults))
+                Executor::new(perturb).with_faults(FaultInjector::new(&faults))
             };
             // One injector per side, consulted over the whole ladder: a hook
             // fired out of order on one rung shifts every later one.
@@ -358,8 +395,9 @@ proptest! {
                     let got = compiled.execute_monitored(
                         &prog, &table, &qa, &resolved, budget, spilled, &mut scratch,
                     );
-                    let want =
-                        execute_monitored_by_tree_walk(&oracle, plan, &qa, &resolved, budget, spilled);
+                    let want = execute_monitored_by_tree_walk(
+                        &oracle, coster(w), plan, &qa, &resolved, budget, spilled,
+                    );
                     prop_assert_eq!(&got, &want, "{} budget {budget} spilled {spilled} armed {armed}", w.name);
                     prop_assert_eq!(got.spent.to_bits(), want.spent.to_bits());
                     prop_assert_eq!(
@@ -368,6 +406,81 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The simulator's resume credit equals its tree-walk definition — the
+    /// executed tree's chain subtrees from `PlanNode::exec_chain`, each
+    /// costed alone with `Coster` and perturbed by its own fingerprint —
+    /// bit for bit, as `SubstrateOutcome::reused` after every execution and
+    /// as the book's retained entries at the end. Random registry plans ×
+    /// a budget ladder × plain, monitored and spilled executions under a
+    /// random mask, at δ = 0 and δ = 0.4. `audit_resumed` cannot catch a
+    /// chain read at the wrong op index: it checks spent + reused = restart,
+    /// which any credit ≤ spent passes.
+    #[test]
+    fn resume_credit_equals_the_tree_walk(
+        pick in [any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()],
+        f in [0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0],
+        seed in any::<u64>(),
+    ) {
+        let pool = registry_bouquets();
+        let base = &pool[pick[0] as usize % pool.len()];
+        let w = &base.workload;
+        let qa = w.ess.point_at_fractions(&f[..w.d()]);
+        let n = base.diagram.plans.len();
+        let pids = [pick[1] as usize % n, pick[2] as usize % n];
+        let resolved: Vec<bool> = (0..w.d()).map(|dm| pick[3] >> dm & 1 == 1).collect();
+        for delta in [0.0, 0.4] {
+            let mut b = base.clone();
+            b.config.perturbation = CostPerturbation::with_delta(delta, seed);
+            let walked = |sub: &PlanNode| {
+                let modeled = coster(w).plan_cost(sub, &qa);
+                b.config.perturbation.actual_cost(sub.fingerprint(), &qa, modeled)
+            };
+            let simulator = || SimulatorSubstrate::new(&b, &qa, FaultInjector::none()).unwrap();
+            let (mut resumed, mut restart) = (simulator(), simulator());
+            resumed.enable_checkpoint_resume();
+            let mut book: BTreeMap<u64, f64> = BTreeMap::new();
+            let full = walked(&b.plan(pids[0]).root);
+            for rung in [0.003, 0.05, 0.4, 0.97, 1.0, 1.6] {
+                let budget = full * rung;
+                for (pid, spilled) in pids.into_iter().flat_map(|p| [(p, None), (p, Some(false)), (p, Some(true))]) {
+                    let run = |sub: &mut SimulatorSubstrate| match spilled {
+                        None => sub.execute_partial(pid, budget),
+                        Some(spilled) => sub.execute_monitored(pid, &resolved, budget, spilled),
+                    };
+                    let (got, want) = (run(&mut resumed), run(&mut restart));
+                    // The executed tree, and whether it ran to its end.
+                    let plan = &b.plan(pid).root;
+                    let (root, completed) = match spilled {
+                        Some(true) => (
+                            learnable_node(plan, &w.query, &resolved).map_or(plan, |(node, _)| node),
+                            !want.resolved.is_empty(),
+                        ),
+                        _ => (plan, want.completed),
+                    };
+                    let chain: Vec<(u64, f64)> =
+                        root.exec_chain().into_iter().map(|sub| (sub.fingerprint().0, walked(sub))).collect();
+                    let credit = (chain.iter())
+                        .filter(|&(fp, cost)| book.get(fp).is_some_and(|c| c.to_bits() == cost.to_bits()))
+                        .fold(0.0, |credit: f64, &(_, cost)| credit.max(cost))
+                        .min(want.spent);
+                    for &(fp, cost) in &chain {
+                        if completed || cost <= want.spent {
+                            book.insert(fp, cost);
+                        }
+                    }
+                    let at = format!("{} plan {pid} spilled {spilled:?} budget {budget} δ {delta}", w.name);
+                    prop_assert_eq!(got.reused.to_bits(), credit.to_bits(), "reused, {}", at);
+                    prop_assert_eq!(got.spent.to_bits(), (want.spent - credit).to_bits(), "spent, {}", at);
+                }
+            }
+            let kept: Vec<(u64, u64)> = (resumed.take_resume_book().unwrap().checkpoints())
+                .map(|(fp, cost)| (fp, cost.to_bits()))
+                .collect();
+            let expected: Vec<(u64, u64)> = book.iter().map(|(&fp, c)| (fp, c.to_bits())).collect();
+            prop_assert_eq!(kept, expected, "{} checkpoints δ {}", w.name, delta);
         }
     }
 }
@@ -380,7 +493,7 @@ proptest! {
 fn monitor_table_matches_learnable_node_on_every_registry_plan() {
     let mut scratch = NodeCosts::default();
     for (w, plans) in registry_plans() {
-        let coster = w.coster();
+        let coster = coster(w);
         let qa = w.ess.point_at_fractions(&vec![0.6; w.d()]);
         for plan in plans {
             let plan = &plan.root;

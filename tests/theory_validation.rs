@@ -104,19 +104,16 @@ fn model_error_inflation_bounded() {
         };
         let b = Bouquet::identify(&w, &cfg).unwrap();
         let cap = b.mso_bound() * theory::model_error_inflation(delta);
-        let coster = w.coster();
-        let ex = plan_bouquet::executor::Executor::with_perturbation(coster, cfg.perturbation);
+        let ex = plan_bouquet::executor::Executor::new(cfg.perturbation);
+        let mut stack = Vec::new();
         let n = w.ess.num_points();
         for li in (0..n).step_by(7) {
             let qa = w.ess.point(&w.ess.unlinear(li));
             let run = b.run_basic(&qa).unwrap();
             assert!(run.completed(), "seed {seed} li {li}");
             // Actual optimal cost under the same adversary.
-            let opt_actual = b
-                .diagram
-                .plans
-                .iter()
-                .map(|p| ex.actual_cost(&p.root, &qa))
+            let opt_actual = (b.programs().iter().zip(&b.diagram.plans))
+                .map(|(prog, p)| ex.actual_cost_compiled(prog, p.fingerprint(), &qa, &mut stack))
                 .fold(f64::INFINITY, f64::min);
             let so = run.total_cost / opt_actual;
             assert!(
