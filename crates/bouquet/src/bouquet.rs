@@ -282,25 +282,6 @@ impl Bouquet {
         crate::theory::mso_bound_anorexic(self.rho(), self.config.r, self.config.lambda)
     }
 
-    /// Equation 8's tighter per-contour bound:
-    /// `max_k Σ_{i≤k} n_i · cost(IC_i) / IC_{k−1}` (with λ inflation).
-    pub fn mso_bound_eq8(&self) -> f64 {
-        let mut cum = 0.0;
-        let mut worst: f64 = 0.0;
-        for (k, c) in self.contours.iter().enumerate() {
-            cum += c.density() as f64 * c.budget;
-            // Cheapest possible optimal cost for a query discovered on
-            // contour k: just above the previous step (C_min for k = 0).
-            let floor = if k == 0 {
-                self.stats.cmin
-            } else {
-                self.contours[k - 1].step_cost
-            };
-            worst = worst.max(cum / floor);
-        }
-        worst
-    }
-
     /// PIC (optimal) cost at a grid point given by linear index.
     pub fn pic_cost_at(&self, li: usize) -> f64 {
         self.diagram.opt_cost[li]
@@ -375,17 +356,6 @@ mod tests {
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         assert_eq!(b.rho(), 1);
         assert!((b.mso_bound() - 4.8).abs() < 1e-9); // 4 · (1 + 0.2)
-    }
-
-    #[test]
-    fn eq8_bound_is_no_looser_than_closed_form() {
-        let w = eq_1d();
-        let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-        // Equation 8 accounts for actual densities; closed form uses ρ and
-        // the worst geometric tail, so eq8 ≤ closed form — but only up to
-        // grid effects on the first contour. Allow equality slack.
-        assert!(b.mso_bound_eq8() <= b.mso_bound() * (b.grading.r / (b.grading.r - 1.0)));
-        assert!(b.mso_bound_eq8() >= 1.0);
     }
 
     #[test]

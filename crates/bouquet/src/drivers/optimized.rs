@@ -108,7 +108,8 @@ impl Policy for Figure13<'_> {
             // exceeds it, so the execution is pure discovery. Otherwise the
             // plan runs unspilled and may complete the query (it still
             // learns on abort, just with a shallower movement).
-            let spill = tables.plans[plan].has_unresolved(&self.resolved) && cost_at_qrun > budget;
+            let spill =
+                tables.plans[plan].learnable(&self.resolved).is_some() && cost_at_qrun > budget;
             self.executed.push(plan);
             return Some(Step {
                 tried: self.cid + 1,
@@ -180,11 +181,11 @@ impl Figure13<'_> {
         // plan id on a tie. The group is non-empty whenever every cost is a
         // number (the cheapest pool member always qualifies); otherwise the
         // first candidate stands in.
-        let facts = &b.driver_tables().plans;
+        let sites = &b.driver_tables().plans;
         costs
             .iter()
             .filter(|&&(_, c)| c <= cheapest * 1.2)
-            .max_by_key(|&&(p, _)| (facts[p].deepest_unresolved(resolved), std::cmp::Reverse(p)))
+            .max_by_key(|&&(p, _)| (sites[p].deepest_unresolved(resolved), std::cmp::Reverse(p)))
             .copied()
             .unwrap_or_else(|| {
                 let p = candidates.first().copied().unwrap_or(0);

@@ -113,24 +113,6 @@ pub fn flip_decreasing(w: &Workload) -> Result<(Workload, Vec<bool>), String> {
     Ok((flipped, flips))
 }
 
-/// Translate a true (raw-selectivity) location into the flipped ESS
-/// coordinates, so callers can express `qa` in natural terms.
-pub fn to_coordinates(w: &Workload, flips: &[bool], raw: &[f64]) -> pb_cost::SelPoint {
-    let vals = raw
-        .iter()
-        .enumerate()
-        .map(|(d, &s)| {
-            if flips[d] {
-                let dim = &w.ess.dims[d];
-                (dim.lo * dim.hi / s).clamp(dim.lo, dim.hi)
-            } else {
-                s
-            }
-        })
-        .collect();
-    pb_cost::SelPoint(vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +180,6 @@ mod tests {
                 "bound violated at {li}"
             );
         }
-    }
-
-    #[test]
-    fn coordinate_translation_reverses_axis() {
-        let w = anti_workload();
-        let (flipped, flips) = flip_decreasing(&w).unwrap();
-        let dim = &flipped.ess.dims[1];
-        // The highest raw selectivity maps to the lowest coordinate.
-        let q = to_coordinates(&flipped, &flips, &[0.5, dim.hi]);
-        assert!((q[1] - dim.lo).abs() < 1e-12 * dim.lo);
-        let q = to_coordinates(&flipped, &flips, &[0.5, dim.lo]);
-        assert!((q[1] - dim.hi).abs() < 1e-9 * dim.hi);
-        // Unflipped dims pass through.
-        assert_eq!(q[0], 0.5);
     }
 
     #[test]

@@ -55,15 +55,6 @@ impl IsoCostGrading {
     pub fn cumulative(&self, k: usize) -> f64 {
         self.steps[..=k].iter().sum()
     }
-
-    /// First step whose budget is at least `cost` (where a query of that
-    /// optimal cost will be discovered).
-    pub fn step_for_cost(&self, cost: f64) -> usize {
-        self.steps
-            .iter()
-            .position(|&b| b >= cost)
-            .unwrap_or(self.len() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -112,15 +103,6 @@ mod tests {
         let total: f64 = g.steps.iter().sum();
         assert!((g.cumulative(g.len() - 1) - total).abs() < 1e-12);
         assert!((g.cumulative(0) - g.budget(0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_for_cost_selects_first_sufficient_budget() {
-        let g = IsoCostGrading::geometric(10.0, 160.0, 2.0);
-        assert_eq!(g.step_for_cost(g.budget(0) * 0.5), 0);
-        assert_eq!(g.step_for_cost(g.budget(0)), 0);
-        assert_eq!(g.step_for_cost(g.budget(0) * 1.01), 1);
-        assert_eq!(g.step_for_cost(1e12), g.len() - 1);
     }
 
     #[test]

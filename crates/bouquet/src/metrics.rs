@@ -162,87 +162,6 @@ pub fn robustness_distribution(
     }
 }
 
-/// A prior distribution over grid locations. The paper's base definitions
-/// assume estimates and actuals uniform over the ESS, "easily extended to
-/// the general case where the estimated and actual locations have
-/// idiosyncratic probability distributions" (Section 2) — this is that
-/// extension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LocationPrior {
-    /// Per-grid-point probability; sums to 1.
-    pub weights: Vec<f64>,
-}
-
-impl LocationPrior {
-    pub fn uniform(n: usize) -> Self {
-        LocationPrior {
-            weights: vec![1.0 / n as f64; n],
-        }
-    }
-
-    /// A prior proportional to `decay^rank` where rank orders points by
-    /// their optimal cost — `decay < 1` favours cheap (low-selectivity)
-    /// locations, `decay > 1` expensive ones.
-    pub fn cost_ranked(opt_cost: &[f64], decay: f64) -> Self {
-        assert!(decay > 0.0);
-        let mut order: Vec<usize> = (0..opt_cost.len()).collect();
-        order.sort_by(|&a, &b| opt_cost[a].total_cmp(&opt_cost[b]));
-        let mut weights = vec![0.0; opt_cost.len()];
-        let mut w = 1.0;
-        let mut total = 0.0;
-        for &li in &order {
-            weights[li] = w;
-            total += w;
-            w *= decay;
-            // Avoid denormal underflow on big grids.
-            if w < 1e-300 {
-                w = 1e-300;
-            }
-        }
-        for v in &mut weights {
-            *v /= total;
-        }
-        LocationPrior { weights }
-    }
-}
-
-/// Weighted ASO for a single-plan strategy: expectation over independent
-/// qe ~ prior, qa ~ prior of `c_{P(qe)}(qa) / opt(qa)`.
-pub fn single_plan_aso_weighted(
-    costs: &CostMatrix,
-    opt_cost: &[f64],
-    assignment: &[usize],
-    prior: &LocationPrior,
-) -> f64 {
-    let n = opt_cost.len();
-    assert_eq!(prior.weights.len(), n);
-    let mut plan_weight = vec![0.0f64; costs.len()];
-    for (qe, &p) in assignment.iter().enumerate() {
-        plan_weight[p] += prior.weights[qe];
-    }
-    (0..n)
-        .map(|qa| {
-            let expected_cost: f64 = plan_weight
-                .iter()
-                .enumerate()
-                .filter(|(_, &w)| w > 0.0)
-                .map(|(p, &w)| w * costs[p][qa])
-                .sum();
-            prior.weights[qa] * expected_cost / opt_cost[qa]
-        })
-        .sum()
-}
-
-/// Weighted ASO for a bouquet: expectation over qa ~ prior of its
-/// sub-optimality profile (estimates are "don't care").
-pub fn bouquet_aso_weighted(subopt: &[f64], prior: &LocationPrior) -> f64 {
-    subopt
-        .iter()
-        .zip(&prior.weights)
-        .map(|(&s, &w)| s * w)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,31 +209,6 @@ mod tests {
         assert!((r.max_harm - 0.2).abs() < 1e-12);
         assert_eq!(r.max_harm_location, 1);
         assert!((r.harm_fraction - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_prior_recovers_unweighted_aso() {
-        let (costs, opt, asg) = fixture();
-        let prior = LocationPrior::uniform(3);
-        let weighted = single_plan_aso_weighted(&costs, &opt, &asg, &prior);
-        let plain = single_plan_metrics(&costs, &opt, &asg).aso;
-        assert!((weighted - plain).abs() < 1e-12);
-        let b = bouquet_aso_weighted(&[2.0, 3.0, 2.5], &prior);
-        assert!((b - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skewed_priors_shift_the_average() {
-        let (costs, opt, asg) = fixture();
-        // Heavily favour cheap locations.
-        let cheap = LocationPrior::cost_ranked(&opt, 0.01);
-        let dear = LocationPrior::cost_ranked(&opt, 100.0);
-        assert!((cheap.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let a_cheap = single_plan_aso_weighted(&costs, &opt, &asg, &cheap);
-        let a_dear = single_plan_aso_weighted(&costs, &opt, &asg, &dear);
-        // At the cheap corner, NAT's plan-0 choice is right (SubOpt ~1); at
-        // the dear corner plan 0 is 10x off.
-        assert!(a_cheap < a_dear, "{a_cheap} vs {a_dear}");
     }
 
     #[test]

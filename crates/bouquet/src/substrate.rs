@@ -16,7 +16,8 @@
 //!   ([`pb_engine::Engine`]) running generated tuples, with budgets enforced
 //!   by the engine's cost ledger and selectivities observed from node tuple
 //!   counters ([`pb_engine::Instrumentation::observed_selectivity`]) at the
-//!   learnable node the plan's [`pb_executor::MonitorTable`] names.
+//!   learnable node the plan's [`pb_executor::MonitorTable`] names, read by
+//!   the post-order op index the table carries.
 //!
 //! The drivers never see `qa` directly: everything they learn arrives
 //! through [`SubstrateOutcome::observed`] (selectivity lower bounds) and
@@ -255,9 +256,7 @@ impl<'a> SimulatorSubstrate<'a> {
         pid: PlanId,
         spilled_under: Option<&[bool]>,
     ) -> &'a [(usize, PlanFingerprint)] {
-        self.b.driver_tables().plans[pid]
-            .monitor
-            .exec_chain(spilled_under)
+        self.b.driver_tables().plans[pid].exec_chain(spilled_under)
     }
 }
 
@@ -341,7 +340,7 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         }
         let r = self.ex.execute_monitored(
             &self.b.programs()[pid],
-            &self.b.driver_tables().plans[pid].monitor,
+            &self.b.driver_tables().plans[pid],
             &self.qa,
             resolved,
             budget,
@@ -554,13 +553,6 @@ impl<'a> EngineSubstrate<'a> {
         self.last_rows
     }
 
-    /// Measure the true ESS location of the bound query against the data —
-    /// the engine-side analogue of the simulator's `qa` argument, used by
-    /// cross-substrate checks (`repro table3`).
-    pub fn measured_qa(&self) -> Result<SelPoint, PbError> {
-        measure_qa(self.db, &self.b.workload.query, &self.b.workload.ess)
-    }
-
     fn note_completion(&mut self, out: &EngineOutcome) {
         if let EngineOutcome::Completed { rows, .. } = out {
             self.last_rows = Some(*rows);
@@ -611,27 +603,31 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
         let w = &self.b.workload;
         let plan = &self.b.plan(pid).root;
         // The first node in execution order applying an unresolved error
-        // dimension; for a spilled run only that node's prefix executes.
-        let learn = self.b.driver_tables().plans[pid]
-            .monitor
-            .learnable(resolved);
-        let (exec_root, learn_dim): (PlanNode, Option<DimId>) = match (learn, spilled) {
-            (Some((node, dim)), true) => (plan.post_order()[node.op].clone().spilled(), Some(dim)),
-            (Some((_, dim)), false) => (plan.clone(), Some(dim)),
-            (None, _) => (plan.clone(), None),
+        // dimension; for a spilled run only that node's prefix executes, so
+        // its ops start at the prefix's first op.
+        let learn = (self.b.driver_tables().plans[pid].learnable(resolved))
+            .map(|(site, dm)| (site, dm, plan.post_order()[site.op]));
+        let (out, reused) = match learn {
+            Some((_, _, node)) if spilled => self.run_resumable(&node.clone().spilled(), budget),
+            _ => self.run_resumable(plan, budget),
         };
-        let (out, reused) = self.run_resumable(&exec_root, budget);
         let completed_query = out.completed() && !spilled;
         if completed_query {
             self.note_completion(&out);
         }
         let mut observed = Vec::new();
         let mut resolved_out = Vec::new();
-        if let Some(dm) = learn_dim {
-            if let Some(s) = out
-                .instr()
-                .observed_selectivity(&exec_root, &w.query, self.db, dm)
-            {
+        if let Some((site, dm, node)) = learn {
+            let offset = if spilled { site.first_op() } else { 0 };
+            let children: Vec<usize> = site.children.iter().map(|&(op, _)| op - offset).collect();
+            let raw = out.instr().observed_selectivity(
+                node,
+                site.op - offset,
+                &children,
+                &w.query,
+                self.db,
+            );
+            if let Some(s) = raw {
                 // The engine reports a *raw* selectivity bound; map it into
                 // axis coordinates (identity except on flipped axes, where
                 // the raw upper bound becomes a coordinate lower bound) and

@@ -123,25 +123,6 @@ impl Catalog {
         id
     }
 
-    /// Place an unclustered index on `table.column` (the paper's default
-    /// physical design indexes every referenced column).
-    pub fn add_index(&mut self, table: &str, column: &str) {
-        let tid = self.by_name[table];
-        let t = &mut self.tables[tid.0 as usize];
-        let col = t
-            .columns
-            .iter()
-            .find(|c| c.name == column)
-            .unwrap_or_else(|| panic!("no column {table}.{column}"))
-            .id;
-        let height = (t.rows.max(2.0).log2() / 8.0).ceil().max(1.0) as u32;
-        t.indexes.push(IndexInfo {
-            column: col,
-            clustered: false,
-            height,
-        });
-    }
-
     /// Index every column of every table — the "hard-nut" configuration.
     pub fn index_everything(&mut self) {
         for t in &mut self.tables {
@@ -237,14 +218,5 @@ mod tests {
         for col in &t.columns {
             assert!(t.index_on(col.id).is_some());
         }
-    }
-
-    #[test]
-    fn add_index_single_column() {
-        let mut c = mini();
-        c.add_index("t", "b");
-        let t = c.table("t").unwrap();
-        assert_eq!(t.indexes.len(), 1);
-        assert_eq!(t.indexes[0].column, t.column("b").unwrap().id);
     }
 }

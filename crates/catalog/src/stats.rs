@@ -46,17 +46,6 @@ impl ColumnStats {
         }
     }
 
-    pub fn zipf(ndv: f64, min: f64, max: f64, skew: f64) -> Self {
-        ColumnStats {
-            ndv,
-            min,
-            max,
-            distribution: Distribution::Zipf(skew),
-            null_frac: 0.0,
-            histogram: None,
-        }
-    }
-
     /// Selectivity of `col = constant` under the uniform-frequency assumption
     /// (Selinger's 1/NDV; the paper's "magic number" fallback corresponds to
     /// NDV-less columns where engines assume 1/10).

@@ -78,21 +78,6 @@ impl Parallelism {
         }
     }
 
-    /// Demote to serial for small engine inputs, the morsel-dispatch
-    /// analogue of [`Parallelism::for_grid`]: below the threshold the
-    /// per-wave thread fan-out costs more than the batch kernels save
-    /// (SF 0.01 TPC-H tops out at 60k-row relations, well under it; SF 0.1
-    /// clears it on the big relations). Engine outcomes are identical
-    /// either way — the coordinator replays the same ledger event sequence
-    /// — so this only moves the crossover point.
-    pub fn for_morsels(&self, n_rows: usize) -> Parallelism {
-        if n_rows < PARALLEL_MIN_MORSEL_ROWS {
-            Parallelism::serial()
-        } else {
-            *self
-        }
-    }
-
     /// Generic per-phase gate: demote to serial when the phase's measured
     /// work volume (in whatever unit the phase counts — grid points, matrix
     /// cells) is below its crossover threshold. Each identification phase
@@ -309,19 +294,6 @@ mod tests {
             Parallelism::serial().for_grid(1 << 20),
             Parallelism::serial()
         );
-    }
-
-    #[test]
-    fn for_morsels_demotes_small_inputs_to_serial() {
-        let par = Parallelism::new(8);
-        assert_eq!(
-            par.for_morsels(PARALLEL_MIN_MORSEL_ROWS - 1),
-            Parallelism::serial()
-        );
-        assert_eq!(par.for_morsels(PARALLEL_MIN_MORSEL_ROWS), par);
-        // SF 0.01 lineitem (60k rows) must stay serial; SF 0.1 must not.
-        assert_eq!(par.for_morsels(60_000), Parallelism::serial());
-        assert_eq!(par.for_morsels(600_000), par);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use pb_cost::{CostParams, Parallelism};
 use pb_faults::{FaultInjector, PbError};
-use pb_plan::{PlanNode, QuerySpec, RelIdx};
+use pb_plan::{PlanNode, QuerySpec};
 
 use crate::data::Database;
 
@@ -22,32 +22,22 @@ pub struct NodeStats {
     pub complete: bool,
 }
 
-/// Per-node statistics, indexed by preorder node id.
+/// Per-node statistics, indexed by post-order op: a plan's children come
+/// before it and the root is last, as in the plan's `CostProgram` and its
+/// monitor table, and a subtree's counters are one contiguous slice ending
+/// at its own op.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Instrumentation {
     pub nodes: Vec<NodeStats>,
 }
 
 impl Instrumentation {
-    /// Preorder id of the node `target` inside `root`, if present.
-    pub fn node_id(root: &PlanNode, target: &PlanNode) -> Option<usize> {
-        let mut id = 0usize;
-        let mut found = None;
-        root.visit(&mut |n| {
-            if std::ptr::eq(n, target) && found.is_none() {
-                found = Some(id);
-            }
-            id += 1;
-        });
-        found
-    }
-
-    /// Observed *raw* selectivity bound for error dimension `dim`
-    /// (Section 5.2): find the deepest node applying `dim` and derive the
-    /// tightest first-quadrant-safe value its counters support. The caller
-    /// maps raw selectivity into axis coordinates
-    /// (`SelSpec::to_coordinate`), under which every returned value is a
-    /// coordinate lower bound:
+    /// Observed *raw* selectivity bound at an error site (Section 5.2): the
+    /// node `site`, whose op is `op` and whose children's ops are
+    /// `children` (outer/left first). The caller names the site — the
+    /// learnable node of the plan's monitor table — and maps the raw value
+    /// into axis coordinates (`SelSpec::to_coordinate`), under which every
+    /// returned value is a coordinate lower bound:
     ///
     /// * generic (selection / pk-fk / inequality-join) sites: output count
     ///   over the full input-cardinality product — a lower bound while
@@ -64,125 +54,46 @@ impl Instrumentation {
     /// before the probe starts); `None` otherwise.
     pub fn observed_selectivity(
         &self,
-        root: &PlanNode,
+        site: &PlanNode,
+        op: usize,
+        children: &[usize],
         query: &QuerySpec,
         db: &Database,
-        dim: usize,
     ) -> Option<f64> {
-        // Candidates are collected children-first, so the first entry is the
-        // deepest node applying `dim`.
-        let mut id = 0usize;
-        let mut candidates: Vec<DimSite> = Vec::new();
-        collect_dim_nodes(root, query, db, dim, &mut id, &mut candidates);
-        match *candidates.first()? {
-            DimSite::Generic { nid, denom } => {
-                let stats = self.nodes.get(nid)?;
-                if denom <= 0.0 {
-                    return None;
-                }
-                Some((stats.output_tuples as f64 / denom).min(1.0))
+        let node = self.nodes.get(op)?;
+        if !matches!(site, PlanNode::AntiJoin { .. } | PlanNode::SemiJoin { .. }) {
+            // Input product: every base relation under (and including) the
+            // site — base cardinalities and error-free selectivities are
+            // all statically known.
+            let mask = site.rels_mask();
+            let denom: f64 = (0..query.num_relations())
+                .filter(|r| mask & (1 << r) != 0)
+                .map(|r| db.table(query.relations[r].table).rows as f64)
+                .product();
+            if denom <= 0.0 {
+                return None;
             }
-            DimSite::Existential {
-                nid,
-                left_id,
-                right_id,
-                anti,
-            } => {
-                let node = self.nodes.get(nid)?;
-                let left = self.nodes.get(left_id)?;
-                let right = self.nodes.get(right_id)?;
-                if !left.complete || !right.complete {
-                    return None;
-                }
-                let left_in = left.output_tuples as f64;
-                let right_out = right.output_tuples as f64;
-                if left_in <= 0.0 || right_out <= 0.0 {
-                    return None;
-                }
-                let frac = (node.output_tuples as f64 / left_in).min(1.0);
-                if anti {
-                    if node.output_tuples == 0 {
-                        return None;
-                    }
-                    Some(((1.0 - frac) / right_out).min(1.0))
-                } else {
-                    Some((frac / right_out).min(1.0))
-                }
+            return Some((node.output_tuples as f64 / denom).min(1.0));
+        }
+        let left = self.nodes.get(*children.first()?)?;
+        let right = self.nodes.get(*children.get(1)?)?;
+        if !left.complete || !right.complete {
+            return None;
+        }
+        let left_in = left.output_tuples as f64;
+        let right_out = right.output_tuples as f64;
+        if left_in <= 0.0 || right_out <= 0.0 {
+            return None;
+        }
+        let frac = (node.output_tuples as f64 / left_in).min(1.0);
+        if matches!(site, PlanNode::AntiJoin { .. }) {
+            if node.output_tuples == 0 {
+                return None;
             }
+            Some(((1.0 - frac) / right_out).min(1.0))
+        } else {
+            Some((frac / right_out).min(1.0))
         }
-    }
-}
-
-/// One plan site applying an error dimension, with what its counters mean.
-#[derive(Debug, Clone, Copy)]
-enum DimSite {
-    /// Output count over a statically-known input product.
-    Generic { nid: usize, denom: f64 },
-    /// Anti/semi-join kernel: interpret `out / left_in` against the built
-    /// side's output cardinality.
-    Existential {
-        nid: usize,
-        left_id: usize,
-        right_id: usize,
-        anti: bool,
-    },
-}
-
-/// Post-order collection of nodes applying `dim`, with the full input
-/// cardinality product for each (base-relation cardinalities × error-free
-/// lower selectivities are all statically known).
-fn collect_dim_nodes(
-    node: &PlanNode,
-    query: &QuerySpec,
-    db: &Database,
-    dim: usize,
-    id: &mut usize,
-    out: &mut Vec<DimSite>,
-) {
-    let my_id = *id;
-    *id += 1;
-    let children = node.children();
-    for c in &children {
-        collect_dim_nodes(c, query, db, dim, id, out);
-    }
-    let applies_join = node
-        .edges()
-        .iter()
-        .any(|&e| query.joins[e].selectivity.error_dim() == Some(dim));
-    if applies_join {
-        if let PlanNode::AntiJoin { left, .. } | PlanNode::SemiJoin { left, .. } = node {
-            out.push(DimSite::Existential {
-                nid: my_id,
-                left_id: my_id + 1,
-                right_id: my_id + 1 + left.size(),
-                anti: matches!(node, PlanNode::AntiJoin { .. }),
-            });
-            return;
-        }
-    }
-    let scan_rel: Option<RelIdx> = match node {
-        PlanNode::SeqScan { rel }
-        | PlanNode::IndexScan { rel, .. }
-        | PlanNode::FullIndexScan { rel, .. } => Some(*rel),
-        PlanNode::IndexNLJoin { inner_rel, .. } => Some(*inner_rel),
-        _ => None,
-    };
-    let applies_sel = scan_rel.is_some_and(|r| {
-        query.relations[r]
-            .selections
-            .iter()
-            .any(|s| s.selectivity.error_dim() == Some(dim))
-    });
-    if applies_join || applies_sel {
-        // Input product: every base relation under (and including) this node.
-        let mut denom = 1.0f64;
-        let mask = node.rels_mask();
-        for r in 0..query.num_relations() {
-            if mask & (1 << r) != 0 {
-                denom *= db.table(query.relations[r].table).rows as f64;
-            }
-        }
-        out.push(DimSite::Generic { nid: my_id, denom });
     }
 }
 
@@ -437,11 +348,11 @@ mod tests {
         let eng = Engine::new(&db, &q, &m.p);
         let out = eng.execute(&hj_plan(), f64::INFINITY);
         let instr = out.instr();
-        // node 0 = HJ, node 1 = scan(part), node 2 = scan(lineitem)
-        assert!(instr.nodes[1].complete && instr.nodes[2].complete);
-        assert_eq!(instr.nodes[2].output_tuples, 60_000);
-        assert!(instr.nodes[1].output_tuples < 2000);
-        assert!(instr.nodes[0].output_tuples > 0);
+        // op 0 = scan(part), op 1 = scan(lineitem), op 2 = HJ
+        assert!(instr.nodes[0].complete && instr.nodes[1].complete);
+        assert_eq!(instr.nodes[1].output_tuples, 60_000);
+        assert!(instr.nodes[0].output_tuples < 2000);
+        assert!(instr.nodes[2].output_tuples > 0);
     }
 
     #[test]
@@ -452,10 +363,10 @@ mod tests {
         let full = eng.execute(&plan, f64::INFINITY);
         let s_true = db.actual_join_selectivity(&q, 0)
             * db.actual_selection_selectivity(&q.relations[0].selections[0]);
-        let s_obs = full
-            .instr()
-            .observed_selectivity(&plan, &q, &db, 1)
-            .unwrap();
+        // The join (op 2, over the scans at ops 0 and 1) applies dim 1.
+        let observe =
+            |out: &EngineOutcome| out.instr().observed_selectivity(&plan, 2, &[0, 1], &q, &db);
+        let s_obs = observe(&full).unwrap();
         // Join node output / (|part| · |lineitem|) ≈ s_join · s_selection.
         // (Not exactly equal: the per-key match density over the *selected*
         // parts differs from the overall density by finite-sample noise.)
@@ -465,10 +376,7 @@ mod tests {
         );
         // Partial execution observes a lower bound.
         let partial = eng.execute(&plan, full.cost() * 0.6);
-        let s_part = partial
-            .instr()
-            .observed_selectivity(&plan, &q, &db, 1)
-            .unwrap_or(0.0);
+        let s_part = observe(&partial).unwrap_or(0.0);
         assert!(s_part <= s_obs * (1.0 + 1e-9));
     }
 
@@ -571,8 +479,9 @@ mod tests {
             panic!("should complete");
         };
         assert_eq!(rows, 0, "spill discards its output");
-        // The inner hash join still counted its tuples.
-        assert!(instr.nodes[1].output_tuples > 0);
+        // The inner hash join (op 2, under the spill at op 3) still counted
+        // its tuples.
+        assert!(instr.nodes[2].output_tuples > 0);
     }
 
     #[test]

@@ -44,15 +44,15 @@ impl Engine<'_> {
             reused: 0.0,
             cancel: None,
         };
-        let mut next_id = 0usize;
         // The root's output is never consumed by another operator, so it is
         // counted and charged but not materialized (large final results
         // would otherwise dominate memory).
-        let res = self.eval(plan, &mut ctx, &mut next_id, false);
+        let res = self.eval(plan, &mut ctx, &mut 0, false);
         let instr = Instrumentation { nodes: ctx.instr };
         match res {
             Ok(_) => EngineOutcome::Completed {
-                rows: instr.nodes[0].output_tuples as usize,
+                // The root is the last op in post-order.
+                rows: instr.nodes[instr.nodes.len() - 1].output_tuples as usize,
                 cost: ctx.spent,
                 instr,
             },
@@ -91,16 +91,31 @@ impl Engine<'_> {
     }
 
     /// Evaluate a subtree. With `store == false` the node's own output is
-    /// charged and counted but not materialized.
+    /// charged and counted but not materialized. Counters are indexed by
+    /// post-order op: the subtree's ops are the `node.size()` from
+    /// `*next_op` on, its own op last, and `*next_op` moves past them.
     fn eval(
         &self,
         node: &PlanNode,
         ctx: &mut Ctx<'_>,
-        next_id: &mut usize,
+        next_op: &mut usize,
         store: bool,
     ) -> Result<Rel, Halt> {
-        let my_id = *next_id;
-        *next_id += 1;
+        let end = *next_op + node.size();
+        let out = self.eval_op(node, ctx, next_op, end - 1, store)?;
+        *next_op = end;
+        Ok(out)
+    }
+
+    /// [`Engine::eval`] of `node`, whose own op is `my_id`.
+    fn eval_op(
+        &self,
+        node: &PlanNode,
+        ctx: &mut Ctx<'_>,
+        next_op: &mut usize,
+        my_id: usize,
+        store: bool,
+    ) -> Result<Rel, Halt> {
         let p = self.params;
         match node {
             PlanNode::SeqScan { rel }
@@ -172,8 +187,8 @@ impl Engine<'_> {
                 probe,
                 edges,
             } => {
-                let b = self.eval(build, ctx, next_id, true)?;
-                let pr = self.eval(probe, ctx, next_id, true)?;
+                let b = self.eval(build, ctx, next_op, true)?;
+                let pr = self.eval(probe, ctx, next_op, true)?;
                 let j0 = &self.query.joins[edges[0]];
                 let (bkey, pkey) = self.key_offsets(&b.rels, &pr.rels, j0)?;
                 let base = ctx.spent;
@@ -216,8 +231,8 @@ impl Engine<'_> {
                 sort_left,
                 sort_right,
             } => {
-                let mut l = self.eval(left, ctx, next_id, true)?;
-                let mut r = self.eval(right, ctx, next_id, true)?;
+                let mut l = self.eval(left, ctx, next_op, true)?;
+                let mut r = self.eval(right, ctx, next_op, true)?;
                 let j0 = &self.query.joins[edges[0]];
                 let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
                 // Sort both (an un-flagged input is already ordered, but
@@ -278,7 +293,7 @@ impl Engine<'_> {
                 inner_rel,
                 edges,
             } => {
-                let o = self.eval(outer, ctx, next_id, true)?;
+                let o = self.eval(outer, ctx, next_op, true)?;
                 let j0 = &self.query.joins[edges[0]];
                 let t = self.db.table(self.query.relations[*inner_rel].table);
                 let inner_preds = &self.query.relations[*inner_rel].selections;
@@ -344,8 +359,8 @@ impl Engine<'_> {
                 inner,
                 edges,
             } => {
-                let o = self.eval(outer, ctx, next_id, true)?;
-                let inn = self.eval(inner, ctx, next_id, true)?;
+                let o = self.eval(outer, ctx, next_op, true)?;
+                let inn = self.eval(inner, ctx, next_op, true)?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().chain(&inn.rels).copied().collect();
                 let base = ctx.spent;
                 let pair_rate = p.cpu_operator * edges.len().max(1) as f64;
@@ -377,8 +392,8 @@ impl Engine<'_> {
                 // Keep each left row whose key has no match (anti) or at
                 // least one (semi) among the right side's keys.
                 let anti = matches!(node, PlanNode::AntiJoin { .. });
-                let l = self.eval(left, ctx, next_id, true)?;
-                let r = self.eval(right, ctx, next_id, true)?;
+                let l = self.eval(left, ctx, next_op, true)?;
+                let r = self.eval(right, ctx, next_op, true)?;
                 let j0 = &self.query.joins[edges[0]];
                 let (lkey, rkey) = self.key_offsets(&l.rels, &r.rels, j0)?;
                 let base = ctx.spent;
@@ -408,7 +423,7 @@ impl Engine<'_> {
                 Ok(Rel { rels: l.rels, rows })
             }
             PlanNode::HashAggregate { input } => {
-                let i = self.eval(input, ctx, next_id, true)?;
+                let i = self.eval(input, ctx, next_op, true)?;
                 let base = ctx.spent;
                 let in_rate = p.cpu_tuple + p.hash_build;
                 let key_offs: Vec<usize> = self
@@ -446,8 +461,8 @@ impl Engine<'_> {
             }
             PlanNode::Spill { input } => {
                 // The input's output is counted but never materialized.
-                let i = self.eval(input, ctx, next_id, false)?;
-                let discarded = ctx.instr[my_id + 1].output_tuples as f64;
+                let i = self.eval(input, ctx, next_op, false)?;
+                let discarded = ctx.instr[my_id - 1].output_tuples as f64;
                 ctx.charge(discarded * p.cpu_tuple)?;
                 ctx.instr[my_id].output_tuples = 0;
                 ctx.instr[my_id].complete = true;
@@ -576,14 +591,14 @@ mod tests {
             reused: 0.0,
             cancel: None,
         };
-        let mut next_id = 0usize;
-        let rel = eng.eval(&plan, &mut ctx, &mut next_id, false).ok().unwrap();
+        let rel = eng.eval(&plan, &mut ctx, &mut 0, false).ok().unwrap();
         assert!(
             rel.rows.is_empty(),
             "store == false must not materialize merge-join output ({} rows kept)",
             rel.rows.len()
         );
-        assert!(ctx.instr[0].output_tuples > 0, "rows must still be counted");
+        // The merge join is op 2, after its two scans.
+        assert!(ctx.instr[2].output_tuples > 0, "rows must still be counted");
     }
 
     #[test]
@@ -674,8 +689,12 @@ mod tests {
                 assert_eq!(t, eng.execute(plan, b), "{name} at fraction {frac}");
                 // Both inputs done and the root part-way through its probe:
                 // the abort fell inside one of its (counted) batches.
+                // Post-order ops: the first input's subtree comes first,
+                // the root last.
                 let n = &t.instr().nodes;
-                inside_root |= !t.completed() && n[1].complete && n[0].output_tuples > 0;
+                let (first_input, root) = (plan.children()[0].size() - 1, n.len() - 1);
+                inside_root |=
+                    !t.completed() && n[first_input].complete && n[root].output_tuples > 0;
             }
             assert!(
                 inside_root,
@@ -721,9 +740,9 @@ mod tests {
         eng.execute(plan, f64::INFINITY);
         let commits = COMMITS.with_borrow_mut(Option::take).unwrap_or_default();
         let inputs_done = |b: f64| {
-            eng.execute(plan, b).instr().nodes[1..]
-                .iter()
-                .all(|n| n.complete)
+            let out = eng.execute(plan, b);
+            let nodes = &out.instr().nodes;
+            nodes[..nodes.len() - 1].iter().all(|n| n.complete)
         };
         let own = commits
             .into_iter()
@@ -792,12 +811,14 @@ mod tests {
                 edges: vec![1],
             };
             let budgets = own_boundaries(&eng, &child, stride);
+            // The child's op: its subtree's ops come first in post-order.
+            let kept = child.size() - 1;
             let mut mid_phase = 0;
             for &b in &budgets {
                 let t = eng.execute_tuple(&parent, b);
                 assert_eq!(t, eng.execute(&parent, b), "{name} at budget {b}");
                 let n = &t.instr().nodes;
-                mid_phase += usize::from(!n[1].complete && n[1].output_tuples > 0);
+                mid_phase += usize::from(!n[kept].complete && n[kept].output_tuples > 0);
             }
             assert!(
                 mid_phase >= 3,
@@ -809,7 +830,7 @@ mod tests {
             let mut book = ResumeBook::new();
             let (first, _) = eng.execute_resumable(&parent, done, &mut book);
             assert!(
-                !first.completed() && first.instr().nodes[1].complete,
+                !first.completed() && first.instr().nodes[kept].complete,
                 "{name}"
             );
             assert_eq!(first, eng.execute_tuple(&parent, done), "{name}");

@@ -515,12 +515,12 @@ impl Engine<'_> {
             reused: 0.0,
             cancel: self.cancel.as_ref(),
         };
-        let mut next_id = 0usize;
-        let res = self.veval(plan, &mut ctx, &mut next_id, false);
+        let res = self.veval(plan, &mut ctx, &mut 0, false);
         let reused = ctx.reused;
         let outcome = match res {
             Ok(_) => {
-                let rows = ctx.instr[0].output_tuples as usize;
+                // The root is the last op in post-order.
+                let rows = ctx.instr[ctx.instr.len() - 1].output_tuples as usize;
                 EngineOutcome::Completed {
                     rows,
                     cost: ctx.spent,
@@ -745,18 +745,24 @@ impl Engine<'_> {
     /// Intermediates are immutable once built, so capture and hit share one
     /// `Arc` — neither copies a row. With no book (or an armed injector)
     /// this is exactly `veval_inner` — the plain paths stay bit-identical.
+    ///
+    /// Counters are indexed by post-order op: the subtree's ops are the
+    /// `node.size()` from `*next_op` on, its own op last, and `*next_op`
+    /// moves past them.
     fn veval(
         &self,
         node: &PlanNode,
         ctx: &mut Ctx<'_>,
-        next_id: &mut usize,
+        next_op: &mut usize,
         store: bool,
     ) -> Result<Arc<VRel>, Halt> {
+        let ops = *next_op..*next_op + node.size();
+        let op = ops.end - 1;
         if ctx.resume.is_none() || ctx.faults.is_active() {
-            return self.veval_inner(node, ctx, next_id, store).map(Arc::new);
+            let out = self.veval_inner(node, ctx, next_op, op, store)?;
+            *next_op = ops.end;
+            return Ok(Arc::new(out));
         }
-        let my_id = *next_id;
-        let size = node.size();
         let key = (node.fingerprint().0, ctx.spent.to_bits(), store);
         let budget = ctx.budget;
         let hit = ctx
@@ -766,13 +772,14 @@ impl Engine<'_> {
         if let Some(snap) = hit {
             ctx.reused += snap.spent_after - ctx.spent;
             ctx.spent = snap.spent_after;
-            ctx.instr[my_id..my_id + size].clone_from_slice(&snap.stats);
-            *next_id = my_id + size;
+            ctx.instr[ops.clone()].clone_from_slice(&snap.stats);
+            *next_op = ops.end;
             return Ok(Arc::clone(&snap.vrel));
         }
-        let out = Arc::new(self.veval_inner(node, ctx, next_id, store)?);
-        if ctx.instr[my_id].complete {
-            let stats = ctx.instr[my_id..my_id + size].to_vec();
+        let out = Arc::new(self.veval_inner(node, ctx, next_op, op, store)?);
+        *next_op = ops.end;
+        if ctx.instr[op].complete {
+            let stats = ctx.instr[ops].to_vec();
             let checksum = snapshot_checksum(ctx.spent, &out, &stats);
             if let Some(book) = ctx.resume.as_deref_mut() {
                 book.insert(
@@ -795,11 +802,10 @@ impl Engine<'_> {
         &self,
         node: &PlanNode,
         ctx: &mut Ctx<'_>,
-        next_id: &mut usize,
+        next_op: &mut usize,
+        my_id: usize,
         store: bool,
     ) -> Result<VRel, Halt> {
-        let my_id = *next_id;
-        *next_id += 1;
         let p = self.params;
         // Rows kept by an operator that emitted `emitted`.
         let kept = |emitted: u64| if store { emitted as usize } else { 0 };
@@ -886,8 +892,8 @@ impl Engine<'_> {
                 probe,
                 edges,
             } => {
-                let b = self.veval(build, ctx, next_id, true)?;
-                let pr = self.veval(probe, ctx, next_id, true)?;
+                let b = self.veval(build, ctx, next_op, true)?;
+                let pr = self.veval(probe, ctx, next_op, true)?;
                 let (bkey, pkey) = self.key_cols(&b, &pr, &self.query.joins[edges[0]])?;
                 let base = ctx.spent;
                 // The build charge depends only on the row count, so the
@@ -942,8 +948,8 @@ impl Engine<'_> {
                 sort_left,
                 sort_right,
             } => {
-                let l = self.veval(left, ctx, next_id, true)?;
-                let r = self.veval(right, ctx, next_id, true)?;
+                let l = self.veval(left, ctx, next_op, true)?;
+                let r = self.veval(right, ctx, next_op, true)?;
                 let (lkey, rkey) = self.key_cols(&l, &r, &self.query.joins[edges[0]])?;
                 if *sort_left {
                     let n = l.len.max(2) as f64;
@@ -1018,7 +1024,7 @@ impl Engine<'_> {
                 inner_rel,
                 edges,
             } => {
-                let o = self.veval(outer, ctx, next_id, true)?;
+                let o = self.veval(outer, ctx, next_op, true)?;
                 let j0 = &self.query.joins[edges[0]];
                 let t = self.db.table(self.query.relations[*inner_rel].table);
                 let inner_preds = &self.query.relations[*inner_rel].selections;
@@ -1105,8 +1111,8 @@ impl Engine<'_> {
                 inner,
                 edges,
             } => {
-                let o = self.veval(outer, ctx, next_id, true)?;
-                let inn = self.veval(inner, ctx, next_id, true)?;
+                let o = self.veval(outer, ctx, next_op, true)?;
+                let inn = self.veval(inner, ctx, next_op, true)?;
                 let residuals = self.resolve_residuals(&o, &inn, edges)?;
                 let out_rels: Vec<RelIdx> = o.rels.iter().chain(&inn.rels).copied().collect();
                 let base = ctx.spent;
@@ -1152,13 +1158,13 @@ impl Engine<'_> {
             }
             PlanNode::AntiJoin { left, right, edges }
             | PlanNode::SemiJoin { left, right, edges } => {
-                let l = self.veval(left, ctx, next_id, true)?;
-                let r = self.veval(right, ctx, next_id, true)?;
+                let l = self.veval(left, ctx, next_op, true)?;
+                let r = self.veval(right, ctx, next_op, true)?;
                 let keep_matched = matches!(node, PlanNode::SemiJoin { .. });
                 self.vmember_join(ctx, my_id, &l, &r, edges, keep_matched, store)
             }
             PlanNode::HashAggregate { input } => {
-                let i = self.veval(input, ctx, next_id, true)?;
+                let i = self.veval(input, ctx, next_op, true)?;
                 let base = ctx.spent;
                 let in_rate = p.cpu_tuple + p.hash_build;
                 let keys: Vec<ColRef<'_>> = self
@@ -1244,8 +1250,8 @@ impl Engine<'_> {
                 })
             }
             PlanNode::Spill { input } => {
-                let i = self.veval(input, ctx, next_id, false)?;
-                let discarded = ctx.instr[my_id + 1].output_tuples as f64;
+                let i = self.veval(input, ctx, next_op, false)?;
+                let discarded = ctx.instr[my_id - 1].output_tuples as f64;
                 ctx.charge(discarded * p.cpu_tuple)?;
                 ctx.instr[my_id].output_tuples = 0;
                 ctx.instr[my_id].complete = true;
@@ -1321,11 +1327,7 @@ pub(crate) mod tests {
             reused: 0.0,
             cancel: None,
         };
-        let mut next_id = 0usize;
-        let rel = eng
-            .veval(&plan, &mut ctx, &mut next_id, false)
-            .ok()
-            .unwrap();
+        let rel = eng.veval(&plan, &mut ctx, &mut 0, false).ok().unwrap();
         assert!(
             rel.len == 0
                 && rel
@@ -1333,6 +1335,7 @@ pub(crate) mod tests {
                     .iter()
                     .all(|ids| matches!(ids, Ids::Sel(v) if v.is_empty()))
         );
-        assert!(ctx.instr[0].output_tuples > 0);
+        // The merge join is op 2, after its two scans.
+        assert!(ctx.instr[2].output_tuples > 0);
     }
 }

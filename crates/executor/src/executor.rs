@@ -123,6 +123,8 @@ pub struct MonitorNode {
     pub op: usize,
     /// Error dimensions applied here, in [`learnable_node`] order.
     pub dims: Vec<DimId>,
+    /// Distance from the plan root (the root is at depth 0).
+    pub depth: usize,
     /// Fingerprint of the subtree rooted here (the model-error perturbation
     /// of a spilled prefix keys off it).
     pub fingerprint: PlanFingerprint,
@@ -134,10 +136,20 @@ pub struct MonitorNode {
     pub chain: Vec<(usize, PlanFingerprint)>,
 }
 
+impl MonitorNode {
+    /// The first op of the subtree rooted here (its chain's deepest
+    /// entry): the subtree's ops are `first_op()..=op`.
+    pub fn first_op(&self) -> usize {
+        self.chain[0].0
+    }
+}
+
 /// [`learnable_node`] for every `resolved` mask at once: a plan's
 /// error-applying nodes in post-order. The learnable node under a mask is
 /// the first entry with an unresolved dimension, and its dimensions are that
-/// entry's with the resolved ones dropped.
+/// entry's with the resolved ones dropped. This is the one index of a
+/// plan's error sites: the simulator, the engine substrate and the
+/// optimized driver's AxisPlans tie-break all read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorTable {
     /// Nodes in the plan (= ops in its program).
@@ -154,13 +166,14 @@ impl MonitorTable {
         fn walk(
             node: &PlanNode,
             query: &QuerySpec,
+            depth: usize,
             next_op: &mut usize,
             out: &mut Vec<MonitorNode>,
         ) -> Vec<(usize, PlanFingerprint)> {
             let chains: Vec<Vec<(usize, PlanFingerprint)>> = node
                 .children()
                 .into_iter()
-                .map(|c| walk(c, query, next_op, out))
+                .map(|c| walk(c, query, depth + 1, next_op, out))
                 .collect();
             let children = chains.iter().map(|c| c[c.len() - 1]).collect();
             let op = *next_op;
@@ -173,6 +186,7 @@ impl MonitorTable {
                 out.push(MonitorNode {
                     op,
                     dims,
+                    depth,
                     fingerprint,
                     children,
                     chain: chain.clone(),
@@ -181,7 +195,7 @@ impl MonitorTable {
             chain
         }
         let (mut size, mut nodes) = (0, Vec::new());
-        let chain = walk(plan, query, &mut size, &mut nodes);
+        let chain = walk(plan, query, 0, &mut size, &mut nodes);
         MonitorTable { size, nodes, chain }
     }
 
@@ -197,6 +211,19 @@ impl MonitorTable {
             let first = n.dims.iter().copied().find(|&d| !resolved[d])?;
             Some((n, first))
         })
+    }
+
+    /// Depth of the deepest node applying a dimension not in `resolved` (0
+    /// when every dimension of the plan is resolved) — the AxisPlans
+    /// tie-break (Section 5.1): a deep error node wastes less of the budget
+    /// on error-free upstream work.
+    pub fn deepest_unresolved(&self, resolved: &[bool]) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| n.dims.iter().any(|&d| !resolved[d]))
+            .map(|n| n.depth)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The first-executed chain of the tree an execution runs: the whole
@@ -770,6 +797,13 @@ mod tests {
         assert_eq!((join.op, join.dims.as_slice()), (2, &[1][..]));
         let ops: Vec<usize> = join.children.iter().map(|c| c.0).collect();
         assert_eq!(ops, vec![0, 1]);
+        // The scan sits under the join, which sits under the root; both
+        // subtrees start at the scan's op.
+        assert_eq!((scan.depth, join.depth), (2, 1));
+        assert_eq!((scan.first_op(), join.first_op()), (0, 0));
+        assert_eq!(table.deepest_unresolved(&[false, false]), 2);
+        assert_eq!(table.deepest_unresolved(&[true, false]), 1);
+        assert_eq!(table.deepest_unresolved(&[true, true]), 0);
         for mask in [[false, false], [true, false], [false, true], [true, true]] {
             let walked = learnable_node(&plan, &q, &mask);
             let tabled = table.learnable(&mask);

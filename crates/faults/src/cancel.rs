@@ -65,11 +65,6 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::Release);
     }
 
-    /// Has the token been tripped (explicitly or by its deadline)?
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel_error().is_some()
-    }
-
     /// The deadline, if one was set.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
@@ -96,7 +91,6 @@ mod tests {
     #[test]
     fn fresh_token_is_live() {
         let t = CancelToken::new();
-        assert!(!t.is_cancelled());
         assert!(t.cancel_error().is_none());
         assert!(t.deadline().is_none());
     }
@@ -106,7 +100,7 @@ mod tests {
         let t = CancelToken::new();
         let c = t.clone();
         c.cancel();
-        assert!(t.is_cancelled());
+        assert!(t.cancel_error().is_some());
         match t.cancel_error() {
             Some(PbError::Cancelled(reason)) => assert_eq!(reason, "cancelled by request"),
             other => panic!("expected Cancelled, got {other:?}"),
@@ -127,8 +121,8 @@ mod tests {
     #[test]
     fn far_deadline_does_not_fire() {
         let t = CancelToken::with_timeout(Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
+        assert!(t.cancel_error().is_none());
         t.cancel();
-        assert!(t.is_cancelled());
+        assert!(t.cancel_error().is_some());
     }
 }

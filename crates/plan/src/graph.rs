@@ -88,11 +88,6 @@ impl JoinGraph {
         self.is_subset_connected(((1u64 << self.n) - 1) as u32)
     }
 
-    /// Whether any edge crosses between disjoint subsets `a` and `b`.
-    pub fn connects(&self, a: u32, b: u32) -> bool {
-        self.neighbours_of_set(a) & b != 0
-    }
-
     /// Classify the graph shape (assumes connectivity).
     pub fn shape(&self) -> GraphShape {
         if self.edges.len() >= self.n {
@@ -160,13 +155,6 @@ mod tests {
         assert!(g.is_subset_connected(0b0111));
         assert!(!g.is_subset_connected(0b0101)); // {0,2} not adjacent
         assert!(!g.is_subset_connected(0));
-    }
-
-    #[test]
-    fn connects_detects_cross_edges() {
-        let g = JoinGraph::chain(4);
-        assert!(g.connects(0b0011, 0b0100)); // {0,1} to {2} via 1-2
-        assert!(!g.connects(0b0001, 0b0100)); // {0} to {2}
     }
 
     #[test]

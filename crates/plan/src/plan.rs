@@ -154,76 +154,6 @@ impl PlanNode {
         1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 
-    /// Error-prone dimensions referenced anywhere in this subtree (through
-    /// join edges or scan selections), in ascending order.
-    pub fn error_dims(&self, query: &QuerySpec) -> Vec<usize> {
-        let mut dims = Vec::new();
-        self.visit(&mut |n| {
-            for &e in n.edges() {
-                if let Some(d) = query.joins[e].selectivity.error_dim() {
-                    dims.push(d);
-                }
-            }
-            if let PlanNode::SeqScan { rel }
-            | PlanNode::IndexScan { rel, .. }
-            | PlanNode::FullIndexScan { rel, .. } = n
-            {
-                for s in &query.relations[*rel].selections {
-                    if let Some(d) = s.selectivity.error_dim() {
-                        dims.push(d);
-                    }
-                }
-            }
-            if let PlanNode::IndexNLJoin { inner_rel, .. } = n {
-                for s in &query.relations[*inner_rel].selections {
-                    if let Some(d) = s.selectivity.error_dim() {
-                        dims.push(d);
-                    }
-                }
-            }
-        });
-        dims.sort_unstable();
-        dims.dedup();
-        dims
-    }
-
-    /// Depth (distance from this root) at which error dimension `d` is first
-    /// applied; `None` if the subtree never references it. Deeper is better
-    /// for the AxisPlans heuristic (Section 5.1): a deep error node means the
-    /// budget is not wasted on error-free upstream work.
-    pub fn error_dim_depth(&self, query: &QuerySpec, d: usize) -> Option<usize> {
-        fn applies_here(n: &PlanNode, query: &QuerySpec, d: usize) -> bool {
-            if n.edges()
-                .iter()
-                .any(|&e| query.joins[e].selectivity.error_dim() == Some(d))
-            {
-                return true;
-            }
-            let scan_rel = match n {
-                PlanNode::SeqScan { rel }
-                | PlanNode::IndexScan { rel, .. }
-                | PlanNode::FullIndexScan { rel, .. } => Some(*rel),
-                PlanNode::IndexNLJoin { inner_rel, .. } => Some(*inner_rel),
-                _ => None,
-            };
-            scan_rel.is_some_and(|r| {
-                query.relations[r]
-                    .selections
-                    .iter()
-                    .any(|s| s.selectivity.error_dim() == Some(d))
-            })
-        }
-        fn go(n: &PlanNode, query: &QuerySpec, d: usize, depth: usize) -> Option<usize> {
-            let deepest_child = n
-                .children()
-                .iter()
-                .filter_map(|c| go(c, query, d, depth + 1))
-                .max();
-            deepest_child.or_else(|| applies_here(n, query, d).then_some(depth))
-        }
-        go(self, query, d, 0)
-    }
-
     /// Structural fingerprint (stable within a process run and across runs of
     /// the same binary — plan identity in POSP sets, diagrams and bouquets).
     pub fn fingerprint(&self) -> PlanFingerprint {
@@ -497,25 +427,6 @@ mod tests {
             edges: vec![0],
         };
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn error_dims_collects_join_and_selection_dims() {
-        let (_, q) = eq_query();
-        let dims = sample_plan().error_dims(&q);
-        assert_eq!(dims, vec![0, 1]);
-    }
-
-    #[test]
-    fn error_dim_depth_prefers_deepest_occurrence() {
-        let (_, q) = eq_query();
-        let p = sample_plan();
-        // dim 0 (selection on part) sits at the IndexScan leaf: depth 2.
-        assert_eq!(p.error_dim_depth(&q, 0), Some(2));
-        // dim 1 (p⋈l edge) is applied at the hash join: depth 1.
-        assert_eq!(p.error_dim_depth(&q, 1), Some(1));
-        // dim 7 never appears.
-        assert_eq!(p.error_dim_depth(&q, 7), None);
     }
 
     #[test]

@@ -234,16 +234,6 @@ impl QuerySpec {
         )
     }
 
-    /// All predicates (selections and joins) tagged with the given error dim.
-    /// Returns `(rel, Some(sel_idx))` for selections and the joining rels for
-    /// join predicates via `JoinDimRef`.
-    pub fn dims_of_joins(&self) -> Vec<Option<DimId>> {
-        self.joins
-            .iter()
-            .map(|j| j.selectivity.error_dim())
-            .collect()
-    }
-
     /// The typed kind of error dimension `d`, derived from the predicate it
     /// is bound to: selections are [`DimKind::Selection`]; join edges carry
     /// their own kind ([`JoinPredicate::dim_kind`]). `None` when no

@@ -123,7 +123,7 @@ fn hash_join_chain_allocates_ids_not_columns() {
         edges: vec![1],
     };
     let (out, bytes) = measured(&engine, &plan);
-    // Pre-order node ids: 0 top join, 1 orders, 2 inner join, 3 part, 4 lineitem.
+    // Post-order ops: 0 orders, 1 part, 2 lineitem, 3 inner join, 4 top join.
     let rows: Vec<usize> = out
         .instr()
         .nodes
@@ -131,9 +131,9 @@ fn hash_join_chain_allocates_ids_not_columns() {
         .map(|n| n.output_tuples as usize)
         .collect();
     // The root keeps nothing: it counts its matches.
-    let rels = [0usize, 1, 2, 1, 1];
+    let rels = [1usize, 1, 1, 2, 0];
     let id_bytes: usize = rows.iter().zip(rels).map(|(r, k)| r * k * 4).sum();
-    let build_bytes = (rows[1] + rows[3]) * BUILD_BYTES_PER_ROW;
+    let build_bytes = (rows[0] + rows[1]) * BUILD_BYTES_PER_ROW;
     // The inner join writes its ids once, at their final size, so the ids
     // count once. Measured 0.76×: its match runs (8 B a matching probe row,
     // grown while it probes), the batch of position pairs it writes the ids
@@ -205,20 +205,21 @@ fn an_aborted_kept_join_requests_per_probe_row_not_per_match() {
         // emitted matches.
         let alone = engine.execute(&inner, f64::INFINITY);
         let (probe, emit) = (model.p.hash_probe, model.p.emit_tuple);
-        let emitted = alone.instr().nodes[0].output_tuples as f64;
+        // Post-order ops: orders 0, lineitem 1, the join 2.
+        let emitted = alone.instr().nodes[2].output_tuples as f64;
         let start = alone.cost() - (lkeys.len() as f64 * probe + emitted * emit);
         let (before, at) = (matches(ROW - 1), matches(ROW));
         let budget = start + ROW as f64 * probe + (before + at) as f64 / 2.0 * emit;
         let requested = REQUESTED.with(Cell::get);
         let out = engine.execute(&plan, budget);
         let bytes = REQUESTED.with(Cell::get) - requested;
-        // Pre-order node ids: 0 root, 1 inner join, 2 orders, 3 lineitem, 4 part.
+        // Post-order ops: 0 orders, 1 lineitem, 2 inner join, 3 part, 4 root.
         let n = &out.instr().nodes;
         assert!(
-            !out.completed() && n[3].complete && !n[1].complete && n[1].output_tuples > before,
+            !out.completed() && n[1].complete && !n[2].complete && n[2].output_tuples > before,
             "ndv {ndv}: the budget must run out inside the inner probe's row {ROW}"
         );
-        (n[1].output_tuples, bytes)
+        (n[2].output_tuples, bytes)
     };
     let (few, few_bytes) = run(200);
     let (many, many_bytes) = run(10);
@@ -244,7 +245,8 @@ fn predicate_free_scan_feeding_a_join_is_zero_copy() {
         edges: vec![0],
     };
     let (out, bytes) = measured(&engine, &plan);
-    let lineitem_rows = out.instr().nodes[2].output_tuples as usize;
+    // Post-order ops: part 0, lineitem 1, the join 2.
+    let lineitem_rows = out.instr().nodes[1].output_tuples as usize;
     assert_eq!(lineitem_rows, db.table(w.query.relations[1].table).rows);
     // Less than a single i64 column of the scanned table, let alone all.
     let one_column = lineitem_rows * 8;
@@ -280,7 +282,8 @@ fn a_root_hash_join_counts_its_matches_instead_of_keeping_them() {
         let overrides = [keys("part", "p_partkey"), keys("lineitem", "l_partkey")];
         let db = Database::generate(&cat, 42, &overrides).expect("generate");
         let (out, bytes) = measured(&Engine::new(&db, &q, &model.p), &plan);
-        (out.instr().nodes[0].output_tuples, bytes)
+        // The root join is op 2, after its two scans.
+        (out.instr().nodes[2].output_tuples, bytes)
     };
     let (few_rows, few_bytes) = run(200);
     let (many_rows, many_bytes) = run(10);

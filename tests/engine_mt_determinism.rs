@@ -99,7 +99,9 @@ fn worker_matrix_is_bit_identical_tpch() {
             let mut expect = vec![(f64::INFINITY, full.clone())];
             for b in budgets {
                 let out = serial.execute(&plan, b);
-                let n = &out.instr().nodes[1];
+                // The first input's op: its subtree comes first in
+                // post-order.
+                let n = &out.instr().nodes[first.size() - 1];
                 mid_probe += usize::from(kept_join && !n.complete && n.output_tuples > 0);
                 expect.push((b, out));
             }

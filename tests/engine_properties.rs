@@ -115,10 +115,11 @@ proptest! {
         let mut last = 0u64;
         for frac in [0.2, 0.5, 0.8, 1.1] {
             let out = eng.execute(&plan, full.cost() * frac);
-            let count = out.instr().nodes[0].output_tuples;
+            // The join is op 2, after its two scans.
+            let count = out.instr().nodes[2].output_tuples;
             prop_assert!(count >= last, "join counter shrank: {last} -> {count}");
             last = count;
         }
-        prop_assert_eq!(last, full.instr().nodes[0].output_tuples);
+        prop_assert_eq!(last, full.instr().nodes[2].output_tuples);
     }
 }

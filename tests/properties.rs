@@ -18,7 +18,7 @@ use plan_bouquet::cost::{
 use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, RunResult};
 use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
 use plan_bouquet::optimizer::PlanDiagram;
-use plan_bouquet::plan::{PhysicalPlan, PlanNode};
+use plan_bouquet::plan::{PhysicalPlan, PlanNode, QuerySpec};
 use plan_bouquet::workloads;
 
 fn bouquet_2d() -> &'static Bouquet {
@@ -521,6 +521,82 @@ fn monitor_table_matches_learnable_node_on_every_registry_plan() {
                     assert_eq!(fp, child.fingerprint());
                     assert_eq!(at(op), coster.plan_cost(child, &qa).to_bits());
                 }
+            }
+        }
+    }
+}
+
+/// Depth (distance from `plan`'s root) of the deepest node applying error
+/// dimension `d` through a join edge or a scanned (or index-NL probed)
+/// relation's selection; `None` if no node applies it. The tree-walk
+/// reference for `MonitorNode::depth` and `MonitorTable::deepest_unresolved`.
+fn error_dim_depth(plan: &PlanNode, query: &QuerySpec, d: usize) -> Option<usize> {
+    fn applies_here(n: &PlanNode, query: &QuerySpec, d: usize) -> bool {
+        if n.edges()
+            .iter()
+            .any(|&e| query.joins[e].selectivity.error_dim() == Some(d))
+        {
+            return true;
+        }
+        let scan_rel = match n {
+            PlanNode::SeqScan { rel }
+            | PlanNode::IndexScan { rel, .. }
+            | PlanNode::FullIndexScan { rel, .. } => Some(*rel),
+            PlanNode::IndexNLJoin { inner_rel, .. } => Some(*inner_rel),
+            _ => None,
+        };
+        scan_rel.is_some_and(|r| {
+            query.relations[r]
+                .selections
+                .iter()
+                .any(|s| s.selectivity.error_dim() == Some(d))
+        })
+    }
+    fn go(n: &PlanNode, query: &QuerySpec, d: usize, depth: usize) -> Option<usize> {
+        let deepest_child = n
+            .children()
+            .iter()
+            .filter_map(|c| go(c, query, d, depth + 1))
+            .max();
+        deepest_child.or_else(|| applies_here(n, query, d).then_some(depth))
+    }
+    go(plan, query, d, 0)
+}
+
+/// The monitor table's depths are the tree walk's on every POSP plan of
+/// every registry workload: per dimension, the deepest table node applying
+/// it sits at `error_dim_depth`; under every `resolved` mask, the table's
+/// AxisPlans tie-break (`deepest_unresolved`) is the deepest walked depth
+/// of an unresolved dimension, and it has a learnable node exactly when the
+/// walk finds an unresolved dimension.
+#[test]
+fn monitor_table_depths_match_the_tree_walk_on_every_registry_plan() {
+    for (w, plans) in registry_plans() {
+        for plan in plans {
+            let plan = &plan.root;
+            let table = MonitorTable::build(plan, &w.query);
+            let walked: Vec<Option<usize>> = (0..w.d())
+                .map(|dm| error_dim_depth(plan, &w.query, dm))
+                .collect();
+            for (dm, &depth) in walked.iter().enumerate() {
+                let tabled = (table.nodes().iter())
+                    .filter(|n| n.dims.contains(&dm))
+                    .map(|n| n.depth)
+                    .max();
+                assert_eq!(tabled, depth, "{}: dim {dm} depth", w.name);
+            }
+            for mask in 0..1u32 << w.d() {
+                let resolved: Vec<bool> = (0..w.d()).map(|dm| mask >> dm & 1 == 1).collect();
+                let deepest = (walked.iter().enumerate())
+                    .filter_map(|(dm, &depth)| if resolved[dm] { None } else { depth })
+                    .max();
+                assert_eq!(
+                    table.deepest_unresolved(&resolved),
+                    deepest.unwrap_or(0),
+                    "{}: deepest unresolved under {resolved:?}",
+                    w.name
+                );
+                assert_eq!(table.learnable(&resolved).is_some(), deepest.is_some());
             }
         }
     }
