@@ -6,6 +6,7 @@
 //! repro --list          # list available exhibits
 //! repro --out results   # also tee each report into <dir>/<id>.txt
 //! repro --check results # exit 1 unless every report equals <dir>/<id>.txt
+//!                       # (and, run whole, <dir> holds no other .txt)
 //! repro --jobs N        # cap identification worker threads
 //! ```
 //!
@@ -23,7 +24,7 @@ use pb_bench::flags::{flag, Args, Command, Kind::*};
 static REPRO: Command = Command { name: "", positional: "[EXHIBIT...]", run, help: "regenerate the named exhibits; all of them, in paper order, when none is named", flags: &[
     flag("--list", Switch, "", "list the exhibits and exit"),
     flag("--out DIR", Str, "", "also write each report to DIR/<exhibit>.txt"),
-    flag("--check DIR", Str, "", "compare each report with DIR/<exhibit>.txt instead of printing it; exit 1 if any differs"),
+    flag("--check DIR", Str, "", "compare each report with DIR/<exhibit>.txt instead of printing it; exit 1 if any differs or, with no exhibit named, if DIR holds a .txt no exhibit writes"),
     flag("--jobs N", Usize, "", "identification worker threads (default: all cores)"),
     flag("--help", Switch, "", "this text"),
 ] };
@@ -77,12 +78,14 @@ fn run(args: &Args) -> Result<(), String> {
             std::fs::write(&path, &report).map_err(|e| format!("write {path}: {e}"))?;
         }
     }
+    if let (Some(dir), true) = (&check_dir, args.pos.is_empty()) {
+        stale.extend(orphans(Path::new(dir))?);
+    }
     eprintln!("total: {:.1?}", t_all.elapsed());
     match check_dir {
         Some(dir) if !stale.is_empty() => Err(format!(
-            "{} of {} exhibits differ from {dir} (regenerate with --out {dir}):\n  {}",
+            "{} stale in {dir} (regenerate with --out {dir}; delete a file no exhibit writes):\n  {}",
             stale.len(),
-            ids.len(),
             stale.join("\n  ")
         )),
         Some(dir) => {
@@ -113,6 +116,23 @@ fn differs(path: &Path, report: &str) -> Option<String> {
         old.unwrap_or(end),
         new.unwrap_or(end)
     ))
+}
+
+/// The `.txt` files in `dir` that no exhibit writes, each named with why:
+/// a deleted or renamed exhibit leaves one that nothing would check.
+fn orphans(dir: &Path) -> Result<Vec<String>, String> {
+    let unreadable = |e: std::io::Error| format!("list {}: {e}", dir.display());
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(unreadable)? {
+        let path = entry.map_err(unreadable)?.path();
+        let exhibit = path.file_stem().and_then(|s| s.to_str());
+        let txt = path.extension().is_some_and(|x| x == "txt");
+        if txt && !exhibit.is_some_and(|id| experiments::ALL.contains(&id)) {
+            found.push(format!("{}: no exhibit writes this file", path.display()));
+        }
+    }
+    found.sort();
+    Ok(found)
 }
 
 /// The parsed command line, or why it is refused: an argument the table
@@ -177,6 +197,30 @@ mod tests {
         let why = differs(&path, &reports[0].1).expect("a missing file is stale");
         assert!(why.starts_with(&path.display().to_string()), "{why}");
         std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    /// Only `.txt` files no exhibit id names are orphans.
+    #[test]
+    fn check_names_every_file_no_exhibit_writes() {
+        let dir = std::env::temp_dir().join(format!("repro-orphans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for name in [
+            "fig2.txt",
+            "compiletime.txt",
+            "notes.md",
+            "band.txt",
+            "fig99.txt",
+        ] {
+            std::fs::write(dir.join(name), "").expect("write");
+        }
+        let named =
+            |name: &str| format!("{}: no exhibit writes this file", dir.join(name).display());
+        assert_eq!(
+            orphans(&dir),
+            Ok(vec![named("band.txt"), named("fig99.txt")])
+        );
+        std::fs::remove_dir_all(&dir).expect("clean up");
+        assert!(orphans(&dir).is_err(), "a missing directory is refused");
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn check_robust(
             Ok(_) => {}
             Err(e) => breaches.push(format!("{tag}: plain driver: {e}")),
         }
-        if !rr.events.is_empty() || rr.degraded {
+        if !rr.events.is_empty() || matches!(rr.run.outcome, ExecutionOutcome::Degraded { .. }) {
             breaches.push(format!("{tag}: empty-plan run recorded {:?}", rr.events));
         }
     }

@@ -98,7 +98,7 @@ pub fn engine_run_bouquet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_bouquet::BouquetConfig;
+    use pb_bouquet::{BouquetConfig, ExecutionOutcome};
     use pb_workloads::h_q8a_2d;
 
     /// A plain engine run: the driver's run and its result rows.
@@ -178,6 +178,9 @@ mod tests {
         let mut plain_sub = EngineSubstrate::new(&b, &db, FaultInjector::none());
         let plain = b.run(&mut plain_sub, &RobustConfig::plain(false)).unwrap();
         assert_eq!(robust, plain);
-        assert!(robust.events.is_empty() && !robust.degraded);
+        assert!(
+            robust.events.is_empty()
+                && !matches!(robust.run.outcome, ExecutionOutcome::Degraded { .. })
+        );
     }
 }

@@ -13,7 +13,9 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::eval::{evaluate_with_bouquet, EvalConfig};
-use pb_bouquet::{Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, RobustConfig, Workload};
+use pb_bouquet::{
+    Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionOutcome, RobustConfig, Workload,
+};
 use pb_cost::Estimator;
 use pb_engine::{Database, Engine};
 use pb_faults::FaultInjector;
@@ -128,7 +130,10 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
     let robust = b
         .run(&mut sub, &RobustConfig::default())
         .expect("robust engine run");
-    assert!(robust.run.completed() && !robust.degraded);
+    assert!(matches!(
+        robust.run.outcome,
+        ExecutionOutcome::Completed { .. }
+    ));
     assert_eq!(
         decision_seq(&robust.run),
         decision_seq(&basic),
@@ -155,7 +160,7 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
         basic_subopt: basic.total_cost / oracle_cost,
         optimized_subopt: optd.total_cost / oracle_cost,
         robust_cost: robust.run.total_cost,
-        robust_degraded: robust.degraded,
+        robust_degraded: matches!(robust.run.outcome, ExecutionOutcome::Degraded { .. }),
         basic,
         optimized: optd,
         result_rows,

@@ -127,8 +127,6 @@ pub enum RobustEvent {
 pub struct RobustRun {
     pub run: BouquetRun,
     pub events: Vec<RobustEvent>,
-    /// Whether the run ended on the degraded single-plan rung.
-    pub degraded: bool,
 }
 
 /// `a == b` up to floating-point summation order.
@@ -370,7 +368,6 @@ impl Bouquet {
             d.discover(Figure7::new(self))
         };
         Ok(RobustRun {
-            degraded: matches!(outcome, ExecutionOutcome::Degraded { .. }),
             run: BouquetRun {
                 trace: d.trace,
                 total_cost: d.total,

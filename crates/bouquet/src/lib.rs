@@ -15,7 +15,6 @@
 //! MaxHarm), the native-optimizer and SEER baselines, and the theoretical
 //! guarantees (MSO ≤ ρ·r²/(r−1), minimized at r = 2).
 
-pub mod band;
 pub mod baselines;
 pub mod bouquet;
 pub mod cache;

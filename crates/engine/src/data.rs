@@ -5,7 +5,6 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use pb_catalog::{Catalog, Distribution};
-use pb_cost::Parallelism;
 use pb_faults::PbError;
 use pb_plan::{CmpOp, QuerySpec, SelectionPredicate};
 use rand::rngs::StdRng;
@@ -150,24 +149,10 @@ impl Database {
         seed: u64,
         overrides: &[ColumnOverride],
     ) -> Result<Self, PbError> {
-        Self::generate_with(catalog, seed, overrides, Parallelism::serial())
-    }
-
-    /// [`Database::generate`] with tables generated in parallel. Each table
-    /// draws from its own seeded RNG stream, so the produced data is
-    /// bit-identical for every worker count — parallelism only changes which
-    /// thread materialises which table.
-    pub fn generate_with(
-        catalog: &Catalog,
-        seed: u64,
-        overrides: &[ColumnOverride],
-        par: Parallelism,
-    ) -> Result<Self, PbError> {
-        let specs: Vec<&pb_catalog::Table> = catalog.tables().collect();
-        let mut tables = Vec::with_capacity(specs.len());
-        for t in pb_cost::par_map(par, specs.len(), |i| gen_table(specs[i], seed, overrides)) {
-            tables.push(t?);
-        }
+        let tables = catalog
+            .tables()
+            .map(|t| gen_table(t, seed, overrides))
+            .collect::<Result<_, _>>()?;
         Ok(Database {
             catalog: catalog.clone(),
             tables,
@@ -277,8 +262,7 @@ enum Ov {
 
 /// Materialise one table: columns in catalog order from the table's private
 /// RNG stream, then sorted secondary indexes. Pure function of
-/// `(table spec, seed, overrides)` — the unit of parallelism for
-/// [`Database::generate_with`].
+/// `(table spec, seed, overrides)`.
 fn gen_table(
     t: &pb_catalog::Table,
     seed: u64,
@@ -459,20 +443,6 @@ mod tests {
         let b = Database::generate(&cat, 7, &[]).expect("generate");
         let t = cat.table("part").unwrap().id;
         assert_eq!(a.table(t).columns, b.table(t).columns);
-    }
-
-    #[test]
-    fn parallel_generation_matches_serial() {
-        let cat = tpch::catalog(0.01);
-        let serial = Database::generate(&cat, 7, &[]).expect("generate");
-        for workers in [2, 4, 8] {
-            let par = Database::generate_with(&cat, 7, &[], Parallelism::new(workers))
-                .expect("generate_with");
-            for t in cat.tables() {
-                assert_eq!(serial.table(t.id).columns, par.table(t.id).columns);
-                assert_eq!(serial.table(t.id).indexes, par.table(t.id).indexes);
-            }
-        }
     }
 
     #[test]

@@ -39,10 +39,6 @@ pub enum PbError {
     /// per-request deadline). Work already checkpointed survives: a resubmit
     /// resumes instead of restarting.
     Cancelled(String),
-    /// The serving layer refused or lost the request (queue full, drain in
-    /// progress, worker replaced mid-request…). Carries the admission-level
-    /// reason; never raised by the execution stack itself.
-    ServiceUnavailable(String),
     /// An internal invariant was violated; carries a diagnostic message.
     Internal(String),
 }
@@ -65,7 +61,6 @@ impl fmt::Display for PbError {
             PbError::SpillFailure { site } => write!(f, "spill failure at {site}"),
             PbError::MissingEntity { kind, name } => write!(f, "missing {kind}: {name}"),
             PbError::Cancelled(m) => write!(f, "execution cancelled: {m}"),
-            PbError::ServiceUnavailable(m) => write!(f, "service unavailable: {m}"),
             PbError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }

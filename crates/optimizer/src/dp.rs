@@ -1486,6 +1486,55 @@ mod tests {
         assert_eq!(cost.to_bits(), want.cost.to_bits());
     }
 
+    /// Steps may visit the grid in any order: one cursor over a seeded
+    /// shuffle of a 2D and of a 3D grid finds the diagram's cost to the bit
+    /// and the fresh optimizer's plan at every point, and omits a plan only
+    /// right after a step whose plan had the same fingerprint.
+    #[test]
+    fn sweep_steps_in_any_order_agree_with_the_diagram() {
+        for name in ["2D_H_Q8A", "3D_H_Q5"] {
+            let w = pb_workloads::by_name(name).unwrap();
+            let (cat, q, m, ess) = (&w.catalog, &w.query, &w.model, &w.ess);
+            let diagram = crate::PlanDiagram::build(cat, q, m, ess);
+            let fresh = Optimizer::new(cat, q, m);
+            // Fisher–Yates over the linear indices, driven by splitmix64.
+            let mut order: Vec<usize> = (0..ess.num_points()).collect();
+            let mut state = 0x5EED_u64;
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                order.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+            }
+            let sweep = Sweep::new(cat, q, m, ess);
+            let mut cursor = sweep.cursor();
+            let (mut last, mut omitted) = (None, 0);
+            for li in order {
+                let ix = ess.unlinear(li);
+                let want = fresh.optimize(&ess.point(&ix));
+                let (plan, cost) = cursor.step(&ix);
+                assert_eq!(
+                    cost.to_bits(),
+                    diagram.opt_cost[li].to_bits(),
+                    "{name} {li}"
+                );
+                match plan {
+                    Some(plan) => assert_eq!(plan.root, want.plan.root, "{name} {li}"),
+                    None => {
+                        assert_eq!(last, Some(want.plan.fingerprint()), "{name} {li}");
+                        omitted += 1;
+                    }
+                }
+                last = Some(want.plan.fingerprint());
+            }
+            assert!(
+                omitted > 0,
+                "{name}: no step repeated its predecessor's plan"
+            );
+        }
+    }
+
     /// The work of a build, counted: every slot is filled once per point of
     /// the grid's projection onto the slot's own dimensions — all of the
     /// grid for the slots filled per step — whoever fills it.

@@ -66,7 +66,10 @@ fn assert_inert_equivalence(b: &Bouquet, qa: &SelPoint) {
         };
         assert_eq!(robust.run, plain, "optimized={optimized}");
         assert!(robust.events.is_empty());
-        assert!(!robust.degraded);
+        assert!(!matches!(
+            robust.run.outcome,
+            ExecutionOutcome::Degraded { .. }
+        ));
     }
 }
 
@@ -172,7 +175,10 @@ fn transient_fault_is_retried_and_charged() {
     );
     let robust = run_armed(b, &qa, &faults, &RobustConfig::default()).unwrap();
     assert!(robust.run.completed());
-    assert!(!robust.degraded);
+    assert!(!matches!(
+        robust.run.outcome,
+        ExecutionOutcome::Degraded { .. }
+    ));
     assert!(robust
         .events
         .iter()
@@ -196,7 +202,6 @@ fn persistent_skew_degrades_to_native_execution() {
         ..Default::default()
     };
     let robust = run_armed(b, &qa, &faults, &cfg).unwrap();
-    assert!(robust.degraded);
     assert!(matches!(
         robust.run.outcome,
         ExecutionOutcome::Degraded { .. }
@@ -281,7 +286,8 @@ fn plain_settings_never_retry_never_degrade_and_charge_each_fault_once() {
                 .all(|e| matches!(e, RobustEvent::PlanAbandoned { .. })));
             // Never degraded, however many plans were abandoned.
             assert!(
-                !rr.degraded && rr.run.trace.iter().all(|e| e.contour > 0),
+                !matches!(rr.run.outcome, ExecutionOutcome::Degraded { .. })
+                    && rr.run.trace.iter().all(|e| e.contour > 0),
                 "{tag}"
             );
             match rr.run.outcome {
