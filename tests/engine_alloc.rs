@@ -9,11 +9,6 @@
 //! column values into its intermediates overshoots both bounds several
 //! times over on the same plans.
 //!
-//! A secondary index is its column's row ids in value order, the values
-//! staying in the column; the allocator pins that generating a database
-//! requests at most 20 B a (row, column) cell, which an index of 16 B
-//! `(value, row)` entries exceeds on its own with the column beside it.
-//!
 //! The DP optimizer runs at every grid point of a query, out of a skeleton
 //! and a scratch memo it keeps between calls; the same allocator pins that
 //! a call requests memory for the plan it returns and for nothing else,
@@ -294,30 +289,6 @@ fn a_root_hash_join_counts_its_matches_instead_of_keeping_them() {
     assert!(
         many_bytes <= few_bytes,
         "{many_rows} result rows requested {many_bytes} B, {few_rows} requested {few_bytes} B"
-    );
-}
-
-#[test]
-fn data_generation_requests_at_most_20_bytes_a_cell() {
-    let cat = tpch::catalog(0.01);
-    let cells: usize = cat
-        .tables()
-        .map(|t| t.rows.round() as usize * t.columns.len())
-        .sum();
-    assert!(cat.tables().all(|t| t.indexes.len() == t.columns.len()));
-    let before = REQUESTED.with(Cell::get);
-    let db = Database::generate(&cat, 42, &[]).expect("generate");
-    let bytes = REQUESTED.with(Cell::get) - before;
-    drop(db);
-    // Every column is indexed: 8 B of value and 4 B of row id a cell, plus
-    // a dense index's transient counting-sort starts (at most two a row) or
-    // a sparse one's stable-sort scratch (one row id a row). Measured 13.5 B
-    // a cell. An index of `(value, row)` entries takes 16 B a cell beside
-    // the 8 B value: 24.0 B measured.
-    assert!(
-        bytes <= 20 * cells,
-        "generating {cells} cells requested {bytes} B, {:.1} B a cell",
-        bytes as f64 / cells as f64
     );
 }
 

@@ -6,9 +6,16 @@
 //! construction — these tests pin it against regressions on registry
 //! workloads of both benchmark catalogs, on grids large enough that every
 //! phase fans out instead of taking the serial gate.
+//!
+//! Data generation runs each table's column stream and each index build as
+//! a task on the workers; a table draws from one RNG stream and an index is
+//! a pure function of its column, so the generated database is pinned equal
+//! at every worker count too.
 
 use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig, PhaseTimings, Workload};
+use plan_bouquet::catalog::{tpcds, tpch, Catalog};
 use plan_bouquet::cost::{Parallelism, PARALLEL_MIN_GRID};
+use plan_bouquet::engine::{ColumnOverride, Database};
 use plan_bouquet::workloads;
 
 fn registry(name: &str) -> Workload {
@@ -63,4 +70,50 @@ fn timed_and_untimed_paths_agree() {
     assert_eq!(persist::to_json(&a).unwrap(), persist::to_json(&b).unwrap());
     assert!(t.total >= t.diagram, "total must include the diagram phase");
     assert!(t.workers >= 1);
+}
+
+/// `generate_with` at 1, 2, 3 and 8 workers: equal row counts, columns and
+/// index orders in every table.
+fn assert_generation_matches_serial(cat: &Catalog, overrides: &[ColumnOverride]) {
+    let serial =
+        Database::generate_with(cat, 42, overrides, Parallelism::serial()).expect("generate");
+    for workers in [2, 3, 8] {
+        let par = Database::generate_with(cat, 42, overrides, Parallelism::new(workers))
+            .expect("generate");
+        for t in cat.tables() {
+            let (a, b) = (serial.table(t.id), par.table(t.id));
+            let at = format!("{} at {workers} workers", t.name);
+            assert_eq!(a.rows, b.rows, "{at}: rows");
+            assert_eq!(a.columns, b.columns, "{at}: columns");
+            assert_eq!(a.indexes.len(), t.indexes.len(), "{at}: indexes");
+            assert_eq!(b.indexes.len(), t.indexes.len(), "{at}: indexes");
+            for (c, ix) in &a.indexes {
+                assert_eq!(ix.rows(), b.indexes[c].rows(), "{at}: index on column {c}");
+            }
+        }
+    }
+}
+
+#[test]
+fn data_generation_is_deterministic_across_worker_counts() {
+    let overrides = [
+        ColumnOverride::EffectiveNdv {
+            table: "lineitem".into(),
+            column: "l_partkey".into(),
+            ndv: 200,
+        },
+        ColumnOverride::CorrelatedWith {
+            table: "part".into(),
+            column: "p_size".into(),
+            with: "p_retailprice".into(),
+        },
+        ColumnOverride::CorrelatedWithStrength {
+            table: "lineitem".into(),
+            column: "l_quantity".into(),
+            with: "l_partkey".into(),
+            rho: 0.6,
+        },
+    ];
+    assert_generation_matches_serial(&tpch::catalog(0.01), &overrides);
+    assert_generation_matches_serial(&tpcds::catalog(0.01), &[]);
 }
