@@ -590,8 +590,8 @@ fn cancel_resume_scenarios(
                     };
                     let first = b.run(&mut tripped, &trip_cfg)?;
                     let mut sub = mk()?;
-                    if let Some(book) = tripped.inner.take_resume_book() {
-                        sub.install_resume_book(book);
+                    if let Some(book) = tripped.inner.resume.take_book() {
+                        sub.resume.install_book(book);
                     }
                     let resumed = b.run(&mut sub, &cfg)?;
                     Ok((first, resumed, sub.resume_stats().reused_cost))

@@ -39,7 +39,7 @@ pub use eval::{EvalConfig, WorkloadEvaluation};
 pub use grading::IsoCostGrading;
 pub use metrics::{MetricsSummary, RobustnessDistribution};
 pub use substrate::{
-    measure_qa, EngineSubstrate, ExecutionSubstrate, ResumeStats, SimulatorSubstrate,
+    measure_qa, EngineSubstrate, ExecutionSubstrate, ResumeState, ResumeStats, SimulatorSubstrate,
     SubstrateOutcome,
 };
 pub use workload::Workload;

@@ -26,9 +26,13 @@
 //! time. Layering: `pb-executor` and `pb-engine` are independent leaves;
 //! `pb-bouquet` sits above both and owns the trait.
 
-use pb_cost::{CostProgram, NodeCost, NodeCosts, Parallelism, SelPoint};
-use pb_engine::{Database, Engine, EngineOutcome, ResumeBook};
-use pb_executor::{CostResumeBook, Executor};
+use std::hash::Hash;
+
+use pb_cost::{
+    Checkpoint, CheckpointBook, CostProgram, NodeCost, NodeCosts, Parallelism, SelPoint,
+};
+use pb_engine::{Database, Engine, EngineOutcome, Snapshot};
+use pb_executor::{CostCheckpoint, Executor};
 use pb_faults::{CancelToken, FaultInjector, PbError};
 use pb_optimizer::PlanId;
 use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec};
@@ -148,6 +152,109 @@ pub trait ExecutionSubstrate {
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint/resume and cancellation state
+// ---------------------------------------------------------------------------
+
+/// The checkpoint/resume and cancellation state every substrate keeps: its
+/// checkpoint book (`None` until
+/// [`ExecutionSubstrate::enable_checkpoint_resume`]), what the book has
+/// credited so far, the byte cap the book is held to, and the cooperative
+/// cancellation token polled at the entry of every budgeted execution.
+pub struct ResumeState<K, V> {
+    book: Option<CheckpointBook<K, V>>,
+    reused_cost: f64,
+    resumed_execs: usize,
+    /// Byte cap applied to the book (`0` = unbounded).
+    byte_cap: usize,
+    cancel: Option<CancelToken>,
+}
+
+impl<K, V> Default for ResumeState<K, V> {
+    fn default() -> Self {
+        ResumeState {
+            book: None,
+            reused_cost: 0.0,
+            resumed_execs: 0,
+            byte_cap: 0,
+            cancel: None,
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Checkpoint> ResumeState<K, V> {
+    /// Bound the book to `cap` bytes (`0` = unbounded), evicting
+    /// least-recently-used checkpoints past it. Applies to the current book
+    /// immediately and to any book created or installed later.
+    pub fn set_byte_cap(&mut self, cap: usize) {
+        self.byte_cap = cap;
+        if let Some(book) = self.book.as_mut() {
+            book.set_byte_cap(cap);
+        }
+    }
+
+    /// Detach the checkpoint book (e.g. to retain it across requests so a
+    /// cancelled query's resubmission resumes instead of restarting).
+    /// Resume is disabled until a book is installed or re-enabled.
+    pub fn take_book(&mut self) -> Option<CheckpointBook<K, V>> {
+        self.book.take()
+    }
+
+    /// Install a previously detached checkpoint book and enable resume.
+    pub fn install_book(&mut self, mut book: CheckpointBook<K, V>) {
+        book.set_byte_cap(self.byte_cap);
+        self.book = Some(book);
+    }
+
+    /// Chaos hook: corrupt every retained checkpoint. Subsequent lookups
+    /// fail validation and executions restart from scratch, re-capturing
+    /// healthy checkpoints as they complete.
+    pub fn corrupt_all(&mut self) {
+        if let Some(book) = self.book.as_mut() {
+            book.corrupt_all();
+        }
+    }
+
+    /// Poll the cancellation token; `Some` is the outcome a cancelled
+    /// execution reports (nothing spent, typed error).
+    fn cancelled_outcome(&self) -> Option<SubstrateOutcome> {
+        let e = self.cancel.as_ref()?.cancel_error()?;
+        Some(SubstrateOutcome::plain(0.0, false, Some(e)))
+    }
+
+    fn enable(&mut self) -> bool {
+        let cap = self.byte_cap;
+        self.book
+            .get_or_insert_with(|| CheckpointBook::with_byte_cap(cap));
+        true
+    }
+
+    fn stats(&self) -> ResumeStats {
+        ResumeStats {
+            reused_cost: self.reused_cost,
+            resumed_execs: self.resumed_execs,
+            checkpoints: self.book.as_ref().map_or(0, CheckpointBook::len),
+        }
+    }
+
+    /// The book an execution runs through: none with resume disabled or an
+    /// injector armed — checkpoints must never replay or mask an injected
+    /// fault, and a failed run is never checkpointed or discounted, so it
+    /// cannot double-charge.
+    fn book(&mut self, faults_active: bool) -> Option<&mut CheckpointBook<K, V>> {
+        self.book.as_mut().filter(|_| !faults_active)
+    }
+
+    /// Account one execution's fast-forwarded cost units; returns them.
+    fn note(&mut self, reused: f64) -> f64 {
+        if reused > 0.0 {
+            self.reused_cost += reused;
+            self.resumed_execs += 1;
+        }
+        reused
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Cost-unit simulator substrate
 // ---------------------------------------------------------------------------
 
@@ -162,13 +269,9 @@ pub struct SimulatorSubstrate<'a> {
     ex: Executor,
     stack: Vec<NodeCost>,
     nodes: NodeCosts,
-    resume: Resume,
-    /// Byte cap applied to the resume book (`0` = unbounded).
-    resume_byte_cap: usize,
-    /// Cooperative cancellation token, polled at the entry of every
-    /// budgeted execution (executions themselves are closed-form and
-    /// instantaneous on this substrate).
-    cancel: Option<CancelToken>,
+    /// Checkpoint book and cancellation token. Executions are closed-form
+    /// and instantaneous here, so the token is polled only at their entry.
+    pub resume: ResumeState<u64, CostCheckpoint>,
 }
 
 impl<'a> SimulatorSubstrate<'a> {
@@ -194,9 +297,7 @@ impl<'a> SimulatorSubstrate<'a> {
             ex,
             stack: Vec::new(),
             nodes: NodeCosts::default(),
-            resume: Resume::default(),
-            resume_byte_cap: 0,
-            cancel: None,
+            resume: ResumeState::default(),
         })
     }
 
@@ -205,46 +306,8 @@ impl<'a> SimulatorSubstrate<'a> {
     /// spending, so the driver stops at its next step.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.resume.cancel = Some(token);
         self
-    }
-
-    /// Bound the resume book to roughly `cap` bytes (`0` = unbounded),
-    /// evicting least-recently-used checkpoints past it. Applies to the
-    /// current book immediately and to any book created later.
-    pub fn set_resume_byte_cap(&mut self, cap: usize) {
-        self.resume_byte_cap = cap;
-        if let Some(book) = self.resume.book.as_mut() {
-            book.set_byte_cap(cap);
-        }
-    }
-
-    /// Detach the checkpoint book (e.g. to retain it across requests so a
-    /// cancelled query's resubmission resumes instead of restarting).
-    /// Resume is disabled until a book is installed or re-enabled.
-    pub fn take_resume_book(&mut self) -> Option<CostResumeBook> {
-        self.resume.book.take()
-    }
-
-    /// Install a previously detached checkpoint book and enable resume.
-    pub fn install_resume_book(&mut self, mut book: CostResumeBook) {
-        book.set_byte_cap(self.resume_byte_cap);
-        self.resume.book = Some(book);
-    }
-
-    /// Chaos hook: corrupt every retained checkpoint. Subsequent lookups
-    /// fail bit-identity validation and executions restart from scratch.
-    pub fn corrupt_checkpoints(&mut self) {
-        if let Some(book) = self.resume.book.as_mut() {
-            book.corrupt_all();
-        }
-    }
-
-    /// Poll the cancellation token; `Some` is the outcome a cancelled
-    /// execution reports (nothing spent, typed error).
-    fn cancelled_outcome(&self) -> Option<SubstrateOutcome> {
-        let e = self.cancel.as_ref()?.cancel_error()?;
-        Some(SubstrateOutcome::plain(0.0, false, Some(e)))
     }
 
     /// The first-executed chain of the tree an execution of plan `pid`
@@ -258,69 +321,32 @@ impl<'a> SimulatorSubstrate<'a> {
     ) -> &'a [(usize, PlanFingerprint)] {
         self.b.driver_tables().plans[pid].exec_chain(spilled_under)
     }
-}
 
-/// The simulator's checkpoint/resume state: the book and what it has
-/// credited so far.
-#[derive(Default)]
-struct Resume {
-    /// Checkpoint book for resumable executions (`None` until
-    /// [`ExecutionSubstrate::enable_checkpoint_resume`]).
-    book: Option<CostResumeBook>,
-    reused_cost: f64,
-    resumed_execs: usize,
-}
-
-impl Resume {
     /// Credit the largest checkpointed prefix of an execution's
     /// first-executed `chain` against `spent`, then record the chain
-    /// subtrees it completed, each priced off `nodes`, the execution's
-    /// per-op capture. Returns the reused cost: zero with resume disabled
-    /// or armed faults — only an armed injector fails a run, and a failed
-    /// run is never checkpointed and never discounted, so it cannot
-    /// double-charge.
-    fn discount(
-        &mut self,
-        ex: &Executor,
-        qa: &[f64],
-        chain: &[(usize, PlanFingerprint)],
-        nodes: &[NodeCost],
-        spent: f64,
-        completed: bool,
-    ) -> f64 {
-        if ex.faults.is_active() {
-            return 0.0;
-        }
-        let Some(book) = self.book.as_mut() else {
+    /// subtrees it completed, each priced off the execution's per-op
+    /// capture. Returns the reused cost.
+    fn discount(&mut self, chain: &[(usize, PlanFingerprint)], spent: f64, completed: bool) -> f64 {
+        let Some(book) = self.resume.book(self.ex.faults.is_active()) else {
             return 0.0;
         };
-        let credit = book.credit(ex, chain, nodes, qa).min(spent);
-        book.record(ex, chain, nodes, qa, spent, completed);
-        if credit > 0.0 {
-            self.reused_cost += credit;
-            self.resumed_execs += 1;
-        }
-        credit
+        let (ex, nodes, qa) = (&self.ex, self.nodes.last(), &self.qa[..]);
+        let credit = ex.resume_credit(book, chain, nodes, qa).min(spent);
+        ex.resume_record(book, chain, nodes, qa, spent, completed);
+        self.resume.note(credit)
     }
 }
 
 impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
-        if let Some(o) = self.cancelled_outcome() {
+        if let Some(o) = self.resume.cancelled_outcome() {
             return o;
         }
         let (prog, fp) = (&self.b.programs()[pid], self.b.plan(pid).fingerprint());
         let out = self
             .ex
             .execute_compiled(prog, fp, &self.qa, budget, &mut self.nodes);
-        let reused = self.resume.discount(
-            &self.ex,
-            &self.qa,
-            self.exec_chain(pid, None),
-            self.nodes.last(),
-            out.spent(),
-            out.completed(),
-        );
+        let reused = self.discount(self.exec_chain(pid, None), out.spent(), out.completed());
         let mut o =
             SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
         o.reused = reused;
@@ -334,7 +360,7 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         budget: f64,
         spilled: bool,
     ) -> SubstrateOutcome {
-        if let Some(mut o) = self.cancelled_outcome() {
+        if let Some(mut o) = self.resume.cancelled_outcome() {
             o.spilled = spilled;
             return o;
         }
@@ -364,14 +390,8 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         } else {
             r.completed
         };
-        let reused = self.resume.discount(
-            &self.ex,
-            &self.qa,
-            self.exec_chain(pid, spilled.then_some(resolved)),
-            self.nodes.last(),
-            r.spent,
-            prefix_completed,
-        );
+        let chain = self.exec_chain(pid, spilled.then_some(resolved));
+        let reused = self.discount(chain, r.spent, prefix_completed);
         SubstrateOutcome {
             spent: r.spent - reused,
             reused,
@@ -398,19 +418,11 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     }
 
     fn enable_checkpoint_resume(&mut self) -> bool {
-        let cap = self.resume_byte_cap;
-        self.resume
-            .book
-            .get_or_insert_with(|| CostResumeBook::with_byte_cap(cap));
-        true
+        self.resume.enable()
     }
 
     fn resume_stats(&self) -> ResumeStats {
-        ResumeStats {
-            reused_cost: self.resume.reused_cost,
-            resumed_execs: self.resume.resumed_execs,
-            checkpoints: self.resume.book.as_ref().map_or(0, CostResumeBook::len),
-        }
+        self.resume.stats()
     }
 }
 
@@ -429,17 +441,10 @@ pub struct EngineSubstrate<'a> {
     faults: FaultInjector,
     /// Result cardinality of the last completed query execution.
     last_rows: Option<usize>,
-    /// Checkpoint book for resumable executions (`None` until
-    /// [`ExecutionSubstrate::enable_checkpoint_resume`]).
-    resume: Option<ResumeBook>,
-    reused_cost: f64,
-    resumed_execs: usize,
-    /// Byte cap applied to the resume book (`0` = unbounded).
-    resume_byte_cap: usize,
-    /// Cooperative cancellation token: polled at execution entry here, and
-    /// threaded into the engine so a trip also halts a run mid-flight at
-    /// its next batch commit.
-    cancel: Option<CancelToken>,
+    /// Checkpoint book and cancellation token. The token is polled at
+    /// execution entry here, and threaded into the engine so a trip also
+    /// halts a run mid-flight at its next batch commit.
+    pub resume: ResumeState<(u64, u64, bool), Snapshot>,
 }
 
 impl<'a> EngineSubstrate<'a> {
@@ -453,11 +458,7 @@ impl<'a> EngineSubstrate<'a> {
             engine: Engine::new(db, &w.query, &w.model.p),
             faults,
             last_rows: None,
-            resume: None,
-            reused_cost: 0.0,
-            resumed_execs: 0,
-            resume_byte_cap: 0,
-            cancel: None,
+            resume: ResumeState::default(),
         }
     }
 
@@ -468,47 +469,8 @@ impl<'a> EngineSubstrate<'a> {
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.engine.cancel = Some(token.clone());
-        self.cancel = Some(token);
+        self.resume.cancel = Some(token);
         self
-    }
-
-    /// Bound the resume book to roughly `cap` bytes (`0` = unbounded),
-    /// evicting least-recently-used snapshots past it. Applies to the
-    /// current book immediately and to any book created later.
-    pub fn set_resume_byte_cap(&mut self, cap: usize) {
-        self.resume_byte_cap = cap;
-        if let Some(book) = self.resume.as_mut() {
-            book.set_byte_cap(cap);
-        }
-    }
-
-    /// Detach the checkpoint book (e.g. to retain it across requests so a
-    /// cancelled query's resubmission resumes instead of restarting).
-    /// Resume is disabled until a book is installed or re-enabled.
-    pub fn take_resume_book(&mut self) -> Option<ResumeBook> {
-        self.resume.take()
-    }
-
-    /// Install a previously detached checkpoint book and enable resume.
-    pub fn install_resume_book(&mut self, mut book: ResumeBook) {
-        book.set_byte_cap(self.resume_byte_cap);
-        self.resume = Some(book);
-    }
-
-    /// Poll the cancellation token; `Some` is the outcome a cancelled
-    /// execution reports (nothing spent, typed error).
-    fn cancelled_outcome(&self) -> Option<SubstrateOutcome> {
-        let e = self.cancel.as_ref()?.cancel_error()?;
-        Some(SubstrateOutcome::plain(0.0, false, Some(e)))
-    }
-
-    /// Chaos hook: corrupt every retained checkpoint's integrity checksum.
-    /// Subsequent lookups fail validation and executions restart from
-    /// scratch, re-capturing healthy snapshots as subtrees complete.
-    pub fn corrupt_checkpoints(&mut self) {
-        if let Some(book) = self.resume.as_mut() {
-            book.corrupt_all();
-        }
     }
 
     /// Execute `plan` through the checkpoint book when resume is enabled
@@ -516,16 +478,12 @@ impl<'a> EngineSubstrate<'a> {
     /// injected fault), falling back to the plain fault-aware path
     /// otherwise. Returns the outcome and the cost units fast-forwarded.
     fn run_resumable(&mut self, plan: &PlanNode, budget: f64) -> (EngineOutcome, f64) {
-        match self.resume.as_mut() {
-            Some(book) if !self.faults.is_active() => {
+        match self.resume.book(self.faults.is_active()) {
+            Some(book) => {
                 let (out, reused) = self.engine.execute_resumable(plan, budget, book);
-                if reused > 0.0 {
-                    self.reused_cost += reused;
-                    self.resumed_execs += 1;
-                }
-                (out, reused)
+                (out, self.resume.note(reused))
             }
-            _ => (
+            None => (
                 self.engine.execute_with_faults(plan, budget, &self.faults),
                 0.0,
             ),
@@ -562,7 +520,7 @@ impl<'a> EngineSubstrate<'a> {
 
 impl ExecutionSubstrate for EngineSubstrate<'_> {
     fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
-        if let Some(o) = self.cancelled_outcome() {
+        if let Some(o) = self.resume.cancelled_outcome() {
             return o;
         }
         let plan = &self.b.plan(pid).root;
@@ -581,7 +539,7 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
         budget: f64,
         spilled: bool,
     ) -> SubstrateOutcome {
-        if let Some(mut o) = self.cancelled_outcome() {
+        if let Some(mut o) = self.resume.cancelled_outcome() {
             o.spilled = spilled;
             return o;
         }
@@ -666,18 +624,11 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
     }
 
     fn enable_checkpoint_resume(&mut self) -> bool {
-        let cap = self.resume_byte_cap;
-        self.resume
-            .get_or_insert_with(|| ResumeBook::with_byte_cap(cap));
-        true
+        self.resume.enable()
     }
 
     fn resume_stats(&self) -> ResumeStats {
-        ResumeStats {
-            reused_cost: self.reused_cost,
-            resumed_execs: self.resumed_execs,
-            checkpoints: self.resume.as_ref().map_or(0, ResumeBook::checkpoints),
-        }
+        self.resume.stats()
     }
 }
 

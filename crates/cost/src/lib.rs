@@ -26,6 +26,7 @@
 //!   different operators (index nested-loops at low selectivity, hash joins
 //!   at high), which is what gives the POSP its multi-plan structure.
 
+pub mod checkpoint;
 pub mod coster;
 pub mod ess;
 pub mod estimator;
@@ -38,6 +39,7 @@ pub mod program;
 pub mod sample;
 pub mod uncertainty;
 
+pub use checkpoint::{Checkpoint, CheckpointBook};
 pub use coster::{Coster, NodeCost};
 pub use ess::{Ess, EssDim, GridIx, SelPoint};
 pub use estimator::Estimator;

@@ -33,4 +33,4 @@ mod vec_exec;
 
 pub use data::{ColumnOverride, Database, Index, TableData};
 pub use exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
-pub use vec_exec::ResumeBook;
+pub use vec_exec::{ResumeBook, Snapshot};

@@ -27,6 +27,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use pb_catalog::ColumnId;
+use pb_cost::{Checkpoint, CheckpointBook};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, JoinPredicate, PlanNode, RelIdx, SelectionPredicate};
 
@@ -245,7 +246,7 @@ impl<'a> ColRef<'a> {
 /// all captured at the subtree boundary. `checksum` guards integrity — a
 /// corrupted snapshot fails validation at lookup and the subtree
 /// re-executes from scratch.
-struct Snapshot {
+pub struct Snapshot {
     spent_after: f64,
     vrel: Arc<VRel>,
     stats: Vec<NodeStats>,
@@ -304,137 +305,36 @@ fn snapshot_checksum(spent_after: f64, vrel: &VRel, stats: &[NodeStats]) -> u64 
 /// monotone, so endpoint ≤ budget guarantees a restart would complete the
 /// subtree without aborting) and the snapshot to pass its checksum
 /// (corrupt checkpoints fall back to restart — never a double charge).
-#[derive(Default)]
-pub struct ResumeBook {
-    entries: FastMap<(u64, u64, bool), Snapshot>,
-    /// Last-use tick per entry, for LRU eviction under the byte cap.
-    stamps: FastMap<(u64, u64, bool), u64>,
-    tick: u64,
-    /// Approximate retained bytes across all snapshots.
-    bytes: usize,
-    /// Byte budget for retained snapshots; `0` means unbounded. A long-lived
-    /// server sets this so books cannot grow without bound.
-    byte_cap: usize,
-    evictions: u64,
-    hits: u64,
-}
+pub type ResumeBook = CheckpointBook<(u64, u64, bool), Snapshot>;
 
-/// Heap bytes one snapshot keeps alive: every vector at its capacity, not
-/// its length (a scan's selection vector grows by doubling), plus a flat
-/// allowance for the shared `VRel` itself.
-fn snapshot_bytes(s: &Snapshot) -> usize {
-    use std::mem::size_of;
-    let v = &s.vrel;
-    let ids: usize = v
-        .ids
-        .iter()
-        .map(|ids| match ids {
-            Ids::Dense => 0,
-            Ids::Sel(x) => x.capacity() * 4,
-        })
-        .sum();
-    let cols: usize = v.cols.iter().map(|c| c.capacity() * 8).sum();
-    ids + cols
-        + v.rels.capacity() * size_of::<RelIdx>()
-        + v.ids.capacity() * size_of::<Ids>()
-        + v.cols.capacity() * size_of::<Vec<i64>>()
-        + s.stats.capacity() * size_of::<NodeStats>()
-        + 128
-}
-
-impl ResumeBook {
-    pub fn new() -> Self {
-        Self::default()
+/// Prices a snapshot at the heap bytes it keeps alive: every vector at its
+/// capacity, not its length (a scan's selection vector grows by doubling),
+/// plus a flat allowance for the shared `VRel` itself.
+impl Checkpoint for Snapshot {
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let v = &self.vrel;
+        let ids: usize = v
+            .ids
+            .iter()
+            .map(|ids| match ids {
+                Ids::Dense => 0,
+                Ids::Sel(x) => x.capacity() * 4,
+            })
+            .sum();
+        let cols: usize = v.cols.iter().map(|c| c.capacity() * 8).sum();
+        ids + cols
+            + v.rels.capacity() * size_of::<RelIdx>()
+            + v.ids.capacity() * size_of::<Ids>()
+            + v.cols.capacity() * size_of::<Vec<i64>>()
+            + self.stats.capacity() * size_of::<NodeStats>()
+            + 128
     }
 
-    /// A book whose retained snapshots are bounded by `cap` bytes
-    /// (approximate), evicting least-recently-used checkpoints when
-    /// exceeded. Eviction only ever costs re-execution — a missing
-    /// checkpoint falls back to restart semantics, never a wrong answer
-    /// (see `tests/resume_eviction.rs`).
-    pub fn with_byte_cap(cap: usize) -> Self {
-        ResumeBook {
-            byte_cap: cap,
-            ..Self::default()
-        }
-    }
-
-    /// Set or change the byte cap (`0` = unbounded); evicts immediately if
-    /// the current contents exceed the new cap.
-    pub fn set_byte_cap(&mut self, cap: usize) {
-        self.byte_cap = cap;
-        self.evict_over_cap();
-    }
-
-    /// Number of retained subtree checkpoints.
-    pub fn checkpoints(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of subtree fast-forwards served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Approximate bytes currently retained.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Checkpoints evicted to stay under the byte cap so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Chaos hook: invalidate every checkpoint's integrity checksum.
-    /// Subsequent lookups fail validation and re-execute from scratch,
-    /// re-capturing healthy snapshots as they complete.
-    pub fn corrupt_all(&mut self) {
-        for snap in self.entries.values_mut() {
-            snap.checksum ^= 0x5EED_BAD0_DEAD_BEEF;
-        }
-    }
-
-    fn lookup(&mut self, key: &(u64, u64, bool), budget: f64) -> Option<&Snapshot> {
-        let snap = self.entries.get(key)?;
-        if snap.spent_after > budget
-            || snapshot_checksum(snap.spent_after, &snap.vrel, &snap.stats) != snap.checksum
-        {
-            return None;
-        }
-        self.hits += 1;
-        self.tick += 1;
-        self.stamps.insert(*key, self.tick);
-        Some(snap)
-    }
-
-    fn insert(&mut self, key: (u64, u64, bool), snap: Snapshot) {
-        self.bytes += snapshot_bytes(&snap);
-        if let Some(old) = self.entries.insert(key, snap) {
-            self.bytes -= snapshot_bytes(&old);
-        }
-        self.tick += 1;
-        self.stamps.insert(key, self.tick);
-        self.evict_over_cap();
-    }
-
-    /// Evict least-recently-used snapshots until under the byte cap. The
-    /// cap is hard: even the just-inserted snapshot goes if it alone
-    /// exceeds it (the book then simply stops accelerating that subtree).
-    fn evict_over_cap(&mut self) {
-        if self.byte_cap == 0 {
-            return;
-        }
-        while self.bytes > self.byte_cap && !self.entries.is_empty() {
-            let Some((&key, _)) = self.stamps.iter().min_by_key(|(_, &t)| t) else {
-                break;
-            };
-            if let Some(old) = self.entries.remove(&key) {
-                self.bytes -= snapshot_bytes(&old);
-            }
-            self.stamps.remove(&key);
-            self.evictions += 1;
-        }
+    /// Invalidate the integrity checksum: the lookup then re-executes the
+    /// subtree, re-capturing a healthy snapshot as it completes.
+    fn corrupt(&mut self) {
+        self.checksum ^= 0x5EED_BAD0_DEAD_BEEF;
     }
 }
 
@@ -765,10 +665,12 @@ impl Engine<'_> {
         }
         let key = (node.fingerprint().0, ctx.spent.to_bits(), store);
         let budget = ctx.budget;
-        let hit = ctx
-            .resume
-            .as_deref_mut()
-            .and_then(|book| book.lookup(&key, budget));
+        let hit = ctx.resume.as_deref_mut().and_then(|book| {
+            book.get_valid(&key, |snap| {
+                snap.spent_after <= budget
+                    && snapshot_checksum(snap.spent_after, &snap.vrel, &snap.stats) == snap.checksum
+            })
+        });
         if let Some(snap) = hit {
             ctx.reused += snap.spent_after - ctx.spent;
             ctx.spent = snap.spent_after;
@@ -1283,9 +1185,8 @@ pub(crate) mod tests {
             cols.collect()
         };
         let rows = |v: &VRel| (0..v.len).map(|i| row(v, i)).collect();
-        book.entries
-            .values()
-            .map(|s| (s.vrel.rels.clone(), rows(&s.vrel)))
+        book.iter()
+            .map(|(_, s)| (s.vrel.rels.clone(), rows(&s.vrel)))
             .collect()
     }
 

@@ -1,6 +1,8 @@
 //! Budgeted plan execution in cost units.
 
-use pb_cost::{formulas, CostPerturbation, CostProgram, NodeCost, NodeCosts};
+use pb_cost::{
+    formulas, Checkpoint, CheckpointBook, CostPerturbation, CostProgram, NodeCost, NodeCosts,
+};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec, RelIdx};
 
@@ -498,106 +500,54 @@ impl Executor {
 /// index): a budget-limited run completes exactly the chain subtrees whose
 /// standalone actual cost fits the spend. Each subtree's standalone cost is
 /// read at its op index from the execution's per-op capture. The book
-/// records those completed subtrees by structural fingerprint; a later
-/// execution — the same plan at the next contour budget, or a different
-/// plan sharing a join-subtree prefix — is credited the largest recorded
-/// prefix on its own chain and pays only the un-executed suffix.
-///
-/// Every stored cost is validated bit-for-bit against a recomputation at
-/// use time (the simulator analogue of a checkpoint checksum): a corrupted
-/// entry yields no credit, so the execution falls back to full restart
-/// charging — never a double charge, never a changed observation.
-#[derive(Debug, Clone, Default)]
-pub struct CostResumeBook {
-    /// Completed chain-subtree fingerprint → standalone actual cost.
-    done: std::collections::BTreeMap<u64, f64>,
-    /// Last-use tick per fingerprint, for LRU eviction under the cap.
-    stamps: std::collections::BTreeMap<u64, u64>,
-    tick: u64,
-    /// Maximum retained entries (derived from a byte cap); `0` = unbounded.
-    entry_cap: usize,
-    evictions: u64,
-}
+/// records those completed subtrees by structural fingerprint
+/// ([`Executor::resume_record`]); a later execution — the same plan at the
+/// next contour budget, or a different plan sharing a join-subtree prefix —
+/// is credited the largest recorded prefix on its own chain and pays only
+/// the un-executed suffix ([`Executor::resume_credit`]).
+pub type CostResumeBook = CheckpointBook<u64, CostCheckpoint>;
 
-/// Approximate heap footprint of one entry: fingerprint + cost + stamp in
-/// two B-tree maps, with per-node overhead charged flatly.
+/// A completed chain subtree's standalone actual cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostCheckpoint(pub f64);
+
+/// Approximate heap footprint of one entry: fingerprint, cost, stamp and
+/// price in the book's map, with per-slot overhead charged flatly.
 const COST_ENTRY_BYTES: usize = 48;
 
-impl CostResumeBook {
-    pub fn new() -> Self {
-        Self::default()
+impl Checkpoint for CostCheckpoint {
+    fn bytes(&self) -> usize {
+        COST_ENTRY_BYTES
     }
 
-    /// A book bounded to roughly `cap` bytes of retained checkpoints
-    /// (entries are fixed-size, so the cap divides down to an entry count),
-    /// evicting least-recently-used entries when exceeded. Eviction only
-    /// ever costs re-execution: a missing entry yields no credit, which is
-    /// exactly restart semantics.
-    pub fn with_byte_cap(cap: usize) -> Self {
-        CostResumeBook {
-            entry_cap: cap / COST_ENTRY_BYTES,
-            ..Self::default()
-        }
+    /// The stored cost no longer reproduces bit for bit.
+    fn corrupt(&mut self) {
+        self.0 = f64::from_bits(self.0.to_bits() ^ 1) + 1.0;
     }
+}
 
-    /// Set or change the byte cap (`0` = unbounded); evicts immediately if
-    /// the current contents exceed the new cap.
-    pub fn set_byte_cap(&mut self, cap: usize) {
-        self.entry_cap = cap / COST_ENTRY_BYTES;
-        self.evict_over_cap();
-    }
-
-    /// Entries evicted to stay under the cap so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn evict_over_cap(&mut self) {
-        if self.entry_cap == 0 {
-            return;
-        }
-        while self.done.len() > self.entry_cap {
-            let Some((&lru, _)) = self.stamps.iter().min_by_key(|(_, &t)| t) else {
-                break;
-            };
-            self.done.remove(&lru);
-            self.stamps.remove(&lru);
-            self.evictions += 1;
-        }
-    }
-
-    /// Number of recorded checkpoints.
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
-    }
-
+impl Executor {
     /// Largest recorded-and-valid prefix credit on an execution's
     /// first-executed `chain`, in cost units at the true location `qa`;
-    /// `nodes` is the execution's per-op capture. Entries whose stored cost
-    /// does not reproduce bit-identically are ignored (checksum failure →
-    /// restart semantics).
-    pub fn credit(
-        &mut self,
-        ex: &Executor,
+    /// `nodes` is the execution's per-op capture. Every stored cost is
+    /// validated bit for bit against a recomputation at use time (the
+    /// simulator analogue of a checkpoint checksum): a corrupted entry
+    /// yields no credit, so the execution falls back to full restart
+    /// charging — never a double charge, never a changed observation.
+    pub fn resume_credit(
+        &self,
+        book: &mut CostResumeBook,
         chain: &[(usize, PlanFingerprint)],
         nodes: &[NodeCost],
         qa: &[f64],
     ) -> f64 {
         let mut credit = 0.0;
         for &(op, fp) in chain {
-            if let Some(&stored) = self.done.get(&fp.0) {
-                let cost = ex.realized(fp, qa, nodes[op].cost);
-                if stored.to_bits() == cost.to_bits() {
-                    self.tick += 1;
-                    self.stamps.insert(fp.0, self.tick);
-                    if cost > credit {
-                        credit = cost;
-                    }
-                }
+            let valid = |s: &CostCheckpoint| {
+                s.0.to_bits() == self.realized(fp, qa, nodes[op].cost).to_bits()
+            };
+            if let Some(&CostCheckpoint(c)) = book.get_valid(&fp.0, valid) {
+                credit = c.max(credit);
             }
         }
         credit
@@ -606,39 +556,19 @@ impl CostResumeBook {
     /// Record the chain prefixes completed by an execution that spent
     /// `spent` cost units (`completed` marks a full completion, which
     /// checkpoints the entire chain regardless of the spend bookkeeping).
-    pub fn record(
-        &mut self,
-        ex: &Executor,
+    pub fn resume_record(
+        &self,
+        book: &mut CostResumeBook,
         chain: &[(usize, PlanFingerprint)],
         nodes: &[NodeCost],
         qa: &[f64],
         spent: f64,
         completed: bool,
     ) {
-        for &(op, fp) in chain {
-            let cost = ex.realized(fp, qa, nodes[op].cost);
-            if completed || cost <= spent {
-                self.done.insert(fp.0, cost);
-                self.tick += 1;
-                self.stamps.insert(fp.0, self.tick);
-            }
-        }
-        self.evict_over_cap();
-    }
-
-    /// The retained checkpoints, `(subtree fingerprint, standalone actual
-    /// cost)`, ascending by fingerprint.
-    pub fn checkpoints(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.done.iter().map(|(&fp, &cost)| (fp, cost))
-    }
-
-    /// Chaos hook: corrupt every stored checkpoint. Subsequent credit
-    /// lookups fail their bit-identity validation and fall back to restart
-    /// charging.
-    pub fn corrupt_all(&mut self) {
-        for v in self.done.values_mut() {
-            *v = f64::from_bits(v.to_bits() ^ 1) + 1.0;
-        }
+        book.extend(chain.iter().filter_map(|&(op, fp)| {
+            let cost = self.realized(fp, qa, nodes[op].cost);
+            (completed || cost <= spent).then_some((fp.0, CostCheckpoint(cost)))
+        }));
     }
 }
 
@@ -908,14 +838,21 @@ mod tests {
         let own = compiled.table.exec_chain(None);
 
         let mut book = CostResumeBook::new();
-        let credit = |book: &mut CostResumeBook| book.credit(&ex, own, nodes, &qa);
+        let credit = |book: &mut CostResumeBook| ex.resume_credit(book, own, nodes, &qa);
         assert_eq!(credit(&mut book), 0.0);
         // An abort that spent enough for the leaf but not the hash join
         // checkpoints only the leaf.
-        book.record(&ex, own, nodes, &qa, (leaf_cost + mid_cost) / 2.0, false);
+        ex.resume_record(
+            &mut book,
+            own,
+            nodes,
+            &qa,
+            (leaf_cost + mid_cost) / 2.0,
+            false,
+        );
         assert_eq!(credit(&mut book).to_bits(), leaf_cost.to_bits());
         // A deeper abort checkpoints the join prefix too.
-        book.record(&ex, own, nodes, &qa, mid_cost * 1.01, false);
+        ex.resume_record(&mut book, own, nodes, &qa, mid_cost * 1.01, false);
         assert_eq!(credit(&mut book).to_bits(), mid_cost.to_bits());
         // A different plan sharing the hash-join prefix grafts the same
         // credit.
@@ -928,15 +865,20 @@ mod tests {
         });
         let mut other_scratch = NodeCosts::default();
         other.prog.eval_nodes(&qa, &mut other_scratch);
-        let grafted = book.credit(&ex, other.table.exec_chain(None), other_scratch.last(), &qa);
+        let grafted = ex.resume_credit(
+            &mut book,
+            other.table.exec_chain(None),
+            other_scratch.last(),
+            &qa,
+        );
         assert_eq!(grafted.to_bits(), mid_cost.to_bits());
         // Corrupt checkpoints yield zero credit (restart fallback).
         book.corrupt_all();
         assert_eq!(credit(&mut book), 0.0);
         // Re-recording heals the book.
-        book.record(&ex, own, nodes, &qa, full_cost, true);
+        ex.resume_record(&mut book, own, nodes, &qa, full_cost, true);
         assert_eq!(credit(&mut book).to_bits(), full_cost.to_bits());
-        assert_eq!(book.checkpoints().count(), 3);
+        assert_eq!(book.len(), 3);
     }
 
     #[test]

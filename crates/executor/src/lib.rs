@@ -26,5 +26,6 @@
 pub mod executor;
 
 pub use executor::{
-    learnable_node, CostResumeBook, ExecOutcome, Executor, MonitorNode, MonitorTable, RunResult,
+    learnable_node, CostCheckpoint, CostResumeBook, ExecOutcome, Executor, MonitorNode,
+    MonitorTable, RunResult,
 };

@@ -31,7 +31,7 @@ use pb_bouquet::{
     Bouquet, BouquetCache, BouquetConfig, ExecutionOutcome, ExecutionSubstrate, RobustConfig,
     SimulatorSubstrate,
 };
-use pb_cost::Parallelism;
+use pb_cost::{CheckpointBook, Parallelism};
 use pb_executor::CostResumeBook;
 use pb_faults::{CancelToken, FaultInjector, FaultPlan, PbError};
 
@@ -63,7 +63,9 @@ pub struct ServerConfig {
     /// Server-side fault plan (slow-client, queue-stall, worker-panic,
     /// client-disconnect sites). Empty = no faults.
     pub faults: FaultPlan,
-    /// Byte cap for each retained checkpoint book.
+    /// Byte cap for checkpoints: each request's book, and all the books
+    /// the server retains for resubmissions together, least recently
+    /// retained evicted first.
     pub resume_byte_cap: usize,
     /// Warm-start identification through this [`BouquetCache`] directory.
     pub cache_dir: Option<PathBuf>,
@@ -126,7 +128,7 @@ struct Registry {
     finished: VecDeque<u64>,
 }
 
-/// Retained checkpoint books, keyed by (tenant, workload, qa bits) so a
+/// Key of a retained checkpoint book, (tenant, workload, qa bits), so a
 /// cancelled request's **identical resubmission** resumes.
 type BookKey = (String, String, Vec<u64>);
 
@@ -139,7 +141,8 @@ struct Shared {
     ledger: TenantLedger,
     metrics: Metrics,
     faults: Mutex<FaultInjector>,
-    books: Mutex<HashMap<BookKey, CostResumeBook>>,
+    /// Books of cancelled requests, held together under `resume_byte_cap`.
+    books: Mutex<CheckpointBook<BookKey, CostResumeBook>>,
     /// Requests accepted but not yet terminal.
     pending: AtomicUsize,
     inflight: AtomicUsize,
@@ -169,6 +172,17 @@ impl Shared {
             m.workload.clone(),
             m.fractions.iter().map(|f| f.to_bits()).collect(),
         )
+    }
+
+    /// Keep `book` for the identical resubmission of the request keyed
+    /// `key`, evicting the least recently retained books past the cap;
+    /// `None` forgets the key's book.
+    fn retain_book(&self, key: BookKey, book: Option<CostResumeBook>) {
+        let mut books = lock(&self.books);
+        match book {
+            Some(book) => books.insert(key, book),
+            None => drop(books.remove(&key)),
+        }
     }
 }
 
@@ -213,6 +227,7 @@ impl PbServer {
         let workers = cfg.workers.max(1);
         let queue_cap = cfg.queue_cap.max(1);
         let tenant_cap = cfg.tenant_cap;
+        let resume_byte_cap = cfg.resume_byte_cap;
         let faults = FaultInjector::new(&cfg.faults);
         let shared = Arc::new(Shared {
             cfg,
@@ -223,7 +238,7 @@ impl PbServer {
             ledger: TenantLedger::new(tenant_cap),
             metrics: Metrics::default(),
             faults: Mutex::new(faults),
-            books: Mutex::new(HashMap::new()),
+            books: Mutex::new(CheckpointBook::with_byte_cap(resume_byte_cap)),
             pending: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -622,10 +637,10 @@ fn execute_request(s: &Arc<Shared>, id: u64, meta: &ReqMeta) {
         }
     };
     if meta.resume {
-        sub.set_resume_byte_cap(s.cfg.resume_byte_cap);
+        sub.resume.set_byte_cap(s.cfg.resume_byte_cap);
         let key = s.book_key(meta);
         if let Some(book) = lock(&s.books).remove(&key) {
-            sub.install_resume_book(book);
+            sub.resume.install_book(book);
         }
     }
 
@@ -642,19 +657,11 @@ fn execute_request(s: &Arc<Shared>, id: u64, meta: &ReqMeta) {
                 ExecutionOutcome::BudgetExhausted { .. } => ("budget-exhausted", None, false),
                 ExecutionOutcome::Cancelled { .. } => ("cancelled", None, true),
             };
-            let key = s.book_key(meta);
             if meta.resume {
-                match (cancelled, sub.take_resume_book()) {
-                    // Retain checkpoints for the resubmission of a
-                    // cancelled request; drop them once a terminal answer
-                    // was produced.
-                    (true, Some(book)) => {
-                        lock(&s.books).insert(key, book);
-                    }
-                    _ => {
-                        lock(&s.books).remove(&key);
-                    }
-                }
+                // Retain checkpoints for the resubmission of a cancelled
+                // request; drop them once a terminal answer was produced.
+                let book = sub.resume.take_book().filter(|_| cancelled);
+                s.retain_book(s.book_key(meta), book);
             }
             let subopt = if outcome == "completed" {
                 let opt = sub.run_native_at(&qa);
@@ -785,6 +792,84 @@ mod tests {
                 ..
             }
         ));
+        server.stop();
+    }
+
+    /// Books retained for many cancelled resume requests stay within
+    /// `resume_byte_cap` all together, and the newest request's identical
+    /// resubmission still resumes from its book.
+    #[test]
+    fn retained_books_share_one_cap_and_the_newest_resumes() {
+        let cap = 2 << 10;
+        let server = PbServer::start(ServerConfig {
+            resume_byte_cap: cap,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let s = &server.shared;
+        let b = &s.loaded["EQ_1D"].bouquet;
+        let fractions: Vec<f64> = (0..40).map(|i| 0.5 + f64::from(i) / 100.0).collect();
+        for &f in &fractions {
+            // A resume request cancelled once its discovery had run: its
+            // checkpoints are what the worker retains for it.
+            let token = CancelToken::new();
+            let qa = b.workload.ess.point_at_fractions(&[f]);
+            let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())
+                .unwrap()
+                .with_cancel(token.clone());
+            sub.resume.set_byte_cap(cap);
+            let cfg = RobustConfig {
+                resume: true,
+                cancel: Some(token.clone()),
+                ..RobustConfig::default()
+            };
+            b.run(&mut sub, &cfg).unwrap();
+            token.cancel();
+            let rr = b.run(&mut sub, &cfg).unwrap();
+            assert!(matches!(rr.run.outcome, ExecutionOutcome::Cancelled { .. }));
+            let book = sub.resume.take_book().filter(|book| !book.is_empty());
+            s.retain_book(("t".into(), "EQ_1D".into(), vec![f.to_bits()]), book);
+            let retained = lock(&s.books).bytes();
+            assert!(retained <= cap, "{retained} B retained under a {cap} B cap");
+        }
+        assert!(
+            lock(&s.books).evictions() > 0,
+            "the cap never evicted a book"
+        );
+
+        let status = |id| loop {
+            match handle_request(s, Request::Status { id }) {
+                Response::Status {
+                    phase: ReqPhase::Done(r),
+                    ..
+                } => return r,
+                Response::Status { .. } => std::thread::sleep(Duration::from_millis(1)),
+                other => panic!("{other:?}"),
+            }
+        };
+        // Cost units a resume request reuses; tenant "u" has no book, so
+        // its requests reuse only within their own run.
+        let reused = |tenant: &str, f: f64| {
+            let req = Request::Submit {
+                tenant: tenant.into(),
+                workload: "EQ_1D".into(),
+                fractions: vec![f],
+                optimized: false,
+                resume: true,
+                deadline_ms: None,
+            };
+            match handle_request(s, req) {
+                Response::Accepted { id, .. } => status(id).reused_cost,
+                other => panic!("{other:?}"),
+            }
+        };
+        let (oldest, newest) = (fractions[0], fractions[fractions.len() - 1]);
+        assert!(
+            reused("t", newest) > reused("u", newest),
+            "the newest book was not resumed"
+        );
+        // The oldest book was evicted: its resubmission starts afresh.
+        assert_eq!(reused("t", oldest), reused("u", oldest));
         server.stop();
     }
 }

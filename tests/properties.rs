@@ -476,9 +476,10 @@ proptest! {
                     prop_assert_eq!(got.spent.to_bits(), (want.spent - credit).to_bits(), "spent, {}", at);
                 }
             }
-            let kept: Vec<(u64, u64)> = (resumed.take_resume_book().unwrap().checkpoints())
-                .map(|(fp, cost)| (fp, cost.to_bits()))
+            let mut kept: Vec<(u64, u64)> = (resumed.resume.take_book().unwrap().iter())
+                .map(|(&fp, cost)| (fp, cost.0.to_bits()))
                 .collect();
+            kept.sort_unstable();
             let expected: Vec<(u64, u64)> = book.iter().map(|(&fp, c)| (fp, c.to_bits())).collect();
             prop_assert_eq!(kept, expected, "{} checkpoints δ {}", w.name, delta);
         }

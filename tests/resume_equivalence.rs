@@ -137,7 +137,7 @@ fn engine_ladder_resume_is_bit_identical_to_restart() {
             );
             total_reused += reused;
         }
-        assert!(book.checkpoints() > 0, "{name}: no checkpoints captured");
+        assert!(!book.is_empty(), "{name}: no checkpoints captured");
     }
     assert!(
         total_reused > 0.0,
@@ -278,7 +278,7 @@ fn simulator_corrupt_checkpoints_never_double_charge() {
     let mut sub = sub();
     let warm = drive(b, &mut sub, false, true);
     assert_resumes("warm simulator", &warm, &plain);
-    sub.corrupt_checkpoints();
+    sub.resume.corrupt_all();
     let after = drive(b, &mut sub, false, true);
     assert_resumes("corrupted simulator", &after, &plain);
     // Fresh snapshots recorded by the fallback runs keep stats coherent.
@@ -300,7 +300,7 @@ fn engine_substrate_corrupt_checkpoints_fall_back() {
     let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
     let warm = drive(b, &mut sub, false, true);
     assert_resumes("engine warm", &warm, &plain);
-    sub.corrupt_checkpoints();
+    sub.resume.corrupt_all();
     let after = drive(b, &mut sub, false, true);
     assert_resumes("engine corrupted", &after, &plain);
 }

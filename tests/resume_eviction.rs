@@ -1,7 +1,7 @@
 //! Byte-capped checkpoint books: eviction never breaks resume ≡ restart.
 //!
-//! The LRU byte caps on [`CostResumeBook`] (simulator) and [`ResumeBook`]
-//! (engine) bound a long-lived process's checkpoint memory — the serving
+//! The LRU byte caps on the simulator's and the engine's checkpoint books
+//! bound a long-lived process's checkpoint memory — the serving
 //! layer keys a book per (tenant, workload, location) and cannot let any of
 //! them grow without bound. The contract under eviction is strict:
 //!
@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
-    Bouquet, BouquetConfig, ExecutionSubstrate, RobustConfig, SimulatorSubstrate,
+    Bouquet, BouquetConfig, EngineSubstrate, ExecutionSubstrate, RobustConfig, SimulatorSubstrate,
 };
 use plan_bouquet::engine::{Database, Engine, ResumeBook};
 use plan_bouquet::faults::FaultInjector;
@@ -131,7 +131,7 @@ fn engine_ladder_with_tiny_cap_is_bit_identical_and_evicts() {
     assert!(
         capped.evictions() > 0,
         "tiny cap never evicted ({} checkpoints, {} bytes retained)",
-        capped.checkpoints(),
+        capped.len(),
         capped.bytes()
     );
     assert!(
@@ -164,14 +164,14 @@ fn a_capped_book_holds_no_more_than_its_cap() {
         }
         let counted = book.bytes();
         assert!(counted <= cap, "cap {cap}: {counted} B counted");
-        retained += book.checkpoints();
+        retained += book.len();
         // Evicting every checkpoint frees what the snapshots hold — their
         // vectors at capacity, not length — and nothing else: the book's
         // maps keep their tables.
         let live = LIVE.with(Cell::get);
         book.set_byte_cap(1);
         let freed = (live - LIVE.with(Cell::get)) as usize;
-        assert_eq!(book.checkpoints(), 0);
+        assert!(book.is_empty());
         assert!(
             freed <= counted,
             "a book capped at {cap} B held {freed} B, counting {counted} B"
@@ -181,7 +181,7 @@ fn a_capped_book_holds_no_more_than_its_cap() {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator book (CostResumeBook) through the robust driver
+// Simulator book through the robust driver
 // ---------------------------------------------------------------------------
 
 fn bouquet_1d() -> &'static Bouquet {
@@ -225,7 +225,7 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         let unbounded = b.run(&mut unb_sub, &cfg_resume).expect("unbounded");
 
         let mut cap_sub = mk();
-        cap_sub.set_resume_byte_cap(sim_cap);
+        cap_sub.resume.set_byte_cap(sim_cap);
         let capped = b.run(&mut cap_sub, &cfg_resume).expect("capped");
 
         // Decisions, observations and outcome identical to the restart;
@@ -245,7 +245,8 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         );
         reuse_seen |= unb_sub.resume_stats().reused_cost > 0.0;
         evictions_seen += cap_sub
-            .take_resume_book()
+            .resume
+            .take_book()
             .map(|book| book.evictions())
             .unwrap_or(0);
     }
@@ -254,4 +255,58 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         evictions_seen > 0,
         "the tiny cap never evicted across the location sweep"
     );
+}
+
+/// A run on `capped` (resume on, its cap already set) against a restart on
+/// `plain`: it must match the restart exactly and retain nothing.
+fn assert_retains_nothing<S: ExecutionSubstrate>(
+    label: &str,
+    b: &Bouquet,
+    mut plain: S,
+    capped: &mut S,
+) {
+    let restart = b.run(&mut plain, &RobustConfig::default()).expect("plain");
+    let cfg = RobustConfig {
+        resume: true,
+        ..Default::default()
+    };
+    let run = b.run(capped, &cfg).expect("capped");
+    let stats = capped.resume_stats();
+    if let Err(e) = run.audit_resumed(stats.reused_cost, &restart) {
+        panic!("{label}: {e}");
+    }
+    assert_eq!(stats.checkpoints, 0, "{label}: checkpoints retained");
+    assert_eq!(stats.reused_cost, 0.0, "{label}: credit from an empty book");
+}
+
+/// Any nonzero cap is a cap: one smaller than a single checkpoint keeps
+/// nothing on either substrate (`0` alone means unbounded), and sheds
+/// every checkpoint the run records.
+#[test]
+fn a_cap_below_one_checkpoint_retains_nothing_on_either_substrate() {
+    let b = bouquet_1d();
+    let qa = b.workload.ess.point_at_fractions(&[0.97]);
+    let (w, db) = engine_fixture();
+    let eb = Bouquet::identify(w, &BouquetConfig::default()).expect("identify");
+    for cap in [1, 20, 47] {
+        let sim = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).expect("substrate");
+        let mut capped = sim();
+        capped.resume.set_byte_cap(cap);
+        assert_retains_nothing(&format!("simulator, cap {cap} B"), b, sim(), &mut capped);
+        let book = capped.resume.take_book().expect("book");
+        assert!(
+            book.evictions() > 0,
+            "simulator, cap {cap} B: nothing recorded"
+        );
+
+        let engine = || EngineSubstrate::new(&eb, db, FaultInjector::none());
+        let mut capped = engine();
+        capped.resume.set_byte_cap(cap);
+        assert_retains_nothing(&format!("engine, cap {cap} B"), &eb, engine(), &mut capped);
+        let book = capped.resume.take_book().expect("book");
+        assert!(
+            book.evictions() > 0,
+            "engine, cap {cap} B: nothing recorded"
+        );
+    }
 }
