@@ -27,6 +27,9 @@ pub(crate) struct DriverTables {
     pub rows: Vec<Vec<usize>>,
     /// Linear-index distance of one grid step along each axis.
     pub strides: Vec<usize>,
+    /// The mask with every dimension resolved: under it no plan has a
+    /// learnable node, so a monitored execution is a plain one.
+    pub all_resolved: Vec<bool>,
 }
 
 impl DriverTables {
@@ -62,6 +65,7 @@ impl DriverTables {
             plan_row,
             rows,
             strides: ess.strides(),
+            all_resolved: vec![true; ess.d()],
         }
     }
 }

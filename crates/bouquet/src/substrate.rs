@@ -1,10 +1,11 @@
 //! Execution substrates: the runtime surface the bouquet drivers drive.
 //!
-//! The paper's drivers (Figures 7 and 13) only ever need three primitives
-//! from the thing that executes plans — a budgeted execution, a budgeted
-//! execution with selectivity monitoring, and an unbudgeted native run for
-//! the degradation rung. [`ExecutionSubstrate`] captures exactly that
-//! contract, so the same driver loops run against
+//! The paper's drivers (Figures 7 and 13) only ever need two primitives
+//! from the thing that executes plans — a budgeted execution with
+//! selectivity monitoring (which Figure 7's plain execution is, with nothing
+//! left to learn), and an unbudgeted native run for the degradation rung.
+//! [`ExecutionSubstrate`] captures exactly that contract, so the same driver
+//! loops run against
 //!
 //! * [`SimulatorSubstrate`] — the cost-unit simulator
 //!   ([`pb_executor::Executor`]), which "executes" a plan by comparing its
@@ -24,7 +25,8 @@
 //! [`SubstrateOutcome::resolved`] (exactly-known dimensions with their
 //! values), which is precisely the information a real system has at run
 //! time. Layering: `pb-executor` and `pb-engine` are independent leaves;
-//! `pb-bouquet` sits above both and owns the trait.
+//! `pb-bouquet` sits above both and owns the trait ([`SubstrateOutcome`] is
+//! the simulator's own outcome type, re-exported here).
 
 use std::hash::Hash;
 
@@ -32,54 +34,14 @@ use pb_cost::{
     Checkpoint, CheckpointBook, CostProgram, NodeCost, NodeCosts, Parallelism, SelPoint,
 };
 use pb_engine::{Database, Engine, EngineOutcome, Snapshot};
+pub use pb_executor::SubstrateOutcome;
 use pb_executor::{CostCheckpoint, Executor};
 use pb_faults::{CancelToken, FaultInjector, PbError};
 use pb_optimizer::PlanId;
-use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec};
+use pb_plan::{PlanFingerprint, PlanNode, QuerySpec};
 use serde::{Deserialize, Serialize};
 
 use crate::bouquet::Bouquet;
-
-/// What one partial (budget-limited) execution told the driver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubstrateOutcome {
-    /// Cost units actually consumed (charged to the run unconditionally).
-    /// With checkpoint/resume enabled this is the cost of the *un-executed
-    /// suffix only*: the restart-identical cost minus [`Self::reused`].
-    pub spent: f64,
-    /// Cost units fast-forwarded from checkpoints of earlier executions
-    /// instead of re-executed. Zero on the plain paths. `spent + reused`
-    /// is always the restart-semantics cost — resume never changes what is
-    /// learned, only what is paid.
-    pub reused: f64,
-    /// The *query* finished (never true for spilled executions).
-    pub completed: bool,
-    /// Whether this execution ran a spilled prefix (Section 5.3).
-    pub spilled: bool,
-    /// Selectivity lower bounds observed from the execution:
-    /// `(dim, new_lower_bound)`, first-quadrant safe.
-    pub observed: Vec<(DimId, f64)>,
-    /// Dimensions whose error node consumed its entire input, with the now
-    /// exactly-known selectivity: `(dim, true_value)`.
-    pub resolved: Vec<(DimId, f64)>,
-    /// Set when the execution died on a fault rather than completing or
-    /// exhausting its budget.
-    pub error: Option<PbError>,
-}
-
-impl SubstrateOutcome {
-    fn plain(spent: f64, completed: bool, error: Option<PbError>) -> Self {
-        SubstrateOutcome {
-            spent,
-            reused: 0.0,
-            completed,
-            spilled: false,
-            observed: Vec::new(),
-            resolved: Vec::new(),
-            error,
-        }
-    }
-}
 
 /// Aggregate counters for a substrate's checkpoint/resume machinery, read
 /// through [`ExecutionSubstrate::resume_stats`] (all-zero when resume is
@@ -102,7 +64,8 @@ pub struct ResumeStats {
 /// state (evaluation stacks, result-row counters) across calls.
 pub trait ExecutionSubstrate {
     /// Budget-limited execution of bouquet plan `pid` with no monitoring —
-    /// the basic (Figure 7) driver's primitive.
+    /// the basic (Figure 7) driver's primitive: the monitored execution
+    /// with nothing left to learn (every dimension resolved, unspilled).
     fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome;
 
     /// Budget-limited execution with selectivity monitoring — the optimized
@@ -216,9 +179,13 @@ impl<K: Hash + Eq + Clone, V: Checkpoint> ResumeState<K, V> {
 
     /// Poll the cancellation token; `Some` is the outcome a cancelled
     /// execution reports (nothing spent, typed error).
-    fn cancelled_outcome(&self) -> Option<SubstrateOutcome> {
+    fn cancelled_outcome(&self, spilled: bool) -> Option<SubstrateOutcome> {
         let e = self.cancel.as_ref()?.cancel_error()?;
-        Some(SubstrateOutcome::plain(0.0, false, Some(e)))
+        Some(SubstrateOutcome {
+            spilled,
+            error: Some(e),
+            ..SubstrateOutcome::default()
+        })
     }
 
     fn enable(&mut self) -> bool {
@@ -339,18 +306,7 @@ impl<'a> SimulatorSubstrate<'a> {
 
 impl ExecutionSubstrate for SimulatorSubstrate<'_> {
     fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
-        if let Some(o) = self.resume.cancelled_outcome() {
-            return o;
-        }
-        let (prog, fp) = (&self.b.programs()[pid], self.b.plan(pid).fingerprint());
-        let out = self
-            .ex
-            .execute_compiled(prog, fp, &self.qa, budget, &mut self.nodes);
-        let reused = self.discount(self.exec_chain(pid, None), out.spent(), out.completed());
-        let mut o =
-            SubstrateOutcome::plain(out.spent() - reused, out.completed(), out.error().cloned());
-        o.reused = reused;
-        o
+        self.execute_monitored(pid, &self.b.driver_tables().all_resolved, budget, false)
     }
 
     fn execute_monitored(
@@ -360,11 +316,10 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         budget: f64,
         spilled: bool,
     ) -> SubstrateOutcome {
-        if let Some(mut o) = self.resume.cancelled_outcome() {
-            o.spilled = spilled;
+        if let Some(o) = self.resume.cancelled_outcome(spilled) {
             return o;
         }
-        let r = self.ex.execute_monitored(
+        let mut o = self.ex.execute_monitored(
             &self.b.programs()[pid],
             &self.b.driver_tables().plans[pid],
             &self.qa,
@@ -374,7 +329,7 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
             &mut self.nodes,
         );
         if !self.ex.faults.is_active() {
-            if let Some((dim, v)) = r.learned {
+            for &(dim, v) in &o.observed {
                 debug_assert!(
                     v <= self.qa[dim] * (1.0 + 1e-9),
                     "first-quadrant invariant violated"
@@ -386,23 +341,14 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
         // prefix "completed" when the error node consumed its entire input
         // (the dimension resolved).
         let prefix_completed = if spilled {
-            !r.resolved.is_empty()
+            !o.resolved.is_empty()
         } else {
-            r.completed
+            o.completed
         };
         let chain = self.exec_chain(pid, spilled.then_some(resolved));
-        let reused = self.discount(chain, r.spent, prefix_completed);
-        SubstrateOutcome {
-            spent: r.spent - reused,
-            reused,
-            completed: r.completed,
-            spilled,
-            observed: r.learned.into_iter().collect(),
-            // The simulator knows truth exactly: a resolved dimension's value
-            // is qa's.
-            resolved: r.resolved.into_iter().map(|dm| (dm, self.qa[dm])).collect(),
-            error: r.error,
-        }
+        o.reused = self.discount(chain, o.spent, prefix_completed);
+        o.spent -= o.reused;
+        o
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {
@@ -510,26 +456,11 @@ impl<'a> EngineSubstrate<'a> {
     pub fn result_rows(&self) -> Option<usize> {
         self.last_rows
     }
-
-    fn note_completion(&mut self, out: &EngineOutcome) {
-        if let EngineOutcome::Completed { rows, .. } = out {
-            self.last_rows = Some(*rows);
-        }
-    }
 }
 
 impl ExecutionSubstrate for EngineSubstrate<'_> {
     fn execute_partial(&mut self, pid: PlanId, budget: f64) -> SubstrateOutcome {
-        if let Some(o) = self.resume.cancelled_outcome() {
-            return o;
-        }
-        let plan = &self.b.plan(pid).root;
-        let (out, reused) = self.run_resumable(plan, budget);
-        self.note_completion(&out);
-        let mut o =
-            SubstrateOutcome::plain(out.cost() - reused, out.completed(), out.error().cloned());
-        o.reused = reused;
-        o
+        self.execute_monitored(pid, &self.b.driver_tables().all_resolved, budget, false)
     }
 
     fn execute_monitored(
@@ -539,8 +470,7 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
         budget: f64,
         spilled: bool,
     ) -> SubstrateOutcome {
-        if let Some(mut o) = self.resume.cancelled_outcome() {
-            o.spilled = spilled;
+        if let Some(o) = self.resume.cancelled_outcome(spilled) {
             return o;
         }
         if spilled && self.faults.is_active() {
@@ -548,13 +478,9 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
                 // The pipeline break failed before any real work; the driver
                 // decides whether to retry unspilled.
                 return SubstrateOutcome {
-                    spent: 0.0,
-                    reused: 0.0,
-                    completed: false,
                     spilled,
-                    observed: Vec::new(),
-                    resolved: Vec::new(),
                     error: Some(error),
+                    ..SubstrateOutcome::default()
                 };
             }
         }
@@ -569,12 +495,17 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
             Some((_, _, node)) if spilled => self.run_resumable(&node.clone().spilled(), budget),
             _ => self.run_resumable(plan, budget),
         };
-        let completed_query = out.completed() && !spilled;
-        if completed_query {
-            self.note_completion(&out);
+        let mut o = SubstrateOutcome {
+            spent: out.cost() - reused,
+            reused,
+            completed: out.completed() && !spilled,
+            spilled,
+            error: out.error().cloned(),
+            ..SubstrateOutcome::default()
+        };
+        if let (true, EngineOutcome::Completed { rows, .. }) = (o.completed, &out) {
+            self.last_rows = Some(*rows);
         }
-        let mut observed = Vec::new();
-        let mut resolved_out = Vec::new();
         if let Some((site, dm, node)) = learn {
             let offset = if spilled { site.first_op() } else { 0 };
             let children: Vec<usize> = site.children.iter().map(|&(op, _)| op - offset).collect();
@@ -595,23 +526,15 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
                     .spec_for_dim(dm)
                     .map_or(s, |spec| spec.to_coordinate(s));
                 let s = s.clamp(w.ess.dims[dm].lo, w.ess.dims[dm].hi);
-                observed.push((dm, s));
+                o.observed.push((dm, s));
                 if spilled && out.completed() {
                     // The prefix consumed its entire input: the counter is
                     // final, so the observation *is* the true selectivity.
-                    resolved_out.push((dm, s));
+                    o.resolved.push((dm, s));
                 }
             }
         }
-        SubstrateOutcome {
-            spent: out.cost() - reused,
-            reused,
-            completed: completed_query,
-            spilled,
-            observed,
-            resolved: resolved_out,
-            error: out.error().cloned(),
-        }
+        o
     }
 
     fn run_native_at(&mut self, point: &SelPoint) -> f64 {

@@ -6,55 +6,31 @@ use pb_cost::{
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{DimId, PlanFingerprint, PlanNode, QuerySpec, RelIdx};
 
-/// Outcome of a plain cost-limited execution (basic bouquet driver).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecOutcome {
-    /// The plan finished within the budget; `cost` is what it consumed.
-    Completed { cost: f64 },
-    /// The budget was exhausted first; exactly `spent == budget` was wasted.
-    Aborted { spent: f64 },
-    /// The execution died mid-flight (injected or real operator fault) after
-    /// consuming `spent` units. Unlike an abort, the budget was not the
-    /// limiting factor and nothing was learned.
-    Failed { spent: f64, error: PbError },
-}
-
-impl ExecOutcome {
-    pub fn spent(&self) -> f64 {
-        match self {
-            ExecOutcome::Completed { cost } => *cost,
-            ExecOutcome::Aborted { spent } | ExecOutcome::Failed { spent, .. } => *spent,
-        }
-    }
-
-    pub fn completed(&self) -> bool {
-        matches!(self, ExecOutcome::Completed { .. })
-    }
-
-    pub fn error(&self) -> Option<&PbError> {
-        match self {
-            ExecOutcome::Failed { error, .. } => Some(error),
-            _ => None,
-        }
-    }
-}
-
-/// Outcome of an execution that also monitors selectivities (optimized
-/// bouquet driver, Sections 5.2–5.3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// The query finished (only possible for unspilled executions).
-    pub completed: bool,
-    /// Cost units actually consumed (≤ budget).
+/// What one budget-limited execution told the driver — the outcome of
+/// [`Executor::execute_monitored`], and of every substrate's executions.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SubstrateOutcome {
+    /// Cost units actually consumed (charged to the run unconditionally).
+    /// With checkpoint/resume enabled this is the cost of the *un-executed
+    /// suffix only*: the restart-identical cost minus [`Self::reused`].
     pub spent: f64,
-    /// Updated lower bound for one dimension, if an unresolved error node
-    /// was observed: `(dim, new_lower_bound)`.
-    pub learned: Option<(DimId, f64)>,
-    /// Dimensions whose error node consumed its entire input — their true
-    /// selectivity is now exactly known.
-    pub resolved: Vec<DimId>,
+    /// Cost units fast-forwarded from checkpoints of earlier executions
+    /// instead of re-executed. Zero on the plain paths. `spent + reused`
+    /// is always the restart-semantics cost — resume never changes what is
+    /// learned, only what is paid.
+    pub reused: f64,
+    /// The *query* finished (never true for spilled executions).
+    pub completed: bool,
+    /// Whether this execution ran a spilled prefix (Section 5.3).
+    pub spilled: bool,
+    /// Selectivity lower bounds observed from the execution:
+    /// `(dim, new_lower_bound)`, first-quadrant safe.
+    pub observed: Vec<(DimId, f64)>,
+    /// Dimensions whose error node consumed its entire input, with the now
+    /// exactly-known selectivity: `(dim, true_value)`.
+    pub resolved: Vec<(DimId, f64)>,
     /// Set when the execution died on a fault rather than completing or
-    /// exhausting the budget; `spent` still reflects the work wasted.
+    /// exhausting its budget; `spent` still reflects the work wasted.
     pub error: Option<PbError>,
 }
 
@@ -282,44 +258,6 @@ impl Executor {
         }
     }
 
-    /// Budget logic of a whole-plan execution: fault checks (operator
-    /// failure, clock skew, abort over-charge) happen here and only here.
-    fn budgeted(&self, cost: f64, budget: f64, site: &str) -> ExecOutcome {
-        if !self.faults.is_active() {
-            return if cost <= budget {
-                ExecOutcome::Completed { cost }
-            } else {
-                ExecOutcome::Aborted { spent: budget }
-            };
-        }
-        if let Some((frac, error)) = self.faults.exec_failure(site) {
-            // Died after a fraction of the work it would have done (bounded
-            // by the budget when finite, so the spend is always chargeable).
-            let bound = if budget.is_finite() {
-                budget.min(cost)
-            } else {
-                cost
-            };
-            return ExecOutcome::Failed {
-                spent: bound * frac,
-                error,
-            };
-        }
-        // Clock skew only makes sense for finite budgets (∞ × 0 is NaN).
-        let effective = if budget.is_finite() {
-            self.faults.skewed_budget(budget)
-        } else {
-            budget
-        };
-        if cost <= effective {
-            ExecOutcome::Completed { cost }
-        } else {
-            ExecOutcome::Aborted {
-                spent: effective * self.faults.abort_charge_factor(),
-            }
-        }
-    }
-
     /// The actual run-time cost of executing a compiled plan to completion
     /// at the true location `qa`: its modeled cost × the bounded model-error
     /// factor (an armed injector may additionally spike it beyond the δ
@@ -336,24 +274,10 @@ impl Executor {
         self.realized(fp, qa, prog.eval_with(qa, stack).cost)
     }
 
-    /// Plain cost-limited execution of a compiled plan — the basic driver's
-    /// primitive, which re-costs whole pool plans once per budget probe.
-    /// One captured evaluation prices it, leaving every subtree's estimate
-    /// in `scratch` for a [`CostResumeBook`] to price the chain from.
-    pub fn execute_compiled(
-        &self,
-        prog: &CostProgram,
-        fp: PlanFingerprint,
-        qa: &[f64],
-        budget: f64,
-        scratch: &mut NodeCosts,
-    ) -> ExecOutcome {
-        let nodes = prog.eval_nodes(qa, scratch);
-        let cost = self.realized(fp, qa, nodes[nodes.len() - 1].cost);
-        self.budgeted(cost, budget, "executor:execute-compiled")
-    }
-
-    /// Cost-limited execution with selectivity monitoring.
+    /// Cost-limited execution with selectivity monitoring — the
+    /// simulator's one budgeted execution. A plain execution (Figure 7) is
+    /// this call under an all-resolved mask, unspilled: nothing is
+    /// learnable, so it is a pure completion attempt.
     ///
     /// With `spilled == true` the pipeline is broken immediately above the
     /// first unresolved error node (Section 5.3): the entire budget goes to
@@ -368,12 +292,19 @@ impl Executor {
     /// that fraction × the true value. The fraction is capped at 1, which
     /// guarantees the first-quadrant invariant.
     ///
+    /// Fault hooks, in order: a spilled run's pipeline break may fail
+    /// (nothing spent); the execution may die on an operator failure after
+    /// burning `frac · min(budget, C_exec)` — never more than the granted
+    /// budget or the executed tree; the budget clock may skew; an abort's
+    /// charge may be inflated and an observation corrupted.
+    ///
     /// `prog` is the plan's single-plan program and `table` its monitor
     /// table. One captured evaluation prices the plan, the spilled prefix
     /// and `E`'s inputs: the captured estimate at a node's op index is
     /// bit-identical to costing that subtree alone, and the perturbation
     /// keys off the subtree fingerprints the table recorded, so the outcome
-    /// equals the tree walk's bit for bit. The capture stays in `scratch`.
+    /// equals the tree walk's bit for bit. The capture stays in `scratch`
+    /// for a [`CostResumeBook`] to price the executed chain from.
     #[allow(clippy::too_many_arguments)] // the plan (program + table), the location, the request, scratch
     pub fn execute_monitored(
         &self,
@@ -384,109 +315,77 @@ impl Executor {
         budget: f64,
         spilled: bool,
         scratch: &mut NodeCosts,
-    ) -> RunResult {
+    ) -> SubstrateOutcome {
         debug_assert_eq!(prog.len(), table.size, "table built from another plan");
-        if self.faults.is_active() {
-            if spilled {
-                if let Some(error) = self.faults.spill_failure("executor:spill") {
-                    // The pipeline break itself failed before any real work;
-                    // the driver decides whether to retry unspilled.
-                    return RunResult {
-                        completed: false,
-                        spent: 0.0,
-                        learned: None,
-                        resolved: Vec::new(),
-                        error: Some(error),
-                    };
-                }
-            }
-            if let Some((frac, error)) = self.faults.exec_failure("executor:monitored") {
-                let spent = if budget.is_finite() {
-                    budget * frac
-                } else {
-                    0.0
-                };
-                return RunResult {
-                    completed: false,
-                    spent,
-                    learned: None,
-                    resolved: Vec::new(),
-                    error: Some(error),
-                };
+        let mut out = SubstrateOutcome {
+            spilled,
+            ..SubstrateOutcome::default()
+        };
+        if spilled {
+            if let Some(error) = self.faults.spill_failure("executor:spill") {
+                // The pipeline break itself failed before any real work;
+                // the driver decides whether to retry unspilled.
+                out.error = Some(error);
+                return out;
             }
         }
+        let nodes = prog.eval_nodes(qa, scratch);
+        // Actual cost of the subtree ending at op `op`, run as a plan of its
+        // own.
+        let actual = |op: usize, fp| self.realized(fp, qa, nodes[op].cost);
+        let learn = table.learnable(resolved);
+        // Cost of the executed tree: with a learnable node and `spilled`,
+        // the subtree rooted at it, output discarded; else the whole plan.
+        let exec_cost = match learn {
+            Some((node, _)) if spilled => {
+                let prefix = formulas::spill(prog.params(), &nodes[node.op]).cost;
+                self.perturb.actual_cost(node.fingerprint, qa, prefix)
+            }
+            _ => actual(table.size - 1, table.root()),
+        };
+        if let Some((frac, error)) = self.faults.exec_failure("executor:execute") {
+            // Died after a fraction of the work it would have done.
+            out.spent = frac * budget.min(exec_cost);
+            out.error = Some(error);
+            return out;
+        }
+        // Clock skew only makes sense for finite budgets (∞ × 0 is NaN).
         let budget = if budget.is_finite() {
             self.faults.skewed_budget(budget)
         } else {
             budget
         };
-        let nodes = prog.eval_nodes(qa, scratch);
-        // Actual cost of the subtree ending at op `op`, run as a plan of its
-        // own.
-        let actual = |op: usize, fp| self.realized(fp, qa, nodes[op].cost);
-        let root = table.size - 1;
-        let Some((node, dim)) = table.learnable(resolved) else {
-            // No unresolved error dimension in this plan: pure completion
-            // attempt; nothing to learn on abort.
-            let cost = actual(root, table.root());
-            return if cost <= budget {
-                RunResult {
-                    completed: true,
-                    spent: cost,
-                    learned: None,
-                    resolved: Vec::new(),
-                    error: None,
-                }
-            } else {
-                RunResult {
-                    completed: false,
-                    spent: budget * self.faults.abort_charge_factor(),
-                    learned: None,
-                    resolved: Vec::new(),
-                    error: None,
-                }
-            };
-        };
-
-        // Cost of the executed tree.
-        let exec_tree_cost = if spilled {
-            // Subtree rooted at the error node, output discarded.
-            let prefix = formulas::spill(prog.params(), &nodes[node.op]).cost;
-            self.perturb.actual_cost(node.fingerprint, qa, prefix)
+        let fits = exec_cost <= budget;
+        out.spent = if fits {
+            exec_cost
         } else {
-            actual(root, table.root())
+            budget * self.faults.abort_charge_factor()
+        };
+        out.completed = fits && !spilled;
+        let Some((node, dim)) = learn else {
+            // No unresolved error dimension in this plan: nothing to learn.
+            return out;
         };
         // Cost of the error node's inputs — fully known to the driver since
         // no unresolved dimension occurs below the node.
         let input_cost: f64 = node.children.iter().map(|&(op, fp)| actual(op, fp)).sum();
-
-        if exec_tree_cost <= budget {
+        if fits {
             // Completed — the query, or with `spilled` only the prefix:
-            // either way all dims applied at this node resolve.
-            RunResult {
-                completed: !spilled,
-                spent: exec_tree_cost,
-                learned: Some((dim, self.faults.corrupt_observation(qa[dim]))),
-                resolved: node
-                    .dims
-                    .iter()
-                    .copied()
-                    .filter(|&d| !resolved[d])
-                    .collect(),
-                error: None,
-            }
+            // either way all dims applied at this node resolve, to their
+            // true values.
+            out.observed = vec![(dim, self.faults.corrupt_observation(qa[dim]))];
+            out.resolved = (node.dims.iter())
+                .filter(|&&d| !resolved[d])
+                .map(|&d| (d, qa[d]))
+                .collect();
         } else {
-            let denom = (exec_tree_cost - input_cost).max(f64::MIN_POSITIVE);
+            let denom = (exec_cost - input_cost).max(f64::MIN_POSITIVE);
             let frac = ((budget - input_cost) / denom).clamp(0.0, 1.0);
-            RunResult {
-                completed: false,
-                spent: budget * self.faults.abort_charge_factor(),
-                learned: (frac > 0.0)
-                    .then_some((dim, self.faults.corrupt_observation(frac * qa[dim]))),
-                resolved: Vec::new(),
-                error: None,
+            if frac > 0.0 {
+                out.observed = vec![(dim, self.faults.corrupt_observation(frac * qa[dim]))];
             }
         }
+        out
     }
 }
 
@@ -577,6 +476,7 @@ mod tests {
     use super::*;
     use pb_catalog::tpch;
     use pb_cost::{CostModel, Coster};
+    use pb_faults::{FaultKind, FaultPlan, Trigger};
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
     fn setup() -> (pb_catalog::Catalog, QuerySpec, CostModel) {
@@ -637,7 +537,7 @@ mod tests {
             resolved: &[bool],
             budget: f64,
             spilled: bool,
-        ) -> RunResult {
+        ) -> SubstrateOutcome {
             let mut scratch = NodeCosts::default();
             ex.execute_monitored(
                 &self.prog,
@@ -659,21 +559,20 @@ mod tests {
     fn execute_completes_iff_cost_fits() {
         let ex = plain();
         let (plan, qa) = (Compiled::new(&sample_plan()), [0.01, 1e-6]);
-        let mut scratch = NodeCosts::default();
-        let mut run = |budget| ex.execute_compiled(&plan.prog, plan.fp, &qa, budget, &mut scratch);
+        let run = |budget| plan.monitored(&ex, &qa, &[true, true], budget, false);
         let cost = plan.actual(&ex, &qa);
-        assert!(run(cost * 1.01).completed());
+        assert!(run(cost * 1.01).completed);
         let aborted = run(cost * 0.5);
-        assert!(!aborted.completed());
-        assert_eq!(aborted.spent(), cost * 0.5);
+        assert!(!aborted.completed);
+        assert_eq!(aborted.spent, cost * 0.5);
     }
 
     #[test]
-    fn compiled_execution_matches_tree_walk_bitwise() {
+    fn plain_execution_matches_tree_walk_bitwise() {
         let (cat, q, m) = setup();
         let noisy = Executor::new(CostPerturbation::with_delta(0.4, 7));
         let plan = sample_plan();
-        let Compiled { prog, fp, .. } = Compiled::new(&plan);
+        let Compiled { prog, table, fp } = Compiled::new(&plan);
         let mut stack = Vec::new();
         let mut scratch = NodeCosts::default();
         for qa in [[0.01, 1e-6], [0.05, 2e-6], [1.0, 5e-6]] {
@@ -682,17 +581,38 @@ mod tests {
             let compiled = noisy.actual_cost_compiled(&prog, fp, &qa, &mut stack);
             assert_eq!(walked.to_bits(), compiled.to_bits());
             for budget in [walked * 0.5, walked, walked * 2.0] {
-                let expect = if walked <= budget {
-                    ExecOutcome::Completed { cost: walked }
-                } else {
-                    ExecOutcome::Aborted { spent: budget }
+                let fits = walked <= budget;
+                let expect = SubstrateOutcome {
+                    spent: if fits { walked } else { budget },
+                    completed: fits,
+                    ..SubstrateOutcome::default()
                 };
-                assert_eq!(
-                    noisy.execute_compiled(&prog, fp, &qa, budget, &mut scratch),
-                    expect
-                );
+                let all = [true, true];
+                let got =
+                    noisy.execute_monitored(&prog, &table, &qa, &all, budget, false, &mut scratch);
+                assert_eq!(got, expect);
                 // The capture ends with the whole plan's modeled estimate.
                 assert_eq!(scratch.last().last().map(|n| n.cost), Some(modeled));
+            }
+        }
+    }
+
+    #[test]
+    fn operator_failure_burns_at_most_the_executed_tree() {
+        let qa = [0.05, 2e-6];
+        let plan = Compiled::new(&sample_plan());
+        let cost = plan.actual(&plain(), &qa);
+        for budget in [cost * 0.5, cost * 4.0, f64::INFINITY] {
+            for (mask, spilled) in [([true, true], false), ([false, false], false)] {
+                let faults = FaultPlan::new(1).with(
+                    FaultKind::OperatorFailure { waste_frac: 0.5 },
+                    Trigger::Nth(1),
+                );
+                let ex = plain().with_faults(FaultInjector::new(&faults));
+                let r = plan.monitored(&ex, &qa, &mask, budget, spilled);
+                assert!(matches!(r.error, Some(PbError::OperatorFailure { .. })));
+                assert!(!r.completed && r.observed.is_empty() && r.resolved.is_empty());
+                assert_eq!(r.spent.to_bits(), (0.5 * budget.min(cost)).to_bits());
             }
         }
     }
@@ -763,7 +683,7 @@ mod tests {
             let full = plan.actual(&ex, &qa);
             let r = plan.monitored(&ex, &qa, &[false, false], full * budget_frac, false);
             assert!(!r.completed);
-            if let Some((d, v)) = r.learned {
+            if let Some(&(d, v)) = r.observed.first() {
                 assert_eq!(d, 0);
                 assert!(v <= qa[0] * (1.0 + 1e-12), "learned {v} > true {}", qa[0]);
                 assert!(v >= 0.0);
@@ -779,7 +699,7 @@ mod tests {
         let budget = plan.actual(&ex, &qa) * 0.2;
         let spilled = plan.monitored(&ex, &qa, &[false, false], budget, true);
         let unspilled = plan.monitored(&ex, &qa, &[false, false], budget, false);
-        let lv = |r: &RunResult| r.learned.map(|(_, v)| v).unwrap_or(0.0);
+        let lv = |r: &SubstrateOutcome| r.observed.first().map_or(0.0, |&(_, v)| v);
         assert!(
             lv(&spilled) >= lv(&unspilled) - 1e-15,
             "spilled {} < unspilled {}",
@@ -796,8 +716,8 @@ mod tests {
         // Huge budget: the spilled prefix (IndexScan on part) completes.
         let r = plan.monitored(&ex, &qa, &[false, false], 1e12, true);
         assert!(!r.completed);
-        assert_eq!(r.resolved, vec![0]);
-        assert_eq!(r.learned, Some((0, qa[0])));
+        assert_eq!(r.resolved, vec![(0, qa[0])]);
+        assert_eq!(r.observed, vec![(0, qa[0])]);
         assert!(r.spent < 1e12);
     }
 
@@ -808,7 +728,7 @@ mod tests {
         let plan = Compiled::new(&sample_plan());
         let r = plan.monitored(&ex, &qa, &[false, false], 1e12, false);
         assert!(r.completed);
-        assert_eq!(r.resolved, vec![0]);
+        assert_eq!(r.resolved, vec![(0, qa[0])]);
     }
 
     #[test]
@@ -819,7 +739,7 @@ mod tests {
         let cost = plan.actual(&ex, &qa);
         let r = plan.monitored(&ex, &qa, &[true, true], cost * 0.5, false);
         assert!(!r.completed);
-        assert!(r.learned.is_none());
+        assert!(r.observed.is_empty());
         assert_eq!(r.spent, cost * 0.5);
     }
 

@@ -10,8 +10,12 @@
 //!   modeled cost — read off the plan's compiled `CostProgram` — optionally
 //!   perturbed by a bounded model-error factor (`δ`-framework of Section
 //!   3.4).
-//! * A **budgeted execution** completes iff the actual cost fits the budget;
-//!   otherwise it is aborted having consumed exactly the budget.
+//! * A **budgeted execution** — [`Executor::execute_monitored`], the one
+//!   such call — completes iff the actual cost of the executed tree fits the
+//!   budget; otherwise it is aborted having consumed exactly the budget. A
+//!   plain execution is the same call with nothing left to learn (every
+//!   dimension resolved, unspilled), and every outcome is a
+//!   [`SubstrateOutcome`].
 //! * An aborted execution still *teaches*: the tuple counter at the first
 //!   unresolved error node implies a selectivity lower bound. We model
 //!   execution progress as budget-proportional past the error node's input
@@ -26,6 +30,6 @@
 pub mod executor;
 
 pub use executor::{
-    learnable_node, CostCheckpoint, CostResumeBook, ExecOutcome, Executor, MonitorNode,
-    MonitorTable, RunResult,
+    learnable_node, CostCheckpoint, CostResumeBook, Executor, MonitorNode, MonitorTable,
+    SubstrateOutcome,
 };

@@ -78,16 +78,19 @@ fn completion_decisions_agree_modulo_delta() {
     for pid in b.plan_ids() {
         let plan = &b.plan(pid).root;
         let (prog, fp) = (&b.programs()[pid], b.plan(pid).fingerprint());
+        let table = MonitorTable::build(plan, &w.query);
         let modeled = ex.actual_cost_compiled(prog, fp, &qa, &mut stack);
-        let mut simulate = |budget| ex.execute_compiled(prog, fp, &qa, budget, &mut scratch);
+        let mut simulate = |budget| {
+            ex.execute_monitored(prog, &table, &qa, &[true; 2], budget, false, &mut scratch)
+        };
         let engine_cost = engine.execute(plan, f64::INFINITY).cost();
         // With a budget well above both costs, both complete; with a budget
         // well below both, both abort.
         let generous = 4.0 * modeled.max(engine_cost);
         let stingy = 0.1 * modeled.min(engine_cost);
-        assert!(simulate(generous).completed());
+        assert!(simulate(generous).completed);
         assert!(engine.execute(plan, generous).completed());
-        assert!(!simulate(stingy).completed());
+        assert!(!simulate(stingy).completed);
         assert!(!engine.execute(plan, stingy).completed());
     }
 }

@@ -15,7 +15,7 @@ use plan_bouquet::bouquet::{
 use plan_bouquet::cost::{
     CostPerturbation, CostProgram, Coster, Ess, NodeCosts, Parallelism, SelPoint,
 };
-use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, RunResult};
+use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, SubstrateOutcome};
 use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
 use plan_bouquet::optimizer::PlanDiagram;
 use plan_bouquet::plan::{PhysicalPlan, PlanNode, QuerySpec};
@@ -98,7 +98,9 @@ fn actual_by_tree_walk(ex: &Executor, coster: Coster, plan: &PlanNode, qa: &[f64
 /// `Executor::execute_monitored` is compiled from. It finds the learnable
 /// node by recursion, re-costs the plan, the spilled prefix and each input
 /// of the error node with the tree-walking `Coster`, and consults the fault
-/// hooks in the order the compiled version must keep.
+/// hooks in the order the compiled version must keep: one ladder, whose
+/// operator failure burns a fraction of what the executed tree would cost,
+/// capped by the budget.
 fn execute_monitored_by_tree_walk(
     ex: &Executor,
     coster: Coster,
@@ -107,82 +109,59 @@ fn execute_monitored_by_tree_walk(
     resolved: &[bool],
     budget: f64,
     spilled: bool,
-) -> RunResult {
-    let failed = |spent, error| RunResult {
-        completed: false,
-        spent,
-        learned: None,
-        resolved: Vec::new(),
-        error: Some(error),
+) -> SubstrateOutcome {
+    let mut out = SubstrateOutcome {
+        spilled,
+        ..SubstrateOutcome::default()
     };
-    if ex.faults.is_active() {
-        if spilled {
-            if let Some(error) = ex.faults.spill_failure("executor:spill") {
-                return failed(0.0, error);
-            }
+    if spilled {
+        if let Some(error) = ex.faults.spill_failure("executor:spill") {
+            out.error = Some(error);
+            return out;
         }
-        if let Some((frac, error)) = ex.faults.exec_failure("executor:monitored") {
-            let spent = if budget.is_finite() {
-                budget * frac
-            } else {
-                0.0
-            };
-            return failed(spent, error);
+    }
+    let actual = |plan| actual_by_tree_walk(ex, coster, plan, qa);
+    let learn = learnable_node(plan, coster.query, resolved);
+    let exec_tree_cost = match &learn {
+        Some((node, _)) if spilled => {
+            let prefix = coster.plan_cost(&PlanNode::clone(node).spilled(), qa);
+            ex.perturb.actual_cost(node.fingerprint(), qa, prefix)
         }
+        _ => actual(plan),
+    };
+    if let Some((frac, error)) = ex.faults.exec_failure("executor:execute") {
+        out.spent = frac * budget.min(exec_tree_cost);
+        out.error = Some(error);
+        return out;
     }
     let budget = if budget.is_finite() {
         ex.faults.skewed_budget(budget)
     } else {
         budget
     };
-    let actual = |plan| actual_by_tree_walk(ex, coster, plan, qa);
-    let Some((node, dims)) = learnable_node(plan, coster.query, resolved) else {
-        let cost = actual(plan);
-        return if cost <= budget {
-            RunResult {
-                completed: true,
-                spent: cost,
-                learned: None,
-                resolved: Vec::new(),
-                error: None,
-            }
-        } else {
-            RunResult {
-                completed: false,
-                spent: budget * ex.faults.abort_charge_factor(),
-                learned: None,
-                resolved: Vec::new(),
-                error: None,
-            }
-        };
-    };
-    let exec_tree_cost = if spilled {
-        let prefix = coster.plan_cost(&node.clone().spilled(), qa);
-        ex.perturb.actual_cost(node.fingerprint(), qa, prefix)
+    let fits = exec_tree_cost <= budget;
+    out.spent = if fits {
+        exec_tree_cost
     } else {
-        actual(plan)
+        budget * ex.faults.abort_charge_factor()
+    };
+    out.completed = fits && !spilled;
+    let Some((node, dims)) = learn else {
+        return out;
     };
     let input_cost: f64 = node.children().into_iter().map(actual).sum();
     let dim = dims[0];
-    if exec_tree_cost <= budget {
-        RunResult {
-            completed: !spilled,
-            spent: exec_tree_cost,
-            learned: Some((dim, ex.faults.corrupt_observation(qa[dim]))),
-            resolved: dims,
-            error: None,
-        }
+    if fits {
+        out.observed = vec![(dim, ex.faults.corrupt_observation(qa[dim]))];
+        out.resolved = dims.into_iter().map(|d| (d, qa[d])).collect();
     } else {
         let denom = (exec_tree_cost - input_cost).max(f64::MIN_POSITIVE);
         let frac = ((budget - input_cost) / denom).clamp(0.0, 1.0);
-        RunResult {
-            completed: false,
-            spent: budget * ex.faults.abort_charge_factor(),
-            learned: (frac > 0.0).then_some((dim, ex.faults.corrupt_observation(frac * qa[dim]))),
-            resolved: Vec::new(),
-            error: None,
+        if frac > 0.0 {
+            out.observed = vec![(dim, ex.faults.corrupt_observation(frac * qa[dim]))];
         }
     }
+    out
 }
 
 /// Every executor-level fault kind, each on its own seeded coin.
@@ -353,14 +332,15 @@ proptest! {
         let mut scratch = NodeCosts::default();
         let mut learned = |budget| {
             ex.execute_monitored(&prog, &table, &qa, &resolved, budget, true, &mut scratch)
-                .learned
-                .map_or(0.0, |(_, v)| v)
+                .observed
+                .first()
+                .map_or(0.0, |&(_, v)| v)
         };
         prop_assert!(learned(hi_b) >= learned(lo_b) * (1.0 - 1e-12));
     }
 
     /// The compiled monitored execution equals the tree walk it replaced —
-    /// `RunResult` for `RunResult`, spend and learned value bit for bit —
+    /// outcome for outcome, spend and observed values bit for bit —
     /// on random registry plans × `resolved` masks × a budget ladder ×
     /// spilled or not, under a δ = 0.4 model error; and again with every
     /// executor fault armed, where the same seed must yield the same fault
@@ -400,10 +380,12 @@ proptest! {
                     );
                     prop_assert_eq!(&got, &want, "{} budget {budget} spilled {spilled} armed {armed}", w.name);
                     prop_assert_eq!(got.spent.to_bits(), want.spent.to_bits());
-                    prop_assert_eq!(
-                        got.learned.map(|(dm, v)| (dm, v.to_bits())),
-                        want.learned.map(|(dm, v)| (dm, v.to_bits()))
-                    );
+                    let bits = |o: &SubstrateOutcome| {
+                        (o.observed.iter().chain(&o.resolved))
+                            .map(|&(dm, v)| (dm, v.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want));
                 }
             }
         }

@@ -187,6 +187,36 @@ fn transient_fault_is_retried_and_charged() {
     assert!(robust.run.total_cost > plain.total_cost);
 }
 
+/// An operator failure burns a fraction of what the executed tree would
+/// have cost, capped by the granted budget — never more than completing the
+/// plan would: at 4× a plan's cost the monitored execution and the
+/// unbudgeted finishing rung both spend exactly `waste_frac` × that cost.
+#[test]
+fn operator_failure_burns_at_most_the_plan_cost() {
+    let b = bouquet_h();
+    let qa = b.workload.ess.point_at_fractions(&[0.7]);
+    let faults = FaultPlan::new(3).with(
+        FaultKind::OperatorFailure { waste_frac: 0.5 },
+        Trigger::Nth(1),
+    );
+    let armed = || SimulatorSubstrate::new(b, &qa, FaultInjector::new(&faults)).unwrap();
+    let mut clean = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+    for pid in b.plan_ids() {
+        let cost = clean.run_native(pid).spent;
+        let unresolved = vec![false; b.workload.ess.d()];
+        let monitored = armed().execute_monitored(pid, &unresolved, 4.0 * cost, false);
+        let native = armed().run_native(pid);
+        for out in [monitored, native] {
+            assert!(matches!(out.error, Some(PbError::OperatorFailure { .. })));
+            assert_eq!(
+                out.spent.to_bits(),
+                (0.5 * cost).to_bits(),
+                "plan {pid}: {out:?}"
+            );
+        }
+    }
+}
+
 /// A clock-skew fault that starves every budget trips the spend monitor and
 /// degrades to the native-optimizer rung, which completes unbudgeted.
 #[test]

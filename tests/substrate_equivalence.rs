@@ -1,5 +1,9 @@
 //! Substrate-equivalence regression suite.
 //!
+//! Besides the driver goldens below, each substrate's two entry points are
+//! checked to be one execution: `execute_partial` is `execute_monitored`
+//! with nothing left to learn.
+//!
 //! The `ExecutionSubstrate` refactor promises that the simulator-substrate
 //! drivers are **byte-identical** to the pre-refactor `run_basic` /
 //! `run_optimized` implementations. The golden snapshots in
@@ -22,7 +26,7 @@ use plan_bouquet::bouquet::{
     SimulatorSubstrate,
 };
 use plan_bouquet::engine::Database;
-use plan_bouquet::faults::FaultInjector;
+use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
 use plan_bouquet::workloads;
 use proptest::prelude::*;
 
@@ -189,6 +193,109 @@ fn engine_substrate_runs_are_deterministic_across_repeats() {
             first, second,
             "engine replay diverged (optimized={optimized})"
         );
+    }
+}
+
+/// Every bouquet plan of 2D_H_Q8A at budgets {0.3, 1, 3} × its actual cost
+/// and ∞, with each plan's actual cost: what `fresh()` spends running it
+/// unbudgeted.
+fn budget_ladder<S: ExecutionSubstrate>(b: &Bouquet, fresh: impl Fn() -> S) -> Vec<(usize, f64)> {
+    let mut costs = fresh();
+    let plans = b
+        .plan_ids()
+        .into_iter()
+        .map(|pid| (pid, costs.run_native(pid).spent));
+    let budgets =
+        |(pid, cost): (usize, f64)| [0.3, 1.0, 3.0, f64::INFINITY].map(|k| (pid, k * cost));
+    plans.flat_map(budgets).collect()
+}
+
+/// `execute_partial` is `execute_monitored` under the all-resolved mask,
+/// unspilled: two fresh substrates from `fresh` (resume enabled on both
+/// when `resume`), one driven through each entry point over the same
+/// ladder, report the same outcome call for call.
+fn assert_partial_is_monitored<S: ExecutionSubstrate>(
+    b: &Bouquet,
+    fresh: impl Fn() -> S,
+    tag: &str,
+) {
+    let ladder = budget_ladder(b, &fresh);
+    let all_resolved = vec![true; b.workload.ess.d()];
+    for resume in [false, true] {
+        let (mut partial, mut monitored) = (fresh(), fresh());
+        if resume {
+            assert!(partial.enable_checkpoint_resume() && monitored.enable_checkpoint_resume());
+        }
+        for &(pid, budget) in &ladder {
+            let got = partial.execute_partial(pid, budget);
+            let want = monitored.execute_monitored(pid, &all_resolved, budget, false);
+            let at = format!("{tag} resume={resume} plan {pid} budget {budget}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!(got.spent.to_bits(), want.spent.to_bits(), "{at}");
+        }
+    }
+}
+
+/// The two entry points are one call, on the simulator unarmed and armed
+/// with every executor fault on seeded coins (one ladder of fault hooks),
+/// and on the engine.
+#[test]
+fn execute_partial_is_the_monitored_execution_with_nothing_to_learn() {
+    let b = &bouquets()[1];
+    let qa = b.workload.ess.point_at_fractions(&[0.35, 0.65]);
+    let armed = FaultPlan::new(20140622)
+        .with(FaultKind::SpillFailure, Trigger::PerMille(150))
+        .with(
+            FaultKind::OperatorFailure { waste_frac: 0.4 },
+            Trigger::PerMille(200),
+        )
+        .with(
+            FaultKind::BudgetClockSkew { factor: 0.7 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::PerturbationSpike { factor: 3.0 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::CorruptObservation { scale: 2.5 },
+            Trigger::PerMille(300),
+        )
+        .with(
+            FaultKind::LedgerOverCharge { factor: 1.5 },
+            Trigger::PerMille(300),
+        );
+    for (tag, faults) in [("simulator", FaultPlan::none()), ("armed simulator", armed)] {
+        let fresh = || SimulatorSubstrate::new(b, &qa, FaultInjector::new(&faults)).unwrap();
+        assert_partial_is_monitored(b, fresh, tag);
+    }
+    let db = Database::generate(&b.workload.catalog, 11, &[]).unwrap();
+    let fresh = || EngineSubstrate::new(b, &db, FaultInjector::none());
+    assert_partial_is_monitored(b, fresh, "engine");
+}
+
+/// A spilled execution never completes the query — also when nothing is
+/// left to learn and the spilled run executes the whole plan, which then
+/// fits its budget four times over.
+#[test]
+fn spilled_execution_with_nothing_to_learn_does_not_complete() {
+    let b = &bouquets()[1];
+    let qa = b.workload.ess.point_at_fractions(&[0.35, 0.65]);
+    let all_resolved = vec![true; b.workload.ess.d()];
+    let db = Database::generate(&b.workload.catalog, 11, &[]).unwrap();
+    let mut sim = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+    let mut engine = EngineSubstrate::new(b, &db, FaultInjector::none());
+    let subs: [&mut dyn ExecutionSubstrate; 2] = [&mut sim, &mut engine];
+    for (tag, sub) in ["simulator", "engine"].into_iter().zip(subs) {
+        for pid in b.plan_ids() {
+            let cost = sub.run_native(pid).spent;
+            let out = sub.execute_monitored(pid, &all_resolved, 4.0 * cost, true);
+            assert!(out.spilled && !out.completed, "{tag} plan {pid}: {out:?}");
+            assert!(
+                out.error.is_none() && out.spent <= cost,
+                "{tag} plan {pid}: {out:?}"
+            );
+        }
     }
 }
 
