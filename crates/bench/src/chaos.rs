@@ -19,8 +19,12 @@
 //! events. An engine execution must match the serial engine's bit for bit,
 //! never spend past its budget, and — unarmed — equal a bare execution.
 //!
-//! The campaign is fully deterministic in its seed; `pbq chaos --seed N`
-//! exits non-zero if any invariant is breached.
+//! Every row outside the `server:` block is deterministic in the seed (CI
+//! diffs them against `tests/golden/chaos_survival.txt`). The server rows
+//! run over real sockets and threads, so how they split between completed
+//! and degraded runs can vary between runs of one binary: which response an
+//! armed `ClientDisconnect` drops depends on thread timing. The invariants
+//! hold either way; `pbq chaos --seed N` exits non-zero if any is breached.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use pb_bouquet::eval::{evaluate, EvalConfig};
+use pb_bouquet::eval::evaluate;
 use pb_workloads::{h_q5b_3d_com, h_q8b_4d_com};
 
 use crate::table::{fnum, Table};
@@ -31,7 +31,7 @@ pub fn fig19() -> String {
         "BOU opt",
     ]);
     for w in [h_q5b_3d_com(), h_q8b_4d_com()] {
-        let ev = evaluate(&w, &EvalConfig::default()).expect("evaluate");
+        let ev = evaluate(&w).expect("evaluate");
         t.row(vec![
             ev.name.clone(),
             "MSO".into(),
@@ -39,7 +39,7 @@ pub fn fig19() -> String {
             fnum(ev.seer.mso),
             fnum(ev.parqo.mso),
             format!("{:.1}", ev.bou_basic.mso),
-            format!("{:.1}", ev.bou_opt.as_ref().unwrap().mso),
+            format!("{:.1}", ev.bou_opt.mso),
         ]);
         t.row(vec![
             ev.name.clone(),
@@ -48,7 +48,7 @@ pub fn fig19() -> String {
             fnum(ev.seer.aso),
             fnum(ev.parqo.aso),
             format!("{:.2}", ev.bou_basic.aso),
-            format!("{:.2}", ev.bou_opt.as_ref().unwrap().aso),
+            format!("{:.2}", ev.bou_opt.aso),
         ]);
         t.row(vec![
             ev.name.clone(),
@@ -57,7 +57,7 @@ pub fn fig19() -> String {
             "-".into(),
             "-".into(),
             format!("{:.2}", ev.bou_basic_harm.max_harm),
-            format!("{:.2}", ev.bou_opt_harm.as_ref().unwrap().max_harm),
+            format!("{:.2}", ev.bou_opt_harm.max_harm),
         ]);
         t.row(vec![
             ev.name.clone(),
@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn com_bouquets_respect_bounds_and_beat_nat() {
         for w in [h_q5b_3d_com(), h_q8b_4d_com()] {
-            let ev = evaluate(&w, &EvalConfig::default()).expect("evaluate");
+            let ev = evaluate(&w).expect("evaluate");
             let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
             assert!(
                 ev.bou_basic.mso <= b.mso_bound() * (1.0 + 1e-9),

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use pb_bouquet::eval::{evaluate_with_bouquet, EvalConfig};
+use pb_bouquet::eval::evaluate_with_bouquet;
 use pb_bouquet::{
     Bouquet, BouquetConfig, BouquetRun, EngineSubstrate, ExecutionOutcome, RobustConfig, Workload,
 };
@@ -145,7 +145,7 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
 
     // Whole-grid simulator evaluation.
     let costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
-    let ev = evaluate_with_bouquet(w, &EvalConfig::default(), b, &costs).expect("evaluate");
+    let ev = evaluate_with_bouquet(w, b, &costs).expect("evaluate");
     let mso_bound = b.mso_bound();
     let mso_within_bound = ev.bou_basic.mso <= mso_bound * (1.0 + 1e-9);
 

@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use pb_bouquet::eval::{evaluate, EvalConfig, WorkloadEvaluation};
+use pb_bouquet::eval::{evaluate, WorkloadEvaluation};
 use pb_workloads::{benchmark_suite, specs};
 
 use crate::table::{fnum, Table};
@@ -18,7 +18,7 @@ pub fn suite_evaluations() -> &'static [WorkloadEvaluation] {
     EVALS.get_or_init(|| {
         benchmark_suite()
             .iter()
-            .map(|w| evaluate(w, &EvalConfig::default()).expect("evaluate"))
+            .map(|w| evaluate(w).expect("evaluate"))
             .collect()
     })
 }
@@ -106,10 +106,7 @@ pub fn fig14() -> String {
             fnum(ev.seer.mso),
             fnum(ev.parqo.mso),
             format!("{:.1}", ev.bou_basic.mso),
-            format!(
-                "{:.1}",
-                ev.bou_opt.as_ref().map(|m| m.mso).unwrap_or(f64::NAN)
-            ),
+            format!("{:.1}", ev.bou_opt.mso),
             format!("{:.1}", ev.guarantees.bound_anorexic),
         ]);
     }
@@ -141,10 +138,7 @@ pub fn fig15() -> String {
             fnum(ev.seer.aso),
             fnum(ev.parqo.aso),
             format!("{:.2}", ev.bou_basic.aso),
-            format!(
-                "{:.2}",
-                ev.bou_opt.as_ref().map(|m| m.aso).unwrap_or(f64::NAN)
-            ),
+            format!("{:.2}", ev.bou_opt.aso),
         ]);
     }
     let _ = writeln!(out, "{}", t.render());
@@ -206,13 +200,7 @@ pub fn fig17() -> String {
             ev.name.clone(),
             format!("{:.2}", ev.bou_basic_harm.max_harm),
             format!("{:.2}", ev.bou_basic_harm.harm_fraction * 100.0),
-            format!(
-                "{:.2}",
-                ev.bou_opt_harm
-                    .as_ref()
-                    .map(|h| h.max_harm)
-                    .unwrap_or(f64::NAN)
-            ),
+            format!("{:.2}", ev.bou_opt_harm.max_harm),
         ]);
     }
     let _ = writeln!(out, "{}", t.render());

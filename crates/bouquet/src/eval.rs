@@ -17,28 +17,8 @@ use crate::metrics::{
 use crate::substrate::SimulatorSubstrate;
 use crate::workload::Workload;
 
-/// Evaluation configuration.
-#[derive(Debug, Clone)]
-pub struct EvalConfig {
-    pub bouquet: BouquetConfig,
-    /// λ used by the SEER baseline's safety check.
-    pub seer_lambda: f64,
-    /// Error-neighborhood shape for the PARQO penalty-aware baseline.
-    pub parqo: ParqoConfig,
-    /// Also evaluate the optimized (Figure 13) driver.
-    pub run_optimized: bool,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            bouquet: BouquetConfig::default(),
-            seer_lambda: 0.2,
-            parqo: ParqoConfig::default(),
-            run_optimized: true,
-        }
-    }
-}
+/// λ used by the SEER baseline's safety check.
+const SEER_LAMBDA: f64 = 0.2;
 
 /// Table 1 row: guarantees before and after anorexic reduction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -67,9 +47,9 @@ pub struct WorkloadEvaluation {
     /// Basic bouquet driver.
     pub bou_basic: MetricsSummary,
     pub bou_basic_harm: HarmReport,
-    /// Optimized bouquet driver, if requested.
-    pub bou_opt: Option<MetricsSummary>,
-    pub bou_opt_harm: Option<HarmReport>,
+    /// Optimized (Figure 13) bouquet driver.
+    pub bou_opt: MetricsSummary,
+    pub bou_opt_harm: HarmReport,
     /// Figure 16 distribution (for the basic driver).
     pub distribution: RobustnessDistribution,
     /// Figure 18 cardinalities.
@@ -85,22 +65,23 @@ pub struct WorkloadEvaluation {
     pub nat_worst: Vec<f64>,
 }
 
-/// Evaluate a workload end to end.
-pub fn evaluate(w: &Workload, cfg: &EvalConfig) -> Result<WorkloadEvaluation, PbError> {
-    let bouquet = Bouquet::identify(w, &cfg.bouquet)?;
+/// Evaluate a workload end to end, its bouquet identified under the default
+/// [`BouquetConfig`].
+pub fn evaluate(w: &Workload) -> Result<WorkloadEvaluation, PbError> {
+    let bouquet = Bouquet::identify(w, &BouquetConfig::default())?;
     let d = &bouquet.diagram;
     let costs = d.cost_matrix(&w.catalog, &w.query, &w.model);
-    evaluate_with_bouquet(w, cfg, &bouquet, &costs)
+    evaluate_with_bouquet(w, &bouquet, &costs)
 }
 
 /// Evaluate using an already-identified bouquet (lets callers reuse the
 /// expensive compile-time artefacts). `costs` is the full POSP × grid
 /// matrix of the bouquet's diagram (`PlanDiagram::cost_matrix_with`): the
 /// single-plan baselines weigh every POSP plan at every location, which
-/// the bouquet itself keeps no rows for.
+/// the bouquet itself keeps no rows for. PARQO hedges over the default
+/// [`ParqoConfig`] neighborhood.
 pub fn evaluate_with_bouquet(
     w: &Workload,
-    cfg: &EvalConfig,
     bouquet: &Bouquet,
     costs: &CostMatrix,
 ) -> Result<WorkloadEvaluation, PbError> {
@@ -113,11 +94,11 @@ pub fn evaluate_with_bouquet(
     let nat_worst = single_plan_worst_profile(costs, &d.opt_cost, &nat_assignment);
 
     // SEER: globally-safe reduced assignment.
-    let seer_red = SeerReduction::reduce(d, costs, cfg.seer_lambda);
+    let seer_red = SeerReduction::reduce(d, costs, SEER_LAMBDA);
     let seer = single_plan_metrics(costs, &d.opt_cost, &seer_red.assignment);
 
     // PARQO: locally penalty-hedged assignment.
-    let parqo_asg = parqo_assignment(&w.ess, d, costs, &cfg.parqo);
+    let parqo_asg = parqo_assignment(&w.ess, d, costs, &ParqoConfig::default());
     let parqo = single_plan_metrics(costs, &d.opt_cost, &parqo_asg);
     let parqo_cardinality = {
         let mut used = parqo_asg;
@@ -132,14 +113,9 @@ pub fn evaluate_with_bouquet(
     let bou_basic_harm = harm(&subopt_bou, &nat_worst);
     let distribution = robustness_distribution(&subopt_bou, &nat_worst);
 
-    let (bou_opt, bou_opt_harm) = if cfg.run_optimized {
-        let profile = run_profile(bouquet, true)?;
-        let m = bouquet_metrics(&profile, bouquet.stats.bouquet_cardinality);
-        let h = harm(&profile, &nat_worst);
-        (Some(m), Some(h))
-    } else {
-        (None, None)
-    };
+    let subopt_opt = run_profile(bouquet, true)?;
+    let bou_opt = bouquet_metrics(&subopt_opt, bouquet.stats.bouquet_cardinality);
+    let bou_opt_harm = harm(&subopt_opt, &nat_worst);
 
     let guarantees = guarantee_row(bouquet)?;
 
@@ -266,7 +242,7 @@ mod tests {
     #[test]
     fn full_evaluation_shapes_match_the_paper() {
         let w = eq_2d();
-        let ev = evaluate(&w, &EvalConfig::default()).unwrap();
+        let ev = evaluate(&w).unwrap();
         // Bouquet's MSO must respect its theoretical bound.
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         assert!(ev.bou_basic.mso <= b.mso_bound() * (1.0 + 1e-9));
@@ -291,8 +267,8 @@ mod tests {
     #[test]
     fn optimized_driver_dominates_basic_on_average() {
         let w = eq_2d();
-        let ev = evaluate(&w, &EvalConfig::default()).unwrap();
-        let opt = ev.bou_opt.expect("optimized run requested");
+        let ev = evaluate(&w).unwrap();
+        let opt = ev.bou_opt;
         assert!(
             opt.aso <= ev.bou_basic.aso * 1.02,
             "optimized ASO {} should not exceed basic {}",
@@ -316,7 +292,7 @@ mod tests {
     #[test]
     fn harm_is_bounded_by_mso_minus_one() {
         let w = eq_2d();
-        let ev = evaluate(&w, &EvalConfig::default()).unwrap();
+        let ev = evaluate(&w).unwrap();
         assert!(ev.bou_basic_harm.max_harm <= ev.bou_basic.mso - 1.0 + 1e-9);
         assert!(ev.bou_basic_harm.harm_fraction <= 1.0);
     }

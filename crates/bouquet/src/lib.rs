@@ -35,7 +35,7 @@ pub use cache::{BouquetCache, CacheKey, CacheOutcome, IncrementalIdentifyStats};
 pub use contour::Contour;
 pub use drivers::robust::{RobustConfig, RobustEvent, RobustRun};
 pub use drivers::{BouquetRun, ExecutionOutcome, PartialExec};
-pub use eval::{EvalConfig, WorkloadEvaluation};
+pub use eval::WorkloadEvaluation;
 pub use grading::IsoCostGrading;
 pub use metrics::{MetricsSummary, RobustnessDistribution};
 pub use substrate::{

@@ -51,9 +51,9 @@ impl CostPerturbation {
         let mut h = self.seed ^ plan.0;
         for &s in q {
             let decade = s.max(1e-12).log10().floor() as i64;
-            h = splitmix64(h ^ decade as u64);
+            h = pb_faults::splitmix64(&mut (h ^ decade as u64));
         }
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+        let u = pb_faults::unit_f64(h); // [0,1)
         let lo = 1.0 / (1.0 + self.delta);
         let hi = 1.0 + self.delta;
         // Geometric interpolation keeps the band symmetric in log space.
@@ -64,13 +64,6 @@ impl CostPerturbation {
     pub fn actual_cost(&self, plan: PlanFingerprint, q: &[f64], modeled: f64) -> f64 {
         modeled * self.factor(plan, q)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -19,11 +19,7 @@ impl SplitMix64 {
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        pb_faults::splitmix64(&mut self.state)
     }
 
     /// Uniform index in `0..n` via the 128-bit multiply reduction (Lemire).

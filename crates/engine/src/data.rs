@@ -28,22 +28,16 @@ pub enum ColumnOverride {
         column: String,
         ndv: u64,
     },
-    /// Make the column a monotone function of another column of the same
-    /// table, so conjunctive predicates on the pair are fully correlated
-    /// (AVI multiplies their selectivities; reality takes the minimum).
-    CorrelatedWith {
-        table: String,
-        column: String,
-        with: String,
-    },
-    /// [`ColumnOverride::CorrelatedWith`] with controllable strength
-    /// `rho ∈ [0, 1]`: each row follows the monotone copy of the source
-    /// with probability `rho` and is drawn independently (uniform over the
-    /// column's range) otherwise, dialing the AVI violation from none
-    /// (`rho = 0`) to total (`rho = 1`). The mixture draws from a
-    /// column-derived RNG stream, so the table's main stream — and with it
-    /// every other column of every table — stays bit-identical to an
-    /// un-overridden run.
+    /// Correlate the column with another column of the same table at
+    /// strength `rho ∈ [0, 1]`: each row follows a monotone copy of the
+    /// source with probability `rho` and is drawn independently (uniform
+    /// over the column's range) otherwise, dialing the AVI violation from
+    /// none (`rho = 0`) to total (`rho = 1`, where conjunctive predicates on
+    /// the pair are fully correlated: AVI multiplies their selectivities,
+    /// reality takes the minimum). The mixture draws from a
+    /// column-derived RNG stream and the column takes nothing from the
+    /// table's main stream, so every other column is bit-identical at every
+    /// strength.
     CorrelatedWithStrength {
         table: String,
         column: String,
@@ -344,8 +338,7 @@ impl Database {
 /// How one column departs from its statistics.
 enum Ov {
     Ndv(u64),
-    Corr(usize),
-    CorrStrength(usize, f64),
+    Corr(usize, f64),
 }
 
 /// Each column's override, in catalog order (the last matching override
@@ -379,20 +372,13 @@ fn resolve_overrides(
                     {
                         ov = Some(Ov::Ndv(*ndv));
                     }
-                    ColumnOverride::CorrelatedWith {
-                        table,
-                        column,
-                        with,
-                    } if *table == t.name && *column == col.name => {
-                        ov = Some(Ov::Corr(source(at, with)?));
-                    }
                     ColumnOverride::CorrelatedWithStrength {
                         table,
                         column,
                         with,
                         rho,
                     } if *table == t.name && *column == col.name => {
-                        ov = Some(Ov::CorrStrength(source(at, with)?, rho.clamp(0.0, 1.0)));
+                        ov = Some(Ov::Corr(source(at, with)?, rho.clamp(0.0, 1.0)));
                     }
                     _ => {}
                 }
@@ -423,19 +409,7 @@ fn gen_columns(
                 let lo = col.stats.min as i64;
                 data.extend((0..nrows).map(|_| lo + rng.random_range(0..ndv.max(1)) as i64));
             }
-            Some(Ov::Corr(src)) => {
-                // Monotone copy of the source column, rescaled into
-                // this column's range.
-                let source = columns[src];
-                let t_col = &t.columns[src];
-                let (slo, shi) = (t_col.stats.min, t_col.stats.max.max(t_col.stats.min + 1.0));
-                let (dlo, dhi) = (col.stats.min, col.stats.max.max(col.stats.min + 1.0));
-                data.extend(source.iter().map(|&v| {
-                    let f = (v as f64 - slo) / (shi - slo);
-                    (dlo + f * (dhi - dlo)).round() as i64
-                }));
-            }
-            Some(Ov::CorrStrength(src, rho)) => {
+            Some(Ov::Corr(src, rho)) => {
                 // rho-mixture of the monotone copy and independent uniform
                 // draws, from a column-derived stream (the main `rng` is
                 // untouched, keeping all other columns bit-identical).
@@ -831,36 +805,14 @@ mod tests {
         let price = part.column("p_retailprice").unwrap().id.column as usize;
         let size = part.column("p_size").unwrap().id.column as usize;
 
-        // rho = 1 is the pure monotone copy.
-        let pure = Database::generate(
-            &cat,
-            3,
-            &[ColumnOverride::CorrelatedWith {
-                table: "part".into(),
-                column: "p_size".into(),
-                with: "p_retailprice".into(),
-            }],
-        )
-        .expect("generate");
-        assert_eq!(
-            full.table(part.id).columns[size],
-            pure.table(part.id).columns[size]
-        );
-
         // The mixture draws from a column-derived stream and consumes zero
-        // draws from the table's main stream — exactly like the pure
-        // `CorrelatedWith` override — so every *other* column is
+        // draws from the table's main stream, so every *other* column is
         // bit-identical across all strengths.
         for c in 0..part.columns.len() {
             if c != size {
                 assert_eq!(
-                    pure.table(part.id).columns[c],
-                    none.table(part.id).columns[c],
-                    "column {c} disturbed by the override stream"
-                );
-                assert_eq!(
-                    pure.table(part.id).columns[c],
                     full.table(part.id).columns[c],
+                    none.table(part.id).columns[c],
                     "column {c} disturbed by the override stream"
                 );
             }
@@ -925,8 +877,8 @@ mod tests {
     }
 
     /// A correlation source at or after its target in catalog order, or
-    /// absent, is a typed error — not an out-of-bounds panic — for both
-    /// correlation overrides.
+    /// absent, is a typed error — not an out-of-bounds panic — at any
+    /// strength.
     #[test]
     fn correlation_source_must_precede_its_column() {
         let cat = tpch::catalog(0.01);
@@ -938,18 +890,13 @@ mod tests {
             ("p_size", "p_size"),
             ("p_size", "p_nonexistent"),
         ] {
-            let plain = ColumnOverride::CorrelatedWith {
-                table: "part".into(),
-                column: column.into(),
-                with: with.into(),
-            };
-            let strength = ColumnOverride::CorrelatedWithStrength {
-                table: "part".into(),
-                column: column.into(),
-                with: with.into(),
-                rho: 0.5,
-            };
-            for ov in [plain, strength] {
+            for rho in [1.0, 0.5] {
+                let ov = ColumnOverride::CorrelatedWithStrength {
+                    table: "part".into(),
+                    column: column.into(),
+                    with: with.into(),
+                    rho,
+                };
                 let err = Database::generate(&cat, 3, &[ov]).unwrap_err();
                 assert!(
                     matches!(&err, PbError::MissingEntity { name, .. } if *name == format!("part.{with}")),
@@ -962,10 +909,11 @@ mod tests {
     #[test]
     fn correlated_override_tracks_source_column() {
         let cat = tpch::catalog(0.01);
-        let ov = vec![ColumnOverride::CorrelatedWith {
+        let ov = vec![ColumnOverride::CorrelatedWithStrength {
             table: "part".into(),
             column: "p_size".into(),
             with: "p_retailprice".into(),
+            rho: 1.0,
         }];
         let d = Database::generate(&cat, 3, &ov).expect("generate");
         let part = cat.table("part").unwrap();

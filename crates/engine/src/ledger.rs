@@ -93,7 +93,7 @@ impl Ctx<'_> {
     /// value (transient over-charge) or kill the operator outright.
     #[inline]
     fn taxed(&mut self, v: f64) -> Result<f64, Halt> {
-        if let Some(e) = self.faults.tuple_failure("engine:ledger") {
+        if let Some((_, e)) = self.faults.operator_failure("engine:ledger") {
             self.spent = self.spent.min(self.budget);
             return Err(Halt::Fault(e));
         }

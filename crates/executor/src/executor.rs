@@ -343,7 +343,7 @@ impl Executor {
             }
             _ => actual(table.size - 1, table.root()),
         };
-        if let Some((frac, error)) = self.faults.exec_failure("executor:execute") {
+        if let Some((frac, error)) = self.faults.operator_failure("executor:execute") {
             // Died after a fraction of the work it would have done.
             out.spent = frac * budget.min(exec_cost);
             out.error = Some(error);
@@ -359,7 +359,7 @@ impl Executor {
         out.spent = if fits {
             exec_cost
         } else {
-            budget * self.faults.abort_charge_factor()
+            budget * self.faults.ledger_factor()
         };
         out.completed = fits && !spilled;
         let Some((node, dim)) = learn else {

@@ -6,10 +6,43 @@ use crate::error::PbError;
 use crate::plan::{FaultKind, FaultPlan, Trigger};
 use crate::rng::{splitmix64, unit_f64};
 
-/// One armed fault: the spec plus its consultation counter and RNG stream.
+// One mask bit per [`FaultKind`] variant, so a hook on a hot path costs one
+// load and branch when its kind is unused.
+const OPERATOR: u16 = 1;
+const LEDGER: u16 = 1 << 1;
+const SPILL: u16 = 1 << 2;
+const CORRUPT: u16 = 1 << 3;
+const SKEW: u16 = 1 << 4;
+const SPIKE: u16 = 1 << 5;
+const PANIC: u16 = 1 << 6;
+const SLOW_CLIENT: u16 = 1 << 7;
+const QUEUE_STALL: u16 = 1 << 8;
+const DISCONNECT: u16 = 1 << 9;
+
+/// A kind's mask bit and its one parameter: `waste_frac` (clamped to
+/// `[0, 1]`), `factor`, `scale` or `ms` (exact below 2⁵³); `0.0` for the
+/// kinds that carry none.
+fn bit_and_param(kind: &FaultKind) -> (u16, f64) {
+    match *kind {
+        FaultKind::OperatorFailure { waste_frac } => (OPERATOR, waste_frac.clamp(0.0, 1.0)),
+        FaultKind::LedgerOverCharge { factor } => (LEDGER, factor),
+        FaultKind::SpillFailure => (SPILL, 0.0),
+        FaultKind::CorruptObservation { scale } => (CORRUPT, scale),
+        FaultKind::BudgetClockSkew { factor } => (SKEW, factor),
+        FaultKind::PerturbationSpike { factor } => (SPIKE, factor),
+        FaultKind::WorkerPanic => (PANIC, 0.0),
+        FaultKind::SlowClient { ms } => (SLOW_CLIENT, ms as f64),
+        FaultKind::QueueStall { ms } => (QUEUE_STALL, ms as f64),
+        FaultKind::ClientDisconnect => (DISCONNECT, 0.0),
+    }
+}
+
+/// One armed fault: its kind's bit and parameter, its trigger, and its
+/// consultation counter and RNG stream.
 #[derive(Debug)]
 struct Armed {
-    kind: FaultKind,
+    bit: u16,
+    param: f64,
     trigger: Trigger,
     count: Cell<u64>,
     rng: Cell<u64>,
@@ -33,23 +66,6 @@ impl Armed {
     }
 }
 
-/// Bit per [`FaultKind`] variant, for O(1) "nothing of this kind" checks so
-/// that hooks on hot paths cost one load + branch when a kind is unused.
-fn kind_bit(k: &FaultKind) -> u16 {
-    match k {
-        FaultKind::OperatorFailure { .. } => 1,
-        FaultKind::LedgerOverCharge { .. } => 1 << 1,
-        FaultKind::SpillFailure => 1 << 2,
-        FaultKind::CorruptObservation { .. } => 1 << 3,
-        FaultKind::BudgetClockSkew { .. } => 1 << 4,
-        FaultKind::PerturbationSpike { .. } => 1 << 5,
-        FaultKind::WorkerPanic => 1 << 6,
-        FaultKind::SlowClient { .. } => 1 << 7,
-        FaultKind::QueueStall { .. } => 1 << 8,
-        FaultKind::ClientDisconnect => 1 << 9,
-    }
-}
-
 /// Consults a [`FaultPlan`] at well-defined hook points.
 ///
 /// The injector is deterministic: hooks advance per-spec counters (and, for
@@ -57,6 +73,11 @@ fn kind_bit(k: &FaultKind) -> u16 {
 /// seed), so a fixed call sequence always produces the same faults. An
 /// injector built from an empty plan never fires and never perturbs any
 /// value passed through it.
+///
+/// Every hook is one consultation of its kind: each armed spec of that kind
+/// advances its counter, in plan order, and the hook folds the parameters
+/// of those that fire — factor kinds multiply them, the others take the
+/// first.
 #[derive(Debug)]
 pub struct FaultInjector {
     armed: Vec<Armed>,
@@ -79,9 +100,11 @@ impl FaultInjector {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                mask |= kind_bit(&s.kind);
+                let (bit, param) = bit_and_param(&s.kind);
+                mask |= bit;
                 Armed {
-                    kind: s.kind.clone(),
+                    bit,
+                    param,
                     trigger: s.trigger,
                     count: Cell::new(0),
                     rng: Cell::new(plan.seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F)),
@@ -97,137 +120,67 @@ impl FaultInjector {
         self.mask != 0
     }
 
+    /// One consultation of the kind `bit`: every armed spec of the kind
+    /// advances, in plan order, and `fold` takes the parameter of each that
+    /// fires. `init` comes back untouched when the kind is unarmed.
     #[inline]
-    fn has(&self, bit: u16) -> bool {
-        self.mask & bit != 0
-    }
-
-    // ---- engine-level hooks -------------------------------------------------
-
-    /// Operator failure at the Nth settled tuple (tuple path) or Nth batch
-    /// (vectorized path). Consulted once per tuple/batch.
-    #[inline]
-    pub fn tuple_failure(&self, site: &str) -> Option<PbError> {
-        if !self.has(1) {
-            return None;
+    fn consult<T>(&self, bit: u16, init: T, mut fold: impl FnMut(T, f64) -> T) -> T {
+        if self.mask & bit == 0 {
+            return init;
         }
-        self.operator_failure(site).map(|(_, e)| e)
+        (self.armed.iter())
+            .filter(|a| a.bit == bit && a.fires())
+            .fold(init, |acc, a| fold(acc, a.param))
     }
 
-    /// Multiplicative factor applied to the triggered ledger charge/settle;
-    /// `1.0` when nothing fires. Consulted once per commit.
+    /// The parameter of the first spec of the kind that fires, if any.
+    #[inline]
+    fn first(&self, bit: u16) -> Option<f64> {
+        self.consult(bit, None, |first, p| first.or(Some(p)))
+    }
+
+    // ---- engine- and executor-level hooks -----------------------------------
+
+    /// Operator failure: the fraction of the work wasted before the fault,
+    /// plus the error. Consulted once per ledger event by the engine (which
+    /// charges what it had spent) and once per budgeted execution by the
+    /// cost-unit executor.
+    #[inline]
+    pub fn operator_failure(&self, site: &str) -> Option<(f64, PbError)> {
+        let frac = self.first(OPERATOR)?;
+        Some((frac, PbError::OperatorFailure { site: site.into() }))
+    }
+
+    /// Multiplicative factor applied to the triggered ledger charge/settle
+    /// or the executor's abort spend; `1.0` when nothing fires.
     #[inline]
     pub fn ledger_factor(&self) -> f64 {
-        if !self.has(1 << 1) {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        for a in &self.armed {
-            if let FaultKind::LedgerOverCharge { factor } = a.kind {
-                if a.fires() {
-                    f *= factor;
-                }
-            }
-        }
-        f
+        self.consult(LEDGER, 1.0, |f, p| f * p)
     }
 
     /// Spill failure at the given site.
     #[inline]
     pub fn spill_failure(&self, site: &str) -> Option<PbError> {
-        if !self.has(1 << 2) {
-            return None;
-        }
-        for a in &self.armed {
-            if matches!(a.kind, FaultKind::SpillFailure) && a.fires() {
-                return Some(PbError::SpillFailure { site: site.into() });
-            }
-        }
-        None
-    }
-
-    // ---- executor-level hooks ----------------------------------------------
-
-    /// Operator failure for a whole budgeted execution: returns the fraction
-    /// of the budget wasted before the fault, plus the error.
-    #[inline]
-    pub fn exec_failure(&self, site: &str) -> Option<(f64, PbError)> {
-        if !self.has(1) {
-            return None;
-        }
-        self.operator_failure(site)
-    }
-
-    fn operator_failure(&self, site: &str) -> Option<(f64, PbError)> {
-        for a in &self.armed {
-            if let FaultKind::OperatorFailure { waste_frac } = a.kind {
-                if a.fires() {
-                    return Some((
-                        waste_frac.clamp(0.0, 1.0),
-                        PbError::OperatorFailure { site: site.into() },
-                    ));
-                }
-            }
-        }
-        None
+        self.first(SPILL)
+            .map(|_| PbError::SpillFailure { site: site.into() })
     }
 
     /// Budget clock skew: the budget the executor actually honours.
     #[inline]
     pub fn skewed_budget(&self, budget: f64) -> f64 {
-        if !self.has(1 << 4) {
-            return budget;
-        }
-        let mut b = budget;
-        for a in &self.armed {
-            if let FaultKind::BudgetClockSkew { factor } = a.kind {
-                if a.fires() {
-                    b *= factor;
-                }
-            }
-        }
-        b
+        self.consult(SKEW, budget, |b, p| b * p)
     }
 
     /// Cost-spike factor beyond the δ band; `1.0` when nothing fires.
     #[inline]
     pub fn spike_factor(&self) -> f64 {
-        if !self.has(1 << 5) {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        for a in &self.armed {
-            if let FaultKind::PerturbationSpike { factor } = a.kind {
-                if a.fires() {
-                    f *= factor;
-                }
-            }
-        }
-        f
+        self.consult(SPIKE, 1.0, |f, p| f * p)
     }
 
     /// Corrupt a learned selectivity observation.
     #[inline]
     pub fn corrupt_observation(&self, v: f64) -> f64 {
-        if !self.has(1 << 3) {
-            return v;
-        }
-        let mut x = v;
-        for a in &self.armed {
-            if let FaultKind::CorruptObservation { scale } = a.kind {
-                if a.fires() {
-                    x *= scale;
-                }
-            }
-        }
-        x
-    }
-
-    /// Factor applied to an abort's reported spend (executor-level ledger
-    /// over-charge); `1.0` when nothing fires.
-    #[inline]
-    pub fn abort_charge_factor(&self) -> f64 {
-        self.ledger_factor()
+        self.consult(CORRUPT, v, |x, p| x * p)
     }
 
     // ---- server-level hooks -------------------------------------------------
@@ -236,29 +189,14 @@ impl FaultInjector {
     /// per dispatched request, before execution begins.
     #[inline]
     pub fn worker_panic(&self) -> bool {
-        if !self.has(1 << 6) {
-            return false;
-        }
-        self.armed
-            .iter()
-            .any(|a| matches!(a.kind, FaultKind::WorkerPanic) && a.fires())
+        self.first(PANIC).is_some()
     }
 
     /// Milliseconds the connection handler should stall before processing a
     /// request line; `None` when nothing fires. Consulted once per line.
     #[inline]
     pub fn slow_client_ms(&self) -> Option<u64> {
-        if !self.has(1 << 7) {
-            return None;
-        }
-        for a in &self.armed {
-            if let FaultKind::SlowClient { ms } = a.kind {
-                if a.fires() {
-                    return Some(ms);
-                }
-            }
-        }
-        None
+        self.first(SLOW_CLIENT).map(|ms| ms as u64)
     }
 
     /// Milliseconds queue dispatch should stall before handing the next
@@ -266,29 +204,14 @@ impl FaultInjector {
     /// dequeue.
     #[inline]
     pub fn queue_stall_ms(&self) -> Option<u64> {
-        if !self.has(1 << 8) {
-            return None;
-        }
-        for a in &self.armed {
-            if let FaultKind::QueueStall { ms } = a.kind {
-                if a.fires() {
-                    return Some(ms);
-                }
-            }
-        }
-        None
+        self.first(QUEUE_STALL).map(|ms| ms as u64)
     }
 
     /// Should the client's connection be dropped before its response is
     /// written? Consulted once per response.
     #[inline]
     pub fn client_disconnect(&self) -> bool {
-        if !self.has(1 << 9) {
-            return false;
-        }
-        self.armed
-            .iter()
-            .any(|a| matches!(a.kind, FaultKind::ClientDisconnect) && a.fires())
+        self.first(DISCONNECT).is_some()
     }
 }
 
@@ -307,8 +230,7 @@ mod tests {
     fn inert_injector_is_a_no_op() {
         let i = FaultInjector::none();
         assert!(!i.is_active());
-        assert!(i.tuple_failure("x").is_none());
-        assert!(i.exec_failure("x").is_none());
+        assert!(i.operator_failure("x").is_none());
         assert!(i.spill_failure("x").is_none());
         // Neutral pass-throughs must be the *same bits*, not just close.
         for v in [0.0, -0.0, 1.5e300, f64::MIN_POSITIVE] {
@@ -326,7 +248,7 @@ mod tests {
             Trigger::Nth(3),
         );
         let i = FaultInjector::new(&p);
-        let fires: Vec<bool> = (0..6).map(|_| i.tuple_failure("op").is_some()).collect();
+        let fires: Vec<bool> = (0..6).map(|_| i.operator_failure("op").is_some()).collect();
         assert_eq!(fires, vec![false, false, true, false, false, false]);
     }
 
@@ -382,6 +304,46 @@ mod tests {
         assert!(i.slow_client_ms().is_none());
         assert!(i.queue_stall_ms().is_none());
         assert!(!i.client_disconnect());
+    }
+
+    #[test]
+    fn every_spec_of_a_kind_is_consulted_each_time() {
+        // A spec that fires must not hide the consultation from a later
+        // spec of its kind: each counts every consultation of the kind.
+        let p = FaultPlan::new(1)
+            .with(
+                FaultKind::OperatorFailure { waste_frac: 0.1 },
+                Trigger::Every(2),
+            )
+            .with(
+                FaultKind::OperatorFailure { waste_frac: 0.9 },
+                Trigger::Nth(3),
+            );
+        let i = FaultInjector::new(&p);
+        let fracs: Vec<Option<f64>> = (0..4)
+            .map(|_| i.operator_failure("op").map(|(f, _)| f))
+            .collect();
+        assert_eq!(fracs, vec![None, Some(0.1), Some(0.9), Some(0.1)]);
+
+        let p = FaultPlan::new(1)
+            .with(FaultKind::WorkerPanic, Trigger::Nth(1))
+            .with(FaultKind::WorkerPanic, Trigger::Nth(2));
+        let i = FaultInjector::new(&p);
+        let panics: Vec<bool> = (0..3).map(|_| i.worker_panic()).collect();
+        assert_eq!(panics, vec![true, true, false]);
+    }
+
+    #[test]
+    fn factor_kinds_multiply_every_spec_that_fires() {
+        let p = FaultPlan::new(1)
+            .with(
+                FaultKind::LedgerOverCharge { factor: 2.0 },
+                Trigger::Every(1),
+            )
+            .with(FaultKind::LedgerOverCharge { factor: 3.0 }, Trigger::Nth(2));
+        let i = FaultInjector::new(&p);
+        let fs: Vec<f64> = (0..3).map(|_| i.ledger_factor()).collect();
+        assert_eq!(fs, vec![2.0, 6.0, 2.0]);
     }
 
     #[test]

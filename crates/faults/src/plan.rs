@@ -9,10 +9,12 @@ use serde::{Deserialize, Serialize};
 /// engine-level and executor-level faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// An operator dies mid-execution. In the tuple engine this fires at the
-    /// Nth settled tuple, in the vectorized engine at the Nth batch, and in
-    /// the cost-unit executor at the Nth budgeted execution — which then
-    /// reports `waste_frac × budget` as work wasted before the fault.
+    /// An operator dies mid-execution. The engine consults it at every
+    /// ledger event (charge or settle) and, when it fires, stops having
+    /// charged what it had spent so far; the cost-unit executor consults it
+    /// once per budgeted execution and charges
+    /// `waste_frac · min(budget, executed-tree cost)` as the work wasted
+    /// before the fault.
     OperatorFailure { waste_frac: f64 },
     /// The ledger transiently over-charges: the triggered charge/settle (or,
     /// in the executor, the triggered abort's reported spend) is multiplied
@@ -62,16 +64,19 @@ impl FaultKind {
     }
 }
 
-/// When a fault fires, counted in hook consultations of its kind.
+/// When a fault fires, counted in hook consultations of its kind: every
+/// armed spec of a kind counts every consultation of that kind, whether or
+/// not another spec of the kind fired on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Trigger {
     /// Fire exactly once, on the `n`-th consultation (1-based).
     Nth(u64),
     /// Fire on every `n`-th consultation.
     Every(u64),
-    /// Fire each consultation independently with probability `p·2⁻⁶⁴`-ish —
-    /// deterministic given the plan seed. `millis` is p in thousandths so the
-    /// trigger stays `Eq`/hashable.
+    /// Fire each consultation independently with probability `n / 1000`,
+    /// drawn from the spec's own splitmix64 stream — deterministic given the
+    /// plan seed. The probability is in whole thousandths so the trigger
+    /// stays `Eq`/hashable.
     PerMille(u32),
 }
 

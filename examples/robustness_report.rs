@@ -8,7 +8,7 @@
 //!
 //! `WORKLOAD` defaults to `3D_DS_Q96`; try `5D_DS_Q19` for the flagship.
 
-use plan_bouquet::bouquet::eval::{evaluate, EvalConfig};
+use plan_bouquet::bouquet::eval::evaluate;
 use plan_bouquet::workloads;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         "evaluating {name} over {} grid locations ...",
         w.ess.num_points()
     );
-    let ev = evaluate(&w, &EvalConfig::default()).expect("evaluate");
+    let ev = evaluate(&w).expect("evaluate");
 
     println!("\ncost gradient C_max/C_min: {:.0}", ev.cmax / ev.cmin);
     println!("isocost contours: {}", ev.num_contours);
@@ -43,9 +43,10 @@ fn main() {
         "BOU     {:>10.1}   {:>10.2}   (guarantee {:.1})",
         ev.bou_basic.mso, ev.bou_basic.aso, ev.guarantees.bound_anorexic
     );
-    if let Some(opt) = &ev.bou_opt {
-        println!("BOU-opt {:>10.1}   {:>10.2}", opt.mso, opt.aso);
-    }
+    println!(
+        "BOU-opt {:>10.1}   {:>10.2}",
+        ev.bou_opt.mso, ev.bou_opt.aso
+    );
 
     println!(
         "\nMaxHarm: {:.2} (harm at {:.2}% of locations)",

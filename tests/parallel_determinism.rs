@@ -102,10 +102,11 @@ fn data_generation_is_deterministic_across_worker_counts() {
             column: "l_partkey".into(),
             ndv: 200,
         },
-        ColumnOverride::CorrelatedWith {
+        ColumnOverride::CorrelatedWithStrength {
             table: "part".into(),
             column: "p_size".into(),
             with: "p_retailprice".into(),
+            rho: 1.0,
         },
         ColumnOverride::CorrelatedWithStrength {
             table: "lineitem".into(),

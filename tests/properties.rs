@@ -129,7 +129,7 @@ fn execute_monitored_by_tree_walk(
         }
         _ => actual(plan),
     };
-    if let Some((frac, error)) = ex.faults.exec_failure("executor:execute") {
+    if let Some((frac, error)) = ex.faults.operator_failure("executor:execute") {
         out.spent = frac * budget.min(exec_tree_cost);
         out.error = Some(error);
         return out;
@@ -143,7 +143,7 @@ fn execute_monitored_by_tree_walk(
     out.spent = if fits {
         exec_tree_cost
     } else {
-        budget * ex.faults.abort_charge_factor()
+        budget * ex.faults.ledger_factor()
     };
     out.completed = fits && !spilled;
     let Some((node, dims)) = learn else {
