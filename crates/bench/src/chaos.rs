@@ -39,7 +39,7 @@ use pb_faults::{
     splitmix64, unit_f64, CancelToken, FaultInjector, FaultKind, FaultPlan, PbError, Trigger,
 };
 use pb_optimizer::PlanId;
-use pb_workloads::{ds_q15_3d, ds_q91_4d, eq_1d, h_q8a_2d, hostile_anti_2d, hostile_ineq_2d};
+use pb_workloads::{by_name, h_q8a_2d, hostile_anti_2d, hostile_ineq_2d};
 
 use crate::table::Table;
 
@@ -273,12 +273,15 @@ pub fn run_campaign(seed: u64) -> CampaignReport {
     // each with the share of the catalog it sweeps: all of it, or — for the
     // 4D space — the empty plan, where nothing may be recorded either.
     let fixtures = [
-        (eq_1d(), catalog.len()),
+        (by_name("EQ_1D").expect("a registered space"), catalog.len()),
         (h_q8a_2d(0.01), catalog.len()),
-        (ds_q15_3d(), catalog.len()),
+        (
+            by_name("3D_DS_Q15").expect("a registered space"),
+            catalog.len(),
+        ),
         (hostile_ineq_2d(0.01), catalog.len()),
         (hostile_anti_2d(0.01), catalog.len()),
-        (ds_q91_4d(), 1),
+        (by_name("4D_DS_Q91").expect("a registered space"), 1),
     ];
     let bouquets: Vec<Bouquet> = fixtures
         .iter()
@@ -806,7 +809,7 @@ fn parallel_engine_scenarios(
     breaches: &mut Vec<String>,
     cells: &mut Vec<(String, Cell)>,
 ) -> usize {
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let db = match Database::generate(&w.catalog, seed ^ 0xD0, &[]) {
         Ok(db) => db,
         Err(e) => {

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::eval::evaluate;
-use pb_workloads::{h_q5b_3d_com, h_q8b_4d_com};
+use pb_workloads::by_name;
 
 use crate::table::{fnum, Table};
 
@@ -30,7 +30,7 @@ pub fn fig19() -> String {
         "BOU basic",
         "BOU opt",
     ]);
-    for w in [h_q5b_3d_com(), h_q8b_4d_com()] {
+    for w in ["3D_H_Q5B", "4D_H_Q8B"].map(|n| by_name(n).expect("a registered space")) {
         let ev = evaluate(&w).expect("evaluate");
         t.row(vec![
             ev.name.clone(),
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn com_bouquets_respect_bounds_and_beat_nat() {
-        for w in [h_q5b_3d_com(), h_q8b_4d_com()] {
+        for w in ["3D_H_Q5B", "4D_H_Q8B"].map(|n| by_name(n).expect("a registered space")) {
             let ev = evaluate(&w).expect("evaluate");
             let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
             assert!(

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use pb_bouquet::baselines::reopt_worst_profile;
 use pb_bouquet::flip::{dim_directions, flip_decreasing};
 use pb_bouquet::{Bouquet, BouquetConfig};
-use pb_workloads::{anti_2d, by_name};
+use pb_workloads::by_name;
 
 use crate::table::{fnum, Table};
 
@@ -74,7 +74,7 @@ pub fn pcmflip() -> String {
          (paper: 'the basic bouquet technique can be utilized by the simple\n\
           expedient of plotting the ESS with (1-s) instead of s')\n"
     );
-    let w = anti_2d();
+    let w = by_name("ANTI_2D").expect("a registered space");
     let dirs = dim_directions(&w, 2, 4);
     let _ = writeln!(out, "query: part ⋈ lineitem with NOT EXISTS(partsupp)");
     for (d, dir) in dirs.iter().enumerate() {

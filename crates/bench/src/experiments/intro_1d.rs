@@ -3,14 +3,14 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::{Bouquet, BouquetConfig};
-use pb_workloads::eq_1d;
+use pb_workloads::by_name;
 
 use crate::table::{fnum, Table};
 
 /// Figure 2: POSP plans on the p_retailprice dimension with the selectivity
 /// range over which each is optimal.
 pub fn fig2() -> String {
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let d = w.diagram();
     let ess = &w.ess;
     let mut out = String::new();
@@ -48,7 +48,7 @@ pub fn fig2() -> String {
 /// Figure 3: the PIC discretized by doubling isocost steps; the intersection
 /// selectivities and associated plans form the bouquet.
 pub fn fig3() -> String {
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
     let ess = &w.ess;
     let mut out = String::new();
@@ -95,7 +95,7 @@ pub fn fig3() -> String {
 /// Figure 4: bouquet runtime profile vs the native optimizer's worst-case
 /// profile; the headline MSO/ASO comparison of the introduction.
 pub fn fig4() -> String {
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
     let ess = &w.ess;
     let n = ess.num_points();
@@ -171,7 +171,7 @@ pub fn fig4() -> String {
 
 /// Figure 5: the 1D grading construction with its boundary conditions.
 pub fn fig5() -> String {
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
     let mut out = String::new();
     let _ = writeln!(

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use pb_bouquet::theory::{adversarial_mso, mso_bound_1d};
 use pb_bouquet::{Bouquet, BouquetConfig};
-use pb_workloads::eq_1d;
+use pb_workloads::by_name;
 
 use crate::table::Table;
 
@@ -21,7 +21,7 @@ pub fn run() -> String {
          (bound r²/(r−1) is minimized at r=2 where it equals 4; no\n\
           deterministic online algorithm can guarantee below 4)\n"
     );
-    let w = eq_1d();
+    let w = by_name("EQ_1D").expect("a registered space");
     let mut t = Table::new(vec![
         "r",
         "theoretical bound (1+λ)r²/(r−1)",

@@ -87,8 +87,9 @@ pub fn fig14() -> String {
     let _ = writeln!(
         out,
         "Figure 14 — MSO (log scale in the paper)\n\
-         (paper shape: NAT 10^3..10^7, SEER similar to NAT, BOU < 10 absolute;\n\
-          flagship 5D_DS_Q19: 10^6 -> ~10)\n"
+         (paper shape: NAT 10^3..10^7, SEER similar to NAT;\n\
+          flagship 5D_DS_Q19: 10^6 -> ~10. Here every BOU MSO is within\n\
+          its row's Eq. 8 bound)\n"
     );
     let mut t = Table::new(vec![
         "query",
@@ -252,12 +253,14 @@ mod tests {
             );
             // SEER does not materially improve MSO (within 1 order of NAT).
             assert!(ev.seer.mso > ev.nat.mso / 30.0, "{}", ev.name);
-            // BOU respects its guarantee.
+            // BOU respects its guarantee under both drivers (Figure 14's
+            // header says so).
+            let bou = ev.bou_basic.mso.max(ev.bou_opt.mso);
             assert!(
-                ev.bou_basic.mso <= ev.guarantees.bound_anorexic * (1.0 + 1e-9),
+                bou <= ev.guarantees.bound_anorexic * (1.0 + 1e-9),
                 "{}: {} > {}",
                 ev.name,
-                ev.bou_basic.mso,
+                bou,
                 ev.guarantees.bound_anorexic
             );
             // Bouquet cardinality stays small (paper: ~10 or fewer).

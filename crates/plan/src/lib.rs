@@ -24,4 +24,4 @@ pub use query::{
     CmpOp, DimId, DimKind, JoinPredicate, QueryBuilder, QuerySpec, RelIdx, RelationRef, SelSpec,
     SelectionPredicate,
 };
-pub use sql::{parse as parse_sql, ParseError};
+pub use sql::{join_ceiling, parse as parse_sql, parse_with_marks, DimMark, ParseError};

@@ -16,11 +16,14 @@
 //!               [GROUP BY colref (, colref)*]
 //! from_list  := table [AS alias] (, table [AS alias])*
 //! conj       := pred (AND pred)*
-//! pred       := colref CMP colref            -- equi-join
-//!             | colref CMP number [?]        -- selection
-//!             | colref BETWEEN number AND number [?]
+//! pred       := colref = colref sel              -- equi-join
+//!             | colref (< | >) colref sel        -- inequality join
+//!             | colref CMP number sel            -- selection
+//!             | colref BETWEEN number AND number sel
 //!             | NOT EXISTS '(' SELECT STAR FROM table [AS alias]
-//!                              WHERE colref = colref ')' [?]
+//!                              WHERE colref = colref ')' sel
+//! sel        := [SELECTIVITY number]
+//!             | ? [AS 'name'] [SPAN number] [CEILING number] [FLIPPED]
 //! colref     := [alias .] column
 //! ```
 //!
@@ -28,11 +31,13 @@
 //! becomes an ESS dimension (numbered in appearance order) instead of a
 //! compile-time estimate. Unmarked predicates receive AVI estimates from
 //! the catalog statistics — exactly the split the bouquet technique
-//! prescribes.
+//! prescribes — unless `SELECTIVITY` states the value. The clauses after a
+//! `?` shape the dimension's axis ([`DimMark`]); `FLIPPED` is legal on a
+//! NOT EXISTS only.
 
 use std::fmt;
 
-use pb_catalog::Catalog;
+use pb_catalog::{Catalog, ColumnId};
 
 use crate::query::{CmpOp, QueryBuilder, QuerySpec, SelSpec};
 
@@ -51,10 +56,32 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// What the clauses after one `?` say about its dimension's ESS axis. An
+/// absent clause leaves the choice to whoever derives the ESS.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DimMark {
+    /// `AS 'name'`: the axis name.
+    pub name: Option<String>,
+    /// `SPAN n`: the axis spans `n` decades below its upper bound.
+    pub span: Option<f64>,
+    /// `CEILING k`: the upper bound is `k` times the predicate's legal
+    /// maximum (capped at 1).
+    pub ceiling: Option<f64>,
+    /// `FLIPPED`: the NOT EXISTS axis is declared reversed
+    /// ([`SelSpec::Flipped`]), so plan costs increase along it.
+    pub flipped: bool,
+}
+
+/// The unmarked estimate of an inequality join's pair density: System R's
+/// default for an open range.
+const INEQUALITY_JOIN_ESTIMATE: f64 = 1.0 / 3.0;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
     Number(f64),
+    /// A quoted axis name, `'…'`.
+    Str(String),
     Star,
     Comma,
     Dot,
@@ -109,6 +136,15 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
             '?' => {
                 out.push(Tok::Question);
                 chars.next();
+            }
+            '\'' => {
+                chars.next();
+                let end = input[i + 1..].find('\'').ok_or_else(|| ParseError {
+                    message: "unterminated string".into(),
+                    near: input[i..].chars().take(12).collect(),
+                })?;
+                out.push(Tok::Str(input[i + 1..i + 1 + end].to_string()));
+                while chars.next_if(|&(j, _)| j <= i + 1 + end).is_some() {}
             }
             c if c.is_ascii_digit() || c == '-' => {
                 let start = i;
@@ -220,6 +256,65 @@ impl Parser {
             }
         }
     }
+
+    /// A finite positive number.
+    fn positive(&mut self) -> Result<f64, ParseError> {
+        let v = self.number()?;
+        if v > 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            self.pos -= 1;
+            Err(self.err("expected a positive number"))
+        }
+    }
+
+    /// The selectivity clause that ends a predicate: `?` and its axis
+    /// clauses (a new dimension, recorded in `marks`), `SELECTIVITY v`, or
+    /// nothing (the catalog's `estimate`).
+    fn selectivity(
+        &mut self,
+        marks: &mut Vec<DimMark>,
+        existential: bool,
+        estimate: impl FnOnce() -> f64,
+    ) -> Result<SelSpec, ParseError> {
+        if self.try_keyword("SELECTIVITY") {
+            let v = self.positive()?;
+            if v > 1.0 {
+                self.pos -= 1;
+                return Err(self.err("a selectivity is at most 1"));
+            }
+            return Ok(SelSpec::Fixed(v));
+        }
+        if !matches!(self.peek(), Some(Tok::Question)) {
+            return Ok(SelSpec::Fixed(estimate()));
+        }
+        self.pos += 1;
+        let mut mark = DimMark::default();
+        loop {
+            if self.try_keyword("AS") {
+                match self.next() {
+                    Some(Tok::Str(s)) => mark.name = Some(s),
+                    _ => {
+                        self.pos -= 1;
+                        return Err(self.err("expected a quoted axis name after AS"));
+                    }
+                }
+            } else if self.try_keyword("SPAN") {
+                mark.span = Some(self.positive()?);
+            } else if self.try_keyword("CEILING") {
+                mark.ceiling = Some(self.positive()?);
+            } else if self.try_keyword("FLIPPED") {
+                if !existential {
+                    return Err(self.err("FLIPPED applies to a NOT EXISTS only"));
+                }
+                mark.flipped = true;
+            } else {
+                break;
+            }
+        }
+        marks.push(mark);
+        Ok(SelSpec::ErrorProne(marks.len() - 1))
+    }
 }
 
 /// A parsed column reference: optional qualifier + column name.
@@ -229,30 +324,33 @@ struct ColRef {
     column: String,
 }
 
+/// A column reference resolved against a FROM list.
+struct Col {
+    /// Position in the FROM list.
+    rel: usize,
+    name: String,
+    id: ColumnId,
+}
+
 /// Resolve a column reference against the FROM list (alias, table-name).
-fn resolve(
-    catalog: &Catalog,
-    from: &[(String, String)],
-    c: &ColRef,
-) -> Result<(usize, String), ParseError> {
-    let candidates: Vec<usize> = from
+fn resolve(catalog: &Catalog, from: &[(String, String)], c: &ColRef) -> Result<Col, ParseError> {
+    let candidates: Vec<(usize, ColumnId)> = from
         .iter()
         .enumerate()
-        .filter(|(_, (alias, table))| {
-            if let Some(q) = &c.qualifier {
-                if !q.eq_ignore_ascii_case(alias) {
-                    return false;
-                }
-            }
-            catalog
-                .table(table)
-                .is_some_and(|t| t.column(&c.column).is_some())
+        .filter(|(_, (alias, _))| {
+            c.qualifier
+                .as_ref()
+                .is_none_or(|q| q.eq_ignore_ascii_case(alias))
         })
-        .map(|(i, _)| i)
+        .filter_map(|(i, (_, table))| Some((i, catalog.table(table)?.column(&c.column)?.id)))
         .collect();
-    match candidates.len() {
-        1 => Ok((candidates[0], c.column.clone())),
-        0 => Err(ParseError {
+    match candidates[..] {
+        [(rel, id)] => Ok(Col {
+            rel,
+            name: c.column.clone(),
+            id,
+        }),
+        [] => Err(ParseError {
             message: format!("column `{}` not found in FROM list", c.column),
             near: c.column.clone(),
         }),
@@ -264,15 +362,8 @@ fn resolve(
 }
 
 /// AVI estimates for unmarked predicates (the native optimizer's defaults).
-fn estimate_selection(
-    catalog: &Catalog,
-    table: &str,
-    col: &str,
-    op: CmpOp,
-    c1: f64,
-    c2: f64,
-) -> f64 {
-    let stats = &catalog.table(table).unwrap().column(col).unwrap().stats;
+fn estimate_selection(catalog: &Catalog, col: ColumnId, op: CmpOp, c1: f64, c2: f64) -> f64 {
+    let stats = &catalog.table_by_id(col.table).columns[col.column as usize].stats;
     match op {
         CmpOp::Eq => stats.eq_selectivity(),
         CmpOp::Lt => stats.lt_selectivity(c1),
@@ -282,23 +373,38 @@ fn estimate_selection(
     .clamp(1e-9, 1.0)
 }
 
-fn estimate_join(catalog: &Catalog, lt: &str, lc: &str, rt: &str, rc: &str) -> f64 {
-    let ndv = |t: &str, c: &str| {
-        catalog
-            .table(t)
-            .unwrap()
-            .column(c)
-            .unwrap()
+/// The legal maximum of an equi-join's selectivity (Section 4.1), times
+/// `multiple` and capped at 1: `multiple / max(NDV)` of the two join
+/// columns. Under PK–FK containment the larger NDV is the PK relation's
+/// cardinality, so the maximum is `1 / |PK relation|`. It is both the AVI
+/// estimate of an unmarked equi-join and the upper bound of a `?`-join's
+/// ESS axis.
+pub fn join_ceiling(catalog: &Catalog, left: ColumnId, right: ColumnId, multiple: f64) -> f64 {
+    let ndv = |c: ColumnId| {
+        catalog.table_by_id(c.table).columns[c.column as usize]
             .stats
             .ndv
             .max(1.0)
     };
-    (1.0 / ndv(lt, lc).max(ndv(rt, rc))).clamp(1e-12, 1.0)
+    (multiple / ndv(left).max(ndv(right))).min(1.0)
 }
 
-/// Parse `sql` into a [`QuerySpec`]. Returns the spec and the number of
-/// error-prone dimensions found (`?`-marked predicates, in order).
+fn estimate_join(catalog: &Catalog, left: ColumnId, right: ColumnId) -> f64 {
+    join_ceiling(catalog, left, right, 1.0).max(1e-12)
+}
+
+/// Parse `sql` into a [`QuerySpec`]; its error-prone dimensions are the
+/// `?`-marked predicates, in order.
 pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
+    parse_with_marks(catalog, sql).map(|(query, _)| query)
+}
+
+/// [`parse`], also returning each dimension's [`DimMark`] (indexed by
+/// dimension).
+pub fn parse_with_marks(
+    catalog: &Catalog,
+    sql: &str,
+) -> Result<(QuerySpec, Vec<DimMark>), ParseError> {
     let toks = lex(sql)?;
     let mut p = Parser { toks, pos: 0 };
 
@@ -345,7 +451,7 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
         .iter()
         .map(|(alias, table)| qb.rel_aliased(table, alias))
         .collect();
-    let mut next_dim = 0usize;
+    let mut marks = Vec::new();
 
     loop {
         // NOT EXISTS subquery?
@@ -384,10 +490,6 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
                 Some(Tok::RParen) => {}
                 _ => return Err(p.err("expected ) closing subquery")),
             }
-            let marked = matches!(p.peek(), Some(Tok::Question));
-            if marked {
-                p.next();
-            }
             // One side resolves in the subquery scope, the other outside.
             let sub_scope = vec![(sub_alias.clone(), sub_table.clone())];
             let (inner_ref, outer_ref) = if resolve(catalog, &sub_scope, &a).is_ok() {
@@ -395,23 +497,13 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
             } else {
                 (&b, &a)
             };
-            let (_, inner_col) = resolve(catalog, &sub_scope, inner_ref)?;
-            let (outer_rel, outer_col) = resolve(catalog, &from, outer_ref)?;
+            let inner = resolve(catalog, &sub_scope, inner_ref)?;
+            let outer = resolve(catalog, &from, outer_ref)?;
+            let sel = p.selectivity(&mut marks, true, || {
+                estimate_join(catalog, outer.id, inner.id)
+            })?;
             let sub_rel = qb.rel_aliased(&sub_table, &sub_alias);
-            let sel = if marked {
-                let d = next_dim;
-                next_dim += 1;
-                SelSpec::ErrorProne(d)
-            } else {
-                SelSpec::Fixed(estimate_join(
-                    catalog,
-                    &from[outer_rel].1,
-                    &outer_col,
-                    &sub_table,
-                    &inner_col,
-                ))
-            };
-            qb.anti_join(rels[outer_rel], &outer_col, sub_rel, &inner_col, sel);
+            qb.anti_join(rels[outer.rel], &outer.name, sub_rel, &inner.name, sel);
         } else {
             let lhs = parse_colref(&mut p)?;
             // BETWEEN?
@@ -419,26 +511,11 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
                 let lo = p.number()?;
                 p.keyword("AND")?;
                 let hi = p.number()?;
-                let marked = matches!(p.peek(), Some(Tok::Question));
-                if marked {
-                    p.next();
-                }
-                let (rel, col) = resolve(catalog, &from, &lhs)?;
-                let sel = if marked {
-                    let d = next_dim;
-                    next_dim += 1;
-                    SelSpec::ErrorProne(d)
-                } else {
-                    SelSpec::Fixed(estimate_selection(
-                        catalog,
-                        &from[rel].1,
-                        &col,
-                        CmpOp::Between,
-                        hi,
-                        lo,
-                    ))
-                };
-                qb.select_between(rels[rel], &col, lo, hi, sel);
+                let c = resolve(catalog, &from, &lhs)?;
+                let sel = p.selectivity(&mut marks, false, || {
+                    estimate_selection(catalog, c.id, CmpOp::Between, hi, lo)
+                })?;
+                qb.select_between(rels[c.rel], &c.name, lo, hi, sel);
             } else {
                 let op = match p.next() {
                     Some(Tok::Lt) => CmpOp::Lt,
@@ -449,56 +526,29 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
                 match p.peek() {
                     Some(Tok::Number(_)) => {
                         let v = p.number()?;
-                        let marked = matches!(p.peek(), Some(Tok::Question));
-                        if marked {
-                            p.next();
-                        }
-                        let (rel, col) = resolve(catalog, &from, &lhs)?;
-                        let sel = if marked {
-                            let d = next_dim;
-                            next_dim += 1;
-                            SelSpec::ErrorProne(d)
-                        } else {
-                            SelSpec::Fixed(estimate_selection(
-                                catalog,
-                                &from[rel].1,
-                                &col,
-                                op,
-                                v,
-                                f64::MIN,
-                            ))
-                        };
-                        qb.select(rels[rel], &col, op, v, sel);
+                        let c = resolve(catalog, &from, &lhs)?;
+                        let sel = p.selectivity(&mut marks, false, || {
+                            estimate_selection(catalog, c.id, op, v, f64::MIN)
+                        })?;
+                        qb.select(rels[c.rel], &c.name, op, v, sel);
                     }
                     None => return Err(p.err("expected number or column after comparison")),
                     _ => {
-                        if op != CmpOp::Eq {
-                            return Err(p.err("join predicates must use ="));
-                        }
                         let rhs = parse_colref(&mut p)?;
-                        let marked = matches!(p.peek(), Some(Tok::Question));
-                        if marked {
-                            p.next();
-                        }
-                        let (lr, lc) = resolve(catalog, &from, &lhs)?;
-                        let (rr, rc) = resolve(catalog, &from, &rhs)?;
-                        if lr == rr {
+                        let l = resolve(catalog, &from, &lhs)?;
+                        let r = resolve(catalog, &from, &rhs)?;
+                        if l.rel == r.rel {
                             return Err(p.err("join predicate compares a relation with itself"));
                         }
-                        let sel = if marked {
-                            let d = next_dim;
-                            next_dim += 1;
-                            SelSpec::ErrorProne(d)
-                        } else {
-                            SelSpec::Fixed(estimate_join(
-                                catalog,
-                                &from[lr].1,
-                                &lc,
-                                &from[rr].1,
-                                &rc,
-                            ))
+                        let sel = p.selectivity(&mut marks, false, || match op {
+                            CmpOp::Eq => estimate_join(catalog, l.id, r.id),
+                            _ => INEQUALITY_JOIN_ESTIMATE,
+                        })?;
+                        let (lr, rr) = (rels[l.rel], rels[r.rel]);
+                        match op {
+                            CmpOp::Eq => qb.join(lr, &l.name, rr, &r.name, sel),
+                            _ => qb.ineq_join(lr, &l.name, op, rr, &r.name, sel),
                         };
-                        qb.join(rels[lr], &lc, rels[rr], &rc, sel);
                     }
                 }
             }
@@ -513,8 +563,8 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
         p.keyword("BY")?;
         loop {
             let c = parse_colref(&mut p)?;
-            let (rel, col) = resolve(catalog, &from, &c)?;
-            qb.group_by(rels[rel], &col);
+            let c = resolve(catalog, &from, &c)?;
+            qb.group_by(rels[c.rel], &c.name);
             if !matches!(p.peek(), Some(Tok::Comma)) {
                 break;
             }
@@ -535,7 +585,7 @@ pub fn parse(catalog: &Catalog, sql: &str) -> Result<QuerySpec, ParseError> {
             "join predicates do not connect the FROM list (cross products are not supported)",
         ));
     }
-    Ok(qb.build())
+    Ok((qb.build(), marks))
 }
 
 fn parse_colref(p: &mut Parser) -> Result<ColRef, ParseError> {
@@ -660,6 +710,49 @@ mod tests {
     }
 
     #[test]
+    fn axis_clauses_and_stated_selectivities() {
+        let cat = tpch::catalog(1.0);
+        let (q, marks) = parse_with_marks(
+            &cat,
+            "SELECT * FROM part, lineitem, supplier \
+             WHERE p_partkey = l_partkey SELECTIVITY 1e-5 \
+             AND p_size < s_acctbal ? AS 'p<s' SPAN 3 CEILING 0.5 \
+             AND NOT EXISTS (SELECT * FROM partsupp WHERE ps_partkey = l_partkey) ? FLIPPED",
+        )
+        .unwrap();
+        assert_eq!(q.joins[0].selectivity, SelSpec::Fixed(1e-5));
+        assert_eq!(q.joins[1].op, CmpOp::Lt);
+        assert_eq!(q.dim_kind(0), Some(crate::DimKind::InequalityJoin));
+        assert_eq!(q.dim_kind(1), Some(crate::DimKind::AntiJoin));
+        assert_eq!(
+            marks,
+            [
+                DimMark {
+                    name: Some("p<s".into()),
+                    span: Some(3.0),
+                    ceiling: Some(0.5),
+                    flipped: false,
+                },
+                DimMark {
+                    flipped: true,
+                    ..DimMark::default()
+                },
+            ]
+        );
+        // Unmarked: an inequality join reads System R's default, an
+        // equi-join the PK side's 1/NDV.
+        let q = parse(
+            &cat,
+            "SELECT * FROM part, lineitem, supplier \
+             WHERE p_partkey = l_partkey AND s_acctbal > p_size AND p_size < 3?",
+        )
+        .unwrap();
+        assert_eq!(q.joins[0].selectivity, SelSpec::Fixed(1.0 / 200_000.0));
+        assert_eq!(q.joins[1].selectivity, SelSpec::Fixed(1.0 / 3.0));
+        assert_eq!(q.joins[1].op, CmpOp::Gt);
+    }
+
+    #[test]
     fn error_messages_are_located() {
         let cat = tpch::catalog(1.0);
         for (sql, frag) in [
@@ -677,6 +770,26 @@ mod tests {
             (
                 "SELECT * FROM part WHERE p_size < 3 EXTRA",
                 "trailing input",
+            ),
+            (
+                "SELECT * FROM part WHERE p_size < 3 ? FLIPPED",
+                "NOT EXISTS only",
+            ),
+            (
+                "SELECT * FROM part WHERE p_size < 3 SELECTIVITY 2",
+                "at most 1",
+            ),
+            (
+                "SELECT * FROM part WHERE p_size < 3 ? SPAN -1",
+                "positive number",
+            ),
+            (
+                "SELECT * FROM part WHERE p_size < 3 ? AS p",
+                "quoted axis name",
+            ),
+            (
+                "SELECT * FROM part WHERE p_size < 3 ? AS 'p",
+                "unterminated string",
             ),
         ] {
             let err = parse(&cat, sql).unwrap_err();

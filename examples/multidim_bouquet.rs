@@ -9,7 +9,7 @@ use plan_bouquet::bouquet::{Bouquet, BouquetConfig};
 use plan_bouquet::workloads;
 
 fn main() {
-    let w = workloads::h_q5_3d();
+    let w = workloads::by_name("3D_H_Q5").unwrap();
     println!(
         "workload {}: chain({}) join graph, {} error-prone join selectivities",
         w.name,

@@ -14,7 +14,7 @@ use plan_bouquet::workloads;
 
 fn main() {
     // The workload bundles catalog, query, error space and cost model.
-    let w = workloads::eq_1d();
+    let w = workloads::by_name("EQ_1D").unwrap();
     println!("workload: {}  ({} error-prone dimension)", w.name, w.d());
     println!(
         "ESS: {} in [{:.4}%, {:.0}%], {} grid points\n",

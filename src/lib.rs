@@ -27,7 +27,7 @@
 //! use plan_bouquet::bouquet::{Bouquet, BouquetConfig, ExecutionOutcome};
 //!
 //! // The paper's 1D introductory example (Figures 1-4).
-//! let w = workloads::eq_1d();
+//! let w = workloads::by_name("EQ_1D").unwrap();
 //! let bouquet = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
 //!
 //! // Run the bouquet at a "true" selectivity the optimizer never sees.

@@ -70,7 +70,7 @@ fn entry_file(dir: &std::path::Path) -> std::path::PathBuf {
 fn workload_for(family: usize) -> Workload {
     match family {
         0 => coarse(workloads::h_q8a_2d(1.0), 12),
-        _ => coarse(workloads::ds_q15_3d(), 6),
+        _ => coarse(workloads::by_name("3D_DS_Q15").unwrap(), 6),
     }
 }
 
@@ -261,8 +261,14 @@ fn statistics_drift_invalidates_and_refreshes_incrementally() {
 fn refresh_is_a_cold_build_that_counts_changed_winners() {
     let rungs = [
         (coarse(workloads::h_q8a_2d(1.0), 46), tpch::catalog(1.05)),
-        (coarse(workloads::h_q5_3d(), 13), tpch::catalog(1.05)),
-        (coarse(workloads::ds_q7_4d(), 7), tpcds::catalog(105.0)),
+        (
+            coarse(workloads::by_name("3D_H_Q5").unwrap(), 13),
+            tpch::catalog(1.05),
+        ),
+        (
+            coarse(workloads::by_name("4D_DS_Q7").unwrap(), 7),
+            tpcds::catalog(105.0),
+        ),
     ];
     let cfg = BouquetConfig::default();
     for (base, catalog) in rungs {

@@ -187,7 +187,11 @@ fn a_capped_book_holds_no_more_than_its_cap() {
 fn bouquet_1d() -> &'static Bouquet {
     static B: OnceLock<Bouquet> = OnceLock::new();
     B.get_or_init(|| {
-        Bouquet::identify(&workloads::eq_1d(), &BouquetConfig::default()).expect("identify")
+        Bouquet::identify(
+            &workloads::by_name("EQ_1D").unwrap(),
+            &BouquetConfig::default(),
+        )
+        .expect("identify")
     })
 }
 

@@ -21,7 +21,7 @@ use plan_bouquet::workloads;
 fn bouquet_h() -> &'static Bouquet {
     static B: OnceLock<Bouquet> = OnceLock::new();
     B.get_or_init(|| {
-        let w = workloads::eq_1d();
+        let w = workloads::by_name("EQ_1D").unwrap();
         Bouquet::identify(&w, &BouquetConfig::default()).unwrap()
     })
 }
@@ -29,7 +29,7 @@ fn bouquet_h() -> &'static Bouquet {
 fn bouquet_ds() -> &'static Bouquet {
     static B: OnceLock<Bouquet> = OnceLock::new();
     B.get_or_init(|| {
-        let w = workloads::ds_q15_3d();
+        let w = workloads::by_name("3D_DS_Q15").unwrap();
         Bouquet::identify(&w, &BouquetConfig::default()).unwrap()
     })
 }
@@ -138,7 +138,7 @@ fn dimension_mismatch_is_a_typed_error() {
 /// than looping or panicking — and must still charge every abort.
 #[test]
 fn extreme_model_error_exhausts_the_budget_schedule() {
-    let w = workloads::eq_1d();
+    let w = workloads::by_name("EQ_1D").unwrap();
     let mut exhausted = false;
     for seed in 0..64 {
         let cfg = BouquetConfig {

@@ -146,3 +146,34 @@ fn well_formed_text_that_is_no_bouquet_query_is_rejected_gracefully() {
         assert!(err.message.contains(why), "{sql}: {err}");
     }
 }
+
+/// A `?`-join's axis reaches the PK side's `1/|part|`, where the generated
+/// data's part ⋈ lineitem selectivity lies; `1/|lineitem|`, the FK side,
+/// sits 30× below it.
+#[test]
+fn a_marked_pk_fk_join_covers_its_generated_selectivity() {
+    use plan_bouquet::bouquet::measure_qa;
+    use plan_bouquet::engine::Database;
+
+    let cat = tpch::catalog(0.01);
+    let w = workload_from_sql(
+        &cat,
+        "SELECT * FROM part, lineitem WHERE p_partkey = l_partkey?",
+        "PL",
+        3.0,
+        8,
+    )
+    .unwrap();
+    let db = Database::generate(&cat, 7, &[]).unwrap();
+    let actual = db.actual_join_selectivity(&w.query, 0);
+    let qa = measure_qa(&db, &w.query, &w.ess).unwrap();
+    let (lo, hi) = (w.ess.dims[0].lo, w.ess.dims[0].hi);
+    let fk_ceiling = 1.0 / cat.table("lineitem").unwrap().rows;
+    assert_eq!(hi, 1.0 / cat.table("part").unwrap().rows);
+    assert!(
+        lo <= actual && actual <= hi,
+        "{actual} outside [{lo}, {hi}]"
+    );
+    assert_eq!(qa[0], actual);
+    assert!(qa[0] > fk_ceiling, "{} at or below {fk_ceiling}", qa[0]);
+}

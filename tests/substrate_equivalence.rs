@@ -36,9 +36,9 @@ fn bouquets() -> &'static Vec<Bouquet> {
     static B: OnceLock<Vec<Bouquet>> = OnceLock::new();
     B.get_or_init(|| {
         [
-            workloads::eq_1d(),
+            workloads::by_name("EQ_1D").unwrap(),
             workloads::h_q8a_2d(0.01),
-            workloads::ds_q15_3d(),
+            workloads::by_name("3D_DS_Q15").unwrap(),
         ]
         .iter()
         .map(|w| Bouquet::identify(w, &BouquetConfig::default()).unwrap())

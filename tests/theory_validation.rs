@@ -9,7 +9,7 @@ use plan_bouquet::workloads;
 /// Theorem 1: for 1D spaces, measured MSO ≤ (1+λ)·r²/(r−1) for every r.
 #[test]
 fn theorem1_holds_for_all_ratios_1d() {
-    let w = workloads::eq_1d();
+    let w = workloads::by_name("EQ_1D").unwrap();
     for r in [1.25, 1.5, 2.0, 2.5, 3.0, 5.0] {
         let cfg = BouquetConfig {
             r,
@@ -51,7 +51,10 @@ fn theorem2_lower_bound_numeric() {
 /// is 4(1+λ)ρ.
 #[test]
 fn theorem3_multi_dimensional_bound() {
-    for w in [workloads::h_q8a_2d(1.0), workloads::h_q5_3d()] {
+    for w in [
+        workloads::h_q8a_2d(1.0),
+        workloads::by_name("3D_H_Q5").unwrap(),
+    ] {
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         let bound = theory::mso_bound_anorexic(b.rho(), 2.0, 0.2);
         assert!((bound - b.mso_bound()).abs() < 1e-9);
