@@ -19,12 +19,13 @@
 //! events. An engine execution must match the serial engine's bit for bit,
 //! never spend past its budget, and — unarmed — equal a bare execution.
 //!
-//! Every row outside the `server:` block is deterministic in the seed (CI
-//! diffs them against `tests/golden/chaos_survival.txt`). The server rows
-//! run over real sockets and threads, so how they split between completed
-//! and degraded runs can vary between runs of one binary: which response an
-//! armed `ClientDisconnect` drops depends on thread timing. The invariants
-//! hold either way; `pbq chaos --seed N` exits non-zero if any is breached.
+//! Every row is deterministic in the seed, the `server:` block's included
+//! (CI diffs the whole table against `tests/golden/chaos_survival.txt`).
+//! The server rows run over real sockets and threads, but each request is
+//! one `Submit` line and one blocking `Wait` line and the next is sent only
+//! once it is answered, so every server fault is consulted at the same
+//! point of the request sequence in every run. `pbq chaos --seed N` exits
+//! non-zero if any invariant is breached.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -693,13 +694,13 @@ fn server_scenarios(
         }
         Err("submission never accepted".into())
     };
-    let poll_done = |addr: std::net::SocketAddr, id: u64| -> Result<String, String> {
+    let wait_done = |addr: std::net::SocketAddr, id: u64| -> Result<String, String> {
         for _ in 0..500 {
             let Ok(mut c) = PbClient::connect(addr) else {
                 std::thread::sleep(Duration::from_millis(2));
                 continue;
             };
-            // On Err the connection dropped mid-poll; reconnect and retry.
+            // On Err the connection dropped mid-wait; reconnect and retry.
             if let Ok(r) = c.wait(id, Duration::from_secs(30)) {
                 return Ok(r.outcome);
             }
@@ -754,7 +755,7 @@ fn server_scenarios(
                 resume: false,
                 deadline_ms,
             };
-            let outcome = submit_one(addr, &req).and_then(|id| poll_done(addr, id));
+            let outcome = submit_one(addr, &req).and_then(|id| wait_done(addr, id));
             match outcome.as_deref() {
                 Ok("completed") => cells[ci].1.completed += 1,
                 Ok("degraded") => cells[ci].1.degraded += 1,

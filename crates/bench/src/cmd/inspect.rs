@@ -8,7 +8,7 @@ use pb_bouquet::{
 use pb_cost::uncertainty::{classify as classify_predicates, Uncertainty};
 use pb_cost::SelPoint;
 use pb_faults::FaultInjector;
-use pb_workloads::specs;
+use pb_workloads::{specs, sql_texts};
 
 use super::{workload, CmdResult};
 use crate::flags::Args;
@@ -29,14 +29,18 @@ fn parse_fractions(w: &Workload, s: &str) -> Result<SelPoint, String> {
 
 pub fn list(_: &Args) -> CmdResult {
     println!("benchmark suite (paper Table 2):");
-    for s in specs() {
+    let suite = specs();
+    for s in &suite {
         println!(
             "  {:<11} {:?}({}) dims={} paper C_max/C_min≈{}",
             s.name, s.shape, s.relations, s.dims, s.paper_cost_ratio
         );
     }
-    println!("auxiliary: EQ_1D  2D_H_Q8A  3D_H_Q5B  4D_H_Q8B");
-    println!("hostile:   HOSTILE_INEQ_2D  HOSTILE_ANTI_2D");
+    let auxiliary: Vec<&str> = sql_texts()
+        .map(|(name, _)| name)
+        .filter(|name| suite.iter().all(|s| s.name != *name))
+        .collect();
+    println!("auxiliary: {}", auxiliary.join("  "));
     Ok(())
 }
 

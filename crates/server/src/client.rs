@@ -3,7 +3,7 @@
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pb_faults::PbError;
 
@@ -44,26 +44,65 @@ impl PbClient {
         }
     }
 
-    /// Poll `status` until the request is terminal or `timeout` passes.
+    /// Block until the request is terminal or `timeout` passes: one `Wait`
+    /// line, one reply.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> Result<QueryResult, PbError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.request(&Request::Status { id })? {
-                Response::Status {
-                    phase: ReqPhase::Done(result),
-                    ..
-                } => return Ok(result),
-                Response::Status { .. } => {}
-                other => {
-                    return Err(PbError::Internal(format!(
-                        "unexpected status reply: {other:?}"
-                    )))
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(PbError::Internal(format!("request {id} timed out")));
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        match self.request(&Request::Wait { id, timeout_ms })? {
+            Response::Status {
+                phase: ReqPhase::Done(result),
+                ..
+            } => Ok(result),
+            Response::Status { .. } => Err(PbError::Internal(format!("request {id} timed out"))),
+            other => Err(PbError::Internal(format!(
+                "unexpected wait reply: {other:?}"
+            ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// However long the request runs, a wait is one line out and one back,
+    /// so the server's line-counted faults see a fixed count per request.
+    #[test]
+    fn a_wait_is_one_request_line() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let result = QueryResult {
+            outcome: "completed".into(),
+            total_cost: 1.0,
+            reused_cost: 0.0,
+            final_plan: Some(0),
+            subopt: Some(1.0),
+            events: 0,
+            error: None,
+        };
+        let reply = Response::Status {
+            id: 7,
+            phase: ReqPhase::Done(result.clone()),
+        };
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut lines = Vec::new();
+            while let Some(req) = read_line::<Request, _>(&mut reader).unwrap() {
+                lines.push(req);
+                write_line(&mut writer, &reply).unwrap();
+            }
+            lines
+        });
+        let mut c = PbClient::connect(addr).unwrap();
+        assert_eq!(c.wait(7, Duration::from_secs(30)).unwrap(), result);
+        drop(c);
+        let wait = Request::Wait {
+            id: 7,
+            timeout_ms: 30_000,
+        };
+        assert_eq!(server.join().unwrap(), vec![wait]);
     }
 }

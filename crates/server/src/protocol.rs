@@ -2,11 +2,11 @@
 //!
 //! One request line yields exactly one response line (unless a
 //! `client-disconnect` fault drops the connection first — clients must treat
-//! a vanished connection as "resubmit and poll"). Submission is
-//! asynchronous: `submit` returns an id immediately and the client polls
-//! `status` until the request reaches a terminal state. This keeps the
-//! connection handler trivially non-blocking with respect to execution, so
-//! slow clients can never wedge a worker.
+//! a vanished connection as "resubmit and wait again"). Submission is
+//! asynchronous: `submit` returns an id immediately, and one `wait` line
+//! then blocks that connection's handler, never a worker, until the request
+//! is terminal or the wait's timeout passes. So a request costs a fixed two
+//! lines however long it runs, and a slow client can never wedge a worker.
 
 use std::io::{BufRead, Read, Write};
 
@@ -38,8 +38,12 @@ pub enum Request {
         #[serde(default)]
         deadline_ms: Option<u64>,
     },
-    /// Poll a submitted request.
+    /// A submitted request's current phase.
     Status { id: u64 },
+    /// Block until the request is terminal or `timeout_ms` passes, then
+    /// answer as `Status` does: `Done` with the result, or the phase it is
+    /// still in.
+    Wait { id: u64, timeout_ms: u64 },
     /// Cooperatively cancel a queued or running request. The request still
     /// reaches a terminal state (observable via `status`).
     Cancel { id: u64 },
@@ -71,7 +75,7 @@ pub struct QueryResult {
     pub error: Option<String>,
 }
 
-/// Lifecycle phase reported by `status`.
+/// Lifecycle phase reported by `status` and `wait`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ReqPhase {
     Queued,
@@ -197,6 +201,10 @@ mod tests {
                 deadline_ms: Some(250),
             },
             Request::Status { id: 7 },
+            Request::Wait {
+                id: 7,
+                timeout_ms: 30_000,
+            },
             Request::Cancel { id: 7 },
             Request::Stats,
             Request::Drain,

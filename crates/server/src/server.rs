@@ -5,7 +5,8 @@
 //!  TCP conn ──► connection thread (NDJSON lines)   │
 //!             │    submit ──► bounded queue ───────┼──► worker pool
 //!             │    status/cancel/stats ─► registry │      │ per-request
-//!             │    drain ──► stop + await pending  │      │ catch_unwind
+//!             │    wait ──► block until settled    │      │ catch_unwind
+//!             │    drain ──► stop + await settled  │      │
 //!             └────────────────────────────────────┘      ▼
 //!                 supervisor respawns poisoned workers, requests run
 //!                 `Bouquet::run` on a SimulatorSubstrate with a per-tenant
@@ -23,7 +24,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -88,23 +89,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// A loaded, identified workload shared read-only across workers.
-struct Loaded {
-    bouquet: Bouquet,
-}
-
-/// Everything a dispatched request needs outside the registry lock.
-struct ReqMeta {
-    tenant: String,
-    workload: String,
-    fractions: Vec<f64>,
-    optimized: bool,
-    resume: bool,
-    cancel: CancelToken,
-    reservation: Reservation,
-}
-
-struct ReqState {
+/// One request: its submission, held once, and its lifecycle phase. The
+/// registry keeps it; the worker running it takes a clone.
+#[derive(Clone)]
+struct Req {
     tenant: String,
     workload: String,
     fractions: Vec<f64>,
@@ -115,17 +103,54 @@ struct ReqState {
     phase: ReqPhase,
 }
 
-/// Terminal requests the registry keeps answering `Status` for. Past that
-/// the first finished is the first forgotten (its id then answers
-/// `Error`); queued and running requests are never forgotten.
+impl Req {
+    fn book_key(&self) -> BookKey {
+        (
+            self.tenant.clone(),
+            self.workload.clone(),
+            self.fractions.iter().map(|f| f.to_bits()).collect(),
+        )
+    }
+}
+
+/// Terminal requests the registry keeps answering `Status` and `Wait` for.
+/// Past that the first finished is the first forgotten (its id then
+/// answers `Error`); queued and running requests are never forgotten.
 pub const TERMINAL_KEPT: usize = 1024;
 
 /// Every queued and running request, and the latest terminal ones.
 #[derive(Default)]
 struct Registry {
-    reqs: HashMap<u64, ReqState>,
-    /// Terminal ids, oldest first.
+    reqs: HashMap<u64, Req>,
+    /// Terminal ids, oldest first; exactly the `Done` entries of `reqs`.
     finished: VecDeque<u64>,
+}
+
+impl Registry {
+    /// Requests accepted but not yet terminal.
+    fn pending(&self) -> usize {
+        self.reqs.len() - self.finished.len()
+    }
+
+    /// Whether `id` is known and not yet terminal.
+    fn is_pending(&self, id: u64) -> bool {
+        self.reqs
+            .get(&id)
+            .is_some_and(|r| !matches!(r.phase, ReqPhase::Done(_)))
+    }
+
+    /// `id`'s phase as a `Status` reply; `Error` for an unknown id.
+    fn status(&self, id: u64) -> Response {
+        match self.reqs.get(&id) {
+            Some(r) => Response::Status {
+                id,
+                phase: r.phase.clone(),
+            },
+            None => Response::Error {
+                message: format!("unknown request id {id}"),
+            },
+        }
+    }
 }
 
 /// Key of a retained checkpoint book, (tenant, workload, qa bits), so a
@@ -134,17 +159,18 @@ type BookKey = (String, String, Vec<u64>);
 
 struct Shared {
     cfg: ServerConfig,
-    loaded: HashMap<String, Arc<Loaded>>,
+    bouquets: HashMap<String, Bouquet>,
     queue: BoundedQueue<u64>,
     registry: Mutex<Registry>,
+    /// Notified whenever a request leaves the pending set: `Wait` and the
+    /// drain block on it.
+    settled: Condvar,
     next_id: AtomicU64,
     ledger: TenantLedger,
     metrics: Metrics,
     faults: Mutex<FaultInjector>,
     /// Books of cancelled requests, held together under `resume_byte_cap`.
     books: Mutex<CheckpointBook<BookKey, CostResumeBook>>,
-    /// Requests accepted but not yet terminal.
-    pending: AtomicUsize,
     inflight: AtomicUsize,
     draining: AtomicBool,
     /// Set once drain decided workers may exit; stops supervisor respawns.
@@ -163,14 +189,6 @@ impl Shared {
             self.queue.len(),
             self.inflight.load(Ordering::Relaxed),
             self.ledger.snapshot(),
-        )
-    }
-
-    fn book_key(&self, m: &ReqMeta) -> BookKey {
-        (
-            m.tenant.clone(),
-            m.workload.clone(),
-            m.fractions.iter().map(|f| f.to_bits()).collect(),
         )
     }
 
@@ -202,7 +220,7 @@ pub struct PbServer {
 impl PbServer {
     /// Load + identify every configured workload, bind, and start serving.
     pub fn start(cfg: ServerConfig) -> Result<PbServer, PbError> {
-        let mut loaded = HashMap::new();
+        let mut bouquets = HashMap::new();
         let bcfg = BouquetConfig::default();
         let cache = match &cfg.cache_dir {
             Some(dir) => Some(BouquetCache::new(dir)?),
@@ -215,7 +233,7 @@ impl PbServer {
                 Some(c) => c.get_or_identify(&w, &bcfg, Parallelism::auto())?.0,
                 None => Bouquet::identify(&w, &bcfg)?,
             };
-            loaded.insert(name.clone(), Arc::new(Loaded { bouquet }));
+            bouquets.insert(name.clone(), bouquet);
         }
 
         let listener = TcpListener::bind(&cfg.addr)
@@ -231,15 +249,15 @@ impl PbServer {
         let faults = FaultInjector::new(&cfg.faults);
         let shared = Arc::new(Shared {
             cfg,
-            loaded,
+            bouquets,
             queue: BoundedQueue::new(queue_cap),
             registry: Mutex::new(Registry::default()),
+            settled: Condvar::new(),
             next_id: AtomicU64::new(1),
             ledger: TenantLedger::new(tenant_cap),
             metrics: Metrics::default(),
             faults: Mutex::new(faults),
             books: Mutex::new(CheckpointBook::with_byte_cap(resume_byte_cap)),
-            pending: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stop_workers: AtomicBool::new(false),
@@ -301,14 +319,15 @@ impl PbServer {
 
 /// Stop admission, wait for every accepted request to reach a terminal
 /// state, then let workers exit. Bounded wait: a wedged run past its
-/// deadline still counts down via its cancellation token, so in practice
-/// pending always reaches zero; the cap is a last-resort escape.
+/// deadline still ends through its cancellation token, so in practice
+/// nothing stays pending; the cap is a last-resort escape.
 fn drain_to_stop(s: &Shared) {
     s.draining.store(true, Ordering::SeqCst);
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while s.pending.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let registry = lock(&s.registry);
+    let settled = s
+        .settled
+        .wait_timeout_while(registry, Duration::from_secs(120), |r| r.pending() > 0);
+    drop(settled.unwrap_or_else(PoisonError::into_inner));
     s.stop_workers.store(true, Ordering::SeqCst);
     s.queue.close();
 }
@@ -391,34 +410,37 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
             deadline_ms,
         } => submit(
             s,
-            tenant,
-            workload,
-            fractions,
-            optimized,
-            resume,
-            deadline_ms,
+            Req {
+                tenant,
+                workload,
+                fractions,
+                optimized,
+                resume,
+                cancel: match deadline_ms.or(s.cfg.default_deadline_ms) {
+                    Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
+                    None => CancelToken::new(),
+                },
+                submitted: Instant::now(),
+                phase: ReqPhase::Queued,
+            },
         ),
-        Request::Status { id } => match lock(&s.registry).reqs.get(&id) {
-            Some(r) => Response::Status {
-                id,
-                phase: r.phase.clone(),
-            },
-            None => Response::Error {
-                message: format!("unknown request id {id}"),
-            },
-        },
-        Request::Cancel { id } => match lock(&s.registry).reqs.get(&id) {
-            Some(r) => {
+        Request::Status { id } => lock(&s.registry).status(id),
+        Request::Wait { id, timeout_ms } => {
+            let registry = lock(&s.registry);
+            let timeout = Duration::from_millis(timeout_ms);
+            let waited = s
+                .settled
+                .wait_timeout_while(registry, timeout, |r| r.is_pending(id));
+            let (registry, _) = waited.unwrap_or_else(PoisonError::into_inner);
+            registry.status(id)
+        }
+        Request::Cancel { id } => {
+            let registry = lock(&s.registry);
+            if let Some(r) = registry.reqs.get(&id) {
                 r.cancel.cancel();
-                Response::Status {
-                    id,
-                    phase: r.phase.clone(),
-                }
             }
-            None => Response::Error {
-                message: format!("unknown request id {id}"),
-            },
-        },
+            registry.status(id)
+        }
         Request::Stats => Response::Stats { stats: s.stats() },
         Request::Drain => {
             drain_to_stop(s);
@@ -427,15 +449,7 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
     }
 }
 
-fn submit(
-    s: &Arc<Shared>,
-    tenant: String,
-    workload: String,
-    fractions: Vec<f64>,
-    optimized: bool,
-    resume: bool,
-    deadline_ms: Option<u64>,
-) -> Response {
+fn submit(s: &Arc<Shared>, req: Req) -> Response {
     s.metrics.submitted.fetch_add(1, Ordering::Relaxed);
     if s.draining.load(Ordering::SeqCst) {
         s.metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -444,36 +458,19 @@ fn submit(
             retry_after_ms: s.cfg.retry_after_ms,
         };
     }
-    let Some(loaded) = s.loaded.get(&workload) else {
+    let Some(b) = s.bouquets.get(&req.workload) else {
         return Response::Error {
-            message: format!("unknown workload {workload}"),
+            message: format!("unknown workload {}", req.workload),
         };
     };
-    let d = loaded.bouquet.workload.ess.d();
-    if fractions.len() != d || fractions.iter().any(|f| !(0.0..=1.0).contains(f)) {
+    let d = b.workload.ess.d();
+    if req.fractions.len() != d || req.fractions.iter().any(|f| !(0.0..=1.0).contains(f)) {
         return Response::Error {
             message: format!("fractions must be {d} values in [0,1]"),
         };
     }
-    let cancel = match deadline_ms.or(s.cfg.default_deadline_ms) {
-        Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
-        None => CancelToken::new(),
-    };
     let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-    lock(&s.registry).reqs.insert(
-        id,
-        ReqState {
-            tenant,
-            workload,
-            fractions,
-            optimized,
-            resume,
-            cancel,
-            submitted: Instant::now(),
-            phase: ReqPhase::Queued,
-        },
-    );
-    s.pending.fetch_add(1, Ordering::SeqCst);
+    lock(&s.registry).reqs.insert(id, req);
     match s.queue.try_push(id) {
         Ok(depth) => {
             s.metrics.accepted.fetch_add(1, Ordering::Relaxed);
@@ -484,7 +481,8 @@ fn submit(
         }
         Err(e) => {
             lock(&s.registry).reqs.remove(&id);
-            s.pending.fetch_sub(1, Ordering::SeqCst);
+            // It was counted pending: a drain waiting on it must wake.
+            s.settled.notify_all();
             s.metrics.rejected.fetch_add(1, Ordering::Relaxed);
             Response::Rejected {
                 reason: match e {
@@ -509,40 +507,33 @@ fn worker_loop(s: &Arc<Shared>) {
         if let Some(ms) = stall {
             std::thread::sleep(Duration::from_millis(ms));
         }
-        let Some(meta) = begin_request(s, id) else {
+        let Some((req, reservation)) = begin_request(s, id) else {
             continue;
         };
         s.inflight.fetch_add(1, Ordering::SeqCst);
-        let run = catch_unwind(AssertUnwindSafe(|| execute_request(s, id, &meta)));
+        let run = catch_unwind(AssertUnwindSafe(|| execute_request(s, &req, &reservation)));
         s.inflight.fetch_sub(1, Ordering::SeqCst);
-        if run.is_err() {
+        let poisoned = run.is_err();
+        let result = run.unwrap_or_else(|_| {
             // Containment: the request gets a typed terminal error, the
             // tenant is charged its full reservation (an over- but never an
             // under-charge: the run's spend is bounded by it), and this
             // worker is considered poisoned — it exits and the supervisor
             // replaces it. The server never goes down.
             s.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let charged = if meta.reservation.amount.is_finite() {
-                meta.reservation.amount
-            } else {
-                0.0
-            };
-            s.ledger.settle(&meta.reservation, charged);
-            finish(
-                s,
-                id,
-                QueryResult {
-                    outcome: "failed".into(),
-                    total_cost: charged,
-                    reused_cost: 0.0,
-                    final_plan: None,
-                    subopt: None,
-                    events: 0,
-                    error: Some(
-                        PbError::Internal("worker panicked; request aborted".into()).to_string(),
-                    ),
+            let error = PbError::Internal("worker panicked; request aborted".into());
+            QueryResult {
+                total_cost: if reservation.amount.is_finite() {
+                    reservation.amount
+                } else {
+                    0.0
                 },
-            );
+                ..fail_result(&error)
+            }
+        });
+        s.ledger.settle(&reservation, result.total_cost);
+        finish(s, id, result);
+        if poisoned {
             return;
         }
     }
@@ -571,125 +562,79 @@ fn supervise(s: &Arc<Shared>, mut handles: Vec<JoinHandle<()>>) {
     }
 }
 
-/// Mark `id` running, snapshot its fields and reserve its tenant budget.
-fn begin_request(s: &Arc<Shared>, id: u64) -> Option<ReqMeta> {
-    let (tenant, workload, fractions, optimized, resume, cancel) = {
+/// Mark `id` running, clone its record and reserve its tenant budget.
+fn begin_request(s: &Arc<Shared>, id: u64) -> Option<(Req, Reservation)> {
+    let req = {
         let mut registry = lock(&s.registry);
         let r = registry.reqs.get_mut(&id)?;
         r.phase = ReqPhase::Running;
-        (
-            r.tenant.clone(),
-            r.workload.clone(),
-            r.fractions.clone(),
-            r.optimized,
-            r.resume,
-            r.cancel.clone(),
-        )
+        r.clone()
     };
-    let reservation = s.ledger.reserve(&tenant);
-    Some(ReqMeta {
-        tenant,
-        workload,
-        fractions,
-        optimized,
-        resume,
-        cancel,
-        reservation,
-    })
+    let reservation = s.ledger.reserve(&req.tenant);
+    Some((req, reservation))
 }
 
-/// Execute one admitted request end to end. Panics (injected or genuine)
+/// Execute one admitted request end to end; the caller settles the
+/// reservation at the result's `total_cost`. Panics (injected or genuine)
 /// unwind to the worker loop's containment.
 #[allow(clippy::panic)] // the worker-panic fault site unwinds on purpose
-fn execute_request(s: &Arc<Shared>, id: u64, meta: &ReqMeta) {
+fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> QueryResult {
     if lock(&s.faults).worker_panic() {
         // Deliberate unwind — the `server:worker-panic` fault site.
         std::panic::panic_any(InjectedPanic);
     }
-    let Some(loaded) = s.loaded.get(&meta.workload) else {
-        s.ledger.settle(&meta.reservation, 0.0);
-        finish(
-            s,
-            id,
-            fail_result(&PbError::Internal("workload vanished".into())),
-        );
-        return;
+    let Some(b) = s.bouquets.get(&req.workload) else {
+        return fail_result(&PbError::Internal("workload vanished".into()));
     };
-    let b = &loaded.bouquet;
-    let qa = b.workload.ess.point_at_fractions(&meta.fractions);
+    let qa = b.workload.ess.point_at_fractions(&req.fractions);
     let cfg = RobustConfig {
-        optimized: meta.optimized,
-        resume: meta.resume,
-        spend_cap: meta
-            .reservation
-            .amount
-            .is_finite()
-            .then_some(meta.reservation.amount),
-        cancel: Some(meta.cancel.clone()),
+        optimized: req.optimized,
+        resume: req.resume,
+        spend_cap: reservation.amount.is_finite().then_some(reservation.amount),
+        cancel: Some(req.cancel.clone()),
         ..Default::default()
     };
     let mut sub = match SimulatorSubstrate::new(b, &qa, FaultInjector::none()) {
-        Ok(sub) => sub.with_cancel(meta.cancel.clone()),
-        Err(e) => {
-            s.ledger.settle(&meta.reservation, 0.0);
-            finish(s, id, fail_result(&e));
-            return;
-        }
+        Ok(sub) => sub.with_cancel(req.cancel.clone()),
+        Err(e) => return fail_result(&e),
     };
-    if meta.resume {
+    if req.resume {
         sub.resume.set_byte_cap(s.cfg.resume_byte_cap);
-        let key = s.book_key(meta);
-        if let Some(book) = lock(&s.books).remove(&key) {
+        if let Some(book) = lock(&s.books).remove(&req.book_key()) {
             sub.resume.install_book(book);
         }
     }
 
-    match b.run(&mut sub, &cfg) {
-        Ok(rr) => {
-            let stats = sub.resume_stats();
-            let (outcome, final_plan, cancelled) = match rr.run.outcome {
-                ExecutionOutcome::Completed { final_plan, .. } => {
-                    ("completed", Some(final_plan), false)
-                }
-                ExecutionOutcome::Degraded { final_plan, .. } => {
-                    ("degraded", Some(final_plan), false)
-                }
-                ExecutionOutcome::BudgetExhausted { .. } => ("budget-exhausted", None, false),
-                ExecutionOutcome::Cancelled { .. } => ("cancelled", None, true),
-            };
-            if meta.resume {
-                // Retain checkpoints for the resubmission of a cancelled
-                // request; drop them once a terminal answer was produced.
-                let book = sub.resume.take_book().filter(|_| cancelled);
-                s.retain_book(s.book_key(meta), book);
-            }
-            let subopt = if outcome == "completed" {
-                let opt = sub.run_native_at(&qa);
-                let so = (stats.reused_cost + rr.run.total_cost) / opt;
-                s.metrics.observe_subopt(so);
-                Some(so)
-            } else {
-                None
-            };
-            s.ledger.settle(&meta.reservation, rr.run.total_cost);
-            finish(
-                s,
-                id,
-                QueryResult {
-                    outcome: outcome.into(),
-                    total_cost: rr.run.total_cost,
-                    reused_cost: stats.reused_cost,
-                    final_plan,
-                    subopt,
-                    events: rr.events.len(),
-                    error: None,
-                },
-            );
-        }
-        Err(e) => {
-            s.ledger.settle(&meta.reservation, 0.0);
-            finish(s, id, fail_result(&e));
-        }
+    let rr = match b.run(&mut sub, &cfg) {
+        Ok(rr) => rr,
+        Err(e) => return fail_result(&e),
+    };
+    let stats = sub.resume_stats();
+    let (outcome, final_plan, cancelled) = match rr.run.outcome {
+        ExecutionOutcome::Completed { final_plan, .. } => ("completed", Some(final_plan), false),
+        ExecutionOutcome::Degraded { final_plan, .. } => ("degraded", Some(final_plan), false),
+        ExecutionOutcome::BudgetExhausted { .. } => ("budget-exhausted", None, false),
+        ExecutionOutcome::Cancelled { .. } => ("cancelled", None, true),
+    };
+    if req.resume {
+        // Retain checkpoints for the resubmission of a cancelled request;
+        // drop them once a terminal answer was produced.
+        let book = sub.resume.take_book().filter(|_| cancelled);
+        s.retain_book(req.book_key(), book);
+    }
+    let subopt = (outcome == "completed").then(|| {
+        let so = (stats.reused_cost + rr.run.total_cost) / sub.run_native_at(&qa);
+        s.metrics.observe_subopt(so);
+        so
+    });
+    QueryResult {
+        outcome: outcome.into(),
+        total_cost: rr.run.total_cost,
+        reused_cost: stats.reused_cost,
+        final_plan,
+        subopt,
+        events: rr.events.len(),
+        error: None,
     }
 }
 
@@ -706,9 +651,9 @@ fn fail_result(e: &PbError) -> QueryResult {
 }
 
 /// Record a request's terminal state: registry phase (forgetting the
-/// oldest terminal request past [`TERMINAL_KEPT`]), outcome counter,
-/// latency, pending count. Every accepted request passes through here
-/// exactly once.
+/// oldest terminal request past [`TERMINAL_KEPT`]), outcome counter and
+/// latency, then wake every `Wait` and the drain. Every accepted request
+/// passes through here exactly once.
 fn finish(s: &Arc<Shared>, id: u64, result: QueryResult) {
     match result.outcome.as_str() {
         "completed" => &s.metrics.completed,
@@ -731,12 +676,151 @@ fn finish(s: &Arc<Shared>, id: u64, result: QueryResult) {
         }
     }
     drop(registry);
-    s.pending.fetch_sub(1, Ordering::SeqCst);
+    s.settled.notify_all();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::PbClient;
+    use pb_faults::{FaultKind, Trigger};
+
+    fn submit_req(tenant: &str, fraction: f64, resume: bool) -> Request {
+        Request::Submit {
+            tenant: tenant.into(),
+            workload: "EQ_1D".into(),
+            fractions: vec![fraction],
+            optimized: false,
+            resume,
+            deadline_ms: None,
+        }
+    }
+
+    /// A server whose first dispatch stalls `ms`, so the first request
+    /// stays queued that long.
+    fn stalled_server(ms: u64) -> PbServer {
+        PbServer::start(ServerConfig {
+            faults: FaultPlan::new(1).with(FaultKind::QueueStall { ms }, Trigger::Nth(1)),
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn accepted_id(reply: Response) -> u64 {
+        match reply {
+            Response::Accepted { id, .. } => id,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_queued_requests_wait_answers_its_result() {
+        let server = stalled_server(100);
+        let mut c = PbClient::connect(server.addr()).unwrap();
+        let id = accepted_id(c.request(&submit_req("t", 0.5, false)).unwrap());
+        let reply = c
+            .request(&Request::Wait {
+                id,
+                timeout_ms: 30_000,
+            })
+            .unwrap();
+        let Response::Status {
+            id: answered,
+            phase: ReqPhase::Done(result),
+        } = reply
+        else {
+            panic!("{reply:?}");
+        };
+        assert_eq!(answered, id);
+        assert_eq!(result.outcome, "completed");
+        // A terminal request's `Wait` answers at once, as `Status` does.
+        assert_eq!(
+            c.request(&Request::Wait { id, timeout_ms: 0 }).unwrap(),
+            c.request(&Request::Status { id }).unwrap()
+        );
+        server.stop();
+    }
+
+    /// Register a request no worker runs: it stays queued until the test
+    /// settles it with `finish`, so a wait on it cannot end early.
+    fn held_request(s: &Arc<Shared>) -> u64 {
+        let id = s.next_id.fetch_add(1, Ordering::SeqCst);
+        let req = Req {
+            tenant: "t".into(),
+            workload: "EQ_1D".into(),
+            fractions: vec![0.5],
+            optimized: false,
+            resume: false,
+            cancel: CancelToken::new(),
+            submitted: Instant::now(),
+            phase: ReqPhase::Queued,
+        };
+        lock(&s.registry).reqs.insert(id, req);
+        id
+    }
+
+    #[test]
+    fn a_wait_that_times_out_answers_the_current_phase() {
+        let server = PbServer::start(ServerConfig::default()).unwrap();
+        let s = &server.shared;
+        let id = held_request(s);
+        let mut c = PbClient::connect(server.addr()).unwrap();
+        assert_eq!(
+            c.request(&Request::Wait { id, timeout_ms: 5 }).unwrap(),
+            Response::Status {
+                id,
+                phase: ReqPhase::Queued
+            }
+        );
+        let err = c.wait(id, Duration::from_millis(5)).unwrap_err();
+        assert!(err.to_string().contains("timed out"), "{err}");
+        let result = fail_result(&PbError::Internal("settled by the test".into()));
+        finish(s, id, result.clone());
+        assert_eq!(c.wait(id, Duration::from_secs(30)).unwrap(), result);
+        server.stop();
+    }
+
+    #[test]
+    fn waiting_on_an_unknown_id_is_an_error() {
+        let server = PbServer::start(ServerConfig::default()).unwrap();
+        let mut c = PbClient::connect(server.addr()).unwrap();
+        let reply = c
+            .request(&Request::Wait {
+                id: 999_999,
+                timeout_ms: 30_000,
+            })
+            .unwrap();
+        assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+        assert!(c.wait(999_999, Duration::from_secs(30)).is_err());
+        server.stop();
+    }
+
+    #[test]
+    fn drain_completes_while_a_waiter_is_blocked() {
+        let server = PbServer::start(ServerConfig::default()).unwrap();
+        let s = &server.shared;
+        let id = held_request(s);
+        // Both connect first: once the drain ends, the listener closes.
+        let (mut c, mut d) = (
+            PbClient::connect(server.addr()).unwrap(),
+            PbClient::connect(server.addr()).unwrap(),
+        );
+        let waiter = std::thread::spawn(move || c.wait(id, Duration::from_secs(30)));
+        let drain = std::thread::spawn(move || d.request(&Request::Drain));
+        while !s.draining.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The drain waits for the held request, and so does the waiter.
+        assert!(!drain.is_finished() && !waiter.is_finished());
+        let result = fail_result(&PbError::Internal("settled by the test".into()));
+        finish(s, id, result.clone());
+        assert!(matches!(
+            drain.join().unwrap().unwrap(),
+            Response::Drained { .. }
+        ));
+        assert_eq!(waiter.join().unwrap().unwrap(), result);
+        server.wait();
+    }
 
     #[test]
     fn the_registry_forgets_the_oldest_terminal_requests_only() {
@@ -746,35 +830,45 @@ mod tests {
         })
         .unwrap();
         let s = &server.shared;
-        let submit = || loop {
-            let req = Request::Submit {
-                tenant: "t".into(),
-                workload: "EQ_1D".into(),
-                fractions: vec![0.5],
-                optimized: false,
-                resume: false,
-                deadline_ms: None,
-            };
-            match handle_request(s, req) {
-                Response::Accepted { id, .. } => return id,
-                Response::Rejected { .. } => std::thread::sleep(Duration::from_millis(1)),
-                other => panic!("{other:?}"),
-            }
-        };
-        let mut accepted = Vec::new();
+        let mut accepted: Vec<u64> = Vec::new();
         for _ in 0..TERMINAL_KEPT + 50 {
-            accepted.push(submit());
-            // In flight first: it only falls until the next submission.
-            let in_flight = s.pending.load(Ordering::SeqCst);
-            let held = lock(&s.registry).reqs.len();
+            let id = loop {
+                match handle_request(s, submit_req("t", 0.5, false)) {
+                    Response::Accepted { id, .. } => break id,
+                    // The queue is full; once the newest request settles,
+                    // it is empty.
+                    Response::Rejected { .. } => {
+                        let newest = accepted[accepted.len() - 1];
+                        handle_request(
+                            s,
+                            Request::Wait {
+                                id: newest,
+                                timeout_ms: 30_000,
+                            },
+                        );
+                    }
+                    other => panic!("{other:?}"),
+                }
+            };
+            accepted.push(id);
+            let registry = lock(&s.registry);
+            let in_flight = registry
+                .reqs
+                .values()
+                .filter(|r| !matches!(r.phase, ReqPhase::Done(_)))
+                .count();
+            assert_eq!(registry.pending(), in_flight);
+            let held = registry.reqs.len();
             assert!(
                 held <= TERMINAL_KEPT + in_flight,
                 "{held} held, {in_flight} in flight"
             );
         }
-        while s.pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        drop(
+            s.settled
+                .wait_while(lock(&s.registry), |r| r.pending() > 0)
+                .unwrap(),
+        );
         assert_eq!(lock(&s.registry).reqs.len(), TERMINAL_KEPT);
         // The first to finish are forgotten — not necessarily the first
         // submitted, with two workers — and answer `Error`.
@@ -807,7 +901,7 @@ mod tests {
         })
         .unwrap();
         let s = &server.shared;
-        let b = &s.loaded["EQ_1D"].bouquet;
+        let b = &s.bouquets["EQ_1D"];
         let fractions: Vec<f64> = (0..40).map(|i| 0.5 + f64::from(i) / 100.0).collect();
         for &f in &fractions {
             // A resume request cancelled once its discovery had run: its
@@ -837,29 +931,19 @@ mod tests {
             "the cap never evicted a book"
         );
 
-        let status = |id| loop {
-            match handle_request(s, Request::Status { id }) {
-                Response::Status {
-                    phase: ReqPhase::Done(r),
-                    ..
-                } => return r,
-                Response::Status { .. } => std::thread::sleep(Duration::from_millis(1)),
-                other => panic!("{other:?}"),
-            }
-        };
         // Cost units a resume request reuses; tenant "u" has no book, so
         // its requests reuse only within their own run.
         let reused = |tenant: &str, f: f64| {
-            let req = Request::Submit {
-                tenant: tenant.into(),
-                workload: "EQ_1D".into(),
-                fractions: vec![f],
-                optimized: false,
-                resume: true,
-                deadline_ms: None,
+            let id = accepted_id(handle_request(s, submit_req(tenant, f, true)));
+            let wait = Request::Wait {
+                id,
+                timeout_ms: 30_000,
             };
-            match handle_request(s, req) {
-                Response::Accepted { id, .. } => status(id).reused_cost,
+            match handle_request(s, wait) {
+                Response::Status {
+                    phase: ReqPhase::Done(r),
+                    ..
+                } => r.reused_cost,
                 other => panic!("{other:?}"),
             }
         };

@@ -10,7 +10,7 @@
 use pb_bouquet::Workload;
 use pb_catalog::tpch;
 use pb_cost::{CostModel, Ess, EssDim};
-use pb_plan::{CmpOp, QueryBuilder, SelSpec};
+use pb_plan::{join_ceiling, CmpOp, QueryBuilder, SelSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -71,7 +71,7 @@ pub fn random_workload(cfg: &RandomConfig) -> Workload {
 
     // Grow a random connected subtree of the FK graph.
     let mut tables: Vec<&str> = Vec::new();
-    let mut edges: Vec<(usize, &str, usize, &str, &str)> = Vec::new(); // (fk_rel, fk_col, pk_rel, pk_col, pk_table)
+    let mut edges: Vec<(usize, &str, usize, &str)> = Vec::new(); // (fk_rel, fk_col, pk_rel, pk_col)
     let start = FK_EDGES[rng.random_range(0..FK_EDGES.len())];
     tables.push(start.0);
     while tables.len() < cfg.relations {
@@ -95,9 +95,9 @@ pub fn random_workload(cfg: &RandomConfig) -> Workload {
         let pi = tables.iter().position(|t| *t == p).unwrap();
         if !edges
             .iter()
-            .any(|(a, ac, b, _, _)| *a == fi && *b == pi && *ac == fc)
+            .any(|(a, ac, b, _)| *a == fi && *b == pi && *ac == fc)
         {
-            edges.push((fi, fc, pi, pc, p));
+            edges.push((fi, fc, pi, pc));
         }
     }
 
@@ -112,16 +112,19 @@ pub fn random_workload(cfg: &RandomConfig) -> Workload {
     let mut qb = QueryBuilder::new(&cat, format!("random-{}", cfg.seed));
     let rels: Vec<usize> = tables.iter().map(|t| qb.rel(t)).collect();
     let mut ess_dims = Vec::new();
-    for (ei, (fi, fc, pi, pc, pk_table)) in edges.iter().enumerate() {
+    let column = |rel: usize, name: &str| cat.table(tables[rel]).unwrap().column(name).unwrap().id;
+    for (ei, (fi, fc, pi, pc)) in edges.iter().enumerate() {
+        // The SQL path's PK–FK maximum: a `?`-join's ceiling and an
+        // unmarked join's estimate.
+        let hi = join_ceiling(&cat, column(*fi, fc), column(*pi, pc), 1.0);
         let spec = if let Some(d) = error_edges.iter().position(|&x| x == ei) {
-            let hi = (1.0 / cat.table(pk_table).unwrap().rows).min(1.0);
             ess_dims.push((
                 d,
                 EssDim::pk_fk_join(format!("{fc}⋈{pc}"), hi / 10f64.powf(cfg.decades), hi),
             ));
             SelSpec::ErrorProne(d)
         } else {
-            SelSpec::Fixed((1.0 / cat.table(pk_table).unwrap().rows).min(1.0))
+            SelSpec::Fixed(hi)
         };
         qb.join(rels[*fi], fc, rels[*pi], pc, spec);
     }

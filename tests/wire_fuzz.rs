@@ -30,6 +30,10 @@ fn lines() -> Vec<Vec<u8>> {
             deadline_ms: Some(250),
         },
         Request::Status { id: 17 },
+        Request::Wait {
+            id: 17,
+            timeout_ms: 30_000,
+        },
         Request::Cancel { id: 17 },
         Request::Stats,
         Request::Drain,
@@ -84,13 +88,13 @@ proptest! {
 
     #[test]
     fn a_mutated_request_line_is_read_or_refused(
-        which in 0usize..6,
+        which in 0usize..7,
         kind in 0usize..5,
         x in 0.0f64..1.0,
         y in 0.0f64..1.0,
     ) {
         let lines = lines();
-        let bytes = mutate(&lines[which], &lines[(which + 1) % 6], kind, x, y);
+        let bytes = mutate(&lines[which], &lines[(which + 1) % 7], kind, x, y);
         let read = catch_unwind(AssertUnwindSafe(|| read_line::<Request, _>(&mut bytes.as_slice())));
         prop_assert!(read.is_ok(), "line {which}, mutation {kind} at ({x}, {y}) panicked");
     }
