@@ -1,13 +1,11 @@
-//! Deterministic in-memory data generation conforming to catalog statistics.
+//! Deterministic in-memory data conforming to catalog statistics, each
+//! column generated the first time it is read.
 
-use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
-use std::mem::take;
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use pb_catalog::{Catalog, Distribution};
-use pb_cost::Parallelism;
 use pb_faults::PbError;
 use pb_plan::{CmpOp, QuerySpec, SelectionPredicate};
 use rand::rngs::StdRng;
@@ -46,14 +44,103 @@ pub enum ColumnOverride {
     },
 }
 
-/// Column-major table data plus sorted secondary indexes.
-#[derive(Debug, Clone)]
+/// One table's data: its row count, and each column and index, built the
+/// first time it is read.
+///
+/// The table draws its columns in catalog order from one RNG stream, seeded
+/// by (seed, table id); a correlated column draws from a stream of its own.
+/// Column `c` is generated by replaying the table's stream from the latest
+/// state recorded at or before `c`, keeping none of the columns it passes
+/// and recording the state at every column boundary it crosses. A column,
+/// and its index, are therefore the same in any read order and from any
+/// number of threads.
+#[derive(Debug)]
 pub struct TableData {
-    /// `columns[c][row]`.
-    pub columns: Vec<Vec<i64>>,
-    /// Per indexed column.
-    pub indexes: HashMap<u32, Index>,
     pub rows: usize,
+    gens: Vec<Gen>,
+    columns: Vec<OnceLock<Vec<i64>>>,
+    /// `None` for a column the catalog does not index.
+    indexes: Vec<Option<OnceLock<Index>>>,
+    /// `marks[k]`: the table's stream at the start of column `k`. The
+    /// recorded boundaries are always a prefix, since a replay starts at a
+    /// recorded one and records each it crosses.
+    marks: Mutex<Vec<StdRng>>,
+}
+
+impl TableData {
+    /// The table's generation spec; no row data.
+    fn new(
+        t: &pb_catalog::Table,
+        seed: u64,
+        overrides: &[ColumnOverride],
+    ) -> Result<TableData, PbError> {
+        let stream = seed ^ (t.id.0 as u64).wrapping_mul(0x9E37);
+        Ok(TableData {
+            rows: t.rows.round() as usize,
+            gens: gens(t, stream, overrides)?,
+            columns: t.columns.iter().map(|_| OnceLock::new()).collect(),
+            indexes: t
+                .columns
+                .iter()
+                .map(|col| t.index_on(col.id).map(|_| OnceLock::new()))
+                .collect(),
+            marks: Mutex::new(vec![StdRng::seed_from_u64(stream)]),
+        })
+    }
+
+    /// Column `c`, `column(c)[row]`, generated on its first read.
+    pub fn column(&self, c: usize) -> &[i64] {
+        self.columns[c].get_or_init(|| match &self.gens[c] {
+            Gen::Main(draw) => {
+                let mut rng = self.stream_at(c);
+                let data = (0..self.rows).map(|_| draw.sample(&mut rng)).collect();
+                self.mark(c + 1, &rng);
+                data
+            }
+            Gen::Corr(corr) => corr.mix(self.column(corr.src)),
+        })
+    }
+
+    /// The index on column `c`, built on its first read; `None` when the
+    /// catalog declares none.
+    pub fn index(&self, c: usize) -> Option<&Index> {
+        let slot = self.indexes.get(c)?.as_ref()?;
+        Some(slot.get_or_init(|| Index::new(self.column(c))))
+    }
+
+    /// The table's stream at the start of column `c`.
+    fn stream_at(&self, c: usize) -> StdRng {
+        let (mut at, mut rng) = {
+            let marks = self.marks();
+            let at = c.min(marks.len() - 1);
+            (at, marks[at].clone())
+        };
+        while at < c {
+            if let Gen::Main(draw) = &self.gens[at] {
+                for _ in 0..self.rows {
+                    draw.sample(&mut rng);
+                }
+            }
+            at += 1;
+            self.mark(at, &rng);
+        }
+        rng
+    }
+
+    /// Record `rng` as the stream at the start of column `at`, whose
+    /// predecessor's start is recorded.
+    fn mark(&self, at: usize, rng: &StdRng) {
+        let mut marks = self.marks();
+        if marks.len() == at {
+            marks.push(rng.clone());
+        }
+    }
+
+    /// Every update of the marks is one push, which leaves them whole, so a
+    /// lock poisoned by a panicking reader is safe to take over.
+    fn marks(&self) -> MutexGuard<'_, Vec<StdRng>> {
+        self.marks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A secondary index: its column's row ids sorted by (value, row), 4 B an
@@ -61,9 +148,8 @@ pub struct TableData {
 ///
 /// Range predicates binary-search the rows through the column. An equality
 /// lookup on a dense domain goes through a slot directory instead (see
-/// `crate::lookup`), built on the first lookup — never during data
-/// generation — and kept with the index; on a sparse domain it
-/// binary-searches too.
+/// `crate::lookup`), built on the first lookup — never with the index — and
+/// kept with the index; on a sparse domain it binary-searches too.
 #[derive(Debug, Clone)]
 pub struct Index {
     rows: Vec<u32>,
@@ -71,10 +157,10 @@ pub struct Index {
 }
 
 impl Index {
-    /// The index over `column`, its rows laid out in `rows`' buffer.
-    fn new(column: &[i64], rows: Vec<u32>) -> Index {
+    /// The index over `column`.
+    fn new(column: &[i64]) -> Index {
         Index {
-            rows: sorted_rows(column, rows),
+            rows: sorted_rows(column),
             directory: OnceLock::new(),
         }
     }
@@ -133,110 +219,30 @@ impl PartialEq for Index {
 }
 
 /// An in-memory database instance for a catalog.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Database {
     pub catalog: Catalog,
     tables: Vec<TableData>,
 }
 
 impl Database {
-    /// Generate data for every catalog table with the given seed, on
-    /// [`Parallelism::auto`] workers. Fails when an override names a
-    /// correlation source column the table lacks or does not generate before
-    /// the overridden column.
+    /// The data `seed` gives `catalog`, with `overrides` applied: one RNG
+    /// stream per (seed, table id), a column and its index built on their
+    /// first read ([`TableData::column`], [`TableData::index`]). Generating
+    /// allocates no row data. Fails when an override names a correlation
+    /// source column the table lacks or does not generate before the
+    /// overridden column.
     pub fn generate(
         catalog: &Catalog,
         seed: u64,
         overrides: &[ColumnOverride],
     ) -> Result<Self, PbError> {
-        Database::generate_with(catalog, seed, overrides, Parallelism::auto())
-    }
-
-    /// [`Database::generate`] on `par` workers. Each table's column stream
-    /// is one task, started largest table first, and each index build is a
-    /// task of its own as soon as its column exists. A table draws its
-    /// columns from one RNG stream and an index is a pure function of its
-    /// column, so the data is bit-identical at any worker count.
-    pub fn generate_with(
-        catalog: &Catalog,
-        seed: u64,
-        overrides: &[ColumnOverride],
-        par: Parallelism,
-    ) -> Result<Self, PbError> {
-        let specs = catalog
-            .tables()
-            .map(|t| Ok((t, resolve_overrides(t, overrides)?)))
-            .collect::<Result<Vec<_>, PbError>>()?;
-        let columns: Vec<Vec<OnceLock<Vec<i64>>>> = specs
-            .iter()
-            .map(|(t, _)| empty_slots(t.columns.len()))
-            .collect();
-        let indexes: Vec<Vec<OnceLock<Index>>> = specs
-            .iter()
-            .map(|(t, _)| empty_slots(t.indexes.len()))
-            .collect();
-        let mut largest_first: Vec<usize> = (0..specs.len()).collect();
-        largest_first
-            .sort_by_key(|&i| Reverse(specs[i].0.rows.round() as usize * specs[i].0.columns.len()));
-        // The caller allocates every column and index buffer and the workers
-        // fill them: tables allocated by short-lived workers sit in their
-        // allocator arenas once freed, where the caller's next tables do not
-        // reuse them (`exec_engine` peak RSS read +10 to +30 MB in some runs).
-        let tasks = largest_first
-            .into_iter()
-            .map(|i| {
-                let t = specs[i].0;
-                let rows = t.rows.round() as usize;
-                Task::Columns(
-                    i,
-                    t.columns.iter().map(|_| Vec::with_capacity(rows)).collect(),
-                    t.indexes.iter().map(|_| Vec::with_capacity(rows)).collect(),
-                )
-            })
-            .collect();
-        Queue::run(par, tasks, |task, queue| match task {
-            Task::Columns(i, buffers, mut index_buffers) => {
-                let (t, ovs) = &specs[i];
-                gen_columns(t, seed, ovs, buffers, &columns[i], |c| {
-                    for (k, ix) in t.indexes.iter().enumerate() {
-                        if ix.column.column as usize == c {
-                            queue.push(Task::Index(i, k, take(&mut index_buffers[k])));
-                        }
-                    }
-                });
-            }
-            Task::Index(i, k, rows) => {
-                let c = specs[i].0.indexes[k].column.column as usize;
-                if let Some(column) = columns[i][c].get() {
-                    indexes[i][k].get_or_init(|| Index::new(column, rows));
-                }
-            }
-        });
-        let unbuilt = || PbError::Internal("a data generation task did not run".into());
-        let tables = specs
-            .iter()
-            .zip(columns.into_iter().zip(indexes))
-            .map(|((t, _), (columns, indexes))| {
-                Ok(TableData {
-                    columns: columns
-                        .into_iter()
-                        .map(|c| c.into_inner().ok_or_else(unbuilt))
-                        .collect::<Result<_, PbError>>()?,
-                    indexes: t
-                        .indexes
-                        .iter()
-                        .zip(indexes)
-                        .map(|(ix, slot)| {
-                            Ok((ix.column.column, slot.into_inner().ok_or_else(unbuilt)?))
-                        })
-                        .collect::<Result<_, PbError>>()?,
-                    rows: t.rows.round() as usize,
-                })
-            })
-            .collect::<Result<_, PbError>>()?;
         Ok(Database {
             catalog: catalog.clone(),
-            tables,
+            tables: catalog
+                .tables()
+                .map(|t| TableData::new(t, seed, overrides))
+                .collect::<Result<_, PbError>>()?,
         })
     }
 
@@ -258,12 +264,12 @@ impl Database {
             };
             let td = self.table(t.id);
             for col in &t.columns {
-                let data = &td.columns[col.id.column as usize];
+                let data = td.column(col.id.column as usize);
                 let stats = cat.column_stats_mut(&tname, &col.name);
                 if data.is_empty() {
                     continue;
                 }
-                let mut distinct: Vec<i64> = data.clone();
+                let mut distinct: Vec<i64> = data.to_vec();
                 distinct.sort_unstable();
                 distinct.dedup();
                 stats.ndv = distinct.len() as f64;
@@ -280,8 +286,9 @@ impl Database {
 
     /// Actual selectivity of a selection predicate against this data.
     pub fn actual_selection_selectivity(&self, pred: &SelectionPredicate) -> f64 {
-        let t = self.table(pred.column.table);
-        let col = &t.columns[pred.column.column as usize];
+        let col = self
+            .table(pred.column.table)
+            .column(pred.column.column as usize);
         if col.is_empty() {
             return 0.0;
         }
@@ -297,8 +304,8 @@ impl Database {
         let j = &query.joins[join_idx];
         let lt = self.table(query.relations[j.left_rel].table);
         let rt = self.table(query.relations[j.right_rel].table);
-        let lcol = &lt.columns[j.left_col.column as usize];
-        let rcol = &rt.columns[j.right_col.column as usize];
+        let lcol = lt.column(j.left_col.column as usize);
+        let rcol = rt.column(j.right_col.column as usize);
         if lcol.is_empty() || rcol.is_empty() {
             return 0.0;
         }
@@ -319,7 +326,7 @@ impl Database {
                 rcol.iter().map(|v| freq.get(v).copied().unwrap_or(0)).sum()
             }
             CmpOp::Lt | CmpOp::Gt => {
-                let mut sorted = rcol.clone();
+                let mut sorted = rcol.to_vec();
                 sorted.sort_unstable();
                 lcol.iter()
                     .map(|&l| match j.op {
@@ -335,19 +342,75 @@ impl Database {
     }
 }
 
-/// How one column departs from its statistics.
-enum Ov {
-    Ndv(u64),
-    Corr(usize, f64),
+/// How a column's values are drawn.
+#[derive(Debug)]
+enum Gen {
+    /// From the table's stream.
+    Main(Draw),
+    /// From a stream of the column's own: the table's is untouched, so every
+    /// other column is bit-identical at every strength.
+    Corr(Corr),
 }
 
-/// Each column's override, in catalog order (the last matching override
-/// wins). A correlation source must be a column the table generates before
-/// the overridden one; anything else fails here, before any data exists.
-fn resolve_overrides(
+/// One value per row from the table's stream.
+#[derive(Debug)]
+enum Draw {
+    /// `lo + k · stride`, `k` uniform over `0..n`.
+    Uniform { lo: i64, n: u64, stride: i64 },
+    /// `lo + k`, `k` Zipf-distributed over `0..n`.
+    Zipf { lo: i64, n: u64, skew: f64 },
+}
+
+impl Draw {
+    fn sample(&self, rng: &mut StdRng) -> i64 {
+        match *self {
+            Draw::Uniform { lo, n, stride } => lo + rng.random_range(0..n) as i64 * stride,
+            Draw::Zipf { lo, n, skew } => lo + zipf_sample(rng, n, skew) as i64,
+        }
+    }
+}
+
+/// A rho-mixture of a monotone copy of column `src` (scaled from the range
+/// `from` to `to`) and independent uniform draws over `to`.
+#[derive(Debug)]
+struct Corr {
+    src: usize,
+    rho: f64,
+    seed: u64,
+    from: (f64, f64),
+    to: (f64, f64),
+}
+
+impl Corr {
+    fn mix(&self, source: &[i64]) -> Vec<i64> {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let ((slo, shi), (dlo, dhi)) = (self.from, self.to);
+        let span = ((dhi - dlo) as i64 + 1).max(1);
+        source
+            .iter()
+            .map(|&v| {
+                let follow: f64 = rng.random();
+                let indep = dlo as i64 + rng.random_range(0..span);
+                if follow < self.rho {
+                    let f = (v as f64 - slo) / (shi - slo);
+                    (dlo + f * (dhi - dlo)).round() as i64
+                } else {
+                    indep
+                }
+            })
+            .collect()
+    }
+}
+
+/// Each column's generation spec, in catalog order (the last matching
+/// override wins), `stream` seeding the table's stream. A correlation source
+/// must be a column the table generates before the overridden one; anything
+/// else fails here, before any data exists.
+fn gens(
     t: &pb_catalog::Table,
+    stream: u64,
     overrides: &[ColumnOverride],
-) -> Result<Vec<Option<Ov>>, PbError> {
+) -> Result<Vec<Gen>, PbError> {
     // The position of `with`, which must precede column `at`.
     let source = |at: usize, with: &str| match t.columns.iter().position(|c| c.name == with) {
         Some(src) if src < at => Ok(src),
@@ -360,17 +423,21 @@ fn resolve_overrides(
             name: format!("{}.{with}", t.name),
         }),
     };
+    // A column's value range, widened to at least one unit.
+    let range = |c: &pb_catalog::Column| (c.stats.min, c.stats.max.max(c.stats.min + 1.0));
     t.columns
         .iter()
         .enumerate()
         .map(|(at, col)| {
-            let mut ov = None;
+            let lo = col.stats.min as i64;
+            let mut gen = None;
             for o in overrides {
                 match o {
                     ColumnOverride::EffectiveNdv { table, column, ndv }
                         if *table == t.name && *column == col.name =>
                     {
-                        ov = Some(Ov::Ndv(*ndv));
+                        let n = (*ndv).max(1);
+                        gen = Some(Gen::Main(Draw::Uniform { lo, n, stride: 1 }));
                     }
                     ColumnOverride::CorrelatedWithStrength {
                         table,
@@ -378,177 +445,51 @@ fn resolve_overrides(
                         with,
                         rho,
                     } if *table == t.name && *column == col.name => {
-                        ov = Some(Ov::Corr(source(at, with)?, rho.clamp(0.0, 1.0)));
+                        let src = source(at, with)?;
+                        gen = Some(Gen::Corr(Corr {
+                            src,
+                            rho: rho.clamp(0.0, 1.0),
+                            seed: stream ^ (col.id.column as u64 + 1).wrapping_mul(0xC2B2_AE3D),
+                            from: range(&t.columns[src]),
+                            to: range(col),
+                        }));
                     }
                     _ => {}
                 }
             }
-            Ok(ov)
+            Ok(gen.unwrap_or_else(|| Gen::Main(stats_draw(col))))
         })
         .collect()
 }
 
-/// Materialise one table's columns into `slots`, in catalog order from the
-/// table's private RNG stream, calling `ready(c)` once column `c` is stored.
-/// Column `c` fills `buffers[c]`. Pure function of `(table spec, seed,
-/// overrides)`.
-fn gen_columns(
-    t: &pb_catalog::Table,
-    seed: u64,
-    ovs: &[Option<Ov>],
-    buffers: Vec<Vec<i64>>,
-    slots: &[OnceLock<Vec<i64>>],
-    mut ready: impl FnMut(usize),
-) {
-    let mut rng = StdRng::seed_from_u64(seed ^ (t.id.0 as u64).wrapping_mul(0x9E37));
-    let nrows = t.rows.round() as usize;
-    let mut columns: Vec<&[i64]> = Vec::with_capacity(t.columns.len());
-    for (c, ((col, ov), mut data)) in t.columns.iter().zip(ovs).zip(buffers).enumerate() {
-        match *ov {
-            Some(Ov::Ndv(ndv)) => {
-                let lo = col.stats.min as i64;
-                data.extend((0..nrows).map(|_| lo + rng.random_range(0..ndv.max(1)) as i64));
-            }
-            Some(Ov::Corr(src, rho)) => {
-                // rho-mixture of the monotone copy and independent uniform
-                // draws, from a column-derived stream (the main `rng` is
-                // untouched, keeping all other columns bit-identical).
-                let mut crng = StdRng::seed_from_u64(
-                    seed ^ (t.id.0 as u64).wrapping_mul(0x9E37)
-                        ^ (col.id.column as u64 + 1).wrapping_mul(0xC2B2_AE3D),
-                );
-                let source = columns[src];
-                let t_col = &t.columns[src];
-                let (slo, shi) = (t_col.stats.min, t_col.stats.max.max(t_col.stats.min + 1.0));
-                let (dlo, dhi) = (col.stats.min, col.stats.max.max(col.stats.min + 1.0));
-                let span = ((dhi - dlo) as i64 + 1).max(1);
-                data.extend(source.iter().map(|&v| {
-                    let follow: f64 = crng.random();
-                    let indep = dlo as i64 + crng.random_range(0..span);
-                    if follow < rho {
-                        let f = (v as f64 - slo) / (shi - slo);
-                        (dlo + f * (dhi - dlo)).round() as i64
-                    } else {
-                        indep
-                    }
-                }));
-            }
-            None => match col.stats.distribution {
-                Distribution::Uniform => {
-                    let ndv = (col.stats.ndv.round() as i64).max(1);
-                    let lo = col.stats.min as i64;
-                    let span = ((col.stats.max - col.stats.min) as i64 + 1).max(1);
-                    if ndv >= span {
-                        data.extend((0..nrows).map(|_| lo + rng.random_range(0..span)));
-                    } else {
-                        // fewer distinct values than the range: use a
-                        // deterministic stride embedding
-                        let stride = span / ndv;
-                        data.extend((0..nrows).map(|_| lo + rng.random_range(0..ndv) * stride));
-                    }
+/// How a column without an override follows its statistics.
+fn stats_draw(col: &pb_catalog::Column) -> Draw {
+    let lo = col.stats.min as i64;
+    match col.stats.distribution {
+        Distribution::Uniform => {
+            let ndv = (col.stats.ndv.round() as i64).max(1);
+            let span = ((col.stats.max - col.stats.min) as i64 + 1).max(1);
+            if ndv >= span {
+                Draw::Uniform {
+                    lo,
+                    n: span as u64,
+                    stride: 1,
                 }
-                Distribution::Zipf(skew) => {
-                    let ndv = (col.stats.ndv.round() as u64).max(1);
-                    let lo = col.stats.min as i64;
-                    data.extend((0..nrows).map(|_| lo + zipf_sample(&mut rng, ndv, skew) as i64));
-                }
-            },
-        }
-        columns.push(slots[c].get_or_init(|| data));
-        ready(c);
-    }
-}
-
-fn empty_slots<T>(n: usize) -> Vec<OnceLock<T>> {
-    (0..n).map(|_| OnceLock::new()).collect()
-}
-
-/// One unit of data generation.
-enum Task {
-    /// Every column of table `i`, into buffers the caller allocated, with
-    /// the buffers of its indexes' rows.
-    Columns(usize, Vec<Vec<i64>>, Vec<Vec<u32>>),
-    /// Table `i`'s `k`-th index, into a buffer the caller allocated.
-    Index(usize, usize, Vec<u32>),
-}
-
-/// Tasks waiting for a worker, and how many are running.
-struct Pending {
-    ready: VecDeque<Task>,
-    running: usize,
-}
-
-/// The task queue the generation workers share.
-struct Queue {
-    pending: Mutex<Pending>,
-    wake: Condvar,
-}
-
-impl Queue {
-    /// Run `tasks`, and every task they push, on `par` workers claiming
-    /// them in queue order — on the caller alone at one worker. A task
-    /// writes its result where the caller reads it, so the claim order
-    /// changes nothing but the time.
-    fn run(par: Parallelism, tasks: VecDeque<Task>, run: impl Fn(Task, &Queue) + Sync) {
-        let queue = Queue {
-            pending: Mutex::new(Pending {
-                ready: tasks,
-                running: 0,
-            }),
-            wake: Condvar::new(),
-        };
-        std::thread::scope(|s| {
-            for _ in 1..par.workers {
-                s.spawn(|| queue.work(&run));
-            }
-            queue.work(&run);
-        });
-    }
-
-    /// No task runs under the lock, and each update under it (a push, a
-    /// pop, a count) leaves `Pending` whole, so a poisoned lock is safe to
-    /// take over.
-    fn lock(&self) -> MutexGuard<'_, Pending> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Make `task` claimable.
-    fn push(&self, task: Task) {
-        self.lock().ready.push_back(task);
-        self.wake.notify_one();
-    }
-
-    /// Claim and run tasks until none is waiting or running.
-    fn work(&self, run: &impl Fn(Task, &Queue)) {
-        let mut pending = self.lock();
-        loop {
-            if let Some(task) = pending.ready.pop_front() {
-                pending.running += 1;
-                drop(pending);
-                let running = Running(self);
-                run(task, self);
-                drop(running);
-                pending = self.lock();
-            } else if pending.running == 0 {
-                return;
             } else {
-                pending = self
-                    .wake
-                    .wait(pending)
-                    .unwrap_or_else(PoisonError::into_inner);
+                // fewer distinct values than the range: use a deterministic
+                // stride embedding
+                Draw::Uniform {
+                    lo,
+                    n: ndv as u64,
+                    stride: span / ndv,
+                }
             }
         }
-    }
-}
-
-/// A claimed task: dropping it marks the task done and wakes the idle
-/// workers — also when the task panicked, so none of them waits forever.
-struct Running<'a>(&'a Queue);
-
-impl Drop for Running<'_> {
-    fn drop(&mut self) {
-        self.0.lock().running -= 1;
-        self.0.wake.notify_all();
+        Distribution::Zipf(skew) => Draw::Zipf {
+            lo,
+            n: (col.stats.ndv.round() as u64).max(1),
+            skew,
+        },
     }
 }
 
@@ -591,7 +532,10 @@ mod tests {
         let a = Database::generate(&cat, 7, &[]).expect("generate");
         let b = Database::generate(&cat, 7, &[]).expect("generate");
         let t = cat.table("part").unwrap().id;
-        assert_eq!(a.table(t).columns, b.table(t).columns);
+        let (a, b) = (a.table(t), b.table(t));
+        for c in 0..cat.table("part").unwrap().columns.len() {
+            assert_eq!(a.column(c), b.column(c));
+        }
     }
 
     #[test]
@@ -599,7 +543,10 @@ mod tests {
         let d = db();
         let part = d.catalog.table("part").unwrap();
         assert_eq!(d.table(part.id).rows, part.rows.round() as usize);
-        assert_eq!(d.table(part.id).columns.len(), part.columns.len());
+        assert_eq!(
+            d.table(part.id).column(part.columns.len() - 1).len(),
+            part.rows as usize
+        );
     }
 
     /// A column's stable argsort, read off its sorted `(value, row)` pairs:
@@ -628,7 +575,7 @@ mod tests {
             let t = cat.table(table).unwrap();
             let c = t.column(column).unwrap().id.column;
             let td = d.table(t.id);
-            let (col, ix) = (&td.columns[c as usize], &td.indexes[&c]);
+            let (col, ix) = (td.column(c as usize), td.index(c as usize).unwrap());
             assert_eq!(ix.rows(), argsort(col), "{table}.{column}");
             let directory = Directory::over_sorted(col, ix.rows());
             assert_eq!(directory.is_some(), dense, "{table}.{column}");
@@ -648,7 +595,7 @@ mod tests {
         fn index_searches_match_a_filter(shape in 0usize..7, n in 0usize..400, seed in 0u64..1000) {
             let col = column(shape, n, seed);
             let order = argsort(&col);
-            let ix = Index::new(&col, Vec::new());
+            let ix = Index::new(&col);
             prop_assert_eq!(ix.rows(), &order[..]);
             let filter = |keep: &dyn Fn(i64) -> bool| -> Vec<u32> {
                 order.iter().copied().filter(|&r| keep(col[r as usize])).collect()
@@ -811,8 +758,8 @@ mod tests {
         for c in 0..part.columns.len() {
             if c != size {
                 assert_eq!(
-                    full.table(part.id).columns[c],
-                    none.table(part.id).columns[c],
+                    full.table(part.id).column(c),
+                    none.table(part.id).column(c),
                     "column {c} disturbed by the override stream"
                 );
             }
@@ -821,7 +768,7 @@ mod tests {
         // Sample Pearson correlation with the source orders by strength.
         let corr = |d: &Database| {
             let td = d.table(part.id);
-            let (xs, ys) = (&td.columns[price], &td.columns[size]);
+            let (xs, ys) = (td.column(price), td.column(size));
             let n = xs.len() as f64;
             let (mx, my) = (
                 xs.iter().sum::<i64>() as f64 / n,
@@ -865,9 +812,12 @@ mod tests {
         let fast = d.actual_join_selectivity(&q, 0);
         let part = cat.table("part").unwrap();
         let supp = cat.table("supplier").unwrap();
-        let lcol = &d.table(part.id).columns[part.column("p_size").unwrap().id.column as usize];
-        let rcol =
-            &d.table(supp.id).columns[supp.column("s_nationkey").unwrap().id.column as usize];
+        let lcol = d
+            .table(part.id)
+            .column(part.column("p_size").unwrap().id.column as usize);
+        let rcol = d
+            .table(supp.id)
+            .column(supp.column("s_nationkey").unwrap().id.column as usize);
         let brute: u64 = lcol
             .iter()
             .map(|&l| rcol.iter().filter(|&&r| l < r).count() as u64)
@@ -921,9 +871,10 @@ mod tests {
         let price = part.column("p_retailprice").unwrap().id.column as usize;
         let size = part.column("p_size").unwrap().id.column as usize;
         // Correlated: ordering by price must order size too.
+        let (price, size) = (td.column(price), td.column(size));
         for i in 1..200 {
-            if td.columns[price][i] >= td.columns[price][i - 1] {
-                assert!(td.columns[size][i] >= td.columns[size][i - 1] - 1);
+            if price[i] >= price[i - 1] {
+                assert!(size[i] >= size[i - 1] - 1);
             }
         }
     }

@@ -316,11 +316,12 @@ mod tests {
         let lpart = 1; // l_partkey
         let mut freq: HashMap<i64, u64> = HashMap::new();
         for r in 0..part.rows {
-            if (part.columns[price_col][r] as f64) < 1200.0 {
-                *freq.entry(part.columns[pkey][r]).or_insert(0) += 1;
+            if (part.column(price_col)[r] as f64) < 1200.0 {
+                *freq.entry(part.column(pkey)[r]).or_insert(0) += 1;
             }
         }
-        let expect: u64 = line.columns[lpart]
+        let expect: u64 = line
+            .column(lpart)
             .iter()
             .map(|v| freq.get(v).copied().unwrap_or(0))
             .sum();
@@ -455,12 +456,13 @@ mod tests {
         let part = db.table(q.relations[0].table);
         let line = db.table(q.relations[1].table);
         let orders = db.table(q.relations[2].table);
-        let lkeys: std::collections::HashSet<i64> = line.columns[1].iter().copied().collect();
+        let lkeys: std::collections::HashSet<i64> = line.column(1).iter().copied().collect();
         let mut ofreq: HashMap<i64, u64> = HashMap::new();
-        for &v in &orders.columns[1] {
+        for &v in orders.column(1) {
             *ofreq.entry(v).or_insert(0) += 1;
         }
-        let expect: u64 = part.columns[0]
+        let expect: u64 = part
+            .column(0)
             .iter()
             .filter(|&&k| !lkeys.contains(&k))
             .map(|&k| ofreq.get(&k).copied().unwrap_or(0))

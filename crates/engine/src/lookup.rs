@@ -295,7 +295,7 @@ fn group(
     slot: impl Fn(usize) -> usize + Sync,
 ) -> (Vec<u32>, Vec<u32>) {
     if par.workers <= 1 {
-        return counting_sort(slots, 0..n as u32, |r| slot(r as usize), Vec::new());
+        return counting_sort(slots, 0..n as u32, |r| slot(r as usize));
     }
     let width = slots.div_ceil(BUILD_PARTS);
     let parts = slots.div_ceil(width);
@@ -309,12 +309,7 @@ fn group(
     let pieces = par_map(par, parts, |p| {
         let base = p * width;
         let rows = scattered.iter().flat_map(|chunk| chunk[p].iter().copied());
-        counting_sort(
-            width.min(slots - base),
-            rows,
-            |r| slot(r as usize) - base,
-            Vec::new(),
-        )
+        counting_sort(width.min(slots - base), rows, |r| slot(r as usize) - base)
     });
     let mut starts = Vec::with_capacity(slots + 1);
     let mut rows = Vec::with_capacity(n);
@@ -329,12 +324,7 @@ fn group(
 }
 
 /// Counting sort of ascending `rows` by `slot` into `slots` slots.
-fn counting_sort<I>(
-    slots: usize,
-    rows: I,
-    slot: impl Fn(u32) -> usize,
-    mut out: Vec<u32>,
-) -> (Vec<u32>, Vec<u32>)
+fn counting_sort<I>(slots: usize, rows: I, slot: impl Fn(u32) -> usize) -> (Vec<u32>, Vec<u32>)
 where
     I: DoubleEndedIterator<Item = u32> + Clone,
 {
@@ -349,8 +339,7 @@ where
     }
     // `starts[s]` is now where slot `s` ends. Filling back to front lays each
     // slot's rows out ascending and leaves `starts[s]` at its first one.
-    out.clear();
-    out.resize(end as usize, 0);
+    let mut out = vec![0u32; end as usize];
     for r in rows.rev() {
         let s = slot(r);
         starts[s] -= 1;
@@ -363,16 +352,15 @@ where
 /// Over a dense domain they are counted into place and the slot starts are
 /// dropped (an index builds its directory on its first lookup, if ever);
 /// over a sparse one the row ids are stably sorted by key.
-pub(crate) fn sorted_rows(keys: &[i64], mut out: Vec<u32>) -> Vec<u32> {
+pub(crate) fn sorted_rows(keys: &[i64]) -> Vec<u32> {
     match bounds(Parallelism::serial(), keys) {
         Some((lo, hi)) if is_dense(lo, hi, keys.len()) => {
             let slots = hi.abs_diff(lo) as usize + 1;
             let rows = 0..keys.len() as u32;
-            counting_sort(slots, rows, |r| keys[r as usize].abs_diff(lo) as usize, out).1
+            counting_sort(slots, rows, |r| keys[r as usize].abs_diff(lo) as usize).1
         }
         _ => {
-            out.clear();
-            out.extend(0..keys.len() as u32);
+            let mut out: Vec<u32> = (0..keys.len() as u32).collect();
             out.sort_by_key(|&r| keys[r as usize]);
             out
         }
@@ -544,7 +532,7 @@ pub(crate) mod tests {
     #[test]
     fn an_index_directory_addresses_its_entries() {
         let keys = column(0, 4000, 3);
-        let rows = sorted_rows(&keys, Vec::new());
+        let rows = sorted_rows(&keys);
         let dir = Directory::over_sorted(&keys, &rows).expect("dense domain");
         for v in probes(&keys) {
             let lo = rows.partition_point(|&r| keys[r as usize] < v);
@@ -552,7 +540,7 @@ pub(crate) mod tests {
             assert_eq!(&rows[dir.range(v)], &rows[lo..hi], "key {v}");
         }
         let strided: Vec<i64> = (0..100).map(|i| i * 1024).collect();
-        assert!(Directory::over_sorted(&strided, &sorted_rows(&strided, Vec::new())).is_none());
+        assert!(Directory::over_sorted(&strided, &sorted_rows(&strided)).is_none());
         assert!(Directory::over_sorted(&[], &[]).is_none());
     }
 }

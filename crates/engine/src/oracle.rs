@@ -124,8 +124,10 @@ impl Engine<'_> {
                 let t = self.db.table(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
                 let npred = preds.len() as f64;
+                // A row is every column of its relation.
+                let cols: Vec<&[i64]> = (0..self.ncols(*rel)).map(|c| t.column(c)).collect();
                 let index = |column: u32| {
-                    t.indexes.get(&column).ok_or_else(|| {
+                    t.index(column as usize).ok_or_else(|| {
                         Halt::Fault(PbError::UnindexedColumn(format!(
                             "rel {rel} column {column}"
                         )))
@@ -138,7 +140,7 @@ impl Engine<'_> {
                     PlanNode::IndexScan { sel_idx, .. } => {
                         let key_pred = &preds[*sel_idx];
                         let c = key_pred.column.column;
-                        let ids = index(c)?.range(&t.columns[c as usize], key_pred).iter();
+                        let ids = index(c)?.range(cols[c as usize], key_pred).iter();
                         let ids = ids.map(|&r| r as usize).collect();
                         (3.0 * p.random_page, heap_entry, ids, Some(*sel_idx))
                     }
@@ -165,13 +167,13 @@ impl Engine<'_> {
                     seen += 1;
                     ctx.settle(lin2(base, seen, rate, emitted, p.emit_tuple))?;
                     let pass = preds.iter().enumerate().all(|(i, pr)| {
-                        Some(i) == skip || eval_pred(pr, t.columns[pr.column.column as usize][r])
+                        Some(i) == skip || eval_pred(pr, cols[pr.column.column as usize][r])
                     });
                     if pass {
                         emitted += 1;
                         ctx.settle(lin2(base, seen, rate, emitted, p.emit_tuple))?;
                         if store {
-                            rows.push(t.columns.iter().map(|c| c[r]).collect());
+                            rows.push(cols.iter().map(|c| c[r]).collect());
                         }
                         ctx.instr[my_id].output_tuples += 1;
                     }
@@ -304,13 +306,14 @@ impl Engine<'_> {
                     (j0.right_rel, j0.right_col, j0.left_col)
                 };
                 let okey = self.offset(&o.rels, okey_rel, okey_col)?;
-                let Some(ix) = t.indexes.get(&ikey_col.column) else {
+                let Some(ix) = t.index(ikey_col.column as usize) else {
                     return Err(Halt::Fault(PbError::UnindexedColumn(format!(
                         "rel {inner_rel} column {}",
                         ikey_col.column
                     ))));
                 };
-                let icol = &t.columns[ikey_col.column as usize];
+                let cols: Vec<&[i64]> = (0..self.ncols(*inner_rel)).map(|c| t.column(c)).collect();
+                let icol = cols[ikey_col.column as usize];
                 let out_rels: Vec<RelIdx> = o.rels.iter().copied().chain([*inner_rel]).collect();
                 let base = ctx.spent;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
@@ -329,14 +332,14 @@ impl Engine<'_> {
                         let r = r as usize;
                         let ok = inner_preds
                             .iter()
-                            .all(|pr| eval_pred(pr, t.columns[pr.column.column as usize][r]));
+                            .all(|pr| eval_pred(pr, cols[pr.column.column as usize][r]));
                         if !ok {
                             continue;
                         }
                         let joined: Vec<i64> = orow
                             .iter()
                             .copied()
-                            .chain(t.columns.iter().map(|c| c[r]))
+                            .chain(cols.iter().map(|c| c[r]))
                             .collect();
                         if self.residual_ok(&out_rels, &joined, &edges[1..])? {
                             emitted += 1;

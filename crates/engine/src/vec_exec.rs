@@ -31,7 +31,7 @@ use pb_cost::{Checkpoint, CheckpointBook};
 use pb_faults::{FaultInjector, PbError};
 use pb_plan::{CmpOp, JoinPredicate, PlanNode, RelIdx, SelectionPredicate};
 
-use crate::data::eval_pred;
+use crate::data::{eval_pred, TableData};
 use crate::exec::{Engine, EngineOutcome, Instrumentation, NodeStats};
 use crate::ledger::{lin2, lin3, replay_anomaly, Ctx, Halt, BATCH};
 use crate::lookup::{KeyRows, KeySet};
@@ -365,12 +365,21 @@ fn res_pass(res: &[ResCheck<'_>], li: usize, ri: usize) -> bool {
     })
 }
 
-/// Whether row `r` of a table with columns `cols` passes every predicate.
-#[inline]
-fn passes(preds: &[SelectionPredicate], cols: &[Vec<i64>], r: usize) -> bool {
+/// A selection predicate with the column it reads.
+type Bound<'a> = (&'a SelectionPredicate, &'a [i64]);
+
+/// `preds` over `t`, each column taken once per operator.
+fn bind<'a>(preds: &'a [SelectionPredicate], t: &'a TableData) -> Vec<Bound<'a>> {
     preds
         .iter()
-        .all(|pr| eval_pred(pr, cols[pr.column.column as usize][r]))
+        .map(|pr| (pr, t.column(pr.column.column as usize)))
+        .collect()
+}
+
+/// Whether row `r` passes every predicate.
+#[inline]
+fn passes(preds: &[Bound<'_>], r: usize) -> bool {
+    preds.iter().all(|&(pr, col)| eval_pred(pr, col[r]))
 }
 
 fn unindexed(rel: RelIdx, column: u32) -> Halt {
@@ -450,7 +459,7 @@ impl Engine<'_> {
         };
         let t = self.db.table(self.query.relations[rel].table);
         Ok(ColRef {
-            base: &t.columns[col.column as usize],
+            base: t.column(col.column as usize),
             ids: &v.ids[k],
         })
     }
@@ -723,23 +732,19 @@ impl Engine<'_> {
                 // No predicates: every row qualifies in table order, so the
                 // output is the dense range and no id is stored.
                 let dense = preds.is_empty();
-                let pass = |r: usize| passes(preds, &t.columns, r);
+                let preds = bind(preds, t);
+                let pass = |r: usize| passes(&preds, r);
                 // The first predicate scans its column; the rest check the
                 // (usually much fewer) rows it lets through.
                 let compute = |lo: usize, hi: usize, sel: &mut Vec<u32>| {
-                    let Some((first, rest)) = preds.split_first() else {
+                    let Some(((first, col), rest)) = preds.split_first() else {
                         return (hi - lo) as u64;
                     };
-                    let col = &t.columns[first.column.column as usize][lo..hi];
                     let rows = (lo as u32..)
-                        .zip(col)
+                        .zip(&col[lo..hi])
                         .filter(|&(_, &v)| eval_pred(first, v));
                     let rows = rows.map(|(r, _)| r);
-                    keep_rows(
-                        sel,
-                        store,
-                        rows.filter(|&r| passes(rest, &t.columns, r as usize)),
-                    )
+                    keep_rows(sel, store, rows.filter(|&r| passes(rest, r as usize)))
                 };
                 let par = self.mpar(t.rows);
                 let ph = LinPhase {
@@ -763,30 +768,30 @@ impl Engine<'_> {
                 let t = self.db.table(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
                 let key_pred = &preds[*sel_idx];
-                let Some(ix) = t.indexes.get(&key_pred.column.column) else {
+                let key_col = key_pred.column.column as usize;
+                let Some(ix) = t.index(key_col) else {
                     return Err(unindexed(*rel, key_pred.column.column));
                 };
                 ctx.charge(3.0 * p.random_page)?;
                 let entry_rate = p.cpu_index_tuple + p.random_page * p.heap_fetch_factor;
-                let pass = |r: usize| {
-                    preds.iter().enumerate().all(|(i, pr)| {
-                        i == *sel_idx || eval_pred(pr, t.columns[pr.column.column as usize][r])
-                    })
-                };
-                let entries = ix.range(&t.columns[key_pred.column.column as usize], key_pred);
+                let mut rest = bind(preds, t);
+                rest.remove(*sel_idx);
+                let pass = |r: usize| passes(&rest, r);
+                let entries = ix.range(t.column(key_col), key_pred);
                 self.ventry_scan(ctx, my_id, *rel, entries, &pass, entry_rate, store)
             }
             PlanNode::FullIndexScan { rel, column } => {
                 let t = self.db.table(self.query.relations[*rel].table);
                 let preds = &self.query.relations[*rel].selections;
-                let Some(ix) = t.indexes.get(&column.column) else {
+                let Some(ix) = t.index(column.column as usize) else {
                     return Err(unindexed(*rel, column.column));
                 };
                 ctx.charge((t.rows as f64 / 256.0).max(1.0) * p.seq_page)?;
                 let entry_rate = p.cpu_index_tuple
                     + p.random_page * p.heap_fetch_factor
                     + preds.len() as f64 * p.cpu_operator;
-                let pass = |r: usize| passes(preds, &t.columns, r);
+                let preds = bind(preds, t);
+                let pass = |r: usize| passes(&preds, r);
                 self.ventry_scan(ctx, my_id, *rel, ix.rows(), &pass, entry_rate, store)
             }
             PlanNode::HashJoin {
@@ -936,7 +941,7 @@ impl Engine<'_> {
                     (j0.right_rel, j0.right_col, j0.left_col)
                 };
                 let okeys = self.col_ref(&o, okey_rel, okey_col)?;
-                let Some(ix) = t.indexes.get(&ikey_col.column) else {
+                let Some(ix) = t.index(ikey_col.column as usize) else {
                     return Err(unindexed(*inner_rel, ikey_col.column));
                 };
                 // The inner side is the base table itself: a match's
@@ -964,13 +969,13 @@ impl Engine<'_> {
                 };
                 // Where outer row `oi`'s key sits among the index's rows, and
                 // whether the inner row `r` found there joins.
-                let icol = &t.columns[ikey_col.column as usize];
+                let icol = t.column(ikey_col.column as usize);
                 let span = |oi: usize| ix.span(icol, okeys.get(oi));
                 let index_rows = ix.rows();
                 let checked = !(inner_preds.is_empty() && residuals.is_empty());
-                let joins = |oi: usize, r: usize| {
-                    passes(inner_preds, &t.columns, r) && res_pass(&residuals, oi, r)
-                };
+                let inner_preds = bind(inner_preds, t);
+                let joins =
+                    |oi: usize, r: usize| passes(&inner_preds, r) && res_pass(&residuals, oi, r);
                 let pass = |oi: usize, k: usize| joins(oi, index_rows[k] as usize);
                 let compute = |oi: usize, runs: &mut Vec<Run>| {
                     let (s, rec) = (span(oi), store.then_some(runs));
@@ -1180,7 +1185,13 @@ pub(crate) mod tests {
         let row = |v: &VRel, i: usize| -> Vec<i64> {
             let cols = v.rels.iter().zip(&v.ids).flat_map(|(&rel, ids)| {
                 let t = eng.db.table(eng.query.relations[rel].table);
-                t.columns.iter().map(move |c| c[ids.get(i) as usize])
+                let ncols = eng
+                    .db
+                    .catalog
+                    .table_by_id(eng.query.relations[rel].table)
+                    .columns
+                    .len();
+                (0..ncols).map(move |c| t.column(c)[ids.get(i) as usize])
             });
             cols.collect()
         };

@@ -24,6 +24,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -265,15 +266,13 @@ impl PbServer {
             addr,
         });
 
+        let (exits, exited) = mpsc::channel();
         let handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
-                let s = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&s))
-            })
+            .map(|k| spawn_worker(&shared, k, &exits))
             .collect();
         let supervisor = {
             let s = Arc::clone(&shared);
-            std::thread::spawn(move || supervise(&s, handles))
+            std::thread::spawn(move || supervise(&s, handles, &exits, &exited))
         };
         let accept = {
             let s = Arc::clone(&shared);
@@ -539,26 +538,51 @@ fn worker_loop(s: &Arc<Shared>) {
     }
 }
 
-/// Respawn poisoned workers until the server decides they may exit.
-fn supervise(s: &Arc<Shared>, mut handles: Vec<JoinHandle<()>>) {
-    loop {
-        std::thread::sleep(Duration::from_millis(5));
-        let stopping = s.stop_workers.load(Ordering::SeqCst);
-        for h in &mut handles {
-            if h.is_finished() && !stopping {
-                let s2 = Arc::clone(s);
-                let fresh = std::thread::spawn(move || worker_loop(&s2));
-                let dead = std::mem::replace(h, fresh);
-                let _ = dead.join();
-                s.metrics.workers_replaced.fetch_add(1, Ordering::Relaxed);
+/// Start worker `k`, which hands `k` to the supervisor as it exits.
+fn spawn_worker(s: &Arc<Shared>, k: usize, exits: &Sender<usize>) -> JoinHandle<()> {
+    let s = Arc::clone(s);
+    let exit = Exit(k, exits.clone());
+    std::thread::spawn(move || {
+        let _exit = exit;
+        worker_loop(&s);
+    })
+}
+
+/// A worker's index, sent to the supervisor when the worker's thread drops
+/// it: on return and on unwind alike.
+struct Exit(usize, Sender<usize>);
+
+impl Drop for Exit {
+    fn drop(&mut self) {
+        // The supervisor holds the receiver until every worker has exited.
+        let _ = self.1.send(self.0);
+    }
+}
+
+/// Respawn poisoned workers until the server decides they may exit, then
+/// join every worker. It sleeps until a worker exits, so an idle server's
+/// supervisor never wakes.
+fn supervise(
+    s: &Arc<Shared>,
+    mut handles: Vec<JoinHandle<()>>,
+    exits: &Sender<usize>,
+    exited: &Receiver<usize>,
+) {
+    let mut live = handles.len();
+    for k in exited {
+        if s.stop_workers.load(Ordering::SeqCst) {
+            live -= 1;
+            if live == 0 {
+                break;
             }
+        } else {
+            let dead = std::mem::replace(&mut handles[k], spawn_worker(s, k, exits));
+            let _ = dead.join();
+            s.metrics.workers_replaced.fetch_add(1, Ordering::Relaxed);
         }
-        if stopping && handles.iter().all(JoinHandle::is_finished) {
-            for h in handles {
-                let _ = h.join();
-            }
-            return;
-        }
+    }
+    for h in handles {
+        let _ = h.join();
     }
 }
 

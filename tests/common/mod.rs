@@ -2,11 +2,10 @@
 //! ≡ morsel-parallel (`tests/engine_mt_determinism.rs`) and tuple ≡
 //! vectorized (pb-engine's `oracle` tests, which include this file by
 //! path): the TPC-H chain with its plan-shape pool, the same chain over
-//! duplicated join keys, and the TPC-DS join over a catalog of just its
-//! tables. It takes the engine's `Database` and `ColumnOverride` from its
+//! duplicated join keys, and the TPC-DS join. It takes the engine's `Database` and `ColumnOverride` from its
 //! includer, so it compiles inside pb-engine and outside it.
 
-use pb_catalog::{tpcds, tpch, Catalog};
+use pb_catalog::{tpcds, tpch};
 use pb_cost::CostModel;
 use pb_plan::{CmpOp, PlanNode, QueryBuilder, QuerySpec, SelSpec};
 
@@ -130,29 +129,12 @@ pub fn shape3(idx: usize) -> PlanNode {
     }
 }
 
-/// `full` cut down to the named tables, every column indexed as the TPC
-/// catalogs index theirs: `Database::generate` materialises every table of
-/// its catalog, and TPC-DS carries an unscaled 1.9M-row
-/// `customer_demographics` no query here reads.
-fn only_tables(full: &Catalog, names: &[&str]) -> Catalog {
-    let mut cat = Catalog::new(full.name.clone());
-    for name in names {
-        let t = full.table(name).expect("table in the full catalog");
-        let columns = t
-            .columns
-            .iter()
-            .map(|c| (c.name.as_str(), c.stats.clone(), c.width))
-            .collect();
-        cat.add_table(name, t.rows, columns);
-    }
-    cat.index_everything();
-    cat
-}
-
 /// TPC-DS item ⋈ store_sales with a price selection; rel 0 is `item`,
 /// rel 1 `store_sales`, join edge 0 between them.
 pub fn setup_ds(seed: u64, cut: f64) -> (Database, QuerySpec, CostModel) {
-    let cat = only_tables(&tpcds::catalog(0.01), &["item", "store_sales"]);
+    // Only the columns the query reads are generated: not TPC-DS's unscaled
+    // 1.9M-row `customer_demographics`, which no query here reads.
+    let cat = tpcds::catalog(0.01);
     let db = Database::generate(&cat, seed, &[]).expect("generate");
     let mut qb = QueryBuilder::new(&cat, "prop_ds");
     let i = qb.rel("item");

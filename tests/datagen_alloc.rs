@@ -1,19 +1,21 @@
 //! Allocation volume of data generation.
 //!
-//! A secondary index is its column's row ids in value order, the values
-//! staying in the column; a counting allocator pins that generating a
-//! database requests at most 20 B a (row, column) cell, which an index of
-//! 16 B `(value, row)` entries exceeds on its own with the column beside it.
+//! `Database::generate` records what each column is drawn from and builds
+//! a column and its index on their first read. A counting allocator pins
+//! that generating requests no per-row memory at all, and that reading
+//! every column and index then requests at most 20 B a (row, column) cell:
+//! a secondary index is its column's row ids in value order, the values
+//! staying in the column, and an index of 16 B `(value, row)` entries
+//! exceeds that on its own with the column beside it.
 //!
-//! Generation runs its column streams and index builds on worker threads,
-//! so the counter is process-wide, and this binary holds this one test so
-//! that no other test's allocations land in it.
+//! The reads race on several threads, so the counter is process-wide, and
+//! this binary holds this one test so that no other test's allocations
+//! land in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use plan_bouquet::catalog::tpch;
-use plan_bouquet::cost::Parallelism;
 use plan_bouquet::engine::Database;
 
 /// Bytes requested by every thread of the process.
@@ -52,31 +54,47 @@ fn data_generation_requests_at_most_20_bytes_a_cell() {
         .map(|t| t.rows.round() as usize * t.columns.len())
         .sum();
     assert!(cat.tables().all(|t| t.indexes.len() == t.columns.len()));
-    let requested = |workers: usize| {
-        let before = REQUESTED.load(Ordering::Relaxed);
-        let db =
-            Database::generate_with(&cat, 42, &[], Parallelism::new(workers)).expect("generate");
-        let bytes = REQUESTED.load(Ordering::Relaxed) - before;
-        drop(db);
-        bytes
-    };
-    let serial = requested(1);
-    for (workers, bytes) in [(1, serial), (4, requested(4))] {
-        // Every column is indexed: 8 B of value and 4 B of row id a cell,
-        // plus a dense index's transient counting-sort starts (at most two a
-        // row) or a sparse one's stable-sort scratch (one row id a row).
-        // Measured 13.5 B a cell. An index of `(value, row)` entries takes
-        // 16 B a cell beside the 8 B value: 24.0 B measured.
-        assert!(
-            bytes <= 20 * cells,
-            "generating {cells} cells on {workers} workers requested {bytes} B, {:.1} B a cell",
-            bytes as f64 / cells as f64
-        );
-        // The workers make the same requests as one thread does, and the
-        // counter sees them all: a per-thread counter would miss most.
-        assert!(
-            bytes * 10 >= serial * 9,
-            "{workers} workers requested {bytes} B, one {serial} B"
-        );
-    }
+
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let db = Database::generate(&cat, 42, &[]).expect("generate");
+    let generated = REQUESTED.load(Ordering::Relaxed) - before;
+    // The catalog's copy and one generation spec a table and a column.
+    assert!(
+        generated < 64 << 10,
+        "generating {cells} cells requested {generated} B before any read"
+    );
+
+    let before = REQUESTED.load(Ordering::Relaxed);
+    std::thread::scope(|s| {
+        for k in 0..4 {
+            let (db, cat) = (&db, &cat);
+            s.spawn(move || {
+                // Every thread reads every column and index, half of them
+                // last column first: a column two threads reach at once is
+                // still built once.
+                for t in cat.tables() {
+                    let td = db.table(t.id);
+                    let mut columns: Vec<usize> = (0..t.columns.len()).collect();
+                    if k % 2 == 1 {
+                        columns.reverse();
+                    }
+                    for c in columns {
+                        assert_eq!(td.column(c).len(), td.rows);
+                        assert!(td.index(c).is_some());
+                    }
+                }
+            });
+        }
+    });
+    let bytes = REQUESTED.load(Ordering::Relaxed) - before;
+    // Every column is indexed: 8 B of value and 4 B of row id a cell, plus
+    // a dense index's transient counting-sort starts (at most two a row) or
+    // a sparse one's stable-sort scratch (one row id a row). Replaying a
+    // table's stream to a column keeps nothing. An index of `(value, row)`
+    // entries takes 16 B a cell beside the 8 B value: 24.0 B measured.
+    assert!(
+        bytes <= 20 * cells,
+        "reading {cells} cells requested {bytes} B, {:.1} B a cell",
+        bytes as f64 / cells as f64
+    );
 }

@@ -87,9 +87,23 @@ fn measured(engine: &Engine<'_>, plan: &PlanNode) -> (EngineOutcome, usize) {
     (out, bytes)
 }
 
+/// `db` with every column and index built: a column is generated on its
+/// first read, and the measurements count what an execution requests, not
+/// its data.
+fn built(db: Database) -> Database {
+    for t in db.catalog.tables() {
+        let td = db.table(t.id);
+        for c in 0..t.columns.len() {
+            td.column(c);
+            td.index(c);
+        }
+    }
+    db
+}
+
 fn fixture() -> (Workload, Database) {
     let w = workloads::h_q8a_2d(0.01);
-    let db = Database::generate(&w.catalog, 42, &[]).expect("generate");
+    let db = built(Database::generate(&w.catalog, 42, &[]).expect("generate"));
     (w, db)
 }
 
@@ -178,9 +192,9 @@ fn an_aborted_kept_join_requests_per_probe_row_not_per_match() {
             ndv,
         };
         let overrides = [keys("orders", "o_orderkey"), keys("lineitem", "l_orderkey")];
-        let db = Database::generate(&cat, 42, &overrides).expect("generate");
+        let db = built(Database::generate(&cat, 42, &overrides).expect("generate"));
         let engine = Engine::new(&db, &q, &model.p);
-        let column = |rel: usize, col: u32| &db.table(q.relations[rel].table).columns[col as usize];
+        let column = |rel: usize, col: u32| db.table(q.relations[rel].table).column(col as usize);
         let (lkeys, okeys) = (
             column(l, q.joins[1].left_col.column),
             column(o, q.joins[1].right_col.column),
@@ -275,7 +289,7 @@ fn a_root_hash_join_counts_its_matches_instead_of_keeping_them() {
             ndv,
         };
         let overrides = [keys("part", "p_partkey"), keys("lineitem", "l_partkey")];
-        let db = Database::generate(&cat, 42, &overrides).expect("generate");
+        let db = built(Database::generate(&cat, 42, &overrides).expect("generate"));
         let (out, bytes) = measured(&Engine::new(&db, &q, &model.p), &plan);
         // The root join is op 2, after its two scans.
         (out.instr().nodes[2].output_tuples, bytes)

@@ -7,13 +7,12 @@
 //! workloads of both benchmark catalogs, on grids large enough that every
 //! phase fans out instead of taking the serial gate.
 //!
-//! Data generation runs each table's column stream and each index build as
-//! a task on the workers; a table draws from one RNG stream and an index is
-//! a pure function of its column, so the generated database is pinned equal
-//! at every worker count too.
+//! A generated database builds each column and its index on first read,
+//! replaying its table's one RNG stream; the data is pinned equal in any
+//! read order and from several threads at once too.
 
 use plan_bouquet::bouquet::{persist, Bouquet, BouquetConfig, PhaseTimings, Workload};
-use plan_bouquet::catalog::{tpcds, tpch, Catalog};
+use plan_bouquet::catalog::{tpcds, tpch, Catalog, TableId};
 use plan_bouquet::cost::{Parallelism, PARALLEL_MIN_GRID};
 use plan_bouquet::engine::{ColumnOverride, Database};
 use plan_bouquet::workloads;
@@ -72,49 +71,99 @@ fn timed_and_untimed_paths_agree() {
     assert!(t.workers >= 1);
 }
 
-/// `generate_with` at 1, 2, 3 and 8 workers: equal row counts, columns and
-/// index orders in every table.
-fn assert_generation_matches_serial(cat: &Catalog, overrides: &[ColumnOverride]) {
-    let serial =
-        Database::generate_with(cat, 42, overrides, Parallelism::serial()).expect("generate");
-    for workers in [2, 3, 8] {
-        let par = Database::generate_with(cat, 42, overrides, Parallelism::new(workers))
-            .expect("generate");
-        for t in cat.tables() {
-            let (a, b) = (serial.table(t.id), par.table(t.id));
-            let at = format!("{} at {workers} workers", t.name);
-            assert_eq!(a.rows, b.rows, "{at}: rows");
-            assert_eq!(a.columns, b.columns, "{at}: columns");
-            assert_eq!(a.indexes.len(), t.indexes.len(), "{at}: indexes");
-            assert_eq!(b.indexes.len(), t.indexes.len(), "{at}: indexes");
-            for (c, ix) in &a.indexes {
-                assert_eq!(ix.rows(), b.indexes[c].rows(), "{at}: index on column {c}");
-            }
-        }
+/// Every column and index of `cat`'s tables, one cell a (table, column).
+fn cells(cat: &Catalog) -> Vec<(TableId, usize)> {
+    cat.tables()
+        .flat_map(|t| (0..t.columns.len()).map(move |c| (t.id, c)))
+        .collect()
+}
+
+/// Read `cell`'s column and index, the index first on odd columns so that
+/// a first read also comes through it.
+fn read(db: &Database, (t, c): (TableId, usize)) {
+    let td = db.table(t);
+    if c % 2 == 1 {
+        td.index(c);
+    }
+    td.column(c);
+    td.index(c);
+}
+
+/// `a` and `b` hold equal row counts, columns and index orders.
+fn assert_same_data(cat: &Catalog, a: &Database, b: &Database, how: &str) {
+    for (t, c) in cells(cat) {
+        let (ta, tb) = (a.table(t), b.table(t));
+        let at = format!("{} column {c} {how}", cat.table_by_id(t).name);
+        assert_eq!(ta.rows, tb.rows, "{at}: rows");
+        assert_eq!(ta.column(c), tb.column(c), "{at}: values");
+        let (ia, ib) = (
+            ta.index(c).map(|ix| ix.rows()),
+            tb.index(c).map(|ix| ix.rows()),
+        );
+        assert!(ia.is_some(), "{at}: the catalog indexes every column");
+        assert_eq!(ia, ib, "{at}: index order");
     }
 }
 
+/// A column is built on its first read: reading every column in catalog
+/// order, in reverse and from 4 threads at once gives the same columns and
+/// index orders.
+fn assert_read_order_is_irrelevant(cat: &Catalog, overrides: &[ColumnOverride]) {
+    let generate = || Database::generate(cat, 42, overrides).expect("generate");
+    let all = cells(cat);
+    let in_order = generate();
+    for &cell in &all {
+        read(&in_order, cell);
+    }
+    let reversed = generate();
+    for &cell in all.iter().rev() {
+        read(&reversed, cell);
+    }
+    assert_same_data(cat, &in_order, &reversed, "read in reverse");
+    drop(reversed);
+    let threaded = generate();
+    std::thread::scope(|s| {
+        for k in 0..4 {
+            let (db, all) = (&threaded, &all);
+            s.spawn(move || {
+                // Every thread reads every cell, half of them backwards, so
+                // first reads race.
+                let mut cells = all.clone();
+                if k % 2 == 1 {
+                    cells.reverse();
+                }
+                cells.rotate_left(k * all.len() / 4);
+                for cell in cells {
+                    read(db, cell);
+                }
+            });
+        }
+    });
+    assert_same_data(cat, &in_order, &threaded, "read from 4 threads");
+}
+
 #[test]
-fn data_generation_is_deterministic_across_worker_counts() {
+fn data_is_identical_in_any_read_order_and_thread_count() {
+    let correlated =
+        |table: &str, column: &str, with: &str, rho| ColumnOverride::CorrelatedWithStrength {
+            table: table.into(),
+            column: column.into(),
+            with: with.into(),
+            rho,
+        };
     let overrides = [
         ColumnOverride::EffectiveNdv {
             table: "lineitem".into(),
             column: "l_partkey".into(),
             ndv: 200,
         },
-        ColumnOverride::CorrelatedWithStrength {
-            table: "part".into(),
-            column: "p_size".into(),
-            with: "p_retailprice".into(),
-            rho: 1.0,
-        },
-        ColumnOverride::CorrelatedWithStrength {
-            table: "lineitem".into(),
-            column: "l_quantity".into(),
-            with: "l_partkey".into(),
-            rho: 0.6,
-        },
+        correlated("part", "p_size", "p_retailprice", 1.0),
+        correlated("lineitem", "l_quantity", "l_partkey", 0.6),
     ];
-    assert_generation_matches_serial(&tpch::catalog(0.01), &overrides);
-    assert_generation_matches_serial(&tpcds::catalog(0.01), &[]);
+    let cat = tpch::catalog(0.01);
+    assert_read_order_is_irrelevant(&cat, &overrides);
+    assert_read_order_is_irrelevant(&tpcds::catalog(0.01), &[]);
+    // A source that follows its column is refused before any read.
+    let late = correlated("part", "p_retailprice", "p_size", 1.0);
+    assert!(Database::generate(&cat, 42, &[late]).is_err());
 }
