@@ -542,8 +542,8 @@ impl ExecutionSubstrate for TripAfter<'_> {
         self.inner.faults_active()
     }
 
-    fn enable_checkpoint_resume(&mut self) -> bool {
-        self.inner.enable_checkpoint_resume()
+    fn cancelled(&self) -> Option<PbError> {
+        self.inner.cancelled()
     }
 }
 
@@ -568,13 +568,10 @@ fn cancel_resume_scenarios(
             let frac = unit_f64(splitmix64(&mut s)).clamp(0.05, 0.95);
             let qa = b.workload.ess.point_at_fractions(&[frac]);
             let tag = |n: usize| format!("cancel-resume/{driver}@{frac:.3}/trip#{n}");
-            let cfg = RobustConfig {
-                resume: true,
-                ..robust_cfg(optimized)
-            };
+            let cfg = robust_cfg(optimized);
             let mk = || SimulatorSubstrate::new(b, &qa, FaultInjector::none());
             // The uninterrupted restart every resumed rerun answers to.
-            let restart = match mk().and_then(|mut sub| b.run(&mut sub, &robust_cfg(optimized))) {
+            let restart = match mk().and_then(|mut sub| b.run(&mut sub, &cfg)) {
                 Ok(r) => r,
                 Err(e) => {
                     breaches.push(format!("{}: restart run failed: {e}", tag(0)));
@@ -586,21 +583,18 @@ fn cancel_resume_scenarios(
                 ran += 1;
                 cells[ci].1.scenarios += 1;
                 let token = CancelToken::new();
-                let trip_cfg = RobustConfig {
-                    cancel: Some(token.clone()),
-                    ..cfg.clone()
-                };
                 let resumed = mk().and_then(|inner| {
                     let mut tripped = TripAfter {
                         inner: inner.with_cancel(token.clone()),
                         token,
                         remaining: trip,
                     };
-                    let first = b.run(&mut tripped, &trip_cfg)?;
+                    tripped.inner.enable_checkpoint_resume();
+                    let first = b.run(&mut tripped, &cfg)?;
+                    // The cancelled run's book carries into the rerun.
                     let mut sub = mk()?;
-                    if let Some(book) = tripped.inner.resume.take_book() {
-                        sub.resume.install_book(book);
-                    }
+                    let book = tripped.inner.resume.take_book();
+                    sub.resume.install_book(book.unwrap_or_default());
                     let resumed = b.run(&mut sub, &cfg)?;
                     Ok((first, resumed, sub.resume_stats().reused_cost))
                 });
@@ -619,7 +613,7 @@ fn cancel_resume_scenarios(
                     ));
                 }
                 let audited = first
-                    .audit(b, &trip_cfg)
+                    .audit(b, &cfg)
                     .and_then(|()| resumed.audit(b, &cfg))
                     .and_then(|()| resumed.audit_resumed(reused, &restart));
                 if let Err(e) = audited {

@@ -81,16 +81,21 @@ pub fn duplicated_join_keys(part_ndv: u64, orders_ndv: u64) -> Vec<ColumnOverrid
 /// under `cfg`: Figure 7, or Figure 13 (qrun tracking from the engine's
 /// tuple counters, first-quadrant pruning, spilled prefix executions) on
 /// the serial engine. Returns the run, the result rows of its completing
-/// execution (0 if none) and the resume counters. With `cfg.resume` the
-/// decisions and result rows are those of the plain run while per-execution
-/// `spent` and `total_cost` shrink by the reused units the counters report
-/// (all-zero otherwise) — [`RobustRun::audit_resumed`] checks exactly that.
+/// execution (0 if none) and the resume counters. With `resume` the
+/// substrate checkpoints: the decisions and result rows are those of the
+/// plain run while per-execution `spent` and `total_cost` shrink by the
+/// reused units the counters report (all-zero otherwise) —
+/// [`RobustRun::audit_resumed`] checks exactly that.
 pub fn engine_run_bouquet(
     bouquet: &Bouquet,
     db: &Database,
     cfg: &RobustConfig,
+    resume: bool,
 ) -> Result<(RobustRun, usize, ResumeStats), PbError> {
     let mut sub = EngineSubstrate::new(bouquet, db, FaultInjector::none());
+    if resume {
+        sub.enable_checkpoint_resume();
+    }
     let run = bouquet.run(&mut sub, cfg)?;
     Ok((run, sub.result_rows().unwrap_or(0), sub.resume_stats()))
 }
@@ -103,7 +108,8 @@ mod tests {
 
     /// A plain engine run: the driver's run and its result rows.
     fn engine_run(b: &Bouquet, db: &Database, optimized: bool) -> (BouquetRun, usize) {
-        let (run, rows, _) = engine_run_bouquet(b, db, &RobustConfig::plain(optimized)).unwrap();
+        let (run, rows, _) =
+            engine_run_bouquet(b, db, &RobustConfig::plain(optimized), false).unwrap();
         (run.run, rows)
     }
 

@@ -115,7 +115,7 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
     let engine_run = |optimized: bool| {
-        engine_run_bouquet(b, db, &RobustConfig::plain(optimized)).expect("engine run")
+        engine_run_bouquet(b, db, &RobustConfig::plain(optimized), false).expect("engine run")
     };
     let ((basic, result_rows, _), (optd, _, _)) = (engine_run(false), engine_run(true));
     let (basic, optd) = (basic.run, optd.run);

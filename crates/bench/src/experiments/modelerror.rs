@@ -8,8 +8,9 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::theory::model_error_inflation;
-use pb_bouquet::{Bouquet, BouquetConfig};
+use pb_bouquet::{Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate};
 use pb_cost::CostPerturbation;
+use pb_faults::FaultInjector;
 use pb_workloads::by_name;
 
 use crate::table::Table;
@@ -29,16 +30,11 @@ pub fn run() -> String {
         "(1+δ)² cap",
         "within cap",
     ]);
-    // Perfect-model baseline.
-    let base = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-    let base_mso = grid_mso(&base);
+    // One bouquet: model error is the environment's, not identification's.
+    let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+    let base_mso = grid_mso(&b, CostPerturbation::none());
     for delta in [0.0, 0.2, 0.4, 0.8] {
-        let cfg = BouquetConfig {
-            perturbation: CostPerturbation::with_delta(delta, 17),
-            ..Default::default()
-        };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
-        let mso = grid_mso(&b);
+        let mso = grid_mso(&b, CostPerturbation::with_delta(delta, 17));
         let inflation = mso / base_mso;
         let cap = model_error_inflation(delta);
         t.row(vec![
@@ -59,16 +55,20 @@ pub fn run() -> String {
     out
 }
 
-/// Worst-case sub-optimality of the basic driver over the grid, with the
-/// denominator being the actual (perturbed) optimal cost at each point.
-fn grid_mso(b: &Bouquet) -> f64 {
+/// Worst-case sub-optimality of the basic driver over the grid under model
+/// error `perturb`, with the denominator being the actual (perturbed)
+/// optimal cost at each point.
+fn grid_mso(b: &Bouquet, perturb: CostPerturbation) -> f64 {
     let ess = &b.workload.ess;
-    let ex = pb_executor::Executor::new(b.config.perturbation);
+    let ex = pb_executor::Executor::new(perturb);
     let mut stack = Vec::new();
     let mut worst = 0.0f64;
     for li in 0..ess.num_points() {
         let qa = ess.point(&ess.unlinear(li));
-        let run = b.run_basic(&qa).unwrap();
+        let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())
+            .unwrap()
+            .with_model_error(perturb);
+        let run = b.run(&mut sub, &RobustConfig::plain(false)).unwrap().run;
         assert!(run.completed());
         // Actual optimal cost: cheapest POSP plan under perturbation.
         let plans = b.programs().iter().zip(&b.diagram.plans);

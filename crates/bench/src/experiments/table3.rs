@@ -87,11 +87,7 @@ pub fn run() -> String {
     let oracle_cost = engine.execute(&oracle_plan.root, f64::INFINITY).cost();
 
     let engine_run = |optimized: bool, resume: bool| {
-        let cfg = RobustConfig {
-            resume,
-            ..RobustConfig::plain(optimized)
-        };
-        engine_run_bouquet(&b, &db, &cfg).expect("engine run")
+        engine_run_bouquet(&b, &db, &RobustConfig::plain(optimized), resume).expect("engine run")
     };
     let (basic_run, basic_rows, _) = engine_run(false, false);
     let (optd_run, optd_rows, _) = engine_run(true, false);

@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use pb_cost::{CostMatrix, CostPerturbation, CostProgram, Parallelism, SelPoint};
+use pb_cost::{CostMatrix, CostProgram, Parallelism, SelPoint};
 use pb_faults::PbError;
 use pb_optimizer::{PlanDiagram, PlanId};
 use pb_plan::PhysicalPlan;
@@ -23,16 +23,16 @@ use crate::drivers::tables::DriverTables;
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
-/// Tunables of the bouquet mechanism.
+/// Tunables of the bouquet mechanism: what identification reads. The
+/// model error of Section 3.4 belongs to the environment a bouquet runs in,
+/// so it is set on the substrate
+/// ([`SimulatorSubstrate::with_model_error`](crate::SimulatorSubstrate::with_model_error)).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BouquetConfig {
     /// Anorexic-reduction threshold λ (paper default 20%).
     pub lambda: f64,
     /// Isocost common ratio r (Theorem 1's optimum is 2).
     pub r: f64,
-    /// Bounded model-error adversary (δ-framework, Section 3.4);
-    /// `CostPerturbation::none()` for the perfect-model setting.
-    pub perturbation: CostPerturbation,
 }
 
 impl Default for BouquetConfig {
@@ -40,7 +40,6 @@ impl Default for BouquetConfig {
         BouquetConfig {
             lambda: 0.2,
             r: 2.0,
-            perturbation: CostPerturbation::none(),
         }
     }
 }
@@ -154,18 +153,6 @@ impl Bouquet {
         let grading = IsoCostGrading::geometric(cmin, cmax, cfg.r);
         let frontiers = Contour::frontiers(&diagram, &grading.steps)?;
 
-        // ρ before reduction: distinct optimal plans per frontier.
-        let rho_posp = frontiers
-            .iter()
-            .map(|f| {
-                let mut plans: Vec<u32> = f.iter().map(|&li| diagram.optimal[li]).collect();
-                plans.sort_unstable();
-                plans.dedup();
-                plans.len()
-            })
-            .max()
-            .unwrap_or(0);
-
         // The slab: every POSP plan at the frontier points, step after step
         // (`slab[plan][starts[k] + pos]` is the plan at `frontiers[k][pos]`)
         // — all the plan costs contour reduction reads.
@@ -197,7 +184,7 @@ impl Bouquet {
             exhaustive_optimizer_calls: w.ess.num_points(),
             posp_cardinality: diagram.plan_count(),
             bouquet_cardinality: bouquet_plans.len(),
-            rho_posp,
+            rho_posp: (contours.iter().map(|c| c.posp_density(&diagram)).max()).unwrap_or(0),
             rho: rho(&contours),
             num_contours: contours.len(),
             cmin,

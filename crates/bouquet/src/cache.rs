@@ -9,9 +9,9 @@
 //! distinct (query, statistics, resolution, cost model) combination:
 //!
 //! * **Skeleton key** — a stable fingerprint of the query spec, the ESS
-//!   (dimensions and resolution), and the bouquet config (λ, r,
-//!   perturbation). Two workloads share a skeleton iff their bouquets have
-//!   the same shape-determining inputs.
+//!   (dimensions and resolution), and the bouquet config (λ, r). Two
+//!   workloads share a skeleton iff their bouquets have the same
+//!   shape-determining inputs.
 //! * **Statistics key** — a fingerprint of the catalog and cost-model
 //!   parameters. Statistics drift changes this key but not the skeleton.
 //!
@@ -63,7 +63,10 @@ const MAGIC: [u8; 4] = *b"PBQC";
 /// so v1 entries must be evicted rather than misread.
 /// v3: the cost array holds one row per bouquet plan (the header gains the
 /// row count), not one per POSP plan.
-const FORMAT_VERSION: u32 = 3;
+/// v4: the bouquet config no longer carries the model-error perturbation
+/// (identification never read it; it is set on the simulator substrate),
+/// so the canonical-JSON skeleton key and the stored config change.
+const FORMAT_VERSION: u32 = 4;
 
 /// Distinguishes the temp files of one process's concurrent stores.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);

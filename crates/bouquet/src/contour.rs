@@ -174,6 +174,15 @@ impl Contour {
         self.plan_set.len()
     }
 
+    /// Number of distinct POSP plans optimal at this contour's frontier
+    /// points: its density before anorexic reduction.
+    pub fn posp_density(&self, diagram: &PlanDiagram) -> usize {
+        let mut plans: Vec<u32> = self.points.iter().map(|&li| diagram.optimal[li]).collect();
+        plans.sort_unstable();
+        plans.dedup();
+        plans.len()
+    }
+
     /// Whether some frontier point dominates (componentwise ≥) `ix` — i.e.
     /// a query at `ix` is guaranteed discoverable on this contour.
     pub fn dominates(&self, diagram: &PlanDiagram, ix: &[usize]) -> bool {

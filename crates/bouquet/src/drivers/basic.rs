@@ -156,15 +156,14 @@ pub(crate) mod tests {
         use pb_cost::CostPerturbation;
         let w = eq_1d();
         let delta = 0.4;
-        let cfg = BouquetConfig {
-            perturbation: CostPerturbation::with_delta(delta, 11),
-            ..Default::default()
-        };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
+        let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         let inflated = b.mso_bound() * crate::theory::model_error_inflation(delta);
         for li in (0..w.ess.num_points()).step_by(3) {
             let qa = w.ess.point(&w.ess.unlinear(li));
-            let run = b.run_basic(&qa).unwrap();
+            let mut sub = SimulatorSubstrate::new(&b, &qa, FaultInjector::none())
+                .unwrap()
+                .with_model_error(CostPerturbation::with_delta(delta, 11));
+            let run = b.run(&mut sub, &RobustConfig::plain(false)).unwrap().run;
             assert!(run.completed());
             // Sub-optimality is measured against the *actual* optimal cost,
             // which is itself within (1+δ) of the modeled PIC.

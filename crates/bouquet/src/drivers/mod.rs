@@ -96,11 +96,8 @@ impl Bouquet {
         &self,
         sub: &mut S,
     ) -> Result<(BouquetRun, ResumeStats), PbError> {
-        let cfg = RobustConfig {
-            resume: true,
-            ..RobustConfig::plain(false)
-        };
-        Ok((self.run(sub, &cfg)?.run, sub.resume_stats()))
+        sub.enable_checkpoint_resume();
+        Ok((self.run_basic_on(sub)?, sub.resume_stats()))
     }
 }
 

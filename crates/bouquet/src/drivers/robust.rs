@@ -14,7 +14,7 @@
 //! run (property-tested in `tests/robustness.rs`).
 
 use pb_cost::SelPoint;
-use pb_faults::{CancelToken, PbError};
+use pb_faults::PbError;
 use pb_optimizer::PlanId;
 use pb_plan::DimId;
 use serde::{Deserialize, Serialize};
@@ -26,9 +26,10 @@ use crate::drivers::{BouquetRun, ExecutionOutcome, PartialExec, MAX_OVERFLOW};
 use crate::substrate::{ExecutionSubstrate, SubstrateOutcome};
 
 /// Configuration of a run: the policy and how much goes wrong before
-/// discovery gives up. Faults are not configured here — a substrate owns
-/// its injector from construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// discovery gives up. What the run executes on — its location or data,
+/// fault injector, model error, cancellation token and checkpoint book — is
+/// the substrate's, set where the substrate is built.
+#[derive(Debug, Clone)]
 pub struct RobustConfig {
     /// Retries per faulted plan execution before the plan is abandoned.
     pub plan_retries: usize,
@@ -37,14 +38,6 @@ pub struct RobustConfig {
     pub max_violations: usize,
     /// Drive the optimized (Figure 13) policy instead of the basic one.
     pub optimized: bool,
-    /// Enable checkpoint/resume on the substrate (a no-op where unsupported).
-    /// Resume never changes *what* happens, only *what is paid*: prefixes an
-    /// earlier partial execution completed are fast-forwarded, and
-    /// `total_cost` shrinks by the `reused_cost` of the substrate's
-    /// `resume_stats()`. Reuse engages only while no faults are armed — an
-    /// injected fault is never replayed from or masked by a checkpoint.
-    #[serde(default)]
-    pub resume: bool,
     /// Hard cumulative spend cap for the whole run, the tenant-budget hook
     /// the serving layer uses. When granting the next execution's budget
     /// would push past the cap, discovery stops and the run finishes on the
@@ -52,13 +45,7 @@ pub struct RobustConfig {
     /// ([`ExecutionOutcome::Degraded`] if it completes,
     /// [`ExecutionOutcome::BudgetExhausted`] otherwise). Total charged
     /// spend never exceeds the cap. `None` disables.
-    #[serde(default)]
     pub spend_cap: Option<f64>,
-    /// Cooperative cancellation token, polled between executions (and, when
-    /// threaded into the substrate, inside executions too). Not serialized:
-    /// a deserialized config is live.
-    #[serde(skip)]
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for RobustConfig {
@@ -79,9 +66,7 @@ impl RobustConfig {
             plan_retries: 0,
             max_violations: usize::MAX,
             optimized,
-            resume: false,
             spend_cap: None,
-            cancel: None,
         }
     }
 }
@@ -338,8 +323,9 @@ struct Discovery<'a, S> {
 impl Bouquet {
     /// Discover the true location on `sub`, which must be bound to this
     /// bouquet: `cfg` picks the policy and the recovery settings
-    /// ([`RobustConfig::plain`] for the paper's algorithms as drawn). Fails
-    /// only on a bouquet without contours.
+    /// ([`RobustConfig::plain`] for the paper's algorithms as drawn). The
+    /// run reads `sub`'s settings — resume, model error, cancellation —
+    /// and changes none of them. Fails only on a bouquet without contours.
     pub fn run<S: ExecutionSubstrate>(
         &self,
         sub: &mut S,
@@ -347,9 +333,6 @@ impl Bouquet {
     ) -> Result<RobustRun, PbError> {
         if self.contours.is_empty() {
             return Err(PbError::Identification("bouquet has no contours".into()));
-        }
-        if cfg.resume {
-            sub.enable_checkpoint_resume();
         }
         let faults_active = sub.faults_active();
         let mut d = Discovery {
@@ -400,7 +383,7 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
             // Cooperative cancellation: a tripped token (client cancel,
             // deadline) stops the run before more budget is committed. Spend
             // so far stays charged; checkpoints survive for a resubmit.
-            if let Some(error) = self.cfg.cancel.as_ref().and_then(CancelToken::cancel_error) {
+            if let Some(error) = self.sub.cancelled() {
                 return Some(self.cancelled(error.to_string(), tried));
             }
             // Tenant budget: executions spend at most what they are granted,
@@ -587,11 +570,11 @@ mod tests {
         let w = eq_1d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
         let qa = w.ess.point(&[40]);
-        let cfg = RobustConfig {
-            resume,
-            ..RobustConfig::plain(false)
-        };
+        let cfg = RobustConfig::plain(false);
         let mut sub = SimulatorSubstrate::new(&b, &qa, FaultInjector::none()).unwrap();
+        if resume {
+            sub.enable_checkpoint_resume();
+        }
         let run = b.run(&mut sub, &cfg).unwrap();
         let reused = sub.resume_stats().reused_cost;
         assert!(run.run.trace.len() > 2, "fixture too short: {:?}", run.run);

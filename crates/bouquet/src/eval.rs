@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::baselines::{parqo_assignment, ParqoConfig};
 use crate::bouquet::{Bouquet, BouquetConfig};
-use crate::contour::Contour;
 use crate::drivers::robust::RobustConfig;
 use crate::metrics::{
     bouquet_metrics, harm, robustness_distribution, single_plan_metrics, single_plan_worst_profile,
@@ -117,7 +116,7 @@ pub fn evaluate_with_bouquet(
     let bou_opt = bouquet_metrics(&subopt_opt, bouquet.stats.bouquet_cardinality);
     let bou_opt_harm = harm(&subopt_opt, &nat_worst);
 
-    let guarantees = guarantee_row(bouquet)?;
+    let guarantees = guarantee_row(bouquet);
 
     Ok(WorkloadEvaluation {
         name: w.name.clone(),
@@ -166,20 +165,10 @@ pub fn run_profile(bouquet: &Bouquet, optimized: bool) -> Result<Vec<f64>, PbErr
 /// Compute the Table 1 guarantee row: Equation 8 evaluated with the raw
 /// POSP contour densities (λ = 0) and with the anorexically reduced
 /// densities (budgets inflated by 1+λ).
-pub fn guarantee_row(bouquet: &Bouquet) -> Result<GuaranteeRow, PbError> {
-    let d = &bouquet.diagram;
+pub fn guarantee_row(bouquet: &Bouquet) -> GuaranteeRow {
     let lambda = bouquet.config.lambda;
-
-    // Raw POSP density per contour, from identification's one-pass
-    // frontier scan.
-    let posp_densities: Vec<usize> = Contour::frontiers(d, &bouquet.grading.steps)?
-        .iter()
-        .map(|f| {
-            let mut plans: Vec<u32> = f.iter().map(|&li| d.optimal[li]).collect();
-            plans.sort_unstable();
-            plans.dedup();
-            plans.len()
-        })
+    let posp_densities: Vec<usize> = (bouquet.contours.iter())
+        .map(|c| c.posp_density(&bouquet.diagram))
         .collect();
     let anorexic_densities: Vec<usize> = bouquet.contours.iter().map(|c| c.density()).collect();
 
@@ -198,12 +187,12 @@ pub fn guarantee_row(bouquet: &Bouquet) -> Result<GuaranteeRow, PbError> {
         worst
     };
 
-    Ok(GuaranteeRow {
+    GuaranteeRow {
         rho_posp: posp_densities.iter().copied().max().unwrap_or(0),
         bound_posp: eq8(&posp_densities, 1.0),
         rho_anorexic: anorexic_densities.iter().copied().max().unwrap_or(0),
         bound_anorexic: eq8(&anorexic_densities, 1.0 + lambda),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -281,7 +270,7 @@ mod tests {
     fn guarantee_row_anorexic_bound_is_tighter() {
         let w = eq_2d();
         let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
-        let row = guarantee_row(&b).unwrap();
+        let row = guarantee_row(&b);
         assert!(row.rho_anorexic <= row.rho_posp);
         // The whole point of Section 3.3: reduction shrinks the bound
         // (possibly equal on tiny 2D spaces).

@@ -31,7 +31,8 @@
 use std::hash::Hash;
 
 use pb_cost::{
-    Checkpoint, CheckpointBook, CostProgram, NodeCost, NodeCosts, Parallelism, SelPoint,
+    Checkpoint, CheckpointBook, CostPerturbation, CostProgram, NodeCost, NodeCosts, Parallelism,
+    SelPoint,
 };
 use pb_engine::{Database, Engine, EngineOutcome, Snapshot};
 pub use pb_executor::SubstrateOutcome;
@@ -95,14 +96,24 @@ pub trait ExecutionSubstrate {
     /// assertions and clamp observations when it is).
     fn faults_active(&self) -> bool;
 
+    /// The error a tripped cancellation token reports, if the substrate
+    /// holds one and it has tripped. The driver reads it before granting
+    /// each execution, so a run cancelled between executions commits no
+    /// further budget. The default holds no token.
+    fn cancelled(&self) -> Option<PbError> {
+        None
+    }
+
     /// Opt in to checkpoint/resume: completed operator prefixes of partial
     /// executions are checkpointed and later executions sharing them (the
     /// same plan at the next contour budget, or a different plan sharing a
     /// completed join-subtree prefix) are fast-forwarded instead of
     /// re-executed. Observed selectivities, abort points and completion
     /// decisions stay bit-identical to restart semantics; only
-    /// [`SubstrateOutcome::spent`] shrinks by the reused cost. Returns
-    /// whether the substrate supports resume (the default does not).
+    /// [`SubstrateOutcome::spent`] shrinks by the reused cost. Reuse
+    /// engages only while no fault injector is armed. The caller switches
+    /// it on before [`Bouquet::run`]; the run never does. Returns whether
+    /// the substrate supports resume (the default does not).
     fn enable_checkpoint_resume(&mut self) -> bool {
         false
     }
@@ -177,13 +188,17 @@ impl<K: Hash + Eq + Clone, V: Checkpoint> ResumeState<K, V> {
         }
     }
 
-    /// Poll the cancellation token; `Some` is the outcome a cancelled
-    /// execution reports (nothing spent, typed error).
+    /// Poll the cancellation token.
+    fn cancelled(&self) -> Option<PbError> {
+        self.cancel.as_ref()?.cancel_error()
+    }
+
+    /// `Some` is the outcome a cancelled execution reports (nothing spent,
+    /// typed error).
     fn cancelled_outcome(&self, spilled: bool) -> Option<SubstrateOutcome> {
-        let e = self.cancel.as_ref()?.cancel_error()?;
         Some(SubstrateOutcome {
             spilled,
-            error: Some(e),
+            error: Some(self.cancelled()?),
             ..SubstrateOutcome::default()
         })
     }
@@ -257,7 +272,7 @@ impl<'a> SimulatorSubstrate<'a> {
                 got: qa.dims(),
             });
         }
-        let ex = Executor::new(bouquet.config.perturbation).with_faults(faults);
+        let ex = Executor::new(CostPerturbation::none()).with_faults(faults);
         Ok(SimulatorSubstrate {
             b: bouquet,
             qa: qa.clone(),
@@ -274,6 +289,15 @@ impl<'a> SimulatorSubstrate<'a> {
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.resume.cancel = Some(token);
+        self
+    }
+
+    /// Run under the bounded model error of Section 3.4: every actual cost
+    /// is the modeled one times `perturbation`'s factor, inside its δ band.
+    /// The default is the perfect model ([`CostPerturbation::none`]).
+    #[must_use]
+    pub fn with_model_error(mut self, perturbation: CostPerturbation) -> Self {
+        self.ex.perturb = perturbation;
         self
     }
 
@@ -361,6 +385,10 @@ impl ExecutionSubstrate for SimulatorSubstrate<'_> {
 
     fn faults_active(&self) -> bool {
         self.ex.faults.is_active()
+    }
+
+    fn cancelled(&self) -> Option<PbError> {
+        self.resume.cancelled()
     }
 
     fn enable_checkpoint_resume(&mut self) -> bool {
@@ -544,6 +572,10 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
 
     fn faults_active(&self) -> bool {
         self.faults.is_active()
+    }
+
+    fn cancelled(&self) -> Option<PbError> {
+        self.resume.cancelled()
     }
 
     fn enable_checkpoint_resume(&mut self) -> bool {

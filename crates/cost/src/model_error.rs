@@ -14,10 +14,9 @@
 //! analysis.
 
 use pb_plan::PlanFingerprint;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic bounded multiplicative cost perturbation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostPerturbation {
     /// The δ bound; 0.0 disables perturbation. The paper cites an observed
     /// average δ ≈ 0.4 for PostgreSQL on TPC-H (Wu et al., ICDE 2013).

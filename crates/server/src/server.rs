@@ -613,9 +613,7 @@ fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> Que
     let qa = b.workload.ess.point_at_fractions(&req.fractions);
     let cfg = RobustConfig {
         optimized: req.optimized,
-        resume: req.resume,
         spend_cap: reservation.amount.is_finite().then_some(reservation.amount),
-        cancel: Some(req.cancel.clone()),
         ..Default::default()
     };
     let mut sub = match SimulatorSubstrate::new(b, &qa, FaultInjector::none()) {
@@ -623,10 +621,10 @@ fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> Que
         Err(e) => return fail_result(&e),
     };
     if req.resume {
+        // A retained book (a cancelled submission's) or a fresh one.
         sub.resume.set_byte_cap(s.cfg.resume_byte_cap);
-        if let Some(book) = lock(&s.books).remove(&req.book_key()) {
-            sub.resume.install_book(book);
-        }
+        let book = lock(&s.books).remove(&req.book_key());
+        sub.resume.install_book(book.unwrap_or_default());
     }
 
     let rr = match b.run(&mut sub, &cfg) {
@@ -936,11 +934,8 @@ mod tests {
                 .unwrap()
                 .with_cancel(token.clone());
             sub.resume.set_byte_cap(cap);
-            let cfg = RobustConfig {
-                resume: true,
-                cancel: Some(token.clone()),
-                ..RobustConfig::default()
-            };
+            sub.enable_checkpoint_resume();
+            let cfg = RobustConfig::default();
             b.run(&mut sub, &cfg).unwrap();
             token.cancel();
             let rr = b.run(&mut sub, &cfg).unwrap();

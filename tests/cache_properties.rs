@@ -89,7 +89,7 @@ proptest! {
         let lambda = [0.0f64, 0.1, 0.2, 0.3][lambda_ix];
         let r = [1.5f64, 2.0, 3.0][r_ix];
         let w = workload_for(family);
-        let cfg = BouquetConfig { lambda, r, ..BouquetConfig::default() };
+        let cfg = BouquetConfig { lambda, r };
         let tmp = TmpCache::new(&format!("prop{family}"));
         let cache = BouquetCache::new(&tmp.0).unwrap();
 

@@ -404,13 +404,15 @@ proptest! {
         let pids = [pick[1] as usize % n, pick[2] as usize % n];
         let resolved: Vec<bool> = (0..w.d()).map(|dm| pick[3] >> dm & 1 == 1).collect();
         for delta in [0.0, 0.4] {
-            let mut b = base.clone();
-            b.config.perturbation = CostPerturbation::with_delta(delta, seed);
+            let b = base;
+            let perturb = CostPerturbation::with_delta(delta, seed);
             let walked = |sub: &PlanNode| {
                 let modeled = coster(w).plan_cost(sub, &qa);
-                b.config.perturbation.actual_cost(sub.fingerprint(), &qa, modeled)
+                perturb.actual_cost(sub.fingerprint(), &qa, modeled)
             };
-            let simulator = || SimulatorSubstrate::new(&b, &qa, FaultInjector::none()).unwrap();
+            let simulator = || {
+                SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap().with_model_error(perturb)
+            };
             let (mut resumed, mut restart) = (simulator(), simulator());
             resumed.enable_checkpoint_resume();
             let mut book: BTreeMap<u64, f64> = BTreeMap::new();

@@ -204,18 +204,10 @@ fn bouquet_2d() -> &'static Bouquet {
     })
 }
 
-/// One run on `sub` under the plain settings with resume on or off, its
-/// books audited, and the cost units the substrate reused during it.
-fn drive<S: ExecutionSubstrate>(
-    b: &Bouquet,
-    sub: &mut S,
-    optimized: bool,
-    resume: bool,
-) -> (RobustRun, f64) {
-    let cfg = RobustConfig {
-        resume,
-        ..RobustConfig::plain(optimized)
-    };
+/// One run on `sub` under the plain settings, its books audited, and the
+/// cost units the substrate reused during it (none unless resume is on).
+fn drive<S: ExecutionSubstrate>(b: &Bouquet, sub: &mut S, optimized: bool) -> (RobustRun, f64) {
+    let cfg = RobustConfig::plain(optimized);
     let before = sub.resume_stats().reused_cost;
     let run = b.run(sub, &cfg).unwrap();
     run.audit(b, &cfg).unwrap();
@@ -237,8 +229,10 @@ fn check_simulator_resume_at(fracs: &[f64]) -> f64 {
     let qa = b.workload.ess.point_at_fractions(fracs);
     let [basic_reuse, _] = [false, true].map(|optimized| {
         let sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-        let (plain, _) = drive(b, &mut sub(), optimized, false);
-        let resumed = drive(b, &mut sub(), optimized, true);
+        let (plain, _) = drive(b, &mut sub(), optimized);
+        let mut resumable = sub();
+        resumable.enable_checkpoint_resume();
+        let resumed = drive(b, &mut resumable, optimized);
         assert_resumes(
             &format!("optimized={optimized} @ {fracs:?}"),
             &resumed,
@@ -273,13 +267,14 @@ fn simulator_corrupt_checkpoints_never_double_charge() {
     let b = bouquet_2d();
     let qa = b.workload.ess.point_at_fractions(&[0.8, 0.8]);
     let sub = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
-    let (plain, _) = drive(b, &mut sub(), false, false);
+    let (plain, _) = drive(b, &mut sub(), false);
 
     let mut sub = sub();
-    let warm = drive(b, &mut sub, false, true);
+    sub.enable_checkpoint_resume();
+    let warm = drive(b, &mut sub, false);
     assert_resumes("warm simulator", &warm, &plain);
     sub.resume.corrupt_all();
-    let after = drive(b, &mut sub, false, true);
+    let after = drive(b, &mut sub, false);
     assert_resumes("corrupted simulator", &after, &plain);
     // Fresh snapshots recorded by the fallback runs keep stats coherent.
     assert!(sub.resume_stats().checkpoints > 0);
@@ -290,18 +285,15 @@ fn simulator_corrupt_checkpoints_never_double_charge() {
 fn engine_substrate_corrupt_checkpoints_fall_back() {
     let b = bouquet_2d();
     let (_, db) = engine_fixture();
-    let (plain, _) = drive(
-        b,
-        &mut EngineSubstrate::new(b, db, FaultInjector::none()),
-        false,
-        false,
-    );
+    let engine = || EngineSubstrate::new(b, db, FaultInjector::none());
+    let (plain, _) = drive(b, &mut engine(), false);
 
-    let mut sub = EngineSubstrate::new(b, db, FaultInjector::none());
-    let warm = drive(b, &mut sub, false, true);
+    let mut sub = engine();
+    sub.enable_checkpoint_resume();
+    let warm = drive(b, &mut sub, false);
     assert_resumes("engine warm", &warm, &plain);
     sub.resume.corrupt_all();
-    let after = drive(b, &mut sub, false, true);
+    let after = drive(b, &mut sub, false);
     assert_resumes("engine corrupted", &after, &plain);
 }
 

@@ -210,27 +210,24 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
         (0.8, true),
         (0.97, false),
     ] {
-        let cfg_plain = RobustConfig {
+        let cfg = RobustConfig {
             optimized,
-            ..Default::default()
-        };
-        let cfg_resume = RobustConfig {
-            optimized,
-            resume: true,
             ..Default::default()
         };
         let qa = b.workload.ess.point_at_fractions(&[frac]);
         let mk = || SimulatorSubstrate::new(b, &qa, FaultInjector::none()).expect("substrate");
 
         let mut plain_sub = mk();
-        let plain = b.run(&mut plain_sub, &cfg_plain).expect("plain");
+        let plain = b.run(&mut plain_sub, &cfg).expect("plain");
 
         let mut unb_sub = mk();
-        let unbounded = b.run(&mut unb_sub, &cfg_resume).expect("unbounded");
+        unb_sub.enable_checkpoint_resume();
+        let unbounded = b.run(&mut unb_sub, &cfg).expect("unbounded");
 
         let mut cap_sub = mk();
         cap_sub.resume.set_byte_cap(sim_cap);
-        let capped = b.run(&mut cap_sub, &cfg_resume).expect("capped");
+        cap_sub.enable_checkpoint_resume();
+        let capped = b.run(&mut cap_sub, &cfg).expect("capped");
 
         // Decisions, observations and outcome identical to the restart;
         // spent + reused == restart cost, for both books.
@@ -261,19 +258,18 @@ fn robust_driver_with_tiny_cap_matches_restart_at_every_location() {
     );
 }
 
-/// A run on `capped` (resume on, its cap already set) against a restart on
-/// `plain`: it must match the restart exactly and retain nothing.
+/// A run on `capped` (its cap already set) with resume on against a
+/// restart on `plain`: it must match the restart exactly and retain
+/// nothing.
 fn assert_retains_nothing<S: ExecutionSubstrate>(
     label: &str,
     b: &Bouquet,
     mut plain: S,
     capped: &mut S,
 ) {
-    let restart = b.run(&mut plain, &RobustConfig::default()).expect("plain");
-    let cfg = RobustConfig {
-        resume: true,
-        ..Default::default()
-    };
+    let cfg = RobustConfig::default();
+    let restart = b.run(&mut plain, &cfg).expect("plain");
+    capped.enable_checkpoint_resume();
     let run = b.run(capped, &cfg).expect("capped");
     let stats = capped.resume_stats();
     if let Err(e) = run.audit_resumed(stats.reused_cost, &restart) {

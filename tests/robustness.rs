@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use pb_faults::{FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
+use pb_faults::{CancelToken, FaultInjector, FaultKind, FaultPlan, PbError, Trigger};
 use plan_bouquet::bouquet::{
     Bouquet, BouquetConfig, ExecutionOutcome, ExecutionSubstrate, RobustConfig, RobustEvent,
     RobustRun, SimulatorSubstrate,
@@ -138,16 +138,16 @@ fn dimension_mismatch_is_a_typed_error() {
 /// than looping or panicking — and must still charge every abort.
 #[test]
 fn extreme_model_error_exhausts_the_budget_schedule() {
-    let w = workloads::by_name("EQ_1D").unwrap();
+    let b = bouquet_h();
+    let qa = b.workload.ess.point_at_fractions(&[0.9]);
+    let cfg = RobustConfig::plain(false);
     let mut exhausted = false;
     for seed in 0..64 {
-        let cfg = BouquetConfig {
-            perturbation: CostPerturbation::with_delta(1e300, seed),
-            ..Default::default()
-        };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
-        let qa = w.ess.point_at_fractions(&[0.9]);
-        let rr = run_armed(&b, &qa, &FaultPlan::none(), &RobustConfig::plain(false)).unwrap();
+        let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())
+            .unwrap()
+            .with_model_error(CostPerturbation::with_delta(1e300, seed));
+        let rr = b.run(&mut sub, &cfg).unwrap();
+        rr.audit(b, &cfg).unwrap();
         if let ExecutionOutcome::BudgetExhausted { contours_tried } = rr.run.outcome {
             exhausted = true;
             // The full schedule — grading plus all overflow doublings — was
@@ -160,6 +160,33 @@ fn extreme_model_error_exhausts_the_budget_schedule() {
         exhausted,
         "no perturbation seed exhausted the schedule — δ=1e300 should defeat 64 doublings"
     );
+}
+
+/// A token tripped before the run and held only by the substrate stops
+/// the run before its first grant, under every policy and setting: nothing
+/// executed, nothing charged, one schedule rung reported.
+#[test]
+fn a_token_on_the_substrate_alone_stops_the_run_before_its_first_grant() {
+    let b = bouquet_h();
+    let qa = b.workload.ess.point_at_fractions(&[0.9]);
+    for cfg in [
+        RobustConfig::plain(false),
+        RobustConfig::plain(true),
+        RobustConfig::default(),
+    ] {
+        let token = CancelToken::new();
+        token.cancel();
+        let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())
+            .unwrap()
+            .with_cancel(token);
+        let rr = b.run(&mut sub, &cfg).unwrap();
+        let expected = ExecutionOutcome::Cancelled { contours_tried: 1 };
+        assert_eq!(rr.run.outcome, expected, "{cfg:?}");
+        assert!(rr.run.trace.is_empty(), "{cfg:?}: {:?}", rr.run.trace);
+        assert_eq!(rr.run.total_cost, 0.0, "{cfg:?}");
+        assert!(matches!(rr.events[..], [RobustEvent::Cancelled { .. }]));
+        rr.audit(b, &cfg).unwrap();
+    }
 }
 
 /// A transient operator failure is retried on the same plan; the wasted
@@ -354,11 +381,10 @@ fn benchmark_entry_points_are_run_under_a_configuration() {
             };
             assert_eq!(b.run_robust_on(&mut sub(&qa), &cfg).unwrap(), run(&cfg).0);
         }
-        let resumable = RobustConfig {
-            resume: true,
-            ..plain
-        };
-        let (rr, stats) = run(&resumable);
+        let mut resumable = sub(&qa);
+        resumable.enable_checkpoint_resume();
+        let rr = b.run(&mut resumable, &plain).unwrap();
+        let stats = resumable.resume_stats();
         let shim = b.run_basic_resumable_on(&mut sub(&qa)).unwrap();
         assert_eq!(shim, (rr.run, stats));
         assert!(stats.reused_cost > 0.0 || shim.0.trace.len() == 1, "{fr:?}");

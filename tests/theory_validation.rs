@@ -2,7 +2,8 @@
 //! executable system: Theorems 1–3, the anorexic trade-off, and the bounded
 //! model-error framework.
 
-use plan_bouquet::bouquet::{theory, Bouquet, BouquetConfig};
+use pb_faults::FaultInjector;
+use plan_bouquet::bouquet::{theory, Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate};
 use plan_bouquet::cost::CostPerturbation;
 use plan_bouquet::workloads;
 
@@ -100,19 +101,19 @@ fn anorexic_tradeoff_monotone_in_lambda() {
 fn model_error_inflation_bounded() {
     let w = workloads::h_q8a_2d(1.0);
     let delta = 0.4;
+    let b = Bouquet::identify(&w, &BouquetConfig::default()).unwrap();
+    let cap = b.mso_bound() * theory::model_error_inflation(delta);
     for seed in [3, 17, 99] {
-        let cfg = BouquetConfig {
-            perturbation: CostPerturbation::with_delta(delta, seed),
-            ..Default::default()
-        };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
-        let cap = b.mso_bound() * theory::model_error_inflation(delta);
-        let ex = plan_bouquet::executor::Executor::new(cfg.perturbation);
+        let perturb = CostPerturbation::with_delta(delta, seed);
+        let ex = plan_bouquet::executor::Executor::new(perturb);
         let mut stack = Vec::new();
         let n = w.ess.num_points();
         for li in (0..n).step_by(7) {
             let qa = w.ess.point(&w.ess.unlinear(li));
-            let run = b.run_basic(&qa).unwrap();
+            let mut sub = SimulatorSubstrate::new(&b, &qa, FaultInjector::none())
+                .unwrap()
+                .with_model_error(perturb);
+            let run = b.run(&mut sub, &RobustConfig::plain(false)).unwrap().run;
             assert!(run.completed(), "seed {seed} li {li}");
             // Actual optimal cost under the same adversary.
             let opt_actual = (b.programs().iter().zip(&b.diagram.plans))
