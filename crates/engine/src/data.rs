@@ -1,17 +1,17 @@
 //! Deterministic in-memory data conforming to catalog statistics, each
 //! column generated the first time it is read.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use pb_catalog::{Catalog, Distribution};
+use pb_cost::Parallelism;
 use pb_faults::PbError;
 use pb_plan::{CmpOp, QuerySpec, SelectionPredicate};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::lookup::{sorted_rows, Directory};
+use crate::lookup::{sorted_rows, Directory, KeyRows, KeySet};
 
 /// Overrides that make the generated data deviate from what the statistics
 /// (and hence the AVI estimator) suggest — the controlled source of
@@ -297,9 +297,10 @@ impl Database {
     }
 
     /// Actual selectivity of a join predicate: |matching pairs| / (|L| · |R|),
-    /// under the edge's comparison op (`=` via value frequencies, `<` / `>`
-    /// via a sort + per-value partition point — O((n+m) log m), never the
-    /// n·m pair product).
+    /// under the edge's comparison op (`=` by probing the engine's hash-join
+    /// build of the left keys, an existential `=` its anti/semi key set,
+    /// `<` / `>` via a sort + per-value partition point — O((n+m) log m),
+    /// never the n·m pair product).
     pub fn actual_join_selectivity(&self, query: &QuerySpec, join_idx: usize) -> f64 {
         let j = &query.joins[join_idx];
         let lt = self.table(query.relations[j.left_rel].table);
@@ -315,15 +316,15 @@ impl Database {
             // |right|), not pair multiplicity: a right side with duplicate
             // keys must not inflate the density.
             CmpOp::Eq | CmpOp::Between if j.anti || j.semi => {
-                let set: std::collections::HashSet<i64> = rcol.iter().copied().collect();
-                lcol.iter().filter(|v| set.contains(v)).count() as u64
+                let set = KeySet::build(Parallelism::serial(), rcol);
+                lcol.iter().filter(|&&v| set.contains(v)).count() as u64
             }
             CmpOp::Eq | CmpOp::Between => {
-                let mut freq: HashMap<i64, u64> = HashMap::new();
-                for &v in lcol {
-                    *freq.entry(v).or_insert(0) += 1;
-                }
-                rcol.iter().map(|v| freq.get(v).copied().unwrap_or(0)).sum()
+                let left = KeyRows::build(Parallelism::serial(), lcol);
+                rcol.iter()
+                    .filter_map(|&v| left.slot(v))
+                    .map(|s| left.slot_span(s).len() as u64)
+                    .sum()
             }
             CmpOp::Lt | CmpOp::Gt => {
                 let mut sorted = rcol.to_vec();

@@ -66,8 +66,10 @@ pub struct QueryResult {
     pub reused_cost: f64,
     /// Plan that produced the result, when one did.
     pub final_plan: Option<usize>,
-    /// `total_cost / C_opt(qa)` — the run's sub-optimality against the
-    /// optimal cost at its own true location.
+    /// The run's sub-optimality, `(reused_cost + total_cost) /
+    /// run_native_at(qa)`: what it cost, checkpoint reuse included, over
+    /// the cost of the optimizer's own plan at the run's true location `qa`
+    /// (`C_opt(qa)`). Only `completed` runs report it.
     pub subopt: Option<f64>,
     /// Robustness events (retries, abandons, cap hits, …) the run logged.
     pub events: usize,
@@ -83,10 +85,21 @@ pub enum ReqPhase {
     Done(QueryResult),
 }
 
-/// Server-wide counters (a point-in-time snapshot).
+/// Server-wide counters, all read at one moment. Every snapshot holds
+///
+/// ```text
+/// submitted == accepted + rejected
+/// accepted − (completed + degraded + budget_exhausted + cancelled + failed)
+///     == queue_depth + inflight
+/// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
+    /// Submissions that reached admission: `accepted + rejected`. One that
+    /// names an unknown workload or a wrong location is answered `Error`
+    /// and counts nowhere.
     pub submitted: u64,
+    /// Admitted requests; each is queued, in flight, or counted in exactly
+    /// one of the five outcome counters below.
     pub accepted: u64,
     /// Backpressure rejections (queue full) + drain rejections.
     pub rejected: u64,
@@ -99,7 +112,9 @@ pub struct ServerStats {
     pub worker_panics: u64,
     /// Poisoned workers replaced by the supervisor.
     pub workers_replaced: u64,
+    /// Accepted requests waiting for a worker.
     pub queue_depth: usize,
+    /// Accepted requests a worker has dispatched and not yet finished.
     pub inflight: usize,
     pub p50_ms: f64,
     pub p99_ms: f64,

@@ -1,29 +1,36 @@
 //! The bouquet server: admission, dispatch, containment, drain.
 //!
 //! ```text
-//!             ┌──────────── accept loop ───────────┐
-//!  TCP conn ──► connection thread (NDJSON lines)   │
-//!             │    submit ──► bounded queue ───────┼──► worker pool
-//!             │    status/cancel/stats ─► registry │      │ per-request
-//!             │    wait ──► block until settled    │      │ catch_unwind
-//!             │    drain ──► stop + await settled  │      │
-//!             └────────────────────────────────────┘      ▼
-//!                 supervisor respawns poisoned workers, requests run
-//!                 `Bouquet::run` on a SimulatorSubstrate with a per-tenant
-//!                 spend cap and a per-request cancellation token
+//! TCP conn ──► connection thread (NDJSON lines)
+//!                │  submit: admit, or Rejected (queue full / draining)
+//!                │  status / cancel / stats: read
+//!                │  wait / drain: block on `settled`
+//!                ▼
+//! ┌─────────────── State, one Mutex ────────────────┐
+//! │ requests · queued ids · metrics · tenant ledger │
+//! │ retained books · faults · next id · drain flags │
+//! └─────────────────────────────────────────────────┘
+//!       │ dispatch (blocks on `work`)          ▲ finish (wakes `settled`)
+//!       ▼                                      │
+//! worker pool ── catch_unwind(`Bouquet::run`) ─┘
+//!   on a SimulatorSubstrate with a per-tenant spend cap and a
+//!   per-request cancellation token; the supervisor respawns
+//!   poisoned workers
 //! ```
 //!
-//! Everything is std: threads, mutexes, condvars, `std::net`. Catalogs,
-//! workloads and bouquets are loaded **once** at startup (warm-started
-//! through [`BouquetCache`] when a cache directory is given) and shared
-//! read-only across workers.
+//! Every step of a request — admit, dispatch, finish — is one critical
+//! section of the one [`State`], so a `Stats` reply is one moment of the
+//! server. Nothing runs under the lock: no bouquet run, socket IO, fault
+//! stall or latency sort. Everything is std: threads, one mutex, two
+//! condvars, `std::net`. Catalogs, workloads and bouquets are loaded
+//! **once** at startup (warm-started through [`BouquetCache`] when a cache
+//! directory is given) and shared read-only across workers.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -41,7 +48,6 @@ use crate::metrics::Metrics;
 use crate::protocol::{
     read_line, write_line, QueryResult, ReqPhase, Request, Response, ServerStats,
 };
-use crate::queue::{BoundedQueue, PushError};
 use crate::tenant::{Reservation, TenantLedger};
 
 /// Server construction parameters.
@@ -91,7 +97,7 @@ impl Default for ServerConfig {
 }
 
 /// One request: its submission, held once, and its lifecycle phase. The
-/// registry keeps it; the worker running it takes a clone.
+/// state keeps it; the worker running it takes a clone.
 #[derive(Clone)]
 struct Req {
     tenant: String,
@@ -114,23 +120,55 @@ impl Req {
     }
 }
 
-/// Terminal requests the registry keeps answering `Status` and `Wait` for.
+/// Terminal requests the server keeps answering `Status` and `Wait` for.
 /// Past that the first finished is the first forgotten (its id then
 /// answers `Error`); queued and running requests are never forgotten.
 pub const TERMINAL_KEPT: usize = 1024;
 
-/// Every queued and running request, and the latest terminal ones.
-#[derive(Default)]
-struct Registry {
+/// Key of a retained checkpoint book, (tenant, workload, qa bits), so a
+/// cancelled request's **identical resubmission** resumes.
+type BookKey = (String, String, Vec<u64>);
+
+/// Everything the server changes after it starts, under one mutex.
+struct State {
+    /// Every queued and running request, and the latest terminal ones.
     reqs: HashMap<u64, Req>,
+    /// Ids waiting for a worker, oldest first.
+    queued: VecDeque<u64>,
     /// Terminal ids, oldest first; exactly the `Done` entries of `reqs`.
     finished: VecDeque<u64>,
+    next_id: u64,
+    metrics: Metrics,
+    ledger: TenantLedger,
+    /// Books of cancelled requests, held together under `resume_byte_cap`.
+    books: CheckpointBook<BookKey, CostResumeBook>,
+    faults: FaultInjector,
+    /// Admission has stopped.
+    draining: bool,
+    /// Set once drain decided workers may exit; stops supervisor respawns.
+    stop_workers: bool,
+    /// The accept loop ends at the next connection.
+    shutdown: bool,
 }
 
-impl Registry {
+/// A dispatched request: what a worker runs, the tenant budget it holds,
+/// and the queue-stall fault's verdict for it.
+struct Job {
+    id: u64,
+    req: Req,
+    reservation: Reservation,
+    stall_ms: Option<u64>,
+}
+
+impl State {
     /// Requests accepted but not yet terminal.
     fn pending(&self) -> usize {
         self.reqs.len() - self.finished.len()
+    }
+
+    /// Requests a worker holds: pending and no longer queued.
+    fn inflight(&self) -> usize {
+        self.pending() - self.queued.len()
     }
 
     /// Whether `id` is known and not yet terminal.
@@ -152,56 +190,120 @@ impl Registry {
             },
         }
     }
-}
 
-/// Key of a retained checkpoint book, (tenant, workload, qa bits), so a
-/// cancelled request's **identical resubmission** resumes.
-type BookKey = (String, String, Vec<u64>);
+    /// Hold `req` under the next id.
+    fn insert(&mut self, req: Req) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.reqs.insert(id, req);
+        id
+    }
+
+    /// Take the oldest queued request, mark it running, reserve its
+    /// tenant's budget and consult the `server:queue-stall` fault site.
+    fn dispatch(&mut self) -> Option<Job> {
+        while let Some(id) = self.queued.pop_front() {
+            let Some(r) = self.reqs.get_mut(&id) else {
+                continue;
+            };
+            r.phase = ReqPhase::Running;
+            let req = r.clone();
+            let reservation = self.ledger.reserve(&req.tenant);
+            let stall_ms = self.faults.queue_stall_ms();
+            return Some(Job {
+                id,
+                req,
+                reservation,
+                stall_ms,
+            });
+        }
+        None
+    }
+}
 
 struct Shared {
     cfg: ServerConfig,
     bouquets: HashMap<String, Bouquet>,
-    queue: BoundedQueue<u64>,
-    registry: Mutex<Registry>,
+    state: Mutex<State>,
+    /// Notified when a request is queued and when workers may stop.
+    work: Condvar,
     /// Notified whenever a request leaves the pending set: `Wait` and the
     /// drain block on it.
     settled: Condvar,
-    next_id: AtomicU64,
-    ledger: TenantLedger,
-    metrics: Metrics,
-    faults: Mutex<FaultInjector>,
-    /// Books of cancelled requests, held together under `resume_byte_cap`.
-    books: Mutex<CheckpointBook<BookKey, CostResumeBook>>,
-    inflight: AtomicUsize,
-    draining: AtomicBool,
-    /// Set once drain decided workers may exit; stops supervisor respawns.
-    stop_workers: AtomicBool,
-    shutdown: AtomicBool,
     addr: SocketAddr,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Shared {
+    /// The state, even if a holder panicked: every critical section leaves
+    /// it whole, and poisoning would otherwise take the whole server down
+    /// with one faulty worker.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Read under the lock; the quantiles are taken after it is released.
     fn stats(&self) -> ServerStats {
-        self.metrics.snapshot(
-            self.queue.len(),
-            self.inflight.load(Ordering::Relaxed),
-            self.ledger.snapshot(),
-        )
+        let (metrics, queue_depth, inflight, tenants) = {
+            let st = self.lock();
+            let tenants = st.ledger.snapshot();
+            (st.metrics.clone(), st.queued.len(), st.inflight(), tenants)
+        };
+        metrics.snapshot(queue_depth, inflight, tenants)
     }
 
     /// Keep `book` for the identical resubmission of the request keyed
     /// `key`, evicting the least recently retained books past the cap;
     /// `None` forgets the key's book.
     fn retain_book(&self, key: BookKey, book: Option<CostResumeBook>) {
-        let mut books = lock(&self.books);
+        let mut st = self.lock();
         match book {
-            Some(book) => books.insert(key, book),
-            None => drop(books.remove(&key)),
+            Some(book) => st.books.insert(key, book),
+            None => drop(st.books.remove(&key)),
         }
+    }
+
+    /// Record a request's terminal state: settle its reservation (a
+    /// dispatched request has one), count its outcome and a contained
+    /// worker panic, record its latency and sub-optimality, and mark it
+    /// `Done`, forgetting the oldest terminal request past
+    /// [`TERMINAL_KEPT`]; then wake every `Wait` and the drain. Every
+    /// accepted request passes through here exactly once.
+    fn finish(
+        &self,
+        id: u64,
+        reservation: Option<&Reservation>,
+        result: QueryResult,
+        panicked: bool,
+    ) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        if let Some(r) = reservation {
+            st.ledger.settle(r, result.total_cost);
+        }
+        let m = &mut st.metrics;
+        m.worker_panics += u64::from(panicked);
+        *match result.outcome.as_str() {
+            "completed" => &mut m.completed,
+            "degraded" => &mut m.degraded,
+            "budget-exhausted" => &mut m.budget_exhausted,
+            "cancelled" => &mut m.cancelled,
+            _ => &mut m.failed,
+        } += 1;
+        if let Some(subopt) = result.subopt {
+            m.observe_subopt(subopt);
+        }
+        if let Some(r) = st.reqs.get_mut(&id) {
+            m.observe_latency(r.submitted.elapsed().as_secs_f64() * 1e3);
+            r.phase = ReqPhase::Done(result);
+            st.finished.push_back(id);
+            if st.finished.len() > TERMINAL_KEPT {
+                if let Some(oldest) = st.finished.pop_front() {
+                    st.reqs.remove(&oldest);
+                }
+            }
+        }
+        drop(guard);
+        self.settled.notify_all();
     }
 }
 
@@ -220,7 +322,7 @@ pub struct PbServer {
 
 impl PbServer {
     /// Load + identify every configured workload, bind, and start serving.
-    pub fn start(cfg: ServerConfig) -> Result<PbServer, PbError> {
+    pub fn start(mut cfg: ServerConfig) -> Result<PbServer, PbError> {
         let mut bouquets = HashMap::new();
         let bcfg = BouquetConfig::default();
         let cache = match &cfg.cache_dir {
@@ -243,26 +345,28 @@ impl PbServer {
             .local_addr()
             .map_err(|e| PbError::Internal(format!("local_addr: {e}")))?;
 
-        let workers = cfg.workers.max(1);
-        let queue_cap = cfg.queue_cap.max(1);
-        let tenant_cap = cfg.tenant_cap;
-        let resume_byte_cap = cfg.resume_byte_cap;
-        let faults = FaultInjector::new(&cfg.faults);
+        cfg.workers = cfg.workers.max(1);
+        cfg.queue_cap = cfg.queue_cap.max(1);
+        let state = State {
+            reqs: HashMap::new(),
+            queued: VecDeque::new(),
+            finished: VecDeque::new(),
+            next_id: 1,
+            metrics: Metrics::default(),
+            ledger: TenantLedger::new(cfg.tenant_cap),
+            books: CheckpointBook::with_byte_cap(cfg.resume_byte_cap),
+            faults: FaultInjector::new(&cfg.faults),
+            draining: false,
+            stop_workers: false,
+            shutdown: false,
+        };
+        let workers = cfg.workers;
         let shared = Arc::new(Shared {
             cfg,
             bouquets,
-            queue: BoundedQueue::new(queue_cap),
-            registry: Mutex::new(Registry::default()),
+            state: Mutex::new(state),
+            work: Condvar::new(),
             settled: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            ledger: TenantLedger::new(tenant_cap),
-            metrics: Metrics::default(),
-            faults: Mutex::new(faults),
-            books: Mutex::new(CheckpointBook::with_byte_cap(resume_byte_cap)),
-            inflight: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             addr,
         });
 
@@ -300,8 +404,7 @@ impl PbServer {
     /// everything accepted, stop workers, close the listener.
     pub fn stop(mut self) -> ServerStats {
         drain_to_stop(&self.shared);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        poke_accept(&self.shared);
+        stop_accepting(&self.shared);
         self.join_threads();
         self.shared.stats()
     }
@@ -321,24 +424,27 @@ impl PbServer {
 /// deadline still ends through its cancellation token, so in practice
 /// nothing stays pending; the cap is a last-resort escape.
 fn drain_to_stop(s: &Shared) {
-    s.draining.store(true, Ordering::SeqCst);
-    let registry = lock(&s.registry);
-    let settled = s
+    let mut st = s.lock();
+    st.draining = true;
+    let waited = s
         .settled
-        .wait_timeout_while(registry, Duration::from_secs(120), |r| r.pending() > 0);
-    drop(settled.unwrap_or_else(PoisonError::into_inner));
-    s.stop_workers.store(true, Ordering::SeqCst);
-    s.queue.close();
+        .wait_timeout_while(st, Duration::from_secs(120), |st| st.pending() > 0);
+    let (mut st, _) = waited.unwrap_or_else(PoisonError::into_inner);
+    st.stop_workers = true;
+    drop(st);
+    s.work.notify_all();
 }
 
-/// Unblock the accept loop after `shutdown` is set.
-fn poke_accept(s: &Shared) {
+/// End the accept loop: set `shutdown`, then connect once so the blocked
+/// `accept` returns and reads it.
+fn stop_accepting(s: &Shared) {
+    s.lock().shutdown = true;
     let _ = TcpStream::connect(s.addr);
 }
 
 fn accept_loop(s: &Arc<Shared>, listener: &TcpListener) {
     for stream in listener.incoming() {
-        if s.shutdown.load(Ordering::SeqCst) {
+        if s.lock().shutdown {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -347,7 +453,7 @@ fn accept_loop(s: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-fn serve_connection(s: &Arc<Shared>, stream: TcpStream) {
+fn serve_connection(s: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -374,7 +480,7 @@ fn serve_connection(s: &Arc<Shared>, stream: TcpStream) {
         };
         // Fault site `server:slow-client`: the handler stalls as if the
         // client trickled its line in; workers are unaffected.
-        let stall = lock(&s.faults).slow_client_ms();
+        let stall = s.lock().faults.slow_client_ms();
         if let Some(ms) = stall {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -383,21 +489,20 @@ fn serve_connection(s: &Arc<Shared>, stream: TcpStream) {
         // Fault site `server:client-disconnect`: drop the connection
         // before the response is written. The request itself (if any) was
         // already admitted and will complete server-side.
-        if lock(&s.faults).client_disconnect() {
+        if s.lock().faults.client_disconnect() {
             return;
         }
         if write_line(&mut writer, &resp).is_err() {
             return;
         }
         if is_drain {
-            s.shutdown.store(true, Ordering::SeqCst);
-            poke_accept(s);
+            stop_accepting(s);
             return;
         }
     }
 }
 
-fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
+fn handle_request(s: &Shared, req: Request) -> Response {
     match req {
         Request::Ping => Response::Pong,
         Request::Submit {
@@ -423,22 +528,21 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
                 phase: ReqPhase::Queued,
             },
         ),
-        Request::Status { id } => lock(&s.registry).status(id),
+        Request::Status { id } => s.lock().status(id),
         Request::Wait { id, timeout_ms } => {
-            let registry = lock(&s.registry);
             let timeout = Duration::from_millis(timeout_ms);
             let waited = s
                 .settled
-                .wait_timeout_while(registry, timeout, |r| r.is_pending(id));
-            let (registry, _) = waited.unwrap_or_else(PoisonError::into_inner);
-            registry.status(id)
+                .wait_timeout_while(s.lock(), timeout, |st| st.is_pending(id));
+            let (st, _) = waited.unwrap_or_else(PoisonError::into_inner);
+            st.status(id)
         }
         Request::Cancel { id } => {
-            let registry = lock(&s.registry);
-            if let Some(r) = registry.reqs.get(&id) {
+            let st = s.lock();
+            if let Some(r) = st.reqs.get(&id) {
                 r.cancel.cancel();
             }
-            registry.status(id)
+            st.status(id)
         }
         Request::Stats => Response::Stats { stats: s.stats() },
         Request::Drain => {
@@ -448,15 +552,10 @@ fn handle_request(s: &Arc<Shared>, req: Request) -> Response {
     }
 }
 
-fn submit(s: &Arc<Shared>, req: Req) -> Response {
-    s.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-    if s.draining.load(Ordering::SeqCst) {
-        s.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        return Response::Rejected {
-            reason: "draining".into(),
-            retry_after_ms: s.cfg.retry_after_ms,
-        };
-    }
+/// Admit `req` or reject it. A submission that names no loaded workload or
+/// a wrong location is an `Error` and never reaches admission, so it counts
+/// as neither submitted, accepted nor rejected.
+fn submit(s: &Shared, req: Req) -> Response {
     let Some(b) = s.bouquets.get(&req.workload) else {
         return Response::Error {
             message: format!("unknown workload {}", req.workload),
@@ -468,71 +567,79 @@ fn submit(s: &Arc<Shared>, req: Req) -> Response {
             message: format!("fractions must be {d} values in [0,1]"),
         };
     }
-    let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-    lock(&s.registry).reqs.insert(id, req);
-    match s.queue.try_push(id) {
-        Ok(depth) => {
-            s.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-            Response::Accepted {
-                id,
-                queue_depth: depth,
-            }
-        }
-        Err(e) => {
-            lock(&s.registry).reqs.remove(&id);
-            // It was counted pending: a drain waiting on it must wake.
-            s.settled.notify_all();
-            s.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            Response::Rejected {
-                reason: match e {
-                    PushError::Full => "queue full".into(),
-                    PushError::Closed => "draining".into(),
-                },
-                retry_after_ms: s.cfg.retry_after_ms,
-            }
-        }
+    let mut st = s.lock();
+    st.metrics.submitted += 1;
+    let refusal = if st.draining {
+        Some("draining")
+    } else if st.queued.len() >= s.cfg.queue_cap {
+        Some("queue full")
+    } else {
+        None
+    };
+    if let Some(reason) = refusal {
+        st.metrics.rejected += 1;
+        return Response::Rejected {
+            reason: reason.into(),
+            retry_after_ms: s.cfg.retry_after_ms,
+        };
     }
+    let id = st.insert(req);
+    st.queued.push_back(id);
+    st.metrics.accepted += 1;
+    let queue_depth = st.queued.len();
+    drop(st);
+    s.work.notify_one();
+    Response::Accepted { id, queue_depth }
 }
 
 // ---------------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------------
 
-fn worker_loop(s: &Arc<Shared>) {
-    while let Some(id) = s.queue.pop() {
+/// The next dispatched request, blocking while the queue is empty; `None`
+/// once the queue is empty and the drain has let workers stop.
+fn next_job(s: &Shared) -> Option<Job> {
+    let mut st = s.lock();
+    loop {
+        if let Some(job) = st.dispatch() {
+            return Some(job);
+        }
+        if st.stop_workers {
+            return None;
+        }
+        st = s.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+fn worker_loop(s: &Shared) {
+    while let Some(job) = next_job(s) {
         // Fault site `server:queue-stall`: dispatch hiccups, surfacing as
-        // added queueing latency — never as a dropped request.
-        let stall = lock(&s.faults).queue_stall_ms();
-        if let Some(ms) = stall {
+        // added latency of a running request — never as a dropped one.
+        if let Some(ms) = job.stall_ms {
             std::thread::sleep(Duration::from_millis(ms));
         }
-        let Some((req, reservation)) = begin_request(s, id) else {
-            continue;
-        };
-        s.inflight.fetch_add(1, Ordering::SeqCst);
-        let run = catch_unwind(AssertUnwindSafe(|| execute_request(s, &req, &reservation)));
-        s.inflight.fetch_sub(1, Ordering::SeqCst);
-        let poisoned = run.is_err();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            execute_request(s, &job.req, &job.reservation)
+        }));
+        let panicked = run.is_err();
         let result = run.unwrap_or_else(|_| {
             // Containment: the request gets a typed terminal error, the
             // tenant is charged its full reservation (an over- but never an
             // under-charge: the run's spend is bounded by it), and this
             // worker is considered poisoned — it exits and the supervisor
             // replaces it. The server never goes down.
-            s.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             let error = PbError::Internal("worker panicked; request aborted".into());
             QueryResult {
-                total_cost: if reservation.amount.is_finite() {
-                    reservation.amount
+                total_cost: if job.reservation.amount.is_finite() {
+                    job.reservation.amount
                 } else {
                     0.0
                 },
                 ..fail_result(&error)
             }
         });
-        s.ledger.settle(&reservation, result.total_cost);
-        finish(s, id, result);
-        if poisoned {
+        s.finish(job.id, Some(&job.reservation), result, panicked);
+        if panicked {
             return;
         }
     }
@@ -570,7 +677,7 @@ fn supervise(
 ) {
     let mut live = handles.len();
     for k in exited {
-        if s.stop_workers.load(Ordering::SeqCst) {
+        if s.lock().stop_workers {
             live -= 1;
             if live == 0 {
                 break;
@@ -578,7 +685,7 @@ fn supervise(
         } else {
             let dead = std::mem::replace(&mut handles[k], spawn_worker(s, k, exits));
             let _ = dead.join();
-            s.metrics.workers_replaced.fetch_add(1, Ordering::Relaxed);
+            s.lock().metrics.workers_replaced += 1;
         }
     }
     for h in handles {
@@ -586,24 +693,12 @@ fn supervise(
     }
 }
 
-/// Mark `id` running, clone its record and reserve its tenant budget.
-fn begin_request(s: &Arc<Shared>, id: u64) -> Option<(Req, Reservation)> {
-    let req = {
-        let mut registry = lock(&s.registry);
-        let r = registry.reqs.get_mut(&id)?;
-        r.phase = ReqPhase::Running;
-        r.clone()
-    };
-    let reservation = s.ledger.reserve(&req.tenant);
-    Some((req, reservation))
-}
-
-/// Execute one admitted request end to end; the caller settles the
+/// Execute one dispatched request end to end; the caller settles the
 /// reservation at the result's `total_cost`. Panics (injected or genuine)
 /// unwind to the worker loop's containment.
 #[allow(clippy::panic)] // the worker-panic fault site unwinds on purpose
-fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> QueryResult {
-    if lock(&s.faults).worker_panic() {
+fn execute_request(s: &Shared, req: &Req, reservation: &Reservation) -> QueryResult {
+    if s.lock().faults.worker_panic() {
         // Deliberate unwind — the `server:worker-panic` fault site.
         std::panic::panic_any(InjectedPanic);
     }
@@ -623,7 +718,7 @@ fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> Que
     if req.resume {
         // A retained book (a cancelled submission's) or a fresh one.
         sub.resume.set_byte_cap(s.cfg.resume_byte_cap);
-        let book = lock(&s.books).remove(&req.book_key());
+        let book = s.lock().books.remove(&req.book_key());
         sub.resume.install_book(book.unwrap_or_default());
     }
 
@@ -644,11 +739,8 @@ fn execute_request(s: &Arc<Shared>, req: &Req, reservation: &Reservation) -> Que
         let book = sub.resume.take_book().filter(|_| cancelled);
         s.retain_book(req.book_key(), book);
     }
-    let subopt = (outcome == "completed").then(|| {
-        let so = (stats.reused_cost + rr.run.total_cost) / sub.run_native_at(&qa);
-        s.metrics.observe_subopt(so);
-        so
-    });
+    let subopt = (outcome == "completed")
+        .then(|| (stats.reused_cost + rr.run.total_cost) / sub.run_native_at(&qa));
     QueryResult {
         outcome: outcome.into(),
         total_cost: rr.run.total_cost,
@@ -670,35 +762,6 @@ fn fail_result(e: &PbError) -> QueryResult {
         events: 0,
         error: Some(e.to_string()),
     }
-}
-
-/// Record a request's terminal state: registry phase (forgetting the
-/// oldest terminal request past [`TERMINAL_KEPT`]), outcome counter and
-/// latency, then wake every `Wait` and the drain. Every accepted request
-/// passes through here exactly once.
-fn finish(s: &Arc<Shared>, id: u64, result: QueryResult) {
-    match result.outcome.as_str() {
-        "completed" => &s.metrics.completed,
-        "degraded" => &s.metrics.degraded,
-        "budget-exhausted" => &s.metrics.budget_exhausted,
-        "cancelled" => &s.metrics.cancelled,
-        _ => &s.metrics.failed,
-    }
-    .fetch_add(1, Ordering::Relaxed);
-    let mut registry = lock(&s.registry);
-    if let Some(r) = registry.reqs.get_mut(&id) {
-        s.metrics
-            .observe_latency(r.submitted.elapsed().as_secs_f64() * 1e3);
-        r.phase = ReqPhase::Done(result);
-        registry.finished.push_back(id);
-        if registry.finished.len() > TERMINAL_KEPT {
-            if let Some(oldest) = registry.finished.pop_front() {
-                registry.reqs.remove(&oldest);
-            }
-        }
-    }
-    drop(registry);
-    s.settled.notify_all();
 }
 
 #[cfg(test)]
@@ -763,11 +826,53 @@ mod tests {
         server.stop();
     }
 
+    /// Every `Stats` reply is one moment of the server: while the first
+    /// dispatch stalls, each snapshot still accounts for every request —
+    /// the stalled one is in flight, and a submission that failed
+    /// validation counts nowhere.
+    #[test]
+    fn every_stats_snapshot_accounts_for_every_request() {
+        let server = stalled_server(1000);
+        let mut c = PbClient::connect(server.addr()).unwrap();
+        let id = accepted_id(c.request(&submit_req("t", 0.5, false)).unwrap());
+        let unknown = Request::Submit {
+            tenant: "t".into(),
+            workload: "NOPE".into(),
+            fractions: vec![0.5],
+            optimized: false,
+            resume: false,
+            deadline_ms: None,
+        };
+        assert!(matches!(
+            c.request(&unknown).unwrap(),
+            Response::Error { .. }
+        ));
+        let polling = Instant::now();
+        let mut snapshots = 0;
+        while polling.elapsed() < Duration::from_millis(400) {
+            let Response::Stats { stats: s } = c.request(&Request::Stats).unwrap() else {
+                panic!("Stats answered something else");
+            };
+            let answered = s.completed + s.degraded + s.budget_exhausted + s.cancelled + s.failed;
+            assert_eq!(
+                s.accepted - answered,
+                (s.queue_depth + s.inflight) as u64,
+                "{s:?}"
+            );
+            assert_eq!(s.submitted, s.accepted + s.rejected, "{s:?}");
+            snapshots += 1;
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(snapshots > 0);
+        let done = c.wait(id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.outcome, "completed");
+        server.stop();
+    }
+
     /// Register a request no worker runs: it stays queued until the test
     /// settles it with `finish`, so a wait on it cannot end early.
     fn held_request(s: &Arc<Shared>) -> u64 {
-        let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-        let req = Req {
+        s.lock().insert(Req {
             tenant: "t".into(),
             workload: "EQ_1D".into(),
             fractions: vec![0.5],
@@ -776,9 +881,7 @@ mod tests {
             cancel: CancelToken::new(),
             submitted: Instant::now(),
             phase: ReqPhase::Queued,
-        };
-        lock(&s.registry).reqs.insert(id, req);
-        id
+        })
     }
 
     #[test]
@@ -797,7 +900,7 @@ mod tests {
         let err = c.wait(id, Duration::from_millis(5)).unwrap_err();
         assert!(err.to_string().contains("timed out"), "{err}");
         let result = fail_result(&PbError::Internal("settled by the test".into()));
-        finish(s, id, result.clone());
+        s.finish(id, None, result.clone(), false);
         assert_eq!(c.wait(id, Duration::from_secs(30)).unwrap(), result);
         server.stop();
     }
@@ -829,13 +932,13 @@ mod tests {
         );
         let waiter = std::thread::spawn(move || c.wait(id, Duration::from_secs(30)));
         let drain = std::thread::spawn(move || d.request(&Request::Drain));
-        while !s.draining.load(Ordering::SeqCst) {
+        while !s.lock().draining {
             std::thread::yield_now();
         }
         // The drain waits for the held request, and so does the waiter.
         assert!(!drain.is_finished() && !waiter.is_finished());
         let result = fail_result(&PbError::Internal("settled by the test".into()));
-        finish(s, id, result.clone());
+        s.finish(id, None, result.clone(), false);
         assert!(matches!(
             drain.join().unwrap().unwrap(),
             Response::Drained { .. }
@@ -873,7 +976,7 @@ mod tests {
                 }
             };
             accepted.push(id);
-            let registry = lock(&s.registry);
+            let registry = s.lock();
             let in_flight = registry
                 .reqs
                 .values()
@@ -886,12 +989,8 @@ mod tests {
                 "{held} held, {in_flight} in flight"
             );
         }
-        drop(
-            s.settled
-                .wait_while(lock(&s.registry), |r| r.pending() > 0)
-                .unwrap(),
-        );
-        assert_eq!(lock(&s.registry).reqs.len(), TERMINAL_KEPT);
+        drop(s.settled.wait_while(s.lock(), |r| r.pending() > 0).unwrap());
+        assert_eq!(s.lock().reqs.len(), TERMINAL_KEPT);
         // The first to finish are forgotten — not necessarily the first
         // submitted, with two workers — and answer `Error`.
         let status = |id| handle_request(s, Request::Status { id });
@@ -942,11 +1041,11 @@ mod tests {
             assert!(matches!(rr.run.outcome, ExecutionOutcome::Cancelled { .. }));
             let book = sub.resume.take_book().filter(|book| !book.is_empty());
             s.retain_book(("t".into(), "EQ_1D".into(), vec![f.to_bits()]), book);
-            let retained = lock(&s.books).bytes();
+            let retained = s.lock().books.bytes();
             assert!(retained <= cap, "{retained} B retained under a {cap} B cap");
         }
         assert!(
-            lock(&s.books).evictions() > 0,
+            s.lock().books.evictions() > 0,
             "the cap never evicted a book"
         );
 

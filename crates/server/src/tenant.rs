@@ -15,9 +15,8 @@
 //! Reservations are strict: a second concurrent request from the same
 //! tenant sees only what the first left behind.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct Account {
     cap: f64,
@@ -25,9 +24,8 @@ struct Account {
     reserved: f64,
 }
 
-/// A granted reservation. Settlement is exactly-once: panic-containment
-/// paths may race a normal settle, and a double settle would double-charge
-/// `spent` past the cap.
+/// A granted reservation. Settlement is exactly-once: a double settle
+/// would double-charge `spent` past the cap.
 #[derive(Debug)]
 pub struct Reservation {
     pub tenant: String,
@@ -37,9 +35,11 @@ pub struct Reservation {
     settled: AtomicBool,
 }
 
-/// Thread-safe tenant ledger.
+/// The tenant ledger. It holds no lock of its own: the server keeps it in
+/// its one locked state, so a reservation and a settlement are each one
+/// step of that state.
 pub struct TenantLedger {
-    accounts: Mutex<HashMap<String, Account>>,
+    accounts: BTreeMap<String, Account>,
     default_cap: f64,
 }
 
@@ -48,19 +48,14 @@ impl TenantLedger {
     /// `f64::INFINITY` disables capping.
     pub fn new(default_cap: f64) -> Self {
         TenantLedger {
-            accounts: Mutex::new(HashMap::new()),
+            accounts: BTreeMap::new(),
             default_cap,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Account>> {
-        self.accounts.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Reserve the tenant's entire remaining budget for one request.
-    pub fn reserve(&self, tenant: &str) -> Reservation {
-        let mut a = self.lock();
-        let acc = a.entry(tenant.to_string()).or_insert(Account {
+    pub fn reserve(&mut self, tenant: &str) -> Reservation {
+        let acc = self.accounts.entry(tenant.to_string()).or_insert(Account {
             cap: self.default_cap,
             spent: 0.0,
             reserved: 0.0,
@@ -78,12 +73,11 @@ impl TenantLedger {
     /// reservation so accounting can never exceed the cap even if a caller
     /// mis-reports). Second and later settles of the same reservation are
     /// no-ops.
-    pub fn settle(&self, r: &Reservation, actual: f64) {
+    pub fn settle(&mut self, r: &Reservation, actual: f64) {
         if r.settled.swap(true, Ordering::SeqCst) {
             return;
         }
-        let mut a = self.lock();
-        if let Some(acc) = a.get_mut(&r.tenant) {
+        if let Some(acc) = self.accounts.get_mut(&r.tenant) {
             acc.reserved = (acc.reserved - r.amount).max(0.0);
             acc.spent += actual.clamp(0.0, r.amount);
         }
@@ -92,16 +86,13 @@ impl TenantLedger {
     /// `(tenant, spent, cap)` rows, sorted by tenant for stable output. An
     /// uncapped tenant reports cap `-1.0` (JSON cannot carry infinity).
     pub fn snapshot(&self) -> Vec<(String, f64, f64)> {
-        let a = self.lock();
-        let mut rows: Vec<_> = a
+        self.accounts
             .iter()
             .map(|(t, acc)| {
                 let cap = if acc.cap.is_finite() { acc.cap } else { -1.0 };
                 (t.clone(), acc.spent, cap)
             })
-            .collect();
-        rows.sort_by(|x, y| x.0.cmp(&y.0));
-        rows
+            .collect()
     }
 }
 
@@ -111,7 +102,7 @@ mod tests {
 
     #[test]
     fn reservations_partition_the_cap() {
-        let l = TenantLedger::new(100.0);
+        let mut l = TenantLedger::new(100.0);
         let r1 = l.reserve("a");
         assert_eq!(r1.amount, 100.0);
         let r2 = l.reserve("a");
@@ -124,7 +115,7 @@ mod tests {
 
     #[test]
     fn tenants_are_isolated() {
-        let l = TenantLedger::new(50.0);
+        let mut l = TenantLedger::new(50.0);
         let ra = l.reserve("a");
         l.settle(&ra, 50.0);
         assert_eq!(l.reserve("a").amount, 0.0);
@@ -134,7 +125,7 @@ mod tests {
 
     #[test]
     fn settle_is_exactly_once() {
-        let l = TenantLedger::new(100.0);
+        let mut l = TenantLedger::new(100.0);
         let r = l.reserve("a");
         l.settle(&r, 30.0);
         l.settle(&r, 30.0);
@@ -144,7 +135,7 @@ mod tests {
 
     #[test]
     fn settle_clamps_into_the_reservation() {
-        let l = TenantLedger::new(10.0);
+        let mut l = TenantLedger::new(10.0);
         let r = l.reserve("a");
         l.settle(&r, 1e9);
         assert_eq!(l.snapshot(), vec![("a".to_string(), 10.0, 10.0)]);
