@@ -151,7 +151,9 @@ fn run_one(w: &Workload, b: &Bouquet, db: &Database) -> HostileReport {
 
     HostileReport {
         workload: w.name.clone(),
-        dim_kinds: w.ess.dims.iter().map(|d| d.kind.label().into()).collect(),
+        dim_kinds: (0..w.d())
+            .map(|d| w.query.dim_kind(d).unwrap_or_default().label().into())
+            .collect(),
         qe: qe.0.clone(),
         qa: qa.0.clone(),
         nat_cost,

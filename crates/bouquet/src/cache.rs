@@ -52,7 +52,7 @@ use pb_optimizer::PlanDiagram;
 use pb_plan::{PhysicalPlan, PlanNode, QuerySpec};
 
 use crate::bouquet::{validate_config, Bouquet, BouquetConfig, CompileStats};
-use crate::contour::{plan_union, Contour};
+use crate::contour::{plan_union, rho, Contour};
 use crate::grading::IsoCostGrading;
 use crate::workload::Workload;
 
@@ -613,8 +613,9 @@ fn read_entry(
 
 /// What a decoded bouquet must satisfy before a driver may index with it:
 /// grid-sized arrays over the caller's grid, a cost row per bouquet plan, a
-/// non-empty contour schedule, and every plan id, grid point and stored plan
-/// valid for the caller's workload.
+/// non-empty contour schedule that is the one identification derives from
+/// the frame's own PIC (see [`validate_schedule`]), and every plan id, grid
+/// point and stored plan valid for the caller's workload.
 fn validate_structure(b: &Bouquet) -> Result<(), String> {
     let n = b.workload.ess.num_points();
     if b.diagram.optimal.len() != n || b.diagram.opt_cost.len() != n {
@@ -647,6 +648,7 @@ fn validate_structure(b: &Bouquet) -> Result<(), String> {
     if b.contours.is_empty() {
         return Err("bouquet has no contours".into());
     }
+    validate_schedule(b)?;
     for c in &b.contours {
         if c.points.len() != c.assignment.len() {
             return Err(format!("contour {} assignment arity mismatch", c.id));
@@ -673,6 +675,57 @@ fn validate_structure(b: &Bouquet) -> Result<(), String> {
             Ok(_) => return Err(format!("plan {id} does not join every relation")),
             Err(e) => return Err(format!("plan {id}: {e}")),
         }
+    }
+    Ok(())
+}
+
+/// The stored schedule must agree with its own grading, bit for bit: the
+/// grading is the geometric one of the frame's PIC bounds and r, contour
+/// `k` is step `k + 1` with budget `step · (1+λ)`, and the stats the bound
+/// reads (ρ, m, the bouquet's size, the PIC bounds) are what the contours
+/// and the PIC give. Runs are charged — and audited — against the stored
+/// budgets, so a frame whose budgets were doubled would otherwise load,
+/// run and pass its audit.
+fn validate_schedule(b: &Bouquet) -> Result<(), String> {
+    let (cmin, cmax) = b.diagram.cost_bounds();
+    if !(cmin > 0.0 && cmin <= cmax && cmax.is_finite()) {
+        return Err(format!("PIC bounds [{cmin}, {cmax}] admit no grading"));
+    }
+    if b.grading != IsoCostGrading::geometric(cmin, cmax, b.config.r) {
+        return Err("grading is not the geometric grading of the PIC".into());
+    }
+    let inflate = 1.0 + b.config.lambda;
+    for (k, (c, &step)) in b.contours.iter().zip(&b.grading.steps).enumerate() {
+        if c.id != k + 1 {
+            return Err(format!("contour {} stands at position {}", c.id, k + 1));
+        }
+        if c.step_cost.to_bits() != step.to_bits() {
+            return Err(format!("contour {} step cost is not the grading's", c.id));
+        }
+        if c.budget.to_bits() != (step * inflate).to_bits() {
+            return Err(format!(
+                "contour {} budget is not its step times (1+λ)",
+                c.id
+            ));
+        }
+    }
+    let s = &b.stats;
+    let derived = (
+        rho(&b.contours),
+        b.contours.len(),
+        plan_union(&b.contours).len(),
+        cmin.to_bits(),
+        cmax.to_bits(),
+    );
+    let stored = (
+        s.rho,
+        s.num_contours,
+        s.bouquet_cardinality,
+        s.cmin.to_bits(),
+        s.cmax.to_bits(),
+    );
+    if stored != derived {
+        return Err("stored stats disagree with the contours and the PIC".into());
     }
     Ok(())
 }
@@ -1158,6 +1211,43 @@ mod tests {
             seal_under(&path, &w, &cfg, &b);
             refused(&path, &w, &cfg, "isocost ratio r must exceed 1");
         }
+    }
+
+    /// A sealed frame whose schedule disagrees with its own grading is
+    /// refused: runs are charged and audited against the stored budgets, and
+    /// the quoted bound reads the stored ρ.
+    #[test]
+    fn frame_schedule_must_agree_with_its_grading() {
+        let tmp = TmpDir::new("schedule");
+        let path = frame_path(&tmp);
+        let w = crate::contour::tests::eq_2d();
+        let cfg = BouquetConfig::default();
+        let b = Bouquet::identify(&w, &cfg).unwrap();
+        assert!(b.contours.len() >= 2 && b.stats.rho > 1, "{:?}", b.stats);
+        let refuse_crafted = |craft: fn(&mut Bouquet), tail: &str| {
+            let mut bad = b.clone();
+            craft(&mut bad);
+            seal_under(&path, &w, &cfg, &bad);
+            refused(&path, &w, &cfg, tail);
+        };
+        refuse_crafted(
+            |b| b.contours[1].budget *= 2.0,
+            "contour 2 budget is not its step times (1+λ)",
+        );
+        refuse_crafted(
+            |b| {
+                b.contours[0].id = 2;
+                b.contours[1].id = 1;
+            },
+            "contour 2 stands at position 1",
+        );
+        refuse_crafted(
+            |b| b.stats.rho = 1,
+            "stored stats disagree with the contours and the PIC",
+        );
+        seal_under(&path, &w, &cfg, &b);
+        let budgets = |b: &Bouquet| b.contours.iter().map(|c| c.budget).collect::<Vec<_>>();
+        assert_eq!(budgets(&load_frame(&path, &w, &cfg).unwrap()), budgets(&b));
     }
 
     #[test]

@@ -259,14 +259,14 @@ pub fn rho(contours: &[Contour]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::workload::Workload;
     use pb_catalog::tpch;
     use pb_cost::{CostModel, Ess, EssDim};
     use pb_plan::{CmpOp, QueryBuilder, SelSpec};
 
-    fn eq_2d() -> Workload {
+    pub(crate) fn eq_2d() -> Workload {
         let cat = tpch::catalog(1.0);
         let mut qb = QueryBuilder::new(&cat, "EQ2D");
         let p = qb.rel("part");

@@ -20,10 +20,10 @@ use crate::workload::Workload;
 pub struct DimSensitivity {
     pub dim: usize,
     pub name: String,
-    /// The axis's dimension kind (selection, pk-fk join, …), carried from
-    /// the ESS declaration so reports can group sensitivities by kind.
+    /// The axis's dimension kind (selection, pk-fk join, …): the kind of
+    /// the predicate bound to it, so reports can group sensitivities by kind.
     #[serde(default)]
-    pub kind: pb_cost::DimKind,
+    pub kind: pb_plan::DimKind,
     /// Maximum over anchors of `opt_cost(dim = hi) / opt_cost(dim = lo)`.
     pub max_cost_ratio: f64,
 }
@@ -74,7 +74,7 @@ pub fn sensitivities(w: &Workload, probe_res: usize) -> Vec<DimSensitivity> {
             DimSensitivity {
                 dim,
                 name: w.ess.dims[dim].name.clone(),
-                kind: w.ess.dims[dim].kind,
+                kind: w.query.dim_kind(dim).unwrap_or_default(),
                 max_cost_ratio: worst,
             }
         })

@@ -33,12 +33,11 @@ impl<'a> Figure7<'a> {
 impl Policy for Figure7<'_> {
     fn next_step(&mut self) -> Option<Step> {
         while self.k < self.b.contours.len() + MAX_OVERFLOW {
-            let (contour, id, f) = self.b.rung(self.k);
+            let (contour, f) = self.b.rung(self.k);
             if let Some(&plan) = contour.plan_set.get(self.i) {
                 self.i += 1;
                 return Some(Step {
-                    tried: self.k + 1,
-                    contour: id,
+                    contour: self.k + 1,
                     plan,
                     budget: contour.budget * f,
                     spill: false,

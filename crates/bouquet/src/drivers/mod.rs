@@ -49,18 +49,18 @@ impl Bouquet {
         Ok(self.run(&mut sub, &RobustConfig::plain(true))?.run)
     }
 
-    /// Rung `k` (0-based) of the contour schedule: its contour, the contour
-    /// number the trace records, and the factor on the contour's budget and
+    /// Rung `k` (0-based) of the contour schedule — contour number `k + 1`
+    /// in the trace: its contour and the factor on the contour's budget and
     /// step cost. Past the grading — reached only when model error (δ > 0)
     /// lifts actual costs over every modeled budget — the last contour
     /// repeats at ratio r: the `(1+δ)²` inflation bound of Section 3.4.
-    pub(crate) fn rung(&self, k: usize) -> (&Contour, usize, f64) {
+    pub(crate) fn rung(&self, k: usize) -> (&Contour, f64) {
         match self.contours.get(k) {
-            Some(c) => (c, c.id, 1.0),
+            Some(c) => (c, 1.0),
             None => {
                 let m = self.contours.len();
                 let f = self.config.r.powi((k - m + 1) as i32);
-                (&self.contours[m - 1], k + 1, f)
+                (&self.contours[m - 1], f)
             }
         }
     }

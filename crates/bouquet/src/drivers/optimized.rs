@@ -69,7 +69,7 @@ impl Policy for Figure13<'_> {
         let tables = b.driver_tables();
         let m = b.contours.len();
         while self.cid < m + MAX_OVERFLOW {
-            let (contour, id, f) = b.rung(self.cid);
+            let (contour, f) = b.rung(self.cid);
 
             // Early contour change: the PIC at qrun already exceeds this
             // step, so nothing here can complete (PCM argument).
@@ -112,8 +112,7 @@ impl Policy for Figure13<'_> {
                 tables.plans[plan].learnable(&self.resolved).is_some() && cost_at_qrun > budget;
             self.executed.push(plan);
             return Some(Step {
-                tried: self.cid + 1,
-                contour: id,
+                contour: self.cid + 1,
                 plan,
                 budget,
                 spill,

@@ -184,7 +184,7 @@ impl RobustRun {
                     e.contour
                 ));
             }
-            let (contour, _, f) = b.rung(e.contour - 1);
+            let (contour, f) = b.rung(e.contour - 1);
             if !contour.plan_set.contains(&e.plan) {
                 return Err(format!(
                     "execution {i}: plan {} is not on contour {}",
@@ -283,10 +283,9 @@ impl RobustRun {
 /// One scheduled execution: what a policy wants run next.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Step {
-    /// 1-based schedule rung — what a terminal outcome reports as
-    /// `contours_tried`.
-    pub tried: usize,
-    /// Contour number the trace records.
+    /// 1-based schedule rung: the contour number the trace records and what
+    /// a terminal outcome reports as `contours_tried`; 0 on the finishing
+    /// rung.
     pub contour: usize,
     pub plan: PlanId,
     pub budget: f64,
@@ -376,7 +375,7 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
     /// Run one scheduled execution through the ladder, retries included.
     /// `Some` ends the run; `None` hands back to the policy.
     fn attempt<P: Policy>(&mut self, policy: &mut P, mut step: Step) -> Option<ExecutionOutcome> {
-        let (tried, contour, plan) = (step.tried, step.contour, step.plan);
+        let (contour, plan) = (step.contour, step.plan);
         let cap = self.cfg.spend_cap.unwrap_or(f64::INFINITY);
         let mut attempt = 0usize;
         loop {
@@ -384,13 +383,13 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
             // deadline) stops the run before more budget is committed. Spend
             // so far stays charged; checkpoints survive for a resubmit.
             if let Some(error) = self.sub.cancelled() {
-                return Some(self.cancelled(error.to_string(), tried));
+                return Some(self.cancelled(error.to_string(), contour));
             }
             // Tenant budget: executions spend at most what they are granted,
             // so refusing a grant that would push past the cap keeps
             // `total ≤ cap` an invariant, not a hope.
             if self.total + step.budget > cap * (1.0 + 1e-9) {
-                return Some(self.finish(&policy.estimate(), tried, true));
+                return Some(self.finish(&policy.estimate(), contour, true));
             }
             let out = policy.execute(self.sub, &step);
             self.charge(&step, &out, true);
@@ -403,13 +402,13 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
             policy.learn(&out, &mut self.events);
             let tolerated = self.cfg.max_violations;
             if self.violations > tolerated || self.abandonments > tolerated {
-                return Some(self.finish(&policy.estimate(), tried, false));
+                return Some(self.finish(&policy.estimate(), contour, false));
             }
             match out.error {
                 None => return None,
                 // A cancellation from inside the substrate is terminal,
                 // never retried: the controller asked the run to stop.
-                Some(PbError::Cancelled(reason)) => return Some(self.cancelled(reason, tried)),
+                Some(PbError::Cancelled(reason)) => return Some(self.cancelled(reason, contour)),
                 // Spill machinery failed: retry the same plan unspilled
                 // (shallower learning, same budget).
                 Some(PbError::SpillFailure { .. }) if step.spill => {
@@ -515,7 +514,6 @@ impl<S: ExecutionSubstrate> Discovery<'_, S> {
         let ess = &self.b.workload.ess;
         let plan = self.b.diagram.optimal[ess.linear(&ess.snap_floor(est))] as PlanId;
         let mut rung = Step {
-            tried,
             contour: 0,
             plan,
             budget: f64::INFINITY,

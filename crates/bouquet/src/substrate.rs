@@ -551,8 +551,8 @@ impl ExecutionSubstrate for EngineSubstrate<'_> {
                 // clamp into the ESS so qrun can never leave the space.
                 let s = w
                     .query
-                    .spec_for_dim(dm)
-                    .map_or(s, |spec| spec.to_coordinate(s));
+                    .dim_predicate(dm)
+                    .map_or(s, |(_, spec)| spec.to_coordinate(s));
                 let s = s.clamp(w.ess.dims[dm].lo, w.ess.dims[dm].hi);
                 o.observed.push((dm, s));
                 if spilled && out.completed() {

@@ -34,22 +34,6 @@ impl Workload {
             ess.d()
         );
         query.validate(&catalog);
-        // Typed axes: a declared dimension kind must match what the query's
-        // predicate structure derives for it. The `Selection` default is
-        // tolerated on any axis so legacy untyped declarations keep working.
-        for (d, dim) in ess.dims.iter().enumerate() {
-            if dim.kind == pb_cost::DimKind::Selection {
-                continue;
-            }
-            let derived = query.dim_kind(d);
-            assert!(
-                derived == Some(dim.kind),
-                "ESS dim {d} ({}) declared {} but the query derives {:?}",
-                dim.name,
-                dim.kind,
-                derived
-            );
-        }
         Workload {
             name,
             catalog,
@@ -114,30 +98,6 @@ mod tests {
         assert!(d.plan_count() >= 3);
         let q = w.ess.point_at_fractions(&[0.5]);
         assert!(w.optimal_cost(&q) > 0.0);
-    }
-
-    #[test]
-    fn typed_dims_accepted_when_kinds_match() {
-        let w = eq_1d_small();
-        let typed = Ess::uniform(vec![EssDim::selection("p_retailprice", 1e-4, 1.0)], 48);
-        let t = Workload::new(
-            "EQ_1D_T",
-            w.catalog.clone(),
-            w.query.clone(),
-            typed,
-            w.model,
-        );
-        assert_eq!(t.ess.dims[0].kind, pb_cost::DimKind::Selection);
-    }
-
-    #[test]
-    #[should_panic(expected = "declared")]
-    fn typed_dim_kind_mismatch_rejected() {
-        let w = eq_1d_small();
-        // Dim 0 is a selection predicate; declaring it as an anti-join axis
-        // must be rejected.
-        let bad = Ess::uniform(vec![EssDim::anti_join("p_retailprice", 1e-4, 1.0)], 48);
-        Workload::new("bad", w.catalog.clone(), w.query.clone(), bad, w.model);
     }
 
     #[test]

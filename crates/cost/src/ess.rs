@@ -5,37 +5,25 @@
 //! spanning 0.01%–100%), the grid is *geometrically* spaced along each axis:
 //! selectivity errors are multiplicative, so resolution should be relative.
 
-use pb_plan::DimKind;
 use serde::{Deserialize, Serialize};
 
-/// One error-prone dimension: a selectivity range `[lo, hi]` typed with the
-/// plan-site kind it is bound to ([`DimKind`]).
+/// One error-prone dimension: a selectivity range `[lo, hi]`. What the axis
+/// *is* — a selection, a PK–FK, inequality, anti or semi join — is fixed by
+/// the predicate bound to it (`QuerySpec::dim_kind`), so the grid carries
+/// only the range.
 ///
 /// `hi` defaults to the maximum legal selectivity — 1.0 for selections, and
 /// for PK–FK joins the reciprocal of the PK side's cardinality constraint
-/// (paper, Section 4.1). The `kind` is pure metadata as far as the grid is
-/// concerned (spacing and coordinates are kind-independent), but workloads
-/// validate it against the query's predicates and the engine/estimator use
-/// it to pick per-kind observation and estimation paths.
+/// (paper, Section 4.1).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EssDim {
     pub name: String,
     pub lo: f64,
     pub hi: f64,
-    pub kind: DimKind,
 }
 
 impl EssDim {
-    /// Untyped constructor, kept for ergonomics: the dimension defaults to
-    /// [`DimKind::Selection`]. Workload validation tolerates the default on
-    /// any axis (legacy declarations predate the typed model); use the
-    /// typed constructors for new workloads.
     pub fn new(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::Selection)
-    }
-
-    /// Fully-typed constructor.
-    pub fn typed(name: impl Into<String>, lo: f64, hi: f64, kind: DimKind) -> Self {
         assert!(
             lo > 0.0 && hi > lo && hi <= 1.0,
             "bad dim range [{lo},{hi}]"
@@ -44,40 +32,7 @@ impl EssDim {
             name: name.into(),
             lo,
             hi,
-            kind,
         }
-    }
-
-    /// A base-relation selection-selectivity axis.
-    pub fn selection(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::Selection)
-    }
-
-    /// A PK–FK equi-join match-density axis.
-    pub fn pk_fk_join(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::PkFkJoin)
-    }
-
-    /// An inequality-join (`<`/`>`) pair-density axis.
-    pub fn inequality_join(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::InequalityJoin)
-    }
-
-    /// An anti-join (NOT EXISTS) match-density axis.
-    pub fn anti_join(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::AntiJoin)
-    }
-
-    /// A semi-join (EXISTS) match-density axis.
-    pub fn semi_join(name: impl Into<String>, lo: f64, hi: f64) -> Self {
-        Self::typed(name, lo, hi, DimKind::SemiJoin)
-    }
-
-    /// Same dimension with a different kind tag (range untouched).
-    #[must_use]
-    pub fn with_kind(mut self, kind: DimKind) -> Self {
-        self.kind = kind;
-        self
     }
 }
 

@@ -50,6 +50,5 @@ pub use parallel::{
     PARALLEL_MIN_MATRIX_CELLS, PARALLEL_MIN_MORSEL_ROWS,
 };
 pub use params::{CostModel, CostParams};
-pub use pb_plan::DimKind;
 pub use program::{CostProgram, NodeCosts};
 pub use sample::SplitMix64;

@@ -13,10 +13,9 @@ pub type RelIdx = usize;
 pub type DimId = usize;
 
 /// The *kind* of plan site an error-prone selectivity dimension is bound
-/// to. The paper's ESS only ever prices selection and PK–FK join
-/// selectivities; the typed model makes the binding explicit so the stack
-/// can express (and validate) axes with different cost/observation
-/// semantics:
+/// to, read off the predicate ([`QuerySpec::dim_kind`]). The paper's ESS
+/// only ever prices selection and PK–FK join selectivities; the other kinds
+/// have their own cost and observation semantics:
 ///
 /// * [`DimKind::Selection`] — a base-relation filter predicate.
 /// * [`DimKind::PkFkJoin`] — an equi-join match density.
@@ -234,54 +233,29 @@ impl QuerySpec {
         )
     }
 
-    /// The typed kind of error dimension `d`, derived from the predicate it
-    /// is bound to: selections are [`DimKind::Selection`]; join edges carry
-    /// their own kind ([`JoinPredicate::dim_kind`]). `None` when no
-    /// predicate references `d`. If several predicates share the dimension
-    /// the join edge's kind wins (join kinds drive operator-specific
-    /// observation; shared selection dims stay plain selections).
+    /// The predicate bound to error dimension `d`: its kind and its
+    /// selectivity spec. Selections are [`DimKind::Selection`]; join edges
+    /// carry their own kind ([`JoinPredicate::dim_kind`]). If several
+    /// predicates share the dimension the join edge wins (join kinds drive
+    /// operator-specific observation; shared selection dims stay plain
+    /// selections). `None` when no predicate references `d`.
+    pub fn dim_predicate(&self, d: DimId) -> Option<(DimKind, SelSpec)> {
+        let bound = |s: &SelSpec| s.error_dim() == Some(d);
+        let join = self.joins.iter().find(|j| bound(&j.selectivity));
+        join.map(|j| (j.dim_kind(), j.selectivity)).or_else(|| {
+            self.relations
+                .iter()
+                .flat_map(|r| &r.selections)
+                .find(|s| bound(&s.selectivity))
+                .map(|s| (DimKind::Selection, s.selectivity))
+        })
+    }
+
+    /// The kind of error dimension `d`: the kind of the predicate bound to
+    /// it ([`dim_predicate`](Self::dim_predicate)). The one place an axis's
+    /// kind is recorded.
     pub fn dim_kind(&self, d: DimId) -> Option<DimKind> {
-        if let Some(j) = self
-            .joins
-            .iter()
-            .find(|j| j.selectivity.error_dim() == Some(d))
-        {
-            return Some(j.dim_kind());
-        }
-        self.relations
-            .iter()
-            .flat_map(|r| &r.selections)
-            .find(|s| s.selectivity.error_dim() == Some(d))
-            .map(|_| DimKind::Selection)
-    }
-
-    /// The selectivity spec binding error dimension `d` (the join edge's if
-    /// one exists, mirroring [`QuerySpec::dim_kind`]).
-    pub fn spec_for_dim(&self, d: DimId) -> Option<SelSpec> {
-        if let Some(j) = self
-            .joins
-            .iter()
-            .find(|j| j.selectivity.error_dim() == Some(d))
-        {
-            return Some(j.selectivity);
-        }
-        self.relations
-            .iter()
-            .flat_map(|r| &r.selections)
-            .find(|s| s.selectivity.error_dim() == Some(d))
-            .map(|s| s.selectivity)
-    }
-
-    /// Whether dimension `d` is referenced by any predicate (sanity check).
-    pub fn references_dim(&self, d: DimId) -> bool {
-        self.joins
-            .iter()
-            .any(|j| j.selectivity.error_dim() == Some(d))
-            || self.relations.iter().any(|r| {
-                r.selections
-                    .iter()
-                    .any(|s| s.selectivity.error_dim() == Some(d))
-            })
+        self.dim_predicate(d).map(|(kind, _)| kind)
     }
 
     /// Check internal consistency against a catalog: the first structural
@@ -349,7 +323,7 @@ impl QuerySpec {
             self.join_graph().is_connected(),
             "join graph must be connected",
         )?;
-        match (0..self.num_dims).find(|&d| !self.references_dim(d)) {
+        match (0..self.num_dims).find(|&d| self.dim_predicate(d).is_none()) {
             Some(d) => Err(format!("dimension {d} unused")),
             None => Ok(()),
         }
@@ -638,10 +612,14 @@ mod tests {
     }
 
     #[test]
-    fn references_dim_sees_selections_and_joins() {
+    fn dim_predicate_sees_selections_and_joins() {
         let (_, q) = three_way();
-        assert!(q.references_dim(0));
-        assert!(!q.references_dim(1));
+        assert_eq!(
+            q.dim_predicate(0),
+            Some((DimKind::Selection, SelSpec::ErrorProne(0)))
+        );
+        assert_eq!(q.dim_kind(0), Some(DimKind::Selection));
+        assert_eq!(q.dim_predicate(1), None);
     }
 
     #[test]

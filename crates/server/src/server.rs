@@ -271,7 +271,7 @@ impl Shared {
     fn finish(
         &self,
         id: u64,
-        reservation: Option<&Reservation>,
+        reservation: Option<Reservation>,
         result: QueryResult,
         panicked: bool,
     ) {
@@ -630,15 +630,15 @@ fn worker_loop(s: &Shared) {
             // replaces it. The server never goes down.
             let error = PbError::Internal("worker panicked; request aborted".into());
             QueryResult {
-                total_cost: if job.reservation.amount.is_finite() {
-                    job.reservation.amount
+                total_cost: if job.reservation.amount().is_finite() {
+                    job.reservation.amount()
                 } else {
                     0.0
                 },
                 ..fail_result(&error)
             }
         });
-        s.finish(job.id, Some(&job.reservation), result, panicked);
+        s.finish(job.id, Some(job.reservation), result, panicked);
         if panicked {
             return;
         }
@@ -706,9 +706,10 @@ fn execute_request(s: &Shared, req: &Req, reservation: &Reservation) -> QueryRes
         return fail_result(&PbError::Internal("workload vanished".into()));
     };
     let qa = b.workload.ess.point_at_fractions(&req.fractions);
+    let cap = reservation.amount();
     let cfg = RobustConfig {
         optimized: req.optimized,
-        spend_cap: reservation.amount.is_finite().then_some(reservation.amount),
+        spend_cap: cap.is_finite().then_some(cap),
         ..Default::default()
     };
     let mut sub = match SimulatorSubstrate::new(b, &qa, FaultInjector::none()) {

@@ -16,7 +16,6 @@
 //! tenant sees only what the first left behind.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 struct Account {
     cap: f64,
@@ -24,15 +23,38 @@ struct Account {
     reserved: f64,
 }
 
-/// A granted reservation. Settlement is exactly-once: a double settle
-/// would double-charge `spent` past the cap.
+/// A granted reservation. Only [`TenantLedger::reserve`] makes one and
+/// [`TenantLedger::settle`] consumes it, so it is settled at most once: a
+/// double settle, which would double-charge `spent` past the cap, does not
+/// compile.
+///
+/// ```
+/// use pb_server::TenantLedger;
+/// let mut ledger = TenantLedger::new(100.0);
+/// let r = ledger.reserve("a");
+/// ledger.settle(r, 30.0);
+/// assert_eq!(ledger.reserve("a").amount(), 70.0);
+/// ```
+///
+/// ```compile_fail
+/// use pb_server::TenantLedger;
+/// let mut ledger = TenantLedger::new(100.0);
+/// let r = ledger.reserve("a");
+/// ledger.settle(r, 30.0);
+/// ledger.settle(r, 30.0); // `r` was moved by the first settle
+/// ```
 #[derive(Debug)]
 pub struct Reservation {
-    pub tenant: String,
+    tenant: String,
+    amount: f64,
+}
+
+impl Reservation {
     /// Cost units this request may spend (the tenant's remaining budget at
     /// dispatch; `0` for an exhausted tenant).
-    pub amount: f64,
-    settled: AtomicBool,
+    pub fn amount(&self) -> f64 {
+        self.amount
+    }
 }
 
 /// The tenant ledger. It holds no lock of its own: the server keeps it in
@@ -65,18 +87,13 @@ impl TenantLedger {
         Reservation {
             tenant: tenant.to_string(),
             amount: remaining,
-            settled: AtomicBool::new(false),
         }
     }
 
     /// Settle a reservation with the actual spend (clamped into the
     /// reservation so accounting can never exceed the cap even if a caller
-    /// mis-reports). Second and later settles of the same reservation are
-    /// no-ops.
-    pub fn settle(&mut self, r: &Reservation, actual: f64) {
-        if r.settled.swap(true, Ordering::SeqCst) {
-            return;
-        }
+    /// mis-reports). Settling consumes the reservation.
+    pub fn settle(&mut self, r: Reservation, actual: f64) {
         if let Some(acc) = self.accounts.get_mut(&r.tenant) {
             acc.reserved = (acc.reserved - r.amount).max(0.0);
             acc.spent += actual.clamp(0.0, r.amount);
@@ -104,40 +121,30 @@ mod tests {
     fn reservations_partition_the_cap() {
         let mut l = TenantLedger::new(100.0);
         let r1 = l.reserve("a");
-        assert_eq!(r1.amount, 100.0);
+        assert_eq!(r1.amount(), 100.0);
         let r2 = l.reserve("a");
-        assert_eq!(r2.amount, 0.0, "concurrent request sees nothing left");
-        l.settle(&r1, 60.0);
-        l.settle(&r2, 0.0);
+        assert_eq!(r2.amount(), 0.0, "concurrent request sees nothing left");
+        l.settle(r1, 60.0);
+        l.settle(r2, 0.0);
         let r3 = l.reserve("a");
-        assert_eq!(r3.amount, 40.0);
+        assert_eq!(r3.amount(), 40.0);
     }
 
     #[test]
     fn tenants_are_isolated() {
         let mut l = TenantLedger::new(50.0);
         let ra = l.reserve("a");
-        l.settle(&ra, 50.0);
-        assert_eq!(l.reserve("a").amount, 0.0);
-        assert_eq!(l.reserve("b").amount, 50.0, "b unaffected by a's spend");
+        l.settle(ra, 50.0);
+        assert_eq!(l.reserve("a").amount(), 0.0);
+        assert_eq!(l.reserve("b").amount(), 50.0, "b unaffected by a's spend");
         assert!(l.snapshot().iter().all(|(_, spent, cap)| spent <= cap));
-    }
-
-    #[test]
-    fn settle_is_exactly_once() {
-        let mut l = TenantLedger::new(100.0);
-        let r = l.reserve("a");
-        l.settle(&r, 30.0);
-        l.settle(&r, 30.0);
-        assert_eq!(l.snapshot(), vec![("a".to_string(), 30.0, 100.0)]);
-        assert_eq!(l.reserve("a").amount, 70.0);
     }
 
     #[test]
     fn settle_clamps_into_the_reservation() {
         let mut l = TenantLedger::new(10.0);
         let r = l.reserve("a");
-        l.settle(&r, 1e9);
+        l.settle(r, 1e9);
         assert_eq!(l.snapshot(), vec![("a".to_string(), 10.0, 10.0)]);
     }
 }

@@ -6,11 +6,13 @@
 //! rule of Section 4.1, for equi, anti and semi joins), spanning `decades`
 //! decades below it. The clauses after a `?` ([`DimMark`]) override the
 //! axis name, its span, and the multiple of the legal maximum it reaches,
-//! and declare a NOT EXISTS axis flipped.
+//! and declare a NOT EXISTS axis flipped. An axis is only a name and a
+//! range: what kind of axis it is stays with its predicate
+//! ([`QuerySpec::dim_kind`]).
 
 use pb_bouquet::Workload;
 use pb_catalog::Catalog;
-use pb_cost::{CostModel, DimKind, Ess, EssDim};
+use pb_cost::{CostModel, Ess, EssDim};
 use pb_plan::{
     join_ceiling, parse_with_marks, DimMark, ParseError, QueryBuilder, QuerySpec, SelSpec,
 };
@@ -26,14 +28,15 @@ pub fn derive_ess(
     resolution: usize,
 ) -> Result<Ess, ParseError> {
     let ceiling = |d: usize| marks[d].ceiling.unwrap_or(1.0);
-    // (default name, kind, upper bound) per dimension.
-    let mut axes: Vec<Option<(String, DimKind, f64)>> = vec![None; query.num_dims];
+    // (default name, upper bound) per dimension. What kind of axis each is
+    // stays with its predicate (`QuerySpec::dim_kind`).
+    let mut axes: Vec<Option<(String, f64)>> = vec![None; query.num_dims];
     for r in &query.relations {
         for s in &r.selections {
             if let Some(d) = s.selectivity.error_dim() {
                 let t = catalog.table_by_id(s.column.table);
                 let name = format!("{}.{}", r.alias, t.columns[s.column.column as usize].name);
-                axes[d] = Some((name, DimKind::Selection, ceiling(d).min(1.0)));
+                axes[d] = Some((name, ceiling(d).min(1.0)));
             }
         }
     }
@@ -48,21 +51,18 @@ pub fn derive_ess(
                 "{}⋈{}",
                 query.relations[j.left_rel].alias, query.relations[j.right_rel].alias
             );
-            // Join axes carry the edge's own kind (PK–FK, inequality,
-            // anti/semi) so the typed-dimension validation holds for any
-            // parsed query shape.
-            axes[d] = Some((name, j.dim_kind(), hi));
+            axes[d] = Some((name, hi));
         }
     }
     let dims = axes
         .into_iter()
         .zip(marks)
         .map(|(axis, mark)| {
-            let (name, kind, hi) = axis.expect("every dim is referenced by a predicate");
+            let (name, hi) = axis.expect("every dim is referenced by a predicate");
             let name = mark.name.clone().unwrap_or(name);
             let lo = hi / 10f64.powf(mark.span.unwrap_or(decades));
             if lo > 0.0 && lo < hi {
-                Ok(EssDim::typed(name, lo, hi, kind))
+                Ok(EssDim::new(name, lo, hi))
             } else {
                 Err(ParseError {
                     message: format!("axis `{name}` spans no selectivities: [{lo}, {hi}]"),

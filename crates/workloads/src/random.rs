@@ -120,7 +120,7 @@ pub fn random_workload(cfg: &RandomConfig) -> Workload {
         let spec = if let Some(d) = error_edges.iter().position(|&x| x == ei) {
             ess_dims.push((
                 d,
-                EssDim::pk_fk_join(format!("{fc}⋈{pc}"), hi / 10f64.powf(cfg.decades), hi),
+                EssDim::new(format!("{fc}⋈{pc}"), hi / 10f64.powf(cfg.decades), hi),
             ));
             SelSpec::ErrorProne(d)
         } else {

@@ -444,14 +444,13 @@ mod tests {
 
     #[test]
     fn typed_axes_carry_their_kinds() {
-        use pb_cost::DimKind;
+        use pb_plan::DimKind;
         for (w, kind) in [
             (hostile_ineq_2d(0.01), DimKind::InequalityJoin),
             (hostile_anti_2d(0.01), DimKind::AntiJoin),
             (by_name("ANTI_2D").unwrap(), DimKind::AntiJoin),
         ] {
-            assert_eq!(w.ess.dims[0].kind, DimKind::Selection);
-            assert_eq!(w.ess.dims[1].kind, kind);
+            assert_eq!(w.query.dim_kind(0), Some(DimKind::Selection));
             assert_eq!(w.query.dim_kind(1), Some(kind));
         }
     }

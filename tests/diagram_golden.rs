@@ -86,9 +86,9 @@ fn typed_workloads() -> Vec<Workload> {
         qb.build(),
         Ess::uniform(
             vec![
-                EssDim::selection("c_acctbal", 1e-3, 1.0),
-                EssDim::pk_fk_join("l⋈o", 1e-3 / rows("orders"), 1.0 / rows("orders")),
-                EssDim::semi_join("semi l⋈ps", hi / 1e3, hi),
+                EssDim::new("c_acctbal", 1e-3, 1.0),
+                EssDim::new("l⋈o", 1e-3 / rows("orders"), 1.0 / rows("orders")),
+                EssDim::new("semi l⋈ps", hi / 1e3, hi),
             ],
             6,
         ),
@@ -132,8 +132,8 @@ fn typed_workloads() -> Vec<Workload> {
         qb.build(),
         Ess::uniform(
             vec![
-                EssDim::pk_fk_join("ps⋈p", 1e-3 / rows("part"), 1.0 / rows("part")),
-                EssDim::inequality_join("p<s", 1e-3, 1.0),
+                EssDim::new("ps⋈p", 1e-3 / rows("part"), 1.0 / rows("part")),
+                EssDim::new("p<s", 1e-3, 1.0),
             ],
             16,
         ),
@@ -174,8 +174,8 @@ fn typed_workloads() -> Vec<Workload> {
         qb.build(),
         Ess::uniform(
             vec![
-                EssDim::selection("p_retailprice", 1e-4, 1.0),
-                EssDim::anti_join("anti l⋈ps", hi / 1e4, hi),
+                EssDim::new("p_retailprice", 1e-4, 1.0),
+                EssDim::new("anti l⋈ps", hi / 1e4, hi),
             ],
             16,
         ),

@@ -150,8 +150,8 @@ fn semi_2d(scale: f64) -> Workload {
     qb.semi_join(l, "l_partkey", ps, "ps_partkey", SelSpec::ErrorProne(1));
     let ess = Ess::uniform(
         vec![
-            EssDim::selection("p_retailprice", 1e-4, 1.0),
-            EssDim::semi_join("semi l⋈ps", hi / 1e4, hi),
+            EssDim::new("p_retailprice", 1e-4, 1.0),
+            EssDim::new("semi l⋈ps", hi / 1e4, hi),
         ],
         16,
     );

@@ -1,12 +1,8 @@
-//! Typed-dimension migration properties.
+//! Engine-vs-simulator agreement on the typed dimension kinds.
 //!
-//! The `DimKind` refactor re-expressed every legacy workload's ESS axes
-//! through the typed constructors (`EssDim::selection` /
-//! `EssDim::pk_fk_join`). The kind tag must be pure metadata for those two
-//! kinds: re-declaring the same workload with the untyped legacy
-//! constructor (`EssDim::new`) must produce **byte-identical** plan
-//! diagrams, cost matrices, contours and driver runs. And on the new kinds
-//! (inequality-join, anti-join), the engine substrate's per-kind observed
+//! An axis's kind is the kind of the predicate bound to it
+//! (`QuerySpec::dim_kind`). On the inequality-join and anti-join axes of
+//! the hostile spaces, the engine substrate's per-kind observed
 //! selectivities must agree with the data-measured true location the
 //! simulator is driven at — same ladder decisions, same resolved
 //! coordinates.
@@ -15,110 +11,12 @@ use std::sync::OnceLock;
 
 use plan_bouquet::bouquet::{
     measure_qa, Bouquet, BouquetConfig, EngineSubstrate, ExecutionSubstrate, RobustConfig,
-    SimulatorSubstrate, Workload,
 };
-use plan_bouquet::cost::{Ess, EssDim};
 use plan_bouquet::engine::Database;
 use plan_bouquet::faults::FaultInjector;
+use plan_bouquet::plan::DimKind;
 use plan_bouquet::workloads;
 use proptest::prelude::*;
-
-/// The same workload with every axis demoted to the untyped legacy
-/// constructor (kind defaults to `Selection`), ranges and resolutions
-/// untouched.
-fn untyped(w: &Workload) -> Workload {
-    let dims = w
-        .ess
-        .dims
-        .iter()
-        .map(|d| EssDim::new(d.name.clone(), d.lo, d.hi))
-        .collect();
-    Workload::new(
-        w.name.clone(),
-        w.catalog.clone(),
-        w.query.clone(),
-        Ess::new(dims, w.ess.res.clone()),
-        w.model.clone(),
-    )
-}
-
-/// Identification artifacts that must not change under re-kinding,
-/// compared modulo the kind tag itself: the serialized diagram embeds the
-/// ESS (whose `kind` fields differ by construction), so the tags are
-/// canonicalized before the byte comparison — everything else must match
-/// exactly.
-fn identity_artifacts(b: &Bouquet) -> String {
-    let raw = format!(
-        "{}\n{}\n{}\n{}",
-        serde_json::to_string(&b.diagram).unwrap(),
-        serde_json::to_string(&b.costs).unwrap(),
-        serde_json::to_string(&b.grading).unwrap(),
-        serde_json::to_string(&b.contours).unwrap()
-    );
-    raw.replace("\"kind\":\"PkFkJoin\"", "\"kind\":\"Selection\"")
-}
-
-fn migration_pairs() -> &'static Vec<(Bouquet, Bouquet)> {
-    static P: OnceLock<Vec<(Bouquet, Bouquet)>> = OnceLock::new();
-    P.get_or_init(|| {
-        [
-            workloads::by_name("EQ_1D").unwrap(),
-            workloads::h_q8a_2d(0.01),
-            workloads::by_name("3D_DS_Q15").unwrap(),
-        ]
-        .iter()
-        .map(|w| {
-            let typed = Bouquet::identify(w, &BouquetConfig::default()).unwrap();
-            let legacy = Bouquet::identify(&untyped(w), &BouquetConfig::default()).unwrap();
-            (typed, legacy)
-        })
-        .collect()
-    })
-}
-
-#[test]
-fn typed_migration_identifies_byte_identically() {
-    for (typed, legacy) in migration_pairs() {
-        assert_eq!(
-            identity_artifacts(typed),
-            identity_artifacts(legacy),
-            "{}: typed re-declaration changed identification artifacts",
-            typed.workload.name
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Driver byte-identity at arbitrary (off-grid) true locations: the
-    /// basic and optimized runs of the typed and untyped declarations
-    /// serialize to the same bytes.
-    #[test]
-    fn typed_migration_runs_byte_identically(fx in 0.0f64..=1.0, fy in 0.0f64..=1.0, fz in 0.0f64..=1.0) {
-        let fracs = [fx, fy, fz];
-        for (typed, legacy) in migration_pairs() {
-            let d = typed.workload.ess.d();
-            let qa = typed.workload.ess.point_at_fractions(&fracs[..d]);
-            for optimized in [false, true] {
-                let run = |b: &Bouquet| {
-                    let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none())?;
-                    b.run(&mut sub, &RobustConfig::plain(optimized)).map(|r| r.run)
-                };
-                let t = run(typed).unwrap();
-                let l = run(legacy).unwrap();
-                prop_assert_eq!(
-                    serde_json::to_string(&t).unwrap(),
-                    serde_json::to_string(&l).unwrap(),
-                    "{}: {} driver diverged at {:?}",
-                    &typed.workload.name,
-                    if optimized { "optimized" } else { "basic" },
-                    &qa
-                );
-            }
-        }
-    }
-}
 
 fn hostile_bouquets() -> &'static Vec<Bouquet> {
     static B: OnceLock<Vec<Bouquet>> = OnceLock::new();
@@ -192,8 +90,7 @@ proptest! {
                 let mut sub = EngineSubstrate::new(b, &db, FaultInjector::none());
                 let out = sub.execute_monitored(pid, &resolved, f64::INFINITY, true);
                 prop_assert!(out.error.is_none(), "{}: spill failed", &w.name);
-                use plan_bouquet::cost::DimKind;
-                let kind = w.ess.dims[dm].kind;
+                let kind = w.query.dim_kind(dm).unwrap();
                 if out.resolved.is_empty() {
                     // Only the anti axis may fail to bound (no survivors).
                     prop_assert_eq!(
