@@ -251,6 +251,12 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         T::from_value(v).map(Box::new)

@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 use pb_bouquet::baselines::reopt_worst_profile;
+use pb_bouquet::eval::run_profile;
 use pb_bouquet::flip::{dim_directions, flip_decreasing};
 use pb_bouquet::{Bouquet, BouquetConfig};
 use pb_workloads::by_name;
@@ -91,15 +92,8 @@ pub fn pcmflip() -> String {
     let (flipped, flips) = flip_decreasing(&w).expect("flip");
     let _ = writeln!(out, "flipped dimensions: {flips:?}");
     let b = Bouquet::identify(&flipped, &BouquetConfig::default()).expect("flipped identify");
-    let mut mso = 0.0f64;
-    for li in 0..flipped.ess.num_points() {
-        let qa = flipped.ess.point(&flipped.ess.unlinear(li));
-        mso = mso.max(
-            b.run_basic(&qa)
-                .expect("run")
-                .suboptimality(b.pic_cost_at(li)),
-        );
-    }
+    let profile = run_profile(&b, false).expect("run");
+    let mso = profile.into_iter().fold(0.0, f64::max);
     let _ = writeln!(
         out,
         "flipped space: {} contours, bouquet {}, measured MSO {:.2} <= guarantee {:.1}",

@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use pb_bouquet::eval::run_profile;
 use pb_bouquet::{Bouquet, BouquetConfig};
 use pb_workloads::by_name;
 
@@ -108,29 +109,12 @@ pub fn fig4() -> String {
     );
     // Native worst-case profile: max over POSP plans of c_P(qa)/PIC(qa).
     let posp_costs = b.diagram.cost_matrix(&w.catalog, &w.query, &w.model);
-    let mut nat_worst = vec![0.0f64; n];
-    for li in 0..n {
-        let mut worst = 1.0f64;
-        for row in posp_costs.rows() {
-            worst = worst.max(row[li] / b.diagram.opt_cost[li]);
-        }
-        nat_worst[li] = worst;
-    }
-    let mut basic = Vec::with_capacity(n);
-    let mut optd = Vec::with_capacity(n);
-    for li in 0..n {
-        let qa = ess.point(&ess.unlinear(li));
-        basic.push(
-            b.run_basic(&qa)
-                .expect("run")
-                .suboptimality(b.diagram.opt_cost[li]),
-        );
-        optd.push(
-            b.run_optimized(&qa)
-                .expect("run")
-                .suboptimality(b.diagram.opt_cost[li]),
-        );
-    }
+    let opt = &b.diagram.opt_cost;
+    let nat_worst: Vec<f64> = (0..n)
+        .map(|li| (posp_costs.rows()).fold(1.0f64, |m, row| m.max(row[li] / opt[li])))
+        .collect();
+    let basic = run_profile(&b, false).expect("run");
+    let optd = run_profile(&b, true).expect("run");
     let mut t = Table::new(vec![
         "sel%",
         "PIC cost",

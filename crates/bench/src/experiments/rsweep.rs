@@ -6,9 +6,12 @@
 //! the closed-form bound, plus the adversarial lower-bound simulation.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use pb_bouquet::eval::run_profile;
 use pb_bouquet::theory::{adversarial_mso, mso_bound_1d};
 use pb_bouquet::{Bouquet, BouquetConfig};
+use pb_cost::Parallelism;
 use pb_workloads::by_name;
 
 use crate::table::Table;
@@ -29,18 +32,16 @@ pub fn run() -> String {
         "within",
         "adversarial LB sim",
     ]);
+    // The diagram does not depend on r: build it once.
+    let diagram = Arc::new(w.diagram());
     for r in [1.3, 1.5, 2.0, 3.0, 4.0] {
         let cfg = BouquetConfig {
             r,
             ..Default::default()
         };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
-        let mut mso = 0.0f64;
-        for li in 0..w.ess.num_points() {
-            let qa = w.ess.point(&w.ess.unlinear(li));
-            let run = b.run_basic(&qa).unwrap();
-            mso = mso.max(run.suboptimality(b.pic_cost_at(li)));
-        }
+        let b = Bouquet::grade(&w, Arc::clone(&diagram), &cfg, Parallelism::auto()).unwrap();
+        let profile = run_profile(&b, false).unwrap();
+        let mso = profile.into_iter().fold(0.0, f64::max);
         let bound = (1.0 + cfg.lambda) * mso_bound_1d(r);
         let budgets: Vec<f64> = (0..40).map(|k| r.powi(k)).collect();
         t.row(vec![

@@ -1,16 +1,18 @@
 //! Bouquet identification — the compile-time pipeline of Figure 8.
 //!
-//! Steps: build the plan diagram over the ESS (POSP + PIC) → slice the PIC
-//! with a geometric isocost grading → take the frontier of each isocost step
-//! → cost every POSP plan *at the frontier points* (the slab) →
-//! anorexically reduce each contour's plan set → the union of contour plans
-//! is the bouquet → cost *the bouquet's plans* over the grid (the rows the
-//! optimized driver reads along its axis walks). The bouquet, the
-//! (λ-inflated) budgets and those rows go to the run-time drivers. A POSP ×
+//! Two halves: the plan diagram over the ESS (POSP + PIC,
+//! [`PlanDiagram::build_with`]), which depends on neither λ nor r, then
+//! [`Bouquet::grade`] for one (λ, r): slice the PIC with a geometric
+//! isocost grading → take the frontier of each isocost step → cost every
+//! POSP plan *at the frontier points* (the slab) → anorexically reduce each
+//! contour's plan set → the union of contour plans is the bouquet → cost
+//! *the bouquet's plans* over the grid (the rows the optimized driver reads
+//! along its axis walks). A λ / r sweep grades one shared diagram. A POSP ×
 //! grid matrix is never built here: what needs one — the NAT / SEER / PARQO
 //! columns, whole-diagram reductions — asks the diagram for it
 //! ([`PlanDiagram::cost_matrix_with`]).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pb_cost::{CostMatrix, CostProgram, Parallelism, SelPoint};
@@ -88,7 +90,8 @@ pub struct PhaseTimings {
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Bouquet {
     pub workload: Workload,
-    pub diagram: PlanDiagram,
+    /// Shared by every bouquet [`grade`](Self::grade)d from it.
+    pub diagram: Arc<PlanDiagram>,
     /// The bouquet plans' costs over the grid, one row per plan of
     /// [`plan_ids`](Self::plan_ids) in that order: `costs[k][linear_point]`
     /// is plan `plan_ids()[k]`'s. Look a plan up with
@@ -113,34 +116,59 @@ impl Bouquet {
     /// Run the full compile-time pipeline for a workload, using all
     /// available cores (or the `--jobs` override).
     pub fn identify(w: &Workload, cfg: &BouquetConfig) -> Result<Bouquet, PbError> {
-        Self::identify_with(w, cfg, Parallelism::auto())
+        Self::identify_timed(w, cfg, Parallelism::auto()).map(|(b, _)| b)
     }
 
-    /// Identification with an explicit worker policy. Any worker count
-    /// produces an identical bouquet — parallel phases merge in
-    /// deterministic grid/step order.
-    pub fn identify_with(
-        w: &Workload,
-        cfg: &BouquetConfig,
-        par: Parallelism,
-    ) -> Result<Bouquet, PbError> {
-        Self::identify_timed(w, cfg, par).map(|(b, _)| b)
-    }
-
-    /// Identification returning the per-phase wall-clock breakdown next to
-    /// the bouquet (timings stay outside the serialized artefact): the
-    /// diagram, isocost grading, the frontier pass (which also checks PCM),
-    /// the slab, contour assembly, the bouquet's rows, and stats.
+    /// Identification — [`PlanDiagram::build_with`], then
+    /// [`grade`](Self::grade) — returning the per-phase wall-clock breakdown
+    /// next to the bouquet (timings stay outside the serialized artefact).
+    /// Any worker count produces an identical bouquet: parallel phases
+    /// merge in deterministic grid/step order.
     pub fn identify_timed(
         w: &Workload,
         cfg: &BouquetConfig,
         par: Parallelism,
     ) -> Result<(Bouquet, PhaseTimings), PbError> {
-        validate_config(cfg)?;
         let t_start = Instant::now();
         let diagram = PlanDiagram::build_with(&w.catalog, &w.query, &w.model, &w.ess, par);
         let t_diagram = t_start.elapsed();
+        let (bouquet, t_cost_matrix) = Self::grade_timed(w, Arc::new(diagram), cfg, par)?;
+        // Whatever was neither diagram nor costing is the contour phase.
+        let total = t_start.elapsed();
+        let timings = PhaseTimings {
+            workers: par.workers,
+            diagram: t_diagram,
+            cost_matrix: t_cost_matrix,
+            contours: total - t_diagram - t_cost_matrix,
+            total,
+        };
+        Ok((bouquet, timings))
+    }
 
+    /// Grade `w`'s plan diagram under `cfg`: grading, the frontier pass
+    /// (which also checks PCM), the slab, contours, rows and stats. A
+    /// diagram over another ESS than `w.ess` is refused.
+    pub fn grade(
+        w: &Workload,
+        diagram: Arc<PlanDiagram>,
+        cfg: &BouquetConfig,
+        par: Parallelism,
+    ) -> Result<Bouquet, PbError> {
+        Self::grade_timed(w, diagram, cfg, par).map(|(b, _)| b)
+    }
+
+    /// [`grade`](Self::grade), also returning the time spent costing plans
+    /// (the slab and the rows).
+    fn grade_timed(
+        w: &Workload,
+        diagram: Arc<PlanDiagram>,
+        cfg: &BouquetConfig,
+        par: Parallelism,
+    ) -> Result<(Bouquet, Duration), PbError> {
+        validate_config(cfg)?;
+        if diagram.ess != w.ess {
+            return Err(PbError::InvalidConfig("diagram over another ESS".into()));
+        }
         let (cmin, cmax) = diagram.cost_bounds();
         if cmax < cmin {
             // No grading spans corners this way round; the pass names the
@@ -178,7 +206,7 @@ impl Bouquet {
         let t0 = Instant::now();
         let bouquet_plans = plan_union(&contours);
         let costs = diagram.cost_rows_with(&w.catalog, &w.query, &w.model, &bouquet_plans, par);
-        let t_cost_matrix = t_slab + t0.elapsed();
+        let t_cost = t_slab + t0.elapsed();
 
         let stats = CompileStats {
             exhaustive_optimizer_calls: w.ess.num_points(),
@@ -201,16 +229,7 @@ impl Bouquet {
             programs: std::sync::OnceLock::new(),
             tables: std::sync::OnceLock::new(),
         };
-        // Whatever was neither diagram nor costing is the contour phase.
-        let total = t_start.elapsed();
-        let timings = PhaseTimings {
-            workers: par.workers,
-            diagram: t_diagram,
-            cost_matrix: t_cost_matrix,
-            contours: total - t_diagram - t_cost_matrix,
-            total,
-        };
-        Ok((bouquet, timings))
+        Ok((bouquet, t_cost))
     }
 
     /// Compiled cost programs for every diagram plan (indexed by [`PlanId`]),
@@ -364,6 +383,63 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// One 2D diagram graded under a menu of (λ, r) gives, under each, the
+    /// bouquet identification gives, and every bouquet shares the diagram.
+    #[test]
+    fn grading_one_diagram_equals_identifying_under_each_setting() {
+        let w = crate::contour::tests::eq_2d();
+        let diagram = Arc::new(w.diagram());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let menu = [
+            (0.0, 2.0),
+            (0.1, 1.5),
+            (0.2, 2.0),
+            (0.2, 3.0),
+            (0.5, 2.0),
+            (1.0, 4.0),
+        ];
+        for (lambda, r) in menu {
+            let cfg = BouquetConfig { lambda, r };
+            let g = Bouquet::grade(&w, Arc::clone(&diagram), &cfg, Parallelism::serial()).unwrap();
+            let b = Bouquet::identify(&w, &cfg).unwrap();
+            assert!(Arc::ptr_eq(&g.diagram, &diagram), "λ {lambda}, r {r}");
+            assert_eq!(g.grading, b.grading, "λ {lambda}, r {r}");
+            assert_eq!(g.contours.len(), b.contours.len(), "λ {lambda}, r {r}");
+            for (x, y) in g.contours.iter().zip(&b.contours) {
+                let fields = |c: &Contour| {
+                    let costs = (c.step_cost.to_bits(), c.budget.to_bits());
+                    (
+                        c.id,
+                        costs,
+                        c.points.clone(),
+                        c.assignment.clone(),
+                        c.plan_set.clone(),
+                    )
+                };
+                assert_eq!(fields(x), fields(y), "λ {lambda}, r {r}");
+            }
+            assert_eq!(g.costs.len(), b.costs.len(), "λ {lambda}, r {r}");
+            for k in 0..g.costs.len() {
+                assert_eq!(
+                    bits(g.costs.row(k)),
+                    bits(b.costs.row(k)),
+                    "λ {lambda}, r {r}"
+                );
+            }
+            assert_eq!(g.stats, b.stats, "λ {lambda}, r {r}");
+        }
+        // A diagram over another grid of the same axes is not this
+        // workload's.
+        let mut coarse = w.clone();
+        coarse.ess = Ess::uniform(w.ess.dims.clone(), 8);
+        let other = Arc::new(coarse.diagram());
+        let cfg = BouquetConfig::default();
+        assert!(matches!(
+            Bouquet::grade(&w, other, &cfg, Parallelism::serial()),
+            Err(PbError::InvalidConfig(_))
+        ));
     }
 
     #[test]

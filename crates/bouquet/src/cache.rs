@@ -44,6 +44,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use pb_cost::{CostMatrix, Parallelism};
@@ -58,14 +59,8 @@ use crate::workload::Workload;
 
 const MAGIC: [u8; 4] = *b"PBQC";
 /// Bump on any layout change: mismatched versions are evicted, not parsed.
-/// v2: typed ESS dimensions — `EssDim` gained a `kind` and `JoinPredicate`
-/// gained `semi`/`op` fields, which change the canonical-JSON skeleton key,
-/// so v1 entries must be evicted rather than misread.
-/// v3: the cost array holds one row per bouquet plan (the header gains the
-/// row count), not one per POSP plan.
-/// v4: the bouquet config no longer carries the model-error perturbation
-/// (identification never read it; it is set on the simulator substrate),
-/// so the canonical-JSON skeleton key and the stored config change.
+/// v2 typed the ESS dimensions, v3 keeps one cost row per bouquet plan, v4
+/// dropped the model error from the stored config.
 const FORMAT_VERSION: u32 = 4;
 
 /// Distinguishes the temp files of one process's concurrent stores.
@@ -240,11 +235,6 @@ impl BouquetCache {
             message: format!("create cache dir: {e}"),
         })?;
         Ok(BouquetCache { dir })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Full path of the entry for `key`.
@@ -592,12 +582,12 @@ fn read_entry(
 
     let bouquet = Bouquet {
         workload: w.clone(),
-        diagram: PlanDiagram {
+        diagram: Arc::new(PlanDiagram {
             ess: w.ess.clone(),
             plans: meta.plans,
             optimal,
             opt_cost,
-        },
+        }),
         costs: CostMatrix::from_flat(n, flat),
         grading: meta.grading,
         contours: meta.contours,
@@ -648,7 +638,6 @@ fn validate_structure(b: &Bouquet) -> Result<(), String> {
     if b.contours.is_empty() {
         return Err("bouquet has no contours".into());
     }
-    validate_schedule(b)?;
     for c in &b.contours {
         if c.points.len() != c.assignment.len() {
             return Err(format!("contour {} assignment arity mismatch", c.id));
@@ -667,6 +656,7 @@ fn validate_structure(b: &Bouquet) -> Result<(), String> {
             }
         }
     }
+    validate_schedule(b)?;
     b.workload.query.check(&b.workload.catalog)?;
     let all = (0..b.workload.query.num_relations()).fold(0u64, |m, r| m | 1 << r);
     for (id, plan) in b.diagram.plans.iter().enumerate() {
@@ -685,7 +675,10 @@ fn validate_structure(b: &Bouquet) -> Result<(), String> {
 /// reads (ρ, m, the bouquet's size, the PIC bounds) are what the contours
 /// and the PIC give. Runs are charged — and audited — against the stored
 /// budgets, so a frame whose budgets were doubled would otherwise load,
-/// run and pass its audit.
+/// run and pass its audit. Each frontier point's assigned plan must finish
+/// there within the budget by its stored row (the optimized driver picks
+/// candidates through the assignments); that the points are the PIC's
+/// frontier is not checked.
 fn validate_schedule(b: &Bouquet) -> Result<(), String> {
     let (cmin, cmax) = b.diagram.cost_bounds();
     if !(cmin > 0.0 && cmin <= cmax && cmax.is_finite()) {
@@ -695,6 +688,7 @@ fn validate_schedule(b: &Bouquet) -> Result<(), String> {
         return Err("grading is not the geometric grading of the PIC".into());
     }
     let inflate = 1.0 + b.config.lambda;
+    let bouquet_plans = plan_union(&b.contours);
     for (k, (c, &step)) in b.contours.iter().zip(&b.grading.steps).enumerate() {
         if c.id != k + 1 {
             return Err(format!("contour {} stands at position {}", c.id, k + 1));
@@ -708,12 +702,22 @@ fn validate_schedule(b: &Bouquet) -> Result<(), String> {
                 c.id
             ));
         }
+        for (&li, &p) in c.points.iter().zip(&c.assignment) {
+            // The slack `tests/guarantees.rs` allows, so λ = 0 frames load.
+            let within = |row| b.costs.row(row)[li] <= c.budget * (1.0 + 1e-9);
+            if !bouquet_plans.binary_search(&p).is_ok_and(within) {
+                let id = c.id;
+                return Err(format!(
+                    "contour {id} assigns plan {p} to point {li} beyond the budget"
+                ));
+            }
+        }
     }
     let s = &b.stats;
     let derived = (
         rho(&b.contours),
         b.contours.len(),
-        plan_union(&b.contours).len(),
+        bouquet_plans.len(),
         cmin.to_bits(),
         cmax.to_bits(),
     );
@@ -1184,7 +1188,7 @@ mod tests {
             .get_or_identify(&w, &cfg, Parallelism::serial())
             .unwrap();
         // The finishing rung would index the programs with this id.
-        b.diagram.optimal[3] = b.diagram.plans.len() as u32;
+        Arc::make_mut(&mut b.diagram).optimal[3] = b.diagram.plans.len() as u32;
         let entry = entry_file(&tmp.0);
         seal_under(&entry, &w, &cfg, &b);
         let tail = format!(
@@ -1244,6 +1248,19 @@ mod tests {
         refuse_crafted(
             |b| b.stats.rho = 1,
             "stored stats disagree with the contours and the PIC",
+        );
+        // Contour 11's point 179 handed to plan 2, a bouquet plan that
+        // costs more than the contour's budget there.
+        let c11 = &b.contours[10];
+        let over = b.cost_row(2).expect("plan 2 has a row")[179];
+        assert!(over > c11.budget, "{over} within {}", c11.budget);
+        refuse_crafted(
+            |b| {
+                let c = &mut b.contours[10];
+                let pos = c.points.iter().position(|&li| li == 179).unwrap();
+                c.assignment[pos] = 2;
+            },
+            "contour 11 assigns plan 2 to point 179 beyond the budget",
         );
         seal_under(&path, &w, &cfg, &b);
         let budgets = |b: &Bouquet| b.contours.iter().map(|c| c.budget).collect::<Vec<_>>();

@@ -183,15 +183,6 @@ impl Contour {
         plans.len()
     }
 
-    /// Whether some frontier point dominates (componentwise ≥) `ix` — i.e.
-    /// a query at `ix` is guaranteed discoverable on this contour.
-    pub fn dominates(&self, diagram: &PlanDiagram, ix: &[usize]) -> bool {
-        FrontierCoords::new(&diagram.ess, &self.points)
-            .dominating(ix)
-            .next()
-            .is_some()
-    }
-
     /// Per-plan coverage regions within this contour's budget (Figure 6b):
     /// for each plan on the contour, the set of grid points it can finish
     /// within the budget. `row(plan)` is the plan's cost at every grid
@@ -438,8 +429,11 @@ pub(crate) mod tests {
                 .iter()
                 .position(|c| d.opt_cost[li] <= c.step_cost)
                 .expect("last contour covers everything");
+            // Some frontier point dominates (componentwise ≥) `ix`: a
+            // query there is discoverable on this contour.
+            let coords = FrontierCoords::new(&d.ess, &contours[k].points);
             assert!(
-                contours[k].dominates(&d, &ix),
+                coords.dominating(&ix).next().is_some(),
                 "point {li} not dominated on its contour"
             );
         }

@@ -1,7 +1,7 @@
 //! A workload bundles everything a bouquet needs: catalog, query, ESS, model.
 
 use pb_catalog::Catalog;
-use pb_cost::{CostModel, Ess, SelPoint};
+use pb_cost::{CostModel, Ess, Parallelism, SelPoint};
 use pb_optimizer::{Optimizer, PlanDiagram};
 use pb_plan::QuerySpec;
 
@@ -52,9 +52,10 @@ impl Workload {
         Optimizer::new(&self.catalog, &self.query, &self.model)
     }
 
-    /// Exhaustive plan diagram over the ESS grid (parallel).
+    /// Exhaustive plan diagram over the ESS grid, on every core.
     pub fn diagram(&self) -> PlanDiagram {
-        PlanDiagram::build(&self.catalog, &self.query, &self.model, &self.ess)
+        let par = Parallelism::auto();
+        PlanDiagram::build_with(&self.catalog, &self.query, &self.model, &self.ess, par)
     }
 
     /// The optimal cost at an arbitrary (off-grid) location.

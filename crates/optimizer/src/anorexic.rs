@@ -103,7 +103,7 @@ pub fn greedy_cover(
 mod tests {
     use super::*;
     use pb_catalog::tpch;
-    use pb_cost::{CostModel, Ess, EssDim};
+    use pb_cost::{CostModel, Ess, EssDim, Parallelism};
     use pb_plan::{CmpOp, QueryBuilder, QuerySpec, SelSpec};
 
     fn setup() -> (pb_catalog::Catalog, QuerySpec, CostModel, Ess) {
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn reduction_shrinks_plan_count_and_respects_lambda() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let red = AnorexicReduction::reduce(&d, &costs, 0.2);
         assert!(red.plan_count() <= d.plan_count());
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn zero_lambda_keeps_optimal_assignment_quality() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let red = AnorexicReduction::reduce(&d, &costs, 0.0);
         for (li, &p) in red.assignment.iter().enumerate() {
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn larger_lambda_never_keeps_more_plans() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let tight = AnorexicReduction::reduce(&d, &costs, 0.05);
         let loose = AnorexicReduction::reduce(&d, &costs, 0.5);
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn reduce_points_subset() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let subset: Vec<usize> = (0..ess.num_points()).step_by(7).collect();
         let red =

@@ -83,13 +83,8 @@ pub struct PlanDiagram {
 }
 
 impl PlanDiagram {
-    /// Build the diagram by optimizing at every grid point, using all
-    /// available cores (the task is embarrassingly parallel).
-    pub fn build(catalog: &Catalog, query: &QuerySpec, model: &CostModel, ess: &Ess) -> Self {
-        Self::build_with(catalog, query, model, ess, Parallelism::auto())
-    }
-
-    /// Build with an explicit worker policy: one DP step per grid point
+    /// Build the diagram by optimizing at every grid point (the task is
+    /// embarrassingly parallel): one DP step per grid point
     /// over one [`Sweep`], whose rows every worker reads. Output is
     /// identical for every worker count: each chunk's result is a pure
     /// function of its point range, chunks are merged back in grid order,

@@ -1495,7 +1495,7 @@ mod tests {
         for name in ["2D_H_Q8A", "3D_H_Q5"] {
             let w = pb_workloads::by_name(name).unwrap();
             let (cat, q, m, ess) = (&w.catalog, &w.query, &w.model, &w.ess);
-            let diagram = crate::PlanDiagram::build(cat, q, m, ess);
+            let diagram = crate::PlanDiagram::build_with(cat, q, m, ess, Parallelism::auto());
             let fresh = Optimizer::new(cat, q, m);
             // Fisher–Yates over the linear indices, driven by splitmix64.
             let mut order: Vec<usize> = (0..ess.num_points()).collect();

@@ -75,7 +75,7 @@ impl SeerReduction {
 mod tests {
     use super::*;
     use pb_catalog::tpch;
-    use pb_cost::{CostModel, Ess, EssDim};
+    use pb_cost::{CostModel, Ess, EssDim, Parallelism};
     use pb_plan::{CmpOp, QueryBuilder, QuerySpec, SelSpec};
 
     fn setup() -> (pb_catalog::Catalog, QuerySpec, CostModel, Ess) {
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn seer_never_harms_by_more_than_lambda() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let seer = SeerReduction::reduce(&d, &costs, 0.2);
         // Global safety: at every (qe, qa), the SEER plan chosen at qe costs
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn seer_reduces_or_keeps_plan_count() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let seer = SeerReduction::reduce(&d, &costs, 0.2);
         assert!(seer.plan_count() <= d.plan_count());
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn assignment_only_uses_kept_plans() {
         let (cat, q, m, ess) = setup();
-        let d = PlanDiagram::build(&cat, &q, &m, &ess);
+        let d = PlanDiagram::build_with(&cat, &q, &m, &ess, Parallelism::auto());
         let costs = d.cost_matrix(&cat, &q, &m);
         let seer = SeerReduction::reduce(&d, &costs, 0.2);
         for &p in &seer.assignment {

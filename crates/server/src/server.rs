@@ -870,6 +870,31 @@ mod tests {
         server.stop();
     }
 
+    /// Under the default (uncapped) tenant budget, one tenant's requests
+    /// may overlap: with two workers and every dispatch stalled, each
+    /// request still holds its reservation while the other worker
+    /// dispatches the next, and every one completes.
+    #[test]
+    fn an_uncapped_tenants_overlapping_requests_all_complete() {
+        let stall = FaultKind::QueueStall { ms: 50 };
+        let server = PbServer::start(ServerConfig {
+            faults: FaultPlan::new(1).with(stall, Trigger::Every(1)),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let s = &server.shared;
+        assert_eq!((s.cfg.workers, s.cfg.tenant_cap), (2, f64::INFINITY));
+        let ids: Vec<u64> = [0.2, 0.4, 0.6, 0.8]
+            .map(|f| accepted_id(handle_request(s, submit_req("t", f, false))))
+            .into();
+        let mut c = PbClient::connect(server.addr()).unwrap();
+        for id in ids {
+            let result = c.wait(id, Duration::from_secs(30)).unwrap();
+            assert_eq!(result.outcome, "completed", "{result:?}");
+        }
+        server.stop();
+    }
+
     /// Register a request no worker runs: it stays queued until the test
     /// settles it with `finish`, so a wait on it cannot end early.
     fn held_request(s: &Arc<Shared>) -> u64 {

@@ -13,7 +13,7 @@
 //! budget has *its* requests land on the capped rung (degraded or
 //! budget-exhausted), while other tenants' accounting is untouched.
 //! Reservations are strict: a second concurrent request from the same
-//! tenant sees only what the first left behind.
+//! tenant sees what the first left behind, or ∞ if the tenant is uncapped.
 
 use std::collections::BTreeMap;
 
@@ -51,7 +51,7 @@ pub struct Reservation {
 
 impl Reservation {
     /// Cost units this request may spend (the tenant's remaining budget at
-    /// dispatch; `0` for an exhausted tenant).
+    /// dispatch; `0` for an exhausted tenant, ∞ for an uncapped one).
     pub fn amount(&self) -> f64 {
         self.amount
     }
@@ -83,7 +83,8 @@ impl TenantLedger {
             reserved: 0.0,
         });
         let remaining = (acc.cap - acc.spent - acc.reserved).max(0.0);
-        acc.reserved += remaining;
+        // An uncapped account holds nothing: ∞ − ∞ would leave nothing.
+        acc.reserved += if acc.cap.is_finite() { remaining } else { 0.0 };
         Reservation {
             tenant: tenant.to_string(),
             amount: remaining,
@@ -128,6 +129,16 @@ mod tests {
         l.settle(r2, 0.0);
         let r3 = l.reserve("a");
         assert_eq!(r3.amount(), 40.0);
+
+        // Uncapped, a concurrent request is uncapped too.
+        let mut l = TenantLedger::new(f64::INFINITY);
+        let r1 = l.reserve("a");
+        let r2 = l.reserve("a");
+        assert_eq!((r1.amount(), r2.amount()), (f64::INFINITY, f64::INFINITY));
+        l.settle(r1, 60.0);
+        assert_eq!(l.reserve("a").amount(), f64::INFINITY);
+        l.settle(r2, 0.0);
+        assert_eq!(l.snapshot(), vec![("a".to_string(), 60.0, -1.0)]);
     }
 
     #[test]

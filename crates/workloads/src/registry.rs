@@ -459,7 +459,7 @@ mod tests {
     /// already, so a further flip pass finds nothing to reverse — and hold
     /// the guarantee.
     #[test]
-    fn hostile_spaces_identify_with_full_guarantee() {
+    fn hostile_spaces_identify_and_keep_the_full_guarantee() {
         use pb_bouquet::{Bouquet, BouquetConfig};
         for w in [hostile_ineq_2d(0.01), hostile_anti_2d(0.01)] {
             let b = Bouquet::identify(&w, &BouquetConfig::default()).expect("identify");

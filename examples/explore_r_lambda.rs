@@ -6,13 +6,22 @@
 //! cargo run --release --example explore_r_lambda
 //! ```
 
+use std::sync::Arc;
+
 use plan_bouquet::bouquet::theory;
 use plan_bouquet::bouquet::{Bouquet, BouquetConfig};
+use plan_bouquet::cost::Parallelism;
 use plan_bouquet::workloads;
 
 fn main() {
     let w = workloads::h_q8a_2d(1.0);
     println!("workload {} ({} grid points)\n", w.name, w.ess.num_points());
+    // The plan diagram does not depend on r or λ: build it once and grade
+    // it at each setting.
+    let diagram = Arc::new(w.diagram());
+    let grade = |cfg: &BouquetConfig| {
+        Bouquet::grade(&w, Arc::clone(&diagram), cfg, Parallelism::auto()).expect("grade")
+    };
 
     println!("--- sweep of the isocost common ratio r (λ = 0.2) ---");
     println!(
@@ -24,7 +33,7 @@ fn main() {
             r,
             ..Default::default()
         };
-        let b = Bouquet::identify(&w, &cfg).expect("identify");
+        let b = grade(&cfg);
         let (mso, aso) = measure(&b);
         println!(
             "{:>5.2} {:>9} {:>7} {:>12.1} {:>13.2} {:>13.2}",
@@ -48,7 +57,7 @@ fn main() {
             lambda,
             ..Default::default()
         };
-        let b = Bouquet::identify(&w, &cfg).expect("identify");
+        let b = grade(&cfg);
         let (mso, aso) = measure(&b);
         println!(
             "{:>5.2} {:>7} {:>9} {:>12.1} {:>13.2} {:>13.2}",

@@ -129,11 +129,11 @@ fn identification_equals_the_full_matrix_oracle_on_every_space() {
     assert!(ws.len() >= 10 + 6 + 20);
     let mut kept_fewer = 0;
     for w in &ws {
-        let serial = Bouquet::identify_with(w, &cfg, Parallelism::serial()).unwrap();
+        let (serial, _) = Bouquet::identify_timed(w, &cfg, Parallelism::serial()).unwrap();
         assert_eq!(serial.stats.exhaustive_optimizer_calls, w.ess.num_points());
         assert_matches_full_matrix_oracle(&serial);
         kept_fewer += usize::from(serial.costs.len() < serial.diagram.plan_count());
-        let fanned = Bouquet::identify_with(w, &cfg, Parallelism::new(3)).unwrap();
+        let (fanned, _) = Bouquet::identify_timed(w, &cfg, Parallelism::new(3)).unwrap();
         assert_eq!(
             persist::to_json(&serial).unwrap(),
             persist::to_json(&fanned).unwrap(),

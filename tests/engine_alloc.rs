@@ -460,7 +460,8 @@ fn optimized_run_allocates_per_execution_not_per_decision() {
 fn identification_never_holds_a_posp_by_grid_matrix() {
     let w = workloads::by_name("3D_H_Q5").expect("registry workload");
     let before = REQUESTED.with(Cell::get);
-    let b = Bouquet::identify_with(&w, &BouquetConfig::default(), Parallelism::serial()).unwrap();
+    let (b, _) =
+        Bouquet::identify_timed(&w, &BouquetConfig::default(), Parallelism::serial()).unwrap();
     let bytes = REQUESTED.with(Cell::get) - before;
     let (plans, kept, points) = (b.diagram.plan_count(), b.costs.len(), w.ess.num_points());
     assert!(kept * 4 < plans, "{kept} of {plans} plans kept");

@@ -36,8 +36,8 @@ fn assert_parallel_matches_serial(w: &Workload) {
     // Worker counts around and beyond the chunking sweet spot, including
     // counts that do not divide the grid size.
     for workers in [2, 3, 4, 7] {
-        let par =
-            Bouquet::identify_with(w, &cfg, Parallelism::new(workers)).expect("parallel identify");
+        let (par, _) =
+            Bouquet::identify_timed(w, &cfg, Parallelism::new(workers)).expect("parallel identify");
         let json_par = persist::to_json(&par).expect("serialize parallel");
         assert_eq!(
             json_serial, json_par,

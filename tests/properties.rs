@@ -5,7 +5,7 @@
 //! the tree walks that define them.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ use plan_bouquet::cost::{
 use plan_bouquet::executor::{learnable_node, Executor, MonitorTable, SubstrateOutcome};
 use plan_bouquet::faults::{FaultInjector, FaultKind, FaultPlan, Trigger};
 use plan_bouquet::optimizer::PlanDiagram;
-use plan_bouquet::plan::{PhysicalPlan, PlanNode, QuerySpec};
+use plan_bouquet::plan::{PlanNode, QuerySpec};
 use plan_bouquet::workloads;
 
 fn bouquet_2d() -> &'static Bouquet {
@@ -29,11 +29,11 @@ fn bouquet_2d() -> &'static Bouquet {
     })
 }
 
-/// Every registry workload with its POSP plans. Grids are shrunk to a few
-/// hundred points: the plans, not the locations, are what the tests below
-/// range over.
-fn registry_plans() -> &'static Vec<(Workload, Vec<PhysicalPlan>)> {
-    static P: OnceLock<Vec<(Workload, Vec<PhysicalPlan>)>> = OnceLock::new();
+/// Every registry workload with its plan diagram. Grids are shrunk to a
+/// few hundred points: the plans, not the locations, are what the tests
+/// below range over.
+fn registry_plans() -> &'static Vec<(Workload, Arc<PlanDiagram>)> {
+    static P: OnceLock<Vec<(Workload, Arc<PlanDiagram>)>> = OnceLock::new();
     P.get_or_init(|| {
         workloads::sql_texts()
             .map(|(name, _)| {
@@ -47,20 +47,21 @@ fn registry_plans() -> &'static Vec<(Workload, Vec<PhysicalPlan>)> {
                     &w.ess,
                     Parallelism::serial(),
                 );
-                (w, d.plans)
+                (w, Arc::new(d))
             })
             .collect()
     })
 }
 
-/// The bouquet of every registry workload of [`registry_plans`], on its
-/// grid, that identification accepts (`ANTI_2D` violates PCM on purpose).
+/// The bouquet of every registry workload of [`registry_plans`], graded
+/// from its diagram, that identification accepts (`ANTI_2D` violates PCM
+/// on purpose).
 fn registry_bouquets() -> &'static Vec<Bouquet> {
     static B: OnceLock<Vec<Bouquet>> = OnceLock::new();
     B.get_or_init(|| {
         let cfg = BouquetConfig::default();
         (registry_plans().iter())
-            .filter_map(|(w, _)| Bouquet::identify_with(w, &cfg, Parallelism::serial()).ok())
+            .filter_map(|(w, d)| Bouquet::grade(w, Arc::clone(d), &cfg, Parallelism::serial()).ok())
             .collect()
     })
 }
@@ -342,8 +343,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pool = registry_plans();
-        let (w, plans) = &pool[pick[0] as usize % pool.len()];
-        let plan = &plans[pick[1] as usize % plans.len()].root;
+        let (w, d) = &pool[pick[0] as usize % pool.len()];
+        let plan = &d.plans[pick[1] as usize % d.plans.len()].root;
         let qa = w.ess.point_at_fractions(&f[..w.d()]);
         let resolved: Vec<bool> = (0..w.d()).map(|dm| pick[2] >> dm & 1 == 1).collect();
         let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
@@ -467,10 +468,10 @@ proptest! {
 #[test]
 fn monitor_table_matches_learnable_node_on_every_registry_plan() {
     let mut scratch = NodeCosts::default();
-    for (w, plans) in registry_plans() {
+    for (w, d) in registry_plans() {
         let coster = coster(w);
         let qa = w.ess.point_at_fractions(&vec![0.6; w.d()]);
-        for plan in plans {
+        for plan in &d.plans {
             let plan = &plan.root;
             let table = MonitorTable::build(plan, &w.query);
             let prog = CostProgram::compile(&w.catalog, &w.query, &w.model, plan);
@@ -546,8 +547,8 @@ fn error_dim_depth(plan: &PlanNode, query: &QuerySpec, d: usize) -> Option<usize
 /// walk finds an unresolved dimension.
 #[test]
 fn monitor_table_depths_match_the_tree_walk_on_every_registry_plan() {
-    for (w, plans) in registry_plans() {
-        for plan in plans {
+    for (w, d) in registry_plans() {
+        for plan in &d.plans {
             let plan = &plan.root;
             let table = MonitorTable::build(plan, &w.query);
             let walked: Vec<Option<usize>> = (0..w.d())

@@ -2,21 +2,24 @@
 //! executable system: Theorems 1–3, the anorexic trade-off, and the bounded
 //! model-error framework.
 
+use std::sync::Arc;
+
 use pb_faults::FaultInjector;
 use plan_bouquet::bouquet::{theory, Bouquet, BouquetConfig, RobustConfig, SimulatorSubstrate};
-use plan_bouquet::cost::CostPerturbation;
+use plan_bouquet::cost::{CostPerturbation, Parallelism};
 use plan_bouquet::workloads;
 
 /// Theorem 1: for 1D spaces, measured MSO ≤ (1+λ)·r²/(r−1) for every r.
 #[test]
 fn theorem1_holds_for_all_ratios_1d() {
     let w = workloads::by_name("EQ_1D").unwrap();
+    let diagram = Arc::new(w.diagram());
     for r in [1.25, 1.5, 2.0, 2.5, 3.0, 5.0] {
         let cfg = BouquetConfig {
             r,
             ..Default::default()
         };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
+        let b = Bouquet::grade(&w, Arc::clone(&diagram), &cfg, Parallelism::auto()).unwrap();
         let bound = (1.0 + cfg.lambda) * theory::mso_bound_1d(r);
         for li in 0..w.ess.num_points() {
             let qa = w.ess.point(&w.ess.unlinear(li));
@@ -76,13 +79,14 @@ fn theorem3_multi_dimensional_bound() {
 #[test]
 fn anorexic_tradeoff_monotone_in_lambda() {
     let w = workloads::h_q8a_2d(1.0);
+    let diagram = Arc::new(w.diagram());
     let mut last_rho = usize::MAX;
     for lambda in [0.0, 0.1, 0.2, 0.4, 0.8] {
         let cfg = BouquetConfig {
             lambda,
             ..Default::default()
         };
-        let b = Bouquet::identify(&w, &cfg).unwrap();
+        let b = Bouquet::grade(&w, Arc::clone(&diagram), &cfg, Parallelism::auto()).unwrap();
         assert!(b.rho() <= last_rho, "ρ must not grow with λ");
         last_rho = b.rho();
         let qa = w.ess.point_at_fractions(&[0.6, 0.6]);
