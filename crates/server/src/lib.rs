@@ -16,9 +16,8 @@
 //!   polled cooperatively by the drivers and the execution substrates;
 //!   cancelled runs keep their checkpoints, so an identical resubmission
 //!   resumes instead of restarting;
-//! * **containment** — a panicking worker poisons only itself: the request
-//!   gets a typed error, the supervisor spawns a replacement, the server
-//!   stays up ([`server`]);
+//! * **containment** — a panicking run fails only its own request, with a
+//!   typed error, and its worker serves on ([`server`]);
 //! * **graceful drain** — admission stops, every accepted request is
 //!   answered, then the process exits.
 //!
@@ -32,7 +31,6 @@
 //! runtime, and the concurrency story is plain threads end to end).
 
 pub mod client;
-pub mod metrics;
 pub mod protocol;
 pub mod server;
 pub mod tenant;

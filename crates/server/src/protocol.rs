@@ -108,14 +108,15 @@ pub struct ServerStats {
     pub budget_exhausted: u64,
     pub cancelled: u64,
     pub failed: u64,
-    /// Requests whose worker panicked (each still reached `failed`).
+    /// Requests whose run panicked: each is counted in `failed` too, and
+    /// its worker went on to the next request.
     pub worker_panics: u64,
-    /// Poisoned workers replaced by the supervisor.
-    pub workers_replaced: u64,
     /// Accepted requests waiting for a worker.
     pub queue_depth: usize,
     /// Accepted requests a worker has dispatched and not yet finished.
     pub inflight: usize,
+    /// Latency quantiles, submission to terminal state, over the latest
+    /// [`LATENCY_WINDOW`](crate::server::LATENCY_WINDOW) requests.
     pub p50_ms: f64,
     pub p99_ms: f64,
     /// Max sub-optimality over completed runs — MSO observed so far.
@@ -169,34 +170,37 @@ pub fn write_line<T: Serialize, W: Write>(w: &mut W, v: &T) -> Result<(), PbErro
 /// hundred bytes; a `Stats` reply for thousands of tenants still fits.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Read one protocol value from a JSON line; `Ok(None)` on clean EOF.
+/// Read one protocol value from the next non-blank JSON line; `Ok(None)`
+/// at EOF only.
 ///
 /// A line longer than [`MAX_LINE_BYTES`] is refused as
 /// [`PbError::Corrupt`] after reading that many bytes of it and one more,
 /// never buffered whole. The stream is then mid-line, so the reader cannot
 /// go on; every other error leaves it at the next line.
 pub fn read_line<T: Deserialize, R: BufRead>(r: &mut R) -> Result<Option<T>, PbError> {
-    let mut line = Vec::new();
-    let n = r
-        .by_ref()
-        .take(MAX_LINE_BYTES as u64 + 1)
-        .read_until(b'\n', &mut line)
-        .map_err(|e| PbError::Internal(format!("read: {e}")))?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > MAX_LINE_BYTES {
-        return Err(PbError::Corrupt {
-            path: "protocol line".into(),
-            message: format!("longer than {MAX_LINE_BYTES} bytes"),
-        });
-    }
     let decode = |e: &dyn std::fmt::Display| PbError::Internal(format!("decode: {e}"));
-    let t = std::str::from_utf8(&line).map_err(|e| decode(&e))?.trim();
-    if t.is_empty() {
-        return Ok(None);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let n = r
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(|e| PbError::Internal(format!("read: {e}")))?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if n > MAX_LINE_BYTES {
+            return Err(PbError::Corrupt {
+                path: "protocol line".into(),
+                message: format!("longer than {MAX_LINE_BYTES} bytes"),
+            });
+        }
+        let t = std::str::from_utf8(&line).map_err(|e| decode(&e))?.trim();
+        if !t.is_empty() {
+            return serde_json::from_str(t).map(Some).map_err(|e| decode(&e));
+        }
     }
-    serde_json::from_str(t).map(Some).map_err(|e| decode(&e))
 }
 
 #[cfg(test)]
@@ -269,5 +273,14 @@ mod tests {
     fn eof_reads_as_none() {
         let empty: Option<Request> = read_line(&mut "".as_bytes()).unwrap();
         assert!(empty.is_none());
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_not_read_as_eof() {
+        let mut r = "\n \r\n\"Ping\"\n\t\n".as_bytes();
+        let ping: Option<Request> = read_line(&mut r).unwrap();
+        assert_eq!(ping, Some(Request::Ping));
+        let eof: Option<Request> = read_line(&mut r).unwrap();
+        assert!(eof.is_none());
     }
 }

@@ -14,8 +14,8 @@
 //!       ▼                                      │
 //! worker pool ── catch_unwind(`Bouquet::run`) ─┘
 //!   on a SimulatorSubstrate with a per-tenant spend cap and a
-//!   per-request cancellation token; the supervisor respawns
-//!   poisoned workers
+//!   per-request cancellation token; a panic fails its request
+//!   and the worker serves on
 //! ```
 //!
 //! Every step of a request — admit, dispatch, finish — is one critical
@@ -31,7 +31,6 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,7 +43,6 @@ use pb_cost::{CheckpointBook, Parallelism};
 use pb_executor::CostResumeBook;
 use pb_faults::{CancelToken, FaultInjector, FaultPlan, PbError};
 
-use crate::metrics::Metrics;
 use crate::protocol::{
     read_line, write_line, QueryResult, ReqPhase, Request, Response, ServerStats,
 };
@@ -66,8 +64,6 @@ pub struct ServerConfig {
     pub tenant_cap: f64,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Backoff hint attached to backpressure rejections.
-    pub retry_after_ms: u64,
     /// Server-side fault plan (slow-client, queue-stall, worker-panic,
     /// client-disconnect sites). Empty = no faults.
     pub faults: FaultPlan,
@@ -88,7 +84,6 @@ impl Default for ServerConfig {
             queue_cap: 16,
             tenant_cap: f64::INFINITY,
             default_deadline_ms: None,
-            retry_after_ms: 50,
             faults: FaultPlan::none(),
             resume_byte_cap: 1 << 20,
             cache_dir: None,
@@ -125,6 +120,14 @@ impl Req {
 /// answers `Error`); queued and running requests are never forgotten.
 pub const TERMINAL_KEPT: usize = 1024;
 
+/// Backoff hint attached to backpressure rejections.
+pub const RETRY_AFTER_MS: u64 = 50;
+
+/// Latencies the `Stats` quantiles are taken over: the most recent this
+/// many. Within the window the quantiles are exact, and a long-lived
+/// server's memory does not grow with the requests it has served.
+pub const LATENCY_WINDOW: usize = 4096;
+
 /// Key of a retained checkpoint book, (tenant, workload, qa bits), so a
 /// cancelled request's **identical resubmission** resumes.
 type BookKey = (String, String, Vec<u64>);
@@ -138,14 +141,18 @@ struct State {
     /// Terminal ids, oldest first; exactly the `Done` entries of `reqs`.
     finished: VecDeque<u64>,
     next_id: u64,
-    metrics: Metrics,
+    /// The admission and outcome counters and `max_subopt`; a `Stats`
+    /// reply fills in the rest.
+    counts: ServerStats,
+    /// The latest [`LATENCY_WINDOW`] latencies in milliseconds.
+    latencies_ms: VecDeque<f64>,
     ledger: TenantLedger,
     /// Books of cancelled requests, held together under `resume_byte_cap`.
     books: CheckpointBook<BookKey, CostResumeBook>,
     faults: FaultInjector,
     /// Admission has stopped.
     draining: bool,
-    /// Set once drain decided workers may exit; stops supervisor respawns.
+    /// Set once the drain has let workers exit.
     stop_workers: bool,
     /// The accept loop ends at the next connection.
     shutdown: bool,
@@ -243,12 +250,18 @@ impl Shared {
 
     /// Read under the lock; the quantiles are taken after it is released.
     fn stats(&self) -> ServerStats {
-        let (metrics, queue_depth, inflight, tenants) = {
+        let (mut stats, latencies) = {
             let st = self.lock();
-            let tenants = st.ledger.snapshot();
-            (st.metrics.clone(), st.queued.len(), st.inflight(), tenants)
+            let stats = ServerStats {
+                queue_depth: st.queued.len(),
+                inflight: st.inflight(),
+                tenants: st.ledger.snapshot(),
+                ..st.counts.clone()
+            };
+            (stats, st.latencies_ms.iter().copied().collect())
         };
-        metrics.snapshot(queue_depth, inflight, tenants)
+        [stats.p50_ms, stats.p99_ms] = quantiles(latencies, [0.50, 0.99]);
+        stats
     }
 
     /// Keep `book` for the identical resubmission of the request keyed
@@ -280,20 +293,24 @@ impl Shared {
         if let Some(r) = reservation {
             st.ledger.settle(r, result.total_cost);
         }
-        let m = &mut st.metrics;
-        m.worker_panics += u64::from(panicked);
+        let c = &mut st.counts;
+        c.worker_panics += u64::from(panicked);
         *match result.outcome.as_str() {
-            "completed" => &mut m.completed,
-            "degraded" => &mut m.degraded,
-            "budget-exhausted" => &mut m.budget_exhausted,
-            "cancelled" => &mut m.cancelled,
-            _ => &mut m.failed,
+            "completed" => &mut c.completed,
+            "degraded" => &mut c.degraded,
+            "budget-exhausted" => &mut c.budget_exhausted,
+            "cancelled" => &mut c.cancelled,
+            _ => &mut c.failed,
         } += 1;
         if let Some(subopt) = result.subopt {
-            m.observe_subopt(subopt);
+            c.max_subopt = c.max_subopt.max(subopt);
         }
         if let Some(r) = st.reqs.get_mut(&id) {
-            m.observe_latency(r.submitted.elapsed().as_secs_f64() * 1e3);
+            if st.latencies_ms.len() == LATENCY_WINDOW {
+                st.latencies_ms.pop_front();
+            }
+            st.latencies_ms
+                .push_back(r.submitted.elapsed().as_secs_f64() * 1e3);
             r.phase = ReqPhase::Done(result);
             st.finished.push_back(id);
             if st.finished.len() > TERMINAL_KEPT {
@@ -307,6 +324,15 @@ impl Shared {
     }
 }
 
+/// Nearest-rank quantiles of `ms`; `0` with no data.
+fn quantiles<const N: usize>(mut ms: Vec<f64>, qs: [f64; N]) -> [f64; N] {
+    ms.sort_by(f64::total_cmp);
+    qs.map(|q| match ms.len() {
+        0 => 0.0,
+        n => ms[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+    })
+}
+
 /// Payload [`FaultPlan`]-driven worker panics unwind with, so genuine bugs
 /// (which unwind with other payloads) stay distinguishable in logs.
 struct InjectedPanic;
@@ -316,8 +342,8 @@ struct InjectedPanic;
 /// a client drains it).
 pub struct PbServer {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl PbServer {
@@ -352,7 +378,8 @@ impl PbServer {
             queued: VecDeque::new(),
             finished: VecDeque::new(),
             next_id: 1,
-            metrics: Metrics::default(),
+            counts: ServerStats::default(),
+            latencies_ms: VecDeque::new(),
             ledger: TenantLedger::new(cfg.tenant_cap),
             books: CheckpointBook::with_byte_cap(cfg.resume_byte_cap),
             faults: FaultInjector::new(&cfg.faults),
@@ -370,22 +397,20 @@ impl PbServer {
             addr,
         });
 
-        let (exits, exited) = mpsc::channel();
-        let handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|k| spawn_worker(&shared, k, &exits))
+        let workers = (0..workers)
+            .map(|_| {
+                let s = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&s))
+            })
             .collect();
-        let supervisor = {
-            let s = Arc::clone(&shared);
-            std::thread::spawn(move || supervise(&s, handles, &exits, &exited))
-        };
         let accept = {
             let s = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&s, &listener))
         };
         Ok(PbServer {
             shared,
-            accept: Some(accept),
-            supervisor: Some(supervisor),
+            accept,
+            workers,
         })
     }
 
@@ -394,28 +419,22 @@ impl PbServer {
         self.shared.addr
     }
 
-    /// Serve until a client issues `drain`, then join all threads.
-    pub fn wait(mut self) -> ServerStats {
-        self.join_threads();
+    /// Serve until a client issues `drain`, then join the accept thread and
+    /// the workers; the final stats.
+    pub fn wait(self) -> ServerStats {
+        let _ = self.accept.join();
+        for h in self.workers {
+            let _ = h.join();
+        }
         self.shared.stats()
     }
 
     /// Drain and shut down from the owning process: stop admitting, answer
     /// everything accepted, stop workers, close the listener.
-    pub fn stop(mut self) -> ServerStats {
+    pub fn stop(self) -> ServerStats {
         drain_to_stop(&self.shared);
         stop_accepting(&self.shared);
-        self.join_threads();
-        self.shared.stats()
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
+        self.wait()
     }
 }
 
@@ -568,7 +587,7 @@ fn submit(s: &Shared, req: Req) -> Response {
         };
     }
     let mut st = s.lock();
-    st.metrics.submitted += 1;
+    st.counts.submitted += 1;
     let refusal = if st.draining {
         Some("draining")
     } else if st.queued.len() >= s.cfg.queue_cap {
@@ -577,15 +596,15 @@ fn submit(s: &Shared, req: Req) -> Response {
         None
     };
     if let Some(reason) = refusal {
-        st.metrics.rejected += 1;
+        st.counts.rejected += 1;
         return Response::Rejected {
             reason: reason.into(),
-            retry_after_ms: s.cfg.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         };
     }
     let id = st.insert(req);
     st.queued.push_back(id);
-    st.metrics.accepted += 1;
+    st.counts.accepted += 1;
     let queue_depth = st.queued.len();
     drop(st);
     s.work.notify_one();
@@ -623,11 +642,11 @@ fn worker_loop(s: &Shared) {
         }));
         let panicked = run.is_err();
         let result = run.unwrap_or_else(|_| {
-            // Containment: the request gets a typed terminal error, the
+            // Containment: the request gets a typed terminal error and the
             // tenant is charged its full reservation (an over- but never an
-            // under-charge: the run's spend is bounded by it), and this
-            // worker is considered poisoned — it exits and the supervisor
-            // replaces it. The server never goes down.
+            // under-charge: the run's spend is bounded by it). Nothing the
+            // run touched outlives it, and the state's lock survives a
+            // poisoning, so this worker takes the next request.
             let error = PbError::Internal("worker panicked; request aborted".into());
             QueryResult {
                 total_cost: if job.reservation.amount().is_finite() {
@@ -639,57 +658,6 @@ fn worker_loop(s: &Shared) {
             }
         });
         s.finish(job.id, Some(job.reservation), result, panicked);
-        if panicked {
-            return;
-        }
-    }
-}
-
-/// Start worker `k`, which hands `k` to the supervisor as it exits.
-fn spawn_worker(s: &Arc<Shared>, k: usize, exits: &Sender<usize>) -> JoinHandle<()> {
-    let s = Arc::clone(s);
-    let exit = Exit(k, exits.clone());
-    std::thread::spawn(move || {
-        let _exit = exit;
-        worker_loop(&s);
-    })
-}
-
-/// A worker's index, sent to the supervisor when the worker's thread drops
-/// it: on return and on unwind alike.
-struct Exit(usize, Sender<usize>);
-
-impl Drop for Exit {
-    fn drop(&mut self) {
-        // The supervisor holds the receiver until every worker has exited.
-        let _ = self.1.send(self.0);
-    }
-}
-
-/// Respawn poisoned workers until the server decides they may exit, then
-/// join every worker. It sleeps until a worker exits, so an idle server's
-/// supervisor never wakes.
-fn supervise(
-    s: &Arc<Shared>,
-    mut handles: Vec<JoinHandle<()>>,
-    exits: &Sender<usize>,
-    exited: &Receiver<usize>,
-) {
-    let mut live = handles.len();
-    for k in exited {
-        if s.lock().stop_workers {
-            live -= 1;
-            if live == 0 {
-                break;
-            }
-        } else {
-            let dead = std::mem::replace(&mut handles[k], spawn_worker(s, k, exits));
-            let _ = dead.join();
-            s.lock().metrics.workers_replaced += 1;
-        }
-    }
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -929,6 +897,39 @@ mod tests {
         s.finish(id, None, result.clone(), false);
         assert_eq!(c.wait(id, Duration::from_secs(30)).unwrap(), result);
         server.stop();
+    }
+
+    #[test]
+    fn quantiles_use_nearest_rank() {
+        let ms: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(quantiles(ms, [0.50, 0.99, 1.0]), [50.0, 99.0, 100.0]);
+        assert_eq!(quantiles(Vec::new(), [0.50]), [0.0]);
+    }
+
+    /// `Stats` starts at zero, keeps the largest sub-optimality seen, and
+    /// takes its quantiles over the latest [`LATENCY_WINDOW`] requests.
+    #[test]
+    fn stats_keep_the_max_subopt_and_the_latest_latencies() {
+        let server = PbServer::start(ServerConfig::default()).unwrap();
+        let s = &server.shared;
+        assert_eq!(s.stats(), ServerStats::default());
+        let completed = |subopt| QueryResult {
+            outcome: "completed".into(),
+            subopt: Some(subopt),
+            ..fail_result(&PbError::Internal("settled by the test".into()))
+        };
+        for subopt in [2.0, 1.5, 3.0] {
+            s.finish(held_request(s), None, completed(subopt), false);
+        }
+        assert_eq!(s.stats().max_subopt, 3.0);
+        for _ in 0..LATENCY_WINDOW {
+            s.finish(held_request(s), None, completed(1.0), false);
+        }
+        assert_eq!(s.lock().latencies_ms.len(), LATENCY_WINDOW);
+        let stats = server.stop();
+        assert_eq!(stats.completed, LATENCY_WINDOW as u64 + 3);
+        assert_eq!(stats.max_subopt, 3.0);
+        assert!(0.0 < stats.p99_ms && stats.p50_ms <= stats.p99_ms);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   frontier point of contour k in the first quadrant of qrun, with qrun
 //!   replayed from the trace by re-running each traced execution.
 //!
+//! Off the grid, for both drivers: (i) against `Workload::optimal_cost` and
+//! (ii) at seeded log-uniform draws, and inside the grid cells just above
+//! the frontier — below each axis successor and the diagonal successor of
+//! every frontier point — where no frontier point dominates the location.
+//!
 //! The closed forms are pinned against literals, not against each other.
 //! Every location of every space is visited in tier-1: about 20 s of one
 //! core in a debug build, split over the two driver tests.
@@ -35,6 +40,9 @@
 //!    frontier point) — caught by (v).
 
 use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use plan_bouquet::bouquet::{
     eval, theory, Bouquet, BouquetConfig, BouquetRun, ExecutionSubstrate, RobustConfig,
@@ -78,38 +86,78 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
 }
 
-/// One driver's run at grid location `li`, audited, with its SubOpt held to
-/// `bound`, the space's Equation 8.
-fn run_at(b: &Bouquet, li: usize, optimized: bool, bound: f64) -> (SelPoint, BouquetRun) {
-    let name = &b.workload.name;
-    let ess = &b.workload.ess;
-    let qa = ess.point(&ess.unlinear(li));
+/// One driver's run at `qa`, audited, with its SubOpt against `opt`, the
+/// optimal cost at `qa`, held to `bound`, the space's Equation 8.
+fn run_at(b: &Bouquet, qa: &SelPoint, opt: f64, optimized: bool, bound: f64) -> BouquetRun {
+    let at = || format!("{} at {qa:?} (optimized {optimized})", b.workload.name);
     let cfg = RobustConfig::plain(optimized);
-    let mut sub = SimulatorSubstrate::new(b, &qa, FaultInjector::none()).unwrap();
+    let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::none()).unwrap();
     let rr = b.run(&mut sub, &cfg).unwrap();
     if let Err(e) = rr.audit(b, &cfg) {
-        panic!("{name} at {li} (optimized {optimized}): audit: {e}");
+        panic!("{}: audit: {e}", at());
     }
     let run = rr.run;
-    assert!(run.completed(), "{name} at {li}: did not complete");
-    let subopt = run.suboptimality(b.pic_cost_at(li));
+    assert!(run.completed(), "{}: did not complete", at());
+    let subopt = run.suboptimality(opt);
     assert!(
         subopt <= bound * (1.0 + 1e-9),
-        "{name} at {li} (optimized {optimized}): SubOpt {subopt} > Eq. 8 {bound}"
+        "{}: SubOpt {subopt} > Eq. 8 {bound}",
+        at()
     );
-    (qa, run)
+    run
+}
+
+/// Seeded log-uniform draws per space, besides the frontier probes.
+const OFF_GRID_DRAWS: usize = 2000;
+
+/// Off-grid locations of `b`'s space: [`OFF_GRID_DRAWS`] seeded
+/// log-uniform draws, then, for every frontier point, one location just
+/// below each of its axis successors and one just below its diagonal
+/// successor.
+fn off_grid_locations(b: &Bouquet) -> Vec<SelPoint> {
+    let ess = &b.workload.ess;
+    let mut rng = StdRng::seed_from_u64(20_140_622);
+    let mut fractions: Vec<Vec<f64>> = (0..OFF_GRID_DRAWS)
+        .map(|_| (0..ess.d()).map(|_| rng.random::<f64>()).collect())
+        .collect();
+    for &point in b.contours.iter().flat_map(|c| &c.points) {
+        let ix = ess.unlinear(point);
+        let up: Vec<usize> = (0..ess.d()).filter(|&d| ix[d] + 1 < ess.res[d]).collect();
+        let grid: Vec<f64> = (0..ess.d())
+            .map(|d| ix[d] as f64 / (ess.res[d] - 1).max(1) as f64)
+            .collect();
+        // A millionth of a step below the successor: past `snap_floor`'s
+        // tolerance, so the location is in the cell, not on its corner.
+        let below = |f: &mut Vec<f64>, d: usize| {
+            f[d] = (ix[d] as f64 + 1.0 - 1e-6) / (ess.res[d] - 1) as f64;
+        };
+        for &d in &up {
+            let mut f = grid.clone();
+            below(&mut f, d);
+            fractions.push(f);
+        }
+        if up.len() > 1 {
+            let mut f = grid.clone();
+            up.iter().for_each(|&d| below(&mut f, d));
+            fractions.push(f);
+        }
+    }
+    fractions
+        .iter()
+        .map(|f| ess.point_at_fractions(f))
+        .collect()
 }
 
 /// Replay the optimized run's qrun by re-running each traced execution on a
 /// fresh simulator, checking (iv) and (v) along the way.
-fn replay_optimized(b: &Bouquet, li: usize, qa: &SelPoint, run: &BouquetRun) {
+fn replay_optimized(b: &Bouquet, loc: &str, qa: &SelPoint, run: &BouquetRun) {
     let name = &b.workload.name;
     let ess = &b.workload.ess;
     let mut qrun: Vec<f64> = ess.dims.iter().map(|d| d.lo).collect();
     let mut resolved = vec![false; ess.d()];
     let mut sub = SimulatorSubstrate::new(b, qa, FaultInjector::none()).unwrap();
     for (i, e) in run.trace.iter().enumerate() {
-        let at = format!("{name} at {li}, execution {i}");
+        let at = format!("{name} at {loc}, execution {i}");
         let c = b
             .contours
             .get(e.contour.wrapping_sub(1))
@@ -181,11 +229,12 @@ fn check_schedule(b: &Bouquet) {
 
 fn check_drivers(optimized: bool) {
     for b in bouquets() {
-        let bound = eq8(b);
-        for li in 0..b.workload.ess.num_points() {
-            let (qa, run) = run_at(b, li, optimized, bound);
+        let (ess, bound) = (&b.workload.ess, eq8(b));
+        for li in 0..ess.num_points() {
+            let qa = ess.point(&ess.unlinear(li));
+            let run = run_at(b, &qa, b.pic_cost_at(li), optimized, bound);
             if optimized {
-                replay_optimized(b, li, &qa, &run);
+                replay_optimized(b, &format!("{li}"), &qa, &run);
             }
         }
     }
@@ -206,6 +255,19 @@ fn basic_driver_keeps_the_guarantee_at_every_grid_location() {
 #[test]
 fn optimized_driver_keeps_the_guarantee_at_every_grid_location() {
     check_drivers(true);
+}
+
+#[test]
+fn both_drivers_keep_the_guarantee_off_the_grid() {
+    for b in bouquets() {
+        let bound = eq8(b);
+        for qa in off_grid_locations(b) {
+            let opt = b.workload.optimal_cost(&qa);
+            run_at(b, &qa, opt, false, bound);
+            let run = run_at(b, &qa, opt, true, bound);
+            replay_optimized(b, &format!("{qa:?}"), &qa, &run);
+        }
+    }
 }
 
 #[test]

@@ -3,10 +3,12 @@
 //! `Request` variant, mutates it (a bit flip, a byte set to a JSON
 //! delimiter, a truncation, a splice of another variant's line, or a run of
 //! `[` or `{` up to 200,000 long) and reads it with `read_line::<Request>`.
+//! The corpus also holds a blank line, which a reader skips.
 //! The read must end in a request, in end of input, or in a typed error:
 //! nothing may panic, and no nesting may exhaust the stack. Then a real
 //! server: the line of 200,000 `[` gets an error, a line past the length cap
-//! gets an error and a closed connection, and the server keeps serving.
+//! gets an error and a closed connection, a blank line is skipped, and the
+//! server keeps serving.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -17,7 +19,10 @@ use proptest::prelude::*;
 use pb_server::protocol::{read_line, write_line, MAX_LINE_BYTES};
 use pb_server::{PbClient, PbServer, Request, Response, ServerConfig};
 
-/// One wire line per `Request` variant, newline included.
+/// A line of whitespace only: no request, and not the end of input.
+const BLANK: &[u8] = b" \t\r\n";
+
+/// One wire line per `Request` variant, newline included, then [`BLANK`].
 fn lines() -> Vec<Vec<u8>> {
     let reqs = [
         Request::Ping,
@@ -38,13 +43,16 @@ fn lines() -> Vec<Vec<u8>> {
         Request::Stats,
         Request::Drain,
     ];
-    reqs.iter()
+    let mut lines: Vec<Vec<u8>> = reqs
+        .iter()
         .map(|r| {
             let mut line = Vec::new();
             write_line(&mut line, r).unwrap();
             line
         })
-        .collect()
+        .collect();
+    lines.push(BLANK.to_vec());
+    lines
 }
 
 /// One seeded mutation of `line`; `x` and `y` are uniform draws in [0, 1).
@@ -88,23 +96,29 @@ proptest! {
 
     #[test]
     fn a_mutated_request_line_is_read_or_refused(
-        which in 0usize..7,
+        which in 0usize..8,
         kind in 0usize..5,
         x in 0.0f64..1.0,
         y in 0.0f64..1.0,
     ) {
         let lines = lines();
-        let bytes = mutate(&lines[which], &lines[(which + 1) % 7], kind, x, y);
+        let bytes = mutate(&lines[which], &lines[(which + 1) % lines.len()], kind, x, y);
         let read = catch_unwind(AssertUnwindSafe(|| read_line::<Request, _>(&mut bytes.as_slice())));
         prop_assert!(read.is_ok(), "line {which}, mutation {kind} at ({x}, {y}) panicked");
     }
 }
 
-/// The property is not vacuous: unmutated lines read back as themselves.
+/// The property is not vacuous: unmutated lines read back as themselves,
+/// past a blank line before them; the blank line alone is end of input.
 #[test]
 fn the_pristine_lines_read_back() {
     for line in lines() {
-        let req: Request = read_line(&mut line.as_slice()).unwrap().unwrap();
+        let wire = [BLANK, &line].concat();
+        let read: Option<Request> = read_line(&mut wire.as_slice()).unwrap();
+        let Some(req) = read else {
+            assert_eq!(line, BLANK);
+            continue;
+        };
         let mut again = Vec::new();
         write_line(&mut again, &req).unwrap();
         assert_eq!(again, line);
@@ -150,5 +164,16 @@ fn a_hostile_line_gets_an_error_and_the_server_keeps_serving() {
 
     let mut client = PbClient::connect(server.addr()).unwrap();
     assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+    server.stop();
+}
+
+/// A blank line before a request is no request and no end of input: the
+/// request after it is answered, and the connection stays open.
+#[test]
+fn a_blank_line_is_skipped_and_the_connection_serves_on() {
+    let server = PbServer::start(ServerConfig::default()).unwrap();
+    let (reply, open) = send_raw(&server, b"\n\"Ping\"\n");
+    assert_eq!(reply, Response::Pong);
+    assert!(open, "a blank line must not end the connection");
     server.stop();
 }
