@@ -274,13 +274,4 @@ mod tests {
         let empty: Option<Request> = read_line(&mut "".as_bytes()).unwrap();
         assert!(empty.is_none());
     }
-
-    #[test]
-    fn blank_lines_are_skipped_not_read_as_eof() {
-        let mut r = "\n \r\n\"Ping\"\n\t\n".as_bytes();
-        let ping: Option<Request> = read_line(&mut r).unwrap();
-        assert_eq!(ping, Some(Request::Ping));
-        let eof: Option<Request> = read_line(&mut r).unwrap();
-        assert!(eof.is_none());
-    }
 }

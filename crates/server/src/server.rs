@@ -907,9 +907,12 @@ mod tests {
     }
 
     /// `Stats` starts at zero, keeps the largest sub-optimality seen, and
-    /// takes its quantiles over the latest [`LATENCY_WINDOW`] requests.
+    /// takes its quantiles over the latest [`LATENCY_WINDOW`] requests: once
+    /// the window is full, a finish drops the oldest latency and appends its
+    /// own.
     #[test]
     fn stats_keep_the_max_subopt_and_the_latest_latencies() {
+        let start = Instant::now();
         let server = PbServer::start(ServerConfig::default()).unwrap();
         let s = &server.shared;
         assert_eq!(s.stats(), ServerStats::default());
@@ -925,9 +928,19 @@ mod tests {
         for _ in 0..LATENCY_WINDOW {
             s.finish(held_request(s), None, completed(1.0), false);
         }
-        assert_eq!(s.lock().latencies_ms.len(), LATENCY_WINDOW);
+        let before = s.lock().latencies_ms.clone();
+        assert_eq!(before.len(), LATENCY_WINDOW);
+        // Submitted before every request above, so its latency is the largest.
+        let id = held_request(s);
+        s.lock().reqs.get_mut(&id).unwrap().submitted = start;
+        s.finish(id, None, completed(1.0), false);
+        let after = s.lock().latencies_ms.clone();
+        assert_eq!(after.len(), LATENCY_WINDOW);
+        assert!(after.range(..LATENCY_WINDOW - 1).eq(before.range(1..)));
+        let newest = *after.back().unwrap();
+        assert!(before.iter().all(|&ms| ms <= newest), "{newest}");
         let stats = server.stop();
-        assert_eq!(stats.completed, LATENCY_WINDOW as u64 + 3);
+        assert_eq!(stats.completed, LATENCY_WINDOW as u64 + 4);
         assert_eq!(stats.max_subopt, 3.0);
         assert!(0.0 < stats.p99_ms && stats.p50_ms <= stats.p99_ms);
     }
